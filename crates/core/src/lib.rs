@@ -54,7 +54,8 @@ pub mod runner;
 
 pub use experiment::{Experiment, ExperimentError};
 pub use runner::{
-    EmulatorBackend, ExecutionBackend, FlowId, RecoverError, Runner, SnapshotError, UdpFlowId,
+    DriverCounters, EmulatorBackend, ExecutionBackend, FlowId, RecoverError, Runner, SnapshotError,
+    UdpFlowId,
 };
 
 // Re-export the pieces users need to drive the pipeline by hand.

@@ -423,6 +423,20 @@ enum Side {
     B,
 }
 
+/// Work the driver loop has done, in events popped from its queue. Exact
+/// counts of virtual-time behaviour (they repeat run to run), kept outside
+/// snapshots and digests: they describe this `Runner`, not the emulation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriverCounters {
+    /// Every event handled (wakeups, timers, polls, flow starts, ...).
+    pub events: u64,
+    /// TCP endpoint timer events among them.
+    pub timer_events: u64,
+    /// Timer events that found no timer due: the deadline they were armed
+    /// for had moved or been cancelled by the time they fired.
+    pub stale_timer_events: u64,
+}
+
 #[derive(Debug)]
 enum Event {
     /// The emulator has scheduler work due.
@@ -604,9 +618,31 @@ struct Channel {
     start_at: SimTime,
     completed_at: Option<SimTime>,
     is_app_channel: bool,
+    /// Per side (`Side as usize`): the times of this endpoint's
+    /// `ChannelTimer` events still in the driver queue, latest first, so the
+    /// last entry is the next to fire. An event is only pushed for a
+    /// deadline earlier than every outstanding one, which keeps the list
+    /// strictly decreasing and as short as the endpoint has distinct timers.
+    /// It mirrors the queue exactly — never serialized, rebuilt from the
+    /// pending events on restore.
+    armed: [Vec<SimTime>; 2],
 }
 
 impl Channel {
+    fn conn(&self, side: Side) -> &TcpConnection {
+        match side {
+            Side::A => &self.conn_a,
+            Side::B => &self.conn_b,
+        }
+    }
+
+    fn conn_mut(&mut self, side: Side) -> &mut TcpConnection {
+        match side {
+            Side::A => &mut self.conn_a,
+            Side::B => &mut self.conn_b,
+        }
+    }
+
     fn side_of(&self, vn: VnId) -> Option<Side> {
         if vn == self.a {
             Some(Side::A)
@@ -637,6 +673,14 @@ pub struct Runner {
     /// are dense near-term deadlines, so they ride the same O(1) timing wheel
     /// as the core scheduler; idle application timers fall through to the
     /// wheel's overflow level.
+    ///
+    /// Invariant: a TCP endpoint has at most one *live* `ChannelTimer` event
+    /// here — one firing at or before its `next_timer()` — plus the
+    /// superseded ones armed for a later deadline before an earlier timer
+    /// appeared (an RTO event under a delayed-ACK one). Those are bounded by
+    /// the endpoint's number of distinct timers and retire when they fire,
+    /// so the queue stays O(endpoints) however long the run (see
+    /// [`Channel::armed`]).
     events: TimerWheel<Event>,
     emulator: EmulatorBackend,
     binding: Binding,
@@ -657,6 +701,10 @@ pub struct Runner {
     /// Reusable buffer the emulator drains deliveries into; capacity
     /// persists across wakeups so the steady state allocates nothing.
     delivery_buf: Vec<Delivery>,
+    /// Reusable buffers the transports poll into, same reason.
+    segment_buf: Vec<SegmentToSend>,
+    datagram_buf: Vec<u64>,
+    counters: DriverCounters,
     /// Runtime reconfiguration engine, when the experiment carries a
     /// dynamics schedule. Taken out of the slot while applying (the engine
     /// mutates the backend, which also lives on `self`).
@@ -707,6 +755,9 @@ impl Runner {
             emu_wakeup_at: None,
             apps_started: false,
             delivery_buf: Vec::new(),
+            segment_buf: Vec::new(),
+            datagram_buf: Vec::new(),
+            counters: DriverCounters::default(),
             dynamics: None,
             failure: None,
             auto_checkpoint: None,
@@ -946,6 +997,16 @@ impl Runner {
         self.packets_delivered
     }
 
+    /// What the driver loop has handled so far (see [`DriverCounters`]).
+    pub fn driver_counters(&self) -> DriverCounters {
+        self.counters
+    }
+
+    /// Events waiting in the driver's queue.
+    pub fn pending_driver_events(&self) -> usize {
+        self.events.len()
+    }
+
     /// Bytes acknowledged end-to-end on a TCP flow.
     pub fn flow_bytes_acked(&self, flow: FlowId) -> u64 {
         self.channels
@@ -1029,7 +1090,7 @@ impl Runner {
         // would scan a not-yet-active slot twice.
         while let Some((t, event)) = self.events.pop_due(deadline) {
             self.now = self.now.max(t);
-            self.handle_event(event);
+            self.handle_event(t, event);
             if let Some(error) = &self.failure {
                 return Err(error.clone());
             }
@@ -1195,10 +1256,9 @@ impl Runner {
         let emu_bytes = r.take_bytes(emu_len)?;
         let emu_snap = EmulatorSnapshot::from_bytes(emu_bytes)?;
         let event_count = r.get_len()?;
-        let mut events = TimerWheel::new();
+        let mut pending = Vec::with_capacity(event_count);
         for _ in 0..event_count {
-            let (at, event) = get_event(&mut r)?;
-            events.push(at, event);
+            pending.push(get_event(&mut r)?);
         }
         let channel_count = r.get_len()?;
         let mut channels = Vec::with_capacity(channel_count);
@@ -1237,6 +1297,7 @@ impl Runner {
                 start_at: r.get_time()?,
                 completed_at: r.get_opt_time()?,
                 is_app_channel: r.get_bool()?,
+                armed: Default::default(),
             });
         }
         let binding_count = r.get_len()?;
@@ -1261,6 +1322,45 @@ impl Runner {
                 bytes_received: r.get_u64()?,
                 sent: r.get_u64()?,
             });
+        }
+        // The event loop and the delivery path index `channels` and
+        // `udp_flows` with what the snapshot says, unchecked: refuse any
+        // index they do not cover. The same walk over the pending events
+        // rebuilds each endpoint's armed-timer list, which is a function of
+        // the queue alone and must hold for any multiset of timer events, in
+        // any order: version-1 snapshots exist with many per endpoint,
+        // several at one instant.
+        for binding in &port_bindings {
+            let in_range = match *binding {
+                PortBinding::Tcp(ch) => ch < channels.len(),
+                PortBinding::Udp(flow) => flow < udp_flows.len(),
+            };
+            if !in_range {
+                return Err(CodecError::Invalid("port binding index").into());
+            }
+        }
+        let mut events = TimerWheel::new();
+        for (at, event) in pending {
+            match event {
+                Event::ChannelTimer { ch, side } => channels
+                    .get_mut(ch)
+                    .ok_or(CodecError::Invalid("timer event channel index"))?
+                    .armed[side as usize]
+                    .push(at),
+                Event::FlowStart { ch } if ch >= channels.len() => {
+                    return Err(CodecError::Invalid("flow start channel index").into());
+                }
+                Event::UdpPoll { flow } if flow >= udp_flows.len() => {
+                    return Err(CodecError::Invalid("UDP poll flow index").into());
+                }
+                _ => {}
+            }
+            events.push(at, event);
+        }
+        for channel in &mut channels {
+            for armed in &mut channel.armed {
+                armed.sort_unstable_by(|a, b| b.cmp(a));
+            }
         }
         let next_packet_id = r.get_u64()?;
         let packets_submitted = r.get_u64()?;
@@ -1343,7 +1443,8 @@ impl Runner {
         self.checkpoint_failure.as_ref()
     }
 
-    fn handle_event(&mut self, event: Event) {
+    fn handle_event(&mut self, at: SimTime, event: Event) {
+        self.counters.events += 1;
         match event {
             Event::EmuWakeup => {
                 if self.emu_wakeup_at == Some(self.now) || self.emu_wakeup_at.is_none() {
@@ -1351,7 +1452,7 @@ impl Runner {
                 }
                 self.drain_emulator();
             }
-            Event::ChannelTimer { ch, side } => self.handle_channel_timer(ch, side),
+            Event::ChannelTimer { ch, side } => self.handle_channel_timer(ch, side, at),
             Event::AppTimer { vn, token } => {
                 let now = self.now;
                 if let Some(app) = self.app_mut(vn) {
@@ -1453,6 +1554,7 @@ impl Runner {
             start_at: self.now,
             completed_at: None,
             is_app_channel: is_app,
+            armed: Default::default(),
         });
         if is_app {
             self.app_channel_by_pair.insert((a, b), idx);
@@ -1531,7 +1633,7 @@ impl Runner {
     }
 
     /// Polls both endpoints of a channel for outgoing segments, submits them,
-    /// and refreshes the endpoint timers.
+    /// and makes sure each endpoint's next timer has an event to fire it.
     fn pump_channel(&mut self, ch: usize) {
         if !self.channels[ch].started {
             return;
@@ -1544,80 +1646,70 @@ impl Runner {
                 bulk.pump(now, &mut channel.conn_a);
             }
         }
+        // Taken out of `self` so `submit_packet` can run while it drains.
+        let mut segs = std::mem::take(&mut self.segment_buf);
         for side in [Side::A, Side::B] {
-            let (src, dst, port, segs) = {
-                let channel = &mut self.channels[ch];
-                let (conn, src, dst) = match side {
-                    Side::A => (&mut channel.conn_a, channel.a, channel.b),
-                    Side::B => (&mut channel.conn_b, channel.b, channel.a),
-                };
-                (src, dst, channel.port, conn.poll_send(now))
+            let channel = &mut self.channels[ch];
+            let port = channel.port;
+            let (src, dst) = match side {
+                Side::A => (channel.a, channel.b),
+                Side::B => (channel.b, channel.a),
             };
-            for seg in &segs {
-                let packet = self.build_tcp_packet(src, dst, port, seg);
+            channel.conn_mut(side).poll_send_into(now, &mut segs);
+            for seg in segs.drain(..) {
+                let packet = self.build_tcp_packet(src, dst, port, &seg);
                 self.submit_packet(packet);
             }
-            self.refresh_channel_timer(ch, side);
+            self.arm_channel_timer(ch, side);
         }
+        self.segment_buf = segs;
     }
 
-    fn refresh_channel_timer(&mut self, ch: usize, side: Side) {
-        let deadline = {
-            let channel = &self.channels[ch];
-            let conn = match side {
-                Side::A => &channel.conn_a,
-                Side::B => &channel.conn_b,
-            };
-            conn.next_timer()
+    /// Pushes a timer event for the endpoint's current deadline unless one
+    /// already outstanding fires at or before it: that one will find the
+    /// timer not yet due and arm the real deadline then. Most deadlines move
+    /// *later* (every ACK restarts the RTO), so most calls push nothing.
+    fn arm_channel_timer(&mut self, ch: usize, side: Side) {
+        let channel = &mut self.channels[ch];
+        let Some(deadline) = channel.conn(side).next_timer() else {
+            return;
         };
-        if let Some(t) = deadline {
-            self.events
-                .push(t.max(self.now), Event::ChannelTimer { ch, side });
+        let at = deadline.max(self.now);
+        let armed = &mut channel.armed[side as usize];
+        if armed.last().is_none_or(|&next| at < next) {
+            armed.push(at);
+            self.events.push(at, Event::ChannelTimer { ch, side });
         }
     }
 
-    fn handle_channel_timer(&mut self, ch: usize, side: Side) {
+    fn handle_channel_timer(&mut self, ch: usize, side: Side, at: SimTime) {
+        self.counters.timer_events += 1;
         let now = self.now;
-        let due = {
-            let channel = &self.channels[ch];
-            let conn = match side {
-                Side::A => &channel.conn_a,
-                Side::B => &channel.conn_b,
-            };
-            conn.next_timer().is_some_and(|t| t <= now)
-        };
-        if due {
-            {
-                let channel = &mut self.channels[ch];
-                let conn = match side {
-                    Side::A => &mut channel.conn_a,
-                    Side::B => &mut channel.conn_b,
-                };
-                conn.on_timer(now);
-            }
+        let channel = &mut self.channels[ch];
+        // Events fire in time order, so the one firing is the last armed.
+        let fired = channel.armed[side as usize].pop();
+        debug_assert_eq!(fired, Some(at), "armed list out of step with the queue");
+        let conn = channel.conn_mut(side);
+        if conn.next_timer().is_some_and(|t| t <= now) {
+            conn.on_timer(now);
             self.pump_channel(ch);
         } else {
-            // Stale event: re-arm for the real deadline, if any.
-            self.refresh_channel_timer(ch, side);
+            // The deadline moved since this event was armed.
+            self.counters.stale_timer_events += 1;
+            self.arm_channel_timer(ch, side);
         }
     }
 
     fn handle_udp_poll(&mut self, flow: usize) {
         let now = self.now;
-        let (src, dst, port, payload, seqs, next) = {
+        let mut seqs = std::mem::take(&mut self.datagram_buf);
+        let (src, dst, port, payload, next) = {
             let f = &mut self.udp_flows[flow];
-            let seqs = f.stream.poll(now);
+            f.stream.poll_into(now, &mut seqs);
             f.sent += seqs.len() as u64;
-            (
-                f.src,
-                f.dst,
-                f.port,
-                f.payload,
-                seqs,
-                f.stream.next_send_time(),
-            )
+            (f.src, f.dst, f.port, f.payload, f.stream.next_send_time())
         };
-        for seq in seqs {
+        for seq in seqs.drain(..) {
             let id = PacketId(self.next_packet_id);
             self.next_packet_id += 1;
             let packet = Packet::new(
@@ -1637,6 +1729,7 @@ impl Runner {
             );
             self.submit_packet(packet);
         }
+        self.datagram_buf = seqs;
         if let Some(t) = next {
             self.events.push(t, Event::UdpPoll { flow });
         }
@@ -1699,14 +1792,8 @@ impl Runner {
                     return;
                 }
                 let now = self.now;
-                let event = {
-                    let channel = &mut self.channels[ch];
-                    let conn = match receiver_side {
-                        Side::A => &mut channel.conn_a,
-                        Side::B => &mut channel.conn_b,
-                    };
-                    conn.on_segment(now, seq, payload_len, ack, flags, window)
-                };
+                let conn = self.channels[ch].conn_mut(receiver_side);
+                let event = conn.on_segment(now, seq, payload_len, ack, flags, window);
                 // Dispatch any application messages this delivery completed.
                 if self.channels[ch].is_app_channel && event.delivered_upto > 0 {
                     self.dispatch_messages(ch, receiver_side, event.delivered_upto);
@@ -2053,6 +2140,165 @@ mod tests {
         );
         let (at, _) = runner.last_checkpoint().expect("pre-app checkpoint kept");
         assert!(at <= SimTime::from_secs(2));
+    }
+
+    /// One short fixed transfer and one long-lived flow over two cores.
+    fn timer_runner(backend: ExecutionBackend) -> Runner {
+        let topo = star_topology(&StarParams {
+            clients: 4,
+            ..StarParams::default()
+        });
+        let mut runner = Experiment::new(topo)
+            .distillation(DistillationMode::HopByHop)
+            .cores(2)
+            .edge_nodes(2)
+            .backend(backend)
+            .unconstrained_hardware()
+            .seed(5)
+            .build()
+            .expect("experiment builds");
+        let vns = runner.vn_ids();
+        runner.add_bulk_flow(vns[0], vns[1], Some(ByteSize::from_kb(64)), SimTime::ZERO);
+        runner.add_bulk_flow(vns[2], vns[3], None, SimTime::from_millis(100));
+        runner
+    }
+
+    /// The short flow's receiver keeps its handshake RTO event (armed for
+    /// one initial RTO after the SYN, cancelled by the handshake's ACK) in
+    /// the queue for a second. Returns an instant at which a delayed-ACK
+    /// event is armed on top of it, and one after the transfer at which
+    /// the delayed-ACK events have all fired and only the RTO event is left.
+    fn superseded_timer_instants() -> (SimTime, SimTime) {
+        let mut scout = timer_runner(ExecutionBackend::Sequential);
+        let (mut stacked, mut leftover) = (None, None);
+        for ms in 1..1_000 {
+            let at = SimTime::from_millis(ms);
+            scout.run_until(at).unwrap();
+            let channel = &scout.channels[0];
+            let armed = &channel.armed[Side::B as usize];
+            if stacked.is_none()
+                && armed.len() == 2
+                && channel.conn_b.next_timer() == armed.last().copied()
+            {
+                stacked = Some(at);
+            }
+            if stacked.is_some() && channel.completed_at.is_some() && armed.len() == 1 {
+                assert_eq!(channel.conn_b.next_timer(), None);
+                leftover = Some(at);
+                break;
+            }
+        }
+        (
+            stacked.expect("a delayed ACK armed over the handshake RTO event"),
+            leftover.expect("the RTO event outlives the transfer"),
+        )
+    }
+
+    #[test]
+    fn restore_with_a_superseded_timer_event_in_the_queue_is_exact() {
+        let (stacked, leftover) = superseded_timer_instants();
+        let end = SimTime::from_secs(3);
+        for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+            let mut reference = timer_runner(backend);
+            reference.run_until(end).unwrap();
+            let want = reference.snapshot().unwrap();
+            for (at, armed_events) in [(stacked, 2), (leftover, 1)] {
+                let mut first = timer_runner(backend);
+                first.run_until(at).unwrap();
+                assert_eq!(
+                    first.channels[0].armed[Side::B as usize].len(),
+                    armed_events
+                );
+                let checkpoint = first.snapshot().unwrap();
+                let mut resumed = timer_runner(backend);
+                resumed.recover_from(&checkpoint).unwrap();
+                for (was, is) in first.channels.iter().zip(&resumed.channels) {
+                    assert_eq!(was.armed, is.armed, "armed lists rebuilt from the queue");
+                }
+                assert!(
+                    resumed.snapshot().unwrap() == checkpoint,
+                    "re-serialized differently straight after restore ({backend:?}, {at})"
+                );
+                resumed.run_until(end).unwrap();
+                assert!(
+                    resumed.snapshot().unwrap() == want,
+                    "resume diverged from the uninterrupted run ({backend:?}, {at})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recover_rejects_out_of_range_indices() {
+        let at = SimTime::from_millis(700);
+        type Corrupt = fn(&mut Runner, SimTime);
+        let hostile: [(&str, Corrupt); 5] = [
+            ("timer event channel index", |r, t| {
+                r.events.push(
+                    t,
+                    Event::ChannelTimer {
+                        ch: 2,
+                        side: Side::B,
+                    },
+                );
+            }),
+            ("flow start channel index", |r, t| {
+                r.events.push(t, Event::FlowStart { ch: usize::MAX });
+            }),
+            ("UDP poll flow index", |r, t| {
+                r.events.push(t, Event::UdpPoll { flow: 0 });
+            }),
+            ("port binding index", |r, _| {
+                r.port_bindings.push(PortBinding::Tcp(2));
+            }),
+            ("port binding index", |r, _| {
+                r.port_bindings.push(PortBinding::Udp(0));
+            }),
+        ];
+        let mut target = timer_runner(ExecutionBackend::Sequential);
+        for (what, corrupt) in hostile {
+            // Corrupting the state before it is serialized yields a snapshot
+            // with a valid frame and checksum around the bad index.
+            let mut source = timer_runner(ExecutionBackend::Sequential);
+            source.run_until(SimTime::from_millis(500)).unwrap();
+            corrupt(&mut source, at);
+            let bytes = source.snapshot().unwrap();
+            assert_eq!(
+                target.recover_from(&bytes).unwrap_err(),
+                RecoverError::Codec(CodecError::Invalid(what))
+            );
+        }
+        // Every refusal left the target untouched: it still runs from zero.
+        assert_eq!(target.now(), SimTime::ZERO);
+        target.run_until(at).unwrap();
+        assert!(target.packets_delivered() > 0);
+    }
+
+    #[test]
+    fn recover_accepts_any_multiset_of_timer_events() {
+        // The push-per-pump driver wrote many timer events per endpoint,
+        // duplicates at equal times included, in no particular push order.
+        let mut source = timer_runner(ExecutionBackend::Sequential);
+        source.run_until(SimTime::from_millis(500)).unwrap();
+        for ms in [900, 600, 600, 501, 900, 600, 2_500] {
+            for side in [Side::B, Side::A] {
+                source.events.push(
+                    SimTime::from_millis(ms),
+                    Event::ChannelTimer { ch: 1, side },
+                );
+            }
+        }
+        let bytes = source.snapshot().unwrap();
+        let mut resumed = timer_runner(ExecutionBackend::Sequential);
+        resumed.recover_from(&bytes).unwrap();
+        assert!(resumed.snapshot().unwrap() == bytes);
+        let extra = resumed.pending_driver_events();
+        // Every fire pops its own entry (checked in `handle_channel_timer`),
+        // the surplus retires, and the flow carries on.
+        resumed.run_until(SimTime::from_secs(3)).unwrap();
+        assert!(resumed.pending_driver_events() < extra - 10);
+        assert!(resumed.driver_counters().stale_timer_events >= 12);
+        assert!(resumed.flow_bytes_acked(FlowId(1)) > 1_000_000);
     }
 
     #[test]

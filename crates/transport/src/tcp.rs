@@ -509,6 +509,14 @@ impl TcpConnection {
     /// congestion and receive windows, and pure ACKs.
     pub fn poll_send(&mut self, now: SimTime) -> Vec<SegmentToSend> {
         let mut out = Vec::new();
+        self.poll_send_into(now, &mut out);
+        out
+    }
+
+    /// [`TcpConnection::poll_send`] appending to a caller-owned buffer, so a
+    /// driver polling on every delivery reuses one allocation.
+    pub fn poll_send_into(&mut self, now: SimTime, out: &mut Vec<SegmentToSend>) {
+        let already = out.len();
         let window = self.config.receive_window.min(u32::MAX as u64) as u32;
 
         // Handshake.
@@ -596,8 +604,7 @@ impl TcpConnection {
             }
             self.pending_acks = 0;
         }
-        self.segments_sent += out.len() as u64;
-        out
+        self.segments_sent += (out.len() - already) as u64;
     }
 
     /// Serializes the complete endpoint state (configuration, handshake
@@ -1064,6 +1071,66 @@ mod tests {
         let next = SimTime::from_millis(80);
         assert_eq!(client.next_timer(), restored.next_timer());
         assert_eq!(client.poll_send(next), restored.poll_send(next));
+    }
+
+    #[test]
+    fn poll_send_into_emits_the_same_segments_as_poll_send() {
+        // Two identical conversations, one polled through the allocating
+        // wrapper and one through a reused buffer; every 11th data segment
+        // is dropped so retransmissions, dup ACKs and pure ACKs all appear.
+        let pair = || {
+            let mut client = TcpConnection::client(cfg());
+            client.write(400_000);
+            (client, TcpConnection::server(cfg()))
+        };
+        let (mut c1, mut s1) = pair();
+        let (mut c2, mut s2) = pair();
+        let mut buf = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut data_seen = 0u32;
+        let mut total = 0usize;
+        for round in 0..2_000 {
+            now += SimDuration::from_millis(5);
+            for conn in [&mut c1, &mut s1, &mut c2, &mut s2] {
+                if conn.next_timer().is_some_and(|t| t <= now) {
+                    conn.on_timer(now);
+                }
+            }
+            let (from, into, to, to_into) = if round % 2 == 0 {
+                (&mut c1, &mut c2, &mut s1, &mut s2)
+            } else {
+                (&mut s1, &mut s2, &mut c1, &mut c2)
+            };
+            let segs = from.poll_send(now);
+            buf.clear();
+            into.poll_send_into(now, &mut buf);
+            assert_eq!(segs, buf, "round {round}");
+            total += segs.len();
+            for s in segs {
+                if s.payload_len > 0 {
+                    data_seen += 1;
+                    if data_seen.is_multiple_of(11) {
+                        continue;
+                    }
+                }
+                to.on_segment(now, s.seq, s.payload_len, s.ack, s.flags, s.window);
+                to_into.on_segment(now, s.seq, s.payload_len, s.ack, s.flags, s.window);
+            }
+        }
+        assert!(
+            c1.retransmissions() > 5 && total > 300,
+            "{} retransmissions in {total} segments",
+            c1.retransmissions()
+        );
+        assert_eq!(c1.segments_sent(), c2.segments_sent());
+        assert_eq!(s1.segments_sent(), s2.segments_sent());
+        // Appending leaves what the buffer already held alone, and counts
+        // only what this call emitted.
+        let before = c2.segments_sent();
+        c2.write(10_000);
+        let kept = buf.len();
+        c2.poll_send_into(now, &mut buf);
+        assert_eq!(c2.segments_sent() - before, (buf.len() - kept) as u64);
     }
 
     #[test]

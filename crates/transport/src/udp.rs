@@ -95,12 +95,17 @@ impl UdpStream {
     /// datagram's sequence number; the caller builds the packet.
     pub fn poll(&mut self, now: SimTime) -> Vec<u64> {
         let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    /// [`UdpStream::poll`] appending to a caller-owned buffer.
+    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
         while !self.is_finished() && self.next_send <= now {
             out.push(self.next_seq);
             self.next_seq += 1;
             self.next_send += self.interval;
         }
-        out
     }
 
     /// Serializes the stream (configuration and pacing position) for the
@@ -240,6 +245,25 @@ mod tests {
         assert!(first > 0 && second > 0);
         let total = first + second;
         assert!((845..=855).contains(&total));
+    }
+
+    #[test]
+    fn poll_into_emits_the_same_sequence_as_poll() {
+        let config = UdpStreamConfig {
+            max_datagrams: Some(700),
+            ..UdpStreamConfig::default()
+        };
+        let mut a = UdpStream::new(config, SimTime::ZERO);
+        let mut b = a.clone();
+        let mut buf = Vec::new();
+        for ms in (0..1_000).step_by(7) {
+            let now = SimTime::from_millis(ms);
+            buf.clear();
+            b.poll_into(now, &mut buf);
+            assert_eq!(a.poll(now), buf);
+            assert_eq!(a.next_send_time(), b.next_send_time());
+        }
+        assert!(a.is_finished() && b.is_finished());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, 
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
 use mn_util::alloc::thread_alloc_calls as alloc_calls;
-use mn_util::SimTime;
+use mn_util::{SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOCATOR: mn_util::alloc::CountingAlloc = mn_util::alloc::CountingAlloc;
@@ -517,5 +517,42 @@ fn single_core_steady_state_allocates_nothing() {
         delta, 0,
         "steady-state submit/advance made {delta} heap allocations; \
          the per-packet path must be allocation-free"
+    );
+}
+
+#[test]
+fn runner_tcp_steady_state_allocates_next_to_nothing() {
+    // One level up: the whole driver loop — TCP endpoints polled into the
+    // runner's own buffers, one live timer event per endpoint, the emulator
+    // underneath. Not zero: buffers sized by traffic history (a receiver's
+    // out-of-order list, a wheel slot) can still meet a new high-water mark
+    // after warm-up. But far below one call per packet.
+    let topo = ring_topology(&RingParams {
+        routers: 5,
+        clients_per_router: 8,
+        ..RingParams::default()
+    });
+    let mut runner = modelnet::Experiment::new(topo)
+        .distillation(DistillationMode::HopByHop)
+        .cores(1)
+        .edge_nodes(4)
+        .unconstrained_hardware()
+        .seed(17)
+        .build()
+        .expect("experiment builds");
+    let vns = runner.vn_ids();
+    for i in 0..20 {
+        runner.add_bulk_flow(vns[i], vns[(i + 16) % vns.len()], None, SimTime::ZERO);
+    }
+    runner.run_for(SimDuration::from_secs(2)).unwrap();
+
+    let (before, submitted) = (alloc_calls(), runner.packets_submitted());
+    runner.run_for(SimDuration::from_secs(1)).unwrap();
+    let calls = alloc_calls() - before;
+    let packets = runner.packets_submitted() - submitted;
+    assert!(packets > 2_000, "the flows must be in full swing");
+    assert!(
+        calls as f64 <= 0.05 * packets as f64,
+        "{calls} allocator calls for {packets} submitted packets"
     );
 }
