@@ -148,9 +148,9 @@ fn bench_submit_path(c: &mut Criterion) {
             let now = SimTime::from_micros(i * 20);
             let src = vns[i as usize % vns.len()];
             let dst = vns[(i as usize + 7) % vns.len()];
-            std::hint::black_box(emu.submit(now, tcp_packet(i, src, dst, now)));
+            std::hint::black_box(emu.submit(now, tcp_packet(i, src, dst, now)).unwrap());
             if i.is_multiple_of(32) {
-                std::hint::black_box(emu.advance(now));
+                std::hint::black_box(emu.advance(now).unwrap());
             }
             i += 1;
         })
@@ -249,10 +249,10 @@ fn bench_steady_state_many_pipes(c: &mut Criterion) {
         b.iter(|| {
             let now = SimTime::from_micros(i * 20);
             let (src, dst) = endpoints[i as usize % endpoints.len()];
-            std::hint::black_box(emu.submit(now, tcp_packet(i, src, dst, now)));
+            std::hint::black_box(emu.submit(now, tcp_packet(i, src, dst, now)).unwrap());
             if i.is_multiple_of(32) {
                 deliveries.clear();
-                emu.advance_into(now, &mut deliveries);
+                emu.advance_into(now, &mut deliveries).unwrap();
                 std::hint::black_box(deliveries.len());
             }
             i += 1;

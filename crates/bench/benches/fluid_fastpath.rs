@@ -115,7 +115,7 @@ fn run_foreground(emu: &mut MultiCoreEmulator, vns: &[VnId], from: SimTime) -> (
         let _ = emu.submit(now, udp_packet(i, src, dst, now));
         if i % 8 == 7 {
             deliveries.clear();
-            emu.advance_into(now, &mut deliveries);
+            emu.advance_into(now, &mut deliveries).unwrap();
             delivered += deliveries.len() as u64;
         }
     }
@@ -125,7 +125,7 @@ fn run_foreground(emu: &mut MultiCoreEmulator, vns: &[VnId], from: SimTime) -> (
         }
         now += SimDuration::from_millis(10);
         deliveries.clear();
-        emu.advance_into(now, &mut deliveries);
+        emu.advance_into(now, &mut deliveries).unwrap();
         delivered += deliveries.len() as u64;
     }
     (delivered, start.elapsed().as_secs_f64(), now)

@@ -110,7 +110,7 @@ fn drive(
         let _ = emu.submit(now, tcp_packet(i, src, dst, now));
         if i % 8 == 0 {
             deliveries.clear();
-            emu.advance_into(now, deliveries);
+            emu.advance_into(now, deliveries).unwrap();
             delivered += deliveries.len() as u64;
         }
     }
@@ -139,7 +139,7 @@ fn main() {
         let mut bytes = Vec::new();
         for _ in 0..SNAP_REPS {
             let t = Instant::now();
-            let snap = emu.snapshot();
+            let snap = emu.snapshot().unwrap();
             let framed = snap.to_bytes();
             snap_secs = snap_secs.min(t.elapsed().as_secs_f64());
             bytes = framed;
@@ -158,7 +158,7 @@ fn main() {
         let mut restored = restored.expect("at least one restore ran");
 
         // Fidelity: the restored emulator re-serializes to the exact bytes.
-        let identical = restored.snapshot().to_bytes() == bytes;
+        let identical = restored.snapshot().unwrap().to_bytes() == bytes;
 
         // Steady state across the restore: re-warm (restore drops scratch
         // buffers by design — they hold no state), then a measured window

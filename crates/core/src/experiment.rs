@@ -11,7 +11,7 @@ use std::fmt;
 
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode, DistilledTopology};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+use mn_emucore::{Emulator, HardwareProfile};
 use mn_routing::RoutingMatrix;
 use mn_topology::Topology;
 use mn_transport::TcpConfig;
@@ -246,7 +246,7 @@ impl Experiment {
         let binding = Binding::bind(distilled.vns(), &params);
         // Run-phase driver on the selected execution backend.
         let mut backend = match self.backend {
-            ExecutionBackend::Sequential => EmulatorBackend::Sequential(MultiCoreEmulator::new(
+            ExecutionBackend::Sequential => EmulatorBackend::Sequential(Emulator::new(
                 &distilled,
                 pod,
                 matrix,
@@ -254,7 +254,7 @@ impl Experiment {
                 self.profile,
                 self.seed,
             )),
-            ExecutionBackend::Threaded => EmulatorBackend::Threaded(ParallelEmulator::new(
+            ExecutionBackend::Threaded => EmulatorBackend::Threaded(Emulator::new(
                 &distilled,
                 pod,
                 matrix,

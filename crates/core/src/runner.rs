@@ -30,7 +30,8 @@ use mn_assign::Binding;
 use mn_dynamics::ScheduleRestoreError;
 use mn_edge::{AppAction, AppCtx, Application, Message};
 use mn_emucore::{
-    Delivery, EmuError, EmulatorSnapshot, MultiCoreEmulator, ParallelEmulator, SubmitOutcome,
+    Delivery, EmuError, Emulator, EmulatorSnapshot, MultiCoreEmulator, ParallelEmulator,
+    SubmitOutcome,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_transport::{
@@ -59,8 +60,10 @@ pub enum ExecutionBackend {
     Threaded,
 }
 
-/// The emulator behind a [`Runner`]: the cooperative single-thread backend
-/// or the one-thread-per-core parallel backend, behind one dispatch point.
+/// The emulator behind a [`Runner`]: the one coordinator
+/// ([`mn_emucore::Emulator`]) over the inline or the threaded executor.
+/// Every method below is the same call on either variant — the executors
+/// share the coordinator's signatures — so this enum only picks the type.
 // One long-lived value per runner, never moved on a hot path: the variant
 // size gap is irrelevant and boxing would only add a pointer chase.
 #[allow(clippy::large_enum_variant)]
@@ -72,15 +75,24 @@ pub enum EmulatorBackend {
     Threaded(ParallelEmulator),
 }
 
+/// Evaluates `$call` with `$emu` bound to whichever emulator `$backend`
+/// holds. The two arms are the same tokens at two types (static dispatch,
+/// no trait object on the packet path).
+macro_rules! on_emulator {
+    ($backend:expr, $emu:ident => $call:expr) => {
+        match $backend {
+            EmulatorBackend::Sequential($emu) => $call,
+            EmulatorBackend::Threaded($emu) => $call,
+        }
+    };
+}
+
 impl EmulatorBackend {
     /// Submits a packet at time `now`. On the threaded backend a dead or
     /// stalled worker surfaces as [`EmuError::WorkerFailure`]; the
     /// sequential backend cannot fail.
     pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
-        match self {
-            EmulatorBackend::Sequential(emu) => Ok(emu.submit(now, packet)),
-            EmulatorBackend::Threaded(emu) => emu.submit(now, packet),
-        }
+        on_emulator!(self, emu => emu.submit(now, packet))
     }
 
     /// Advances the emulation to `now`, appending deliveries.
@@ -89,21 +101,12 @@ impl EmulatorBackend {
         now: SimTime,
         deliveries: &mut Vec<Delivery>,
     ) -> Result<(), EmuError> {
-        match self {
-            EmulatorBackend::Sequential(emu) => {
-                emu.advance_into(now, deliveries);
-                Ok(())
-            }
-            EmulatorBackend::Threaded(emu) => emu.advance_into(now, deliveries),
-        }
+        on_emulator!(self, emu => emu.advance_into(now, deliveries))
     }
 
     /// The earliest time at which the emulation has work due.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.next_wakeup(),
-            EmulatorBackend::Threaded(emu) => emu.next_wakeup(),
-        }
+        on_emulator!(self, emu => emu.next_wakeup())
     }
 
     /// Submits a batch of timestamped packets, appending one outcome per
@@ -118,55 +121,45 @@ impl EmulatorBackend {
     where
         I: IntoIterator<Item = (SimTime, Packet)>,
     {
-        match self {
-            EmulatorBackend::Sequential(emu) => {
-                emu.submit_batch(batch, outcomes);
-                Ok(())
-            }
-            EmulatorBackend::Threaded(emu) => emu.submit_batch(batch, outcomes),
-        }
+        on_emulator!(self, emu => emu.submit_batch(batch, outcomes))
     }
 
     /// Serializes the complete emulator state. The snapshot is
     /// backend-independent: it restores into either backend at any core
     /// count with bit-identical continuation.
     pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
-        match self {
-            EmulatorBackend::Sequential(emu) => Ok(emu.snapshot()),
-            EmulatorBackend::Threaded(emu) => emu.snapshot(),
-        }
+        on_emulator!(self, emu => emu.snapshot())
+    }
+
+    /// Rebuilds the emulator from `snapshot` on the same backend variant as
+    /// `self` (a fresh worker pool on the threaded one).
+    fn restored(&self, snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
+        Ok(match self {
+            EmulatorBackend::Sequential(_) => {
+                EmulatorBackend::Sequential(Emulator::restore(snapshot)?)
+            }
+            EmulatorBackend::Threaded(_) => EmulatorBackend::Threaded(Emulator::restore(snapshot)?),
+        })
     }
 
     /// Aggregated counters across cores.
     pub fn total_stats(&self) -> mn_emucore::CoreStats {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.total_stats(),
-            EmulatorBackend::Threaded(emu) => emu.total_stats(),
-        }
+        on_emulator!(self, emu => emu.total_stats())
     }
 
     /// One core's counters, by value.
     pub fn core_stats(&self, core: mn_assign::CoreId) -> Option<mn_emucore::CoreStats> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.core_stats(core).copied(),
-            EmulatorBackend::Threaded(emu) => emu.core_stats(core),
-        }
+        on_emulator!(self, emu => emu.core_stats(core))
     }
 
     /// Number of cooperating cores.
     pub fn core_count(&self) -> usize {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.core_count(),
-            EmulatorBackend::Threaded(emu) => emu.core_count(),
-        }
+        on_emulator!(self, emu => emu.core_count())
     }
 
     /// Replaces the routing matrix (after a failure recomputation).
     pub fn set_routing(&mut self, matrix: mn_routing::RoutingMatrix) {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_routing(matrix),
-            EmulatorBackend::Threaded(emu) => emu.set_routing(matrix),
-        }
+        on_emulator!(self, emu => emu.set_routing(matrix))
     }
 
     /// Updates a pipe's emulation parameters on whichever core owns it.
@@ -175,10 +168,7 @@ impl EmulatorBackend {
         pipe: mn_distill::PipeId,
         attrs: mn_distill::PipeAttrs,
     ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.update_pipe_attrs(pipe, attrs),
-            EmulatorBackend::Threaded(emu) => emu.update_pipe_attrs(pipe, attrs),
-        }
+        on_emulator!(self, emu => emu.update_pipe_attrs(pipe, attrs))
     }
 
     /// Installs, replaces or (with `None`) removes the CBR background
@@ -189,10 +179,7 @@ impl EmulatorBackend {
         config: Option<mn_pipe::CbrConfig>,
         from: SimTime,
     ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_pipe_cbr(pipe, config, from),
-            EmulatorBackend::Threaded(emu) => emu.set_pipe_cbr(pipe, config, from),
-        }
+        on_emulator!(self, emu => emu.set_pipe_cbr(pipe, config, from))
     }
 
     /// Installs (or clears, with `None`) a distillation-compensation rate on
@@ -205,10 +192,7 @@ impl EmulatorBackend {
         rate: Option<DataRate>,
         from: SimTime,
     ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_pipe_compensation(pipe, rate, from),
-            EmulatorBackend::Threaded(emu) => emu.set_pipe_compensation(pipe, rate, from),
-        }
+        on_emulator!(self, emu => emu.set_pipe_compensation(pipe, rate, from))
     }
 
     /// Applies an incremental routing change after the listed pipes of
@@ -220,19 +204,13 @@ impl EmulatorBackend {
         topo: &mn_distill::DistilledTopology,
         changed: &[mn_distill::PipeId],
     ) -> mn_routing::RouteUpdate {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.reroute(topo, changed),
-            EmulatorBackend::Threaded(emu) => emu.reroute(topo, changed),
-        }
+        on_emulator!(self, emu => emu.reroute(topo, changed))
     }
 
     /// Sets the cadence at which fluid fair shares are re-solved while
     /// flows are live.
     pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.set_fluid_epoch(epoch),
-            EmulatorBackend::Threaded(emu) => emu.set_fluid_epoch(epoch),
-        }
+        on_emulator!(self, emu => emu.set_fluid_epoch(epoch))
     }
 
     /// Starts a fluid bulk flow between two VNs at time `at`.
@@ -245,14 +223,7 @@ impl EmulatorBackend {
         clients: u32,
         at: SimTime,
     ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => {
-                emu.add_fluid_flow(tag, src, dst, demand, clients, at)
-            }
-            EmulatorBackend::Threaded(emu) => {
-                emu.add_fluid_flow(tag, src, dst, demand, clients, at)
-            }
-        }
+        on_emulator!(self, emu => emu.add_fluid_flow(tag, src, dst, demand, clients, at))
     }
 
     /// Changes a live fluid flow's offered demand and client count.
@@ -263,42 +234,27 @@ impl EmulatorBackend {
         clients: u32,
         at: SimTime,
     ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.resize_fluid_flow(tag, demand, clients, at),
-            EmulatorBackend::Threaded(emu) => emu.resize_fluid_flow(tag, demand, clients, at),
-        }
+        on_emulator!(self, emu => emu.resize_fluid_flow(tag, demand, clients, at))
     }
 
     /// Stops a fluid flow, returning its share to the packet path.
     pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.remove_fluid_flow(tag, at),
-            EmulatorBackend::Threaded(emu) => emu.remove_fluid_flow(tag, at),
-        }
+        on_emulator!(self, emu => emu.remove_fluid_flow(tag, at))
     }
 
     /// The rate the last fair-share solve allocated to a fluid flow.
     pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.fluid_flow_rate(tag),
-            EmulatorBackend::Threaded(emu) => emu.fluid_flow_rate(tag),
-        }
+        on_emulator!(self, emu => emu.fluid_flow_rate(tag))
     }
 
     /// Bytes of goodput a fluid flow has accumulated so far.
     pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.fluid_flow_goodput_bytes(tag),
-            EmulatorBackend::Threaded(emu) => emu.fluid_flow_goodput_bytes(tag),
-        }
+        on_emulator!(self, emu => emu.fluid_flow_goodput_bytes(tag))
     }
 
     /// Read access to the coordinator-owned fluid flow state.
     pub fn fluid(&self) -> &mn_emucore::FluidState {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.fluid(),
-            EmulatorBackend::Threaded(emu) => emu.fluid(),
-        }
+        on_emulator!(self, emu => emu.fluid())
     }
 
     /// Joins a VN at a client location of `topo` mid-run: its source tree
@@ -311,43 +267,31 @@ impl EmulatorBackend {
         location: mn_topology::NodeId,
         at: SimTime,
     ) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.vn_join(topo, vn, location, at),
-            EmulatorBackend::Threaded(emu) => emu.vn_join(topo, vn, location, at),
-        }
+        on_emulator!(self, emu => emu.vn_join(topo, vn, location, at))
     }
 
     /// Removes a VN mid-run. New traffic touching it is refused at once;
     /// in-flight descriptors drain on their pre-departure routes and its
     /// fluid flows are torn down.
     pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.vn_leave(vn, at),
-            EmulatorBackend::Threaded(emu) => emu.vn_leave(vn, at),
-        }
+        on_emulator!(self, emu => emu.vn_leave(vn, at))
     }
 
     /// `true` while a VN is an active member of the emulation.
     pub fn vn_is_active(&self, vn: VnId) -> bool {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.vn_is_active(vn),
-            EmulatorBackend::Threaded(emu) => emu.vn_is_active(vn),
-        }
+        on_emulator!(self, emu => emu.vn_is_active(vn))
     }
 
     /// Number of currently active VNs.
     pub fn active_vn_count(&self) -> usize {
-        match self {
-            EmulatorBackend::Sequential(emu) => emu.active_vn_count(),
-            EmulatorBackend::Threaded(emu) => emu.active_vn_count(),
-        }
+        on_emulator!(self, emu => emu.active_vn_count())
     }
 }
 
-/// The execution backends are what the dynamics engine reconfigures: both
-/// expose in-place pipe mutation, CBR injection and incremental rerouting
-/// through one dispatch point, so a [`mn_dynamics::Schedule`] applies
-/// identically (bit for bit) whichever backend drives the run.
+/// The execution backends are what the dynamics engine reconfigures: one
+/// coordinator applies in-place pipe mutation, CBR injection, incremental
+/// rerouting, fluid flows and churn on both, so a [`mn_dynamics::Schedule`]
+/// applies identically (bit for bit) whichever backend drives the run.
 impl mn_dynamics::DynamicsTarget for EmulatorBackend {
     fn update_pipe_attrs(
         &mut self,
@@ -1387,14 +1331,7 @@ impl Runner {
         // Restore the emulator into this runner's backend variant. On the
         // threaded backend this spawns a fresh worker pool; a previously
         // poisoned pool is torn down when the old value drops.
-        self.emulator = match &self.emulator {
-            EmulatorBackend::Sequential(_) => {
-                EmulatorBackend::Sequential(MultiCoreEmulator::restore(&emu_snap)?)
-            }
-            EmulatorBackend::Threaded(_) => {
-                EmulatorBackend::Threaded(ParallelEmulator::restore(&emu_snap)?)
-            }
-        };
+        self.emulator = self.emulator.restored(&emu_snap)?;
         self.now = now;
         self.events = events;
         self.channels = channels;

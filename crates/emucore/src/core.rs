@@ -534,7 +534,7 @@ impl EmulatorCore {
             // to treat it as complete right now by storing it as a delivery in
             // the next tick; we do that by pushing it through a zero-latency
             // path: record directly.
-            // (Handled by MultiCoreEmulator, which never submits empty routes
+            // (Handled by the coordinator, which never submits empty routes
             // to a core; defensive fallback.)
             return IngressOutcome::Accepted;
         };

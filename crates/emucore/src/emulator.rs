@@ -1,0 +1,1067 @@
+//! The emulation coordinator: one [`Emulator`] over any [`CoreExecutor`].
+//!
+//! The paper's core nodes each own their pipes outright and cooperate only
+//! by handing descriptors to the owner. Everything else — the routing
+//! matrix, the published route table, VN membership and entry cores, the
+//! fluid solver, checkpoint assembly — is global state with exactly one
+//! writer. [`Emulator`] is that writer. It decides *what* happens to which
+//! core and in which order; a [`CoreExecutor`] only decides *where* the
+//! cores run (inline on the calling thread, or one OS thread each) and
+//! carries the coordinator's [`CoreCommand`]s to them. What an executor
+//! must guarantee is spelled out on the trait; why the results are
+//! bit-identical across executors, in the crate docs.
+
+use std::sync::Arc;
+
+use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
+use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
+use mn_packet::{Packet, VnId};
+use mn_pipe::CbrConfig;
+use mn_routing::{RouteTable, RouteUpdate, RoutingMatrix};
+use mn_topology::NodeId;
+use mn_util::{ByteReader, ByteWriter, CodecError, DataRate, SimDuration, SimTime, TimerWheel};
+
+use crate::core::{CoreStats, EmulatorCore, IngressOutcome};
+use crate::descriptor::{Delivery, Descriptor};
+use crate::error::EmuError;
+use crate::fluid::FluidState;
+use crate::hardware::HardwareProfile;
+use crate::snapshot::{
+    get_delivery, get_descriptor, put_delivery, put_descriptor, EmulatorSnapshot,
+};
+
+/// Result of submitting a packet to the emulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitOutcome {
+    /// The packet entered the emulated network.
+    Accepted,
+    /// The packet was dropped physically at the entry core's NIC (overload).
+    PhysicalDrop,
+    /// The packet was dropped by the first pipe (virtual drop).
+    VirtualDrop,
+    /// The packet's source or destination VN has no location or no route.
+    NoRoute,
+}
+
+impl SubmitOutcome {
+    /// Returns `true` if the packet entered the emulation.
+    pub fn is_accepted(&self) -> bool {
+        matches!(self, SubmitOutcome::Accepted)
+    }
+}
+
+impl From<IngressOutcome> for SubmitOutcome {
+    fn from(outcome: IngressOutcome) -> Self {
+        match outcome {
+            IngressOutcome::Accepted => SubmitOutcome::Accepted,
+            IngressOutcome::VirtualDrop => SubmitOutcome::VirtualDrop,
+            IngressOutcome::PhysicalDropNic | IngressOutcome::PhysicalDropCpu => {
+                SubmitOutcome::PhysicalDrop
+            }
+        }
+    }
+}
+
+/// A control-plane change to one core, issued by the coordinator and
+/// carried out wherever the executor keeps that core.
+#[derive(Debug)]
+pub enum CoreCommand {
+    /// Install the next route-table generation. The table is copy-on-write
+    /// sharded: every core receives the same `Arc`, and row shards a change
+    /// did not touch are the allocations the core was already reading.
+    SetRoutes(Arc<RouteTable>),
+    /// Update one locally installed pipe's parameters.
+    UpdatePipe { pipe: PipeId, attrs: PipeAttrs },
+    /// Install/replace/remove the CBR injector on one local pipe.
+    SetCbr {
+        pipe: PipeId,
+        config: Option<CbrConfig>,
+        from: SimTime,
+    },
+    /// Apply a new per-pipe fluid demand from the coordinator's fair-share
+    /// solve, effective at `at`.
+    SetFluidDemand {
+        pipe: PipeId,
+        rate: DataRate,
+        at: SimTime,
+    },
+}
+
+impl CoreCommand {
+    /// Carries the command out on `core`; `false` if it names a pipe the
+    /// core does not own. Both executors run commands through here, so a
+    /// command means the same thing wherever the core lives.
+    pub fn apply_to(self, core: &mut EmulatorCore) -> bool {
+        match self {
+            CoreCommand::SetRoutes(routes) => {
+                core.set_route_table(routes);
+                true
+            }
+            CoreCommand::UpdatePipe { pipe, attrs } => core.update_pipe_attrs(pipe, attrs),
+            CoreCommand::SetCbr { pipe, config, from } => core.set_pipe_cbr(pipe, config, from),
+            CoreCommand::SetFluidDemand { pipe, rate, at } => {
+                core.set_pipe_fluid_demand(pipe, rate, at)
+            }
+        }
+    }
+}
+
+/// Where the coordinator's admission lookup sent a submitted packet.
+#[derive(Debug)]
+pub enum Dispatch {
+    /// Decided at the coordinator: no route, or a same-location delivery.
+    Resolved(SubmitOutcome),
+    /// Owed by the entry core's NIC/CPU/first-pipe admission.
+    Ingress {
+        core: CoreId,
+        now: SimTime,
+        descriptor: Descriptor,
+    },
+}
+
+/// Where the cores run. The coordinator owns all global state and calls
+/// down through this surface only; an executor owns the [`EmulatorCore`]s
+/// and the descriptors tunnelling between them, and nothing else.
+///
+/// # Contract
+///
+/// Results must be bit-identical to running the cores inline: `ingress`
+/// and `apply` take effect on the named core in call order, and `advance`
+/// reproduces the round structure *accept due tunnels → tick every core →
+/// exchange fresh tunnels → repeat while one is already due*, appending
+/// deliveries round-major, core-major. After any call returns, `stats` and
+/// `next_wakeup` reflect it. An executor that can fail (a dead or stalled
+/// worker) reports [`EmuError`] from the failing call and from every call
+/// after it, and `health` says so without touching a core.
+pub trait CoreExecutor: Sized {
+    /// Takes ownership of the cores (in core order) and of the tunnels in
+    /// flight between them, keyed by arrival time and tagged with their
+    /// target. `affinity` holds the binding's advisory host-CPU hint per
+    /// core (empty when there is none).
+    fn from_cores(
+        cores: Vec<EmulatorCore>,
+        tunnels: TimerWheel<(CoreId, Descriptor)>,
+        pod: Arc<PipeOwnershipDirectory>,
+        profile: HardwareProfile,
+        affinity: Vec<Option<usize>>,
+    ) -> Self;
+
+    /// Number of cores.
+    fn core_count(&self) -> usize;
+
+    /// `Err` with the first failure once the executor is poisoned.
+    fn health(&self) -> Result<(), EmuError>;
+
+    /// One core's counters.
+    fn stats(&self, core: CoreId) -> Option<CoreStats>;
+
+    /// Earliest tick-rounded time any core, or any tunnel in flight, has
+    /// work due.
+    fn next_wakeup(&self) -> Option<SimTime>;
+
+    /// Offers one descriptor to its entry core's admission path.
+    fn ingress(
+        &mut self,
+        core: CoreId,
+        now: SimTime,
+        descriptor: Descriptor,
+    ) -> Result<IngressOutcome, EmuError>;
+
+    /// Resolves a batch of dispatches in input order (per-core admission
+    /// order is the input order), appending one outcome each. May overlap
+    /// the cores' work; on error `outcomes` is left as it was.
+    fn ingress_batch<I: Iterator<Item = Dispatch>>(
+        &mut self,
+        batch: I,
+        outcomes: &mut Vec<SubmitOutcome>,
+    ) -> Result<(), EmuError>;
+
+    /// One un-chopped advance of every core to `now`, then settles each
+    /// core's fluid byte integral there.
+    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError>;
+
+    /// Carries out `command` on `core`; `Ok(false)` if the core refused it.
+    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError>;
+
+    /// Installs `routes` on every core.
+    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError>;
+
+    /// Lends the cores (in core order) and the tunnels in flight to `read`,
+    /// for checkpoint assembly. Read-only: nothing ticks.
+    fn with_cores<R>(
+        &mut self,
+        read: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
+    ) -> Result<R, EmuError>;
+}
+
+/// The tables the per-packet admission path reads, kept together so the
+/// lookup can run while the executor is borrowed (batched submits pull
+/// dispatches lazily).
+#[derive(Debug)]
+struct Admission {
+    /// Interned routes plus the sharded VN-pair -> route row shards, shared
+    /// with every core. Republished copy-on-write on every routing or
+    /// membership change; untouched row shards keep the same allocation
+    /// across generations.
+    routes: Arc<RouteTable>,
+    /// Topology location of each VN, indexed densely by `VnId`. An id at or
+    /// beyond the table is an unknown VN and yields `SubmitOutcome::NoRoute`.
+    vn_location: Vec<NodeId>,
+    /// Entry core of each VN, indexed densely by `VnId`.
+    vn_entry_core: Vec<CoreId>,
+    /// Live-membership flag of each VN, indexed densely by `VnId`. A VN
+    /// that left keeps its (stale) location and entry-core entries for
+    /// geometry consistency; only this flag gates traffic.
+    vn_active: Vec<bool>,
+    /// Same-location packets that bypass the core network entirely.
+    local_deliveries: Vec<Delivery>,
+}
+
+impl Admission {
+    /// The per-packet fast path: every lookup is an indexed array read (VN
+    /// location, VN-pair route id, entry core) — no hashing, no route
+    /// clone, no allocation. (`#[inline]` so the `Dispatch` is built in
+    /// place in the caller's crate instead of copied out of a call.)
+    #[inline]
+    fn dispatch(&mut self, now: SimTime, packet: Packet) -> Dispatch {
+        let src_idx = packet.flow.src.index();
+        let dst_idx = packet.flow.dst.index();
+        let no_route = Dispatch::Resolved(SubmitOutcome::NoRoute);
+        let Some(&src_loc) = self.vn_location.get(src_idx) else {
+            return no_route;
+        };
+        let Some(&dst_loc) = self.vn_location.get(dst_idx) else {
+            return no_route;
+        };
+        // Departed endpoints refuse new traffic immediately (descriptors
+        // already inside the network still drain on their retained routes).
+        if !self.vn_active[src_idx] || !self.vn_active[dst_idx] {
+            return no_route;
+        }
+        if src_loc == dst_loc {
+            // Both VNs bound to the same topology location: traffic never
+            // crosses the emulated network (local loopback at the edge).
+            self.local_deliveries.push(Delivery {
+                packet,
+                delivered_at: now,
+                entered_at: now,
+                hops: 0,
+                emulation_error: SimDuration::ZERO,
+            });
+            return Dispatch::Resolved(SubmitOutcome::Accepted);
+        }
+        let Some(route) = self.routes.route_id(src_idx, dst_idx) else {
+            return no_route;
+        };
+        Dispatch::Ingress {
+            core: self.vn_entry_core[src_idx],
+            now,
+            descriptor: Descriptor::new(packet, route, now),
+        }
+    }
+}
+
+/// The set of cooperating core nodes emulating one distilled topology:
+/// the coordinator state plus the executor `X` the cores run on.
+///
+/// [`crate::MultiCoreEmulator`] and [`crate::ParallelEmulator`] are the two
+/// instantiations. Operations that reach a core return
+/// `Result<_, EmuError>`; on the inline executor they never fail. Control
+/// operations return `false` (or an empty [`RouteUpdate`]) when refused —
+/// and a poisoned executor refuses all of them, before any coordinator
+/// state changes.
+#[derive(Debug)]
+pub struct Emulator<X: CoreExecutor> {
+    pub(crate) exec: X,
+    pod: Arc<PipeOwnershipDirectory>,
+    profile: HardwareProfile,
+    matrix: RoutingMatrix,
+    admission: Admission,
+    /// Number of active VNs entering through each core — the load vector
+    /// the join path's least-loaded entry-core assignment reads.
+    core_load: Vec<u32>,
+    /// Fluid flow state. Rate recomputes happen here (at epoch boundaries
+    /// and on flow/topology mutations) and the changed per-pipe demands are
+    /// pushed to the owning cores, which see only piecewise-constant
+    /// per-pipe totals.
+    fluid: FluidState,
+}
+
+impl<X: CoreExecutor> Emulator<X> {
+    /// Builds the emulator: installs each pipe on the core the POD assigns it
+    /// to, and records each VN's topology location and entry core from the
+    /// binding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the POD covers a different number of pipes than the
+    /// distilled topology contains (or, on the threaded executor, if a
+    /// worker thread cannot be spawned).
+    pub fn new(
+        topo: &DistilledTopology,
+        pod: PipeOwnershipDirectory,
+        matrix: RoutingMatrix,
+        binding: &Binding,
+        profile: HardwareProfile,
+        seed: u64,
+    ) -> Self {
+        assert_eq!(
+            pod.pipe_count(),
+            topo.pipe_count(),
+            "POD must cover every pipe of the distilled topology"
+        );
+        // Dense per-VN tables: `Binding` numbers VNs 0..vn_count, so plain
+        // vectors indexed by `VnId::index` cover every bound VN.
+        let vn_location: Vec<NodeId> = binding
+            .vns()
+            .map(|vn| binding.location(vn).expect("binding locates every VN"))
+            .collect();
+        let vn_entry_core: Vec<CoreId> = binding
+            .vns()
+            .map(|vn| {
+                // Clamp to the actual core count: a binding may reference more
+                // cores than the POD uses (e.g. single-core emulation of a
+                // multi-edge cluster).
+                let core = binding.entry_core(vn).unwrap_or(CoreId(0));
+                CoreId(core.index() % pod.core_count())
+            })
+            .collect();
+        let routes = Arc::new(RouteTable::build(&matrix, &vn_location));
+        let mut core_load = vec![0u32; pod.core_count()];
+        for core in &vn_entry_core {
+            core_load[core.index()] += 1;
+        }
+        let mut cores: Vec<EmulatorCore> = (0..pod.core_count())
+            .map(|c| {
+                EmulatorCore::new(
+                    CoreId(c),
+                    profile,
+                    seed.wrapping_add(c as u64),
+                    routes.clone(),
+                    topo.pipe_count(),
+                )
+            })
+            .collect();
+        let mut capacity_bps = vec![0u64; topo.pipe_count()];
+        for (pipe_id, pipe) in topo.pipes() {
+            cores[pod.owner(pipe_id).index()].install_pipe(pipe_id, pipe.attrs);
+            capacity_bps[pipe_id.index()] = pipe.attrs.bandwidth.as_bps();
+        }
+        let affinity = (0..cores.len())
+            .map(|c| binding.thread_affinity(CoreId(c)))
+            .collect();
+        let pod = Arc::new(pod);
+        Emulator {
+            exec: X::from_cores(cores, TimerWheel::new(), pod.clone(), profile, affinity),
+            pod,
+            profile,
+            matrix,
+            admission: Admission {
+                routes,
+                vn_active: vec![true; vn_location.len()],
+                vn_location,
+                vn_entry_core,
+                local_deliveries: Vec::new(),
+            },
+            core_load,
+            fluid: FluidState::new(capacity_bps),
+        }
+    }
+
+    /// Moves the emulation, in-flight state included, onto another
+    /// executor; `rehost` hands the cores across.
+    pub(crate) fn rehost<Y: CoreExecutor>(self, rehost: impl FnOnce(X) -> Y) -> Emulator<Y> {
+        Emulator {
+            exec: rehost(self.exec),
+            pod: self.pod,
+            profile: self.profile,
+            matrix: self.matrix,
+            admission: self.admission,
+            core_load: self.core_load,
+            fluid: self.fluid,
+        }
+    }
+
+    /// Number of cooperating cores.
+    pub fn core_count(&self) -> usize {
+        self.exec.core_count()
+    }
+
+    /// One core's counters.
+    pub fn core_stats(&self, core: CoreId) -> Option<CoreStats> {
+        self.exec.stats(core)
+    }
+
+    /// Aggregated counters across cores (an associative
+    /// [`CoreStats::merge`] fold, so it does not matter where the per-core
+    /// counters were gathered).
+    pub fn total_stats(&self) -> CoreStats {
+        (0..self.core_count())
+            .filter_map(|c| self.exec.stats(CoreId(c)))
+            .fold(CoreStats::default(), |acc, stats| acc.merged(&stats))
+    }
+
+    /// The routing matrix in force.
+    pub fn routing(&self) -> &RoutingMatrix {
+        &self.matrix
+    }
+
+    /// The interned route table in force.
+    pub fn route_table(&self) -> &RouteTable {
+        &self.admission.routes
+    }
+
+    /// Read access to the fluid flow state (flow counts, epoch clock).
+    pub fn fluid(&self) -> &FluidState {
+        &self.fluid
+    }
+
+    /// The rate the last fair-share solve allocated to a fluid flow.
+    pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
+        self.fluid.flow_rate(tag)
+    }
+
+    /// Bytes of goodput a fluid flow has accumulated so far.
+    pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
+        self.fluid.flow_goodput_bytes(tag)
+    }
+
+    /// The topology location a VN is bound to.
+    pub fn vn_location(&self, vn: VnId) -> Option<NodeId> {
+        self.admission.vn_location.get(vn.index()).copied()
+    }
+
+    /// `true` while a VN is an active member of the emulation.
+    pub fn vn_is_active(&self, vn: VnId) -> bool {
+        self.admission
+            .vn_active
+            .get(vn.index())
+            .copied()
+            .unwrap_or(false)
+    }
+
+    /// Number of currently active VNs.
+    pub fn active_vn_count(&self) -> usize {
+        self.admission.vn_active.iter().filter(|&&a| a).count()
+    }
+
+    /// The core a VN's traffic enters through.
+    pub fn vn_entry_core(&self, vn: VnId) -> Option<CoreId> {
+        self.admission.vn_entry_core.get(vn.index()).copied()
+    }
+
+    /// Runs one control operation under the poison rule: a failed executor
+    /// refuses it outright (the default result: `false`, an empty
+    /// `RouteUpdate`) with no coordinator state touched, and an executor
+    /// that fails mid-operation poisons the emulator and yields the same
+    /// refusal.
+    fn control<T: Default>(&mut self, op: impl FnOnce(&mut Self) -> Result<T, EmuError>) -> T {
+        if self.exec.health().is_err() {
+            return T::default();
+        }
+        op(self).unwrap_or_default()
+    }
+
+    /// Publishes `table` as the next route-table generation: the coordinator
+    /// and every core switch to the same `Arc`, and routed fluid flows
+    /// re-resolve their pipe lists at the next solve. Cores still reading
+    /// the previous `Arc` keep a consistent table until they pick up the
+    /// new one.
+    fn publish_routes(&mut self, table: RouteTable) -> Result<(), EmuError> {
+        self.admission.routes = Arc::new(table);
+        self.exec.broadcast_routes(&self.admission.routes)?;
+        self.fluid.mark_routes_dirty();
+        Ok(())
+    }
+
+    /// Re-solves the fluid fair share at `at` and pushes every changed
+    /// per-pipe demand to the owning core. Called on every fluid mutation
+    /// and at each epoch boundary, always ahead of the next advance past
+    /// `at`.
+    fn recompute_fluid(&mut self, at: SimTime) -> Result<(), EmuError> {
+        let changed = self.fluid.recompute(at, &self.admission.routes);
+        for &(pipe, bps) in changed {
+            let owner = self
+                .pod
+                .get_owner(pipe)
+                .expect("fluid routes reference pipes covered by the POD");
+            let rate = DataRate::from_bps(bps);
+            self.exec
+                .apply(owner, CoreCommand::SetFluidDemand { pipe, rate, at })?;
+        }
+        Ok(())
+    }
+
+    /// Carries out `command` on the core that owns `pipe`; `Ok(false)` for a
+    /// pipe no core owns.
+    fn apply_to_owner(&mut self, pipe: PipeId, command: CoreCommand) -> Result<bool, EmuError> {
+        match self.pod.get_owner(pipe) {
+            Some(owner) => self.exec.apply(owner, command),
+            None => Ok(false),
+        }
+    }
+
+    /// One change to the fluid state at `at`: if `change` took, the fair
+    /// share is re-solved there.
+    fn fluid_change(&mut self, at: SimTime, change: impl FnOnce(&mut FluidState) -> bool) -> bool {
+        self.control(|emu| {
+            if !change(&mut emu.fluid) {
+                return Ok(false);
+            }
+            emu.recompute_fluid(at)?;
+            Ok(true)
+        })
+    }
+
+    /// [`Emulator::recompute_fluid`] at the solver's own clock, if any flow
+    /// is live — the follow-up of a change that carries no time of its own.
+    fn reshare_live_flows(&mut self) -> Result<(), EmuError> {
+        if self.fluid.has_flows() {
+            self.recompute_fluid(self.fluid.clock())?;
+        }
+        Ok(())
+    }
+
+    /// Replaces the routing matrix (after a failure recomputation) and
+    /// rebuilds the interned route table on every core. The rebuild is
+    /// explicit and total — there is no incremental cache whose stale entries
+    /// could survive a routing change — but still structurally shared: the
+    /// retained route chunks and the content-dedup index carry over by
+    /// reference instead of being re-interned. Route ids handed out before
+    /// the rebuild stay valid, so descriptors already in flight finish on
+    /// their pre-failure routes — exactly like packets already inside the
+    /// paper's cores.
+    pub fn set_routing(&mut self, matrix: RoutingMatrix) {
+        self.control(|emu| {
+            emu.matrix = matrix;
+            let admission = &emu.admission;
+            let table = RouteTable::rebuild(&admission.routes, &emu.matrix, &admission.vn_location);
+            emu.publish_routes(table)?;
+            emu.reshare_live_flows()
+        })
+    }
+
+    /// Updates a pipe's emulation parameters on whichever core owns it. The
+    /// fluid model tracks the new capacity; live flows re-share immediately.
+    pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
+        self.control(|emu| {
+            if !emu.apply_to_owner(pipe, CoreCommand::UpdatePipe { pipe, attrs })? {
+                return Ok(false);
+            }
+            emu.fluid.set_capacity(pipe, attrs.bandwidth);
+            emu.reshare_live_flows()?;
+            Ok(true)
+        })
+    }
+
+    /// Installs, replaces or (with `None`) removes the CBR background
+    /// injector on a pipe, on whichever core owns it. Injection starts at
+    /// `from` (the paper's hop-by-hop compensation for distilled-away
+    /// links, and the cross-traffic half of runtime reconfiguration).
+    pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
+        self.control(|emu| {
+            if !emu.apply_to_owner(pipe, CoreCommand::SetCbr { pipe, config, from })? {
+                return Ok(false);
+            }
+            // The bandwidth half of the episode is a fixed-rate fluid demand
+            // on the pipe; degenerate configs (which inject nothing) carry
+            // none.
+            let rate = config.and_then(|c| c.interval().map(|_| c.rate));
+            emu.fluid.set_cbr(pipe, rate, from);
+            emu.recompute_fluid(from)?;
+            Ok(true)
+        })
+    }
+
+    /// Installs (or clears, with `None`) a distillation-compensation rate on
+    /// `pipe`: a fixed-rate background demand standing in for the contention
+    /// of the hops the pipe collapsed (§4.1, "background CBR cross traffic").
+    ///
+    /// Unlike [`set_pipe_cbr`](Self::set_pipe_cbr) this is fluid-only — no
+    /// packets are synthesised, foreground traffic just sees the pipe's
+    /// residual capacity — so the steady state allocates nothing. It shares
+    /// the per-pipe background demand slot with scheduled CBR episodes:
+    /// installing one replaces the other.
+    ///
+    /// Returns `false` if the pipe is unknown.
+    pub fn set_pipe_compensation(
+        &mut self,
+        pipe: PipeId,
+        rate: Option<DataRate>,
+        from: SimTime,
+    ) -> bool {
+        if self.pod.get_owner(pipe).is_none() {
+            return false;
+        }
+        self.fluid_change(from, |fluid| {
+            fluid.set_cbr(pipe, rate, from);
+            true
+        })
+    }
+
+    /// Applies an **incremental** routing change after the listed pipes of
+    /// `topo` were mutated in place (failure, restore, latency
+    /// renegotiation): the matrix's per-pipe reverse index names exactly
+    /// the shortest-route trees a worsened pipe sat on, only those (plus
+    /// the label-bounded candidates of an improvement) are recomputed
+    /// ([`RoutingMatrix::update_pipes`]), and only the
+    /// endpoint pairs whose route actually changed are re-wired in the
+    /// interned route table ([`RouteTable::rewire_in_place`]). Untouched
+    /// `RouteId`s are preserved, so descriptors in flight keep resolving to
+    /// the routes they started on — like packets already inside the paper's
+    /// cores — while new packets see only the post-change routes.
+    ///
+    /// The publish is copy-on-write: the table "clone" is structural (row
+    /// shards, route chunks and the content index are shared by reference,
+    /// so it costs O(endpoints) shard handles, not O(endpoints²) entries)
+    /// and only the row shards whose routes changed are replaced.
+    pub fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
+        self.control(|emu| {
+            let update = emu.matrix.update_pipes(topo, changed);
+            if !update.is_empty() {
+                let admission = &emu.admission;
+                let mut table = (*admission.routes).clone();
+                table.rewire_in_place(&emu.matrix, &admission.vn_location, &update.changed_pairs);
+                emu.publish_routes(table)?;
+                emu.reshare_live_flows()?;
+            }
+            Ok(update)
+        })
+    }
+
+    /// Sets the cadence at which fluid rates are re-solved while flows are
+    /// live (effective from the next epoch).
+    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
+        self.control(|emu| {
+            emu.fluid.set_epoch(epoch);
+            Ok(())
+        })
+    }
+
+    /// Starts a fluid bulk flow: `demand` offered from `src` to `dst`,
+    /// standing in for `clients` modelled clients (its max-min weight).
+    /// The flow crosses the same interned route packets between the pair
+    /// would take; its share of every pipe shows up to the packet path as
+    /// consumed capacity. Returns `false` if the tag is already in use.
+    pub fn add_fluid_flow(
+        &mut self,
+        tag: u64,
+        src: VnId,
+        dst: VnId,
+        demand: DataRate,
+        clients: u32,
+        at: SimTime,
+    ) -> bool {
+        self.fluid_change(at, |fluid| {
+            fluid.add_flow(tag, src, dst, demand, clients, at)
+        })
+    }
+
+    /// Changes a fluid flow's offered demand and client count mid-run.
+    pub fn resize_fluid_flow(
+        &mut self,
+        tag: u64,
+        demand: DataRate,
+        clients: u32,
+        at: SimTime,
+    ) -> bool {
+        self.fluid_change(at, |fluid| fluid.resize_flow(tag, demand, clients, at))
+    }
+
+    /// Stops a fluid flow, returning its share to the packet path.
+    pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
+        self.fluid_change(at, |fluid| fluid.remove_flow(tag, at))
+    }
+
+    /// Joins a VN at a client location of `topo` mid-run — a first-class
+    /// churn event, not a rebuild: the location's source tree is added to
+    /// the matrix if absent (one component-scoped Dijkstra), the endpoint's
+    /// row shard is bound into a copy-on-write route-table generation
+    /// (O(affected rows), flat in the total VN count), and the newcomer
+    /// enters through the least-loaded core (lowest index on ties — a pure
+    /// function of the load vector, so identical churn histories yield
+    /// identical assignments). `vn` must be either a fresh contiguous id
+    /// (`VnId(n)` when `n` VNs exist) or a departed id rejoining, and
+    /// `location` a node of `topo`. Returns `false` (changing nothing)
+    /// otherwise.
+    pub fn vn_join(
+        &mut self,
+        topo: &DistilledTopology,
+        vn: VnId,
+        location: NodeId,
+        at: SimTime,
+    ) -> bool {
+        self.control(|emu| {
+            let idx = vn.index();
+            let known = emu.admission.vn_location.len();
+            if idx > known || location.index() >= topo.node_count() {
+                return Ok(false);
+            }
+            if idx < known && emu.admission.vn_active[idx] {
+                return Ok(false);
+            }
+            let added_tree = emu.matrix.vn_index(location).is_none();
+            if added_tree && !emu.matrix.add_source(topo, location) {
+                return Ok(false);
+            }
+            let mut table = (*emu.admission.routes).clone();
+            if !table.bind_endpoint(&emu.matrix, idx, location) {
+                if added_tree {
+                    emu.matrix.remove_source(location);
+                }
+                return Ok(false);
+            }
+            let entry = CoreId(mn_assign::least_loaded(&emu.core_load));
+            emu.core_load[entry.index()] += 1;
+            let admission = &mut emu.admission;
+            if idx == known {
+                admission.vn_location.push(location);
+                admission.vn_entry_core.push(entry);
+                admission.vn_active.push(true);
+            } else {
+                admission.vn_location[idx] = location;
+                admission.vn_entry_core[idx] = entry;
+                admission.vn_active[idx] = true;
+            }
+            emu.publish_routes(table)?;
+            if emu.fluid.has_flows() {
+                emu.recompute_fluid(at)?;
+            }
+            Ok(true)
+        })
+    }
+
+    /// Removes a VN from the emulation mid-run. Its row shard is cleared in
+    /// the next route-table generation, so new traffic to or from it is
+    /// refused from this instant; its entry-core load slot is released, and
+    /// if it was the last endpoint at its location the matrix source tree
+    /// is removed too. Routes *toward* the departed endpoint — and every
+    /// interned `RouteId` — are retained, so descriptors already in flight
+    /// drain deterministically on their pre-departure routes. Its fluid
+    /// flows are torn down and their share returned to the network. Returns
+    /// `false` when the VN is not an active member.
+    pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
+        self.control(|emu| {
+            let idx = vn.index();
+            let admission = &mut emu.admission;
+            if !admission.vn_active.get(idx).copied().unwrap_or(false) {
+                return Ok(false);
+            }
+            let mut table = (*admission.routes).clone();
+            if !table.unbind_endpoint(idx) {
+                return Ok(false);
+            }
+            admission.vn_active[idx] = false;
+            emu.core_load[admission.vn_entry_core[idx].index()] -= 1;
+            if !table.has_endpoints_at(admission.vn_location[idx]) {
+                emu.matrix.remove_source(admission.vn_location[idx]);
+            }
+            emu.publish_routes(table)?;
+            let removed = emu.fluid.remove_vn_flows(vn, at);
+            if removed > 0 || emu.fluid.has_flows() {
+                emu.recompute_fluid(at)?;
+            }
+            Ok(true)
+        })
+    }
+
+    /// Submits a packet emitted by its source VN's edge node at time `now`.
+    /// The NIC/CPU/first-pipe decision runs on the entry core.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if the entry core's thread died or
+    /// stalled — and, once failed, on every subsequent call (the emulator
+    /// is poisoned; rebuild it, e.g. from a checkpoint).
+    pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
+        self.exec.health()?;
+        match self.admission.dispatch(now, packet) {
+            Dispatch::Resolved(outcome) => Ok(outcome),
+            Dispatch::Ingress {
+                core,
+                now,
+                descriptor,
+            } => Ok(self.exec.ingress(core, now, descriptor)?.into()),
+        }
+    }
+
+    /// Submits a batch of timestamped packets, appending one outcome per
+    /// packet (in input order) to `outcomes`. Semantically identical to
+    /// calling [`Emulator::submit`] per packet — per-core admission order is
+    /// the input order — but an executor with round trips to hide pipelines
+    /// them, which is the fast path for bulk traffic drivers.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if a core thread died or stalled
+    /// mid-batch; `outcomes` is left untouched in that case (the emulator
+    /// is poisoned, so partial results would never be consistent anyway).
+    pub fn submit_batch<I>(
+        &mut self,
+        batch: I,
+        outcomes: &mut Vec<SubmitOutcome>,
+    ) -> Result<(), EmuError>
+    where
+        I: IntoIterator<Item = (SimTime, Packet)>,
+    {
+        self.exec.health()?;
+        let admission = &mut self.admission;
+        let dispatches = batch
+            .into_iter()
+            .map(|(now, packet)| admission.dispatch(now, packet));
+        self.exec.ingress_batch(dispatches, outcomes)
+    }
+
+    /// The earliest time at which any core (or any in-flight tunnel) has work
+    /// due.
+    pub fn next_wakeup(&self) -> Option<SimTime> {
+        let local = if self.admission.local_deliveries.is_empty() {
+            None
+        } else {
+            Some(SimTime::ZERO)
+        };
+        [self.exec.next_wakeup(), local, self.fluid.next_epoch()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Advances the emulation to time `now`, allocating a fresh delivery
+    /// buffer. Steady-state callers use [`Emulator::advance_into`] with a
+    /// long-lived buffer instead.
+    pub fn advance(&mut self, now: SimTime) -> Result<Vec<Delivery>, EmuError> {
+        let mut deliveries = Vec::new();
+        self.advance_into(now, &mut deliveries)?;
+        Ok(deliveries)
+    }
+
+    /// Advances the emulation to time `now`: delivers due tunnels, runs every
+    /// core's scheduler, and forwards freshly produced tunnels. Every packet
+    /// that exited the emulated network since the previous call is appended
+    /// to `deliveries` (same-location deliveries first, then round-major,
+    /// core-major); with warmed buffers the pass allocates nothing.
+    ///
+    /// While fluid flows are live the advance is chopped at each rate
+    /// epoch: cores run up to the epoch, the fair share is re-solved there,
+    /// and the changed per-pipe demands take effect before emulation
+    /// continues — so packet contention always sees the residual of the
+    /// current piecewise-constant fluid rates.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if any core thread died or stalled
+    /// during the advance — and, once failed, on every subsequent call.
+    pub fn advance_into(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
+        self.exec.health()?;
+        while let Some(epoch) = self.fluid.next_epoch().filter(|&e| e <= now) {
+            self.advance_cores(epoch, deliveries)?;
+            self.recompute_fluid(epoch)?;
+        }
+        self.advance_cores(now, deliveries)?;
+        self.fluid.integrate_to(now);
+        Ok(())
+    }
+
+    /// One un-chopped advance of every core to `now`.
+    fn advance_cores(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
+        deliveries.append(&mut self.admission.local_deliveries);
+        self.exec.advance(now, deliveries)
+    }
+
+    /// Serializes the complete emulator state into a checkpoint restorable
+    /// by [`Emulator::restore`] onto any executor. Resuming from the
+    /// snapshot is bit-identical to never having stopped, and taking one
+    /// does not perturb the run (nothing ticks). Scratch buffers (tick pass,
+    /// solver scratch) hold no state and are not captured.
+    ///
+    /// The encoding is canonical: snapshots of the same emulation point are
+    /// byte-identical whichever executor the cores were on.
+    ///
+    /// # Errors
+    ///
+    /// [`EmuError::WorkerFailure`] if a core thread died or stalled.
+    pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
+        self.exec.health()?;
+        let Emulator {
+            exec,
+            pod,
+            profile,
+            matrix,
+            admission,
+            core_load,
+            fluid,
+        } = self;
+        let mut w = ByteWriter::with_capacity(64 * 1024);
+        exec.with_cores(|cores, tunnels| {
+            encode_profile(&mut w, profile);
+            admission.routes.encode(&mut w);
+            matrix.encode(&mut w);
+            w.put_usize(pod.core_count());
+            w.put_len(pod.pipe_count());
+            for pipe in 0..pod.pipe_count() {
+                w.put_usize(pod.owner(PipeId(pipe)).index());
+            }
+            w.put_len(admission.vn_location.len());
+            for loc in &admission.vn_location {
+                w.put_usize(loc.index());
+            }
+            for core in &admission.vn_entry_core {
+                w.put_usize(core.index());
+            }
+            for &active in &admission.vn_active {
+                w.put_bool(active);
+            }
+            w.put_len(core_load.len());
+            for &load in core_load.iter() {
+                w.put_u32(load);
+            }
+            // Canonical tunnel order: (arrival time, target core), with
+            // per-target FIFO preserved by the stable sort. Same-time tunnels
+            // to *different* targets commute (each `accept_tunnel` touches
+            // only its own core), so sorting does not change the restored run
+            // — it makes the encoding independent of how the executor kept
+            // the tunnels, so snapshots are byte-identical across executors
+            // and snapshot → restore → snapshot is byte-stable.
+            let mut tunnels = tunnels.entries_in_order();
+            tunnels.sort_by_key(|&(time, &(target, _))| (time, target.index()));
+            w.put_len(tunnels.len());
+            for (time, (target, descriptor)) in tunnels {
+                w.put_time(time);
+                w.put_usize(target.index());
+                put_descriptor(&mut w, descriptor);
+            }
+            w.put_len(admission.local_deliveries.len());
+            for delivery in &admission.local_deliveries {
+                put_delivery(&mut w, delivery);
+            }
+            fluid.encode(&mut w);
+            w.put_len(cores.len());
+            for core in cores {
+                core.encode_state(&mut w);
+            }
+        })?;
+        Ok(EmulatorSnapshot::from_payload(w.into_bytes()))
+    }
+
+    /// Rebuilds an emulator from a checkpoint taken by
+    /// [`Emulator::snapshot`] on any executor (the threaded one spawns a
+    /// fresh worker pool).
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] if the snapshot is truncated, corrupted, or from an
+    /// incompatible format version.
+    pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
+        let r = &mut snapshot.reader();
+        let profile = decode_profile(r)?;
+        let routes = Arc::new(RouteTable::decode(r)?);
+        let matrix = RoutingMatrix::decode(r)?;
+        let core_count = r.get_usize()?;
+        let pipe_count = r.get_len()?;
+        let mut owners = Vec::with_capacity(pipe_count);
+        for _ in 0..pipe_count {
+            let owner = r.get_usize()?;
+            if owner >= core_count {
+                return Err(CodecError::Invalid("pipe owner out of range"));
+            }
+            owners.push(CoreId(owner));
+        }
+        let pod = Arc::new(PipeOwnershipDirectory::from_owners(
+            owners,
+            core_count.max(1),
+        ));
+        let vn_count = r.get_len()?;
+        let mut vn_location = Vec::with_capacity(vn_count);
+        for _ in 0..vn_count {
+            vn_location.push(NodeId(r.get_usize()?));
+        }
+        let mut vn_entry_core = Vec::with_capacity(vn_count);
+        for _ in 0..vn_count {
+            vn_entry_core.push(CoreId(r.get_usize()?));
+        }
+        let mut vn_active = Vec::with_capacity(vn_count);
+        for _ in 0..vn_count {
+            vn_active.push(r.get_bool()?);
+        }
+        let load_count = r.get_len()?;
+        let mut core_load = Vec::with_capacity(load_count);
+        for _ in 0..load_count {
+            core_load.push(r.get_u32()?);
+        }
+        let tunnel_count = r.get_len()?;
+        let mut tunnels = TimerWheel::new();
+        for _ in 0..tunnel_count {
+            let time = r.get_time()?;
+            let target = CoreId(r.get_usize()?);
+            tunnels.push(time, (target, get_descriptor(r)?));
+        }
+        let local_count = r.get_len()?;
+        let mut local_deliveries = Vec::with_capacity(local_count);
+        for _ in 0..local_count {
+            local_deliveries.push(get_delivery(r)?);
+        }
+        let fluid = FluidState::decode(r)?;
+        if r.get_len()? != core_count {
+            return Err(CodecError::Invalid("core count mismatch"));
+        }
+        let mut cores = Vec::with_capacity(core_count);
+        for idx in 0..core_count {
+            let core = EmulatorCore::decode_state(r, profile, routes.clone())?;
+            if core.id().index() != idx {
+                return Err(CodecError::Invalid("core ids out of order"));
+            }
+            cores.push(core);
+        }
+        Ok(Emulator {
+            exec: X::from_cores(cores, tunnels, pod.clone(), profile, Vec::new()),
+            pod,
+            profile,
+            matrix,
+            admission: Admission {
+                routes,
+                vn_location,
+                vn_entry_core,
+                vn_active,
+                local_deliveries,
+            },
+            core_load,
+            fluid,
+        })
+    }
+}
+
+fn encode_profile(w: &mut ByteWriter, profile: &HardwareProfile) {
+    w.put_rate(profile.nic_rate);
+    w.put_u64(profile.nic_buffer.as_bytes());
+    w.put_duration(profile.per_packet_cpu);
+    w.put_duration(profile.per_hop_cpu);
+    w.put_duration(profile.tunnel_cpu);
+    w.put_duration(profile.tunnel_latency);
+    w.put_duration(profile.tick);
+    w.put_duration(profile.saturation_backlog);
+    w.put_bool(profile.packet_debt_correction);
+    w.put_bool(profile.payload_caching);
+}
+
+fn decode_profile(r: &mut ByteReader) -> Result<HardwareProfile, CodecError> {
+    Ok(HardwareProfile {
+        nic_rate: r.get_rate()?,
+        nic_buffer: mn_util::ByteSize::from_bytes(r.get_u64()?),
+        per_packet_cpu: r.get_duration()?,
+        per_hop_cpu: r.get_duration()?,
+        tunnel_cpu: r.get_duration()?,
+        tunnel_latency: r.get_duration()?,
+        tick: r.get_duration()?,
+        saturation_backlog: r.get_duration()?,
+        packet_debt_correction: r.get_bool()?,
+        payload_caching: r.get_bool()?,
+    })
+}

@@ -149,6 +149,7 @@ impl FluidState {
     }
 
     /// The next scheduled rate-recompute epoch, if flows are live.
+    #[inline]
     pub fn next_epoch(&self) -> Option<SimTime> {
         self.next_epoch
     }
@@ -312,6 +313,7 @@ impl FluidState {
 
     /// Settles every flow's goodput integral up to `at` at the current
     /// piecewise-constant rates.
+    #[inline]
     pub fn integrate_to(&mut self, at: SimTime) {
         if at <= self.clock {
             return;

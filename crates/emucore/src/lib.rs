@@ -11,39 +11,74 @@
 //! relative accuracy of a run is therefore proportional to the number of
 //! physical drops.
 //!
-//! The crate provides:
+//! # One coordinator, two executors
 //!
-//! * [`HardwareProfile`] — the CPU/NIC capacity model standing in for the
-//!   paper's Pentium III + gigabit NIC testbed (see DESIGN.md §2),
-//! * [`EmulatorCore`] — a single core node: pipes, deadline heap, tick
-//!   scheduler, CPU/NIC admission, accuracy log,
-//! * [`MultiCoreEmulator`] — several cores cooperating through the pipe
-//!   ownership directory, tunnelling descriptors when a route crosses cores,
-//! * [`ParallelEmulator`] — the same cooperation with every core on its own
-//!   OS thread, exchanging tunnels over bounded SPSC rings under an epoch
-//!   barrier, bit-identical to the sequential backend,
-//! * [`wireless`] — the ad-hoc wireless extension sketched in §5 (broadcast
-//!   medium, node mobility).
+//! State has one owner, everything else is a command:
+//!
+//! * An [`EmulatorCore`] owns its pipes, its timing wheel, its RNG and its
+//!   NIC/CPU admission model outright. Nothing outside the core mutates
+//!   them; the only things that cross between cores are tunnelled
+//!   descriptors.
+//! * [`Emulator`] — the coordinator — owns everything global: the routing
+//!   matrix, the published `Arc<RouteTable>`, VN location / entry-core /
+//!   membership tables, the per-core load vector, the fluid solver
+//!   ([`FluidState`]) and its epoch chopping, same-location deliveries, and
+//!   snapshot encode/decode. Every operation (`submit`, `advance_into`,
+//!   `reroute`, `vn_join`, `set_pipe_cbr`, `snapshot`, …) has exactly one
+//!   body, there.
+//! * A [`CoreExecutor`] decides only where the cores run and carries the
+//!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
+//!   `Vec<EmulatorCore>` plus one shared tunnel wheel on the calling thread;
+//!   [`ThreadedExecutor`] gives each core an OS thread behind SPSC rings
+//!   and is the only place that knows about abort flags, heartbeats, the
+//!   stall watchdog and failure poisoning.
+//!
+//! [`MultiCoreEmulator`] and [`ParallelEmulator`] are type aliases of the
+//! two instantiations. Results are **bit-identical** between them for two
+//! separate reasons. On the coordinator side it holds by construction: the
+//! sequence of matrix updates, route-table generations, entry-core
+//! assignments, fluid solves and per-core commands is literally the same
+//! code. On the executor side it holds by protocol: the threaded executor's
+//! epoch markers reproduce the inline executor's rounds (accept due tunnels
+//! → tick every core → exchange → repeat while one is due), tunnels are
+//! filed in the inline wheel's `(time, seq)` order, and deliveries are
+//! concatenated round-major, core-major (see [`parallel`]). The determinism,
+//! differential and snapshot suites pin the second; a golden `MNSP` v1
+//! fixture pins the bytes.
+//!
+//! Operations that reach a core share one fallible signature
+//! (`Result<_, EmuError>`; the inline executor never errs). Once an
+//! executor has failed the emulator is poisoned: data-plane calls return
+//! the first error, control-plane calls are refused with no coordinator
+//! state changed, and the way out is [`Emulator::restore`] from a
+//! checkpoint.
+//!
+//! The crate also provides [`HardwareProfile`] — the CPU/NIC capacity model
+//! standing in for the paper's Pentium III + gigabit NIC testbed (see
+//! DESIGN.md §2) — the per-packet [`AccuracyLog`], the versioned
+//! [`EmulatorSnapshot`] framing, and [`ChaosPlan`] fault injection for the
+//! threaded executor's supervision tests.
 
 pub mod accuracy;
 pub mod chaos;
 pub mod core;
 pub mod descriptor;
+pub mod emulator;
 pub mod error;
 pub mod fluid;
 pub mod hardware;
 pub mod multicore;
 pub mod parallel;
 pub mod snapshot;
-pub mod wireless;
 
 pub use accuracy::AccuracyLog;
 pub use chaos::ChaosPlan;
 pub use core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 pub use descriptor::{Delivery, Descriptor};
+pub use emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
 pub use error::{EmuError, FailureCause};
 pub use fluid::FluidState;
 pub use hardware::HardwareProfile;
-pub use multicore::{MultiCoreEmulator, SubmitOutcome};
-pub use parallel::ParallelEmulator;
+pub use multicore::{InlineExecutor, MultiCoreEmulator};
+pub use parallel::{ParallelEmulator, ThreadedExecutor};
 pub use snapshot::{EmulatorSnapshot, SNAPSHOT_VERSION};

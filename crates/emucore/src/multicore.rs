@@ -1,5 +1,5 @@
-//! Multi-core emulation: several cores cooperating through the pipe
-//! ownership directory.
+//! Multi-core emulation on the calling thread: several cores cooperating
+//! through the pipe ownership directory.
 //!
 //! When the next pipe on a descriptor's route is owned by a different core,
 //! the current core tunnels the descriptor to the owner (found by a POD
@@ -8,906 +8,130 @@
 //! why Table 1 shows aggregate throughput degrading as the fraction of
 //! cross-core traffic grows. With payload caching enabled only the
 //! descriptor, not the packet contents, crosses the core network.
+//!
+//! [`InlineExecutor`] is the reference [`CoreExecutor`]: its `advance` *is*
+//! the round structure the trait's contract describes, and the threaded
+//! executor is tested for bit-identity against it.
 
 use std::sync::Arc;
 
 use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
-use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
-use mn_packet::{Packet, VnId};
-use mn_pipe::CbrConfig;
-use mn_routing::{RouteTable, RouteUpdate, RoutingMatrix};
-use mn_topology::NodeId;
-use mn_util::{DataRate, SimDuration, SimTime, TimerWheel};
+use mn_distill::DistilledTopology;
+use mn_routing::{RouteTable, RoutingMatrix};
+use mn_util::{SimTime, TimerWheel};
 
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
-use crate::fluid::FluidState;
+use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
+use crate::error::EmuError;
 use crate::hardware::HardwareProfile;
 
-/// The backend-independent half of an incremental routing change: updates
-/// the matrix in place against the mutated `topo`, and — only if any route
-/// actually changed — builds the next route-table generation and swaps it
-/// into `routes`. This is the copy-on-write publish: the "clone" is
-/// structural (row shards, route chunks and the content index are shared
-/// by reference, so it costs O(endpoints) shard handles, not O(endpoints²)
-/// entries), `rewire_in_place` then replaces only the row shards whose
-/// routes changed, and cores still reading the previous `Arc` keep a
-/// consistent table until they pick up the new one. Both execution
-/// backends call this and then distribute the new `Arc` their own way, so
-/// the sequence (and with it the bit-identity contract) cannot drift
-/// between them.
-pub(crate) fn apply_route_change(
-    matrix: &mut RoutingMatrix,
-    routes: &mut Arc<RouteTable>,
-    locations: &[NodeId],
-    topo: &DistilledTopology,
-    changed: &[PipeId],
-) -> RouteUpdate {
-    let update = matrix.update_pipes(topo, changed);
-    if !update.is_empty() {
-        let mut table = (**routes).clone();
-        table.rewire_in_place(matrix, locations, &update.changed_pairs);
-        *routes = Arc::new(table);
-    }
-    update
-}
+/// The cooperative single-thread emulator: every core advances in turn on
+/// the calling thread. Lowest overhead, never fails, and the only
+/// instantiation that exposes the cores themselves
+/// ([`MultiCoreEmulator::cores`]).
+pub type MultiCoreEmulator = Emulator<InlineExecutor>;
 
-/// The backend-independent half of a VN join: ensure the location has a
-/// source tree in the matrix (one component-scoped Dijkstra if it does
-/// not), bind the endpoint's row shard into the next route-table
-/// generation copy-on-write, and assign an entry core (least-loaded,
-/// lowest index — a pure function of the load vector, so identical churn
-/// histories yield identical assignments on both backends). Everything is
-/// coordinator-side; workers only ever see the published `Arc`.
+/// Runs every core on the calling thread, exchanging tunnelled descriptors
+/// through one shared timing wheel. Infallible: every `Result` it returns
+/// is `Ok`.
 ///
-/// Returns `false` (changing nothing) for an id that is already active or
-/// not the next fresh index, or a location outside the topology.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_vn_join(
-    matrix: &mut RoutingMatrix,
-    routes: &mut Arc<RouteTable>,
-    vn_location: &mut Vec<NodeId>,
-    vn_entry_core: &mut Vec<CoreId>,
-    vn_active: &mut Vec<bool>,
-    core_load: &mut [u32],
-    topo: &DistilledTopology,
-    vn: VnId,
-    location: NodeId,
-) -> bool {
-    let idx = vn.index();
-    if idx > vn_location.len() || location.index() >= topo.node_count() {
-        return false;
-    }
-    if idx < vn_location.len() && vn_active[idx] {
-        return false;
-    }
-    let added_tree = if matrix.vn_index(location).is_none() {
-        if !matrix.add_source(topo, location) {
-            return false;
-        }
-        true
-    } else {
-        false
-    };
-    let mut next = (**routes).clone();
-    if !next.bind_endpoint(matrix, idx, location) {
-        if added_tree {
-            matrix.remove_source(location);
-        }
-        return false;
-    }
-    let entry = CoreId(mn_assign::least_loaded(core_load));
-    core_load[entry.index()] += 1;
-    if idx == vn_location.len() {
-        vn_location.push(location);
-        vn_entry_core.push(entry);
-        vn_active.push(true);
-    } else {
-        vn_location[idx] = location;
-        vn_entry_core[idx] = entry;
-        vn_active[idx] = true;
-    }
-    *routes = Arc::new(next);
-    true
-}
-
-/// The backend-independent half of a VN leave: the endpoint's row shard is
-/// cleared in the next route-table generation (new traffic from it fails)
-/// and its entry-core load slot is released; if it was the last endpoint
-/// at its location the matrix source tree is removed too. Routes *toward*
-/// the departed endpoint — and every interned `RouteId` — are retained, so
-/// descriptors already in flight drain deterministically on their
-/// pre-departure routes. Returns `false` for an id that is not active.
-pub(crate) fn apply_vn_leave(
-    matrix: &mut RoutingMatrix,
-    routes: &mut Arc<RouteTable>,
-    vn_location: &[NodeId],
-    vn_entry_core: &[CoreId],
-    vn_active: &mut [bool],
-    core_load: &mut [u32],
-    vn: VnId,
-) -> bool {
-    let idx = vn.index();
-    if idx >= vn_active.len() || !vn_active[idx] {
-        return false;
-    }
-    let mut next = (**routes).clone();
-    if !next.unbind_endpoint(idx) {
-        return false;
-    }
-    vn_active[idx] = false;
-    core_load[vn_entry_core[idx].index()] -= 1;
-    if !next.has_endpoints_at(vn_location[idx]) {
-        matrix.remove_source(vn_location[idx]);
-    }
-    *routes = Arc::new(next);
-    true
-}
-
-/// Result of submitting a packet to the emulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// The packet entered the emulated network.
-    Accepted,
-    /// The packet was dropped physically at the entry core's NIC (overload).
-    PhysicalDrop,
-    /// The packet was dropped by the first pipe (virtual drop).
-    VirtualDrop,
-    /// The packet's source or destination VN has no location or no route.
-    NoRoute,
-}
-
-impl SubmitOutcome {
-    /// Returns `true` if the packet entered the emulation.
-    pub fn is_accepted(&self) -> bool {
-        matches!(self, SubmitOutcome::Accepted)
-    }
-}
-
-/// The state a [`MultiCoreEmulator`] hands over when it is converted into a
-/// parallel backend.
-pub(crate) struct EmulatorParts {
-    pub cores: Vec<EmulatorCore>,
-    pub pod: PipeOwnershipDirectory,
-    pub matrix: RoutingMatrix,
-    pub routes: Arc<RouteTable>,
-    pub vn_location: Vec<NodeId>,
-    pub vn_entry_core: Vec<CoreId>,
-    pub vn_active: Vec<bool>,
-    pub core_load: Vec<u32>,
-    pub tunnels_in_flight: TimerWheel<(CoreId, Descriptor)>,
-    pub local_deliveries: Vec<Delivery>,
-    pub profile: HardwareProfile,
-    pub fluid: FluidState,
-}
-
-/// The set of cooperating core nodes emulating one distilled topology.
+/// The per-packet methods are `#[inline]`: `Emulator<InlineExecutor>` is
+/// monomorphized in the *calling* crate, and without the hint these
+/// non-generic bodies would stay out-of-line calls across the crate
+/// boundary on the submit path.
 #[derive(Debug)]
-pub struct MultiCoreEmulator {
-    cores: Vec<EmulatorCore>,
-    pod: PipeOwnershipDirectory,
-    matrix: RoutingMatrix,
-    /// Interned routes plus the sharded VN-pair -> route row shards, shared
-    /// with every core. Republished copy-on-write by
-    /// [`MultiCoreEmulator::set_routing`] / [`MultiCoreEmulator::reroute`];
-    /// untouched row shards keep the same allocation across generations.
-    routes: Arc<RouteTable>,
-    /// Topology location of each VN, indexed densely by `VnId`. An id at or
-    /// beyond the table is an unknown VN and yields `SubmitOutcome::NoRoute`.
-    vn_location: Vec<NodeId>,
-    /// Entry core of each VN, indexed densely by `VnId`.
-    vn_entry_core: Vec<CoreId>,
-    /// Live-membership flag of each VN, indexed densely by `VnId`. A VN
-    /// that left keeps its (stale) location and entry-core entries for
-    /// geometry consistency; only this flag gates traffic.
-    vn_active: Vec<bool>,
-    /// Number of active VNs entering through each core — the load vector
-    /// the join path's least-loaded entry-core assignment reads.
-    core_load: Vec<u32>,
+pub struct InlineExecutor {
+    pub(crate) cores: Vec<EmulatorCore>,
     /// Tunnel descriptors in flight between cores, keyed by arrival time on
     /// the same O(1) timing wheel the cores schedule pipes on.
-    tunnels_in_flight: TimerWheel<(CoreId, Descriptor)>,
-    /// Same-location packets that bypass the core network entirely.
-    local_deliveries: Vec<Delivery>,
+    pub(crate) tunnels: TimerWheel<(CoreId, Descriptor)>,
+    pub(crate) pod: Arc<PipeOwnershipDirectory>,
+    pub(crate) profile: HardwareProfile,
     /// Reusable per-core scheduler-pass buffer; capacity persists across
-    /// [`MultiCoreEmulator::advance`] calls so the steady state allocates
-    /// nothing.
+    /// advances so the steady state allocates nothing.
     tick_buf: TickOutput,
-    profile: HardwareProfile,
-    /// Coordinator-owned fluid flow state. Rate recomputes happen here (at
-    /// epoch boundaries and on flow/topology mutations) and the changed
-    /// per-pipe demands are pushed to the owning cores, so both execution
-    /// backends observe identical piecewise-constant residuals.
-    fluid: FluidState,
 }
 
-impl MultiCoreEmulator {
-    /// Builds the emulator: installs each pipe on the core the POD assigns it
-    /// to, and records each VN's topology location and entry core from the
-    /// binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the POD covers a different number of pipes than the
-    /// distilled topology contains.
-    pub fn new(
-        topo: &DistilledTopology,
-        pod: PipeOwnershipDirectory,
-        matrix: RoutingMatrix,
-        binding: &Binding,
+impl CoreExecutor for InlineExecutor {
+    fn from_cores(
+        cores: Vec<EmulatorCore>,
+        tunnels: TimerWheel<(CoreId, Descriptor)>,
+        pod: Arc<PipeOwnershipDirectory>,
         profile: HardwareProfile,
-        seed: u64,
+        _affinity: Vec<Option<usize>>,
     ) -> Self {
-        assert_eq!(
-            pod.pipe_count(),
-            topo.pipe_count(),
-            "POD must cover every pipe of the distilled topology"
-        );
-        // Dense per-VN tables: `Binding` numbers VNs 0..vn_count, so plain
-        // vectors indexed by `VnId::index` cover every bound VN.
-        let vn_location: Vec<NodeId> = binding
-            .vns()
-            .map(|vn| binding.location(vn).expect("binding locates every VN"))
-            .collect();
-        let vn_entry_core: Vec<CoreId> = binding
-            .vns()
-            .map(|vn| {
-                // Clamp to the actual core count: a binding may reference more
-                // cores than the POD uses (e.g. single-core emulation of a
-                // multi-edge cluster).
-                let core = binding.entry_core(vn).unwrap_or(CoreId(0));
-                CoreId(core.index() % pod.core_count())
-            })
-            .collect();
-        let routes = Arc::new(RouteTable::build(&matrix, &vn_location));
-        let vn_active = vec![true; vn_location.len()];
-        let mut core_load = vec![0u32; pod.core_count()];
-        for core in &vn_entry_core {
-            core_load[core.index()] += 1;
-        }
-        let mut cores: Vec<EmulatorCore> = (0..pod.core_count())
-            .map(|c| {
-                EmulatorCore::new(
-                    CoreId(c),
-                    profile,
-                    seed.wrapping_add(c as u64),
-                    routes.clone(),
-                    topo.pipe_count(),
-                )
-            })
-            .collect();
-        let mut capacity_bps = vec![0u64; topo.pipe_count()];
-        for (pipe_id, pipe) in topo.pipes() {
-            let owner = pod.owner(pipe_id);
-            cores[owner.index()].install_pipe(pipe_id, pipe.attrs);
-            capacity_bps[pipe_id.index()] = pipe.attrs.bandwidth.as_bps();
-        }
-        MultiCoreEmulator {
+        InlineExecutor {
             cores,
+            tunnels,
             pod,
-            matrix,
-            routes,
-            vn_location,
-            vn_entry_core,
-            vn_active,
-            core_load,
-            tunnels_in_flight: TimerWheel::new(),
-            local_deliveries: Vec::new(),
-            tick_buf: TickOutput::default(),
             profile,
-            fluid: FluidState::new(capacity_bps),
+            tick_buf: TickOutput::default(),
         }
     }
 
-    /// Convenience constructor for single-core emulation.
-    pub fn single_core(
-        topo: &DistilledTopology,
-        matrix: RoutingMatrix,
-        binding: &Binding,
-        profile: HardwareProfile,
-        seed: u64,
-    ) -> Self {
-        let pod = PipeOwnershipDirectory::single_core(topo.pipe_count());
-        Self::new(topo, pod, matrix, binding, profile, seed)
-    }
-
-    /// Number of cooperating cores.
-    pub fn core_count(&self) -> usize {
+    #[inline]
+    fn core_count(&self) -> usize {
         self.cores.len()
     }
 
-    /// Decomposes the emulator into the pieces the parallel backend takes
-    /// ownership of (see [`crate::ParallelEmulator::from_sequential`]).
-    pub(crate) fn into_parts(self) -> EmulatorParts {
-        EmulatorParts {
-            cores: self.cores,
-            pod: self.pod,
-            matrix: self.matrix,
-            routes: self.routes,
-            vn_location: self.vn_location,
-            vn_entry_core: self.vn_entry_core,
-            vn_active: self.vn_active,
-            core_load: self.core_load,
-            tunnels_in_flight: self.tunnels_in_flight,
-            local_deliveries: self.local_deliveries,
-            profile: self.profile,
-            fluid: self.fluid,
-        }
+    #[inline]
+    fn health(&self) -> Result<(), EmuError> {
+        Ok(())
     }
 
-    /// Access to one core's counters.
-    pub fn core_stats(&self, core: CoreId) -> Option<&CoreStats> {
-        self.cores.get(core.index()).map(|c| c.stats())
+    #[inline]
+    fn stats(&self, core: CoreId) -> Option<CoreStats> {
+        self.cores.get(core.index()).map(|c| *c.stats())
     }
 
-    /// Aggregated counters across cores (an associative
-    /// [`CoreStats::merge`] fold, so it matches what the parallel backend's
-    /// per-thread stats drain reports).
-    pub fn total_stats(&self) -> CoreStats {
-        self.cores
-            .iter()
-            .fold(CoreStats::default(), |acc, c| acc.merged(c.stats()))
-    }
-
-    /// Access to the cores themselves (accuracy logs, utilisation, pipes).
-    pub fn cores(&self) -> &[EmulatorCore] {
-        &self.cores
-    }
-
-    /// The routing matrix in force.
-    pub fn routing(&self) -> &RoutingMatrix {
-        &self.matrix
-    }
-
-    /// The interned route table in force.
-    pub fn route_table(&self) -> &RouteTable {
-        &self.routes
-    }
-
-    /// Replaces the routing matrix (after a failure recomputation) and
-    /// rebuilds the interned route table on every core. The rebuild is
-    /// explicit and total — there is no incremental cache whose stale entries
-    /// could survive a routing change — but still structurally shared: the
-    /// retained route chunks and the content-dedup index carry over by
-    /// reference instead of being re-interned. Route ids handed out before
-    /// the rebuild stay valid, so descriptors already in flight finish on
-    /// their pre-failure routes — exactly like packets already inside the
-    /// paper's cores.
-    pub fn set_routing(&mut self, matrix: RoutingMatrix) {
-        self.matrix = matrix;
-        self.routes = Arc::new(RouteTable::rebuild(
-            &self.routes,
-            &self.matrix,
-            &self.vn_location,
-        ));
-        for core in &mut self.cores {
-            core.set_route_table(self.routes.clone());
-        }
-        self.fluid.mark_routes_dirty();
-        if self.fluid.has_flows() {
-            let at = self.fluid.clock();
-            self.recompute_fluid(at);
-        }
-    }
-
-    /// Re-solves the fluid fair share at `at` and pushes every changed
-    /// per-pipe demand to the owning core. Called on every fluid mutation
-    /// and at each epoch boundary; the cores see only the piecewise-constant
-    /// per-pipe totals.
-    fn recompute_fluid(&mut self, at: SimTime) {
-        let changed = self.fluid.recompute(at, &self.routes);
-        for &(pipe, bps) in changed {
-            let owner = self
-                .pod
-                .get_owner(pipe)
-                .expect("fluid routes reference pipes covered by the POD");
-            let _ =
-                self.cores[owner.index()].set_pipe_fluid_demand(pipe, DataRate::from_bps(bps), at);
-        }
-    }
-
-    /// Updates a pipe's emulation parameters on whichever core owns it. The
-    /// fluid model tracks the new capacity; live flows re-share immediately.
-    pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
-        let Some(owner) = self.pod.get_owner(pipe) else {
-            return false;
-        };
-        if !self.cores[owner.index()].update_pipe_attrs(pipe, attrs) {
-            return false;
-        }
-        self.fluid.set_capacity(pipe, attrs.bandwidth);
-        if self.fluid.has_flows() {
-            let at = self.fluid.clock();
-            self.recompute_fluid(at);
-        }
-        true
-    }
-
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a pipe, on whichever core owns it. Injection starts at
-    /// `from` (the paper's hop-by-hop compensation for distilled-away
-    /// links, and the cross-traffic half of runtime reconfiguration).
-    pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        let Some(owner) = self.pod.get_owner(pipe) else {
-            return false;
-        };
-        if !self.cores[owner.index()].set_pipe_cbr(pipe, config, from) {
-            return false;
-        }
-        // The bandwidth half of the episode is a fixed-rate fluid demand on
-        // the pipe; degenerate configs (which inject nothing) carry none.
-        let rate = config.and_then(|c| c.interval().map(|_| c.rate));
-        self.fluid.set_cbr(pipe, rate, from);
-        self.recompute_fluid(from);
-        true
-    }
-
-    /// Installs (or clears, with `None`) a distillation-compensation rate on
-    /// `pipe`: a fixed-rate background demand standing in for the contention
-    /// of the hops the pipe collapsed (§4.1, "background CBR cross traffic").
-    ///
-    /// Unlike [`set_pipe_cbr`](Self::set_pipe_cbr) this is fluid-only — no
-    /// packets are synthesised, foreground traffic just sees the pipe's
-    /// residual capacity — so the steady state allocates nothing and both
-    /// backends stay bit-identical. It shares the per-pipe background demand
-    /// slot with scheduled CBR episodes: installing one replaces the other.
-    ///
-    /// Returns `false` if the pipe is unknown.
-    pub fn set_pipe_compensation(
-        &mut self,
-        pipe: PipeId,
-        rate: Option<DataRate>,
-        from: SimTime,
-    ) -> bool {
-        if self.pod.get_owner(pipe).is_none() {
-            return false;
-        }
-        self.fluid.set_cbr(pipe, rate, from);
-        self.recompute_fluid(from);
-        true
-    }
-
-    /// Applies an **incremental** routing change after the listed pipes of
-    /// `topo` were mutated in place (failure, restore, latency
-    /// renegotiation): the matrix's per-pipe reverse index names exactly
-    /// the shortest-route trees a worsened pipe sat on, only those (plus
-    /// the label-bounded candidates of an improvement) are recomputed
-    /// ([`RoutingMatrix::update_pipes`]), and only the
-    /// endpoint pairs whose route actually changed are re-wired in the
-    /// interned route table ([`RouteTable::rewire_in_place`]). Untouched
-    /// `RouteId`s are preserved, so descriptors in flight keep resolving to
-    /// the routes they started on — like packets already inside the paper's
-    /// cores — while new packets see only the post-change routes.
-    pub fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
-        let update = apply_route_change(
-            &mut self.matrix,
-            &mut self.routes,
-            &self.vn_location,
-            topo,
-            changed,
-        );
-        if !update.is_empty() {
-            for core in &mut self.cores {
-                core.set_route_table(self.routes.clone());
-            }
-            self.fluid.mark_routes_dirty();
-            if self.fluid.has_flows() {
-                let at = self.fluid.clock();
-                self.recompute_fluid(at);
-            }
-        }
-        update
-    }
-
-    /// Sets the cadence at which fluid rates are re-solved while flows are
-    /// live (effective from the next epoch).
-    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        self.fluid.set_epoch(epoch);
-    }
-
-    /// Starts a fluid bulk flow: `demand` offered from `src` to `dst`,
-    /// standing in for `clients` modelled clients (its max-min weight).
-    /// The flow crosses the same interned route packets between the pair
-    /// would take; its share of every pipe shows up to the packet path as
-    /// consumed capacity. Returns `false` if the tag is already in use.
-    pub fn add_fluid_flow(
-        &mut self,
-        tag: u64,
-        src: VnId,
-        dst: VnId,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        if !self.fluid.add_flow(tag, src, dst, demand, clients, at) {
-            return false;
-        }
-        self.recompute_fluid(at);
-        true
-    }
-
-    /// Changes a fluid flow's offered demand and client count mid-run.
-    pub fn resize_fluid_flow(
-        &mut self,
-        tag: u64,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        if !self.fluid.resize_flow(tag, demand, clients, at) {
-            return false;
-        }
-        self.recompute_fluid(at);
-        true
-    }
-
-    /// Stops a fluid flow, returning its share to the packet path.
-    pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        if !self.fluid.remove_flow(tag, at) {
-            return false;
-        }
-        self.recompute_fluid(at);
-        true
-    }
-
-    /// The rate the last fair-share solve allocated to a fluid flow.
-    pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
-        self.fluid.flow_rate(tag)
-    }
-
-    /// Bytes of goodput a fluid flow has accumulated so far.
-    pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        self.fluid.flow_goodput_bytes(tag)
-    }
-
-    /// Read access to the fluid flow state (flow counts, epoch clock).
-    pub fn fluid(&self) -> &FluidState {
-        &self.fluid
-    }
-
-    /// The topology location a VN is bound to.
-    pub fn vn_location(&self, vn: VnId) -> Option<NodeId> {
-        self.vn_location.get(vn.index()).copied()
-    }
-
-    /// `true` while a VN is an active member of the emulation.
-    pub fn vn_is_active(&self, vn: VnId) -> bool {
-        self.vn_active.get(vn.index()).copied().unwrap_or(false)
-    }
-
-    /// Number of currently active VNs.
-    pub fn active_vn_count(&self) -> usize {
-        self.vn_active.iter().filter(|&&a| a).count()
-    }
-
-    /// The core a VN's traffic enters through.
-    pub fn vn_entry_core(&self, vn: VnId) -> Option<CoreId> {
-        self.vn_entry_core.get(vn.index()).copied()
-    }
-
-    /// Joins a VN at a client location of `topo` mid-run — a first-class
-    /// churn event, not a rebuild: the location's source tree is added to
-    /// the matrix if absent (O(component log component)), the endpoint's
-    /// row shard is bound into a copy-on-write route-table generation
-    /// (O(affected rows), flat in the total VN count), and the newcomer
-    /// enters through the least-loaded core. `vn` must be either a fresh
-    /// contiguous id (`VnId(n)` when `n` VNs exist) or a departed id
-    /// rejoining. Returns `false` (changing nothing) otherwise.
-    pub fn vn_join(
-        &mut self,
-        topo: &DistilledTopology,
-        vn: VnId,
-        location: NodeId,
-        at: SimTime,
-    ) -> bool {
-        if !apply_vn_join(
-            &mut self.matrix,
-            &mut self.routes,
-            &mut self.vn_location,
-            &mut self.vn_entry_core,
-            &mut self.vn_active,
-            &mut self.core_load,
-            topo,
-            vn,
-            location,
-        ) {
-            return false;
-        }
-        for core in &mut self.cores {
-            core.set_route_table(self.routes.clone());
-        }
-        self.fluid.mark_routes_dirty();
-        if self.fluid.has_flows() {
-            self.recompute_fluid(at);
-        }
-        true
-    }
-
-    /// Removes a VN from the emulation mid-run. New traffic to or from it
-    /// is refused from this instant; descriptors already in flight drain
-    /// deterministically on their pre-departure routes (every interned
-    /// `RouteId` survives the departure); its fluid flows are torn down
-    /// and their share returned to the network. Returns `false` when the
-    /// VN is not an active member.
-    pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        if !apply_vn_leave(
-            &mut self.matrix,
-            &mut self.routes,
-            &self.vn_location,
-            &self.vn_entry_core,
-            &mut self.vn_active,
-            &mut self.core_load,
-            vn,
-        ) {
-            return false;
-        }
-        for core in &mut self.cores {
-            core.set_route_table(self.routes.clone());
-        }
-        let removed = self.fluid.remove_vn_flows(vn, at);
-        self.fluid.mark_routes_dirty();
-        if removed > 0 || self.fluid.has_flows() {
-            self.recompute_fluid(at);
-        }
-        true
-    }
-
-    /// Submits a packet emitted by its source VN's edge node at time `now`.
-    ///
-    /// This is the per-packet fast path: every lookup is an indexed array
-    /// read (VN location, VN-pair route id, entry core) — no hashing, no
-    /// route clone, no allocation.
-    pub fn submit(&mut self, now: SimTime, packet: Packet) -> SubmitOutcome {
-        let src_idx = packet.flow.src.index();
-        let dst_idx = packet.flow.dst.index();
-        let Some(&src_loc) = self.vn_location.get(src_idx) else {
-            return SubmitOutcome::NoRoute;
-        };
-        let Some(&dst_loc) = self.vn_location.get(dst_idx) else {
-            return SubmitOutcome::NoRoute;
-        };
-        // Departed endpoints refuse new traffic immediately (descriptors
-        // already inside the network still drain on their retained routes).
-        if !self.vn_active[src_idx] || !self.vn_active[dst_idx] {
-            return SubmitOutcome::NoRoute;
-        }
-        if src_loc == dst_loc {
-            // Both VNs bound to the same topology location: traffic never
-            // crosses the emulated network (local loopback at the edge).
-            self.local_deliveries.push(Delivery {
-                packet,
-                delivered_at: now,
-                entered_at: now,
-                hops: 0,
-                emulation_error: mn_util::SimDuration::ZERO,
-            });
-            return SubmitOutcome::Accepted;
-        }
-        let Some(route) = self.routes.route_id(src_idx, dst_idx) else {
-            return SubmitOutcome::NoRoute;
-        };
-        let entry = self
-            .vn_entry_core
-            .get(src_idx)
-            .copied()
-            .unwrap_or(CoreId(0));
-        let descriptor = Descriptor::new(packet, route, now);
-        match self.cores[entry.index()].ingress(now, descriptor) {
-            IngressOutcome::Accepted => SubmitOutcome::Accepted,
-            IngressOutcome::VirtualDrop => SubmitOutcome::VirtualDrop,
-            IngressOutcome::PhysicalDropNic | IngressOutcome::PhysicalDropCpu => {
-                SubmitOutcome::PhysicalDrop
-            }
-        }
-    }
-
-    /// Submits a batch of timestamped packets, appending one outcome per
-    /// packet (in input order) to `outcomes`. Exactly equivalent to calling
-    /// [`MultiCoreEmulator::submit`] per packet; provided so bulk traffic
-    /// drivers can run against either backend through one call shape (the
-    /// parallel backend pipelines this path).
-    pub fn submit_batch<I>(&mut self, batch: I, outcomes: &mut Vec<SubmitOutcome>)
-    where
-        I: IntoIterator<Item = (SimTime, Packet)>,
-    {
-        for (now, packet) in batch {
-            outcomes.push(self.submit(now, packet));
-        }
-    }
-
-    /// The earliest time at which any core (or any in-flight tunnel) has work
-    /// due.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
+    #[inline]
+    fn next_wakeup(&self) -> Option<SimTime> {
         let core_next = self.cores.iter().filter_map(|c| c.next_wakeup()).min();
         let tunnel_next = self
-            .tunnels_in_flight
+            .tunnels
             .peek_time()
             .map(|t| self.profile.next_tick_at(t));
-        let local = if self.local_deliveries.is_empty() {
-            None
-        } else {
-            Some(SimTime::ZERO)
-        };
-        let fluid_next = self.fluid.next_epoch();
-        [core_next, tunnel_next, local, fluid_next]
-            .into_iter()
-            .flatten()
-            .min()
+        [core_next, tunnel_next].into_iter().flatten().min()
     }
 
-    /// Advances the emulation to time `now`, allocating a fresh delivery
-    /// buffer. Steady-state callers use [`MultiCoreEmulator::advance_into`]
-    /// with a long-lived buffer instead.
-    pub fn advance(&mut self, now: SimTime) -> Vec<Delivery> {
-        let mut deliveries = Vec::new();
-        self.advance_into(now, &mut deliveries);
-        deliveries
+    #[inline]
+    fn ingress(
+        &mut self,
+        core: CoreId,
+        now: SimTime,
+        descriptor: Descriptor,
+    ) -> Result<IngressOutcome, EmuError> {
+        Ok(self.cores[core.index()].ingress(now, descriptor))
     }
 
-    /// Advances the emulation to time `now`: delivers due tunnels, runs every
-    /// core's scheduler, and forwards freshly produced tunnels. Every packet
-    /// that exited the emulated network since the previous call is appended
-    /// to `deliveries`; with warmed buffers the pass allocates nothing.
-    ///
-    /// While fluid flows are live the advance is chopped at each rate
-    /// epoch: cores run up to the epoch, the fair share is re-solved there,
-    /// and the changed per-pipe demands take effect before emulation
-    /// continues — so packet contention always sees the residual of the
-    /// current piecewise-constant fluid rates, identically on both
-    /// backends.
-    pub fn advance_into(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) {
-        while let Some(epoch) = self.fluid.next_epoch().filter(|&e| e <= now) {
-            self.advance_cores_into(epoch, deliveries);
-            self.recompute_fluid(epoch);
+    #[inline]
+    fn ingress_batch<I: Iterator<Item = Dispatch>>(
+        &mut self,
+        batch: I,
+        outcomes: &mut Vec<SubmitOutcome>,
+    ) -> Result<(), EmuError> {
+        for dispatch in batch {
+            outcomes.push(match dispatch {
+                Dispatch::Resolved(outcome) => outcome,
+                Dispatch::Ingress {
+                    core,
+                    now,
+                    descriptor,
+                } => self.cores[core.index()].ingress(now, descriptor).into(),
+            });
         }
-        self.advance_cores_into(now, deliveries);
-        for core in &mut self.cores {
-            core.integrate_fluid_to(now);
-        }
-        self.fluid.integrate_to(now);
+        Ok(())
     }
 
-    /// Serializes the complete emulator state into a checkpoint restorable
-    /// by [`MultiCoreEmulator::restore`] (or into the threaded backend via
-    /// [`crate::ParallelEmulator::restore`]). Resuming from the snapshot is
-    /// bit-identical to never having stopped. Scratch buffers (tick pass,
-    /// solver scratch) hold no state and are not captured.
-    pub fn snapshot(&self) -> crate::snapshot::EmulatorSnapshot {
-        let mut w = mn_util::ByteWriter::with_capacity(64 * 1024);
-        self.encode_state(&mut w);
-        crate::snapshot::EmulatorSnapshot::from_payload(w.into_bytes())
-    }
-
-    /// Rebuilds an emulator from a checkpoint taken by
-    /// [`MultiCoreEmulator::snapshot`] on either backend.
-    pub fn restore(
-        snapshot: &crate::snapshot::EmulatorSnapshot,
-    ) -> Result<Self, mn_util::CodecError> {
-        Self::decode_state(&mut snapshot.reader())
-    }
-
-    /// Writes the backend-independent emulator payload. Kept separate from
-    /// [`MultiCoreEmulator::snapshot`] so the parallel backend can emit the
-    /// identical layout from its collected worker cores.
-    pub(crate) fn encode_state(&self, w: &mut mn_util::ByteWriter) {
-        encode_emulator_state(
-            w,
-            &self.profile,
-            &self.routes,
-            &self.matrix,
-            &self.pod,
-            &self.vn_location,
-            &self.vn_entry_core,
-            &self.vn_active,
-            &self.core_load,
-            &self.tunnels_in_flight,
-            &self.local_deliveries,
-            &self.fluid,
-            self.cores.iter(),
-        );
-    }
-
-    /// Reads the payload written by [`MultiCoreEmulator::encode_state`].
-    pub(crate) fn decode_state(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        use crate::snapshot::{get_delivery, get_descriptor};
-        use mn_util::CodecError;
-
-        let profile = HardwareProfile {
-            nic_rate: r.get_rate()?,
-            nic_buffer: mn_util::ByteSize::from_bytes(r.get_u64()?),
-            per_packet_cpu: r.get_duration()?,
-            per_hop_cpu: r.get_duration()?,
-            tunnel_cpu: r.get_duration()?,
-            tunnel_latency: r.get_duration()?,
-            tick: r.get_duration()?,
-            saturation_backlog: r.get_duration()?,
-            packet_debt_correction: r.get_bool()?,
-            payload_caching: r.get_bool()?,
-        };
-        let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = RoutingMatrix::decode(r)?;
-        let core_count = r.get_usize()?;
-        let pipe_count = r.get_len()?;
-        let mut owners = Vec::with_capacity(pipe_count);
-        for _ in 0..pipe_count {
-            let owner = r.get_usize()?;
-            if owner >= core_count {
-                return Err(CodecError::Invalid("pipe owner out of range"));
-            }
-            owners.push(CoreId(owner));
-        }
-        let pod = PipeOwnershipDirectory::from_owners(owners, core_count.max(1));
-        let vn_count = r.get_len()?;
-        let mut vn_location = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
-            vn_location.push(NodeId(r.get_usize()?));
-        }
-        let mut vn_entry_core = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
-            vn_entry_core.push(CoreId(r.get_usize()?));
-        }
-        let mut vn_active = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
-            vn_active.push(r.get_bool()?);
-        }
-        let load_count = r.get_len()?;
-        let mut core_load = Vec::with_capacity(load_count);
-        for _ in 0..load_count {
-            core_load.push(r.get_u32()?);
-        }
-        let tunnel_count = r.get_len()?;
-        let mut tunnels_in_flight = TimerWheel::new();
-        for _ in 0..tunnel_count {
-            let time = r.get_time()?;
-            let target = CoreId(r.get_usize()?);
-            let descriptor = get_descriptor(r)?;
-            tunnels_in_flight.push(time, (target, descriptor));
-        }
-        let local_count = r.get_len()?;
-        let mut local_deliveries = Vec::with_capacity(local_count);
-        for _ in 0..local_count {
-            local_deliveries.push(get_delivery(r)?);
-        }
-        let fluid = FluidState::decode(r)?;
-        let encoded_cores = r.get_len()?;
-        if encoded_cores != core_count {
-            return Err(CodecError::Invalid("core count mismatch"));
-        }
-        let mut cores = Vec::with_capacity(core_count);
-        for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, profile, routes.clone())?;
-            if core.id().index() != idx {
-                return Err(CodecError::Invalid("core ids out of order"));
-            }
-            cores.push(core);
-        }
-        Ok(MultiCoreEmulator {
-            cores,
-            pod,
-            matrix,
-            routes,
-            vn_location,
-            vn_entry_core,
-            vn_active,
-            core_load,
-            tunnels_in_flight,
-            local_deliveries,
-            tick_buf: TickOutput::default(),
-            profile,
-            fluid,
-        })
-    }
-
-    /// One un-chopped advance of every core (and the tunnel wheel) to `now`.
-    fn advance_cores_into(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) {
-        deliveries.append(&mut self.local_deliveries);
+    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
         let mut tick_buf = std::mem::take(&mut self.tick_buf);
         // Iterate: tunnel arrivals can enqueue work that completes within the
         // same pass only if latency is zero; the loop is bounded by the
         // longest route.
         loop {
             // Deliver tunnel descriptors that have arrived.
-            while let Some((_, (target, descriptor))) = self.tunnels_in_flight.pop_due(now) {
+            while let Some((_, (target, descriptor))) = self.tunnels.pop_due(now) {
                 let _ = self.cores[target.index()].accept_tunnel(now, descriptor);
             }
             // Run every core's scheduler through the reusable pass buffer.
@@ -921,95 +145,60 @@ impl MultiCoreEmulator {
                         .get_owner(pipe)
                         .expect("route references a pipe covered by the POD");
                     let arrival = at.max(now) + self.profile.tunnel_latency;
-                    self.tunnels_in_flight.push(arrival, (owner, descriptor));
+                    self.tunnels.push(arrival, (owner, descriptor));
                     produced_tunnel = true;
                 }
             }
-            let more_due = self.tunnels_in_flight.peek_time().is_some_and(|t| t <= now);
+            let more_due = self.tunnels.peek_time().is_some_and(|t| t <= now);
             if !(produced_tunnel && more_due) {
                 break;
             }
         }
         self.tick_buf = tick_buf;
+        // The exact-remainder arithmetic makes the integral independent of
+        // how often it is settled, so settling per advance (as a worker
+        // thread must) equals settling once per chopped advance.
+        for core in &mut self.cores {
+            core.integrate_fluid_to(now);
+        }
+        Ok(())
+    }
+
+    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
+        Ok(command.apply_to(&mut self.cores[core.index()]))
+    }
+
+    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
+        for core in &mut self.cores {
+            core.set_route_table(routes.clone());
+        }
+        Ok(())
+    }
+
+    fn with_cores<R>(
+        &mut self,
+        read: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
+    ) -> Result<R, EmuError> {
+        Ok(read(&self.cores, &self.tunnels))
     }
 }
 
-/// Writes the backend-independent emulator payload from its constituent
-/// pieces. Both backends call this — the sequential emulator with its own
-/// fields, the parallel coordinator with the cores collected from its
-/// workers — so the two can never drift into incompatible layouts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_emulator_state<'a>(
-    w: &mut mn_util::ByteWriter,
-    profile: &HardwareProfile,
-    routes: &RouteTable,
-    matrix: &RoutingMatrix,
-    pod: &PipeOwnershipDirectory,
-    vn_location: &[NodeId],
-    vn_entry_core: &[CoreId],
-    vn_active: &[bool],
-    core_load: &[u32],
-    tunnels_in_flight: &TimerWheel<(CoreId, Descriptor)>,
-    local_deliveries: &[Delivery],
-    fluid: &FluidState,
-    cores: impl ExactSizeIterator<Item = &'a EmulatorCore>,
-) {
-    use crate::snapshot::{put_delivery, put_descriptor};
+impl Emulator<InlineExecutor> {
+    /// Convenience constructor for single-core emulation.
+    pub fn single_core(
+        topo: &DistilledTopology,
+        matrix: RoutingMatrix,
+        binding: &Binding,
+        profile: HardwareProfile,
+        seed: u64,
+    ) -> Self {
+        let pod = PipeOwnershipDirectory::single_core(topo.pipe_count());
+        Self::new(topo, pod, matrix, binding, profile, seed)
+    }
 
-    w.put_rate(profile.nic_rate);
-    w.put_u64(profile.nic_buffer.as_bytes());
-    w.put_duration(profile.per_packet_cpu);
-    w.put_duration(profile.per_hop_cpu);
-    w.put_duration(profile.tunnel_cpu);
-    w.put_duration(profile.tunnel_latency);
-    w.put_duration(profile.tick);
-    w.put_duration(profile.saturation_backlog);
-    w.put_bool(profile.packet_debt_correction);
-    w.put_bool(profile.payload_caching);
-    routes.encode(w);
-    matrix.encode(w);
-    w.put_usize(pod.core_count());
-    w.put_len(pod.pipe_count());
-    for pipe in 0..pod.pipe_count() {
-        w.put_usize(pod.owner(PipeId(pipe)).index());
-    }
-    w.put_len(vn_location.len());
-    for loc in vn_location {
-        w.put_usize(loc.index());
-    }
-    for core in vn_entry_core {
-        w.put_usize(core.index());
-    }
-    for &active in vn_active {
-        w.put_bool(active);
-    }
-    w.put_len(core_load.len());
-    for &load in core_load {
-        w.put_u32(load);
-    }
-    // Canonical tunnel order: (arrival time, target core), with per-target
-    // FIFO preserved by the stable sort. Same-time tunnels to *different*
-    // targets commute (each `accept_tunnel` touches only its own core), so
-    // sorting does not change the restored run — it makes the encoding
-    // independent of which backend produced the wheel, so a sequential and a
-    // threaded snapshot of the same emulation point are byte-identical and
-    // snapshot → restore → snapshot is byte-stable on both backends.
-    let mut tunnels = tunnels_in_flight.entries_in_order();
-    tunnels.sort_by_key(|&(time, &(target, _))| (time, target.index()));
-    w.put_len(tunnels.len());
-    for (time, (target, descriptor)) in tunnels {
-        w.put_time(time);
-        w.put_usize(target.index());
-        put_descriptor(w, descriptor);
-    }
-    w.put_len(local_deliveries.len());
-    for delivery in local_deliveries {
-        put_delivery(w, delivery);
-    }
-    fluid.encode(w);
-    w.put_len(cores.len());
-    for core in cores {
-        core.encode_state(w);
+    /// Access to the cores themselves (accuracy logs, utilisation, pipes).
+    pub fn cores(&self) -> &[EmulatorCore] {
+        &self.exec.cores
     }
 }
 
@@ -1018,10 +207,12 @@ mod tests {
     use super::*;
     use mn_assign::{greedy_k_clusters, BindingParams};
     use mn_distill::{distill, DistillationMode};
-    use mn_packet::{FlowKey, PacketId, Protocol, TcpFlags, TransportHeader};
+    use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
+    use mn_pipe::CbrConfig;
     use mn_topology::generators::{
         path_pairs_topology, star_topology, PathPairsParams, StarParams,
     };
+    use mn_topology::NodeId;
     use mn_util::{DataRate, SimDuration};
 
     fn tcp_packet(id: u64, src: VnId, dst: VnId, payload: u32, now: SimTime) -> Packet {
@@ -1077,7 +268,7 @@ mod tests {
             match emu.next_wakeup() {
                 Some(t) => {
                     now = now.max(t);
-                    all.extend(emu.advance(now));
+                    all.extend(emu.advance(now).unwrap());
                 }
                 None => break,
             }
@@ -1099,8 +290,8 @@ mod tests {
                      out: &mut Vec<Delivery>| {
             for i in from..to {
                 let t = SimTime::from_micros(i * 700);
-                emu.submit(t, tcp_packet(i, src, dst, 1460, t));
-                out.extend(emu.advance(t));
+                emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
+                out.extend(emu.advance(t).unwrap());
             }
         };
         let record = |d: &Delivery| (d.packet.id.0, d.delivered_at, d.entered_at, d.hops);
@@ -1113,12 +304,12 @@ mod tests {
         let (mut first_half, src, dst) = single_path(6, 2);
         let mut b = Vec::new();
         drive(&mut first_half, src, dst, 0, 20, &mut b);
-        let snap = first_half.snapshot();
+        let snap = first_half.snapshot().unwrap();
         assert!(first_half.total_stats().packets_admitted > 0);
         drop(first_half);
 
         let mut resumed = MultiCoreEmulator::restore(&snap).unwrap();
-        let resnap = resumed.snapshot();
+        let resnap = resumed.snapshot().unwrap();
         assert_eq!(
             snap.to_bytes(),
             resnap.to_bytes(),
@@ -1169,9 +360,9 @@ mod tests {
         assert!(emu.vn_leave(vn(c), t0));
         let _ = emu.advance(SimTime::from_millis(30));
 
-        let snap = emu.snapshot();
+        let snap = emu.snapshot().unwrap();
         let mut restored = MultiCoreEmulator::restore(&snap).unwrap();
-        assert_eq!(snap.to_bytes(), restored.snapshot().to_bytes());
+        assert_eq!(snap.to_bytes(), restored.snapshot().unwrap().to_bytes());
         assert_eq!(restored.active_vn_count(), emu.active_vn_count());
         assert!(!restored.vn_is_active(vn(c)));
         assert_eq!(restored.fluid_flow_rate(7), emu.fluid_flow_rate(7));
@@ -1179,8 +370,8 @@ mod tests {
         // Both copies cross several fluid epochs and keep agreeing.
         for step in 1..=5u64 {
             let t = SimTime::from_millis(30 + step * 20);
-            let da = emu.advance(t);
-            let db = restored.advance(t);
+            let da = emu.advance(t).unwrap();
+            let db = restored.advance(t).unwrap();
             assert_eq!(da.len(), db.len());
         }
         assert_eq!(emu.total_stats(), restored.total_stats());
@@ -1195,7 +386,10 @@ mod tests {
     fn single_hop_delivery_timing() {
         let (mut emu, src, dst) = single_path(1, 1);
         let pkt = tcp_packet(1, src, dst, 1460, SimTime::ZERO);
-        assert_eq!(emu.submit(SimTime::ZERO, pkt), SubmitOutcome::Accepted);
+        assert_eq!(
+            emu.submit(SimTime::ZERO, pkt).unwrap(),
+            SubmitOutcome::Accepted
+        );
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
         assert_eq!(deliveries.len(), 1);
         let d = &deliveries[0];
@@ -1215,7 +409,7 @@ mod tests {
     fn multi_hop_delay_accumulates_per_hop() {
         let (mut emu, src, dst) = single_path(4, 1);
         let pkt = tcp_packet(1, src, dst, 1460, SimTime::ZERO);
-        emu.submit(SimTime::ZERO, pkt);
+        emu.submit(SimTime::ZERO, pkt).unwrap();
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
         assert_eq!(deliveries.len(), 1);
         // 4 hops: 4 × 1.2 ms store-and-forward + 10 ms total latency.
@@ -1237,7 +431,10 @@ mod tests {
     fn unknown_vn_is_no_route() {
         let (mut emu, src, _) = single_path(1, 1);
         let pkt = tcp_packet(1, src, VnId(999), 100, SimTime::ZERO);
-        assert_eq!(emu.submit(SimTime::ZERO, pkt), SubmitOutcome::NoRoute);
+        assert_eq!(
+            emu.submit(SimTime::ZERO, pkt).unwrap(),
+            SubmitOutcome::NoRoute
+        );
     }
 
     #[test]
@@ -1250,17 +447,17 @@ mod tests {
         let now = SimTime::ZERO;
         for bad in [VnId(2), VnId(999), VnId(u32::MAX)] {
             assert_eq!(
-                emu.submit(now, tcp_packet(1, bad, dst, 100, now)),
+                emu.submit(now, tcp_packet(1, bad, dst, 100, now)).unwrap(),
                 SubmitOutcome::NoRoute,
                 "unknown source {bad}"
             );
             assert_eq!(
-                emu.submit(now, tcp_packet(2, src, bad, 100, now)),
+                emu.submit(now, tcp_packet(2, src, bad, 100, now)).unwrap(),
                 SubmitOutcome::NoRoute,
                 "unknown destination {bad}"
             );
             assert_eq!(
-                emu.submit(now, tcp_packet(3, bad, bad, 100, now)),
+                emu.submit(now, tcp_packet(3, bad, bad, 100, now)).unwrap(),
                 SubmitOutcome::NoRoute,
                 "both endpoints unknown {bad}"
             );
@@ -1268,7 +465,7 @@ mod tests {
         }
         // The emulator still works for bound VNs afterwards.
         assert_eq!(
-            emu.submit(now, tcp_packet(4, src, dst, 100, now)),
+            emu.submit(now, tcp_packet(4, src, dst, 100, now)).unwrap(),
             SubmitOutcome::Accepted
         );
         let delivered = run_until_idle(&mut emu, now);
@@ -1282,7 +479,7 @@ mod tests {
         assert_eq!(emu.core_count(), 2);
         for i in 0..10 {
             let t = SimTime::from_micros(i * 500);
-            emu.submit(t, tcp_packet(i, src, dst, 1460, t));
+            emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
         }
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
         assert_eq!(deliveries.len(), 10);
@@ -1319,7 +516,8 @@ mod tests {
             emu.submit(
                 SimTime::ZERO,
                 tcp_packet(i as u64, a, b, 1000, SimTime::ZERO),
-            );
+            )
+            .unwrap();
             sent += 1;
         }
         let deliveries = run_until_idle(&mut emu, SimTime::ZERO);
@@ -1357,7 +555,10 @@ mod tests {
         let dst = binding.vn_at(pairs[0].1).unwrap();
         let mut virtual_drops = 0;
         for i in 0..100 {
-            match emu.submit(SimTime::ZERO, tcp_packet(i, src, dst, 1460, SimTime::ZERO)) {
+            match emu
+                .submit(SimTime::ZERO, tcp_packet(i, src, dst, 1460, SimTime::ZERO))
+                .unwrap()
+            {
                 SubmitOutcome::VirtualDrop => virtual_drops += 1,
                 SubmitOutcome::Accepted => {}
                 other => panic!("unexpected outcome {other:?}"),
@@ -1394,7 +595,9 @@ mod tests {
         let mut physical = 0;
         for i in 0..200u64 {
             let t = SimTime::from_micros(i * 10);
-            if emu.submit(t, tcp_packet(i, src, dst, 1460, t)) == SubmitOutcome::PhysicalDrop {
+            if emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap()
+                == SubmitOutcome::PhysicalDrop
+            {
                 physical += 1;
             }
             let _ = emu.advance(t);
@@ -1422,12 +625,14 @@ mod tests {
             HardwareProfile::unconstrained(),
             1,
         );
-        let outcome = emu.submit(
-            SimTime::from_millis(1),
-            tcp_packet(1, VnId(0), VnId(1), 100, SimTime::from_millis(1)),
-        );
+        let outcome = emu
+            .submit(
+                SimTime::from_millis(1),
+                tcp_packet(1, VnId(0), VnId(1), 100, SimTime::from_millis(1)),
+            )
+            .unwrap();
         assert_eq!(outcome, SubmitOutcome::Accepted);
-        let deliveries = emu.advance(SimTime::from_millis(1));
+        let deliveries = emu.advance(SimTime::from_millis(1)).unwrap();
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].hops, 0);
         assert_eq!(emu.total_stats().packets_admitted, 0);
@@ -1445,11 +650,11 @@ mod tests {
             let (mut emu, src, dst) = single_path(6, cores);
             for i in 0..25 {
                 let t = SimTime::from_micros(i * 1400);
-                emu.submit(t, tcp_packet(i, src, dst, 1460, t));
+                emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
             }
             let _ = run_until_idle(&mut emu, SimTime::ZERO);
             let merged = (0..emu.core_count())
-                .map(|c| *emu.core_stats(CoreId(c)).expect("core exists"))
+                .map(|c| emu.core_stats(CoreId(c)).expect("core exists"))
                 .fold(CoreStats::default(), |acc, s| acc.merged(&s));
             assert_eq!(merged, emu.total_stats(), "drain order must not matter");
             merged
@@ -1521,6 +726,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         assert!(emu
             .submit(t0, tcp_packet(1, vn(a), vn(b), 1000, t0))
+            .unwrap()
             .is_accepted());
         // Fail a-r1 in both directions and reroute incrementally.
         let down = [d.find_pipe(a, r1).unwrap(), d.find_pipe(r1, a).unwrap()];
@@ -1552,6 +758,7 @@ mod tests {
         let t1 = SimTime::from_millis(50);
         assert!(emu
             .submit(t1, tcp_packet(2, vn(a), vn(b), 1000, t1))
+            .unwrap()
             .is_accepted());
         let deliveries = run_until_idle(&mut emu, t1);
         assert_eq!(deliveries.len(), 1);
@@ -1586,7 +793,7 @@ mod tests {
             while now < horizon {
                 // 1000-byte packets every millisecond = 8 Mb/s offered.
                 let pkt = tcp_packet(id, src, dst, 960, now);
-                if emu.submit(now, pkt).is_accepted() {
+                if emu.submit(now, pkt).unwrap().is_accepted() {
                     accepted += 1;
                 }
                 id += 1;
@@ -1681,7 +888,7 @@ mod tests {
             let dst = binding.vn_at(pairs[0].1).unwrap();
             for i in 0..20 {
                 let t = SimTime::from_micros(i * 1300);
-                emu.submit(t, tcp_packet(i, src, dst, 1460, t));
+                emu.submit(t, tcp_packet(i, src, dst, 1460, t)).unwrap();
             }
             let _ = run_until_idle(&mut emu, SimTime::ZERO);
             emu.total_stats()
@@ -1722,6 +929,7 @@ mod tests {
         for i in 0..5 {
             assert!(emu
                 .submit(now, tcp_packet(i, src, dst, 1460, now))
+                .unwrap()
                 .is_accepted());
         }
         // A node on the route fails while all five descriptors are still on
@@ -1751,6 +959,7 @@ mod tests {
         for i in 0..10 {
             assert!(emu
                 .submit(now, tcp_packet(i, src, dst, 1460, now))
+                .unwrap()
                 .is_accepted());
         }
         // The receiver departs with ten descriptors still in flight.
@@ -1760,11 +969,11 @@ mod tests {
         assert_eq!(emu.active_vn_count(), 1);
         // New traffic touching the departed VN is refused pre-NIC...
         assert_eq!(
-            emu.submit(now, tcp_packet(99, src, dst, 100, now)),
+            emu.submit(now, tcp_packet(99, src, dst, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
         assert_eq!(
-            emu.submit(now, tcp_packet(99, dst, src, 100, now)),
+            emu.submit(now, tcp_packet(99, dst, src, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
         // ...but the pre-departure descriptors drain to delivery on their
@@ -1807,7 +1016,7 @@ mod tests {
         // retired with it — O(component), no rebuild of anyone else's state.
         assert_eq!(emu.routing().live_source_count(), live - 1);
         assert_eq!(
-            emu.submit(now, tcp_packet(1, src, dst, 100, now)),
+            emu.submit(now, tcp_packet(1, src, dst, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
         // Rejoining re-grows the tree and rebinds the row shard in place.
@@ -1816,6 +1025,7 @@ mod tests {
         assert_eq!(emu.routing().live_source_count(), live);
         assert!(emu
             .submit(now, tcp_packet(2, src, dst, 1460, now))
+            .unwrap()
             .is_accepted());
         let deliveries = run_until_idle(&mut emu, now);
         assert_eq!(deliveries.len(), 1);
@@ -1860,9 +1070,11 @@ mod tests {
         // Traffic to and from the newcomer flows like any seed VN's.
         assert!(emu
             .submit(now, tcp_packet(1, newcomer, VnId(1), 1000, now))
+            .unwrap()
             .is_accepted());
         assert!(emu
             .submit(now, tcp_packet(2, VnId(2), newcomer, 1000, now))
+            .unwrap()
             .is_accepted());
         let deliveries = run_until_idle(&mut emu, now);
         assert_eq!(deliveries.len(), 2);

@@ -1,11 +1,12 @@
 //! True multi-threaded core execution with bit-identical determinism.
 //!
-//! [`ParallelEmulator`] runs every [`EmulatorCore`] on its own OS thread —
+//! [`ThreadedExecutor`] runs every [`EmulatorCore`] on its own OS thread —
 //! the execution model of the paper's testbed, where each core node is a
 //! separate machine — while producing **bit-identical** results to the
-//! cooperative single-thread [`MultiCoreEmulator`]: the same deliveries in
-//! the same order at the same virtual times, the same per-core counters,
-//! the same RNG streams.
+//! inline executor: the same deliveries in the same order at the same
+//! virtual times, the same per-core counters, the same RNG streams. The
+//! coordinator above it ([`Emulator`]) is the same code for both, so only
+//! what happens *between* cores needs an argument, and this is it.
 //!
 //! # Architecture
 //!
@@ -20,22 +21,28 @@
 //!   pre-sized; the steady state allocates nothing on the tunnel path
 //!   (overflow spills to a worker-local buffer rather than blocking, which
 //!   would risk a producer/consumer cycle deadlocking).
-//! * **Epoch markers as the time barrier.** The sequential scheduler
-//!   advances all cores in rounds: deliver due tunnels, tick every core,
-//!   exchange freshly produced tunnels, repeat while any tunnel is due.
-//!   The parallel backend reproduces those rounds as *epochs*: after
-//!   ticking, each worker pushes an epoch marker down every outgoing ring,
-//!   and no worker starts the next epoch before it has collected every
-//!   peer's marker for the current one. Virtual clocks therefore never
-//!   drift farther apart than one tunnel exchange — the paper's bound on
-//!   core cooperation — and each worker files its incoming tunnels in a
-//!   deterministic (epoch, source-core, FIFO) order, which is exactly the
-//!   `(time, seq)` order the sequential scheduler's global timer wheel
-//!   pins.
+//! * **Epoch markers as the time barrier.** The inline executor advances
+//!   all cores in rounds: deliver due tunnels, tick every core, exchange
+//!   freshly produced tunnels, repeat while any tunnel is due. The workers
+//!   reproduce those rounds as *epochs*: after ticking, each worker pushes
+//!   an epoch marker down every outgoing ring, and no worker starts the
+//!   next epoch before it has collected every peer's marker for the current
+//!   one. Virtual clocks therefore never drift farther apart than one
+//!   tunnel exchange — the paper's bound on core cooperation — and each
+//!   worker files its incoming tunnels in a deterministic (epoch,
+//!   source-core, FIFO) order, which is exactly the `(time, seq)` order the
+//!   inline executor's shared timer wheel pins.
 //! * **Determinism of delivery streams.** Workers stream their deliveries
-//!   per epoch to the coordinator, which concatenates them epoch-major,
-//!   core-major — the same order `MultiCoreEmulator::advance_into` appends
+//!   per epoch to the coordinator thread, which concatenates them
+//!   epoch-major, core-major — the same order the inline rounds append
 //!   them.
+//! * **Every request is answered.** A worker's reply to an ingress, a
+//!   [`CoreCommand`] or an advance carries its refreshed counters and
+//!   earliest deadline, so the cached per-worker state `stats` and
+//!   `next_wakeup` read is never older than the last call.
+//! * **Supervision lives here and only here.** Worker panics are caught at
+//!   the join handle, stalls by an opt-in heartbeat watchdog; the first
+//!   failure raises the shared abort flag and poisons the executor.
 //!
 //! Thread placement: if the binding carries affinity hints
 //! (`BindingParams::with_affinity_base`), each worker thread's name records
@@ -49,40 +56,46 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
-use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
-use mn_packet::{Packet, VnId};
-use mn_pipe::CbrConfig;
-use mn_routing::{RouteTable, RouteUpdate, RoutingMatrix};
-use mn_topology::NodeId;
+use mn_assign::{CoreId, PipeOwnershipDirectory};
+use mn_routing::RouteTable;
 use mn_util::spsc::{self, Consumer, Producer};
-use mn_util::{CodecError, DataRate, SimDuration, SimTime, SpinBarrier, SpinWait, TimerWheel};
+use mn_util::{SimTime, SpinBarrier, SpinWait, TimerWheel};
 
 use crate::chaos::ChaosPlan;
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
+use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
 use crate::error::{EmuError, FailureCause};
-use crate::fluid::FluidState;
 use crate::hardware::HardwareProfile;
-use crate::multicore::{MultiCoreEmulator, SubmitOutcome};
-use crate::snapshot::EmulatorSnapshot;
+use crate::multicore::{InlineExecutor, MultiCoreEmulator};
+
+/// The multi-threaded emulator: the same emulation contract as
+/// [`MultiCoreEmulator`], with each core running on its own OS thread.
+///
+/// Construction spawns one worker thread per core; [`Drop`] (or
+/// [`ParallelEmulator::finish`]) stops and joins them. Results are
+/// bit-identical to the inline executor — same deliveries, same order,
+/// same times, same counters — which the determinism and differential test
+/// suites pin.
+pub type ParallelEmulator = Emulator<ThreadedExecutor>;
 
 /// Tunnel descriptors buffered per core pair before the producer spills.
 const TUNNEL_RING_CAPACITY: usize = 1024;
-/// Deliveries and control responses buffered per worker.
+/// Deliveries and replies buffered per worker.
 const RESPONSE_RING_CAPACITY: usize = 1024;
-/// Coordinator commands buffered per worker.
-const COMMAND_RING_CAPACITY: usize = 256;
-/// Ingress commands a batched submit keeps in flight per core before
+/// Coordinator requests buffered per worker.
+const REQUEST_RING_CAPACITY: usize = 256;
+/// Ingress requests a batched submit keeps in flight per core before
 /// draining replies; must stay below both ring capacities so neither side
 /// of a pipelined batch can block on a full ring.
 const MAX_OUTSTANDING_INGRESS: usize = 128;
-/// Idle polls of the command ring before a worker parks its thread.
+/// Idle polls of the request ring before a worker parks its thread.
 const IDLE_SPINS_BEFORE_PARK: u32 = 256;
 
-/// Coordinator → worker commands. Delivered in FIFO order per worker, so
-/// ingress/advance interleaving matches the sequential call order.
-enum Command {
+/// Coordinator → worker requests. Delivered in FIFO order per worker, so
+/// ingress/command/advance interleaving matches the coordinator's call
+/// order.
+enum Request {
     /// A packet admitted at this core's NIC (the ipfw intercept path).
     Ingress {
         now: SimTime,
@@ -90,71 +103,48 @@ enum Command {
     },
     /// Run scheduler epochs at `now` until no tunnel remains due.
     Advance { now: SimTime },
-    /// Install the next route-table generation (explicit routing change).
-    /// The table is copy-on-write sharded: every worker receives the same
-    /// `Arc`, and row shards a change did not touch are the allocations
-    /// the worker was already reading.
-    SetRoutes(Arc<RouteTable>),
-    /// Update one locally installed pipe's parameters.
-    UpdatePipe { pipe: PipeId, attrs: PipeAttrs },
-    /// Install/replace/remove the CBR injector on one local pipe.
-    SetCbr {
-        pipe: PipeId,
-        config: Option<CbrConfig>,
-        from: SimTime,
-    },
-    /// Apply a new per-pipe fluid demand from the coordinator's fair-share
-    /// solve, effective at `at`. Fire-and-forget, like `SetRoutes`: the
-    /// coordinator solved deterministically, so there is nothing to report.
-    SetFluidDemand {
-        pipe: PipeId,
-        rate: DataRate,
-        at: SimTime,
-    },
-    /// Report counters and the earliest due work without running anything.
-    Query,
+    /// Carry out a coordinator command on this core.
+    Apply(CoreCommand),
     /// Hand back a copy of the core plus the worker-local arrival backlog,
     /// for a coordinator-assembled checkpoint. Read-only: nothing ticks.
     Snapshot,
     /// Install a chaos fault plan (test-only fault injection; see
-    /// [`crate::chaos`]).
+    /// [`crate::chaos`]). The one request without a reply.
     SetChaos(ChaosPlan),
     /// Stop: hand the core back and exit the thread.
     Finish,
 }
 
+/// What the coordinator caches per worker: refreshed by every reply.
+#[derive(Clone, Copy, Default)]
+struct Status {
+    stats: CoreStats,
+    next_wakeup: Option<SimTime>,
+}
+
 /// Worker → coordinator responses.
 enum Response {
-    /// Outcome of an [`Command::Ingress`], with refreshed cached state.
+    /// Outcome of a [`Request::Ingress`].
     Ingress {
         outcome: IngressOutcome,
-        stats: CoreStats,
-        next_wakeup: Option<SimTime>,
+        status: Status,
     },
     /// One packet that exited the emulated network this epoch.
     Delivery(Delivery),
     /// This worker finished an epoch; `more` is the (globally agreed)
     /// decision whether another epoch follows within the same advance.
     EpochEnd { more: bool },
-    /// The advance completed; cached state refresh.
-    AdvanceDone {
-        stats: CoreStats,
-        next_wakeup: Option<SimTime>,
-    },
-    /// Outcome of an [`Command::UpdatePipe`].
-    PipeUpdated(bool),
-    /// Reply to [`Command::Query`].
-    Queried {
-        stats: CoreStats,
-        next_wakeup: Option<SimTime>,
-    },
-    /// Reply to [`Command::Snapshot`]: a clone of the core and the
+    /// The worker's status: announced once at start-up, at the end of every
+    /// [`Request::Advance`], and in reply to [`Request::Apply`] (`ok` is
+    /// whether the core accepted the command).
+    Done { ok: bool, status: Status },
+    /// Reply to [`Request::Snapshot`]: a clone of the core and the
     /// worker-local tunnel arrival backlog in `(time, seq)` wheel order.
     Snapshot {
         core: Box<EmulatorCore>,
         arrivals: Vec<(SimTime, Descriptor)>,
     },
-    /// Reply to [`Command::Finish`].
+    /// Reply to [`Request::Finish`].
     Core(Box<EmulatorCore>),
 }
 
@@ -167,8 +157,8 @@ enum TunnelMsg {
     },
     /// End of the sender's epoch: everything the sender tunnels in `epoch`
     /// precedes this marker in the ring. `produced_due` reports whether any
-    /// of it is due at the current advance time (the sequential loop's
-    /// continue condition).
+    /// of it is due at the current advance time (the inline loop's continue
+    /// condition).
     Epoch { epoch: u64, produced_due: bool },
 }
 
@@ -179,7 +169,7 @@ struct Worker {
     core: EmulatorCore,
     pod: Arc<PipeOwnershipDirectory>,
     profile: HardwareProfile,
-    commands: Consumer<Command>,
+    requests: Consumer<Request>,
     responses: Producer<Response>,
     /// Outgoing tunnel rings, indexed by target core (`None` at `me`).
     tunnel_out: Vec<Option<Producer<TunnelMsg>>>,
@@ -195,7 +185,7 @@ struct Worker {
     spill: Vec<VecDeque<TunnelMsg>>,
     /// Tunnelled descriptors filed by arrival time. Local insertion order is
     /// (epoch, source core, ring FIFO) — identical to the global push order
-    /// of the sequential backend's shared wheel restricted to this core, so
+    /// of the inline executor's shared wheel restricted to this core, so
     /// `(time, seq)` pops match bit for bit.
     arrivals: TimerWheel<Descriptor>,
     /// Global epoch counter; every worker holds the same value at every
@@ -204,11 +194,11 @@ struct Worker {
     tick_buf: TickOutput,
     /// Coordinator-raised kill switch. Once set (a peer died or stalled),
     /// every blocking wait in this worker gives up instead of spinning on a
-    /// peer that will never answer, and the worker returns to its command
+    /// peer that will never answer, and the worker returns to its request
     /// loop so shutdown still completes.
     abort: Arc<AtomicBool>,
     /// Liveness counter the coordinator's stall watchdog reads: bumped on
-    /// every command popped and every epoch entered.
+    /// every request popped and every epoch entered.
     heartbeat: Arc<AtomicU64>,
     /// Armed fault points (inert by default; see [`crate::chaos`]).
     chaos: ChaosPlan,
@@ -217,14 +207,18 @@ struct Worker {
 impl Worker {
     fn run(mut self, start: Arc<SpinBarrier>) {
         start.wait();
+        // Seed the coordinator's cached status: the core may carry counters
+        // and scheduled deadlines from a previous life (a converted
+        // emulator, a restored checkpoint).
+        self.push_done(true);
         let mut idle_spins = 0u32;
         loop {
-            let Some(command) = self.commands.try_pop() else {
+            let Some(request) = self.requests.try_pop() else {
                 idle_spins += 1;
                 if idle_spins < IDLE_SPINS_BEFORE_PARK {
                     std::thread::yield_now();
                 } else {
-                    // The coordinator unparks after every command push, so
+                    // The coordinator unparks after every request push, so
                     // parking cannot lose a wakeup (a pre-park unpark leaves
                     // a token).
                     std::thread::park();
@@ -234,40 +228,21 @@ impl Worker {
             };
             idle_spins = 0;
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
-            if !matches!(command, Command::SetChaos(_)) {
+            if !matches!(request, Request::SetChaos(_)) {
                 self.chaos.check_command();
             }
-            match command {
-                Command::Ingress { now, descriptor } => {
+            match request {
+                Request::Ingress { now, descriptor } => {
                     let outcome = self.core.ingress(now, descriptor);
-                    let response = Response::Ingress {
-                        outcome,
-                        stats: *self.core.stats(),
-                        next_wakeup: self.next_wakeup(),
-                    };
-                    self.push_response(response);
+                    let status = self.status();
+                    self.push_response(Response::Ingress { outcome, status });
                 }
-                Command::Advance { now } => self.advance(now),
-                Command::SetRoutes(routes) => self.core.set_route_table(routes),
-                Command::UpdatePipe { pipe, attrs } => {
-                    let updated = self.core.update_pipe_attrs(pipe, attrs);
-                    self.push_response(Response::PipeUpdated(updated));
+                Request::Advance { now } => self.advance(now),
+                Request::Apply(command) => {
+                    let ok = command.apply_to(&mut self.core);
+                    self.push_done(ok);
                 }
-                Command::SetCbr { pipe, config, from } => {
-                    let updated = self.core.set_pipe_cbr(pipe, config, from);
-                    self.push_response(Response::PipeUpdated(updated));
-                }
-                Command::SetFluidDemand { pipe, rate, at } => {
-                    let _ = self.core.set_pipe_fluid_demand(pipe, rate, at);
-                }
-                Command::Query => {
-                    let response = Response::Queried {
-                        stats: *self.core.stats(),
-                        next_wakeup: self.next_wakeup(),
-                    };
-                    self.push_response(response);
-                }
-                Command::Snapshot => {
+                Request::Snapshot => {
                     let arrivals = self
                         .arrivals
                         .entries_in_order()
@@ -280,8 +255,8 @@ impl Worker {
                     };
                     self.push_response(response);
                 }
-                Command::SetChaos(plan) => self.chaos = plan,
-                Command::Finish => break,
+                Request::SetChaos(plan) => self.chaos = plan,
+                Request::Finish => break,
             }
         }
         // Hand the core (accuracy log, pipe counters) back to the
@@ -299,7 +274,7 @@ impl Worker {
         }
     }
 
-    /// Mirrors `MultiCoreEmulator::advance_into` for this core: epochs of
+    /// Mirrors [`InlineExecutor`]'s advance for this core: epochs of
     /// (accept due tunnels → tick → exchange), repeated while any core
     /// produced a tunnel that is already due.
     fn advance(&mut self, now: SimTime) {
@@ -344,7 +319,7 @@ impl Worker {
                 }
             }
             // Stream this epoch's deliveries (they are appended by the
-            // coordinator in core order, matching the sequential backend).
+            // coordinator in core order, matching the inline executor).
             for delivery in tick_buf.deliveries.drain(..) {
                 self.push_response(Response::Delivery(delivery));
             }
@@ -357,9 +332,9 @@ impl Worker {
                     match self.collect_marker(source, epoch) {
                         Some(due) => any_due |= due,
                         // A peer died or stalled and the coordinator
-                        // aborted this advance: bail out (no AdvanceDone —
-                        // nobody is listening) and return to the command
-                        // loop so Finish still reaches us.
+                        // aborted this advance: bail out (no Done — nobody
+                        // is listening) and return to the request loop so
+                        // Finish still reaches us.
                         None => return,
                     }
                 }
@@ -369,9 +344,8 @@ impl Worker {
                 break;
             }
         }
-        // Settle the fluid byte integral at the advance target, mirroring
-        // the sequential backend's per-core integration (the exact-remainder
-        // arithmetic makes the result independent of the chop points).
+        // Settle the fluid byte integral at the advance target, as the
+        // executor contract requires.
         self.core.integrate_fluid_to(now);
         // Leave no spilled message behind: a peer may still be waiting in
         // its epoch collect for a marker that overflowed our ring (an epoch
@@ -380,11 +354,7 @@ impl Worker {
         // spill, but nothing on the exit path would — and a worker parked
         // with a spilled marker deadlocks the whole mesh.
         self.flush_all_spill_blocking();
-        let response = Response::AdvanceDone {
-            stats: *self.core.stats(),
-            next_wakeup: self.next_wakeup(),
-        };
-        self.push_response(response);
+        self.push_done(true);
     }
 
     /// Spins until every spill queue has drained into its ring, keeping
@@ -401,17 +371,26 @@ impl Worker {
         }
     }
 
-    /// Earliest due work on this core, tick-rounded: pipe deadlines, staged
-    /// remote descriptors, and tunnel arrivals filed in the local wheel.
-    fn next_wakeup(&self) -> Option<SimTime> {
+    /// Counters plus the earliest due work on this core, tick-rounded: pipe
+    /// deadlines, staged remote descriptors, and tunnel arrivals filed in
+    /// the local wheel.
+    fn status(&self) -> Status {
         let tunnel_next = self
             .arrivals
             .peek_time()
             .map(|t| self.profile.next_tick_at(t));
-        [self.core.next_wakeup(), tunnel_next]
-            .into_iter()
-            .flatten()
-            .min()
+        Status {
+            stats: *self.core.stats(),
+            next_wakeup: [self.core.next_wakeup(), tunnel_next]
+                .into_iter()
+                .flatten()
+                .min(),
+        }
+    }
+
+    fn push_done(&mut self, ok: bool) {
+        let status = self.status();
+        self.push_response(Response::Done { ok, status });
     }
 
     /// Queues a tunnel message to `target`, preserving per-ring FIFO order
@@ -530,27 +509,17 @@ impl Worker {
     }
 }
 
-/// Where a submitted packet's outcome comes from: resolved at the
-/// coordinator (local delivery, no route) or owed by an entry core.
-enum PendingOutcome {
-    Immediate(SubmitOutcome),
-    FromCore(usize),
-}
-
 /// Coordinator-side endpoint of one worker.
 struct WorkerHandle {
     /// The core this worker runs, for failure attribution.
     core: CoreId,
     thread: Option<JoinHandle<()>>,
-    commands: Producer<Command>,
+    requests: Producer<Request>,
     responses: Consumer<Response>,
     /// The worker's liveness counter, read by the stall watchdog.
     heartbeat: Arc<AtomicU64>,
-    /// Latest counters reported by the worker (refreshed on every ingress
-    /// and advance, the only operations that change them).
-    stats: CoreStats,
-    /// Latest wakeup reported by the worker.
-    next_wakeup: Option<SimTime>,
+    /// Latest counters and wakeup reported by the worker.
+    status: Status,
     /// The binding's advisory CPU placement for this worker.
     affinity_hint: Option<usize>,
 }
@@ -586,31 +555,24 @@ impl WorkerHandle {
         }
     }
 
-    /// Sends a command (FIFO per worker) and wakes the thread if parked.
+    /// Sends a request (FIFO per worker) and wakes the thread if parked.
     ///
     /// A live worker always drains its ring, so a full ring plus a dead
     /// thread means the worker failed: the error carries the panic payload.
-    fn send(&mut self, command: Command) -> Result<(), EmuError> {
-        let mut command = command;
+    fn send(&mut self, request: Request) -> Result<(), EmuError> {
+        let mut request = request;
         let mut wait = SpinWait::new();
         loop {
-            match self.commands.try_push(command) {
+            match self.requests.try_push(request) {
                 Ok(()) => break,
                 Err(back) => {
-                    command = back;
-                    match &self.thread {
-                        Some(thread) => {
-                            thread.thread().unpark();
-                            if thread.is_finished() {
-                                return Err(self.reap());
-                            }
-                        }
-                        None => {
-                            return Err(EmuError::WorkerFailure {
-                                core: self.core,
-                                cause: FailureCause::Panicked("worker already reaped".to_string()),
-                            })
-                        }
+                    request = back;
+                    let dead = self.thread.as_ref().is_none_or(|thread| {
+                        thread.thread().unpark();
+                        thread.is_finished()
+                    });
+                    if dead {
+                        return Err(self.reap());
                     }
                     wait.spin();
                 }
@@ -622,49 +584,121 @@ impl WorkerHandle {
         Ok(())
     }
 
-    /// Blocks until the worker's next response.
+    /// Non-panicking response wait for shutdown: returns `None` if the
+    /// worker exited without replying (a panicked worker).
+    fn wait_response_until_dead(&mut self, thread: &JoinHandle<()>) -> Option<Response> {
+        let mut wait = SpinWait::new();
+        loop {
+            if let Some(response) = self.responses.try_pop() {
+                return Some(response);
+            }
+            if thread.is_finished() {
+                // The final response may have been pushed just before exit.
+                return self.responses.try_pop();
+            }
+            wait.spin();
+        }
+    }
+}
+
+/// Runs every core on its own OS thread behind SPSC request/response
+/// rings. Owns everything supervision needs — abort flag, heartbeats, the
+/// stall watchdog, the first failure — so none of it leaks into the
+/// coordinator.
+pub struct ThreadedExecutor {
+    workers: Vec<WorkerHandle>,
+    /// Shared kill switch raised on the first worker failure so surviving
+    /// workers escape their epoch waits instead of spinning forever.
+    abort: Arc<AtomicBool>,
+    /// First failure observed; poisons the executor — every subsequent
+    /// call returns this same error until the pool is rebuilt (e.g. from a
+    /// checkpoint).
+    failure: Option<EmuError>,
+    /// Wall-clock budget the stall watchdog allows a worker's heartbeat to
+    /// stand still while the coordinator waits on it. `None` (the default)
+    /// disables the watchdog.
+    stall_timeout: Option<Duration>,
+}
+
+impl std::fmt::Debug for ThreadedExecutor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ThreadedExecutor")
+            .field("core_count", &self.workers.len())
+            .field("failure", &self.failure)
+            .finish()
+    }
+}
+
+impl ThreadedExecutor {
+    /// Records the first worker failure: raises the shared abort flag (so
+    /// surviving workers escape their epoch waits) and poisons the
+    /// executor. Returns the error for propagation.
+    fn fail(&mut self, error: EmuError) -> EmuError {
+        self.abort.store(true, Ordering::Release);
+        if self.failure.is_none() {
+            self.failure = Some(error.clone());
+        }
+        error
+    }
+
+    fn send(&mut self, index: usize, request: Request) -> Result<(), EmuError> {
+        self.workers[index]
+            .send(request)
+            .map_err(|error| self.fail(error))
+    }
+
+    /// Blocks until worker `index`'s next response, watching the whole
+    /// pool while it does.
     ///
     /// Instead of hanging forever on a dead or wedged worker, fails
     /// structurally: a finished thread is reaped into a
-    /// [`FailureCause::Panicked`]; with a stall timeout configured, a live
-    /// thread whose heartbeat stops moving for that long (wall clock) is
-    /// reported as [`FailureCause::Stalled`]. Note the stalled core may be
-    /// an innocent victim — the epoch barrier couples all workers, so a
-    /// peer's stall freezes this worker's heartbeat too; the error names
-    /// the worker the coordinator was waiting on.
-    fn wait_response(&mut self, stall_timeout: Option<Duration>) -> Result<Response, EmuError> {
+    /// [`FailureCause::Panicked`] — *any* worker's thread, because the
+    /// epoch barrier couples them, so the worker being waited on may be
+    /// innocently wedged behind a dead peer and it is the peer's death that
+    /// must surface. With a stall timeout configured, a live thread whose
+    /// heartbeat stops moving for that long (wall clock) is reported as
+    /// [`FailureCause::Stalled`]; the stalled core named is the one waited
+    /// on, which may itself be a victim of a stalled peer.
+    fn wait(&mut self, index: usize) -> Result<Response, EmuError> {
         let mut wait = SpinWait::new();
         // Lazily initialised: the Instant read costs nothing unless a
         // timeout is configured and the first poll missed.
         let mut watchdog: Option<(u64, Instant)> = None;
         let mut polls: u32 = 0;
         loop {
-            if let Some(response) = self.responses.try_pop() {
+            if let Some(response) = self.workers[index].responses.try_pop() {
                 return Ok(response);
             }
-            if self.thread.as_ref().is_some_and(|t| t.is_finished()) {
-                // The thread may have pushed its final response right
-                // before exiting (the Finish path); re-check once after
-                // observing the exit before declaring it dead.
-                if let Some(response) = self.responses.try_pop() {
-                    return Ok(response);
+            for i in 0..self.workers.len() {
+                let thread = self.workers[i].thread.as_ref();
+                if thread.is_some_and(|t| t.is_finished()) {
+                    // Workers never exit except through Finish (shutdown
+                    // only), so a finished thread here is always a failure.
+                    // The waited-on worker gets one response re-check to
+                    // close the push-then-exit race.
+                    if i == index {
+                        if let Some(response) = self.workers[index].responses.try_pop() {
+                            return Ok(response);
+                        }
+                    }
+                    let error = self.workers[i].reap();
+                    return Err(self.fail(error));
                 }
-                return Err(self.reap());
             }
-            if let Some(timeout) = stall_timeout {
+            if let Some(timeout) = self.stall_timeout {
                 polls = polls.wrapping_add(1);
                 if polls.is_multiple_of(64) {
-                    let beat = self.heartbeat.load(Ordering::Relaxed);
+                    let beat = self.workers[index].heartbeat.load(Ordering::Relaxed);
                     match &mut watchdog {
                         Some((last_beat, last_progress)) => {
                             if beat != *last_beat {
                                 *last_beat = beat;
                                 *last_progress = Instant::now();
                             } else if last_progress.elapsed() >= timeout {
-                                return Err(EmuError::WorkerFailure {
-                                    core: self.core,
+                                return Err(self.fail(EmuError::WorkerFailure {
+                                    core: self.workers[index].core,
                                     cause: FailureCause::Stalled { waited: timeout },
-                                });
+                                }));
                             }
                         }
                         None => watchdog = Some((beat, Instant::now())),
@@ -674,107 +708,141 @@ impl WorkerHandle {
             wait.spin();
         }
     }
-}
 
-/// The multi-threaded execution backend: the same emulation contract as
-/// [`MultiCoreEmulator`], with each core running on its own OS thread.
-///
-/// Construction spawns `pod.core_count()` worker threads; [`Drop`] (or
-/// [`ParallelEmulator::finish`]) stops and joins them. Results are
-/// bit-identical to the sequential backend — same deliveries, same order,
-/// same times, same counters — which the determinism and differential test
-/// suites pin.
-pub struct ParallelEmulator {
-    workers: Vec<WorkerHandle>,
-    pod: Arc<PipeOwnershipDirectory>,
-    matrix: RoutingMatrix,
-    routes: Arc<RouteTable>,
-    vn_location: Vec<NodeId>,
-    vn_entry_core: Vec<CoreId>,
-    /// Live-membership flag per VN (see `MultiCoreEmulator::vn_active`).
-    vn_active: Vec<bool>,
-    /// Active VNs entering through each core, for least-loaded joins.
-    core_load: Vec<u32>,
-    local_deliveries: Vec<Delivery>,
-    /// Coordinator-owned fluid flow state, driven exactly as the sequential
-    /// backend drives its copy: epoch-chopped advances plus mutation-time
-    /// recomputes, with changed per-pipe demands pushed to the owning
-    /// worker's command ring.
-    fluid: FluidState,
-    /// The hardware model, kept coordinator-side for checkpoint assembly.
-    profile: HardwareProfile,
-    /// Shared kill switch raised on the first worker failure so surviving
-    /// workers escape their epoch waits instead of spinning forever.
-    abort: Arc<AtomicBool>,
-    /// First failure observed; poisons the emulator — every subsequent
-    /// submit/advance/snapshot returns this same error until the pool is
-    /// rebuilt (e.g. from a checkpoint).
-    failure: Option<EmuError>,
-    /// Wall-clock budget the stall watchdog allows a worker's heartbeat to
-    /// stand still while the coordinator waits on it. `None` (the default)
-    /// disables the watchdog.
-    stall_timeout: Option<Duration>,
-}
+    /// Waits for worker `index`'s [`Response::Done`], refreshing its cached
+    /// status; returns the reply's `ok`.
+    fn wait_done(&mut self, index: usize) -> Result<bool, EmuError> {
+        match self.wait(index)? {
+            Response::Done { ok, status } => {
+                self.workers[index].status = status;
+                Ok(ok)
+            }
+            _ => unreachable!("start-up, Advance and Apply end with Done"),
+        }
+    }
 
-impl std::fmt::Debug for ParallelEmulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelEmulator")
-            .field("core_count", &self.workers.len())
-            .finish()
+    /// Waits for one ingress reply from worker `index`, refreshing its
+    /// cached status.
+    fn wait_ingress(&mut self, index: usize) -> Result<IngressOutcome, EmuError> {
+        match self.wait(index)? {
+            Response::Ingress { outcome, status } => {
+                self.workers[index].status = status;
+                Ok(outcome)
+            }
+            _ => unreachable!("Ingress is answered by Ingress"),
+        }
+    }
+
+    /// Collects the replies worker `index` owes a pipelined batch into the
+    /// outcome slots reserved for them, oldest first.
+    fn drain_ingress(
+        &mut self,
+        index: usize,
+        slots: &mut VecDeque<usize>,
+        outcomes: &mut [SubmitOutcome],
+    ) -> Result<(), EmuError> {
+        while let Some(slot) = slots.pop_front() {
+            outcomes[slot] = self.wait_ingress(index)?.into();
+        }
+        Ok(())
+    }
+
+    /// Pipelines a batch's ring round trips instead of blocking on each
+    /// packet: requests go out as the batch is walked, replies are collected
+    /// per core whenever [`MAX_OUTSTANDING_INGRESS`] are owed, and at the
+    /// end. On error `outcomes` holds unanswered placeholders.
+    fn pipeline_ingress(
+        &mut self,
+        batch: impl Iterator<Item = Dispatch>,
+        outcomes: &mut Vec<SubmitOutcome>,
+    ) -> Result<(), EmuError> {
+        // Per core, the outcome slots still waiting for that core's reply.
+        let mut owed: Vec<VecDeque<usize>> = vec![VecDeque::new(); self.workers.len()];
+        for dispatch in batch {
+            match dispatch {
+                Dispatch::Resolved(outcome) => outcomes.push(outcome),
+                Dispatch::Ingress {
+                    core,
+                    now,
+                    descriptor,
+                } => {
+                    let index = core.index();
+                    self.send(index, Request::Ingress { now, descriptor })?;
+                    owed[index].push_back(outcomes.len());
+                    // Placeholder, overwritten by the core's reply.
+                    outcomes.push(SubmitOutcome::NoRoute);
+                    // Keep the rings bounded: drain a core's replies before
+                    // its request/response rings can fill.
+                    if owed[index].len() >= MAX_OUTSTANDING_INGRESS {
+                        self.drain_ingress(index, &mut owed[index], outcomes)?;
+                    }
+                }
+            }
+        }
+        for (index, slots) in owed.iter_mut().enumerate() {
+            self.drain_ingress(index, slots, outcomes)?;
+        }
+        Ok(())
+    }
+
+    /// Shutdown must never panic (it also runs from [`Drop`], possibly
+    /// during an unwind), so unlike the normal protocol paths it tolerates
+    /// a dead worker: stale responses a panicked worker left behind are
+    /// skipped, and its core is simply lost from the returned set.
+    fn shutdown(&mut self) -> Vec<EmulatorCore> {
+        let mut cores = Vec::new();
+        for worker in &mut self.workers {
+            // Nothing to stop if the worker was reaped earlier, or is dead
+            // behind a full ring (`send` reaps — joins — it): no core.
+            if worker.thread.is_none() || worker.send(Request::Finish).is_err() {
+                continue;
+            }
+            let Some(thread) = worker.thread.take() else {
+                continue;
+            };
+            // Drain until the Core reply; a worker that died mid-protocol
+            // may have left deliveries or epoch markers queued ahead of it
+            // (or nothing at all).
+            loop {
+                match worker.wait_response_until_dead(&thread) {
+                    Some(Response::Core(core)) => {
+                        cores.push(*core);
+                        break;
+                    }
+                    Some(_) => continue,
+                    None => break, // panicked worker; join below reaps it
+                }
+            }
+            let _ = thread.join();
+        }
+        cores
     }
 }
 
-impl ParallelEmulator {
-    /// Builds the emulator and spawns one execution thread per core. Same
-    /// signature and semantics as [`MultiCoreEmulator::new`].
+impl CoreExecutor for ThreadedExecutor {
+    /// Spawns one execution thread per core.
     ///
     /// # Panics
     ///
-    /// Panics if the POD covers a different number of pipes than the
-    /// distilled topology contains, or if a worker thread cannot be
-    /// spawned.
-    pub fn new(
-        topo: &DistilledTopology,
-        pod: PipeOwnershipDirectory,
-        matrix: RoutingMatrix,
-        binding: &Binding,
+    /// Panics if a worker thread cannot be spawned.
+    fn from_cores(
+        cores: Vec<EmulatorCore>,
+        mut tunnels: TimerWheel<(CoreId, Descriptor)>,
+        pod: Arc<PipeOwnershipDirectory>,
         profile: HardwareProfile,
-        seed: u64,
+        affinity: Vec<Option<usize>>,
     ) -> Self {
-        let sequential = MultiCoreEmulator::new(topo, pod, matrix, binding, profile, seed);
-        Self::spawn(sequential, binding)
-    }
+        let n = cores.len();
 
-    /// Converts a sequential emulator (including any in-flight state) into
-    /// the threaded backend. Without a binding there are no affinity hints;
-    /// use [`ParallelEmulator::new`] to carry them through.
-    pub fn from_sequential(emulator: MultiCoreEmulator) -> Self {
-        Self::spawn_with_hints(emulator, Vec::new())
-    }
-
-    fn spawn(emulator: MultiCoreEmulator, binding: &Binding) -> Self {
-        let hints = (0..emulator.core_count())
-            .map(|c| binding.thread_affinity(CoreId(c)))
-            .collect();
-        Self::spawn_with_hints(emulator, hints)
-    }
-
-    fn spawn_with_hints(emulator: MultiCoreEmulator, hints: Vec<Option<usize>>) -> Self {
-        let parts = emulator.into_parts();
-        let n = parts.cores.len();
-        let pod = Arc::new(parts.pod);
-        let profile = parts.profile;
-
-        // In-flight tunnels of the sequential backend become each target
-        // worker's initial arrival backlog; popping the shared wheel here
-        // preserves the global (time, seq) order per target.
-        let mut backlogs: Vec<Vec<(SimTime, Descriptor)>> = vec![Vec::new(); n];
-        let mut tunnels_in_flight = parts.tunnels_in_flight;
-        while let Some((arrival, (target, descriptor))) = tunnels_in_flight.pop() {
-            backlogs[target.index()].push((arrival, descriptor));
+        // Tunnels in flight become each target worker's initial arrival
+        // backlog; popping the shared wheel here preserves the global
+        // (time, seq) order per target.
+        let mut arrivals: Vec<TimerWheel<Descriptor>> = (0..n).map(|_| TimerWheel::new()).collect();
+        while let Some((arrival, (target, descriptor))) = tunnels.pop() {
+            arrivals[target.index()].push(arrival, descriptor);
         }
 
-        // Wire the ring mesh: commands/responses per worker plus one tunnel
+        // Wire the ring mesh: requests/responses per worker plus one tunnel
         // ring per ordered core pair.
         let mut tunnel_producers: Vec<Vec<Option<Producer<TunnelMsg>>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -793,22 +861,18 @@ impl ParallelEmulator {
         let start = Arc::new(SpinBarrier::new(n));
         let abort = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::with_capacity(n);
-        for (me, (core, backlog)) in parts.cores.into_iter().zip(backlogs).enumerate() {
-            let (command_tx, command_rx) = spsc::channel(COMMAND_RING_CAPACITY);
+        for (me, (core, arrivals)) in cores.into_iter().zip(arrivals).enumerate() {
+            let (request_tx, request_rx) = spsc::channel(REQUEST_RING_CAPACITY);
             let (response_tx, response_rx) = spsc::channel(RESPONSE_RING_CAPACITY);
-            let affinity_hint = hints.get(me).copied().flatten();
+            let affinity_hint = affinity.get(me).copied().flatten();
             let heartbeat = Arc::new(AtomicU64::new(0));
-            let mut arrivals = TimerWheel::new();
-            for (arrival, descriptor) in backlog {
-                arrivals.push(arrival, descriptor);
-            }
             let worker = Worker {
                 me,
                 core_count: n,
                 core,
                 pod: pod.clone(),
                 profile,
-                commands: command_rx,
+                requests: request_rx,
                 responses: response_tx,
                 tunnel_out: std::mem::take(&mut tunnel_producers[me]),
                 tunnel_in: std::mem::take(&mut tunnel_consumers[me]),
@@ -833,742 +897,84 @@ impl ParallelEmulator {
             workers.push(WorkerHandle {
                 core: CoreId(me),
                 thread: Some(thread),
-                commands: command_tx,
+                requests: request_tx,
                 responses: response_rx,
                 heartbeat,
-                stats: CoreStats::default(),
-                next_wakeup: None,
+                status: Status::default(),
                 affinity_hint,
             });
         }
 
-        let mut emulator = ParallelEmulator {
+        let mut executor = ThreadedExecutor {
             workers,
-            pod,
-            matrix: parts.matrix,
-            routes: parts.routes,
-            vn_location: parts.vn_location,
-            vn_entry_core: parts.vn_entry_core,
-            vn_active: parts.vn_active,
-            core_load: parts.core_load,
-            local_deliveries: parts.local_deliveries,
-            fluid: parts.fluid,
-            profile,
             abort,
             failure: None,
             stall_timeout: None,
         };
-        // Seed the cached per-worker state. A converted emulator may carry
-        // counters and scheduled deadlines from its sequential life.
-        emulator
-            .refresh_caches()
-            .expect("freshly spawned worker pool is live");
-        emulator
-    }
-
-    /// Records the first worker failure: raises the shared abort flag (so
-    /// surviving workers escape their epoch waits) and poisons the
-    /// emulator. Returns the error for propagation.
-    fn fail(&mut self, error: EmuError) -> EmuError {
-        self.abort.store(true, Ordering::Release);
-        if self.failure.is_none() {
-            self.failure = Some(error.clone());
+        for index in 0..n {
+            executor
+                .wait_done(index)
+                .expect("freshly spawned workers announce their status");
         }
-        error
+        executor
     }
 
-    /// Short-circuits every operation after a worker failure with the
-    /// original error.
-    fn check_failed(&self) -> Result<(), EmuError> {
+    fn core_count(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn health(&self) -> Result<(), EmuError> {
         match &self.failure {
             Some(error) => Err(error.clone()),
             None => Ok(()),
         }
     }
 
-    /// The first worker failure observed, if the emulator is poisoned.
-    pub fn last_failure(&self) -> Option<&EmuError> {
-        self.failure.as_ref()
+    fn stats(&self, core: CoreId) -> Option<CoreStats> {
+        self.workers.get(core.index()).map(|w| w.status.stats)
     }
 
-    /// Arms the stall watchdog: while the coordinator waits on a worker
-    /// whose thread is alive but whose heartbeat makes no progress for
-    /// `timeout` of wall-clock time, the wait fails with
-    /// [`FailureCause::Stalled`] instead of hanging forever. `None`
-    /// disables the watchdog (the default — virtual time runs arbitrarily
-    /// faster or slower than wall clock, so only a supervisor that knows
-    /// the deployment should set this).
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.stall_timeout = timeout;
-    }
-
-    /// Installs a chaos fault plan on one worker core (test-only fault
-    /// injection; see [`crate::chaos`]). Fire-and-forget; returns `false`
-    /// if the core does not exist or the emulator already failed.
-    pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
-        if self.failure.is_some() || core.index() >= self.workers.len() {
-            return false;
-        }
-        match self.workers[core.index()].send(Command::SetChaos(plan)) {
-            Ok(()) => true,
-            Err(error) => {
-                self.fail(error);
-                false
-            }
-        }
-    }
-
-    /// Refreshes the cached per-worker stats and wakeups with a read-only
-    /// round trip (no ticks, no state change on any core).
-    fn refresh_caches(&mut self) -> Result<(), EmuError> {
-        for worker in &mut self.workers {
-            worker.send(Command::Query)?;
-        }
-        for worker in &mut self.workers {
-            match worker.wait_response(self.stall_timeout)? {
-                Response::Queried { stats, next_wakeup } => {
-                    worker.stats = stats;
-                    worker.next_wakeup = next_wakeup;
-                }
-                _ => unreachable!("Query is answered by Queried"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of cooperating cores (and worker threads).
-    pub fn core_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The advisory host-CPU hint the binding supplied for a core's thread.
-    pub fn affinity_hint(&self, core: CoreId) -> Option<usize> {
-        self.workers.get(core.index()).and_then(|w| w.affinity_hint)
-    }
-
-    /// Latest counters reported by one core.
-    pub fn core_stats(&self, core: CoreId) -> Option<CoreStats> {
-        self.workers.get(core.index()).map(|w| w.stats)
-    }
-
-    /// Aggregated counters across cores (associative merge of the
-    /// per-thread drains).
-    pub fn total_stats(&self) -> CoreStats {
+    fn next_wakeup(&self) -> Option<SimTime> {
         self.workers
             .iter()
-            .fold(CoreStats::default(), |acc, w| acc.merged(&w.stats))
-    }
-
-    /// The routing matrix in force.
-    pub fn routing(&self) -> &RoutingMatrix {
-        &self.matrix
-    }
-
-    /// The interned route table in force.
-    pub fn route_table(&self) -> &RouteTable {
-        &self.routes
-    }
-
-    /// The topology location a VN is bound to.
-    pub fn vn_location(&self, vn: VnId) -> Option<NodeId> {
-        self.vn_location.get(vn.index()).copied()
-    }
-
-    /// Replaces the routing matrix and installs the rebuilt route table on
-    /// every core thread. Route ids already in flight stay valid, exactly
-    /// as in [`MultiCoreEmulator::set_routing`].
-    pub fn set_routing(&mut self, matrix: RoutingMatrix) {
-        if self.failure.is_some() {
-            return;
-        }
-        self.matrix = matrix;
-        self.routes = Arc::new(RouteTable::rebuild(
-            &self.routes,
-            &self.matrix,
-            &self.vn_location,
-        ));
-        if !self.broadcast_routes() {
-            return;
-        }
-        self.fluid.mark_routes_dirty();
-        if self.fluid.has_flows() {
-            let at = self.fluid.clock();
-            self.recompute_fluid(at);
-        }
-    }
-
-    /// Pushes the current route-table generation to every worker. On a
-    /// dead worker the emulator is poisoned and `false` returned.
-    fn broadcast_routes(&mut self) -> bool {
-        for index in 0..self.workers.len() {
-            let routes = self.routes.clone();
-            if let Err(error) = self.workers[index].send(Command::SetRoutes(routes)) {
-                self.fail(error);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Re-solves the fluid fair share at `at` and pushes every changed
-    /// per-pipe demand to the owning worker. Command rings are FIFO, so the
-    /// demand lands before any subsequent `Advance` ticks past `at` —
-    /// the same ordering the sequential backend applies in place.
-    fn recompute_fluid(&mut self, at: SimTime) {
-        let changed = self.fluid.recompute(at, &self.routes);
-        let mut failed = None;
-        for &(pipe, bps) in changed {
-            let owner = self
-                .pod
-                .get_owner(pipe)
-                .expect("fluid routes reference pipes covered by the POD");
-            if let Err(error) = self.workers[owner.index()].send(Command::SetFluidDemand {
-                pipe,
-                rate: DataRate::from_bps(bps),
-                at,
-            }) {
-                failed = Some(error);
-                break;
-            }
-        }
-        if let Some(error) = failed {
-            self.fail(error);
-        }
-    }
-
-    /// Updates a pipe's emulation parameters on whichever core owns it.
-    pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
-        if self.failure.is_some() {
-            return false;
-        }
-        let Some(owner) = self.pod.get_owner(pipe) else {
-            return false;
-        };
-        let stall = self.stall_timeout;
-        let worker = &mut self.workers[owner.index()];
-        let updated = match worker
-            .send(Command::UpdatePipe { pipe, attrs })
-            .and_then(|()| worker.wait_response(stall))
-        {
-            Ok(Response::PipeUpdated(updated)) => updated,
-            Ok(_) => unreachable!("UpdatePipe is answered by PipeUpdated"),
-            Err(error) => {
-                self.fail(error);
-                return false;
-            }
-        };
-        if !updated {
-            return false;
-        }
-        self.fluid.set_capacity(pipe, attrs.bandwidth);
-        if self.fluid.has_flows() {
-            let at = self.fluid.clock();
-            self.recompute_fluid(at);
-        }
-        true
-    }
-
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a pipe, on whichever core thread owns it. Same
-    /// semantics as [`MultiCoreEmulator::set_pipe_cbr`].
-    pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        if self.failure.is_some() {
-            return false;
-        }
-        let Some(owner) = self.pod.get_owner(pipe) else {
-            return false;
-        };
-        let stall = self.stall_timeout;
-        let worker = &mut self.workers[owner.index()];
-        let updated = match worker
-            .send(Command::SetCbr { pipe, config, from })
-            .and_then(|()| worker.wait_response(stall))
-        {
-            Ok(Response::PipeUpdated(updated)) => updated,
-            Ok(_) => unreachable!("SetCbr is answered by PipeUpdated"),
-            Err(error) => {
-                self.fail(error);
-                return false;
-            }
-        };
-        if !updated {
-            return false;
-        }
-        // Mirror the sequential backend: the bandwidth half of the episode
-        // is a fixed-rate fluid demand (degenerate configs carry none).
-        let rate = config.and_then(|c| c.interval().map(|_| c.rate));
-        self.fluid.set_cbr(pipe, rate, from);
-        self.recompute_fluid(from);
-        true
-    }
-
-    /// Installs (or clears) a distillation-compensation rate on `pipe`. Same
-    /// semantics as [`MultiCoreEmulator::set_pipe_compensation`]: fluid-only,
-    /// no packet injection — the coordinator owns the fluid solver and pushes
-    /// residual-capacity changes to the owning worker, exactly as the
-    /// sequential backend pushes them to its cores.
-    pub fn set_pipe_compensation(
-        &mut self,
-        pipe: PipeId,
-        rate: Option<DataRate>,
-        from: SimTime,
-    ) -> bool {
-        if self.pod.get_owner(pipe).is_none() {
-            return false;
-        }
-        self.fluid.set_cbr(pipe, rate, from);
-        self.recompute_fluid(from);
-        true
-    }
-
-    /// Applies an incremental routing change after the listed pipes of
-    /// `topo` were mutated in place, and installs the re-wired route table
-    /// on every core thread. Same semantics as
-    /// [`MultiCoreEmulator::reroute`]: untouched `RouteId`s (and the
-    /// descriptors in flight on them) are preserved.
-    pub fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
-        let update = crate::multicore::apply_route_change(
-            &mut self.matrix,
-            &mut self.routes,
-            &self.vn_location,
-            topo,
-            changed,
-        );
-        if !update.is_empty() {
-            if !self.broadcast_routes() {
-                return update;
-            }
-            self.fluid.mark_routes_dirty();
-            if self.fluid.has_flows() {
-                let at = self.fluid.clock();
-                self.recompute_fluid(at);
-            }
-        }
-        update
-    }
-
-    /// `true` while a VN is an active member of the emulation.
-    pub fn vn_is_active(&self, vn: VnId) -> bool {
-        self.vn_active.get(vn.index()).copied().unwrap_or(false)
-    }
-
-    /// Number of currently active VNs.
-    pub fn active_vn_count(&self) -> usize {
-        self.vn_active.iter().filter(|&&a| a).count()
-    }
-
-    /// The core a VN's traffic enters through.
-    pub fn vn_entry_core(&self, vn: VnId) -> Option<CoreId> {
-        self.vn_entry_core.get(vn.index()).copied()
-    }
-
-    /// Joins a VN at a client location of `topo` mid-run and installs the
-    /// grown route-table generation on every core thread. Same semantics
-    /// (and, from identical churn histories, bit-identical state) as
-    /// [`MultiCoreEmulator::vn_join`]: all churn bookkeeping runs on the
-    /// coordinator, workers only ever receive published table generations.
-    pub fn vn_join(
-        &mut self,
-        topo: &DistilledTopology,
-        vn: VnId,
-        location: NodeId,
-        at: SimTime,
-    ) -> bool {
-        if !crate::multicore::apply_vn_join(
-            &mut self.matrix,
-            &mut self.routes,
-            &mut self.vn_location,
-            &mut self.vn_entry_core,
-            &mut self.vn_active,
-            &mut self.core_load,
-            topo,
-            vn,
-            location,
-        ) {
-            return false;
-        }
-        if !self.broadcast_routes() {
-            return false;
-        }
-        self.fluid.mark_routes_dirty();
-        if self.fluid.has_flows() {
-            self.recompute_fluid(at);
-        }
-        true
-    }
-
-    /// Removes a VN from the emulation mid-run. Same semantics as
-    /// [`MultiCoreEmulator::vn_leave`]: new traffic is refused from this
-    /// instant, in-flight descriptors drain on their pre-departure routes,
-    /// and the VN's fluid flows are torn down.
-    pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        if !crate::multicore::apply_vn_leave(
-            &mut self.matrix,
-            &mut self.routes,
-            &self.vn_location,
-            &self.vn_entry_core,
-            &mut self.vn_active,
-            &mut self.core_load,
-            vn,
-        ) {
-            return false;
-        }
-        if !self.broadcast_routes() {
-            return false;
-        }
-        let removed = self.fluid.remove_vn_flows(vn, at);
-        self.fluid.mark_routes_dirty();
-        if removed > 0 || self.fluid.has_flows() {
-            self.recompute_fluid(at);
-        }
-        true
-    }
-
-    /// Sets the cadence at which fluid rates are re-solved while flows are
-    /// live. Same semantics as [`MultiCoreEmulator::set_fluid_epoch`].
-    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        self.fluid.set_epoch(epoch);
-    }
-
-    /// Starts a fluid bulk flow. Same semantics as
-    /// [`MultiCoreEmulator::add_fluid_flow`].
-    pub fn add_fluid_flow(
-        &mut self,
-        tag: u64,
-        src: VnId,
-        dst: VnId,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        if !self.fluid.add_flow(tag, src, dst, demand, clients, at) {
-            return false;
-        }
-        self.recompute_fluid(at);
-        true
-    }
-
-    /// Changes a fluid flow's offered demand and client count mid-run.
-    pub fn resize_fluid_flow(
-        &mut self,
-        tag: u64,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        if !self.fluid.resize_flow(tag, demand, clients, at) {
-            return false;
-        }
-        self.recompute_fluid(at);
-        true
-    }
-
-    /// Stops a fluid flow, returning its share to the packet path.
-    pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        if !self.fluid.remove_flow(tag, at) {
-            return false;
-        }
-        self.recompute_fluid(at);
-        true
-    }
-
-    /// The rate the last fair-share solve allocated to a fluid flow.
-    pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
-        self.fluid.flow_rate(tag)
-    }
-
-    /// Bytes of goodput a fluid flow has accumulated so far.
-    pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        self.fluid.flow_goodput_bytes(tag)
-    }
-
-    /// Read access to the fluid flow state (flow counts, epoch clock).
-    pub fn fluid(&self) -> &FluidState {
-        &self.fluid
-    }
-
-    /// Routes a packet to its entry core (or resolves it locally), without
-    /// waiting for the core's admission decision.
-    fn dispatch(&mut self, now: SimTime, packet: Packet) -> Result<PendingOutcome, EmuError> {
-        let src_idx = packet.flow.src.index();
-        let dst_idx = packet.flow.dst.index();
-        let Some(&src_loc) = self.vn_location.get(src_idx) else {
-            return Ok(PendingOutcome::Immediate(SubmitOutcome::NoRoute));
-        };
-        let Some(&dst_loc) = self.vn_location.get(dst_idx) else {
-            return Ok(PendingOutcome::Immediate(SubmitOutcome::NoRoute));
-        };
-        if !self.vn_active[src_idx] || !self.vn_active[dst_idx] {
-            return Ok(PendingOutcome::Immediate(SubmitOutcome::NoRoute));
-        }
-        if src_loc == dst_loc {
-            self.local_deliveries.push(Delivery {
-                packet,
-                delivered_at: now,
-                entered_at: now,
-                hops: 0,
-                emulation_error: mn_util::SimDuration::ZERO,
-            });
-            return Ok(PendingOutcome::Immediate(SubmitOutcome::Accepted));
-        }
-        let Some(route) = self.routes.route_id(src_idx, dst_idx) else {
-            return Ok(PendingOutcome::Immediate(SubmitOutcome::NoRoute));
-        };
-        let entry = self
-            .vn_entry_core
-            .get(src_idx)
-            .copied()
-            .unwrap_or(CoreId(0));
-        let descriptor = Descriptor::new(packet, route, now);
-        self.workers[entry.index()].send(Command::Ingress { now, descriptor })?;
-        Ok(PendingOutcome::FromCore(entry.index()))
-    }
-
-    /// Waits for one ingress reply from `worker`, refreshing its caches.
-    fn collect_ingress(
-        worker: &mut WorkerHandle,
-        stall_timeout: Option<Duration>,
-    ) -> Result<SubmitOutcome, EmuError> {
-        match worker.wait_response(stall_timeout)? {
-            Response::Ingress {
-                outcome,
-                stats,
-                next_wakeup,
-            } => {
-                worker.stats = stats;
-                worker.next_wakeup = next_wakeup;
-                Ok(match outcome {
-                    IngressOutcome::Accepted => SubmitOutcome::Accepted,
-                    IngressOutcome::VirtualDrop => SubmitOutcome::VirtualDrop,
-                    IngressOutcome::PhysicalDropNic | IngressOutcome::PhysicalDropCpu => {
-                        SubmitOutcome::PhysicalDrop
-                    }
-                })
-            }
-            _ => unreachable!("Ingress is answered by Ingress"),
-        }
-    }
-
-    /// Submits a packet emitted by its source VN's edge node at time `now`.
-    /// Identical admission semantics to [`MultiCoreEmulator::submit`]; the
-    /// NIC/CPU/first-pipe decision runs on the entry core's thread.
-    ///
-    /// # Errors
-    ///
-    /// [`EmuError::WorkerFailure`] if the entry core's thread died or
-    /// stalled — and, once failed, on every subsequent call (the emulator
-    /// is poisoned; rebuild it, e.g. from a checkpoint).
-    pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
-        self.check_failed()?;
-        let stall = self.stall_timeout;
-        let pending = match self.dispatch(now, packet) {
-            Ok(pending) => pending,
-            Err(error) => return Err(self.fail(error)),
-        };
-        match pending {
-            PendingOutcome::Immediate(outcome) => Ok(outcome),
-            PendingOutcome::FromCore(index) => {
-                match Self::collect_ingress(&mut self.workers[index], stall) {
-                    Ok(outcome) => Ok(outcome),
-                    Err(error) => Err(self.fail(error)),
-                }
-            }
-        }
-    }
-
-    /// Submits a batch of timestamped packets, appending one outcome per
-    /// packet (in input order) to `outcomes`.
-    ///
-    /// Semantically identical to calling [`ParallelEmulator::submit`] per
-    /// packet — per-core admission order is the input order, so results are
-    /// bit-identical — but the coordinator pipelines the ring round trips
-    /// instead of blocking on each packet, which is the fast path for bulk
-    /// traffic drivers.
-    /// # Errors
-    ///
-    /// [`EmuError::WorkerFailure`] if a core thread died or stalled
-    /// mid-batch; `outcomes` is left untouched in that case (the emulator
-    /// is poisoned, so partial results would never be consistent anyway).
-    pub fn submit_batch<I>(
-        &mut self,
-        batch: I,
-        outcomes: &mut Vec<SubmitOutcome>,
-    ) -> Result<(), EmuError>
-    where
-        I: IntoIterator<Item = (SimTime, Packet)>,
-    {
-        self.check_failed()?;
-        let stall = self.stall_timeout;
-        let n = self.workers.len();
-        let mut pending: Vec<PendingOutcome> = Vec::new();
-        let mut outstanding = vec![0usize; n];
-        let mut collected: Vec<VecDeque<SubmitOutcome>> = vec![VecDeque::new(); n];
-        for (now, packet) in batch {
-            match self.dispatch(now, packet) {
-                Ok(PendingOutcome::FromCore(index)) => {
-                    pending.push(PendingOutcome::FromCore(index));
-                    outstanding[index] += 1;
-                    // Keep the rings bounded: drain a core's replies before
-                    // its command/response rings can fill.
-                    if outstanding[index] >= MAX_OUTSTANDING_INGRESS {
-                        for _ in 0..outstanding[index] {
-                            match Self::collect_ingress(&mut self.workers[index], stall) {
-                                Ok(outcome) => collected[index].push_back(outcome),
-                                Err(error) => return Err(self.fail(error)),
-                            }
-                        }
-                        outstanding[index] = 0;
-                    }
-                }
-                Ok(immediate) => pending.push(immediate),
-                Err(error) => return Err(self.fail(error)),
-            }
-        }
-        for (index, count) in outstanding.into_iter().enumerate() {
-            for _ in 0..count {
-                match Self::collect_ingress(&mut self.workers[index], stall) {
-                    Ok(outcome) => collected[index].push_back(outcome),
-                    Err(error) => return Err(self.fail(error)),
-                }
-            }
-        }
-        for entry in pending {
-            outcomes.push(match entry {
-                PendingOutcome::Immediate(outcome) => outcome,
-                PendingOutcome::FromCore(index) => collected[index]
-                    .pop_front()
-                    .expect("every dispatched ingress was collected"),
-            });
-        }
-        Ok(())
-    }
-
-    /// The earliest time at which any core (or any in-flight tunnel) has
-    /// work due.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        let local = if self.local_deliveries.is_empty() {
-            None
-        } else {
-            Some(SimTime::ZERO)
-        };
-        self.workers
-            .iter()
-            .filter_map(|w| w.next_wakeup)
-            .chain(local)
-            .chain(self.fluid.next_epoch())
+            .filter_map(|w| w.status.next_wakeup)
             .min()
     }
 
-    /// Advances the emulation to time `now`, allocating a fresh delivery
-    /// buffer; see [`ParallelEmulator::advance_into`].
-    pub fn advance(&mut self, now: SimTime) -> Result<Vec<Delivery>, EmuError> {
-        let mut deliveries = Vec::new();
-        self.advance_into(now, &mut deliveries)?;
-        Ok(deliveries)
-    }
-
-    /// Advances every core to time `now` concurrently. Deliveries are
-    /// appended in the exact order the sequential backend produces them
-    /// (local deliveries, then epoch-major / core-major). While fluid flows
-    /// are live the advance is chopped at each rate epoch, exactly as the
-    /// sequential backend chops: workers run up to the epoch, the fair
-    /// share is re-solved, and the changed demands land on the FIFO command
-    /// rings ahead of the next advance segment.
-    /// # Errors
-    ///
-    /// [`EmuError::WorkerFailure`] if any core thread died or stalled
-    /// during the advance — and, once failed, on every subsequent call (the
-    /// emulator is poisoned; rebuild it, e.g. from a checkpoint).
-    pub fn advance_into(
+    fn ingress(
         &mut self,
+        core: CoreId,
         now: SimTime,
-        deliveries: &mut Vec<Delivery>,
-    ) -> Result<(), EmuError> {
-        self.check_failed()?;
-        while let Some(epoch) = self.fluid.next_epoch().filter(|&e| e <= now) {
-            self.advance_workers_into(epoch, deliveries)?;
-            self.recompute_fluid(epoch);
-            self.check_failed()?;
-        }
-        self.advance_workers_into(now, deliveries)?;
-        self.fluid.integrate_to(now);
-        Ok(())
+        descriptor: Descriptor,
+    ) -> Result<IngressOutcome, EmuError> {
+        self.send(core.index(), Request::Ingress { now, descriptor })?;
+        self.wait_ingress(core.index())
     }
 
-    /// Waits for worker `index`'s next response while watching the whole
-    /// pool: during an advance the epoch barrier couples every worker, so
-    /// the worker being waited on may be innocently wedged behind a dead
-    /// peer — the *peer's* death must surface, not hang the coordinator.
-    fn wait_advance_response(&mut self, index: usize) -> Result<Response, EmuError> {
-        let stall_timeout = self.stall_timeout;
-        let mut wait = SpinWait::new();
-        let mut watchdog: Option<(u64, Instant)> = None;
-        let mut polls: u32 = 0;
-        loop {
-            if let Some(response) = self.workers[index].responses.try_pop() {
-                return Ok(response);
-            }
-            for i in 0..self.workers.len() {
-                if self.workers[i]
-                    .thread
-                    .as_ref()
-                    .is_some_and(|t| t.is_finished())
-                {
-                    // Workers never exit mid-advance except by panicking,
-                    // so a finished thread here is always a failure. The
-                    // waited-on worker gets one response re-check to close
-                    // the push-then-exit race.
-                    if i == index {
-                        if let Some(response) = self.workers[index].responses.try_pop() {
-                            return Ok(response);
-                        }
-                    }
-                    return Err(self.workers[i].reap());
-                }
-            }
-            if let Some(timeout) = stall_timeout {
-                polls = polls.wrapping_add(1);
-                if polls.is_multiple_of(64) {
-                    let beat = self.workers[index].heartbeat.load(Ordering::Relaxed);
-                    match &mut watchdog {
-                        Some((last_beat, last_progress)) => {
-                            if beat != *last_beat {
-                                *last_beat = beat;
-                                *last_progress = Instant::now();
-                            } else if last_progress.elapsed() >= timeout {
-                                return Err(EmuError::WorkerFailure {
-                                    core: self.workers[index].core,
-                                    cause: FailureCause::Stalled { waited: timeout },
-                                });
-                            }
-                        }
-                        None => watchdog = Some((beat, Instant::now())),
-                    }
-                }
-            }
-            wait.spin();
-        }
-    }
-
-    /// One un-chopped advance of every worker to `now`.
-    fn advance_workers_into(
+    fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
-        now: SimTime,
-        deliveries: &mut Vec<Delivery>,
+        batch: I,
+        outcomes: &mut Vec<SubmitOutcome>,
     ) -> Result<(), EmuError> {
-        deliveries.append(&mut self.local_deliveries);
+        let base = outcomes.len();
+        let result = self.pipeline_ingress(batch, outcomes);
+        if result.is_err() {
+            outcomes.truncate(base);
+        }
+        result
+    }
+
+    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
-            if let Err(error) = self.workers[index].send(Command::Advance { now }) {
-                return Err(self.fail(error));
-            }
+            self.send(index, Request::Advance { now })?;
         }
         loop {
             let mut more = false;
             for index in 0..self.workers.len() {
                 loop {
-                    match self.wait_advance_response(index) {
-                        Ok(Response::Delivery(delivery)) => deliveries.push(delivery),
-                        Ok(Response::EpochEnd { more: worker_more }) => {
+                    match self.wait(index)? {
+                        Response::Delivery(delivery) => deliveries.push(delivery),
+                        Response::EpochEnd { more: worker_more } => {
                             if index == 0 {
                                 more = worker_more;
                             } else {
@@ -1579,8 +985,7 @@ impl ParallelEmulator {
                             }
                             break;
                         }
-                        Ok(_) => unreachable!("advance streams deliveries then EpochEnd"),
-                        Err(error) => return Err(self.fail(error)),
+                        _ => unreachable!("advance streams deliveries then EpochEnd"),
                     }
                 }
             }
@@ -1589,163 +994,57 @@ impl ParallelEmulator {
             }
         }
         for index in 0..self.workers.len() {
-            match self.wait_advance_response(index) {
-                Ok(Response::AdvanceDone { stats, next_wakeup }) => {
-                    let worker = &mut self.workers[index];
-                    worker.stats = stats;
-                    worker.next_wakeup = next_wakeup;
-                }
-                Ok(_) => unreachable!("advance ends with AdvanceDone"),
-                Err(error) => return Err(self.fail(error)),
-            }
+            self.wait_done(index)?;
         }
         Ok(())
     }
 
-    /// Serializes the complete emulator state into a checkpoint restorable
-    /// into either backend (see [`crate::snapshot`]). Read-only: workers
-    /// clone their cores and report their arrival backlogs; nothing ticks,
-    /// so taking a checkpoint does not perturb the run.
-    ///
-    /// The encoding is canonical — a snapshot taken here is byte-identical
-    /// to one taken by [`MultiCoreEmulator::snapshot`] at the same point of
-    /// the same emulation.
-    ///
-    /// # Errors
-    ///
-    /// [`EmuError::WorkerFailure`] if a core thread died or stalled.
-    pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
-        self.check_failed()?;
-        let stall = self.stall_timeout;
+    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
+        self.send(core.index(), Request::Apply(command))?;
+        self.wait_done(core.index())
+    }
+
+    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
-            if let Err(error) = self.workers[index].send(Command::Snapshot) {
-                return Err(self.fail(error));
-            }
+            self.send(
+                index,
+                Request::Apply(CoreCommand::SetRoutes(routes.clone())),
+            )?;
+        }
+        for index in 0..self.workers.len() {
+            self.wait_done(index)?;
+        }
+        Ok(())
+    }
+
+    /// Workers clone their cores and report their arrival backlogs.
+    fn with_cores<R>(
+        &mut self,
+        read: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
+    ) -> Result<R, EmuError> {
+        for index in 0..self.workers.len() {
+            self.send(index, Request::Snapshot)?;
         }
         let mut tunnels: TimerWheel<(CoreId, Descriptor)> = TimerWheel::new();
         let mut cores: Vec<EmulatorCore> = Vec::with_capacity(self.workers.len());
         for index in 0..self.workers.len() {
-            match self.workers[index].wait_response(stall) {
-                Ok(Response::Snapshot { core, arrivals }) => {
-                    // Target-major merge; the canonical (time, target)
-                    // encode order is re-established by the encoder.
+            match self.wait(index)? {
+                Response::Snapshot { core, arrivals } => {
+                    // Target-major merge; a canonical order is the
+                    // encoder's business.
                     for (arrival, descriptor) in arrivals {
                         tunnels.push(arrival, (CoreId(index), descriptor));
                     }
                     cores.push(*core);
                 }
-                Ok(_) => unreachable!("Snapshot is answered by Snapshot"),
-                Err(error) => return Err(self.fail(error)),
+                _ => unreachable!("Snapshot is answered by Snapshot"),
             }
         }
-        let mut w = mn_util::ByteWriter::with_capacity(64 * 1024);
-        crate::multicore::encode_emulator_state(
-            &mut w,
-            &self.profile,
-            &self.routes,
-            &self.matrix,
-            &self.pod,
-            &self.vn_location,
-            &self.vn_entry_core,
-            &self.vn_active,
-            &self.core_load,
-            &tunnels,
-            &self.local_deliveries,
-            &self.fluid,
-            cores.iter(),
-        );
-        Ok(EmulatorSnapshot::from_payload(w.into_bytes()))
-    }
-
-    /// Rebuilds a threaded emulator (fresh worker pool, fresh rings) from a
-    /// checkpoint taken on either backend. Resuming is bit-identical to
-    /// never having stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] if the snapshot is truncated, corrupted, or from an
-    /// incompatible format version.
-    pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
-        Ok(Self::from_sequential(MultiCoreEmulator::restore(snapshot)?))
-    }
-
-    /// Stops every worker thread and returns the cores (accuracy logs,
-    /// pipe counters) in core order.
-    pub fn finish(mut self) -> Vec<EmulatorCore> {
-        self.shutdown()
-    }
-
-    /// Shutdown must never panic (it also runs from [`Drop`], possibly
-    /// during an unwind), so unlike the normal protocol paths it tolerates
-    /// a dead worker: stale responses a panicked worker left behind are
-    /// skipped, and its core is simply lost from the returned set.
-    fn shutdown(&mut self) -> Vec<EmulatorCore> {
-        let mut cores = Vec::new();
-        for worker in &mut self.workers {
-            let Some(thread) = worker.thread.take() else {
-                continue;
-            };
-            worker.send_on_thread(&thread, Command::Finish);
-            // Drain until the Core reply; a worker that died mid-protocol
-            // may have left deliveries or epoch markers queued ahead of it
-            // (or nothing at all).
-            loop {
-                match worker.wait_response_until_dead(&thread) {
-                    Some(Response::Core(core)) => {
-                        cores.push(*core);
-                        break;
-                    }
-                    Some(_) => continue,
-                    None => break, // panicked worker; join below reaps it
-                }
-            }
-            let _ = thread.join();
-        }
-        cores
+        Ok(read(&cores, &tunnels))
     }
 }
 
-impl WorkerHandle {
-    /// Like [`WorkerHandle::send`] for the shutdown path, where the join
-    /// handle has already been taken out of `self`. Gives up (dropping the
-    /// command) if the ring is full and the worker is dead.
-    fn send_on_thread(&mut self, thread: &JoinHandle<()>, command: Command) {
-        let mut command = command;
-        let mut wait = SpinWait::new();
-        loop {
-            match self.commands.try_push(command) {
-                Ok(()) => break,
-                Err(back) => {
-                    if thread.is_finished() {
-                        return;
-                    }
-                    command = back;
-                    thread.thread().unpark();
-                    wait.spin();
-                }
-            }
-        }
-        thread.thread().unpark();
-    }
-
-    /// Non-panicking [`WorkerHandle::wait_response`] for shutdown: returns
-    /// `None` if the worker exited without replying (a panicked worker).
-    fn wait_response_until_dead(&mut self, thread: &JoinHandle<()>) -> Option<Response> {
-        let mut wait = SpinWait::new();
-        loop {
-            if let Some(response) = self.responses.try_pop() {
-                return Some(response);
-            }
-            if thread.is_finished() {
-                // The final response may have been pushed just before exit.
-                return self.responses.try_pop();
-            }
-            wait.spin();
-        }
-    }
-}
-
-impl Drop for ParallelEmulator {
+impl Drop for ThreadedExecutor {
     fn drop(&mut self) {
         // When this drop runs during a panic unwind (e.g. the coordinator
         // detected a dead worker), surviving workers may be wedged in an
@@ -1759,12 +1058,73 @@ impl Drop for ParallelEmulator {
     }
 }
 
+impl Emulator<ThreadedExecutor> {
+    /// Converts a sequential emulator (including any in-flight state) into
+    /// the threaded one. Without a binding there are no affinity hints; use
+    /// [`ParallelEmulator::new`] to carry them through.
+    pub fn from_sequential(emulator: MultiCoreEmulator) -> Self {
+        emulator.rehost(|inline| {
+            let InlineExecutor {
+                cores,
+                tunnels,
+                pod,
+                profile,
+                ..
+            } = inline;
+            ThreadedExecutor::from_cores(cores, tunnels, pod, profile, Vec::new())
+        })
+    }
+
+    /// The first worker failure observed, if the emulator is poisoned.
+    pub fn last_failure(&self) -> Option<&EmuError> {
+        self.exec.failure.as_ref()
+    }
+
+    /// Arms the stall watchdog: while the coordinator waits on a worker
+    /// whose thread is alive but whose heartbeat makes no progress for
+    /// `timeout` of wall-clock time, the wait fails with
+    /// [`FailureCause::Stalled`] instead of hanging forever. `None`
+    /// disables the watchdog (the default — virtual time runs arbitrarily
+    /// faster or slower than wall clock, so only a supervisor that knows
+    /// the deployment should set this).
+    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
+        self.exec.stall_timeout = timeout;
+    }
+
+    /// Installs a chaos fault plan on one worker core (test-only fault
+    /// injection; see [`crate::chaos`]). Fire-and-forget; returns `false`
+    /// if the core does not exist or the emulator already failed.
+    pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
+        self.exec.failure.is_none()
+            && core.index() < self.exec.workers.len()
+            && self
+                .exec
+                .send(core.index(), Request::SetChaos(plan))
+                .is_ok()
+    }
+
+    /// The advisory host-CPU hint the binding supplied for a core's thread.
+    pub fn affinity_hint(&self, core: CoreId) -> Option<usize> {
+        self.exec
+            .workers
+            .get(core.index())
+            .and_then(|w| w.affinity_hint)
+    }
+
+    /// Stops every worker thread and returns the cores (accuracy logs,
+    /// pipe counters) in core order.
+    pub fn finish(mut self) -> Vec<EmulatorCore> {
+        self.exec.shutdown()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_assign::{greedy_k_clusters, BindingParams};
-    use mn_distill::{distill, DistillationMode};
-    use mn_packet::{FlowKey, PacketId, Protocol, TcpFlags, TransportHeader};
+    use mn_assign::{greedy_k_clusters, Binding, BindingParams};
+    use mn_distill::{distill, DistillationMode, DistilledTopology};
+    use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
+    use mn_routing::RoutingMatrix;
     use mn_topology::generators::{
         path_pairs_topology, ring_topology, PathPairsParams, RingParams,
     };
@@ -1791,37 +1151,32 @@ mod tests {
         )
     }
 
-    /// One delivery, reduced to the fields bit-identity must pin.
-    type DeliveryRecord = (u64, SimTime, SimTime, usize);
-
-    /// A ring workload split over `cores`, drained to idle on both
-    /// backends; returns every delivery field that must be bit-identical.
-    fn run_both(cores: usize) -> (Vec<DeliveryRecord>, CoreStats, CoreStats) {
+    /// The standard fixture: a 4-router, 8-client ring (hop-by-hop) split
+    /// over `cores`, unconstrained hardware.
+    fn ring_emulator<X: CoreExecutor>(cores: usize) -> (Emulator<X>, Binding, DistilledTopology) {
         let topo = ring_topology(&RingParams {
             routers: 4,
             clients_per_router: 2,
             ..RingParams::default()
         });
         let d = distill(&topo, DistillationMode::HopByHop);
-        let build_seq = || {
-            let matrix = RoutingMatrix::build(&d);
-            let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
-            let pod = greedy_k_clusters(&d, cores, 7);
-            (
-                MultiCoreEmulator::new(
-                    &d,
-                    pod,
-                    matrix,
-                    &binding,
-                    HardwareProfile::unconstrained(),
-                    11,
-                ),
-                binding,
-            )
-        };
-        let (mut seq, binding) = build_seq();
+        let matrix = RoutingMatrix::build(&d);
+        let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
+        let pod = greedy_k_clusters(&d, cores, 7);
+        let profile = HardwareProfile::unconstrained();
+        let emu = Emulator::new(&d, pod, matrix, &binding, profile, 11);
+        (emu, binding, d)
+    }
+
+    /// One delivery, reduced to the fields bit-identity must pin.
+    type DeliveryRecord = (u64, SimTime, SimTime, usize);
+
+    /// A ring workload split over `cores`, drained to idle on both
+    /// backends; returns every delivery field that must be bit-identical.
+    fn run_both(cores: usize) -> (Vec<DeliveryRecord>, CoreStats, CoreStats) {
+        let (mut seq, binding, _) = ring_emulator::<InlineExecutor>(cores);
         let seq_log = drive(&mut seq, &binding);
-        let (seq2, binding2) = build_seq();
+        let (seq2, binding2, _) = ring_emulator(cores);
         let mut par = ParallelEmulator::from_sequential(seq2);
         let par_log = drive(&mut par, &binding2);
         assert_eq!(seq_log, par_log, "{cores}-core delivery streams diverge");
@@ -1830,91 +1185,19 @@ mod tests {
 
     /// One driver for both backends, so the bit-identity comparison cannot
     /// silently diverge between two copies of the schedule.
-    fn drive(emu: &mut impl TestBackend, binding: &Binding) -> Vec<DeliveryRecord> {
+    fn drive<X: CoreExecutor>(emu: &mut Emulator<X>, binding: &Binding) -> Vec<DeliveryRecord> {
         let vns: Vec<VnId> = binding.vns().collect();
-        let mut log = Vec::new();
         let mut id = 0u64;
         for round in 0..4u64 {
             let now = SimTime::from_micros(round * 900);
             let _ = emu.advance(now);
             for (i, &src) in vns.iter().enumerate() {
                 let dst = vns[(i + 3) % vns.len()];
-                emu.submit(now, tcp_packet(id, src, dst, 900, now));
+                emu.submit(now, tcp_packet(id, src, dst, 900, now)).unwrap();
                 id += 1;
             }
         }
-        let mut now = SimTime::ZERO;
-        for _ in 0..100_000 {
-            let Some(t) = emu.next_wakeup() else { break };
-            now = now.max(t);
-            for d in emu.advance(now) {
-                log.push((d.packet.id.0, d.delivered_at, d.entered_at, d.hops));
-            }
-        }
-        log
-    }
-
-    /// The driver operations shared by the two backends under test.
-    trait TestBackend {
-        fn submit(&mut self, now: SimTime, packet: Packet) -> SubmitOutcome;
-        fn next_wakeup(&self) -> Option<SimTime>;
-        fn advance(&mut self, now: SimTime) -> Vec<Delivery>;
-        fn vn_join(
-            &mut self,
-            topo: &DistilledTopology,
-            vn: VnId,
-            location: NodeId,
-            at: SimTime,
-        ) -> bool;
-        fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool;
-    }
-
-    impl TestBackend for MultiCoreEmulator {
-        fn submit(&mut self, now: SimTime, packet: Packet) -> SubmitOutcome {
-            MultiCoreEmulator::submit(self, now, packet)
-        }
-        fn next_wakeup(&self) -> Option<SimTime> {
-            MultiCoreEmulator::next_wakeup(self)
-        }
-        fn advance(&mut self, now: SimTime) -> Vec<Delivery> {
-            MultiCoreEmulator::advance(self, now)
-        }
-        fn vn_join(
-            &mut self,
-            topo: &DistilledTopology,
-            vn: VnId,
-            location: NodeId,
-            at: SimTime,
-        ) -> bool {
-            MultiCoreEmulator::vn_join(self, topo, vn, location, at)
-        }
-        fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-            MultiCoreEmulator::vn_leave(self, vn, at)
-        }
-    }
-
-    impl TestBackend for ParallelEmulator {
-        fn submit(&mut self, now: SimTime, packet: Packet) -> SubmitOutcome {
-            ParallelEmulator::submit(self, now, packet).expect("workers are healthy")
-        }
-        fn next_wakeup(&self) -> Option<SimTime> {
-            ParallelEmulator::next_wakeup(self)
-        }
-        fn advance(&mut self, now: SimTime) -> Vec<Delivery> {
-            ParallelEmulator::advance(self, now).expect("workers are healthy")
-        }
-        fn vn_join(
-            &mut self,
-            topo: &DistilledTopology,
-            vn: VnId,
-            location: NodeId,
-            at: SimTime,
-        ) -> bool {
-            ParallelEmulator::vn_join(self, topo, vn, location, at)
-        }
-        fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-            ParallelEmulator::vn_leave(self, vn, at)
-        }
+        finish_run(emu)
     }
 
     #[test]
@@ -1942,8 +1225,8 @@ mod tests {
     /// mid-round (with its descriptors still in flight) and rejoins one
     /// round later. Admission outcomes and delivery streams are recorded
     /// for the bit-identity comparison.
-    fn drive_churn(
-        emu: &mut impl TestBackend,
+    fn drive_churn<X: CoreExecutor>(
+        emu: &mut Emulator<X>,
         d: &DistilledTopology,
         binding: &Binding,
     ) -> (Vec<DeliveryRecord>, Vec<SubmitOutcome>) {
@@ -1953,7 +1236,7 @@ mod tests {
         let mut id = 0u64;
         for round in 0..6u64 {
             let now = SimTime::from_micros(round * 900);
-            for delivery in emu.advance(now) {
+            for delivery in emu.advance(now).unwrap() {
                 log.push((
                     delivery.packet.id.0,
                     delivery.delivered_at,
@@ -1970,54 +1253,20 @@ mod tests {
             }
             for (i, &src) in vns.iter().enumerate() {
                 let dst = vns[(i + 3) % vns.len()];
-                outcomes.push(emu.submit(now, tcp_packet(id, src, dst, 900, now)));
+                outcomes.push(emu.submit(now, tcp_packet(id, src, dst, 900, now)).unwrap());
                 id += 1;
             }
         }
-        let mut now = SimTime::ZERO;
-        for _ in 0..100_000 {
-            let Some(t) = emu.next_wakeup() else { break };
-            now = now.max(t);
-            for delivery in emu.advance(now) {
-                log.push((
-                    delivery.packet.id.0,
-                    delivery.delivered_at,
-                    delivery.entered_at,
-                    delivery.hops,
-                ));
-            }
-        }
+        log.extend(finish_run(emu));
         (log, outcomes)
     }
 
     #[test]
     fn churn_is_bit_identical_across_backends_and_core_counts() {
         for cores in [1, 2, 4] {
-            let topo = ring_topology(&RingParams {
-                routers: 4,
-                clients_per_router: 2,
-                ..RingParams::default()
-            });
-            let d = distill(&topo, DistillationMode::HopByHop);
-            let build = || {
-                let matrix = RoutingMatrix::build(&d);
-                let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
-                let pod = greedy_k_clusters(&d, cores, 7);
-                (
-                    MultiCoreEmulator::new(
-                        &d,
-                        pod,
-                        matrix,
-                        &binding,
-                        HardwareProfile::unconstrained(),
-                        11,
-                    ),
-                    binding,
-                )
-            };
-            let (mut seq, binding) = build();
+            let (mut seq, binding, d) = ring_emulator::<InlineExecutor>(cores);
             let seq_run = drive_churn(&mut seq, &d, &binding);
-            let (seq2, binding2) = build();
+            let (seq2, binding2, _) = ring_emulator(cores);
             let mut par = ParallelEmulator::from_sequential(seq2);
             let par_run = drive_churn(&mut par, &d, &binding2);
             assert_eq!(seq_run, par_run, "{cores}-core churn run diverges");
@@ -2139,27 +1388,9 @@ mod tests {
         // submit_batch pipelines the ring round trips but must preserve
         // per-core admission order — outcomes, deliveries and counters all
         // match the one-at-a-time path, across both backends.
-        let topo = ring_topology(&RingParams {
-            routers: 4,
-            clients_per_router: 2,
-            ..RingParams::default()
-        });
-        let d = distill(&topo, DistillationMode::HopByHop);
         let build = |cores: usize| {
-            let matrix = RoutingMatrix::build(&d);
-            let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
-            let pod = greedy_k_clusters(&d, cores, 7);
-            (
-                MultiCoreEmulator::new(
-                    &d,
-                    pod,
-                    matrix,
-                    &binding,
-                    HardwareProfile::unconstrained(),
-                    11,
-                ),
-                binding,
-            )
+            let (emu, binding, _) = ring_emulator::<InlineExecutor>(cores);
+            (emu, binding)
         };
         let make_batch = |binding: &Binding| {
             let vns: Vec<VnId> = binding.vns().collect();
@@ -2206,7 +1437,8 @@ mod tests {
             // And the sequential backend's batch shape agrees too.
             let (mut seq, binding) = build(cores);
             let mut seq_outcomes = Vec::new();
-            seq.submit_batch(make_batch(&binding), &mut seq_outcomes);
+            seq.submit_batch(make_batch(&binding), &mut seq_outcomes)
+                .unwrap();
             assert_eq!(seq_outcomes, reference);
         }
     }
@@ -2220,153 +1452,76 @@ mod tests {
         // deliveries in the same order at the same times, same counters
         // (including the CBR injection count).
         use mn_pipe::CbrConfig;
-        // Test-local dispatch over the two backends (the production enum
-        // lives in the façade crate, which this crate cannot depend on).
-        #[allow(clippy::large_enum_variant)]
-        enum Either {
-            Seq(MultiCoreEmulator),
-            Par(ParallelEmulator),
-        }
-        impl Either {
-            fn advance(&mut self, now: SimTime) -> Vec<Delivery> {
-                match self {
-                    Either::Seq(e) => e.advance(now),
-                    Either::Par(e) => e.advance(now).expect("workers are healthy"),
-                }
-            }
-            fn submit(&mut self, now: SimTime, p: Packet) -> SubmitOutcome {
-                match self {
-                    Either::Seq(e) => e.submit(now, p),
-                    Either::Par(e) => e.submit(now, p).expect("workers are healthy"),
-                }
-            }
-            fn next_wakeup(&self) -> Option<SimTime> {
-                match self {
-                    Either::Seq(e) => e.next_wakeup(),
-                    Either::Par(e) => e.next_wakeup(),
-                }
-            }
-            fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
-                match self {
-                    Either::Seq(e) => e.update_pipe_attrs(pipe, attrs),
-                    Either::Par(e) => e.update_pipe_attrs(pipe, attrs),
-                }
-            }
-            fn set_pipe_cbr(
-                &mut self,
-                pipe: PipeId,
-                config: Option<CbrConfig>,
-                from: SimTime,
-            ) -> bool {
-                match self {
-                    Either::Seq(e) => e.set_pipe_cbr(pipe, config, from),
-                    Either::Par(e) => e.set_pipe_cbr(pipe, config, from),
-                }
-            }
-            fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
-                match self {
-                    Either::Seq(e) => e.reroute(topo, changed),
-                    Either::Par(e) => e.reroute(topo, changed),
-                }
-            }
-            fn total_stats(&self) -> CoreStats {
-                match self {
-                    Either::Seq(e) => e.total_stats(),
-                    Either::Par(e) => e.total_stats(),
-                }
-            }
-        }
-        let topo = ring_topology(&RingParams {
-            routers: 4,
-            clients_per_router: 2,
-            ..RingParams::default()
-        });
-        let make_distilled = || distill(&topo, DistillationMode::HopByHop);
-        for cores in [1usize, 2, 4] {
-            let run = |threaded: bool| {
-                let mut d = make_distilled();
-                let matrix = RoutingMatrix::build(&d);
-                let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
-                let pod = greedy_k_clusters(&d, cores, 7);
-                let seq = MultiCoreEmulator::new(
-                    &d,
-                    pod,
-                    matrix,
-                    &binding,
-                    HardwareProfile::unconstrained(),
-                    11,
-                );
-                let mut emu = if threaded {
-                    Either::Par(ParallelEmulator::from_sequential(seq))
-                } else {
-                    Either::Seq(seq)
-                };
-                let vns: Vec<VnId> = binding.vns().collect();
-                let victim = {
-                    let src = binding.location(vns[0]).unwrap();
-                    d.out_pipes(src)[0]
-                };
-                let original = d.pipe(victim).attrs;
-                let mut log = Vec::new();
-                let mut id = 0u64;
-                for round in 0..12u64 {
-                    let now = SimTime::from_millis(round * 2);
-                    for d in emu.advance(now) {
-                        log.push((d.packet.id.0, d.delivered_at, d.hops));
-                    }
-                    match round {
-                        2 => {
-                            // Bandwidth renegotiation in place.
-                            let mut slow = original;
-                            slow.bandwidth = DataRate::from_mbps(2);
-                            assert!(emu.update_pipe_attrs(victim, slow));
-                        }
-                        4 => {
-                            assert!(emu.set_pipe_cbr(
-                                victim,
-                                Some(CbrConfig::new(
-                                    DataRate::from_mbps(1),
-                                    mn_util::ByteSize::from_bytes(500),
-                                )),
-                                now,
-                            ));
-                        }
-                        6 => {
-                            let mut dead = original;
-                            dead.bandwidth = DataRate::ZERO;
-                            *d.pipe_attrs_mut(victim).unwrap() = dead;
-                            let _ = emu.reroute(&d, &[victim]);
-                        }
-                        8 => {
-                            *d.pipe_attrs_mut(victim).unwrap() = original;
-                            let _ = emu.reroute(&d, &[victim]);
-                            assert!(emu.set_pipe_cbr(victim, None, now));
-                        }
-                        _ => {}
-                    }
-                    for (i, &src) in vns.iter().enumerate() {
-                        let dst = vns[(i + 3) % vns.len()];
-                        let _ = emu.submit(now, tcp_packet(id, src, dst, 700, now));
-                        id += 1;
-                    }
-                }
-                let mut now = SimTime::from_millis(24);
-                let horizon = SimTime::from_millis(200);
-                while let Some(t) = emu.next_wakeup() {
-                    // CBR was removed at round 8, so the emulator does go
-                    // idle; the horizon only bounds a regression.
-                    if t > horizon {
-                        break;
-                    }
-                    now = now.max(t);
-                    for d in emu.advance(now) {
-                        log.push((d.packet.id.0, d.delivered_at, d.hops));
-                    }
-                }
-                (log, emu.total_stats())
+        type Run = (Vec<(u64, SimTime, usize)>, CoreStats);
+        fn run<X: CoreExecutor>(cores: usize) -> Run {
+            let (mut emu, binding, mut d) = ring_emulator::<X>(cores);
+            let vns: Vec<VnId> = binding.vns().collect();
+            let victim = {
+                let src = binding.location(vns[0]).unwrap();
+                d.out_pipes(src)[0]
             };
-            let sequential = run(false);
-            let threaded = run(true);
+            let original = d.pipe(victim).attrs;
+            let mut log = Vec::new();
+            let mut id = 0u64;
+            for round in 0..12u64 {
+                let now = SimTime::from_millis(round * 2);
+                for d in emu.advance(now).unwrap() {
+                    log.push((d.packet.id.0, d.delivered_at, d.hops));
+                }
+                match round {
+                    2 => {
+                        // Bandwidth renegotiation in place.
+                        let mut slow = original;
+                        slow.bandwidth = DataRate::from_mbps(2);
+                        assert!(emu.update_pipe_attrs(victim, slow));
+                    }
+                    4 => {
+                        assert!(emu.set_pipe_cbr(
+                            victim,
+                            Some(CbrConfig::new(
+                                DataRate::from_mbps(1),
+                                mn_util::ByteSize::from_bytes(500),
+                            )),
+                            now,
+                        ));
+                    }
+                    6 => {
+                        let mut dead = original;
+                        dead.bandwidth = DataRate::ZERO;
+                        *d.pipe_attrs_mut(victim).unwrap() = dead;
+                        let _ = emu.reroute(&d, &[victim]);
+                    }
+                    8 => {
+                        *d.pipe_attrs_mut(victim).unwrap() = original;
+                        let _ = emu.reroute(&d, &[victim]);
+                        assert!(emu.set_pipe_cbr(victim, None, now));
+                    }
+                    _ => {}
+                }
+                for (i, &src) in vns.iter().enumerate() {
+                    let dst = vns[(i + 3) % vns.len()];
+                    let _ = emu.submit(now, tcp_packet(id, src, dst, 700, now));
+                    id += 1;
+                }
+            }
+            let mut now = SimTime::from_millis(24);
+            let horizon = SimTime::from_millis(200);
+            while let Some(t) = emu.next_wakeup() {
+                // CBR was removed at round 8, so the emulator does go
+                // idle; the horizon only bounds a regression.
+                if t > horizon {
+                    break;
+                }
+                now = now.max(t);
+                for d in emu.advance(now).unwrap() {
+                    log.push((d.packet.id.0, d.delivered_at, d.hops));
+                }
+            }
+            (log, emu.total_stats())
+        }
+        for cores in [1usize, 2, 4] {
+            let sequential = run::<InlineExecutor>(cores);
+            let threaded = run::<ThreadedExecutor>(cores);
             assert!(!sequential.0.is_empty());
             assert!(sequential.1.cbr_injected > 0, "CBR ran for 4 rounds");
             assert_eq!(
@@ -2442,23 +1597,7 @@ mod tests {
     /// A 2-core emulator over the standard ring fixture, for the failure
     /// and chaos tests.
     fn two_core_emulator() -> (ParallelEmulator, Binding) {
-        let topo = ring_topology(&RingParams {
-            routers: 4,
-            clients_per_router: 2,
-            ..RingParams::default()
-        });
-        let d = distill(&topo, DistillationMode::HopByHop);
-        let matrix = RoutingMatrix::build(&d);
-        let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2));
-        let pod = greedy_k_clusters(&d, 2, 7);
-        let emu = ParallelEmulator::new(
-            &d,
-            pod,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            11,
-        );
+        let (emu, binding, _) = ring_emulator(2);
         (emu, binding)
     }
 
@@ -2553,29 +1692,29 @@ mod tests {
 
     /// Drives a deterministic partial workload, leaving descriptors (and,
     /// on multi-core splits, tunnels) in flight.
-    fn drive_partial(emu: &mut impl TestBackend, binding: &Binding) {
+    fn drive_partial<X: CoreExecutor>(emu: &mut Emulator<X>, binding: &Binding) {
         let vns: Vec<VnId> = binding.vns().collect();
         let mut id = 0u64;
         for round in 0..3u64 {
             let now = SimTime::from_micros(round * 700);
-            emu.advance(now);
+            emu.advance(now).unwrap();
             for (i, &src) in vns.iter().enumerate() {
                 let dst = vns[(i + 3) % vns.len()];
-                emu.submit(now, tcp_packet(id, src, dst, 900, now));
+                emu.submit(now, tcp_packet(id, src, dst, 900, now)).unwrap();
                 id += 1;
             }
         }
-        emu.advance(SimTime::from_micros(2100));
+        emu.advance(SimTime::from_micros(2100)).unwrap();
     }
 
     /// Drains an emulation to idle, returning the delivery record stream.
-    fn finish_run(emu: &mut impl TestBackend) -> Vec<DeliveryRecord> {
+    fn finish_run<X: CoreExecutor>(emu: &mut Emulator<X>) -> Vec<DeliveryRecord> {
         let mut log = Vec::new();
         let mut now = SimTime::ZERO;
         for _ in 0..100_000 {
             let Some(t) = emu.next_wakeup() else { break };
             now = now.max(t);
-            for d in emu.advance(now) {
+            for d in emu.advance(now).unwrap() {
                 log.push((d.packet.id.0, d.delivered_at, d.entered_at, d.hops));
             }
         }
@@ -2585,32 +1724,14 @@ mod tests {
     #[test]
     fn parallel_snapshot_is_byte_identical_to_sequential_and_resumes_exactly() {
         for cores in [1usize, 2, 4] {
-            let topo = ring_topology(&RingParams {
-                routers: 4,
-                clients_per_router: 2,
-                ..RingParams::default()
-            });
-            let d = distill(&topo, DistillationMode::HopByHop);
             let build = || {
-                let matrix = RoutingMatrix::build(&d);
-                let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
-                let pod = greedy_k_clusters(&d, cores, 7);
-                (
-                    MultiCoreEmulator::new(
-                        &d,
-                        pod,
-                        matrix,
-                        &binding,
-                        HardwareProfile::unconstrained(),
-                        11,
-                    ),
-                    binding,
-                )
+                let (emu, binding, _) = ring_emulator::<InlineExecutor>(cores);
+                (emu, binding)
             };
             // Identical partial runs on both backends.
             let (mut seq, binding) = build();
             drive_partial(&mut seq, &binding);
-            let seq_snap = seq.snapshot();
+            let seq_snap = seq.snapshot().unwrap();
             let (seq2, binding2) = build();
             let mut par = ParallelEmulator::from_sequential(seq2);
             drive_partial(&mut par, &binding2);

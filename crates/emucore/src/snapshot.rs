@@ -14,7 +14,7 @@
 //! The wire format is versioned and checksummed (FNV-1a over the payload):
 //! a truncated, corrupted or future-version snapshot is a structured
 //! [`CodecError`], never a mis-restore. What is *not* captured: application
-//! state (traffic sources attached to a [`crate::MultiCoreEmulator`] via a
+//! state (traffic sources attached to a [`crate::Emulator`] via a
 //! runner live outside the emulator; the runner documents its own policy)
 //! and coordinator scratch buffers, which are rebuilt empty.
 
@@ -34,11 +34,11 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// A serialized emulator checkpoint.
 ///
-/// Produced by [`crate::MultiCoreEmulator::snapshot`] and
-/// [`crate::ParallelEmulator::snapshot`]; restorable into either backend.
-/// The payload encoding is backend-independent, so a snapshot taken on the
-/// sequential backend restores into the threaded one (and vice versa) with
-/// bit-identical continuation.
+/// Produced by [`crate::Emulator::snapshot`] and restored by
+/// [`crate::Emulator::restore`], the one encoder and the one decoder. The
+/// payload does not record which executor the cores were on, so a snapshot
+/// taken on the inline executor restores onto the threaded one (and vice
+/// versa) with bit-identical continuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmulatorSnapshot {
     payload: Vec<u8>,

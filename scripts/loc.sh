@@ -1,0 +1,46 @@
+#!/bin/sh
+# Non-test Rust line count, per crate and for the workspace — the number
+# ROADMAP aim 2 tracks ("net line count should go down").
+#
+# Counted: every line of every *.rs under each crate's src/ (the crates/*
+# members plus the root package). Not counted: `#[cfg(test)] mod … { … }`
+# blocks, tests/, benches/, examples/, vendor/ and the standalone bench/
+# package. Run from anywhere; prints `<lines> <crate>` rows and a total.
+set -eu
+cd "$(dirname "$0")/.."
+
+count() {
+    find "$1" -name '*.rs' -exec cat {} + | awk '
+        # A test module starts at `#[cfg(test)]` directly followed by a
+        # `mod` line at the same indent and ends at that indent'"'"'s `}`
+        # (rustfmt guarantees the shape).
+        skipping { if ($0 == close_line) skipping = 0; next }
+        /^[ \t]*#\[cfg\(test\)\]$/ {
+            pending = 1
+            indent = $0; sub(/#.*/, "", indent)
+            next
+        }
+        pending {
+            pending = 0
+            if ($0 ~ "^" indent "(pub )?mod [A-Za-z0-9_]+ \\{$") {
+                skipping = 1; close_line = indent "}"
+                next
+            }
+            lines++   # the attribute guarded something else: count it
+        }
+        { lines++ }
+        END { print lines + 0 }'
+}
+
+total=0
+for src in src crates/*/src; do
+    [ -d "$src" ] || continue
+    case "$src" in
+        src) name=modelnet-workspace ;;
+        *) name=${src#crates/}; name=${name%/src} ;;
+    esac
+    lines=$(count "$src")
+    total=$((total + lines))
+    printf '%7d  %s\n' "$lines" "$name"
+done
+printf '%7d  total\n' "$total"

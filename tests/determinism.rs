@@ -11,12 +11,14 @@
 
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{CoreStats, HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+use mn_emucore::{
+    CoreExecutor, CoreStats, Emulator, HardwareProfile, InlineExecutor, MultiCoreEmulator,
+    ParallelEmulator, ThreadedExecutor,
+};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, RingParams};
-use mn_util::{SimDuration, SimTime};
-use modelnet::EmulatorBackend;
+use mn_util::{ByteSize, DataRate, SimDuration, SimTime};
 
 fn tcp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -45,46 +47,11 @@ type DeliveryRecord = (u64, SimTime, usize);
 /// Runs a fixed all-pairs burst workload over a ring and returns the
 /// aggregate counters plus every delivery (packet id, delivered at, hops).
 fn run_workload(cores: usize, seed: u64) -> (CoreStats, Vec<DeliveryRecord>) {
-    let topo = ring_topology(&RingParams {
-        routers: 6,
-        clients_per_router: 2,
-        ..RingParams::default()
-    });
-    let d = distill(&topo, DistillationMode::HopByHop);
-    let matrix = RoutingMatrix::build(&d);
-    let binding = Binding::bind(d.vns(), &BindingParams::new(4, cores));
-    let pod = greedy_k_clusters(&d, cores, 7);
-    let mut emu = MultiCoreEmulator::new(
-        &d,
-        pod,
-        matrix,
-        &binding,
-        HardwareProfile::unconstrained(),
-        seed,
-    );
-    let vns: Vec<VnId> = binding.vns().collect();
-    let mut id = 0u64;
-    for round in 0..5u64 {
-        let now = SimTime::from_micros(round * 700);
-        for (i, &src) in vns.iter().enumerate() {
-            let dst = vns[(i + 3) % vns.len()];
-            emu.submit(now, tcp_packet(id, src, dst, now));
-            id += 1;
-        }
-    }
-    let mut deliveries: Vec<DeliveryRecord> = Vec::new();
-    let mut now = SimTime::ZERO;
-    for _ in 0..1_000_000 {
-        let Some(t) = emu.next_wakeup() else {
-            break;
-        };
-        now = now.max(t);
-        deliveries.extend(
-            emu.advance(now)
-                .into_iter()
-                .map(|del| (del.packet.id.0, del.delivered_at, del.hops)),
-        );
-    }
+    let (mut emu, binding) = build_emulator(cores, seed);
+    let mut deliveries: Vec<DeliveryRecord> = drive_strict(&binding, &mut emu)
+        .into_iter()
+        .map(|(id, delivered_at, _, hops, _)| (id, delivered_at, hops))
+        .collect();
     deliveries.sort_unstable();
     (emu.total_stats(), deliveries)
 }
@@ -116,10 +83,9 @@ fn build_emulator(cores: usize, seed: u64) -> (MultiCoreEmulator, Binding) {
 /// kept in raw arrival order (NOT sorted), so stream order is pinned too.
 type StrictRecord = (u64, SimTime, SimTime, usize, SimDuration);
 
-/// Drives the standard burst workload on either backend (dispatch through
-/// the same [`EmulatorBackend`] the Runner uses — one driver, one schedule,
-/// no per-backend copies to drift apart).
-fn drive_strict(binding: &Binding, emu: &mut EmulatorBackend) -> Vec<StrictRecord> {
+/// Drives the standard burst workload on either executor — one driver, one
+/// schedule, no per-backend copies to drift apart.
+fn drive_strict<X: CoreExecutor>(binding: &Binding, emu: &mut Emulator<X>) -> Vec<StrictRecord> {
     let vns: Vec<VnId> = binding.vns().collect();
     let mut id = 0u64;
     for round in 0..5u64 {
@@ -157,11 +123,10 @@ fn parallel_backend_is_bit_identical_to_sequential() {
     // the same stream order, at the same times, with the same accumulated
     // error and the same counters — at every core count.
     for cores in [1usize, 2, 4] {
-        let (seq, binding) = build_emulator(cores, 42);
-        let mut seq = EmulatorBackend::Sequential(seq);
+        let (mut seq, binding) = build_emulator(cores, 42);
         let seq_log = drive_strict(&binding, &mut seq);
         let (seq2, binding2) = build_emulator(cores, 42);
-        let mut par = EmulatorBackend::Threaded(ParallelEmulator::from_sequential(seq2));
+        let mut par = ParallelEmulator::from_sequential(seq2);
         let par_log = drive_strict(&binding2, &mut par);
         assert!(!seq_log.is_empty());
         assert_eq!(
@@ -190,7 +155,7 @@ fn parallel_backend_reruns_are_byte_identical() {
     // OS scheduling: thread interleaving must never leak into results.
     let run = || {
         let (seq, binding) = build_emulator(4, 42);
-        let mut par = EmulatorBackend::Threaded(ParallelEmulator::from_sequential(seq));
+        let mut par = ParallelEmulator::from_sequential(seq);
         let log = drive_strict(&binding, &mut par);
         (log, par.total_stats())
     };
@@ -259,4 +224,100 @@ fn seed_changes_the_random_stream_but_not_conservation() {
     let (stats_b, _) = run_workload(1, 2);
     assert_eq!(stats_a.packets_offered, stats_b.packets_offered);
     assert_eq!(stats_a.packets_delivered, stats_b.packets_delivered);
+}
+
+/// What a driver can observe between calls; must not depend on the executor.
+type Observed = (
+    &'static str,
+    bool,
+    Option<SimTime>,
+    CoreStats,
+    Option<SimTime>,
+);
+
+/// Applies every control-plane operation to an idle emulator, observing the
+/// emulator after each one.
+fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
+    let topo = ring_topology(&RingParams {
+        routers: 6,
+        clients_per_router: 2,
+        ..RingParams::default()
+    });
+    let mut d = distill(&topo, DistillationMode::HopByHop);
+    let matrix = RoutingMatrix::build(&d);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(4, cores));
+    let pod = greedy_k_clusters(&d, cores, 7);
+    let vns: Vec<VnId> = binding.vns().collect();
+    let (src, dst, churner) = (vns[0], vns[5], vns[3]);
+    let route: Vec<_> = matrix
+        .lookup(
+            binding.location(src).unwrap(),
+            binding.location(dst).unwrap(),
+        )
+        .expect("ring routes")
+        .pipes
+        .to_vec();
+    assert!(route.len() >= 3, "the flow crosses access and ring pipes");
+    let mut emu = Emulator::<X>::new(
+        &d,
+        pod,
+        matrix,
+        &binding,
+        HardwareProfile::unconstrained(),
+        42,
+    );
+    let ms = SimTime::from_millis;
+    let cbr = mn_pipe::CbrConfig::new(DataRate::from_mbps(2), ByteSize::from_bytes(500));
+    let mut slow = d.pipe(route[1]).attrs;
+    slow.bandwidth = DataRate::from_mbps(1);
+    let mut trace = Vec::new();
+    let mut observe = |op: &'static str, accepted: bool, emu: &Emulator<X>| {
+        trace.push((
+            op,
+            accepted,
+            emu.next_wakeup(),
+            emu.total_stats(),
+            emu.fluid().next_epoch(),
+        ));
+    };
+    let ok = emu.set_pipe_cbr(route[0], Some(cbr), ms(5));
+    observe("set_pipe_cbr", ok, &emu);
+    let ok = emu.update_pipe_attrs(route[1], slow);
+    observe("update_pipe_attrs", ok, &emu);
+    let ok = emu.set_pipe_compensation(route[2], Some(DataRate::from_mbps(1)), ms(6));
+    observe("set_pipe_compensation", ok, &emu);
+    let ok = emu.add_fluid_flow(1, src, dst, DataRate::from_mbps(3), 4, ms(7));
+    observe("add_fluid_flow", ok, &emu);
+    let ok = emu.resize_fluid_flow(1, DataRate::from_mbps(1), 2, ms(8));
+    observe("resize_fluid_flow", ok, &emu);
+    d.pipe_attrs_mut(route[1]).unwrap().bandwidth = DataRate::ZERO;
+    let rerouted = !emu.reroute(&d, &[route[1]]).is_empty();
+    observe("reroute", rerouted, &emu);
+    let ok = emu.vn_leave(churner, ms(9));
+    observe("vn_leave", ok, &emu);
+    let ok = emu.vn_join(&d, churner, binding.location(churner).unwrap(), ms(10));
+    observe("vn_join", ok, &emu);
+    let ok = emu.remove_fluid_flow(1, ms(11));
+    observe("remove_fluid_flow", ok, &emu);
+    let ok = emu.set_pipe_cbr(route[0], None, ms(12));
+    observe("set_pipe_cbr(None)", ok, &emu);
+    trace
+}
+
+#[test]
+fn control_plane_operations_leave_both_executors_in_the_same_observable_state() {
+    // Between calls a driver sees the emulator through `next_wakeup`, the
+    // counters and the fluid epoch; after any control-plane operation all
+    // three must be what the inline executor reports — a threaded executor
+    // serving stale cached deadlines would make the driver sleep past due
+    // work (13.388608 ms instead of the CBR injector's 5 ms start).
+    for cores in [1usize, 2, 4] {
+        let inline = control_plane_trace::<InlineExecutor>(cores);
+        let threaded = control_plane_trace::<ThreadedExecutor>(cores);
+        assert!(inline.iter().all(|&(_, accepted, ..)| accepted));
+        assert_eq!(inline[0].2, Some(SimTime::from_millis(5)));
+        for (a, b) in inline.iter().zip(&threaded) {
+            assert_eq!(a, b, "{cores}-core executors diverge after {}", a.0);
+        }
+    }
 }

@@ -32,7 +32,9 @@ use proptest::prelude::*;
 use common::arb_unique_path_topology;
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+use mn_emucore::{
+    CoreExecutor, Emulator, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SubmitOutcome,
+};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_refsim::{max_min_fair_share, FlowSpec};
 use mn_routing::RoutingMatrix;
@@ -101,9 +103,51 @@ fn drain_to_idle(emu: &mut MultiCoreEmulator, from: SimTime) -> Vec<mn_emucore::
     for _ in 0..100_000 {
         let Some(t) = emu.next_wakeup() else { break };
         now = now.max(t);
-        all.extend(emu.advance(now));
+        all.extend(emu.advance(now).unwrap());
     }
     all
+}
+
+/// One step of a driver schedule replayed identically on every executor.
+enum Step {
+    Submit(SimTime, Packet),
+    Advance(SimTime),
+}
+
+/// The full-fidelity delivery record bit-identity pins, in stream order.
+type Record = (u64, SimTime, SimTime, usize, SimDuration);
+
+/// Replays `schedule` on `emu`, then drains it to idle from `end`; returns
+/// the delivery stream and the submit outcomes.
+fn drive<X: CoreExecutor>(
+    emu: &mut Emulator<X>,
+    schedule: &[Step],
+    end: SimTime,
+) -> (Vec<Record>, Vec<SubmitOutcome>) {
+    let record = |d: &mn_emucore::Delivery| {
+        (
+            d.packet.id.0,
+            d.delivered_at,
+            d.entered_at,
+            d.hops,
+            d.emulation_error,
+        )
+    };
+    let mut log: Vec<Record> = Vec::new();
+    let mut outcomes = Vec::new();
+    for step in schedule {
+        match step {
+            Step::Advance(now) => log.extend(emu.advance(*now).unwrap().iter().map(record)),
+            Step::Submit(now, pkt) => outcomes.push(emu.submit(*now, *pkt).unwrap()),
+        }
+    }
+    let mut now = end;
+    for _ in 0..200_000 {
+        let Some(t) = emu.next_wakeup() else { break };
+        now = now.max(t);
+        log.extend(emu.advance(now).unwrap().iter().map(record));
+    }
+    (log, outcomes)
 }
 
 proptest! {
@@ -145,7 +189,7 @@ proptest! {
                 // packets: zero queueing, so the analytic window applies.
                 let pkt = tcp_packet(fi as u64, src, dst, payload, SimTime::ZERO);
                 let size = pkt.size;
-                let outcome = emu.submit(SimTime::ZERO, pkt);
+                let outcome = emu.submit(SimTime::ZERO, pkt).unwrap();
                 prop_assert!(outcome.is_accepted(), "loss-free link must accept");
                 let deliveries = drain_to_idle(&mut emu, SimTime::ZERO);
                 prop_assert_eq!(deliveries.len(), 1, "no drops on loss-free links");
@@ -214,10 +258,6 @@ proptest! {
         let vns: Vec<VnId> = binding.vns().collect();
         // The identical driver schedule for both backends: interleaved
         // submits and advances at increasing times, then drain to idle.
-        enum Step {
-            Submit(SimTime, Packet),
-            Advance(SimTime),
-        }
         let mut schedule = Vec::new();
         let mut clock = 0u64;
         for (i, &(a, b, dt, payload)) in bursts.iter().enumerate() {
@@ -228,51 +268,11 @@ proptest! {
             schedule.push(Step::Advance(now));
             schedule.push(Step::Submit(now, udp_packet(i as u64, src, dst, payload, now)));
         }
-        type Record = (u64, SimTime, SimTime, usize, SimDuration);
-        let record = |d: &mn_emucore::Delivery| {
-            (d.packet.id.0, d.delivered_at, d.entered_at, d.hops, d.emulation_error)
-        };
-        // Sequential run.
         let mut seq = build();
-        let mut seq_log: Vec<Record> = Vec::new();
-        let mut seq_outcomes = Vec::new();
-        for step in &schedule {
-            match step {
-                Step::Advance(now) => {
-                    seq_log.extend(seq.advance(*now).iter().map(&record));
-                }
-                Step::Submit(now, pkt) => {
-                    seq_outcomes.push(seq.submit(*now, *pkt));
-                }
-            }
-        }
-        let mut now = SimTime::from_micros(clock);
-        for _ in 0..200_000 {
-            let Some(t) = seq.next_wakeup() else { break };
-            now = now.max(t);
-            seq_log.extend(seq.advance(now).iter().map(&record));
-        }
+        let (seq_log, seq_outcomes) = drive(&mut seq, &schedule, SimTime::from_micros(clock));
         let seq_stats = seq.total_stats();
-        // Parallel run over the identical schedule.
         let mut par = ParallelEmulator::from_sequential(build());
-        let mut par_log: Vec<Record> = Vec::new();
-        let mut par_outcomes = Vec::new();
-        for step in &schedule {
-            match step {
-                Step::Advance(now) => {
-                    par_log.extend(par.advance(*now).unwrap().iter().map(&record));
-                }
-                Step::Submit(now, pkt) => {
-                    par_outcomes.push(par.submit(*now, *pkt).unwrap());
-                }
-            }
-        }
-        let mut now = SimTime::from_micros(clock);
-        for _ in 0..200_000 {
-            let Some(t) = par.next_wakeup() else { break };
-            now = now.max(t);
-            par_log.extend(par.advance(now).unwrap().iter().map(&record));
-        }
+        let (par_log, par_outcomes) = drive(&mut par, &schedule, SimTime::from_micros(clock));
         prop_assert_eq!(seq_outcomes, par_outcomes, "submit outcomes diverge");
         prop_assert_eq!(seq_log, par_log, "delivery streams diverge");
         prop_assert_eq!(seq_stats, par.total_stats(), "counters diverge");
@@ -872,7 +872,7 @@ fn congested_throughput_matches_reference_fair_share() {
             id += 1;
         }
         now += SimDuration::from_millis(2);
-        for delivery in emu.advance(now) {
+        for delivery in emu.advance(now).unwrap() {
             let fi = if delivery.packet.flow.src == vn(flows[0].src) {
                 0
             } else {

@@ -17,7 +17,7 @@ use mn_util::CodecError;
 use modelnet::{
     ByteSize, ChaosPlan, CoreId, DataRate, DistillationMode, EmuError, EmulatorBackend,
     ExecutionBackend, Experiment, FailureCause, LinkAttrs, NodeKind, RecoverError, Runner,
-    Schedule, SimDuration, SimTime, Topology,
+    Schedule, SimDuration, SimTime, Topology, VnId,
 };
 
 /// A ring workload with two TCP flows and a paced UDP flow: enough state
@@ -167,6 +167,72 @@ fn chaos_panic_recovery_matches_the_uninterrupted_run() {
         recovered.snapshot().unwrap() == want,
         "recovery from the last checkpoint diverged from the uninterrupted run"
     );
+}
+
+/// One poison rule: once a worker has died, every control operation is
+/// refused and none of them changes what the coordinator owns — membership,
+/// fluid flows, the published route table — so the state a supervisor reads
+/// off a failed emulator is the state at the failure, not a half-applied
+/// change the cores never saw.
+#[test]
+fn chaos_poisoned_pool_refuses_control_operations_without_mutating_the_coordinator() {
+    let topo = ring_topology(&RingParams {
+        routers: 4,
+        clients_per_router: 2,
+        ..RingParams::default()
+    });
+    let (mut runner, mut distilled) = Experiment::new(topo)
+        .distillation(DistillationMode::HopByHop)
+        .cores(2)
+        .edge_nodes(4)
+        .backend(ExecutionBackend::Threaded)
+        .unconstrained_hardware()
+        .seed(11)
+        .build_with_distilled()
+        .expect("experiment builds");
+    let vns = runner.vn_ids();
+    let at = SimTime::from_millis(50);
+    let (some_pipe, attrs) = distilled
+        .pipes()
+        .next()
+        .map(|(id, pipe)| (id, pipe.attrs))
+        .expect("ring has pipes");
+    let EmulatorBackend::Threaded(par) = runner.backend_mut() else {
+        unreachable!("runner was built threaded");
+    };
+    assert!(par.add_fluid_flow(1, vns[0], vns[5], DataRate::from_mbps(2), 1, SimTime::ZERO));
+    assert!(par.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
+    let err = par.advance(at).unwrap_err();
+    assert!(matches!(err, EmuError::WorkerFailure { .. }));
+
+    let members = par.active_vn_count();
+    let flows = par.fluid().flow_count();
+    let flow_rate = par.fluid_flow_rate(1);
+    let table: *const _ = par.route_table();
+
+    assert!(!par.vn_leave(vns[2], at));
+    let fresh = VnId(vns.len() as u32);
+    assert!(!par.vn_join(&distilled, fresh, distilled.vns()[0], at));
+    distilled.pipe_attrs_mut(some_pipe).unwrap().bandwidth = DataRate::ZERO;
+    assert!(par.reroute(&distilled, &[some_pipe]).is_empty());
+    let matrix = par.routing().clone();
+    par.set_routing(matrix);
+    assert!(!par.update_pipe_attrs(some_pipe, attrs));
+    assert!(!par.set_pipe_cbr(some_pipe, None, at));
+    assert!(!par.set_pipe_compensation(some_pipe, Some(DataRate::from_mbps(1)), at));
+    assert!(!par.add_fluid_flow(2, vns[1], vns[6], DataRate::from_mbps(1), 1, at));
+    assert!(!par.resize_fluid_flow(1, DataRate::from_mbps(1), 3, at));
+    assert!(!par.remove_fluid_flow(1, at));
+
+    assert_eq!(par.active_vn_count(), members);
+    assert!(par.vn_is_active(vns[2]) && !par.vn_is_active(fresh));
+    assert_eq!(par.fluid().flow_count(), flows);
+    assert_eq!(par.fluid_flow_rate(1), flow_rate);
+    assert!(
+        std::ptr::eq(par.route_table(), table),
+        "no route-table generation was published"
+    );
+    assert_eq!(par.last_failure(), Some(&err), "the first failure is kept");
 }
 
 /// Restore with a dynamics schedule installed: the cursor fast-forwards over

@@ -65,7 +65,7 @@ fn drive(
         let _ = emu.submit(now, tcp_packet(i, src, dst, now));
         if i % 8 == 0 {
             deliveries.clear();
-            emu.advance_into(now, deliveries);
+            emu.advance_into(now, deliveries).unwrap();
             delivered += deliveries.len() as u64;
         }
     }
@@ -96,7 +96,7 @@ fn drive_aligned(
         let _ = emu.submit(now, tcp_packet(i, src, dst, now));
         if i % 8 == 0 {
             deliveries.clear();
-            emu.advance_into(now, deliveries);
+            emu.advance_into(now, deliveries).unwrap();
             delivered += deliveries.len() as u64;
         }
     }
@@ -405,7 +405,7 @@ fn drive_slow(
         let _ = emu.submit(now, tcp_packet(i, src, dst, now));
         if i % 8 == 0 {
             deliveries.clear();
-            emu.advance_into(now, deliveries);
+            emu.advance_into(now, deliveries).unwrap();
             delivered += deliveries.len() as u64;
         }
     }
