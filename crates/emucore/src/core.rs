@@ -1,8 +1,21 @@
 //! A single ModelNet core node.
 //!
-//! The core holds the pipes assigned to it, a scheduler heap of pipe
-//! deadlines, and the hardware capacity model. Two priorities govern its
-//! behaviour, mirroring the kernel design in the paper:
+//! The core holds the pipes assigned to it, a scheduler wheel of pipe
+//! deadlines, the descriptors of the packets currently inside it, and the
+//! hardware capacity model.
+//!
+//! Descriptors stay put. A descriptor is written into the core's slab when
+//! the packet is admitted (edge ingress or tunnel accept), updated in place
+//! at every hop, and copied out exactly once: into the [`Delivery`] when its
+//! route is complete, or by value into [`TickOutput::tunnels`] when its next
+//! pipe lives on a peer core. What moves between this core's pipes and
+//! through its wheel is a 4-byte slot handle and a deadline. Handles never
+//! leave the core, and neither their values nor the free list's order reach
+//! a snapshot or any result: [`EmulatorCore::encode_state`] writes the
+//! descriptor a handle refers to, and restore refills the slab densely.
+//!
+//! Two priorities govern the core's behaviour, mirroring the kernel design
+//! in the paper:
 //!
 //! * the **scheduler** (pipe-to-pipe movement and final delivery) runs every
 //!   clock tick and always completes its due work — emulated delays are never
@@ -19,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use mn_assign::CoreId;
 use mn_distill::{PipeAttrs, PipeId};
-use mn_pipe::{CbrConfig, DequeuedPacket, EmuPipe, EnqueueOutcome, PipeStats, QueueDiscipline};
+use mn_pipe::{CbrConfig, EmuPipe, EnqueueOutcome, PipeStats, QueueDiscipline};
 use mn_routing::RouteTable;
 use mn_util::rngs::derived_rng;
 use mn_util::{ByteSize, DataRate, SimDuration, SimTime, TimerWheel};
@@ -40,7 +53,8 @@ pub enum IngressOutcome {
     /// interrupt handling is starved.
     PhysicalDropCpu,
     /// The packet was dropped by the first pipe's admission (virtual drop:
-    /// queue overflow, random loss or RED).
+    /// queue overflow, random loss or RED), or that pipe is a failed link
+    /// (counted in [`CoreStats::dropped_unreachable`]).
     VirtualDrop,
 }
 
@@ -172,6 +186,26 @@ struct CbrSource {
     next_at: SimTime,
 }
 
+/// Bytes a tunnelled descriptor occupies on the inter-core wire.
+fn tunnel_wire_bytes(profile: &HardwareProfile, descriptor: &Descriptor) -> u64 {
+    if profile.payload_caching {
+        HardwareProfile::DESCRIPTOR_BYTES
+    } else {
+        descriptor.packet.size.as_bytes()
+    }
+}
+
+/// Handle to a descriptor in its core's slab.
+type Slot = u32;
+
+/// A descriptor on its way into a pipe.
+enum Entering {
+    /// Just admitted: it takes a slab slot only if the core keeps it.
+    New(Descriptor),
+    /// Already inside: it gives its slot back if the core drops it.
+    Held(Slot),
+}
+
 /// One emulation core.
 #[derive(Debug, Clone)]
 pub struct EmulatorCore {
@@ -186,23 +220,27 @@ pub struct EmulatorCore {
     routes: Arc<RouteTable>,
     /// Dense pipe table indexed by `PipeId`: `Some` for the pipes this core
     /// owns, `None` for slots owned by peer cores. Sized once at
-    /// construction to the distilled topology's pipe count.
-    pipes: Vec<Option<EmuPipe<Descriptor>>>,
+    /// construction to the distilled topology's pipe count. A pipe queues
+    /// handles into `slab`, not descriptors.
+    pipes: Vec<Option<EmuPipe<Slot>>>,
+    /// The descriptors of every packet inside this core. A slot is taken
+    /// when a packet is accepted by its first local pipe (or staged for a
+    /// peer core) and released when the packet is delivered, tunnelled out
+    /// or dropped, so the slab grows to the peak number of packets
+    /// concurrently inside and no further.
+    slab: Vec<Descriptor>,
+    /// Released slots of `slab`, reused last-released-first.
+    free: Vec<Slot>,
     /// Scheduler wheel: one entry per accepted packet, keyed by its pipe exit
     /// deadline. O(1) push/pop regardless of how many pipes are pending (the
     /// paper's requirement for scheduling tens of thousands of pipes at
     /// 100 µs fidelity). Entries for packets that were already moved by an
     /// earlier pass are stale and simply find no due work.
     wheel: TimerWheel<PipeId>,
-    /// Descriptors whose next pipe lives on a peer core, staged until the
-    /// next tick emits them as tunnel requests.
-    pending_remote: Vec<(PipeId, Descriptor, SimTime)>,
-    /// Drained-and-restored body of `pending_remote`, kept so its capacity
-    /// survives across ticks.
-    pending_scratch: Vec<(PipeId, Descriptor, SimTime)>,
-    /// Reusable buffer `tick` drains due pipes into; capacity persists across
-    /// ticks so the steady state allocates nothing.
-    ready_scratch: Vec<DequeuedPacket<Descriptor>>,
+    /// Descriptors whose next pipe lives on a peer core, with that pipe and
+    /// the time they left their previous one, staged until the end of the
+    /// current (or next) tick copies them out as tunnel requests.
+    pending_remote: Vec<(PipeId, Slot, SimTime)>,
     /// Scheduled CBR background injectors on locally owned pipes, in
     /// installation order (the injection order, identical on both
     /// execution backends).
@@ -245,9 +283,9 @@ impl EmulatorCore {
             routes,
             pipes: std::iter::repeat_with(|| None).take(pipe_slots).collect(),
             wheel: TimerWheel::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             pending_remote: Vec::new(),
-            pending_scratch: Vec::new(),
-            ready_scratch: Vec::new(),
             cbr: Vec::new(),
             fluid_total_bps: 0,
             fluid_last: SimTime::ZERO,
@@ -301,13 +339,13 @@ impl EmulatorCore {
 
     /// The installed pipe for `id`, if this core owns it.
     #[inline]
-    fn pipe(&self, id: PipeId) -> Option<&EmuPipe<Descriptor>> {
+    fn pipe(&self, id: PipeId) -> Option<&EmuPipe<Slot>> {
         self.pipes.get(id.index()).and_then(Option::as_ref)
     }
 
     /// Mutable access to the installed pipe for `id`.
     #[inline]
-    fn pipe_mut(&mut self, id: PipeId) -> Option<&mut EmuPipe<Descriptor>> {
+    fn pipe_mut(&mut self, id: PipeId) -> Option<&mut EmuPipe<Slot>> {
         self.pipes.get_mut(id.index()).and_then(Option::as_mut)
     }
 
@@ -527,37 +565,7 @@ impl EmulatorCore {
         self.stats.packets_admitted += 1;
         self.stats.bytes_in += size.as_bytes();
         descriptor.entered_at = now;
-
-        let Some(first_pipe) = descriptor.next_pipe(&self.routes) else {
-            // Zero-hop route: deliver on the next tick via an empty-route
-            // descriptor placed on a synthetic immediate deadline. Simplest is
-            // to treat it as complete right now by storing it as a delivery in
-            // the next tick; we do that by pushing it through a zero-latency
-            // path: record directly.
-            // (Handled by the coordinator, which never submits empty routes
-            // to a core; defensive fallback.)
-            return IngressOutcome::Accepted;
-        };
-        if let Some(pipe) = self
-            .pipes
-            .get_mut(first_pipe.index())
-            .and_then(Option::as_mut)
-        {
-            match pipe.enqueue(now, size, descriptor, &mut self.rng) {
-                EnqueueOutcome::Accepted { exit_time } => {
-                    self.wheel.push(exit_time, first_pipe);
-                    IngressOutcome::Accepted
-                }
-                _ => IngressOutcome::VirtualDrop,
-            }
-        } else {
-            // First pipe owned by a peer core: stage for tunnelling at the
-            // next tick by pushing a zero-deadline marker on a local holding
-            // area. We reuse the heap with an immediate deadline and a
-            // sentinel pipe id that tick() resolves via `pending_remote`.
-            self.pending_remote.push((first_pipe, descriptor, now));
-            IngressOutcome::Accepted
-        }
+        self.admit(now, descriptor)
     }
 
     /// Accepts a descriptor tunnelled from a peer core; the next pipe must be
@@ -566,12 +574,8 @@ impl EmulatorCore {
         self.credit_cpu(now);
         self.refill_nic(now);
         self.stats.tunnels_in += 1;
-        let wire = if self.profile.payload_caching {
-            ByteSize::from_bytes(HardwareProfile::DESCRIPTOR_BYTES)
-        } else {
-            descriptor.packet.size
-        };
-        if !self.nic_admit(wire) {
+        let wire = tunnel_wire_bytes(&self.profile, &descriptor);
+        if !self.nic_admit(ByteSize::from_bytes(wire)) {
             self.stats.physical_drops_nic += 1;
             return IngressOutcome::PhysicalDropNic;
         }
@@ -580,36 +584,96 @@ impl EmulatorCore {
             return IngressOutcome::PhysicalDropCpu;
         }
         self.cpu_backlog += self.profile.tunnel_cpu;
-        self.stats.bytes_in += wire.as_bytes();
-        self.enqueue_descriptor(now, descriptor)
+        self.stats.bytes_in += wire;
+        self.admit(now, descriptor)
     }
 
-    /// Enqueues a descriptor onto its next pipe (which must be local).
-    fn enqueue_descriptor(&mut self, at: SimTime, descriptor: Descriptor) -> IngressOutcome {
-        let Some(pipe_id) = descriptor.next_pipe(&self.routes) else {
+    /// Sends a descriptor that passed the NIC/CPU model into its next pipe.
+    fn admit(&mut self, at: SimTime, descriptor: Descriptor) -> IngressOutcome {
+        match descriptor.next_pipe(&self.routes) {
+            Some(pipe) => {
+                let size = descriptor.packet.size;
+                self.enter_pipe(at, pipe, size, Entering::New(descriptor))
+            }
+            // The coordinator never submits an empty route to a core.
+            None => IngressOutcome::Accepted,
+        }
+    }
+
+    /// The one way into a pipe, for a packet arriving from an edge node, a
+    /// descriptor tunnelled in from a peer core and a descriptor that has
+    /// just left the previous pipe of its route alike: enqueue its handle on
+    /// `pipe_id` and file the exit deadline in the wheel, or — when a peer
+    /// core owns the pipe — stage it for tunnelling. Slots are accounted
+    /// here and nowhere else: a new descriptor takes one only when the core
+    /// keeps it, a held one gives its slot back when the pipe refuses it.
+    #[inline]
+    fn enter_pipe(
+        &mut self,
+        at: SimTime,
+        pipe_id: PipeId,
+        size: ByteSize,
+        entering: Entering,
+    ) -> IngressOutcome {
+        let Some(pipe) = self.pipes.get_mut(pipe_id.index()).and_then(Option::as_mut) else {
+            let slot = match entering {
+                Entering::New(descriptor) => self.alloc_slot(descriptor),
+                Entering::Held(slot) => slot,
+            };
+            self.pending_remote.push((pipe_id, slot, at));
             return IngressOutcome::Accepted;
         };
-        let size = descriptor.packet.size;
-        if let Some(pipe) = self.pipes.get_mut(pipe_id.index()).and_then(Option::as_mut) {
-            // A failed link (bandwidth configured to zero, e.g. the pipe's
-            // far node is down) is unreachability, not congestion: count it
-            // so every admitted packet stays on the ledger. The skipped
-            // enqueue would have dropped before its first RNG draw, so the
-            // deterministic random stream is unchanged.
-            if pipe.attrs().bandwidth.is_zero() {
-                self.stats.dropped_unreachable += 1;
-                return IngressOutcome::VirtualDrop;
-            }
-            match pipe.enqueue(at, size, descriptor, &mut self.rng) {
-                EnqueueOutcome::Accepted { exit_time } => {
-                    self.wheel.push(exit_time, pipe_id);
-                    IngressOutcome::Accepted
-                }
-                _ => IngressOutcome::VirtualDrop,
-            }
+        // The slot the descriptor occupies if the pipe accepts it: its own,
+        // or the one `alloc_slot` is about to hand out.
+        let slot = match entering {
+            Entering::New(_) => self.free.last().copied().unwrap_or(self.slab.len() as Slot),
+            Entering::Held(slot) => slot,
+        };
+        // A failed link (bandwidth configured to zero, e.g. the pipe's far
+        // node is down) is unreachability, not congestion: count it so every
+        // admitted packet stays on the ledger. The skipped enqueue would
+        // have dropped before its first RNG draw, so the deterministic
+        // random stream is unchanged.
+        let accepted = if pipe.attrs().bandwidth.is_zero() {
+            self.stats.dropped_unreachable += 1;
+            None
         } else {
-            self.pending_remote.push((pipe_id, descriptor, at));
-            IngressOutcome::Accepted
+            // Virtual drops vanish here; the pipe counted them.
+            match pipe.enqueue(at, size, slot, &mut self.rng) {
+                EnqueueOutcome::Accepted { exit_time } => Some(exit_time),
+                _ => None,
+            }
+        };
+        match accepted {
+            Some(exit_time) => {
+                self.wheel.push(exit_time, pipe_id);
+                if let Entering::New(descriptor) = entering {
+                    let taken = self.alloc_slot(descriptor);
+                    debug_assert_eq!(taken, slot);
+                }
+                IngressOutcome::Accepted
+            }
+            None => {
+                if let Entering::Held(slot) = entering {
+                    self.free.push(slot);
+                }
+                IngressOutcome::VirtualDrop
+            }
+        }
+    }
+
+    /// Stores `descriptor` in a free slot of the slab, growing it only when
+    /// none is free.
+    fn alloc_slot(&mut self, descriptor: Descriptor) -> Slot {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = descriptor;
+                slot
+            }
+            None => {
+                self.slab.push(descriptor);
+                (self.slab.len() - 1) as Slot
+            }
         }
     }
 
@@ -635,127 +699,92 @@ impl EmulatorCore {
         // against) the foreground work this pass services.
         self.inject_cbr(now);
 
-        // Descriptors whose next pipe is remote (staged at ingress). Swap the
-        // staging buffer with a persistent scratch so its capacity is reused
-        // instead of reallocated every tick.
-        let mut staged = std::mem::replace(
-            &mut self.pending_remote,
-            std::mem::take(&mut self.pending_scratch),
-        );
-        for (pipe, descriptor, at) in staged.drain(..) {
-            self.stats.tunnels_out += 1;
-            let wire = if self.profile.payload_caching {
-                HardwareProfile::DESCRIPTOR_BYTES
-            } else {
-                descriptor.packet.size.as_bytes()
-            };
-            self.cpu_backlog += self.profile.tunnel_cpu;
-            self.stats.bytes_out += wire;
-            out.tunnels.push((pipe, descriptor, at));
-        }
-        self.pending_scratch = staged;
-
-        // Drain due pipes through a persistent scratch buffer rather than a
-        // fresh Vec per pipe.
-        let mut ready = std::mem::take(&mut self.ready_scratch);
+        let debt_correction = self.profile.packet_debt_correction;
+        let per_hop_cpu = self.profile.per_hop_cpu;
+        // One loop per due wheel entry: pop a handle, step its descriptor in
+        // place, hand the handle to the next pipe. An entry whose packet an
+        // earlier entry of this pass already moved finds nothing due.
         while let Some((_, pipe_id)) = self.wheel.pop_due(now) {
-            let Some(pipe) = self.pipes.get_mut(pipe_id.index()).and_then(Option::as_mut) else {
-                continue;
-            };
-            pipe.dequeue_ready_into(now, &mut ready);
-            for dequeued in ready.drain(..) {
-                let mut descriptor = dequeued.item;
-                self.cpu_backlog += self.profile.per_hop_cpu;
+            while let Some(dequeued) = self
+                .pipes
+                .get_mut(pipe_id.index())
+                .and_then(Option::as_mut)
+                .and_then(|pipe| pipe.pop_ready(now))
+            {
+                let slot = dequeued.item;
+                self.cpu_backlog += per_hop_cpu;
                 let lateness = now.duration_since(dequeued.exit_time);
-                if self.profile.packet_debt_correction {
-                    // With debt correction every pipe is entered at its ideal
-                    // time, so the end-to-end error is only the lateness of
-                    // the hop currently being serviced — it does not
-                    // accumulate across hops.
-                    descriptor.accumulated_error = lateness;
-                } else {
-                    descriptor.accumulated_error += lateness;
-                }
+                let descriptor = &mut self.slab[slot as usize];
                 descriptor.advance_hop();
-                // Packet-debt correction re-enters at the ideal time so error
-                // does not accumulate across hops.
-                let reentry = if self.profile.packet_debt_correction {
+                let route = self.routes.pipes(descriptor.route);
+                // With packet-debt correction every pipe is entered at its
+                // ideal time, so the end-to-end error is only the lateness of
+                // the hop being serviced; without it, lateness accumulates.
+                let reentry = if debt_correction {
+                    descriptor.accumulated_error = lateness;
                     dequeued.exit_time
                 } else {
+                    descriptor.accumulated_error += lateness;
                     now
                 };
-                if descriptor.is_complete(&self.routes) {
-                    let delivered_at = if self.profile.packet_debt_correction {
+                if let Some(&next) = route.get(descriptor.hop) {
+                    self.enter_pipe(reentry, next, dequeued.size, Entering::Held(slot));
+                    continue;
+                }
+                let delivery = Delivery {
+                    hops: route.len(),
+                    emulation_error: descriptor.accumulated_error,
+                    entered_at: descriptor.entered_at,
+                    delivered_at: if debt_correction {
                         dequeued.exit_time.max(descriptor.entered_at)
                     } else {
                         now
-                    };
-                    let delivery = Delivery {
-                        hops: descriptor.total_hops(&self.routes),
-                        emulation_error: descriptor.accumulated_error,
-                        entered_at: descriptor.entered_at,
-                        delivered_at,
-                        packet: descriptor.packet,
-                    };
-                    self.stats.packets_delivered += 1;
-                    self.stats.bytes_out += delivery.packet.size.as_bytes();
-                    self.accuracy.record(&delivery);
-                    out.deliveries.push(delivery);
-                } else {
-                    let next = descriptor
-                        .next_pipe(&self.routes)
-                        .expect("incomplete route has a next pipe");
-                    if let Some(next_pipe) =
-                        self.pipes.get_mut(next.index()).and_then(Option::as_mut)
-                    {
-                        if next_pipe.attrs().bandwidth.is_zero() {
-                            // The next hop is a failed link: the descriptor
-                            // can never cross it. Account for it instead of
-                            // letting it vanish (the skipped enqueue draws
-                            // no randomness before its own zero-bandwidth
-                            // drop, so determinism is preserved).
-                            self.stats.dropped_unreachable += 1;
-                            continue;
-                        }
-                        let size = descriptor.packet.size;
-                        if let EnqueueOutcome::Accepted { exit_time } =
-                            next_pipe.enqueue(reentry, size, descriptor, &mut self.rng)
-                        {
-                            self.wheel.push(exit_time, next);
-                        }
-                        // Virtual drops simply vanish here; the pipe counted
-                        // them.
-                    } else {
-                        self.stats.tunnels_out += 1;
-                        let wire = if self.profile.payload_caching {
-                            HardwareProfile::DESCRIPTOR_BYTES
-                        } else {
-                            descriptor.packet.size.as_bytes()
-                        };
-                        self.cpu_backlog += self.profile.tunnel_cpu;
-                        self.stats.bytes_out += wire;
-                        out.tunnels.push((next, descriptor, reentry));
-                    }
-                }
+                    },
+                    packet: descriptor.packet,
+                };
+                self.free.push(slot);
+                self.stats.packets_delivered += 1;
+                self.stats.bytes_out += delivery.packet.size.as_bytes();
+                self.accuracy.record(&delivery);
+                out.deliveries.push(delivery);
             }
         }
-        self.ready_scratch = ready;
+
+        // Everything staged for a peer core — at ingress since the last
+        // pass, then by the loop above — leaves the slab here.
+        for (pipe, slot, at) in self.pending_remote.drain(..) {
+            let descriptor = self.slab[slot as usize].clone();
+            self.free.push(slot);
+            self.stats.tunnels_out += 1;
+            self.cpu_backlog += self.profile.tunnel_cpu;
+            self.stats.bytes_out += tunnel_wire_bytes(&self.profile, &descriptor);
+            out.tunnels.push((pipe, descriptor, at));
+        }
     }
 
-    /// Number of packets currently being emulated across this core's pipes.
+    /// Number of packets currently inside this core: in one of its pipes or
+    /// staged for tunnelling to a peer. O(1) — it is the number of occupied
+    /// slab slots.
     pub fn in_flight(&self) -> usize {
-        self.pipes
-            .iter()
-            .flatten()
-            .map(|p| p.in_flight_count())
-            .sum()
+        self.slab.len() - self.free.len()
     }
-}
 
-impl EmulatorCore {
     /// Packets staged for tunnelling before the next tick.
     pub fn pending_remote_len(&self) -> usize {
         self.pending_remote.len()
+    }
+
+    /// Handles queued in this core's pipes plus those staged for a peer —
+    /// the walk over every pipe that [`EmulatorCore::in_flight`] must agree
+    /// with.
+    fn handles_held(&self) -> usize {
+        let queued: usize = self
+            .pipes
+            .iter()
+            .flatten()
+            .map(EmuPipe::in_flight_count)
+            .sum();
+        queued + self.pending_remote.len()
     }
 }
 
@@ -766,12 +795,16 @@ impl EmulatorCore {
     /// scheduler wheel's pending entries in pop order (stale entries
     /// included, so the restored wheel services deadlines identically),
     /// staged tunnel descriptors, CBR meters, the fluid/CPU/NIC accounting,
-    /// counters, the accuracy log and the RNG stream position. The hardware
+    /// counters, the accuracy log and the RNG stream position. Slot handles
+    /// are resolved: each queue position carries its descriptor, so neither
+    /// a handle's value nor the free list reaches the bytes. The hardware
     /// profile and route table are shared emulator-level state and are
     /// written once by the emulator snapshot, not per core.
     pub fn encode_state(&self, w: &mut mn_util::ByteWriter) {
         use crate::snapshot::put_descriptor;
 
+        // The slot ledger: every occupied slot is referenced exactly once.
+        debug_assert_eq!(self.in_flight(), self.handles_held());
         w.put_usize(self.id.index());
         w.put_len(self.pipes.len());
         for slot in &self.pipes {
@@ -806,8 +839,8 @@ impl EmulatorCore {
             w.put_u64(stats.bytes_out);
             w.put_rate(pipe.fluid_demand());
             w.put_len(pipe.in_flight_count());
-            for (item, size, drain_finish, exit_time) in pipe.in_flight_entries() {
-                put_descriptor(w, item);
+            for (&slot, size, drain_finish, exit_time) in pipe.in_flight_entries() {
+                put_descriptor(w, &self.slab[slot as usize]);
                 w.put_size(size);
                 w.put_time(drain_finish);
                 w.put_time(exit_time);
@@ -820,10 +853,10 @@ impl EmulatorCore {
             w.put_usize(pipe.index());
         }
         w.put_len(self.pending_remote.len());
-        for (pipe, descriptor, at) in &self.pending_remote {
+        for &(pipe, slot, at) in &self.pending_remote {
             w.put_usize(pipe.index());
-            put_descriptor(w, descriptor);
-            w.put_time(*at);
+            put_descriptor(w, &self.slab[slot as usize]);
+            w.put_time(at);
         }
         w.put_len(self.cbr.len());
         for source in &self.cbr {
@@ -878,7 +911,9 @@ impl EmulatorCore {
     /// Rebuilds a core from [`EmulatorCore::encode_state`] output. `profile`
     /// and `routes` are the emulator-level shared state the snapshot carries
     /// once. The restored core is observationally identical to the one that
-    /// was encoded: same deadlines, same queue contents, same RNG draws.
+    /// was encoded: same deadlines, same queue contents, same RNG draws. Its
+    /// slab is filled densely in decode order with no free slot, whatever
+    /// the encoded core's looked like.
     pub fn decode_state(
         r: &mut mn_util::ByteReader,
         profile: HardwareProfile,
@@ -889,7 +924,8 @@ impl EmulatorCore {
 
         let id = CoreId(r.get_usize()?);
         let pipe_slots = r.get_len()?;
-        let mut pipes: Vec<Option<EmuPipe<Descriptor>>> = Vec::with_capacity(pipe_slots);
+        let mut pipes: Vec<Option<EmuPipe<Slot>>> = Vec::with_capacity(pipe_slots);
+        let mut slab: Vec<Descriptor> = Vec::new();
         for _ in 0..pipe_slots {
             if !r.get_bool()? {
                 pipes.push(None);
@@ -925,11 +961,11 @@ impl EmulatorCore {
             let in_flight_count = r.get_len()?;
             let mut in_flight = Vec::with_capacity(in_flight_count);
             for _ in 0..in_flight_count {
-                let item = get_descriptor(r)?;
+                slab.push(get_descriptor(r)?);
                 let size = r.get_size()?;
                 let drain_finish = r.get_time()?;
                 let exit_time = r.get_time()?;
-                in_flight.push((item, size, drain_finish, exit_time));
+                in_flight.push(((slab.len() - 1) as Slot, size, drain_finish, exit_time));
             }
             pipes.push(Some(EmuPipe::from_snapshot_parts(
                 attrs,
@@ -952,9 +988,9 @@ impl EmulatorCore {
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
             let pipe = PipeId(r.get_usize()?);
-            let descriptor = get_descriptor(r)?;
+            slab.push(get_descriptor(r)?);
             let at = r.get_time()?;
-            pending_remote.push((pipe, descriptor, at));
+            pending_remote.push((pipe, (slab.len() - 1) as Slot, at));
         }
         let cbr_count = r.get_len()?;
         let mut cbr = Vec::with_capacity(cbr_count);
@@ -1013,9 +1049,9 @@ impl EmulatorCore {
             routes,
             pipes,
             wheel,
+            slab,
+            free: Vec::new(),
             pending_remote,
-            pending_scratch: Vec::new(),
-            ready_scratch: Vec::new(),
             cbr,
             fluid_total_bps,
             fluid_last,
@@ -1092,5 +1128,278 @@ mod tests {
         let a = sample(4);
         assert_eq!(a.merged(&CoreStats::default()), a);
         assert_eq!(CoreStats::default().merged(&a), a);
+    }
+
+    /// The slot ledger: every way a packet leaves a core gives its slab slot
+    /// back, and a refused packet never took one.
+    mod slots {
+        use super::*;
+        use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
+        use mn_routing::{Route, RouteId};
+
+        const LONG: usize = 0;
+        const SHORT: usize = 1;
+
+        const ALL: &[usize] = &[0, 1, 2, 3];
+
+        /// A core owning the pipes `owned` of a four-pipe topology (10 Mb/s,
+        /// 1 ms each), with the routes `LONG` = 0→1→2 and `SHORT` = 3.
+        fn core_owning(owned: &[usize], profile: HardwareProfile) -> (EmulatorCore, [RouteId; 2]) {
+            let mut table = RouteTable::new(2);
+            let routes = [
+                table.intern(Route::new(vec![PipeId(0), PipeId(1), PipeId(2)])),
+                table.intern(Route::new(vec![PipeId(3)])),
+            ];
+            let mut core = EmulatorCore::new(CoreId(0), profile, 1, Arc::new(table), 4);
+            let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
+            for &pipe in owned {
+                core.install_pipe(PipeId(pipe), attrs);
+            }
+            (core, routes)
+        }
+
+        fn descriptor(id: u64, route: RouteId, now: SimTime) -> Descriptor {
+            let flow = FlowKey {
+                src: VnId(0),
+                dst: VnId(1),
+                src_port: 1,
+                dst_port: 2,
+                protocol: Protocol::Udp,
+            };
+            let header = TransportHeader::Udp {
+                payload_len: 1000,
+                seq: id,
+            };
+            Descriptor::new(Packet::new(PacketId(id), flow, header, now), route, now)
+        }
+
+        /// Ticks at every wakeup until the core has no scheduled work.
+        fn drain(core: &mut EmulatorCore) -> (usize, usize) {
+            let (mut delivered, mut tunnelled) = (0, 0);
+            while let Some(t) = core.next_wakeup() {
+                let out = core.tick(t);
+                delivered += out.deliveries.len();
+                tunnelled += out.tunnels.len();
+            }
+            (delivered, tunnelled)
+        }
+
+        #[test]
+        fn delivery_returns_the_slot_and_the_slab_stops_at_the_peak() {
+            let (mut core, routes) = core_owning(ALL, HardwareProfile::unconstrained());
+            // Five waves of four packets, each drained before the next: 20
+            // admitted, never more than 4 inside.
+            for wave in 0..5u64 {
+                let now = SimTime::from_millis(wave * 100);
+                for i in 0..4 {
+                    let d = descriptor(wave * 4 + i, routes[LONG], now);
+                    assert!(core.ingress(now, d).is_accepted());
+                }
+                assert_eq!(core.in_flight(), 4);
+                assert_eq!(core.in_flight(), core.handles_held());
+                assert_eq!(drain(&mut core), (4, 0));
+                assert_eq!(core.in_flight(), 0);
+            }
+            assert_eq!(core.stats().packets_delivered, 20);
+            assert_eq!(core.slab.len(), 4, "the peak inside, not the 20 admitted");
+            assert_eq!(core.free.len(), 4);
+        }
+
+        #[test]
+        fn slots_free_out_of_order_and_are_reused() {
+            let (mut core, routes) = core_owning(ALL, HardwareProfile::unconstrained());
+            let now = SimTime::ZERO;
+            // Long and short routes interleaved: the short ones leave first,
+            // so the slab has holes between the long ones.
+            for i in 0..8 {
+                let route = routes[if i % 2 == 0 { LONG } else { SHORT }];
+                assert!(core.ingress(now, descriptor(i, route, now)).is_accepted());
+            }
+            let mut delivered = 0;
+            while core.in_flight() > 4 {
+                let t = core.next_wakeup().expect("work pending");
+                delivered += core.tick(t).deliveries.len();
+            }
+            assert_eq!(delivered, 4, "the short routes are out");
+            assert_eq!(core.in_flight(), core.handles_held());
+            // Four more go into the holes, not onto the end.
+            let t = core.last_seen;
+            for i in 8..12 {
+                assert!(core
+                    .ingress(t, descriptor(i, routes[SHORT], t))
+                    .is_accepted());
+            }
+            assert_eq!(core.slab.len(), 8);
+            assert_eq!(drain(&mut core), (8, 0));
+            assert_eq!(core.in_flight(), 0);
+            assert_eq!(core.slab.len(), 8);
+        }
+
+        #[test]
+        fn a_tail_drop_at_a_later_hop_returns_the_slot() {
+            let (mut core, routes) = core_owning(ALL, HardwareProfile::unconstrained());
+            let narrow = PipeAttrs {
+                queue_len: 1,
+                ..PipeAttrs::new(DataRate::from_kbps(100), SimDuration::from_millis(1))
+            };
+            assert!(core.update_pipe_attrs(PipeId(1), narrow));
+            let now = SimTime::ZERO;
+            for i in 0..6 {
+                assert!(core
+                    .ingress(now, descriptor(i, routes[LONG], now))
+                    .is_accepted());
+            }
+            let (delivered, _) = drain(&mut core);
+            let dropped = core.pipe_stats(PipeId(1)).unwrap().dropped_overflow;
+            assert!(dropped > 0, "the second hop overflowed");
+            assert_eq!(delivered as u64 + dropped, 6);
+            assert_eq!(core.in_flight(), 0);
+            assert_eq!(core.free.len(), core.slab.len());
+        }
+
+        #[test]
+        fn a_failed_link_drop_returns_the_slot_or_never_takes_one() {
+            let (mut core, routes) = core_owning(ALL, HardwareProfile::unconstrained());
+            let down = PipeAttrs::new(DataRate::ZERO, SimDuration::from_millis(1));
+            let now = SimTime::ZERO;
+            for i in 0..3 {
+                assert!(core
+                    .ingress(now, descriptor(i, routes[LONG], now))
+                    .is_accepted());
+            }
+            // Fails under the three already inside: dropped at hop two.
+            assert!(core.update_pipe_attrs(PipeId(1), down));
+            assert_eq!(drain(&mut core), (0, 0));
+            assert_eq!(core.stats().dropped_unreachable, 3);
+            assert_eq!(core.in_flight(), 0);
+            assert_eq!(core.slab.len(), 3);
+            // Failed before admission: dropped at hop one, nothing stored.
+            assert!(core.update_pipe_attrs(PipeId(3), down));
+            let t = core.last_seen;
+            assert_eq!(
+                core.ingress(t, descriptor(9, routes[SHORT], t)),
+                IngressOutcome::VirtualDrop
+            );
+            assert_eq!(core.stats().dropped_unreachable, 4);
+            assert_eq!(core.pipe_stats(PipeId(3)).unwrap().dropped_overflow, 0);
+            assert_eq!((core.in_flight(), core.free.len()), (0, 3));
+        }
+
+        #[test]
+        fn a_tunnel_out_copies_the_descriptor_and_returns_the_slot() {
+            // A two-core split: this core owns pipes 0 and 1, a peer 2 and 3.
+            let (mut core, routes) = core_owning(&[0, 1], HardwareProfile::unconstrained());
+            let now = SimTime::ZERO;
+            assert!(core
+                .ingress(now, descriptor(1, routes[LONG], now))
+                .is_accepted());
+            // First pipe on the peer: held (staged) until the next tick.
+            assert!(core
+                .ingress(now, descriptor(2, routes[SHORT], now))
+                .is_accepted());
+            assert_eq!(core.pending_remote_len(), 1);
+            assert_eq!(core.in_flight(), 2);
+            assert_eq!(core.in_flight(), core.handles_held());
+
+            let mut tunnels = Vec::new();
+            while let Some(t) = core.next_wakeup() {
+                let out = core.tick(t);
+                assert!(out.deliveries.is_empty());
+                tunnels.extend(out.tunnels);
+            }
+            assert_eq!(core.in_flight(), 0);
+            assert_eq!(core.free.len(), core.slab.len());
+            assert_eq!(core.stats().tunnels_out, 2);
+            let [(short_pipe, short, _), (long_pipe, long, left_at)] = &tunnels[..] else {
+                panic!("two tunnels, got {}", tunnels.len())
+            };
+            assert_eq!(
+                (*short_pipe, short.packet.id.0, short.hop),
+                (PipeId(3), 2, 0)
+            );
+            // The long route crossed two local pipes first; its progress and
+            // bookkeeping travel with the copy.
+            assert_eq!((*long_pipe, long.packet.id.0, long.hop), (PipeId(2), 1, 2));
+            assert_eq!(long.entered_at, now);
+            assert!(*left_at > now);
+
+            // The peer's side: accepting the copy takes a slot there.
+            let (mut peer, _) = core_owning(&[2, 3], HardwareProfile::unconstrained());
+            assert!(peer.accept_tunnel(*left_at, long.clone()).is_accepted());
+            assert_eq!(peer.in_flight(), 1);
+            let (delivered, tunnelled) = drain(&mut peer);
+            assert_eq!((delivered, tunnelled, peer.in_flight()), (1, 0, 0));
+        }
+
+        #[test]
+        fn a_refused_ingress_allocates_nothing() {
+            // A NIC buffer smaller than one packet refuses everything...
+            let tiny_nic = HardwareProfile {
+                nic_buffer: ByteSize::from_bytes(100),
+                ..HardwareProfile::unconstrained()
+            };
+            let (mut core, routes) = core_owning(ALL, tiny_nic);
+            let now = SimTime::ZERO;
+            assert_eq!(
+                core.ingress(now, descriptor(1, routes[LONG], now)),
+                IngressOutcome::PhysicalDropNic
+            );
+            assert_eq!((core.in_flight(), core.slab.len()), (0, 0));
+
+            // ...and so does a CPU whose backlog is past saturation.
+            let slow_cpu = HardwareProfile {
+                per_packet_cpu: SimDuration::from_millis(1),
+                saturation_backlog: SimDuration::from_micros(1),
+                ..HardwareProfile::unconstrained()
+            };
+            let (mut core, routes) = core_owning(ALL, slow_cpu);
+            assert!(core
+                .ingress(now, descriptor(1, routes[LONG], now))
+                .is_accepted());
+            assert_eq!(
+                core.ingress(now, descriptor(2, routes[LONG], now)),
+                IngressOutcome::PhysicalDropCpu
+            );
+            assert_eq!((core.in_flight(), core.slab.len()), (1, 1));
+        }
+
+        #[test]
+        fn restore_refills_the_slab_densely_whatever_the_free_list_held() {
+            let (mut core, routes) = core_owning(&[0, 1], HardwareProfile::unconstrained());
+            let now = SimTime::ZERO;
+            for i in 0..6 {
+                let route = routes[if i % 2 == 0 { LONG } else { SHORT }];
+                assert!(core.ingress(now, descriptor(i, route, now)).is_accepted());
+            }
+            // The three staged for the peer leave; their slots are holes.
+            let out = core.tick(core.profile.next_tick_at(now));
+            assert_eq!(out.tunnels.len(), 3);
+            assert_eq!((core.slab.len(), core.free.len()), (6, 3));
+
+            let mut w = mn_util::ByteWriter::with_capacity(1024);
+            core.encode_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut restored = EmulatorCore::decode_state(
+                &mut mn_util::ByteReader::new(&bytes),
+                core.profile,
+                core.routes.clone(),
+            )
+            .unwrap();
+            assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));
+            assert_eq!(restored.in_flight(), 3);
+            let mut again = mn_util::ByteWriter::with_capacity(bytes.len());
+            restored.encode_state(&mut again);
+            assert!(again.into_bytes() == bytes, "re-serialises identically");
+
+            // Different handles, same future.
+            loop {
+                let (a, b) = (core.next_wakeup(), restored.next_wakeup());
+                assert_eq!(a, b);
+                let Some(t) = a else { break };
+                let (x, y) = (core.tick(t), restored.tick(t));
+                assert_eq!(format!("{:?}", x.tunnels), format!("{:?}", y.tunnels));
+            }
+            assert_eq!(core.stats(), restored.stats());
+        }
     }
 }

@@ -2,8 +2,13 @@
 //!
 //! A descriptor is the unit the core schedules: a reference to the buffered
 //! packet plus a handle to its interned route and the index of the next pipe
-//! to traverse. Descriptors are what multi-core configurations tunnel
-//! between cores; neither the packet payload nor the route itself ever moves
+//! to traverse. It belongs to the core it is on: from admission to delivery
+//! (or tunnel) it sits in one slot of that core's slab and is updated there
+//! hop by hop, while the core's pipes and timing wheel carry only the slot's
+//! 4-byte handle and deadlines (see [`crate::core`]). Descriptors are what
+//! multi-core configurations tunnel between cores, by value — the one time
+//! a descriptor is copied; neither the packet payload nor the route itself
+//! ever moves
 //! — every core holds the same [`RouteTable`] (installed at Bind time), so a
 //! tunnelled descriptor carries only the 4-byte [`RouteId`] and its hop
 //! index, exactly as the paper's descriptors reference routing state that is

@@ -15,10 +15,13 @@
 //!
 //! State has one owner, everything else is a command:
 //!
-//! * An [`EmulatorCore`] owns its pipes, its timing wheel, its RNG and its
-//!   NIC/CPU admission model outright. Nothing outside the core mutates
-//!   them; the only things that cross between cores are tunnelled
-//!   descriptors.
+//! * An [`EmulatorCore`] owns its pipes, its timing wheel, its RNG, its
+//!   NIC/CPU admission model and the descriptors of the packets inside it
+//!   outright. A descriptor is written into the core's slab at admission,
+//!   updated in place per hop and copied out once, at delivery or tunnel;
+//!   pipes and the wheel carry 4-byte slot handles and deadlines. Nothing
+//!   outside the core mutates any of it; the only things that cross between
+//!   cores are tunnelled descriptors, by value — handles never do.
 //! * [`Emulator`] — the coordinator — owns everything global: the routing
 //!   matrix, the published `Arc<RouteTable>`, VN location / entry-core /
 //!   membership tables, the per-core load vector, the fluid solver

@@ -206,7 +206,7 @@ impl Emulator<InlineExecutor> {
 mod tests {
     use super::*;
     use mn_assign::{greedy_k_clusters, BindingParams};
-    use mn_distill::{distill, DistillationMode};
+    use mn_distill::{distill, DistillationMode, PipeAttrs, PipeId};
     use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
     use mn_pipe::CbrConfig;
     use mn_topology::generators::{
@@ -902,8 +902,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn descriptors_toward_a_downed_node_are_counted_not_stranded() {
+    /// One 4-hop path on one core, for the failed-link tests: the emulator,
+    /// the hop-`failed_hop` pipe of the only route with its bandwidth already
+    /// zeroed in the returned attributes, and the route's end VNs.
+    fn path4_with_failed_hop(
+        failed_hop: usize,
+    ) -> (MultiCoreEmulator, PipeId, PipeAttrs, VnId, VnId) {
         let (topo, pairs) = path_pairs_topology(&PathPairsParams {
             pairs: 1,
             hops: 4,
@@ -914,8 +918,8 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
         let pod = greedy_k_clusters(&d, 1, 7);
-        let third_hop = matrix.lookup(pairs[0].0, pairs[0].1).unwrap().pipes[2];
-        let mut emu = MultiCoreEmulator::new(
+        let pipe = matrix.lookup(pairs[0].0, pairs[0].1).unwrap().pipes[failed_hop];
+        let emu = MultiCoreEmulator::new(
             &d,
             pod,
             matrix,
@@ -923,8 +927,18 @@ mod tests {
             HardwareProfile::unconstrained(),
             1,
         );
+        // Zero bandwidth is exactly how the dynamics engine's NodeDown
+        // handler configures the pipes incident to a failed node.
+        let mut failed = d.pipe(pipe).attrs;
+        failed.bandwidth = DataRate::ZERO;
         let src = binding.vn_at(pairs[0].0).unwrap();
         let dst = binding.vn_at(pairs[0].1).unwrap();
+        (emu, pipe, failed, src, dst)
+    }
+
+    #[test]
+    fn descriptors_toward_a_downed_node_are_counted_not_stranded() {
+        let (mut emu, third_hop, failed, src, dst) = path4_with_failed_hop(2);
         let now = SimTime::ZERO;
         for i in 0..5 {
             assert!(emu
@@ -933,10 +947,7 @@ mod tests {
                 .is_accepted());
         }
         // A node on the route fails while all five descriptors are still on
-        // earlier hops: its incident pipe drops to zero bandwidth, exactly
-        // as the dynamics engine's NodeDown handler configures it.
-        let mut failed = d.pipe(third_hop).attrs;
-        failed.bandwidth = DataRate::ZERO;
+        // earlier hops: its incident pipe drops to zero bandwidth.
         assert!(emu.update_pipe_attrs(third_hop, failed));
         let deliveries = run_until_idle(&mut emu, now);
         // Nothing strands and nothing vanishes: every admitted packet is
@@ -950,6 +961,36 @@ mod tests {
             stats.packets_delivered + stats.dropped_unreachable + stats.physical_drops()
         );
         assert_eq!(emu.cores()[0].in_flight(), 0, "no descriptor strands");
+    }
+
+    #[test]
+    fn a_failed_first_hop_is_unreachable_like_every_later_hop() {
+        let (mut emu, first_hop, failed, src, dst) = path4_with_failed_hop(0);
+        // The sender's access link is down before anything is submitted.
+        assert!(emu.update_pipe_attrs(first_hop, failed));
+        let now = SimTime::ZERO;
+        for i in 0..5 {
+            assert_eq!(
+                emu.submit(now, tcp_packet(i, src, dst, 1460, now)).unwrap(),
+                SubmitOutcome::VirtualDrop
+            );
+        }
+        assert!(run_until_idle(&mut emu, now).is_empty());
+        // Unreachability, not congestion: the core counts the packets and
+        // the failed pipe never sees them.
+        let stats = emu.total_stats();
+        assert_eq!(stats.packets_admitted, 5);
+        assert_eq!(stats.dropped_unreachable, 5);
+        let core = &emu.cores()[0];
+        assert_eq!(core.pipe_stats(first_hop).unwrap().dropped_overflow, 0);
+        assert_eq!(
+            stats.packets_admitted,
+            stats.packets_delivered
+                + stats.dropped_unreachable
+                + core.pipe_stats_total().dropped_total()
+                + stats.physical_drops()
+        );
+        assert_eq!(core.in_flight(), 0);
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //!    at which point the scheduler either moves it to the next pipe on its
 //!    route or delivers it to the destination edge node.
 //!
-//! The pipe is generic over the descriptor type `T` it transports, so the
-//! same machinery serves the emulation core's descriptors and the unit tests'
-//! plain markers.
+//! The pipe is generic over the item `T` it queues, so the same machinery
+//! serves the emulation core — whose pipes queue 4-byte handles to
+//! descriptors that stay in the core's slab — the benchmark's
+//! descriptor-carrying kernels and the unit tests' plain markers.
+//! [`EmuPipe::enqueue`] and [`EmuPipe::pop_ready`] are the two halves of a
+//! transit.
 
 use std::collections::VecDeque;
 
@@ -241,25 +244,35 @@ impl<T> EmuPipe<T> {
         EnqueueOutcome::Accepted { exit_time }
     }
 
-    /// Removes every packet whose exit deadline is at or before `now` and
-    /// appends it to `out` in exit order.
+    /// Removes and returns the oldest packet if its exit deadline is at or
+    /// before `now`.
     ///
-    /// This is the scheduler's steady-state entry point: the caller owns the
-    /// buffer, so a warmed capacity is reused tick after tick instead of a
-    /// fresh `Vec` being allocated per due pipe.
+    /// This is the scheduler's entry point and the pipe's one dequeue body:
+    /// the core calls it in a loop for each due wheel entry, handling every
+    /// packet (step its route, enqueue it on the next pipe) before popping
+    /// the next, so nothing is staged in between.
+    #[inline]
+    pub fn pop_ready(&mut self, now: SimTime) -> Option<DequeuedPacket<T>> {
+        if self.in_flight.front()?.exit_time > now {
+            return None;
+        }
+        let f = self.in_flight.pop_front()?;
+        self.stats.dequeued += 1;
+        self.stats.bytes_out += f.size.as_bytes();
+        Some(DequeuedPacket {
+            item: f.item,
+            size: f.size,
+            exit_time: f.exit_time,
+        })
+    }
+
+    /// Removes every packet whose exit deadline is at or before `now` and
+    /// appends it to `out` in exit order ([`EmuPipe::pop_ready`] until it
+    /// finds nothing due). The caller owns the buffer, so a warmed capacity
+    /// is reused call after call.
     pub fn dequeue_ready_into(&mut self, now: SimTime, out: &mut Vec<DequeuedPacket<T>>) {
-        while let Some(front) = self.in_flight.front() {
-            if front.exit_time > now {
-                break;
-            }
-            let f = self.in_flight.pop_front().expect("front exists");
-            self.stats.dequeued += 1;
-            self.stats.bytes_out += f.size.as_bytes();
-            out.push(DequeuedPacket {
-                item: f.item,
-                size: f.size,
-                exit_time: f.exit_time,
-            });
+        while let Some(packet) = self.pop_ready(now) {
+            out.push(packet);
         }
     }
 
@@ -334,17 +347,7 @@ impl<T> EmuPipe<T> {
     /// Drains every packet regardless of deadline (used when tearing an
     /// emulation down).
     pub fn drain_all(&mut self) -> Vec<DequeuedPacket<T>> {
-        let mut out = Vec::new();
-        while let Some(f) = self.in_flight.pop_front() {
-            self.stats.dequeued += 1;
-            self.stats.bytes_out += f.size.as_bytes();
-            out.push(DequeuedPacket {
-                item: f.item,
-                size: f.size,
-                exit_time: f.exit_time,
-            });
-        }
-        out
+        self.dequeue_ready(SimTime::MAX)
     }
 }
 

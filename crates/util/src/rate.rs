@@ -13,6 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
 /// A quantity of data in bytes.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -189,16 +191,30 @@ impl DataRate {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
-        // Nanoseconds = bits * 1e9 / bps. Compute in u128 to avoid overflow
-        // for large transfers on slow links.
-        let nanos = (size.as_bits() as u128 * 1_000_000_000u128) / self.0 as u128;
-        SimDuration::from_nanos(nanos.min(u64::MAX as u128) as u64)
+        // Nanoseconds = bits * 1e9 / bps. The product fits in 64 bits for
+        // any packet (up to ~2 GiB), which keeps the per-hop path off the
+        // 128-bit division; large transfers on slow links take the wide one.
+        let bits = size.as_bits();
+        match bits.checked_mul(NANOS_PER_SEC) {
+            Some(bit_nanos) => SimDuration::from_nanos(bit_nanos / self.0),
+            None => {
+                let nanos = (bits as u128 * NANOS_PER_SEC as u128) / self.0 as u128;
+                SimDuration::from_nanos(nanos.min(u64::MAX as u128) as u64)
+            }
+        }
     }
 
     /// Number of bytes that drain through this rate in `d`.
     pub fn bytes_in(self, d: SimDuration) -> ByteSize {
-        let bits = (self.0 as u128 * d.as_nanos() as u128) / 1_000_000_000u128;
-        ByteSize::from_bytes((bits / 8).min(u64::MAX as u128) as u64)
+        // Same split as `transmission_time`: 64-bit when `bps * ns` fits.
+        // Bytes = bit-nanoseconds / (8 * 1e9); flooring once or twice agrees.
+        match self.0.checked_mul(d.as_nanos()) {
+            Some(bit_nanos) => ByteSize::from_bytes(bit_nanos / (8 * NANOS_PER_SEC)),
+            None => {
+                let bits = (self.0 as u128 * d.as_nanos() as u128) / NANOS_PER_SEC as u128;
+                ByteSize::from_bytes((bits / 8).min(u64::MAX as u128) as u64)
+            }
+        }
     }
 
     /// The bandwidth-delay product of a pipe of this rate and `delay` latency,
@@ -339,5 +355,86 @@ mod tests {
     fn display_formats() {
         assert_eq!(format!("{}", DataRate::from_mbps(10)), "10.00Mb/s");
         assert_eq!(format!("{}", ByteSize::from_kb(8)), "8.00KB");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The defining formulas, always in 128 bits.
+        fn wide_transmission_nanos(bytes: u64, bps: u64) -> u64 {
+            let nanos = bytes as u128 * 8 * 1_000_000_000 / bps as u128;
+            nanos.min(u64::MAX as u128) as u64
+        }
+
+        fn wide_bytes_in(bps: u64, nanos: u64) -> u64 {
+            let bits = bps as u128 * nanos as u128 / 1_000_000_000;
+            (bits / 8).min(u64::MAX as u128) as u64
+        }
+
+        /// Every magnitude, with the range ends and the values either side of
+        /// where `bits * 1e9` stops fitting in 64 bits made likely.
+        fn magnitude(max: u64) -> impl Strategy<Value = u64> {
+            prop_oneof![
+                2 => 0u64..10_000,
+                2 => 0u64..=max,
+                2 => (0u32..64, 0u64..1024).prop_map(move |(shift, low)| ((1u64 << shift) | low).min(max)),
+                1 => Just(1u64),
+                1 => Just(max),
+                1 => (0u64..1024).prop_map(move |d| max - d),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Packets and multi-GiB transfers on anything from 1 b/s to
+            /// `u64::MAX` b/s: the 64-bit path and the 128-bit path both
+            /// agree with the 128-bit formula.
+            #[test]
+            fn transmission_time_matches_the_wide_formula(
+                bytes in magnitude(u64::MAX / 8),
+                bps in magnitude(u64::MAX),
+            ) {
+                let bps = bps.max(1);
+                prop_assert_eq!(
+                    DataRate::from_bps(bps).transmission_time(ByteSize::from_bytes(bytes)),
+                    SimDuration::from_nanos(wide_transmission_nanos(bytes, bps))
+                );
+            }
+
+            #[test]
+            fn bytes_in_matches_the_wide_formula(
+                bps in magnitude(u64::MAX),
+                nanos in magnitude(u64::MAX),
+            ) {
+                prop_assert_eq!(
+                    DataRate::from_bps(bps).bytes_in(SimDuration::from_nanos(nanos)),
+                    ByteSize::from_bytes(wide_bytes_in(bps, nanos))
+                );
+            }
+        }
+
+        #[test]
+        fn range_ends() {
+            let gib4 = ByteSize::from_bytes(4 << 30);
+            for bps in [1, 2, 1_000_000_000, u64::MAX - 1, u64::MAX] {
+                assert_eq!(
+                    DataRate::from_bps(bps).transmission_time(gib4),
+                    SimDuration::from_nanos(wide_transmission_nanos(4 << 30, bps))
+                );
+                for nanos in [0, 1, 8_000_000_000, u64::MAX] {
+                    assert_eq!(
+                        DataRate::from_bps(bps).bytes_in(SimDuration::from_nanos(nanos)),
+                        ByteSize::from_bytes(wide_bytes_in(bps, nanos))
+                    );
+                }
+            }
+            // 1 b/s saturates: 4 GiB would take longer than u64 nanoseconds.
+            assert_eq!(
+                DataRate::from_bps(1).transmission_time(gib4),
+                SimDuration::MAX
+            );
+        }
     }
 }

@@ -1,0 +1,170 @@
+#!/usr/bin/env bash
+# Ten alternating parent/change pairs of the BENCHMARK.json command — the
+# procedure every perf claim in BENCH.md rests on, as one command.
+set -euo pipefail
+
+usage() {
+    cat <<'EOF'
+usage: scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10] [seed=1]
+
+Measures the working tree against <parent-ref> on one BENCHMARK.json workload.
+
+  * checks <parent-ref> out into a `git worktree` under a temporary directory
+    (removed on exit; $TMPDIR is honoured) and builds the benchmark there and
+    in the working tree, in place;
+  * runs the BENCHMARK.json command (`--workload W --seed N --seconds S
+    --trace 0`, S = its `run_seconds`) <pairs> times per side, alternating
+    which side goes first, and prints every run as it is made;
+  * prints, per end-to-end metric: both medians, both quartile pairs, the
+    ratio change / parent (base: parent), and "change ahead in k of n"
+    (ties count for neither side); then whether all result digests are
+    equal, and failed/attempted per side.
+
+A gain is claimed only when the change is ahead in at least nine tenths of
+the pairs and the medians differ by more than the parent's interquartile
+range (last column). Run it on a quiet machine.
+EOF
+}
+
+case "${1:-}" in
+-h | --help)
+    usage
+    exit 0
+    ;;
+esac
+if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+    usage >&2
+    exit 2
+fi
+parent_ref=$1
+workload=$2
+pairs=${3:-10}
+seed=${4:-1}
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+cd "$root"
+
+# The command, its run length and the end-to-end metrics (name:better), all
+# from the working tree's BENCHMARK.json — a perf change may not edit it.
+mapfile -t cmd < <(sed -n 's/^ *"command": *\[\(.*\)\],*$/\1/p' BENCHMARK.json |
+    tr ',' '\n' | sed 's/^ *"//; s/" *$//')
+seconds=$(sed -n 's/^ *"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+mapfile -t metrics < <(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json |
+    sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*/\1:\2/p')
+if [ ${#cmd[@]} -eq 0 ] || [ -z "$seconds" ] || [ ${#metrics[@]} -eq 0 ]; then
+    echo "bench_pairs: cannot read command, run_seconds and end_to_end from BENCHMARK.json" >&2
+    exit 1
+fi
+# `cargo run … --` → `cargo build …`, to build before anything is timed.
+build=()
+for word in "${cmd[@]}"; do
+    case "$word" in
+    run) build+=(build) ;;
+    --) break ;;
+    *) build+=("$word") ;;
+    esac
+done
+
+tmp=$(mktemp -d)
+cleanup() {
+    git worktree remove --force "$tmp/parent" 2>/dev/null || true
+    git worktree prune
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+git worktree add --detach --quiet "$tmp/parent" "$parent_ref"
+
+echo "# bench_pairs: parent $(git rev-parse --short "$parent_ref") vs working tree" \
+    "($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted changes'))," \
+    "workload $workload, $pairs pairs, seed $seed, --seconds $seconds"
+for dir in "$tmp/parent" "$root"; do
+    (cd "$dir" && "${build[@]}")
+done
+
+# One run of one side; appends each metric (from the JSON result line) to
+# $tmp/<side>.<metric>, the digest to $tmp/<side>.digest and "failed
+# attempted" to $tmp/<side>.failed.
+run_side() {
+    local side=$1 dir=$2 out="$tmp/out"
+    (cd "$dir" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0) >"$out"
+    sed -n 's/^# .*digest \([0-9a-f]*\),.*/\1/p' "$out" >>"$tmp/$side.digest"
+    sed -n 's/^{.*"attempted": *\([0-9]*\), *"failed": *\([0-9]*\).*/\2 \1/p' "$out" \
+        >>"$tmp/$side.failed"
+    local line="  $side:"
+    for metric in "${metrics[@]}"; do
+        local name=${metric%%:*} value
+        value=$(sed -n 's/^{.*"'"$name"'": *{"value": *\([^,}]*\).*/\1/p' "$out")
+        if [ -z "$value" ]; then
+            echo "bench_pairs: no $name in the $side run's output" >&2
+            exit 1
+        fi
+        echo "$value" >>"$tmp/$side.$name"
+        line+=" $name=$value"
+    done
+    echo "$line digest=$(tail -n 1 "$tmp/$side.digest")"
+}
+
+for pair in $(seq "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then
+        echo "pair $pair of $pairs (parent first)"
+        run_side parent "$tmp/parent"
+        run_side change "$root"
+    else
+        echo "pair $pair of $pairs (change first)"
+        run_side change "$root"
+        run_side parent "$tmp/parent"
+    fi
+done
+
+echo
+printf '%-14s %-7s %-36s %-36s %-21s %-16s %s\n' metric better \
+    'parent median (q1 .. q3)' 'change median (q1 .. q3)' 'ratio (base: parent)' \
+    'change ahead in' 'median gap / parent IQR'
+for metric in "${metrics[@]}"; do
+    name=${metric%%:*}
+    better=${metric##*:}
+    paste "$tmp/parent.$name" "$tmp/change.$name" | awk -v name="$name" -v better="$better" '
+        # Quantile by linear interpolation between order statistics.
+        function quantile(v, n, q,    pos, lo, frac) {
+            pos = q * (n - 1) + 1; lo = int(pos); frac = pos - lo
+            return lo >= n ? v[n] : v[lo] + frac * (v[lo + 1] - v[lo])
+        }
+        function sorted(src, dst, n,    i, j, t) {
+            for (i = 1; i <= n; i++) dst[i] = src[i]
+            for (i = 2; i <= n; i++) {
+                t = dst[i]
+                for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]
+                dst[j + 1] = t
+            }
+        }
+        {
+            n++; p[n] = $1; c[n] = $2
+            if ($1 != $2) { if ((better == "higher") == ($2 > $1)) ahead++; else behind++ }
+        }
+        END {
+            sorted(p, ps, n); sorted(c, cs, n)
+            pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+            pq1 = quantile(ps, n, 0.25); pq3 = quantile(ps, n, 0.75)
+            gap = cm - pm; if (gap < 0) gap = -gap
+            iqr = pq3 - pq1
+            printf "%-14s %-7s %-36s %-36s %-21s %-16s %s\n", name, better,
+                sprintf("%.8g (%.8g .. %.8g)", pm, pq1, pq3),
+                sprintf("%.8g (%.8g .. %.8g)", cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75)),
+                pm == 0 ? "-" : sprintf("%.3f", cm / pm),
+                sprintf("%d of %d%s", ahead, n, behind + ahead < n ? sprintf(" (%d ties)", n - ahead - behind) : ""),
+                iqr == 0 ? (gap == 0 ? "equal" : "inf") : sprintf("%.2f", gap / iqr)
+        }'
+done
+
+digests=$(sort -u "$tmp/parent.digest" "$tmp/change.digest")
+if [ "$(echo "$digests" | wc -l)" -eq 1 ] && [ -n "$digests" ]; then
+    echo "digests: equal ($digests) on all $((2 * pairs)) runs"
+else
+    echo "digests: DIFFER — parent: $(sort -u "$tmp/parent.digest" | tr '\n' ' ')" \
+        "change: $(sort -u "$tmp/change.digest" | tr '\n' ' ')"
+fi
+for side in parent change; do
+    awk -v side="$side" '{ f += $1; a += $2 } END { printf "failed: %s %d of %d attempted\n", side, f, a }' \
+        "$tmp/$side.failed"
+done

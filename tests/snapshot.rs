@@ -235,6 +235,76 @@ fn chaos_poisoned_pool_refuses_control_operations_without_mutating_the_coordinat
     assert_eq!(par.last_failure(), Some(&err), "the first failure is kept");
 }
 
+/// A core keeps its descriptors in a slab and its pipes queue slot handles;
+/// which slot a packet got depends on the order earlier packets left. None
+/// of that may reach a snapshot or the run: long- and short-route datagrams
+/// interleaved on every router free their slots out of order, so the cores
+/// that are snapshotted hold fragmented slabs, while a restored core's slab
+/// is dense — different handles for the same packets.
+#[test]
+fn a_fragmented_descriptor_slab_never_reaches_bytes_or_behaviour() {
+    let build = |backend| {
+        let topo = ring_topology(&RingParams {
+            routers: 6,
+            clients_per_router: 2,
+            ..RingParams::default()
+        });
+        let mut runner = Experiment::new(topo)
+            .distillation(DistillationMode::HopByHop)
+            .cores(2)
+            .edge_nodes(4)
+            .backend(backend)
+            .unconstrained_hardware()
+            .seed(23)
+            .build()
+            .expect("experiment builds");
+        let vns = runner.vn_ids();
+        let stream = |mbps| UdpStreamConfig {
+            payload: 600,
+            rate: DataRate::from_mbps(mbps),
+            max_datagrams: None,
+        };
+        for router in 0..6 {
+            // Across the ring (5 pipes) and to the neighbouring client on
+            // the same router (2 pipes), from the same sender.
+            let (here, beside) = (vns[2 * router], vns[2 * router + 1]);
+            let opposite = vns[2 * ((router + 3) % 6)];
+            let start = SimTime::from_millis(router as u64);
+            runner.add_udp_flow(here, opposite, stream(2), start);
+            runner.add_udp_flow(here, beside, stream(3), start);
+        }
+        runner
+    };
+    let (mid, end) = (SimTime::from_millis(1_500), SimTime::from_secs(3));
+
+    let mut reference = build(ExecutionBackend::Sequential);
+    reference.run_until(end).unwrap();
+    let want = reference.snapshot().unwrap();
+
+    let mut first = build(ExecutionBackend::Sequential);
+    first.run_until(mid).unwrap();
+    let stats = first.backend().total_stats();
+    assert!(stats.packets_delivered > 1_000 && stats.tunnels_out > 100);
+    for core in first.emulator().cores() {
+        assert!(core.in_flight() > 0, "snapshotted with packets inside");
+    }
+    let checkpoint = first.snapshot().unwrap();
+
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+        let mut resumed = build(backend);
+        resumed.recover_from(&checkpoint).unwrap();
+        assert!(
+            resumed.snapshot().unwrap() == checkpoint,
+            "restored state re-serialises differently on {backend:?}"
+        );
+        resumed.run_until(end).unwrap();
+        assert!(
+            resumed.snapshot().unwrap() == want,
+            "resume from a fragmented slab diverged on {backend:?}"
+        );
+    }
+}
+
 /// Restore with a dynamics schedule installed: the cursor fast-forwards over
 /// the already-applied prefix and the remaining events fire on time.
 #[test]

@@ -521,6 +521,54 @@ fn single_core_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn two_core_steady_state_allocates_nothing() {
+    // The same bar across a core boundary: on two inline cores a ring's
+    // routes cross from one core's pipes to the other's, so descriptors are
+    // copied out of one slab into the tick output's tunnel buffer, ride the
+    // shared tunnel wheel and take a slot in the peer's slab. Slabs, free
+    // lists, pipe queues and tunnel buffers all reach their capacity in
+    // warm-up; the measured window allocates nothing. (`drive_slow` because
+    // this ring has the 2 Mb/s access pipes its doc comment describes.)
+    let topo = ring_topology(&RingParams {
+        routers: 8,
+        clients_per_router: 2,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let matrix = RoutingMatrix::build(&d);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
+    let pod = mn_assign::greedy_k_clusters(&d, 2, 7);
+    let mut emu = MultiCoreEmulator::new(
+        &d,
+        pod,
+        matrix,
+        &binding,
+        HardwareProfile::unconstrained(),
+        7,
+    );
+    let vns: Vec<VnId> = binding.vns().collect();
+    let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
+
+    let warmed = drive_slow(&mut emu, &vns, &mut deliveries, 0, 30_000);
+    assert!(warmed > 0, "warm-up must deliver packets");
+    let tunnels_before = emu.total_stats().tunnels_out;
+
+    let before = alloc_calls();
+    let delivered = drive_slow(&mut emu, &vns, &mut deliveries, 30_000, 10_000);
+    let delta = alloc_calls() - before;
+    assert!(delivered > 0, "steady state must deliver packets");
+    assert!(
+        emu.total_stats().tunnels_out > tunnels_before + 1_000,
+        "the measured window must cross the core boundary"
+    );
+    assert_eq!(
+        delta, 0,
+        "two-core steady state made {delta} heap allocations; \
+         the tunnel boundary must be allocation-free"
+    );
+}
+
+#[test]
 fn runner_tcp_steady_state_allocates_next_to_nothing() {
     // One level up: the whole driver loop — TCP endpoints polled into the
     // runner's own buffers, one live timer event per endpoint, the emulator
