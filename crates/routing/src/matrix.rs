@@ -107,6 +107,9 @@ pub struct RoutingMatrix {
     scratch_dist: Vec<u64>,
     scratch_pred: Vec<u32>,
     scratch_heap: Vec<Reverse<(u64, NodeId)>>,
+    /// Per-node verdicts of the changed-destination scan of one recomputed
+    /// tree (see [`route_changed`]).
+    scratch_memo: Vec<u8>,
     /// Tombstoned source slots (ascending), left behind by
     /// [`RoutingMatrix::remove_source`] and reused by
     /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
@@ -195,34 +198,54 @@ fn walk_row(
     true
 }
 
-/// Compares the route to `dst` in two predecessor rows of the same graph
-/// without materialising either: the route *is* the predecessor chain read
-/// backwards, so the routes are equal iff the chains agree pipe for pipe
-/// from `dst` down to the first [`NO_PRED`] (both unreachable) or `src`.
-fn tree_route_unchanged(
+/// [`route_changed`] verdicts in its memo row; `0` is "not yet known".
+const ROUTE_SAME: u8 = 1;
+const ROUTE_CHANGED: u8 = 2;
+
+/// Whether the route to `dst` differs between two predecessor rows of the
+/// same graph, without materialising either: the route *is* the predecessor
+/// chain read backwards, so a node's route changed iff its predecessor pipe
+/// changed or its tree parent's route did. `memo` (zeroed over the
+/// component before a tree's first call) keeps every verdict reached, so a
+/// tree's destinations together cost O(component nodes), not a chain each.
+fn route_changed(
     old_row: &[u32],
     new_row: &[u32],
     pipe_src: &[u32],
+    memo: &mut [u8],
     src: NodeId,
     dst: NodeId,
 ) -> bool {
     if dst.index() >= old_row.len() {
-        return true; // outside the graph in both trees: no route either way
+        return false; // outside the graph in both trees: no route either way
     }
-    let s = src.index();
+    // Walk up to the first node whose verdict is known or decided locally…
     let mut cur = dst.index();
-    while cur != s {
-        let po = old_row[cur];
-        let pn = new_row[cur];
-        if po != pn {
-            return false;
+    let verdict = loop {
+        if cur == src.index() {
+            break ROUTE_SAME;
         }
-        if po == NO_PRED {
-            return true; // unreachable in both trees from the same node
+        if memo[cur] != 0 {
+            break memo[cur];
         }
-        cur = pipe_src[po as usize] as usize;
+        let p = old_row[cur];
+        if p != new_row[cur] {
+            break ROUTE_CHANGED;
+        }
+        if p == NO_PRED {
+            break ROUTE_SAME; // unreachable in both trees from the same node
+        }
+        cur = pipe_src[p as usize] as usize;
+    };
+    // …and hand it down the chain: every node below shares it, because
+    // each kept its predecessor pipe.
+    memo[cur] = verdict;
+    let mut below = dst.index();
+    while below != cur {
+        memo[below] = verdict;
+        below = pipe_src[old_row[below] as usize] as usize;
     }
-    true
+    verdict == ROUTE_CHANGED
 }
 
 impl RoutingMatrix {
@@ -245,6 +268,7 @@ impl RoutingMatrix {
             scratch_dist: Vec::new(),
             scratch_pred: Vec::new(),
             scratch_heap: Vec::new(),
+            scratch_memo: Vec::new(),
             free_slots: Vec::new(),
             version: 0,
         };
@@ -480,6 +504,7 @@ impl RoutingMatrix {
             if self.scratch_dist.len() != nc {
                 self.scratch_dist = vec![UNUSABLE_COST; nc];
                 self.scratch_pred = vec![NO_PRED; nc];
+                self.scratch_memo = vec![0; nc];
             }
             let mut fresh_dist = std::mem::take(&mut self.scratch_dist);
             let mut fresh_pred = std::mem::take(&mut self.scratch_pred);
@@ -493,9 +518,13 @@ impl RoutingMatrix {
             );
             // Report changed destinations against the still-old row…
             let old_row = &self.pred[si * nc..(si + 1) * nc];
+            for &u in &self.component_nodes[comp] {
+                self.scratch_memo[u as usize] = 0;
+            }
             for &di in &self.component_vns[comp] {
                 let dst = self.vns[di as usize];
-                if !tree_route_unchanged(old_row, &fresh_pred, &self.pipe_src, src, dst) {
+                let memo = &mut self.scratch_memo;
+                if route_changed(old_row, &fresh_pred, &self.pipe_src, memo, src, dst) {
                     update.changed_pairs.push((src, dst));
                 }
             }
@@ -676,18 +705,6 @@ impl RoutingMatrix {
         }
     }
 
-    /// Route lookup by dense VN indexes (see [`RoutingMatrix::vn_index`]),
-    /// allocating the returned `Route`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn route_at(&self, src_index: usize, dst_index: usize) -> Option<Route> {
-        let mut pipes = Vec::new();
-        self.materialize_at(src_index, dst_index, &mut pipes)
-            .then(|| Route::new(pipes))
-    }
-
     /// Walks the route between two VNs (by dense index) into `out` without
     /// allocating: `out` is cleared and filled with the pipe sequence in
     /// traversal order. Returns `false` (with `out` empty) when the
@@ -783,34 +800,13 @@ impl RoutingMatrix {
     }
 
     /// Visits the hop count of every reachable ordered pair (diagnostics:
-    /// O(pairs × hops) predecessor walks, no allocation).
+    /// O(pairs × hops) predecessor walks into one reused buffer).
     fn for_each_hop_count(&self, mut f: impl FnMut(usize)) {
-        let nc = self.node_count;
+        let mut pipes = Vec::new();
         for si in 0..self.vns.len() {
-            let src = self.vns[si];
-            if src.index() >= nc {
-                continue;
-            }
-            let row = &self.pred[si * nc..(si + 1) * nc];
-            for &dst in &self.vns {
-                if dst.index() >= nc {
-                    continue;
-                }
-                let mut cur = dst.index();
-                let mut hops = 0usize;
-                let reachable = loop {
-                    if cur == src.index() {
-                        break true;
-                    }
-                    let p = row[cur];
-                    if p == NO_PRED {
-                        break false;
-                    }
-                    hops += 1;
-                    cur = self.pipe_src[p as usize] as usize;
-                };
-                if reachable {
-                    f(hops);
+            for di in 0..self.vns.len() {
+                if self.materialize_at(si, di, &mut pipes) {
+                    f(pipes.len());
                 }
             }
         }
@@ -897,6 +893,7 @@ impl RoutingMatrix {
             scratch_dist: Vec::new(),
             scratch_pred: Vec::new(),
             scratch_heap: Vec::new(),
+            scratch_memo: Vec::new(),
             free_slots: get_u32s(r)?,
             version: r.get_u64()?,
         })

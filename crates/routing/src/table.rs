@@ -40,6 +40,16 @@
 //! content-dedup index forward structurally — a rebuild that changes
 //! nothing re-interns nothing.
 //!
+//! **Interning is one probe.** Every route enters through
+//! [`RouteTable::intern_pipes`]: one fixed multiplicative fingerprint over
+//! the pipe sequence, one linear probe of a flat `(fingerprint, id)` slot
+//! array, and a match is **verified against the store itself** — the index
+//! keeps no second copy of any route, a collision costs a comparison and
+//! can never alias, and ids are first-id-wins. The index is a pure function
+//! of the append-only store (snapshots leave it out); generations share it
+//! and the first to intern new content copies it flat (≤ 43 B per route),
+//! so a link-up or an oscillation — which intern nothing — never pays.
+//!
 //! Endpoint indices are the dense VN indices of the binding (`VnId::index`),
 //! but the table is deliberately typed on `usize` so `mn-routing` stays
 //! independent of `mn-packet`. The published table is immutable from the
@@ -85,11 +95,6 @@ const ROUTE_CHUNK: usize = 1024;
 /// blocks holding patched rows, so publish cost is O(touched blocks), flat
 /// in the endpoint count for a fixed-fanout change.
 const BLOCK_ROWS: usize = 1024;
-
-/// Content-index overlay depth at which an insert flattens the chain back
-/// into a single map (amortised; overlays only stack when a rewire interns
-/// genuinely new route content).
-const INDEX_FLATTEN_DEPTH: u32 = 16;
 
 /// One source endpoint's row shard: destination *column* → raw `RouteId`,
 /// stored as a dense window over the columns that are actually routable.
@@ -365,45 +370,70 @@ impl RouteStore {
     }
 }
 
-/// Persistent content → first-id index over the route store, shared across
-/// table generations. Inserts into a publish-shared index stack a thin
-/// overlay instead of deep-copying the map; overlays only accumulate while
-/// rewires keep interning *new* route content (an oscillating link finds
-/// its pre-failure routes here and adds nothing), and the chain flattens
-/// once it reaches [`INDEX_FLATTEN_DEPTH`].
-#[derive(Debug, Default)]
+/// Content → first-id index over the route store: one flat open-addressed
+/// table of `(fingerprint, id)` slots (`id == NO_ROUTE`: empty), a power of
+/// two long, linear probing, load ≤ 3/4. It holds no route content: a probe
+/// ([`RouteTable::lookup`]) that meets its fingerprint **verifies against
+/// the table's own store** (`store.get(id).pipes == pipes`), so a collision
+/// costs one more comparison and can never alias two routes. Inserts only
+/// follow a failed probe, hence first-id-wins. The fingerprint is a fixed
+/// function of the pipe sequence (no seed, no per-process state) and slot
+/// order is never observable: lookups return ids, nothing iterates.
+///
+/// Generations share the index behind an `Arc`; the first insert into a
+/// shared one copies it (`Arc::make_mut`) — a flat memcpy of 16 B per slot,
+/// under 43 B per interned route, paid only by a generation that interns
+/// new content, never by a link-up or an oscillation.
+#[derive(Debug, Clone, Default)]
 struct ContentIndex {
-    entries: HashMap<Vec<PipeId>, RouteId>,
-    parent: Option<Arc<ContentIndex>>,
-    depth: u32,
+    slots: Vec<(u64, u32)>,
+    /// Occupied slots.
+    len: usize,
+    /// Test-only: fold every sequence to the same fingerprint, forcing
+    /// every probe through the verify-against-store path.
+    #[cfg(test)]
+    degenerate: bool,
 }
 
 impl ContentIndex {
-    fn get(&self, pipes: &[PipeId]) -> Option<RouteId> {
-        let mut layer = self;
-        loop {
-            if let Some(&id) = layer.entries.get(pipes) {
-                return Some(id);
-            }
-            match &layer.parent {
-                Some(parent) => layer = parent,
-                None => return None,
-            }
+    /// The fixed multiplicative fold of a pipe sequence.
+    fn fingerprint(&self, pipes: &[PipeId]) -> u64 {
+        #[cfg(test)]
+        if self.degenerate {
+            return 0;
         }
+        pipes.iter().fold(pipes.len() as u64, |h, p| {
+            (h.rotate_left(5) ^ p.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        })
     }
 
-    /// Entries across every layer (each content key appears in at most one
-    /// layer — inserts are first-id-wins).
-    fn total_entries(&self) -> usize {
-        let mut layer = self;
-        let mut total = 0;
-        loop {
-            total += layer.entries.len();
-            match &layer.parent {
-                Some(parent) => layer = parent,
-                None => return total,
+    /// First slot of a fingerprint's probe sequence: its top bits, the
+    /// best-mixed ones of a multiplicative fold.
+    fn home(&self, fingerprint: u64) -> usize {
+        (fingerprint >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Records `id` under `fingerprint`. The caller has just failed to find
+    /// this content, so no comparison is needed: the entry goes into the
+    /// first free slot of its probe sequence.
+    fn insert(&mut self, fingerprint: u64, id: RouteId) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = (self.slots.len() * 2).max(16);
+            let old = std::mem::replace(&mut self.slots, vec![(0, NO_ROUTE); grown]);
+            for slot in old.into_iter().filter(|slot| slot.1 != NO_ROUTE) {
+                self.place(slot);
             }
         }
+        self.place((fingerprint, id.0));
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: (u64, u32)) {
+        let mut at = self.home(slot.0);
+        while self.slots[at].1 != NO_ROUTE {
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        self.slots[at] = slot;
     }
 }
 
@@ -448,6 +478,43 @@ impl LocationIndex {
         }
         idx.endpoints = lists.into_iter().map(Arc::from).collect();
         (idx, slot_of_endpoint)
+    }
+
+    /// Each location slot's dense index in `matrix` (`None`: not a VN
+    /// there), resolved once so per-pair work is pure array indexing.
+    fn vn_of_slot(&self, matrix: &RoutingMatrix) -> Vec<Option<usize>> {
+        self.locations
+            .iter()
+            .map(|&loc| matrix.vn_index(loc))
+            .collect()
+    }
+}
+
+/// Chunks a flat per-endpoint vector into shared blocks of [`BLOCK_ROWS`]
+/// entries (the last block may be short).
+fn blocks_from_flat<T: Clone>(flat: Vec<T>) -> Vec<Arc<[T]>> {
+    flat.chunks(BLOCK_ROWS).map(Arc::from).collect()
+}
+
+/// Mutable access to one block, copy-on-write: a block shared with another
+/// table generation is copied once (row shards are cloned — their slot
+/// allocations stay shared), an unshared block is written in place.
+fn block_mut<T: Clone>(blocks: &mut [Arc<[T]>], block: usize) -> &mut [T] {
+    if Arc::get_mut(&mut blocks[block]).is_none() {
+        blocks[block] = Arc::from(&blocks[block][..]);
+    }
+    Arc::get_mut(&mut blocks[block]).expect("block was just unshared")
+}
+
+/// Appends one endpoint's entry, copying at most the (short) tail block.
+fn push_entry<T: Clone>(blocks: &mut Vec<Arc<[T]>>, value: T) {
+    match blocks.last_mut() {
+        Some(last) if last.len() < BLOCK_ROWS => {
+            let mut copy = last.to_vec();
+            copy.push(value);
+            *last = Arc::from(copy);
+        }
+        _ => blocks.push(Arc::from(vec![value])),
     }
 }
 
@@ -496,11 +563,18 @@ pub struct RouteTable {
     /// rows, so a churn publish that adds or rebinds one endpoint copies
     /// at most one [`BLOCK_ROWS`]-entry block instead of the whole map.
     cols: Vec<Arc<[u32]>>,
+    /// `true` when every bound endpoint's column is its location slot —
+    /// any table that came from [`RouteTable::build`]. Hand-assembled
+    /// tables ([`RouteTable::new`]) keep endpoint indices as columns.
+    slot_cols: bool,
     /// Content index over the store (pipe sequence → first id with that
     /// content), carried forward structurally so incremental rewires and
     /// rebuilds reuse any retained route — a restored link maps back to its
     /// pre-failure `RouteId` instead of growing the table on every flap.
     by_content: Arc<ContentIndex>,
+    /// Content-index work done for this table and the generations it was
+    /// cloned from (see [`RouteTable::content_index_probes`]).
+    index_probes: u64,
     /// Endpoint/location geometry, shared across generations.
     locs: Arc<LocationIndex>,
     /// Bumped by every rebuild/rewire, so drivers and tests can observe
@@ -515,28 +589,15 @@ impl RouteTable {
     pub fn new(endpoint_count: usize) -> Self {
         RouteTable {
             store: RouteStore::default(),
-            rows: Self::blocks_from_flat(vec![RowShard::Empty; endpoint_count]),
+            rows: blocks_from_flat(vec![RowShard::Empty; endpoint_count]),
             endpoint_count,
-            cols: Self::col_blocks_from_flat((0..endpoint_count as u32).collect()),
+            cols: blocks_from_flat((0..endpoint_count as u32).collect()),
+            slot_cols: false,
             by_content: Arc::new(ContentIndex::default()),
+            index_probes: 0,
             locs: Arc::new(LocationIndex::default()),
             version: 0,
         }
-    }
-
-    /// Chunks a flat row vector into shared blocks (the last block may be
-    /// short).
-    fn blocks_from_flat(flat: Vec<RowShard>) -> Vec<Arc<[RowShard]>> {
-        flat.chunks(BLOCK_ROWS)
-            .map(|chunk| Arc::<[RowShard]>::from(chunk.to_vec()))
-            .collect()
-    }
-
-    /// Chunks a flat column vector into shared blocks.
-    fn col_blocks_from_flat(flat: Vec<u32>) -> Vec<Arc<[u32]>> {
-        flat.chunks(BLOCK_ROWS)
-            .map(|chunk| Arc::<[u32]>::from(chunk.to_vec()))
-            .collect()
     }
 
     /// The row shard of a source endpoint (`None` out of range).
@@ -554,52 +615,9 @@ impl RouteTable {
             .copied()
     }
 
-    /// Writes one endpoint's column, copy-on-write on its block.
-    fn set_col(&mut self, endpoint: usize, value: u32) {
-        let b = endpoint / BLOCK_ROWS;
-        if Arc::get_mut(&mut self.cols[b]).is_none() {
-            let copy: Vec<u32> = self.cols[b].to_vec();
-            self.cols[b] = Arc::from(copy);
-        }
-        Arc::get_mut(&mut self.cols[b]).expect("block was just unshared")[endpoint % BLOCK_ROWS] =
-            value;
-    }
-
-    /// Appends one endpoint's column, copying at most the (short) tail
-    /// block.
-    fn push_col(&mut self, value: u32) {
-        match self.cols.last() {
-            Some(last) if last.len() < BLOCK_ROWS => {
-                let mut copy: Vec<u32> = last.to_vec();
-                copy.push(value);
-                *self.cols.last_mut().expect("tail block exists") = Arc::from(copy);
-            }
-            _ => self.cols.push(Arc::from(vec![value])),
-        }
-    }
-
-    /// Appends one endpoint's row shard, copying at most the (short) tail
-    /// block.
-    fn push_row(&mut self, shard: RowShard) {
-        match self.rows.last() {
-            Some(last) if last.len() < BLOCK_ROWS => {
-                let mut copy: Vec<RowShard> = last.iter().cloned().collect();
-                copy.push(shard);
-                *self.rows.last_mut().expect("tail block exists") = Arc::from(copy);
-            }
-            _ => self.rows.push(Arc::from(vec![shard])),
-        }
-    }
-
-    /// Mutable access to a source's block, copy-on-write: a block shared
-    /// with another table generation is copied once (shard clones — slot
-    /// allocations stay shared), an unshared block is patched in place.
-    fn block_mut(&mut self, block: usize) -> &mut [RowShard] {
-        if Arc::get_mut(&mut self.rows[block]).is_none() {
-            let copy: Vec<RowShard> = self.rows[block].iter().cloned().collect();
-            self.rows[block] = Arc::from(copy);
-        }
-        Arc::get_mut(&mut self.rows[block]).expect("block was just unshared")
+    /// Replaces one endpoint's row shard, copy-on-write on its block.
+    fn set_row(&mut self, endpoint: usize, shard: RowShard) {
+        block_mut(&mut self.rows, endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = shard;
     }
 
     /// Flattens a routing matrix for the given endpoint locations:
@@ -655,58 +673,25 @@ impl RouteTable {
             store,
             rows: Vec::new(),
             endpoint_count: n,
-            cols: Self::col_blocks_from_flat(slot_of_endpoint),
+            cols: blocks_from_flat(slot_of_endpoint),
+            slot_cols: true,
             by_content,
+            index_probes: 0,
             locs: Arc::clone(&locs),
             version,
         };
-        // Resolve each location once against the matrix index so the
-        // per-pair loop below is pure array indexing.
-        let matrix_index: Vec<Option<usize>> = locs
-            .locations
-            .iter()
-            .map(|&loc| matrix.vn_index(loc))
-            .collect();
-        let slots = locs.locations.len();
-        let mut ids_by_slot = vec![NO_ROUTE; slots];
-        // One reusable pipe buffer: the tree-only matrix walks each route
-        // into it on demand, and only a content-index miss copies it out
-        // (into the interned store) — no per-pair `Route` clones.
+        let vn_of_slot = locs.vn_of_slot(matrix);
         let mut pipes = Vec::new();
-        for (si, &src_slot) in matrix_index.iter().enumerate() {
-            ids_by_slot.iter_mut().for_each(|v| *v = NO_ROUTE);
-            let mut any = false;
-            if let Some(ms) = src_slot {
-                for (di, &dst_slot) in matrix_index.iter().enumerate() {
-                    if si == di {
-                        continue; // same-location pairs stay local, never routed
-                    }
-                    let Some(md) = dst_slot else { continue };
-                    if !matrix.materialize_at(ms, md, &mut pipes) {
-                        continue;
-                    }
-                    let id = match table.by_content.get(&pipes) {
-                        Some(id) => id,
-                        None => table.intern(Route::new(pipes.clone())),
-                    };
-                    ids_by_slot[di] = id.0;
-                    any = true;
-                }
-            }
-            // Rows are indexed by destination location slot, so the window
-            // just computed IS the row — no per-endpoint expansion, and row
-            // width is bounded by the location count.
-            let row = if any {
-                RowShard::from_window(0, &ids_by_slot)
-            } else {
-                RowShard::Empty
-            };
-            // Every endpoint at this location shares the one shard.
+        for si in 0..locs.locations.len() {
+            // Rows are indexed by destination location slot, so the derived
+            // window IS the row — no per-endpoint expansion — and every
+            // endpoint at this location shares the one shard.
+            let row = table.derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes);
             for &e in locs.endpoints[si].iter() {
                 rows_flat[e as usize] = row.clone();
             }
         }
-        table.rows = Self::blocks_from_flat(rows_flat);
+        table.rows = blocks_from_flat(rows_flat);
         table
     }
 
@@ -735,103 +720,82 @@ impl RouteTable {
             return;
         }
         if self.locs.locations.is_empty() && self.endpoint_count > 0 {
-            // Manually assembled table (RouteTable::new + set_pair): derive
-            // the geometry on first rewire and keep it for the next ones.
-            // The identity column map is left as-is — hand-wired rows
-            // address destinations by endpoint index.
+            // Hand-assembled table (RouteTable::new + set_pair): derive the
+            // geometry on first rewire and keep it. Columns stay endpoint
+            // indices, which is how hand-wired rows address destinations.
             self.locs = Arc::new(LocationIndex::build(locations).0);
         } else {
-            // Established geometry (build, or a prior derivation) is
-            // authoritative — callers must pass the same binding every
-            // time. The full element-wise check is O(endpoints), which
-            // would dominate an otherwise O(changed) rewire at high
-            // multiplexing, so it guards debug builds only.
+            // Established geometry is authoritative — callers must pass the
+            // same binding every time. The element-wise check is
+            // O(endpoints), which would dominate an O(changed) rewire at
+            // high multiplexing, so it guards debug builds only.
             debug_assert!(
                 self.geometry_matches(locations),
                 "rewire_in_place locations must match the geometry the table was built over"
             );
         }
         let locs = Arc::clone(&self.locs);
+        // Location → slot without hashing: a changed pair names matrix VNs,
+        // whose dense index is one array load, so each slot's VN index is
+        // resolved once and inverted. The map is only the fallback for a
+        // location the matrix does not know.
+        let vn_of_slot = locs.vn_of_slot(matrix);
+        let mut slot_of_vn = vec![None; matrix.vn_count()];
+        for (slot, vn) in vn_of_slot.iter().enumerate() {
+            if let Some(vn) = *vn {
+                slot_of_vn[vn] = Some(slot as u32);
+            }
+        }
+        let slot_of = |loc: NodeId| match matrix.vn_index(loc) {
+            Some(vn) => slot_of_vn[vn],
+            None => locs.slot_of.get(&loc).copied(),
+        };
         // Group the changed pairs by source location slot, preserving the
         // deterministic order `RoutingMatrix::update_pipes` reports them in.
-        let mut group_of: HashMap<u32, usize> = HashMap::new();
+        let mut group_of = vec![usize::MAX; locs.locations.len()];
         let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
         for &(src_loc, dst_loc) in changed {
             if src_loc == dst_loc {
                 continue; // same-location pairs stay local, never routed
             }
-            let (Some(&ss), Some(&ds)) = (locs.slot_of.get(&src_loc), locs.slot_of.get(&dst_loc))
-            else {
+            let (Some(ss), Some(ds)) = (slot_of(src_loc), slot_of(dst_loc)) else {
                 continue; // no endpoint bound there: nothing to rewire
             };
-            match group_of.get(&ss) {
-                Some(&gi) => groups[gi].1.push(ds),
-                None => {
-                    group_of.insert(ss, groups.len());
-                    groups.push((ss, vec![ds]));
-                }
+            if group_of[ss as usize] == usize::MAX {
+                group_of[ss as usize] = groups.len();
+                groups.push((ss, Vec::new()));
             }
+            groups[group_of[ss as usize]].1.push(ds);
         }
         let mut patches: Vec<(usize, u32)> = Vec::new();
-        // Reusable pipe buffer for the on-demand route walks (see
-        // `build_preserving`): only content-index misses copy it out.
         let mut pipes = Vec::new();
         for (ss, dst_slots) in groups {
             patches.clear();
-            let src_loc = locs.locations[ss as usize];
-            let ms = matrix.vn_index(src_loc);
+            let ms = vn_of_slot[ss as usize];
             for &ds in &dst_slots {
-                let dst_loc = locs.locations[ds as usize];
-                // Resolve the location pair's new route id once.
-                let md = matrix.vn_index(dst_loc);
-                let raw = match (ms, md) {
-                    (Some(ms), Some(md)) if matrix.materialize_at(ms, md, &mut pipes) => {
-                        match self.by_content.get(&pipes) {
-                            Some(id) => id.0,
-                            None => self.intern(Route::new(pipes.clone())).0,
+                let raw = self.resolve(matrix, ms, vn_of_slot[ds as usize], &mut pipes);
+                let bound = &locs.endpoints[ds as usize];
+                if self.slot_cols {
+                    // Every endpoint bound here shares the one column, so
+                    // the 16×-multiplexed case costs the same single patch
+                    // as the unmultiplexed one.
+                    if !bound.is_empty() {
+                        patches.push((ds as usize, raw));
+                    }
+                } else {
+                    // Hand-assembled tables map columns to endpoints one to
+                    // one: one patch per endpoint bound at the destination.
+                    let mut last_col = None;
+                    for &e in bound.iter() {
+                        let col = self.col(e as usize).expect("endpoint in range");
+                        if last_col != Some(col) {
+                            patches.push((col as usize, raw));
+                            last_col = Some(col);
                         }
                     }
-                    _ => NO_ROUTE,
-                };
-                // One patch per destination column: on a built table every
-                // endpoint at this location shares one column, so the 16×-
-                // multiplexed case costs the same single patch as the
-                // unmultiplexed one. Hand-assembled tables map columns to
-                // endpoints one-to-one, so the consecutive-dedup degrades
-                // to the per-endpoint patches they need.
-                let mut last_col = None;
-                for &e in locs.endpoints[ds as usize].iter() {
-                    let col = self.col(e as usize).expect("endpoint in range");
-                    if last_col != Some(col) {
-                        patches.push((col as usize, raw));
-                        last_col = Some(col);
-                    }
                 }
             }
-            // Patch every source row at this location, computing the new
-            // shard once and sharing it across every endpoint whose row
-            // shared storage before (co-located sources stay deduped).
-            // Only blocks that actually hold a patched row are copied. The
-            // cached outcome covers the no-op case too: when the first
-            // multiplexed row's window turns out unchanged, its co-located
-            // siblings skip the patch scan entirely instead of re-proving
-            // the no-op once per endpoint.
-            let mut cache: Option<(RowShard, Option<RowShard>)> = None;
-            for &se in locs.endpoints[ss as usize].iter() {
-                let se = se as usize;
-                let row = self.row(se).expect("endpoint in range");
-                let replacement = match &cache {
-                    Some((old, outcome)) if old.same_storage(row) => outcome.clone(),
-                    _ => {
-                        let patched = row.patched(&patches);
-                        cache = Some((row.clone(), patched.clone()));
-                        patched
-                    }
-                };
-                if let Some(replacement) = replacement {
-                    self.block_mut(se / BLOCK_ROWS)[se % BLOCK_ROWS] = replacement;
-                }
-            }
+            self.patch_rows(&locs.endpoints[ss as usize], &patches);
         }
         self.version += 1;
     }
@@ -845,6 +809,73 @@ impl RouteTable {
                 list.iter()
                     .all(|&e| locations.get(e as usize) == Some(&self.locs.locations[s]))
             })
+    }
+
+    /// The raw id of the matrix's current route between two VN indices,
+    /// interned on first sight; `NO_ROUTE` when an end is not a matrix VN
+    /// or the destination is unreachable. `pipes` is the reusable buffer
+    /// the tree-only matrix walks the route into — only a content-index
+    /// miss copies it out, so no per-pair `Route` is ever cloned.
+    #[inline]
+    fn resolve(
+        &mut self,
+        matrix: &RoutingMatrix,
+        ms: Option<usize>,
+        md: Option<usize>,
+        pipes: &mut Vec<PipeId>,
+    ) -> u32 {
+        match (ms, md) {
+            (Some(ms), Some(md)) if matrix.materialize_at(ms, md, pipes) => {
+                self.intern_pipes(pipes).0
+            }
+            _ => NO_ROUTE,
+        }
+    }
+
+    /// Derives location slot `si`'s row from the matrix: one column per
+    /// other slot with a live endpoint (same-location pairs stay local,
+    /// never routed).
+    fn derive_row(
+        &mut self,
+        matrix: &RoutingMatrix,
+        locs: &LocationIndex,
+        vn_of_slot: &[Option<usize>],
+        si: usize,
+        pipes: &mut Vec<PipeId>,
+    ) -> RowShard {
+        let mut ids = vec![NO_ROUTE; vn_of_slot.len()];
+        if let Some(ms) = vn_of_slot[si] {
+            for (di, id) in ids.iter_mut().enumerate() {
+                if di != si && !locs.endpoints[di].is_empty() {
+                    *id = self.resolve(matrix, Some(ms), vn_of_slot[di], pipes);
+                }
+            }
+        }
+        RowShard::from_window(0, &ids)
+    }
+
+    /// Patches the row of every endpoint in `sources` (the endpoints bound
+    /// at one location), computing the new shard once and sharing it across
+    /// every endpoint whose row shared storage before, so co-located
+    /// sources stay deduped and only blocks holding a patched row are
+    /// copied. The cached outcome covers the no-op too: when the first
+    /// row's window turns out unchanged, its siblings skip the patch scan.
+    fn patch_rows(&mut self, sources: &[u32], patches: &[(usize, u32)]) {
+        let mut cache: Option<(RowShard, Option<RowShard>)> = None;
+        for &se in sources {
+            let row = self.row(se as usize).expect("endpoint in range");
+            let replacement = match &cache {
+                Some((old, outcome)) if old.same_storage(row) => outcome.clone(),
+                _ => {
+                    let patched = row.patched(patches);
+                    cache = Some((row.clone(), patched.clone()));
+                    patched
+                }
+            };
+            if let Some(replacement) = replacement {
+                self.set_row(se as usize, replacement);
+            }
+        }
     }
 
     /// Binds `endpoint` at `location` and wires its routes incrementally —
@@ -897,92 +928,39 @@ impl RouteTable {
             Ok(_) => return false, // unreachable: is_endpoint_bound was false
             Err(pos) => pos,
         };
-        let mut grown = Vec::with_capacity(list.len() + 1);
-        grown.extend_from_slice(&list[..pos]);
-        grown.push(endpoint as u32);
-        grown.extend_from_slice(&list[pos..]);
+        let mut grown = list.to_vec();
+        grown.insert(pos, endpoint as u32);
         locs.endpoints[slot as usize] = grown.into();
-        // The newcomer's row: share a live sibling's shard outright, or
-        // derive one fresh from the matrix.
         let locs = Arc::clone(&self.locs);
-        let md = matrix.vn_index(location);
-        let mut pipes = Vec::new();
+        let slot = slot as usize;
         let row = match sibling {
+            // The newcomer shares a live sibling's shard outright.
             Some(sib) => self.row(sib as usize).cloned().unwrap_or(RowShard::Empty),
+            // First live endpoint at this location: derive its row from the
+            // matrix. The other rows' columns toward it are either absent
+            // (new slot) or stale (routing changed while it was fully
+            // departed) — refresh them, one patch per live source location.
             None => {
-                let slots = locs.locations.len();
-                let mut ids_by_slot = vec![NO_ROUTE; slots];
-                let mut any = false;
-                if let Some(ms) = md {
-                    for (di, id_slot) in ids_by_slot.iter_mut().enumerate() {
-                        if di == slot as usize || locs.endpoints[di].is_empty() {
-                            continue;
-                        }
-                        let Some(mdi) = matrix.vn_index(locs.locations[di]) else {
-                            continue;
-                        };
-                        if !matrix.materialize_at(ms, mdi, &mut pipes) {
-                            continue;
-                        }
-                        let id = match self.by_content.get(&pipes) {
-                            Some(id) => id,
-                            None => self.intern(Route::new(pipes.clone())),
-                        };
-                        *id_slot = id.0;
-                        any = true;
+                let vn_of_slot = locs.vn_of_slot(matrix);
+                let mut pipes = Vec::new();
+                let row = self.derive_row(matrix, &locs, &vn_of_slot, slot, &mut pipes);
+                for si in 0..locs.locations.len() {
+                    if si == slot || locs.endpoints[si].is_empty() {
+                        continue;
                     }
+                    let raw = self.resolve(matrix, vn_of_slot[si], vn_of_slot[slot], &mut pipes);
+                    self.patch_rows(&locs.endpoints[si], &[(slot, raw)]);
                 }
-                if any {
-                    RowShard::from_window(0, &ids_by_slot)
-                } else {
-                    RowShard::Empty
-                }
+                row
             }
         };
-        if sibling.is_none() {
-            // First live endpoint at this location: the other rows'
-            // columns toward it are either absent (new slot) or stale
-            // (routing changed while it was fully departed) — refresh
-            // them from the matrix, one patch per live source location.
-            for si in 0..locs.locations.len() {
-                if si == slot as usize || locs.endpoints[si].is_empty() {
-                    continue;
-                }
-                let raw = match (matrix.vn_index(locs.locations[si]), md) {
-                    (Some(ms), Some(mdi)) if matrix.materialize_at(ms, mdi, &mut pipes) => {
-                        match self.by_content.get(&pipes) {
-                            Some(id) => id.0,
-                            None => self.intern(Route::new(pipes.clone())).0,
-                        }
-                    }
-                    _ => NO_ROUTE,
-                };
-                let patches = [(slot as usize, raw)];
-                let mut cache: Option<(RowShard, Option<RowShard>)> = None;
-                for &se in locs.endpoints[si].iter() {
-                    let se = se as usize;
-                    let src_row = self.row(se).expect("endpoint in range");
-                    let replacement = match &cache {
-                        Some((old, outcome)) if old.same_storage(src_row) => outcome.clone(),
-                        _ => {
-                            let patched = src_row.patched(&patches);
-                            cache = Some((src_row.clone(), patched.clone()));
-                            patched
-                        }
-                    };
-                    if let Some(replacement) = replacement {
-                        self.block_mut(se / BLOCK_ROWS)[se % BLOCK_ROWS] = replacement;
-                    }
-                }
-            }
-        }
         if endpoint == self.endpoint_count {
-            self.push_row(row);
-            self.push_col(slot);
+            push_entry(&mut self.rows, row);
+            push_entry(&mut self.cols, slot as u32);
             self.endpoint_count += 1;
         } else {
-            self.block_mut(endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = row;
-            self.set_col(endpoint, slot);
+            self.set_row(endpoint, row);
+            block_mut(&mut self.cols, endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = slot as u32;
         }
         self.version += 1;
         true
@@ -1011,12 +989,10 @@ impl RouteTable {
             return false; // already departed
         };
         let locs = Arc::make_mut(&mut self.locs);
-        let list = &locs.endpoints[slot];
-        let mut shrunk = Vec::with_capacity(list.len() - 1);
-        shrunk.extend_from_slice(&list[..pos]);
-        shrunk.extend_from_slice(&list[pos + 1..]);
+        let mut shrunk = locs.endpoints[slot].to_vec();
+        shrunk.remove(pos);
         locs.endpoints[slot] = shrunk.into();
-        self.block_mut(endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = RowShard::Empty;
+        self.set_row(endpoint, RowShard::Empty);
         self.version += 1;
         true
     }
@@ -1035,62 +1011,66 @@ impl RouteTable {
 
     /// `true` when at least one live endpoint is bound at `location`.
     pub fn has_endpoints_at(&self, location: NodeId) -> bool {
-        self.location_endpoint_count(location) > 0
+        let slot = self.locs.slot_of.get(&location);
+        slot.is_some_and(|&s| !self.locs.endpoints[s as usize].is_empty())
     }
 
-    /// Number of live endpoints bound at `location`.
-    pub fn location_endpoint_count(&self, location: NodeId) -> usize {
-        self.locs
-            .slot_of
-            .get(&location)
-            .map_or(0, |&s| self.locs.endpoints[s as usize].len())
+    /// The id of the route with exactly this pipe sequence, interning it
+    /// first if the table has never seen the content — the one way routes
+    /// enter the table from a matrix. One fingerprint, one probe; only a
+    /// miss copies `pipes` (into the store) and inserts under the same
+    /// fingerprint.
+    pub fn intern_pipes(&mut self, pipes: &[PipeId]) -> RouteId {
+        let (fingerprint, known) = self.lookup(pipes);
+        known.unwrap_or_else(|| self.append(Route::new(pipes.to_vec()), Some(fingerprint)))
     }
 
-    /// Stores a route and returns its handle; the content index keeps the
-    /// first id interned for any given pipe sequence, so later rewires
-    /// dedup against it. Callers wiring pairs by hand are still responsible
-    /// for reusing ids where they want sharing (see [`RouteTable::build`]).
+    /// Stores a route and returns a **fresh** handle even when the content
+    /// is already interned; the content index keeps the first id interned
+    /// for any given pipe sequence, so later rewires dedup against it.
+    /// Callers wiring pairs by hand are still responsible for reusing ids
+    /// where they want sharing (see [`RouteTable::build`]).
     pub fn intern(&mut self, route: Route) -> RouteId {
+        let (fingerprint, known) = self.lookup(&route.pipes);
+        self.append(route, known.is_none().then_some(fingerprint))
+    }
+
+    /// Fingerprints `pipes` and probes the content index for the first id
+    /// interned with exactly this content, verified against the store.
+    fn lookup(&mut self, pipes: &[PipeId]) -> (u64, Option<RouteId>) {
+        let index = &*self.by_content;
+        let fingerprint = index.fingerprint(pipes);
+        if index.slots.is_empty() {
+            return (fingerprint, None);
+        }
+        let mut at = index.home(fingerprint);
+        loop {
+            let (slot_fingerprint, id) = index.slots[at];
+            self.index_probes += 1;
+            if id == NO_ROUTE {
+                return (fingerprint, None);
+            }
+            if slot_fingerprint == fingerprint {
+                self.index_probes += 1;
+                if self.store.get(id as usize).pipes == pipes {
+                    return (fingerprint, Some(RouteId(id)));
+                }
+            }
+            at = (at + 1) & (index.slots.len() - 1);
+        }
+    }
+
+    /// Appends a route to the store, indexing it under `new_content` (its
+    /// fingerprint) when the index does not hold its content yet. A
+    /// publish-shared index is copied here, once per generation.
+    fn append(&mut self, route: Route, new_content: Option<u64>) -> RouteId {
         assert!(self.store.len() < NO_ROUTE as usize, "route table overflow");
         let id = RouteId(self.store.len() as u32);
-        self.index_insert(route.pipes.clone(), id);
         self.store.push(route);
+        if let Some(fingerprint) = new_content {
+            Arc::make_mut(&mut self.by_content).insert(fingerprint, id);
+        }
         id
-    }
-
-    /// First-id-wins insert into the persistent content index: a shared
-    /// index gets a thin overlay (flattened once the chain grows deep), an
-    /// unshared one is updated in place.
-    fn index_insert(&mut self, pipes: Vec<PipeId>, id: RouteId) {
-        if self.by_content.get(&pipes).is_some() {
-            return;
-        }
-        if let Some(top) = Arc::get_mut(&mut self.by_content) {
-            top.entries.insert(pipes, id);
-            return;
-        }
-        if self.by_content.depth >= INDEX_FLATTEN_DEPTH {
-            let mut flat: HashMap<Vec<PipeId>, RouteId> = HashMap::new();
-            let mut layer = Some(Arc::clone(&self.by_content));
-            while let Some(l) = layer {
-                for (k, &v) in &l.entries {
-                    flat.entry(k.clone()).or_insert(v);
-                }
-                layer = l.parent.clone();
-            }
-            flat.insert(pipes, id);
-            self.by_content = Arc::new(ContentIndex {
-                entries: flat,
-                parent: None,
-                depth: 0,
-            });
-        } else {
-            self.by_content = Arc::new(ContentIndex {
-                entries: HashMap::from([(pipes, id)]),
-                parent: Some(Arc::clone(&self.by_content)),
-                depth: self.by_content.depth + 1,
-            });
-        }
     }
 
     /// Monotonic change counter, bumped by every rewire.
@@ -1114,7 +1094,7 @@ impl RouteTable {
         let dst = self.col(dst).expect("dst in range") as usize;
         let patched = self.row(src).expect("src in range").patched(&[(dst, id.0)]);
         if let Some(patched) = patched {
-            self.block_mut(src / BLOCK_ROWS)[src % BLOCK_ROWS] = patched;
+            self.set_row(src, patched);
         }
     }
 
@@ -1180,16 +1160,18 @@ impl RouteTable {
         }
     }
 
-    /// Entries in the content-dedup index, across every overlay.
+    /// Entries in the content-dedup index (distinct interned contents).
     #[doc(hidden)]
     pub fn content_index_entries(&self) -> usize {
-        self.by_content.total_entries()
+        self.by_content.len
     }
 
-    /// Copy-on-write overlays currently stacked on the content index.
+    /// Running total of content-index work — slots inspected plus store
+    /// comparisons over every lookup this table and its ancestors made.
+    /// Exact and deterministic, so tests can state lookup cost as a count.
     #[doc(hidden)]
-    pub fn content_index_depth(&self) -> u32 {
-        self.by_content.depth
+    pub fn content_index_probes(&self) -> u64 {
+        self.index_probes
     }
 
     /// Serialises the table for a checkpoint: the interned route store in
@@ -1249,8 +1231,14 @@ impl RouteTable {
     /// stored id — including the ones descriptors in flight carry — keeps
     /// resolving to the same route, and re-encoding the result reproduces
     /// the input byte for byte.
+    ///
+    /// Nothing read is trusted: every count is bounded by the bytes left
+    /// and every stored index (route ids, row windows, columns, endpoint
+    /// lists) is range-checked, so a damaged snapshot is a typed error here
+    /// rather than a panic on the forwarding path later.
     pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        let endpoint_count = r.get_usize()?;
+        use mn_util::CodecError::Invalid;
+        let endpoint_count = r.get_len()?;
         let version = r.get_u64()?;
         let mut table = RouteTable::new(0);
         let route_count = r.get_len()?;
@@ -1260,8 +1248,14 @@ impl RouteTable {
             for _ in 0..hops {
                 pipes.push(PipeId(r.get_usize()?));
             }
+            // Always-append, not `intern_pipes`: a hand-assembled store may
+            // hold the same content under two ids, and both must survive.
             table.intern(Route::new(pipes));
         }
+        let get_route = |r: &mut mn_util::ByteReader| match r.get_u32()? {
+            raw if raw == NO_ROUTE || (raw as usize) < route_count => Ok(raw),
+            _ => Err(Invalid("row shard names a route the store does not hold")),
+        };
         let mut rows_flat = Vec::with_capacity(endpoint_count);
         // Co-located endpoints shared one spilled allocation before the
         // checkpoint; share rows with identical content again on restore.
@@ -1273,11 +1267,11 @@ impl RouteTable {
                     let base = r.get_u32()?;
                     let len = r.get_u8()?;
                     if len as usize > INLINE_ROW_CAP {
-                        return Err(mn_util::CodecError::Invalid("inline row too wide"));
+                        return Err(Invalid("inline row too wide"));
                     }
                     let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
                     for s in slots.iter_mut().take(len as usize) {
-                        *s = r.get_u32()?;
+                        *s = get_route(r)?;
                     }
                     RowShard::Inline { base, len, slots }
                 }
@@ -1286,7 +1280,7 @@ impl RouteTable {
                     let width = r.get_len()?;
                     let mut slots = Vec::with_capacity(width);
                     for _ in 0..width {
-                        slots.push(r.get_u32()?);
+                        slots.push(get_route(r)?);
                     }
                     let shared = spill_cache
                         .entry(slots.clone())
@@ -1297,15 +1291,13 @@ impl RouteTable {
                         slots: shared,
                     }
                 }
-                _ => return Err(mn_util::CodecError::Invalid("unknown row shard tag")),
+                _ => return Err(Invalid("unknown row shard tag")),
             });
         }
-        table.rows = Self::blocks_from_flat(rows_flat);
         let mut cols_flat = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
             cols_flat.push(r.get_u32()?);
         }
-        table.cols = Self::col_blocks_from_flat(cols_flat);
         let slots = r.get_len()?;
         let mut locs = LocationIndex::default();
         for _ in 0..slots {
@@ -1313,14 +1305,36 @@ impl RouteTable {
             locs.slot_of.insert(loc, locs.locations.len() as u32);
             locs.locations.push(loc);
         }
-        for _ in 0..slots {
+        // Columns are location slots, or (hand-assembled table) endpoint
+        // indices; a row window lies inside the column range either way.
+        let identity = cols_flat.iter().enumerate().all(|(e, &c)| c as usize == e);
+        if !identity && cols_flat.iter().any(|&c| c as usize >= slots) {
+            return Err(Invalid("column is not a location slot"));
+        }
+        let columns = slots.max(endpoint_count);
+        if rows_flat.iter().any(|row| {
+            let (base, width) = row.window();
+            base + width > columns
+        }) {
+            return Err(Invalid("row window outside the column range"));
+        }
+        let mut slot_cols = slots > 0;
+        for slot in 0..slots {
             let n = r.get_len()?;
             let mut list = Vec::with_capacity(n);
             for _ in 0..n {
-                list.push(r.get_u32()?);
+                let e = r.get_u32()?;
+                if e as usize >= endpoint_count {
+                    return Err(Invalid("location lists an endpoint out of range"));
+                }
+                slot_cols &= cols_flat[e as usize] as usize == slot;
+                list.push(e);
             }
             locs.endpoints.push(Arc::from(list));
         }
+        table.rows = blocks_from_flat(rows_flat);
+        table.cols = blocks_from_flat(cols_flat);
+        table.slot_cols = slot_cols;
         table.locs = Arc::new(locs);
         table.endpoint_count = endpoint_count;
         table.version = version;
@@ -1364,18 +1378,7 @@ impl RouteTable {
             mem.route_bytes +=
                 std::mem::size_of::<Route>() + route.pipes.len() * std::mem::size_of::<PipeId>();
         }
-        // Content index: keys duplicate the pipe sequences, plus per-entry
-        // map overhead (approximate).
-        let mut layer: Option<&ContentIndex> = Some(&self.by_content);
-        while let Some(l) = layer {
-            for k in l.entries.keys() {
-                mem.index_bytes += std::mem::size_of::<Vec<PipeId>>()
-                    + k.len() * std::mem::size_of::<PipeId>()
-                    + std::mem::size_of::<RouteId>()
-                    + 16;
-            }
-            layer = l.parent.as_deref();
-        }
+        mem.index_bytes = self.by_content.slots.capacity() * std::mem::size_of::<(u64, u32)>();
         // Destination column map (blocked and shared like the rows).
         mem.resident_bytes += self.cols.capacity() * std::mem::size_of::<Arc<[u32]>>();
         for block in &self.cols {
@@ -1400,6 +1403,22 @@ mod tests {
     use super::*;
     use mn_distill::{distill, DistillationMode};
     use mn_topology::generators::{ring_topology, RingParams};
+    use proptest::prelude::*;
+
+    /// A 6-router ring, hop-by-hop, with two endpoints bound at every VN
+    /// location (endpoint `i` and `i + 6` share one).
+    fn multiplexed_ring() -> (mn_distill::DistilledTopology, RoutingMatrix, Vec<NodeId>) {
+        let topo = ring_topology(&RingParams {
+            routers: 6,
+            clients_per_router: 1,
+            ..RingParams::default()
+        });
+        let d = distill(&topo, DistillationMode::HopByHop);
+        let matrix = RoutingMatrix::build(&d);
+        let mut locations = d.vns().to_vec();
+        locations.extend(d.vns().to_vec());
+        (d, matrix, locations)
+    }
 
     fn ring_table() -> (RouteTable, usize) {
         let topo = ring_topology(&RingParams {
@@ -1467,6 +1486,251 @@ mod tests {
         for s in 0..n {
             for t in 0..n {
                 assert_eq!(restored.route_id(s, t), table.route_id(s, t), "{s}->{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_encodings_decode_to_a_sound_table_or_a_typed_error() {
+        // Every single-byte mutation (each bit flipped, the byte zeroed, the
+        // byte saturated) of a valid encoding of the multiplexed, rewired
+        // ring table: decoding may refuse it, but must never panic, and a
+        // table it accepts must answer every lookup without panicking and
+        // hold no more memory than a small multiple of the input.
+        let (d, mut matrix, locations) = multiplexed_ring();
+        let mut table = RouteTable::build(&matrix, &locations);
+        let mut d2 = d.clone();
+        let victim = table.pipes(table.route_id(0, 1).unwrap())[0];
+        d2.pipe_attrs_mut(victim).unwrap().bandwidth = mn_util::DataRate::ZERO;
+        let update = matrix.update_pipes(&d2, &[victim]);
+        table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+        let mut w = mn_util::ByteWriter::new();
+        table.encode(&mut w);
+        let bytes = w.into_bytes();
+        let (mut accepted, mut refused) = (0usize, 0usize);
+        for at in 0..bytes.len() {
+            let flips = (0..8).map(|bit| bytes[at] ^ (1 << bit));
+            for value in flips.chain([0x00, 0xFF]) {
+                if value == bytes[at] {
+                    continue;
+                }
+                let mut mutated = bytes.clone();
+                mutated[at] = value;
+                match RouteTable::decode(&mut mn_util::ByteReader::new(&mutated)) {
+                    Ok(restored) => {
+                        accepted += 1;
+                        let n = restored.endpoint_count();
+                        assert!(n <= mutated.len(), "byte {at} -> {value:#04x}");
+                        for s in 0..n {
+                            for t in 0..n {
+                                if let Some(id) = restored.route_id(s, t) {
+                                    std::hint::black_box(restored.pipes(id));
+                                }
+                            }
+                        }
+                        let resident = restored.memory().resident_bytes;
+                        assert!(
+                            resident <= 64 * mutated.len(),
+                            "byte {at} -> {value:#04x}: {resident} B resident"
+                        );
+                    }
+                    Err(mn_util::CodecError::Invalid(_) | mn_util::CodecError::Eof) => refused += 1,
+                    Err(other) => panic!("byte {at} -> {value:#04x}: unexpected {other:?}"),
+                }
+            }
+        }
+        // Both outcomes occur: pipe ids and the version are free-form, every
+        // count and index is not.
+        assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
+    }
+
+    #[test]
+    fn decode_keeps_duplicate_content_under_both_ids() {
+        // `intern` always appends, so a hand-assembled store can hold one
+        // pipe sequence twice; a restore must not merge the two ids.
+        let mut table = RouteTable::new(2);
+        let a = table.intern(Route::new(vec![PipeId(1), PipeId(2)]));
+        let b = table.intern(Route::new(vec![PipeId(1), PipeId(2)]));
+        assert_ne!(a, b);
+        table.set_pair(0, 1, a);
+        table.set_pair(1, 0, b);
+        let mut w = mn_util::ByteWriter::new();
+        table.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored =
+            RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
+        assert_eq!(restored.route_count(), 2);
+        assert_eq!(restored.route_id(0, 1), Some(a));
+        assert_eq!(restored.route_id(1, 0), Some(b));
+        assert_eq!(restored.content_index_entries(), 1);
+        assert_eq!(
+            restored.intern_pipes(&[PipeId(1), PipeId(2)]),
+            a,
+            "first id wins"
+        );
+    }
+
+    /// Today's index before it went flat, kept as the oracle: a
+    /// `HashMap` from pipe sequence to the first id interned with it.
+    #[derive(Default)]
+    struct MapOracle {
+        first_id: HashMap<Vec<PipeId>, RouteId>,
+        routes: usize,
+    }
+
+    impl MapOracle {
+        fn intern_pipes(&mut self, pipes: &[PipeId]) -> RouteId {
+            match self.first_id.get(pipes) {
+                Some(&id) => id,
+                None => self.intern(pipes),
+            }
+        }
+
+        fn intern(&mut self, pipes: &[PipeId]) -> RouteId {
+            let id = RouteId(self.routes as u32);
+            self.first_id.entry(pipes.to_vec()).or_insert(id);
+            self.routes += 1;
+            id
+        }
+
+        /// Accounts for the routes a rewire or a bind appended to `table`
+        /// (each must be content the map had never seen — the old code
+        /// interned only on a miss), then checks that every pair resolves
+        /// to the first id of its content.
+        fn absorb_and_check(&mut self, table: &RouteTable) {
+            for i in self.routes..table.route_count() {
+                let id = RouteId(i as u32);
+                let fresh = self.first_id.insert(table.pipes(id).to_vec(), id);
+                assert!(fresh.is_none(), "route {i} re-interns known content");
+            }
+            self.routes = table.route_count();
+            let n = table.endpoint_count();
+            for (s, t) in (0..n * n).map(|i| (i / n, i % n)) {
+                if let Some(id) = table.route_id(s, t) {
+                    assert_eq!(self.first_id[table.pipes(id)], id, "pair {s}->{t}");
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum IndexOp {
+        InternPipes(Vec<usize>),
+        Intern(Vec<usize>),
+        /// Fail (or restore) both directions of a ring link, then
+        /// clone-and-rewire as a publish does.
+        Flap(usize, bool),
+        Unbind(usize),
+        /// Bind an endpoint (if departed) at the location of another.
+        Bind(usize, usize),
+    }
+
+    fn arb_index_op() -> impl Strategy<Value = IndexOp> {
+        // A four-pipe alphabet and short sequences: repeats are common.
+        let pipes = || prop::collection::vec(0usize..4, 0..4);
+        prop_oneof![
+            3 => pipes().prop_map(IndexOp::InternPipes),
+            1 => pipes().prop_map(IndexOp::Intern),
+            3 => (0usize..64, any::<bool>()).prop_map(|(k, up)| IndexOp::Flap(k, up)),
+            2 => (0usize..12).prop_map(IndexOp::Unbind),
+            2 => (0usize..12, 0usize..12).prop_map(|(e, at)| IndexOp::Bind(e, at)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Collisions cannot alias, and ids equal the old map's: under random
+        /// interleavings of every operation that interns, the flat index —
+        /// once with its real fingerprint, once with a degenerate one that
+        /// sends every probe through the store comparison and every insert
+        /// through one cluster — hands out exactly the ids the map did.
+        #[test]
+        fn flat_index_hands_out_the_ids_the_map_did(
+            ops in prop::collection::vec(arb_index_op(), 1..24),
+        ) {
+            let (mut d, mut matrix, mut locations) = multiplexed_ring();
+            let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
+            let degenerate = Arc::new(ContentIndex {
+                degenerate: true,
+                ..ContentIndex::default()
+            });
+            let mut tables = [
+                RouteTable::build(&matrix, &locations),
+                RouteTable::build_preserving(
+                    RouteStore::default(),
+                    degenerate,
+                    &matrix,
+                    &locations,
+                    0,
+                ),
+            ];
+            // The build alone took the index through its growth path.
+            assert!(tables[1].by_content.len > 16);
+            let mut oracle = MapOracle::default();
+            oracle.absorb_and_check(&tables[0]);
+            MapOracle::default().absorb_and_check(&tables[1]);
+            for op in ops {
+                match &op {
+                    IndexOp::InternPipes(raw) | IndexOp::Intern(raw) => {
+                        let pipes: Vec<PipeId> = raw.iter().map(|&p| PipeId(p)).collect();
+                        let always = matches!(op, IndexOp::Intern(_));
+                        let want = if always {
+                            oracle.intern(&pipes)
+                        } else {
+                            oracle.intern_pipes(&pipes)
+                        };
+                        for table in &mut tables {
+                            let got = if always {
+                                table.intern(Route::new(pipes.clone()))
+                            } else {
+                                table.intern_pipes(&pipes)
+                            };
+                            prop_assert_eq!(got, want, "{:?}", op);
+                        }
+                    }
+                    IndexOp::Flap(k, up) => {
+                        let k = k % (d.pipe_count() / 2);
+                        let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+                        for p in link {
+                            d.pipe_attrs_mut(p).unwrap().bandwidth = if *up {
+                                healthy[p.index()].bandwidth
+                            } else {
+                                mn_util::DataRate::ZERO
+                            };
+                        }
+                        let update = matrix.update_pipes(&d, &link);
+                        for table in &mut tables {
+                            let mut next = table.clone();
+                            next.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+                            *table = next;
+                        }
+                    }
+                    IndexOp::Unbind(e) => {
+                        for table in &mut tables {
+                            table.unbind_endpoint(*e);
+                        }
+                        if !tables[0].has_endpoints_at(locations[*e]) {
+                            matrix.remove_source(locations[*e]);
+                        }
+                    }
+                    IndexOp::Bind(e, at) => {
+                        if !tables[0].is_endpoint_bound(*e) {
+                            locations[*e] = locations[*at];
+                            matrix.add_source(&d, locations[*e]);
+                            for table in &mut tables {
+                                prop_assert!(table.bind_endpoint(&matrix, *e, locations[*e]));
+                            }
+                        }
+                    }
+                }
+                let mut degenerate_view = MapOracle {
+                    first_id: oracle.first_id.clone(),
+                    routes: oracle.routes,
+                };
+                degenerate_view.absorb_and_check(&tables[1]);
+                oracle.absorb_and_check(&tables[0]);
+                prop_assert_eq!(tables[0].route_count(), tables[1].route_count());
             }
         }
     }
@@ -1703,7 +1967,7 @@ mod tests {
         }
         // Ten no-op rebuilds still do not grow it — and, because the
         // content index is carried forward structurally, they re-intern
-        // nothing and stack no overlays.
+        // nothing.
         let entries = rebuilt.content_index_entries();
         let mut table = rebuilt;
         for _ in 0..10 {
@@ -1711,7 +1975,6 @@ mod tests {
         }
         assert_eq!(table.route_count(), first.route_count());
         assert_eq!(table.content_index_entries(), entries);
-        assert_eq!(table.content_index_depth(), 0, "no-op rebuilds add layers");
     }
 
     #[test]

@@ -172,3 +172,146 @@ proptest! {
         }
     }
 }
+
+/// One link-down or link-up half of a flap, the way `Emulator::reroute` and
+/// `publish_routes` run it: mutate both directions of ring link `k`, update
+/// the matrix, clone the published table, rewire the clone, and only then
+/// let go of the old generation. Returns the new generation, the pairs the
+/// update listed, and the content-index probes the rewire spent.
+fn flap_half(
+    d: &mut DistilledTopology,
+    healthy: &[mn_distill::PipeAttrs],
+    matrix: &mut RoutingMatrix,
+    locations: &[NodeId],
+    published: &RouteTable,
+    k: usize,
+    up: bool,
+) -> (RouteTable, Vec<(NodeId, NodeId)>, u64) {
+    let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+    for p in link {
+        d.pipe_attrs_mut(p).expect("pipe exists").bandwidth = if up {
+            healthy[p.index()].bandwidth
+        } else {
+            DataRate::ZERO
+        };
+    }
+    let update = matrix.update_pipes(d, &link);
+    let mut next = published.clone();
+    next.rewire_in_place(matrix, locations, &update.changed_pairs);
+    let probes = next.content_index_probes() - published.content_index_probes();
+    (next, update.changed_pairs, probes)
+}
+
+/// The k-th flap costs what the first did, stated as a count. Twelve
+/// *distinct* links of a 16-router ring (8 VN locations per router, 4
+/// endpoints per location) fail and recover in sequence, so every link-down
+/// interns thousands of detours the table has never seen. Re-flapping one
+/// link, as the `reconfig_cost` bench does, interns nothing after its first
+/// cycle and so never saw what the index costs once it has grown.
+#[test]
+fn the_kth_distinct_link_flap_costs_what_the_first_did() {
+    const ROUTERS: usize = 16;
+    const LINKS: usize = 12;
+    let topo = mn_topology::generators::ring_topology(&mn_topology::generators::RingParams {
+        routers: ROUTERS,
+        clients_per_router: 8,
+        ..Default::default()
+    });
+    let mut d = distill(&topo, DistillationMode::HopByHop);
+    let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
+    for k in 0..ROUTERS {
+        let pipe = d.pipe(PipeId(2 * k));
+        assert!(
+            !d.vns().contains(&pipe.src) && !d.vns().contains(&pipe.dst),
+            "the first {ROUTERS} duplex pairs are the ring links"
+        );
+    }
+    let mut matrix = RoutingMatrix::build(&d);
+    let locations: Vec<NodeId> = (0..4).flat_map(|_| d.vns().to_vec()).collect();
+    // The first endpoint bound at each location stands for all four.
+    let first_endpoint: std::collections::HashMap<NodeId, usize> =
+        d.vns().iter().copied().zip(0..).collect();
+    let endpoint_at = |loc: NodeId| first_endpoint[&loc];
+    let mut table = RouteTable::build(&matrix, &locations);
+
+    // Per pass, per link: (lookups, probes) of the down half and of the up.
+    let mut cost: Vec<Vec<[(usize, u64); 2]>> = Vec::new();
+    for pass in 0..3 {
+        let routes_at_pass_start = table.route_count();
+        let mut pass_cost = Vec::new();
+        for k in 0..LINKS {
+            let before = table.clone();
+            let (down, failed_pairs, down_probes) =
+                flap_half(&mut d, &healthy, &mut matrix, &locations, &table, k, false);
+            assert!(!failed_pairs.is_empty(), "a ring link carries routes");
+            if pass == 0 {
+                assert!(down.route_count() > table.route_count(), "detours are new");
+            }
+            // The old generation is still published while the new one
+            // interns: nothing it answers may move.
+            assert_eq!(table.route_count(), before.route_count());
+            for &(src, dst) in &failed_pairs {
+                let (s, t) = (endpoint_at(src), endpoint_at(dst));
+                let id = table.route_id(s, t);
+                assert_eq!(id, before.route_id(s, t), "old generation, {s}->{t}");
+                if let (Some(id), Some(new)) = (id, down.route_id(s, t)) {
+                    assert_ne!(table.pipes(id), down.pipes(new), "{s}->{t} rerouted");
+                }
+            }
+            table = down;
+
+            let routes_while_down = table.route_count();
+            let (restored, restored_pairs, up_probes) =
+                flap_half(&mut d, &healthy, &mut matrix, &locations, &table, k, true);
+            table = restored;
+            assert_eq!(
+                table.route_count(),
+                routes_while_down,
+                "a link-up interns nothing"
+            );
+            assert_eq!(restored_pairs.len(), failed_pairs.len());
+            for &(src, dst) in &restored_pairs {
+                let (s, t) = (endpoint_at(src), endpoint_at(dst));
+                assert_eq!(
+                    table.route_id(s, t),
+                    before.route_id(s, t),
+                    "{s}->{t} returns to its pre-failure id"
+                );
+            }
+            pass_cost.push([
+                (failed_pairs.len(), down_probes),
+                (restored_pairs.len(), up_probes),
+            ]);
+        }
+        if pass > 0 {
+            assert_eq!(
+                table.route_count(),
+                routes_at_pass_start,
+                "no growth under oscillation"
+            );
+        }
+        cost.push(pass_cost);
+    }
+
+    // One changed pair is one lookup, and a lookup is a handful of slot
+    // reads and store comparisons whichever flap it serves: a hit on its
+    // home slot is 2 probes, and no half of any cycle averages more than 8
+    // (the first pass's link-downs miss, at up to 3/4 load) — 3 once every
+    // lookup is a hit.
+    for (pass, pass_cost) in cost.iter().enumerate() {
+        for (k, halves) in pass_cost.iter().enumerate() {
+            for &(lookups, probes) in halves {
+                let bound = if pass == 0 { 8 } else { 3 };
+                assert!(
+                    probes <= bound * lookups as u64,
+                    "pass {pass} link {k}: {probes} probes for {lookups} lookups"
+                );
+            }
+        }
+    }
+    // Once nothing new is interned, a lookup's probe sequence is fixed by
+    // the index alone: replaying the sequence costs exactly the same count,
+    // cycle by cycle, first link to twelfth. Cost does not depend on how
+    // many generations came before.
+    assert_eq!(cost[1], cost[2]);
+}
