@@ -37,7 +37,7 @@ use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
-use mn_util::codec::fnv1a64;
+use mn_util::codec::checksum64;
 use mn_util::{
     ByteReader, ByteSize, ByteWriter, Cdf, CodecError, DataRate, SimDuration, SimTime, TimerWheel,
 };
@@ -131,14 +131,16 @@ impl EmulatorBackend {
         on_emulator!(self, emu => emu.snapshot())
     }
 
-    /// Rebuilds the emulator from `snapshot` on the same backend variant as
-    /// `self` (a fresh worker pool on the threaded one).
-    fn restored(&self, snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
+    /// Rebuilds the emulator from the `MNSP` frame `framed` on the same
+    /// backend variant as `self` (a fresh worker pool on the threaded one).
+    fn restored(&self, framed: &[u8]) -> Result<Self, CodecError> {
         Ok(match self {
             EmulatorBackend::Sequential(_) => {
-                EmulatorBackend::Sequential(Emulator::restore(snapshot)?)
+                EmulatorBackend::Sequential(Emulator::restore_bytes(framed)?)
             }
-            EmulatorBackend::Threaded(_) => EmulatorBackend::Threaded(Emulator::restore(snapshot)?),
+            EmulatorBackend::Threaded(_) => {
+                EmulatorBackend::Threaded(Emulator::restore_bytes(framed)?)
+            }
         })
     }
 
@@ -404,8 +406,10 @@ enum Event {
 /// version independently.
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
-/// Current runner snapshot format version.
-const RUNNER_SNAPSHOT_VERSION: u32 = 1;
+/// Current runner snapshot format version, the only one written. Version 2
+/// changed the frame checksum (FNV-1a to [`checksum64`]) and nothing else;
+/// version-1 frames still restore.
+const RUNNER_SNAPSHOT_VERSION: u32 = 2;
 
 /// Why [`Runner::snapshot`] refused to serialize the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -662,6 +666,8 @@ pub struct Runner {
     auto_checkpoint: Option<SimDuration>,
     /// The most recent auto-checkpoint: (virtual time, framed snapshot).
     last_checkpoint: Option<(SimTime, Vec<u8>)>,
+    /// Length of the last snapshot, to pre-size the next; never serialized.
+    snapshot_len_hint: usize,
     /// Why auto-checkpointing disarmed itself, if it did.
     checkpoint_failure: Option<SnapshotError>,
 }
@@ -706,6 +712,7 @@ impl Runner {
             failure: None,
             auto_checkpoint: None,
             last_checkpoint: None,
+            snapshot_len_hint: 0,
             checkpoint_failure: None,
         }
     }
@@ -1072,12 +1079,18 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(SnapshotError::AppsNotSupported);
         }
-        let emu_snap = self.emulator.snapshot().map_err(SnapshotError::Emulator)?;
-        let emu_bytes = emu_snap.to_bytes();
-        let mut w = ByteWriter::with_capacity(emu_bytes.len() + 4096);
+        // One pass into one buffer, sized by the last checkpoint plus room
+        // to have grown a little (the first grows geometrically); both
+        // frames' payloads are streamed in place.
+        let hint = self.snapshot_len_hint;
+        let mut w = ByteWriter::with_capacity(hint + hint / 16 + 4096);
+        let frame = w.begin_frame(RUNNER_SNAPSHOT_MAGIC, RUNNER_SNAPSHOT_VERSION);
         w.put_time(self.now);
-        w.put_len(emu_bytes.len());
-        w.put_bytes(&emu_bytes);
+        w.put_len(0);
+        let emu_start = w.len();
+        on_emulator!(&mut self.emulator, emu => emu.snapshot_into(&mut w))
+            .map_err(SnapshotError::Emulator)?;
+        w.patch_u64(emu_start - 8, (w.len() - emu_start) as u64);
         let entries = self.events.entries_in_order();
         w.put_len(entries.len());
         for (at, event) in entries {
@@ -1112,16 +1125,12 @@ impl Runner {
         }
         w.put_len(self.port_bindings.len());
         for binding in &self.port_bindings {
-            match binding {
-                PortBinding::Tcp(idx) => {
-                    w.put_u8(0);
-                    w.put_usize(*idx);
-                }
-                PortBinding::Udp(idx) => {
-                    w.put_u8(1);
-                    w.put_usize(*idx);
-                }
-            }
+            let (tag, idx) = match *binding {
+                PortBinding::Tcp(idx) => (0, idx),
+                PortBinding::Udp(idx) => (1, idx),
+            };
+            w.put_u8(tag);
+            w.put_usize(idx);
         }
         w.put_len(self.udp_flows.len());
         for flow in &self.udp_flows {
@@ -1139,28 +1148,11 @@ impl Runner {
         w.put_u64(self.packets_delivered);
         w.put_opt_time(self.emu_wakeup_at);
         w.put_bool(self.apps_started);
-        match &self.dynamics {
-            Some(engine) => {
-                w.put_bool(true);
-                w.put_usize(engine.cursor());
-            }
-            None => w.put_bool(false),
-        }
-        match self.auto_checkpoint {
-            Some(every) => {
-                w.put_bool(true);
-                w.put_duration(every);
-            }
-            None => w.put_bool(false),
-        }
-        let payload = w.into_bytes();
-        let mut framed = ByteWriter::with_capacity(payload.len() + 24);
-        framed.put_u32(RUNNER_SNAPSHOT_MAGIC);
-        framed.put_u32(RUNNER_SNAPSHOT_VERSION);
-        framed.put_len(payload.len());
-        framed.put_bytes(&payload);
-        framed.put_u64(fnv1a64(&payload));
-        Ok(framed.into_bytes())
+        w.put_opt_u64(self.dynamics.as_ref().map(|engine| engine.cursor() as u64));
+        w.put_opt_u64(self.auto_checkpoint.map(SimDuration::as_nanos));
+        w.end_frame(frame);
+        self.snapshot_len_hint = w.len();
+        Ok(w.into_bytes())
     }
 
     /// Restores a [`Runner::snapshot`] into this runner, replacing its
@@ -1178,33 +1170,24 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(RecoverError::AppsNotSupported);
         }
-        let mut r = ByteReader::new(bytes);
-        if r.get_u32()? != RUNNER_SNAPSHOT_MAGIC {
-            return Err(CodecError::BadMagic.into());
-        }
-        let version = r.get_u32()?;
-        if version != RUNNER_SNAPSHOT_VERSION {
-            return Err(CodecError::BadVersion(version).into());
-        }
-        let payload_len = r.get_len()?;
-        let payload = r.take_bytes(payload_len)?;
-        let checksum = r.get_u64()?;
-        if fnv1a64(payload) != checksum {
-            return Err(CodecError::BadChecksum.into());
-        }
+        let mut r =
+            ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
+                1 => Ok(mn_util::codec::fnv1a64),
+                2 => Ok(checksum64),
+                v => Err(CodecError::BadVersion(v)),
+            })?;
         // Decode everything into locals first: a decode error part-way
-        // through must leave the runner untouched.
-        let mut r = ByteReader::new(payload);
+        // through must leave the runner untouched. The emulator's frame is
+        // borrowed where it lies; counts are bounded by their smallest record.
         let now = r.get_time()?;
         let emu_len = r.get_len()?;
-        let emu_bytes = r.take_bytes(emu_len)?;
-        let emu_snap = EmulatorSnapshot::from_bytes(emu_bytes)?;
-        let event_count = r.get_len()?;
+        let emu_frame = r.take_bytes(emu_len)?;
+        let event_count = r.get_count(9)?;
         let mut pending = Vec::with_capacity(event_count);
         for _ in 0..event_count {
             pending.push(get_event(&mut r)?);
         }
-        let channel_count = r.get_len()?;
+        let channel_count = r.get_count(55)?;
         let mut channels = Vec::with_capacity(channel_count);
         for _ in 0..channel_count {
             let a = VnId(r.get_u32()?);
@@ -1244,7 +1227,7 @@ impl Runner {
                 armed: Default::default(),
             });
         }
-        let binding_count = r.get_len()?;
+        let binding_count = r.get_count(9)?;
         let mut port_bindings = Vec::with_capacity(binding_count);
         for _ in 0..binding_count {
             port_bindings.push(match r.get_u8()? {
@@ -1253,7 +1236,7 @@ impl Runner {
                 _ => return Err(CodecError::Invalid("port binding tag").into()),
             });
         }
-        let udp_count = r.get_len()?;
+        let udp_count = r.get_count(38)?;
         let mut udp_flows = Vec::with_capacity(udp_count);
         for _ in 0..udp_count {
             udp_flows.push(UdpFlow {
@@ -1316,11 +1299,11 @@ impl Runner {
         } else {
             None
         };
-        let auto_checkpoint = if r.get_bool()? {
-            Some(r.get_duration()?)
-        } else {
-            None
-        };
+        let auto_checkpoint = r.get_opt_u64()?.map(SimDuration::from_nanos);
+        r.finish()?;
+        // On the threaded backend this spawns a fresh worker pool; a
+        // poisoned one is torn down when the old value drops.
+        let emulator = self.emulator.restored(emu_frame)?;
         // Fast-forward the schedule engine (validates the cursor against
         // the restored time) before replacing any state.
         match (dynamics_cursor, self.dynamics.as_mut()) {
@@ -1328,10 +1311,7 @@ impl Runner {
             (None, None) => {}
             _ => return Err(RecoverError::ScheduleMismatch),
         }
-        // Restore the emulator into this runner's backend variant. On the
-        // threaded backend this spawns a fresh worker pool; a previously
-        // poisoned pool is torn down when the old value drops.
-        self.emulator = self.emulator.restored(&emu_snap)?;
+        self.emulator = emulator;
         self.now = now;
         self.events = events;
         self.channels = channels;

@@ -919,11 +919,13 @@ impl EmulatorCore {
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
     ) -> Result<Self, mn_util::CodecError> {
-        use crate::snapshot::get_descriptor;
+        use crate::snapshot::{get_descriptor, MIN_DESCRIPTOR_BYTES};
         use mn_util::CodecError;
 
         let id = CoreId(r.get_usize()?);
-        let pipe_slots = r.get_len()?;
+        // Counts are bounded by the records the input can still hold: an
+        // absent pipe is one byte, the other records are fixed-size or more.
+        let pipe_slots = r.get_count(1)?;
         let mut pipes: Vec<Option<EmuPipe<Slot>>> = Vec::with_capacity(pipe_slots);
         let mut slab: Vec<Descriptor> = Vec::new();
         for _ in 0..pipe_slots {
@@ -958,7 +960,7 @@ impl EmulatorCore {
                 bytes_out: r.get_u64()?,
             };
             let fluid_demand = r.get_rate()?;
-            let in_flight_count = r.get_len()?;
+            let in_flight_count = r.get_count(MIN_DESCRIPTOR_BYTES + 24)?;
             let mut in_flight = Vec::with_capacity(in_flight_count);
             for _ in 0..in_flight_count {
                 slab.push(get_descriptor(r)?);
@@ -977,14 +979,14 @@ impl EmulatorCore {
                 in_flight,
             )));
         }
-        let wheel_count = r.get_len()?;
+        let wheel_count = r.get_count(16)?;
         let mut wheel = TimerWheel::new();
         for _ in 0..wheel_count {
             let time = r.get_time()?;
             let pipe = PipeId(r.get_usize()?);
             wheel.push(time, pipe);
         }
-        let pending_count = r.get_len()?;
+        let pending_count = r.get_count(MIN_DESCRIPTOR_BYTES + 16)?;
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
             let pipe = PipeId(r.get_usize()?);
@@ -992,7 +994,7 @@ impl EmulatorCore {
             let at = r.get_time()?;
             pending_remote.push((pipe, (slab.len() - 1) as Slot, at));
         }
-        let cbr_count = r.get_len()?;
+        let cbr_count = r.get_count(32)?;
         let mut cbr = Vec::with_capacity(cbr_count);
         for _ in 0..cbr_count {
             cbr.push(CbrSource {

@@ -28,6 +28,7 @@ use crate::fluid::FluidState;
 use crate::hardware::HardwareProfile;
 use crate::snapshot::{
     get_delivery, get_descriptor, put_delivery, put_descriptor, EmulatorSnapshot,
+    MIN_DELIVERY_BYTES, MIN_DESCRIPTOR_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// Result of submitting a packet to the emulation.
@@ -186,12 +187,15 @@ pub trait CoreExecutor: Sized {
     /// Installs `routes` on every core.
     fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError>;
 
-    /// Lends the cores (in core order) and the tunnels in flight to `read`,
-    /// for checkpoint assembly. Read-only: nothing ticks.
-    fn with_cores<R>(
+    /// The executor's share of a checkpoint: lends the tunnels in flight to
+    /// `head` (the coordinator's sections that precede the cores), then
+    /// appends the core count and every core's state in core order, each
+    /// encoded where it lives — nothing is cloned. Read-only: nothing ticks.
+    fn encode_cores(
         &mut self,
-        read: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
-    ) -> Result<R, EmuError>;
+        w: &mut ByteWriter,
+        head: impl FnOnce(&mut ByteWriter, &TimerWheel<(CoreId, Descriptor)>),
+    ) -> Result<(), EmuError>;
 }
 
 /// The tables the per-packet admission path reads, kept together so the
@@ -889,6 +893,17 @@ impl<X: CoreExecutor> Emulator<X> {
     ///
     /// [`EmuError::WorkerFailure`] if a core thread died or stalled.
     pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
+        let mut w = ByteWriter::with_capacity(64 * 1024);
+        self.snapshot_into(&mut w)?;
+        let framed = w.into_bytes();
+        Ok(EmulatorSnapshot { framed })
+    }
+
+    /// The one encoder: appends the checkpoint to `w` as a complete `MNSP`
+    /// frame, the payload streamed in place, so a caller nesting it in a
+    /// frame of its own (the runner) stages nothing. On error `w` holds a
+    /// partial frame and is only good for dropping.
+    pub fn snapshot_into(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         self.exec.health()?;
         let Emulator {
             exec,
@@ -899,30 +914,21 @@ impl<X: CoreExecutor> Emulator<X> {
             core_load,
             fluid,
         } = self;
-        let mut w = ByteWriter::with_capacity(64 * 1024);
-        exec.with_cores(|cores, tunnels| {
-            encode_profile(&mut w, profile);
-            admission.routes.encode(&mut w);
-            matrix.encode(&mut w);
-            w.put_usize(pod.core_count());
-            w.put_len(pod.pipe_count());
-            for pipe in 0..pod.pipe_count() {
-                w.put_usize(pod.owner(PipeId(pipe)).index());
-            }
-            w.put_len(admission.vn_location.len());
-            for loc in &admission.vn_location {
-                w.put_usize(loc.index());
-            }
-            for core in &admission.vn_entry_core {
-                w.put_usize(core.index());
-            }
-            for &active in &admission.vn_active {
-                w.put_bool(active);
-            }
-            w.put_len(core_load.len());
-            for &load in core_load.iter() {
-                w.put_u32(load);
-            }
+        let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        encode_profile(w, profile);
+        admission.routes.encode(w);
+        matrix.encode(w);
+        w.put_usize(pod.core_count());
+        w.put_u64s((0..pod.pipe_count()).map(|pipe| pod.owner(PipeId(pipe)).index() as u64));
+        w.put_u64s(admission.vn_location.iter().map(|loc| loc.index() as u64));
+        for core in &admission.vn_entry_core {
+            w.put_usize(core.index());
+        }
+        for &active in &admission.vn_active {
+            w.put_bool(active);
+        }
+        w.put_u32s(core_load);
+        exec.encode_cores(w, |w, tunnels| {
             // Canonical tunnel order: (arrival time, target core), with
             // per-target FIFO preserved by the stable sort. Same-time tunnels
             // to *different* targets commute (each `accept_tunnel` touches
@@ -936,19 +942,16 @@ impl<X: CoreExecutor> Emulator<X> {
             for (time, (target, descriptor)) in tunnels {
                 w.put_time(time);
                 w.put_usize(target.index());
-                put_descriptor(&mut w, descriptor);
+                put_descriptor(w, descriptor);
             }
             w.put_len(admission.local_deliveries.len());
             for delivery in &admission.local_deliveries {
-                put_delivery(&mut w, delivery);
+                put_delivery(w, delivery);
             }
-            fluid.encode(&mut w);
-            w.put_len(cores.len());
-            for core in cores {
-                core.encode_state(&mut w);
-            }
+            fluid.encode(w);
         })?;
-        Ok(EmulatorSnapshot::from_payload(w.into_bytes()))
+        w.end_frame(frame);
+        Ok(())
     }
 
     /// Rebuilds an emulator from a checkpoint taken by
@@ -957,28 +960,36 @@ impl<X: CoreExecutor> Emulator<X> {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] if the snapshot is truncated, corrupted, or from an
-    /// incompatible format version.
+    /// [`CodecError`] if the payload is inconsistent or is not consumed to
+    /// the last byte.
     pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
-        let r = &mut snapshot.reader();
+        Self::decode(snapshot.reader())
+    }
+
+    /// [`Emulator::restore`] straight from a framed snapshot of any version
+    /// this build reads: `framed` is verified and decoded in place.
+    pub fn restore_bytes(framed: &[u8]) -> Result<Self, CodecError> {
+        Self::decode(EmulatorSnapshot::verify(framed)?)
+    }
+
+    /// The one decoder, over a verified payload.
+    fn decode(mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
+        let r = &mut payload;
         let profile = decode_profile(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
         let matrix = RoutingMatrix::decode(r)?;
         let core_count = r.get_usize()?;
-        let pipe_count = r.get_len()?;
-        let mut owners = Vec::with_capacity(pipe_count);
-        for _ in 0..pipe_count {
-            let owner = r.get_usize()?;
-            if owner >= core_count {
-                return Err(CodecError::Invalid("pipe owner out of range"));
-            }
-            owners.push(CoreId(owner));
+        let owners = r.get_u64s()?;
+        if owners.iter().any(|&owner| owner >= core_count as u64) {
+            return Err(CodecError::Invalid("pipe owner out of range"));
         }
+        let owners = owners.into_iter().map(|o| CoreId(o as usize)).collect();
         let pod = Arc::new(PipeOwnershipDirectory::from_owners(
             owners,
             core_count.max(1),
         ));
-        let vn_count = r.get_len()?;
+        // One count covers the three per-VN tables: 8 + 8 + 1 bytes a VN.
+        let vn_count = r.get_count(17)?;
         let mut vn_location = Vec::with_capacity(vn_count);
         for _ in 0..vn_count {
             vn_location.push(NodeId(r.get_usize()?));
@@ -991,19 +1002,15 @@ impl<X: CoreExecutor> Emulator<X> {
         for _ in 0..vn_count {
             vn_active.push(r.get_bool()?);
         }
-        let load_count = r.get_len()?;
-        let mut core_load = Vec::with_capacity(load_count);
-        for _ in 0..load_count {
-            core_load.push(r.get_u32()?);
-        }
-        let tunnel_count = r.get_len()?;
+        let core_load = r.get_u32s()?;
+        let tunnel_count = r.get_count(16 + MIN_DESCRIPTOR_BYTES)?;
         let mut tunnels = TimerWheel::new();
         for _ in 0..tunnel_count {
             let time = r.get_time()?;
             let target = CoreId(r.get_usize()?);
             tunnels.push(time, (target, get_descriptor(r)?));
         }
-        let local_count = r.get_len()?;
+        let local_count = r.get_count(MIN_DELIVERY_BYTES)?;
         let mut local_deliveries = Vec::with_capacity(local_count);
         for _ in 0..local_count {
             local_deliveries.push(get_delivery(r)?);
@@ -1020,6 +1027,7 @@ impl<X: CoreExecutor> Emulator<X> {
             }
             cores.push(core);
         }
+        r.finish()?;
         Ok(Emulator {
             exec: X::from_cores(cores, tunnels, pod.clone(), profile, Vec::new()),
             pod,

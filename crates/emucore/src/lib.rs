@@ -46,8 +46,8 @@
 //! → tick every core → exchange → repeat while one is due), tunnels are
 //! filed in the inline wheel's `(time, seq)` order, and deliveries are
 //! concatenated round-major, core-major (see [`parallel`]). The determinism,
-//! differential and snapshot suites pin the second; a golden `MNSP` v1
-//! fixture pins the bytes.
+//! differential and snapshot suites pin the second; golden `MNSP` fixtures
+//! (v1 decodes, v2 is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
 use mn_distill::DistilledTopology;
 use mn_routing::{RouteTable, RoutingMatrix};
-use mn_util::{SimTime, TimerWheel};
+use mn_util::{ByteWriter, SimTime, TimerWheel};
 
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
@@ -175,11 +175,17 @@ impl CoreExecutor for InlineExecutor {
         Ok(())
     }
 
-    fn with_cores<R>(
+    fn encode_cores(
         &mut self,
-        read: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
-    ) -> Result<R, EmuError> {
-        Ok(read(&self.cores, &self.tunnels))
+        w: &mut ByteWriter,
+        head: impl FnOnce(&mut ByteWriter, &TimerWheel<(CoreId, Descriptor)>),
+    ) -> Result<(), EmuError> {
+        head(w, &self.tunnels);
+        w.put_len(self.cores.len());
+        for core in &self.cores {
+            core.encode_state(w);
+        }
+        Ok(())
     }
 }
 

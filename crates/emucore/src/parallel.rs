@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_routing::RouteTable;
 use mn_util::spsc::{self, Consumer, Producer};
-use mn_util::{SimTime, SpinBarrier, SpinWait, TimerWheel};
+use mn_util::{ByteWriter, SimTime, SpinBarrier, SpinWait, TimerWheel};
 
 use crate::chaos::ChaosPlan;
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
@@ -105,9 +105,10 @@ enum Request {
     Advance { now: SimTime },
     /// Carry out a coordinator command on this core.
     Apply(CoreCommand),
-    /// Hand back a copy of the core plus the worker-local arrival backlog,
+    /// Encode the core into the buffer carried (the one this worker filled
+    /// last time) and hand it back with the worker-local arrival backlog,
     /// for a coordinator-assembled checkpoint. Read-only: nothing ticks.
-    Snapshot,
+    Snapshot(Vec<u8>),
     /// Install a chaos fault plan (test-only fault injection; see
     /// [`crate::chaos`]). The one request without a reply.
     SetChaos(ChaosPlan),
@@ -138,10 +139,10 @@ enum Response {
     /// [`Request::Advance`], and in reply to [`Request::Apply`] (`ok` is
     /// whether the core accepted the command).
     Done { ok: bool, status: Status },
-    /// Reply to [`Request::Snapshot`]: a clone of the core and the
+    /// Reply to [`Request::Snapshot`]: the core's encoded state and the
     /// worker-local tunnel arrival backlog in `(time, seq)` wheel order.
     Snapshot {
-        core: Box<EmulatorCore>,
+        state: Vec<u8>,
         arrivals: Vec<(SimTime, Descriptor)>,
     },
     /// Reply to [`Request::Finish`].
@@ -242,15 +243,17 @@ impl Worker {
                     let ok = command.apply_to(&mut self.core);
                     self.push_done(ok);
                 }
-                Request::Snapshot => {
+                Request::Snapshot(buf) => {
                     let arrivals = self
                         .arrivals
                         .entries_in_order()
                         .into_iter()
                         .map(|(time, descriptor)| (time, descriptor.clone()))
                         .collect();
+                    let mut state = ByteWriter::reusing(buf);
+                    self.core.encode_state(&mut state);
                     let response = Response::Snapshot {
-                        core: Box::new(self.core.clone()),
+                        state: state.into_bytes(),
                         arrivals,
                     };
                     self.push_response(response);
@@ -522,6 +525,8 @@ struct WorkerHandle {
     status: Status,
     /// The binding's advisory CPU placement for this worker.
     affinity_hint: Option<usize>,
+    /// Where this worker encodes its core at a checkpoint, kept in between.
+    snapshot_buf: Vec<u8>,
 }
 
 /// Best-effort extraction of a panic payload message (the common
@@ -902,6 +907,7 @@ impl CoreExecutor for ThreadedExecutor {
                 heartbeat,
                 status: Status::default(),
                 affinity_hint,
+                snapshot_buf: Vec::new(),
             });
         }
 
@@ -1017,30 +1023,37 @@ impl CoreExecutor for ThreadedExecutor {
         Ok(())
     }
 
-    /// Workers clone their cores and report their arrival backlogs.
-    fn with_cores<R>(
+    /// Workers encode their own cores, all at once; the coordinator merges
+    /// the arrival backlogs for `head` and appends the encodings in order.
+    fn encode_cores(
         &mut self,
-        read: impl FnOnce(&[EmulatorCore], &TimerWheel<(CoreId, Descriptor)>) -> R,
-    ) -> Result<R, EmuError> {
+        w: &mut ByteWriter,
+        head: impl FnOnce(&mut ByteWriter, &TimerWheel<(CoreId, Descriptor)>),
+    ) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
-            self.send(index, Request::Snapshot)?;
+            let buf = std::mem::take(&mut self.workers[index].snapshot_buf);
+            self.send(index, Request::Snapshot(buf))?;
         }
         let mut tunnels: TimerWheel<(CoreId, Descriptor)> = TimerWheel::new();
-        let mut cores: Vec<EmulatorCore> = Vec::with_capacity(self.workers.len());
         for index in 0..self.workers.len() {
             match self.wait(index)? {
-                Response::Snapshot { core, arrivals } => {
+                Response::Snapshot { state, arrivals } => {
                     // Target-major merge; a canonical order is the
                     // encoder's business.
                     for (arrival, descriptor) in arrivals {
                         tunnels.push(arrival, (CoreId(index), descriptor));
                     }
-                    cores.push(*core);
+                    self.workers[index].snapshot_buf = state;
                 }
                 _ => unreachable!("Snapshot is answered by Snapshot"),
             }
         }
-        Ok(read(&cores, &tunnels))
+        head(w, &tunnels);
+        w.put_len(self.workers.len());
+        for worker in &self.workers {
+            w.put_bytes(&worker.snapshot_buf);
+        }
+        Ok(())
     }
 }
 

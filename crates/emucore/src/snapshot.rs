@@ -11,16 +11,19 @@
 //! deliveries at the same virtual times, same stats, same RNG draws — on
 //! either execution backend, at any core count.
 //!
-//! The wire format is versioned and checksummed (FNV-1a over the payload):
-//! a truncated, corrupted or future-version snapshot is a structured
-//! [`CodecError`], never a mis-restore. What is *not* captured: application
+//! The wire format is a versioned, checksummed frame (`MNSP`: magic, version,
+//! payload length, payload, checksum of the payload): a truncated, corrupted,
+//! padded or future-version snapshot is a structured [`CodecError`], never a
+//! mis-restore. Version 2 changed the checksum only (byte-serial FNV-1a to
+//! the word-wise [`checksum64`]); the payload layout is version 1's, and
+//! version-1 frames still decode. What is *not* captured: application
 //! state (traffic sources attached to a [`crate::Emulator`] via a
 //! runner live outside the emulator; the runner documents its own policy)
 //! and coordinator scratch buffers, which are rebuilt empty.
 
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RouteId;
-use mn_util::codec::fnv1a64;
+use mn_util::codec::checksum64;
 use mn_util::{ByteReader, ByteWriter, CodecError};
 
 use crate::descriptor::{Delivery, Descriptor};
@@ -28,72 +31,60 @@ use crate::descriptor::{Delivery, Descriptor};
 /// Magic bytes identifying an emulator snapshot ("MNSP").
 pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 
-/// Current snapshot format version. Bumped on any layout change; older
-/// readers reject newer snapshots with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version, the only one written. Bumped on any
+/// format change; decoders keep reading every earlier version and reject
+/// later ones with [`CodecError::BadVersion`].
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// A serialized emulator checkpoint.
+/// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
-/// Produced by [`crate::Emulator::snapshot`] and restored by
-/// [`crate::Emulator::restore`], the one encoder and the one decoder. The
-/// payload does not record which executor the cores were on, so a snapshot
-/// taken on the inline executor restores onto the threaded one (and vice
-/// versa) with bit-identical continuation.
+/// Produced by [`crate::Emulator::snapshot`] (a wrapper over
+/// [`crate::Emulator::snapshot_into`], the one encoder) and restored by
+/// [`crate::Emulator::restore`]. The payload does not record which executor
+/// the cores were on, so a snapshot taken on the inline executor restores
+/// onto the threaded one (and vice versa) with bit-identical continuation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EmulatorSnapshot {
-    payload: Vec<u8>,
+    /// Only ever a frame the encoder just closed or [`Self::verify`] passed.
+    pub(crate) framed: Vec<u8>,
 }
 
 impl EmulatorSnapshot {
-    /// Wraps an encoded emulator payload (crate-internal: the emulators
-    /// build payloads, callers only see framed snapshots).
-    pub(crate) fn from_payload(payload: Vec<u8>) -> Self {
-        EmulatorSnapshot { payload }
-    }
-
-    /// A reader over the payload, for restore.
+    /// A reader over the payload (after the 16-byte header), for restore.
     pub(crate) fn reader(&self) -> ByteReader<'_> {
-        ByteReader::new(&self.payload)
+        ByteReader::new(&self.framed[16..self.framed.len() - 8])
     }
 
-    /// Size of the raw payload in bytes (the framed form adds 24 bytes of
-    /// header and checksum).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Frames the snapshot for storage: magic, version, length-prefixed
-    /// payload, FNV-1a-64 payload checksum.
+    /// The frame, for storage, as the encoder wrote it or
+    /// [`Self::from_bytes`] verified it.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(self.payload.len() + 24);
-        w.put_u32(SNAPSHOT_MAGIC);
-        w.put_u32(SNAPSHOT_VERSION);
-        w.put_len(self.payload.len());
-        w.put_bytes(&self.payload);
-        w.put_u64(fnv1a64(&self.payload));
-        w.into_bytes()
+        self.framed.clone()
+    }
+
+    /// Checks a frame (magic, a version this build reads, length, that
+    /// version's checksum, nothing after it); the reader borrows the payload.
+    pub(crate) fn verify(bytes: &[u8]) -> Result<ByteReader<'_>, CodecError> {
+        ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
+            1 => Ok(mn_util::codec::fnv1a64),
+            2 => Ok(checksum64),
+            v => Err(CodecError::BadVersion(v)),
+        })
     }
 
     /// Parses and validates a framed snapshot. Rejects bad magic, versions
-    /// this build cannot read, truncation, and checksum mismatches.
+    /// this build cannot read, truncation, trailing bytes and checksum
+    /// mismatches.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        if r.get_u32()? != SNAPSHOT_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        let len = r.get_len()?;
-        let payload = r.take_bytes(len)?.to_vec();
-        let checksum = r.get_u64()?;
-        if fnv1a64(&payload) != checksum {
-            return Err(CodecError::BadChecksum);
-        }
-        Ok(EmulatorSnapshot { payload })
+        Self::verify(bytes)?;
+        let framed = bytes.to_vec();
+        Ok(EmulatorSnapshot { framed })
     }
 }
+
+/// The fewest bytes an encoded [`Descriptor`] / [`Delivery`] takes (a UDP
+/// header; TCP's is longer): what a count prefix over them is bounded with.
+pub(crate) const MIN_DESCRIPTOR_BYTES: usize = 78;
+pub(crate) const MIN_DELIVERY_BYTES: usize = 82;
 
 /// Encodes a packet, preserving the wire size verbatim (it is *not*
 /// re-derived from the header on decode, so size overrides survive).
@@ -311,9 +302,24 @@ mod tests {
 
     #[test]
     fn framing_detects_corruption_truncation_and_bad_version() {
-        let snap = EmulatorSnapshot::from_payload(vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        let mut w = ByteWriter::new();
+        let start = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        w.put_bytes(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        w.end_frame(start);
+        let snap = EmulatorSnapshot {
+            framed: w.into_bytes(),
+        };
         let bytes = snap.to_bytes();
         assert_eq!(EmulatorSnapshot::from_bytes(&bytes).unwrap(), snap);
+        assert_eq!(snap.reader().remaining(), 8);
+
+        // Anything after the checksum: refused, not ignored.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_eq!(
+            EmulatorSnapshot::from_bytes(&padded),
+            Err(CodecError::Invalid("trailing bytes"))
+        );
 
         // Flip a payload bit: checksum mismatch.
         let mut corrupt = bytes.clone();

@@ -819,40 +819,25 @@ impl RoutingMatrix {
     /// checkpoint. Scratch buffers are not captured (they hold no state
     /// between calls); [`RoutingMatrix::decode`] restores them empty.
     pub fn encode(&self, w: &mut mn_util::ByteWriter) {
-        fn put_u32s(w: &mut mn_util::ByteWriter, v: &[u32]) {
-            w.put_len(v.len());
-            for &x in v {
-                w.put_u32(x);
-            }
-        }
-        fn put_u64s(w: &mut mn_util::ByteWriter, v: &[u64]) {
-            w.put_len(v.len());
-            for &x in v {
-                w.put_u64(x);
-            }
-        }
         fn put_nested(w: &mut mn_util::ByteWriter, v: &[Vec<u32>]) {
             w.put_len(v.len());
             for list in v {
-                put_u32s(w, list);
+                w.put_u32s(list);
             }
         }
-        w.put_len(self.vns.len());
-        for &vn in &self.vns {
-            // DEAD_SOURCE is usize::MAX, which round-trips through u64.
-            w.put_u64(vn.index() as u64);
-        }
-        put_u32s(w, &self.vn_of_node);
+        // DEAD_SOURCE is usize::MAX, which round-trips through u64.
+        w.put_u64s(self.vns.iter().map(|vn| vn.index() as u64));
+        w.put_u32s(&self.vn_of_node);
         w.put_usize(self.node_count);
-        put_u64s(w, &self.dist);
-        put_u32s(w, &self.pred);
-        put_u64s(w, &self.pipe_cost);
-        put_u32s(w, &self.pipe_src);
-        put_u32s(w, &self.node_component);
+        w.put_u64s(self.dist.iter().copied());
+        w.put_u32s(&self.pred);
+        w.put_u64s(self.pipe_cost.iter().copied());
+        w.put_u32s(&self.pipe_src);
+        w.put_u32s(&self.node_component);
         put_nested(w, &self.component_vns);
         put_nested(w, &self.component_nodes);
         put_nested(w, &self.pipe_sources);
-        put_u32s(w, &self.free_slots);
+        w.put_u32s(&self.free_slots);
         w.put_u64(self.version);
     }
 
@@ -861,32 +846,21 @@ impl RoutingMatrix {
     /// future [`RoutingMatrix::update_pipes`] — identically to the one
     /// captured.
     pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        fn get_u32s(r: &mut mn_util::ByteReader) -> Result<Vec<u32>, mn_util::CodecError> {
-            let n = r.get_len()?;
-            (0..n).map(|_| r.get_u32()).collect()
-        }
-        fn get_u64s(r: &mut mn_util::ByteReader) -> Result<Vec<u64>, mn_util::CodecError> {
-            let n = r.get_len()?;
-            (0..n).map(|_| r.get_u64()).collect()
-        }
         fn get_nested(r: &mut mn_util::ByteReader) -> Result<Vec<Vec<u32>>, mn_util::CodecError> {
-            let n = r.get_len()?;
-            (0..n).map(|_| get_u32s(r)).collect()
+            // An empty list is its count prefix alone.
+            let n = r.get_count(8)?;
+            (0..n).map(|_| r.get_u32s()).collect()
         }
-        let n = r.get_len()?;
-        let mut vns = Vec::with_capacity(n);
-        for _ in 0..n {
-            vns.push(NodeId(r.get_u64()? as usize));
-        }
+        let vns = r.get_u64s()?.into_iter().map(|vn| NodeId(vn as usize));
         Ok(RoutingMatrix {
-            vns,
-            vn_of_node: get_u32s(r)?,
+            vns: vns.collect(),
+            vn_of_node: r.get_u32s()?,
             node_count: r.get_usize()?,
-            dist: get_u64s(r)?,
-            pred: get_u32s(r)?,
-            pipe_cost: get_u64s(r)?,
-            pipe_src: get_u32s(r)?,
-            node_component: get_u32s(r)?,
+            dist: r.get_u64s()?,
+            pred: r.get_u32s()?,
+            pipe_cost: r.get_u64s()?,
+            pipe_src: r.get_u32s()?,
+            node_component: r.get_u32s()?,
             component_vns: get_nested(r)?,
             component_nodes: get_nested(r)?,
             pipe_sources: get_nested(r)?,
@@ -894,7 +868,7 @@ impl RoutingMatrix {
             scratch_pred: Vec::new(),
             scratch_heap: Vec::new(),
             scratch_memo: Vec::new(),
-            free_slots: get_u32s(r)?,
+            free_slots: r.get_u32s()?,
             version: r.get_u64()?,
         })
     }

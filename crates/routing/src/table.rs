@@ -1185,10 +1185,7 @@ impl RouteTable {
         w.put_u64(self.version);
         w.put_len(self.store.len());
         for route in self.store.iter() {
-            w.put_len(route.pipes.len());
-            for &p in &route.pipes {
-                w.put_usize(p.index());
-            }
+            w.put_u64s(route.pipes.iter().map(|p| p.index() as u64));
         }
         for src in 0..self.endpoint_count {
             match self.row(src).expect("endpoint in range") {
@@ -1204,10 +1201,7 @@ impl RouteTable {
                 RowShard::Spilled { base, slots } => {
                     w.put_u8(2);
                     w.put_u32(*base);
-                    w.put_len(slots.len());
-                    for &s in slots.iter() {
-                        w.put_u32(s);
-                    }
+                    w.put_u32s(slots);
                 }
             }
         }
@@ -1219,10 +1213,7 @@ impl RouteTable {
             w.put_usize(loc.index());
         }
         for list in &self.locs.endpoints {
-            w.put_len(list.len());
-            for &e in list.iter() {
-                w.put_u32(e);
-            }
+            w.put_u32s(list);
         }
     }
 
@@ -1238,23 +1229,28 @@ impl RouteTable {
     /// rather than a panic on the forwarding path later.
     pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
         use mn_util::CodecError::Invalid;
-        let endpoint_count = r.get_len()?;
+        // An endpoint is at least a row tag and a column.
+        let endpoint_count = r.get_count(5)?;
         let version = r.get_u64()?;
         let mut table = RouteTable::new(0);
-        let route_count = r.get_len()?;
+        // An empty route is its count prefix alone.
+        let route_count = r.get_count(8)?;
         for _ in 0..route_count {
-            let hops = r.get_len()?;
-            let mut pipes = Vec::with_capacity(hops);
-            for _ in 0..hops {
-                pipes.push(PipeId(r.get_usize()?));
+            let pipes = r.get_u64s()?;
+            if pipes.iter().any(|&p| usize::try_from(p).is_err()) {
+                return Err(Invalid("usize overflow"));
             }
+            let pipes = pipes.into_iter().map(|p| PipeId(p as usize)).collect();
             // Always-append, not `intern_pipes`: a hand-assembled store may
             // hold the same content under two ids, and both must survive.
             table.intern(Route::new(pipes));
         }
-        let get_route = |r: &mut mn_util::ByteReader| match r.get_u32()? {
-            raw if raw == NO_ROUTE || (raw as usize) < route_count => Ok(raw),
-            _ => Err(Invalid("row shard names a route the store does not hold")),
+        let check_routes = |slots: &[u32]| {
+            let known = |&raw: &u32| raw == NO_ROUTE || (raw as usize) < route_count;
+            match slots.iter().all(known) {
+                true => Ok(()),
+                false => Err(Invalid("row shard names a route the store does not hold")),
+            }
         };
         let mut rows_flat = Vec::with_capacity(endpoint_count);
         // Co-located endpoints shared one spilled allocation before the
@@ -1271,21 +1267,23 @@ impl RouteTable {
                     }
                     let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
                     for s in slots.iter_mut().take(len as usize) {
-                        *s = get_route(r)?;
+                        *s = r.get_u32()?;
                     }
+                    check_routes(&slots[..len as usize])?;
                     RowShard::Inline { base, len, slots }
                 }
                 2 => {
                     let base = r.get_u32()?;
-                    let width = r.get_len()?;
-                    let mut slots = Vec::with_capacity(width);
-                    for _ in 0..width {
-                        slots.push(get_route(r)?);
-                    }
-                    let shared = spill_cache
-                        .entry(slots.clone())
-                        .or_insert_with(|| Arc::from(slots))
-                        .clone();
+                    let slots = r.get_u32s()?;
+                    check_routes(&slots)?;
+                    let shared = match spill_cache.get(slots.as_slice()) {
+                        Some(shared) => shared.clone(),
+                        None => {
+                            let shared: Arc<[u32]> = Arc::from(slots.as_slice());
+                            spill_cache.insert(slots, shared.clone());
+                            shared
+                        }
+                    };
                     RowShard::Spilled {
                         base,
                         slots: shared,
@@ -1298,7 +1296,8 @@ impl RouteTable {
         for _ in 0..endpoint_count {
             cols_flat.push(r.get_u32()?);
         }
-        let slots = r.get_len()?;
+        // A location is its node and the count of its endpoint list.
+        let slots = r.get_count(16)?;
         let mut locs = LocationIndex::default();
         for _ in 0..slots {
             let loc = NodeId(r.get_usize()?);
@@ -1320,15 +1319,12 @@ impl RouteTable {
         }
         let mut slot_cols = slots > 0;
         for slot in 0..slots {
-            let n = r.get_len()?;
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                let e = r.get_u32()?;
+            let list = r.get_u32s()?;
+            for &e in &list {
                 if e as usize >= endpoint_count {
                     return Err(Invalid("location lists an endpoint out of range"));
                 }
                 slot_cols &= cols_flat[e as usize] as usize == slot;
-                list.push(e);
             }
             locs.endpoints.push(Arc::from(list));
         }

@@ -7,6 +7,9 @@
 //!   the zero-allocation guard used by the steady-state suites (the
 //!   counter is a `Cell<u64>`, so reading it cannot itself allocate or
 //!   recurse into the allocator);
+//! * [`thread_alloc_bytes`] / [`take_thread_largest_alloc`] — bytes this thread
+//!   requested and the largest single block among them, which state an
+//!   allocation budget ("one buffer, no second copy") as a test;
 //! * [`bytes_in_use`] / [`peak_bytes_in_use`] — process-wide resident
 //!   bytes and their high-water mark, for memory reports;
 //! * [`total_allocated_bytes`] — cumulative bytes ever requested, whose
@@ -21,7 +24,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 thread_local! {
-    static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's requests: how many, their bytes, the largest one.
+    static THREAD: (Cell<u64>, Cell<u64>, Cell<usize>) =
+        const { (Cell::new(0), Cell::new(0), Cell::new(0)) };
 }
 
 static BYTES_IN_USE: AtomicUsize = AtomicUsize::new(0);
@@ -32,7 +37,19 @@ static TOTAL_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// since it started. Frees are not counted: the steady-state guards pin
 /// "no new memory requested", and a free cannot request memory.
 pub fn thread_alloc_calls() -> u64 {
-    THREAD_ALLOC_CALLS.with(|c| c.get())
+    THREAD.with(|t| t.0.get())
+}
+
+/// Bytes requested (alloc / alloc_zeroed / realloc's new size) by this
+/// thread since it started.
+pub fn thread_alloc_bytes() -> u64 {
+    THREAD.with(|t| t.1.get())
+}
+
+/// The largest single block this thread requested since it started or last
+/// called this (reading restarts it at zero).
+pub fn take_thread_largest_alloc() -> usize {
+    THREAD.with(|t| t.2.replace(0))
 }
 
 /// Bytes currently allocated process-wide.
@@ -58,7 +75,11 @@ pub fn total_allocated_bytes() -> u64 {
 }
 
 fn on_alloc(bytes: usize) {
-    THREAD_ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+    THREAD.with(|t| {
+        t.0.set(t.0.get() + 1);
+        t.1.set(t.1.get() + bytes as u64);
+        t.2.set(t.2.get().max(bytes));
+    });
     TOTAL_ALLOCATED.fetch_add(bytes as u64, Ordering::Relaxed);
     let in_use = BYTES_IN_USE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK_BYTES_IN_USE.fetch_max(in_use, Ordering::Relaxed);

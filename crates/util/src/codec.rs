@@ -42,7 +42,8 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash, used as the snapshot payload checksum. Not
+/// FNV-1a 64-bit hash, the payload checksum of version-1 snapshot frames:
+/// byte-serial, which is why version 2 moved to [`checksum64`]. Not
 /// cryptographic — it guards against truncation and bit rot, not tampering.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
@@ -52,6 +53,54 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     }
     hash
 }
+
+const SUM_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const SUM_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const SUM_P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One lane step: a bijection of `lane` for any `word` and of `word` for any
+/// `lane`, so a changed word always changes its lane.
+#[inline(always)]
+fn sum_round(lane: u64, word: u64) -> u64 {
+    (lane.wrapping_add(word.wrapping_mul(SUM_P2)).rotate_left(31)).wrapping_mul(SUM_P1)
+}
+
+/// Folds `word` into the running sum; a bijection in either argument.
+#[inline(always)]
+fn sum_fold(sum: u64, word: u64) -> u64 {
+    ((sum ^ sum_round(0, word)).rotate_left(27)).wrapping_mul(SUM_P1) ^ SUM_P3
+}
+
+/// The payload checksum of version-2 snapshot frames: little-endian 8-byte
+/// words folded into four independent lanes (32 bytes a step, so the
+/// multiplies overlap instead of queueing as in [`fnv1a64`]), the lanes
+/// merged, then the total length and the tail (whole words, a last partial
+/// word zero-padded) folded in. Constants are fixed and unseeded: a byte
+/// string has one sum on every host and build. Every step is a bijection of
+/// the state it updates, so changing any one word changes the sum.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = [
+        SUM_P1.wrapping_add(SUM_P2),
+        SUM_P2,
+        0,
+        SUM_P1.wrapping_neg(),
+    ];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = sum_round(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+    }
+    let sum = lanes.into_iter().fold(bytes.len() as u64, sum_fold);
+    stripes.remainder().chunks(8).fold(sum, |sum, tail| {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        sum_fold(sum, u64::from_le_bytes(word))
+    })
+}
+
+/// The checksum function a frame's format version selects.
+pub type ChecksumFn = fn(&[u8]) -> u64;
 
 /// An append-only little-endian byte sink.
 #[derive(Debug, Default)]
@@ -90,6 +139,57 @@ impl ByteWriter {
     /// Borrow of the bytes written so far.
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
+    }
+
+    /// Wraps `buf`, emptied, keeping its allocation.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        ByteWriter { buf }
+    }
+
+    /// Overwrites the eight bytes at `at` (a length word reserved before its
+    /// value was known).
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Opens a checksummed frame — magic, version, a reserved length word —
+    /// and returns where its payload starts, for [`ByteWriter::end_frame`].
+    /// The payload is whatever is written in between, streamed in place.
+    pub fn begin_frame(&mut self, magic: u32, version: u32) -> usize {
+        self.put_u32(magic);
+        self.put_u32(version);
+        self.put_u64(0);
+        self.len()
+    }
+
+    /// Closes the frame whose payload starts at `payload_start`: back-patches
+    /// the length word and appends [`checksum64`] of the payload.
+    pub fn end_frame(&mut self, payload_start: usize) {
+        self.patch_u64(payload_start - 8, (self.len() - payload_start) as u64);
+        self.put_u64(checksum64(&self.buf[payload_start..]));
+    }
+
+    /// Appends a count prefix and each word's bytes, reserved at once.
+    fn put_run<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
+        self.put_len(words.len());
+        let start = self.buf.len();
+        self.buf.resize(start + words.len() * N, 0);
+        for (chunk, word) in self.buf[start..].chunks_exact_mut(N).zip(words) {
+            chunk.copy_from_slice(&word);
+        }
+    }
+
+    /// Appends a count-prefixed run of `u32`s: the bytes `put_len` and one
+    /// `put_u32` per element would write.
+    pub fn put_u32s(&mut self, values: &[u32]) {
+        self.put_run(values.iter().map(|v| v.to_le_bytes()));
+    }
+
+    /// Appends a count-prefixed run of `u64`s; an iterator, so index
+    /// newtypes encode without a staging `Vec`.
+    pub fn put_u64s(&mut self, values: impl ExactSizeIterator<Item = u64>) {
+        self.put_run(values.map(u64::to_le_bytes));
     }
 
     /// Appends raw bytes verbatim.
@@ -198,6 +298,39 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    /// Verifies a frame written by [`ByteWriter::begin_frame`] /
+    /// [`ByteWriter::end_frame`] that spans exactly `bytes` and returns a
+    /// reader over its payload, borrowed. `checksum_for` maps the frame's
+    /// version word to the checksum that version carries, or refuses it.
+    pub fn open_frame(
+        bytes: &'a [u8],
+        magic: u32,
+        checksum_for: impl FnOnce(u32) -> Result<ChecksumFn, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        if r.get_u32()? != magic {
+            return Err(CodecError::BadMagic);
+        }
+        let checksum = checksum_for(r.get_u32()?)?;
+        let len = r.get_len()?;
+        let payload = r.take_bytes(len)?;
+        let recorded = r.get_u64()?;
+        r.finish()?;
+        if checksum(payload) != recorded {
+            return Err(CodecError::BadChecksum);
+        }
+        Ok(ByteReader::new(payload))
+    }
+
+    /// `Ok` once every byte has been consumed: a decoder that stopped early,
+    /// or input with anything appended, is corrupt.
+    pub fn finish(&self) -> Result<(), CodecError> {
+        match self.is_exhausted() {
+            true => Ok(()),
+            false => Err(CodecError::Invalid("trailing bytes")),
+        }
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -264,14 +397,39 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Reads a sequence length prefix, bounded by the bytes remaining so a
-    /// corrupt count cannot trigger a huge allocation.
+    /// Reads a byte-string length prefix, bounded by the bytes remaining.
     pub fn get_len(&mut self) -> Result<usize, CodecError> {
-        let len = self.get_usize()?;
-        if len > self.remaining() {
+        self.get_count(1)
+    }
+
+    /// Reads the count prefix of a sequence whose records take at least
+    /// `min_record_bytes` each, bounded by the *records* the remaining bytes
+    /// can hold, so `Vec::with_capacity(count)` stays near the input's size.
+    pub fn get_count(&mut self, min_record_bytes: usize) -> Result<usize, CodecError> {
+        let count = self.get_usize()?;
+        if count > self.remaining() / min_record_bytes {
             return Err(CodecError::Invalid("length prefix exceeds input"));
         }
-        Ok(len)
+        Ok(count)
+    }
+
+    fn get_run<const N: usize, T>(
+        &mut self,
+        word: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, CodecError> {
+        let count = self.get_count(N)?;
+        let words = self.take_bytes(count * N)?.chunks_exact(N);
+        Ok(words.map(|w| word(w.try_into().unwrap())).collect())
+    }
+
+    /// Reads a run written by [`ByteWriter::put_u32s`].
+    pub fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
+        self.get_run(u32::from_le_bytes)
+    }
+
+    /// Reads a run written by [`ByteWriter::put_u64s`].
+    pub fn get_u64s(&mut self) -> Result<Vec<u64>, CodecError> {
+        self.get_run(u64::from_le_bytes)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -390,6 +548,183 @@ mod tests {
             r.get_len(),
             Err(CodecError::Invalid("length prefix exceeds input"))
         );
+    }
+
+    /// The 1 MiB reference input: a byte pattern with no short period.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    }
+
+    /// `checksum64` written the slow, obvious way: the definition the lanes
+    /// and iterator chains of the real one must agree with.
+    fn checksum64_by_the_book(bytes: &[u8]) -> u64 {
+        let word = |at: usize| {
+            let mut word = [0u8; 8];
+            for (i, b) in bytes[at..].iter().take(8).enumerate() {
+                word[i] = *b;
+            }
+            u64::from_le_bytes(word)
+        };
+        let mut lanes = [
+            SUM_P1.wrapping_add(SUM_P2),
+            SUM_P2,
+            0,
+            SUM_P1.wrapping_neg(),
+        ];
+        let striped = bytes.len() / 32 * 32;
+        for at in (0..striped).step_by(8) {
+            lanes[at / 8 % 4] = sum_round(lanes[at / 8 % 4], word(at));
+        }
+        let mut sum = bytes.len() as u64;
+        for lane in lanes {
+            sum = sum_fold(sum, lane);
+        }
+        for at in (striped..bytes.len()).step_by(8) {
+            sum = sum_fold(sum, word(at));
+        }
+        sum
+    }
+
+    #[test]
+    fn checksum64_matches_reference_vectors() {
+        // Pinned: version-2 frames on disk carry these sums.
+        let big = pattern(1 << 20);
+        for (len, want) in [
+            (0usize, 0x1a68_88c7_bea1_675eu64),
+            (1, 0x10a0_89c0_5a0d_cf2c),
+            (31, 0x15fb_66e4_2b82_53b1),
+            (32, 0x483f_499a_2468_95e6),
+            (33, 0xb465_7e38_dc22_88f4),
+            (1 << 20, 0x2d79_bbe0_ade1_c068),
+        ] {
+            assert_eq!(checksum64(&big[..len]), want, "{len} bytes");
+        }
+        for len in (0..200).chain([4095, 4096, 4097]) {
+            assert_eq!(
+                checksum64(&big[..len]),
+                checksum64_by_the_book(&big[..len]),
+                "{len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum64_sees_every_bit_every_length_and_zero_padding() {
+        let bytes = pattern(101);
+        let sum = checksum64(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum64(&flipped), sum, "bit {bit}");
+        }
+        for len in 0..bytes.len() {
+            assert_ne!(checksum64(&bytes[..len]), sum, "truncated to {len}");
+        }
+        // The tail's zero padding is not mistaken for data.
+        let zeros = [0u8; 64];
+        let sums: Vec<u64> = (0..=64).map(|len| checksum64(&zeros[..len])).collect();
+        for (len, sum) in sums.iter().enumerate() {
+            assert!(!sums[..len].contains(sum), "{len} zero bytes");
+        }
+    }
+
+    #[test]
+    fn bulk_runs_are_the_per_element_encoding_byte_for_byte() {
+        let narrow: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let wide: Vec<u64> = narrow.iter().map(|&v| (v as u64) << 29 | 5).collect();
+        for count in [0, 1, 7, 1000] {
+            let mut bulk = ByteWriter::new();
+            bulk.put_u32s(&narrow[..count]);
+            bulk.put_u64s(wide[..count].iter().copied());
+            // What version-1 encoders wrote, one element at a time.
+            let mut each = ByteWriter::new();
+            each.put_len(count);
+            narrow[..count].iter().for_each(|&v| each.put_u32(v));
+            each.put_len(count);
+            wide[..count].iter().for_each(|&v| each.put_u64(v));
+            assert_eq!(bulk.as_slice(), each.as_slice());
+
+            let mut r = ByteReader::new(bulk.as_slice());
+            assert_eq!(r.get_u32s().unwrap(), narrow[..count]);
+            assert_eq!(r.get_u64s().unwrap(), wide[..count]);
+            assert!(r.finish().is_ok());
+        }
+    }
+
+    #[test]
+    fn counts_are_bounded_by_records_not_bytes() {
+        // 40 bytes follow the prefix: room for ten u32s or five u64s, which
+        // `get_len` alone (count <= bytes left) would let through as 40.
+        let mut w = ByteWriter::new();
+        w.put_len(11);
+        w.put_bytes(&[0; 40]);
+        let too_many = CodecError::Invalid("length prefix exceeds input");
+        let read = |bytes: &ByteWriter| {
+            let at = || ByteReader::new(bytes.as_slice());
+            (
+                at().get_u32s().map(|v| v.len()),
+                at().get_u64s().map(|v| v.len()),
+            )
+        };
+        assert_eq!(read(&w), (Err(too_many.clone()), Err(too_many.clone())));
+        assert_eq!(
+            ByteReader::new(w.as_slice()).get_count(4),
+            Err(too_many.clone())
+        );
+        assert_eq!(ByteReader::new(w.as_slice()).get_count(3), Ok(11));
+        w.patch_u64(0, 10);
+        assert_eq!(read(&w), (Ok(10), Err(too_many.clone())));
+        w.patch_u64(0, u64::MAX);
+        assert_eq!(read(&w), (Err(too_many.clone()), Err(too_many)));
+    }
+
+    #[test]
+    fn frames_nest_and_refuse_what_they_should() {
+        const OUTER: u32 = 0x4F55_5452;
+        const INNER: u32 = 0x494E_4E52;
+        let current = |version| match version {
+            2 => Ok(checksum64 as ChecksumFn),
+            v => Err(CodecError::BadVersion(v)),
+        };
+        let mut w = ByteWriter::new();
+        let outer = w.begin_frame(OUTER, 2);
+        w.put_u32(7);
+        let inner = w.begin_frame(INNER, 2);
+        w.put_str("streamed in place");
+        w.end_frame(inner);
+        let inner_end = w.len();
+        w.put_u8(9);
+        w.end_frame(outer);
+        let bytes = w.into_bytes();
+
+        let mut r = ByteReader::open_frame(&bytes, OUTER, current).unwrap();
+        assert_eq!(r.get_u32().unwrap(), 7);
+        let nested = r.take_bytes(inner_end - inner + 16).unwrap();
+        assert_eq!(r.get_u8().unwrap(), 9);
+        assert!(r.finish().is_ok());
+        let mut r = ByteReader::open_frame(nested, INNER, current).unwrap();
+        assert_eq!(r.get_string().unwrap(), "streamed in place");
+        assert_eq!(
+            ByteReader::new(nested).finish(),
+            Err(CodecError::Invalid("trailing bytes"))
+        );
+
+        let open = |bytes: &[u8]| ByteReader::open_frame(bytes, OUTER, current).map(|_| ());
+        assert_eq!(open(nested), Err(CodecError::BadMagic));
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_eq!(open(&padded), Err(CodecError::Invalid("trailing bytes")));
+        let mut other_version = bytes.clone();
+        other_version[4] = 3;
+        assert_eq!(open(&other_version), Err(CodecError::BadVersion(3)));
+        let mut flipped = bytes.clone();
+        flipped[20] ^= 1;
+        assert_eq!(open(&flipped), Err(CodecError::BadChecksum));
+        for len in 0..bytes.len() {
+            assert!(open(&bytes[..len]).is_err(), "truncated to {len}");
+        }
     }
 
     #[test]

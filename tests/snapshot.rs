@@ -416,6 +416,35 @@ fn recover_rejects_corruption_and_mismatched_configs() {
     assert_eq!(fresh.now(), SimTime::from_secs(2));
 }
 
+/// The runner's frame refuses what the emulator's does: bytes after the
+/// checksum, and bytes its payload decoder did not consume.
+#[test]
+fn recover_refuses_bytes_after_the_frame_or_after_the_decoded_payload() {
+    let mut runner = build(2, ExecutionBackend::Threaded);
+    runner.run_until(SimTime::from_secs(1)).unwrap();
+    let bytes = runner.snapshot().unwrap();
+    let trailing = RecoverError::Codec(CodecError::Invalid("trailing bytes"));
+
+    let mut fresh = build(2, ExecutionBackend::Threaded);
+    let mut after_frame = bytes.clone();
+    after_frame.push(0);
+    assert_eq!(fresh.recover_from(&after_frame), Err(trailing.clone()));
+
+    // A well-formed frame (length and checksum cover the extra byte) around
+    // a payload with one byte more than the decoder reads.
+    let mut w = mn_util::ByteWriter::new();
+    let frame = w.begin_frame(u32::from_le_bytes(*b"SRNM"), 2);
+    w.put_bytes(&bytes[16..bytes.len() - 8]);
+    w.put_u8(0);
+    w.end_frame(frame);
+    assert_eq!(fresh.recover_from(w.as_slice()), Err(trailing));
+
+    // Neither refusal touched the runner: the real snapshot still restores.
+    assert_eq!(fresh.now(), SimTime::ZERO);
+    fresh.recover_from(&bytes).unwrap();
+    assert_eq!(fresh.now(), SimTime::from_secs(1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -1,22 +1,28 @@
-//! Golden `MNSP` v1 fixture: the emulator snapshot format, pinned to bytes.
+//! Golden `MNSP` fixtures: the emulator snapshot format, pinned to bytes.
 //!
 //! `tests/data/mnsp_v1_path4.bin` was written by the commit *before* the
 //! coordinator/executor refactor (PR 13) from the scenario below: three
 //! 4-hop paths whose hops alternate between two cores, stopped mid-run with
 //! tunnels in flight, one fluid flow, one CBR injector, one compensation
 //! rate, one departed VN and one that left and rejoined. Every later commit
-//! must (a) re-create exactly those bytes from the same scenario on both
-//! executors and (b) restore the file into either executor and finish the
-//! run on the recorded delivery digest. A failure here means the snapshot
-//! format or the emulated behaviour changed: bump `SNAPSHOT_VERSION`, keep
-//! this file decoding (or refuse it by version), and add a v2 fixture —
-//! never re-bless this one.
+//! must restore that file into either executor and finish the run on the
+//! recorded delivery digest — a fixture is never re-blessed.
+//!
+//! Format v2 (PR 17) changed the frame's checksum and nothing else, so
+//! `tests/data/mnsp_v2_path4.bin` is the same scenario under the current
+//! encoder: every later commit must (a) re-create exactly those bytes on
+//! both executors and (b) keep its payload section equal to the v1 file's,
+//! byte for byte. A failure here means the snapshot format or the emulated
+//! behaviour changed: bump `SNAPSHOT_VERSION`, keep both files decoding, and
+//! add a fixture for the new version (a layout change also needs one written
+//! by the parent commit's encoder).
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
 
 use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
+use mn_emucore::snapshot::SNAPSHOT_MAGIC;
 use mn_emucore::{
     EmulatorSnapshot, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SNAPSHOT_VERSION,
 };
@@ -24,11 +30,12 @@ use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_pipe::CbrConfig;
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, PathPairsParams};
-use mn_util::codec::fnv1a64;
-use mn_util::{ByteSize, ByteWriter, DataRate, SimDuration, SimTime};
+use mn_util::codec::{checksum64, fnv1a64};
+use mn_util::{ByteSize, ByteWriter, CodecError, DataRate, SimDuration, SimTime};
 use modelnet::EmulatorBackend;
 
 const FIXTURE: &[u8] = include_bytes!("data/mnsp_v1_path4.bin");
+const FIXTURE_V2: &[u8] = include_bytes!("data/mnsp_v2_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_850);
@@ -196,15 +203,33 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
 }
 
 #[test]
-fn both_executors_reproduce_the_v1_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 1, "this fixture pins format v1");
+fn both_executors_reproduce_the_v2_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 2, "this fixture pins format v2");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE,
-            "snapshot bytes drifted from the v1 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V2,
+            "snapshot bytes drifted from the v2 fixture (threaded: {threaded})"
         );
     }
+}
+
+/// Frames are magic, version, payload length, payload, checksum: v2 is v1
+/// with another version word and another checksum, nothing else.
+#[test]
+fn the_v2_fixture_differs_from_v1_only_in_version_word_and_checksum() {
+    assert_eq!(FIXTURE.len(), FIXTURE_V2.len());
+    let sum_at = FIXTURE.len() - 8;
+    assert_eq!(FIXTURE[..4], FIXTURE_V2[..4], "magic");
+    assert_eq!(FIXTURE[4..8], 1u32.to_le_bytes());
+    assert_eq!(FIXTURE_V2[4..8], 2u32.to_le_bytes());
+    assert!(
+        FIXTURE[8..sum_at] == FIXTURE_V2[8..sum_at],
+        "length and payload"
+    );
+    let payload = &FIXTURE[16..sum_at];
+    assert_eq!(FIXTURE[sum_at..], fnv1a64(payload).to_le_bytes());
+    assert_eq!(FIXTURE_V2[sum_at..], checksum64(payload).to_le_bytes());
 }
 
 #[test]
@@ -216,16 +241,71 @@ fn the_v1_fixture_restores_into_both_executors_and_finishes_identically() {
     assert_eq!(tail_digest(threaded), TAIL_DIGEST);
 }
 
-/// Writes the fixture and prints the digest. Run once, at the commit whose
-/// format is being pinned (`cargo test --test snapshot_golden -- --ignored
-/// --nocapture`); see the module docs for why an existing fixture is never
+/// A frame guards its bytes: whatever single bit flips, wherever the file
+/// is cut, decoding stops at a typed error — before any state is built.
+#[test]
+fn every_bit_flip_and_every_truncation_of_the_v2_fixture_is_a_typed_error() {
+    let mut bytes = FIXTURE_V2.to_vec();
+    for bit in 0..bytes.len() * 8 {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            MultiCoreEmulator::restore_bytes(&bytes).is_err(),
+            "bit {bit} flipped and the snapshot still restored"
+        );
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+    for len in 0..bytes.len() {
+        assert!(
+            EmulatorSnapshot::from_bytes(&bytes[..len]).is_err(),
+            "cut to {len} bytes and the snapshot still parsed"
+        );
+    }
+    assert!(MultiCoreEmulator::restore_bytes(&bytes).is_ok());
+}
+
+/// Bytes after the frame, and bytes the payload's decoder did not consume,
+/// are refused by every entry point rather than silently ignored.
+#[test]
+fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
+    let trailing = Err(CodecError::Invalid("trailing bytes"));
+    let mut after_frame = FIXTURE_V2.to_vec();
+    after_frame.push(0);
+    assert_eq!(
+        EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
+        trailing
+    );
+    assert_eq!(
+        MultiCoreEmulator::restore_bytes(&after_frame).map(|_| ()),
+        trailing
+    );
+
+    // A well-formed frame (length and checksum cover the extra byte) around
+    // a payload with one byte more than the decoder reads.
+    let mut w = ByteWriter::new();
+    let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+    w.put_bytes(&FIXTURE_V2[16..FIXTURE_V2.len() - 8]);
+    w.put_u8(0);
+    w.end_frame(frame);
+    let after_payload = w.into_bytes();
+    let snapshot = EmulatorSnapshot::from_bytes(&after_payload).expect("the frame is sound");
+    assert_eq!(MultiCoreEmulator::restore(&snapshot).map(|_| ()), trailing);
+    assert_eq!(
+        ParallelEmulator::restore_bytes(&after_payload).map(|_| ()),
+        trailing
+    );
+}
+
+/// Writes the current version's fixture and prints the digest. Run once, at
+/// the commit that introduces the version (`cargo test --test
+/// snapshot_golden -- --ignored --nocapture`, after renaming the path
+/// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v1_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v2_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v1_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v2_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(EmulatorBackend::Sequential(

@@ -18,7 +18,7 @@ use mn_emucore::{HardwareProfile, MultiCoreEmulator};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
-use mn_util::alloc::thread_alloc_calls as alloc_calls;
+use mn_util::alloc::{thread_alloc_bytes as alloc_bytes, thread_alloc_calls as alloc_calls};
 use mn_util::{SimDuration, SimTime};
 
 #[global_allocator]
@@ -603,4 +603,65 @@ fn runner_tcp_steady_state_allocates_next_to_nothing() {
         calls as f64 <= 0.05 * packets as f64,
         "{calls} allocator calls for {packets} submitted packets"
     );
+}
+
+#[test]
+fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
+    // The allocation budget of the checkpoint path. A warmed run's second
+    // `Runner::snapshot` streams every section into ONE buffer, pre-sized
+    // from the first: no staged emulator payload, no copy into a frame. The
+    // budget is 1.25 × the returned length in at most 8 allocator calls. It
+    // is stated with the timer wheels' `entries_in_order` scratch inside it
+    // (two short-lived `Vec`s of references per non-empty wheel — the
+    // runner's events, the tunnels, each core's schedule — sized by what is
+    // pending, not by the snapshot; a few KiB here, which is why the run is
+    // routing-heavy and light on traffic).
+    let topo = ring_topology(&RingParams {
+        routers: 12,
+        clients_per_router: 8,
+        ..RingParams::default()
+    });
+    let build = || {
+        let mut runner = modelnet::Experiment::new(topo.clone())
+            .distillation(DistillationMode::HopByHop)
+            .cores(1)
+            .edge_nodes(4)
+            .unconstrained_hardware()
+            .seed(17)
+            .build()
+            .expect("experiment builds");
+        let vns = runner.vn_ids();
+        for i in 0..4 {
+            runner.add_bulk_flow(vns[i], vns[(i + 40) % vns.len()], None, SimTime::ZERO);
+        }
+        runner
+    };
+    let mut runner = build();
+    runner.run_for(SimDuration::from_secs(1)).unwrap();
+    let first = runner.snapshot().unwrap();
+    runner.run_for(SimDuration::from_millis(300)).unwrap();
+
+    let (calls, bytes) = (alloc_calls(), alloc_bytes());
+    let second = runner.snapshot().unwrap();
+    let (calls, bytes) = (alloc_calls() - calls, alloc_bytes() - bytes);
+    assert!(second.len() > 100_000 && second.len().abs_diff(first.len()) < 4096);
+    assert!(
+        calls <= 8 && bytes as f64 <= 1.25 * second.len() as f64,
+        "{calls} allocator calls requesting {bytes} bytes for a {}-byte checkpoint",
+        second.len()
+    );
+
+    // Restore decodes the borrowed bytes in place: the state it rebuilds is
+    // many blocks, none of them as large as the payload — which a private
+    // copy of the payload (or of the nested emulator frame) would be.
+    let mut fresh = build();
+    mn_util::alloc::take_thread_largest_alloc();
+    fresh.recover_from(&second).unwrap();
+    let largest = mn_util::alloc::take_thread_largest_alloc();
+    assert!(
+        largest < second.len() / 2,
+        "restoring {} bytes requested a {largest}-byte block",
+        second.len()
+    );
+    assert!(fresh.snapshot().unwrap() == second);
 }
