@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the mechanisms §2.2 of the paper analyses:
-//! route lookup across the three lookup structures, pipe scheduling
+//! route lookup through the tree-only matrix, pipe scheduling
 //! (enqueue/dequeue through the bandwidth queue and delay line), scheduler
 //! data structures (timing wheel vs. binary heap at many-pipe scale),
 //! distillation cost, and greedy pipe-to-core assignment.
@@ -15,7 +15,7 @@ use mn_distill::{distill, DistillationMode};
 use mn_emucore::{HardwareProfile, MultiCoreEmulator};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_pipe::EmuPipe;
-use mn_routing::{RouteCache, RouteProvider, RoutingMatrix};
+use mn_routing::RoutingMatrix;
 use mn_topology::generators::{
     path_pairs_topology, ring_topology, star_topology, transit_stub_topology, PathPairsParams,
     RingParams, StarParams, TransitStubParams,
@@ -36,20 +36,6 @@ fn bench_routing(c: &mut Criterion) {
             let z = vns[(i * 7 + 3) % vns.len()];
             i += 1;
             std::hint::black_box(matrix.lookup(a, z));
-        })
-    });
-    group.bench_function("cache_warm", |b| {
-        let mut cache = RouteCache::with_default_capacity(d.clone());
-        // Warm a handful of routes.
-        for k in 0..32 {
-            let _ = cache.route(vns[k % vns.len()], vns[(k * 7 + 3) % vns.len()]);
-        }
-        let mut i = 0usize;
-        b.iter(|| {
-            let a = vns[i % 32 % vns.len()];
-            let z = vns[(i % 32 * 7 + 3) % vns.len()];
-            i += 1;
-            std::hint::black_box(cache.route(a, z));
         })
     });
     group.finish();

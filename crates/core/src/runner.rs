@@ -260,7 +260,7 @@ impl EmulatorBackend {
     }
 
     /// Joins a VN at a client location of `topo` mid-run: its source tree
-    /// and row shard are added incrementally — no full route rebuild — and
+    /// and route-table entry are added incrementally — no full route rebuild — and
     /// it enters through the least-loaded core.
     pub fn vn_join(
         &mut self,

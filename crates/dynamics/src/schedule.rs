@@ -96,8 +96,8 @@ pub enum ScheduleEvent {
     },
     /// Bind a new (or previously departed) VN at a client location and
     /// start routing for it: the location's source tree is added to the
-    /// routing matrix if absent, the VN's row shard is inserted into the
-    /// route table, and an entry core is assigned — all incrementally,
+    /// routing matrix if absent, the VN is bound to the location's row in
+    /// the route table, and an entry core is assigned — all incrementally,
     /// without a full rebuild.
     VnJoin {
         /// The VN joining the emulation.

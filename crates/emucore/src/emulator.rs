@@ -67,8 +67,8 @@ impl From<IngressOutcome> for SubmitOutcome {
 /// carried out wherever the executor keeps that core.
 #[derive(Debug)]
 pub enum CoreCommand {
-    /// Install the next route-table generation. The table is copy-on-write
-    /// sharded: every core receives the same `Arc`, and row shards a change
+    /// Install the next route-table generation. The table is copy-on-write:
+    /// every core receives the same `Arc`, and the location rows a change
     /// did not touch are the allocations the core was already reading.
     SetRoutes(Arc<RouteTable>),
     /// Update one locally installed pipe's parameters.
@@ -203,10 +203,10 @@ pub trait CoreExecutor: Sized {
 /// dispatches lazily).
 #[derive(Debug)]
 struct Admission {
-    /// Interned routes plus the sharded VN-pair -> route row shards, shared
-    /// with every core. Republished copy-on-write on every routing or
-    /// membership change; untouched row shards keep the same allocation
-    /// across generations.
+    /// Interned routes, one location -> route row per location and each
+    /// VN's 4-byte column entry, shared with every core. Republished
+    /// copy-on-write on every routing or membership change; untouched rows
+    /// keep the same allocation across generations.
     routes: Arc<RouteTable>,
     /// Topology location of each VN, indexed densely by `VnId`. An id at or
     /// beyond the table is an unknown VN and yields `SubmitOutcome::NoRoute`.
@@ -616,9 +616,11 @@ impl<X: CoreExecutor> Emulator<X> {
     /// cores — while new packets see only the post-change routes.
     ///
     /// The publish is copy-on-write: the table "clone" is structural (row
-    /// shards, route chunks and the content index are shared by reference,
-    /// so it costs O(endpoints) shard handles, not O(endpoints²) entries)
-    /// and only the row shards whose routes changed are replaced.
+    /// and column blocks, route chunks and the content index are shared by
+    /// reference, so it costs O(locations / 1024 + endpoints / 1024) block
+    /// handles, not O(endpoints²) entries) and only the rows of locations
+    /// whose routes changed are replaced — one row per location, however
+    /// many VNs are bound there.
     pub fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
         self.control(|emu| {
             let update = emu.matrix.update_pipes(topo, changed);
@@ -679,15 +681,16 @@ impl<X: CoreExecutor> Emulator<X> {
 
     /// Joins a VN at a client location of `topo` mid-run — a first-class
     /// churn event, not a rebuild: the location's source tree is added to
-    /// the matrix if absent (one component-scoped Dijkstra), the endpoint's
-    /// row shard is bound into a copy-on-write route-table generation
-    /// (O(affected rows), flat in the total VN count), and the newcomer
-    /// enters through the least-loaded core (lowest index on ties — a pure
-    /// function of the load vector, so identical churn histories yield
-    /// identical assignments). `vn` must be either a fresh contiguous id
-    /// (`VnId(n)` when `n` VNs exist) or a departed id rejoining, and
-    /// `location` a node of `topo`. Returns `false` (changing nothing)
-    /// otherwise.
+    /// the matrix if absent (one component-scoped Dijkstra), the VN's column
+    /// entry is written into a copy-on-write route-table generation (a join
+    /// beside a live VN touches no row; the first VN at a location derives
+    /// that location's one row and its column in the other rows — flat in
+    /// the total VN count either way), and the newcomer enters through the
+    /// least-loaded core (lowest index on ties — a pure function of the
+    /// load vector, so identical churn histories yield identical
+    /// assignments). `vn` must be either a fresh contiguous id (`VnId(n)`
+    /// when `n` VNs exist) or a departed id rejoining, and `location` a
+    /// node of `topo`. Returns `false` (changing nothing) otherwise.
     pub fn vn_join(
         &mut self,
         topo: &DistilledTopology,
@@ -735,15 +738,17 @@ impl<X: CoreExecutor> Emulator<X> {
         })
     }
 
-    /// Removes a VN from the emulation mid-run. Its row shard is cleared in
-    /// the next route-table generation, so new traffic to or from it is
+    /// Removes a VN from the emulation mid-run. Its column entry is marked
+    /// departed in the next route-table generation (no row is touched while
+    /// a sibling stays at its location), so new traffic to or from it is
     /// refused from this instant; its entry-core load slot is released, and
-    /// if it was the last endpoint at its location the matrix source tree
-    /// is removed too. Routes *toward* the departed endpoint — and every
-    /// interned `RouteId` — are retained, so descriptors already in flight
-    /// drain deterministically on their pre-departure routes. Its fluid
-    /// flows are torn down and their share returned to the network. Returns
-    /// `false` when the VN is not an active member.
+    /// if it was the last endpoint at its location the location's row is
+    /// cleared and the matrix source tree removed too. Routes *toward* the
+    /// departed endpoint — and every interned `RouteId` — are retained, so
+    /// descriptors already in flight drain deterministically on their
+    /// pre-departure routes. Its fluid flows are torn down and their share
+    /// returned to the network. Returns `false` when the VN is not an
+    /// active member.
     pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
         self.control(|emu| {
             let idx = vn.index();

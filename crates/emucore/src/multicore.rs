@@ -1066,7 +1066,7 @@ mod tests {
             emu.submit(now, tcp_packet(1, src, dst, 100, now)).unwrap(),
             SubmitOutcome::NoRoute
         );
-        // Rejoining re-grows the tree and rebinds the row shard in place.
+        // Rejoining re-grows the tree and re-derives the location's row.
         assert!(emu.vn_join(&d, dst, pairs[0].1, now));
         assert!(emu.vn_is_active(dst));
         assert_eq!(emu.routing().live_source_count(), live);
@@ -1106,8 +1106,8 @@ mod tests {
         assert_eq!(emu.active_vn_count(), 4);
         // Seed entry loads are 2/2; a departure tilts them to 2/1.
         assert!(emu.vn_leave(VnId(3), now));
-        // The newcomer multiplexes onto VN 0's client node (sharing its
-        // row shard) and must enter through the now least-loaded core 1.
+        // The newcomer multiplexes onto VN 0's client node (reading its
+        // location's row) and must enter through the now least-loaded core 1.
         let newcomer = VnId(4);
         let sibling_loc = emu.vn_location(VnId(0)).unwrap();
         assert!(emu.vn_join(&d, newcomer, sibling_loc, now));

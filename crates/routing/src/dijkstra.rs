@@ -2,8 +2,8 @@
 //!
 //! Routes minimise total pipe latency with hop count as the tie breaker,
 //! mirroring the "shortest-path routes between all pairs of VNs" the Binding
-//! phase installs. The functions here are the building blocks for every
-//! [`crate::RouteProvider`] implementation.
+//! phase installs. The functions here are the building blocks of
+//! [`crate::RoutingMatrix`] and the oracle its tests compare against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

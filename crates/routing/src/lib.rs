@@ -4,49 +4,31 @@
 //! all pairs of VNs in the distilled topology and installs them in a routing
 //! matrix on each core node. Each route is an ordered list of pipes a packet
 //! traverses from source to destination. The paper's dense matrix gives O(1)
-//! lookup but consumes O(n²) space; this reproduction keeps the all-pairs
-//! interface while storing only one shortest-route *tree* per source
-//! (predecessor + distance rows, O(vns × nodes)) and materialising routes on
-//! demand. The paper also sketches two alternatives for larger target
-//! networks — hierarchical tables that exploit the clustering of VNs on stub
-//! domains, and a hash-based cache of routes for active flows with on-demand
-//! Dijkstra on a miss. All three are implemented here behind the
-//! [`RouteProvider`] trait:
+//! lookup but consumes O(n²) space, and it sketches hierarchical tables and
+//! a route cache as ways out. This reproduction keeps the all-pairs
+//! interface and answers the scaling question once, by keying every piece
+//! of route state on the *location* rather than the VN:
 //!
-//! * [`RoutingMatrix`] — per-source shortest-route trees with a per-pipe
-//!   reverse index for output-sensitive reconfiguration (the default).
-//! * [`RouteCache`] — bounded cache + on-demand shortest-path computation.
-//! * [`HierarchicalRouter`] — two-level tables: per-gateway routes between
-//!   first-hop routers composed with the preserved first/last hops.
+//! * [`RoutingMatrix`] — one shortest-route **tree** per source location
+//!   (predecessor + distance rows, O(locations × nodes)) with a per-pipe
+//!   reverse index for output-sensitive reconfiguration; routes are
+//!   materialised on demand.
+//! * [`RouteTable`] — the per-packet lookup structure the cores read: each
+//!   distinct route interned once, one copy-on-write row per location, and
+//!   4 bytes per endpoint, so memory is O(locations²) however many VNs are
+//!   multiplexed onto a location.
 //!
 //! The paper assumes a "perfect" routing protocol that instantaneously
 //! recomputes shortest paths after a failure; [`RoutingMatrix::rebuild`]
 //! provides exactly that, and `mn-dynamics` calls it when links fail.
 
-pub mod cache;
 pub mod dijkstra;
-pub mod hierarchical;
 pub mod matrix;
 pub mod table;
 
-pub use cache::RouteCache;
 pub use dijkstra::{
     pipe_cost, route_between, route_from_tree, shortest_route_tree, shortest_route_tree_with_dist,
     Route, UNUSABLE_COST,
 };
-pub use hierarchical::HierarchicalRouter;
 pub use matrix::{RouteUpdate, RoutingMatrix};
 pub use table::{RouteId, RouteStateMemory, RouteTable};
-
-use mn_topology::NodeId;
-
-/// Uniform interface over the route lookup structures.
-pub trait RouteProvider {
-    /// Returns the route (ordered pipe list) from `src` to `dst`, or `None`
-    /// if no path exists. `src == dst` yields an empty route.
-    fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Route>;
-
-    /// Approximate memory footprint of the structure in route entries, used
-    /// by the routing-scheme comparison micro-benchmarks.
-    fn stored_routes(&self) -> usize;
-}

@@ -21,7 +21,6 @@ use mn_distill::DistilledTopology;
 use mn_topology::NodeId;
 
 use crate::dijkstra::{pipe_cost, Route, UNUSABLE_COST};
-use crate::RouteProvider;
 
 use mn_distill::PipeId;
 
@@ -874,33 +873,6 @@ impl RoutingMatrix {
     }
 }
 
-impl RouteProvider for RoutingMatrix {
-    fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
-        self.lookup(src, dst)
-    }
-
-    fn stored_routes(&self) -> usize {
-        // Tree-only storage holds no routes; count the resolvable pairs
-        // the old dense slab would have stored (diagonal included).
-        let nc = self.node_count;
-        let mut count = 0;
-        for si in 0..self.vns.len() {
-            if self.vns[si] == DEAD_SOURCE {
-                continue;
-            }
-            let row = &self.dist[si * nc..(si + 1) * nc];
-            for (di, &dst) in self.vns.iter().enumerate() {
-                if si == di {
-                    count += 1; // trivial route, always materialisable
-                } else if dst.index() < nc && row[dst.index()] != UNUSABLE_COST {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -922,7 +894,6 @@ mod tests {
         let d = small_ring();
         let m = RoutingMatrix::build(&d);
         assert_eq!(m.vn_count(), 12);
-        assert_eq!(m.stored_routes(), 12 * 12);
         for &a in m.vns() {
             for &b in m.vns() {
                 let r = m.lookup(a, b).unwrap();
@@ -1088,16 +1059,6 @@ mod tests {
         let update = m.update_pipes(&d, &[pipe]);
         assert!(update.is_empty());
         assert_eq!(update.recomputed_sources, 0);
-    }
-
-    #[test]
-    fn provider_interface_clones_routes() {
-        let d = small_ring();
-        let mut m = RoutingMatrix::build(&d);
-        let vns = m.vns().to_vec();
-        let r = RouteProvider::route(&mut m, vns[0], vns[1]).unwrap();
-        assert!(!r.is_empty());
-        assert!(RouteProvider::route(&mut m, NodeId(0), vns[1]).is_none());
     }
 
     /// The reverse index must hold exactly the tree membership of the

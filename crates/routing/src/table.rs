@@ -1,44 +1,45 @@
-//! Sharded copy-on-write route storage with dense per-source row shards.
+//! Copy-on-write route storage keyed by location: one row per location.
 //!
 //! The per-packet path must not hash: the core looks routes up for every
 //! submitted packet, and descriptors reference their route on every hop and
 //! on every inter-core tunnel. [`RouteTable`] therefore flattens the routing
-//! state the Binding phase produces into ID-indexed structures — but unlike
-//! the original dense `endpoint_count²` pair table, the state is **sharded
-//! per source endpoint** and published copy-on-write:
+//! state the Binding phase produces into ID-indexed structures — and, unlike
+//! the paper's dense `endpoint_count²` pair table, keys all of it by
+//! **location**, the only thing a route depends on:
 //!
 //! * `store` — each **distinct** route stored exactly once, addressed by
 //!   [`RouteId`] (the handle descriptors carry instead of a cloned route).
 //!   Routes live in sealed `Arc<[Route]>` chunks, so cloning a table for a
 //!   copy-on-write publish bumps one reference count per chunk instead of
 //!   deep-copying every route.
-//! * `rows` — one row shard per source endpoint mapping a destination
-//!   *column* (the destination's location slot) to its raw `RouteId`,
-//!   page-grouped into shared blocks of [`BLOCK_ROWS`] rows. A row stores
-//!   only the window `[base, base + width)` that actually holds routable
-//!   columns: narrow windows (≤ 4 entries) are kept inline in the block
-//!   with no heap allocation at all, wider windows spill to a shared
-//!   `Arc<[u32]>`. Because co-located endpoints share a **column** as well
-//!   as a row allocation, both axes compress: row width is bounded by the
-//!   location count, and route-state memory is O(locations²) plus one
-//!   dense column map — not O(endpoints²) — which is what lets tens of
-//!   thousands of VNs multiplex onto one emulation.
+//! * `rows` — **one row shard per location slot**, mapping a destination
+//!   location slot to its raw `RouteId`, page-grouped into shared blocks of
+//!   `BLOCK_ROWS` (1024) rows. A row stores only the window `[base, base +
+//!   width)` that actually holds routable columns: narrow windows (≤ 4
+//!   entries) are kept inline in the block with no heap allocation at all,
+//!   wider windows spill to an `Arc<[u32]>` that successive generations
+//!   share.
+//! * `cols` — an endpoint is nothing but its 4-byte column entry: the slot
+//!   of the location it is bound at, plus a departed bit. Any number of
+//!   endpoints multiplexed onto one location read the one row, so route
+//!   state is O(locations²) + 4 B per endpoint, a co-located join or leave
+//!   writes one column entry and touches no row, and there are no per-endpoint
+//!   replicas to keep equal.
 //!
-//! The per-packet lookup is a fixed chain of indexed loads — destination
-//! column, block, row shard, slot (inline rows resolve the slot inside the
-//! already-loaded shard) — with no hashing, no allocation, and no
-//! data-dependent depth.
+//! The per-packet lookup is a fixed chain of indexed loads — source column,
+//! destination column, block, row shard, slot (inline rows resolve the slot
+//! inside the already-loaded shard) — with no hashing, no allocation, and
+//! no data-dependent depth.
 //!
 //! **Reconfiguration is O(changed).** [`RouteTable::rewire_in_place`]
-//! patches only the row shards whose routes actually changed, and a
-//! copy-on-write publish clones only the blocks holding them: untouched
-//! blocks and untouched spilled rows keep literally the same allocation
-//! across the publish (`Arc` identity is pinned by tests), so a 1-link
-//! flap costs O(affected sources + touched blocks) instead of copying
-//! `endpoint_count²` entries — flat in the endpoint count.
-//! [`RouteTable::rebuild`] likewise carries the route store *and* the
-//! content-dedup index forward structurally — a rebuild that changes
-//! nothing re-interns nothing.
+//! patches only the rows whose routes actually changed, and a copy-on-write
+//! publish clones O(locations / `BLOCK_ROWS`) block handles plus only the
+//! blocks holding patched rows: untouched blocks and untouched spilled rows
+//! keep literally the same allocation across the publish (`Arc` identity is
+//! pinned by tests), so a 1-link flap costs O(affected locations + touched
+//! blocks) — flat in the endpoint count. [`RouteTable::rebuild`] likewise
+//! carries the route store *and* the content-dedup index forward
+//! structurally — a rebuild that changes nothing re-interns nothing.
 //!
 //! **Interning is one probe.** Every route enters through
 //! [`RouteTable::intern_pipes`]: one fixed multiplicative fingerprint over
@@ -56,7 +57,7 @@
 //! cores' point of view: a routing change builds the next generation (cheap,
 //! structurally shared) and swaps the `Arc<RouteTable>`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -81,6 +82,11 @@ impl RouteId {
 /// Sentinel for "no route" in the row shards.
 const NO_ROUTE: u32 = u32::MAX;
 
+/// Set in an endpoint's column entry while it is departed. The slot bits
+/// stay (routes *toward* a departed endpoint still resolve, so descriptors
+/// in flight drain); the bit itself is never encoded.
+const DEPARTED: u32 = 1 << 31;
+
 /// Widest row window kept inline in the shard table. Inline rows cost no
 /// heap allocation and no reference-count traffic on a copy-on-write
 /// publish — for row-sparse workloads (disjoint path pairs) the whole pair
@@ -90,22 +96,19 @@ const INLINE_ROW_CAP: usize = 4;
 /// Routes per sealed chunk of the append-only route store.
 const ROUTE_CHUNK: usize = 1024;
 
-/// Source rows per shared row block. A copy-on-write publish clones the
-/// block table (`endpoints / BLOCK_ROWS` reference bumps) plus only the
-/// blocks holding patched rows, so publish cost is O(touched blocks), flat
-/// in the endpoint count for a fixed-fanout change.
+/// Entries (rows, or column entries) per shared block. A copy-on-write
+/// publish clones the block tables (`locations / BLOCK_ROWS` plus
+/// `endpoints / BLOCK_ROWS` reference bumps) plus only the blocks holding
+/// patched rows, so publish cost is O(touched blocks), flat in the endpoint
+/// count for a fixed-fanout change.
 const BLOCK_ROWS: usize = 1024;
 
-/// One source endpoint's row shard: destination *column* → raw `RouteId`,
+/// One location's row shard: destination location slot → raw `RouteId`,
 /// stored as a dense window over the columns that are actually routable.
-/// For built tables a column is a destination location slot — co-located
-/// endpoints share one column, so row width is bounded by the location
-/// count, not the endpoint count; hand-assembled tables use the identity
-/// mapping (column = endpoint index).
 #[derive(Debug, Clone)]
 enum RowShard {
     /// Every destination unroutable (also the [`RouteTable::new`] initial
-    /// state).
+    /// state, and the row of a location with no live endpoint).
     Empty,
     /// A window of at most [`INLINE_ROW_CAP`] destinations, stored inline.
     Inline {
@@ -113,9 +116,8 @@ enum RowShard {
         len: u8,
         slots: [u32; INLINE_ROW_CAP],
     },
-    /// A wider window, heap-allocated and shared copy-on-write: co-located
-    /// endpoints (identical rows) and successive table generations
-    /// (untouched rows) all point at the same allocation.
+    /// A wider window, heap-allocated and shared copy-on-write: successive
+    /// table generations point at the same allocation until it is patched.
     Spilled { base: u32, slots: Arc<[u32]> },
 }
 
@@ -437,27 +439,26 @@ impl ContentIndex {
     }
 }
 
-/// Endpoint ⇄ location geometry of a built table: which endpoints share a
-/// location (and therefore share a row shard), in deterministic
-/// first-appearance order. Shared by every table generation over the same
-/// binding, so rewires pay no per-call grouping rebuild. The per-slot
-/// endpoint lists are `Arc`-shared so a churn publish that rebinds one
-/// endpoint clones O(locations) handles plus the one mutated list — not
-/// the whole per-endpoint geometry.
+/// Endpoint ⇄ location geometry: the distinct locations in deterministic
+/// first-appearance order, and which endpoints are live at each. Shared by
+/// every table generation over the same binding, so rewires pay no per-call
+/// grouping rebuild. The per-slot endpoint lists are `Arc`-shared so a churn
+/// publish that rebinds one endpoint clones O(locations) handles plus the
+/// one mutated list — not the whole per-endpoint geometry.
 #[derive(Debug, Default, Clone)]
 struct LocationIndex {
     /// Distinct locations in first-appearance order.
     locations: Vec<NodeId>,
     slot_of: HashMap<NodeId, u32>,
-    /// Endpoint indices bound to each location slot, ascending. Departed
-    /// endpoints are removed from their list (so rewires never resurrect
-    /// their rows); the slot itself persists once created.
+    /// Endpoint indices bound to each location slot, strictly ascending.
+    /// Departed endpoints are removed from their list; the slot itself
+    /// persists once created.
     endpoints: Vec<Arc<[u32]>>,
 }
 
 impl LocationIndex {
     /// Builds the geometry, also returning each endpoint's location slot
-    /// (the column map of a built table).
+    /// (the table's column map).
     fn build(locations: &[NodeId]) -> (Self, Vec<u32>) {
         let mut idx = LocationIndex::default();
         let mut lists: Vec<Vec<u32>> = Vec::new();
@@ -490,8 +491,8 @@ impl LocationIndex {
     }
 }
 
-/// Chunks a flat per-endpoint vector into shared blocks of [`BLOCK_ROWS`]
-/// entries (the last block may be short).
+/// Chunks a flat vector into shared blocks of [`BLOCK_ROWS`] entries (the
+/// last block may be short).
 fn blocks_from_flat<T: Clone>(flat: Vec<T>) -> Vec<Arc<[T]>> {
     flat.chunks(BLOCK_ROWS).map(Arc::from).collect()
 }
@@ -506,7 +507,7 @@ fn block_mut<T: Clone>(blocks: &mut [Arc<[T]>], block: usize) -> &mut [T] {
     Arc::get_mut(&mut blocks[block]).expect("block was just unshared")
 }
 
-/// Appends one endpoint's entry, copying at most the (short) tail block.
+/// Appends one entry, copying at most the (short) tail block.
 fn push_entry<T: Clone>(blocks: &mut Vec<Arc<[T]>>, value: T) {
     match blocks.last_mut() {
         Some(last) if last.len() < BLOCK_ROWS => {
@@ -522,23 +523,22 @@ fn push_entry<T: Clone>(blocks: &mut Vec<Arc<[T]>>, value: T) {
 /// [`RouteTable::memory`]). `resident_bytes` is a structural estimate —
 /// allocator and hash-map overheads are approximated — meant for
 /// order-of-magnitude comparison against `dense_equivalent_bytes`, the
-/// `endpoint_count² × 4` bytes the pre-shard dense pair table would spend.
+/// `endpoint_count² × 4` bytes a dense pair table would spend.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RouteStateMemory {
-    /// Estimated heap bytes held by the table (rows, shared slot
-    /// allocations counted once, route store, content and location
-    /// indexes).
+    /// Estimated heap bytes held by the table (rows, columns, route store,
+    /// content and location indexes).
     pub resident_bytes: usize,
     /// What a dense `endpoint_count²` pair table would spend on the pair
     /// mapping alone.
     pub dense_equivalent_bytes: usize,
     /// Endpoints covered.
     pub endpoint_count: usize,
-    /// Distinct spilled row allocations (shared rows counted once).
+    /// Locations whose row spilled to a heap allocation.
     pub distinct_row_allocations: usize,
-    /// Rows stored inline (no heap allocation).
+    /// Locations whose row is stored inline (no heap allocation).
     pub inline_rows: usize,
-    /// Rows with no routable destination at all.
+    /// Locations with no routable destination at all.
     pub empty_rows: usize,
     /// Distinct interned routes.
     pub route_count: usize,
@@ -548,25 +548,84 @@ pub struct RouteStateMemory {
     pub index_bytes: usize,
 }
 
-/// Sharded, copy-on-write route lookup state for one emulation.
+/// One row shard as [`RouteTable::encode`] wrote it, borrowed from the
+/// input. The wire format repeats a location's row once per endpoint bound
+/// there; `decode` compares the copies as bytes and parses one.
+#[derive(Clone, Copy, PartialEq)]
+struct EncodedRow<'a> {
+    tag: u8,
+    base: u32,
+    slots: &'a [u8],
+}
+
+impl<'a> EncodedRow<'a> {
+    fn read(r: &mut mn_util::ByteReader<'a>) -> Result<Self, mn_util::CodecError> {
+        use mn_util::CodecError::Invalid;
+        let tag = r.get_u8()?;
+        let (base, width) = match tag {
+            0 => (0, 0),
+            1 => (r.get_u32()?, r.get_u8()? as usize),
+            2 => (r.get_u32()?, r.get_count(4)?),
+            _ => return Err(Invalid("unknown row shard tag")),
+        };
+        if tag == 1 && width > INLINE_ROW_CAP {
+            return Err(Invalid("inline row too wide"));
+        }
+        let slots = r.take_bytes(width * 4)?;
+        Ok(EncodedRow { tag, base, slots })
+    }
+
+    /// Parses the shard, checking every id against the store's
+    /// `route_count` and the window against the table's `columns`.
+    fn shard(&self, route_count: usize, columns: usize) -> Result<RowShard, mn_util::CodecError> {
+        use mn_util::CodecError::Invalid;
+        let words = self.slots.chunks_exact(4);
+        let slots: Vec<u32> = words
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
+            .collect();
+        if slots
+            .iter()
+            .any(|&raw| raw != NO_ROUTE && raw as usize >= route_count)
+        {
+            return Err(Invalid("row shard names a route the store does not hold"));
+        }
+        if self.base as usize + slots.len() > columns {
+            return Err(Invalid("row window outside the column range"));
+        }
+        Ok(match self.tag {
+            0 => RowShard::Empty,
+            1 => {
+                let mut inline = [NO_ROUTE; INLINE_ROW_CAP];
+                inline[..slots.len()].copy_from_slice(&slots);
+                RowShard::Inline {
+                    base: self.base,
+                    len: slots.len() as u8,
+                    slots: inline,
+                }
+            }
+            _ => RowShard::Spilled {
+                base: self.base,
+                slots: slots.into(),
+            },
+        })
+    }
+}
+
+/// Copy-on-write route lookup state for one emulation, one row per location.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     /// Each distinct route, stored once, in structurally shared chunks.
     store: RouteStore,
-    /// One row shard per source endpoint, page-grouped into shared blocks
-    /// of [`BLOCK_ROWS`] rows: `rows[src / BLOCK_ROWS][src % BLOCK_ROWS]`.
+    /// One row shard per location slot, page-grouped into shared blocks of
+    /// [`BLOCK_ROWS`] rows: `rows[slot / BLOCK_ROWS][slot % BLOCK_ROWS]`.
+    /// The row of a location with no live endpoint is `Empty`.
     rows: Vec<Arc<[RowShard]>>,
     endpoint_count: usize,
-    /// Destination column of each endpoint: the location slot for built
-    /// tables (co-located endpoints share a column), the identity mapping
-    /// for hand-assembled ones. Page-grouped into shared blocks like the
-    /// rows, so a churn publish that adds or rebinds one endpoint copies
-    /// at most one [`BLOCK_ROWS`]-entry block instead of the whole map.
+    /// Each endpoint's location slot, with [`DEPARTED`] set while it is
+    /// unbound — all there is to an endpoint. Blocked and shared like the
+    /// rows, so a churn publish that adds or rebinds one endpoint copies at
+    /// most one [`BLOCK_ROWS`]-entry block instead of the whole map.
     cols: Vec<Arc<[u32]>>,
-    /// `true` when every bound endpoint's column is its location slot —
-    /// any table that came from [`RouteTable::build`]. Hand-assembled
-    /// tables ([`RouteTable::new`]) keep endpoint indices as columns.
-    slot_cols: bool,
     /// Content index over the store (pipe sequence → first id with that
     /// content), carried forward structurally so incremental rewires and
     /// rebuilds reuse any retained route — a restored link maps back to its
@@ -583,30 +642,43 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// Creates an empty table over `endpoint_count` endpoints (all pairs
-    /// unroutable). Routes are added with [`RouteTable::intern`] and wired to
-    /// pairs with [`RouteTable::set_pair`].
+    /// Creates a table over `endpoint_count` endpoints, each at a location
+    /// of its own (`NodeId(i)` for endpoint `i`), all pairs unroutable.
+    /// Routes are added with [`RouteTable::intern`] and wired to pairs with
+    /// [`RouteTable::set_pair`].
     pub fn new(endpoint_count: usize) -> Self {
+        let own: Vec<NodeId> = (0..endpoint_count).map(NodeId).collect();
+        Self::unrouted(RouteStore::default(), Arc::default(), &own, 0)
+    }
+
+    /// A table over the given binding with every row still empty.
+    fn unrouted(
+        store: RouteStore,
+        by_content: Arc<ContentIndex>,
+        locations: &[NodeId],
+        version: u64,
+    ) -> Self {
+        let (locs, slot_of_endpoint) = LocationIndex::build(locations);
         RouteTable {
-            store: RouteStore::default(),
-            rows: blocks_from_flat(vec![RowShard::Empty; endpoint_count]),
-            endpoint_count,
-            cols: blocks_from_flat((0..endpoint_count as u32).collect()),
-            slot_cols: false,
-            by_content: Arc::new(ContentIndex::default()),
+            store,
+            rows: blocks_from_flat(vec![RowShard::Empty; locs.locations.len()]),
+            endpoint_count: locations.len(),
+            cols: blocks_from_flat(slot_of_endpoint),
+            by_content,
             index_probes: 0,
-            locs: Arc::new(LocationIndex::default()),
-            version: 0,
+            locs: Arc::new(locs),
+            version,
         }
     }
 
-    /// The row shard of a source endpoint (`None` out of range).
+    /// The row shard of a location slot (`None` out of range).
     #[inline]
-    fn row(&self, src: usize) -> Option<&RowShard> {
-        self.rows.get(src / BLOCK_ROWS)?.get(src % BLOCK_ROWS)
+    fn row(&self, slot: usize) -> Option<&RowShard> {
+        self.rows.get(slot / BLOCK_ROWS)?.get(slot % BLOCK_ROWS)
     }
 
-    /// The destination column of an endpoint (`None` out of range).
+    /// The column entry of an endpoint (`None` out of range): its location
+    /// slot, with [`DEPARTED`] set while it is unbound.
     #[inline]
     fn col(&self, endpoint: usize) -> Option<u32> {
         self.cols
@@ -615,19 +687,38 @@ impl RouteTable {
             .copied()
     }
 
-    /// Replaces one endpoint's row shard, copy-on-write on its block.
-    fn set_row(&mut self, endpoint: usize, shard: RowShard) {
-        block_mut(&mut self.rows, endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = shard;
+    /// The location slot a live endpoint is bound at (`None` out of range
+    /// or departed). One load, no search: liveness is a bit of the column.
+    #[inline]
+    fn live_slot(&self, endpoint: usize) -> Option<usize> {
+        self.col(endpoint)
+            .filter(|col| col & DEPARTED == 0)
+            .map(|col| col as usize)
+    }
+
+    /// The row a live endpoint reads: its location's.
+    #[inline]
+    fn live_row(&self, endpoint: usize) -> Option<&RowShard> {
+        self.row(self.live_slot(endpoint)?)
+    }
+
+    /// Replaces one location's row shard, copy-on-write on its block.
+    fn set_row(&mut self, slot: usize, shard: RowShard) {
+        block_mut(&mut self.rows, slot / BLOCK_ROWS)[slot % BLOCK_ROWS] = shard;
+    }
+
+    /// Overwrites one endpoint's column entry, copy-on-write on its block.
+    fn set_col(&mut self, endpoint: usize, col: u32) {
+        block_mut(&mut self.cols, endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = col;
     }
 
     /// Flattens a routing matrix for the given endpoint locations:
     /// `locations[i]` is the topology node endpoint `i` is bound to. Each
-    /// distinct location pair's route is interned once, and every endpoint
-    /// bound to the same location shares **one** row shard whose columns
-    /// are location slots — the pair mapping costs O(locations²) plus a
-    /// dense per-endpoint column map, not O(endpoints²).
-    /// Same-location pairs stay unroutable — callers deliver those locally
-    /// without touching a route.
+    /// distinct location pair's route is interned once into the source
+    /// location's row, and every endpoint bound there reads that row — the
+    /// pair mapping costs O(locations²) plus 4 B per endpoint, not
+    /// O(endpoints²). Same-location pairs stay unroutable — callers deliver
+    /// those locally without touching a route.
     pub fn build(matrix: &RoutingMatrix, locations: &[NodeId]) -> Self {
         Self::build_preserving(
             RouteStore::default(),
@@ -642,7 +733,7 @@ impl RouteTable {
     /// of `prev` valid: the previous interned routes are retained
     /// structurally (ids are never reassigned, chunks are shared rather
     /// than copied), the content index is carried forward as-is (no
-    /// re-interning of retained routes), and the row shards are re-derived,
+    /// re-interning of retained routes), and the rows are re-derived,
     /// reusing any retained route whose pipe sequence is unchanged.
     /// Descriptors in flight across a routing change therefore keep
     /// resolving to the exact route they started on — the paper's
@@ -665,46 +756,27 @@ impl RouteTable {
         locations: &[NodeId],
         version: u64,
     ) -> Self {
-        let (locs, slot_of_endpoint) = LocationIndex::build(locations);
-        let locs = Arc::new(locs);
-        let n = locations.len();
-        let mut rows_flat = vec![RowShard::Empty; n];
-        let mut table = RouteTable {
-            store,
-            rows: Vec::new(),
-            endpoint_count: n,
-            cols: blocks_from_flat(slot_of_endpoint),
-            slot_cols: true,
-            by_content,
-            index_probes: 0,
-            locs: Arc::clone(&locs),
-            version,
-        };
+        let mut table = Self::unrouted(store, by_content, locations, version);
+        let locs = Arc::clone(&table.locs);
         let vn_of_slot = locs.vn_of_slot(matrix);
         let mut pipes = Vec::new();
         for si in 0..locs.locations.len() {
-            // Rows are indexed by destination location slot, so the derived
-            // window IS the row — no per-endpoint expansion — and every
-            // endpoint at this location shares the one shard.
             let row = table.derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes);
-            for &e in locs.endpoints[si].iter() {
-                rows_flat[e as usize] = row.clone();
-            }
+            table.set_row(si, row);
         }
-        table.rows = blocks_from_flat(rows_flat);
         table
     }
 
-    /// Re-wires only the endpoint pairs bound to the given changed location
-    /// pairs against the updated matrix, retaining every existing route id —
-    /// the incremental counterpart of [`RouteTable::rebuild`] driven by
+    /// Re-wires only the given changed location pairs against the updated
+    /// matrix, retaining every existing route id — the incremental
+    /// counterpart of [`RouteTable::rebuild`] driven by
     /// [`RoutingMatrix::update_pipes`](crate::RoutingMatrix::update_pipes).
     /// A new route whose pipe sequence already exists (e.g. a restored link
     /// bringing back the pre-failure path) resolves to its old id, so
     /// oscillating links do not grow the table. Untouched rows — and the
     /// `RouteId`s of descriptors in flight on them — are not visited at
-    /// all, and keep literally the same allocation; touched rows are
-    /// patched once per location and shared across co-located sources.
+    /// all, and keep literally the same allocation; a touched row is
+    /// patched once, however many endpoints are bound at its location.
     pub fn rewire_in_place(
         &mut self,
         matrix: &RoutingMatrix,
@@ -719,33 +791,33 @@ impl RouteTable {
         if changed.is_empty() {
             return;
         }
-        if self.locs.locations.is_empty() && self.endpoint_count > 0 {
-            // Hand-assembled table (RouteTable::new + set_pair): derive the
-            // geometry on first rewire and keep it. Columns stay endpoint
-            // indices, which is how hand-wired rows address destinations.
-            self.locs = Arc::new(LocationIndex::build(locations).0);
-        } else {
-            // Established geometry is authoritative — callers must pass the
-            // same binding every time. The element-wise check is
-            // O(endpoints), which would dominate an O(changed) rewire at
-            // high multiplexing, so it guards debug builds only.
-            debug_assert!(
-                self.geometry_matches(locations),
-                "rewire_in_place locations must match the geometry the table was built over"
-            );
-        }
+        // The table's own geometry is authoritative — callers must pass the
+        // binding it was built over. The element-wise check is O(endpoints),
+        // which would dominate an O(changed) rewire at high multiplexing, so
+        // it guards debug builds only.
+        debug_assert!(
+            self.geometry_matches(locations),
+            "rewire_in_place locations must match the geometry the table was built over"
+        );
         let locs = Arc::clone(&self.locs);
         // Location → slot without hashing: a changed pair names matrix VNs,
         // whose dense index is one array load, so each slot's VN index is
-        // resolved once and inverted. The map is only the fallback for a
-        // location the matrix does not know.
-        let vn_of_slot = locs.vn_of_slot(matrix);
-        let mut slot_of_vn = vec![None; matrix.vn_count()];
-        for (slot, vn) in vn_of_slot.iter().enumerate() {
-            if let Some(vn) = *vn {
-                slot_of_vn[vn] = Some(slot as u32);
-            }
-        }
+        // resolved once and inverted in the same pass. The map is only the
+        // fallback for a location the matrix does not know.
+        let (vn_of_slot, slot_of_vn) = {
+            let mut slot_of_vn = vec![None; matrix.vn_count()];
+            let slots = locs.locations.iter().zip(0u32..);
+            let vn_of_slot: Vec<Option<usize>> = slots
+                .map(|(&loc, slot)| {
+                    let vn = matrix.vn_index(loc);
+                    if let Some(vn) = vn {
+                        slot_of_vn[vn] = Some(slot);
+                    }
+                    vn
+                })
+                .collect();
+            (vn_of_slot, slot_of_vn)
+        };
         let slot_of = |loc: NodeId| match matrix.vn_index(loc) {
             Some(vn) => slot_of_vn[vn],
             None => locs.slot_of.get(&loc).copied(),
@@ -773,29 +845,16 @@ impl RouteTable {
             patches.clear();
             let ms = vn_of_slot[ss as usize];
             for &ds in &dst_slots {
+                // Resolved (and interned) even when nothing will read it, so
+                // `RouteId`s never depend on which locations are populated.
                 let raw = self.resolve(matrix, ms, vn_of_slot[ds as usize], &mut pipes);
-                let bound = &locs.endpoints[ds as usize];
-                if self.slot_cols {
-                    // Every endpoint bound here shares the one column, so
-                    // the 16×-multiplexed case costs the same single patch
-                    // as the unmultiplexed one.
-                    if !bound.is_empty() {
-                        patches.push((ds as usize, raw));
-                    }
-                } else {
-                    // Hand-assembled tables map columns to endpoints one to
-                    // one: one patch per endpoint bound at the destination.
-                    let mut last_col = None;
-                    for &e in bound.iter() {
-                        let col = self.col(e as usize).expect("endpoint in range");
-                        if last_col != Some(col) {
-                            patches.push((col as usize, raw));
-                            last_col = Some(col);
-                        }
-                    }
+                if !locs.endpoints[ds as usize].is_empty() {
+                    patches.push((ds as usize, raw));
                 }
             }
-            self.patch_rows(&locs.endpoints[ss as usize], &patches);
+            if !locs.endpoints[ss as usize].is_empty() {
+                self.patch_row(ss as usize, &patches);
+            }
         }
         self.version += 1;
     }
@@ -854,159 +913,121 @@ impl RouteTable {
         RowShard::from_window(0, &ids)
     }
 
-    /// Patches the row of every endpoint in `sources` (the endpoints bound
-    /// at one location), computing the new shard once and sharing it across
-    /// every endpoint whose row shared storage before, so co-located
-    /// sources stay deduped and only blocks holding a patched row are
-    /// copied. The cached outcome covers the no-op too: when the first
-    /// row's window turns out unchanged, its siblings skip the patch scan.
-    fn patch_rows(&mut self, sources: &[u32], patches: &[(usize, u32)]) {
-        let mut cache: Option<(RowShard, Option<RowShard>)> = None;
-        for &se in sources {
-            let row = self.row(se as usize).expect("endpoint in range");
-            let replacement = match &cache {
-                Some((old, outcome)) if old.same_storage(row) => outcome.clone(),
-                _ => {
-                    let patched = row.patched(patches);
-                    cache = Some((row.clone(), patched.clone()));
-                    patched
-                }
-            };
-            if let Some(replacement) = replacement {
-                self.set_row(se as usize, replacement);
-            }
+    /// Patches one location's row; a no-op patch leaves the shard (and its
+    /// block) untouched.
+    fn patch_row(&mut self, slot: usize, patches: &[(usize, u32)]) {
+        let row = self.row(slot).expect("location slot in range");
+        if let Some(patched) = row.patched(patches) {
+            self.set_row(slot, patched);
         }
     }
 
-    /// Binds `endpoint` at `location` and wires its routes incrementally —
-    /// the join half of live endpoint churn. `endpoint` must be either the
-    /// next fresh index (`endpoint_count`, growing the table by one row)
-    /// or a previously unbound index rejoining.
+    /// Binds `endpoint` at `location` — the join half of live endpoint
+    /// churn. `endpoint` must be either the next fresh index
+    /// (`endpoint_count`, growing the table by one column entry) or a
+    /// previously unbound index rejoining.
     ///
-    /// Cost is O(affected), never O(endpoints²): a join at a location that
-    /// already has a live endpoint **shares its row shard** (one block
-    /// copy); a join at a fresh or fully departed location derives one row
-    /// from the matrix and refreshes the location's destination column in
-    /// the other live locations' rows (O(locations) patches — flat in the
-    /// endpoint count). Route ids are append-only throughout, so
-    /// descriptors in flight keep resolving.
+    /// A join at a location that already has a live endpoint is **one
+    /// column write**: the newcomer reads the location's row. A join at a
+    /// fresh or fully departed location derives that one row from the matrix
+    /// and refreshes the location's destination column in the other live
+    /// locations' rows (O(locations) patches — flat in the endpoint count).
+    /// Route ids are append-only throughout, so descriptors in flight keep
+    /// resolving.
     ///
     /// Returns `false` (changing nothing) when the endpoint is already
-    /// bound, the index is non-contiguous, or the table was hand-assembled
-    /// without location geometry.
+    /// bound or the index is non-contiguous.
     pub fn bind_endpoint(
         &mut self,
         matrix: &RoutingMatrix,
         endpoint: usize,
         location: NodeId,
     ) -> bool {
-        if endpoint > self.endpoint_count {
-            return false;
-        }
-        if self.endpoint_count > 0 && self.locs.locations.is_empty() {
-            return false; // hand-assembled table: no geometry to maintain
-        }
-        if self.is_endpoint_bound(endpoint) {
+        if endpoint > self.endpoint_count || self.is_endpoint_bound(endpoint) {
             return false;
         }
         // Resolve (or create) the location slot and insert the endpoint
         // into its (shared) ascending list.
         let locs = Arc::make_mut(&mut self.locs);
         let slot = match locs.slot_of.get(&location) {
-            Some(&s) => s,
+            Some(&s) => s as usize,
             None => {
-                let s = locs.locations.len() as u32;
-                locs.slot_of.insert(location, s);
+                let s = locs.locations.len();
+                locs.slot_of.insert(location, s as u32);
                 locs.locations.push(location);
                 locs.endpoints.push(Arc::from(Vec::new()));
+                push_entry(&mut self.rows, RowShard::Empty);
                 s
             }
         };
-        let list = &locs.endpoints[slot as usize];
-        let sibling = list.first().copied();
-        let pos = match list.binary_search(&(endpoint as u32)) {
-            Ok(_) => return false, // unreachable: is_endpoint_bound was false
-            Err(pos) => pos,
-        };
+        let list = &locs.endpoints[slot];
+        let first_here = list.is_empty();
         let mut grown = list.to_vec();
-        grown.insert(pos, endpoint as u32);
-        locs.endpoints[slot as usize] = grown.into();
-        let locs = Arc::clone(&self.locs);
-        let slot = slot as usize;
-        let row = match sibling {
-            // The newcomer shares a live sibling's shard outright.
-            Some(sib) => self.row(sib as usize).cloned().unwrap_or(RowShard::Empty),
+        grown.insert(
+            list.partition_point(|&e| (e as usize) < endpoint),
+            endpoint as u32,
+        );
+        locs.endpoints[slot] = grown.into();
+        if endpoint == self.endpoint_count {
+            push_entry(&mut self.cols, slot as u32);
+            self.endpoint_count += 1;
+        } else {
+            self.set_col(endpoint, slot as u32);
+        }
+        if first_here {
             // First live endpoint at this location: derive its row from the
             // matrix. The other rows' columns toward it are either absent
             // (new slot) or stale (routing changed while it was fully
             // departed) — refresh them, one patch per live source location.
-            None => {
-                let vn_of_slot = locs.vn_of_slot(matrix);
-                let mut pipes = Vec::new();
-                let row = self.derive_row(matrix, &locs, &vn_of_slot, slot, &mut pipes);
-                for si in 0..locs.locations.len() {
-                    if si == slot || locs.endpoints[si].is_empty() {
-                        continue;
-                    }
+            let locs = Arc::clone(&self.locs);
+            let vn_of_slot = locs.vn_of_slot(matrix);
+            let mut pipes = Vec::new();
+            let row = self.derive_row(matrix, &locs, &vn_of_slot, slot, &mut pipes);
+            self.set_row(slot, row);
+            for si in 0..locs.locations.len() {
+                if si != slot && !locs.endpoints[si].is_empty() {
                     let raw = self.resolve(matrix, vn_of_slot[si], vn_of_slot[slot], &mut pipes);
-                    self.patch_rows(&locs.endpoints[si], &[(slot, raw)]);
+                    self.patch_row(si, &[(slot, raw)]);
                 }
-                row
             }
-        };
-        if endpoint == self.endpoint_count {
-            push_entry(&mut self.rows, row);
-            push_entry(&mut self.cols, slot as u32);
-            self.endpoint_count += 1;
-        } else {
-            self.set_row(endpoint, row);
-            block_mut(&mut self.cols, endpoint / BLOCK_ROWS)[endpoint % BLOCK_ROWS] = slot as u32;
         }
         self.version += 1;
         true
     }
 
-    /// Unbinds `endpoint` — the leave half of live endpoint churn. Its row
-    /// shard is cleared (new lookups from it fail) and it leaves its
-    /// location's endpoint list, so later rewires cannot resurrect the
-    /// row; everything else — including every interned route a descriptor
-    /// in flight may still reference — is retained, which is what makes
-    /// the departure drain deterministic. O(1) blocks touched.
+    /// Unbinds `endpoint` — the leave half of live endpoint churn: its
+    /// column entry is marked departed (new lookups from it fail) and it
+    /// leaves its location's endpoint list. No row is touched unless it
+    /// was the last endpoint there, in which case the location's row is
+    /// cleared. Everything else — including the other rows' columns toward
+    /// it and every interned route a descriptor in flight may still
+    /// reference — is retained, which is what makes the departure drain
+    /// deterministic. O(1) blocks touched.
     ///
     /// Returns `false` when the endpoint is out of range or not bound.
     pub fn unbind_endpoint(&mut self, endpoint: usize) -> bool {
-        if endpoint >= self.endpoint_count {
+        let Some(slot) = self.live_slot(endpoint) else {
             return false;
+        };
+        let list = &mut Arc::make_mut(&mut self.locs).endpoints[slot];
+        let shrunk: Vec<u32> = list
+            .iter()
+            .copied()
+            .filter(|&e| e as usize != endpoint)
+            .collect();
+        let emptied = shrunk.is_empty();
+        *list = shrunk.into();
+        if emptied {
+            self.set_row(slot, RowShard::Empty);
         }
-        let Some(slot) = self.col(endpoint) else {
-            return false;
-        };
-        let slot = slot as usize;
-        let Some(list) = self.locs.endpoints.get(slot) else {
-            return false; // hand-assembled table: no geometry
-        };
-        let Ok(pos) = list.binary_search(&(endpoint as u32)) else {
-            return false; // already departed
-        };
-        let locs = Arc::make_mut(&mut self.locs);
-        let mut shrunk = locs.endpoints[slot].to_vec();
-        shrunk.remove(pos);
-        locs.endpoints[slot] = shrunk.into();
-        self.set_row(endpoint, RowShard::Empty);
+        self.set_col(endpoint, slot as u32 | DEPARTED);
         self.version += 1;
         true
     }
 
-    /// `true` when the endpoint is currently bound at some location (it
-    /// appears in its location slot's live list).
+    /// `true` when the endpoint is currently bound at some location.
     pub fn is_endpoint_bound(&self, endpoint: usize) -> bool {
-        let Some(slot) = self.col(endpoint) else {
-            return false;
-        };
-        self.locs
-            .endpoints
-            .get(slot as usize)
-            .is_some_and(|list| list.binary_search(&(endpoint as u32)).is_ok())
+        self.live_slot(endpoint).is_some()
     }
 
     /// `true` when at least one live endpoint is bound at `location`.
@@ -1078,36 +1099,32 @@ impl RouteTable {
         self.version
     }
 
-    /// Wires an ordered endpoint pair to an interned route, growing the
-    /// source row's window as needed (copy-on-write if its shard is
-    /// shared — other sources sharing the allocation are unaffected). The
-    /// destination resolves to its column, so on a built table the wire
-    /// covers every endpoint co-located with `dst`.
+    /// Wires the ordered *location* pair two endpoints are bound at to an
+    /// interned route, growing the source row's window as needed: the wire
+    /// covers every endpoint co-located with `src` and with `dst`.
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint or the route id is out of range.
+    /// Panics if `src` is out of range or departed, `dst` is out of range,
+    /// or the route id is.
     pub fn set_pair(&mut self, src: usize, dst: usize, id: RouteId) {
-        assert!(src < self.endpoint_count, "src endpoint out of range");
-        assert!(dst < self.endpoint_count, "dst endpoint out of range");
+        let src = self.live_slot(src).expect("src endpoint out of range");
+        let dst = self.col(dst).expect("dst endpoint out of range") & !DEPARTED;
         assert!(id.index() < self.store.len(), "route id out of range");
-        let dst = self.col(dst).expect("dst in range") as usize;
-        let patched = self.row(src).expect("src in range").patched(&[(dst, id.0)]);
-        if let Some(patched) = patched {
-            self.set_row(src, patched);
-        }
+        self.patch_row(src, &[(dst as usize, id.0)]);
     }
 
     /// The route for an ordered endpoint pair, or `None` if the pair is
-    /// unroutable or either index is out of range. This is the per-packet
-    /// lookup: a fixed chain of indexed loads — destination column, block,
-    /// row shard, slot (inline rows resolve the slot inside the
-    /// already-loaded shard) — with no hashing and no allocation.
+    /// unroutable, the source is departed or either index is out of range.
+    /// This is the per-packet lookup: a fixed chain of indexed loads — both
+    /// columns, block, row shard, slot (inline rows resolve the slot inside
+    /// the already-loaded shard) — with no hashing and no allocation. A
+    /// departed *destination* still resolves: descriptors in flight toward
+    /// it drain on their routes.
     #[inline]
     pub fn route_id(&self, src: usize, dst: usize) -> Option<RouteId> {
-        let col = self.col(dst)?;
-        let row = self.row(src)?;
-        match row.raw(col as usize) {
+        let col = self.col(dst)? & !DEPARTED;
+        match self.live_row(src)?.raw(col as usize) {
             NO_ROUTE => None,
             id => Some(RouteId(id)),
         }
@@ -1134,30 +1151,18 @@ impl RouteTable {
         self.store.len()
     }
 
-    /// Number of endpoints the row shards cover.
+    /// Number of endpoints the column map covers.
     pub fn endpoint_count(&self) -> usize {
         self.endpoint_count
     }
 
-    /// `true` when `src`'s row in `self` and `other` is literally the same
-    /// storage: a shared heap allocation for spilled rows, a bit-identical
-    /// allocation-free form for inline/empty rows. Diagnostic for the
+    /// `true` when the row `src` reads (its location's) is literally the
+    /// same storage in `self` and `other`: a shared heap allocation for
+    /// spilled rows, a bit-identical allocation-free form for inline/empty
+    /// rows. `false` when `src` is not live in both. Diagnostic for the
     /// copy-on-write publish tests.
     pub fn row_storage_shared(&self, other: &RouteTable, src: usize) -> bool {
-        match (self.row(src), other.row(src)) {
-            (Some(a), Some(b)) => a.same_storage(b),
-            _ => false,
-        }
-    }
-
-    /// The shared slot allocation backing `src`'s row when it spilled to
-    /// the heap (`None` for inline/empty rows). Diagnostic: lets tests pin
-    /// `Arc` identity across rewires and across co-located endpoints.
-    pub fn spilled_row_ptr(&self, src: usize) -> Option<*const u32> {
-        match self.row(src)? {
-            RowShard::Spilled { slots, .. } => Some(slots.as_ptr()),
-            _ => None,
-        }
+        matches!((self.live_row(src), other.live_row(src)), (Some(a), Some(b)) if a.same_storage(b))
     }
 
     /// Entries in the content-dedup index (distinct interned contents).
@@ -1175,11 +1180,12 @@ impl RouteTable {
     }
 
     /// Serialises the table for a checkpoint: the interned route store in
-    /// id order, every row shard verbatim (window geometry included, so a
-    /// restored row patches exactly like the captured one), the column map,
-    /// the location geometry and the version. The content-dedup index is
-    /// not written — it is a pure function of the store and is rebuilt
-    /// first-id-wins on decode.
+    /// id order, one row shard **per endpoint** — its location's, verbatim
+    /// (window geometry included, so a restored row patches exactly like
+    /// the captured one), or an empty one if it is departed — then the
+    /// column map without the departed bits, the location geometry and the
+    /// version. The content-dedup index is not written — it is a pure
+    /// function of the store and is rebuilt first-id-wins on decode.
     pub fn encode(&self, w: &mut mn_util::ByteWriter) {
         w.put_usize(self.endpoint_count);
         w.put_u64(self.version);
@@ -1188,9 +1194,9 @@ impl RouteTable {
             w.put_u64s(route.pipes.iter().map(|p| p.index() as u64));
         }
         for src in 0..self.endpoint_count {
-            match self.row(src).expect("endpoint in range") {
-                RowShard::Empty => w.put_u8(0),
-                RowShard::Inline { base, len, slots } => {
+            match self.live_row(src) {
+                None | Some(RowShard::Empty) => w.put_u8(0),
+                Some(RowShard::Inline { base, len, slots }) => {
                     w.put_u8(1);
                     w.put_u32(*base);
                     w.put_u8(*len);
@@ -1198,7 +1204,7 @@ impl RouteTable {
                         w.put_u32(s);
                     }
                 }
-                RowShard::Spilled { base, slots } => {
+                Some(RowShard::Spilled { base, slots }) => {
                     w.put_u8(2);
                     w.put_u32(*base);
                     w.put_u32s(slots);
@@ -1206,7 +1212,7 @@ impl RouteTable {
             }
         }
         for e in 0..self.endpoint_count {
-            w.put_u32(self.col(e).expect("endpoint in range"));
+            w.put_u32(self.col(e).expect("endpoint in range") & !DEPARTED);
         }
         w.put_len(self.locs.locations.len());
         for &loc in &self.locs.locations {
@@ -1223,10 +1229,15 @@ impl RouteTable {
     /// resolving to the same route, and re-encoding the result reproduces
     /// the input byte for byte.
     ///
-    /// Nothing read is trusted: every count is bounded by the bytes left
-    /// and every stored index (route ids, row windows, columns, endpoint
-    /// lists) is range-checked, so a damaged snapshot is a typed error here
-    /// rather than a panic on the forwarding path later.
+    /// Nothing read is trusted, and every invariant the table relies on is
+    /// checked here rather than where it is used: counts are bounded by the
+    /// bytes left; route ids, row windows and columns are range-checked;
+    /// locations are distinct; each location's endpoint list is strictly
+    /// ascending and names only endpoints whose column is that location;
+    /// the endpoints of one location carry one and the same row, and an
+    /// endpoint in no list (departed) carries none. A damaged snapshot is a
+    /// typed error here, not a panic or a wrong answer on the forwarding
+    /// path later.
     pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
         use mn_util::CodecError::Invalid;
         // An endpoint is at least a row tag and a column.
@@ -1245,52 +1256,9 @@ impl RouteTable {
             // hold the same content under two ids, and both must survive.
             table.intern(Route::new(pipes));
         }
-        let check_routes = |slots: &[u32]| {
-            let known = |&raw: &u32| raw == NO_ROUTE || (raw as usize) < route_count;
-            match slots.iter().all(known) {
-                true => Ok(()),
-                false => Err(Invalid("row shard names a route the store does not hold")),
-            }
-        };
-        let mut rows_flat = Vec::with_capacity(endpoint_count);
-        // Co-located endpoints shared one spilled allocation before the
-        // checkpoint; share rows with identical content again on restore.
-        let mut spill_cache: HashMap<Vec<u32>, Arc<[u32]>> = HashMap::new();
+        let mut rows = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
-            rows_flat.push(match r.get_u8()? {
-                0 => RowShard::Empty,
-                1 => {
-                    let base = r.get_u32()?;
-                    let len = r.get_u8()?;
-                    if len as usize > INLINE_ROW_CAP {
-                        return Err(Invalid("inline row too wide"));
-                    }
-                    let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
-                    for s in slots.iter_mut().take(len as usize) {
-                        *s = r.get_u32()?;
-                    }
-                    check_routes(&slots[..len as usize])?;
-                    RowShard::Inline { base, len, slots }
-                }
-                2 => {
-                    let base = r.get_u32()?;
-                    let slots = r.get_u32s()?;
-                    check_routes(&slots)?;
-                    let shared = match spill_cache.get(slots.as_slice()) {
-                        Some(shared) => shared.clone(),
-                        None => {
-                            let shared: Arc<[u32]> = Arc::from(slots.as_slice());
-                            spill_cache.insert(slots, shared.clone());
-                            shared
-                        }
-                    };
-                    RowShard::Spilled {
-                        base,
-                        slots: shared,
-                    }
-                }
-                _ => return Err(Invalid("unknown row shard tag")),
-            });
+            rows.push(EncodedRow::read(r)?);
         }
         let mut cols_flat = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
@@ -1298,39 +1266,47 @@ impl RouteTable {
         }
         // A location is its node and the count of its endpoint list.
         let slots = r.get_count(16)?;
-        let mut locs = LocationIndex::default();
-        for _ in 0..slots {
-            let loc = NodeId(r.get_usize()?);
-            locs.slot_of.insert(loc, locs.locations.len() as u32);
-            locs.locations.push(loc);
-        }
-        // Columns are location slots, or (hand-assembled table) endpoint
-        // indices; a row window lies inside the column range either way.
-        let identity = cols_flat.iter().enumerate().all(|(e, &c)| c as usize == e);
-        if !identity && cols_flat.iter().any(|&c| c as usize >= slots) {
+        if slots > DEPARTED as usize || cols_flat.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
-        let columns = slots.max(endpoint_count);
-        if rows_flat.iter().any(|row| {
-            let (base, width) = row.window();
-            base + width > columns
-        }) {
-            return Err(Invalid("row window outside the column range"));
-        }
-        let mut slot_cols = slots > 0;
+        let mut locs = LocationIndex::default();
         for slot in 0..slots {
-            let list = r.get_u32s()?;
-            for &e in &list {
-                if e as usize >= endpoint_count {
-                    return Err(Invalid("location lists an endpoint out of range"));
-                }
-                slot_cols &= cols_flat[e as usize] as usize == slot;
+            let loc = NodeId(r.get_usize()?);
+            if locs.slot_of.insert(loc, slot as u32).is_some() {
+                return Err(Invalid("location listed twice"));
             }
+            locs.locations.push(loc);
+        }
+        // Every endpoint is departed until its location's list claims it.
+        cols_flat.iter_mut().for_each(|c| *c |= DEPARTED);
+        let mut rows_flat = Vec::with_capacity(slots);
+        for slot in 0..slots as u32 {
+            let list = r.get_u32s()?;
+            if list.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(Invalid("location's endpoints are not strictly ascending"));
+            }
+            for &e in &list {
+                match cols_flat.get_mut(e as usize) {
+                    Some(col) if *col == slot | DEPARTED => *col = slot,
+                    _ => return Err(Invalid("location lists an endpoint not bound there")),
+                }
+            }
+            let row = list.first().map(|&first| rows[first as usize]);
+            if list.iter().any(|&e| Some(rows[e as usize]) != row) {
+                return Err(Invalid("co-located endpoints with different rows"));
+            }
+            rows_flat.push(match row {
+                Some(row) => row.shard(route_count, slots)?,
+                None => RowShard::Empty,
+            });
             locs.endpoints.push(Arc::from(list));
+        }
+        let mut endpoints = cols_flat.iter().zip(&rows);
+        if endpoints.any(|(col, row)| col & DEPARTED != 0 && row.tag != 0) {
+            return Err(Invalid("departed endpoint with a row"));
         }
         table.rows = blocks_from_flat(rows_flat);
         table.cols = blocks_from_flat(cols_flat);
-        table.slot_cols = slot_cols;
         table.locs = Arc::new(locs);
         table.endpoint_count = endpoint_count;
         table.version = version;
@@ -1338,8 +1314,8 @@ impl RouteTable {
     }
 
     /// Memory accounting for the route state (see [`RouteStateMemory`]).
-    /// Walks the structure, counting shared allocations once; intended for
-    /// benchmarks and reports, not the hot path.
+    /// Walks the structure; intended for benchmarks and reports, not the
+    /// hot path.
     pub fn memory(&self) -> RouteStateMemory {
         let mut mem = RouteStateMemory {
             endpoint_count: self.endpoint_count,
@@ -1347,12 +1323,11 @@ impl RouteTable {
             route_count: self.store.len(),
             ..RouteStateMemory::default()
         };
-        // Row shards: the block table, the blocks themselves (each counted
-        // once — generations share them, but one table owns each at least
-        // once), and each distinct spilled slot allocation.
+        // Rows: the block table, the blocks themselves (each counted once —
+        // generations share them, but one table owns each at least once),
+        // and each spilled slot allocation.
         const ARC_HEADER: usize = 16; // strong + weak counts
         mem.resident_bytes += self.rows.capacity() * std::mem::size_of::<Arc<[RowShard]>>();
-        let mut seen: HashSet<*const u32> = HashSet::new();
         for block in &self.rows {
             mem.resident_bytes += block.len() * std::mem::size_of::<RowShard>() + ARC_HEADER;
             for row in block.iter() {
@@ -1360,14 +1335,12 @@ impl RouteTable {
                     RowShard::Empty => mem.empty_rows += 1,
                     RowShard::Inline { .. } => mem.inline_rows += 1,
                     RowShard::Spilled { slots, .. } => {
-                        if seen.insert(slots.as_ptr()) {
-                            mem.resident_bytes += slots.len() * 4 + ARC_HEADER;
-                        }
+                        mem.distinct_row_allocations += 1;
+                        mem.resident_bytes += slots.len() * 4 + ARC_HEADER;
                     }
                 }
             }
         }
-        mem.distinct_row_allocations = seen.len();
         // Route store: chunk table plus per-route content.
         mem.route_bytes += self.store.sealed.capacity() * std::mem::size_of::<Arc<[Route]>>();
         for route in self.store.iter() {
@@ -1375,7 +1348,7 @@ impl RouteTable {
                 std::mem::size_of::<Route>() + route.pipes.len() * std::mem::size_of::<PipeId>();
         }
         mem.index_bytes = self.by_content.slots.capacity() * std::mem::size_of::<(u64, u32)>();
-        // Destination column map (blocked and shared like the rows).
+        // Column map (blocked and shared like the rows).
         mem.resident_bytes += self.cols.capacity() * std::mem::size_of::<Arc<[u32]>>();
         for block in &self.cols {
             mem.resident_bytes += block.len() * 4 + ARC_HEADER;
@@ -1486,13 +1459,52 @@ mod tests {
         }
     }
 
+    impl RouteTable {
+        /// Every invariant the table's operations rely on, read off the
+        /// private state: what `decode` must establish from hostile bytes.
+        fn assert_sound(&self) {
+            let locs = &self.locs;
+            let slots = locs.locations.len();
+            assert_eq!(locs.endpoints.len(), slots);
+            assert_eq!(locs.slot_of.len(), slots, "locations are distinct");
+            assert_eq!(self.rows.iter().map(|b| b.len()).sum::<usize>(), slots);
+            let cols: Vec<u32> = self.cols.iter().flat_map(|b| b.iter().copied()).collect();
+            assert_eq!(cols.len(), self.endpoint_count);
+            assert!(cols.iter().all(|&c| ((c & !DEPARTED) as usize) < slots));
+            let mut live = 0;
+            for (slot, list) in locs.endpoints.iter().enumerate() {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "ascending lists");
+                for &e in list.iter() {
+                    assert_eq!(cols[e as usize], slot as u32, "listed where bound, live");
+                }
+                live += list.len();
+                let row = self.row(slot).unwrap();
+                let (base, width) = row.window();
+                assert!(base + width <= slots, "window inside the columns");
+                assert!((base..base + width)
+                    .all(|c| row.raw(c) == NO_ROUTE || (row.raw(c) as usize) < self.store.len()));
+                assert!(!list.is_empty() || matches!(row, RowShard::Empty));
+            }
+            let departed = cols.iter().filter(|&&c| c & DEPARTED != 0).count();
+            assert_eq!(live + departed, self.endpoint_count, "listed or departed");
+            let mut w = mn_util::ByteWriter::new();
+            self.encode(&mut w);
+            let bytes = w.into_bytes();
+            let again = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+            let mut w = mn_util::ByteWriter::new();
+            again.encode(&mut w);
+            assert!(bytes == w.into_bytes(), "encode -> decode -> encode");
+        }
+    }
+
     #[test]
     fn mutated_encodings_decode_to_a_sound_table_or_a_typed_error() {
         // Every single-byte mutation (each bit flipped, the byte zeroed, the
         // byte saturated) of a valid encoding of the multiplexed, rewired
-        // ring table: decoding may refuse it, but must never panic, and a
-        // table it accepts must answer every lookup without panicking and
-        // hold no more memory than a small multiple of the input.
+        // ring table with one endpoint departed: decoding may refuse it,
+        // but must never panic, and a table it accepts must hold every
+        // invariant, answer every lookup without panicking and hold no
+        // more memory than a small multiple of the input.
         let (d, mut matrix, locations) = multiplexed_ring();
         let mut table = RouteTable::build(&matrix, &locations);
         let mut d2 = d.clone();
@@ -1500,6 +1512,8 @@ mod tests {
         d2.pipe_attrs_mut(victim).unwrap().bandwidth = mn_util::DataRate::ZERO;
         let update = matrix.update_pipes(&d2, &[victim]);
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+        assert!(table.unbind_endpoint(4));
+        table.assert_sound();
         let mut w = mn_util::ByteWriter::new();
         table.encode(&mut w);
         let bytes = w.into_bytes();
@@ -1515,6 +1529,7 @@ mod tests {
                 match RouteTable::decode(&mut mn_util::ByteReader::new(&mutated)) {
                     Ok(restored) => {
                         accepted += 1;
+                        restored.assert_sound();
                         let n = restored.endpoint_count();
                         assert!(n <= mutated.len(), "byte {at} -> {value:#04x}");
                         for s in 0..n {
@@ -1538,6 +1553,107 @@ mod tests {
         // Both outcomes occur: pipe ids and the version are free-form, every
         // count and index is not.
         assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
+    }
+
+    /// `encode`'s output written by hand: two single-pipe routes, then one
+    /// row per endpoint (`None`: the empty tag; up to four ids inline, more
+    /// spilled), the columns, the location nodes and their endpoint lists.
+    fn crafted(
+        rows: &[Option<(u32, &[u32])>],
+        cols: &[u32],
+        locations: &[usize],
+        lists: &[&[u32]],
+    ) -> Result<RouteTable, mn_util::CodecError> {
+        let mut w = mn_util::ByteWriter::new();
+        w.put_usize(rows.len());
+        w.put_u64(7);
+        w.put_len(2);
+        w.put_u64s([1u64].into_iter());
+        w.put_u64s([2u64].into_iter());
+        for row in rows {
+            match row {
+                None => w.put_u8(0),
+                Some((base, slots)) if slots.len() <= INLINE_ROW_CAP => {
+                    w.put_u8(1);
+                    w.put_u32(*base);
+                    w.put_u8(slots.len() as u8);
+                    slots.iter().for_each(|&s| w.put_u32(s));
+                }
+                Some((base, slots)) => {
+                    w.put_u8(2);
+                    w.put_u32(*base);
+                    w.put_u32s(slots);
+                }
+            }
+        }
+        cols.iter().for_each(|&c| w.put_u32(c));
+        w.put_len(locations.len());
+        locations.iter().for_each(|&loc| w.put_usize(loc));
+        lists.iter().for_each(|list| w.put_u32s(list));
+        let bytes = w.into_bytes();
+        let mut r = mn_util::ByteReader::new(&bytes);
+        let table = RouteTable::decode(&mut r)?;
+        r.finish()?;
+        Ok(table)
+    }
+
+    #[test]
+    fn decode_refuses_tables_it_could_not_serve() {
+        use mn_util::CodecError::Invalid;
+        // Endpoints 0 and 2 at location 10 (slot 0), endpoint 1 at location
+        // 11 (slot 1); slot 0 -> slot 1 is route 0, the reverse is route 1.
+        let (to_1, to_0): (&[u32], &[u32]) = (&[0], &[1]);
+        let rows = [Some((1, to_1)), Some((0, to_0)), Some((1, to_1))];
+        let sound = crafted(&rows, &[0, 1, 0], &[10, 11], &[&[0, 2], &[1]]).unwrap();
+        sound.assert_sound();
+        assert_eq!(sound.route_id(2, 1), Some(RouteId(0)));
+        assert_eq!(sound.route_id(1, 2), Some(RouteId(1)));
+        let refused = |rows: &[Option<(u32, &[u32])>], locations: &[usize], lists: &[&[u32]]| {
+            crafted(rows, &[0, 1, 0], locations, lists).err()
+        };
+        // (a) An endpoint list that is not strictly ascending: the binary
+        // searches over it would mis-answer.
+        for list in [[2, 0], [0, 0]] {
+            assert_eq!(
+                refused(&rows, &[10, 11], &[&list, &[1]]),
+                Some(Invalid("location's endpoints are not strictly ascending"))
+            );
+        }
+        // (b) One node listed as two locations.
+        assert_eq!(
+            refused(&rows, &[10, 10], &[&[0, 2], &[1]]),
+            Some(Invalid("location listed twice"))
+        );
+        // (c) A window wider than the location count — though no wider
+        // than the endpoint count, which used to pass.
+        let wide = [Some((1, to_1)), Some((1, &[1, 1][..])), Some((1, to_1))];
+        assert_eq!(
+            refused(&wide, &[10, 11], &[&[0, 2], &[1]]),
+            Some(Invalid("row window outside the column range"))
+        );
+        // (d) Co-located endpoints whose rows differ; a departed endpoint
+        // that still has a row; an endpoint listed where it is not bound.
+        let split = [Some((1, to_1)), Some((0, to_0)), Some((1, to_0))];
+        assert_eq!(
+            refused(&split, &[10, 11], &[&[0, 2], &[1]]),
+            Some(Invalid("co-located endpoints with different rows"))
+        );
+        assert_eq!(
+            refused(&rows, &[10, 11], &[&[0], &[1]]),
+            Some(Invalid("departed endpoint with a row"))
+        );
+        assert_eq!(
+            refused(&rows, &[10, 11], &[&[0], &[1, 2]]),
+            Some(Invalid("location lists an endpoint not bound there"))
+        );
+        // The same departure written soundly: no row from the endpoint,
+        // routes toward it intact.
+        let left = [Some((1, to_1)), Some((0, to_0)), None];
+        let left = crafted(&left, &[0, 1, 0], &[10, 11], &[&[0], &[1]]).unwrap();
+        left.assert_sound();
+        assert_eq!(left.route_id(2, 1), None);
+        assert_eq!(left.route_id(1, 2), Some(RouteId(1)));
+        assert!(!left.is_endpoint_bound(2) && left.is_endpoint_bound(0));
     }
 
     #[test]
@@ -1726,6 +1842,7 @@ mod tests {
                 };
                 degenerate_view.absorb_and_check(&tables[1]);
                 oracle.absorb_and_check(&tables[0]);
+                tables.iter().for_each(RouteTable::assert_sound);
                 prop_assert_eq!(tables[0].route_count(), tables[1].route_count());
             }
         }
@@ -1789,13 +1906,16 @@ mod tests {
                 assert_eq!(table.route_id(i, j), table.route_id(i, j + n));
             }
         }
-        // Co-located endpoints share one row shard: same allocation, not a
-        // copy (6-column rows -> spilled, so pointers are visible).
+        // Co-located endpoints read one row: there are six (6-column rows
+        // -> spilled), not twelve.
         for i in 0..n {
             assert!(table.row_storage_shared(&table, i));
-            assert_eq!(table.spilled_row_ptr(i), table.spilled_row_ptr(i + n));
-            assert!(table.spilled_row_ptr(i).is_some(), "wide rows spill");
         }
+        assert_eq!(
+            table.memory().distinct_row_allocations,
+            n,
+            "wide rows spill"
+        );
         // Same-location pairs are unroutable (handled as local delivery).
         for i in 0..n {
             assert!(table.route_id(i, i + n).is_none());
@@ -1855,12 +1975,15 @@ mod tests {
         locations.extend(d.vns().to_vec());
         let mut table = RouteTable::build(&matrix, &locations);
         let n = d.vns().len();
+        let before = table.clone();
         assert!(table.unbind_endpoint(0));
-        // Endpoint n stays live at the same location: the rejoin shares
-        // its spilled row allocation instead of deriving a fresh one.
+        // Endpoint n stays live at the same location: neither the leave nor
+        // the rejoin touches a row — every location keeps its allocation.
         assert!(table.bind_endpoint(&matrix, 0, locations[0]));
-        assert_eq!(table.spilled_row_ptr(0), table.spilled_row_ptr(n));
-        assert!(table.spilled_row_ptr(0).is_some());
+        for s in 0..2 * n {
+            assert!(table.row_storage_shared(&before, s), "row of {s}");
+        }
+        assert_eq!(table.memory().distinct_row_allocations, n);
         for j in 0..2 * n {
             assert_eq!(table.route_id(0, j), table.route_id(n, j), "->{j}");
         }
@@ -2095,13 +2218,17 @@ mod tests {
             .collect();
         // Scattered writes on one row: window grows, stays inline while
         // narrow (no allocation to share), spills once it widens.
+        let inline_and_spilled = |table: &RouteTable| {
+            let mem = table.memory();
+            (mem.inline_rows, mem.distinct_row_allocations)
+        };
         table.set_pair(0, 5, ids[0]);
-        assert!(table.spilled_row_ptr(0).is_none(), "1-wide row is inline");
+        assert_eq!(inline_and_spilled(&table), (1, 0), "1-wide row is inline");
         table.set_pair(0, 7, ids[1]);
-        assert!(table.spilled_row_ptr(0).is_none(), "3-wide row is inline");
+        assert_eq!(inline_and_spilled(&table), (1, 0), "3-wide row is inline");
         assert_eq!(table.route_id(0, 6), None, "window gap is unroutable");
         table.set_pair(0, 12, ids[2]);
-        assert!(table.spilled_row_ptr(0).is_some(), "8-wide row spills");
+        assert_eq!(inline_and_spilled(&table), (0, 1), "8-wide row spills");
         assert_eq!(table.route_id(0, 5), Some(ids[0]));
         assert_eq!(table.route_id(0, 7), Some(ids[1]));
         assert_eq!(table.route_id(0, 12), Some(ids[2]));
@@ -2118,33 +2245,9 @@ mod tests {
     }
 
     #[test]
-    fn set_pair_on_a_shared_row_copies_on_write() {
-        // Two endpoints per location share one shard; diverging one of them
-        // by hand must not leak into its co-located peer.
-        let topo = ring_topology(&RingParams {
-            routers: 6,
-            clients_per_router: 1,
-            ..RingParams::default()
-        });
-        let d = distill(&topo, DistillationMode::HopByHop);
-        let matrix = RoutingMatrix::build(&d);
-        let mut locations = d.vns().to_vec();
-        locations.extend(d.vns().to_vec());
-        let mut table = RouteTable::build(&matrix, &locations);
-        let n = d.vns().len();
-        let donor = table.route_id(1, 2).unwrap();
-        let before = table.route_id(n, 2);
-        assert_eq!(table.spilled_row_ptr(0), table.spilled_row_ptr(n));
-        table.set_pair(0, 2, donor);
-        assert_eq!(table.route_id(0, 2), Some(donor));
-        assert_eq!(table.route_id(n, 2), before, "peer row must not change");
-        assert_ne!(table.spilled_row_ptr(0), table.spilled_row_ptr(n));
-    }
-
-    #[test]
     fn memory_is_sub_dense_for_multiplexed_endpoints() {
-        // 512 endpoints over 8 locations: rows dedup to 8 allocations and
-        // the route state stays far below the dense n² pair table.
+        // 512 endpoints over 8 locations: 8 rows, and the route state stays
+        // far below the dense n² pair table.
         let topo = ring_topology(&RingParams {
             routers: 8,
             clients_per_router: 1,
@@ -2158,7 +2261,7 @@ mod tests {
         let mem = table.memory();
         assert_eq!(mem.endpoint_count, 512);
         assert_eq!(mem.dense_equivalent_bytes, 512 * 512 * 4);
-        assert_eq!(mem.distinct_row_allocations, 8, "one shard per location");
+        assert_eq!(mem.distinct_row_allocations, 8, "one row per location");
         assert!(
             mem.resident_bytes * 10 < mem.dense_equivalent_bytes,
             "resident {} vs dense {}",

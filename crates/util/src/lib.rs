@@ -17,7 +17,7 @@
 //!   through.
 //! * [`sync`] — spin/yield backoff and a sense-reversing spin barrier for
 //!   the epoch synchronisation of the parallel backend.
-//! * [`stats`] — CDFs, histograms, throughput meters and summary statistics
+//! * [`stats`] — CDFs and summary statistics
 //!   used by the measurement infrastructure and the benchmark harness.
 //! * [`rngs`] — seeded RNG construction helpers so every experiment is
 //!   reproducible from a single `u64` seed.
@@ -37,7 +37,7 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use event::{EventHeap, EventKey};
 pub use rate::{ByteSize, DataRate};
 pub use rngs::seeded_rng;
-pub use stats::{Cdf, Histogram, RunningStats, ThroughputMeter};
+pub use stats::{Cdf, RunningStats};
 pub use sync::{SpinBarrier, SpinWait};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{TimerWheel, DEFAULT_WHEEL_QUANTUM};

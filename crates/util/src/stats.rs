@@ -1,5 +1,4 @@
-//! Measurement infrastructure: CDFs, histograms, running summaries and
-//! throughput meters.
+//! Measurement infrastructure: CDFs and running summaries.
 //!
 //! The paper's kernel logging package records per-packet expected vs. actual
 //! delay and the evaluation section reports CDFs of flow bandwidths, download
@@ -8,9 +7,6 @@
 //! harness when it prints the rows/series of each table and figure.
 
 use serde::{Deserialize, Serialize};
-
-use crate::rate::ByteSize;
-use crate::time::{SimDuration, SimTime};
 
 /// An empirical cumulative distribution function over `f64` samples.
 ///
@@ -161,78 +157,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-bucket histogram over `f64` samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[lo, hi)` with `nbuckets` equal buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nbuckets == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, nbuckets: usize) -> Self {
-        assert!(nbuckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; nbuckets],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.count += 1;
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (value - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.buckets.len() as f64) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total samples observed (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Samples below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Iterator over `(bucket_midpoint, count)`.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
-    }
-}
-
 /// Streaming mean / variance / extremes without storing samples
 /// (Welford's algorithm).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -335,128 +259,6 @@ impl RunningStats {
     }
 }
 
-/// Measures aggregate throughput over a window of virtual time.
-///
-/// Used by the capacity experiments (Figure 4, Table 1) to report packets per
-/// second and bits per second once the measurement interval closes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    start: SimTime,
-    end: SimTime,
-    bytes: u64,
-    packets: u64,
-    window_start: Option<SimTime>,
-    window_end: Option<SimTime>,
-}
-
-impl ThroughputMeter {
-    /// Creates a meter that counts everything it observes.
-    pub fn new() -> Self {
-        ThroughputMeter {
-            start: SimTime::MAX,
-            end: SimTime::ZERO,
-            bytes: 0,
-            packets: 0,
-            window_start: None,
-            window_end: None,
-        }
-    }
-
-    /// Creates a meter that only counts observations within
-    /// `[window_start, window_end)`, which lets experiments discard warm-up
-    /// and cool-down transients.
-    pub fn with_window(window_start: SimTime, window_end: SimTime) -> Self {
-        ThroughputMeter {
-            start: SimTime::MAX,
-            end: SimTime::ZERO,
-            bytes: 0,
-            packets: 0,
-            window_start: Some(window_start),
-            window_end: Some(window_end),
-        }
-    }
-
-    /// Records delivery of one packet of `size` bytes at time `now`.
-    pub fn record(&mut self, now: SimTime, size: ByteSize) {
-        if let Some(ws) = self.window_start {
-            if now < ws {
-                return;
-            }
-        }
-        if let Some(we) = self.window_end {
-            if now >= we {
-                return;
-            }
-        }
-        self.start = self.start.min(now);
-        self.end = self.end.max(now);
-        self.bytes += size.as_bytes();
-        self.packets += 1;
-    }
-
-    /// Total packets recorded.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.bytes)
-    }
-
-    /// The span between first and last recorded packet, or the configured
-    /// window if one was given.
-    pub fn elapsed(&self) -> SimDuration {
-        match (self.window_start, self.window_end) {
-            (Some(ws), Some(we)) => we - ws,
-            _ => {
-                if self.end > self.start {
-                    self.end - self.start
-                } else {
-                    SimDuration::ZERO
-                }
-            }
-        }
-    }
-
-    /// Average packets per second over [`Self::elapsed`], or 0.0 if the window
-    /// is degenerate.
-    pub fn packets_per_sec(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.packets as f64 / secs
-        }
-    }
-
-    /// Average goodput in bits per second over [`Self::elapsed`].
-    pub fn bits_per_sec(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            (self.bytes * 8) as f64 / secs
-        }
-    }
-
-    /// Average goodput in kilobits per second.
-    pub fn kbits_per_sec(&self) -> f64 {
-        self.bits_per_sec() / 1e3
-    }
-
-    /// Average goodput in megabits per second.
-    pub fn mbits_per_sec(&self) -> f64 {
-        self.bits_per_sec() / 1e6
-    }
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,28 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for v in [-1.0, 0.5, 5.5, 9.9, 10.0, 42.0] {
-            h.add(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        let counts: Vec<u64> = h.buckets().map(|(_, c)| c).collect();
-        assert_eq!(counts.iter().sum::<u64>(), 3);
-        assert_eq!(counts[0], 1);
-        assert_eq!(counts[5], 1);
-        assert_eq!(counts[9], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
     fn running_stats_mean_and_stddev() {
         let mut s = RunningStats::new();
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -566,29 +346,5 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn throughput_meter_rates() {
-        let mut m = ThroughputMeter::new();
-        // 1000 packets of 1000 bytes over one second.
-        for i in 0..1000u64 {
-            m.record(SimTime::from_millis(i), ByteSize::from_bytes(1000));
-        }
-        assert_eq!(m.packets(), 1000);
-        let pps = m.packets_per_sec();
-        assert!((pps - 1001.0).abs() < 2.0, "pps = {pps}");
-        assert!(m.mbits_per_sec() > 7.9 && m.mbits_per_sec() < 8.2);
-    }
-
-    #[test]
-    fn throughput_meter_window_filters() {
-        let mut m = ThroughputMeter::with_window(SimTime::from_secs(1), SimTime::from_secs(2));
-        m.record(SimTime::from_millis(500), ByteSize::from_bytes(100));
-        m.record(SimTime::from_millis(1500), ByteSize::from_bytes(100));
-        m.record(SimTime::from_millis(2500), ByteSize::from_bytes(100));
-        assert_eq!(m.packets(), 1);
-        assert_eq!(m.elapsed(), SimDuration::from_secs(1));
-        assert!((m.packets_per_sec() - 1.0).abs() < 1e-9);
     }
 }

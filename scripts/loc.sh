@@ -6,8 +6,23 @@
 # members plus the root package). Not counted: `#[cfg(test)] mod … { … }`
 # blocks, tests/, benches/, examples/, vendor/ and the standalone bench/
 # package. Run from anywhere; prints `<lines> <crate>` rows and a total.
+#
+# `--max N` turns the total into a ratchet: exit 1 when it exceeds N. CI
+# passes the total of the last PR that lowered it, so the number can only be
+# raised by editing the workflow in plain sight.
 set -eu
 cd "$(dirname "$0")/.."
+
+max=
+case "${1:-}" in
+--max)
+    max=${2:?--max needs a line count}
+    ;;
+?*)
+    echo "usage: scripts/loc.sh [--max N]" >&2
+    exit 2
+    ;;
+esac
 
 count() {
     find "$1" -name '*.rs' -exec cat {} + | awk '
@@ -44,3 +59,7 @@ for src in src crates/*/src; do
     printf '%7d  %s\n' "$lines" "$name"
 done
 printf '%7d  total\n' "$total"
+if [ -n "$max" ] && [ "$total" -gt "$max" ]; then
+    echo "loc.sh: total $total exceeds --max $max" >&2
+    exit 1
+fi

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use mn_distill::{distill, frontier_sets, DistillationMode};
 use mn_pipe::EmuPipe;
-use mn_routing::{route_between, RouteCache, RouteProvider, RoutingMatrix};
+use mn_routing::route_between;
 use mn_topology::generators::{ring_topology, RingParams};
 use mn_topology::paths::{shortest_path, PathMetric};
 use mn_topology::{LinkAttrs, NodeKind, Topology};
@@ -115,22 +115,6 @@ proptest! {
                         .any(|(n, _)| levels[n.index()] == Some(level - 1));
                     prop_assert!(has_parent);
                 }
-            }
-        }
-    }
-
-    /// The routing matrix and the on-demand cache agree on hop counts for
-    /// every pair.
-    #[test]
-    fn matrix_and_cache_agree(topo in arb_topology()) {
-        let d = distill(&topo, DistillationMode::HopByHop);
-        let matrix = RoutingMatrix::build(&d);
-        let mut cache = RouteCache::with_default_capacity(d);
-        for &a in matrix.vns() {
-            for &b in matrix.vns() {
-                let m = matrix.lookup(a, b).map(|r| r.hop_count());
-                let c = cache.route(a, b).map(|r| r.hop_count());
-                prop_assert_eq!(m, c);
             }
         }
     }

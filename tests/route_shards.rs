@@ -1,20 +1,23 @@
-//! Property suite for the sharded copy-on-write route table.
+//! Property suite for the copy-on-write, one-row-per-location route table.
 //!
-//! Three invariants anchor the shard design:
+//! Four invariants anchor the design:
 //!
 //! 1. **Observational equivalence.** Across random fail/restore/renegotiate
-//!    sequences, the incrementally rewired sharded table must agree with a
-//!    from-scratch dense reference on **every** `(src, dst)` lookup — same
-//!    routability, same pipe sequence — with endpoints multiplexed two per
-//!    location so row dedup is exercised throughout.
+//!    sequences interleaved with endpoint churn (leaves with and without
+//!    siblings, rejoins in the same place, elsewhere and under a fresh
+//!    index), the incrementally maintained table must agree with
+//!    [`RouteTable::build`] over the live binding and a from-scratch matrix
+//!    on **every** `(src, dst)` lookup — same routability, same pipe
+//!    sequence — with endpoints multiplexed two per location throughout.
 //! 2. **`RouteId` stability.** Pairs a step did not change keep their exact
-//!    `RouteId` (descriptors in flight keep resolving), and every id still
-//!    resolves to the pipe sequence the reference prescribes.
-//! 3. **Copy-on-write identity.** After a rewire, the row shards of
-//!    untouched sources are literally the same storage as before the step
-//!    (`Arc` identity for spilled rows), and co-located endpoints keep
-//!    sharing one shard — the publish cost is O(changed rows), which is the
-//!    tentpole's whole point.
+//!    `RouteId` (descriptors in flight keep resolving), routes *toward* an
+//!    endpoint that just left included.
+//! 3. **Copy-on-write identity.** After a step, the rows of untouched source
+//!    locations are literally the same storage as before it (`Arc` identity
+//!    for spilled rows) — the publish cost is O(changed rows) — and a
+//!    co-located join or leave touches no row at all.
+//! 4. **Byte stability.** `encode → decode → encode` reproduces the bytes
+//!    after every step.
 
 mod common;
 
@@ -26,11 +29,11 @@ use common::arb_unique_path_topology;
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_routing::{RouteId, RouteTable, RoutingMatrix};
 use mn_topology::NodeId;
-use mn_util::DataRate;
+use mn_util::{ByteReader, ByteWriter, DataRate};
 
 /// One random perturbation of a duplex link.
 #[derive(Debug, Clone, Copy)]
-enum Op {
+enum LinkOp {
     /// Fail the link (bandwidth to zero): routes detour or disappear.
     Down,
     /// Restore the link's build-time attributes.
@@ -41,23 +44,48 @@ enum Op {
     RenegotiateBandwidth,
 }
 
+/// One step of the random history. Every `usize` is a choice reduced modulo
+/// whatever it picks from; a churn op with nothing to pick from is skipped.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Link(usize, LinkOp),
+    /// One live endpoint leaves (its siblings, if any, stay).
+    Leave(usize),
+    /// Every endpoint at a live endpoint's location leaves, one by one.
+    EmptyLocation(usize),
+    /// A departed endpoint rejoins where it left.
+    RejoinSamePlace(usize),
+    /// A departed endpoint rejoins at the given client location.
+    RejoinAt(usize, usize),
+    /// A fresh endpoint index joins at the given client location.
+    JoinFresh(usize),
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
+    let link_op = prop_oneof![
+        Just(LinkOp::Down),
+        Just(LinkOp::Restore),
+        Just(LinkOp::SlowerLatency),
+        Just(LinkOp::RenegotiateBandwidth),
+    ];
     prop_oneof![
-        Just(Op::Down),
-        Just(Op::Restore),
-        Just(Op::SlowerLatency),
-        Just(Op::RenegotiateBandwidth),
+        4 => (any::<usize>(), link_op).prop_map(|(k, op)| Op::Link(k, op)),
+        2 => any::<usize>().prop_map(Op::Leave),
+        2 => any::<usize>().prop_map(Op::EmptyLocation),
+        2 => any::<usize>().prop_map(Op::RejoinSamePlace),
+        2 => (any::<usize>(), any::<usize>()).prop_map(|(e, at)| Op::RejoinAt(e, at)),
+        1 => any::<usize>().prop_map(Op::JoinFresh),
     ]
 }
 
 /// Applies `op` to both directions of the `link_choice`-th duplex link,
 /// returning the mutated pipes. Hop-by-hop distillation adds duplex pairs
 /// back to back: pipes 2k and 2k+1 are the two directions of link k.
-fn apply_op(
+fn apply_link_op(
     d: &mut DistilledTopology,
     original: &[mn_distill::PipeAttrs],
     link_choice: usize,
-    op: Op,
+    op: LinkOp,
 ) -> Vec<PipeId> {
     let links = d.pipe_count() / 2;
     let k = link_choice % links;
@@ -65,77 +93,178 @@ fn apply_op(
     for &p in &pipes {
         let attrs = d.pipe_attrs_mut(p).expect("pipe exists");
         match op {
-            Op::Down => attrs.bandwidth = DataRate::ZERO,
-            Op::Restore => *attrs = original[p.index()],
-            Op::SlowerLatency => attrs.latency = attrs.latency * 2,
-            Op::RenegotiateBandwidth => attrs.bandwidth = attrs.bandwidth.mul_f64(0.5),
+            LinkOp::Down => attrs.bandwidth = DataRate::ZERO,
+            LinkOp::Restore => *attrs = original[p.index()],
+            LinkOp::SlowerLatency => attrs.latency = attrs.latency * 2,
+            LinkOp::RenegotiateBandwidth => attrs.bandwidth = attrs.bandwidth.mul_f64(0.5),
         }
     }
     pipes
 }
 
+/// The matrix, the table and the binding, churned the way
+/// `Emulator::{vn_join, vn_leave}` churn them.
+struct Sut {
+    matrix: RoutingMatrix,
+    table: RouteTable,
+    /// Where each endpoint is bound, or was when it left.
+    locations: Vec<NodeId>,
+    live: Vec<bool>,
+}
+
+impl Sut {
+    fn leave(&mut self, e: usize) {
+        assert!(self.table.unbind_endpoint(e));
+        self.live[e] = false;
+        if !self.table.has_endpoints_at(self.locations[e]) {
+            assert!(self.matrix.remove_source(self.locations[e]));
+        }
+    }
+
+    /// Returns whether the join populated an empty location (the one kind
+    /// that writes rows).
+    fn join(&mut self, d: &DistilledTopology, e: usize, at: NodeId) -> bool {
+        let populates = !self.table.has_endpoints_at(at);
+        if self.matrix.vn_index(at).is_none() {
+            assert!(self.matrix.add_source(d, at));
+        }
+        assert!(self.table.bind_endpoint(&self.matrix, e, at));
+        if e == self.locations.len() {
+            self.locations.push(at);
+            self.live.push(true);
+        } else {
+            self.locations[e] = at;
+            self.live[e] = true;
+        }
+        populates
+    }
+
+    /// The `choice`-th endpoint that is live (or departed).
+    fn pick(&self, live: bool, choice: usize) -> Option<usize> {
+        let pool: Vec<usize> = (0..self.live.len())
+            .filter(|&e| self.live[e] == live)
+            .collect();
+        (!pool.is_empty()).then(|| pool[choice % pool.len()])
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn sharded_table_matches_dense_reference_under_random_dynamics(
         topo in arb_unique_path_topology(Just(0.0)),
-        ops in prop::collection::vec((any::<usize>(), arb_op()), 1..10),
+        ops in prop::collection::vec(arb_op(), 1..16),
     ) {
         let mut d = distill(&topo, DistillationMode::HopByHop);
         let original: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
-        let mut matrix = RoutingMatrix::build(&d);
+        let homes = d.vns().to_vec();
+        let matrix = RoutingMatrix::build(&d);
         // Two endpoints per location: half the endpoint set repeats the VN
-        // list, so every row shard is shared by a co-located pair and
-        // same-location pairs must stay unroutable (local delivery).
-        let mut locations = d.vns().to_vec();
-        locations.extend(d.vns().to_vec());
-        let n = locations.len();
-        let half = n / 2;
-        let mut table = RouteTable::build(&matrix, &locations);
+        // list, so every row is read by a co-located pair and same-location
+        // pairs must stay unroutable (local delivery).
+        let mut locations = homes.clone();
+        locations.extend(homes.iter().copied());
+        let table = RouteTable::build(&matrix, &locations);
+        let live = vec![true; locations.len()];
+        let mut sut = Sut { matrix, table, locations, live };
 
-        for (choice, op) in ops {
-            let before = table.clone();
-            let ids_before: Vec<Option<RouteId>> = (0..n * n)
-                .map(|i| table.route_id(i / n, i % n))
+        for op in ops {
+            let before = sut.table.clone();
+            let n_before = sut.live.len();
+            let live_before = sut.live.clone();
+            let ids_before: Vec<Option<RouteId>> = (0..n_before * n_before)
+                .map(|i| before.route_id(i / n_before, i % n_before))
                 .collect();
-            let changed_pipes = apply_op(&mut d, &original, choice, op);
-            let update = matrix.update_pipes(&d, &changed_pipes);
-            if !update.is_empty() {
-                table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
-            }
-
-            // 1. Every (src, dst) lookup agrees with a scratch-built dense
-            //    reference of the mutated pipe graph.
-            let scratch = RoutingMatrix::build(&d);
-            for s in 0..n {
-                for t in 0..n {
-                    let expected = if locations[s] == locations[t] {
-                        None
-                    } else {
-                        scratch.lookup(locations[s], locations[t]).and_then(|r| {
-                            if r.is_empty() {
-                                None
-                            } else {
-                                Some(r.pipes)
+            // Location pairs whose route the step may change, endpoints it
+            // binds or unbinds, and whether it may write rows at all (a
+            // link op, or a join that populates an empty location).
+            let mut changed_set: HashSet<(NodeId, NodeId)> = HashSet::new();
+            let mut churned: Vec<usize> = Vec::new();
+            let mut rows_may_move = false;
+            match op {
+                Op::Link(choice, link_op) => {
+                    let changed_pipes = apply_link_op(&mut d, &original, choice, link_op);
+                    let update = sut.matrix.update_pipes(&d, &changed_pipes);
+                    if !update.is_empty() {
+                        sut.table.rewire_in_place(&sut.matrix, &sut.locations, &update.changed_pairs);
+                    }
+                    changed_set.extend(update.changed_pairs.iter().copied());
+                    rows_may_move = true;
+                }
+                Op::Leave(choice) => {
+                    if let Some(e) = sut.pick(true, choice) {
+                        sut.leave(e);
+                        churned.push(e);
+                    }
+                }
+                Op::EmptyLocation(choice) => {
+                    if let Some(e) = sut.pick(true, choice) {
+                        let at = sut.locations[e];
+                        for e in 0..n_before {
+                            if sut.live[e] && sut.locations[e] == at {
+                                sut.leave(e);
+                                churned.push(e);
                             }
-                        })
-                    };
+                        }
+                        prop_assert!(!sut.table.has_endpoints_at(at));
+                    }
+                }
+                Op::RejoinSamePlace(choice) => {
+                    if let Some(e) = sut.pick(false, choice) {
+                        rows_may_move = sut.join(&d, e, sut.locations[e]);
+                        churned.push(e);
+                    }
+                }
+                Op::RejoinAt(choice, at) => {
+                    if let Some(e) = sut.pick(false, choice) {
+                        rows_may_move = sut.join(&d, e, homes[at % homes.len()]);
+                        churned.push(e);
+                    }
+                }
+                Op::JoinFresh(at) => {
+                    rows_may_move = sut.join(&d, n_before, homes[at % homes.len()]);
+                    churned.push(n_before);
+                }
+            }
+            let n = sut.live.len();
+            let table = &sut.table;
+
+            // 1. Every (src, dst) lookup agrees with a table built from
+            //    scratch — scratch matrix, live binding only.
+            let live_now: Vec<usize> = (0..n).filter(|&e| sut.live[e]).collect();
+            let live_locations: Vec<NodeId> = live_now.iter().map(|&e| sut.locations[e]).collect();
+            let fresh = RouteTable::build(&RoutingMatrix::build(&d), &live_locations);
+            for (i, &s) in live_now.iter().enumerate() {
+                for (j, &t) in live_now.iter().enumerate() {
+                    let expected = fresh.route_id(i, j).map(|id| fresh.pipes(id).to_vec());
                     let got = table.route_id(s, t).map(|id| table.pipes(id).to_vec());
                     prop_assert_eq!(got, expected, "pair ({}, {}) after {:?}", s, t, op);
                 }
             }
-
-            // 2. RouteId stability: pairs the update did not list keep
-            //    their exact pre-step id.
-            let changed_set: HashSet<(NodeId, NodeId)> =
-                update.changed_pairs.iter().copied().collect();
-            for s in 0..n {
+            for s in (0..n).filter(|&s| !sut.live[s]) {
+                prop_assert!(!table.is_endpoint_bound(s));
                 for t in 0..n {
-                    if !changed_set.contains(&(locations[s], locations[t])) {
+                    prop_assert_eq!(table.route_id(s, t), None, "departed {} routes after {:?}", s, op);
+                }
+            }
+
+            // 2. RouteId stability: a pair of endpoints the step neither
+            //    bound nor unbound, whose location pair it did not list,
+            //    keeps its exact pre-step id — and so does every route
+            //    *toward* an endpoint that just left.
+            let stayed = |e: usize| e < n_before && live_before[e] && sut.live[e];
+            for s in (0..n_before).filter(|&s| stayed(s)) {
+                for t in 0..n_before {
+                    let kept = if stayed(t) {
+                        !changed_set.contains(&(sut.locations[s], sut.locations[t]))
+                    } else {
+                        live_before[t] && churned.contains(&t)
+                    };
+                    if kept {
                         prop_assert_eq!(
                             table.route_id(s, t),
-                            ids_before[s * n + t],
+                            ids_before[s * n_before + t],
                             "untouched pair ({}, {}) must keep its RouteId after {:?}",
                             s, t, op
                         );
@@ -143,32 +272,31 @@ proptest! {
                 }
             }
 
-            // 3. Copy-on-write identity: sources with no changed pair keep
-            //    literally the same row storage across the rewire, and
-            //    co-located endpoints still share one shard.
+            // 3. Copy-on-write identity: source locations with no changed
+            //    pair keep literally the same row storage across the step;
+            //    a join or leave beside a live sibling moves no row at all.
             let changed_sources: HashSet<NodeId> =
                 changed_set.iter().map(|&(src, _)| src).collect();
-            for (s, loc) in locations.iter().enumerate() {
-                if !changed_sources.contains(loc) {
+            for s in (0..n_before).filter(|&s| stayed(s)) {
+                let untouched = churned.is_empty() && !changed_sources.contains(&sut.locations[s]);
+                if !rows_may_move || untouched {
                     prop_assert!(
                         table.row_storage_shared(&before, s),
-                        "untouched source {} lost its shard storage after {:?}",
+                        "untouched source {} lost its row storage after {:?}",
                         s, op
                     );
                 }
+                prop_assert!(table.row_storage_shared(table, s), "identity is reflexive");
             }
-            for s in 0..half {
-                prop_assert!(
-                    table.row_storage_shared(&table, s),
-                    "shard identity must be reflexive"
-                );
-                prop_assert_eq!(
-                    table.spilled_row_ptr(s),
-                    table.spilled_row_ptr(s + half),
-                    "co-located endpoints {} and {} must share one shard",
-                    s, s + half
-                );
-            }
+
+            // 4. The bytes survive a round trip.
+            let mut w = ByteWriter::new();
+            table.encode(&mut w);
+            let bytes = w.into_bytes();
+            let restored = RouteTable::decode(&mut ByteReader::new(&bytes)).expect("decodes");
+            let mut w = ByteWriter::new();
+            restored.encode(&mut w);
+            prop_assert!(bytes == w.into_bytes(), "encode -> decode -> encode after {:?}", op);
         }
     }
 }
