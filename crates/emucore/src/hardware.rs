@@ -9,7 +9,8 @@
 //! behaviour emerges in the virtual-time reproduction. The default constants
 //! are calibrated so that the Figure 4 knees land where the paper reports
 //! them: NIC-bound at ≈120 kpkt/s for short routes, CPU-bound at ≈90 kpkt/s
-//! for 8-hop routes (see EXPERIMENTS.md for the calibration notes).
+//! for 8-hop routes (`fig4_capacity`, README "Experiment binaries", prints
+//! the curve).
 
 use serde::{Deserialize, Serialize};
 

@@ -11,8 +11,8 @@
 //! On top of the measured table, [`mn_distill::autodistill`] picks the
 //! cheapest configuration fitting a ≤5% error budget. The workload-pruned
 //! end-to-end mesh (one pipe per communicating pair) is the configuration
-//! that undercuts hop-by-hop's pipe count — the full continuum in one JSON:
-//! `BENCH_accuracy.json`.
+//! that undercuts hop-by-hop's pipe count. Every run is in virtual time, so
+//! the table is the same on every host and its shape is a unit test.
 
 use mn_distill::{
     autodistill, CandidateConfig, DistillBudget, DistillChoice, DistillationMode, WorkloadSketch,
@@ -273,7 +273,7 @@ pub fn render(sweep: &AccuracySweep) -> String {
     out
 }
 
-/// The CI gate. Holds when:
+/// The shape of the continuum. Holds when:
 /// 1. walk-in 2 covers the whole (depth-2) ring, so its run *is* the
 ///    hop-by-hop run and its error is exactly zero — the ground-truth
 ///    self-check;
@@ -315,6 +315,12 @@ mod tests {
                 hop.undirected_pipe_count()
             );
         }
+    }
+
+    #[test]
+    fn quick_sweep_has_the_shape_of_the_continuum() {
+        let sweep = run(Scale::Quick);
+        assert!(shape_holds(&sweep), "{}", render(&sweep));
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn render(points: &[CapacityPoint]) -> String {
     out
 }
 
-/// The headline checks EXPERIMENTS.md records: more hops can only lower the
+/// The headline checks of the figure: more hops can only lower the
 /// saturated rate, and at high flow counts short routes deliver substantially
 /// more than 8-hop routes.
 pub fn shape_holds(points: &[CapacityPoint]) -> bool {
@@ -118,18 +118,13 @@ pub fn _sanity(points: &[CapacityPoint]) -> bool {
     !points.is_empty()
 }
 
-/// Smoke check used by the unit tests: a single tiny point runs end to end.
-pub fn smoke_point() -> CapacityPoint {
-    run_point(2, 8, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn smoke_point_delivers_packets() {
-        let p = smoke_point();
+        let p = run_point(2, 8, 1);
         assert_eq!(p.hops, 2);
         assert_eq!(p.flows, 8);
         // 8 flows at up to 10 Mb/s each ≈ 80 Mb/s ≈ 7–10 kpkt/s of data+ACKs.

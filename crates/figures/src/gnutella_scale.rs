@@ -6,7 +6,7 @@
 //! `mn_apps::gnutella` over a transit–stub topology and reports how much of
 //! the network each node discovers. At `Scale::Quick` the run uses a few
 //! hundred VNs; `Scale::Paper` raises the count (bounded by memory for the
-//! all-pairs routing matrix — see EXPERIMENTS.md).
+//! routing matrix: one tree per VN over every node).
 
 use mn_apps::{GnutellaConfig, GnutellaNode};
 use mn_distill::DistillationMode;

@@ -1,11 +1,11 @@
-//! Experiment harness: regenerators for every table and figure of the paper.
+//! Regenerators for every table and figure of the paper.
 //!
 //! Each submodule corresponds to one experiment in the evaluation; its `run`
 //! function executes the workload at a configurable scale and returns the
-//! rows/series the paper reports, and its binary (`src/bin/…`) prints them.
+//! rows/series the paper reports, its `shape_holds` states the shape the
+//! paper's curve has, and its binary (`src/bin/…`) prints both.
 //! `Scale::Quick` keeps default invocations to seconds of wall time;
-//! `Scale::Paper` uses the paper's dimensions. EXPERIMENTS.md records the
-//! expected shape for each and how the measured output compares.
+//! `Scale::Paper` uses the paper's dimensions (README "Experiment binaries").
 
 pub mod accuracy;
 pub mod accuracy_sweep;
@@ -16,7 +16,6 @@ pub mod fig4_capacity;
 pub mod fig5_distillation;
 pub mod fig6_multiplexing;
 pub mod gnutella_scale;
-pub mod report;
 pub mod table1_multicore;
 
 /// How large to run an experiment.

@@ -755,7 +755,7 @@ impl RoutingMatrix {
 
     /// Resident heap bytes of the route state (trees, labels, reverse
     /// index, component maps) — the structures that scale with topology
-    /// size, reported by the memory benches.
+    /// size, reported beside the table's own accounting.
     pub fn memory_bytes(&self) -> usize {
         fn nested(v: &[Vec<u32>]) -> usize {
             std::mem::size_of_val(v) + v.iter().map(|e| e.capacity() * 4).sum::<usize>()

@@ -57,7 +57,6 @@
 //! cores' point of view: a routing change builds the next generation (cheap,
 //! structurally shared) and swaps the `Arc<RouteTable>`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -449,12 +448,19 @@ impl ContentIndex {
 struct LocationIndex {
     /// Distinct locations in first-appearance order.
     locations: Vec<NodeId>,
-    slot_of: HashMap<NodeId, u32>,
+    /// Node index → location slot ([`NO_SLOT`]: no location there), dense up
+    /// to the highest located node: a lookup is one load, like the matrix's
+    /// own node → VN table, and a rewire resolves only the locations its
+    /// changed pairs name.
+    slot_of_node: Vec<u32>,
     /// Endpoint indices bound to each location slot, strictly ascending.
     /// Departed endpoints are removed from their list; the slot itself
     /// persists once created.
     endpoints: Vec<Arc<[u32]>>,
 }
+
+/// "No location at this node" in [`LocationIndex::slot_of_node`].
+const NO_SLOT: u32 = u32::MAX;
 
 impl LocationIndex {
     /// Builds the geometry, also returning each endpoint's location slot
@@ -464,21 +470,34 @@ impl LocationIndex {
         let mut lists: Vec<Vec<u32>> = Vec::new();
         let mut slot_of_endpoint = Vec::with_capacity(locations.len());
         for (e, &loc) in locations.iter().enumerate() {
-            let slot = match idx.slot_of.get(&loc) {
-                Some(&slot) => slot,
-                None => {
-                    let slot = idx.locations.len() as u32;
-                    idx.slot_of.insert(loc, slot);
-                    idx.locations.push(loc);
-                    lists.push(Vec::new());
-                    slot
-                }
-            };
+            let slot = idx.slot_of(loc).unwrap_or_else(|| {
+                lists.push(Vec::new());
+                idx.add_location(loc)
+            });
             lists[slot as usize].push(e as u32);
             slot_of_endpoint.push(slot);
         }
         idx.endpoints = lists.into_iter().map(Arc::from).collect();
         (idx, slot_of_endpoint)
+    }
+
+    /// The slot of the location at `node`, if there is one.
+    #[inline]
+    fn slot_of(&self, node: NodeId) -> Option<u32> {
+        let slot = self.slot_of_node.get(node.index()).copied();
+        slot.filter(|&slot| slot != NO_SLOT)
+    }
+
+    /// Appends `node` as a new location (the caller has checked it is not
+    /// one yet, and pushes its endpoint list) and returns its slot.
+    fn add_location(&mut self, node: NodeId) -> u32 {
+        let slot = self.locations.len() as u32;
+        self.locations.push(node);
+        if self.slot_of_node.len() <= node.index() {
+            self.slot_of_node.resize(node.index() + 1, NO_SLOT);
+        }
+        self.slot_of_node[node.index()] = slot;
+        slot
     }
 
     /// Each location slot's dense index in `matrix` (`None`: not a VN
@@ -776,7 +795,9 @@ impl RouteTable {
     /// oscillating links do not grow the table. Untouched rows — and the
     /// `RouteId`s of descriptors in flight on them — are not visited at
     /// all, and keep literally the same allocation; a touched row is
-    /// patched once, however many endpoints are bound at its location.
+    /// patched once per run of `changed` pairs naming its location as the
+    /// source (`update_pipes` lists a source's pairs together: once),
+    /// however many endpoints are bound there.
     pub fn rewire_in_place(
         &mut self,
         matrix: &RoutingMatrix,
@@ -800,54 +821,29 @@ impl RouteTable {
             "rewire_in_place locations must match the geometry the table was built over"
         );
         let locs = Arc::clone(&self.locs);
-        // Location → slot without hashing: a changed pair names matrix VNs,
-        // whose dense index is one array load, so each slot's VN index is
-        // resolved once and inverted in the same pass. The map is only the
-        // fallback for a location the matrix does not know.
-        let (vn_of_slot, slot_of_vn) = {
-            let mut slot_of_vn = vec![None; matrix.vn_count()];
-            let slots = locs.locations.iter().zip(0u32..);
-            let vn_of_slot: Vec<Option<usize>> = slots
-                .map(|(&loc, slot)| {
-                    let vn = matrix.vn_index(loc);
-                    if let Some(vn) = vn {
-                        slot_of_vn[vn] = Some(slot);
-                    }
-                    vn
-                })
-                .collect();
-            (vn_of_slot, slot_of_vn)
-        };
-        let slot_of = |loc: NodeId| match matrix.vn_index(loc) {
-            Some(vn) => slot_of_vn[vn],
-            None => locs.slot_of.get(&loc).copied(),
-        };
-        // Group the changed pairs by source location slot, preserving the
-        // deterministic order `RoutingMatrix::update_pipes` reports them in.
-        let mut group_of = vec![usize::MAX; locs.locations.len()];
-        let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-        for &(src_loc, dst_loc) in changed {
-            if src_loc == dst_loc {
-                continue; // same-location pairs stay local, never routed
-            }
-            let (Some(ss), Some(ds)) = (slot_of(src_loc), slot_of(dst_loc)) else {
-                continue; // no endpoint bound there: nothing to rewire
-            };
-            if group_of[ss as usize] == usize::MAX {
-                group_of[ss as usize] = groups.len();
-                groups.push((ss, Vec::new()));
-            }
-            groups[group_of[ss as usize]].1.push(ds);
-        }
         let mut patches: Vec<(usize, u32)> = Vec::new();
         let mut pipes = Vec::new();
-        for (ss, dst_slots) in groups {
+        // One row patch per run of pairs sharing a source, in the order
+        // given: `RoutingMatrix::update_pipes` reports a recomputed tree's
+        // pairs together. Every step is a load keyed by a node the pairs
+        // name — nothing here is sized by the location or VN count.
+        for run in changed.chunk_by(|a, b| a.0 == b.0) {
+            let src_loc = run[0].0;
+            let Some(ss) = locs.slot_of(src_loc) else {
+                continue; // no endpoint ever bound there: nothing to rewire
+            };
+            let ms = matrix.vn_index(src_loc);
             patches.clear();
-            let ms = vn_of_slot[ss as usize];
-            for &ds in &dst_slots {
+            for &(_, dst_loc) in run {
+                if dst_loc == src_loc {
+                    continue; // same-location pairs stay local, never routed
+                }
+                let Some(ds) = locs.slot_of(dst_loc) else {
+                    continue;
+                };
                 // Resolved (and interned) even when nothing will read it, so
                 // `RouteId`s never depend on which locations are populated.
-                let raw = self.resolve(matrix, ms, vn_of_slot[ds as usize], &mut pipes);
+                let raw = self.resolve(matrix, ms, matrix.vn_index(dst_loc), &mut pipes);
                 if !locs.endpoints[ds as usize].is_empty() {
                     patches.push((ds as usize, raw));
                 }
@@ -949,17 +945,11 @@ impl RouteTable {
         // Resolve (or create) the location slot and insert the endpoint
         // into its (shared) ascending list.
         let locs = Arc::make_mut(&mut self.locs);
-        let slot = match locs.slot_of.get(&location) {
-            Some(&s) => s as usize,
-            None => {
-                let s = locs.locations.len();
-                locs.slot_of.insert(location, s as u32);
-                locs.locations.push(location);
-                locs.endpoints.push(Arc::from(Vec::new()));
-                push_entry(&mut self.rows, RowShard::Empty);
-                s
-            }
-        };
+        let slot = locs.slot_of(location).unwrap_or_else(|| {
+            locs.endpoints.push(Arc::from(Vec::new()));
+            push_entry(&mut self.rows, RowShard::Empty);
+            locs.add_location(location)
+        }) as usize;
         let list = &locs.endpoints[slot];
         let first_here = list.is_empty();
         let mut grown = list.to_vec();
@@ -1032,8 +1022,8 @@ impl RouteTable {
 
     /// `true` when at least one live endpoint is bound at `location`.
     pub fn has_endpoints_at(&self, location: NodeId) -> bool {
-        let slot = self.locs.slot_of.get(&location);
-        slot.is_some_and(|&s| !self.locs.endpoints[s as usize].is_empty())
+        let slot = self.locs.slot_of(location);
+        slot.is_some_and(|s| !self.locs.endpoints[s as usize].is_empty())
     }
 
     /// The id of the route with exactly this pipe sequence, interning it
@@ -1269,13 +1259,21 @@ impl RouteTable {
         if slots > DEPARTED as usize || cols_flat.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
+        // A location's node index sizes the dense node → slot map, so it is
+        // bounded like a count, by the bytes left: eight nodes a byte (the
+        // matrix that follows in an emulator's snapshot alone spends four
+        // bytes on every node).
+        let node_limit = r.remaining().saturating_mul(8);
         let mut locs = LocationIndex::default();
-        for slot in 0..slots {
+        for _ in 0..slots {
             let loc = NodeId(r.get_usize()?);
-            if locs.slot_of.insert(loc, slot as u32).is_some() {
+            if loc.index() >= node_limit {
+                return Err(Invalid("location node index beyond the input"));
+            }
+            if locs.slot_of(loc).is_some() {
                 return Err(Invalid("location listed twice"));
             }
-            locs.locations.push(loc);
+            locs.add_location(loc);
         }
         // Every endpoint is departed until its location's list claims it.
         cols_flat.iter_mut().for_each(|c| *c |= DEPARTED);
@@ -1361,7 +1359,7 @@ impl RouteTable {
                 .iter()
                 .map(|v| v.len() * 4 + ARC_HEADER + std::mem::size_of::<Arc<[u32]>>())
                 .sum::<usize>()
-            + self.locs.slot_of.len() * (std::mem::size_of::<NodeId>() + 4 + 16);
+            + self.locs.slot_of_node.capacity() * 4;
         mem.resident_bytes += mem.route_bytes + mem.index_bytes + locs_bytes;
         mem
     }
@@ -1373,6 +1371,7 @@ mod tests {
     use mn_distill::{distill, DistillationMode};
     use mn_topology::generators::{ring_topology, RingParams};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// A 6-router ring, hop-by-hop, with two endpoints bound at every VN
     /// location (endpoint `i` and `i + 6` share one).
@@ -1466,7 +1465,11 @@ mod tests {
             let locs = &self.locs;
             let slots = locs.locations.len();
             assert_eq!(locs.endpoints.len(), slots);
-            assert_eq!(locs.slot_of.len(), slots, "locations are distinct");
+            let located = locs.slot_of_node.iter().filter(|&&s| s != NO_SLOT);
+            assert_eq!(located.count(), slots, "locations are distinct");
+            for (slot, &loc) in locs.locations.iter().enumerate() {
+                assert_eq!(locs.slot_of(loc), Some(slot as u32));
+            }
             assert_eq!(self.rows.iter().map(|b| b.len()).sum::<usize>(), slots);
             let cols: Vec<u32> = self.cols.iter().flat_map(|b| b.iter().copied()).collect();
             assert_eq!(cols.len(), self.endpoint_count);
@@ -1623,6 +1626,12 @@ mod tests {
         assert_eq!(
             refused(&rows, &[10, 10], &[&[0, 2], &[1]]),
             Some(Invalid("location listed twice"))
+        );
+        // (b') A node index the input has no bytes for: it would size the
+        // dense node -> slot map.
+        assert_eq!(
+            refused(&rows, &[10, 1 << 40], &[&[0, 2], &[1]]),
+            Some(Invalid("location node index beyond the input"))
         );
         // (c) A window wider than the location count — though no wider
         // than the endpoint count, which used to pass.

@@ -1,7 +1,7 @@
 //! Counting wrapper around the system allocator.
 //!
 //! Install [`CountingAlloc`] as the `#[global_allocator]` of a test or
-//! bench binary to make heap behaviour observable:
+//! benchmark binary to make heap behaviour observable:
 //!
 //! * [`thread_alloc_calls`] — allocator calls made by the current thread,
 //!   the zero-allocation guard used by the steady-state suites (the

@@ -1,24 +1,16 @@
-//! A deterministic event queue keyed by virtual time.
+//! The timing wheel's test oracle: a binary heap keyed by virtual time.
 //!
-//! Both the simulation driver (in the `modelnet` façade crate) and the core's
-//! pipe scheduler need "earliest deadline first" ordering. [`EventHeap`] is a
-//! thin wrapper over a binary heap that breaks ties by insertion order so that
-//! runs are reproducible regardless of heap internals.
+//! [`EventHeap`] is a thin wrapper over a binary heap that breaks ties by
+//! insertion order — the obviously correct "earliest deadline first, FIFO
+//! among equals" queue. Nothing outside the tests uses it: the differential
+//! suites in `wheel.rs` hold [`TimerWheel`](crate::TimerWheel) to its pop
+//! sequence, and the tests below pin the oracle itself.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Ordering key for heap entries: deadline first, then insertion sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EventKey {
-    /// The virtual time at which the event fires.
-    pub time: SimTime,
-    /// Monotonic insertion sequence number, used to break ties
-    /// deterministically (FIFO among equal deadlines).
-    pub seq: u64,
-}
+use crate::wheel::EventKey;
 
 #[derive(Debug)]
 struct Entry<T> {
@@ -44,19 +36,6 @@ impl<T> Ord for Entry<T> {
 }
 
 /// A min-heap of `(SimTime, T)` with FIFO tie-breaking.
-///
-/// # Examples
-///
-/// ```
-/// use mn_util::{EventHeap, SimTime};
-///
-/// let mut heap = EventHeap::new();
-/// heap.push(SimTime::from_millis(5), "later");
-/// heap.push(SimTime::from_millis(1), "sooner");
-/// assert_eq!(heap.pop().unwrap().1, "sooner");
-/// assert_eq!(heap.pop().unwrap().1, "later");
-/// assert!(heap.is_empty());
-/// ```
 #[derive(Debug)]
 pub struct EventHeap<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
@@ -74,14 +53,6 @@ impl<T> EventHeap<T> {
     pub fn new() -> Self {
         EventHeap {
             heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty heap with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventHeap {
-            heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
         }
     }
@@ -109,12 +80,6 @@ impl<T> EventHeap<T> {
     #[inline]
     pub fn pop_with_key(&mut self) -> Option<(EventKey, T)> {
         self.heap.pop().map(|Reverse(e)| (e.key, e.value))
-    }
-
-    /// Returns the earliest event without removing it.
-    #[inline]
-    pub fn peek(&self) -> Option<(SimTime, &T)> {
-        self.heap.peek().map(|Reverse(e)| (e.key.time, &e.value))
     }
 
     /// Returns the deadline of the earliest event without removing it.

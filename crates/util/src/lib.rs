@@ -7,11 +7,9 @@
 //!   the clock every component of the emulation runs against.
 //! * [`DataRate`] and [`ByteSize`] — link bandwidths and transfer sizes with
 //!   the arithmetic needed to turn "N bytes at rate R" into a duration.
-//! * [`EventHeap`] — the deterministic comparison-based event queue, the
-//!   fallback scheduler where deadlines are sparse.
-//! * [`TimerWheel`] — the hierarchical timing wheel the per-packet scheduler
-//!   path runs on: `O(1)` push/pop for near-term deadlines, identical
-//!   deadline-then-insertion-order semantics to [`EventHeap`].
+//! * [`TimerWheel`] — the hierarchical timing wheel every event queue of the
+//!   emulator runs on: `O(1)` push/pop for near-term deadlines, earliest
+//!   deadline first and insertion order among equal deadlines.
 //! * [`spsc`] — bounded single-producer/single-consumer rings, the
 //!   lock-free queues the parallel execution backend tunnels descriptors
 //!   through.
@@ -24,7 +22,8 @@
 
 pub mod alloc;
 pub mod codec;
-pub mod event;
+#[cfg(test)]
+mod event;
 pub mod rate;
 pub mod rngs;
 pub mod spsc;
@@ -34,10 +33,9 @@ pub mod time;
 pub mod wheel;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
-pub use event::{EventHeap, EventKey};
 pub use rate::{ByteSize, DataRate};
 pub use rngs::seeded_rng;
 pub use stats::{Cdf, RunningStats};
 pub use sync::{SpinBarrier, SpinWait};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerWheel, DEFAULT_WHEEL_QUANTUM};
+pub use wheel::{EventKey, TimerWheel, DEFAULT_WHEEL_QUANTUM};

@@ -1,8 +1,7 @@
 //! A hierarchical timing wheel for the per-packet scheduler path.
 //!
-//! [`TimerWheel`] is a drop-in replacement for [`EventHeap`](crate::EventHeap)
-//! on the emulator's hot path. Where the heap pays `O(log n)` per push/pop,
-//! the wheel buckets deadlines into fixed-width slots sized around the
+//! [`TimerWheel`] is the emulator's one event queue. Where a binary heap
+//! pays `O(log n)` per push/pop, the wheel buckets deadlines into fixed-width slots sized around the
 //! emulator's scheduler quantum, so near-term deadlines cost `O(1)` to insert
 //! and `O(1)` amortised to pop — independent of how many pipes are pending.
 //!
@@ -22,19 +21,29 @@
 //!
 //! # Semantics
 //!
-//! Pop order is *identical* to `EventHeap`: earliest deadline first, FIFO
-//! among equal deadlines (each push is stamped with a monotonic sequence
-//! number and entries are ordered by the full `(time, seq)` key, not by
-//! slot). A deadline already in the past pops immediately, exactly like the
-//! heap. The differential property tests at the bottom of this file pin the
-//! two structures to byte-identical `(time, seq)` pop sequences across random
-//! workloads, including deadlines that cross the overflow level.
+//! Pop order is that of a binary heap over `(time, seq)`: earliest deadline
+//! first, FIFO among equal deadlines (each push is stamped with a monotonic
+//! sequence number and entries are ordered by the full key, not by slot). A
+//! deadline already in the past pops immediately. The differential property
+//! tests at the bottom of this file pin the wheel to the byte-identical
+//! `(time, seq)` pop sequences of that heap (`EventHeap`, kept in
+//! `event.rs` as the test-only oracle) across random workloads, including
+//! deadlines that cross the overflow level.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::event::EventKey;
 use crate::time::{SimDuration, SimTime};
+
+/// Ordering key of a queued event: deadline first, then insertion sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// The virtual time at which the event fires.
+    pub time: SimTime,
+    /// Monotonic insertion sequence number, used to break ties
+    /// deterministically (FIFO among equal deadlines).
+    pub seq: u64,
+}
 
 /// Slots per wheel level (`2^SLOT_BITS`).
 const SLOT_BITS: u32 = 8;
@@ -98,7 +107,7 @@ fn first_set(occ: &[u64; OCC_WORDS], from: usize) -> Option<usize> {
     }
 }
 
-/// A hierarchical timing wheel with `EventHeap`-identical semantics: a
+/// A hierarchical timing wheel with binary-heap semantics: a
 /// min-queue of `(SimTime, T)` with FIFO tie-breaking, `O(1)` for deadlines
 /// within the wheel horizon.
 ///

@@ -5,7 +5,7 @@
 //! prints how the overlay's worst-case delay and cost evolve — the dynamic
 //! the paper's Figure 12 shows.
 //!
-//! Run with: `cargo run --release -p mn-bench --example adaptive_overlay`
+//! Run with: `cargo run --release --example adaptive_overlay`
 
 use mn_apps::acdc::summary;
 use mn_apps::{AcdcConfig, AcdcNode};

@@ -5,7 +5,7 @@
 //! and one client downloading a 1 MB file striped across the ring with a
 //! configurable prefetch window.
 //!
-//! Run with: `cargo run --release -p mn-bench --example cfs_download [window_kb]`
+//! Run with: `cargo run --release --example cfs_download [window_kb]`
 
 use mn_apps::{CfsClient, CfsConfig, CfsServer, ChordRing};
 use mn_topology::ron::{ron_mesh, RonMeshParams};

@@ -1,7 +1,7 @@
 //! Fault injection: watch TCP goodput react to a mid-run link failure and
 //! recovery on a dumbbell topology.
 //!
-//! Run with: `cargo run --release -p mn-bench --example fault_injection`
+//! Run with: `cargo run --release --example fault_injection`
 
 use mn_distill::PipeAttrs;
 use mn_topology::generators::{dumbbell_topology, DumbbellParams};

@@ -11,7 +11,7 @@
 //! download's goodput tracks the residual bandwidth phase by phase without
 //! a single crowd packet being scheduled.
 //!
-//! Run with: `cargo run --release -p mn-bench --example flash_crowd`
+//! Run with: `cargo run --release --example flash_crowd`
 
 use mn_topology::generators::{star_topology, StarParams};
 use modelnet::{DataRate, DistillationMode, Experiment, SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! bound to two edge machines (Bind), and a 256 KB netperf-style transfer
 //! between two VNs (Run).
 //!
-//! Run with: `cargo run --release -p mn-bench --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use mn_topology::generators::{star_topology, StarParams};
 use modelnet::{ByteSize, DistillationMode, Experiment, SimDuration, SimTime};

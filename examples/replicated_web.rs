@@ -5,7 +5,7 @@
 //! distribution for each replica count, the shape Figure 11 of the paper
 //! reports.
 //!
-//! Run with: `cargo run --release -p mn-bench --example replicated_web`
+//! Run with: `cargo run --release --example replicated_web`
 
 use mn_apps::{WebClient, WebServer, WorkloadTrace};
 use mn_topology::generators::{transit_stub_topology, TransitStubParams};

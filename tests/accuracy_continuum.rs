@@ -1,8 +1,8 @@
 //! The compensated accuracy differential, pinned against the reference
 //! simulator on the congested regime.
 //!
-//! `BENCH_accuracy.json` charts the continuum on the paper-default ring,
-//! where the interior is lightly loaded and the correct compensation load
+//! `mn_figures::accuracy_sweep` charts the continuum on the paper-default
+//! ring, where the interior is lightly loaded and the correct compensation load
 //! is 0. This suite pins the *other* regime: a 20-router ring whose
 //! transit links are saturated by the foreground workload itself. There
 //! the last-mile collapse hides real ring contention inside private mesh

@@ -334,8 +334,8 @@ fn flap_half(
 /// *distinct* links of a 16-router ring (8 VN locations per router, 4
 /// endpoints per location) fail and recover in sequence, so every link-down
 /// interns thousands of detours the table has never seen. Re-flapping one
-/// link, as the `reconfig_cost` bench does, interns nothing after its first
-/// cycle and so never saw what the index costs once it has grown.
+/// link interns nothing after its first cycle and so never sees what the
+/// index costs once it has grown.
 #[test]
 fn the_kth_distinct_link_flap_costs_what_the_first_did() {
     const ROUTERS: usize = 16;

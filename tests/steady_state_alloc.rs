@@ -3,8 +3,8 @@
 //! The paper's core forwards near-gigabit traffic while scheduling tens of
 //! thousands of pipes; that only works if the per-packet path does no
 //! avoidable work. This test pins the reproduction to the same discipline: a
-//! counting global allocator (`mn_util::alloc`, shared with the bench
-//! binaries' memory reporting) wraps the system allocator, the emulator is
+//! counting global allocator (`mn_util::alloc`, which `mn-benchmark` reports
+//! memory with too) wraps the system allocator, the emulator is
 //! warmed until every buffer (timing-wheel slots, pipe queues, tick/delivery
 //! scratch) has reached its steady-state capacity, and a further measured
 //! run of submit + advance must perform **zero** heap allocations on this
@@ -49,7 +49,7 @@ fn tcp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
 }
 
 /// Drives `iters` submit/advance cycles starting at packet/time index
-/// `start`, mirroring the `core_submit_advance` benchmark loop.
+/// `start`: one submit per 20 µs of virtual time, one advance per eight.
 fn drive(
     emu: &mut MultiCoreEmulator,
     vns: &[VnId],
@@ -517,6 +517,43 @@ fn single_core_steady_state_allocates_nothing() {
         delta, 0,
         "steady-state submit/advance made {delta} heap allocations; \
          the per-packet path must be allocation-free"
+    );
+}
+
+#[test]
+fn steady_state_survives_a_restore_without_allocating() {
+    // A checkpoint is only a recovery policy if the emulator it rebuilds is
+    // as good as the one it captured. Restore drops every scratch buffer
+    // (they hold no state) and rebuilds queues and wheels at exactly their
+    // content, so the restored emulator re-warms once — and then the same
+    // traffic allocates nothing, as it did before the checkpoint.
+    let topo = star_topology(&StarParams {
+        clients: 64,
+        ..StarParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let matrix = RoutingMatrix::build(&d);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
+    let mut emu =
+        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let vns: Vec<VnId> = binding.vns().collect();
+    let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
+    let warmed = drive_aligned(&mut emu, &vns, &mut deliveries, 0, 30_000);
+    assert!(warmed > 0, "warm-up must deliver packets");
+
+    let bytes = emu.snapshot().unwrap().to_bytes();
+    let mut restored = MultiCoreEmulator::restore_bytes(&bytes).expect("state reconstructs");
+    assert!(restored.snapshot().unwrap().to_bytes() == bytes);
+
+    let _ = drive_aligned(&mut restored, &vns, &mut deliveries, 30_000, 30_000);
+    let before = alloc_calls();
+    let delivered = drive_aligned(&mut restored, &vns, &mut deliveries, 60_000, 10_000);
+    let delta = alloc_calls() - before;
+    assert!(delivered > 0, "restored steady state must deliver packets");
+    assert_eq!(
+        delta, 0,
+        "steady state after a restore made {delta} heap allocations; \
+         restore must not trade away the allocation-free per-packet path"
     );
 }
 
