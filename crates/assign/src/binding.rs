@@ -41,28 +41,12 @@ pub struct BindingParams {
     pub edge_nodes: usize,
     /// Number of core nodes available.
     pub cores: usize,
-    /// First host CPU to suggest for core execution threads, if the run
-    /// phase executes cores on dedicated threads (see
-    /// [`Binding::thread_affinity`]). `None` leaves placement to the OS.
-    pub affinity_base: Option<usize>,
 }
 
 impl BindingParams {
     /// Convenience constructor.
     pub fn new(edge_nodes: usize, cores: usize) -> Self {
-        BindingParams {
-            edge_nodes,
-            cores,
-            affinity_base: None,
-        }
-    }
-
-    /// Suggests pinning core `i`'s execution thread to host CPU
-    /// `base + i`. The hint is advisory: backends that cannot pin threads
-    /// record it (thread naming, logs) without enforcing it.
-    pub fn with_affinity_base(mut self, base: usize) -> Self {
-        self.affinity_base = Some(base);
-        self
+        BindingParams { edge_nodes, cores }
     }
 }
 
@@ -78,9 +62,6 @@ pub struct Binding {
     edge_core: Vec<CoreId>,
     /// Reverse map: topology node → VN (at most one VN per client node).
     location_vn: HashMap<NodeId, VnId>,
-    /// Host CPU suggested for each core's execution thread, indexed by
-    /// `CoreId` (empty when no affinity was requested).
-    core_affinity: Vec<Option<usize>>,
 }
 
 impl Binding {
@@ -110,15 +91,11 @@ impl Binding {
         let edge_core = (0..params.edge_nodes)
             .map(|e| CoreId(e % params.cores))
             .collect();
-        let core_affinity = (0..params.cores)
-            .map(|c| params.affinity_base.map(|base| base + c))
-            .collect();
         Binding {
             vn_location,
             vn_edge,
             edge_core,
             location_vn,
-            core_affinity,
         }
     }
 
@@ -179,14 +156,6 @@ impl Binding {
             .filter(|(_, &e)| e == edge)
             .map(|(i, _)| VnId(i as u32))
             .collect()
-    }
-
-    /// The host CPU suggested for `core`'s execution thread, if the binding
-    /// was built with [`BindingParams::with_affinity_base`]. Purely a hint:
-    /// the parallel backend surfaces it (thread names, diagnostics) but does
-    /// not enforce placement.
-    pub fn thread_affinity(&self, core: CoreId) -> Option<usize> {
-        self.core_affinity.get(core.index()).copied().flatten()
     }
 
     /// The multiplexing degree: the largest number of VNs on any edge node.
@@ -276,24 +245,6 @@ mod tests {
         let b = Binding::bind(&locations(12), &BindingParams::new(1, 1));
         assert_eq!(b.max_multiplexing(), 12);
         assert!(b.vns().all(|vn| b.edge_of(vn) == Some(EdgeNodeId(0))));
-    }
-
-    #[test]
-    fn affinity_hints_default_to_none() {
-        let b = Binding::bind(&locations(4), &BindingParams::new(2, 2));
-        assert_eq!(b.thread_affinity(CoreId(0)), None);
-        assert_eq!(b.thread_affinity(CoreId(1)), None);
-    }
-
-    #[test]
-    fn affinity_hints_count_up_from_the_base() {
-        let params = BindingParams::new(2, 3).with_affinity_base(4);
-        let b = Binding::bind(&locations(6), &params);
-        assert_eq!(b.thread_affinity(CoreId(0)), Some(4));
-        assert_eq!(b.thread_affinity(CoreId(1)), Some(5));
-        assert_eq!(b.thread_affinity(CoreId(2)), Some(6));
-        // Out-of-range cores have no hint.
-        assert_eq!(b.thread_affinity(CoreId(3)), None);
     }
 
     #[test]

@@ -11,16 +11,12 @@
 //! core's pipes to another's.
 //!
 //! Binding assigns VNs to physical edge nodes (multiplexing several VNs per
-//! node), binds each edge node to a single core, and emits the per-node
-//! configuration the Run phase installs: pipes and routes for cores, VN
-//! addresses for edges.
+//! node) and binds each edge node to a single core. The Run phase reads the
+//! binding and the POD directly when it builds its emulator; there is no
+//! per-node configuration file in between.
 
 pub mod binding;
-pub mod config;
 pub mod partition;
 
 pub use binding::{least_loaded, Binding, BindingParams, EdgeNodeId};
-pub use config::{
-    core_configs, edge_configs, render_core_config, render_edge_config, CoreConfig, EdgeConfig,
-};
 pub use partition::{greedy_k_clusters, CoreId, PipeOwnershipDirectory};

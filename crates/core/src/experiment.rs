@@ -2,10 +2,10 @@
 //!
 //! [`Experiment`] takes the target topology produced by the Create phase and
 //! walks the remaining pipeline with sensible defaults, yielding a
-//! [`Runner`] ready for the Run phase. Every knob the paper exposes is a
-//! builder method: the distillation mode, the number of core and edge nodes,
-//! the hardware profile of the cores, and the TCP configuration of the edge
-//! stacks.
+//! [`Runner`] ready for the Run phase. Every knob an experiment here sets
+//! is a builder method: the distillation mode, the number of core and edge
+//! nodes, the hardware profile of the cores, the execution backend, a
+//! reconfiguration schedule and distillation compensation.
 
 use std::fmt;
 
@@ -50,13 +50,10 @@ pub struct Experiment {
     cores: usize,
     edge_nodes: usize,
     profile: HardwareProfile,
-    tcp: TcpConfig,
     seed: u64,
     require_connected: bool,
     backend: ExecutionBackend,
-    affinity_base: Option<usize>,
     schedule: Option<mn_dynamics::Schedule>,
-    fluid_epoch: Option<mn_util::SimDuration>,
     compensation: Option<f64>,
     workload_pairs: Option<Vec<(mn_topology::NodeId, mn_topology::NodeId)>>,
 }
@@ -70,13 +67,10 @@ impl Experiment {
             cores: 1,
             edge_nodes: 1,
             profile: HardwareProfile::paper_core(),
-            tcp: TcpConfig::default(),
             seed: 1,
             require_connected: true,
             backend: ExecutionBackend::Sequential,
-            affinity_base: None,
             schedule: None,
-            fluid_epoch: None,
             compensation: None,
             workload_pairs: None,
         }
@@ -114,17 +108,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the cadence at which fluid (flow-level) fair shares are
-    /// re-solved while bulk flows are live (default: 2^23 ns ≈ 8.4 ms, a
-    /// whole number of timer-wheel slots). The cadence is rounded down to
-    /// wheel-slot granularity so epoch deadlines stay on the slot grid.
-    /// Shorter epochs track transients more closely; longer epochs cost
-    /// less.
-    pub fn fluid_epoch(mut self, epoch: mn_util::SimDuration) -> Self {
-        self.fluid_epoch = Some(epoch);
-        self
-    }
-
     /// Installs a runtime reconfiguration schedule: link failures and
     /// recoveries, bandwidth/latency renegotiation, node churn and CBR
     /// cross-traffic changes are applied mid-run at their scheduled virtual
@@ -146,13 +129,6 @@ impl Experiment {
     /// Shorthand for `backend(ExecutionBackend::Threaded)`.
     pub fn threaded(self) -> Self {
         self.backend(ExecutionBackend::Threaded)
-    }
-
-    /// Suggests pinning core `i`'s execution thread to host CPU `base + i`
-    /// (advisory; recorded in the binding and in worker thread names).
-    pub fn affinity_base(mut self, base: usize) -> Self {
-        self.affinity_base = Some(base);
-        self
     }
 
     /// Chooses the distillation mode (default: hop-by-hop).
@@ -183,13 +159,6 @@ impl Experiment {
     /// emulated network rather than core capacity.
     pub fn unconstrained_hardware(mut self) -> Self {
         self.profile = HardwareProfile::unconstrained();
-        self
-    }
-
-    /// TCP configuration used by every edge stack (default: Reno with a
-    /// 1460-byte MSS and 64 KB windows).
-    pub fn tcp_config(mut self, tcp: TcpConfig) -> Self {
-        self.tcp = tcp;
         self
     }
 
@@ -239,10 +208,7 @@ impl Experiment {
         let pod = greedy_k_clusters(&distilled, self.cores, self.seed);
         // Bind.
         let matrix = RoutingMatrix::build(&distilled);
-        let mut params = BindingParams::new(self.edge_nodes, self.cores);
-        if let Some(base) = self.affinity_base {
-            params = params.with_affinity_base(base);
-        }
+        let params = BindingParams::new(self.edge_nodes, self.cores);
         let binding = Binding::bind(distilled.vns(), &params);
         // Run-phase driver on the selected execution backend.
         let mut backend = match self.backend {
@@ -263,9 +229,6 @@ impl Experiment {
                 self.seed,
             )),
         };
-        if let Some(epoch) = self.fluid_epoch {
-            backend.set_fluid_epoch(epoch);
-        }
         if let Some(load) = self.compensation {
             // Pipe-id order on both backends: the fluid solver allocates
             // fixed-rate background demands in installation order, so the
@@ -274,7 +237,7 @@ impl Experiment {
                 backend.set_pipe_compensation(pipe, Some(rate), mn_util::SimTime::ZERO);
             }
         }
-        let mut runner = Runner::with_backend(backend, binding, self.tcp);
+        let mut runner = Runner::with_backend(backend, binding, TcpConfig::default());
         if let Some(schedule) = schedule {
             runner.install_schedule(mn_dynamics::ScheduleEngine::new(
                 distilled.clone(),

@@ -159,11 +159,6 @@ impl EmulatorBackend {
         on_emulator!(self, emu => emu.core_count())
     }
 
-    /// Replaces the routing matrix (after a failure recomputation).
-    pub fn set_routing(&mut self, matrix: mn_routing::RoutingMatrix) {
-        on_emulator!(self, emu => emu.set_routing(matrix))
-    }
-
     /// Updates a pipe's emulation parameters on whichever core owns it.
     pub fn update_pipe_attrs(
         &mut self,
@@ -207,12 +202,6 @@ impl EmulatorBackend {
         changed: &[mn_distill::PipeId],
     ) -> mn_routing::RouteUpdate {
         on_emulator!(self, emu => emu.reroute(topo, changed))
-    }
-
-    /// Sets the cadence at which fluid fair shares are re-solved while
-    /// flows are live.
-    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        on_emulator!(self, emu => emu.set_fluid_epoch(epoch))
     }
 
     /// Starts a fluid bulk flow between two VNs at time `at`.
@@ -913,12 +902,6 @@ impl Runner {
         self.emulator.remove_fluid_flow(tag, self.now)
     }
 
-    /// Sets the cadence at which fluid fair shares are re-solved.
-    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        self.emulator.set_fluid_epoch(epoch);
-        self.schedule_emu_wakeup();
-    }
-
     /// The rate the last fair-share solve allocated to a fluid flow.
     pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
         self.emulator.fluid_flow_rate(tag)
@@ -1007,11 +990,6 @@ impl Runner {
     /// The samples recorded by applications under `metric`.
     pub fn metric(&self, metric: &str) -> Option<&Cdf> {
         self.metrics.get(metric)
-    }
-
-    /// Mutable access to a recorded metric (for quantile queries).
-    pub fn metric_mut(&mut self, metric: &str) -> Option<&mut Cdf> {
-        self.metrics.get_mut(metric)
     }
 
     // ------------------------------------------------------------------

@@ -243,11 +243,6 @@ impl DistilledTopology {
         self.max_route_pipes
     }
 
-    /// Records the route-length bound (used by the distiller).
-    pub fn set_max_route_pipes(&mut self, bound: usize) {
-        self.max_route_pipes = bound;
-    }
-
     /// Finds a pipe from `src` to `dst` if one exists (first match).
     pub fn find_pipe(&self, src: NodeId, dst: NodeId) -> Option<PipeId> {
         self.out_pipes(src)

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_util::rngs::derived_rng;
-use mn_util::{SimDuration, SimTime};
+use mn_util::SimTime;
 
 /// What a perturbation does to the pipes it selects.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -176,34 +176,6 @@ impl FaultInjector {
         self.current = self.original.clone();
         events
     }
-
-    /// Builds the ACDC experiment's perturbation schedule: every `period`
-    /// between `start` and `end`, increase the delay of `fraction` of links
-    /// by 0–`max_increase`.
-    pub fn periodic_delay_schedule(
-        start: SimTime,
-        end: SimTime,
-        period: SimDuration,
-        fraction: f64,
-        max_increase: f64,
-    ) -> Vec<(SimTime, LinkPerturbation)> {
-        let mut schedule = Vec::new();
-        let mut t = start;
-        while t < end {
-            schedule.push((
-                t,
-                LinkPerturbation {
-                    fraction,
-                    kind: FaultKind::DelayIncrease {
-                        min: 0.0,
-                        max: max_increase,
-                    },
-                },
-            ));
-            t += period;
-        }
-        schedule
-    }
 }
 
 #[cfg(test)]
@@ -334,24 +306,6 @@ mod tests {
         for e in &bw_events {
             assert!(e.attrs.bandwidth <= d.pipe(e.pipe).attrs.bandwidth);
         }
-    }
-
-    #[test]
-    fn acdc_schedule_shape() {
-        let schedule = FaultInjector::periodic_delay_schedule(
-            SimTime::from_secs(500),
-            SimTime::from_secs(1500),
-            SimDuration::from_secs(25),
-            0.25,
-            0.25,
-        );
-        assert_eq!(schedule.len(), 40);
-        assert_eq!(schedule[0].0, SimTime::from_secs(500));
-        assert_eq!(schedule[39].0, SimTime::from_secs(1475));
-        assert!(matches!(
-            schedule[0].1.kind,
-            FaultKind::DelayIncrease { min: 0.0, max } if (max - 0.25).abs() < 1e-12
-        ));
     }
 
     #[test]

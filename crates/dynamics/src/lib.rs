@@ -1,36 +1,33 @@
 //! Dynamic network changes (§4.3 of the paper).
 //!
-//! ModelNet changes network conditions during a run in two ways, both
-//! implemented here:
+//! ModelNet changes network conditions during a run in two ways:
 //!
-//! * **Synthetic cross traffic**: the user specifies a matrix of background
-//!   bandwidth demand between VN pairs; an off-line tool propagates the
-//!   matrix through the routing tables to find each pipe's background load
-//!   and derives new pipe parameters from a simple analytic queueing model —
-//!   lower available bandwidth, higher latency (queueing delay) and a smaller
-//!   queue bound. The emulation then periodically installs the derived
-//!   settings. This scales independently of the cross-traffic rate, at the
-//!   cost of not modelling the cross traffic's own congestion response.
+//! * **Synthetic cross traffic.** The paper derives per-pipe settings from
+//!   a background-demand matrix off line and installs them periodically.
+//!   Here background load is carried at run time by the emulator itself:
+//!   CBR injectors on a pipe (`Emulator::set_pipe_cbr`, scheduled with
+//!   [`ScheduleEvent::CbrStart`]/[`ScheduleEvent::CbrStop`]) and fluid
+//!   background demand (`Emulator::set_pipe_compensation`,
+//!   `Experiment::compensation`, scheduled fluid flows). There is no
+//!   off-line matrix tool in this crate.
 //! * **Fault injection and link perturbation**: scheduled changes to link
-//!   bandwidth/latency/loss (including complete failures), with all-pairs
-//!   routes recomputed afterwards under the paper's "perfect routing
-//!   protocol" assumption. The ACDC experiment's periodic delay increases are
-//!   expressed this way.
+//!   bandwidth/latency/loss (including complete failures), with routes
+//!   recomputed afterwards under the paper's "perfect routing protocol"
+//!   assumption. [`FaultInjector`] draws seeded perturbations (the ACDC
+//!   experiment's periodic delay increases are expressed this way).
+//!
+//! Both are applied through **runtime reconfiguration**: a deterministic,
+//! virtual-time-stamped [`Schedule`] of link failures/recoveries, parameter
+//! renegotiation, node churn and CBR / fluid episode changes, applied to a
+//! live emulation by the [`ScheduleEngine`] — pipe parameters mutate in
+//! place, injectors ride the allocation-free tick path, and only the routes
+//! a change can affect are recomputed (incrementally, preserving the route
+//! ids of descriptors in flight).
 
-//! * **Runtime reconfiguration**: a deterministic, virtual-time-stamped
-//!   [`Schedule`] of link failures/recoveries, parameter renegotiation,
-//!   node churn and CBR cross-traffic injector changes, applied to a live
-//!   emulation by the [`ScheduleEngine`] — pipe parameters mutate in place,
-//!   injectors ride the allocation-free tick path, and only the routes a
-//!   change can affect are recomputed (incrementally, preserving the route
-//!   ids of descriptors in flight).
-
-pub mod cross_traffic;
 pub mod engine;
 pub mod faults;
 pub mod schedule;
 
-pub use cross_traffic::{CrossTrafficMatrix, PipeLoad, QueueingModel};
 pub use engine::{AppliedChanges, DynamicsTarget, ScheduleEngine, ScheduleRestoreError};
 pub use faults::{FaultEvent, FaultInjector, FaultKind, LinkPerturbation};
 pub use schedule::{Schedule, ScheduleEvent};

@@ -17,8 +17,6 @@ use mn_pipe::CbrConfig;
 use mn_topology::NodeId;
 use mn_util::{DataRate, SimTime};
 
-use crate::faults::FaultEvent;
-
 /// One scheduled reconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ScheduleEvent {
@@ -237,22 +235,6 @@ impl Schedule {
         self.at(at, ScheduleEvent::VnLeave { vn })
     }
 
-    /// Folds concrete fault-injector output (see
-    /// [`FaultInjector::perturb`](crate::FaultInjector::perturb)) into the
-    /// schedule as in-place re-parameterisations.
-    pub fn with_fault_events(mut self, events: &[FaultEvent]) -> Self {
-        for e in events {
-            self.push(
-                e.at,
-                ScheduleEvent::SetPipe {
-                    pipe: e.pipe,
-                    attrs: e.attrs,
-                },
-            );
-        }
-        self
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -303,26 +285,6 @@ mod tests {
         ));
         assert_eq!(schedule.times(), vec![t(2), t(5)]);
         assert_eq!(schedule.len(), 4);
-    }
-
-    #[test]
-    fn fault_events_fold_into_the_schedule() {
-        let attrs = PipeAttrs::new(DataRate::from_mbps(1), SimDuration::from_millis(1));
-        let faults = vec![crate::FaultEvent {
-            at: SimTime::from_secs(1),
-            pipe: PipeId(7),
-            attrs,
-            reroute: false,
-        }];
-        let schedule = Schedule::new().with_fault_events(&faults);
-        assert_eq!(schedule.len(), 1);
-        assert!(matches!(
-            schedule.events()[0].1,
-            ScheduleEvent::SetPipe {
-                pipe: PipeId(7),
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -63,75 +63,90 @@ impl IngressOutcome {
     pub fn is_accepted(&self) -> bool {
         matches!(self, IngressOutcome::Accepted)
     }
-
-    /// Returns `true` for a physical (NIC/CPU) drop.
-    pub fn is_physical_drop(&self) -> bool {
-        matches!(
-            self,
-            IngressOutcome::PhysicalDropNic | IngressOutcome::PhysicalDropCpu
-        )
-    }
 }
 
-/// Counters for one core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CoreStats {
+/// Declares [`CoreStats`] from one field list: the struct, the field-wise
+/// [`CoreStats::merge`], the checkpoint codec (fields in declaration order,
+/// so the order here *is* the payload layout) and the unit tests' sample.
+macro_rules! core_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Counters for one core.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct CoreStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl CoreStats {
+            /// Folds another core's counters into this one, field by field.
+            ///
+            /// Every field is a plain sum, so merging is associative and
+            /// commutative: per-thread stats drained in any grouping (one
+            /// core at a time, pairwise trees, all at once) produce the same
+            /// total. The parallel backend relies on this when each core
+            /// thread reports its counters independently.
+            pub fn merge(&mut self, other: &CoreStats) {
+                $(self.$field += other.$field;)*
+            }
+
+            fn encode(&self, w: &mut mn_util::ByteWriter) {
+                $(w.put_u64(self.$field);)*
+            }
+
+            fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
+                Ok(CoreStats { $($field: r.get_u64()?,)* })
+            }
+
+            /// A distinct odd multiplier and offset per field, so any
+            /// dropped or double-counted field changes a result.
+            #[cfg(test)]
+            fn sample(seed: u64) -> CoreStats {
+                let mut k = 0;
+                CoreStats {
+                    $($field: {
+                        k += 1;
+                        seed * (2 * k + 1) + k
+                    },)*
+                }
+            }
+        }
+    };
+}
+
+core_stats! {
     /// Packets offered by edge nodes.
-    pub packets_offered: u64,
+    packets_offered,
     /// Packets admitted into the emulation.
-    pub packets_admitted: u64,
+    packets_admitted,
     /// Packets delivered to their destination edge node by this core.
-    pub packets_delivered: u64,
+    packets_delivered,
     /// Descriptors tunnelled to a peer core.
-    pub tunnels_out: u64,
+    tunnels_out,
     /// Descriptors received from peer cores.
-    pub tunnels_in: u64,
+    tunnels_in,
     /// Packets dropped at the NIC because of line-rate/buffer exhaustion.
-    pub physical_drops_nic: u64,
+    physical_drops_nic,
     /// Packets dropped at the NIC because the CPU was saturated by emulation.
-    pub physical_drops_cpu: u64,
+    physical_drops_cpu,
     /// Bytes received (edge ingress plus tunnels in).
-    pub bytes_in: u64,
+    bytes_in,
     /// Bytes transmitted (deliveries plus tunnels out).
-    pub bytes_out: u64,
+    bytes_out,
     /// Background CBR cross-traffic packets injected into local pipes.
-    pub cbr_injected: u64,
+    cbr_injected,
     /// Descriptors dropped because their next pipe was a failed link
     /// (configured bandwidth zero, e.g. after a `NodeDown` event). Without
     /// this counter such packets would vanish from the per-core ledger:
     /// admitted but never delivered, tunnelled or physically dropped.
-    pub dropped_unreachable: u64,
+    dropped_unreachable,
     /// Bytes of traffic modelled at flow level (fluid) on this core's
     /// pipes: the per-pipe fluid demand integrated over virtual time.
-    pub fluid_modelled_bytes: u64,
+    fluid_modelled_bytes,
 }
 
 impl CoreStats {
     /// All physical drops.
     pub fn physical_drops(&self) -> u64 {
         self.physical_drops_nic + self.physical_drops_cpu
-    }
-
-    /// Folds another core's counters into this one, field by field.
-    ///
-    /// Every field is a plain sum, so merging is associative and
-    /// commutative: per-thread stats drained in any grouping (one core at a
-    /// time, pairwise trees, all at once) produce the same total. The
-    /// parallel backend relies on this when each core thread reports its
-    /// counters independently.
-    pub fn merge(&mut self, other: &CoreStats) {
-        self.packets_offered += other.packets_offered;
-        self.packets_admitted += other.packets_admitted;
-        self.packets_delivered += other.packets_delivered;
-        self.tunnels_out += other.tunnels_out;
-        self.tunnels_in += other.tunnels_in;
-        self.physical_drops_nic += other.physical_drops_nic;
-        self.physical_drops_cpu += other.physical_drops_cpu;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.cbr_injected += other.cbr_injected;
-        self.dropped_unreachable += other.dropped_unreachable;
-        self.fluid_modelled_bytes += other.fluid_modelled_bytes;
     }
 
     /// [`CoreStats::merge`] as a by-value fold step.
@@ -349,7 +364,7 @@ impl EmulatorCore {
         self.pipes.get_mut(id.index()).and_then(Option::as_mut)
     }
 
-    /// Replaces the interned route table (after an explicit routing rebuild).
+    /// Installs the next published route-table generation.
     pub fn set_route_table(&mut self, routes: Arc<RouteTable>) {
         self.routes = routes;
     }
@@ -769,11 +784,6 @@ impl EmulatorCore {
         self.slab.len() - self.free.len()
     }
 
-    /// Packets staged for tunnelling before the next tick.
-    pub fn pending_remote_len(&self) -> usize {
-        self.pending_remote.len()
-    }
-
     /// Handles queued in this core's pipes plus those staged for a peer —
     /// the walk over every pipe that [`EmulatorCore::in_flight`] must agree
     /// with.
@@ -875,23 +885,7 @@ impl EmulatorCore {
         w.put_time(self.last_seen);
         w.put_f64(self.rx_tokens);
         w.put_time(self.rx_last_refill);
-        let s = &self.stats;
-        for v in [
-            s.packets_offered,
-            s.packets_admitted,
-            s.packets_delivered,
-            s.tunnels_out,
-            s.tunnels_in,
-            s.physical_drops_nic,
-            s.physical_drops_cpu,
-            s.bytes_in,
-            s.bytes_out,
-            s.cbr_injected,
-            s.dropped_unreachable,
-            s.fluid_modelled_bytes,
-        ] {
-            w.put_u64(v);
-        }
+        self.stats.encode(w);
         let (error, per_hop, delivered, max_hops) = self.accuracy.snapshot_parts();
         for stats in [error, per_hop] {
             let (count, mean, m2, min, max) = stats.snapshot_parts();
@@ -913,7 +907,8 @@ impl EmulatorCore {
     /// once. The restored core is observationally identical to the one that
     /// was encoded: same deadlines, same queue contents, same RNG draws. Its
     /// slab is filled densely in decode order with no free slot, whatever
-    /// the encoded core's looked like.
+    /// the encoded core's looked like. Every descriptor's route and hop are
+    /// checked against `routes`.
     pub fn decode_state(
         r: &mut mn_util::ByteReader,
         profile: HardwareProfile,
@@ -963,7 +958,7 @@ impl EmulatorCore {
             let in_flight_count = r.get_count(MIN_DESCRIPTOR_BYTES + 24)?;
             let mut in_flight = Vec::with_capacity(in_flight_count);
             for _ in 0..in_flight_count {
-                slab.push(get_descriptor(r)?);
+                slab.push(get_descriptor(r, &routes)?);
                 let size = r.get_size()?;
                 let drain_finish = r.get_time()?;
                 let exit_time = r.get_time()?;
@@ -990,7 +985,7 @@ impl EmulatorCore {
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
             let pipe = PipeId(r.get_usize()?);
-            slab.push(get_descriptor(r)?);
+            slab.push(get_descriptor(r, &routes)?);
             let at = r.get_time()?;
             pending_remote.push((pipe, (slab.len() - 1) as Slot, at));
         }
@@ -1014,20 +1009,7 @@ impl EmulatorCore {
         let last_seen = r.get_time()?;
         let rx_tokens = r.get_f64()?;
         let rx_last_refill = r.get_time()?;
-        let stats = CoreStats {
-            packets_offered: r.get_u64()?,
-            packets_admitted: r.get_u64()?,
-            packets_delivered: r.get_u64()?,
-            tunnels_out: r.get_u64()?,
-            tunnels_in: r.get_u64()?,
-            physical_drops_nic: r.get_u64()?,
-            physical_drops_cpu: r.get_u64()?,
-            bytes_in: r.get_u64()?,
-            bytes_out: r.get_u64()?,
-            cbr_injected: r.get_u64()?,
-            dropped_unreachable: r.get_u64()?,
-            fluid_modelled_bytes: r.get_u64()?,
-        };
+        let stats = CoreStats::decode(r)?;
         let mut running = [mn_util::RunningStats::new(), mn_util::RunningStats::new()];
         for slot in &mut running {
             let count = r.get_u64()?;
@@ -1076,27 +1058,9 @@ impl EmulatorCore {
 mod tests {
     use super::*;
 
-    fn sample(seed: u64) -> CoreStats {
-        // Distinct primes per field so any dropped or double-counted field
-        // changes the result.
-        CoreStats {
-            packets_offered: seed * 3 + 1,
-            packets_admitted: seed * 5 + 2,
-            packets_delivered: seed * 7 + 3,
-            tunnels_out: seed * 11 + 4,
-            tunnels_in: seed * 13 + 5,
-            physical_drops_nic: seed * 17 + 6,
-            physical_drops_cpu: seed * 19 + 7,
-            bytes_in: seed * 23 + 8,
-            bytes_out: seed * 29 + 9,
-            cbr_injected: seed * 31 + 10,
-            dropped_unreachable: seed * 41 + 12,
-            fluid_modelled_bytes: seed * 37 + 11,
-        }
-    }
-
     #[test]
     fn merge_is_associative_and_commutative() {
+        let sample = CoreStats::sample;
         let (a, b, c) = (sample(1), sample(2), sample(3));
         // (a + b) + c == a + (b + c)
         let left = a.merged(&b).merged(&c);
@@ -1127,7 +1091,7 @@ mod tests {
 
     #[test]
     fn merge_with_identity_is_a_no_op() {
-        let a = sample(4);
+        let a = CoreStats::sample(4);
         assert_eq!(a.merged(&CoreStats::default()), a);
         assert_eq!(CoreStats::default().merged(&a), a);
     }
@@ -1299,7 +1263,7 @@ mod tests {
             assert!(core
                 .ingress(now, descriptor(2, routes[SHORT], now))
                 .is_accepted());
-            assert_eq!(core.pending_remote_len(), 1);
+            assert_eq!(core.pending_remote.len(), 1);
             assert_eq!(core.in_flight(), 2);
             assert_eq!(core.in_flight(), core.handles_held());
 
@@ -1381,17 +1345,32 @@ mod tests {
             let mut w = mn_util::ByteWriter::with_capacity(1024);
             core.encode_state(&mut w);
             let bytes = w.into_bytes();
-            let mut restored = EmulatorCore::decode_state(
-                &mut mn_util::ByteReader::new(&bytes),
-                core.profile,
-                core.routes.clone(),
-            )
-            .unwrap();
+            let (profile, table) = (core.profile, core.routes.clone());
+            let decode = |bytes: &[u8]| {
+                let r = &mut mn_util::ByteReader::new(bytes);
+                EmulatorCore::decode_state(r, profile, table.clone())
+            };
+            let mut restored = decode(&bytes).unwrap();
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));
             assert_eq!(restored.in_flight(), 3);
             let mut again = mn_util::ByteWriter::with_capacity(bytes.len());
             restored.encode_state(&mut again);
             assert!(again.into_bytes() == bytes, "re-serialises identically");
+
+            // A slab descriptor on a route the table does not hold, or past
+            // its route's end, is refused where it is read.
+            let hostile: [fn(&mut Descriptor); 2] =
+                [|d| d.route = RouteId(99), |d| d.hop = usize::MAX];
+            for corrupt in hostile {
+                let mut damaged = decode(&bytes).unwrap();
+                corrupt(&mut damaged.slab[1]);
+                let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
+                damaged.encode_state(&mut w);
+                assert_eq!(
+                    decode(&w.into_bytes()).unwrap_err(),
+                    mn_util::CodecError::Invalid("descriptor route or hop out of range")
+                );
+            }
 
             // Different handles, same future.
             loop {

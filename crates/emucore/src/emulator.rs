@@ -137,14 +137,12 @@ pub enum Dispatch {
 pub trait CoreExecutor: Sized {
     /// Takes ownership of the cores (in core order) and of the tunnels in
     /// flight between them, keyed by arrival time and tagged with their
-    /// target. `affinity` holds the binding's advisory host-CPU hint per
-    /// core (empty when there is none).
+    /// target.
     fn from_cores(
         cores: Vec<EmulatorCore>,
         tunnels: TimerWheel<(CoreId, Descriptor)>,
         pod: Arc<PipeOwnershipDirectory>,
         profile: HardwareProfile,
-        affinity: Vec<Option<usize>>,
     ) -> Self;
 
     /// Number of cores.
@@ -351,12 +349,9 @@ impl<X: CoreExecutor> Emulator<X> {
             cores[pod.owner(pipe_id).index()].install_pipe(pipe_id, pipe.attrs);
             capacity_bps[pipe_id.index()] = pipe.attrs.bandwidth.as_bps();
         }
-        let affinity = (0..cores.len())
-            .map(|c| binding.thread_affinity(CoreId(c)))
-            .collect();
         let pod = Arc::new(pod);
         Emulator {
-            exec: X::from_cores(cores, TimerWheel::new(), pod.clone(), profile, affinity),
+            exec: X::from_cores(cores, TimerWheel::new(), pod.clone(), profile),
             pod,
             profile,
             matrix,
@@ -526,25 +521,6 @@ impl<X: CoreExecutor> Emulator<X> {
         Ok(())
     }
 
-    /// Replaces the routing matrix (after a failure recomputation) and
-    /// rebuilds the interned route table on every core. The rebuild is
-    /// explicit and total — there is no incremental cache whose stale entries
-    /// could survive a routing change — but still structurally shared: the
-    /// retained route chunks and the content-dedup index carry over by
-    /// reference instead of being re-interned. Route ids handed out before
-    /// the rebuild stay valid, so descriptors already in flight finish on
-    /// their pre-failure routes — exactly like packets already inside the
-    /// paper's cores.
-    pub fn set_routing(&mut self, matrix: RoutingMatrix) {
-        self.control(|emu| {
-            emu.matrix = matrix;
-            let admission = &emu.admission;
-            let table = RouteTable::rebuild(&admission.routes, &emu.matrix, &admission.vn_location);
-            emu.publish_routes(table)?;
-            emu.reshare_live_flows()
-        })
-    }
-
     /// Updates a pipe's emulation parameters on whichever core owns it. The
     /// fluid model tracks the new capacity; live flows re-share immediately.
     pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
@@ -632,15 +608,6 @@ impl<X: CoreExecutor> Emulator<X> {
                 emu.reshare_live_flows()?;
             }
             Ok(update)
-        })
-    }
-
-    /// Sets the cadence at which fluid rates are re-solved while flows are
-    /// live (effective from the next epoch).
-    pub fn set_fluid_epoch(&mut self, epoch: SimDuration) {
-        self.control(|emu| {
-            emu.fluid.set_epoch(epoch);
-            Ok(())
         })
     }
 
@@ -977,8 +944,14 @@ impl<X: CoreExecutor> Emulator<X> {
         Self::decode(EmulatorSnapshot::verify(framed)?)
     }
 
-    /// The one decoder, over a verified payload.
+    /// The one decoder, over a verified payload. The checksum only says the
+    /// bytes are the ones written; every index the run phase later uses
+    /// unchecked — entry cores, the load vector, tunnel targets, the per-VN
+    /// tables against the route table, each descriptor's route and hop — is
+    /// checked here, so a hand-built or damaged snapshot is a typed error
+    /// here, not an out-of-bounds panic on the forwarding path.
     fn decode(mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
         let r = &mut payload;
         let profile = decode_profile(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
@@ -986,7 +959,7 @@ impl<X: CoreExecutor> Emulator<X> {
         let core_count = r.get_usize()?;
         let owners = r.get_u64s()?;
         if owners.iter().any(|&owner| owner >= core_count as u64) {
-            return Err(CodecError::Invalid("pipe owner out of range"));
+            return Err(Invalid("pipe owner out of range"));
         }
         let owners = owners.into_iter().map(|o| CoreId(o as usize)).collect();
         let pod = Arc::new(PipeOwnershipDirectory::from_owners(
@@ -995,25 +968,52 @@ impl<X: CoreExecutor> Emulator<X> {
         ));
         // One count covers the three per-VN tables: 8 + 8 + 1 bytes a VN.
         let vn_count = r.get_count(17)?;
+        if vn_count != routes.endpoint_count() {
+            return Err(Invalid(
+                "VN tables do not cover the route table's endpoints",
+            ));
+        }
         let mut vn_location = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
+        for vn in 0..vn_count {
             vn_location.push(NodeId(r.get_usize()?));
+            if routes.endpoint_location(vn) != Some(vn_location[vn]) {
+                return Err(Invalid("VN location is not where the route table binds it"));
+            }
         }
         let mut vn_entry_core = Vec::with_capacity(vn_count);
         for _ in 0..vn_count {
             vn_entry_core.push(CoreId(r.get_usize()?));
         }
+        if vn_entry_core.iter().any(|core| core.index() >= core_count) {
+            return Err(Invalid("VN entry core out of range"));
+        }
         let mut vn_active = Vec::with_capacity(vn_count);
-        for _ in 0..vn_count {
+        for vn in 0..vn_count {
             vn_active.push(r.get_bool()?);
+            if vn_active[vn] != routes.is_endpoint_bound(vn) {
+                return Err(Invalid("VN membership disagrees with the route table"));
+            }
         }
         let core_load = r.get_u32s()?;
+        if core_load.len() != core_count {
+            return Err(Invalid("core load vector does not cover the cores"));
+        }
+        let mut entering = vec![0u32; core_count];
+        for (core, _) in vn_entry_core.iter().zip(&vn_active).filter(|(_, &a)| a) {
+            entering[core.index()] += 1;
+        }
+        if entering != core_load {
+            return Err(Invalid("core load is not the active VNs per entry core"));
+        }
         let tunnel_count = r.get_count(16 + MIN_DESCRIPTOR_BYTES)?;
         let mut tunnels = TimerWheel::new();
         for _ in 0..tunnel_count {
             let time = r.get_time()?;
             let target = CoreId(r.get_usize()?);
-            tunnels.push(time, (target, get_descriptor(r)?));
+            if target.index() >= core_count {
+                return Err(Invalid("tunnel target out of range"));
+            }
+            tunnels.push(time, (target, get_descriptor(r, &routes)?));
         }
         let local_count = r.get_count(MIN_DELIVERY_BYTES)?;
         let mut local_deliveries = Vec::with_capacity(local_count);
@@ -1034,7 +1034,7 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         r.finish()?;
         Ok(Emulator {
-            exec: X::from_cores(cores, tunnels, pod.clone(), profile, Vec::new()),
+            exec: X::from_cores(cores, tunnels, pod.clone(), profile),
             pod,
             profile,
             matrix,
@@ -1077,4 +1077,107 @@ fn decode_profile(r: &mut ByteReader) -> Result<HardwareProfile, CodecError> {
         packet_debt_correction: r.get_bool()?,
         payload_caching: r.get_bool()?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::multicore::MultiCoreEmulator;
+    use mn_assign::{greedy_k_clusters, BindingParams};
+    use mn_distill::{distill, DistillationMode};
+    use mn_packet::{FlowKey, PacketId, Protocol, TransportHeader};
+    use mn_routing::RouteId;
+    use mn_topology::generators::{ring_topology, RingParams};
+
+    /// A 2-core emulator over a 4-router, 8-client ring.
+    fn ring_emulator() -> MultiCoreEmulator {
+        let topo = ring_topology(&RingParams {
+            routers: 4,
+            clients_per_router: 2,
+            ..RingParams::default()
+        });
+        let d = distill(&topo, DistillationMode::HopByHop);
+        let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2));
+        let pod = greedy_k_clusters(&d, 2, 7);
+        let profile = HardwareProfile::unconstrained();
+        Emulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile, 11)
+    }
+
+    /// A tunnel in flight to `target`, `hop` pipes into `route`.
+    fn stage_tunnel(emu: &mut MultiCoreEmulator, target: usize, route: RouteId, hop: usize) {
+        let flow = FlowKey {
+            src: VnId(0),
+            dst: VnId(5),
+            src_port: 1,
+            dst_port: 2,
+            protocol: Protocol::Udp,
+        };
+        let header = TransportHeader::Udp {
+            payload_len: 100,
+            seq: 0,
+        };
+        let packet = Packet::new(PacketId(1), flow, header, SimTime::ZERO);
+        let mut descriptor = Descriptor::new(packet, route, SimTime::ZERO);
+        descriptor.hop = hop;
+        let arrival = SimTime::from_millis(1);
+        emu.exec.tunnels.push(arrival, (CoreId(target), descriptor));
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_indices() {
+        type Corrupt = fn(&mut MultiCoreEmulator);
+        let hostile: [(&str, Corrupt); 9] = [
+            ("VN entry core out of range", |e| {
+                e.admission.vn_entry_core[3] = CoreId(99);
+            }),
+            ("core load vector does not cover the cores", |e| {
+                e.core_load.resize(7, 0);
+            }),
+            ("core load is not the active VNs per entry core", |e| {
+                e.core_load[0] += 1;
+            }),
+            ("VN tables do not cover the route table's endpoints", |e| {
+                e.admission.vn_location.pop();
+                e.admission.vn_entry_core.pop();
+                e.admission.vn_active.pop();
+            }),
+            ("VN membership disagrees with the route table", |e| {
+                e.admission.vn_active[1] = false;
+            }),
+            ("VN location is not where the route table binds it", |e| {
+                e.admission.vn_location[0] = e.admission.vn_location[7];
+            }),
+            ("tunnel target out of range", |e| {
+                stage_tunnel(e, 99, RouteId(0), 0);
+            }),
+            ("descriptor route or hop out of range", |e| {
+                let routes = e.route_table().route_count() as u32;
+                stage_tunnel(e, 1, RouteId(routes), 0);
+            }),
+            ("descriptor route or hop out of range", |e| {
+                let hops = e.route_table().pipes(RouteId(0)).len();
+                stage_tunnel(e, 1, RouteId(0), hops + 1);
+            }),
+        ];
+        for (what, corrupt) in hostile {
+            // Corrupting the state before it is serialized yields a snapshot
+            // with a valid frame and checksum around the bad index.
+            let mut source = ring_emulator();
+            corrupt(&mut source);
+            let snapshot = source.snapshot().unwrap();
+            assert_eq!(
+                MultiCoreEmulator::restore(&snapshot).unwrap_err(),
+                CodecError::Invalid(what)
+            );
+        }
+        // What the encoder writes passes every check, staged tunnels at
+        // either end of their route included.
+        let mut source = ring_emulator();
+        let hops = source.route_table().pipes(RouteId(0)).len();
+        stage_tunnel(&mut source, 0, RouteId(0), 0);
+        stage_tunnel(&mut source, 1, RouteId(0), hops);
+        let snapshot = source.snapshot().unwrap();
+        let mut restored = MultiCoreEmulator::restore(&snapshot).unwrap();
+        assert!(restored.snapshot().unwrap() == snapshot);
+    }
 }

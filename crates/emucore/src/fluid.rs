@@ -33,6 +33,9 @@ use mn_util::{DataRate, SimDuration, SimTime, DEFAULT_WHEEL_QUANTUM};
 /// recycled slots; the old 10 ms default drifted across slot boundaries and
 /// made the wheel's high-water mark creep for the whole run.
 pub const DEFAULT_FLUID_EPOCH: SimDuration = SimDuration::from_nanos(1 << 23);
+const _: () = assert!(DEFAULT_FLUID_EPOCH
+    .as_nanos()
+    .is_multiple_of(DEFAULT_WHEEL_QUANTUM.as_nanos()));
 
 /// Bit-nanoseconds per byte: the divisor turning a `bps × ns` integral into
 /// bytes.
@@ -126,20 +129,6 @@ impl FluidState {
             wsum: vec![0; pipes],
             changed: Vec::new(),
             routes_dirty: false,
-        }
-    }
-
-    /// Sets the rate-recompute cadence (effective from the next epoch).
-    ///
-    /// The cadence is rounded down to a non-zero multiple of the default
-    /// timer-wheel slot width so the epoch grid stays commensurate with the
-    /// wheel — an unaligned cadence makes every epoch timer land in a fresh
-    /// slot and the wheel's high-water mark creep without bound.
-    pub fn set_epoch(&mut self, epoch: SimDuration) {
-        if epoch > SimDuration::ZERO {
-            let quantum = DEFAULT_WHEEL_QUANTUM.as_nanos();
-            let slots = (epoch.as_nanos() / quantum).max(1);
-            self.epoch = SimDuration::from_nanos(slots * quantum);
         }
     }
 
@@ -799,27 +788,6 @@ mod tests {
         fluid.remove_flow(1, SimTime::from_millis(12));
         fluid.recompute(SimTime::from_millis(12), &routes);
         assert_eq!(fluid.next_epoch(), None);
-    }
-
-    #[test]
-    fn epoch_cadence_rounds_to_wheel_slot_granularity() {
-        let quantum = mn_util::DEFAULT_WHEEL_QUANTUM.as_nanos();
-        // The default itself sits on the slot grid.
-        assert_eq!(DEFAULT_FLUID_EPOCH.as_nanos() % quantum, 0);
-        let routes = table(&[(0, 1, vec![PipeId(0)])], 2);
-        let mut fluid = FluidState::new(vec![mbps(10).as_bps()]);
-        // 10 ms is not a multiple of the ~131 µs slot: rounds down to 76.
-        fluid.set_epoch(SimDuration::from_millis(10));
-        fluid.add_flow(1, VnId(0), VnId(1), mbps(1), 1, SimTime::ZERO);
-        fluid.recompute(SimTime::ZERO, &routes);
-        let epoch = fluid.next_epoch().unwrap() - SimTime::ZERO;
-        assert_eq!(epoch.as_nanos() % quantum, 0);
-        assert_eq!(epoch.as_nanos(), (10_000_000 / quantum) * quantum);
-        // Sub-slot cadences clamp up to one slot rather than zero.
-        fluid.set_epoch(SimDuration::from_nanos(1));
-        fluid.recompute(SimTime::from_millis(20), &routes);
-        let epoch = fluid.next_epoch().unwrap() - SimTime::from_millis(20);
-        assert_eq!(epoch.as_nanos(), quantum);
     }
 
     #[test]

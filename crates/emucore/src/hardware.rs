@@ -96,18 +96,6 @@ impl HardwareProfile {
         self
     }
 
-    /// Enables payload caching for inter-core tunnels.
-    pub fn with_payload_caching(mut self) -> Self {
-        self.payload_caching = true;
-        self
-    }
-
-    /// Sets the scheduler tick.
-    pub fn with_tick(mut self, tick: SimDuration) -> Self {
-        self.tick = tick;
-        self
-    }
-
     /// CPU time needed to emulate one packet that traverses `hops` pipes on
     /// this core (excluding tunnelling).
     pub fn packet_cpu_cost(&self, hops: usize) -> SimDuration {
@@ -211,13 +199,8 @@ mod tests {
 
     #[test]
     fn builder_toggles() {
-        let p = HardwareProfile::paper_core()
-            .with_debt_correction()
-            .with_payload_caching()
-            .with_tick(SimDuration::from_micros(50));
+        let p = HardwareProfile::paper_core().with_debt_correction();
         assert!(p.packet_debt_correction);
-        assert!(p.payload_caching);
-        assert_eq!(p.tick, SimDuration::from_micros(50));
     }
 
     #[test]

@@ -59,7 +59,6 @@ impl CoreExecutor for InlineExecutor {
         tunnels: TimerWheel<(CoreId, Descriptor)>,
         pod: Arc<PipeOwnershipDirectory>,
         profile: HardwareProfile,
-        _affinity: Vec<Option<usize>>,
     ) -> Self {
         InlineExecutor {
             cores,

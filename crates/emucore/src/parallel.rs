@@ -44,11 +44,9 @@
 //!   the join handle, stalls by an opt-in heartbeat watchdog; the first
 //!   failure raises the shared abort flag and poisons the executor.
 //!
-//! Thread placement: if the binding carries affinity hints
-//! (`BindingParams::with_affinity_base`), each worker thread's name records
-//! the suggested host CPU (`mn-core-1@cpu5`). The hints are advisory —
-//! `std` offers no portable pinning — but they give operators and
-//! profilers the intended layout.
+//! Thread placement is the OS scheduler's: workers are named `mn-core-N`
+//! (what a profiler or `top -H` shows) and never pinned — `std` offers no
+//! portable pinning.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -523,8 +521,6 @@ struct WorkerHandle {
     heartbeat: Arc<AtomicU64>,
     /// Latest counters and wakeup reported by the worker.
     status: Status,
-    /// The binding's advisory CPU placement for this worker.
-    affinity_hint: Option<usize>,
     /// Where this worker encodes its core at a checkpoint, kept in between.
     snapshot_buf: Vec<u8>,
 }
@@ -835,7 +831,6 @@ impl CoreExecutor for ThreadedExecutor {
         mut tunnels: TimerWheel<(CoreId, Descriptor)>,
         pod: Arc<PipeOwnershipDirectory>,
         profile: HardwareProfile,
-        affinity: Vec<Option<usize>>,
     ) -> Self {
         let n = cores.len();
 
@@ -869,7 +864,6 @@ impl CoreExecutor for ThreadedExecutor {
         for (me, (core, arrivals)) in cores.into_iter().zip(arrivals).enumerate() {
             let (request_tx, request_rx) = spsc::channel(REQUEST_RING_CAPACITY);
             let (response_tx, response_rx) = spsc::channel(RESPONSE_RING_CAPACITY);
-            let affinity_hint = affinity.get(me).copied().flatten();
             let heartbeat = Arc::new(AtomicU64::new(0));
             let worker = Worker {
                 me,
@@ -890,13 +884,9 @@ impl CoreExecutor for ThreadedExecutor {
                 heartbeat: heartbeat.clone(),
                 chaos: ChaosPlan::default(),
             };
-            let name = match affinity_hint {
-                Some(cpu) => format!("mn-core-{me}@cpu{cpu}"),
-                None => format!("mn-core-{me}"),
-            };
             let barrier = start.clone();
             let thread = std::thread::Builder::new()
-                .name(name)
+                .name(format!("mn-core-{me}"))
                 .spawn(move || worker.run(barrier))
                 .expect("spawn emulator core thread");
             workers.push(WorkerHandle {
@@ -906,7 +896,6 @@ impl CoreExecutor for ThreadedExecutor {
                 responses: response_rx,
                 heartbeat,
                 status: Status::default(),
-                affinity_hint,
                 snapshot_buf: Vec::new(),
             });
         }
@@ -1073,8 +1062,7 @@ impl Drop for ThreadedExecutor {
 
 impl Emulator<ThreadedExecutor> {
     /// Converts a sequential emulator (including any in-flight state) into
-    /// the threaded one. Without a binding there are no affinity hints; use
-    /// [`ParallelEmulator::new`] to carry them through.
+    /// the threaded one.
     pub fn from_sequential(emulator: MultiCoreEmulator) -> Self {
         emulator.rehost(|inline| {
             let InlineExecutor {
@@ -1084,7 +1072,7 @@ impl Emulator<ThreadedExecutor> {
                 profile,
                 ..
             } = inline;
-            ThreadedExecutor::from_cores(cores, tunnels, pod, profile, Vec::new())
+            ThreadedExecutor::from_cores(cores, tunnels, pod, profile)
         })
     }
 
@@ -1114,14 +1102,6 @@ impl Emulator<ThreadedExecutor> {
                 .exec
                 .send(core.index(), Request::SetChaos(plan))
                 .is_ok()
-    }
-
-    /// The advisory host-CPU hint the binding supplied for a core's thread.
-    pub fn affinity_hint(&self, core: CoreId) -> Option<usize> {
-        self.exec
-            .workers
-            .get(core.index())
-            .and_then(|w| w.affinity_hint)
     }
 
     /// Stops every worker thread and returns the cores (accuracy logs,
@@ -1583,30 +1563,6 @@ mod tests {
         assert_eq!(recorded, 1, "the delivery was recorded on some core");
     }
 
-    #[test]
-    fn affinity_hints_flow_from_the_binding() {
-        let topo = ring_topology(&RingParams {
-            routers: 4,
-            clients_per_router: 1,
-            ..RingParams::default()
-        });
-        let d = distill(&topo, DistillationMode::HopByHop);
-        let matrix = RoutingMatrix::build(&d);
-        let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2).with_affinity_base(8));
-        let pod = greedy_k_clusters(&d, 2, 3);
-        let emu = ParallelEmulator::new(
-            &d,
-            pod,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            5,
-        );
-        assert_eq!(emu.affinity_hint(CoreId(0)), Some(8));
-        assert_eq!(emu.affinity_hint(CoreId(1)), Some(9));
-        assert_eq!(emu.affinity_hint(CoreId(7)), None);
-    }
-
     /// A 2-core emulator over the standard ring fixture, for the failure
     /// and chaos tests.
     fn two_core_emulator() -> (ParallelEmulator, Binding) {
@@ -1649,15 +1605,22 @@ mod tests {
 
     #[test]
     fn dead_worker_surfaces_as_typed_error_on_the_send_path() {
-        let (mut emu, _binding) = two_core_emulator();
+        let (mut emu, binding, mut d) = ring_emulator::<ThreadedExecutor>(2);
         assert!(emu.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
-        // Flood fire-and-forget commands: the first SetRoutes kills worker
-        // 1, the rest pile into its command ring until it fills — the point
-        // where the old code asserted (aborting the process) and the new
-        // code must record a typed failure instead.
-        for _ in 0..600 {
-            let matrix = emu.routing().clone();
-            emu.set_routing(matrix);
+        // Flap a pipe and reroute until a command reaches worker 1: the
+        // `UpdatePipe` goes to the pipe's owner, the `SetRoutes` of the
+        // publish to every core. The death must be recorded as a typed
+        // failure on the send path, not abort the process.
+        let victim = d.out_pipes(binding.location(VnId(0)).unwrap())[0];
+        let original = d.pipe(victim).attrs;
+        for flap in 0..600 {
+            let mut attrs = original;
+            if flap % 2 == 0 {
+                attrs.bandwidth = DataRate::ZERO;
+            }
+            *d.pipe_attrs_mut(victim).unwrap() = attrs;
+            let _ = emu.update_pipe_attrs(victim, attrs);
+            let _ = emu.reroute(&d, &[victim]);
             if emu.last_failure().is_some() {
                 break;
             }

@@ -22,7 +22,7 @@
 //! and coordinator scratch buffers, which are rebuilt empty.
 
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
-use mn_routing::RouteId;
+use mn_routing::{RouteId, RouteTable};
 use mn_util::codec::checksum64;
 use mn_util::{ByteReader, ByteWriter, CodecError};
 
@@ -182,11 +182,19 @@ pub(crate) fn put_descriptor(w: &mut ByteWriter, d: &Descriptor) {
     w.put_duration(d.accumulated_error);
 }
 
-/// Decodes a descriptor written by [`put_descriptor`].
-pub(crate) fn get_descriptor(r: &mut ByteReader) -> Result<Descriptor, CodecError> {
+/// Decodes a descriptor written by [`put_descriptor`], refusing one that
+/// names a route `routes` does not hold or a hop past that route's end —
+/// the forwarding path indexes both unchecked.
+pub(crate) fn get_descriptor(
+    r: &mut ByteReader,
+    routes: &RouteTable,
+) -> Result<Descriptor, CodecError> {
     let packet = get_packet(r)?;
     let route = RouteId(r.get_u32()?);
     let hop = r.get_usize()?;
+    if route.index() >= routes.route_count() || hop > routes.pipes(route).len() {
+        return Err(CodecError::Invalid("descriptor route or hop out of range"));
+    }
     let entered_at = r.get_time()?;
     let accumulated_error = r.get_duration()?;
     Ok(Descriptor {
@@ -267,7 +275,12 @@ mod tests {
         let mut w = ByteWriter::new();
         put_descriptor(&mut w, &d);
         let bytes = w.into_bytes();
-        let out = get_descriptor(&mut ByteReader::new(&bytes)).unwrap();
+        // Six two-pipe routes: `d` sits at the end of the last one.
+        let mut routes = RouteTable::new(0);
+        for i in 0..6 {
+            routes.intern_pipes(&[mn_distill::PipeId(i), mn_distill::PipeId(i + 1)]);
+        }
+        let out = get_descriptor(&mut ByteReader::new(&bytes), &routes).unwrap();
         assert_eq!(out.packet.id, d.packet.id);
         assert_eq!(out.packet.flow, d.packet.flow);
         assert_eq!(out.packet.size, d.packet.size);

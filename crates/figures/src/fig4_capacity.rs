@@ -113,11 +113,6 @@ pub fn shape_holds(points: &[CapacityPoint]) -> bool {
     one > 0.0 && eight > 0.0 && one >= eight
 }
 
-/// Capacity sweep can also verify that a sweep was produced at all.
-pub fn _sanity(points: &[CapacityPoint]) -> bool {
-    !points.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

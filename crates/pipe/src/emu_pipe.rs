@@ -120,11 +120,6 @@ impl<T> EmuPipe<T> {
         self.attrs = attrs;
     }
 
-    /// Replaces the queueing discipline.
-    pub fn set_discipline(&mut self, discipline: QueueDiscipline) {
-        self.discipline = discipline;
-    }
-
     /// Sets the bandwidth consumed by fluid flows crossing this pipe.
     /// Packets already inside keep their deadlines; future arrivals drain
     /// at the residual rate.

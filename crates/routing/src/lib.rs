@@ -19,8 +19,10 @@
 //!   multiplexed onto a location.
 //!
 //! The paper assumes a "perfect" routing protocol that instantaneously
-//! recomputes shortest paths after a failure; [`RoutingMatrix::rebuild`]
-//! provides exactly that, and `mn-dynamics` calls it when links fail.
+//! recomputes shortest paths after a failure; [`RoutingMatrix::update_pipes`]
+//! provides exactly that for the trees a changed pipe can affect
+//! ([`RoutingMatrix::rebuild`] is its from-scratch reference), and
+//! [`RouteTable::rewire_in_place`] re-wires the pairs it reports.
 
 pub mod dijkstra;
 pub mod matrix;

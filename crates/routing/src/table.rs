@@ -37,9 +37,9 @@
 //! blocks holding patched rows: untouched blocks and untouched spilled rows
 //! keep literally the same allocation across the publish (`Arc` identity is
 //! pinned by tests), so a 1-link flap costs O(affected locations + touched
-//! blocks) — flat in the endpoint count. [`RouteTable::rebuild`] likewise
-//! carries the route store *and* the content-dedup index forward
-//! structurally — a rebuild that changes nothing re-interns nothing.
+//! blocks) — flat in the endpoint count. The route store *and* the
+//! content-dedup index carry forward structurally — a rewire that brings
+//! back known routes re-interns nothing.
 //!
 //! **Interning is one probe.** Every route enters through
 //! [`RouteTable::intern_pipes`]: one fixed multiplicative fingerprint over
@@ -646,8 +646,8 @@ pub struct RouteTable {
     /// most one [`BLOCK_ROWS`]-entry block instead of the whole map.
     cols: Vec<Arc<[u32]>>,
     /// Content index over the store (pipe sequence → first id with that
-    /// content), carried forward structurally so incremental rewires and
-    /// rebuilds reuse any retained route — a restored link maps back to its
+    /// content), carried forward structurally so incremental rewires
+    /// reuse any retained route — a restored link maps back to its
     /// pre-failure `RouteId` instead of growing the table on every flap.
     by_content: Arc<ContentIndex>,
     /// Content-index work done for this table and the generations it was
@@ -655,8 +655,8 @@ pub struct RouteTable {
     index_probes: u64,
     /// Endpoint/location geometry, shared across generations.
     locs: Arc<LocationIndex>,
-    /// Bumped by every rebuild/rewire, so drivers and tests can observe
-    /// that a routing change took effect.
+    /// Bumped by every rewire, bind and unbind, so drivers and tests can
+    /// observe that a routing change took effect.
     version: u64,
 }
 
@@ -667,26 +667,21 @@ impl RouteTable {
     /// [`RouteTable::set_pair`].
     pub fn new(endpoint_count: usize) -> Self {
         let own: Vec<NodeId> = (0..endpoint_count).map(NodeId).collect();
-        Self::unrouted(RouteStore::default(), Arc::default(), &own, 0)
+        Self::unrouted(&own)
     }
 
     /// A table over the given binding with every row still empty.
-    fn unrouted(
-        store: RouteStore,
-        by_content: Arc<ContentIndex>,
-        locations: &[NodeId],
-        version: u64,
-    ) -> Self {
+    fn unrouted(locations: &[NodeId]) -> Self {
         let (locs, slot_of_endpoint) = LocationIndex::build(locations);
         RouteTable {
-            store,
+            store: RouteStore::default(),
             rows: blocks_from_flat(vec![RowShard::Empty; locs.locations.len()]),
             endpoint_count: locations.len(),
             cols: blocks_from_flat(slot_of_endpoint),
-            by_content,
+            by_content: Arc::default(),
             index_probes: 0,
             locs: Arc::new(locs),
-            version,
+            version: 0,
         }
     }
 
@@ -739,56 +734,26 @@ impl RouteTable {
     /// O(endpoints²). Same-location pairs stay unroutable — callers deliver
     /// those locally without touching a route.
     pub fn build(matrix: &RoutingMatrix, locations: &[NodeId]) -> Self {
-        Self::build_preserving(
-            RouteStore::default(),
-            Arc::new(ContentIndex::default()),
-            matrix,
-            locations,
-            0,
-        )
-    }
-
-    /// Rebuilds the table against a new matrix while keeping every route id
-    /// of `prev` valid: the previous interned routes are retained
-    /// structurally (ids are never reassigned, chunks are shared rather
-    /// than copied), the content index is carried forward as-is (no
-    /// re-interning of retained routes), and the rows are re-derived,
-    /// reusing any retained route whose pipe sequence is unchanged.
-    /// Descriptors in flight across a routing change therefore keep
-    /// resolving to the exact route they started on — the paper's
-    /// semantics, where packets already inside a core finish on pre-failure
-    /// routes — while new packets see only the new routes.
-    pub fn rebuild(prev: &RouteTable, matrix: &RoutingMatrix, locations: &[NodeId]) -> Self {
-        Self::build_preserving(
-            prev.store.clone(),
-            prev.by_content.clone(),
-            matrix,
-            locations,
-            prev.version + 1,
-        )
-    }
-
-    fn build_preserving(
-        store: RouteStore,
-        by_content: Arc<ContentIndex>,
-        matrix: &RoutingMatrix,
-        locations: &[NodeId],
-        version: u64,
-    ) -> Self {
-        let mut table = Self::unrouted(store, by_content, locations, version);
-        let locs = Arc::clone(&table.locs);
-        let vn_of_slot = locs.vn_of_slot(matrix);
-        let mut pipes = Vec::new();
-        for si in 0..locs.locations.len() {
-            let row = table.derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes);
-            table.set_row(si, row);
-        }
+        let mut table = Self::unrouted(locations);
+        table.derive_rows(matrix);
         table
     }
 
+    /// Derives every location's row of a still-unrouted table, in slot
+    /// order (which fixes the order routes are interned in).
+    fn derive_rows(&mut self, matrix: &RoutingMatrix) {
+        let locs = Arc::clone(&self.locs);
+        let vn_of_slot = locs.vn_of_slot(matrix);
+        let mut pipes = Vec::new();
+        for si in 0..locs.locations.len() {
+            let row = self.derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes);
+            self.set_row(si, row);
+        }
+    }
+
     /// Re-wires only the given changed location pairs against the updated
-    /// matrix, retaining every existing route id — the incremental
-    /// counterpart of [`RouteTable::rebuild`] driven by
+    /// matrix, retaining every existing route id — the one way a built
+    /// table follows a routing change, driven by
     /// [`RoutingMatrix::update_pipes`](crate::RoutingMatrix::update_pipes).
     /// A new route whose pipe sequence already exists (e.g. a restored link
     /// bringing back the pre-failure path) resolves to its old id, so
@@ -1018,6 +983,13 @@ impl RouteTable {
     /// `true` when the endpoint is currently bound at some location.
     pub fn is_endpoint_bound(&self, endpoint: usize) -> bool {
         self.live_slot(endpoint).is_some()
+    }
+
+    /// The location `endpoint` is bound at — or, once departed, was last
+    /// bound at (`None` out of range).
+    pub fn endpoint_location(&self, endpoint: usize) -> Option<NodeId> {
+        let slot = self.col(endpoint)? & !DEPARTED;
+        Some(self.locs.locations[slot as usize])
     }
 
     /// `true` when at least one live endpoint is bound at `location`.
@@ -1778,14 +1750,10 @@ mod tests {
             });
             let mut tables = [
                 RouteTable::build(&matrix, &locations),
-                RouteTable::build_preserving(
-                    RouteStore::default(),
-                    degenerate,
-                    &matrix,
-                    &locations,
-                    0,
-                ),
+                RouteTable::unrouted(&locations),
             ];
+            tables[1].by_content = degenerate;
+            tables[1].derive_rows(&matrix);
             // The build alone took the index through its growth path.
             assert!(tables[1].by_content.len > 16);
             let mut oracle = MapOracle::default();
@@ -2067,42 +2035,6 @@ mod tests {
                 assert_eq!(a, b, "{s}->{t}");
             }
         }
-    }
-
-    #[test]
-    fn rebuild_preserves_ids_and_reuses_unchanged_routes() {
-        let topo = ring_topology(&RingParams {
-            routers: 6,
-            clients_per_router: 2,
-            ..RingParams::default()
-        });
-        let d = distill(&topo, DistillationMode::HopByHop);
-        let matrix = RoutingMatrix::build(&d);
-        let locations = d.vns().to_vec();
-        let first = RouteTable::build(&matrix, &locations);
-        // Rebuilding against an unchanged matrix must not grow the table:
-        // every pair resolves to the same retained route id.
-        let rebuilt = RouteTable::rebuild(&first, &matrix, &locations);
-        assert_eq!(rebuilt.route_count(), first.route_count());
-        let n = locations.len();
-        for s in 0..n {
-            for t in 0..n {
-                assert_eq!(rebuilt.route_id(s, t), first.route_id(s, t));
-                if let Some(id) = first.route_id(s, t) {
-                    assert_eq!(rebuilt.pipes(id), first.pipes(id));
-                }
-            }
-        }
-        // Ten no-op rebuilds still do not grow it — and, because the
-        // content index is carried forward structurally, they re-intern
-        // nothing.
-        let entries = rebuilt.content_index_entries();
-        let mut table = rebuilt;
-        for _ in 0..10 {
-            table = RouteTable::rebuild(&table, &matrix, &locations);
-        }
-        assert_eq!(table.route_count(), first.route_count());
-        assert_eq!(table.content_index_entries(), entries);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! * a **ring** of transit routers with VNs hanging off each (Figure 5),
 //! * GT-ITM style **transit–stub** graphs for the replicated-web and ACDC
 //!   case studies (Figures 10–12),
-//! * plus generic building blocks (dumbbell, full mesh, Waxman random graph)
-//!   commonly used when constructing Internet-like evaluation scenarios.
+//! * plus a **dumbbell**, the classic shared-bottleneck scenario.
 //!
 //! Each generator produces a plain [`Topology`]; clients are marked
 //! [`NodeKind::Client`] so that later phases know where VNs may be bound.
@@ -226,96 +225,6 @@ pub fn dumbbell_topology(params: &DumbbellParams) -> (Topology, Vec<NodeId>, Vec
         right.push(r);
     }
     (topo, left, right)
-}
-
-/// Generates a full mesh of `n` clients, every pair joined by a dedicated
-/// link with the given attributes. Used for end-to-end style scenarios and in
-/// tests.
-pub fn full_mesh_topology(n: usize, attrs: LinkAttrs) -> Topology {
-    let mut topo = Topology::new();
-    let nodes: Vec<NodeId> = (0..n)
-        .map(|i| topo.add_named_node(NodeKind::Client, format!("vn-{i}")))
-        .collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            topo.add_link(nodes[i], nodes[j], attrs)
-                .expect("mesh endpoints exist");
-        }
-    }
-    topo
-}
-
-/// Parameters for [`waxman_topology`]: the Waxman random-graph model used by
-/// BRITE-style generators. Nodes are placed uniformly in a unit square and a
-/// link between nodes at distance `d` exists with probability
-/// `alpha * exp(-d / (beta * L))` where `L` is the maximum distance.
-#[derive(Debug, Clone)]
-pub struct WaxmanParams {
-    /// Number of router nodes.
-    pub nodes: usize,
-    /// Waxman `alpha` (overall link density).
-    pub alpha: f64,
-    /// Waxman `beta` (relative weight of long links).
-    pub beta: f64,
-    /// Link bandwidth.
-    pub bandwidth: DataRate,
-    /// Latency per unit of Euclidean distance (the unit square is scaled to
-    /// this one-way delay across its diagonal).
-    pub diameter_latency: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for WaxmanParams {
-    fn default() -> Self {
-        WaxmanParams {
-            nodes: 50,
-            alpha: 0.25,
-            beta: 0.2,
-            bandwidth: DataRate::from_mbps(100),
-            diameter_latency: SimDuration::from_millis(30),
-            seed: 1,
-        }
-    }
-}
-
-/// Generates a Waxman random graph of stub routers, patched up to be
-/// connected (a spanning chain is added over any disconnected remainder).
-pub fn waxman_topology(params: &WaxmanParams) -> Topology {
-    let mut rng = derived_rng(params.seed, 0xAC5);
-    let mut topo = Topology::new();
-    let positions: Vec<(f64, f64)> = (0..params.nodes)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let nodes: Vec<NodeId> = (0..params.nodes)
-        .map(|i| topo.add_named_node(NodeKind::Stub, format!("w-{i}")))
-        .collect();
-    let max_dist = 2f64.sqrt();
-    for i in 0..params.nodes {
-        for j in (i + 1)..params.nodes {
-            let dx = positions[i].0 - positions[j].0;
-            let dy = positions[i].1 - positions[j].1;
-            let d = (dx * dx + dy * dy).sqrt();
-            let p = params.alpha * (-d / (params.beta * max_dist)).exp();
-            if rng.gen::<f64>() < p {
-                let latency = params.diameter_latency.mul_f64(d / max_dist);
-                let attrs =
-                    LinkAttrs::new(params.bandwidth, latency.max(SimDuration::from_micros(100)));
-                topo.add_link(nodes[i], nodes[j], attrs)
-                    .expect("waxman endpoints exist");
-            }
-        }
-    }
-    // Patch connectivity: link each disconnected node to its predecessor.
-    for i in 1..params.nodes {
-        let reachable = topo.bfs_distances(nodes[0]);
-        if reachable[nodes[i].index()].is_none() {
-            let attrs = LinkAttrs::new(params.bandwidth, params.diameter_latency.mul_f64(0.5));
-            topo.add_link(nodes[i - 1], nodes[i], attrs)
-                .expect("patch endpoints exist");
-        }
-    }
-    topo
 }
 
 /// Per-class link attributes for a transit–stub topology. The defaults follow
@@ -602,38 +511,6 @@ mod tests {
         // Left-to-right paths are 3 hops (access, bottleneck, access).
         let dists = topo.bfs_distances(left[0]);
         assert_eq!(dists[right[0].index()], Some(3));
-    }
-
-    #[test]
-    fn full_mesh_link_count() {
-        let attrs = LinkAttrs::new(DataRate::from_mbps(1), SimDuration::from_millis(1));
-        let topo = full_mesh_topology(10, attrs);
-        assert_eq!(topo.node_count(), 10);
-        assert_eq!(topo.link_count(), 45);
-        assert_eq!(topo.hop_diameter(), 1);
-    }
-
-    #[test]
-    fn waxman_is_connected_and_deterministic() {
-        let params = WaxmanParams::default();
-        let a = waxman_topology(&params);
-        let b = waxman_topology(&params);
-        assert!(a.is_connected());
-        assert_eq!(a.node_count(), 50);
-        assert_eq!(a.link_count(), b.link_count());
-    }
-
-    #[test]
-    fn waxman_density_increases_with_alpha() {
-        let sparse = waxman_topology(&WaxmanParams {
-            alpha: 0.05,
-            ..WaxmanParams::default()
-        });
-        let dense = waxman_topology(&WaxmanParams {
-            alpha: 0.9,
-            ..WaxmanParams::default()
-        });
-        assert!(dense.link_count() > sparse.link_count());
     }
 
     #[test]

@@ -302,11 +302,6 @@ impl Topology {
         self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i), n))
     }
 
-    /// Iterator over all link identifiers.
-    pub fn link_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
-        (0..self.links.len()).map(LinkId)
-    }
-
     /// Iterator over all `(id, link)` pairs.
     pub fn links(&self) -> impl Iterator<Item = (LinkId, &Link)> + '_ {
         self.links.iter().enumerate().map(|(i, l)| (LinkId(i), l))

@@ -13,9 +13,9 @@
 //!   bandwidth, latency, loss and queue length).
 //! * [`gml`] — a GML parser and writer so topologies round-trip through the
 //!   same interchange format the paper uses.
-//! * [`generators`] — synthetic generators: ring, star, dumbbell, full mesh,
-//!   Waxman random graphs and a GT-ITM-style transit–stub generator used by
-//!   the replicated-web and ACDC case studies.
+//! * [`generators`] — synthetic generators: ring, star, multi-hop path
+//!   pairs, dumbbell and a GT-ITM-style transit–stub generator used by the
+//!   replicated-web and ACDC case studies.
 //! * [`ron`] — a synthetic "RON-like" measured mesh standing in for the
 //!   published RON inter-node characteristics used by the CFS case study
 //!   (see DESIGN.md for the substitution rationale).
@@ -23,7 +23,6 @@
 pub mod generators;
 pub mod gml;
 pub mod graph;
-pub mod measurements;
 pub mod paths;
 pub mod ron;
 

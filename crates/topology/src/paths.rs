@@ -1,12 +1,11 @@
-//! Shortest paths and spanning trees over the target-network graph.
+//! Shortest paths over the target-network graph.
 //!
 //! These graph-level computations are used in three places:
 //!
 //! * the **distillation** phase collapses interior paths into single pipes and
 //!   needs the latency-shortest path between node pairs,
-//! * the **ACDC** case study compares the overlay's cost against an off-line
-//!   minimum spanning tree and its delay against an off-line shortest path
-//!   tree (Figure 12),
+//! * the **ACDC** case study compares the overlay's delay against an off-line
+//!   shortest path tree (Figure 12),
 //! * experiment setup code frequently needs path latency/bottleneck summaries
 //!   for sanity checks.
 //!
@@ -186,79 +185,6 @@ pub fn shortest_path_latency(topo: &Topology, source: NodeId, dest: NodeId) -> O
     shortest_path(topo, source, dest, PathMetric::Latency).map(|p| p.total_latency(topo))
 }
 
-/// An edge selected by [`minimum_spanning_tree`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MstEdge {
-    /// One endpoint.
-    pub a: NodeId,
-    /// The other endpoint.
-    pub b: NodeId,
-    /// The link realising the edge.
-    pub link: LinkId,
-}
-
-/// Computes a minimum spanning tree (Prim's algorithm) over the connected
-/// component containing `root`, using the provided per-link cost function.
-///
-/// The ACDC case study measures overlay cost relative to an off-line MST
-/// computed over the IP topology's link costs.
-pub fn minimum_spanning_tree<F>(topo: &Topology, root: NodeId, mut cost: F) -> Vec<MstEdge>
-where
-    F: FnMut(LinkId) -> f64,
-{
-    let n = topo.node_count();
-    let mut in_tree = vec![false; n];
-    let mut edges = Vec::new();
-    if root.index() >= n {
-        return edges;
-    }
-    // (cost, insertion seq, from, to, link) — seq keeps ties deterministic.
-    type FrontierEdge = (u64, usize, NodeId, NodeId, LinkId);
-    let mut heap: BinaryHeap<Reverse<FrontierEdge>> = BinaryHeap::new();
-    let mut seq = 0usize;
-    in_tree[root.index()] = true;
-    for (v, link) in topo.neighbors(root) {
-        heap.push(Reverse((to_ordered(cost(link)), seq, root, v, link)));
-        seq += 1;
-    }
-    while let Some(Reverse((_, _, from, to, link))) = heap.pop() {
-        if in_tree[to.index()] {
-            continue;
-        }
-        in_tree[to.index()] = true;
-        edges.push(MstEdge {
-            a: from,
-            b: to,
-            link,
-        });
-        for (v, l) in topo.neighbors(to) {
-            if !in_tree[v.index()] {
-                heap.push(Reverse((to_ordered(cost(l)), seq, to, v, l)));
-                seq += 1;
-            }
-        }
-    }
-    edges
-}
-
-/// Maps a non-negative float cost onto a totally ordered integer for use in
-/// the MST heap (NaN and negative values order first).
-fn to_ordered(cost: f64) -> u64 {
-    if !cost.is_finite() || cost <= 0.0 {
-        0
-    } else {
-        (cost * 1e6) as u64
-    }
-}
-
-/// Sums the cost of a set of MST edges under the given cost function.
-pub fn tree_cost<F>(edges: &[MstEdge], mut cost: F) -> f64
-where
-    F: FnMut(LinkId) -> f64,
-{
-    edges.iter().map(|e| cost(e.link)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,30 +265,6 @@ mod tests {
             shortest_path_latency(&t, a, d),
             Some(SimDuration::from_millis(4))
         );
-    }
-
-    #[test]
-    fn mst_spans_connected_component_with_minimum_cost() {
-        let (t, [a, b, c, d]) = diamond();
-        // Use latency as cost; the MST should avoid the 30 ms direct link.
-        let edges =
-            minimum_spanning_tree(&t, a, |l| t.link(l).unwrap().attrs.latency.as_millis_f64());
-        assert_eq!(edges.len(), 3);
-        let cost = tree_cost(&edges, |l| t.link(l).unwrap().attrs.latency.as_millis_f64());
-        // Minimum spanning tree: 2 + 2 + 10 = 14 ms.
-        assert!((cost - 14.0).abs() < 1e-9);
-        let mut covered: Vec<NodeId> = edges.iter().flat_map(|e| [e.a, e.b]).collect();
-        covered.sort();
-        covered.dedup();
-        assert_eq!(covered, vec![a, b, c, d]);
-    }
-
-    #[test]
-    fn mst_ignores_unreachable_nodes() {
-        let (mut t, [a, ..]) = diamond();
-        t.add_node(NodeKind::Client);
-        let edges = minimum_spanning_tree(&t, a, |_| 1.0);
-        assert_eq!(edges.len(), 3);
     }
 
     #[test]

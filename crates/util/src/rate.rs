@@ -51,11 +51,6 @@ impl ByteSize {
         self.0 * 8
     }
 
-    /// Returns the size in fractional kilobytes.
-    pub fn as_kb_f64(self) -> f64 {
-        self.0 as f64 / 1024.0
-    }
-
     /// Returns `true` if this is the zero size.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -70,16 +70,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration in whole microseconds (truncated).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Returns the duration in whole milliseconds (truncated).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Returns the duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -103,14 +93,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(SimDuration(v)),
-            None => None,
-        }
     }
 
     /// Multiplies the duration by a floating point factor, saturating at zero.

@@ -215,8 +215,6 @@ fn chaos_poisoned_pool_refuses_control_operations_without_mutating_the_coordinat
     assert!(!par.vn_join(&distilled, fresh, distilled.vns()[0], at));
     distilled.pipe_attrs_mut(some_pipe).unwrap().bandwidth = DataRate::ZERO;
     assert!(par.reroute(&distilled, &[some_pipe]).is_empty());
-    let matrix = par.routing().clone();
-    par.set_routing(matrix);
     assert!(!par.update_pipe_attrs(some_pipe, attrs));
     assert!(!par.set_pipe_cbr(some_pipe, None, at));
     assert!(!par.set_pipe_compensation(some_pipe, Some(DataRate::from_mbps(1)), at));

@@ -123,8 +123,8 @@ fn distillation_modes_preserve_uncontended_path_quality() {
 
 #[test]
 fn link_failure_reroutes_after_matrix_rebuild() {
-    // Fail every pipe on the flow's current route, rebuild routing, and check
-    // traffic still flows if an alternative exists (a ring always has one).
+    // Fail a link on the flow's current route, reroute, and check traffic
+    // still flows if an alternative exists (a ring always has one).
     let topo = ring_topology(&RingParams {
         routers: 6,
         clients_per_router: 1,
@@ -168,9 +168,12 @@ fn link_failure_reroutes_after_matrix_rebuild() {
         .emulator_mut()
         .update_pipe_attrs(failed_pipe, failed_attrs);
     runner.emulator_mut().update_pipe_attrs(rev, failed_attrs);
-    // "Perfect routing protocol": recompute all-pairs routes immediately.
-    let new_matrix = mn_routing::RoutingMatrix::build(&distilled);
-    runner.emulator_mut().set_routing(new_matrix);
+    // "Perfect routing protocol": the routes the failure moved are
+    // recomputed immediately.
+    let update = runner
+        .emulator_mut()
+        .reroute(&distilled, &[failed_pipe, rev]);
+    assert!(!update.is_empty(), "the failed arc carried routes");
 
     runner.run_for(SimDuration::from_secs(6)).unwrap();
     let after = runner.flow_bytes_acked(flow);
