@@ -56,11 +56,6 @@ impl AccuracyLog {
         SimDuration::from_micros_f64(self.error.max().unwrap_or(0.0))
     }
 
-    /// Mean per-hop emulation error in microseconds.
-    pub fn mean_per_hop_error_us(&self) -> f64 {
-        self.per_hop_error.mean()
-    }
-
     /// Worst observed per-hop error.
     pub fn max_per_hop_error(&self) -> SimDuration {
         SimDuration::from_micros_f64(self.per_hop_error.max().unwrap_or(0.0))
@@ -147,7 +142,7 @@ mod tests {
         assert!((log.mean_error_us() - 150.0).abs() < 1e-9);
         assert_eq!(log.max_error(), SimDuration::from_micros(200));
         assert_eq!(log.max_hops(), 4);
-        assert!((log.mean_per_hop_error_us() - 50.0).abs() < 1e-9);
+        assert_eq!(log.max_per_hop_error(), SimDuration::from_micros(50));
     }
 
     #[test]

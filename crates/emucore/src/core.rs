@@ -30,7 +30,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-use mn_assign::CoreId;
+use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::{PipeAttrs, PipeId};
 use mn_pipe::{CbrConfig, EmuPipe, EnqueueOutcome, PipeStats, QueueDiscipline};
 use mn_routing::RouteTable;
@@ -908,14 +908,16 @@ impl EmulatorCore {
     /// was encoded: same deadlines, same queue contents, same RNG draws. Its
     /// slab is filled densely in decode order with no free slot, whatever
     /// the encoded core's looked like. Every descriptor's route and hop are
-    /// checked against `routes`.
+    /// checked against `routes`; a wheel entry and a CBR source must name a
+    /// pipe installed here, a staged tunnel one that `pod` gives to a peer.
     pub fn decode_state(
         r: &mut mn_util::ByteReader,
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
+        pod: &PipeOwnershipDirectory,
     ) -> Result<Self, mn_util::CodecError> {
         use crate::snapshot::{get_descriptor, MIN_DESCRIPTOR_BYTES};
-        use mn_util::CodecError;
+        use mn_util::CodecError::Invalid;
 
         let id = CoreId(r.get_usize()?);
         // Counts are bounded by the records the input can still hold: an
@@ -942,7 +944,7 @@ impl EmulatorCore {
                     max_drop_probability: r.get_f64()?,
                     weight: r.get_f64()?,
                 }),
-                _ => return Err(CodecError::Invalid("unknown queue discipline tag")),
+                _ => return Err(Invalid("unknown queue discipline tag")),
             };
             let red_average = r.get_f64()?;
             let drain_busy_until = r.get_time()?;
@@ -974,17 +976,25 @@ impl EmulatorCore {
                 in_flight,
             )));
         }
+        let installed = |pipe: PipeId| pipes.get(pipe.index()).is_some_and(Option::is_some);
         let wheel_count = r.get_count(16)?;
         let mut wheel = TimerWheel::new();
         for _ in 0..wheel_count {
             let time = r.get_time()?;
             let pipe = PipeId(r.get_usize()?);
+            if !installed(pipe) {
+                return Err(Invalid("wheel entry for a pipe not installed here"));
+            }
             wheel.push(time, pipe);
         }
         let pending_count = r.get_count(MIN_DESCRIPTOR_BYTES + 16)?;
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
             let pipe = PipeId(r.get_usize()?);
+            // The tunnel exchange sends it to the pipe's owner, unasked.
+            if pod.get_owner(pipe).is_none_or(|owner| owner == id) {
+                return Err(Invalid("staged tunnel's pipe has no peer owner"));
+            }
             slab.push(get_descriptor(r, &routes)?);
             let at = r.get_time()?;
             pending_remote.push((pipe, (slab.len() - 1) as Slot, at));
@@ -992,12 +1002,17 @@ impl EmulatorCore {
         let cbr_count = r.get_count(32)?;
         let mut cbr = Vec::with_capacity(cbr_count);
         for _ in 0..cbr_count {
-            cbr.push(CbrSource {
+            let source = CbrSource {
                 pipe: PipeId(r.get_usize()?),
                 packet_size: r.get_size()?,
                 interval: r.get_duration()?,
                 next_at: r.get_time()?,
-            });
+            };
+            // `inject_cbr` steps `next_at` by the interval until it passes now.
+            if !installed(source.pipe) || source.interval.is_zero() {
+                return Err(Invalid("CBR source with no pipe here or no interval"));
+            }
+            cbr.push(source);
         }
         let fluid_total_bps = r.get_u64()?;
         let fluid_last = r.get_time()?;
@@ -1101,7 +1116,7 @@ mod tests {
     mod slots {
         use super::*;
         use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
-        use mn_routing::{Route, RouteId};
+        use mn_routing::RouteId;
 
         const LONG: usize = 0;
         const SHORT: usize = 1;
@@ -1113,8 +1128,8 @@ mod tests {
         fn core_owning(owned: &[usize], profile: HardwareProfile) -> (EmulatorCore, [RouteId; 2]) {
             let mut table = RouteTable::new(2);
             let routes = [
-                table.intern(Route::new(vec![PipeId(0), PipeId(1), PipeId(2)])),
-                table.intern(Route::new(vec![PipeId(3)])),
+                table.intern(&[PipeId(0), PipeId(1), PipeId(2)]),
+                table.intern(&[PipeId(3)]),
             ];
             let mut core = EmulatorCore::new(CoreId(0), profile, 1, Arc::new(table), 4);
             let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
@@ -1346,9 +1361,11 @@ mod tests {
             core.encode_state(&mut w);
             let bytes = w.into_bytes();
             let (profile, table) = (core.profile, core.routes.clone());
+            let owners = [0, 0, 1, 1].map(CoreId).to_vec();
+            let pod = PipeOwnershipDirectory::from_owners(owners, 2);
             let decode = |bytes: &[u8]| {
                 let r = &mut mn_util::ByteReader::new(bytes);
-                EmulatorCore::decode_state(r, profile, table.clone())
+                EmulatorCore::decode_state(r, profile, table.clone(), &pod)
             };
             let mut restored = decode(&bytes).unwrap();
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));
@@ -1358,19 +1375,61 @@ mod tests {
             assert!(again.into_bytes() == bytes, "re-serialises identically");
 
             // A slab descriptor on a route the table does not hold, or past
-            // its route's end, is refused where it is read.
-            let hostile: [fn(&mut Descriptor); 2] =
-                [|d| d.route = RouteId(99), |d| d.hop = usize::MAX];
-            for corrupt in hostile {
+            // its route's end, is refused where it is read; so is a pipe id
+            // the run phase would index or look an owner up with, and a CBR
+            // source whose zero interval `inject_cbr` would spin on.
+            let cbr = |pipe, interval| CbrSource {
+                pipe: PipeId(pipe),
+                packet_size: ByteSize::from_bytes(100),
+                interval,
+                next_at: SimTime::ZERO,
+            };
+            let stage = |core: &mut EmulatorCore, pipe| {
+                let slot = core.alloc_slot(core.slab[0].clone());
+                core.pending_remote
+                    .push((PipeId(pipe), slot, SimTime::ZERO));
+            };
+            type Corrupt<'a> = &'a dyn Fn(&mut EmulatorCore);
+            let hostile: [(&str, Corrupt); 7] = [
+                ("descriptor route or hop out of range", &|c| {
+                    c.slab[1].route = RouteId(99)
+                }),
+                ("descriptor route or hop out of range", &|c| {
+                    c.slab[1].hop = usize::MAX
+                }),
+                ("wheel entry for a pipe not installed here", &|c| {
+                    c.wheel.push(SimTime::from_millis(5), PipeId(2));
+                }),
+                ("staged tunnel's pipe has no peer owner", &|c| stage(c, 99)),
+                ("staged tunnel's pipe has no peer owner", &|c| stage(c, 1)),
+                ("CBR source with no pipe here or no interval", &|c| {
+                    c.cbr.push(cbr(99, SimDuration::from_millis(1)))
+                }),
+                ("CBR source with no pipe here or no interval", &|c| {
+                    c.cbr.push(cbr(0, SimDuration::ZERO))
+                }),
+            ];
+            for (what, corrupt) in hostile {
                 let mut damaged = decode(&bytes).unwrap();
-                corrupt(&mut damaged.slab[1]);
+                corrupt(&mut damaged);
                 let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
                 damaged.encode_state(&mut w);
                 assert_eq!(
                     decode(&w.into_bytes()).unwrap_err(),
-                    mn_util::CodecError::Invalid("descriptor route or hop out of range")
+                    mn_util::CodecError::Invalid(what)
                 );
             }
+            // What the encoder writes of a staged tunnel and a CBR source
+            // passes: both re-serialise.
+            let mut sound = decode(&bytes).unwrap();
+            stage(&mut sound, 2);
+            sound.cbr.push(cbr(0, SimDuration::from_millis(1)));
+            let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
+            sound.encode_state(&mut w);
+            let staged = w.into_bytes();
+            let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
+            decode(&staged).unwrap().encode_state(&mut w);
+            assert!(w.into_bytes() == staged);
 
             // Different handles, same future.
             loop {

@@ -100,7 +100,6 @@ mod tests {
     use super::*;
     use mn_distill::PipeId;
     use mn_packet::{FlowKey, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
-    use mn_routing::Route;
 
     fn packet() -> Packet {
         Packet::new(
@@ -125,7 +124,7 @@ mod tests {
 
     fn table_with(pipes: Vec<PipeId>) -> (RouteTable, RouteId) {
         let mut table = RouteTable::new(2);
-        let id = table.intern(Route::new(pipes));
+        let id = table.intern(&pipes);
         table.set_pair(0, 1, id);
         (table, id)
     }

@@ -1026,7 +1026,7 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         let mut cores = Vec::with_capacity(core_count);
         for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, profile, routes.clone())?;
+            let core = EmulatorCore::decode_state(r, profile, routes.clone(), &pod)?;
             if core.id().index() != idx {
                 return Err(CodecError::Invalid("core ids out of order"));
             }

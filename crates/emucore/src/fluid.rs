@@ -662,12 +662,11 @@ impl FluidState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_routing::Route;
 
     fn table(routes: &[(usize, usize, Vec<PipeId>)], endpoints: usize) -> RouteTable {
         let mut t = RouteTable::new(endpoints);
         for (src, dst, pipes) in routes {
-            let id = t.intern(Route::new(pipes.clone()));
+            let id = t.intern(pipes);
             t.set_pair(*src, *dst, id);
         }
         t

@@ -32,26 +32,10 @@ impl Route {
         self.pipes.len()
     }
 
-    /// Returns `true` for the trivial (same-node) route.
-    pub fn is_empty(&self) -> bool {
-        self.pipes.is_empty()
-    }
-
     /// Sum of pipe latencies along the route — the propagation component of
     /// the end-to-end delay the emulation should impose.
     pub fn total_latency(&self, topo: &DistilledTopology) -> SimDuration {
         self.pipes.iter().map(|&p| topo.pipe(p).attrs.latency).sum()
-    }
-
-    /// Minimum pipe bandwidth along the route.
-    pub fn bottleneck_bandwidth(&self, topo: &DistilledTopology) -> mn_util::DataRate {
-        self.pipes
-            .iter()
-            .map(|&p| topo.pipe(p).attrs.bandwidth)
-            .fold(
-                mn_util::DataRate::from_bps(u64::MAX),
-                mn_util::DataRate::min,
-            )
     }
 }
 
@@ -180,7 +164,6 @@ mod tests {
         let route = route_between(&d, ids[0], ids[4]).unwrap();
         assert_eq!(route.hop_count(), 4);
         assert_eq!(route.total_latency(&d), SimDuration::from_millis(20));
-        assert_eq!(route.bottleneck_bandwidth(&d), DataRate::from_mbps(10));
         // The route's pipes chain correctly from src to dst.
         let mut cur = ids[0];
         for &p in &route.pipes {
@@ -195,7 +178,7 @@ mod tests {
         let (topo, ids) = line_topology(3);
         let d = distill(&topo, DistillationMode::HopByHop);
         let route = route_between(&d, ids[0], ids[0]).unwrap();
-        assert!(route.is_empty());
+        assert!(route.pipes.is_empty());
         assert_eq!(route.total_latency(&d), SimDuration::ZERO);
     }
 

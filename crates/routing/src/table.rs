@@ -9,9 +9,12 @@
 //!
 //! * `store` — each **distinct** route stored exactly once, addressed by
 //!   [`RouteId`] (the handle descriptors carry instead of a cloned route).
-//!   Routes live in sealed `Arc<[Route]>` chunks, so cloning a table for a
-//!   copy-on-write publish bumps one reference count per chunk instead of
-//!   deep-copying every route.
+//!   Routes live inline, back to back, in an arena of chunks of
+//!   `ROUTE_CHUNK` (1024) routes: a chunk is its `Arc`, a `u32` end offset
+//!   per route and one run of pipes — three allocations per chunk, none per
+//!   route. Sealed chunks are shared by every generation, so retaining the
+//!   ids in flight costs reference bumps, and a restore fills chunks
+//!   straight from the bytes.
 //! * `rows` — **one row shard per location slot**, mapping a destination
 //!   location slot to its raw `RouteId`, page-grouped into shared blocks of
 //!   `BLOCK_ROWS` (1024) rows. A row stores only the window `[base, base +
@@ -47,9 +50,14 @@
 //! array, and a match is **verified against the store itself** — the index
 //! keeps no second copy of any route, a collision costs a comparison and
 //! can never alias, and ids are first-id-wins. The index is a pure function
-//! of the append-only store (snapshots leave it out); generations share it
-//! and the first to intern new content copies it flat (≤ 43 B per route),
-//! so a link-up or an oscillation — which intern nothing — never pays.
+//! of the append-only store (snapshots leave it out) and sits with it
+//! behind one `Arc`: generations share both, and the first to intern new
+//! content copies the chunk handles, the open tail and the index — flat,
+//! 16 B per slot at 4/3 to 8/3 slots per route: ≤ 43 B per route — so a
+//! link-up or an oscillation, which intern nothing, never pays. The bulk
+//! writers unshare once, not per route: `build` interns through one `&mut`
+//! store; `decode` fills chunks, then indexes them in one pass in id order
+//! over a table sized once.
 //!
 //! Endpoint indices are the dense VN indices of the binding (`VnId::index`),
 //! but the table is deliberately typed on `usize` so `mn-routing` stays
@@ -64,7 +72,6 @@ use serde::{Deserialize, Serialize};
 use mn_distill::PipeId;
 use mn_topology::NodeId;
 
-use crate::dijkstra::Route;
 use crate::matrix::RoutingMatrix;
 
 /// Handle to an interned route in a [`RouteTable`].
@@ -312,79 +319,126 @@ impl RowShard {
     }
 }
 
-/// Append-only interned route storage, structurally shared across table
-/// generations: sealed chunks are `Arc<[Route]>` (a clone is one reference
-/// bump per chunk), and only the open tail chunk is ever deep-copied — at
-/// most `ROUTE_CHUNK - 1` routes, and only when a publish-shared table
-/// interns new content.
-#[derive(Debug, Clone)]
-struct RouteStore {
-    sealed: Vec<Arc<[Route]>>,
-    tail: Arc<Vec<Route>>,
+/// One chunk of the route arena: up to [`ROUTE_CHUNK`] routes back to back.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    /// Route `i` of the chunk is `pipes[ends[i - 1]..ends[i]]` (from 0 for
+    /// the first).
+    ends: Vec<u32>,
+    pipes: Vec<PipeId>,
 }
 
-impl Default for RouteStore {
-    fn default() -> Self {
-        RouteStore {
-            sealed: Vec::new(),
-            tail: Arc::new(Vec::new()),
-        }
+impl Chunk {
+    #[inline]
+    fn get(&self, at: usize) -> &[PipeId] {
+        let start = at.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.pipes[start as usize..self.ends[at] as usize]
     }
+}
+
+/// Append-only interned route storage with its content index, shared by
+/// table generations behind one `Arc`: a clone is one reference bump, and
+/// the first generation to intern new content copies (`Arc::make_mut`) the
+/// chunk handles, the open tail — fewer than `ROUTE_CHUNK` routes; it is
+/// sealed the moment it fills — and the index. Sealed chunks are never
+/// copied, and a link-up or an oscillation, which intern nothing, copy
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct RouteStore {
+    sealed: Vec<Arc<Chunk>>,
+    tail: Chunk,
+    index: ContentIndex,
 }
 
 impl RouteStore {
     fn len(&self) -> usize {
-        self.sealed.len() * ROUTE_CHUNK + self.tail.len()
+        self.sealed.len() * ROUTE_CHUNK + self.tail.ends.len()
     }
 
-    /// The interned route at `index`. Two indexed loads (chunk, then slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
+    /// The interned route at `index` (panics out of range): chunk, its
+    /// `ends`, its `pipes`.
     #[inline]
-    fn get(&self, index: usize) -> &Route {
-        let chunk = index / ROUTE_CHUNK;
-        match self.sealed.get(chunk) {
-            Some(c) => &c[index % ROUTE_CHUNK],
-            None => &self.tail[index - self.sealed.len() * ROUTE_CHUNK],
+    fn get(&self, index: usize) -> &[PipeId] {
+        match self.sealed.get(index / ROUTE_CHUNK) {
+            Some(chunk) => chunk.get(index % ROUTE_CHUNK),
+            None => self.tail.get(index - self.sealed.len() * ROUTE_CHUNK),
         }
     }
 
-    fn push(&mut self, route: Route) {
-        if self.tail.len() == ROUTE_CHUNK {
-            let full = std::mem::take(&mut self.tail);
-            let chunk: Arc<[Route]> = match Arc::try_unwrap(full) {
-                Ok(vec) => vec.into(),
-                Err(shared) => shared.as_slice().into(),
+    /// Every chunk in id order, the tail last.
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.sealed.iter().map(|c| &**c).chain([&self.tail])
+    }
+
+    /// Fingerprints `pipes` and probes the index for the first id interned
+    /// with exactly this content, verified against the arena. `probes`
+    /// counts the slots inspected and the comparisons.
+    fn find(&self, pipes: &[PipeId], probes: &mut u64) -> (u64, Option<RouteId>) {
+        let index = &self.index;
+        let fingerprint = index.fingerprint(pipes);
+        if index.slots.is_empty() {
+            return (fingerprint, None);
+        }
+        let mut at = index.home(fingerprint);
+        loop {
+            let (slot_fingerprint, id) = index.slots[at];
+            *probes += 1;
+            if id == NO_ROUTE {
+                return (fingerprint, None);
+            }
+            if slot_fingerprint == fingerprint {
+                *probes += 1;
+                if self.get(id as usize) == pipes {
+                    return (fingerprint, Some(RouteId(id)));
+                }
+            }
+            at = (at + 1) & (index.slots.len() - 1);
+        }
+    }
+
+    /// Appends a route to the arena, indexing it under `new_content` (its
+    /// fingerprint) when the index does not hold its content yet.
+    fn append(&mut self, pipes: &[PipeId], new_content: Option<u64>) -> RouteId {
+        let id = RouteId(self.len() as u32);
+        self.tail.pipes.extend_from_slice(pipes);
+        self.close_route();
+        if let Some(fingerprint) = new_content {
+            self.index.insert(fingerprint, id);
+        }
+        id
+    }
+
+    /// Ends the route whose pipes were just pushed onto the tail, sealing
+    /// the tail if that filled it. The next tail is sized like the sealed
+    /// one: a chunk is three allocations when routes are of a length.
+    fn close_route(&mut self) {
+        assert!(self.len() < NO_ROUTE as usize, "route table overflow");
+        let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
+        self.tail.ends.push(end);
+        if self.tail.ends.len() == ROUTE_CHUNK {
+            self.tail.pipes.shrink_to_fit();
+            let next = Chunk {
+                ends: Vec::with_capacity(ROUTE_CHUNK),
+                pipes: Vec::with_capacity(self.tail.pipes.len()),
             };
-            self.sealed.push(chunk);
+            let full = std::mem::replace(&mut self.tail, next);
+            self.sealed.push(Arc::new(full));
         }
-        Arc::make_mut(&mut self.tail).push(route);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Route> {
-        self.sealed
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
     }
 }
 
 /// Content → first-id index over the route store: one flat open-addressed
 /// table of `(fingerprint, id)` slots (`id == NO_ROUTE`: empty), a power of
 /// two long, linear probing, load ≤ 3/4. It holds no route content: a probe
-/// ([`RouteTable::lookup`]) that meets its fingerprint **verifies against
-/// the table's own store** (`store.get(id).pipes == pipes`), so a collision
+/// ([`RouteStore::find`]) that meets its fingerprint **verifies against
+/// the table's own store** (`store.get(id) == pipes`), so a collision
 /// costs one more comparison and can never alias two routes. Inserts only
 /// follow a failed probe, hence first-id-wins. The fingerprint is a fixed
 /// function of the pipe sequence (no seed, no per-process state) and slot
 /// order is never observable: lookups return ids, nothing iterates.
 ///
-/// Generations share the index behind an `Arc`; the first insert into a
-/// shared one copies it (`Arc::make_mut`) — a flat memcpy of 16 B per slot,
-/// under 43 B per interned route, paid only by a generation that interns
-/// new content, never by a link-up or an oscillation.
+/// Copying it for a generation that interns new content is a flat memcpy
+/// of 16 B per slot — 4/3 to 8/3 slots per route, so under 43 B a route.
 #[derive(Debug, Clone, Default)]
 struct ContentIndex {
     slots: Vec<(u64, u32)>,
@@ -414,17 +468,24 @@ impl ContentIndex {
         (fingerprint >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Records `id` under `fingerprint`. The caller has just failed to find
-    /// this content, so no comparison is needed: the entry goes into the
-    /// first free slot of its probe sequence.
-    fn insert(&mut self, fingerprint: u64, id: RouteId) {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            let grown = (self.slots.len() * 2).max(16);
+    /// Makes room for `extra` more entries at load ≤ 3/4, rehashing at most
+    /// once.
+    fn reserve(&mut self, extra: usize) {
+        let entries = self.len + extra;
+        if entries * 4 > self.slots.len() * 3 {
+            let grown = (entries * 4 / 3 + 1).next_power_of_two().max(16);
             let old = std::mem::replace(&mut self.slots, vec![(0, NO_ROUTE); grown]);
             for slot in old.into_iter().filter(|slot| slot.1 != NO_ROUTE) {
                 self.place(slot);
             }
         }
+    }
+
+    /// Records `id` under `fingerprint`. The caller has just failed to find
+    /// this content, so no comparison is needed: the entry goes into the
+    /// first free slot of its probe sequence.
+    fn insert(&mut self, fingerprint: u64, id: RouteId) {
+        self.reserve(1);
         self.place((fingerprint, id.0));
         self.len += 1;
     }
@@ -538,9 +599,49 @@ fn push_entry<T: Clone>(blocks: &mut Vec<Arc<[T]>>, value: T) {
     }
 }
 
+/// The raw id of the matrix's current route between two VN indices,
+/// interned (through `intern`) on first sight; `NO_ROUTE` when an end is not
+/// a matrix VN or the destination is unreachable. `pipes` is the reusable
+/// buffer the tree-only matrix walks the route into — only a content-index
+/// miss copies it out.
+#[inline]
+fn resolve(
+    matrix: &RoutingMatrix,
+    ms: Option<usize>,
+    md: Option<usize>,
+    pipes: &mut Vec<PipeId>,
+    intern: &mut impl FnMut(&[PipeId]) -> RouteId,
+) -> u32 {
+    match (ms, md) {
+        (Some(ms), Some(md)) if matrix.materialize_at(ms, md, pipes) => intern(pipes).0,
+        _ => NO_ROUTE,
+    }
+}
+
+/// Derives location slot `si`'s row from the matrix: one column per other
+/// slot with a live endpoint (same-location pairs stay local, never routed).
+fn derive_row(
+    matrix: &RoutingMatrix,
+    locs: &LocationIndex,
+    vn_of_slot: &[Option<usize>],
+    si: usize,
+    pipes: &mut Vec<PipeId>,
+    intern: &mut impl FnMut(&[PipeId]) -> RouteId,
+) -> RowShard {
+    let mut ids = vec![NO_ROUTE; vn_of_slot.len()];
+    if let Some(ms) = vn_of_slot[si] {
+        for (di, id) in ids.iter_mut().enumerate() {
+            if di != si && !locs.endpoints[di].is_empty() {
+                *id = resolve(matrix, Some(ms), vn_of_slot[di], pipes, intern);
+            }
+        }
+    }
+    RowShard::from_window(0, &ids)
+}
+
 /// Memory accounting snapshot for a [`RouteTable`] (see
-/// [`RouteTable::memory`]). `resident_bytes` is a structural estimate —
-/// allocator and hash-map overheads are approximated — meant for
+/// [`RouteTable::memory`]). `resident_bytes` is a structural estimate
+/// (requested capacities; allocator headers are not counted) meant for
 /// order-of-magnitude comparison against `dense_equivalent_bytes`, the
 /// `endpoint_count² × 4` bytes a dense pair table would spend.
 #[derive(Debug, Clone, Copy, Default)]
@@ -551,20 +652,10 @@ pub struct RouteStateMemory {
     /// What a dense `endpoint_count²` pair table would spend on the pair
     /// mapping alone.
     pub dense_equivalent_bytes: usize,
-    /// Endpoints covered.
-    pub endpoint_count: usize,
     /// Locations whose row spilled to a heap allocation.
     pub distinct_row_allocations: usize,
     /// Locations whose row is stored inline (no heap allocation).
     pub inline_rows: usize,
-    /// Locations with no routable destination at all.
-    pub empty_rows: usize,
-    /// Distinct interned routes.
-    pub route_count: usize,
-    /// Bytes spent on interned route content.
-    pub route_bytes: usize,
-    /// Bytes spent on the content-dedup index.
-    pub index_bytes: usize,
 }
 
 /// One row shard as [`RouteTable::encode`] wrote it, borrowed from the
@@ -633,8 +724,12 @@ impl<'a> EncodedRow<'a> {
 /// Copy-on-write route lookup state for one emulation, one row per location.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    /// Each distinct route, stored once, in structurally shared chunks.
-    store: RouteStore,
+    /// Each distinct route, stored once, in structurally shared chunks,
+    /// with the content index over them (pipe sequence → first id with that
+    /// content), carried forward structurally so incremental rewires
+    /// reuse any retained route — a restored link maps back to its
+    /// pre-failure `RouteId` instead of growing the table on every flap.
+    store: Arc<RouteStore>,
     /// One row shard per location slot, page-grouped into shared blocks of
     /// [`BLOCK_ROWS`] rows: `rows[slot / BLOCK_ROWS][slot % BLOCK_ROWS]`.
     /// The row of a location with no live endpoint is `Empty`.
@@ -645,11 +740,6 @@ pub struct RouteTable {
     /// rows, so a churn publish that adds or rebinds one endpoint copies at
     /// most one [`BLOCK_ROWS`]-entry block instead of the whole map.
     cols: Vec<Arc<[u32]>>,
-    /// Content index over the store (pipe sequence → first id with that
-    /// content), carried forward structurally so incremental rewires
-    /// reuse any retained route — a restored link maps back to its
-    /// pre-failure `RouteId` instead of growing the table on every flap.
-    by_content: Arc<ContentIndex>,
     /// Content-index work done for this table and the generations it was
     /// cloned from (see [`RouteTable::content_index_probes`]).
     index_probes: u64,
@@ -674,11 +764,10 @@ impl RouteTable {
     fn unrouted(locations: &[NodeId]) -> Self {
         let (locs, slot_of_endpoint) = LocationIndex::build(locations);
         RouteTable {
-            store: RouteStore::default(),
+            store: Arc::default(),
             rows: blocks_from_flat(vec![RowShard::Empty; locs.locations.len()]),
             endpoint_count: locations.len(),
             cols: blocks_from_flat(slot_of_endpoint),
-            by_content: Arc::default(),
             index_probes: 0,
             locs: Arc::new(locs),
             version: 0,
@@ -740,15 +829,20 @@ impl RouteTable {
     }
 
     /// Derives every location's row of a still-unrouted table, in slot
-    /// order (which fixes the order routes are interned in).
+    /// order (which fixes the order routes are interned in), into a store
+    /// unshared once.
     fn derive_rows(&mut self, matrix: &RoutingMatrix) {
         let locs = Arc::clone(&self.locs);
         let vn_of_slot = locs.vn_of_slot(matrix);
         let mut pipes = Vec::new();
-        for si in 0..locs.locations.len() {
-            let row = self.derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes);
-            self.set_row(si, row);
-        }
+        let (store, probes) = (Arc::make_mut(&mut self.store), &mut self.index_probes);
+        let mut intern = |pipes: &[PipeId]| match store.find(pipes, probes) {
+            (_, Some(known)) => known,
+            (fingerprint, None) => store.append(pipes, Some(fingerprint)),
+        };
+        let rows = (0..locs.locations.len())
+            .map(|si| derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes, &mut intern));
+        self.rows = blocks_from_flat(rows.collect());
     }
 
     /// Re-wires only the given changed location pairs against the updated
@@ -808,7 +902,8 @@ impl RouteTable {
                 };
                 // Resolved (and interned) even when nothing will read it, so
                 // `RouteId`s never depend on which locations are populated.
-                let raw = self.resolve(matrix, ms, matrix.vn_index(dst_loc), &mut pipes);
+                let md = matrix.vn_index(dst_loc);
+                let raw = resolve(matrix, ms, md, &mut pipes, &mut |p| self.intern_pipes(p));
                 if !locs.endpoints[ds as usize].is_empty() {
                     patches.push((ds as usize, raw));
                 }
@@ -829,49 +924,6 @@ impl RouteTable {
                 list.iter()
                     .all(|&e| locations.get(e as usize) == Some(&self.locs.locations[s]))
             })
-    }
-
-    /// The raw id of the matrix's current route between two VN indices,
-    /// interned on first sight; `NO_ROUTE` when an end is not a matrix VN
-    /// or the destination is unreachable. `pipes` is the reusable buffer
-    /// the tree-only matrix walks the route into — only a content-index
-    /// miss copies it out, so no per-pair `Route` is ever cloned.
-    #[inline]
-    fn resolve(
-        &mut self,
-        matrix: &RoutingMatrix,
-        ms: Option<usize>,
-        md: Option<usize>,
-        pipes: &mut Vec<PipeId>,
-    ) -> u32 {
-        match (ms, md) {
-            (Some(ms), Some(md)) if matrix.materialize_at(ms, md, pipes) => {
-                self.intern_pipes(pipes).0
-            }
-            _ => NO_ROUTE,
-        }
-    }
-
-    /// Derives location slot `si`'s row from the matrix: one column per
-    /// other slot with a live endpoint (same-location pairs stay local,
-    /// never routed).
-    fn derive_row(
-        &mut self,
-        matrix: &RoutingMatrix,
-        locs: &LocationIndex,
-        vn_of_slot: &[Option<usize>],
-        si: usize,
-        pipes: &mut Vec<PipeId>,
-    ) -> RowShard {
-        let mut ids = vec![NO_ROUTE; vn_of_slot.len()];
-        if let Some(ms) = vn_of_slot[si] {
-            for (di, id) in ids.iter_mut().enumerate() {
-                if di != si && !locs.endpoints[di].is_empty() {
-                    *id = self.resolve(matrix, Some(ms), vn_of_slot[di], pipes);
-                }
-            }
-        }
-        RowShard::from_window(0, &ids)
     }
 
     /// Patches one location's row; a no-op patch leaves the shard (and its
@@ -937,11 +989,13 @@ impl RouteTable {
             let locs = Arc::clone(&self.locs);
             let vn_of_slot = locs.vn_of_slot(matrix);
             let mut pipes = Vec::new();
-            let row = self.derive_row(matrix, &locs, &vn_of_slot, slot, &mut pipes);
+            let mut intern = |p: &[PipeId]| self.intern_pipes(p);
+            let row = derive_row(matrix, &locs, &vn_of_slot, slot, &mut pipes, &mut intern);
             self.set_row(slot, row);
             for si in 0..locs.locations.len() {
                 if si != slot && !locs.endpoints[si].is_empty() {
-                    let raw = self.resolve(matrix, vn_of_slot[si], vn_of_slot[slot], &mut pipes);
+                    let (ms, md) = (vn_of_slot[si], vn_of_slot[slot]);
+                    let raw = resolve(matrix, ms, md, &mut pipes, &mut |p| self.intern_pipes(p));
                     self.patch_row(si, &[(slot, raw)]);
                 }
             }
@@ -1001,11 +1055,14 @@ impl RouteTable {
     /// The id of the route with exactly this pipe sequence, interning it
     /// first if the table has never seen the content — the one way routes
     /// enter the table from a matrix. One fingerprint, one probe; only a
-    /// miss copies `pipes` (into the store) and inserts under the same
-    /// fingerprint.
+    /// miss unshares the store (a publish-shared one is copied here, once
+    /// per generation), copies `pipes` into the arena and inserts under the
+    /// same fingerprint.
     pub fn intern_pipes(&mut self, pipes: &[PipeId]) -> RouteId {
-        let (fingerprint, known) = self.lookup(pipes);
-        known.unwrap_or_else(|| self.append(Route::new(pipes.to_vec()), Some(fingerprint)))
+        match self.store.find(pipes, &mut self.index_probes) {
+            (_, Some(known)) => known,
+            (fingerprint, None) => Arc::make_mut(&mut self.store).append(pipes, Some(fingerprint)),
+        }
     }
 
     /// Stores a route and returns a **fresh** handle even when the content
@@ -1013,47 +1070,9 @@ impl RouteTable {
     /// for any given pipe sequence, so later rewires dedup against it.
     /// Callers wiring pairs by hand are still responsible for reusing ids
     /// where they want sharing (see [`RouteTable::build`]).
-    pub fn intern(&mut self, route: Route) -> RouteId {
-        let (fingerprint, known) = self.lookup(&route.pipes);
-        self.append(route, known.is_none().then_some(fingerprint))
-    }
-
-    /// Fingerprints `pipes` and probes the content index for the first id
-    /// interned with exactly this content, verified against the store.
-    fn lookup(&mut self, pipes: &[PipeId]) -> (u64, Option<RouteId>) {
-        let index = &*self.by_content;
-        let fingerprint = index.fingerprint(pipes);
-        if index.slots.is_empty() {
-            return (fingerprint, None);
-        }
-        let mut at = index.home(fingerprint);
-        loop {
-            let (slot_fingerprint, id) = index.slots[at];
-            self.index_probes += 1;
-            if id == NO_ROUTE {
-                return (fingerprint, None);
-            }
-            if slot_fingerprint == fingerprint {
-                self.index_probes += 1;
-                if self.store.get(id as usize).pipes == pipes {
-                    return (fingerprint, Some(RouteId(id)));
-                }
-            }
-            at = (at + 1) & (index.slots.len() - 1);
-        }
-    }
-
-    /// Appends a route to the store, indexing it under `new_content` (its
-    /// fingerprint) when the index does not hold its content yet. A
-    /// publish-shared index is copied here, once per generation.
-    fn append(&mut self, route: Route, new_content: Option<u64>) -> RouteId {
-        assert!(self.store.len() < NO_ROUTE as usize, "route table overflow");
-        let id = RouteId(self.store.len() as u32);
-        self.store.push(route);
-        if let Some(fingerprint) = new_content {
-            Arc::make_mut(&mut self.by_content).insert(fingerprint, id);
-        }
-        id
+    pub fn intern(&mut self, pipes: &[PipeId]) -> RouteId {
+        let (fingerprint, known) = self.store.find(pipes, &mut self.index_probes);
+        Arc::make_mut(&mut self.store).append(pipes, known.is_none().then_some(fingerprint))
     }
 
     /// Monotonic change counter, bumped by every rewire.
@@ -1072,7 +1091,7 @@ impl RouteTable {
     pub fn set_pair(&mut self, src: usize, dst: usize, id: RouteId) {
         let src = self.live_slot(src).expect("src endpoint out of range");
         let dst = self.col(dst).expect("dst endpoint out of range") & !DEPARTED;
-        assert!(id.index() < self.store.len(), "route id out of range");
+        assert!(id.index() < self.route_count(), "route id out of range");
         self.patch_row(src, &[(dst as usize, id.0)]);
     }
 
@@ -1092,20 +1111,14 @@ impl RouteTable {
         }
     }
 
-    /// The interned route behind a handle.
+    /// The pipe sequence of an interned route (the per-hop access).
     ///
     /// # Panics
     ///
     /// Panics if the id did not come from this table.
     #[inline]
-    pub fn route(&self, id: RouteId) -> &Route {
-        self.store.get(id.index())
-    }
-
-    /// The pipe sequence of an interned route (the per-hop access).
-    #[inline]
     pub fn pipes(&self, id: RouteId) -> &[PipeId] {
-        &self.store.get(id.index()).pipes
+        self.store.get(id.index())
     }
 
     /// Number of distinct routes stored.
@@ -1127,12 +1140,6 @@ impl RouteTable {
         matches!((self.live_row(src), other.live_row(src)), (Some(a), Some(b)) if a.same_storage(b))
     }
 
-    /// Entries in the content-dedup index (distinct interned contents).
-    #[doc(hidden)]
-    pub fn content_index_entries(&self) -> usize {
-        self.by_content.len
-    }
-
     /// Running total of content-index work — slots inspected plus store
     /// comparisons over every lookup this table and its ancestors made.
     /// Exact and deterministic, so tests can state lookup cost as a count.
@@ -1151,9 +1158,11 @@ impl RouteTable {
     pub fn encode(&self, w: &mut mn_util::ByteWriter) {
         w.put_usize(self.endpoint_count);
         w.put_u64(self.version);
-        w.put_len(self.store.len());
-        for route in self.store.iter() {
-            w.put_u64s(route.pipes.iter().map(|p| p.index() as u64));
+        w.put_len(self.route_count());
+        for chunk in self.store.chunks() {
+            for at in 0..chunk.ends.len() {
+                w.put_u64s(chunk.get(at).iter().map(|p| p.index() as u64));
+            }
         }
         for src in 0..self.endpoint_count {
             match self.live_row(src) {
@@ -1205,18 +1214,35 @@ impl RouteTable {
         // An endpoint is at least a row tag and a column.
         let endpoint_count = r.get_count(5)?;
         let version = r.get_u64()?;
-        let mut table = RouteTable::new(0);
         // An empty route is its count prefix alone.
         let route_count = r.get_count(8)?;
+        if route_count >= NO_ROUTE as usize {
+            return Err(Invalid("more routes than route ids"));
+        }
+        let mut store = RouteStore::default();
         for _ in 0..route_count {
-            let pipes = r.get_u64s()?;
-            if pipes.iter().any(|&p| usize::try_from(p).is_err()) {
-                return Err(Invalid("usize overflow"));
+            // A route is a `put_u64s` run, read straight into the tail chunk.
+            let hops = r.get_count(8)?;
+            if u32::try_from(store.tail.pipes.len() + hops).is_err() {
+                return Err(Invalid("route chunk beyond its u32 offsets"));
             }
-            let pipes = pipes.into_iter().map(|p| PipeId(p as usize)).collect();
-            // Always-append, not `intern_pipes`: a hand-assembled store may
-            // hold the same content under two ids, and both must survive.
-            table.intern(Route::new(pipes));
+            for word in r.take_bytes(hops * 8)?.chunks_exact(8) {
+                let pipe = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                let pipe = usize::try_from(pipe).map_err(|_| Invalid("usize overflow"))?;
+                store.tail.pipes.push(PipeId(pipe));
+            }
+            store.close_route();
+        }
+        // The content index, in one pass in id order over a table sized
+        // once. Always-append above and first-id-wins here, as `intern`: a
+        // hand-assembled store may hold the same content under two ids, and
+        // both must survive.
+        let mut index_probes = 0;
+        store.index.reserve(route_count);
+        for id in 0..route_count {
+            if let (fingerprint, None) = store.find(store.get(id), &mut index_probes) {
+                store.index.insert(fingerprint, RouteId(id as u32));
+            }
         }
         let mut rows = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
@@ -1275,64 +1301,69 @@ impl RouteTable {
         if endpoints.any(|(col, row)| col & DEPARTED != 0 && row.tag != 0) {
             return Err(Invalid("departed endpoint with a row"));
         }
-        table.rows = blocks_from_flat(rows_flat);
-        table.cols = blocks_from_flat(cols_flat);
-        table.locs = Arc::new(locs);
-        table.endpoint_count = endpoint_count;
-        table.version = version;
-        Ok(table)
+        Ok(RouteTable {
+            store: Arc::new(store),
+            rows: blocks_from_flat(rows_flat),
+            endpoint_count,
+            cols: blocks_from_flat(cols_flat),
+            index_probes,
+            locs: Arc::new(locs),
+            version,
+        })
     }
 
     /// Memory accounting for the route state (see [`RouteStateMemory`]).
     /// Walks the structure; intended for benchmarks and reports, not the
     /// hot path.
     pub fn memory(&self) -> RouteStateMemory {
+        use std::mem::size_of;
+        const ARC_HEADER: usize = 16; // strong + weak counts
         let mut mem = RouteStateMemory {
-            endpoint_count: self.endpoint_count,
             dense_equivalent_bytes: self.endpoint_count * self.endpoint_count * 4,
-            route_count: self.store.len(),
             ..RouteStateMemory::default()
         };
         // Rows: the block table, the blocks themselves (each counted once —
         // generations share them, but one table owns each at least once),
         // and each spilled slot allocation.
-        const ARC_HEADER: usize = 16; // strong + weak counts
-        mem.resident_bytes += self.rows.capacity() * std::mem::size_of::<Arc<[RowShard]>>();
+        let mut bytes = self.rows.capacity() * size_of::<Arc<[RowShard]>>();
         for block in &self.rows {
-            mem.resident_bytes += block.len() * std::mem::size_of::<RowShard>() + ARC_HEADER;
+            bytes += block.len() * size_of::<RowShard>() + ARC_HEADER;
             for row in block.iter() {
                 match row {
-                    RowShard::Empty => mem.empty_rows += 1,
+                    RowShard::Empty => {}
                     RowShard::Inline { .. } => mem.inline_rows += 1,
                     RowShard::Spilled { slots, .. } => {
                         mem.distinct_row_allocations += 1;
-                        mem.resident_bytes += slots.len() * 4 + ARC_HEADER;
+                        bytes += slots.len() * 4 + ARC_HEADER;
                     }
                 }
             }
         }
-        // Route store: chunk table plus per-route content.
-        mem.route_bytes += self.store.sealed.capacity() * std::mem::size_of::<Arc<[Route]>>();
-        for route in self.store.iter() {
-            mem.route_bytes +=
-                std::mem::size_of::<Route>() + route.pipes.len() * std::mem::size_of::<PipeId>();
+        // The store, from capacities: its own block, the chunk table, each
+        // chunk's `Arc` and two buffers, and the content index's slots.
+        let store = &*self.store;
+        bytes += ARC_HEADER + size_of::<RouteStore>();
+        bytes += store.sealed.capacity() * size_of::<Arc<Chunk>>();
+        bytes += store.sealed.len() * (ARC_HEADER + size_of::<Chunk>());
+        for chunk in store.chunks() {
+            bytes += chunk.ends.capacity() * 4 + chunk.pipes.capacity() * size_of::<PipeId>();
         }
-        mem.index_bytes = self.by_content.slots.capacity() * std::mem::size_of::<(u64, u32)>();
+        bytes += store.index.slots.capacity() * size_of::<(u64, u32)>();
         // Column map (blocked and shared like the rows).
-        mem.resident_bytes += self.cols.capacity() * std::mem::size_of::<Arc<[u32]>>();
-        for block in &self.cols {
-            mem.resident_bytes += block.len() * 4 + ARC_HEADER;
-        }
+        bytes += self.cols.capacity() * size_of::<Arc<[u32]>>();
+        bytes += self
+            .cols
+            .iter()
+            .map(|b| b.len() * 4 + ARC_HEADER)
+            .sum::<usize>();
         // Location geometry.
-        let locs_bytes = self.locs.locations.capacity() * std::mem::size_of::<NodeId>()
-            + self
-                .locs
-                .endpoints
-                .iter()
-                .map(|v| v.len() * 4 + ARC_HEADER + std::mem::size_of::<Arc<[u32]>>())
-                .sum::<usize>()
-            + self.locs.slot_of_node.capacity() * 4;
-        mem.resident_bytes += mem.route_bytes + mem.index_bytes + locs_bytes;
+        let locs = &*self.locs;
+        bytes += locs.locations.capacity() * size_of::<NodeId>() + locs.slot_of_node.capacity() * 4;
+        let lists = locs.endpoints.iter();
+        bytes += lists
+            .map(|v| v.len() * 4 + ARC_HEADER + size_of::<Arc<[u32]>>())
+            .sum::<usize>();
+        mem.resident_bytes = bytes;
         mem
     }
 }
@@ -1457,7 +1488,7 @@ mod tests {
                 let (base, width) = row.window();
                 assert!(base + width <= slots, "window inside the columns");
                 assert!((base..base + width)
-                    .all(|c| row.raw(c) == NO_ROUTE || (row.raw(c) as usize) < self.store.len()));
+                    .all(|c| row.raw(c) == NO_ROUTE || (row.raw(c) as usize) < self.route_count()));
                 assert!(!list.is_empty() || matches!(row, RowShard::Empty));
             }
             let departed = cols.iter().filter(|&&c| c & DEPARTED != 0).count();
@@ -1642,8 +1673,8 @@ mod tests {
         // `intern` always appends, so a hand-assembled store can hold one
         // pipe sequence twice; a restore must not merge the two ids.
         let mut table = RouteTable::new(2);
-        let a = table.intern(Route::new(vec![PipeId(1), PipeId(2)]));
-        let b = table.intern(Route::new(vec![PipeId(1), PipeId(2)]));
+        let a = table.intern(&[PipeId(1), PipeId(2)]);
+        let b = table.intern(&[PipeId(1), PipeId(2)]);
         assert_ne!(a, b);
         table.set_pair(0, 1, a);
         table.set_pair(1, 0, b);
@@ -1655,7 +1686,7 @@ mod tests {
         assert_eq!(restored.route_count(), 2);
         assert_eq!(restored.route_id(0, 1), Some(a));
         assert_eq!(restored.route_id(1, 0), Some(b));
-        assert_eq!(restored.content_index_entries(), 1);
+        assert_eq!(restored.store.index.len, 1);
         assert_eq!(
             restored.intern_pipes(&[PipeId(1), PipeId(2)]),
             a,
@@ -1744,18 +1775,14 @@ mod tests {
         ) {
             let (mut d, mut matrix, mut locations) = multiplexed_ring();
             let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
-            let degenerate = Arc::new(ContentIndex {
-                degenerate: true,
-                ..ContentIndex::default()
-            });
             let mut tables = [
                 RouteTable::build(&matrix, &locations),
                 RouteTable::unrouted(&locations),
             ];
-            tables[1].by_content = degenerate;
+            Arc::make_mut(&mut tables[1].store).index.degenerate = true;
             tables[1].derive_rows(&matrix);
             // The build alone took the index through its growth path.
-            assert!(tables[1].by_content.len > 16);
+            assert!(tables[1].store.index.len > 16);
             let mut oracle = MapOracle::default();
             oracle.absorb_and_check(&tables[0]);
             MapOracle::default().absorb_and_check(&tables[1]);
@@ -1771,7 +1798,7 @@ mod tests {
                         };
                         for table in &mut tables {
                             let got = if always {
-                                table.intern(Route::new(pipes.clone()))
+                                table.intern(&pipes)
                             } else {
                                 table.intern_pipes(&pipes)
                             };
@@ -1825,6 +1852,108 @@ mod tests {
         }
     }
 
+    #[derive(Debug, Clone)]
+    enum ArenaOp {
+        InternPipes(Vec<usize>),
+        Intern(Vec<usize>),
+        /// Clone as a publish does, then intern into the clone.
+        PublishThenIntern(Vec<usize>),
+        Unbind(usize),
+        Bind(usize, usize),
+    }
+
+    fn arb_arena_op() -> impl Strategy<Value = ArenaOp> {
+        // Lengths 0..=12 over a three-pipe alphabet: short routes repeat,
+        // long ones are new content.
+        let pipes = || prop::collection::vec(0usize..3, 0..13);
+        prop_oneof![
+            3 => pipes().prop_map(ArenaOp::InternPipes),
+            3 => pipes().prop_map(ArenaOp::Intern),
+            2 => pipes().prop_map(ArenaOp::PublishThenIntern),
+            1 => (0usize..12).prop_map(ArenaOp::Unbind),
+            1 => (0usize..12, 0usize..12).prop_map(|(e, at)| ArenaOp::Bind(e, at)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The arena against a `Vec<Vec<PipeId>>`: whatever mix of interning
+        /// doors, publishes and churn fills it, across the chunk boundaries,
+        /// every id resolves to the content it was given — on the generation
+        /// that interned and on the one it was cloned from, whose tail a
+        /// clone's appends never reach and whose sealed chunks it shares —
+        /// and the encoding round-trips byte for byte, duplicates included.
+        #[test]
+        fn arena_holds_what_a_vec_of_vecs_does(
+            chunks in 0usize..3,
+            short_by in 0usize..6,
+            ops in prop::collection::vec(arb_arena_op(), 1..24),
+        ) {
+            let (d, mut matrix, mut locations) = multiplexed_ring();
+            let mut table = RouteTable::build(&matrix, &locations);
+            let mut oracle: Vec<Vec<PipeId>> =
+                (0..table.route_count()).map(|i| table.pipes(RouteId(i as u32)).to_vec()).collect();
+            // Filled (content repeating every 91 ids) to just short of the
+            // boundary: the ops straddle 1023 / 1024 / 1025, or 2048.
+            while oracle.len() + short_by < chunks * ROUTE_CHUNK {
+                let i = oracle.len();
+                let pipes = vec![PipeId(100 + i % 7); i % 13];
+                prop_assert_eq!(table.intern(&pipes), RouteId(i as u32));
+                oracle.push(pipes);
+            }
+            let mut parent = table.clone();
+            for op in ops {
+                match &op {
+                    ArenaOp::InternPipes(raw) | ArenaOp::Intern(raw) | ArenaOp::PublishThenIntern(raw) => {
+                        let pipes: Vec<PipeId> = raw.iter().map(|&p| PipeId(p)).collect();
+                        if matches!(op, ArenaOp::PublishThenIntern(_)) {
+                            parent = table.clone();
+                        }
+                        let first = oracle.iter().position(|known| *known == pipes);
+                        let (got, want) = match (&op, first) {
+                            (ArenaOp::Intern(_), _) | (_, None) => {
+                                oracle.push(pipes.clone());
+                                let always = matches!(op, ArenaOp::Intern(_));
+                                let got = if always { table.intern(&pipes) } else { table.intern_pipes(&pipes) };
+                                (got, oracle.len() - 1)
+                            }
+                            (_, Some(first)) => (table.intern_pipes(&pipes), first),
+                        };
+                        prop_assert_eq!(got, RouteId(want as u32), "{:?}", op);
+                    }
+                    ArenaOp::Unbind(e) => {
+                        table.unbind_endpoint(*e);
+                        if !table.has_endpoints_at(locations[*e]) {
+                            matrix.remove_source(locations[*e]);
+                        }
+                    }
+                    ArenaOp::Bind(e, at) => {
+                        if !table.is_endpoint_bound(*e) {
+                            locations[*e] = locations[*at];
+                            matrix.add_source(&d, locations[*e]);
+                            prop_assert!(table.bind_endpoint(&matrix, *e, locations[*e]));
+                        }
+                    }
+                }
+                // Routes a bind interned itself are the table's word.
+                for i in oracle.len()..table.route_count() {
+                    oracle.push(table.pipes(RouteId(i as u32)).to_vec());
+                }
+                prop_assert_eq!(table.route_count(), oracle.len());
+                for generation in [&table, &parent] {
+                    for (i, content) in oracle.iter().enumerate().take(generation.route_count()) {
+                        prop_assert_eq!(generation.pipes(RouteId(i as u32)), &content[..]);
+                    }
+                    prop_assert_eq!(generation.store.sealed.len(), generation.route_count() / ROUTE_CHUNK);
+                }
+                let shared = parent.store.sealed.iter().zip(&table.store.sealed);
+                prop_assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
+                table.assert_sound();
+            }
+        }
+    }
+
     #[test]
     fn covers_every_distinct_pair() {
         let (table, n) = ring_table();
@@ -1854,7 +1983,7 @@ mod tests {
         let a = table.route_id(0, 1).unwrap();
         let b = table.route_id(0, 1).unwrap();
         assert_eq!(a, b);
-        assert!(std::ptr::eq(table.route(a), table.route(b)));
+        assert!(std::ptr::eq(table.pipes(a), table.pipes(b)));
     }
 
     #[test]
@@ -2144,7 +2273,7 @@ mod tests {
     #[test]
     fn manual_construction_for_tests() {
         let mut table = RouteTable::new(2);
-        let id = table.intern(Route::new(vec![PipeId(3), PipeId(5)]));
+        let id = table.intern(&[PipeId(3), PipeId(5)]);
         table.set_pair(0, 1, id);
         assert_eq!(table.route_id(0, 1), Some(id));
         assert_eq!(table.route_id(1, 0), None);
@@ -2154,9 +2283,7 @@ mod tests {
     #[test]
     fn set_pair_grows_windows_inline_then_spills() {
         let mut table = RouteTable::new(16);
-        let ids: Vec<RouteId> = (0..8)
-            .map(|i| table.intern(Route::new(vec![PipeId(i)])))
-            .collect();
+        let ids: Vec<RouteId> = (0..8).map(|i| table.intern(&[PipeId(i)])).collect();
         // Scattered writes on one row: window grows, stays inline while
         // narrow (no allocation to share), spills once it widens.
         let inline_and_spilled = |table: &RouteTable| {
@@ -2200,7 +2327,7 @@ mod tests {
         let locations: Vec<NodeId> = (0..512).map(|i| base[i % base.len()]).collect();
         let table = RouteTable::build(&matrix, &locations);
         let mem = table.memory();
-        assert_eq!(mem.endpoint_count, 512);
+        assert_eq!(table.endpoint_count(), 512);
         assert_eq!(mem.dense_equivalent_bytes, 512 * 512 * 4);
         assert_eq!(mem.distinct_row_allocations, 8, "one row per location");
         assert!(
@@ -2222,12 +2349,12 @@ mod tests {
         // lands outside the computed window and must be skipped, not
         // indexed (regression: this used to walk off the scratch buffer).
         let mut table = RouteTable::new(16);
-        let id = table.intern(Route::new(vec![PipeId(1)]));
+        let id = table.intern(&[PipeId(1)]);
         table.set_pair(0, 3, id);
         assert_eq!(table.route_id(0, 3), Some(id));
         // Simulate the mixed batch through the public surface: clear a far
         // destination (already unroutable on this row) and rewire dst 3.
-        let other = table.intern(Route::new(vec![PipeId(2)]));
+        let other = table.intern(&[PipeId(2)]);
         let empty_row = RowShard::Empty;
         let patched = empty_row
             .patched(&[(10, NO_ROUTE), (3, other.0)])
@@ -2247,7 +2374,7 @@ mod tests {
         let mut table = RouteTable::new(4);
         let count = ROUTE_CHUNK * 2 + 7;
         let ids: Vec<RouteId> = (0..count)
-            .map(|i| table.intern(Route::new(vec![PipeId(i), PipeId(i + 1)])))
+            .map(|i| table.intern(&[PipeId(i), PipeId(i + 1)]))
             .collect();
         assert_eq!(table.route_count(), count);
         for (i, &id) in ids.iter().enumerate() {
@@ -2256,9 +2383,12 @@ mod tests {
         // Cloning shares the sealed chunks; interning into the clone leaves
         // the original untouched.
         let mut clone = table.clone();
-        let extra = clone.intern(Route::new(vec![PipeId(999_999)]));
+        let extra = clone.intern(&[PipeId(999_999)]);
         assert_eq!(clone.route_count(), count + 1);
         assert_eq!(table.route_count(), count);
         assert_eq!(clone.pipes(extra), &[PipeId(999_999)]);
+        assert_eq!(table.store.sealed.len(), 2);
+        let shared = table.store.sealed.iter().zip(&clone.store.sealed);
+        assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 }

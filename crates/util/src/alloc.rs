@@ -3,10 +3,10 @@
 //! Install [`CountingAlloc`] as the `#[global_allocator]` of a test or
 //! benchmark binary to make heap behaviour observable:
 //!
-//! * [`thread_alloc_calls`] — allocator calls made by the current thread,
-//!   the zero-allocation guard used by the steady-state suites (the
-//!   counter is a `Cell<u64>`, so reading it cannot itself allocate or
-//!   recurse into the allocator);
+//! * [`thread_alloc_calls`] / [`thread_free_calls`] — allocator calls made
+//!   and blocks freed by the current thread, the zero-allocation guard used
+//!   by the steady-state suites (the counters are `Cell<u64>`s, so reading
+//!   one cannot itself allocate or recurse into the allocator);
 //! * [`thread_alloc_bytes`] / [`take_thread_largest_alloc`] — bytes this thread
 //!   requested and the largest single block among them, which state an
 //!   allocation budget ("one buffer, no second copy") as a test;
@@ -24,9 +24,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 thread_local! {
-    /// This thread's requests: how many, their bytes, the largest one.
-    static THREAD: (Cell<u64>, Cell<u64>, Cell<usize>) =
-        const { (Cell::new(0), Cell::new(0), Cell::new(0)) };
+    /// This thread's requests: how many, their bytes, the largest one; and
+    /// the blocks it freed.
+    static THREAD: (Cell<u64>, Cell<u64>, Cell<usize>, Cell<u64>) =
+        const { (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)) };
 }
 
 static BYTES_IN_USE: AtomicUsize = AtomicUsize::new(0);
@@ -38,6 +39,11 @@ static TOTAL_ALLOCATED: AtomicU64 = AtomicU64::new(0);
 /// "no new memory requested", and a free cannot request memory.
 pub fn thread_alloc_calls() -> u64 {
     THREAD.with(|t| t.0.get())
+}
+
+/// Blocks this thread has freed (dealloc) since it started.
+pub fn thread_free_calls() -> u64 {
+    THREAD.with(|t| t.3.get())
 }
 
 /// Bytes requested (alloc / alloc_zeroed / realloc's new size) by this
@@ -110,6 +116,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        THREAD.with(|t| t.3.set(t.3.get() + 1));
         on_free(layout.size());
         System.dealloc(ptr, layout)
     }

@@ -702,3 +702,43 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
     );
     assert!(fresh.snapshot().unwrap() == second);
 }
+
+#[test]
+fn a_route_table_restore_allocates_per_chunk_not_per_route() {
+    // The route arena's allocation budget. Routes live back to back in
+    // chunks of 1024 (`ROUTE_CHUNK` in `mn_routing::table`), a chunk being
+    // its `Arc`, its offsets and its pipes: decoding 100 000 routes is at
+    // most 4 allocator calls per chunk (the fourth: growth of the chunk
+    // list, a chunk longer than the one before it) plus 64 for the first
+    // chunk's growth from empty, the content index — one block, sized once —
+    // and the rows, columns and geometry; dropping the table frees 3 blocks
+    // per chunk plus 16. A `Vec` per route made both at least 100 000.
+    const ROUTES: usize = 100_000;
+    let chunks = ROUTES.div_ceil(1024) as u64;
+    let mut table = mn_routing::RouteTable::new(2);
+    for i in 0..ROUTES {
+        let pipes = [i, i + 1, i % 7].map(mn_distill::PipeId);
+        table.intern(&pipes[..2 + i % 2]);
+    }
+    table.set_pair(0, 1, mn_routing::RouteId(ROUTES as u32 - 1));
+    let mut w = mn_util::ByteWriter::new();
+    table.encode(&mut w);
+    let bytes = w.into_bytes();
+
+    let calls = alloc_calls();
+    let restored = mn_routing::RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+    let calls = alloc_calls() - calls;
+    assert_eq!(restored.route_count(), ROUTES);
+    assert!(
+        calls <= 4 * chunks + 64,
+        "{calls} allocator calls decoding {ROUTES} routes in {chunks} chunks"
+    );
+    let frees = mn_util::alloc::thread_free_calls();
+    drop(restored);
+    let frees = mn_util::alloc::thread_free_calls() - frees;
+    assert!(
+        frees <= 3 * chunks + 16,
+        "{frees} blocks freed dropping {ROUTES} routes in {chunks} chunks"
+    );
+    println!("{ROUTES} routes, {chunks} chunks: {calls} allocator calls to decode, {frees} frees to drop");
+}
