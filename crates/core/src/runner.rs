@@ -37,7 +37,7 @@ use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
-use mn_util::codec::checksum64;
+use mn_util::codec::{checksum64, checksum64_around};
 use mn_util::{
     ByteReader, ByteSize, ByteWriter, Cdf, CodecError, DataRate, SimDuration, SimTime, TimerWheel,
 };
@@ -395,10 +395,26 @@ enum Event {
 /// version independently.
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
-/// Current runner snapshot format version, the only one written. Version 2
+/// Current runner snapshot format version, the only one written. Version 3
+/// nests an `MNSP` version 3 frame and stopped summing that frame's payload
+/// a second time: its checksum covers the runner's own fields and the nested
+/// frame's header and checksum ([`checksum_around_emulator_frame`]). Version 2
 /// changed the frame checksum (FNV-1a to [`checksum64`]) and nothing else;
 /// version-1 frames still restore.
-const RUNNER_SNAPSHOT_VERSION: u32 = 2;
+const RUNNER_SNAPSHOT_VERSION: u32 = 3;
+
+/// The `MNRS` version 3 sum of a payload: the virtual clock, a length and
+/// the `MNSP` frame of that length lead it, and everything but that frame's
+/// own payload is summed ([`checksum64_around`]). A payload too short to
+/// hold what it says is summed whole — the decoder then refuses it.
+fn checksum_around_emulator_frame(payload: &[u8]) -> u64 {
+    let mut r = ByteReader::new(payload);
+    let frame = r.get_time().and_then(|_| r.get_len());
+    match frame {
+        Ok(len) if len >= 24 && len <= r.remaining() => checksum64_around(payload, 16..16 + len),
+        _ => checksum64(payload),
+    }
+}
 
 /// Why [`Runner::snapshot`] refused to serialize the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1057,10 +1073,13 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(SnapshotError::AppsNotSupported);
         }
-        // One pass into one buffer, sized by the last checkpoint plus room
-        // to have grown a little (the first grows geometrically); both
-        // frames' payloads are streamed in place.
-        let hint = self.snapshot_len_hint;
+        // One pass into one buffer, sized by the last checkpoint (the first:
+        // by the routing state's encoded length) plus room to have grown a
+        // little; both frames' payloads are streamed in place.
+        let hint = match self.snapshot_len_hint {
+            0 => on_emulator!(&self.emulator, emu => emu.snapshot_len_hint()),
+            last => last,
+        };
         let mut w = ByteWriter::with_capacity(hint + hint / 16 + 4096);
         let frame = w.begin_frame(RUNNER_SNAPSHOT_MAGIC, RUNNER_SNAPSHOT_VERSION);
         w.put_time(self.now);
@@ -1068,7 +1087,8 @@ impl Runner {
         let emu_start = w.len();
         on_emulator!(&mut self.emulator, emu => emu.snapshot_into(&mut w))
             .map_err(SnapshotError::Emulator)?;
-        w.patch_u64(emu_start - 8, (w.len() - emu_start) as u64);
+        let emu_frame = emu_start..w.len();
+        w.patch_u64(emu_start - 8, emu_frame.len() as u64);
         let entries = self.events.entries_in_order();
         w.put_len(entries.len());
         for (at, event) in entries {
@@ -1128,7 +1148,8 @@ impl Runner {
         w.put_bool(self.apps_started);
         w.put_opt_u64(self.dynamics.as_ref().map(|engine| engine.cursor() as u64));
         w.put_opt_u64(self.auto_checkpoint.map(SimDuration::as_nanos));
-        w.end_frame(frame);
+        // The emulator's payload is under its own frame's sum already.
+        w.end_frame_around(frame, emu_frame);
         self.snapshot_len_hint = w.len();
         Ok(w.into_bytes())
     }
@@ -1148,10 +1169,11 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(RecoverError::AppsNotSupported);
         }
-        let mut r =
+        let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
                 1 => Ok(mn_util::codec::fnv1a64),
                 2 => Ok(checksum64),
+                3 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way

@@ -865,10 +865,17 @@ impl<X: CoreExecutor> Emulator<X> {
     ///
     /// [`EmuError::WorkerFailure`] if a core thread died or stalled.
     pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
-        let mut w = ByteWriter::with_capacity(64 * 1024);
+        let mut w = ByteWriter::with_capacity(self.snapshot_len_hint());
         self.snapshot_into(&mut w)?;
         let framed = w.into_bytes();
         Ok(EmulatorSnapshot { framed })
+    }
+
+    /// What sizes a checkpoint when there is no earlier one to go by: the
+    /// encoded route table and routing matrix, from lengths alone, plus
+    /// room for the cores and tables. Too small only costs a regrowth.
+    pub fn snapshot_len_hint(&self) -> usize {
+        self.admission.routes.encoded_len() + self.matrix.encoded_len() + 64 * 1024
     }
 
     /// The one encoder: appends the checkpoint to `w` as a complete `MNSP`
@@ -935,26 +942,33 @@ impl<X: CoreExecutor> Emulator<X> {
     /// [`CodecError`] if the payload is inconsistent or is not consumed to
     /// the last byte.
     pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
-        Self::decode(snapshot.reader())
+        let (version, payload) = snapshot.reader();
+        Self::decode(version, payload)
     }
 
     /// [`Emulator::restore`] straight from a framed snapshot of any version
     /// this build reads: `framed` is verified and decoded in place.
     pub fn restore_bytes(framed: &[u8]) -> Result<Self, CodecError> {
-        Self::decode(EmulatorSnapshot::verify(framed)?)
+        let (version, payload) = EmulatorSnapshot::verify(framed)?;
+        Self::decode(version, payload)
     }
 
-    /// The one decoder, over a verified payload. The checksum only says the
-    /// bytes are the ones written; every index the run phase later uses
-    /// unchecked — entry cores, the load vector, tunnel targets, the per-VN
-    /// tables against the route table, each descriptor's route and hop — is
-    /// checked here, so a hand-built or damaged snapshot is a typed error
-    /// here, not an out-of-bounds panic on the forwarding path.
-    fn decode(mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
+    /// The one decoder, over a verified payload of format `version` (which
+    /// selects the route table's layout and nothing else). The checksum
+    /// only says the bytes are the ones written; every index the run phase
+    /// later uses unchecked — entry cores, the load vector, tunnel targets,
+    /// the per-VN tables against the route table, each route's pipes
+    /// against the ownership directory, each descriptor's route and hop —
+    /// is checked here, so a hand-built or damaged snapshot is a typed
+    /// error here, not an out-of-bounds panic on the forwarding path.
+    fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = decode_profile(r)?;
-        let routes = Arc::new(RouteTable::decode(r)?);
+        let routes = Arc::new(match version {
+            1 | 2 => RouteTable::decode_v2(r)?,
+            _ => RouteTable::decode(r)?,
+        });
         let matrix = RoutingMatrix::decode(r)?;
         let core_count = r.get_usize()?;
         let owners = r.get_u64s()?;
@@ -966,6 +980,10 @@ impl<X: CoreExecutor> Emulator<X> {
             owners,
             core_count.max(1),
         ));
+        // A hop is forwarded by asking the directory who owns its pipe.
+        if routes.pipe_bound() > pod.pipe_count() {
+            return Err(Invalid("route names a pipe the POD does not cover"));
+        }
         // One count covers the three per-VN tables: 8 + 8 + 1 bytes a VN.
         let vn_count = r.get_count(17)?;
         if vn_count != routes.endpoint_count() {
@@ -1126,7 +1144,7 @@ mod tests {
     #[test]
     fn restore_rejects_out_of_range_indices() {
         type Corrupt = fn(&mut MultiCoreEmulator);
-        let hostile: [(&str, Corrupt); 9] = [
+        let hostile: [(&str, Corrupt); 10] = [
             ("VN entry core out of range", |e| {
                 e.admission.vn_entry_core[3] = CoreId(99);
             }),
@@ -1157,6 +1175,13 @@ mod tests {
             ("descriptor route or hop out of range", |e| {
                 let hops = e.route_table().pipes(RouteId(0)).len();
                 stage_tunnel(e, 1, RouteId(0), hops + 1);
+            }),
+            // Accepted at submit, then the first advance asks the directory
+            // for pipe 9 999's owner.
+            ("route names a pipe the POD does not cover", |e| {
+                let routes = Arc::make_mut(&mut e.admission.routes);
+                let id = routes.intern_pipes(&[PipeId(9_999)]);
+                routes.set_pair(0, 5, id);
             }),
         ];
         for (what, corrupt) in hostile {

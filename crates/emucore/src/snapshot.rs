@@ -15,8 +15,11 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or future-version snapshot is a structured [`CodecError`], never a
 //! mis-restore. Version 2 changed the checksum only (byte-serial FNV-1a to
-//! the word-wise [`checksum64`]); the payload layout is version 1's, and
-//! version-1 frames still decode. What is *not* captured: application
+//! the word-wise [`checksum64`]); version 3 changed the route table's
+//! section only (the route arena chunk by chunk with `u32` pipe ids, one row
+//! per location instead of one per endpoint — see
+//! [`mn_routing::RouteTable::encode`]); frames of every earlier version
+//! still decode. What is *not* captured: application
 //! state (traffic sources attached to a [`crate::Emulator`] via a
 //! runner live outside the emulator; the runner documents its own policy)
 //! and coordinator scratch buffers, which are rebuilt empty.
@@ -34,7 +37,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders keep reading every earlier version and reject
 /// later ones with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -50,9 +53,12 @@ pub struct EmulatorSnapshot {
 }
 
 impl EmulatorSnapshot {
-    /// A reader over the payload (after the 16-byte header), for restore.
-    pub(crate) fn reader(&self) -> ByteReader<'_> {
-        ByteReader::new(&self.framed[16..self.framed.len() - 8])
+    /// The verified frame's version word and a reader over its payload
+    /// (after the 16-byte header), for restore.
+    pub(crate) fn reader(&self) -> (u32, ByteReader<'_>) {
+        let version = u32::from_le_bytes(self.framed[4..8].try_into().expect("4 bytes"));
+        let payload = &self.framed[16..self.framed.len() - 8];
+        (version, ByteReader::new(payload))
     }
 
     /// The frame, for storage, as the encoder wrote it or
@@ -62,11 +68,12 @@ impl EmulatorSnapshot {
     }
 
     /// Checks a frame (magic, a version this build reads, length, that
-    /// version's checksum, nothing after it); the reader borrows the payload.
-    pub(crate) fn verify(bytes: &[u8]) -> Result<ByteReader<'_>, CodecError> {
+    /// version's checksum, nothing after it) and returns its version with a
+    /// reader that borrows the payload.
+    pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
             1 => Ok(mn_util::codec::fnv1a64),
-            2 => Ok(checksum64),
+            2 | 3 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }
@@ -324,7 +331,8 @@ mod tests {
         };
         let bytes = snap.to_bytes();
         assert_eq!(EmulatorSnapshot::from_bytes(&bytes).unwrap(), snap);
-        assert_eq!(snap.reader().remaining(), 8);
+        let (version, payload) = snap.reader();
+        assert_eq!((version, payload.remaining()), (SNAPSHOT_VERSION, 8));
 
         // Anything after the checksum: refused, not ignored.
         let mut padded = bytes.clone();

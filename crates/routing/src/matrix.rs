@@ -809,6 +809,24 @@ impl RoutingMatrix {
         w.put_u64(self.version);
     }
 
+    /// The bytes [`RoutingMatrix::encode`] writes, from lengths alone (one
+    /// step per nested list), so a first checkpoint is one allocation.
+    pub fn encoded_len(&self) -> usize {
+        let nested = |v: &[Vec<u32>]| 8 + v.iter().map(|list| 8 + 4 * list.len()).sum::<usize>();
+        let wide = self.vns.len() + self.dist.len() + self.pipe_cost.len();
+        let narrow = self.vn_of_node.len()
+            + self.pred.len()
+            + self.pipe_src.len()
+            + self.node_component.len()
+            + self.free_slots.len();
+        // Eight count prefixes, the node count and the version.
+        80 + 8 * wide
+            + 4 * narrow
+            + nested(&self.component_vns)
+            + nested(&self.component_nodes)
+            + nested(&self.pipe_sources)
+    }
+
     /// Rebuilds a matrix from bytes produced by [`RoutingMatrix::encode`].
     /// The restored matrix answers every lookup — and reacts to every
     /// future [`RoutingMatrix::update_pipes`] — identically to the one
@@ -1243,6 +1261,7 @@ mod tests {
         let mut w = mn_util::ByteWriter::new();
         m.encode(&mut w);
         let bytes = w.into_bytes();
+        assert_eq!(m.encoded_len(), bytes.len());
         let mut restored =
             RoutingMatrix::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
 

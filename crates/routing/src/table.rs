@@ -13,8 +13,10 @@
 //!   `ROUTE_CHUNK` (1024) routes: a chunk is its `Arc`, a `u32` end offset
 //!   per route and one run of pipes — three allocations per chunk, none per
 //!   route. Sealed chunks are shared by every generation, so retaining the
-//!   ids in flight costs reference bumps, and a restore fills chunks
-//!   straight from the bytes.
+//!   ids in flight costs reference bumps, and a chunk's two runs are also
+//!   its encoded form: a checkpoint writes them as they lie (pipe ids
+//!   narrowed to the `u32` they are everywhere else) and a restore copies
+//!   them back in bulk.
 //! * `rows` — **one row shard per location slot**, mapping a destination
 //!   location slot to its raw `RouteId`, page-grouped into shared blocks of
 //!   `BLOCK_ROWS` (1024) rows. A row stores only the window `[base, base +
@@ -50,14 +52,15 @@
 //! array, and a match is **verified against the store itself** — the index
 //! keeps no second copy of any route, a collision costs a comparison and
 //! can never alias, and ids are first-id-wins. The index is a pure function
-//! of the append-only store (snapshots leave it out) and sits with it
-//! behind one `Arc`: generations share both, and the first to intern new
-//! content copies the chunk handles, the open tail and the index — flat,
-//! 16 B per slot at 4/3 to 8/3 slots per route: ≤ 43 B per route — so a
-//! link-up or an oscillation, which intern nothing, never pays. The bulk
-//! writers unshare once, not per route: `build` interns through one `&mut`
-//! store; `decode` fills chunks, then indexes them in one pass in id order
-//! over a table sized once.
+//! of the append-only store, so snapshots leave it out and a decoded table
+//! has none until its first lookup builds it, in one pass in id order over
+//! a table sized once: a restore that only forwards never pays for it. It
+//! sits with the store behind one `Arc`: generations share both, and the
+//! first to intern new content copies the chunk handles, the open tail and
+//! the index — flat, 16 B per slot at 4/3 to 8/3 slots per route: ≤ 43 B
+//! per route — so a link-up or an oscillation, which intern nothing, never
+//! pays. The bulk writers unshare once, not per route: `build` interns
+//! through one `&mut` store; `decode` fills whole chunks.
 //!
 //! Endpoint indices are the dense VN indices of the binding (`VnId::index`),
 //! but the table is deliberately typed on `usize` so `mn-routing` stays
@@ -65,7 +68,7 @@
 //! cores' point of view: a routing change builds the next generation (cheap,
 //! structurally shared) and swaps the `Arc<RouteTable>`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -111,7 +114,7 @@ const BLOCK_ROWS: usize = 1024;
 
 /// One location's row shard: destination location slot → raw `RouteId`,
 /// stored as a dense window over the columns that are actually routable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum RowShard {
     /// Every destination unroutable (also the [`RouteTable::new`] initial
     /// state, and the row of a location with no live endpoint).
@@ -189,6 +192,77 @@ impl RowShard {
                 slots: trimmed.into(),
             }
         }
+    }
+
+    /// Writes the shard verbatim — tag, base, width, slots — so a restored
+    /// row patches exactly like the captured one.
+    fn encode(&self, w: &mut mn_util::ByteWriter) {
+        match self {
+            RowShard::Empty => w.put_u8(0),
+            RowShard::Inline { base, len, slots } => {
+                w.put_u8(1);
+                w.put_u32(*base);
+                w.put_u8(*len);
+                for &s in &slots[..*len as usize] {
+                    w.put_u32(s);
+                }
+            }
+            RowShard::Spilled { base, slots } => {
+                w.put_u8(2);
+                w.put_u32(*base);
+                w.put_u32s(slots);
+            }
+        }
+    }
+
+    /// The bytes [`RowShard::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        match self {
+            RowShard::Empty => 1,
+            RowShard::Inline { len, .. } => 6 + 4 * *len as usize,
+            RowShard::Spilled { slots, .. } => 13 + 4 * slots.len(),
+        }
+    }
+
+    /// Reads a shard [`RowShard::encode`] wrote, form and geometry as
+    /// written; what it names is [`RowShard::check`]ed once the store and
+    /// the column count are known.
+    fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
+        use mn_util::CodecError::Invalid;
+        Ok(match r.get_u8()? {
+            0 => RowShard::Empty,
+            1 => {
+                let (base, len) = (r.get_u32()?, r.get_u8()?);
+                if len as usize > INLINE_ROW_CAP {
+                    return Err(Invalid("inline row too wide"));
+                }
+                let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
+                for slot in &mut slots[..len as usize] {
+                    *slot = r.get_u32()?;
+                }
+                RowShard::Inline { base, len, slots }
+            }
+            2 => RowShard::Spilled {
+                base: r.get_u32()?,
+                slots: r.get_u32s()?.into(),
+            },
+            _ => return Err(Invalid("unknown row shard tag")),
+        })
+    }
+
+    /// Checks every id against the store's `route_count` and the window
+    /// against the table's `columns`.
+    fn check(&self, route_count: usize, columns: usize) -> Result<(), mn_util::CodecError> {
+        use mn_util::CodecError::Invalid;
+        let (base, width) = self.window();
+        let mut ids = (base..base + width).map(|column| self.raw(column));
+        if ids.any(|raw| raw != NO_ROUTE && raw as usize >= route_count) {
+            return Err(Invalid("row shard names a route the store does not hold"));
+        }
+        if base + width > columns {
+            return Err(Invalid("row window outside the column range"));
+        }
+        Ok(())
     }
 
     /// `true` when two shards are literally the same storage: a shared slot
@@ -347,7 +421,15 @@ impl Chunk {
 struct RouteStore {
     sealed: Vec<Arc<Chunk>>,
     tail: Chunk,
-    index: ContentIndex,
+    /// One past the largest pipe id any stored route names (0: none).
+    pipe_bound: usize,
+    /// Built by the first [`RouteStore::find`]: `build` interns through it
+    /// from the first route on, a decoded store has none until then.
+    index: OnceLock<ContentIndex>,
+    /// Test-only: the index, whenever it is built, folds every sequence to
+    /// the same fingerprint (see [`ContentIndex::degenerate`]).
+    #[cfg(test)]
+    degenerate: bool,
 }
 
 impl RouteStore {
@@ -370,30 +452,41 @@ impl RouteStore {
         self.sealed.iter().map(|c| &**c).chain([&self.tail])
     }
 
-    /// Fingerprints `pipes` and probes the index for the first id interned
-    /// with exactly this content, verified against the arena. `probes`
-    /// counts the slots inspected and the comparisons.
+    /// Fingerprints `pipes` and probes the index — built here if this is
+    /// the store's first lookup — for the first id interned with exactly
+    /// this content, verified against the arena. `probes` counts the slots
+    /// inspected and the comparisons.
     fn find(&self, pipes: &[PipeId], probes: &mut u64) -> (u64, Option<RouteId>) {
-        let index = &self.index;
+        let index = self.index.get_or_init(|| self.build_index());
         let fingerprint = index.fingerprint(pipes);
-        if index.slots.is_empty() {
-            return (fingerprint, None);
+        let content = |id: u32| self.get(id as usize);
+        let known = index.probe(fingerprint, pipes, content, probes);
+        (fingerprint, known.ok())
+    }
+
+    /// The content index of the routes stored so far, in one pass in id
+    /// order: every fingerprint chunk by chunk (a sequential read), the
+    /// table sized once, then the inserts — first-id-wins and verified
+    /// against the store, exactly as `find` then `append` one by one.
+    fn build_index(&self) -> ContentIndex {
+        let mut index = ContentIndex::default();
+        #[cfg(test)]
+        {
+            index.degenerate = self.degenerate;
         }
-        let mut at = index.home(fingerprint);
-        loop {
-            let (slot_fingerprint, id) = index.slots[at];
-            *probes += 1;
-            if id == NO_ROUTE {
-                return (fingerprint, None);
-            }
-            if slot_fingerprint == fingerprint {
-                *probes += 1;
-                if self.get(id as usize) == pipes {
-                    return (fingerprint, Some(RouteId(id)));
-                }
-            }
-            at = (at + 1) & (index.slots.len() - 1);
+        let mut fingerprints = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
+            fingerprints.extend((0..chunk.ends.len()).map(|at| index.fingerprint(chunk.get(at))));
         }
+        index.reserve(fingerprints.len().max(1));
+        let content = |id: u32| self.get(id as usize);
+        for (id, &fingerprint) in fingerprints.iter().enumerate() {
+            if let Err(free) = index.probe(fingerprint, self.get(id), content, &mut 0) {
+                index.slots[free] = (fingerprint, id as u32);
+                index.len += 1;
+            }
+        }
+        index
     }
 
     /// Appends a route to the arena, indexing it under `new_content` (its
@@ -401,11 +494,89 @@ impl RouteStore {
     fn append(&mut self, pipes: &[PipeId], new_content: Option<u64>) -> RouteId {
         let id = RouteId(self.len() as u32);
         self.tail.pipes.extend_from_slice(pipes);
+        let bound = pipes.iter().map(|p| p.index() + 1).max();
+        self.pipe_bound = self.pipe_bound.max(bound.unwrap_or(0));
         self.close_route();
         if let Some(fingerprint) = new_content {
-            self.index.insert(fingerprint, id);
+            let index = self.index.get_mut().expect("a failed find built the index");
+            index.insert(fingerprint, id);
         }
         id
+    }
+
+    /// Fills an empty store from the chunk form [`RouteTable::encode`]
+    /// writes: a chunk count, then per chunk its `ends` and its pipes as
+    /// `u32` runs, each copied in bulk into the chunk's two buffers.
+    fn fill_chunks(&mut self, r: &mut mn_util::ByteReader) -> Result<(), mn_util::CodecError> {
+        use mn_util::CodecError::Invalid;
+        // A chunk is at least its two count prefixes; the tail is always
+        // written, and only ever short of full (a full one is sealed).
+        let chunks = r.get_count(16)?;
+        if chunks == 0 || (chunks - 1) * ROUTE_CHUNK >= NO_ROUTE as usize {
+            return Err(Invalid(
+                "route store has no tail chunk, or more routes than ids",
+            ));
+        }
+        self.sealed.reserve_exact(chunks - 1);
+        let mut bound = 0;
+        for at in 1..=chunks {
+            let ends = r.get_u32s()?;
+            let (full, tail) = (ends.len() == ROUTE_CHUNK, at == chunks);
+            if ends.len() > ROUTE_CHUNK || full == tail {
+                return Err(Invalid(
+                    "every chunk is full, except the tail, which is not",
+                ));
+            }
+            if ends.windows(2).any(|pair| pair[0] > pair[1]) {
+                return Err(Invalid("a chunk's route ends decrease"));
+            }
+            let words = r.get_count(4)?;
+            if ends.last().map_or(0, |&end| end as usize) != words {
+                return Err(Invalid("a chunk's last route end is not its pipe count"));
+            }
+            let words = r.take_bytes(words * 4)?.chunks_exact(4);
+            let pipes = words.map(|word| {
+                let pipe = u32::from_le_bytes(word.try_into().expect("4-byte chunk")) as usize;
+                bound = bound.max(pipe + 1);
+                PipeId(pipe)
+            });
+            let chunk = Chunk {
+                ends,
+                pipes: pipes.collect(),
+            };
+            match tail {
+                true => self.tail = chunk,
+                false => self.sealed.push(Arc::new(chunk)),
+            }
+        }
+        self.pipe_bound = bound;
+        Ok(())
+    }
+
+    /// Fills an empty store from the version-2 form: a route count, then
+    /// each route as a `u64`-count-prefixed run of `u64` pipe ids, read
+    /// straight into the tail chunk.
+    fn fill_routes_v2(&mut self, r: &mut mn_util::ByteReader) -> Result<(), mn_util::CodecError> {
+        use mn_util::CodecError::Invalid;
+        // An empty route is its count prefix alone.
+        let route_count = r.get_count(8)?;
+        if route_count >= NO_ROUTE as usize {
+            return Err(Invalid("more routes than route ids"));
+        }
+        for _ in 0..route_count {
+            let hops = r.get_count(8)?;
+            if u32::try_from(self.tail.pipes.len() + hops).is_err() {
+                return Err(Invalid("route chunk beyond its u32 offsets"));
+            }
+            for word in r.take_bytes(hops * 8)?.chunks_exact(8) {
+                let pipe = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+                let pipe = u32::try_from(pipe).map_err(|_| Invalid("pipe id beyond u32"))?;
+                self.pipe_bound = self.pipe_bound.max(pipe as usize + 1);
+                self.tail.pipes.push(PipeId(pipe as usize));
+            }
+            self.close_route();
+        }
+        Ok(())
     }
 
     /// Ends the route whose pipes were just pushed onto the tail, sealing
@@ -466,6 +637,34 @@ impl ContentIndex {
     /// best-mixed ones of a multiplicative fold.
     fn home(&self, fingerprint: u64) -> usize {
         (fingerprint >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Walks `fingerprint`'s probe sequence: the first id under that
+    /// fingerprint whose stored route (read through `content`) is `pipes`,
+    /// or the free slot the sequence ends at. The table has slots: it is
+    /// only ever built by [`RouteStore::build_index`], which reserves some.
+    fn probe<'s>(
+        &self,
+        fingerprint: u64,
+        pipes: &[PipeId],
+        content: impl Fn(u32) -> &'s [PipeId],
+        probes: &mut u64,
+    ) -> Result<RouteId, usize> {
+        let mut at = self.home(fingerprint);
+        loop {
+            let (slot_fingerprint, id) = self.slots[at];
+            *probes += 1;
+            if id == NO_ROUTE {
+                return Err(at);
+            }
+            if slot_fingerprint == fingerprint {
+                *probes += 1;
+                if content(id) == pipes {
+                    return Ok(RouteId(id));
+                }
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
     }
 
     /// Makes room for `extra` more entries at load ≤ 3/4, rehashing at most
@@ -656,69 +855,6 @@ pub struct RouteStateMemory {
     pub distinct_row_allocations: usize,
     /// Locations whose row is stored inline (no heap allocation).
     pub inline_rows: usize,
-}
-
-/// One row shard as [`RouteTable::encode`] wrote it, borrowed from the
-/// input. The wire format repeats a location's row once per endpoint bound
-/// there; `decode` compares the copies as bytes and parses one.
-#[derive(Clone, Copy, PartialEq)]
-struct EncodedRow<'a> {
-    tag: u8,
-    base: u32,
-    slots: &'a [u8],
-}
-
-impl<'a> EncodedRow<'a> {
-    fn read(r: &mut mn_util::ByteReader<'a>) -> Result<Self, mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
-        let tag = r.get_u8()?;
-        let (base, width) = match tag {
-            0 => (0, 0),
-            1 => (r.get_u32()?, r.get_u8()? as usize),
-            2 => (r.get_u32()?, r.get_count(4)?),
-            _ => return Err(Invalid("unknown row shard tag")),
-        };
-        if tag == 1 && width > INLINE_ROW_CAP {
-            return Err(Invalid("inline row too wide"));
-        }
-        let slots = r.take_bytes(width * 4)?;
-        Ok(EncodedRow { tag, base, slots })
-    }
-
-    /// Parses the shard, checking every id against the store's
-    /// `route_count` and the window against the table's `columns`.
-    fn shard(&self, route_count: usize, columns: usize) -> Result<RowShard, mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
-        let words = self.slots.chunks_exact(4);
-        let slots: Vec<u32> = words
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
-            .collect();
-        if slots
-            .iter()
-            .any(|&raw| raw != NO_ROUTE && raw as usize >= route_count)
-        {
-            return Err(Invalid("row shard names a route the store does not hold"));
-        }
-        if self.base as usize + slots.len() > columns {
-            return Err(Invalid("row window outside the column range"));
-        }
-        Ok(match self.tag {
-            0 => RowShard::Empty,
-            1 => {
-                let mut inline = [NO_ROUTE; INLINE_ROW_CAP];
-                inline[..slots.len()].copy_from_slice(&slots);
-                RowShard::Inline {
-                    base: self.base,
-                    len: slots.len() as u8,
-                    slots: inline,
-                }
-            }
-            _ => RowShard::Spilled {
-                base: self.base,
-                slots: slots.into(),
-            },
-        })
-    }
 }
 
 /// Copy-on-write route lookup state for one emulation, one row per location.
@@ -1148,44 +1284,30 @@ impl RouteTable {
         self.index_probes
     }
 
-    /// Serialises the table for a checkpoint: the interned route store in
-    /// id order, one row shard **per endpoint** — its location's, verbatim
-    /// (window geometry included, so a restored row patches exactly like
-    /// the captured one), or an empty one if it is departed — then the
-    /// column map without the departed bits, the location geometry and the
-    /// version. The content-dedup index is not written — it is a pure
-    /// function of the store and is rebuilt first-id-wins on decode.
+    /// Serialises the table for a checkpoint, in the form it is held in:
+    /// the route arena chunk by chunk — each chunk's `ends`, then its pipes
+    /// narrowed to `u32`, as two bulk runs — one row shard **per location
+    /// slot**, verbatim (window geometry included, so a restored row
+    /// patches exactly like the captured one), then the column map without
+    /// the departed bits, the location geometry and the version. The
+    /// content-dedup index is not written — it is a pure function of the
+    /// store, rebuilt first-id-wins by the restored table's first lookup.
     pub fn encode(&self, w: &mut mn_util::ByteWriter) {
+        assert!(self.store.pipe_bound as u64 <= 1 << 32, "pipe ids fit u32");
         w.put_usize(self.endpoint_count);
         w.put_u64(self.version);
-        w.put_len(self.route_count());
+        w.put_len(self.store.sealed.len() + 1);
         for chunk in self.store.chunks() {
-            for at in 0..chunk.ends.len() {
-                w.put_u64s(chunk.get(at).iter().map(|p| p.index() as u64));
-            }
+            w.put_u32s(&chunk.ends);
+            w.put_u32s_from(chunk.pipes.iter().map(|p| p.index() as u32));
         }
-        for src in 0..self.endpoint_count {
-            match self.live_row(src) {
-                None | Some(RowShard::Empty) => w.put_u8(0),
-                Some(RowShard::Inline { base, len, slots }) => {
-                    w.put_u8(1);
-                    w.put_u32(*base);
-                    w.put_u8(*len);
-                    for &s in &slots[..*len as usize] {
-                        w.put_u32(s);
-                    }
-                }
-                Some(RowShard::Spilled { base, slots }) => {
-                    w.put_u8(2);
-                    w.put_u32(*base);
-                    w.put_u32s(slots);
-                }
-            }
+        w.put_len(self.locs.locations.len());
+        for block in &self.rows {
+            block.iter().for_each(|row| row.encode(w));
         }
         for e in 0..self.endpoint_count {
             w.put_u32(self.col(e).expect("endpoint in range") & !DEPARTED);
         }
-        w.put_len(self.locs.locations.len());
         for &loc in &self.locs.locations {
             w.put_usize(loc.index());
         }
@@ -1194,66 +1316,80 @@ impl RouteTable {
         }
     }
 
+    /// The bytes [`RouteTable::encode`] writes, from lengths alone —
+    /// O(chunks + locations) — so a first checkpoint is one allocation.
+    pub fn encoded_len(&self) -> usize {
+        let chunks = self.store.chunks();
+        let store: usize = chunks
+            .map(|c| 16 + 4 * (c.ends.len() + c.pipes.len()))
+            .sum();
+        let rows = self.rows.iter().flat_map(|block| block.iter());
+        let rows: usize = rows.map(RowShard::encoded_len).sum();
+        let lists = self.locs.endpoints.iter();
+        let geometry: usize = lists.map(|list| 16 + 4 * list.len()).sum();
+        32 + store + rows + 4 * self.endpoint_count + geometry
+    }
+
     /// Rebuilds a table from bytes produced by [`RouteTable::encode`].
-    /// Route ids are reassigned in the original interning order, so every
+    /// Route ids are the positions the routes were interned at, so every
     /// stored id — including the ones descriptors in flight carry — keeps
     /// resolving to the same route, and re-encoding the result reproduces
     /// the input byte for byte.
     ///
     /// Nothing read is trusted, and every invariant the table relies on is
     /// checked here rather than where it is used: counts are bounded by the
-    /// bytes left; route ids, row windows and columns are range-checked;
-    /// locations are distinct; each location's endpoint list is strictly
-    /// ascending and names only endpoints whose column is that location;
-    /// the endpoints of one location carry one and the same row, and an
-    /// endpoint in no list (departed) carries none. A damaged snapshot is a
-    /// typed error here, not a panic or a wrong answer on the forwarding
-    /// path later.
+    /// bytes left; every chunk but the last is full, the last is not, each
+    /// chunk's `ends` never decrease and finish on its pipe count; route
+    /// ids, row windows and columns are range-checked; locations are
+    /// distinct; each location's endpoint list is strictly ascending and
+    /// names only endpoints whose column is that location; a location with
+    /// no endpoint carries no row. A damaged snapshot is a typed error
+    /// here, not a panic or a wrong answer on the forwarding path later.
     pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
+        Self::decode_layout(r, false)
+    }
+
+    /// [`RouteTable::decode`] for the layout `MNSP` versions 1 and 2
+    /// carried: the store one `u64`-count-prefixed run of `u64` pipe ids
+    /// per route, and one row shard **per endpoint** (its location's, or an
+    /// empty one if it is departed) ahead of the columns — the endpoints of
+    /// one location must carry one and the same row, a departed one none.
+    pub fn decode_v2(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
+        Self::decode_layout(r, true)
+    }
+
+    fn decode_layout(
+        r: &mut mn_util::ByteReader,
+        per_endpoint: bool,
+    ) -> Result<Self, mn_util::CodecError> {
         use mn_util::CodecError::Invalid;
-        // An endpoint is at least a row tag and a column.
-        let endpoint_count = r.get_count(5)?;
+        // An endpoint is at least its column (and, per endpoint, a row tag).
+        let endpoint_count = r.get_count(if per_endpoint { 5 } else { 4 })?;
         let version = r.get_u64()?;
-        // An empty route is its count prefix alone.
-        let route_count = r.get_count(8)?;
-        if route_count >= NO_ROUTE as usize {
-            return Err(Invalid("more routes than route ids"));
-        }
         let mut store = RouteStore::default();
-        for _ in 0..route_count {
-            // A route is a `put_u64s` run, read straight into the tail chunk.
-            let hops = r.get_count(8)?;
-            if u32::try_from(store.tail.pipes.len() + hops).is_err() {
-                return Err(Invalid("route chunk beyond its u32 offsets"));
-            }
-            for word in r.take_bytes(hops * 8)?.chunks_exact(8) {
-                let pipe = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-                let pipe = usize::try_from(pipe).map_err(|_| Invalid("usize overflow"))?;
-                store.tail.pipes.push(PipeId(pipe));
-            }
-            store.close_route();
-        }
-        // The content index, in one pass in id order over a table sized
-        // once. Always-append above and first-id-wins here, as `intern`: a
-        // hand-assembled store may hold the same content under two ids, and
-        // both must survive.
-        let mut index_probes = 0;
-        store.index.reserve(route_count);
-        for id in 0..route_count {
-            if let (fingerprint, None) = store.find(store.get(id), &mut index_probes) {
-                store.index.insert(fingerprint, RouteId(id as u32));
-            }
-        }
-        let mut rows = Vec::with_capacity(endpoint_count);
-        for _ in 0..endpoint_count {
-            rows.push(EncodedRow::read(r)?);
+        // A location is its row tag, its node and the count of its endpoint
+        // list; the version-2 layout states the count after the columns.
+        let slots = if per_endpoint {
+            store.fill_routes_v2(r)?;
+            None
+        } else {
+            store.fill_chunks(r)?;
+            Some(r.get_count(17)?)
+        };
+        let route_count = store.len();
+        let row_count = slots.unwrap_or(endpoint_count);
+        let mut rows = Vec::with_capacity(row_count);
+        for _ in 0..row_count {
+            rows.push(RowShard::decode(r)?);
         }
         let mut cols_flat = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
             cols_flat.push(r.get_u32()?);
         }
-        // A location is its node and the count of its endpoint list.
-        let slots = r.get_count(16)?;
+        let slots = match slots {
+            Some(slots) => slots,
+            None => r.get_count(16)?,
+        };
         if slots > DEPARTED as usize || cols_flat.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
@@ -1287,18 +1423,28 @@ impl RouteTable {
                     _ => return Err(Invalid("location lists an endpoint not bound there")),
                 }
             }
-            let row = list.first().map(|&first| rows[first as usize]);
-            if list.iter().any(|&e| Some(rows[e as usize]) != row) {
-                return Err(Invalid("co-located endpoints with different rows"));
+            let row = if per_endpoint {
+                let row = list
+                    .first()
+                    .map_or(&RowShard::Empty, |&e| &rows[e as usize]);
+                if list.iter().any(|&e| rows[e as usize] != *row) {
+                    return Err(Invalid("co-located endpoints with different rows"));
+                }
+                row
+            } else {
+                &rows[slot as usize]
+            };
+            if list.is_empty() && *row != RowShard::Empty {
+                return Err(Invalid("location without endpoints carries a row"));
             }
-            rows_flat.push(match row {
-                Some(row) => row.shard(route_count, slots)?,
-                None => RowShard::Empty,
-            });
+            row.check(route_count, slots)?;
+            rows_flat.push(row.clone());
             locs.endpoints.push(Arc::from(list));
         }
         let mut endpoints = cols_flat.iter().zip(&rows);
-        if endpoints.any(|(col, row)| col & DEPARTED != 0 && row.tag != 0) {
+        if per_endpoint
+            && endpoints.any(|(col, row)| col & DEPARTED != 0 && *row != RowShard::Empty)
+        {
             return Err(Invalid("departed endpoint with a row"));
         }
         Ok(RouteTable {
@@ -1306,10 +1452,17 @@ impl RouteTable {
             rows: blocks_from_flat(rows_flat),
             endpoint_count,
             cols: blocks_from_flat(cols_flat),
-            index_probes,
+            index_probes: 0,
             locs: Arc::new(locs),
             version,
         })
+    }
+
+    /// One past the largest pipe id any interned route names (0 when no
+    /// route has a pipe): what a restore checks against the pipes the
+    /// emulator actually has, tracked as routes are appended or decoded.
+    pub fn pipe_bound(&self) -> usize {
+        self.store.pipe_bound
     }
 
     /// Memory accounting for the route state (see [`RouteStateMemory`]).
@@ -1340,7 +1493,8 @@ impl RouteTable {
             }
         }
         // The store, from capacities: its own block, the chunk table, each
-        // chunk's `Arc` and two buffers, and the content index's slots.
+        // chunk's `Arc` and two buffers, and the content index's slots (none
+        // until a first lookup builds it).
         let store = &*self.store;
         bytes += ARC_HEADER + size_of::<RouteStore>();
         bytes += store.sealed.capacity() * size_of::<Arc<Chunk>>();
@@ -1348,7 +1502,8 @@ impl RouteTable {
         for chunk in store.chunks() {
             bytes += chunk.ends.capacity() * 4 + chunk.pipes.capacity() * size_of::<PipeId>();
         }
-        bytes += store.index.slots.capacity() * size_of::<(u64, u32)>();
+        let index_slots = store.index.get().map_or(0, |index| index.slots.capacity());
+        bytes += index_slots * size_of::<(u64, u32)>();
         // Column map (blocked and shared like the rows).
         bytes += self.cols.capacity() * size_of::<Arc<[u32]>>();
         bytes += self
@@ -1425,15 +1580,11 @@ mod tests {
         let update = matrix.update_pipes(&d2, &[victim]);
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
 
-        let mut w = mn_util::ByteWriter::new();
-        table.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = encoded(&table);
         let mut restored =
             RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
 
-        let mut w2 = mn_util::ByteWriter::new();
-        restored.encode(&mut w2);
-        assert_eq!(bytes, w2.into_bytes(), "snapshot → restore → snapshot");
+        assert_eq!(bytes, encoded(&restored), "snapshot → restore → snapshot");
 
         assert_eq!(restored.endpoint_count(), table.endpoint_count());
         assert_eq!(restored.route_count(), table.route_count());
@@ -1493,14 +1644,53 @@ mod tests {
             }
             let departed = cols.iter().filter(|&&c| c & DEPARTED != 0).count();
             assert_eq!(live + departed, self.endpoint_count, "listed or departed");
-            let mut w = mn_util::ByteWriter::new();
-            self.encode(&mut w);
-            let bytes = w.into_bytes();
+            let bytes = encoded(self);
+            assert_eq!(self.encoded_len(), bytes.len());
             let again = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
-            let mut w = mn_util::ByteWriter::new();
-            again.encode(&mut w);
-            assert!(bytes == w.into_bytes(), "encode -> decode -> encode");
+            assert!(again.store.index.get().is_none(), "no index until a lookup");
+            assert_eq!(again.pipe_bound(), self.pipe_bound());
+            assert!(bytes == encoded(&again), "encode -> decode -> encode");
+            // The layout before it: what read it still reads the same table.
+            let old = self.encoded_v2();
+            let again = RouteTable::decode_v2(&mut mn_util::ByteReader::new(&old)).unwrap();
+            assert_eq!(again.pipe_bound(), self.pipe_bound());
+            assert!(bytes == encoded(&again), "v2 bytes -> decode_v2 -> encode");
         }
+
+        /// The table in the layout `MNSP` versions 1 and 2 carried, as the
+        /// encoder before version 3 wrote it: a route count and one `u64`
+        /// run per route, then one row per *endpoint*.
+        fn encoded_v2(&self) -> Vec<u8> {
+            let mut w = mn_util::ByteWriter::new();
+            w.put_usize(self.endpoint_count);
+            w.put_u64(self.version);
+            w.put_len(self.route_count());
+            for id in 0..self.route_count() {
+                w.put_u64s(self.store.get(id).iter().map(|p| p.index() as u64));
+            }
+            for src in 0..self.endpoint_count {
+                self.live_row(src)
+                    .unwrap_or(&RowShard::Empty)
+                    .encode(&mut w);
+            }
+            for e in 0..self.endpoint_count {
+                w.put_u32(self.col(e).unwrap() & !DEPARTED);
+            }
+            w.put_len(self.locs.locations.len());
+            for &loc in &self.locs.locations {
+                w.put_usize(loc.index());
+            }
+            for list in &self.locs.endpoints {
+                w.put_u32s(list);
+            }
+            w.into_bytes()
+        }
+    }
+
+    fn encoded(table: &RouteTable) -> Vec<u8> {
+        let mut w = mn_util::ByteWriter::new();
+        table.encode(&mut w);
+        w.into_bytes()
     }
 
     #[test]
@@ -1520,9 +1710,20 @@ mod tests {
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
         assert!(table.unbind_endpoint(4));
         table.assert_sound();
-        let mut w = mn_util::ByteWriter::new();
-        table.encode(&mut w);
-        let bytes = w.into_bytes();
+        type Decode = fn(&mut mn_util::ByteReader) -> Result<RouteTable, mn_util::CodecError>;
+        let layouts: [(Vec<u8>, Decode); 2] = [
+            (encoded(&table), RouteTable::decode),
+            (table.encoded_v2(), RouteTable::decode_v2),
+        ];
+        for (bytes, decode) in layouts {
+            mutate_every_byte(&bytes, decode);
+        }
+    }
+
+    fn mutate_every_byte(
+        bytes: &[u8],
+        decode: fn(&mut mn_util::ByteReader) -> Result<RouteTable, mn_util::CodecError>,
+    ) {
         let (mut accepted, mut refused) = (0usize, 0usize);
         for at in 0..bytes.len() {
             let flips = (0..8).map(|bit| bytes[at] ^ (1 << bit));
@@ -1530,9 +1731,9 @@ mod tests {
                 if value == bytes[at] {
                     continue;
                 }
-                let mut mutated = bytes.clone();
+                let mut mutated = bytes.to_vec();
                 mutated[at] = value;
-                match RouteTable::decode(&mut mn_util::ByteReader::new(&mutated)) {
+                match decode(&mut mn_util::ByteReader::new(&mutated)) {
                     Ok(restored) => {
                         accepted += 1;
                         restored.assert_sound();
@@ -1556,14 +1757,15 @@ mod tests {
                 }
             }
         }
-        // Both outcomes occur: pipe ids and the version are free-form, every
-        // count and index is not.
+        // Both outcomes occur: pipe ids (32 bits of them) and the version are
+        // free-form, every count and index is not.
         assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
     }
 
-    /// `encode`'s output written by hand: two single-pipe routes, then one
-    /// row per endpoint (`None`: the empty tag; up to four ids inline, more
-    /// spilled), the columns, the location nodes and their endpoint lists.
+    /// The version-2 layout written by hand: two single-pipe routes, then
+    /// one row per endpoint (`None`: the empty tag; up to four ids inline,
+    /// more spilled), the columns, the location nodes and their endpoint
+    /// lists.
     fn crafted(
         rows: &[Option<(u32, &[u32])>],
         cols: &[u32],
@@ -1598,7 +1800,7 @@ mod tests {
         lists.iter().for_each(|list| w.put_u32s(list));
         let bytes = w.into_bytes();
         let mut r = mn_util::ByteReader::new(&bytes);
-        let table = RouteTable::decode(&mut r)?;
+        let table = RouteTable::decode_v2(&mut r)?;
         r.finish()?;
         Ok(table)
     }
@@ -1668,6 +1870,158 @@ mod tests {
         assert!(!left.is_endpoint_bound(2) && left.is_endpoint_bound(0));
     }
 
+    /// `encode`'s output written by hand: `chunk_count`, each chunk's
+    /// `(ends, pipes)`, then one row per *location* (`None`: the empty tag),
+    /// the columns `[0, 1, 0]`, locations 10 and 11 and their endpoint lists.
+    fn crafted_chunks(
+        chunk_count: usize,
+        chunks: &[(&[u32], &[u32])],
+        rows: [Option<u32>; 2],
+        lists: [&[u32]; 2],
+    ) -> Result<RouteTable, mn_util::CodecError> {
+        let mut w = mn_util::ByteWriter::new();
+        w.put_usize(3);
+        w.put_u64(7);
+        w.put_len(chunk_count);
+        for (ends, pipes) in chunks {
+            w.put_u32s(ends);
+            w.put_u32s(pipes);
+        }
+        w.put_len(2);
+        for (slot, row) in rows.into_iter().enumerate() {
+            RowShard::from_window(1 - slot, &[row.unwrap_or(NO_ROUTE)]).encode(&mut w);
+        }
+        [0, 1, 0].into_iter().for_each(|c| w.put_u32(c));
+        [10, 11].into_iter().for_each(|loc| w.put_usize(loc));
+        lists.iter().for_each(|list| w.put_u32s(list));
+        let bytes = w.into_bytes();
+        let mut r = mn_util::ByteReader::new(&bytes);
+        let table = RouteTable::decode(&mut r)?;
+        r.finish()?;
+        Ok(table)
+    }
+
+    #[test]
+    fn decode_refuses_chunks_it_could_not_serve() {
+        use mn_util::CodecError::Invalid;
+        // Two single-pipe routes in the tail chunk; endpoints 0 and 2 at
+        // slot 0, endpoint 1 at slot 1; slot 0 -> slot 1 is route 0, the
+        // reverse is route 1.
+        let tail: (&[u32], &[u32]) = (&[1, 2], &[5, 6]);
+        let (rows, lists): (_, [&[u32]; 2]) = ([Some(0), Some(1)], [&[0, 2], &[1]]);
+        let sound = crafted_chunks(1, &[tail], rows, lists).unwrap();
+        sound.assert_sound();
+        assert_eq!(sound.route_id(2, 1), Some(RouteId(0)));
+        assert_eq!(sound.pipes(RouteId(1)), &[PipeId(6)]);
+        assert_eq!(sound.pipe_bound(), 7);
+        let refused =
+            |count, chunks: &[(&[u32], &[u32])]| crafted_chunks(count, chunks, rows, lists).err();
+        // (a) Route ends that decrease, or do not finish on the pipe count:
+        // `pipes(id)` would slice backwards or past the run.
+        assert_eq!(
+            refused(1, &[(&[2, 1], &[5, 6])]),
+            Some(Invalid("a chunk's route ends decrease"))
+        );
+        for ends in [&[1, 1][..], &[1, 3], &[]] {
+            assert_eq!(
+                refused(1, &[(ends, &[5, 6])]),
+                Some(Invalid("a chunk's last route end is not its pipe count"))
+            );
+        }
+        // (b) A short chunk ahead of the tail, a full or over-full tail, no
+        // tail at all: ids are chunk * 1024 + position.
+        let full: Vec<u32> = (1..=ROUTE_CHUNK as u32).collect();
+        let shape = Some(Invalid(
+            "every chunk is full, except the tail, which is not",
+        ));
+        assert_eq!(refused(2, &[tail, tail]), shape);
+        assert_eq!(refused(1, &[(&full, &full)]), shape);
+        let over: Vec<u32> = (1..=ROUTE_CHUNK as u32 + 1).collect();
+        assert_eq!(refused(2, &[(&over, &over), tail]), shape);
+        assert_eq!(
+            refused(0, &[]),
+            Some(Invalid(
+                "route store has no tail chunk, or more routes than ids"
+            ))
+        );
+        let two = crafted_chunks(2, &[(&full, &full), tail], rows, lists).unwrap();
+        two.assert_sound();
+        assert_eq!(two.route_count(), ROUTE_CHUNK + 2);
+        assert_eq!(two.pipes(RouteId(ROUTE_CHUNK as u32)), &[PipeId(5)]);
+        // (c) A chunk count the bytes left cannot hold.
+        assert_eq!(
+            refused(1 << 40, &[tail]),
+            Some(Invalid("length prefix exceeds input"))
+        );
+        assert_eq!(refused(2, &[tail]), shape, "the rows read as a chunk");
+        // (d) Rows are per location now, so what co-located endpoints can
+        // still disagree on is the location itself: a list naming an
+        // endpoint whose column is another slot, and a row at a location
+        // whose list is empty (every endpoint there departed).
+        assert_eq!(
+            crafted_chunks(1, &[tail], rows, [&[0, 1, 2], &[]]).err(),
+            Some(Invalid("location lists an endpoint not bound there"))
+        );
+        assert_eq!(
+            crafted_chunks(1, &[tail], rows, [&[0, 2], &[]]).err(),
+            Some(Invalid("location without endpoints carries a row"))
+        );
+        let left = crafted_chunks(1, &[tail], [Some(0), None], [&[0, 2], &[]]).unwrap();
+        left.assert_sound();
+        assert_eq!(left.route_id(0, 1), Some(RouteId(0)));
+        assert!(!left.is_endpoint_bound(1));
+        // A row naming a route the chunks do not hold.
+        assert_eq!(
+            crafted_chunks(1, &[tail], [Some(2), Some(1)], lists).err(),
+            Some(Invalid("row shard names a route the store does not hold"))
+        );
+    }
+
+    #[test]
+    fn a_restored_table_interns_through_an_index_built_on_first_use() {
+        // Straddling a chunk boundary, with one content stored under two
+        // ids: the first intern of anything builds the index over all of
+        // it, known content comes back under its first id and new content
+        // appends — whether fingerprints tell routes apart or (degenerate)
+        // every probe has to compare against the store.
+        let mut table = RouteTable::new(2);
+        let content = |i: usize| [PipeId(i % 500), PipeId(i / 500)][..1 + i % 2].to_vec();
+        let mut first_id = HashMap::new();
+        for i in 0..ROUTE_CHUNK + 40 {
+            let id = table.intern(&content(i));
+            first_id.entry(content(i)).or_insert(id);
+        }
+        assert!(first_id.len() < table.route_count(), "some content repeats");
+        let bytes = encoded(&table);
+        for degenerate in [false, true] {
+            let mut restored = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+            Arc::make_mut(&mut restored.store).degenerate = degenerate;
+            let forwarding = restored.clone();
+            assert_eq!(
+                restored.intern_pipes(&content(502)),
+                RouteId(2),
+                "first id wins"
+            );
+            assert_eq!(restored.route_count(), table.route_count());
+            // Built once, in the store both generations still share.
+            assert!(forwarding.store.index.get().is_some());
+            assert!(Arc::ptr_eq(&forwarding.store, &restored.store));
+            assert_eq!(restored.store.index.get().unwrap().len, first_id.len());
+            for i in 0..ROUTE_CHUNK + 40 {
+                assert_eq!(
+                    restored.intern_pipes(&content(i)),
+                    first_id[&content(i)],
+                    "route {i}"
+                );
+            }
+            let fresh = restored.intern_pipes(&[PipeId(9), PipeId(9), PipeId(9)]);
+            assert_eq!(fresh.index(), table.route_count(), "new content appends");
+            assert_eq!(restored.intern_pipes(&[PipeId(9); 3]), fresh);
+            assert_eq!(forwarding.route_count(), table.route_count());
+            restored.assert_sound();
+        }
+    }
+
     #[test]
     fn decode_keeps_duplicate_content_under_both_ids() {
         // `intern` always appends, so a hand-assembled store can hold one
@@ -1678,20 +2032,19 @@ mod tests {
         assert_ne!(a, b);
         table.set_pair(0, 1, a);
         table.set_pair(1, 0, b);
-        let mut w = mn_util::ByteWriter::new();
-        table.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = encoded(&table);
         let mut restored =
             RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
         assert_eq!(restored.route_count(), 2);
         assert_eq!(restored.route_id(0, 1), Some(a));
         assert_eq!(restored.route_id(1, 0), Some(b));
-        assert_eq!(restored.store.index.len, 1);
+        assert!(restored.store.index.get().is_none(), "built by a lookup");
         assert_eq!(
             restored.intern_pipes(&[PipeId(1), PipeId(2)]),
             a,
             "first id wins"
         );
+        assert_eq!(restored.store.index.get().unwrap().len, 1);
     }
 
     /// Today's index before it went flat, kept as the oracle: a
@@ -1779,10 +2132,10 @@ mod tests {
                 RouteTable::build(&matrix, &locations),
                 RouteTable::unrouted(&locations),
             ];
-            Arc::make_mut(&mut tables[1].store).index.degenerate = true;
+            Arc::make_mut(&mut tables[1].store).degenerate = true;
             tables[1].derive_rows(&matrix);
             // The build alone took the index through its growth path.
-            assert!(tables[1].store.index.len > 16);
+            assert!(tables[1].store.index.get().unwrap().len > 16);
             let mut oracle = MapOracle::default();
             oracle.absorb_and_check(&tables[0]);
             MapOracle::default().absorb_and_check(&tables[1]);
@@ -1950,6 +2303,13 @@ mod tests {
                 let shared = parent.store.sealed.iter().zip(&table.store.sealed);
                 prop_assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
                 table.assert_sound();
+                // What the chunks decode to is what the oracle holds.
+                let bytes = encoded(&table);
+                let restored = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+                prop_assert_eq!(restored.route_count(), oracle.len());
+                for (i, content) in oracle.iter().enumerate() {
+                    prop_assert_eq!(restored.pipes(RouteId(i as u32)), &content[..]);
+                }
             }
         }
     }

@@ -71,7 +71,7 @@ fn sum_fold(sum: u64, word: u64) -> u64 {
     ((sum ^ sum_round(0, word)).rotate_left(27)).wrapping_mul(SUM_P1) ^ SUM_P3
 }
 
-/// The payload checksum of version-2 snapshot frames: little-endian 8-byte
+/// The payload checksum of snapshot frames since version 2: little-endian 8-byte
 /// words folded into four independent lanes (32 bytes a step, so the
 /// multiplies overlap instead of queueing as in [`fnv1a64`]), the lanes
 /// merged, then the total length and the tail (whole words, a last partial
@@ -101,6 +101,19 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 
 /// The checksum function a frame's format version selects.
 pub type ChecksumFn = fn(&[u8]) -> u64;
+
+/// [`checksum64`] of a payload around the frame nested at `nested`: the
+/// bytes up to the end of the nested frame's 16-byte header and the bytes
+/// from its 8-byte checksum on, each summed and the two sums folded. The
+/// nested payload is left to the nested frame's own sum, so an outer frame
+/// costs a pass over its own fields only — and still sees any change to the
+/// nested frame's length, version or checksum. Panics unless `nested` is a
+/// whole frame's span inside `payload`.
+pub fn checksum64_around(payload: &[u8], nested: std::ops::Range<usize>) -> u64 {
+    let (head, tail) = (nested.start + 16, nested.end - 8);
+    assert!(head <= tail, "the nested span holds a frame");
+    sum_fold(checksum64(&payload[..head]), checksum64(&payload[tail..]))
+}
 
 /// An append-only little-endian byte sink.
 #[derive(Debug, Default)]
@@ -170,6 +183,14 @@ impl ByteWriter {
         self.put_u64(checksum64(&self.buf[payload_start..]));
     }
 
+    /// [`ByteWriter::end_frame`] for a frame that nests another, closed one
+    /// at the writer positions `nested`: appends [`checksum64_around`] it.
+    pub fn end_frame_around(&mut self, payload_start: usize, nested: std::ops::Range<usize>) {
+        self.patch_u64(payload_start - 8, (self.len() - payload_start) as u64);
+        let nested = nested.start - payload_start..nested.end - payload_start;
+        self.put_u64(checksum64_around(&self.buf[payload_start..], nested));
+    }
+
     /// Appends a count prefix and each word's bytes, reserved at once.
     fn put_run<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
         self.put_len(words.len());
@@ -183,7 +204,13 @@ impl ByteWriter {
     /// Appends a count-prefixed run of `u32`s: the bytes `put_len` and one
     /// `put_u32` per element would write.
     pub fn put_u32s(&mut self, values: &[u32]) {
-        self.put_run(values.iter().map(|v| v.to_le_bytes()));
+        self.put_u32s_from(values.iter().copied());
+    }
+
+    /// [`ByteWriter::put_u32s`] from an iterator, so wider index newtypes
+    /// narrow on the way out without a staging `Vec`.
+    pub fn put_u32s_from(&mut self, values: impl ExactSizeIterator<Item = u32>) {
+        self.put_run(values.map(u32::to_le_bytes));
     }
 
     /// Appends a count-prefixed run of `u64`s; an iterator, so index
@@ -242,12 +269,6 @@ impl ByteWriter {
         self.put_u64(len as u64);
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_len(s.len());
-        self.put_bytes(s.as_bytes());
-    }
-
     /// Appends a virtual-time instant.
     pub fn put_time(&mut self, t: SimTime) {
         self.put_u64(t.as_nanos());
@@ -299,19 +320,20 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Verifies a frame written by [`ByteWriter::begin_frame`] /
-    /// [`ByteWriter::end_frame`] that spans exactly `bytes` and returns a
-    /// reader over its payload, borrowed. `checksum_for` maps the frame's
-    /// version word to the checksum that version carries, or refuses it.
+    /// [`ByteWriter::end_frame`] that spans exactly `bytes` and returns its
+    /// version word and a reader over its payload, borrowed. `checksum_for`
+    /// maps the version to the checksum that version carries, or refuses it.
     pub fn open_frame(
         bytes: &'a [u8],
         magic: u32,
         checksum_for: impl FnOnce(u32) -> Result<ChecksumFn, CodecError>,
-    ) -> Result<Self, CodecError> {
+    ) -> Result<(u32, Self), CodecError> {
         let mut r = ByteReader::new(bytes);
         if r.get_u32()? != magic {
             return Err(CodecError::BadMagic);
         }
-        let checksum = checksum_for(r.get_u32()?)?;
+        let version = r.get_u32()?;
+        let checksum = checksum_for(version)?;
         let len = r.get_len()?;
         let payload = r.take_bytes(len)?;
         let recorded = r.get_u64()?;
@@ -319,7 +341,7 @@ impl<'a> ByteReader<'a> {
         if checksum(payload) != recorded {
             return Err(CodecError::BadChecksum);
         }
-        Ok(ByteReader::new(payload))
+        Ok((version, ByteReader::new(payload)))
     }
 
     /// `Ok` once every byte has been consumed: a decoder that stopped early,
@@ -432,13 +454,6 @@ impl<'a> ByteReader<'a> {
         self.get_run(u64::from_le_bytes)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_string(&mut self) -> Result<String, CodecError> {
-        let len = self.get_len()?;
-        let bytes = self.take_bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Invalid("utf-8"))
-    }
-
     /// Reads a virtual-time instant.
     pub fn get_time(&mut self) -> Result<SimTime, CodecError> {
         Ok(SimTime::from_nanos(self.get_u64()?))
@@ -490,7 +505,6 @@ mod tests {
         w.put_f64(-0.125);
         w.put_bool(true);
         w.put_bool(false);
-        w.put_str("snapshot");
         w.put_time(SimTime::from_micros(42));
         w.put_duration(SimDuration::from_millis(9));
         w.put_rate(DataRate::from_mbps(10));
@@ -509,7 +523,6 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), -0.125);
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_string().unwrap(), "snapshot");
         assert_eq!(r.get_time().unwrap(), SimTime::from_micros(42));
         assert_eq!(r.get_duration().unwrap(), SimDuration::from_millis(9));
         assert_eq!(r.get_rate().unwrap(), DataRate::from_mbps(10));
@@ -692,20 +705,21 @@ mod tests {
         let outer = w.begin_frame(OUTER, 2);
         w.put_u32(7);
         let inner = w.begin_frame(INNER, 2);
-        w.put_str("streamed in place");
+        w.put_bytes(b"streamed in place");
         w.end_frame(inner);
         let inner_end = w.len();
         w.put_u8(9);
         w.end_frame(outer);
         let bytes = w.into_bytes();
 
-        let mut r = ByteReader::open_frame(&bytes, OUTER, current).unwrap();
+        let (version, mut r) = ByteReader::open_frame(&bytes, OUTER, current).unwrap();
+        assert_eq!(version, 2);
         assert_eq!(r.get_u32().unwrap(), 7);
         let nested = r.take_bytes(inner_end - inner + 16).unwrap();
         assert_eq!(r.get_u8().unwrap(), 9);
         assert!(r.finish().is_ok());
-        let mut r = ByteReader::open_frame(nested, INNER, current).unwrap();
-        assert_eq!(r.get_string().unwrap(), "streamed in place");
+        let (_, mut r) = ByteReader::open_frame(nested, INNER, current).unwrap();
+        assert_eq!(r.take_bytes(17).unwrap(), b"streamed in place");
         assert_eq!(
             ByteReader::new(nested).finish(),
             Err(CodecError::Invalid("trailing bytes"))
@@ -725,6 +739,43 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(open(&bytes[..len]).is_err(), "truncated to {len}");
         }
+    }
+
+    #[test]
+    fn a_sum_around_a_nested_frame_sees_every_byte_but_the_nested_payload() {
+        // The outer frame of a version-3 checkpoint: its sum covers its own
+        // fields and the nested frame's header and checksum — every bit of
+        // those changes it — and none of the nested payload, which the
+        // nested frame's own sum covers.
+        let mut w = ByteWriter::new();
+        let outer = w.begin_frame(1, 3);
+        w.put_u64(7);
+        let nested_start = w.len();
+        let inner = w.begin_frame(2, 3);
+        w.put_bytes(&pattern(100));
+        w.end_frame(inner);
+        let nested = nested_start..w.len();
+        w.put_bytes(b"after");
+        w.end_frame_around(outer, nested.clone());
+        let bytes = w.into_bytes();
+        let payload = &bytes[outer..bytes.len() - 8];
+        let span = nested.start - outer..nested.end - outer;
+        let sum = checksum64_around(payload, span.clone());
+        assert_eq!(bytes[bytes.len() - 8..], sum.to_le_bytes());
+        let inner_payload = span.start + 16..span.end - 8;
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let seen = checksum64_around(&flipped, span.clone()) != sum;
+            assert_eq!(seen, !inner_payload.contains(&(bit / 8)), "bit {bit}");
+        }
+        // Bytes moved across the gap are seen too: each side has its length.
+        let mut shifted = payload.to_vec();
+        shifted.remove(0);
+        assert_ne!(
+            checksum64_around(&shifted, span.start - 1..span.end - 1),
+            sum
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Golden `MNRS` v1 fixture: a whole-run checkpoint from before format v2.
+//! Golden `MNRS` fixtures: a whole-run checkpoint in every format version.
 //!
 //! `tests/data/mnrs_v1_tcp.bin` was written by the commit *before* the
 //! runner's frame moved to version 2 (PR 17: word-wise checksum, payload
@@ -11,6 +11,14 @@
 //! keeps this file restoring, and adds a fixture written by its parent —
 //! this one is never re-blessed.
 //!
+//! `tests/data/mnrs_v2_tcp.bin` is that parent-written fixture for format
+//! v3 (PR 23: the nested `MNSP` frame's route table went to chunks and rows
+//! per location, and the runner's checksum stopped covering the nested
+//! payload a second time): the same scenario, written by the last commit
+//! whose encoder wrote v2, restoring to the same digest.
+//! `tests/data/mnrs_v3_tcp.bin` is the scenario under the current encoder,
+//! which both backends must re-create byte for byte.
+//!
 //! Only the runner's public API is used, so the same source compiles
 //! against the commit that wrote the fixture.
 
@@ -22,6 +30,8 @@ use modelnet::{
 };
 
 const FIXTURE: &[u8] = include_bytes!("data/mnrs_v1_tcp.bin");
+const FIXTURE_V2: &[u8] = include_bytes!("data/mnrs_v2_tcp.bin");
+const FIXTURE_V3: &[u8] = include_bytes!("data/mnrs_v3_tcp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
@@ -89,34 +99,80 @@ fn tail_digest(mut runner: Runner, flows: [FlowId; 2]) -> u64 {
     fnv1a64(w.as_slice())
 }
 
-#[test]
-fn the_v1_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    assert_eq!(FIXTURE[..8], [0x53, 0x52, 0x4E, 0x4D, 1, 0, 0, 0]);
+fn restores_into_both_backends_and_finishes_identically(fixture: &[u8], version: u8) {
+    assert_eq!(fixture[..8], [0x53, 0x52, 0x4E, 0x4D, version, 0, 0, 0]);
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, flows) = build(backend);
-        runner
-            .recover_from(FIXTURE)
-            .expect("the v1 fixture restores");
+        runner.recover_from(fixture).expect("the fixture restores");
         assert_eq!(
             tail_digest(runner, flows),
             TAIL_DIGEST,
-            "the restored tail diverged on {backend:?}"
+            "the restored v{version} tail diverged on {backend:?}"
         );
     }
 }
 
+#[test]
+fn the_v1_runner_fixture_restores_into_both_backends_and_finishes_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE, 1);
+}
+
+#[test]
+fn the_v2_and_v3_runner_fixtures_restore_into_both_backends_and_finish_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V2, 2);
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V3, 3);
+}
+
+#[test]
+fn both_backends_reproduce_the_v3_runner_fixture_byte_for_byte() {
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+        assert!(
+            run_to_stop(backend) == FIXTURE_V3,
+            "checkpoint bytes drifted from the v3 fixture on {backend:?}"
+        );
+    }
+    // The parent-written v2 file holds the same run: restored and
+    // serialised again, it is the v3 file.
+    let (mut runner, _) = build(ExecutionBackend::Sequential);
+    runner.recover_from(FIXTURE_V2).unwrap();
+    assert!(runner.snapshot().unwrap() == FIXTURE_V3);
+}
+
+/// The outer sum skips the nested frame's payload and nothing else: a bit
+/// flipped in any byte of the file (the bit moves along with the byte; the
+/// `MNSP` fixture's own test flips all eight) is still a typed error —
+/// caught by the outer sum, or by the nested frame's own — and so is a cut.
+#[test]
+fn a_bit_flip_in_any_byte_of_the_v3_runner_fixture_is_a_typed_error() {
+    let (mut runner, _) = build(ExecutionBackend::Sequential);
+    let mut bytes = FIXTURE_V3.to_vec();
+    for at in 0..bytes.len() {
+        bytes[at] ^= 1 << (at % 8);
+        assert!(
+            runner.recover_from(&bytes).is_err(),
+            "a bit of byte {at} flipped and the checkpoint still restored"
+        );
+        bytes[at] ^= 1 << (at % 8);
+    }
+    for len in (0..64).chain((64..bytes.len()).step_by(13)) {
+        assert!(runner.recover_from(&bytes[..len]).is_err(), "cut to {len}");
+    }
+    assert!(runner.recover_from(&bytes).is_ok());
+}
+
 /// Writes the fixture and prints the digest. Run once, at the commit whose
 /// format is being pinned (`cargo test --test runner_golden -- --ignored
-/// --nocapture`), never to overwrite an existing fixture.
+/// --nocapture`, after renaming the path below), never to overwrite an
+/// existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v1_tcp.bin"]
+#[ignore = "writes tests/data/mnrs_v3_tcp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v1_tcp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v3_tcp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, flows) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

@@ -70,6 +70,44 @@ fn route_state_for_100k_endpoints_is_resident_under_a_gib() {
     assert!(table.memory().dense_equivalent_bytes > 32 << 30);
 }
 
+/// (i') The encoded route table is the size of the state, not of the
+/// endpoint count: four bytes per route and per hop (the arena's two `u32`
+/// runs), four per location pair (one row per location) and a per-endpoint
+/// term that fits the 4 KiB of slack here. A `u64` per hop, or a location's
+/// row written once per endpoint bound there (format v2 did both: 2.2 × the
+/// state on `ctl_live4k`), fails by count.
+#[test]
+fn an_encoded_route_table_is_four_bytes_a_hop_and_one_row_a_location() {
+    const MUX: usize = 16;
+    let topo = ring_topology(&RingParams {
+        routers: 5,
+        clients_per_router: 4,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let matrix = RoutingMatrix::build(&d);
+    let base = d.vns();
+    let locations: Vec<NodeId> = (0..MUX * base.len())
+        .map(|i| base[i % base.len()])
+        .collect();
+    let table = RouteTable::build(&matrix, &locations);
+    let routes = table.route_count();
+    let hops: usize = (0..routes)
+        .map(|id| table.pipes(mn_routing::RouteId(id as u32)).len())
+        .sum();
+    let mut w = mn_util::ByteWriter::new();
+    table.encode(&mut w);
+    let bound = 4 * (routes + hops) + 4 * base.len() * base.len() + 4096;
+    println!(
+        "(i') {routes} routes, {hops} hops, {} locations x {MUX} VNs: {} B encoded, bound {bound}",
+        base.len(),
+        w.len()
+    );
+    assert_eq!(routes, base.len() * (base.len() - 1));
+    assert!(w.len() <= bound, "{} B encoded, bound {bound}", w.len());
+    assert_eq!(table.encoded_len(), w.len());
+}
+
 /// One full flap of both directions of a link through the incremental path
 /// (fail, `update_pipes` + `rewire_in_place`, restore, again): the trees it
 /// recomputed and the bytes it requested from the allocator.

@@ -9,13 +9,20 @@
 //! recorded delivery digest — a fixture is never re-blessed.
 //!
 //! Format v2 (PR 17) changed the frame's checksum and nothing else, so
-//! `tests/data/mnsp_v2_path4.bin` is the same scenario under the current
-//! encoder: every later commit must (a) re-create exactly those bytes on
-//! both executors and (b) keep its payload section equal to the v1 file's,
-//! byte for byte. A failure here means the snapshot format or the emulated
-//! behaviour changed: bump `SNAPSHOT_VERSION`, keep both files decoding, and
-//! add a fixture for the new version (a layout change also needs one written
-//! by the parent commit's encoder).
+//! `tests/data/mnsp_v2_path4.bin` is the same scenario under that encoder:
+//! its payload section equals the v1 file's byte for byte, and like it the
+//! file must keep restoring and finishing on the recorded digest.
+//!
+//! Format v3 (PR 23) changed the route table's section — the route arena
+//! chunk by chunk with `u32` pipe ids, one row per location — and nothing
+//! else: `tests/data/mnsp_v3_path4.bin` is the same scenario under the
+//! current encoder, and every later commit must (a) re-create exactly those
+//! bytes on both executors, (b) keep every other section equal to the v2
+//! file's and (c) restore it to the same digest. A failure here means the
+//! snapshot format or the emulated behaviour changed: bump
+//! `SNAPSHOT_VERSION`, keep every file decoding, and add a fixture for the
+//! new version (a layout change also needs one written by the parent
+//! commit's encoder — `mnsp_v2_mux_churn.bin` and `mnrs_v2_tcp.bin` were).
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -36,6 +43,7 @@ use modelnet::EmulatorBackend;
 
 const FIXTURE: &[u8] = include_bytes!("data/mnsp_v1_path4.bin");
 const FIXTURE_V2: &[u8] = include_bytes!("data/mnsp_v2_path4.bin");
+const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_850);
@@ -203,15 +211,39 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
 }
 
 #[test]
-fn both_executors_reproduce_the_v2_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 2, "this fixture pins format v2");
+fn both_executors_reproduce_the_v3_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 3, "this fixture pins format v3");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V2,
-            "snapshot bytes drifted from the v2 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V3,
+            "snapshot bytes drifted from the v3 fixture (threaded: {threaded})"
         );
     }
+}
+
+/// v3 is v2 with another version word, another route-table section (right
+/// after the 66-byte hardware profile) and so another length and checksum:
+/// every byte after the table is v2's.
+#[test]
+fn the_v3_fixture_differs_from_v2_only_in_the_route_table_section() {
+    let payload = |frame: &'static [u8]| &frame[16..frame.len() - 8];
+    let (v2, v3) = (payload(FIXTURE_V2), payload(FIXTURE_V3));
+    assert_eq!(FIXTURE_V3[4..8], 3u32.to_le_bytes());
+    assert_eq!(v2[..66], v3[..66], "hardware profile");
+    let restored = MultiCoreEmulator::restore_bytes(FIXTURE_V3).unwrap();
+    let table = restored.route_table().encoded_len();
+    let rest = v3.len() - 66 - table;
+    assert!(
+        rest > 8_000 && table < v2.len() - 66 - rest,
+        "a smaller table"
+    );
+    assert!(
+        v2[v2.len() - rest..] == v3[66 + table..],
+        "matrix, tables, cores"
+    );
+    let sum_at = FIXTURE_V3.len() - 8;
+    assert_eq!(FIXTURE_V3[sum_at..], checksum64(v3).to_le_bytes());
 }
 
 /// Frames are magic, version, payload length, payload, checksum: v2 is v1
@@ -232,20 +264,72 @@ fn the_v2_fixture_differs_from_v1_only_in_version_word_and_checksum() {
     assert_eq!(FIXTURE_V2[sum_at..], checksum64(payload).to_le_bytes());
 }
 
-#[test]
-fn the_v1_fixture_restores_into_both_executors_and_finishes_identically() {
-    let snapshot = EmulatorSnapshot::from_bytes(FIXTURE).expect("the v1 fixture decodes");
+fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
+    let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
     let sequential = EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
     assert_eq!(tail_digest(sequential), TAIL_DIGEST);
     let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
     assert_eq!(tail_digest(threaded), TAIL_DIGEST);
 }
 
+#[test]
+fn the_v1_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE);
+}
+
+#[test]
+fn the_v2_and_v3_fixtures_restore_into_both_executors_and_finish_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V2);
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V3);
+}
+
+/// A checksum-valid v2 frame whose first route names a pipe the ownership
+/// directory does not cover used to restore, accept a packet and panic on
+/// the first advance; it is refused like any other out-of-range index. (The
+/// v3 case is a row of `restore_rejects_out_of_range_indices` in emucore.)
+#[test]
+fn a_v2_frame_whose_route_names_a_pipe_the_pod_lacks_is_refused() {
+    let mut hostile = FIXTURE_V2.to_vec();
+    // Payload: 66 bytes of profile, the table's endpoint count, version and
+    // route count, then the first route: its hop count and its pipes.
+    let first_route = 16 + 66 + 24;
+    let hops = u64::from_le_bytes(hostile[first_route..first_route + 8].try_into().unwrap());
+    assert_eq!(hops, 4, "the first route is a 4-hop path");
+    hostile[first_route + 8..first_route + 16].copy_from_slice(&9_999u64.to_le_bytes());
+    let sum_at = hostile.len() - 8;
+    let sum = checksum64(&hostile[16..sum_at]);
+    hostile[sum_at..].copy_from_slice(&sum.to_le_bytes());
+    assert!(
+        EmulatorSnapshot::from_bytes(&hostile).is_ok(),
+        "the frame is sound"
+    );
+    let refused = Err(CodecError::Invalid(
+        "route names a pipe the POD does not cover",
+    ));
+    assert_eq!(
+        MultiCoreEmulator::restore_bytes(&hostile).map(|_| ()),
+        refused
+    );
+    assert_eq!(
+        ParallelEmulator::restore_bytes(&hostile).map(|_| ()),
+        refused
+    );
+}
+
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
 fn every_bit_flip_and_every_truncation_of_the_v2_fixture_is_a_typed_error() {
-    let mut bytes = FIXTURE_V2.to_vec();
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V2);
+}
+
+#[test]
+fn every_bit_flip_and_every_truncation_of_the_v3_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V3);
+}
+
+fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
+    let mut bytes = fixture.to_vec();
     for bit in 0..bytes.len() * 8 {
         bytes[bit / 8] ^= 1 << (bit % 8);
         assert!(
@@ -268,7 +352,7 @@ fn every_bit_flip_and_every_truncation_of_the_v2_fixture_is_a_typed_error() {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V2.to_vec();
+    let mut after_frame = FIXTURE_V3.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -283,7 +367,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V2[16..FIXTURE_V2.len() - 8]);
+    w.put_bytes(&FIXTURE_V3[16..FIXTURE_V3.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -301,11 +385,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v2_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v3_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v2_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v3_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(EmulatorBackend::Sequential(

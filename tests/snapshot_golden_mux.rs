@@ -1,4 +1,4 @@
-//! Golden `MNSP` v2 fixture for the multiplexed, churned case.
+//! Golden `MNSP` fixtures for the multiplexed, churned case.
 //!
 //! `tests/data/mnsp_v2_path4.bin` (see `snapshot_golden.rs`) has one VN per
 //! location and inline route-table rows only. `tests/data/mnsp_v2_mux_churn.bin`
@@ -9,9 +9,15 @@
 //! this order — a link down, a leave whose siblings stay, a location
 //! emptied, the link up again, a rejoin into the emptied location, a rejoin
 //! elsewhere, a fresh VN id and a second link down. Every later commit must
-//! re-create exactly those bytes on both executors, and restore the file
-//! and finish the run on the recorded delivery digest. Like the v1 file it
-//! is never re-blessed.
+//! restore the file into both executors and finish the run on the recorded
+//! delivery digest. Like the v1 file it is never re-blessed.
+//!
+//! Format v3 (PR 23) writes one row per location and the route arena chunk
+//! by chunk: `tests/data/mnsp_v3_mux_churn.bin` is the same scenario under
+//! the current encoder, which every later commit must re-create byte for
+//! byte on both executors — and which must restore to the digest the
+//! parent-written v2 file restores to, so the two layouts are pinned to
+//! hold the same state.
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -30,6 +36,7 @@ use mn_util::{ByteWriter, DataRate, SimDuration, SimTime};
 use modelnet::EmulatorBackend;
 
 const FIXTURE: &[u8] = include_bytes!("data/mnsp_v2_mux_churn.bin");
+const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_mux_churn.bin");
 
 const ROUTERS: usize = 8;
 /// VNs bound at each client location when the run starts.
@@ -219,37 +226,50 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
 }
 
 #[test]
-fn both_executors_reproduce_the_parent_written_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 2, "this fixture pins format v2");
+fn both_executors_reproduce_the_v3_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 3, "this fixture pins format v3");
+    assert!(FIXTURE_V3.len() < FIXTURE.len(), "25 rows became 8");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE,
-            "snapshot bytes drifted from the parent-written fixture (threaded: {threaded})"
+            bytes == FIXTURE_V3,
+            "snapshot bytes drifted from the v3 fixture (threaded: {threaded})"
         );
     }
 }
 
 #[test]
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
-    let snapshot = EmulatorSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
-    let sequential = EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
-    assert_eq!(tail_digest(sequential), TAIL_DIGEST);
-    let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
-    assert_eq!(tail_digest(threaded), TAIL_DIGEST);
+    for fixture in [FIXTURE, FIXTURE_V3] {
+        let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
+        let sequential =
+            EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
+        assert_eq!(tail_digest(sequential), TAIL_DIGEST);
+        let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
+        assert_eq!(tail_digest(threaded), TAIL_DIGEST);
+    }
 }
 
-/// Wrote the fixture and printed the digest, once, at the parent of PR 18
-/// (`cargo test --test snapshot_golden_mux -- --ignored --nocapture`); see
-/// the module docs for why the file is never rewritten.
+/// The parent-written v2 file, restored and re-serialised, is the v3 file:
+/// the old decoder's table and the new encoder's bytes hold one state.
 #[test]
-#[ignore = "writes tests/data/mnsp_v2_mux_churn.bin"]
+fn the_v2_fixture_restored_re_serialises_to_the_v3_fixture() {
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V3);
+}
+
+/// Writes the current version's fixture and prints the digest (`cargo test
+/// --test snapshot_golden_mux -- --ignored --nocapture`, after renaming the
+/// path below — run at the parent of PR 18 for v2, at PR 23 for v3); see the
+/// module docs for why an existing file is never rewritten.
+#[test]
+#[ignore = "writes tests/data/mnsp_v3_mux_churn.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/mnsp_v2_mux_churn.bin"
+        "/tests/data/mnsp_v3_mux_churn.bin"
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();

@@ -675,7 +675,21 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
     };
     let mut runner = build();
     runner.run_for(SimDuration::from_secs(1)).unwrap();
+    // The first checkpoint has no predecessor to size it: the routing
+    // state's encoded length (`encoded_len`, from lengths alone) does, so it
+    // too is one buffer — not 4 KiB doubled until it fits.
+    let (calls, bytes) = (alloc_calls(), alloc_bytes());
     let first = runner.snapshot().unwrap();
+    let (calls, bytes) = (alloc_calls() - calls, alloc_bytes() - bytes);
+    println!(
+        "first checkpoint: {calls} calls, {bytes} B requested, {} B long",
+        first.len()
+    );
+    assert!(
+        calls <= 8 && bytes as f64 <= 1.25 * first.len() as f64,
+        "{calls} allocator calls requesting {bytes} bytes for a first checkpoint of {} bytes",
+        first.len()
+    );
     runner.run_for(SimDuration::from_millis(300)).unwrap();
 
     let (calls, bytes) = (alloc_calls(), alloc_bytes());
@@ -707,32 +721,54 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
 fn a_route_table_restore_allocates_per_chunk_not_per_route() {
     // The route arena's allocation budget. Routes live back to back in
     // chunks of 1024 (`ROUTE_CHUNK` in `mn_routing::table`), a chunk being
-    // its `Arc`, its offsets and its pipes: decoding 100 000 routes is at
-    // most 4 allocator calls per chunk (the fourth: growth of the chunk
-    // list, a chunk longer than the one before it) plus 64 for the first
-    // chunk's growth from empty, the content index — one block, sized once —
-    // and the rows, columns and geometry; dropping the table frees 3 blocks
-    // per chunk plus 16. A `Vec` per route made both at least 100 000.
+    // its `Arc`, its offsets and its pipes, and the encoding is those two
+    // runs as they lie: decoding 100 000 routes is at most 3 allocator calls
+    // per chunk plus 64 for the chunk list and the rows, columns and
+    // geometry, and requests no more bytes than the arena it fills (4 B a
+    // route, 8 B a hop in memory) plus 64 KiB — in particular no content
+    // index, which nothing on the forwarding path reads: the first intern
+    // builds it (two blocks: the fingerprints, then the slots, sized once).
+    // Dropping the table frees 3 blocks per chunk plus 16. A `Vec` per
+    // route made both at least 100 000.
     const ROUTES: usize = 100_000;
     let chunks = ROUTES.div_ceil(1024) as u64;
     let mut table = mn_routing::RouteTable::new(2);
+    let mut hops = 0;
     for i in 0..ROUTES {
         let pipes = [i, i + 1, i % 7].map(mn_distill::PipeId);
         table.intern(&pipes[..2 + i % 2]);
+        hops += 2 + i % 2;
     }
     table.set_pair(0, 1, mn_routing::RouteId(ROUTES as u32 - 1));
     let mut w = mn_util::ByteWriter::new();
     table.encode(&mut w);
     let bytes = w.into_bytes();
 
-    let calls = alloc_calls();
-    let restored = mn_routing::RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
-    let calls = alloc_calls() - calls;
+    let (calls, requested) = (alloc_calls(), alloc_bytes());
+    let mut restored =
+        mn_routing::RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+    let (calls, requested) = (alloc_calls() - calls, alloc_bytes() - requested);
     assert_eq!(restored.route_count(), ROUTES);
     assert!(
-        calls <= 4 * chunks + 64,
+        calls <= 3 * chunks + 64,
         "{calls} allocator calls decoding {ROUTES} routes in {chunks} chunks"
     );
+    let arena = (4 * ROUTES + 8 * hops) as u64;
+    assert!(
+        requested <= arena + (64 << 10),
+        "{requested} B requested decoding a {arena}-byte arena"
+    );
+    // The first intern is what builds the index: 8 B a route of
+    // fingerprints, 16 B a slot at 4/3 to 8/3 slots a route.
+    let index = alloc_bytes();
+    let known = [6, 7].map(mn_distill::PipeId);
+    assert_eq!(restored.intern_pipes(&known), mn_routing::RouteId(6));
+    let index = alloc_bytes() - index;
+    assert!(index >= 24 * ROUTES as u64, "{index} B for the index");
+    let again = alloc_calls();
+    assert_eq!(restored.intern_pipes(&known), mn_routing::RouteId(6));
+    assert_eq!(alloc_calls(), again, "built once");
+
     let frees = mn_util::alloc::thread_free_calls();
     drop(restored);
     let frees = mn_util::alloc::thread_free_calls() - frees;
@@ -740,5 +776,5 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
         frees <= 3 * chunks + 16,
         "{frees} blocks freed dropping {ROUTES} routes in {chunks} chunks"
     );
-    println!("{ROUTES} routes, {chunks} chunks: {calls} allocator calls to decode, {frees} frees to drop");
+    println!("{ROUTES} routes, {chunks} chunks: {calls} allocator calls ({requested} B) to decode, {index} B for the index on first intern, {frees} frees to drop");
 }
