@@ -54,29 +54,50 @@ pub fn pipe_cost(attrs: &mn_distill::PipeAttrs) -> u64 {
 /// The cost assigned to a pipe that cannot carry traffic.
 pub const UNUSABLE_COST: u64 = u64::MAX;
 
-/// Single-source shortest routes over the pipe graph.
-///
-/// Returns, for every node, the predecessor pipe on a latency-shortest route
-/// from `source` (or `None` if unreachable or the source itself).
-pub fn shortest_route_tree(topo: &DistilledTopology, source: NodeId) -> Vec<Option<PipeId>> {
-    shortest_route_tree_with_dist(topo, source).0
-}
-
-/// Like [`shortest_route_tree`], but also returns the distance label of
-/// every node (`u64::MAX` when unreachable). The incremental routing-matrix
-/// update stores these labels to bound which sources a pipe change can
-/// affect.
+/// Single-source shortest routes over the pipe graph: for every node, the
+/// predecessor pipe on a latency-shortest route from `source` (`None` if
+/// unreachable or the source itself) and the distance label (`u64::MAX`
+/// when unreachable) — what [`crate::RoutingMatrix`] stores per source.
 pub fn shortest_route_tree_with_dist(
     topo: &DistilledTopology,
     source: NodeId,
 ) -> (Vec<Option<PipeId>>, Vec<u64>) {
     let n = topo.node_count();
-    let mut dist = vec![u64::MAX; n];
-    let mut pred: Vec<Option<PipeId>> = vec![None; n];
-    if source.index() >= n {
-        return (pred, dist);
+    let (mut dist, mut pred) = (vec![UNUSABLE_COST; n], vec![NO_PRED; n]);
+    let nodes: Vec<u32> = (0..n as u32).collect();
+    scoped_route_tree(topo, source, &nodes, &mut dist, &mut pred, &mut Vec::new());
+    let pred = pred
+        .iter()
+        .map(|&p| (p != NO_PRED).then_some(PipeId(p as usize)));
+    (pred.collect(), dist)
+}
+
+/// Sentinel in predecessor rows (no predecessor: the source itself, or an
+/// unreachable node) and in the matrix's dense node→VN table (not a VN).
+pub(crate) const NO_PRED: u32 = u32::MAX;
+
+/// Component-scoped single-source shortest-route tree into reusable scratch
+/// rows: only `nodes` (the source's structural component) is re-initialised,
+/// and Dijkstra can only ever reach inside it, so the cost is
+/// O(component log component), not O(graph). The one Dijkstra of the crate:
+/// [`shortest_route_tree_with_dist`] runs it over every node, so the
+/// matrix's trees and the oracle its tests compare against break ties alike.
+pub(crate) fn scoped_route_tree(
+    topo: &DistilledTopology,
+    source: NodeId,
+    nodes: &[u32],
+    dist: &mut [u64],
+    pred: &mut [u32],
+    heap_scratch: &mut Vec<Reverse<(u64, NodeId)>>,
+) {
+    for &u in nodes {
+        dist[u as usize] = UNUSABLE_COST;
+        pred[u as usize] = NO_PRED;
     }
-    let mut heap = BinaryHeap::new();
+    if source.index() >= dist.len() {
+        return;
+    }
+    let mut heap = BinaryHeap::from(std::mem::take(heap_scratch));
     dist[source.index()] = 0;
     heap.push(Reverse((0u64, source)));
     while let Some(Reverse((d, u))) = heap.pop() {
@@ -92,12 +113,13 @@ pub fn shortest_route_tree_with_dist(
             let v = topo.pipe(pipe_id).dst;
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
-                pred[v.index()] = Some(pipe_id);
+                pred[v.index()] = pipe_id.index() as u32;
                 heap.push(Reverse((nd, v)));
             }
         }
     }
-    (pred, dist)
+    // Hand the (drained) backing vector back for the next recompute.
+    *heap_scratch = heap.into_vec();
 }
 
 /// Extracts the route to `dst` from a predecessor tree rooted at `src`.
@@ -127,7 +149,7 @@ pub fn route_between(topo: &DistilledTopology, src: NodeId, dst: NodeId) -> Opti
     if src == dst {
         return Some(Route::default());
     }
-    let pred = shortest_route_tree(topo, src);
+    let pred = shortest_route_tree_with_dist(topo, src).0;
     route_from_tree(topo, &pred, src, dst)
 }
 
@@ -249,7 +271,7 @@ mod tests {
     fn tree_reuse_matches_pairwise_routes() {
         let (topo, ids) = line_topology(6);
         let d = distill(&topo, DistillationMode::HopByHop);
-        let pred = shortest_route_tree(&d, ids[0]);
+        let pred = shortest_route_tree_with_dist(&d, ids[0]).0;
         for &dst in &ids[1..] {
             let via_tree = route_from_tree(&d, &pred, ids[0], dst).unwrap();
             let direct = route_between(&d, ids[0], dst).unwrap();

@@ -29,8 +29,7 @@ pub mod matrix;
 pub mod table;
 
 pub use dijkstra::{
-    pipe_cost, route_between, route_from_tree, shortest_route_tree, shortest_route_tree_with_dist,
-    Route, UNUSABLE_COST,
+    pipe_cost, route_between, route_from_tree, shortest_route_tree_with_dist, Route, UNUSABLE_COST,
 };
 pub use matrix::{RouteUpdate, RoutingMatrix};
 pub use table::{RouteId, RouteStateMemory, RouteTable};

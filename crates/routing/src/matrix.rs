@@ -11,22 +11,29 @@
 //! it as a tree edge) makes [`RoutingMatrix::update_pipes`] output-sensitive:
 //! worsening a pipe touches exactly the trees that used it, not every VN in
 //! the component.
+//!
+//! **Stub trees.** ModelNet's VNs are edge clients, each on one access link,
+//! so most sources are *stubs*: `s`'s only out-pipe `p` is usable, with cost
+//! `c`, into a hub `h ≠ s`. Its tree is `h`'s shifted by `c` — `pred_s =
+//! pred_h` but `pred_s[s] = NO_PRED`, `pred_s[h] = p`; `dist_s = c + dist_h`
+//! (unreachable stays so) but `dist_s[s] = 0` — bit for bit Dijkstra's from
+//! `s`: `s` pops first and improves only `h`, which pops next at `c`;
+//! relaxation is strict and every pipe costs ≥ 1, so nothing improves `s`
+//! again; and from there every key is `h`'s run's plus `c`, which keeps the
+//! `(dist, node)` pop order and every comparison, ties included. So a call
+//! runs one Dijkstra per hub ([`RoutingMatrix::dijkstra_runs`]) and copies
+//! it per stub; where `c + dist_h` would overflow, the stub runs its own.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
 use mn_distill::DistilledTopology;
 use mn_topology::NodeId;
 
-use crate::dijkstra::{pipe_cost, Route, UNUSABLE_COST};
+use crate::dijkstra::{pipe_cost, scoped_route_tree, Route, NO_PRED, UNUSABLE_COST};
 
 use mn_distill::PipeId;
-
-/// Sentinel in predecessor rows (no predecessor: the source itself, or an
-/// unreachable node) and in the dense node→VN table (not a VN).
-const NO_PRED: u32 = u32::MAX;
 
 /// Sentinel location of a tombstoned source slot (see
 /// [`RoutingMatrix::remove_source`]): the slot's rows stay allocated for
@@ -57,7 +64,7 @@ impl RouteUpdate {
 /// over the pipe graph (the source's shortest-route tree); routes are never
 /// stored, only derived. Lookup walks the destination's predecessor chain —
 /// O(hops), allocation-free via [`RoutingMatrix::materialize_at`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RoutingMatrix {
     /// The VN set, in index order.
     vns: Vec<NodeId>,
@@ -97,15 +104,12 @@ pub struct RoutingMatrix {
     /// [`RoutingMatrix::update_pipes`]), which is what makes reconfiguration
     /// output-sensitive.
     pipe_sources: Vec<Vec<u32>>,
-    /// Reusable scratch for the component-scoped Dijkstra of
-    /// [`RoutingMatrix::update_pipes`]: row entries outside a call's
-    /// component are never read or written, so only the component is
-    /// re-initialised per recompute instead of memsetting O(nodes) arrays,
-    /// and the heap's backing vector is recycled across recomputes so the
-    /// incremental path performs no per-source allocation.
+    /// The fresh tree of a source [`RoutingMatrix::update_pipes`]
+    /// recomputes, diffed against its stored rows. Entries outside the
+    /// source's component are never read or written.
     scratch_dist: Vec<u64>,
     scratch_pred: Vec<u32>,
-    scratch_heap: Vec<Reverse<(u64, NodeId)>>,
+    trees: TreeScratch,
     /// Per-node verdicts of the changed-destination scan of one recomputed
     /// tree (see [`route_changed`]).
     scratch_memo: Vec<u8>,
@@ -118,51 +122,63 @@ pub struct RoutingMatrix {
     version: u64,
 }
 
-/// Component-scoped single-source shortest-route tree into reusable scratch
-/// rows: only `nodes` (the source's structural component) is re-initialised,
-/// and Dijkstra can only ever reach inside it, so the cost is
-/// O(component log component), not O(graph). Tie-breaking is identical to
-/// [`crate::dijkstra::shortest_route_tree_with_dist`] (same heap ordering),
-/// which the incremental-equals-scratch property suites rely on.
-fn scoped_route_tree(
+/// What [`source_tree`] reuses, so no recompute allocates: the heap's
+/// backing vector, and the tree of the last hub a stub was shifted from.
+/// [`RoutingMatrix::rebuild`], `update_pipes` and `add_source` each start by
+/// forgetting the hub: pipe costs may have changed since the last call.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct TreeScratch {
+    heap: Vec<Reverse<(u64, NodeId)>>,
+    /// The hub whose tree `hub_dist` / `hub_pred` hold, and its largest
+    /// finite label.
+    hub: Option<(NodeId, u64)>,
+    hub_dist: Vec<u64>,
+    hub_pred: Vec<u32>,
+    /// Dijkstra runs so far ([`RoutingMatrix::dijkstra_runs`]).
+    runs: u64,
+}
+
+/// `source`'s shortest-route tree into `dist` / `pred` over its component's
+/// `nodes`, bit for bit what [`scoped_route_tree`] computes. A stub — a
+/// source whose only out-pipe `p` is usable, with cost `c`, into a hub `h ≠
+/// source` — copies `h`'s tree shifted by `c` instead (the module docs have
+/// the proof), computing that tree only when the call has not already; if a
+/// shifted label would overflow, the stub runs Dijkstra itself.
+fn source_tree(
     topo: &DistilledTopology,
     source: NodeId,
     nodes: &[u32],
     dist: &mut [u64],
     pred: &mut [u32],
-    heap_scratch: &mut Vec<Reverse<(u64, NodeId)>>,
+    scratch: &mut TreeScratch,
 ) {
-    for &u in nodes {
-        dist[u as usize] = UNUSABLE_COST;
-        pred[u as usize] = NO_PRED;
-    }
-    if source.index() >= dist.len() {
-        return;
-    }
-    heap_scratch.clear();
-    let mut heap = BinaryHeap::from(std::mem::take(heap_scratch));
-    dist[source.index()] = 0;
-    heap.push(Reverse((0u64, source)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        for &pipe_id in topo.out_pipes(u) {
-            let cost = pipe_cost(&topo.pipe(pipe_id).attrs);
-            if cost == UNUSABLE_COST {
-                continue;
+    if let &[p] = topo.out_pipes(source) {
+        let (hub, c) = (topo.pipe(p).dst, pipe_cost(&topo.pipe(p).attrs));
+        if c != UNUSABLE_COST && hub != source {
+            if scratch.hub.is_none_or(|(known, _)| known != hub) {
+                scratch.hub_dist.resize(dist.len(), UNUSABLE_COST);
+                scratch.hub_pred.resize(pred.len(), NO_PRED);
+                let (hub_dist, hub_pred) = (&mut scratch.hub_dist, &mut scratch.hub_pred);
+                scoped_route_tree(topo, hub, nodes, hub_dist, hub_pred, &mut scratch.heap);
+                let labels = nodes.iter().map(|&u| hub_dist[u as usize]);
+                let far = labels.filter(|&d| d != UNUSABLE_COST).max();
+                scratch.hub = Some((hub, far.unwrap_or(0)));
+                scratch.runs += 1;
             }
-            let nd = d.saturating_add(cost);
-            let v = topo.pipe(pipe_id).dst;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                pred[v.index()] = pipe_id.index() as u32;
-                heap.push(Reverse((nd, v)));
+            if scratch.hub.is_some_and(|(_, far)| far < UNUSABLE_COST - c) {
+                for &u in nodes {
+                    let (u, d) = (u as usize, scratch.hub_dist[u as usize]);
+                    dist[u] = if d == UNUSABLE_COST { d } else { d + c };
+                    pred[u] = scratch.hub_pred[u];
+                }
+                (dist[source.index()], pred[source.index()]) = (0, NO_PRED);
+                pred[hub.index()] = p.index() as u32;
+                return;
             }
         }
     }
-    // Hand the (drained) backing vector back for the next recompute.
-    *heap_scratch = heap.into_vec();
+    scoped_route_tree(topo, source, nodes, dist, pred, &mut scratch.heap);
+    scratch.runs += 1;
 }
 
 /// Walks `dst`'s predecessor chain in one stored tree row, writing the
@@ -254,22 +270,7 @@ impl RoutingMatrix {
     pub fn build(topo: &DistilledTopology) -> Self {
         let mut matrix = RoutingMatrix {
             vns: topo.vns().to_vec(),
-            vn_of_node: Vec::new(),
-            node_count: 0,
-            dist: Vec::new(),
-            pred: Vec::new(),
-            pipe_cost: Vec::new(),
-            pipe_src: Vec::new(),
-            node_component: Vec::new(),
-            component_vns: Vec::new(),
-            component_nodes: Vec::new(),
-            pipe_sources: Vec::new(),
-            scratch_dist: Vec::new(),
-            scratch_pred: Vec::new(),
-            scratch_heap: Vec::new(),
-            scratch_memo: Vec::new(),
-            free_slots: Vec::new(),
-            version: 0,
+            ..RoutingMatrix::default()
         };
         matrix.rebuild(topo);
         matrix
@@ -285,14 +286,8 @@ impl RoutingMatrix {
         self.pipe_src = topo.pipes().map(|(_, p)| p.src.index() as u32).collect();
         // Dense node→VN table: sized to cover every node and every VN id
         // (tombstoned slots map no node).
-        let table_len = self
-            .vns
-            .iter()
-            .filter(|v| **v != DEAD_SOURCE)
-            .map(|v| v.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(nc);
+        let live = self.vns.iter().filter(|v| **v != DEAD_SOURCE);
+        let table_len = live.map(|v| v.index() + 1).max().unwrap_or(0).max(nc);
         self.vn_of_node.clear();
         self.vn_of_node.resize(table_len, NO_PRED);
         for (i, &vn) in self.vns.iter().enumerate() {
@@ -305,33 +300,37 @@ impl RoutingMatrix {
         self.dist.resize(n * nc, UNUSABLE_COST);
         self.pred.clear();
         self.pred.resize(n * nc, NO_PRED);
-        let mut pipe_sources: Vec<Vec<u32>> = vec![Vec::new(); topo.pipe_count()];
-        let mut heap = std::mem::take(&mut self.scratch_heap);
-        for (si, &src) in self.vns.iter().enumerate() {
-            if src.index() >= nc {
-                continue;
+        self.pipe_sources = vec![Vec::new(); topo.pipe_count()];
+        self.trees.hub = None;
+        for si in 0..n {
+            if self.vns[si].index() < nc {
+                self.plant_tree(topo, si);
             }
-            let comp = self.node_component[src.index()] as usize;
-            scoped_route_tree(
-                topo,
-                src,
-                &self.component_nodes[comp],
-                &mut self.dist[si * nc..(si + 1) * nc],
-                &mut self.pred[si * nc..(si + 1) * nc],
-                &mut heap,
-            );
-            // Seed the reverse index: ascending source order falls out of
-            // the iteration, so every per-pipe list is born sorted.
-            for &u in &self.component_nodes[comp] {
-                let p = self.pred[si * nc + u as usize];
-                if p != NO_PRED {
-                    pipe_sources[p as usize].push(si as u32);
+        }
+        self.version += 1;
+    }
+
+    /// Computes source slot `si`'s tree into its rows ([`source_tree`]) and
+    /// enters the tree's edges into the reverse index, each pipe's list kept
+    /// ascending — a push when slots are planted in ascending order, as
+    /// [`RoutingMatrix::rebuild`] does.
+    fn plant_tree(&mut self, topo: &DistilledTopology, si: usize) {
+        let (nc, src, si_u32) = (self.node_count, self.vns[si], si as u32);
+        let nodes = &self.component_nodes[self.node_component[src.index()] as usize];
+        let dist = &mut self.dist[si * nc..(si + 1) * nc];
+        let pred = &mut self.pred[si * nc..(si + 1) * nc];
+        source_tree(topo, src, nodes, dist, pred, &mut self.trees);
+        for &u in nodes {
+            let p = pred[u as usize];
+            if p != NO_PRED {
+                let sources = &mut self.pipe_sources[p as usize];
+                if sources.last() < Some(&si_u32) {
+                    sources.push(si_u32);
+                } else if let Err(pos) = sources.binary_search(&si_u32) {
+                    sources.insert(pos, si_u32);
                 }
             }
         }
-        self.pipe_sources = pipe_sources;
-        self.scratch_heap = heap;
-        self.version += 1;
     }
 
     /// Recomputes the structural component index (union-find over the pipe
@@ -407,33 +406,15 @@ impl RoutingMatrix {
     /// matches a from-scratch recomputation exactly). The result equals a
     /// from-scratch [`RoutingMatrix::rebuild`] pair for pair — pinned by
     /// the `dynamics_invariants` and `matrix_trees` property suites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topo` is not the pipe graph the matrix was built over
+    /// (another node or pipe count): only attributes change in place.
     pub fn update_pipes(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
-        let n = self.vns.len();
-        if self.dist.len() != n * topo.node_count() || self.pipe_cost.len() != topo.pipe_count() {
-            // Shape mismatch (different pipe graph): fall back to a full
-            // rebuild, reporting every pair whose materialised route
-            // differs between the old trees and the new ones.
-            let old_pred = std::mem::take(&mut self.pred);
-            let old_pipe_src = std::mem::take(&mut self.pipe_src);
-            let old_nc = self.node_count;
-            self.rebuild(topo);
-            let mut changed_pairs = Vec::new();
-            let (mut old_buf, mut new_buf) = (Vec::new(), Vec::new());
-            for (si, &src) in self.vns.iter().enumerate() {
-                let old_row = &old_pred[si * old_nc..(si + 1) * old_nc];
-                for (di, &dst) in self.vns.iter().enumerate() {
-                    let old_ok = walk_row(old_row, &old_pipe_src, src, dst, &mut old_buf);
-                    let new_ok = self.materialize_at(si, di, &mut new_buf);
-                    if old_ok != new_ok || (old_ok && old_buf != new_buf) {
-                        changed_pairs.push((src, dst));
-                    }
-                }
-            }
-            return RouteUpdate {
-                changed_pairs,
-                recomputed_sources: n,
-            };
-        }
+        let same =
+            (self.node_count, self.pipe_cost.len()) == (topo.node_count(), topo.pipe_count());
+        assert!(same, "update_pipes over another pipe graph");
         // Classify each genuinely changed pipe by cost direction.
         let mut worsened: Vec<PipeId> = Vec::new();
         let mut improved: Vec<(usize, usize, u64)> = Vec::new(); // (src, dst, new cost)
@@ -492,6 +473,7 @@ impl RoutingMatrix {
         // ascending scan, so callers' rewire order cannot drift.
         candidates.sort_unstable();
         candidates.dedup();
+        self.trees.hub = None;
         for &si in &candidates {
             let si = si as usize;
             update.recomputed_sources += 1;
@@ -507,13 +489,14 @@ impl RoutingMatrix {
             }
             let mut fresh_dist = std::mem::take(&mut self.scratch_dist);
             let mut fresh_pred = std::mem::take(&mut self.scratch_pred);
-            scoped_route_tree(
+            let nodes = &self.component_nodes[comp];
+            source_tree(
                 topo,
                 src,
-                &self.component_nodes[comp],
+                nodes,
                 &mut fresh_dist,
                 &mut fresh_pred,
-                &mut self.scratch_heap,
+                &mut self.trees,
             );
             // Report changed destinations against the still-old row…
             let old_row = &self.pred[si * nc..(si + 1) * nc];
@@ -593,30 +576,12 @@ impl RoutingMatrix {
             self.vn_of_node.resize(node.index() + 1, NO_PRED);
         }
         self.vn_of_node[node.index()] = si as u32;
-        let si_u32 = si as u32;
-        let comp = self.node_component[node.index()] as usize;
-        let vns = &mut self.component_vns[comp];
-        if let Err(pos) = vns.binary_search(&si_u32) {
-            vns.insert(pos, si_u32);
+        let vns = &mut self.component_vns[self.node_component[node.index()] as usize];
+        if let Err(pos) = vns.binary_search(&(si as u32)) {
+            vns.insert(pos, si as u32);
         }
-        scoped_route_tree(
-            topo,
-            node,
-            &self.component_nodes[comp],
-            &mut self.dist[si * nc..(si + 1) * nc],
-            &mut self.pred[si * nc..(si + 1) * nc],
-            &mut self.scratch_heap,
-        );
-        // Seed the reverse index with the fresh tree's edges.
-        for &u in &self.component_nodes[comp] {
-            let p = self.pred[si * nc + u as usize];
-            if p != NO_PRED {
-                let sources = &mut self.pipe_sources[p as usize];
-                if let Err(pos) = sources.binary_search(&si_u32) {
-                    sources.insert(pos, si_u32);
-                }
-            }
-        }
+        self.trees.hub = None;
+        self.plant_tree(topo, si);
         self.version += 1;
         true
     }
@@ -744,6 +709,14 @@ impl RoutingMatrix {
         (d != UNUSABLE_COST).then_some(d)
     }
 
+    /// Dijkstra runs this matrix has made (not carried by a snapshot): a
+    /// stub's tree is a copy of its hub's, so this counts hubs, not sources.
+    /// Exact, so tests can state tree cost as a count.
+    #[doc(hidden)]
+    pub fn dijkstra_runs(&self) -> u64 {
+        self.trees.runs
+    }
+
     /// The sources (ascending dense VN indices) whose current tree crosses
     /// `pipe` as a tree edge — exactly the trees a worsening of this pipe
     /// forces [`RoutingMatrix::update_pipes`] to recompute.
@@ -850,12 +823,9 @@ impl RoutingMatrix {
             component_vns: get_nested(r)?,
             component_nodes: get_nested(r)?,
             pipe_sources: get_nested(r)?,
-            scratch_dist: Vec::new(),
-            scratch_pred: Vec::new(),
-            scratch_heap: Vec::new(),
-            scratch_memo: Vec::new(),
             free_slots: r.get_u32s()?,
             version: r.get_u64()?,
+            ..RoutingMatrix::default()
         })
     }
 }
@@ -863,7 +833,7 @@ impl RoutingMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_distill::{distill, DistillationMode};
+    use mn_distill::{distill, DistillationMode, PipeAttrs};
     use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
     use mn_util::{DataRate, SimDuration};
 
@@ -1300,6 +1270,127 @@ mod tests {
         let bytes = w.into_bytes();
         let truncated = &bytes[..bytes.len() / 2];
         assert!(RoutingMatrix::decode(&mut mn_util::ByteReader::new(truncated)).is_err());
+    }
+
+    /// Every live source's stored rows against a from-scratch Dijkstra, bit
+    /// for bit: a stub's shifted copy must be indistinguishable from it.
+    fn assert_rows_are_dijkstras(m: &RoutingMatrix, d: &DistilledTopology) {
+        let nc = m.node_count;
+        for (si, &src) in m.vns.iter().enumerate() {
+            if src == DEAD_SOURCE {
+                continue;
+            }
+            let (pred, dist) = crate::shortest_route_tree_with_dist(d, src);
+            let pred: Vec<u32> = pred
+                .iter()
+                .map(|p| p.map_or(NO_PRED, |p| p.index() as u32))
+                .collect();
+            assert_eq!(m.pred[si * nc..(si + 1) * nc], pred, "pred row of {src}");
+            assert_eq!(m.dist[si * nc..(si + 1) * nc], dist, "dist row of {src}");
+        }
+    }
+
+    #[test]
+    fn a_stub_whose_access_pipe_is_down_runs_dijkstra_and_reaches_nothing() {
+        let mut d = small_ring();
+        let mut m = RoutingMatrix::build(&d);
+        assert_eq!(m.dijkstra_runs(), 6, "one per router, none per client");
+        let stub = m.vns()[0];
+        let access = d.out_pipes(stub)[0];
+        d.pipe_attrs_mut(access).unwrap().bandwidth = DataRate::ZERO;
+        let update = m.update_pipes(&d, &[access]);
+        assert_eq!(update.recomputed_sources, 1);
+        assert_eq!(m.dijkstra_runs(), 7, "the stub's own run, no hub's");
+        assert!(m
+            .vns()
+            .iter()
+            .all(|&b| b == stub || m.lookup(stub, b).is_none()));
+        assert_rows_are_dijkstras(&m, &d);
+    }
+
+    #[test]
+    fn a_hub_that_is_itself_a_vn_is_shifted_from_exactly() {
+        // VN h reaches VN t over two equal-cost paths (a tie), and is the
+        // hub of stub VNs s1 and s2 (s2's access link at zero latency).
+        let mut topo = mn_topology::Topology::new();
+        let attrs =
+            |ms| mn_topology::LinkAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(ms));
+        let [t, h, s1, s2] = [(); 4].map(|_| topo.add_node(mn_topology::NodeKind::Client));
+        for r in [(); 2].map(|_| topo.add_node(mn_topology::NodeKind::Stub)) {
+            topo.add_link(h, r, attrs(1)).unwrap();
+            topo.add_link(r, t, attrs(1)).unwrap();
+        }
+        topo.add_link(s1, h, attrs(2)).unwrap();
+        topo.add_link(s2, h, attrs(0)).unwrap();
+        let d = distill(&topo, DistillationMode::HopByHop);
+        let m = RoutingMatrix::build(&d);
+        assert_eq!(m.vns(), [t, h, s1, s2]);
+        assert_eq!(m.dijkstra_runs(), 3, "t, h, and h again as the hub");
+        assert_rows_are_dijkstras(&m, &d);
+    }
+
+    #[test]
+    fn stubs_of_one_hub_recomputed_in_one_update_share_its_dijkstra() {
+        // Every other client's tree crosses the hub's pipe to client 0: down
+        // and back up, each call shifts them all from one fresh hub tree.
+        let topo = star_topology(&StarParams {
+            clients: 6,
+            ..StarParams::default()
+        });
+        let mut d = distill(&topo, DistillationMode::HopByHop);
+        let mut m = RoutingMatrix::build(&d);
+        assert_eq!(m.dijkstra_runs(), 1);
+        let victim = m.lookup(m.vns()[1], m.vns()[0]).unwrap().pipes[1];
+        let original = d.pipe(victim).attrs;
+        let crossing = m.pipe_tree_sources(victim).to_vec();
+        assert_eq!(crossing, [1, 2, 3, 4, 5]);
+        for attrs in [
+            PipeAttrs {
+                bandwidth: DataRate::ZERO,
+                ..original
+            },
+            original,
+        ] {
+            *d.pipe_attrs_mut(victim).unwrap() = attrs;
+            let runs = m.dijkstra_runs();
+            let update = m.update_pipes(&d, &[victim]);
+            assert_eq!(update.recomputed_sources, crossing.len());
+            assert_eq!(m.dijkstra_runs() - runs, 1, "one hub tree a call");
+            assert_rows_are_dijkstras(&m, &d);
+        }
+        assert_eq!(m.pipe_tree_sources(victim), crossing);
+    }
+
+    #[test]
+    fn add_source_of_a_stub_copies_its_hubs_tree() {
+        let d = small_ring();
+        let mut m = RoutingMatrix::build(&d);
+        let stub = m.vns()[3];
+        assert!(m.remove_source(stub));
+        let runs = m.dijkstra_runs();
+        assert!(m.add_source(&d, stub));
+        assert_eq!(m.dijkstra_runs() - runs, 1, "the hub's tree");
+        assert_rows_are_dijkstras(&m, &d);
+        assert_reverse_index_exact(&m, &d);
+    }
+
+    #[test]
+    fn a_shift_that_would_overflow_falls_back_to_dijkstra() {
+        // Client 0's access cost is within 100 of u64::MAX: its hub's labels
+        // shifted by it would overflow, so it runs Dijkstra itself (and,
+        // saturating, reaches only the hub). The other clients shift.
+        let topo = star_topology(&StarParams {
+            clients: 4,
+            ..StarParams::default()
+        });
+        let mut d = distill(&topo, DistillationMode::HopByHop);
+        let access = d.out_pipes(d.vns()[0])[0];
+        d.pipe_attrs_mut(access).unwrap().latency = SimDuration::from_nanos(u64::MAX - 100);
+        let m = RoutingMatrix::build(&d);
+        assert_eq!(m.dijkstra_runs(), 2, "the hub's, then client 0's own");
+        assert!(m.lookup(m.vns()[0], m.vns()[1]).is_none());
+        assert!(m.lookup(m.vns()[1], m.vns()[0]).is_some());
+        assert_rows_are_dijkstras(&m, &d);
     }
 
     #[test]

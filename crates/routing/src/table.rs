@@ -46,21 +46,24 @@
 //! content-dedup index carry forward structurally — a rewire that brings
 //! back known routes re-interns nothing.
 //!
-//! **Interning is one probe.** Every route enters through
-//! [`RouteTable::intern_pipes`]: one fixed multiplicative fingerprint over
-//! the pipe sequence, one linear probe of a flat `(fingerprint, id)` slot
-//! array, and a match is **verified against the store itself** — the index
-//! keeps no second copy of any route, a collision costs a comparison and
-//! can never alias, and ids are first-id-wins. The index is a pure function
-//! of the append-only store, so snapshots leave it out and a decoded table
-//! has none until its first lookup builds it, in one pass in id order over
-//! a table sized once: a restore that only forwards never pays for it. It
+//! **Interning is one probe.** A route a rewire or a join resolves enters
+//! through [`RouteTable::intern_pipes`]: one fixed multiplicative
+//! fingerprint over the pipe sequence, one linear probe of a flat
+//! `(fingerprint, id)` slot array, and a match is **verified against the
+//! store itself** — the index keeps no second copy of any route, a
+//! collision costs a comparison and can never alias, and ids are
+//! first-id-wins. The index is a pure function of the append-only store, so
+//! the bulk writers, each unsharing the store once, leave it out: `decode`
+//! fills whole chunks, and `build` appends every location pair's route
+//! unprobed (its first pipe leaves the source location and its last enters
+//! the destination, so no two pairs share a route and every probe would
+//! miss). The first `find` builds it, in one pass in id order over a table
+//! sized once: a run or a restore that only forwards never pays for it. It
 //! sits with the store behind one `Arc`: generations share both, and the
 //! first to intern new content copies the chunk handles, the open tail and
 //! the index — flat, 16 B per slot at 4/3 to 8/3 slots per route: ≤ 43 B
 //! per route — so a link-up or an oscillation, which intern nothing, never
-//! pays. The bulk writers unshare once, not per route: `build` interns
-//! through one `&mut` store; `decode` fills whole chunks.
+//! pays.
 //!
 //! Endpoint indices are the dense VN indices of the binding (`VnId::index`),
 //! but the table is deliberately typed on `usize` so `mn-routing` stays
@@ -423,8 +426,8 @@ struct RouteStore {
     tail: Chunk,
     /// One past the largest pipe id any stored route names (0: none).
     pipe_bound: usize,
-    /// Built by the first [`RouteStore::find`]: `build` interns through it
-    /// from the first route on, a decoded store has none until then.
+    /// Built by the first [`RouteStore::find`]: `build` appends and
+    /// `decode` fills chunks without it.
     index: OnceLock<ContentIndex>,
     /// Test-only: the index, whenever it is built, folds every sequence to
     /// the same fingerprint (see [`ContentIndex::degenerate`]).
@@ -490,7 +493,8 @@ impl RouteStore {
     }
 
     /// Appends a route to the arena, indexing it under `new_content` (its
-    /// fingerprint) when the index does not hold its content yet.
+    /// fingerprint) when the index does not hold its content yet (`None`
+    /// also for a store with no index yet: its first `find` covers it).
     fn append(&mut self, pipes: &[PipeId], new_content: Option<u64>) -> RouteId {
         let id = RouteId(self.len() as u32);
         self.tail.pipes.extend_from_slice(pipes);
@@ -580,20 +584,17 @@ impl RouteStore {
     }
 
     /// Ends the route whose pipes were just pushed onto the tail, sealing
-    /// the tail if that filled it. The next tail is sized like the sealed
-    /// one: a chunk is three allocations when routes are of a length.
+    /// the tail if that filled it: the sealed chunk is an exact copy, three
+    /// allocations, and the tail keeps its buffers, so filling any number of
+    /// chunks grows them at most to the longest chunk, once.
     fn close_route(&mut self) {
         assert!(self.len() < NO_ROUTE as usize, "route table overflow");
         let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
         self.tail.ends.push(end);
         if self.tail.ends.len() == ROUTE_CHUNK {
-            self.tail.pipes.shrink_to_fit();
-            let next = Chunk {
-                ends: Vec::with_capacity(ROUTE_CHUNK),
-                pipes: Vec::with_capacity(self.tail.pipes.len()),
-            };
-            let full = std::mem::replace(&mut self.tail, next);
-            self.sealed.push(Arc::new(full));
+            self.sealed.push(Arc::new(self.tail.clone()));
+            self.tail.ends.clear();
+            self.tail.pipes.clear();
         }
     }
 }
@@ -819,15 +820,17 @@ fn resolve(
 
 /// Derives location slot `si`'s row from the matrix: one column per other
 /// slot with a live endpoint (same-location pairs stay local, never routed).
+/// `bufs` are scratch: the route walked, the row at full width.
 fn derive_row(
     matrix: &RoutingMatrix,
     locs: &LocationIndex,
     vn_of_slot: &[Option<usize>],
     si: usize,
-    pipes: &mut Vec<PipeId>,
+    (pipes, ids): &mut (Vec<PipeId>, Vec<u32>),
     intern: &mut impl FnMut(&[PipeId]) -> RouteId,
 ) -> RowShard {
-    let mut ids = vec![NO_ROUTE; vn_of_slot.len()];
+    ids.clear();
+    ids.resize(vn_of_slot.len(), NO_ROUTE);
     if let Some(ms) = vn_of_slot[si] {
         for (di, id) in ids.iter_mut().enumerate() {
             if di != si && !locs.endpoints[di].is_empty() {
@@ -835,7 +838,7 @@ fn derive_row(
             }
         }
     }
-    RowShard::from_window(0, &ids)
+    RowShard::from_window(0, ids)
 }
 
 /// Memory accounting snapshot for a [`RouteTable`] (see
@@ -893,15 +896,18 @@ impl RouteTable {
     /// [`RouteTable::set_pair`].
     pub fn new(endpoint_count: usize) -> Self {
         let own: Vec<NodeId> = (0..endpoint_count).map(NodeId).collect();
-        Self::unrouted(&own)
+        let mut table = Self::rowless(&own);
+        table.rows = blocks_from_flat(vec![RowShard::Empty; endpoint_count]);
+        table
     }
 
-    /// A table over the given binding with every row still empty.
-    fn unrouted(locations: &[NodeId]) -> Self {
+    /// A table over the given binding with no rows yet: [`RouteTable::new`]
+    /// gives every location an empty one, `derive_rows` derives them.
+    fn rowless(locations: &[NodeId]) -> Self {
         let (locs, slot_of_endpoint) = LocationIndex::build(locations);
         RouteTable {
             store: Arc::default(),
-            rows: blocks_from_flat(vec![RowShard::Empty; locs.locations.len()]),
+            rows: Vec::new(),
             endpoint_count: locations.len(),
             cols: blocks_from_flat(slot_of_endpoint),
             index_probes: 0,
@@ -959,25 +965,24 @@ impl RouteTable {
     /// O(endpoints²). Same-location pairs stay unroutable — callers deliver
     /// those locally without touching a route.
     pub fn build(matrix: &RoutingMatrix, locations: &[NodeId]) -> Self {
-        let mut table = Self::unrouted(locations);
+        let mut table = Self::rowless(locations);
         table.derive_rows(matrix);
         table
     }
 
-    /// Derives every location's row of a still-unrouted table, in slot
-    /// order (which fixes the order routes are interned in), into a store
-    /// unshared once.
+    /// Derives every location's row of a still rowless table, in slot
+    /// order (which fixes the order routes are interned in), appending to a
+    /// store unshared once, with no probe: no two location pairs share a
+    /// route (see the module docs), so each is new content.
     fn derive_rows(&mut self, matrix: &RoutingMatrix) {
         let locs = Arc::clone(&self.locs);
         let vn_of_slot = locs.vn_of_slot(matrix);
-        let mut pipes = Vec::new();
-        let (store, probes) = (Arc::make_mut(&mut self.store), &mut self.index_probes);
-        let mut intern = |pipes: &[PipeId]| match store.find(pipes, probes) {
-            (_, Some(known)) => known,
-            (fingerprint, None) => store.append(pipes, Some(fingerprint)),
-        };
+        let mut bufs = (Vec::new(), Vec::new());
+        let store = Arc::make_mut(&mut self.store);
+        debug_assert!(store.len() == 0 && store.index.get().is_none());
+        let mut append = |pipes: &[PipeId]| store.append(pipes, None);
         let rows = (0..locs.locations.len())
-            .map(|si| derive_row(matrix, &locs, &vn_of_slot, si, &mut pipes, &mut intern));
+            .map(|si| derive_row(matrix, &locs, &vn_of_slot, si, &mut bufs, &mut append));
         self.rows = blocks_from_flat(rows.collect());
     }
 
@@ -1124,14 +1129,14 @@ impl RouteTable {
             // departed) — refresh them, one patch per live source location.
             let locs = Arc::clone(&self.locs);
             let vn_of_slot = locs.vn_of_slot(matrix);
-            let mut pipes = Vec::new();
+            let mut bufs = (Vec::new(), Vec::new());
             let mut intern = |p: &[PipeId]| self.intern_pipes(p);
-            let row = derive_row(matrix, &locs, &vn_of_slot, slot, &mut pipes, &mut intern);
+            let row = derive_row(matrix, &locs, &vn_of_slot, slot, &mut bufs, &mut intern);
             self.set_row(slot, row);
             for si in 0..locs.locations.len() {
                 if si != slot && !locs.endpoints[si].is_empty() {
                     let (ms, md) = (vn_of_slot[si], vn_of_slot[slot]);
-                    let raw = resolve(matrix, ms, md, &mut pipes, &mut |p| self.intern_pipes(p));
+                    let raw = resolve(matrix, ms, md, &mut bufs.0, &mut |p| self.intern_pipes(p));
                     self.patch_row(si, &[(slot, raw)]);
                 }
             }
@@ -2121,21 +2126,32 @@ mod tests {
         /// interleavings of every operation that interns, the flat index —
         /// once with its real fingerprint, once with a degenerate one that
         /// sends every probe through the store comparison and every insert
-        /// through one cluster — hands out exactly the ids the map did.
+        /// through one cluster — hands out exactly the ids the map did. The
+        /// build leaves no index; the first intern builds it.
         #[test]
-        fn flat_index_hands_out_the_ids_the_map_did(
+        fn flat_index_built_on_first_intern_hands_out_the_ids_the_map_did(
             ops in prop::collection::vec(arb_index_op(), 1..24),
         ) {
             let (mut d, mut matrix, mut locations) = multiplexed_ring();
             let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
             let mut tables = [
                 RouteTable::build(&matrix, &locations),
-                RouteTable::unrouted(&locations),
+                RouteTable::rowless(&locations),
             ];
             Arc::make_mut(&mut tables[1].store).degenerate = true;
             tables[1].derive_rows(&matrix);
-            // The build alone took the index through its growth path.
-            assert!(tables[1].store.index.get().unwrap().len > 16);
+            for table in &mut tables {
+                prop_assert!(table.store.index.get().is_none(), "no index after build");
+                let last = RouteId(table.route_count() as u32 - 1);
+                let known = table.pipes(last).to_vec();
+                prop_assert_eq!(table.intern_pipes(&known), last);
+                prop_assert_eq!(table.store.index.get().unwrap().len, table.route_count());
+            }
+            // Degenerate, every id shares one cluster in id order: finding
+            // the last inspected every slot and compared every route.
+            let degenerate_probes = 2 * tables[1].route_count() as u64;
+            prop_assert_eq!(tables[1].content_index_probes(), degenerate_probes);
+            prop_assert!(tables[0].content_index_probes() < degenerate_probes);
             let mut oracle = MapOracle::default();
             oracle.absorb_and_check(&tables[0]);
             MapOracle::default().absorb_and_check(&tables[1]);
@@ -2311,6 +2327,47 @@ mod tests {
                     prop_assert_eq!(restored.pipes(RouteId(i as u32)), &content[..]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_route_a_build_appends_is_new_content() {
+        // Why `build` may append without a probe: two location pairs never
+        // share a route. Interning each built route again finds its own id.
+        use mn_topology::generators::{path_pairs_topology, star_topology};
+        let star = star_topology(&mn_topology::generators::StarParams {
+            clients: 12,
+            ..Default::default()
+        });
+        let ring = ring_topology(&RingParams {
+            routers: 6,
+            clients_per_router: 2,
+            ..RingParams::default()
+        });
+        let params = mn_topology::generators::PathPairsParams {
+            pairs: 4,
+            hops: 3,
+            ..Default::default()
+        };
+        let mut cases: Vec<(RoutingMatrix, Vec<NodeId>)> =
+            [star, ring, path_pairs_topology(&params).0]
+                .iter()
+                .map(|topo| {
+                    let d = distill(topo, DistillationMode::HopByHop);
+                    (RoutingMatrix::build(&d), d.vns().to_vec())
+                })
+                .collect();
+        let (_, matrix, locations) = multiplexed_ring();
+        cases.push((matrix, locations));
+        for (matrix, locations) in cases {
+            let mut table = RouteTable::build(&matrix, &locations);
+            let routes = table.route_count();
+            assert!(routes > 0);
+            for k in 0..routes as u32 {
+                let pipes = table.pipes(RouteId(k)).to_vec();
+                assert_eq!(table.intern_pipes(&pipes), RouteId(k));
+            }
+            assert_eq!(table.route_count(), routes);
         }
     }
 

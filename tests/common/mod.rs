@@ -94,3 +94,36 @@ pub fn arb_tied_path_topology() -> impl Strategy<Value = Topology> {
         topo
     })
 }
+
+/// Equal-cost ties at stub VNs: an even ring of equal-latency routers, so
+/// every router reaches the opposite one both ways round at one cost, with
+/// one to three client VNs hanging off each — every client a stub whose only
+/// out-pipe is its access link, some of those at zero latency (routing cost
+/// 1). The routing matrix derives a stub's tree from its router's, which
+/// must match Dijkstra's own tie-breaking here too.
+#[allow(dead_code)]
+pub fn arb_tied_stub_ring() -> impl Strategy<Value = Topology> {
+    (2usize..5, any::<u64>()).prop_map(|(half, seed)| {
+        use rand::Rng;
+        let mut rng = seeded_rng(seed);
+        let ring = LinkAttrs::new(DataRate::from_mbps(100), SimDuration::from_millis(1));
+        let mut topo = Topology::new();
+        let routers: Vec<_> = (0..2 * half)
+            .map(|_| topo.add_node(NodeKind::Stub))
+            .collect();
+        for (i, &r) in routers.iter().enumerate() {
+            topo.add_link(r, routers[(i + 1) % routers.len()], ring)
+                .unwrap();
+        }
+        for &r in &routers {
+            for _ in 0..rng.gen_range(1..4) {
+                let c = topo.add_node(NodeKind::Client);
+                let zero = rng.gen_bool(0.3);
+                let latency = SimDuration::from_millis(if zero { 0 } else { 1 });
+                topo.add_link(c, r, LinkAttrs::new(DataRate::from_mbps(10), latency))
+                    .unwrap();
+            }
+        }
+        topo
+    })
+}

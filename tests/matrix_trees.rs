@@ -23,14 +23,14 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use common::arb_unique_path_topology;
+use common::{arb_tied_stub_ring, arb_unique_path_topology};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_routing::{
     route_from_tree, shortest_route_tree_with_dist, RouteId, RouteTable, RoutingMatrix,
     UNUSABLE_COST,
 };
 use mn_topology::NodeId;
-use mn_util::DataRate;
+use mn_util::{DataRate, SimDuration};
 
 /// One random perturbation of a duplex link.
 #[derive(Debug, Clone, Copy)]
@@ -84,6 +84,129 @@ fn reference_tree(d: &DistilledTopology, src: NodeId) -> (Vec<Option<PipeId>>, V
     shortest_route_tree_with_dist(d, src)
 }
 
+/// The three invariants, checked after every step of `ops` on `topo`.
+fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
+    let mut d = distill(topo, DistillationMode::HopByHop);
+    let original: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
+    let mut matrix = RoutingMatrix::build(&d);
+    let vns = matrix.vns().to_vec();
+    let locations = vns.clone();
+    let n = locations.len();
+    let mut table = RouteTable::build(&matrix, &locations);
+
+    for (choice, op) in ops {
+        // Output-sensitivity oracle, captured before the step: a pure
+        // worsening (Down on a live link, or a latency increase) must
+        // recompute exactly the union of the two pipes' reverse-index
+        // entries.
+        let changed_pipes = [
+            PipeId(2 * (choice % (d.pipe_count() / 2))),
+            PipeId(2 * (choice % (d.pipe_count() / 2)) + 1),
+        ];
+        let pure_worsening = match op {
+            Op::Down => changed_pipes
+                .iter()
+                .all(|&p| !d.pipe(p).attrs.bandwidth.is_zero()),
+            // Doubling a zero latency changes nothing.
+            Op::SlowerLatency => changed_pipes.iter().all(|&p| {
+                let attrs = d.pipe(p).attrs;
+                !attrs.bandwidth.is_zero() && attrs.latency > SimDuration::ZERO
+            }),
+            _ => false,
+        };
+        let expected_recompute: HashSet<u32> = changed_pipes
+            .iter()
+            .flat_map(|&p| matrix.pipe_tree_sources(p).iter().copied())
+            .collect();
+
+        let ids_before: Vec<Option<RouteId>> =
+            (0..n * n).map(|i| table.route_id(i / n, i % n)).collect();
+        let changed = apply_op(&mut d, &original, choice, op);
+        let update = matrix.update_pipes(&d, &changed);
+        if !update.is_empty() {
+            table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+        }
+
+        if pure_worsening {
+            prop_assert_eq!(
+                update.recomputed_sources,
+                expected_recompute.len(),
+                "a worsening must recompute exactly the reverse-index trees after {:?}",
+                op
+            );
+        }
+
+        // 1. Route and distance agreement with the dense reference.
+        for (si, &src) in vns.iter().enumerate() {
+            let (pred, dist) = reference_tree(&d, src);
+            for (di, &dst) in vns.iter().enumerate() {
+                let want = route_from_tree(&d, &pred, src, dst);
+                prop_assert_eq!(
+                    matrix.lookup(src, dst),
+                    want,
+                    "route {} -> {} diverged after {:?}",
+                    src,
+                    dst,
+                    op
+                );
+                let want_dist = (dist[dst.index()] != UNUSABLE_COST).then_some(dist[dst.index()]);
+                prop_assert_eq!(
+                    matrix.distance(src, dst),
+                    want_dist,
+                    "distance {} -> {} diverged after {:?}",
+                    src,
+                    dst,
+                    op
+                );
+                // Zero-copy resolution agrees with the allocating path.
+                let mut buf = Vec::new();
+                let ok = matrix.materialize_at(si, di, &mut buf);
+                prop_assert_eq!(ok, matrix.lookup(src, dst).is_some());
+                if ok {
+                    prop_assert_eq!(&buf, &matrix.lookup(src, dst).unwrap().pipes);
+                }
+            }
+        }
+
+        // 2. RouteId stability on untouched pairs, and reference
+        //    resolution for every live id.
+        let changed_set: HashSet<(NodeId, NodeId)> = update.changed_pairs.iter().copied().collect();
+        for s in 0..n {
+            for t in 0..n {
+                if !changed_set.contains(&(locations[s], locations[t])) {
+                    prop_assert_eq!(
+                        table.route_id(s, t),
+                        ids_before[s * n + t],
+                        "untouched pair ({}, {}) must keep its RouteId after {:?}",
+                        s,
+                        t,
+                        op
+                    );
+                }
+                if let Some(id) = table.route_id(s, t) {
+                    let want = matrix
+                        .lookup(locations[s], locations[t])
+                        .expect("wired pairs are routable");
+                    prop_assert_eq!(table.pipes(id), want.pipes.as_slice());
+                }
+            }
+        }
+
+        // 3. Reverse-index exactness: incremental maintenance equals the
+        //    index a from-scratch build seeds, pipe for pipe.
+        let fresh = RoutingMatrix::build(&d);
+        for pid in 0..d.pipe_count() {
+            prop_assert_eq!(
+                matrix.pipe_tree_sources(PipeId(pid)),
+                fresh.pipe_tree_sources(PipeId(pid)),
+                "reverse index diverged for pipe {} after {:?}",
+                pid,
+                op
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -92,111 +215,16 @@ proptest! {
         topo in arb_unique_path_topology(Just(0.0)),
         ops in prop::collection::vec((any::<usize>(), arb_op()), 1..10),
     ) {
-        let mut d = distill(&topo, DistillationMode::HopByHop);
-        let original: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
-        let mut matrix = RoutingMatrix::build(&d);
-        let vns = matrix.vns().to_vec();
-        let locations = vns.clone();
-        let n = locations.len();
-        let mut table = RouteTable::build(&matrix, &locations);
+        check_random_dynamics(&topo, ops);
+    }
 
-        for (choice, op) in ops {
-            // Output-sensitivity oracle, captured before the step: a pure
-            // worsening (Down on a live link, or a latency increase) must
-            // recompute exactly the union of the two pipes' reverse-index
-            // entries.
-            let changed_pipes = [PipeId(2 * (choice % (d.pipe_count() / 2))),
-                                 PipeId(2 * (choice % (d.pipe_count() / 2)) + 1)];
-            let pure_worsening = match op {
-                Op::Down => changed_pipes
-                    .iter()
-                    .all(|&p| !d.pipe(p).attrs.bandwidth.is_zero()),
-                Op::SlowerLatency => changed_pipes
-                    .iter()
-                    .all(|&p| !d.pipe(p).attrs.bandwidth.is_zero()),
-                _ => false,
-            };
-            let expected_recompute: HashSet<u32> = changed_pipes
-                .iter()
-                .flat_map(|&p| matrix.pipe_tree_sources(p).iter().copied())
-                .collect();
-
-            let ids_before: Vec<Option<RouteId>> = (0..n * n)
-                .map(|i| table.route_id(i / n, i % n))
-                .collect();
-            let changed = apply_op(&mut d, &original, choice, op);
-            let update = matrix.update_pipes(&d, &changed);
-            if !update.is_empty() {
-                table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
-            }
-
-            if pure_worsening {
-                prop_assert_eq!(
-                    update.recomputed_sources,
-                    expected_recompute.len(),
-                    "a worsening must recompute exactly the reverse-index trees after {:?}",
-                    op
-                );
-            }
-
-            // 1. Route and distance agreement with the dense reference.
-            for (si, &src) in vns.iter().enumerate() {
-                let (pred, dist) = reference_tree(&d, src);
-                for (di, &dst) in vns.iter().enumerate() {
-                    let want = route_from_tree(&d, &pred, src, dst);
-                    prop_assert_eq!(
-                        matrix.lookup(src, dst), want,
-                        "route {} -> {} diverged after {:?}", src, dst, op
-                    );
-                    let want_dist =
-                        (dist[dst.index()] != UNUSABLE_COST).then_some(dist[dst.index()]);
-                    prop_assert_eq!(
-                        matrix.distance(src, dst), want_dist,
-                        "distance {} -> {} diverged after {:?}", src, dst, op
-                    );
-                    // Zero-copy resolution agrees with the allocating path.
-                    let mut buf = Vec::new();
-                    let ok = matrix.materialize_at(si, di, &mut buf);
-                    prop_assert_eq!(ok, matrix.lookup(src, dst).is_some());
-                    if ok {
-                        prop_assert_eq!(&buf, &matrix.lookup(src, dst).unwrap().pipes);
-                    }
-                }
-            }
-
-            // 2. RouteId stability on untouched pairs, and reference
-            //    resolution for every live id.
-            let changed_set: HashSet<(NodeId, NodeId)> =
-                update.changed_pairs.iter().copied().collect();
-            for s in 0..n {
-                for t in 0..n {
-                    if !changed_set.contains(&(locations[s], locations[t])) {
-                        prop_assert_eq!(
-                            table.route_id(s, t),
-                            ids_before[s * n + t],
-                            "untouched pair ({}, {}) must keep its RouteId after {:?}",
-                            s, t, op
-                        );
-                    }
-                    if let Some(id) = table.route_id(s, t) {
-                        let want = matrix
-                            .lookup(locations[s], locations[t])
-                            .expect("wired pairs are routable");
-                        prop_assert_eq!(table.pipes(id), want.pipes.as_slice());
-                    }
-                }
-            }
-
-            // 3. Reverse-index exactness: incremental maintenance equals the
-            //    index a from-scratch build seeds, pipe for pipe.
-            let fresh = RoutingMatrix::build(&d);
-            for pid in 0..d.pipe_count() {
-                prop_assert_eq!(
-                    matrix.pipe_tree_sources(PipeId(pid)),
-                    fresh.pipe_tree_sources(PipeId(pid)),
-                    "reverse index diverged for pipe {} after {:?}", pid, op
-                );
-            }
-        }
+    /// The same invariants where shortest routes tie and most sources are
+    /// stubs: a stub's tree is its router's shifted, never its own run.
+    #[test]
+    fn stub_trees_match_dense_reference_under_ties_and_random_dynamics(
+        topo in arb_tied_stub_ring(),
+        ops in prop::collection::vec((any::<usize>(), arb_op()), 1..10),
+    ) {
+        check_random_dynamics(&topo, ops);
     }
 }

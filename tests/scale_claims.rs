@@ -381,3 +381,60 @@ fn a_million_fluid_clients_model_50x_the_hops_the_core_executes() {
         "{modelled} MTU transits modelled, {executed} packet hops executed"
     );
 }
+
+/// (v) Route state costs one Dijkstra per access router, not per VN: a stub
+/// VN's tree is its router's shifted by the access pipe, so building the
+/// 512-client star runs one Dijkstra and the paper's 20 x 20 ring twenty,
+/// and each half of a link flap on the 32 x 8 ring runs at most one per
+/// router while recomputing the 256 trees it did when each ran its own.
+#[test]
+fn route_state_costs_one_dijkstra_per_access_router() {
+    let star = star_topology(&StarParams {
+        clients: 512,
+        ..StarParams::default()
+    });
+    let star = RoutingMatrix::build(&distill(&star, DistillationMode::HopByHop));
+    let ring = |routers, clients_per_router| {
+        let topo = ring_topology(&RingParams {
+            routers,
+            clients_per_router,
+            ..RingParams::default()
+        });
+        distill(&topo, DistillationMode::HopByHop)
+    };
+    let paper = RoutingMatrix::build(&ring(20, 20));
+    println!(
+        "(v) Dijkstra runs building the 512-star: {}, the 20 x 20 ring: {}",
+        star.dijkstra_runs(),
+        paper.dijkstra_runs()
+    );
+    assert_eq!(star.dijkstra_runs(), 1);
+    assert_eq!(paper.dijkstra_runs(), 20);
+    let mut d = ring(32, 8);
+    let mut matrix = RoutingMatrix::build(&d);
+    let vns = d.vns();
+    let first = matrix.lookup(vns[0], vns[16 * 8]).expect("routes").pipes[1];
+    let reverse = {
+        let p = d.pipe(first);
+        d.find_pipe(p.dst, p.src).expect("duplex link")
+    };
+    let healthy = [d.pipe(first).attrs, d.pipe(reverse).attrs];
+    for up in [false, true] {
+        for (p, attrs) in [first, reverse].into_iter().zip(healthy) {
+            let bandwidth = if up { attrs.bandwidth } else { DataRate::ZERO };
+            d.pipe_attrs_mut(p).expect("pipe exists").bandwidth = bandwidth;
+        }
+        let runs = matrix.dijkstra_runs();
+        let update = matrix.update_pipes(&d, &[first, reverse]);
+        let runs = matrix.dijkstra_runs() - runs;
+        println!(
+            "(v) the 32 x 8 ring's link up = {up}: {runs} runs for {} trees",
+            update.recomputed_sources
+        );
+        assert_eq!(
+            update.recomputed_sources, 256,
+            "every tree crosses the link"
+        );
+        assert!(runs <= 32, "{runs} Dijkstra runs");
+    }
+}

@@ -778,3 +778,42 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
     );
     println!("{ROUTES} routes, {chunks} chunks: {calls} allocator calls ({requested} B) to decode, {index} B for the index on first intern, {frees} frees to drop");
 }
+
+#[test]
+fn a_route_table_build_probes_no_index_and_requests_what_it_holds() {
+    // `RouteTable::build` appends each location pair's route with no
+    // content-index probe: two location pairs never share a route (its
+    // first pipe leaves the source location, its last enters the
+    // destination), so every probe would miss, and the index is left to the
+    // first intern to build, as after a decode. On the paper's 20 x 20 ring
+    // (159 600 routes) the build probes nothing and requests no more than
+    // the arena — 4 B a route and 8 B a hop in its sealed chunks, plus the
+    // open chunk's two buffers, grown once by doubling to the longest chunk
+    // (at most twice it) — the rows (4 B a location pair), the columns (4 B
+    // an endpoint) and 64 KiB. An index would be another 4 MiB of slots.
+    let topo = ring_topology(&RingParams {
+        routers: 20,
+        clients_per_router: 20,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let matrix = RoutingMatrix::build(&d);
+    let (calls, requested) = (alloc_calls(), alloc_bytes());
+    let table = mn_routing::RouteTable::build(&matrix, d.vns());
+    let (calls, requested) = (alloc_calls() - calls, alloc_bytes() - requested);
+    let (routes, n) = (table.route_count(), d.vns().len());
+    assert_eq!(routes, n * (n - 1));
+    assert_eq!(table.content_index_probes(), 0);
+    let bytes = |id: usize| 4 + 8 * table.pipes(mn_routing::RouteId(id as u32)).len();
+    let chunks: Vec<usize> = (0..routes)
+        .step_by(1024)
+        .map(|first| (first..routes.min(first + 1024)).map(bytes).sum())
+        .collect();
+    let arena = chunks.iter().sum::<usize>() + 2 * chunks.iter().max().unwrap();
+    let held = (arena + 4 * n * n + 4 * n) as u64;
+    println!("build of {routes} routes: {calls} allocator calls, {requested} B requested, {held} B arena + rows + columns");
+    assert!(
+        requested <= held + (64 << 10),
+        "{requested} B requested building a table of {held} B"
+    );
+}
