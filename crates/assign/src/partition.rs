@@ -13,9 +13,11 @@ use mn_routing::Route;
 use mn_topology::NodeId;
 use mn_util::rngs::derived_rng;
 
-/// Identifier of a core (emulation) node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CoreId(pub usize);
+mn_util::codec_record! {
+    /// Identifier of a core (emulation) node.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    pub struct CoreId(pub usize);
+}
 
 impl CoreId {
     /// Returns the raw index.

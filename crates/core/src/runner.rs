@@ -26,6 +26,26 @@ enum PortBinding {
     Udp(usize),
 }
 
+/// A tag byte (0 TCP, 1 UDP), then the index.
+impl Codec for PortBinding {
+    const MIN_BYTES: usize = 1 + usize::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            PortBinding::Tcp(ch) => (0u8, ch).put(w),
+            PortBinding::Udp(flow) => (1u8, flow).put(w),
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(PortBinding::Tcp(usize::get(r)?)),
+            1 => Ok(PortBinding::Udp(usize::get(r)?)),
+            _ => Err(CodecError::Invalid("port binding tag")),
+        }
+    }
+}
+
 use mn_assign::Binding;
 use mn_dynamics::ScheduleRestoreError;
 use mn_edge::{AppAction, AppCtx, Application, Message};
@@ -37,10 +57,9 @@ use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
-use mn_util::codec::{checksum64, checksum64_around};
-use mn_util::{
-    ByteReader, ByteSize, ByteWriter, Cdf, CodecError, DataRate, SimDuration, SimTime, TimerWheel,
-};
+use mn_util::codec::{checksum64, checksum64_around, Transient};
+use mn_util::{ByteReader, ByteSize, ByteWriter, Cdf, Codec, CodecError, DataRate, SimDuration};
+use mn_util::{SimTime, TimerWheel};
 
 /// Which execution backend drives the emulation core(s).
 ///
@@ -358,6 +377,23 @@ enum Side {
     B,
 }
 
+/// One byte: 0 for A, 1 for B.
+impl Codec for Side {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(*self as u8);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(Side::A),
+            1 => Ok(Side::B),
+            _ => Err(CodecError::Invalid("channel side")),
+        }
+    }
+}
+
 /// Work the driver loop has done, in events popped from its queue. Exact
 /// counts of virtual-time behaviour (they repeat run to run), kept outside
 /// snapshots and digests: they describe this `Runner`, not the emulation.
@@ -390,6 +426,46 @@ enum Event {
     Checkpoint,
 }
 
+/// A tag byte, then the variant's fields: 0 emulator wakeup, 1 channel
+/// timer, 2 application timer, 3 UDP poll, 4 flow start, 5 reconfiguration,
+/// 6 checkpoint.
+impl Codec for Event {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            Event::EmuWakeup => w.put_u8(0),
+            Event::ChannelTimer { ch, side } => (1u8, ch, side).put(w),
+            Event::AppTimer { vn, token } => (2u8, vn, token).put(w),
+            Event::UdpPoll { flow } => (3u8, flow).put(w),
+            Event::FlowStart { ch } => (4u8, ch).put(w),
+            Event::Reconfig => w.put_u8(5),
+            Event::Checkpoint => w.put_u8(6),
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.get_u8()? {
+            0 => Event::EmuWakeup,
+            1 => Event::ChannelTimer {
+                ch: usize::get(r)?,
+                side: Side::get(r)?,
+            },
+            2 => Event::AppTimer {
+                vn: VnId::get(r)?,
+                token: u64::get(r)?,
+            },
+            3 => Event::UdpPoll {
+                flow: usize::get(r)?,
+            },
+            4 => Event::FlowStart { ch: usize::get(r)? },
+            5 => Event::Reconfig,
+            6 => Event::Checkpoint,
+            _ => return Err(CodecError::Invalid("runner event tag")),
+        })
+    }
+}
+
 /// Magic bytes identifying a runner snapshot ("MNRS"). The runner frames its
 /// own payload (which nests the emulator snapshot) so the two formats
 /// version independently.
@@ -409,7 +485,7 @@ const RUNNER_SNAPSHOT_VERSION: u32 = 3;
 /// hold what it says is summed whole — the decoder then refuses it.
 fn checksum_around_emulator_frame(payload: &[u8]) -> u64 {
     let mut r = ByteReader::new(payload);
-    let frame = r.get_time().and_then(|_| r.get_len());
+    let frame = SimTime::get(&mut r).and_then(|_| r.get_len());
     match frame {
         Ok(len) if len >= 24 && len <= r.remaining() => checksum64_around(payload, 16..16 + len),
         _ => checksum64(payload),
@@ -495,90 +571,51 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// Encodes one pending driver event. Application timers are rejected: the
-/// snapshot layer refuses runs with applications installed.
-fn put_event(w: &mut ByteWriter, at: SimTime, event: &Event) -> Result<(), SnapshotError> {
-    w.put_time(at);
-    match event {
-        Event::EmuWakeup => w.put_u8(0),
-        Event::ChannelTimer { ch, side } => {
-            w.put_u8(1);
-            w.put_usize(*ch);
-            w.put_u8(matches!(side, Side::B) as u8);
-        }
-        Event::AppTimer { .. } => return Err(SnapshotError::AppsNotSupported),
-        Event::UdpPoll { flow } => {
-            w.put_u8(3);
-            w.put_usize(*flow);
-        }
-        Event::FlowStart { ch } => {
-            w.put_u8(4);
-            w.put_usize(*ch);
-        }
-        Event::Reconfig => w.put_u8(5),
-        Event::Checkpoint => w.put_u8(6),
+mn_util::codec_record! {
+    /// Per-direction message framing state of an application channel. A
+    /// snapshot carries the two offsets; there is no outbox to carry, since
+    /// only runs without applications are checkpointed.
+    #[derive(Debug, Default)]
+    struct DirState {
+        /// Messages written to the stream and not yet dispatched at the
+        /// receiver: (cumulative end offset in the stream, message).
+        outbox: Transient<VecDeque<(u64, Message)>>,
+        /// Total bytes written to the stream so far.
+        written: u64,
+        /// Receiver-side bytes already dispatched to the application.
+        dispatched: u64,
     }
-    Ok(())
 }
 
-/// Decodes one pending driver event written by [`put_event`].
-fn get_event(r: &mut ByteReader<'_>) -> Result<(SimTime, Event), CodecError> {
-    let at = r.get_time()?;
-    let event = match r.get_u8()? {
-        0 => Event::EmuWakeup,
-        1 => Event::ChannelTimer {
-            ch: r.get_usize()?,
-            side: if r.get_u8()? == 0 { Side::A } else { Side::B },
-        },
-        3 => Event::UdpPoll {
-            flow: r.get_usize()?,
-        },
-        4 => Event::FlowStart { ch: r.get_usize()? },
-        5 => Event::Reconfig,
-        6 => Event::Checkpoint,
-        _ => return Err(CodecError::Invalid("runner event tag")),
-    };
-    Ok((at, event))
-}
-
-/// Per-direction message framing state of an application channel.
-#[derive(Default)]
-struct DirState {
-    /// Messages written to the stream and not yet dispatched at the receiver:
-    /// (cumulative end offset in the stream, message).
-    outbox: VecDeque<(u64, Message)>,
-    /// Total bytes written to the stream so far.
-    written: u64,
-    /// Receiver-side bytes already dispatched to the application.
-    dispatched: u64,
-}
-
-/// One TCP connection between two VNs (an application channel or a raw bulk
-/// flow).
-struct Channel {
-    a: VnId,
-    b: VnId,
-    port: u16,
-    conn_a: TcpConnection,
-    conn_b: TcpConnection,
-    a_to_b: DirState,
-    b_to_a: DirState,
-    /// Bulk generator pumping the A-side, for raw netperf-style flows.
-    bulk_a: Option<BulkSender>,
-    /// Size of the fixed transfer, if bounded.
-    bulk_total: Option<u64>,
-    started: bool,
-    start_at: SimTime,
-    completed_at: Option<SimTime>,
-    is_app_channel: bool,
-    /// Per side (`Side as usize`): the times of this endpoint's
-    /// `ChannelTimer` events still in the driver queue, latest first, so the
-    /// last entry is the next to fire. An event is only pushed for a
-    /// deadline earlier than every outstanding one, which keeps the list
-    /// strictly decreasing and as short as the endpoint has distinct timers.
-    /// It mirrors the queue exactly — never serialized, rebuilt from the
-    /// pending events on restore.
-    armed: [Vec<SimTime>; 2],
+mn_util::codec_record! {
+    /// One TCP connection between two VNs (an application channel or a raw
+    /// bulk flow).
+    #[derive(Debug)]
+    struct Channel {
+        a: VnId,
+        b: VnId,
+        port: u16,
+        conn_a: TcpConnection,
+        conn_b: TcpConnection,
+        a_to_b: DirState,
+        b_to_a: DirState,
+        /// Bulk generator pumping the A-side, for raw netperf-style flows.
+        bulk_a: Option<BulkSender>,
+        /// Size of the fixed transfer, if bounded.
+        bulk_total: Option<u64>,
+        started: bool,
+        start_at: SimTime,
+        completed_at: Option<SimTime>,
+        is_app_channel: bool,
+        /// Per side (`Side as usize`): the times of this endpoint's
+        /// `ChannelTimer` events still in the driver queue, latest first, so
+        /// the last entry is the next to fire. An event is only pushed for a
+        /// deadline earlier than every outstanding one, which keeps the list
+        /// strictly decreasing and as short as the endpoint has distinct
+        /// timers. It mirrors the queue exactly — never serialized, rebuilt
+        /// from the pending events on restore.
+        armed: Transient<[Vec<SimTime>; 2]>,
+    }
 }
 
 impl Channel {
@@ -607,16 +644,19 @@ impl Channel {
     }
 }
 
-/// A UDP flow (paced datagram source plus receiver counters).
-struct UdpFlow {
-    src: VnId,
-    dst: VnId,
-    port: u16,
-    stream: UdpStream,
-    payload: u32,
-    received: u64,
-    bytes_received: u64,
-    sent: u64,
+mn_util::codec_record! {
+    /// A UDP flow (paced datagram source plus receiver counters).
+    #[derive(Debug)]
+    struct UdpFlow {
+        src: VnId,
+        dst: VnId,
+        port: u16,
+        stream: UdpStream,
+        payload: u32,
+        received: u64,
+        bytes_received: u64,
+        sent: u64,
+    }
 }
 
 /// The simulation driver.
@@ -1069,6 +1109,10 @@ impl Runner {
     /// bit-identical to never having stopped, on either backend at any
     /// core count. Runs with applications installed are not supported
     /// (application state is type-erased).
+    ///
+    /// The frame is written out rather than declared: it nests the
+    /// emulator's frame, whose length is patched in once it is streamed and
+    /// whose payload the outer sum skips. Everything else in it is records.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(SnapshotError::AppsNotSupported);
@@ -1092,62 +1136,23 @@ impl Runner {
         let entries = self.events.entries_in_order();
         w.put_len(entries.len());
         for (at, event) in entries {
-            put_event(&mut w, at, event)?;
+            at.put(&mut w);
+            event.put(&mut w);
         }
-        w.put_len(self.channels.len());
-        for ch in &self.channels {
-            if !ch.a_to_b.outbox.is_empty() || !ch.b_to_a.outbox.is_empty() {
-                return Err(SnapshotError::PendingAppMessages);
-            }
-            w.put_u32(ch.a.0);
-            w.put_u32(ch.b.0);
-            w.put_u16(ch.port);
-            ch.conn_a.encode_state(&mut w);
-            ch.conn_b.encode_state(&mut w);
-            w.put_u64(ch.a_to_b.written);
-            w.put_u64(ch.a_to_b.dispatched);
-            w.put_u64(ch.b_to_a.written);
-            w.put_u64(ch.b_to_a.dispatched);
-            match &ch.bulk_a {
-                Some(bulk) => {
-                    w.put_bool(true);
-                    bulk.encode_state(&mut w);
-                }
-                None => w.put_bool(false),
-            }
-            w.put_opt_u64(ch.bulk_total);
-            w.put_bool(ch.started);
-            w.put_time(ch.start_at);
-            w.put_opt_time(ch.completed_at);
-            w.put_bool(ch.is_app_channel);
+        let outboxes = self.channels.iter().flat_map(|ch| [&ch.a_to_b, &ch.b_to_a]);
+        if outboxes.into_iter().any(|dir| !dir.outbox.is_empty()) {
+            return Err(SnapshotError::PendingAppMessages);
         }
-        w.put_len(self.port_bindings.len());
-        for binding in &self.port_bindings {
-            let (tag, idx) = match *binding {
-                PortBinding::Tcp(idx) => (0, idx),
-                PortBinding::Udp(idx) => (1, idx),
-            };
-            w.put_u8(tag);
-            w.put_usize(idx);
-        }
-        w.put_len(self.udp_flows.len());
-        for flow in &self.udp_flows {
-            w.put_u32(flow.src.0);
-            w.put_u32(flow.dst.0);
-            w.put_u16(flow.port);
-            flow.stream.encode_state(&mut w);
-            w.put_u32(flow.payload);
-            w.put_u64(flow.received);
-            w.put_u64(flow.bytes_received);
-            w.put_u64(flow.sent);
-        }
-        w.put_u64(self.next_packet_id);
-        w.put_u64(self.packets_submitted);
-        w.put_u64(self.packets_delivered);
-        w.put_opt_time(self.emu_wakeup_at);
-        w.put_bool(self.apps_started);
-        w.put_opt_u64(self.dynamics.as_ref().map(|engine| engine.cursor() as u64));
-        w.put_opt_u64(self.auto_checkpoint.map(SimDuration::as_nanos));
+        self.channels.put(&mut w);
+        self.port_bindings.put(&mut w);
+        self.udp_flows.put(&mut w);
+        self.next_packet_id.put(&mut w);
+        self.packets_submitted.put(&mut w);
+        self.packets_delivered.put(&mut w);
+        self.emu_wakeup_at.put(&mut w);
+        self.apps_started.put(&mut w);
+        let cursor = self.dynamics.as_ref().map(|engine| engine.cursor());
+        (cursor, self.auto_checkpoint).put(&mut w);
         // The emulator's payload is under its own frame's sum already.
         w.end_frame_around(frame, emu_frame);
         self.snapshot_len_hint = w.len();
@@ -1179,77 +1184,16 @@ impl Runner {
         // Decode everything into locals first: a decode error part-way
         // through must leave the runner untouched. The emulator's frame is
         // borrowed where it lies; counts are bounded by their smallest record.
-        let now = r.get_time()?;
+        let now = SimTime::get(&mut r)?;
         let emu_len = r.get_len()?;
         let emu_frame = r.take_bytes(emu_len)?;
-        let event_count = r.get_count(9)?;
-        let mut pending = Vec::with_capacity(event_count);
-        for _ in 0..event_count {
-            pending.push(get_event(&mut r)?);
-        }
-        let channel_count = r.get_count(55)?;
-        let mut channels = Vec::with_capacity(channel_count);
-        for _ in 0..channel_count {
-            let a = VnId(r.get_u32()?);
-            let b = VnId(r.get_u32()?);
-            let port = r.get_u16()?;
-            let conn_a = TcpConnection::decode_state(&mut r)?;
-            let conn_b = TcpConnection::decode_state(&mut r)?;
-            let a_to_b = DirState {
-                outbox: VecDeque::new(),
-                written: r.get_u64()?,
-                dispatched: r.get_u64()?,
-            };
-            let b_to_a = DirState {
-                outbox: VecDeque::new(),
-                written: r.get_u64()?,
-                dispatched: r.get_u64()?,
-            };
-            let bulk_a = if r.get_bool()? {
-                Some(BulkSender::decode_state(&mut r)?)
-            } else {
-                None
-            };
-            channels.push(Channel {
-                a,
-                b,
-                port,
-                conn_a,
-                conn_b,
-                a_to_b,
-                b_to_a,
-                bulk_a,
-                bulk_total: r.get_opt_u64()?,
-                started: r.get_bool()?,
-                start_at: r.get_time()?,
-                completed_at: r.get_opt_time()?,
-                is_app_channel: r.get_bool()?,
-                armed: Default::default(),
-            });
-        }
-        let binding_count = r.get_count(9)?;
-        let mut port_bindings = Vec::with_capacity(binding_count);
-        for _ in 0..binding_count {
-            port_bindings.push(match r.get_u8()? {
-                0 => PortBinding::Tcp(r.get_usize()?),
-                1 => PortBinding::Udp(r.get_usize()?),
-                _ => return Err(CodecError::Invalid("port binding tag").into()),
-            });
-        }
-        let udp_count = r.get_count(38)?;
-        let mut udp_flows = Vec::with_capacity(udp_count);
-        for _ in 0..udp_count {
-            udp_flows.push(UdpFlow {
-                src: VnId(r.get_u32()?),
-                dst: VnId(r.get_u32()?),
-                port: r.get_u16()?,
-                stream: UdpStream::decode_state(&mut r)?,
-                payload: r.get_u32()?,
-                received: r.get_u64()?,
-                bytes_received: r.get_u64()?,
-                sent: r.get_u64()?,
-            });
-        }
+        let pending = Vec::<(SimTime, Event)>::get(&mut r)?;
+        let mut channels = Vec::<Channel>::get(&mut r)?;
+        let port_bindings = Vec::<PortBinding>::get(&mut r)?;
+        let udp_flows = Vec::<UdpFlow>::get(&mut r)?;
+        let (next_packet_id, packets_submitted, packets_delivered) = Codec::get(&mut r)?;
+        let (emu_wakeup_at, apps_started, dynamics_cursor, auto_checkpoint) = Codec::get(&mut r)?;
+        r.finish()?;
         // The event loop and the delivery path index `channels` and
         // `udp_flows` with what the snapshot says, unchecked: refuse any
         // index they do not cover. The same walk over the pending events
@@ -1280,27 +1224,19 @@ impl Runner {
                 Event::UdpPoll { flow } if flow >= udp_flows.len() => {
                     return Err(CodecError::Invalid("UDP poll flow index").into());
                 }
+                // Runs with applications are never checkpointed.
+                Event::AppTimer { .. } => {
+                    return Err(CodecError::Invalid("runner event tag").into());
+                }
                 _ => {}
             }
             events.push(at, event);
         }
         for channel in &mut channels {
-            for armed in &mut channel.armed {
+            for armed in channel.armed.iter_mut() {
                 armed.sort_unstable_by(|a, b| b.cmp(a));
             }
         }
-        let next_packet_id = r.get_u64()?;
-        let packets_submitted = r.get_u64()?;
-        let packets_delivered = r.get_u64()?;
-        let emu_wakeup_at = r.get_opt_time()?;
-        let apps_started = r.get_bool()?;
-        let dynamics_cursor = if r.get_bool()? {
-            Some(r.get_usize()?)
-        } else {
-            None
-        };
-        let auto_checkpoint = r.get_opt_u64()?.map(SimDuration::from_nanos);
-        r.finish()?;
         // On the threaded backend this spawns a fresh worker pool; a
         // poisoned one is torn down when the old value drops.
         let emulator = self.emulator.restored(emu_frame)?;
@@ -1816,6 +1752,35 @@ mod tests {
     }
 
     #[test]
+    fn runner_records_keep_the_record_contract() {
+        use mn_util::codec::record_contract;
+        let mut runner = star_runner(4);
+        let vns = runner.vn_ids();
+        runner.add_bulk_flow(vns[0], vns[1], Some(ByteSize::from_kb(64)), SimTime::ZERO);
+        let config = UdpStreamConfig {
+            max_datagrams: Some(9),
+            ..UdpStreamConfig::default()
+        };
+        runner.add_udp_flow(vns[2], vns[3], config, SimTime::ZERO);
+        runner.run_until(SimTime::from_millis(30)).unwrap();
+        let armed = &runner.channels[0].armed;
+        assert!(armed.iter().any(|times| !times.is_empty()));
+        record_contract(runner.channels.remove(0));
+        record_contract(runner.udp_flows.remove(0));
+        record_contract((PortBinding::Tcp(0), PortBinding::Udp(1)));
+        let (ch, flow) = (3, 1);
+        let side = Side::B;
+        let (vn, token) = (VnId(2), 9);
+        record_contract(Event::ChannelTimer { ch, side });
+        record_contract(Event::AppTimer { vn, token });
+        record_contract(Event::UdpPoll { flow });
+        record_contract(Event::FlowStart { ch });
+        for event in [Event::EmuWakeup, Event::Reconfig, Event::Checkpoint] {
+            record_contract(event);
+        }
+    }
+
+    #[test]
     fn bulk_flow_completes_and_reports_goodput() {
         let mut runner = star_runner(4);
         let vns = runner.vn_ids();
@@ -2130,7 +2095,7 @@ mod tests {
                 let mut resumed = timer_runner(backend);
                 resumed.recover_from(&checkpoint).unwrap();
                 for (was, is) in first.channels.iter().zip(&resumed.channels) {
-                    assert_eq!(was.armed, is.armed, "armed lists rebuilt from the queue");
+                    assert_eq!(*was.armed, *is.armed, "armed lists rebuilt from the queue");
                 }
                 assert!(
                     resumed.snapshot().unwrap() == checkpoint,

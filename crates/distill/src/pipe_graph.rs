@@ -15,9 +15,11 @@ use serde::{Deserialize, Serialize};
 use mn_topology::{LinkAttrs, NodeId};
 use mn_util::{DataRate, SimDuration};
 
-/// Identifier of a pipe within a [`DistilledTopology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PipeId(pub usize);
+mn_util::codec_record! {
+    /// Identifier of a pipe within a [`DistilledTopology`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    pub struct PipeId(pub usize);
+}
 
 impl PipeId {
     /// Returns the raw index.
@@ -32,17 +34,19 @@ impl fmt::Display for PipeId {
     }
 }
 
-/// Emulation parameters of one pipe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PipeAttrs {
-    /// Drain rate of the bandwidth queue.
-    pub bandwidth: DataRate,
-    /// Propagation delay applied by the delay line.
-    pub latency: SimDuration,
-    /// Probability of a random (non-congestion) drop.
-    pub loss_rate: f64,
-    /// Maximum number of packets the bandwidth queue may hold.
-    pub queue_len: usize,
+mn_util::codec_record! {
+    /// Emulation parameters of one pipe.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct PipeAttrs {
+        /// Drain rate of the bandwidth queue.
+        pub bandwidth: DataRate,
+        /// Propagation delay applied by the delay line.
+        pub latency: SimDuration,
+        /// Probability of a random (non-congestion) drop.
+        pub loss_rate: f64,
+        /// Maximum number of packets the bandwidth queue may hold.
+        pub queue_len: usize,
+    }
 }
 
 impl PipeAttrs {

@@ -15,13 +15,16 @@ use mn_util::{RunningStats, SimDuration};
 
 use crate::descriptor::Delivery;
 
-/// Aggregated per-packet emulation-error statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct AccuracyLog {
-    error: RunningStats,
-    per_hop_error: RunningStats,
-    delivered: u64,
-    max_hops: usize,
+mn_util::codec_record! {
+    /// Aggregated per-packet emulation-error statistics; a core's checkpoint
+    /// carries the raw accumulators.
+    #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+    pub struct AccuracyLog {
+        error: RunningStats,
+        per_hop_error: RunningStats,
+        delivered: u64,
+        max_hops: usize,
+    }
 }
 
 impl AccuracyLog {
@@ -64,33 +67,6 @@ impl AccuracyLog {
     /// The longest route observed, in hops.
     pub fn max_hops(&self) -> usize {
         self.max_hops
-    }
-
-    /// The raw accumulators `(error, per_hop_error, delivered, max_hops)`,
-    /// for checkpointing the log mid-run.
-    pub fn snapshot_parts(&self) -> (RunningStats, RunningStats, u64, usize) {
-        (
-            self.error,
-            self.per_hop_error,
-            self.delivered,
-            self.max_hops,
-        )
-    }
-
-    /// Rebuilds a log from accumulators captured by
-    /// [`AccuracyLog::snapshot_parts`].
-    pub fn from_snapshot_parts(
-        error: RunningStats,
-        per_hop_error: RunningStats,
-        delivered: u64,
-        max_hops: usize,
-    ) -> Self {
-        AccuracyLog {
-            error,
-            per_hop_error,
-            delivered,
-            max_hops,
-        }
     }
 
     /// Checks the paper's accuracy bound: every per-hop error within the
@@ -156,6 +132,15 @@ mod tests {
         let mut bad = AccuracyLog::new();
         bad.record(&delivery(1, 150));
         assert!(!bad.within_bound(tick));
+    }
+
+    #[test]
+    fn logs_keep_the_record_contract() {
+        let mut log = AccuracyLog::new();
+        mn_util::codec::record_contract(log);
+        log.record(&delivery(3, 250));
+        log.record(&delivery(0, 7));
+        mn_util::codec::record_contract(log);
     }
 
     #[test]

@@ -35,7 +35,8 @@ use mn_distill::{PipeAttrs, PipeId};
 use mn_pipe::{CbrConfig, EmuPipe, EnqueueOutcome, PipeStats, QueueDiscipline};
 use mn_routing::RouteTable;
 use mn_util::rngs::derived_rng;
-use mn_util::{ByteSize, DataRate, SimDuration, SimTime, TimerWheel};
+use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration};
+use mn_util::{SimTime, TimerWheel};
 
 use crate::accuracy::AccuracyLog;
 use crate::descriptor::{Delivery, Descriptor};
@@ -65,15 +66,18 @@ impl IngressOutcome {
     }
 }
 
-/// Declares [`CoreStats`] from one field list: the struct, the field-wise
-/// [`CoreStats::merge`], the checkpoint codec (fields in declaration order,
-/// so the order here *is* the payload layout) and the unit tests' sample.
+/// Declares [`CoreStats`] from one field list: the struct and its
+/// checkpoint codec (through `codec_record!`, fields in declaration order, so
+/// the order here *is* the payload layout), the field-wise
+/// [`CoreStats::merge`] and the unit tests' sample.
 macro_rules! core_stats {
     ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// Counters for one core.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-        pub struct CoreStats {
-            $($(#[$doc])* pub $field: u64,)*
+        mn_util::codec_record! {
+            /// Counters for one core.
+            #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+            pub struct CoreStats {
+                $($(#[$doc])* pub $field: u64,)*
+            }
         }
 
         impl CoreStats {
@@ -86,14 +90,6 @@ macro_rules! core_stats {
             /// thread reports its counters independently.
             pub fn merge(&mut self, other: &CoreStats) {
                 $(self.$field += other.$field;)*
-            }
-
-            fn encode(&self, w: &mut mn_util::ByteWriter) {
-                $(w.put_u64(self.$field);)*
-            }
-
-            fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-                Ok(CoreStats { $($field: r.get_u64()?,)* })
             }
 
             /// A distinct odd multiplier and offset per field, so any
@@ -182,23 +178,25 @@ impl TickOutput {
     }
 }
 
-/// One scheduled constant-bit-rate background injector on a locally owned
-/// pipe (the paper's hop-by-hop compensation for distilled-away links).
-///
-/// Since the hybrid fluid model took over the bandwidth contention (the
-/// coordinator registers a CBR episode as a fixed-rate fluid demand on the
-/// pipe), the source is a pure meter: it advances `next_at` and counts
-/// injections, but no longer materialises per-packet descriptors.
-#[derive(Debug, Clone, Copy)]
-struct CbrSource {
-    /// The pipe the injector feeds.
-    pipe: PipeId,
-    /// Wire size of each injected packet.
-    packet_size: mn_util::ByteSize,
-    /// Inter-packet gap realising the configured rate.
-    interval: SimDuration,
-    /// Virtual time of the next injection.
-    next_at: SimTime,
+mn_util::codec_record! {
+    /// One scheduled constant-bit-rate background injector on a locally owned
+    /// pipe (the paper's hop-by-hop compensation for distilled-away links).
+    ///
+    /// Since the hybrid fluid model took over the bandwidth contention (the
+    /// coordinator registers a CBR episode as a fixed-rate fluid demand on the
+    /// pipe), the source is a pure meter: it advances `next_at` and counts
+    /// injections, but no longer materialises per-packet descriptors.
+    #[derive(Debug, Clone, Copy)]
+    struct CbrSource {
+        /// The pipe the injector feeds.
+        pipe: PipeId,
+        /// Wire size of each injected packet.
+        packet_size: mn_util::ByteSize,
+        /// Inter-packet gap realising the configured rate.
+        interval: SimDuration,
+        /// Virtual time of the next injection.
+        next_at: SimTime,
+    }
 }
 
 /// Bytes a tunnelled descriptor occupies on the inter-core wire.
@@ -809,97 +807,45 @@ impl EmulatorCore {
     /// are resolved: each queue position carries its descriptor, so neither
     /// a handle's value nor the free list reaches the bytes. The hardware
     /// profile and route table are shared emulator-level state and are
-    /// written once by the emulator snapshot, not per core.
-    pub fn encode_state(&self, w: &mut mn_util::ByteWriter) {
-        use crate::snapshot::put_descriptor;
-
+    /// written once by the emulator snapshot, not per core. The layout is
+    /// written out here rather than declared for that reason: pipes and
+    /// staged tunnels hold slab handles, the bytes the descriptors behind
+    /// them.
+    pub fn encode_state(&self, w: &mut ByteWriter) {
+        let from_slab = |slot: &Slot, w: &mut ByteWriter| self.slab[*slot as usize].put(w);
         // The slot ledger: every occupied slot is referenced exactly once.
         debug_assert_eq!(self.in_flight(), self.handles_held());
-        w.put_usize(self.id.index());
+        self.id.put(w);
         w.put_len(self.pipes.len());
-        for slot in &self.pipes {
-            let Some(pipe) = slot else {
-                w.put_bool(false);
-                continue;
-            };
-            w.put_bool(true);
-            let attrs = *pipe.attrs();
-            w.put_rate(attrs.bandwidth);
-            w.put_duration(attrs.latency);
-            w.put_f64(attrs.loss_rate);
-            w.put_usize(attrs.queue_len);
-            match pipe.discipline() {
-                QueueDiscipline::DropTail => w.put_u8(0),
-                QueueDiscipline::Red(params) => {
-                    w.put_u8(1);
-                    w.put_f64(params.min_threshold);
-                    w.put_f64(params.max_threshold);
-                    w.put_f64(params.max_drop_probability);
-                    w.put_f64(params.weight);
-                }
-            }
-            w.put_f64(pipe.red_average());
-            w.put_time(pipe.drain_busy_until());
-            let stats = *pipe.stats();
-            w.put_u64(stats.enqueued);
-            w.put_u64(stats.dequeued);
-            w.put_u64(stats.dropped_overflow);
-            w.put_u64(stats.dropped_loss);
-            w.put_u64(stats.dropped_red);
-            w.put_u64(stats.bytes_out);
-            w.put_rate(pipe.fluid_demand());
-            w.put_len(pipe.in_flight_count());
-            for (&slot, size, drain_finish, exit_time) in pipe.in_flight_entries() {
-                put_descriptor(w, &self.slab[slot as usize]);
-                w.put_size(size);
-                w.put_time(drain_finish);
-                w.put_time(exit_time);
+        for pipe in &self.pipes {
+            pipe.is_some().put(w);
+            if let Some(pipe) = pipe {
+                pipe.put_with(w, from_slab);
             }
         }
-        let wheel_entries = self.wheel.entries_in_order();
-        w.put_len(wheel_entries.len());
-        for (time, pipe) in wheel_entries {
-            w.put_time(time);
-            w.put_usize(pipe.index());
+        let wheel = self.wheel.entries_in_order();
+        w.put_len(wheel.len());
+        for (time, &pipe) in wheel {
+            (time, pipe).put(w);
         }
         w.put_len(self.pending_remote.len());
-        for &(pipe, slot, at) in &self.pending_remote {
-            w.put_usize(pipe.index());
-            put_descriptor(w, &self.slab[slot as usize]);
-            w.put_time(at);
+        for (pipe, slot, at) in &self.pending_remote {
+            pipe.put(w);
+            from_slab(slot, w);
+            at.put(w);
         }
-        w.put_len(self.cbr.len());
-        for source in &self.cbr {
-            w.put_usize(source.pipe.index());
-            w.put_size(source.packet_size);
-            w.put_duration(source.interval);
-            w.put_time(source.next_at);
-        }
-        w.put_u64(self.fluid_total_bps);
-        w.put_time(self.fluid_last);
-        w.put_u64(self.fluid_bits_ns_rem);
-        w.put_duration(self.cpu_backlog);
-        w.put_duration(self.cpu_busy_total);
-        w.put_time(self.cpu_last_credit);
-        w.put_time(self.started_at);
-        w.put_time(self.last_seen);
-        w.put_f64(self.rx_tokens);
-        w.put_time(self.rx_last_refill);
-        self.stats.encode(w);
-        let (error, per_hop, delivered, max_hops) = self.accuracy.snapshot_parts();
-        for stats in [error, per_hop] {
-            let (count, mean, m2, min, max) = stats.snapshot_parts();
-            w.put_u64(count);
-            w.put_f64(mean);
-            w.put_f64(m2);
-            w.put_f64(min);
-            w.put_f64(max);
-        }
-        w.put_u64(delivered);
-        w.put_usize(max_hops);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
+        self.cbr.put(w);
+        self.fluid_total_bps.put(w);
+        self.fluid_last.put(w);
+        self.fluid_bits_ns_rem.put(w);
+        self.cpu_backlog.put(w);
+        self.cpu_busy_total.put(w);
+        self.cpu_last_credit.put(w);
+        self.started_at.put(w);
+        self.last_seen.put(w);
+        self.rx_tokens.put(w);
+        self.rx_last_refill.put(w);
+        (self.stats, self.accuracy, self.rng.state()).put(w);
     }
 
     /// Rebuilds a core from [`EmulatorCore::encode_state`] output. `profile`
@@ -907,141 +853,64 @@ impl EmulatorCore {
     /// once. The restored core is observationally identical to the one that
     /// was encoded: same deadlines, same queue contents, same RNG draws. Its
     /// slab is filled densely in decode order with no free slot, whatever
-    /// the encoded core's looked like. Every descriptor's route and hop are
-    /// checked against `routes`; a wheel entry and a CBR source must name a
-    /// pipe installed here, a staged tunnel one that `pod` gives to a peer.
+    /// the encoded core's looked like. Every descriptor must
+    /// [fit](Descriptor::fits) `routes`; a wheel entry and a CBR source must
+    /// name a pipe installed here, a staged tunnel one that `pod` gives to a
+    /// peer.
     pub fn decode_state(
-        r: &mut mn_util::ByteReader,
+        r: &mut ByteReader,
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
         pod: &PipeOwnershipDirectory,
-    ) -> Result<Self, mn_util::CodecError> {
-        use crate::snapshot::{get_descriptor, MIN_DESCRIPTOR_BYTES};
-        use mn_util::CodecError::Invalid;
+    ) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
 
-        let id = CoreId(r.get_usize()?);
-        // Counts are bounded by the records the input can still hold: an
-        // absent pipe is one byte, the other records are fixed-size or more.
-        let pipe_slots = r.get_count(1)?;
-        let mut pipes: Vec<Option<EmuPipe<Slot>>> = Vec::with_capacity(pipe_slots);
-        let mut slab: Vec<Descriptor> = Vec::new();
+        let id = CoreId::get(r)?;
+        let mut slab = Vec::new();
+        let mut to_slab = |r: &mut ByteReader| {
+            slab.push(Descriptor::get(r)?);
+            Ok((slab.len() - 1) as Slot)
+        };
+        let pipe_slots = r.get_count(bool::MIN_BYTES)?;
+        let mut pipes = Vec::with_capacity(pipe_slots);
         for _ in 0..pipe_slots {
-            if !r.get_bool()? {
-                pipes.push(None);
-                continue;
-            }
-            let attrs = PipeAttrs {
-                bandwidth: r.get_rate()?,
-                latency: r.get_duration()?,
-                loss_rate: r.get_f64()?,
-                queue_len: r.get_usize()?,
-            };
-            let discipline = match r.get_u8()? {
-                0 => QueueDiscipline::DropTail,
-                1 => QueueDiscipline::Red(mn_pipe::RedParams {
-                    min_threshold: r.get_f64()?,
-                    max_threshold: r.get_f64()?,
-                    max_drop_probability: r.get_f64()?,
-                    weight: r.get_f64()?,
-                }),
-                _ => return Err(Invalid("unknown queue discipline tag")),
-            };
-            let red_average = r.get_f64()?;
-            let drain_busy_until = r.get_time()?;
-            let stats = PipeStats {
-                enqueued: r.get_u64()?,
-                dequeued: r.get_u64()?,
-                dropped_overflow: r.get_u64()?,
-                dropped_loss: r.get_u64()?,
-                dropped_red: r.get_u64()?,
-                bytes_out: r.get_u64()?,
-            };
-            let fluid_demand = r.get_rate()?;
-            let in_flight_count = r.get_count(MIN_DESCRIPTOR_BYTES + 24)?;
-            let mut in_flight = Vec::with_capacity(in_flight_count);
-            for _ in 0..in_flight_count {
-                slab.push(get_descriptor(r, &routes)?);
-                let size = r.get_size()?;
-                let drain_finish = r.get_time()?;
-                let exit_time = r.get_time()?;
-                in_flight.push(((slab.len() - 1) as Slot, size, drain_finish, exit_time));
-            }
-            pipes.push(Some(EmuPipe::from_snapshot_parts(
-                attrs,
-                discipline,
-                red_average,
-                drain_busy_until,
-                stats,
-                fluid_demand,
-                in_flight,
-            )));
+            pipes.push(match bool::get(r)? {
+                true => Some(EmuPipe::get_with(r, Descriptor::MIN_BYTES, &mut to_slab)?),
+                false => None,
+            });
         }
         let installed = |pipe: PipeId| pipes.get(pipe.index()).is_some_and(Option::is_some);
-        let wheel_count = r.get_count(16)?;
         let mut wheel = TimerWheel::new();
-        for _ in 0..wheel_count {
-            let time = r.get_time()?;
-            let pipe = PipeId(r.get_usize()?);
+        for _ in 0..r.get_count(<(SimTime, PipeId)>::MIN_BYTES)? {
+            let (time, pipe) = Codec::get(r)?;
             if !installed(pipe) {
                 return Err(Invalid("wheel entry for a pipe not installed here"));
             }
             wheel.push(time, pipe);
         }
-        let pending_count = r.get_count(MIN_DESCRIPTOR_BYTES + 16)?;
+        let pending_count = r.get_count(<(PipeId, Descriptor, SimTime)>::MIN_BYTES)?;
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
-            let pipe = PipeId(r.get_usize()?);
+            let pipe = PipeId::get(r)?;
             // The tunnel exchange sends it to the pipe's owner, unasked.
             if pod.get_owner(pipe).is_none_or(|owner| owner == id) {
                 return Err(Invalid("staged tunnel's pipe has no peer owner"));
             }
-            slab.push(get_descriptor(r, &routes)?);
-            let at = r.get_time()?;
-            pending_remote.push((pipe, (slab.len() - 1) as Slot, at));
+            pending_remote.push((pipe, to_slab(r)?, SimTime::get(r)?));
         }
-        let cbr_count = r.get_count(32)?;
-        let mut cbr = Vec::with_capacity(cbr_count);
-        for _ in 0..cbr_count {
-            let source = CbrSource {
-                pipe: PipeId(r.get_usize()?),
-                packet_size: r.get_size()?,
-                interval: r.get_duration()?,
-                next_at: r.get_time()?,
-            };
-            // `inject_cbr` steps `next_at` by the interval until it passes now.
-            if !installed(source.pipe) || source.interval.is_zero() {
-                return Err(Invalid("CBR source with no pipe here or no interval"));
-            }
-            cbr.push(source);
+        let cbr = Vec::<CbrSource>::get(r)?;
+        // `inject_cbr` steps `next_at` by the interval until it passes now.
+        let runs = |source: &CbrSource| installed(source.pipe) && !source.interval.is_zero();
+        if !cbr.iter().all(runs) {
+            return Err(Invalid("CBR source with no pipe here or no interval"));
         }
-        let fluid_total_bps = r.get_u64()?;
-        let fluid_last = r.get_time()?;
-        let fluid_bits_ns_rem = r.get_u64()?;
-        let cpu_backlog = r.get_duration()?;
-        let cpu_busy_total = r.get_duration()?;
-        let cpu_last_credit = r.get_time()?;
-        let started_at = r.get_time()?;
-        let last_seen = r.get_time()?;
-        let rx_tokens = r.get_f64()?;
-        let rx_last_refill = r.get_time()?;
-        let stats = CoreStats::decode(r)?;
-        let mut running = [mn_util::RunningStats::new(), mn_util::RunningStats::new()];
-        for slot in &mut running {
-            let count = r.get_u64()?;
-            let mean = r.get_f64()?;
-            let m2 = r.get_f64()?;
-            let min = r.get_f64()?;
-            let max = r.get_f64()?;
-            *slot = mn_util::RunningStats::from_snapshot_parts(count, mean, m2, min, max);
+        if slab.iter().any(|d| !d.fits(&routes)) {
+            return Err(Invalid("descriptor route or hop out of range"));
         }
-        let delivered = r.get_u64()?;
-        let max_hops = r.get_usize()?;
-        let accuracy =
-            AccuracyLog::from_snapshot_parts(running[0], running[1], delivered, max_hops);
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.get_u64()?;
-        }
+        let (fluid_total_bps, fluid_last, fluid_bits_ns_rem) = Codec::get(r)?;
+        let (cpu_backlog, cpu_busy_total, cpu_last_credit) = Codec::get(r)?;
+        let (started_at, last_seen, rx_tokens, rx_last_refill) = Codec::get(r)?;
+        let (stats, accuracy, rng_state) = Codec::get(r)?;
         Ok(EmulatorCore {
             id,
             profile,
@@ -1109,6 +978,81 @@ mod tests {
         let a = CoreStats::sample(4);
         assert_eq!(a.merged(&CoreStats::default()), a);
         assert_eq!(CoreStats::default().merged(&a), a);
+    }
+
+    #[test]
+    fn core_records_keep_the_record_contract() {
+        mn_util::codec::record_contract(CoreStats::sample(7));
+        mn_util::codec::record_contract(CbrSource {
+            pipe: PipeId(3),
+            packet_size: ByteSize::from_bytes(500),
+            interval: SimDuration::from_micros(13_333),
+            next_at: SimTime::from_millis(2),
+        });
+        mn_util::codec::record_contract(HardwareProfile::paper_core());
+        mn_util::codec::record_contract((CoreId(2), PipeId(9), mn_topology::NodeId(4)));
+    }
+
+    /// A RED pipe mid-run beside a drop-tail one carrying a CBR meter, a
+    /// tunnel staged for a peer: its core's checkpoint bytes, pinned by their
+    /// sum as the encoder wrote them before the pipe and core records were
+    /// declared through `codec_record!` — no golden fixture runs RED.
+    #[test]
+    fn a_red_core_encodes_to_its_pinned_bytes() {
+        use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
+        use mn_pipe::RedParams;
+
+        let mut table = RouteTable::new(2);
+        let local = table.intern(&[PipeId(0), PipeId(1)]);
+        let remote = table.intern(&[PipeId(2), PipeId(1)]);
+        let routes = Arc::new(table);
+        let mut core = EmulatorCore::new(CoreId(0), HardwareProfile::unconstrained(), 5, routes, 3);
+        let attrs = PipeAttrs {
+            queue_len: 40,
+            loss_rate: 0.01,
+            ..PipeAttrs::new(DataRate::from_mbps(2), SimDuration::from_millis(3))
+        };
+        let red = RedParams {
+            min_threshold: 3.0,
+            max_threshold: 25.0,
+            max_drop_probability: 0.2,
+            weight: 0.05,
+        };
+        core.install_pipe_with_discipline(PipeId(0), attrs, QueueDiscipline::Red(red));
+        core.install_pipe(PipeId(1), attrs);
+        let cbr = CbrConfig::new(DataRate::from_kbps(300), ByteSize::from_bytes(500));
+        assert!(core.set_pipe_cbr(PipeId(1), Some(cbr), SimTime::from_millis(1)));
+        let packet = |id: u64, now: SimTime| {
+            let flow = FlowKey {
+                src: VnId(0),
+                dst: VnId(1),
+                src_port: 7,
+                dst_port: 9,
+                protocol: Protocol::Udp,
+            };
+            let header = TransportHeader::Udp {
+                payload_len: 972,
+                seq: id,
+            };
+            Packet::new(PacketId(id), flow, header, now)
+        };
+        for i in 0..95u64 {
+            let now = SimTime::from_micros(i * 500);
+            let route = if i % 7 == 3 { remote } else { local };
+            core.ingress(now, Descriptor::new(packet(i, now), route, now));
+            if i % 10 == 9 {
+                core.tick(now);
+            }
+        }
+        let pipe = core.pipe_stats(PipeId(0)).unwrap();
+        assert!(pipe.dropped_red > 0 && pipe.dropped_loss > 0 && pipe.dropped_overflow == 0);
+        assert!(core.in_flight() > 0 && !core.pending_remote.is_empty());
+        let mut w = mn_util::ByteWriter::new();
+        core.encode_state(&mut w);
+        assert_eq!(
+            (w.len(), mn_util::codec::checksum64(w.as_slice())),
+            (5_333, 0xb042_ee58_03a2_7023)
+        );
     }
 
     /// The slot ledger: every way a packet leaves a core gives its slab slot

@@ -18,21 +18,25 @@ use mn_packet::Packet;
 use mn_routing::{RouteId, RouteTable};
 use mn_util::{SimDuration, SimTime};
 
-/// A scheduled packet inside the core: the packet descriptor plus its route
-/// progress and accuracy book-keeping.
-#[derive(Debug, Clone)]
-pub struct Descriptor {
-    /// The packet being emulated (headers and size only — no payload bytes).
-    pub packet: Packet,
-    /// Handle to the interned pipe route from source to destination.
-    pub route: RouteId,
-    /// Index of the next pipe to enter (hops `0..hop` are already done).
-    pub hop: usize,
-    /// Time the packet entered the core (for per-packet latency reporting).
-    pub entered_at: SimTime,
-    /// Accumulated scheduling lateness across hops (actual service time minus
-    /// pipe deadline); the accuracy log records this at delivery.
-    pub accumulated_error: SimDuration,
+mn_util::codec_record! {
+    /// A scheduled packet inside the core: the packet descriptor plus its route
+    /// progress and accuracy book-keeping. What a checkpoint carries of it is
+    /// checked against the restored route table where it is read
+    /// ([`Descriptor::fits`]).
+    #[derive(Debug, Clone)]
+    pub struct Descriptor {
+        /// The packet being emulated (headers and size only — no payload bytes).
+        pub packet: Packet,
+        /// Handle to the interned pipe route from source to destination.
+        pub route: RouteId,
+        /// Index of the next pipe to enter (hops `0..hop` are already done).
+        pub hop: usize,
+        /// Time the packet entered the core (for per-packet latency reporting).
+        pub entered_at: SimTime,
+        /// Accumulated scheduling lateness across hops (actual service time minus
+        /// pipe deadline); the accuracy log records this at delivery.
+        pub accumulated_error: SimDuration,
+    }
 }
 
 impl Descriptor {
@@ -69,22 +73,32 @@ impl Descriptor {
     pub fn is_complete(&self, routes: &RouteTable) -> bool {
         self.hop >= routes.pipes(self.route).len()
     }
+
+    /// `true` when `routes` holds the descriptor's route and its hop is at
+    /// most that route's length: the two indices the forwarding path reads
+    /// unchecked, so a restore refuses a descriptor that fails this.
+    pub(crate) fn fits(&self, routes: &RouteTable) -> bool {
+        self.route.index() < routes.route_count() && self.hop <= routes.pipes(self.route).len()
+    }
 }
 
-/// A packet that has exited the emulated network and must be forwarded to the
-/// edge node hosting the destination VN.
-#[derive(Debug, Clone)]
-pub struct Delivery {
-    /// The delivered packet.
-    pub packet: Packet,
-    /// Time the packet left the last pipe (ip_output time).
-    pub delivered_at: SimTime,
-    /// Time the packet entered the core.
-    pub entered_at: SimTime,
-    /// Number of pipes the packet traversed.
-    pub hops: usize,
-    /// Scheduling error accumulated across all hops.
-    pub emulation_error: SimDuration,
+mn_util::codec_record! {
+    /// A packet that has exited the emulated network and must be forwarded to the
+    /// edge node hosting the destination VN. Same-location deliveries waiting
+    /// for the next advance are part of a checkpoint.
+    #[derive(Debug, Clone)]
+    pub struct Delivery {
+        /// The delivered packet.
+        pub packet: Packet,
+        /// Time the packet left the last pipe (ip_output time).
+        pub delivered_at: SimTime,
+        /// Time the packet entered the core.
+        pub entered_at: SimTime,
+        /// Number of pipes the packet traversed.
+        pub hops: usize,
+        /// Scheduling error accumulated across all hops.
+        pub emulation_error: SimDuration,
+    }
 }
 
 impl Delivery {
@@ -160,6 +174,28 @@ mod tests {
         let d2 = d1.clone();
         assert_eq!(d1.route, d2.route);
         assert!(std::ptr::eq(routes.pipes(d1.route), routes.pipes(d2.route)));
+    }
+
+    #[test]
+    fn descriptors_and_deliveries_keep_the_record_contract() {
+        let (routes, id) = table_with(vec![PipeId(4), PipeId(5)]);
+        let mut d = Descriptor::new(packet(), id, SimTime::from_micros(19));
+        d.hop = 2;
+        d.accumulated_error = SimDuration::from_nanos(321);
+        assert!(d.fits(&routes));
+        mn_util::codec::record_contract(d.clone());
+        d.hop = 3;
+        assert!(!d.fits(&routes));
+        d.hop = 0;
+        d.route = RouteId(1);
+        assert!(!d.fits(&routes));
+        mn_util::codec::record_contract(Delivery {
+            packet: packet(),
+            delivered_at: SimTime::from_millis(25),
+            entered_at: SimTime::from_millis(5),
+            hops: 2,
+            emulation_error: SimDuration::from_micros(40),
+        });
     }
 
     #[test]

@@ -19,17 +19,15 @@ use mn_packet::{Packet, VnId};
 use mn_pipe::CbrConfig;
 use mn_routing::{RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
-use mn_util::{ByteReader, ByteWriter, CodecError, DataRate, SimDuration, SimTime, TimerWheel};
+use mn_util::TimerWheel;
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome};
 use crate::descriptor::{Delivery, Descriptor};
 use crate::error::EmuError;
 use crate::fluid::FluidState;
 use crate::hardware::HardwareProfile;
-use crate::snapshot::{
-    get_delivery, get_descriptor, put_delivery, put_descriptor, EmulatorSnapshot,
-    MIN_DELIVERY_BYTES, MIN_DESCRIPTOR_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+use crate::snapshot::{EmulatorSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 /// Result of submitting a packet to the emulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -894,19 +892,16 @@ impl<X: CoreExecutor> Emulator<X> {
             fluid,
         } = self;
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        encode_profile(w, profile);
+        profile.put(w);
         admission.routes.encode(w);
-        matrix.encode(w);
+        matrix.put(w);
         w.put_usize(pod.core_count());
         w.put_u64s((0..pod.pipe_count()).map(|pipe| pod.owner(PipeId(pipe)).index() as u64));
-        w.put_u64s(admission.vn_location.iter().map(|loc| loc.index() as u64));
-        for core in &admission.vn_entry_core {
-            w.put_usize(core.index());
-        }
-        for &active in &admission.vn_active {
-            w.put_bool(active);
-        }
-        w.put_u32s(core_load);
+        // One count, the locations', covers all three per-VN tables.
+        admission.vn_location.put(w);
+        admission.vn_entry_core.iter().for_each(|core| core.put(w));
+        admission.vn_active.iter().for_each(|active| active.put(w));
+        core_load.put(w);
         exec.encode_cores(w, |w, tunnels| {
             // Canonical tunnel order: (arrival time, target core), with
             // per-target FIFO preserved by the stable sort. Same-time tunnels
@@ -919,15 +914,11 @@ impl<X: CoreExecutor> Emulator<X> {
             tunnels.sort_by_key(|&(time, &(target, _))| (time, target.index()));
             w.put_len(tunnels.len());
             for (time, (target, descriptor)) in tunnels {
-                w.put_time(time);
-                w.put_usize(target.index());
-                put_descriptor(w, descriptor);
+                (time, *target).put(w);
+                descriptor.put(w);
             }
-            w.put_len(admission.local_deliveries.len());
-            for delivery in &admission.local_deliveries {
-                put_delivery(w, delivery);
-            }
-            fluid.encode(w);
+            admission.local_deliveries.put(w);
+            fluid.put(w);
         })?;
         w.end_frame(frame);
         Ok(())
@@ -958,19 +949,22 @@ impl<X: CoreExecutor> Emulator<X> {
     /// only says the bytes are the ones written; every index the run phase
     /// later uses unchecked — entry cores, the load vector, tunnel targets,
     /// the per-VN tables against the route table, each route's pipes
-    /// against the ownership directory, each descriptor's route and hop —
-    /// is checked here, so a hand-built or damaged snapshot is a typed
-    /// error here, not an out-of-bounds panic on the forwarding path.
+    /// against the ownership directory, each descriptor's route and hop,
+    /// the fluid solver's per-pipe vectors against the directory — is
+    /// checked here, so a hand-built or damaged snapshot is a typed error
+    /// here, not an out-of-bounds panic on the forwarding path. The frame is
+    /// written out rather than declared because those checks need what was
+    /// read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
-        let profile = decode_profile(r)?;
+        let profile = HardwareProfile::get(r)?;
         let routes = Arc::new(match version {
             1 | 2 => RouteTable::decode_v2(r)?,
             _ => RouteTable::decode(r)?,
         });
-        let matrix = RoutingMatrix::decode(r)?;
-        let core_count = r.get_usize()?;
+        let matrix = RoutingMatrix::get(r)?;
+        let core_count = usize::get(r)?;
         let owners = r.get_u64s()?;
         if owners.iter().any(|&owner| owner >= core_count as u64) {
             return Err(Invalid("pipe owner out of range"));
@@ -984,8 +978,8 @@ impl<X: CoreExecutor> Emulator<X> {
         if routes.pipe_bound() > pod.pipe_count() {
             return Err(Invalid("route names a pipe the POD does not cover"));
         }
-        // One count covers the three per-VN tables: 8 + 8 + 1 bytes a VN.
-        let vn_count = r.get_count(17)?;
+        // One count covers the three per-VN tables.
+        let vn_count = r.get_count(<(NodeId, CoreId, bool)>::MIN_BYTES)?;
         if vn_count != routes.endpoint_count() {
             return Err(Invalid(
                 "VN tables do not cover the route table's endpoints",
@@ -993,26 +987,26 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         let mut vn_location = Vec::with_capacity(vn_count);
         for vn in 0..vn_count {
-            vn_location.push(NodeId(r.get_usize()?));
+            vn_location.push(NodeId::get(r)?);
             if routes.endpoint_location(vn) != Some(vn_location[vn]) {
                 return Err(Invalid("VN location is not where the route table binds it"));
             }
         }
         let mut vn_entry_core = Vec::with_capacity(vn_count);
         for _ in 0..vn_count {
-            vn_entry_core.push(CoreId(r.get_usize()?));
+            vn_entry_core.push(CoreId::get(r)?);
         }
         if vn_entry_core.iter().any(|core| core.index() >= core_count) {
             return Err(Invalid("VN entry core out of range"));
         }
         let mut vn_active = Vec::with_capacity(vn_count);
         for vn in 0..vn_count {
-            vn_active.push(r.get_bool()?);
+            vn_active.push(bool::get(r)?);
             if vn_active[vn] != routes.is_endpoint_bound(vn) {
                 return Err(Invalid("VN membership disagrees with the route table"));
             }
         }
-        let core_load = r.get_u32s()?;
+        let core_load = Vec::<u32>::get(r)?;
         if core_load.len() != core_count {
             return Err(Invalid("core load vector does not cover the cores"));
         }
@@ -1023,22 +1017,23 @@ impl<X: CoreExecutor> Emulator<X> {
         if entering != core_load {
             return Err(Invalid("core load is not the active VNs per entry core"));
         }
-        let tunnel_count = r.get_count(16 + MIN_DESCRIPTOR_BYTES)?;
         let mut tunnels = TimerWheel::new();
-        for _ in 0..tunnel_count {
-            let time = r.get_time()?;
-            let target = CoreId(r.get_usize()?);
+        for _ in 0..r.get_count(<(SimTime, CoreId, Descriptor)>::MIN_BYTES)? {
+            let (time, target, descriptor) = <(SimTime, CoreId, Descriptor)>::get(r)?;
             if target.index() >= core_count {
                 return Err(Invalid("tunnel target out of range"));
             }
-            tunnels.push(time, (target, get_descriptor(r, &routes)?));
+            if !descriptor.fits(&routes) {
+                return Err(Invalid("descriptor route or hop out of range"));
+            }
+            tunnels.push(time, (target, descriptor));
         }
-        let local_count = r.get_count(MIN_DELIVERY_BYTES)?;
-        let mut local_deliveries = Vec::with_capacity(local_count);
-        for _ in 0..local_count {
-            local_deliveries.push(get_delivery(r)?);
+        let local_deliveries = Vec::<Delivery>::get(r)?;
+        let fluid = FluidState::get(r)?;
+        // The solver indexes them with every pipe a route names.
+        if fluid.pipe_count() != pod.pipe_count() {
+            return Err(Invalid("fluid capacities do not cover the POD's pipes"));
         }
-        let fluid = FluidState::decode(r)?;
         if r.get_len()? != core_count {
             return Err(CodecError::Invalid("core count mismatch"));
         }
@@ -1067,34 +1062,6 @@ impl<X: CoreExecutor> Emulator<X> {
             fluid,
         })
     }
-}
-
-fn encode_profile(w: &mut ByteWriter, profile: &HardwareProfile) {
-    w.put_rate(profile.nic_rate);
-    w.put_u64(profile.nic_buffer.as_bytes());
-    w.put_duration(profile.per_packet_cpu);
-    w.put_duration(profile.per_hop_cpu);
-    w.put_duration(profile.tunnel_cpu);
-    w.put_duration(profile.tunnel_latency);
-    w.put_duration(profile.tick);
-    w.put_duration(profile.saturation_backlog);
-    w.put_bool(profile.packet_debt_correction);
-    w.put_bool(profile.payload_caching);
-}
-
-fn decode_profile(r: &mut ByteReader) -> Result<HardwareProfile, CodecError> {
-    Ok(HardwareProfile {
-        nic_rate: r.get_rate()?,
-        nic_buffer: mn_util::ByteSize::from_bytes(r.get_u64()?),
-        per_packet_cpu: r.get_duration()?,
-        per_hop_cpu: r.get_duration()?,
-        tunnel_cpu: r.get_duration()?,
-        tunnel_latency: r.get_duration()?,
-        tick: r.get_duration()?,
-        saturation_backlog: r.get_duration()?,
-        packet_debt_correction: r.get_bool()?,
-        payload_caching: r.get_bool()?,
-    })
 }
 
 #[cfg(test)]
@@ -1204,5 +1171,19 @@ mod tests {
         let snapshot = source.snapshot().unwrap();
         let mut restored = MultiCoreEmulator::restore(&snapshot).unwrap();
         assert!(restored.snapshot().unwrap() == snapshot);
+    }
+
+    #[test]
+    fn restore_refuses_fluid_capacities_that_do_not_cover_the_pod() {
+        // Accepted, the first solve over a route past the third pipe would
+        // index beyond them.
+        let mut source = ring_emulator();
+        assert!(source.route_table().pipe_bound() > 3);
+        source.fluid = FluidState::new(vec![1_000; 3]);
+        let snapshot = source.snapshot().unwrap();
+        assert_eq!(
+            MultiCoreEmulator::restore(&snapshot).unwrap_err(),
+            CodecError::Invalid("fluid capacities do not cover the POD's pipes")
+        );
     }
 }

@@ -25,7 +25,8 @@ use std::collections::HashMap;
 use mn_distill::PipeId;
 use mn_packet::VnId;
 use mn_routing::RouteTable;
-use mn_util::{DataRate, SimDuration, SimTime, DEFAULT_WHEEL_QUANTUM};
+use mn_util::DEFAULT_WHEEL_QUANTUM;
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
 /// Default cadence at which fluid rates are recomputed while flows are live:
 /// `2^23` ns ≈ 8.39 ms, exactly 64 default timer-wheel slots. A cadence
@@ -51,6 +52,26 @@ enum FlowKey {
     Cbr(PipeId),
 }
 
+/// A tag byte (0 user, 1 CBR), then the tag or the pipe.
+impl Codec for FlowKey {
+    const MIN_BYTES: usize = 1 + PipeId::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            FlowKey::User(tag) => (0u8, tag).put(w),
+            FlowKey::Cbr(pipe) => (1u8, pipe).put(w),
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(FlowKey::User(u64::get(r)?)),
+            1 => Ok(FlowKey::Cbr(PipeId::get(r)?)),
+            _ => Err(CodecError::Invalid("unknown fluid flow key tag")),
+        }
+    }
+}
+
 /// What a fluid flow crosses.
 #[derive(Debug, Clone, Copy)]
 enum FlowKind {
@@ -61,25 +82,52 @@ enum FlowKind {
     Pipe { pipe: PipeId },
 }
 
-/// One fluid flow: demand, weight, and the solver's current allocation.
-#[derive(Debug)]
-struct FlowSlot {
-    key: FlowKey,
-    kind: FlowKind,
-    /// Aggregate offered rate in bits/second.
-    demand_bps: u64,
-    /// Max-min weight: the number of modelled clients this flow aggregates.
-    weight: u64,
-    /// Allocated rate from the last solve, bits/second.
-    rate_bps: u64,
-    /// Resolved pipe route (for `Pipe` kind, the single pinned pipe).
-    pipes: Vec<PipeId>,
-    /// `false` when the route lookup failed (unroutable flows get rate 0).
-    routable: bool,
-    /// Exact integral of the allocated rate over virtual time.
-    goodput_bits_ns: u128,
-    /// Solver scratch: the flow's allocation is final for this solve.
-    frozen: bool,
+/// A tag byte (0 routed, 1 pinned), then the VN pair or the pipe.
+impl Codec for FlowKind {
+    const MIN_BYTES: usize = 1 + <(VnId, VnId)>::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            FlowKind::Route { src, dst } => (0u8, src, dst).put(w),
+            FlowKind::Pipe { pipe } => (1u8, pipe).put(w),
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(FlowKind::Route {
+                src: VnId::get(r)?,
+                dst: VnId::get(r)?,
+            }),
+            1 => Ok(FlowKind::Pipe {
+                pipe: PipeId::get(r)?,
+            }),
+            _ => Err(CodecError::Invalid("unknown fluid flow kind tag")),
+        }
+    }
+}
+
+mn_util::codec_record! {
+    /// One fluid flow: demand, weight, and the solver's current allocation.
+    #[derive(Debug)]
+    struct FlowSlot {
+        key: FlowKey,
+        kind: FlowKind,
+        /// Aggregate offered rate in bits/second.
+        demand_bps: u64,
+        /// Max-min weight: the number of modelled clients this flow aggregates.
+        weight: u64,
+        /// Allocated rate from the last solve, bits/second.
+        rate_bps: u64,
+        /// Resolved pipe route (for `Pipe` kind, the single pinned pipe).
+        pipes: Vec<PipeId>,
+        /// `false` when the route lookup failed (unroutable flows get rate 0).
+        routable: bool,
+        /// Exact integral of the allocated rate over virtual time.
+        goodput_bits_ns: u128,
+        /// Solver scratch: the flow's allocation is final for this solve.
+        frozen: bool,
+    }
 }
 
 /// Coordinator-owned fluid flow state: the flow set, per-pipe capacities and
@@ -357,142 +405,9 @@ impl FluidState {
         &self.changed
     }
 
-    /// Serializes the fluid state for a checkpoint: the settled clock, epoch
-    /// grid, every flow slot in order (so restore reproduces slot indices and
-    /// therefore CBR allocation order exactly), and the per-pipe capacity and
-    /// distributed-demand vectors. Solver scratch is excluded.
-    pub fn encode(&self, w: &mut mn_util::ByteWriter) {
-        w.put_time(self.clock);
-        w.put_duration(self.epoch);
-        match self.next_epoch {
-            None => w.put_bool(false),
-            Some(t) => {
-                w.put_bool(true);
-                w.put_time(t);
-            }
-        }
-        w.put_len(self.flows.len());
-        for flow in &self.flows {
-            match flow.key {
-                FlowKey::User(tag) => {
-                    w.put_u8(0);
-                    w.put_u64(tag);
-                }
-                FlowKey::Cbr(pipe) => {
-                    w.put_u8(1);
-                    w.put_usize(pipe.index());
-                }
-            }
-            match flow.kind {
-                FlowKind::Route { src, dst } => {
-                    w.put_u8(0);
-                    w.put_u32(src.0);
-                    w.put_u32(dst.0);
-                }
-                FlowKind::Pipe { pipe } => {
-                    w.put_u8(1);
-                    w.put_usize(pipe.index());
-                }
-            }
-            w.put_u64(flow.demand_bps);
-            w.put_u64(flow.weight);
-            w.put_u64(flow.rate_bps);
-            w.put_len(flow.pipes.len());
-            for pipe in &flow.pipes {
-                w.put_usize(pipe.index());
-            }
-            w.put_bool(flow.routable);
-            w.put_u128(flow.goodput_bits_ns);
-            w.put_bool(flow.frozen);
-        }
-        w.put_len(self.capacity_bps.len());
-        for &c in &self.capacity_bps {
-            w.put_u64(c);
-        }
-        for &d in &self.demand_bps {
-            w.put_u64(d);
-        }
-        w.put_bool(self.routes_dirty);
-    }
-
-    /// Rebuilds the state from [`FluidState::encode`] output. The flow index
-    /// and solver scratch are reconstructed; a restored state produces the
-    /// same solves, integrals and epoch schedule as the original.
-    pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        let clock = r.get_time()?;
-        let epoch = r.get_duration()?;
-        let next_epoch = if r.get_bool()? {
-            Some(r.get_time()?)
-        } else {
-            None
-        };
-        let flow_count = r.get_len()?;
-        let mut flows = Vec::with_capacity(flow_count);
-        let mut index = HashMap::with_capacity(flow_count);
-        for slot in 0..flow_count {
-            let key = match r.get_u8()? {
-                0 => FlowKey::User(r.get_u64()?),
-                1 => FlowKey::Cbr(PipeId(r.get_usize()?)),
-                _ => return Err(mn_util::CodecError::Invalid("unknown fluid flow key tag")),
-            };
-            let kind = match r.get_u8()? {
-                0 => FlowKind::Route {
-                    src: VnId(r.get_u32()?),
-                    dst: VnId(r.get_u32()?),
-                },
-                1 => FlowKind::Pipe {
-                    pipe: PipeId(r.get_usize()?),
-                },
-                _ => return Err(mn_util::CodecError::Invalid("unknown fluid flow kind tag")),
-            };
-            let demand_bps = r.get_u64()?;
-            let weight = r.get_u64()?;
-            let rate_bps = r.get_u64()?;
-            let pipe_count = r.get_len()?;
-            let mut pipes = Vec::with_capacity(pipe_count);
-            for _ in 0..pipe_count {
-                pipes.push(PipeId(r.get_usize()?));
-            }
-            let routable = r.get_bool()?;
-            let goodput_bits_ns = r.get_u128()?;
-            let frozen = r.get_bool()?;
-            index.insert(key, slot);
-            flows.push(FlowSlot {
-                key,
-                kind,
-                demand_bps,
-                weight,
-                rate_bps,
-                pipes,
-                routable,
-                goodput_bits_ns,
-                frozen,
-            });
-        }
-        let pipe_count = r.get_len()?;
-        let mut capacity_bps = Vec::with_capacity(pipe_count);
-        for _ in 0..pipe_count {
-            capacity_bps.push(r.get_u64()?);
-        }
-        let mut demand_bps = Vec::with_capacity(pipe_count);
-        for _ in 0..pipe_count {
-            demand_bps.push(r.get_u64()?);
-        }
-        let routes_dirty = r.get_bool()?;
-        Ok(FluidState {
-            clock,
-            epoch,
-            next_epoch,
-            flows,
-            index,
-            capacity_bps,
-            demand_bps,
-            new_demand: vec![0; pipe_count],
-            remaining: vec![0; pipe_count],
-            wsum: vec![0; pipe_count],
-            changed: Vec::new(),
-            routes_dirty,
-        })
+    /// Number of pipes the capacity and demand vectors cover.
+    pub(crate) fn pipe_count(&self) -> usize {
+        self.capacity_bps.len()
     }
 
     /// Re-resolves every routed flow's pipe list from the route table.
@@ -656,6 +571,74 @@ impl FluidState {
                 self.new_demand[pipe.index()] += flow.rate_bps;
             }
         }
+    }
+}
+
+/// The fluid state's checkpoint: the settled clock, epoch grid, every flow
+/// slot in order (so restore reproduces slot indices and therefore CBR
+/// allocation order exactly), the per-pipe capacity and distributed-demand
+/// vectors and the dirty mark. Written out rather than declared: the two
+/// per-pipe vectors share one count, and the flow index and solver scratch
+/// are rebuilt, not read. A restored state produces the same solves,
+/// integrals and epoch schedule as the original — and refuses what would
+/// hang or panic them: a zero epoch (the emulator's epoch loop would never
+/// pass it), a flow on a pipe beyond the capacities, two flows under one key.
+impl Codec for FluidState {
+    const MIN_BYTES: usize = <(SimTime, SimDuration, Option<SimTime>)>::MIN_BYTES
+        + <(Vec<FlowSlot>, Vec<u64>, bool)>::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        (self.clock, self.epoch, self.next_epoch).put(w);
+        self.flows.put(w);
+        self.capacity_bps.put(w);
+        self.demand_bps.iter().for_each(|demand| demand.put(w));
+        self.routes_dirty.put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
+        let (clock, epoch, next_epoch) = <(SimTime, SimDuration, _)>::get(r)?;
+        let flows = Vec::<FlowSlot>::get(r)?;
+        let capacity_bps = Vec::<u64>::get(r)?;
+        let pipes = capacity_bps.len();
+        let mut demand_bps = Vec::with_capacity(pipes);
+        for _ in 0..pipes {
+            demand_bps.push(u64::get(r)?);
+        }
+        let routes_dirty = bool::get(r)?;
+        if epoch.is_zero() {
+            return Err(Invalid("fluid epoch of zero"));
+        }
+        let pinned = |flow: &FlowSlot| match flow.kind {
+            FlowKind::Pipe { pipe } => Some(pipe),
+            FlowKind::Route { .. } => None,
+        };
+        let mut named = flows
+            .iter()
+            .flat_map(|f| f.pipes.iter().copied().chain(pinned(f)));
+        if named.any(|pipe| pipe.index() >= pipes) {
+            return Err(Invalid("fluid flow on a pipe beyond the capacities"));
+        }
+        let mut index = HashMap::with_capacity(flows.len());
+        for (slot, flow) in flows.iter().enumerate() {
+            if index.insert(flow.key, slot).is_some() {
+                return Err(Invalid("two fluid flows under one key"));
+            }
+        }
+        Ok(FluidState {
+            clock,
+            epoch,
+            next_epoch,
+            flows,
+            index,
+            capacity_bps,
+            demand_bps,
+            new_demand: vec![0; pipes],
+            remaining: vec![0; pipes],
+            wsum: vec![0; pipes],
+            changed: Vec::new(),
+            routes_dirty,
+        })
     }
 }
 
@@ -823,15 +806,9 @@ mod tests {
         fluid.recompute(SimTime::ZERO, &routes);
         fluid.integrate_to(SimTime::from_millis(7));
 
-        let mut w = mn_util::ByteWriter::new();
-        fluid.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = FluidState::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
-
         // Snapshot → restore → snapshot is byte-identical.
-        let mut w2 = mn_util::ByteWriter::new();
-        restored.encode(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
+        mn_util::codec::record_contract(round_trip(&fluid).unwrap());
+        let mut restored = round_trip(&fluid).unwrap();
 
         // The restored state observes and evolves exactly like the original.
         assert_eq!(restored.clock(), fluid.clock());
@@ -850,18 +827,71 @@ mod tests {
         assert_eq!(restored.flow_goodput_bytes(2), fluid.flow_goodput_bytes(2));
     }
 
+    /// `state` written and read back.
+    fn round_trip(state: &FluidState) -> Result<FluidState, CodecError> {
+        let mut w = ByteWriter::new();
+        state.put(&mut w);
+        FluidState::get(&mut ByteReader::new(w.as_slice()))
+    }
+
+    /// A flow of 4 Mb/s between VNs 0 and 1 over pipe 0, solved.
+    fn one_flow() -> FluidState {
+        let routes = table(&[(0, 1, vec![PipeId(0)])], 2);
+        let mut fluid = FluidState::new(vec![mbps(10).as_bps()]);
+        fluid.add_flow(1, VnId(0), VnId(1), mbps(4), 1, SimTime::ZERO);
+        fluid.recompute(SimTime::ZERO, &routes);
+        fluid
+    }
+
     #[test]
     fn decode_rejects_corrupt_flow_tag() {
         let mut fluid = FluidState::new(vec![mbps(10).as_bps()]);
         fluid.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
-        let mut w = mn_util::ByteWriter::new();
-        fluid.encode(&mut w);
+        let mut w = ByteWriter::new();
+        fluid.put(&mut w);
         let mut bytes = w.into_bytes();
         // The flow-key tag byte follows clock + epoch + Option tag + len.
         let tag_at = 8 + 8 + 1 + 8;
         assert_eq!(bytes[tag_at], 1, "layout drifted; fix the offset");
         bytes[tag_at] = 9;
-        assert!(FluidState::decode(&mut mn_util::ByteReader::new(&bytes)).is_err());
+        assert!(FluidState::get(&mut ByteReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn a_zero_epoch_is_refused() {
+        // Restored, it would pin the next epoch to the instant it is solved
+        // at, and `Emulator::advance_into` would solve there forever.
+        let mut fluid = one_flow();
+        fluid.epoch = SimDuration::ZERO;
+        let refused = Err(CodecError::Invalid("fluid epoch of zero"));
+        assert_eq!(round_trip(&fluid).map(|_| ()), refused);
+    }
+
+    #[test]
+    fn a_flow_on_a_pipe_beyond_the_capacities_is_refused() {
+        // The solve indexes its per-pipe vectors with every pipe a flow
+        // crosses, and with the pipe a CBR episode is pinned to.
+        let refused = Err(CodecError::Invalid(
+            "fluid flow on a pipe beyond the capacities",
+        ));
+        let mut routed = one_flow();
+        routed.flows[0].pipes.push(PipeId(1));
+        assert_eq!(round_trip(&routed).map(|_| ()), refused);
+        let mut pinned = one_flow();
+        pinned.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
+        pinned.flows[1].kind = FlowKind::Pipe { pipe: PipeId(7) };
+        assert_eq!(round_trip(&pinned).map(|_| ()), refused);
+    }
+
+    #[test]
+    fn two_flows_under_one_key_are_refused() {
+        // The index would name one slot for both, and a removal would
+        // leave it pointing at the wrong flow or past the end.
+        let mut fluid = one_flow();
+        fluid.add_flow(2, VnId(1), VnId(0), mbps(1), 1, SimTime::ZERO);
+        fluid.flows[1].key = FlowKey::User(1);
+        let refused = Err(CodecError::Invalid("two fluid flows under one key"));
+        assert_eq!(round_trip(&fluid).map(|_| ()), refused);
     }
 
     #[test]

@@ -16,41 +16,44 @@ use serde::{Deserialize, Serialize};
 
 use mn_util::{ByteSize, DataRate, SimDuration};
 
-/// Capacity model of one core node and its network attachment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HardwareProfile {
-    /// Line rate of the core's NIC (each direction).
-    pub nic_rate: DataRate,
-    /// Receive buffering available before the NIC starts dropping packets
-    /// when the link or CPU is oversubscribed.
-    pub nic_buffer: ByteSize,
-    /// Fixed CPU cost charged for every packet that crosses the core
-    /// (interrupt handling, ipfw match, route lookup, ip_output).
-    pub per_packet_cpu: SimDuration,
-    /// CPU cost charged for every emulated hop a descriptor traverses.
-    pub per_hop_cpu: SimDuration,
-    /// CPU cost charged on each side when a descriptor is tunnelled to a
-    /// peer core.
-    pub tunnel_cpu: SimDuration,
-    /// One-way latency of the physical switch between cores (descriptor
-    /// tunnelling delay).
-    pub tunnel_latency: SimDuration,
-    /// Scheduler tick interval (the paper's 10 kHz clock = 100 µs).
-    pub tick: SimDuration,
-    /// How much CPU work may be backlogged before the core is considered
-    /// saturated and starts dropping arrivals physically.
-    pub saturation_backlog: SimDuration,
-    /// When `true`, a descriptor is entered into its next pipe at the
-    /// previous pipe's exit *deadline* rather than at the (tick-quantised)
-    /// service time, cancelling accumulated scheduling error. This is the
-    /// "packet debt handling" optimisation the paper describes as in
-    /// progress.
-    pub packet_debt_correction: bool,
-    /// When `true`, descriptor tunnels carry only descriptor-sized payloads
-    /// (the paper's payload-caching option, which leaves packet contents on
-    /// the entry core); otherwise the full packet crosses the inter-core
-    /// link.
-    pub payload_caching: bool,
+mn_util::codec_record! {
+    /// Capacity model of one core node and its network attachment. A snapshot
+    /// carries it once, as the emulator's first record.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct HardwareProfile {
+        /// Line rate of the core's NIC (each direction).
+        pub nic_rate: DataRate,
+        /// Receive buffering available before the NIC starts dropping packets
+        /// when the link or CPU is oversubscribed.
+        pub nic_buffer: ByteSize,
+        /// Fixed CPU cost charged for every packet that crosses the core
+        /// (interrupt handling, ipfw match, route lookup, ip_output).
+        pub per_packet_cpu: SimDuration,
+        /// CPU cost charged for every emulated hop a descriptor traverses.
+        pub per_hop_cpu: SimDuration,
+        /// CPU cost charged on each side when a descriptor is tunnelled to a
+        /// peer core.
+        pub tunnel_cpu: SimDuration,
+        /// One-way latency of the physical switch between cores (descriptor
+        /// tunnelling delay).
+        pub tunnel_latency: SimDuration,
+        /// Scheduler tick interval (the paper's 10 kHz clock = 100 µs).
+        pub tick: SimDuration,
+        /// How much CPU work may be backlogged before the core is considered
+        /// saturated and starts dropping arrivals physically.
+        pub saturation_backlog: SimDuration,
+        /// When `true`, a descriptor is entered into its next pipe at the
+        /// previous pipe's exit *deadline* rather than at the (tick-quantised)
+        /// service time, cancelling accumulated scheduling error. This is the
+        /// "packet debt handling" optimisation the paper describes as in
+        /// progress.
+        pub packet_debt_correction: bool,
+        /// When `true`, descriptor tunnels carry only descriptor-sized payloads
+        /// (the paper's payload-caching option, which leaves packet contents on
+        /// the entry core); otherwise the full packet crosses the inter-core
+        /// link.
+        pub payload_caching: bool,
+    }
 }
 
 impl HardwareProfile {

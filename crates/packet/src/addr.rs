@@ -13,10 +13,12 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a virtual node (an application instance with its own
-/// emulated IP address and location in the target topology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct VnId(pub u32);
+mn_util::codec_record! {
+    /// Identifier of a virtual node (an application instance with its own
+    /// emulated IP address and location in the target topology).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    pub struct VnId(pub u32);
+}
 
 impl VnId {
     /// Returns the raw index.

@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use mn_util::{ByteSize, SimTime};
+use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, SimTime};
 
 use crate::addr::VnId;
 
@@ -24,9 +24,11 @@ pub const IP_UDP_HEADER_BYTES: u32 = 28;
 /// Maximum TCP segment payload given [`MTU_BYTES`] and [`IP_TCP_HEADER_BYTES`].
 pub const MSS_BYTES: u32 = MTU_BYTES - IP_TCP_HEADER_BYTES;
 
-/// Globally unique packet identifier (assigned by the sending stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PacketId(pub u64);
+mn_util::codec_record! {
+    /// Globally unique packet identifier (assigned by the sending stack).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    pub struct PacketId(pub u64);
+}
 
 impl fmt::Display for PacketId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -43,21 +45,40 @@ pub enum Protocol {
     Udp,
 }
 
-/// The 5-tuple identifying a flow. Route lookup in the core is by
-/// (source VN, destination VN); the full tuple is used by the edge stacks to
-/// demultiplex to sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct FlowKey {
-    /// Sending VN.
-    pub src: VnId,
-    /// Receiving VN.
-    pub dst: VnId,
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Transport protocol.
-    pub protocol: Protocol,
+/// One tag byte: 0 TCP, 1 UDP.
+impl Codec for Protocol {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(*self as u8);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(Protocol::Tcp),
+            1 => Ok(Protocol::Udp),
+            _ => Err(CodecError::Invalid("unknown protocol tag")),
+        }
+    }
+}
+
+mn_util::codec_record! {
+    /// The 5-tuple identifying a flow. Route lookup in the core is by
+    /// (source VN, destination VN); the full tuple is used by the edge stacks
+    /// to demultiplex to sockets.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    pub struct FlowKey {
+        /// Sending VN.
+        pub src: VnId,
+        /// Receiving VN.
+        pub dst: VnId,
+        /// Source port.
+        pub src_port: u16,
+        /// Destination port.
+        pub dst_port: u16,
+        /// Transport protocol.
+        pub protocol: Protocol,
+    }
 }
 
 impl FlowKey {
@@ -83,15 +104,17 @@ impl fmt::Display for FlowKey {
     }
 }
 
-/// TCP header flags relevant to the emulated state machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct TcpFlags {
-    /// Connection-establishment flag.
-    pub syn: bool,
-    /// Connection-teardown flag.
-    pub fin: bool,
-    /// Acknowledgement number is valid.
-    pub ack: bool,
+mn_util::codec_record! {
+    /// TCP header flags relevant to the emulated state machines.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    pub struct TcpFlags {
+        /// Connection-establishment flag.
+        pub syn: bool,
+        /// Connection-teardown flag.
+        pub fin: bool,
+        /// Acknowledgement number is valid.
+        pub ack: bool,
+    }
 }
 
 impl TcpFlags {
@@ -146,6 +169,41 @@ pub enum TransportHeader {
     },
 }
 
+/// A tag byte (0 TCP, 1 UDP), then the variant's fields in order.
+impl Codec for TransportHeader {
+    const MIN_BYTES: usize = 1 + <(u32, u64)>::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match *self {
+            TransportHeader::Tcp {
+                seq,
+                ack,
+                payload_len,
+                flags,
+                window,
+            } => (0u8, seq, ack, payload_len, flags, window).put(w),
+            TransportHeader::Udp { payload_len, seq } => (1u8, payload_len, seq).put(w),
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.get_u8()? {
+            0 => TransportHeader::Tcp {
+                seq: Codec::get(r)?,
+                ack: Codec::get(r)?,
+                payload_len: Codec::get(r)?,
+                flags: Codec::get(r)?,
+                window: Codec::get(r)?,
+            },
+            1 => TransportHeader::Udp {
+                payload_len: Codec::get(r)?,
+                seq: Codec::get(r)?,
+            },
+            _ => return Err(CodecError::Invalid("unknown transport header tag")),
+        })
+    }
+}
+
 impl TransportHeader {
     /// Payload bytes carried by this header.
     pub fn payload_len(&self) -> u32 {
@@ -165,20 +223,24 @@ impl TransportHeader {
     }
 }
 
-/// A packet descriptor moving through the emulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Packet {
-    /// Unique identifier.
-    pub id: PacketId,
-    /// Flow 5-tuple.
-    pub flow: FlowKey,
-    /// Transport header.
-    pub header: TransportHeader,
-    /// Total wire size (headers + payload).
-    pub size: ByteSize,
-    /// Virtual time at which the sending stack emitted the packet; used by
-    /// the accuracy log to compute expected vs. actual delivery times.
-    pub sent_at: SimTime,
+mn_util::codec_record! {
+    /// A packet descriptor moving through the emulation. Its checkpoint
+    /// carries the wire size verbatim (it is not re-derived from the header
+    /// on restore, so size overrides survive).
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct Packet {
+        /// Unique identifier.
+        pub id: PacketId,
+        /// Flow 5-tuple.
+        pub flow: FlowKey,
+        /// Transport header.
+        pub header: TransportHeader,
+        /// Total wire size (headers + payload).
+        pub size: ByteSize,
+        /// Virtual time at which the sending stack emitted the packet; used
+        /// by the accuracy log to compute expected vs. actual delivery times.
+        pub sent_at: SimTime,
+    }
 }
 
 impl Packet {
@@ -320,6 +382,27 @@ mod tests {
         assert!(syn_ack.syn && syn_ack.ack);
         assert!(fin_ack.fin && fin_ack.ack);
         assert!(ack.ack && !ack.syn && !ack.fin);
+    }
+
+    #[test]
+    fn packets_keep_the_record_contract() {
+        let tcp = TransportHeader::Tcp {
+            seq: 1_000_000,
+            ack: 77,
+            payload_len: 1460,
+            flags: TcpFlags::FIN_ACK,
+            window: 65_535,
+        };
+        let udp = TransportHeader::Udp {
+            payload_len: 972,
+            seq: 3,
+        };
+        for (header, at) in [(tcp, 17), (udp, 0)] {
+            let mut packet = Packet::new(PacketId(42), flow(), header, SimTime::from_micros(at));
+            packet.size = ByteSize::from_bytes(9_000);
+            mn_util::codec::record_contract(packet);
+        }
+        mn_util::codec::record_contract((flow().reverse(), Protocol::Udp));
     }
 
     #[test]

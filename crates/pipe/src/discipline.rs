@@ -8,18 +8,22 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Parameters of the RED (random early detection) policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RedParams {
-    /// Average queue length (packets) below which no packet is dropped.
-    pub min_threshold: f64,
-    /// Average queue length (packets) at and above which every packet is
-    /// dropped.
-    pub max_threshold: f64,
-    /// Drop probability when the average queue reaches `max_threshold`.
-    pub max_drop_probability: f64,
-    /// Exponential weight for the average queue estimate (0 < w ≤ 1).
-    pub weight: f64,
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError};
+
+mn_util::codec_record! {
+    /// Parameters of the RED (random early detection) policy.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct RedParams {
+        /// Average queue length (packets) below which no packet is dropped.
+        pub min_threshold: f64,
+        /// Average queue length (packets) at and above which every packet is
+        /// dropped.
+        pub max_threshold: f64,
+        /// Drop probability when the average queue reaches `max_threshold`.
+        pub max_drop_probability: f64,
+        /// Exponential weight for the average queue estimate (0 < w ≤ 1).
+        pub weight: f64,
+    }
 }
 
 impl Default for RedParams {
@@ -58,10 +62,32 @@ pub enum QueueDiscipline {
     Red(RedParams),
 }
 
-/// Tracks the RED average-queue estimate for one pipe.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RedState {
-    avg_queue: f64,
+/// A tag byte (0 drop-tail, 1 RED), then RED's parameters.
+impl Codec for QueueDiscipline {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            QueueDiscipline::DropTail => w.put_u8(0),
+            QueueDiscipline::Red(params) => (1u8, *params).put(w),
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(QueueDiscipline::DropTail),
+            1 => Ok(QueueDiscipline::Red(RedParams::get(r)?)),
+            _ => Err(CodecError::Invalid("unknown queue discipline tag")),
+        }
+    }
+}
+
+mn_util::codec_record! {
+    /// Tracks the RED average-queue estimate for one pipe.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct RedState {
+        avg_queue: f64,
+    }
 }
 
 impl RedState {
@@ -76,12 +102,6 @@ impl RedState {
     /// The current average estimate.
     pub fn average(&self) -> f64 {
         self.avg_queue
-    }
-
-    /// Rebuilds the estimator from an average captured by
-    /// [`RedState::average`], for checkpoint/restore of a pipe mid-run.
-    pub fn from_average(avg_queue: f64) -> Self {
-        RedState { avg_queue }
     }
 }
 

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use rand::Rng;
 
 use mn_distill::PipeAttrs;
-use mn_util::{ByteSize, DataRate, SimTime};
+use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, DataRate, SimTime};
 
 use crate::discipline::{QueueDiscipline, RedState};
 use crate::stats::PipeStats;
@@ -280,63 +280,53 @@ impl<T> EmuPipe<T> {
         out
     }
 
-    /// The configured queueing discipline.
-    pub fn discipline(&self) -> QueueDiscipline {
-        self.discipline
+    /// Writes the pipe's state for a checkpoint — attributes, discipline,
+    /// RED average, drain clock, counters, fluid demand, then the packets
+    /// inside in FIFO order with their sizes and deadlines — each queued item
+    /// as `put_item` writes it. Hand-written rather than declared because of
+    /// that hook: a core's pipes queue slab handles, and what its checkpoint
+    /// carries for each is the descriptor the handle resolves to.
+    pub fn put_with(&self, w: &mut ByteWriter, mut put_item: impl FnMut(&T, &mut ByteWriter)) {
+        (self.attrs, self.discipline, self.red_state).put(w);
+        (self.drain_busy_until, self.stats, self.fluid_demand).put(w);
+        w.put_len(self.in_flight.len());
+        for packet in &self.in_flight {
+            put_item(&packet.item, w);
+            (packet.size, packet.drain_finish, packet.exit_time).put(w);
+        }
     }
 
-    /// The RED average-queue estimate (0.0 for drop-tail pipes).
-    pub fn red_average(&self) -> f64 {
-        self.red_state.average()
-    }
-
-    /// The drain-finish time of the most recently admitted packet — the
-    /// bandwidth queue's busy horizon.
-    pub fn drain_busy_until(&self) -> SimTime {
-        self.drain_busy_until
-    }
-
-    /// The packets inside the pipe in FIFO order, each as
-    /// `(item, size, drain_finish, exit_time)`. Together with the scalar
-    /// accessors this captures the pipe's complete emulation state for a
-    /// checkpoint.
-    pub fn in_flight_entries(&self) -> impl Iterator<Item = (&T, ByteSize, SimTime, SimTime)> {
-        self.in_flight
-            .iter()
-            .map(|f| (&f.item, f.size, f.drain_finish, f.exit_time))
-    }
-
-    /// Rebuilds a pipe from state captured by the snapshot accessors.
-    /// `in_flight` must be supplied in the FIFO order produced by
-    /// [`EmuPipe::in_flight_entries`]; the restored pipe then behaves
-    /// bit-identically to the one that was captured.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_snapshot_parts(
-        attrs: PipeAttrs,
-        discipline: QueueDiscipline,
-        red_average: f64,
-        drain_busy_until: SimTime,
-        stats: PipeStats,
-        fluid_demand: DataRate,
-        in_flight: impl IntoIterator<Item = (T, ByteSize, SimTime, SimTime)>,
-    ) -> Self {
-        EmuPipe {
+    /// Rebuilds a pipe [`EmuPipe::put_with`] wrote, reading each queued item
+    /// with `get_item` (an item takes at least `item_bytes`). The restored
+    /// pipe behaves bit-identically to the one written.
+    pub fn get_with(
+        r: &mut ByteReader<'_>,
+        item_bytes: usize,
+        mut get_item: impl FnMut(&mut ByteReader<'_>) -> Result<T, CodecError>,
+    ) -> Result<Self, CodecError> {
+        let (attrs, discipline, red_state) = Codec::get(r)?;
+        let (drain_busy_until, stats, fluid_demand) = Codec::get(r)?;
+        let count = r.get_count(item_bytes + <(ByteSize, SimTime, SimTime)>::MIN_BYTES)?;
+        let mut in_flight = VecDeque::with_capacity(count);
+        for _ in 0..count {
+            let item = get_item(r)?;
+            let (size, drain_finish, exit_time) = Codec::get(r)?;
+            in_flight.push_back(InFlight {
+                item,
+                size,
+                drain_finish,
+                exit_time,
+            });
+        }
+        Ok(EmuPipe {
             attrs,
             discipline,
-            red_state: RedState::from_average(red_average),
-            in_flight: in_flight
-                .into_iter()
-                .map(|(item, size, drain_finish, exit_time)| InFlight {
-                    item,
-                    size,
-                    drain_finish,
-                    exit_time,
-                })
-                .collect(),
+            red_state,
+            in_flight,
             drain_busy_until,
             stats,
             fluid_demand,
-        }
+        })
     }
 
     /// Drains every packet regardless of deadline (used when tearing an
@@ -602,8 +592,22 @@ mod tests {
         );
     }
 
+    /// A pipe of plain items is a record: its queue items encode as
+    /// themselves.
+    impl<T: Codec> Codec for EmuPipe<T> {
+        const MIN_BYTES: usize = 0;
+
+        fn put(&self, w: &mut ByteWriter) {
+            self.put_with(w, T::put);
+        }
+
+        fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+            EmuPipe::get_with(r, T::MIN_BYTES, T::get)
+        }
+    }
+
     #[test]
-    fn snapshot_parts_round_trip_is_exact() {
+    fn a_red_pipe_mid_run_keeps_the_record_contract() {
         let params = crate::RedParams {
             min_threshold: 1.0,
             max_threshold: 30.0,
@@ -617,46 +621,9 @@ mod tests {
         for i in 0..20 {
             pipe.enqueue(SimTime::from_micros(i as u64 * 50), kb(700), i, &mut rng);
         }
-
-        let restored: EmuPipe<u32> = EmuPipe::from_snapshot_parts(
-            *pipe.attrs(),
-            pipe.discipline(),
-            pipe.red_average(),
-            pipe.drain_busy_until(),
-            *pipe.stats(),
-            pipe.fluid_demand(),
-            pipe.in_flight_entries()
-                .map(|(item, size, drain, exit)| (*item, size, drain, exit))
-                .collect::<Vec<_>>(),
-        );
-
-        assert_eq!(restored.attrs(), pipe.attrs());
-        assert_eq!(restored.discipline(), pipe.discipline());
-        assert_eq!(
-            restored.red_average().to_bits(),
-            pipe.red_average().to_bits()
-        );
-        assert_eq!(restored.drain_busy_until(), pipe.drain_busy_until());
-        assert_eq!(restored.fluid_demand(), pipe.fluid_demand());
-        assert_eq!(restored.in_flight_count(), pipe.in_flight_count());
-        assert_eq!(restored.next_deadline(), pipe.next_deadline());
-        assert_eq!(restored.stats().enqueued, pipe.stats().enqueued);
-
-        // Identical future behaviour: same draws against a cloned RNG stream
-        // produce the same admissions and deadlines.
-        let mut a = pipe;
-        let mut b = restored;
-        let mut rng_a = seeded_rng(99);
-        let mut rng_b = seeded_rng(99);
-        for i in 0..30u32 {
-            let t = SimTime::from_millis(2) + SimDuration::from_micros(i as u64 * 80);
-            assert_eq!(
-                a.enqueue(t, kb(900), 100 + i, &mut rng_a),
-                b.enqueue(t, kb(900), 100 + i, &mut rng_b),
-            );
-            assert_eq!(a.dequeue_ready(t), b.dequeue_ready(t));
-        }
-        assert_eq!(a.stats(), b.stats());
+        assert!(pipe.in_flight_count() > 0 && pipe.stats().dropped_red > 0);
+        mn_util::codec::record_contract(pipe);
+        mn_util::codec::record_contract(EmuPipe::<u64>::new(attrs(1, 1, 1)));
     }
 
     #[test]

@@ -10,21 +10,23 @@ use serde::{Deserialize, Serialize};
 
 use mn_util::ByteSize;
 
-/// Counters maintained by each pipe.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipeStats {
-    /// Packets that entered the bandwidth queue.
-    pub enqueued: u64,
-    /// Packets that exited the pipe (completed bandwidth + delay emulation).
-    pub dequeued: u64,
-    /// Packets dropped because the bandwidth queue was full.
-    pub dropped_overflow: u64,
-    /// Packets dropped by the configured random loss rate.
-    pub dropped_loss: u64,
-    /// Packets dropped early by the RED policy.
-    pub dropped_red: u64,
-    /// Payload + header bytes that exited the pipe.
-    pub bytes_out: u64,
+mn_util::codec_record! {
+    /// Counters maintained by each pipe.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PipeStats {
+        /// Packets that entered the bandwidth queue.
+        pub enqueued: u64,
+        /// Packets that exited the pipe (completed bandwidth + delay emulation).
+        pub dequeued: u64,
+        /// Packets dropped because the bandwidth queue was full.
+        pub dropped_overflow: u64,
+        /// Packets dropped by the configured random loss rate.
+        pub dropped_loss: u64,
+        /// Packets dropped early by the RED policy.
+        pub dropped_red: u64,
+        /// Payload + header bytes that exited the pipe.
+        pub bytes_out: u64,
+    }
 }
 
 impl PipeStats {

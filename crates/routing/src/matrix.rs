@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use mn_distill::DistilledTopology;
 use mn_topology::NodeId;
+use mn_util::codec::Transient;
 
 use crate::dijkstra::{pipe_cost, scoped_route_tree, Route, NO_PRED, UNUSABLE_COST};
 
@@ -58,68 +59,76 @@ impl RouteUpdate {
     }
 }
 
-/// Tree-only route storage over the VN set of a distilled topology.
-///
-/// Per source VN the matrix holds one predecessor row and one distance row
-/// over the pipe graph (the source's shortest-route tree); routes are never
-/// stored, only derived. Lookup walks the destination's predecessor chain —
-/// O(hops), allocation-free via [`RoutingMatrix::materialize_at`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RoutingMatrix {
-    /// The VN set, in index order.
-    vns: Vec<NodeId>,
-    /// Dense node-index → VN-index table (`u32::MAX` for non-VN nodes); the
-    /// hash-free replacement for the old `index_of` map on every hot path.
-    vn_of_node: Vec<u32>,
-    /// Node count of the pipe graph the matrix was last (re)built against.
-    node_count: usize,
-    /// Distance labels of every source's shortest-route tree
-    /// (`dist[src_index * node_count + node]`, `u64::MAX` unreachable).
-    dist: Vec<u64>,
-    /// Predecessor pipe of every node in every source's tree
-    /// (`pred[src_index * node_count + node]`, [`NO_PRED`] for the source
-    /// itself and for unreachable nodes). Together with `pipe_src` this is
-    /// the entire route store: a route is the reversed predecessor chain.
-    pred: Vec<u32>,
-    /// Per-pipe routing cost snapshot from the last (re)build/update.
-    pipe_cost: Vec<u64>,
-    /// Tail node index of every pipe, so predecessor walks need no access
-    /// to the topology the matrix was built from.
-    pipe_src: Vec<u32>,
-    /// Structural (attrs-independent) connected component of every node.
-    /// Pipes never change endpoints at runtime — only attributes — so a
-    /// pipe change can only ever affect sources and destinations inside its
-    /// own structural component.
-    node_component: Vec<u32>,
-    /// VN indices per structural component, ascending.
-    component_vns: Vec<Vec<u32>>,
-    /// Node indices per structural component, ascending (bounds the
-    /// distance-label refresh of a recomputed source).
-    component_nodes: Vec<Vec<u32>>,
-    /// Reverse index: for every pipe, the ascending source (VN) indices
-    /// whose current tree crosses it as a **tree edge**
-    /// (`pred[head] == pipe`). Maintained incrementally by diffing
-    /// predecessor rows on every recompute. For a *worsened* pipe this set
-    /// is exactly the trees a from-scratch rebuild would change (see
-    /// [`RoutingMatrix::update_pipes`]), which is what makes reconfiguration
-    /// output-sensitive.
-    pipe_sources: Vec<Vec<u32>>,
-    /// The fresh tree of a source [`RoutingMatrix::update_pipes`]
-    /// recomputes, diffed against its stored rows. Entries outside the
-    /// source's component are never read or written.
-    scratch_dist: Vec<u64>,
-    scratch_pred: Vec<u32>,
-    trees: TreeScratch,
-    /// Per-node verdicts of the changed-destination scan of one recomputed
-    /// tree (see [`route_changed`]).
-    scratch_memo: Vec<u8>,
-    /// Tombstoned source slots (ascending), left behind by
-    /// [`RoutingMatrix::remove_source`] and reused by
-    /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
-    /// label arrays without bound.
-    free_slots: Vec<u32>,
-    /// Bumped by every rebuild and every non-empty incremental update.
-    version: u64,
+mn_util::codec_record! {
+    /// Tree-only route storage over the VN set of a distilled topology.
+    ///
+    /// Per source VN the matrix holds one predecessor row and one distance row
+    /// over the pipe graph (the source's shortest-route tree); routes are never
+    /// stored, only derived. Lookup walks the destination's predecessor chain —
+    /// O(hops), allocation-free via [`RoutingMatrix::materialize_at`].
+    ///
+    /// Its checkpoint is the complete persistent route state — trees, labels,
+    /// reverse index, component maps, tombstones and version — in declaration
+    /// order; the scratch buffers hold no state between calls and restore
+    /// empty.
+    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+    pub struct RoutingMatrix {
+        /// The VN set, in index order.
+        vns: Vec<NodeId>,
+        /// Dense node-index → VN-index table (`u32::MAX` for non-VN nodes);
+        /// the hash-free replacement for the old `index_of` map on every hot
+        /// path.
+        vn_of_node: Vec<u32>,
+        /// Node count of the pipe graph the matrix was last (re)built against.
+        node_count: usize,
+        /// Distance labels of every source's shortest-route tree
+        /// (`dist[src_index * node_count + node]`, `u64::MAX` unreachable).
+        dist: Vec<u64>,
+        /// Predecessor pipe of every node in every source's tree
+        /// (`pred[src_index * node_count + node]`, [`NO_PRED`] for the source
+        /// itself and for unreachable nodes). Together with `pipe_src` this is
+        /// the entire route store: a route is the reversed predecessor chain.
+        pred: Vec<u32>,
+        /// Per-pipe routing cost snapshot from the last (re)build/update.
+        pipe_cost: Vec<u64>,
+        /// Tail node index of every pipe, so predecessor walks need no access
+        /// to the topology the matrix was built from.
+        pipe_src: Vec<u32>,
+        /// Structural (attrs-independent) connected component of every node.
+        /// Pipes never change endpoints at runtime — only attributes — so a
+        /// pipe change can only ever affect sources and destinations inside its
+        /// own structural component.
+        node_component: Vec<u32>,
+        /// VN indices per structural component, ascending.
+        component_vns: Vec<Vec<u32>>,
+        /// Node indices per structural component, ascending (bounds the
+        /// distance-label refresh of a recomputed source).
+        component_nodes: Vec<Vec<u32>>,
+        /// Reverse index: for every pipe, the ascending source (VN) indices
+        /// whose current tree crosses it as a **tree edge**
+        /// (`pred[head] == pipe`). Maintained incrementally by diffing
+        /// predecessor rows on every recompute. For a *worsened* pipe this set
+        /// is exactly the trees a from-scratch rebuild would change (see
+        /// [`RoutingMatrix::update_pipes`]), which is what makes reconfiguration
+        /// output-sensitive.
+        pipe_sources: Vec<Vec<u32>>,
+        /// The fresh tree of a source [`RoutingMatrix::update_pipes`]
+        /// recomputes, diffed against its stored rows. Entries outside the
+        /// source's component are never read or written.
+        scratch_dist: Transient<Vec<u64>>,
+        scratch_pred: Transient<Vec<u32>>,
+        trees: Transient<TreeScratch>,
+        /// Per-node verdicts of the changed-destination scan of one recomputed
+        /// tree (see [`route_changed`]).
+        scratch_memo: Transient<Vec<u8>>,
+        /// Tombstoned source slots (ascending), left behind by
+        /// [`RoutingMatrix::remove_source`] and reused by
+        /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
+        /// label arrays without bound.
+        free_slots: Vec<u32>,
+        /// Bumped by every rebuild and every non-empty incremental update.
+        version: u64,
+    }
 }
 
 /// What [`source_tree`] reuses, so no recompute allocates: the heap's
@@ -483,12 +492,12 @@ impl RoutingMatrix {
             // unreachable in both the old and the fresh tree.
             let comp = self.node_component[src.index()] as usize;
             if self.scratch_dist.len() != nc {
-                self.scratch_dist = vec![UNUSABLE_COST; nc];
-                self.scratch_pred = vec![NO_PRED; nc];
-                self.scratch_memo = vec![0; nc];
+                *self.scratch_dist = vec![UNUSABLE_COST; nc];
+                *self.scratch_pred = vec![NO_PRED; nc];
+                *self.scratch_memo = vec![0; nc];
             }
-            let mut fresh_dist = std::mem::take(&mut self.scratch_dist);
-            let mut fresh_pred = std::mem::take(&mut self.scratch_pred);
+            let mut fresh_dist = std::mem::take(&mut *self.scratch_dist);
+            let mut fresh_pred = std::mem::take(&mut *self.scratch_pred);
             let nodes = &self.component_nodes[comp];
             source_tree(
                 topo,
@@ -535,8 +544,8 @@ impl RoutingMatrix {
                 }
                 self.dist[si * nc + u] = fresh_dist[u];
             }
-            self.scratch_dist = fresh_dist;
-            self.scratch_pred = fresh_pred;
+            *self.scratch_dist = fresh_dist;
+            *self.scratch_pred = fresh_pred;
         }
         if !update.changed_pairs.is_empty() || update.recomputed_sources > 0 {
             self.version += 1;
@@ -745,44 +754,7 @@ impl RoutingMatrix {
             + nested(&self.pipe_sources)
     }
 
-    /// Longest route in pipes over all pairs (diagnostics: O(pairs × hops)
-    /// predecessor walks into one reused buffer).
-    pub fn max_route_length(&self) -> usize {
-        let (n, mut pipes) = (self.vns.len(), Vec::new());
-        let routed = |i| (self.materialize_at(i / n, i % n, &mut pipes)).then_some(pipes.len());
-        (0..n * n).filter_map(routed).max().unwrap_or(0)
-    }
-}
-
-impl RoutingMatrix {
-    /// Serialises the complete persistent route state — trees, labels,
-    /// reverse index, component maps, tombstones and version — for a
-    /// checkpoint. Scratch buffers are not captured (they hold no state
-    /// between calls); [`RoutingMatrix::decode`] restores them empty.
-    pub fn encode(&self, w: &mut mn_util::ByteWriter) {
-        fn put_nested(w: &mut mn_util::ByteWriter, v: &[Vec<u32>]) {
-            w.put_len(v.len());
-            for list in v {
-                w.put_u32s(list);
-            }
-        }
-        // DEAD_SOURCE is usize::MAX, which round-trips through u64.
-        w.put_u64s(self.vns.iter().map(|vn| vn.index() as u64));
-        w.put_u32s(&self.vn_of_node);
-        w.put_usize(self.node_count);
-        w.put_u64s(self.dist.iter().copied());
-        w.put_u32s(&self.pred);
-        w.put_u64s(self.pipe_cost.iter().copied());
-        w.put_u32s(&self.pipe_src);
-        w.put_u32s(&self.node_component);
-        put_nested(w, &self.component_vns);
-        put_nested(w, &self.component_nodes);
-        put_nested(w, &self.pipe_sources);
-        w.put_u32s(&self.free_slots);
-        w.put_u64(self.version);
-    }
-
-    /// The bytes [`RoutingMatrix::encode`] writes, from lengths alone (one
+    /// The bytes its checkpoint takes, from lengths alone (one
     /// step per nested list), so a first checkpoint is one allocation.
     pub fn encoded_len(&self) -> usize {
         let nested = |v: &[Vec<u32>]| 8 + v.iter().map(|list| 8 + 4 * list.len()).sum::<usize>();
@@ -800,33 +772,12 @@ impl RoutingMatrix {
             + nested(&self.pipe_sources)
     }
 
-    /// Rebuilds a matrix from bytes produced by [`RoutingMatrix::encode`].
-    /// The restored matrix answers every lookup — and reacts to every
-    /// future [`RoutingMatrix::update_pipes`] — identically to the one
-    /// captured.
-    pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        fn get_nested(r: &mut mn_util::ByteReader) -> Result<Vec<Vec<u32>>, mn_util::CodecError> {
-            // An empty list is its count prefix alone.
-            let n = r.get_count(8)?;
-            (0..n).map(|_| r.get_u32s()).collect()
-        }
-        let vns = r.get_u64s()?.into_iter().map(|vn| NodeId(vn as usize));
-        Ok(RoutingMatrix {
-            vns: vns.collect(),
-            vn_of_node: r.get_u32s()?,
-            node_count: r.get_usize()?,
-            dist: r.get_u64s()?,
-            pred: r.get_u32s()?,
-            pipe_cost: r.get_u64s()?,
-            pipe_src: r.get_u32s()?,
-            node_component: r.get_u32s()?,
-            component_vns: get_nested(r)?,
-            component_nodes: get_nested(r)?,
-            pipe_sources: get_nested(r)?,
-            free_slots: r.get_u32s()?,
-            version: r.get_u64()?,
-            ..RoutingMatrix::default()
-        })
+    /// Longest route in pipes over all pairs (diagnostics: O(pairs × hops)
+    /// predecessor walks into one reused buffer).
+    pub fn max_route_length(&self) -> usize {
+        let (n, mut pipes) = (self.vns.len(), Vec::new());
+        let routed = |i| (self.materialize_at(i / n, i % n, &mut pipes)).then_some(pipes.len());
+        (0..n * n).filter_map(routed).max().unwrap_or(0)
     }
 }
 
@@ -835,6 +786,7 @@ mod tests {
     use super::*;
     use mn_distill::{distill, DistillationMode, PipeAttrs};
     use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
+    use mn_util::Codec;
     use mn_util::{DataRate, SimDuration};
 
     fn small_ring() -> DistilledTopology {
@@ -1229,16 +1181,12 @@ mod tests {
         assert!(m.remove_source(departed));
 
         let mut w = mn_util::ByteWriter::new();
-        m.encode(&mut w);
-        let bytes = w.into_bytes();
-        assert_eq!(m.encoded_len(), bytes.len());
+        m.put(&mut w);
+        assert_eq!(m.encoded_len(), w.len());
         let mut restored =
-            RoutingMatrix::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
-
-        // Byte-stable: re-encoding the restored matrix reproduces the bytes.
-        let mut w2 = mn_util::ByteWriter::new();
-        restored.encode(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
+            RoutingMatrix::get(&mut mn_util::ByteReader::new(w.as_slice())).expect("decodes");
+        // Byte-stable, and every strict prefix is refused.
+        mn_util::codec::record_contract(m.clone());
 
         assert_eq!(restored.version(), m.version());
         assert_eq!(restored.live_source_count(), m.live_source_count());
@@ -1259,17 +1207,6 @@ mod tests {
         assert!(m.add_source(&d, departed));
         assert_eq!(m.vn_index(departed), restored.vn_index(departed));
         assert_reverse_index_exact(&restored, &d);
-    }
-
-    #[test]
-    fn decode_rejects_truncated_input() {
-        let d = small_ring();
-        let m = RoutingMatrix::build(&d);
-        let mut w = mn_util::ByteWriter::new();
-        m.encode(&mut w);
-        let bytes = w.into_bytes();
-        let truncated = &bytes[..bytes.len() / 2];
-        assert!(RoutingMatrix::decode(&mut mn_util::ByteReader::new(truncated)).is_err());
     }
 
     /// Every live source's stored rows against a from-scratch Dijkstra, bit

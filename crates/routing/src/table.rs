@@ -77,12 +77,15 @@ use serde::{Deserialize, Serialize};
 
 use mn_distill::PipeId;
 use mn_topology::NodeId;
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError};
 
 use crate::matrix::RoutingMatrix;
 
-/// Handle to an interned route in a [`RouteTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct RouteId(pub u32);
+mn_util::codec_record! {
+    /// Handle to an interned route in a [`RouteTable`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    pub struct RouteId(pub u32);
+}
 
 impl RouteId {
     /// Returns the raw index.
@@ -197,28 +200,7 @@ impl RowShard {
         }
     }
 
-    /// Writes the shard verbatim — tag, base, width, slots — so a restored
-    /// row patches exactly like the captured one.
-    fn encode(&self, w: &mut mn_util::ByteWriter) {
-        match self {
-            RowShard::Empty => w.put_u8(0),
-            RowShard::Inline { base, len, slots } => {
-                w.put_u8(1);
-                w.put_u32(*base);
-                w.put_u8(*len);
-                for &s in &slots[..*len as usize] {
-                    w.put_u32(s);
-                }
-            }
-            RowShard::Spilled { base, slots } => {
-                w.put_u8(2);
-                w.put_u32(*base);
-                w.put_u32s(slots);
-            }
-        }
-    }
-
-    /// The bytes [`RowShard::encode`] writes.
+    /// The bytes the shard's encoding takes.
     fn encoded_len(&self) -> usize {
         match self {
             RowShard::Empty => 1,
@@ -227,36 +209,10 @@ impl RowShard {
         }
     }
 
-    /// Reads a shard [`RowShard::encode`] wrote, form and geometry as
-    /// written; what it names is [`RowShard::check`]ed once the store and
-    /// the column count are known.
-    fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
-        Ok(match r.get_u8()? {
-            0 => RowShard::Empty,
-            1 => {
-                let (base, len) = (r.get_u32()?, r.get_u8()?);
-                if len as usize > INLINE_ROW_CAP {
-                    return Err(Invalid("inline row too wide"));
-                }
-                let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
-                for slot in &mut slots[..len as usize] {
-                    *slot = r.get_u32()?;
-                }
-                RowShard::Inline { base, len, slots }
-            }
-            2 => RowShard::Spilled {
-                base: r.get_u32()?,
-                slots: r.get_u32s()?.into(),
-            },
-            _ => return Err(Invalid("unknown row shard tag")),
-        })
-    }
-
     /// Checks every id against the store's `route_count` and the window
     /// against the table's `columns`.
-    fn check(&self, route_count: usize, columns: usize) -> Result<(), mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
+    fn check(&self, route_count: usize, columns: usize) -> Result<(), CodecError> {
+        use CodecError::Invalid;
         let (base, width) = self.window();
         let mut ids = (base..base + width).map(|column| self.raw(column));
         if ids.any(|raw| raw != NO_ROUTE && raw as usize >= route_count) {
@@ -396,6 +352,52 @@ impl RowShard {
     }
 }
 
+/// The shard verbatim — a tag byte (0 empty, 1 inline, 2 spilled), the
+/// window's base, then its slots: a width byte and the ids inline, a `u32`
+/// run spilled — so a restored row patches exactly like the captured one.
+/// Form and geometry are checked as read; what the shard names is
+/// [`RowShard::check`]ed once the store and the column count are known.
+impl Codec for RowShard {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            RowShard::Empty => w.put_u8(0),
+            RowShard::Inline { base, len, slots } => {
+                (1u8, *base, *len).put(w);
+                slots[..*len as usize].iter().for_each(|slot| slot.put(w));
+            }
+            RowShard::Spilled { base, slots } => {
+                (2u8, *base).put(w);
+                u32::put_run(slots, w);
+            }
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
+        Ok(match r.get_u8()? {
+            0 => RowShard::Empty,
+            1 => {
+                let (base, len) = <(u32, u8)>::get(r)?;
+                if len as usize > INLINE_ROW_CAP {
+                    return Err(Invalid("inline row too wide"));
+                }
+                let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
+                for slot in &mut slots[..len as usize] {
+                    *slot = u32::get(r)?;
+                }
+                RowShard::Inline { base, len, slots }
+            }
+            2 => RowShard::Spilled {
+                base: u32::get(r)?,
+                slots: u32::get_run(r)?.into(),
+            },
+            _ => return Err(Invalid("unknown row shard tag")),
+        })
+    }
+}
+
 /// One chunk of the route arena: up to [`ROUTE_CHUNK`] routes back to back.
 #[derive(Debug, Clone, Default)]
 struct Chunk {
@@ -511,11 +513,11 @@ impl RouteStore {
     /// Fills an empty store from the chunk form [`RouteTable::encode`]
     /// writes: a chunk count, then per chunk its `ends` and its pipes as
     /// `u32` runs, each copied in bulk into the chunk's two buffers.
-    fn fill_chunks(&mut self, r: &mut mn_util::ByteReader) -> Result<(), mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
+    fn fill_chunks(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
+        use CodecError::Invalid;
         // A chunk is at least its two count prefixes; the tail is always
         // written, and only ever short of full (a full one is sealed).
-        let chunks = r.get_count(16)?;
+        let chunks = r.get_count(<(Vec<u32>, Vec<u32>)>::MIN_BYTES)?;
         if chunks == 0 || (chunks - 1) * ROUTE_CHUNK >= NO_ROUTE as usize {
             return Err(Invalid(
                 "route store has no tail chunk, or more routes than ids",
@@ -534,7 +536,7 @@ impl RouteStore {
             if ends.windows(2).any(|pair| pair[0] > pair[1]) {
                 return Err(Invalid("a chunk's route ends decrease"));
             }
-            let words = r.get_count(4)?;
+            let words = r.get_count(u32::MIN_BYTES)?;
             if ends.last().map_or(0, |&end| end as usize) != words {
                 return Err(Invalid("a chunk's last route end is not its pipe count"));
             }
@@ -560,15 +562,15 @@ impl RouteStore {
     /// Fills an empty store from the version-2 form: a route count, then
     /// each route as a `u64`-count-prefixed run of `u64` pipe ids, read
     /// straight into the tail chunk.
-    fn fill_routes_v2(&mut self, r: &mut mn_util::ByteReader) -> Result<(), mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
+    fn fill_routes_v2(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
+        use CodecError::Invalid;
         // An empty route is its count prefix alone.
-        let route_count = r.get_count(8)?;
+        let route_count = r.get_count(Vec::<u64>::MIN_BYTES)?;
         if route_count >= NO_ROUTE as usize {
             return Err(Invalid("more routes than route ids"));
         }
         for _ in 0..route_count {
-            let hops = r.get_count(8)?;
+            let hops = r.get_count(u64::MIN_BYTES)?;
             if u32::try_from(self.tail.pipes.len() + hops).is_err() {
                 return Err(Invalid("route chunk beyond its u32 offsets"));
             }
@@ -1297,7 +1299,11 @@ impl RouteTable {
     /// the departed bits, the location geometry and the version. The
     /// content-dedup index is not written — it is a pure function of the
     /// store, rebuilt first-id-wins by the restored table's first lookup.
-    pub fn encode(&self, w: &mut mn_util::ByteWriter) {
+    /// The layout is written out rather than declared: the arena goes out
+    /// as it lies in memory, and what [`RouteTable::decode`] checks spans
+    /// sections (chunk ends against pipe runs, rows against the store and
+    /// the columns, endpoint lists against the columns).
+    pub fn encode(&self, w: &mut ByteWriter) {
         assert!(self.store.pipe_bound as u64 <= 1 << 32, "pipe ids fit u32");
         w.put_usize(self.endpoint_count);
         w.put_u64(self.version);
@@ -1308,7 +1314,7 @@ impl RouteTable {
         }
         w.put_len(self.locs.locations.len());
         for block in &self.rows {
-            block.iter().for_each(|row| row.encode(w));
+            block.iter().for_each(|row| row.put(w));
         }
         for e in 0..self.endpoint_count {
             w.put_u32(self.col(e).expect("endpoint in range") & !DEPARTED);
@@ -1350,7 +1356,7 @@ impl RouteTable {
     /// names only endpoints whose column is that location; a location with
     /// no endpoint carries no row. A damaged snapshot is a typed error
     /// here, not a panic or a wrong answer on the forwarding path later.
-    pub fn decode(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
+    pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
         Self::decode_layout(r, false)
     }
 
@@ -1359,18 +1365,16 @@ impl RouteTable {
     /// per route, and one row shard **per endpoint** (its location's, or an
     /// empty one if it is departed) ahead of the columns — the endpoints of
     /// one location must carry one and the same row, a departed one none.
-    pub fn decode_v2(r: &mut mn_util::ByteReader) -> Result<Self, mn_util::CodecError> {
+    pub fn decode_v2(r: &mut ByteReader) -> Result<Self, CodecError> {
         Self::decode_layout(r, true)
     }
 
-    fn decode_layout(
-        r: &mut mn_util::ByteReader,
-        per_endpoint: bool,
-    ) -> Result<Self, mn_util::CodecError> {
-        use mn_util::CodecError::Invalid;
+    fn decode_layout(r: &mut ByteReader, per_endpoint: bool) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
         // An endpoint is at least its column (and, per endpoint, a row tag).
-        let endpoint_count = r.get_count(if per_endpoint { 5 } else { 4 })?;
-        let version = r.get_u64()?;
+        let row_bytes = if per_endpoint { RowShard::MIN_BYTES } else { 0 };
+        let endpoint_count = r.get_count(u32::MIN_BYTES + row_bytes)?;
+        let version = u64::get(r)?;
         let mut store = RouteStore::default();
         // A location is its row tag, its node and the count of its endpoint
         // list; the version-2 layout states the count after the columns.
@@ -1379,21 +1383,21 @@ impl RouteTable {
             None
         } else {
             store.fill_chunks(r)?;
-            Some(r.get_count(17)?)
+            Some(r.get_count(<(RowShard, NodeId, Vec<u32>)>::MIN_BYTES)?)
         };
         let route_count = store.len();
         let row_count = slots.unwrap_or(endpoint_count);
         let mut rows = Vec::with_capacity(row_count);
         for _ in 0..row_count {
-            rows.push(RowShard::decode(r)?);
+            rows.push(RowShard::get(r)?);
         }
         let mut cols_flat = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
-            cols_flat.push(r.get_u32()?);
+            cols_flat.push(u32::get(r)?);
         }
         let slots = match slots {
             Some(slots) => slots,
-            None => r.get_count(16)?,
+            None => r.get_count(<(NodeId, Vec<u32>)>::MIN_BYTES)?,
         };
         if slots > DEPARTED as usize || cols_flat.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
@@ -1405,7 +1409,7 @@ impl RouteTable {
         let node_limit = r.remaining().saturating_mul(8);
         let mut locs = LocationIndex::default();
         for _ in 0..slots {
-            let loc = NodeId(r.get_usize()?);
+            let loc = NodeId::get(r)?;
             if loc.index() >= node_limit {
                 return Err(Invalid("location node index beyond the input"));
             }
@@ -1418,7 +1422,7 @@ impl RouteTable {
         cols_flat.iter_mut().for_each(|c| *c |= DEPARTED);
         let mut rows_flat = Vec::with_capacity(slots);
         for slot in 0..slots as u32 {
-            let list = r.get_u32s()?;
+            let list = Vec::<u32>::get(r)?;
             if list.windows(2).any(|pair| pair[0] >= pair[1]) {
                 return Err(Invalid("location's endpoints are not strictly ascending"));
             }
@@ -1674,9 +1678,7 @@ mod tests {
                 w.put_u64s(self.store.get(id).iter().map(|p| p.index() as u64));
             }
             for src in 0..self.endpoint_count {
-                self.live_row(src)
-                    .unwrap_or(&RowShard::Empty)
-                    .encode(&mut w);
+                self.live_row(src).unwrap_or(&RowShard::Empty).put(&mut w);
             }
             for e in 0..self.endpoint_count {
                 w.put_u32(self.col(e).unwrap() & !DEPARTED);
@@ -1894,7 +1896,7 @@ mod tests {
         }
         w.put_len(2);
         for (slot, row) in rows.into_iter().enumerate() {
-            RowShard::from_window(1 - slot, &[row.unwrap_or(NO_ROUTE)]).encode(&mut w);
+            RowShard::from_window(1 - slot, &[row.unwrap_or(NO_ROUTE)]).put(&mut w);
         }
         [0, 1, 0].into_iter().for_each(|c| w.put_u32(c));
         [10, 11].into_iter().for_each(|loc| w.put_usize(loc));
@@ -2025,6 +2027,19 @@ mod tests {
             assert_eq!(forwarding.route_count(), table.route_count());
             restored.assert_sound();
         }
+    }
+
+    #[test]
+    fn row_shards_and_route_ids_keep_the_record_contract() {
+        let wide: Vec<u32> = (0..INLINE_ROW_CAP as u32 + 3).collect();
+        for shard in [
+            RowShard::Empty,
+            RowShard::from_window(5, &[NO_ROUTE, 7, 9]),
+            RowShard::from_window(2, &wide),
+        ] {
+            mn_util::codec::record_contract(shard);
+        }
+        mn_util::codec::record_contract(RouteId(41));
     }
 
     #[test]

@@ -14,9 +14,11 @@ use serde::{Deserialize, Serialize};
 
 use mn_util::{DataRate, SimDuration};
 
-/// Identifier of a node within a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(pub usize);
+mn_util::codec_record! {
+    /// Identifier of a node within a [`Topology`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    pub struct NodeId(pub usize);
+}
 
 impl NodeId {
     /// Returns the raw index.

@@ -10,17 +10,20 @@
 
 use serde::{Deserialize, Serialize};
 
-use mn_util::{ByteReader, ByteSize, ByteWriter, CodecError, SimTime};
+use mn_util::{ByteSize, SimTime};
 
 use crate::tcp::TcpConnection;
 
-/// A bulk-transfer source that keeps a TCP connection's buffer topped up.
-#[derive(Debug, Clone)]
-pub struct BulkSender {
-    total: Option<u64>,
-    written: u64,
-    chunk: u64,
-    started_at: Option<SimTime>,
+mn_util::codec_record! {
+    /// A bulk-transfer source that keeps a TCP connection's buffer topped up;
+    /// its checkpoint is its progress.
+    #[derive(Debug, Clone)]
+    pub struct BulkSender {
+        total: Option<u64>,
+        written: u64,
+        chunk: u64,
+        started_at: Option<SimTime>,
+    }
 }
 
 impl BulkSender {
@@ -92,24 +95,6 @@ impl BulkSender {
             self.written += write;
         }
         write
-    }
-
-    /// Serializes the sender's progress for the runner's snapshot.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_opt_u64(self.total);
-        w.put_u64(self.written);
-        w.put_u64(self.chunk);
-        w.put_opt_time(self.started_at);
-    }
-
-    /// Rebuilds a sender from [`BulkSender::encode_state`] bytes.
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(BulkSender {
-            total: r.get_opt_u64()?,
-            written: r.get_u64()?,
-            chunk: r.get_u64()?,
-            started_at: r.get_opt_time()?,
-        })
     }
 
     /// Measured goodput of the transfer so far, in kilobytes/second

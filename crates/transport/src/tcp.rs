@@ -17,27 +17,29 @@
 use serde::{Deserialize, Serialize};
 
 use mn_packet::{TcpFlags, MSS_BYTES};
-use mn_util::{ByteReader, ByteWriter, CodecError, SimDuration, SimTime};
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError, SimDuration, SimTime};
 
-/// Configuration of one TCP endpoint.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TcpConfig {
-    /// Maximum segment size in bytes.
-    pub mss: u32,
-    /// Initial congestion window in segments.
-    pub initial_cwnd_segments: u32,
-    /// Initial slow-start threshold in bytes.
-    pub initial_ssthresh: u64,
-    /// Receive window advertised to the peer, in bytes.
-    pub receive_window: u64,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Upper bound on the retransmission timeout.
-    pub max_rto: SimDuration,
-    /// RTO used before the first RTT measurement.
-    pub initial_rto: SimDuration,
-    /// Delay before a lone unacknowledged segment is acknowledged.
-    pub delayed_ack: SimDuration,
+mn_util::codec_record! {
+    /// Configuration of one TCP endpoint.
+    #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+    pub struct TcpConfig {
+        /// Maximum segment size in bytes.
+        pub mss: u32,
+        /// Initial congestion window in segments.
+        pub initial_cwnd_segments: u32,
+        /// Initial slow-start threshold in bytes.
+        pub initial_ssthresh: u64,
+        /// Receive window advertised to the peer, in bytes.
+        pub receive_window: u64,
+        /// Lower bound on the retransmission timeout.
+        pub min_rto: SimDuration,
+        /// Upper bound on the retransmission timeout.
+        pub max_rto: SimDuration,
+        /// RTO used before the first RTT measurement.
+        pub initial_rto: SimDuration,
+        /// Delay before a lone unacknowledged segment is acknowledged.
+        pub delayed_ack: SimDuration,
+    }
 }
 
 impl Default for TcpConfig {
@@ -66,6 +68,25 @@ pub enum TcpState {
     SynReceived,
     /// Data may flow.
     Established,
+}
+
+/// One tag byte, in declaration order.
+impl Codec for TcpState {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(*self as u8);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(TcpState::Listen),
+            1 => Ok(TcpState::SynSent),
+            2 => Ok(TcpState::SynReceived),
+            3 => Ok(TcpState::Established),
+            _ => Err(CodecError::Invalid("TCP state tag")),
+        }
+    }
 }
 
 /// A segment the endpoint wants transmitted.
@@ -97,54 +118,58 @@ pub struct TcpEvent {
     pub connected: bool,
 }
 
-/// One TCP endpoint of a (full-duplex) connection.
-#[derive(Debug, Clone)]
-pub struct TcpConnection {
-    config: TcpConfig,
-    state: TcpState,
+mn_util::codec_record! {
+    /// One TCP endpoint of a (full-duplex) connection. Its checkpoint is
+    /// every field — configuration, handshake state, both window machineries,
+    /// timers and counters — in declaration order.
+    #[derive(Debug, Clone)]
+    pub struct TcpConnection {
+        config: TcpConfig,
+        state: TcpState,
 
-    // --- Send side ---
-    /// Oldest unacknowledged byte.
-    snd_una: u64,
-    /// Next byte to send.
-    snd_nxt: u64,
-    /// Total bytes the application has made available for sending.
-    app_limit: u64,
-    /// Congestion window, in bytes.
-    cwnd: f64,
-    /// Slow-start threshold, in bytes.
-    ssthresh: f64,
-    /// Peer's advertised receive window.
-    peer_window: u64,
-    dup_acks: u32,
-    in_fast_recovery: bool,
-    recovery_point: u64,
-    /// Sequence to retransmit at the next poll (fast retransmit / RTO).
-    pending_retransmit: Option<u64>,
-    /// RTT measurement in progress: (sequence that must be acked, send time).
-    rtt_probe: Option<(u64, SimTime)>,
-    srtt: Option<SimDuration>,
-    rttvar: SimDuration,
-    rto: SimDuration,
-    rto_deadline: Option<SimTime>,
-    syn_pending: bool,
+        // --- Send side ---
+        /// Oldest unacknowledged byte.
+        snd_una: u64,
+        /// Next byte to send.
+        snd_nxt: u64,
+        /// Total bytes the application has made available for sending.
+        app_limit: u64,
+        /// Congestion window, in bytes.
+        cwnd: f64,
+        /// Slow-start threshold, in bytes.
+        ssthresh: f64,
+        /// Peer's advertised receive window.
+        peer_window: u64,
+        dup_acks: u32,
+        in_fast_recovery: bool,
+        recovery_point: u64,
+        /// Sequence to retransmit at the next poll (fast retransmit / RTO).
+        pending_retransmit: Option<u64>,
+        /// RTT measurement in progress: (sequence that must be acked, send time).
+        rtt_probe: Option<(u64, SimTime)>,
+        srtt: Option<SimDuration>,
+        rttvar: SimDuration,
+        rto: SimDuration,
+        rto_deadline: Option<SimTime>,
+        syn_pending: bool,
 
-    // --- Receive side ---
-    rcv_nxt: u64,
-    /// Out-of-order segments received: (start, end) byte ranges.
-    ooo: Vec<(u64, u64)>,
-    /// Pure ACKs owed to the peer. Out-of-order arrivals each add one (these
-    /// are the duplicate ACKs fast retransmit depends on); in-order arrivals
-    /// add one per two segments (delayed ACK).
-    pending_acks: u32,
-    unacked_segments: u32,
-    delayed_ack_deadline: Option<SimTime>,
+        // --- Receive side ---
+        rcv_nxt: u64,
+        /// Out-of-order segments received: (start, end) byte ranges.
+        ooo: Vec<(u64, u64)>,
+        /// Pure ACKs owed to the peer. Out-of-order arrivals each add one (these
+        /// are the duplicate ACKs fast retransmit depends on); in-order arrivals
+        /// add one per two segments (delayed ACK).
+        pending_acks: u32,
+        unacked_segments: u32,
+        delayed_ack_deadline: Option<SimTime>,
 
-    // --- Counters ---
-    retransmissions: u64,
-    timeouts: u64,
-    segments_sent: u64,
-    segments_received: u64,
+        // --- Counters ---
+        retransmissions: u64,
+        timeouts: u64,
+        segments_sent: u64,
+        segments_received: u64,
+    }
 }
 
 impl TcpConnection {
@@ -606,149 +631,6 @@ impl TcpConnection {
         }
         self.segments_sent += (out.len() - already) as u64;
     }
-
-    /// Serializes the complete endpoint state (configuration, handshake
-    /// state, both window machineries, timers and counters) for the runner's
-    /// snapshot. The fields are private, so the codec lives in-crate.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        let c = &self.config;
-        w.put_u32(c.mss);
-        w.put_u32(c.initial_cwnd_segments);
-        w.put_u64(c.initial_ssthresh);
-        w.put_u64(c.receive_window);
-        w.put_duration(c.min_rto);
-        w.put_duration(c.max_rto);
-        w.put_duration(c.initial_rto);
-        w.put_duration(c.delayed_ack);
-        w.put_u8(match self.state {
-            TcpState::Listen => 0,
-            TcpState::SynSent => 1,
-            TcpState::SynReceived => 2,
-            TcpState::Established => 3,
-        });
-        w.put_u64(self.snd_una);
-        w.put_u64(self.snd_nxt);
-        w.put_u64(self.app_limit);
-        w.put_f64(self.cwnd);
-        w.put_f64(self.ssthresh);
-        w.put_u64(self.peer_window);
-        w.put_u32(self.dup_acks);
-        w.put_bool(self.in_fast_recovery);
-        w.put_u64(self.recovery_point);
-        w.put_opt_u64(self.pending_retransmit);
-        match self.rtt_probe {
-            Some((seq, at)) => {
-                w.put_bool(true);
-                w.put_u64(seq);
-                w.put_time(at);
-            }
-            None => w.put_bool(false),
-        }
-        match self.srtt {
-            Some(d) => {
-                w.put_bool(true);
-                w.put_duration(d);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_duration(self.rttvar);
-        w.put_duration(self.rto);
-        w.put_opt_time(self.rto_deadline);
-        w.put_bool(self.syn_pending);
-        w.put_u64(self.rcv_nxt);
-        w.put_len(self.ooo.len());
-        for &(start, end) in &self.ooo {
-            w.put_u64(start);
-            w.put_u64(end);
-        }
-        w.put_u32(self.pending_acks);
-        w.put_u32(self.unacked_segments);
-        w.put_opt_time(self.delayed_ack_deadline);
-        w.put_u64(self.retransmissions);
-        w.put_u64(self.timeouts);
-        w.put_u64(self.segments_sent);
-        w.put_u64(self.segments_received);
-    }
-
-    /// Rebuilds an endpoint from [`TcpConnection::encode_state`] bytes.
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let config = TcpConfig {
-            mss: r.get_u32()?,
-            initial_cwnd_segments: r.get_u32()?,
-            initial_ssthresh: r.get_u64()?,
-            receive_window: r.get_u64()?,
-            min_rto: r.get_duration()?,
-            max_rto: r.get_duration()?,
-            initial_rto: r.get_duration()?,
-            delayed_ack: r.get_duration()?,
-        };
-        let state = match r.get_u8()? {
-            0 => TcpState::Listen,
-            1 => TcpState::SynSent,
-            2 => TcpState::SynReceived,
-            3 => TcpState::Established,
-            _ => return Err(CodecError::Invalid("TCP state tag")),
-        };
-        let snd_una = r.get_u64()?;
-        let snd_nxt = r.get_u64()?;
-        let app_limit = r.get_u64()?;
-        let cwnd = r.get_f64()?;
-        let ssthresh = r.get_f64()?;
-        let peer_window = r.get_u64()?;
-        let dup_acks = r.get_u32()?;
-        let in_fast_recovery = r.get_bool()?;
-        let recovery_point = r.get_u64()?;
-        let pending_retransmit = r.get_opt_u64()?;
-        let rtt_probe = if r.get_bool()? {
-            Some((r.get_u64()?, r.get_time()?))
-        } else {
-            None
-        };
-        let srtt = if r.get_bool()? {
-            Some(r.get_duration()?)
-        } else {
-            None
-        };
-        let rttvar = r.get_duration()?;
-        let rto = r.get_duration()?;
-        let rto_deadline = r.get_opt_time()?;
-        let syn_pending = r.get_bool()?;
-        let rcv_nxt = r.get_u64()?;
-        let ooo_len = r.get_len()?;
-        let mut ooo = Vec::with_capacity(ooo_len);
-        for _ in 0..ooo_len {
-            ooo.push((r.get_u64()?, r.get_u64()?));
-        }
-        Ok(TcpConnection {
-            config,
-            state,
-            snd_una,
-            snd_nxt,
-            app_limit,
-            cwnd,
-            ssthresh,
-            peer_window,
-            dup_acks,
-            in_fast_recovery,
-            recovery_point,
-            pending_retransmit,
-            rtt_probe,
-            srtt,
-            rttvar,
-            rto,
-            rto_deadline,
-            syn_pending,
-            rcv_nxt,
-            ooo,
-            pending_acks: r.get_u32()?,
-            unacked_segments: r.get_u32()?,
-            delayed_ack_deadline: r.get_opt_time()?,
-            retransmissions: r.get_u64()?,
-            timeouts: r.get_u64()?,
-            segments_sent: r.get_u64()?,
-            segments_received: r.get_u64()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1051,22 +933,14 @@ mod tests {
             server.on_segment(t, s.seq, s.payload_len, s.ack, s.flags, s.window);
         }
         for conn in [&client, &server] {
-            let mut w = ByteWriter::new();
-            conn.encode_state(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes);
-            let restored = TcpConnection::decode_state(&mut r).expect("decodes");
-            assert_eq!(r.remaining(), 0, "every byte consumed");
-            let mut again = ByteWriter::new();
-            restored.encode_state(&mut again);
-            assert_eq!(bytes, again.into_bytes());
+            mn_util::codec::record_contract(conn.clone());
         }
         // The restored sender continues exactly like the original.
         let mut restored = {
             let mut w = ByteWriter::new();
-            client.encode_state(&mut w);
+            client.put(&mut w);
             let bytes = w.into_bytes();
-            TcpConnection::decode_state(&mut ByteReader::new(&bytes)).expect("decodes")
+            TcpConnection::get(&mut ByteReader::new(&bytes)).expect("decodes")
         };
         let next = SimTime::from_millis(80);
         assert_eq!(client.next_timer(), restored.next_timer());

@@ -9,17 +9,19 @@
 
 use serde::{Deserialize, Serialize};
 
-use mn_util::{ByteReader, ByteSize, ByteWriter, CodecError, DataRate, SimDuration, SimTime};
+use mn_util::{ByteSize, DataRate, SimDuration, SimTime};
 
-/// Configuration of a UDP sending stream.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct UdpStreamConfig {
-    /// Payload bytes per datagram.
-    pub payload: u32,
-    /// Target sending rate (payload bits per second).
-    pub rate: DataRate,
-    /// Optional hard limit on the number of datagrams to send.
-    pub max_datagrams: Option<u64>,
+mn_util::codec_record! {
+    /// Configuration of a UDP sending stream.
+    #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+    pub struct UdpStreamConfig {
+        /// Payload bytes per datagram.
+        pub payload: u32,
+        /// Target sending rate (payload bits per second).
+        pub rate: DataRate,
+        /// Optional hard limit on the number of datagrams to send.
+        pub max_datagrams: Option<u64>,
+    }
 }
 
 impl Default for UdpStreamConfig {
@@ -32,24 +34,33 @@ impl Default for UdpStreamConfig {
     }
 }
 
-/// A paced, unreliable datagram source.
-#[derive(Debug, Clone)]
-pub struct UdpStream {
-    config: UdpStreamConfig,
-    next_seq: u64,
-    next_send: SimTime,
-    interval: SimDuration,
+mn_util::codec_record! {
+    /// A paced, unreliable datagram source. Its checkpoint is its
+    /// configuration and pacing position; one with no interval between
+    /// datagrams — which `poll` would never leave — is refused.
+    #[derive(Debug, Clone)]
+    pub struct UdpStream {
+        config: UdpStreamConfig,
+        next_seq: u64,
+        next_send: SimTime,
+        interval: SimDuration,
+    }
+    refuse stream if stream.interval.is_zero() => "UDP stream with no interval";
 }
 
 impl UdpStream {
-    /// Creates a stream that starts sending at `start`.
+    /// Creates a stream that starts sending at `start`. Datagrams are at
+    /// least a nanosecond apart, however small the payload or fast the rate:
+    /// one virtual instant emits at most one.
     pub fn new(config: UdpStreamConfig, start: SimTime) -> Self {
         let interval = if config.rate.is_zero() {
             SimDuration::MAX
         } else {
+            let payload = ByteSize::from_bytes(config.payload as u64);
             config
                 .rate
-                .transmission_time(ByteSize::from_bytes(config.payload as u64))
+                .transmission_time(payload)
+                .max(SimDuration::from_nanos(1))
         };
         UdpStream {
             config,
@@ -106,31 +117,6 @@ impl UdpStream {
             self.next_seq += 1;
             self.next_send += self.interval;
         }
-    }
-
-    /// Serializes the stream (configuration and pacing position) for the
-    /// runner's snapshot.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_u32(self.config.payload);
-        w.put_rate(self.config.rate);
-        w.put_opt_u64(self.config.max_datagrams);
-        w.put_u64(self.next_seq);
-        w.put_time(self.next_send);
-        w.put_duration(self.interval);
-    }
-
-    /// Rebuilds a stream from [`UdpStream::encode_state`] bytes.
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(UdpStream {
-            config: UdpStreamConfig {
-                payload: r.get_u32()?,
-                rate: r.get_rate()?,
-                max_datagrams: r.get_opt_u64()?,
-            },
-            next_seq: r.get_u64()?,
-            next_send: r.get_time()?,
-            interval: r.get_duration()?,
-        })
     }
 }
 
@@ -193,6 +179,7 @@ impl UdpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mn_util::{ByteReader, ByteWriter, Codec, CodecError};
 
     #[test]
     fn cbr_pacing_matches_rate() {
@@ -283,17 +270,51 @@ mod tests {
     fn stream_snapshot_round_trip_resumes_pacing_exactly() {
         let mut s = UdpStream::new(UdpStreamConfig::default(), SimTime::ZERO);
         s.poll(SimTime::from_millis(500));
+        mn_util::codec::record_contract(s.clone());
         let mut w = ByteWriter::new();
-        s.encode_state(&mut w);
+        s.put(&mut w);
         let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let mut restored = UdpStream::decode_state(&mut r).expect("decodes");
-        assert_eq!(r.remaining(), 0, "every byte consumed");
+        let mut restored = UdpStream::get(&mut ByteReader::new(&bytes)).expect("decodes");
         assert_eq!(restored.next_seq(), s.next_seq());
         assert_eq!(restored.next_send_time(), s.next_send_time());
         assert_eq!(
             restored.poll(SimTime::from_secs(1)),
             s.poll(SimTime::from_secs(1))
+        );
+    }
+
+    #[test]
+    fn a_stream_emits_at_most_one_datagram_per_instant() {
+        // Zero-byte payloads, and one-byte ones at 8 Gb/s, take no time on
+        // the wire: the stream still paces them a nanosecond apart instead
+        // of emitting its whole budget (or, unbounded, spinning) at once.
+        let configs = [
+            (0, DataRate::from_mbps(10)),
+            (1, DataRate::from_gbps(8)),
+            (1, DataRate::from_gbps(400)),
+        ];
+        for (payload, rate) in configs {
+            let config = UdpStreamConfig {
+                payload,
+                rate,
+                max_datagrams: Some(5),
+            };
+            let mut s = UdpStream::new(config, SimTime::ZERO);
+            assert_eq!(s.poll(SimTime::ZERO), [0], "{payload} B at {rate:?}");
+            assert_eq!(s.poll(SimTime::from_nanos(3)), [1, 2, 3]);
+            assert_eq!(s.next_send_time(), Some(SimTime::from_nanos(4)));
+        }
+    }
+
+    #[test]
+    fn a_stream_with_no_interval_is_refused() {
+        let mut s = UdpStream::new(UdpStreamConfig::default(), SimTime::ZERO);
+        s.interval = SimDuration::ZERO;
+        let mut w = ByteWriter::new();
+        s.put(&mut w);
+        assert_eq!(
+            UdpStream::get(&mut ByteReader::new(w.as_slice())).unwrap_err(),
+            CodecError::Invalid("UDP stream with no interval")
         );
     }
 

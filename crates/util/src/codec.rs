@@ -7,6 +7,12 @@
 //! length-prefixed with a `u64` count. Floats are encoded as their IEEE-754
 //! bit patterns, so encode → decode → encode is byte-stable even for NaN
 //! payloads.
+//!
+//! A persisted type states its layout once, as a [`Codec`] impl: records
+//! through [`codec_record!`](crate::codec_record), whose field list is the
+//! layout, enums by one hand-written impl holding both directions. The
+//! [`ByteWriter`] / [`ByteReader`] primitives below are what those impls —
+//! and the few layouts too irregular to declare — are written in.
 
 use std::fmt;
 
@@ -192,7 +198,7 @@ impl ByteWriter {
     }
 
     /// Appends a count prefix and each word's bytes, reserved at once.
-    fn put_run<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
+    fn put_words<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
         self.put_len(words.len());
         let start = self.buf.len();
         self.buf.resize(start + words.len() * N, 0);
@@ -210,13 +216,13 @@ impl ByteWriter {
     /// [`ByteWriter::put_u32s`] from an iterator, so wider index newtypes
     /// narrow on the way out without a staging `Vec`.
     pub fn put_u32s_from(&mut self, values: impl ExactSizeIterator<Item = u32>) {
-        self.put_run(values.map(u32::to_le_bytes));
+        self.put_words(values.map(u32::to_le_bytes));
     }
 
     /// Appends a count-prefixed run of `u64`s; an iterator, so index
     /// newtypes encode without a staging `Vec`.
     pub fn put_u64s(&mut self, values: impl ExactSizeIterator<Item = u64>) {
-        self.put_run(values.map(u64::to_le_bytes));
+        self.put_words(values.map(u64::to_le_bytes));
     }
 
     /// Appends raw bytes verbatim.
@@ -254,16 +260,6 @@ impl ByteWriter {
         self.put_u64(v as u64);
     }
 
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a `bool` as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
     /// Appends a sequence length prefix.
     pub fn put_len(&mut self, len: usize) {
         self.put_u64(len as u64);
@@ -271,38 +267,17 @@ impl ByteWriter {
 
     /// Appends a virtual-time instant.
     pub fn put_time(&mut self, t: SimTime) {
-        self.put_u64(t.as_nanos());
+        t.put(self);
     }
 
     /// Appends a virtual-time duration.
     pub fn put_duration(&mut self, d: SimDuration) {
-        self.put_u64(d.as_nanos());
-    }
-
-    /// Appends a data rate.
-    pub fn put_rate(&mut self, r: DataRate) {
-        self.put_u64(r.as_bps());
-    }
-
-    /// Appends a byte size.
-    pub fn put_size(&mut self, s: ByteSize) {
-        self.put_u64(s.as_bytes());
-    }
-
-    /// Appends an `Option<u64>`-shaped value via a presence byte.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.put_bool(true);
-                self.put_u64(x);
-            }
-            None => self.put_bool(false),
-        }
+        d.put(self);
     }
 
     /// Appends an optional instant via a presence byte.
     pub fn put_opt_time(&mut self, t: Option<SimTime>) {
-        self.put_opt_u64(t.map(SimTime::as_nanos));
+        t.put(self);
     }
 }
 
@@ -405,37 +380,24 @@ impl<'a> ByteReader<'a> {
         usize::try_from(self.get_u64()?).map_err(|_| CodecError::Invalid("usize overflow"))
     }
 
-    /// Reads an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a `bool`, rejecting bytes other than 0 and 1.
-    pub fn get_bool(&mut self) -> Result<bool, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Invalid("bool")),
-        }
-    }
-
     /// Reads a byte-string length prefix, bounded by the bytes remaining.
     pub fn get_len(&mut self) -> Result<usize, CodecError> {
-        self.get_count(1)
+        self.get_count(u8::MIN_BYTES)
     }
 
     /// Reads the count prefix of a sequence whose records take at least
     /// `min_record_bytes` each, bounded by the *records* the remaining bytes
-    /// can hold, so `Vec::with_capacity(count)` stays near the input's size.
+    /// can hold, so `Vec::with_capacity(count)` stays near the input's size
+    /// (a record of no bytes is bounded as one of a byte).
     pub fn get_count(&mut self, min_record_bytes: usize) -> Result<usize, CodecError> {
         let count = self.get_usize()?;
-        if count > self.remaining() / min_record_bytes {
+        if count > self.remaining() / min_record_bytes.max(1) {
             return Err(CodecError::Invalid("length prefix exceeds input"));
         }
         Ok(count)
     }
 
-    fn get_run<const N: usize, T>(
+    fn get_words<const N: usize, T>(
         &mut self,
         word: impl Fn([u8; N]) -> T,
     ) -> Result<Vec<T>, CodecError> {
@@ -446,46 +408,359 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a run written by [`ByteWriter::put_u32s`].
     pub fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
-        self.get_run(u32::from_le_bytes)
+        self.get_words(u32::from_le_bytes)
     }
 
     /// Reads a run written by [`ByteWriter::put_u64s`].
     pub fn get_u64s(&mut self) -> Result<Vec<u64>, CodecError> {
-        self.get_run(u64::from_le_bytes)
+        self.get_words(u64::from_le_bytes)
+    }
+}
+
+/// A type with one persisted layout, written and read by the one
+/// declaration: a wire scalar, a shape over other `Codec` types, or a record
+/// declared with [`codec_record!`](crate::codec_record). `put` → `get` →
+/// `put` is byte-stable, and `get` refuses what it cannot represent with a
+/// typed [`CodecError`] — never a panic, never an allocation beyond what the
+/// remaining input could hold.
+pub trait Codec: Sized {
+    /// The fewest bytes any value's encoding takes: what a count prefix over
+    /// a run of them is bounded with ([`ByteReader::get_count`]).
+    const MIN_BYTES: usize;
+
+    /// Appends the value.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads a value [`Codec::put`] wrote.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+
+    /// Appends `items` as a `Vec` carries them: a count, then each item. A
+    /// hook, so fixed-width words can write the same bytes in bulk.
+    fn put_run(items: &[Self], w: &mut ByteWriter) {
+        w.put_len(items.len());
+        items.iter().for_each(|item| item.put(w));
     }
 
-    /// Reads a virtual-time instant.
-    pub fn get_time(&mut self) -> Result<SimTime, CodecError> {
-        Ok(SimTime::from_nanos(self.get_u64()?))
+    /// Reads what [`Codec::put_run`] wrote, the count bounded by the items
+    /// the input can still hold.
+    fn get_run(r: &mut ByteReader<'_>) -> Result<Vec<Self>, CodecError> {
+        let count = r.get_count(Self::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Little-endian integers, each as wide as its type (`usize` as a `u64`);
+/// `u32` and `u64` runs are one bulk copy.
+macro_rules! wire_integers {
+    ($($ty:ty: $bytes:literal, $put:ident, $get:ident $(, $put_run:ident, $get_run:ident)?;)*) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = $bytes;
+
+            #[inline]
+            fn put(&self, w: &mut ByteWriter) {
+                w.$put(*self);
+            }
+
+            #[inline]
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                r.$get()
+            }
+            $(
+                fn put_run(items: &[Self], w: &mut ByteWriter) {
+                    w.$put_run(items.iter().copied());
+                }
+
+                fn get_run(r: &mut ByteReader<'_>) -> Result<Vec<Self>, CodecError> {
+                    r.$get_run()
+                }
+            )?
+        }
+    )*};
+}
+
+wire_integers! {
+    u8: 1, put_u8, get_u8;
+    u16: 2, put_u16, get_u16;
+    u32: 4, put_u32, get_u32, put_u32s_from, get_u32s;
+    u64: 8, put_u64, get_u64, put_u64s, get_u64s;
+    u128: 16, put_u128, get_u128;
+    usize: 8, put_usize, get_usize;
+}
+
+/// Quantities carried as a `u64` count of their unit.
+macro_rules! wire_quantities {
+    ($($ty:ty: $to:ident, $from:ident;)*) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = 8;
+
+            #[inline]
+            fn put(&self, w: &mut ByteWriter) {
+                w.put_u64(self.$to());
+            }
+
+            #[inline]
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                Ok(<$ty>::$from(r.get_u64()?))
+            }
+        }
+    )*};
+}
+
+wire_quantities! {
+    SimTime: as_nanos, from_nanos;
+    SimDuration: as_nanos, from_nanos;
+    DataRate: as_bps, from_bps;
+    ByteSize: as_bytes, from_bytes;
+}
+
+/// Its IEEE-754 bit pattern, so even a NaN's payload round-trips.
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u64(self.to_bits());
     }
 
-    /// Reads a virtual-time duration.
-    pub fn get_duration(&mut self) -> Result<SimDuration, CodecError> {
-        Ok(SimDuration::from_nanos(self.get_u64()?))
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(f64::from_bits(r.get_u64()?))
+    }
+}
+
+/// One byte, 0 or 1; any other is refused.
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u8(*self as u8);
     }
 
-    /// Reads a data rate.
-    pub fn get_rate(&mut self) -> Result<DataRate, CodecError> {
-        Ok(DataRate::from_bps(self.get_u64()?))
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Invalid("bool")),
+        }
     }
+}
 
-    /// Reads a byte size.
-    pub fn get_size(&mut self) -> Result<ByteSize, CodecError> {
-        Ok(ByteSize::from_bytes(self.get_u64()?))
-    }
+/// A presence byte, then the value if there is one.
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
 
-    /// Reads an `Option<u64>` written by [`ByteWriter::put_opt_u64`].
-    pub fn get_opt_u64(&mut self) -> Result<Option<u64>, CodecError> {
-        if self.get_bool()? {
-            Ok(Some(self.get_u64()?))
-        } else {
-            Ok(None)
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(value) = self {
+            value.put(w);
         }
     }
 
-    /// Reads an optional instant written by [`ByteWriter::put_opt_time`].
-    pub fn get_opt_time(&mut self) -> Result<Option<SimTime>, CodecError> {
-        Ok(self.get_opt_u64()?.map(SimTime::from_nanos))
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(match bool::get(r)? {
+            true => Some(T::get(r)?),
+            false => None,
+        })
+    }
+}
+
+/// A count, then the items ([`Codec::put_run`]).
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut ByteWriter) {
+        T::put_run(self, w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        T::get_run(r)
+    }
+}
+
+/// The items back to back: the length is the type's.
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        self.iter().for_each(|item| item.put(w));
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let items: Vec<T> = (0..N).map(|_| T::get(r)).collect::<Result<_, _>>()?;
+        Ok(items.try_into().ok().expect("N items were read"))
+    }
+}
+
+/// The elements in order.
+macro_rules! tuples {
+    ($(($($t:ident),+))*) => {$(
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut ByteWriter) {
+                let ($($t,)+) = self;
+                $($t.put(w);)+
+            }
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    )*};
+}
+
+tuples! {
+    (A, B)
+    (A, B, C)
+    (A, B, C, D)
+    (A, B, C, D, E)
+    (A, B, C, D, E, F)
+    (A, B, C, D, E, F, G)
+    (A, B, C, D, E, F, G, H)
+}
+
+/// A record field a snapshot does not carry — scratch, or state rebuilt
+/// after a restore: it writes nothing and reads back as `T::default()`. It
+/// dereferences to the `T` it holds, and is not part of the record's `Debug`
+/// form either.
+#[derive(Clone, Default)]
+pub struct Transient<T>(pub T);
+
+impl<T> fmt::Debug for Transient<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("_")
+    }
+}
+
+impl<T> std::ops::Deref for Transient<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Transient<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+impl<T: Default> Codec for Transient<T> {
+    const MIN_BYTES: usize = 0;
+
+    fn put(&self, _: &mut ByteWriter) {}
+
+    fn get(_: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Transient::default())
+    }
+}
+
+/// Declares a persisted record: the struct as written, and its [`Codec`]
+/// impl — fields written and read in declaration order, `MIN_BYTES` the sum
+/// of the fields' minimums. The field list *is* the record's layout, so
+/// editing it is a format change. A tuple struct of one field (an id
+/// newtype) is encoded as that field. A trailing
+/// `refuse value if <condition> => "why";` turns a decoded record for which
+/// the condition holds into [`CodecError::Invalid`] — for what the record can
+/// tell wrong on its own; checks that need context stay where it is used.
+#[macro_export]
+macro_rules! codec_record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+        }
+        $(refuse $value:ident if $bad:expr => $why:literal;)?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty as $crate::codec::Codec>::MIN_BYTES)*;
+
+            fn put(&self, w: &mut $crate::codec::ByteWriter) {
+                $($crate::codec::Codec::put(&self.$field, w);)*
+            }
+
+            fn get(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                let record = $name {
+                    $($field: $crate::codec::Codec::get(r)?,)*
+                };
+                $(
+                    let $value = &record;
+                    if $bad {
+                        return Err($crate::codec::CodecError::Invalid($why));
+                    }
+                )?
+                Ok(record)
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident($fvis:vis $ty:ty);
+    ) => {
+        $(#[$meta])*
+        $vis struct $name($fvis $ty);
+
+        impl $crate::codec::Codec for $name {
+            const MIN_BYTES: usize = <$ty as $crate::codec::Codec>::MIN_BYTES;
+
+            #[inline]
+            fn put(&self, w: &mut $crate::codec::ByteWriter) {
+                $crate::codec::Codec::put(&self.0, w);
+            }
+
+            #[inline]
+            fn get(
+                r: &mut $crate::codec::ByteReader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($name($crate::codec::Codec::get(r)?))
+            }
+        }
+    };
+}
+
+/// Checks the contract every [`Codec`] type keeps, on `sample`: its bytes
+/// read back to a value that writes the same bytes, with nothing left over;
+/// they are at least [`Codec::MIN_BYTES`] long; and every strict prefix of
+/// them is refused with an error, not read and not a panic. Test support for
+/// the crates that declare records; panics on a breach.
+#[doc(hidden)]
+pub fn record_contract<T: Codec + fmt::Debug>(sample: T) {
+    let mut w = ByteWriter::new();
+    sample.put(&mut w);
+    let bytes = w.into_bytes();
+    assert!(
+        T::MIN_BYTES <= bytes.len(),
+        "{sample:?}: MIN_BYTES {} above the {} bytes written",
+        T::MIN_BYTES,
+        bytes.len()
+    );
+    let mut r = ByteReader::new(&bytes);
+    let back = T::get(&mut r).unwrap_or_else(|e| panic!("{sample:?} does not read back: {e}"));
+    assert!(r.is_exhausted(), "{sample:?}: bytes left over");
+    let mut again = ByteWriter::new();
+    back.put(&mut again);
+    assert!(
+        again.as_slice() == bytes,
+        "{sample:?} reads back as {back:?}, which writes other bytes"
+    );
+    for len in 0..bytes.len() {
+        let cut = T::get(&mut ByteReader::new(&bytes[..len]));
+        assert!(cut.is_err(), "{sample:?} cut to {len} bytes still reads");
     }
 }
 
@@ -493,63 +768,60 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
+    fn bytes_of<T: Codec>(value: T) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        value.put(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn scalar_roundtrip() {
+        assert_eq!(bytes_of(300u16), [44, 1]);
+        assert_eq!(bytes_of(12_345usize), 12_345u64.to_le_bytes());
+        assert_eq!(bytes_of(SimTime::from_micros(42)), 42_000u64.to_le_bytes());
+        assert_eq!(bytes_of(-0.125f64), (-0.125f64).to_bits().to_le_bytes());
+        assert_eq!(bytes_of(None::<SimTime>), [0]);
         let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_u16(300);
-        w.put_u32(70_000);
-        w.put_u64(u64::MAX - 1);
-        w.put_u128(u128::MAX / 3);
-        w.put_usize(12_345);
-        w.put_f64(-0.125);
-        w.put_bool(true);
-        w.put_bool(false);
         w.put_time(SimTime::from_micros(42));
         w.put_duration(SimDuration::from_millis(9));
-        w.put_rate(DataRate::from_mbps(10));
-        w.put_size(ByteSize::from_kb(4));
         w.put_opt_time(Some(SimTime::from_secs(1)));
-        w.put_opt_time(None);
-        let bytes = w.into_bytes();
+        let times = (
+            SimTime::from_micros(42),
+            SimDuration::from_millis(9),
+            Some(SimTime::from_secs(1)),
+        );
+        assert_eq!(w.as_slice(), bytes_of(times));
 
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 300);
-        assert_eq!(r.get_u32().unwrap(), 70_000);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_u128().unwrap(), u128::MAX / 3);
-        assert_eq!(r.get_usize().unwrap(), 12_345);
-        assert_eq!(r.get_f64().unwrap(), -0.125);
-        assert!(r.get_bool().unwrap());
-        assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_time().unwrap(), SimTime::from_micros(42));
-        assert_eq!(r.get_duration().unwrap(), SimDuration::from_millis(9));
-        assert_eq!(r.get_rate().unwrap(), DataRate::from_mbps(10));
-        assert_eq!(r.get_size().unwrap(), ByteSize::from_kb(4));
-        assert_eq!(r.get_opt_time().unwrap(), Some(SimTime::from_secs(1)));
-        assert_eq!(r.get_opt_time().unwrap(), None);
-        assert!(r.is_exhausted());
+        record_contract(7u8);
+        record_contract(300u16);
+        record_contract(70_000u32);
+        record_contract(u64::MAX - 1);
+        record_contract(u128::MAX / 3);
+        record_contract(12_345usize);
+        record_contract(-0.125f64);
+        record_contract((true, false));
+        record_contract(times);
+        record_contract((DataRate::from_mbps(10), ByteSize::from_kb(4)));
+        record_contract((vec![1u32, 2], vec![3u64], vec![Some(4u16), None]));
+        record_contract([vec![true], vec![]]);
+        assert_eq!(<(u8, [u64; 3], Vec<bool>)>::MIN_BYTES, 1 + 24 + 8);
     }
 
     #[test]
     fn nan_bit_pattern_is_stable() {
         let nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        let mut w = ByteWriter::new();
-        w.put_f64(nan);
-        let bytes = w.into_bytes();
-        let back = ByteReader::new(&bytes).get_f64().unwrap();
+        let back = f64::get(&mut ByteReader::new(&bytes_of(nan))).unwrap();
         assert_eq!(back.to_bits(), nan.to_bits());
     }
 
     #[test]
     fn eof_and_invalid_are_reported() {
         let mut r = ByteReader::new(&[1]);
-        assert!(r.get_bool().unwrap());
+        assert!(bool::get(&mut r).unwrap());
         assert_eq!(r.get_u64(), Err(CodecError::Eof));
 
         let mut r = ByteReader::new(&[9]);
-        assert_eq!(r.get_bool(), Err(CodecError::Invalid("bool")));
+        assert_eq!(bool::get(&mut r), Err(CodecError::Invalid("bool")));
 
         // A corrupt length prefix larger than the input is rejected before
         // any allocation.

@@ -32,7 +32,7 @@ pub mod sync;
 pub mod time;
 pub mod wheel;
 
-pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use codec::{ByteReader, ByteWriter, Codec, CodecError};
 pub use rate::{ByteSize, DataRate};
 pub use rngs::seeded_rng;
 pub use stats::{Cdf, RunningStats};

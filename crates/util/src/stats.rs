@@ -157,15 +157,18 @@ impl Cdf {
     }
 }
 
-/// Streaming mean / variance / extremes without storing samples
-/// (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
+crate::codec_record! {
+    /// Streaming mean / variance / extremes without storing samples
+    /// (Welford's algorithm). Its checkpoint is the raw accumulators, so a
+    /// restored estimator continues the stream bit-identically.
+    #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+    pub struct RunningStats {
+        count: u64,
+        mean: f64,
+        m2: f64,
+        min: f64,
+        max: f64,
+    }
 }
 
 impl RunningStats {
@@ -231,25 +234,6 @@ impl RunningStats {
             None
         } else {
             Some(self.max)
-        }
-    }
-
-    /// The raw accumulator fields `(count, mean, m2, min, max)`, for
-    /// checkpointing the estimator mid-stream.
-    pub fn snapshot_parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuilds an accumulator from fields captured by
-    /// [`RunningStats::snapshot_parts`]; the restored estimator continues the
-    /// stream bit-identically.
-    pub fn from_snapshot_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        RunningStats {
-            count,
-            mean,
-            m2,
-            min,
-            max,
         }
     }
 }
@@ -332,6 +316,14 @@ mod tests {
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
+    }
+
+    #[test]
+    fn running_stats_keep_the_record_contract() {
+        let mut s = RunningStats::new();
+        crate::codec::record_contract(s);
+        [1.5, -2.0, 8.25].into_iter().for_each(|v| s.add(v));
+        crate::codec::record_contract(s);
     }
 
     #[test]
