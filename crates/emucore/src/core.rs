@@ -171,11 +171,6 @@ impl TickOutput {
         self.deliveries.clear();
         self.tunnels.clear();
     }
-
-    /// Returns `true` if the pass produced no work.
-    pub fn is_empty(&self) -> bool {
-        self.deliveries.is_empty() && self.tunnels.is_empty()
-    }
 }
 
 mn_util::codec_record! {
@@ -319,11 +314,6 @@ impl EmulatorCore {
     /// This core's identity.
     pub fn id(&self) -> CoreId {
         self.id
-    }
-
-    /// The hardware profile in force.
-    pub fn profile(&self) -> &HardwareProfile {
-        &self.profile
     }
 
     /// Installs a pipe on this core with the default FIFO discipline.
@@ -529,86 +519,74 @@ impl EmulatorCore {
         self.last_seen = now;
     }
 
-    fn refill_nic(&mut self, now: SimTime) {
-        if now <= self.rx_last_refill {
-            return;
-        }
-        let elapsed = now - self.rx_last_refill;
-        self.rx_tokens = (self.rx_tokens
-            + self.profile.nic_rate.bytes_in(elapsed).as_bytes() as f64)
-            .min(self.profile.nic_buffer.as_bytes() as f64);
-        self.rx_last_refill = now;
-    }
-
-    fn nic_admit(&mut self, size: ByteSize) -> bool {
-        let needed = size.as_bytes() as f64;
-        if self.rx_tokens >= needed {
-            self.rx_tokens -= needed;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn cpu_saturated(&self) -> bool {
-        self.cpu_backlog > self.profile.saturation_backlog
-    }
-
-    /// Offers a packet arriving from an edge node (the ipfw intercept path).
-    ///
-    /// The caller has already performed route lookup; the descriptor's first
-    /// pipe may or may not be owned by this core. If it is not, the accepted
-    /// descriptor is emitted through the next [`EmulatorCore::tick`] as a
-    /// tunnel request.
-    pub fn ingress(&mut self, now: SimTime, mut descriptor: Descriptor) -> IngressOutcome {
+    /// The NIC/CPU model an arrival from an edge node or a peer core passes
+    /// at `now`: its `bytes` take receive-buffer tokens and the CPU must not
+    /// be saturated, or it is dropped physically; admitted, it costs `cpu`.
+    fn arrive(&mut self, now: SimTime, bytes: u64, cpu: SimDuration) -> Result<(), IngressOutcome> {
         self.credit_cpu(now);
-        self.refill_nic(now);
+        if now > self.rx_last_refill {
+            let refill = self.profile.nic_rate.bytes_in(now - self.rx_last_refill);
+            self.rx_tokens = (self.rx_tokens + refill.as_bytes() as f64)
+                .min(self.profile.nic_buffer.as_bytes() as f64);
+            self.rx_last_refill = now;
+        }
+        if self.rx_tokens < bytes as f64 {
+            self.stats.physical_drops_nic += 1;
+            return Err(IngressOutcome::PhysicalDropNic);
+        }
+        self.rx_tokens -= bytes as f64;
+        if self.cpu_backlog > self.profile.saturation_backlog {
+            self.stats.physical_drops_cpu += 1;
+            return Err(IngressOutcome::PhysicalDropCpu);
+        }
+        self.cpu_backlog += cpu;
+        self.stats.bytes_in += bytes;
+        Ok(())
+    }
+
+    /// [`EmulatorCore::ingress_into`] the first pipe of the descriptor's
+    /// route, resolved here. A complete route has no pipe to enter and is
+    /// accepted untouched (the coordinator never offers one).
+    pub fn ingress(&mut self, now: SimTime, descriptor: Descriptor) -> IngressOutcome {
+        match descriptor.next_pipe(&self.routes) {
+            Some(first) => self.ingress_into(now, first, descriptor),
+            None => IngressOutcome::Accepted,
+        }
+    }
+
+    /// Offers a packet arriving from an edge node (the ipfw intercept path)
+    /// into `first`, the first pipe of its route as the caller resolved it.
+    /// If a peer core owns that pipe, the accepted descriptor is emitted
+    /// through the next [`EmulatorCore::tick`] as a tunnel request.
+    pub fn ingress_into(
+        &mut self,
+        now: SimTime,
+        first: PipeId,
+        mut descriptor: Descriptor,
+    ) -> IngressOutcome {
         self.stats.packets_offered += 1;
         let size = descriptor.packet.size;
-
-        if !self.nic_admit(size) {
-            self.stats.physical_drops_nic += 1;
-            return IngressOutcome::PhysicalDropNic;
+        let cpu = self.profile.per_packet_cpu;
+        if let Err(dropped) = self.arrive(now, size.as_bytes(), cpu) {
+            return dropped;
         }
-        if self.cpu_saturated() {
-            self.stats.physical_drops_cpu += 1;
-            return IngressOutcome::PhysicalDropCpu;
-        }
-        self.cpu_backlog += self.profile.per_packet_cpu;
         self.stats.packets_admitted += 1;
-        self.stats.bytes_in += size.as_bytes();
         descriptor.entered_at = now;
-        self.admit(now, descriptor)
+        self.enter_pipe(now, first, size, Entering::New(descriptor))
     }
 
     /// Accepts a descriptor tunnelled from a peer core; the next pipe must be
     /// installed locally.
     pub fn accept_tunnel(&mut self, now: SimTime, descriptor: Descriptor) -> IngressOutcome {
-        self.credit_cpu(now);
-        self.refill_nic(now);
         self.stats.tunnels_in += 1;
         let wire = tunnel_wire_bytes(&self.profile, &descriptor);
-        if !self.nic_admit(ByteSize::from_bytes(wire)) {
-            self.stats.physical_drops_nic += 1;
-            return IngressOutcome::PhysicalDropNic;
+        if let Err(dropped) = self.arrive(now, wire, self.profile.tunnel_cpu) {
+            return dropped;
         }
-        if self.cpu_saturated() {
-            self.stats.physical_drops_cpu += 1;
-            return IngressOutcome::PhysicalDropCpu;
-        }
-        self.cpu_backlog += self.profile.tunnel_cpu;
-        self.stats.bytes_in += wire;
-        self.admit(now, descriptor)
-    }
-
-    /// Sends a descriptor that passed the NIC/CPU model into its next pipe.
-    fn admit(&mut self, at: SimTime, descriptor: Descriptor) -> IngressOutcome {
+        let size = descriptor.packet.size;
         match descriptor.next_pipe(&self.routes) {
-            Some(pipe) => {
-                let size = descriptor.packet.size;
-                self.enter_pipe(at, pipe, size, Entering::New(descriptor))
-            }
-            // The coordinator never submits an empty route to a core.
+            Some(pipe) => self.enter_pipe(now, pipe, size, Entering::New(descriptor)),
+            // A tunnel is only ever sent toward a pipe of the route.
             None => IngressOutcome::Accepted,
         }
     }

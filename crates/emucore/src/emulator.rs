@@ -17,7 +17,7 @@ use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_packet::{Packet, VnId};
 use mn_pipe::CbrConfig;
-use mn_routing::{RouteTable, RouteUpdate, RoutingMatrix};
+use mn_routing::{RouteId, RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
 use mn_util::TimerWheel;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
@@ -105,15 +105,17 @@ impl CoreCommand {
     }
 }
 
-/// Where the coordinator's admission lookup sent a submitted packet.
+/// Where the coordinator's admission decision sent a submitted packet.
 #[derive(Debug)]
 pub enum Dispatch {
     /// Decided at the coordinator: no route, or a same-location delivery.
     Resolved(SubmitOutcome),
-    /// Owed by the entry core's NIC/CPU/first-pipe admission.
+    /// Owed by the entry core's NIC/CPU admission into `first`, the first
+    /// pipe of the descriptor's route, resolved with it before the decision.
     Ingress {
         core: CoreId,
         now: SimTime,
+        first: PipeId,
         descriptor: Descriptor,
     },
 }
@@ -124,7 +126,7 @@ pub enum Dispatch {
 ///
 /// # Contract
 ///
-/// Results must be bit-identical to running the cores inline: `ingress`
+/// Results must be bit-identical to running the cores inline: admissions
 /// and `apply` take effect on the named core in call order, and `advance`
 /// reproduces the round structure *accept due tunnels → tick every core →
 /// exchange fresh tunnels → repeat while one is already due*, appending
@@ -156,17 +158,10 @@ pub trait CoreExecutor: Sized {
     /// work due.
     fn next_wakeup(&self) -> Option<SimTime>;
 
-    /// Offers one descriptor to its entry core's admission path.
-    fn ingress(
-        &mut self,
-        core: CoreId,
-        now: SimTime,
-        descriptor: Descriptor,
-    ) -> Result<IngressOutcome, EmuError>;
-
-    /// Resolves a batch of dispatches in input order (per-core admission
-    /// order is the input order), appending one outcome each. May overlap
-    /// the cores' work; on error `outcomes` is left as it was.
+    /// The one admission path (`submit` is a batch of one): settles each
+    /// dispatch in input order, an `Ingress` by [`EmulatorCore::ingress_into`]
+    /// on its core, appending one outcome each. May overlap the cores' work;
+    /// on error `outcomes` is left as it was.
     fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
         batch: I,
@@ -194,9 +189,13 @@ pub trait CoreExecutor: Sized {
     ) -> Result<(), EmuError>;
 }
 
+/// A packet's route and first pipe ([`RouteTable::first_hop`]).
+type FirstHop = Option<(RouteId, PipeId)>;
+
 /// The tables the per-packet admission path reads, kept together so the
 /// lookup can run while the executor is borrowed (batched submits pull
-/// dispatches lazily).
+/// dispatches lazily), and its scratch: empty between calls, never
+/// checkpointed.
 #[derive(Debug)]
 struct Admission {
     /// Interned routes, one location -> route row per location and each
@@ -215,15 +214,31 @@ struct Admission {
     vn_active: Vec<bool>,
     /// Same-location packets that bypass the core network entirely.
     local_deliveries: Vec<Delivery>,
+    /// Scratch: the batch being admitted, each of its packets' first hop,
+    /// and the outcome of a one-packet `submit`.
+    batch: Vec<(SimTime, Packet)>,
+    resolved: Vec<FirstHop>,
+    outcome: Vec<SubmitOutcome>,
 }
 
 impl Admission {
-    /// The per-packet fast path: every lookup is an indexed array read (VN
-    /// location, VN-pair route id, entry core) — no hashing, no route
-    /// clone, no allocation. (`#[inline]` so the `Dispatch` is built in
-    /// place in the caller's crate instead of copied out of a call.)
+    /// Takes in a batch and resolves every packet's first hop in a pass that
+    /// does nothing else, so the dependent loads of consecutive lookups
+    /// overlap instead of each stalling the decision waiting on it.
+    fn resolve(&mut self, batch: impl IntoIterator<Item = (SimTime, Packet)>) {
+        self.batch.extend(batch);
+        let routes = &*self.routes;
+        let lookup =
+            |(_, p): &(SimTime, Packet)| routes.first_hop(p.flow.src.index(), p.flow.dst.index());
+        self.resolved.extend(self.batch.iter().map(lookup));
+    }
+
+    /// The per-packet decision over a resolved first hop: every lookup is an
+    /// indexed array read (VN location, membership, entry core) — no
+    /// hashing, no route clone, no allocation. (`#[inline]` so the `Dispatch`
+    /// is built in place in the caller's crate, not copied out of a call.)
     #[inline]
-    fn dispatch(&mut self, now: SimTime, packet: Packet) -> Dispatch {
+    fn dispatch(&mut self, now: SimTime, packet: Packet, hop: FirstHop) -> Dispatch {
         let src_idx = packet.flow.src.index();
         let dst_idx = packet.flow.dst.index();
         let no_route = Dispatch::Resolved(SubmitOutcome::NoRoute);
@@ -250,12 +265,13 @@ impl Admission {
             });
             return Dispatch::Resolved(SubmitOutcome::Accepted);
         }
-        let Some(route) = self.routes.route_id(src_idx, dst_idx) else {
+        let Some((route, first)) = hop else {
             return no_route;
         };
         Dispatch::Ingress {
             core: self.vn_entry_core[src_idx],
             now,
+            first,
             descriptor: Descriptor::new(packet, route, now),
         }
     }
@@ -359,6 +375,9 @@ impl<X: CoreExecutor> Emulator<X> {
                 vn_location,
                 vn_entry_core,
                 local_deliveries: Vec::new(),
+                batch: Vec::new(),
+                resolved: Vec::new(),
+                outcome: Vec::new(),
             },
             core_load,
             fluid: FluidState::new(capacity_bps),
@@ -739,8 +758,8 @@ impl<X: CoreExecutor> Emulator<X> {
         })
     }
 
-    /// Submits a packet emitted by its source VN's edge node at time `now`.
-    /// The NIC/CPU/first-pipe decision runs on the entry core.
+    /// Submits a packet emitted by its source VN's edge node at time `now`:
+    /// [`Emulator::submit_batch`] with a batch of one.
     ///
     /// # Errors
     ///
@@ -748,22 +767,19 @@ impl<X: CoreExecutor> Emulator<X> {
     /// stalled — and, once failed, on every subsequent call (the emulator
     /// is poisoned; rebuild it, e.g. from a checkpoint).
     pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
-        self.exec.health()?;
-        match self.admission.dispatch(now, packet) {
-            Dispatch::Resolved(outcome) => Ok(outcome),
-            Dispatch::Ingress {
-                core,
-                now,
-                descriptor,
-            } => Ok(self.exec.ingress(core, now, descriptor)?.into()),
-        }
+        let mut outcome = std::mem::take(&mut self.admission.outcome);
+        let submitted = self.submit_batch([(now, packet)], &mut outcome);
+        let last = outcome.pop();
+        self.admission.outcome = outcome;
+        submitted.map(|()| last.expect("a batch of one has one outcome"))
     }
 
     /// Submits a batch of timestamped packets, appending one outcome per
-    /// packet (in input order) to `outcomes`. Semantically identical to
-    /// calling [`Emulator::submit`] per packet — per-core admission order is
-    /// the input order — but an executor with round trips to hide pipelines
-    /// them, which is the fast path for bulk traffic drivers.
+    /// packet (in input order) to `outcomes`. One pass resolves every
+    /// packet's route and first pipe, then each is decided in input order:
+    /// unknown or departed VN `NoRoute`, same location delivered locally,
+    /// else offered to its entry core — pipelined by an executor with round
+    /// trips to hide. The fast path for bulk traffic drivers.
     ///
     /// # Errors
     ///
@@ -780,10 +796,14 @@ impl<X: CoreExecutor> Emulator<X> {
     {
         self.exec.health()?;
         let admission = &mut self.admission;
-        let dispatches = batch
-            .into_iter()
-            .map(|(now, packet)| admission.dispatch(now, packet));
-        self.exec.ingress_batch(dispatches, outcomes)
+        admission.resolve(batch);
+        let mut batch = std::mem::take(&mut admission.batch);
+        let mut resolved = std::mem::take(&mut admission.resolved);
+        let dispatches = (batch.drain(..).zip(resolved.drain(..)))
+            .map(|((now, packet), hop)| admission.dispatch(now, packet, hop));
+        let admitted = self.exec.ingress_batch(dispatches, outcomes);
+        (admission.batch, admission.resolved) = (batch, resolved);
+        admitted
     }
 
     /// The earliest time at which any core (or any in-flight tunnel) has work
@@ -1057,6 +1077,9 @@ impl<X: CoreExecutor> Emulator<X> {
                 vn_entry_core,
                 vn_active,
                 local_deliveries,
+                batch: Vec::new(),
+                resolved: Vec::new(),
+                outcome: Vec::new(),
             },
             core_load,
             fluid,

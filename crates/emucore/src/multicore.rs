@@ -20,7 +20,7 @@ use mn_distill::DistilledTopology;
 use mn_routing::{RouteTable, RoutingMatrix};
 use mn_util::{ByteWriter, SimTime, TimerWheel};
 
-use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
+use crate::core::{CoreStats, EmulatorCore, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
 use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
 use crate::error::EmuError;
@@ -95,16 +95,6 @@ impl CoreExecutor for InlineExecutor {
     }
 
     #[inline]
-    fn ingress(
-        &mut self,
-        core: CoreId,
-        now: SimTime,
-        descriptor: Descriptor,
-    ) -> Result<IngressOutcome, EmuError> {
-        Ok(self.cores[core.index()].ingress(now, descriptor))
-    }
-
-    #[inline]
     fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
         batch: I,
@@ -116,8 +106,11 @@ impl CoreExecutor for InlineExecutor {
                 Dispatch::Ingress {
                     core,
                     now,
+                    first,
                     descriptor,
-                } => self.cores[core.index()].ingress(now, descriptor).into(),
+                } => self.cores[core.index()]
+                    .ingress_into(now, first, descriptor)
+                    .into(),
             });
         }
         Ok(())

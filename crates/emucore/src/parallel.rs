@@ -55,6 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
+use mn_distill::PipeId;
 use mn_routing::RouteTable;
 use mn_util::spsc::{self, Consumer, Producer};
 use mn_util::{ByteWriter, SimTime, SpinBarrier, SpinWait, TimerWheel};
@@ -94,9 +95,10 @@ const IDLE_SPINS_BEFORE_PARK: u32 = 256;
 /// ingress/command/advance interleaving matches the coordinator's call
 /// order.
 enum Request {
-    /// A packet admitted at this core's NIC (the ipfw intercept path).
+    /// A packet offered at this core's NIC, into its resolved first pipe.
     Ingress {
         now: SimTime,
+        first: PipeId,
         descriptor: Descriptor,
     },
     /// Run scheduler epochs at `now` until no tunnel remains due.
@@ -231,8 +233,12 @@ impl Worker {
                 self.chaos.check_command();
             }
             match request {
-                Request::Ingress { now, descriptor } => {
-                    let outcome = self.core.ingress(now, descriptor);
+                Request::Ingress {
+                    now,
+                    first,
+                    descriptor,
+                } => {
+                    let outcome = self.core.ingress_into(now, first, descriptor);
                     let status = self.status();
                     self.push_response(Response::Ingress { outcome, status });
                 }
@@ -608,6 +614,9 @@ impl WorkerHandle {
 /// coordinator.
 pub struct ThreadedExecutor {
     workers: Vec<WorkerHandle>,
+    /// Per core, the outcome slots a pipelined batch awaits replies for:
+    /// empty between batches and sized once, so a batch allocates nothing.
+    owed: Vec<VecDeque<usize>>,
     /// Shared kill switch raised on the first worker failure so surviving
     /// workers escape their epoch waits instead of spinning forever.
     abort: Arc<AtomicBool>,
@@ -722,28 +731,19 @@ impl ThreadedExecutor {
         }
     }
 
-    /// Waits for one ingress reply from worker `index`, refreshing its
-    /// cached status.
-    fn wait_ingress(&mut self, index: usize) -> Result<IngressOutcome, EmuError> {
-        match self.wait(index)? {
-            Response::Ingress { outcome, status } => {
-                self.workers[index].status = status;
-                Ok(outcome)
-            }
-            _ => unreachable!("Ingress is answered by Ingress"),
-        }
-    }
-
     /// Collects the replies worker `index` owes a pipelined batch into the
-    /// outcome slots reserved for them, oldest first.
+    /// outcome slots reserved for them, oldest first, refreshing its status.
     fn drain_ingress(
         &mut self,
         index: usize,
-        slots: &mut VecDeque<usize>,
         outcomes: &mut [SubmitOutcome],
     ) -> Result<(), EmuError> {
-        while let Some(slot) = slots.pop_front() {
-            outcomes[slot] = self.wait_ingress(index)?.into();
+        while let Some(slot) = self.owed[index].pop_front() {
+            let Response::Ingress { outcome, status } = self.wait(index)? else {
+                unreachable!("Ingress is answered by Ingress")
+            };
+            self.workers[index].status = status;
+            outcomes[slot] = outcome.into();
         }
         Ok(())
     }
@@ -757,31 +757,35 @@ impl ThreadedExecutor {
         batch: impl Iterator<Item = Dispatch>,
         outcomes: &mut Vec<SubmitOutcome>,
     ) -> Result<(), EmuError> {
-        // Per core, the outcome slots still waiting for that core's reply.
-        let mut owed: Vec<VecDeque<usize>> = vec![VecDeque::new(); self.workers.len()];
         for dispatch in batch {
             match dispatch {
                 Dispatch::Resolved(outcome) => outcomes.push(outcome),
                 Dispatch::Ingress {
                     core,
                     now,
+                    first,
                     descriptor,
                 } => {
                     let index = core.index();
-                    self.send(index, Request::Ingress { now, descriptor })?;
-                    owed[index].push_back(outcomes.len());
+                    let request = Request::Ingress {
+                        now,
+                        first,
+                        descriptor,
+                    };
+                    self.send(index, request)?;
+                    self.owed[index].push_back(outcomes.len());
                     // Placeholder, overwritten by the core's reply.
                     outcomes.push(SubmitOutcome::NoRoute);
                     // Keep the rings bounded: drain a core's replies before
                     // its request/response rings can fill.
-                    if owed[index].len() >= MAX_OUTSTANDING_INGRESS {
-                        self.drain_ingress(index, &mut owed[index], outcomes)?;
+                    if self.owed[index].len() >= MAX_OUTSTANDING_INGRESS {
+                        self.drain_ingress(index, outcomes)?;
                     }
                 }
             }
         }
-        for (index, slots) in owed.iter_mut().enumerate() {
-            self.drain_ingress(index, slots, outcomes)?;
+        for index in 0..self.workers.len() {
+            self.drain_ingress(index, outcomes)?;
         }
         Ok(())
     }
@@ -902,6 +906,9 @@ impl CoreExecutor for ThreadedExecutor {
 
         let mut executor = ThreadedExecutor {
             workers,
+            owed: (0..n)
+                .map(|_| VecDeque::with_capacity(MAX_OUTSTANDING_INGRESS))
+                .collect(),
             abort,
             failure: None,
             stall_timeout: None,
@@ -936,16 +943,6 @@ impl CoreExecutor for ThreadedExecutor {
             .min()
     }
 
-    fn ingress(
-        &mut self,
-        core: CoreId,
-        now: SimTime,
-        descriptor: Descriptor,
-    ) -> Result<IngressOutcome, EmuError> {
-        self.send(core.index(), Request::Ingress { now, descriptor })?;
-        self.wait_ingress(core.index())
-    }
-
     fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
         batch: I,
@@ -955,6 +952,7 @@ impl CoreExecutor for ThreadedExecutor {
         let result = self.pipeline_ingress(batch, outcomes);
         if result.is_err() {
             outcomes.truncate(base);
+            self.owed.iter_mut().for_each(VecDeque::clear);
         }
         result
     }
@@ -1378,61 +1376,100 @@ mod tests {
 
     #[test]
     fn batched_submits_are_bit_identical_to_per_packet_submits() {
-        // submit_batch pipelines the ring round trips but must preserve
-        // per-core admission order — outcomes, deliveries and counters all
-        // match the one-at-a-time path, across both backends.
-        let build = |cores: usize| {
-            let (emu, binding, _) = ring_emulator::<InlineExecutor>(cores);
-            (emu, binding)
-        };
-        let make_batch = |binding: &Binding| {
+        // submit_batch resolves a whole batch's routes before it admits any
+        // packet and pipelines the ring round trips, but must decide every
+        // packet as one-by-one submits do: outcomes, deliveries, counters
+        // and the drained state's bytes all match, on both backends. The
+        // second batch holds the edges: VN ids past the table, a departed
+        // source and a departed destination, a co-located pair, and more
+        // packets for core 0 than a core may owe replies for at once.
+        type Run = (Vec<SubmitOutcome>, Vec<DeliveryRecord>, CoreStats, Vec<u8>);
+        fn run<X: CoreExecutor>(cores: usize, batched: bool) -> Run {
+            let topo = ring_topology(&RingParams {
+                routers: 4,
+                clients_per_router: 2,
+                ..RingParams::default()
+            });
+            let d = distill(&topo, DistillationMode::HopByHop);
+            // A ninth VN, bound beside the first.
+            let mut locations = d.vns().to_vec();
+            locations.push(locations[0]);
+            let binding = Binding::bind(&locations, &BindingParams::new(2, cores));
+            let pod = greedy_k_clusters(&d, cores, 7);
+            let matrix = RoutingMatrix::build(&d);
+            let profile = HardwareProfile::unconstrained();
+            let mut emu = Emulator::<X>::new(&d, pod, matrix, &binding, profile, 11);
             let vns: Vec<VnId> = binding.vns().collect();
-            let mut batch = Vec::new();
-            for i in 0..400u64 {
-                let now = SimTime::from_micros(i * 3);
-                let src = vns[i as usize % vns.len()];
-                let dst = vns[(i as usize + 3) % vns.len()];
-                batch.push((now, tcp_packet(i, src, dst, 700, now)));
-            }
-            batch
-        };
-        for cores in [1usize, 3] {
-            // Per-packet reference on the parallel backend.
-            let (seq, binding) = build(cores);
-            let mut one_by_one = ParallelEmulator::from_sequential(seq);
-            let reference: Vec<SubmitOutcome> = make_batch(&binding)
-                .into_iter()
-                .map(|(now, p)| one_by_one.submit(now, p).unwrap())
+            let (colocated, departed) = (vns[8], vns[5]);
+            let core0: Vec<VnId> = vns
+                .iter()
+                .copied()
+                .filter(|&vn| vn != departed && emu.vn_entry_core(vn) == Some(CoreId(0)))
                 .collect();
-            let drain = |emu: &mut ParallelEmulator| {
-                let mut log = Vec::new();
-                let mut now = SimTime::ZERO;
-                for _ in 0..100_000 {
-                    let Some(t) = emu.next_wakeup() else { break };
-                    now = now.max(t);
-                    for d in emu.advance(now).unwrap() {
-                        log.push((d.packet.id.0, d.delivered_at, d.hops));
+            let packet = |i: u64, src: VnId, dst: VnId| {
+                let now = SimTime::from_micros(i * 3);
+                (now, tcp_packet(i, src, dst, 700, now))
+            };
+            let plain =
+                (0..400u64).map(|i| packet(i, vns[i as usize % 8], vns[(i as usize + 3) % 8]));
+            let edges = (400..800u64).map(|i| {
+                let src = core0[i as usize % core0.len()];
+                let (src, dst) = match i % 12 {
+                    0 => (VnId(999), vns[1]),
+                    1 => (src, VnId(u32::MAX)),
+                    2 => (departed, vns[1]),
+                    3 => (src, departed),
+                    4 => (vns[0], colocated),
+                    5 => (colocated, vns[0]),
+                    _ => (src, vns[(i as usize + 3) % 8]),
+                };
+                packet(i, src, dst)
+            });
+            type Batch = Vec<(SimTime, Packet)>;
+            let submit = |emu: &mut Emulator<X>, batch: Batch, outcomes: &mut Vec<_>| {
+                if batched {
+                    emu.submit_batch(batch, outcomes).unwrap();
+                } else {
+                    for (now, p) in batch {
+                        outcomes.push(emu.submit(now, p).unwrap());
                     }
                 }
-                log
             };
-            let reference_log = drain(&mut one_by_one);
-            // Batched run.
-            let (seq, binding) = build(cores);
-            let mut batched = ParallelEmulator::from_sequential(seq);
             let mut outcomes = Vec::new();
-            batched
-                .submit_batch(make_batch(&binding), &mut outcomes)
-                .unwrap();
-            assert_eq!(outcomes, reference, "{cores}-core outcomes diverge");
-            assert_eq!(drain(&mut batched), reference_log);
-            assert_eq!(batched.total_stats(), one_by_one.total_stats());
-            // And the sequential backend's batch shape agrees too.
-            let (mut seq, binding) = build(cores);
-            let mut seq_outcomes = Vec::new();
-            seq.submit_batch(make_batch(&binding), &mut seq_outcomes)
-                .unwrap();
-            assert_eq!(seq_outcomes, reference);
+            submit(&mut emu, plain.collect(), &mut outcomes);
+            let now = SimTime::from_micros(1_200);
+            let mut log: Vec<DeliveryRecord> = emu
+                .advance(now)
+                .unwrap()
+                .iter()
+                .map(|d| (d.packet.id.0, d.delivered_at, d.entered_at, d.hops))
+                .collect();
+            assert!(emu.vn_leave(departed, now));
+            let offered = |emu: &Emulator<X>| emu.core_stats(CoreId(0)).unwrap().packets_offered;
+            let before = offered(&emu);
+            submit(&mut emu, edges.collect(), &mut outcomes);
+            assert!(offered(&emu) - before > MAX_OUTSTANDING_INGRESS as u64);
+            log.extend(finish_run(&mut emu));
+            let bytes = emu.snapshot().unwrap().to_bytes();
+            (outcomes, log, emu.total_stats(), bytes)
+        }
+        for cores in [1usize, 3] {
+            let reference = run::<InlineExecutor>(cores, false);
+            assert!(reference.0.contains(&SubmitOutcome::NoRoute));
+            assert!(
+                reference.1.iter().any(|&(.., hops)| hops == 0),
+                "a local delivery"
+            );
+            for (executor, batched, other) in [
+                ("inline", true, run::<InlineExecutor>(cores, true)),
+                ("threaded", false, run::<ThreadedExecutor>(cores, false)),
+                ("threaded", true, run::<ThreadedExecutor>(cores, true)),
+            ] {
+                assert!(
+                    other == reference,
+                    "{cores}-core {executor} run (batched: {batched}) diverges"
+                );
+            }
         }
     }
 

@@ -1264,6 +1264,14 @@ impl RouteTable {
         self.store.get(id.index())
     }
 
+    /// [`RouteTable::route_id`] and its route's first pipe (`None` for an
+    /// empty route too): the admission lookup, columns → row → chunk → pipe.
+    #[inline]
+    pub fn first_hop(&self, src: usize, dst: usize) -> Option<(RouteId, PipeId)> {
+        let id = self.route_id(src, dst)?;
+        Some((id, *self.pipes(id).first()?))
+    }
+
     /// Number of distinct routes stored.
     pub fn route_count(&self) -> usize {
         self.store.len()
@@ -2398,6 +2406,7 @@ mod tests {
                 } else {
                     let id = id.expect("connected ring has all-pairs routes");
                     assert!(table.pipes(id).len() >= 2);
+                    assert_eq!(table.first_hop(s, d), Some((id, table.pipes(id)[0])));
                 }
             }
         }
@@ -2700,6 +2709,8 @@ mod tests {
         assert!(table.route_id(n, 0).is_none());
         assert!(table.route_id(0, n + 100).is_none());
         assert!(table.route_id(usize::MAX, usize::MAX).is_none());
+        assert!(table.first_hop(n, 0).is_none());
+        assert!(table.first_hop(0, n + 100).is_none());
     }
 
     #[test]
@@ -2710,6 +2721,13 @@ mod tests {
         assert_eq!(table.route_id(0, 1), Some(id));
         assert_eq!(table.route_id(1, 0), None);
         assert_eq!(table.pipes(id), &[PipeId(3), PipeId(5)]);
+        // The admission lookup: route and first pipe, none for an empty route.
+        assert_eq!(table.first_hop(0, 1), Some((id, PipeId(3))));
+        assert_eq!(table.first_hop(1, 0), None);
+        let empty = table.intern(&[]);
+        table.set_pair(0, 1, empty);
+        assert_eq!(table.route_id(0, 1), Some(empty));
+        assert_eq!(table.first_hop(0, 1), None);
     }
 
     #[test]

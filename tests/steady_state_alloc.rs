@@ -14,7 +14,9 @@
 
 use mn_assign::{Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator};
+use mn_emucore::{
+    CoreExecutor, Emulator, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SubmitOutcome,
+};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
@@ -67,6 +69,44 @@ fn drive(
             deliveries.clear();
             emu.advance_into(now, deliveries).unwrap();
             delivered += deliveries.len() as u64;
+        }
+    }
+    delivered
+}
+
+/// What a bulk driver keeps between batches: the batch it drains into
+/// `submit_batch`, the outcomes it gets back and the deliveries.
+#[derive(Default)]
+struct Feed {
+    batch: Vec<(SimTime, Packet)>,
+    outcomes: Vec<SubmitOutcome>,
+    deliveries: Vec<mn_emucore::Delivery>,
+}
+
+/// [`drive`] (or, at a 65.536 µs `cadence_ns`, [`drive_slow`]) through
+/// `submit_batch`, as the benchmark feeds it: the eight packets between two
+/// advances go in as one batch.
+fn drive_batched<X: CoreExecutor>(
+    emu: &mut Emulator<X>,
+    vns: &[VnId],
+    feed: &mut Feed,
+    cadence_ns: u64,
+    start: u64,
+    iters: u64,
+) -> u64 {
+    let mut delivered = 0;
+    for i in start..start + iters {
+        let now = SimTime::from_nanos(i * cadence_ns);
+        let src = vns[i as usize % vns.len()];
+        let dst = vns[(i as usize + 7) % vns.len()];
+        feed.batch.push((now, tcp_packet(i, src, dst, now)));
+        if i % 8 == 0 {
+            feed.outcomes.clear();
+            emu.submit_batch(feed.batch.drain(..), &mut feed.outcomes)
+                .unwrap();
+            feed.deliveries.clear();
+            emu.advance_into(now, &mut feed.deliveries).unwrap();
+            delivered += feed.deliveries.len() as u64;
         }
     }
     delivered
@@ -517,6 +557,56 @@ fn single_core_steady_state_allocates_nothing() {
         delta, 0,
         "steady-state submit/advance made {delta} heap allocations; \
          the per-packet path must be allocation-free"
+    );
+
+    // The same traffic through `submit_batch`: the admission buffers the
+    // batch is resolved through warm up once, then not a single call.
+    let mut feed = Feed::default();
+    let _ = drive_batched(&mut emu, &vns, &mut feed, 20_000, 40_000, 1_000);
+    let before = alloc_calls();
+    let delivered = drive_batched(&mut emu, &vns, &mut feed, 20_000, 41_000, 10_000);
+    let delta = alloc_calls() - before;
+    assert!(delivered > 0, "batched steady state must deliver packets");
+    assert_eq!(
+        delta, 0,
+        "steady-state submit_batch/advance made {delta} heap allocations"
+    );
+}
+
+#[test]
+fn threaded_steady_state_allocates_nothing_on_the_calling_thread() {
+    // The threaded executor's coordinator side, as the benchmark drives it:
+    // `submit_batch` pipelines each batch's requests to the workers and
+    // collects their replies through queues the executor keeps, and
+    // `advance_into` streams deliveries into the caller's buffer. Warmed,
+    // the calling thread allocates nothing (the workers count on their own
+    // threads). The two-core ring of `two_core_steady_state_allocates_nothing`.
+    let topo = ring_topology(&RingParams {
+        routers: 8,
+        clients_per_router: 2,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let matrix = RoutingMatrix::build(&d);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
+    let pod = mn_assign::greedy_k_clusters(&d, 2, 7);
+    let profile = HardwareProfile::unconstrained();
+    let mut emu = ParallelEmulator::new(&d, pod, matrix, &binding, profile, 7);
+    let vns: Vec<VnId> = binding.vns().collect();
+    let mut feed = Feed::default();
+    const CADENCE_NS: u64 = 1 << 16;
+
+    let warmed = drive_batched(&mut emu, &vns, &mut feed, CADENCE_NS, 0, 30_000);
+    assert!(warmed > 0, "warm-up must deliver packets");
+    let before = alloc_calls();
+    let delivered = drive_batched(&mut emu, &vns, &mut feed, CADENCE_NS, 30_000, 10_000);
+    let delta = alloc_calls() - before;
+    assert!(delivered > 0, "steady state must deliver packets");
+    assert!(emu.total_stats().tunnels_out > 0, "the ring crosses cores");
+    assert_eq!(
+        delta, 0,
+        "threaded submit_batch/advance_into made {delta} heap allocations \
+         on the calling thread"
     );
 }
 
