@@ -246,8 +246,8 @@ pub struct EmulatorCore {
     /// earlier pass are stale and simply find no due work.
     wheel: TimerWheel<PipeId>,
     /// Descriptors whose next pipe lives on a peer core, with that pipe and
-    /// the time they left their previous one, staged until the end of the
-    /// current (or next) tick copies them out as tunnel requests.
+    /// the ideal time they left their previous one, staged until the end of
+    /// the current (or next) tick copies them out as tunnel requests.
     pending_remote: Vec<(PipeId, Slot, SimTime)>,
     /// Scheduled CBR background injectors on locally owned pipes, in
     /// installation order (the injection order, identical on both
@@ -575,17 +575,17 @@ impl EmulatorCore {
         self.enter_pipe(now, first, size, Entering::New(descriptor))
     }
 
-    /// Accepts a descriptor tunnelled from a peer core; the next pipe must be
-    /// installed locally.
-    pub fn accept_tunnel(&mut self, now: SimTime, descriptor: Descriptor) -> IngressOutcome {
+    /// Accepts a descriptor tunnelled from a peer core into its next pipe
+    /// (installed locally) at `arrival`, the tunnel's ideal arrival time.
+    pub fn accept_tunnel(&mut self, arrival: SimTime, descriptor: Descriptor) -> IngressOutcome {
         self.stats.tunnels_in += 1;
         let wire = tunnel_wire_bytes(&self.profile, &descriptor);
-        if let Err(dropped) = self.arrive(now, wire, self.profile.tunnel_cpu) {
+        if let Err(dropped) = self.arrive(arrival, wire, self.profile.tunnel_cpu) {
             return dropped;
         }
         let size = descriptor.packet.size;
         match descriptor.next_pipe(&self.routes) {
-            Some(pipe) => self.enter_pipe(now, pipe, size, Entering::New(descriptor)),
+            Some(pipe) => self.enter_pipe(arrival, pipe, size, Entering::New(descriptor)),
             // A tunnel is only ever sent toward a pipe of the route.
             None => IngressOutcome::Accepted,
         }
@@ -680,7 +680,9 @@ impl EmulatorCore {
     /// Runs one scheduler pass at time `now`: moves every descriptor whose
     /// pipe deadline has passed to its next pipe, its destination edge node,
     /// or a peer core. `out` is cleared and refilled; with a warmed
-    /// `TickOutput` the pass performs no heap allocation.
+    /// `TickOutput` the pass performs no heap allocation. A next pipe or
+    /// tunnel is entered at the exit deadline just popped, so every hop due
+    /// by `now` completes in this pass.
     pub fn tick_into(&mut self, now: SimTime, out: &mut TickOutput) {
         self.credit_cpu(now);
         out.clear();
@@ -690,7 +692,6 @@ impl EmulatorCore {
         // against) the foreground work this pass services.
         self.inject_cbr(now);
 
-        let debt_correction = self.profile.packet_debt_correction;
         let per_hop_cpu = self.profile.per_hop_cpu;
         // One loop per due wheel entry: pop a handle, step its descriptor in
         // place, hand the handle to the next pipe. An entry whose packet an
@@ -704,33 +705,19 @@ impl EmulatorCore {
             {
                 let slot = dequeued.item;
                 self.cpu_backlog += per_hop_cpu;
-                let lateness = now.duration_since(dequeued.exit_time);
                 let descriptor = &mut self.slab[slot as usize];
                 descriptor.advance_hop();
                 let route = self.routes.pipes(descriptor.route);
-                // With packet-debt correction every pipe is entered at its
-                // ideal time, so the end-to-end error is only the lateness of
-                // the hop being serviced; without it, lateness accumulates.
-                let reentry = if debt_correction {
-                    descriptor.accumulated_error = lateness;
-                    dequeued.exit_time
-                } else {
-                    descriptor.accumulated_error += lateness;
-                    now
-                };
                 if let Some(&next) = route.get(descriptor.hop) {
-                    self.enter_pipe(reentry, next, dequeued.size, Entering::Held(slot));
+                    let at = dequeued.exit_time;
+                    self.enter_pipe(at, next, dequeued.size, Entering::Held(slot));
                     continue;
                 }
                 let delivery = Delivery {
                     hops: route.len(),
-                    emulation_error: descriptor.accumulated_error,
+                    emulation_error: now.duration_since(dequeued.exit_time),
                     entered_at: descriptor.entered_at,
-                    delivered_at: if debt_correction {
-                        dequeued.exit_time.max(descriptor.entered_at)
-                    } else {
-                        now
-                    },
+                    delivered_at: now,
                     packet: descriptor.packet,
                 };
                 self.free.push(slot);
@@ -834,9 +821,10 @@ impl EmulatorCore {
     /// the encoded core's looked like. Every descriptor must
     /// [fit](Descriptor::fits) `routes`; a wheel entry and a CBR source must
     /// name a pipe installed here, a staged tunnel one that `pod` gives to a
-    /// peer.
+    /// peer. `version` is the `MNSP` frame's ([`Descriptor::get_versioned`]).
     pub fn decode_state(
         r: &mut ByteReader,
+        version: u32,
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
         pod: &PipeOwnershipDirectory,
@@ -846,7 +834,7 @@ impl EmulatorCore {
         let id = CoreId::get(r)?;
         let mut slab = Vec::new();
         let mut to_slab = |r: &mut ByteReader| {
-            slab.push(Descriptor::get(r)?);
+            slab.push(Descriptor::get_versioned(r, version)?);
             Ok((slab.len() - 1) as Slot)
         };
         let pipe_slots = r.get_count(bool::MIN_BYTES)?;
@@ -973,8 +961,11 @@ mod tests {
 
     /// A RED pipe mid-run beside a drop-tail one carrying a CBR meter, a
     /// tunnel staged for a peer: its core's checkpoint bytes, pinned by their
-    /// sum as the encoder wrote them before the pipe and core records were
-    /// declared through `codec_record!` — no golden fixture runs RED.
+    /// length and sum — no golden fixture runs RED. First recorded by the
+    /// encoder before the pipe and core records were declared through
+    /// `codec_record!` (5 333 B, `0xb042_ee58_03a2_7023`); re-recorded once
+    /// when every hop came to be entered at its predecessor's exit deadline
+    /// and descriptors lost their accumulated-error word (`MNSP` v4).
     #[test]
     fn a_red_core_encodes_to_its_pinned_bytes() {
         use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
@@ -1029,8 +1020,54 @@ mod tests {
         core.encode_state(&mut w);
         assert_eq!(
             (w.len(), mn_util::codec::checksum64(w.as_slice())),
-            (5_333, 0xb042_ee58_03a2_7023)
+            (4_903, 0x2889_01c0_cbaa_9c53)
         );
+    }
+
+    /// Every hop is entered at the deadline its predecessor named, so an
+    /// 8-hop route whose whole ideal delay falls before one pass's `now` is
+    /// delivered by that one pass, carrying only the last hop's lateness.
+    #[test]
+    fn an_eight_hop_route_due_within_one_pass_is_delivered_by_it() {
+        use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
+
+        let pipes: Vec<PipeId> = (0..8).map(PipeId).collect();
+        let mut table = RouteTable::new(2);
+        let route = table.intern(&pipes);
+        let profile = HardwareProfile::unconstrained();
+        let mut core = EmulatorCore::new(CoreId(0), profile, 1, Arc::new(table), pipes.len());
+        let attrs = PipeAttrs::new(DataRate::from_mbps(100), SimDuration::from_micros(30));
+        for &pipe in &pipes {
+            core.install_pipe(pipe, attrs);
+        }
+        let flow = FlowKey {
+            src: VnId(0),
+            dst: VnId(1),
+            src_port: 1,
+            dst_port: 2,
+            protocol: Protocol::Udp,
+        };
+        let header = TransportHeader::Udp {
+            payload_len: 500,
+            seq: 0,
+        };
+        let entered = SimTime::from_micros(5);
+        let packet = Packet::new(PacketId(0), flow, header, entered);
+        let per_hop = attrs.bandwidth.transmission_time(packet.size) + attrs.latency;
+        let ideal = entered + per_hop * pipes.len() as u64;
+        assert!(core
+            .ingress(entered, Descriptor::new(packet, route, entered))
+            .is_accepted());
+
+        let now = SimTime::from_millis(1);
+        assert!(ideal < now, "the whole route fits in the pass");
+        let out = core.tick(now);
+        let [delivery] = &out.deliveries[..] else {
+            panic!("one pass delivers, got {}", out.deliveries.len())
+        };
+        assert_eq!((delivery.hops, delivery.delivered_at), (8, now));
+        assert_eq!(delivery.emulation_error, now - ideal);
+        assert_eq!((core.in_flight(), core.next_wakeup()), (0, None));
     }
 
     /// The slot ledger: every way a packet leaves a core gives its slab slot
@@ -1287,7 +1324,8 @@ mod tests {
             let pod = PipeOwnershipDirectory::from_owners(owners, 2);
             let decode = |bytes: &[u8]| {
                 let r = &mut mn_util::ByteReader::new(bytes);
-                EmulatorCore::decode_state(r, profile, table.clone(), &pod)
+                let version = crate::SNAPSHOT_VERSION;
+                EmulatorCore::decode_state(r, version, profile, table.clone(), &pod)
             };
             let mut restored = decode(&bytes).unwrap();
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));

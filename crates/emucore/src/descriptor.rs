@@ -16,13 +16,12 @@
 
 use mn_packet::Packet;
 use mn_routing::{RouteId, RouteTable};
-use mn_util::{SimDuration, SimTime};
+use mn_util::{ByteReader, Codec, CodecError, SimDuration, SimTime};
 
 mn_util::codec_record! {
     /// A scheduled packet inside the core: the packet descriptor plus its route
-    /// progress and accuracy book-keeping. What a checkpoint carries of it is
-    /// checked against the restored route table where it is read
-    /// ([`Descriptor::fits`]).
+    /// progress. What a checkpoint carries of it is checked against the
+    /// restored route table where it is read ([`Descriptor::fits`]).
     #[derive(Debug, Clone)]
     pub struct Descriptor {
         /// The packet being emulated (headers and size only — no payload bytes).
@@ -33,9 +32,6 @@ mn_util::codec_record! {
         pub hop: usize,
         /// Time the packet entered the core (for per-packet latency reporting).
         pub entered_at: SimTime,
-        /// Accumulated scheduling lateness across hops (actual service time minus
-        /// pipe deadline); the accuracy log records this at delivery.
-        pub accumulated_error: SimDuration,
     }
 }
 
@@ -47,8 +43,17 @@ impl Descriptor {
             route,
             hop: 0,
             entered_at,
-            accumulated_error: SimDuration::ZERO,
         }
+    }
+
+    /// Reads a descriptor of an `MNSP` frame of `version`; before 4 it ended
+    /// in an 8-byte accumulated error, skipped.
+    pub(crate) fn get_versioned(r: &mut ByteReader<'_>, version: u32) -> Result<Self, CodecError> {
+        let descriptor = Self::get(r)?;
+        if version < 4 {
+            SimDuration::get(r)?;
+        }
+        Ok(descriptor)
     }
 
     /// Total number of pipes on the route.
@@ -90,20 +95,23 @@ mn_util::codec_record! {
     pub struct Delivery {
         /// The delivered packet.
         pub packet: Packet,
-        /// Time the packet left the last pipe (ip_output time).
+        /// When the edge receives it: the pass that found its last exit due.
         pub delivered_at: SimTime,
         /// Time the packet entered the core.
         pub entered_at: SimTime,
         /// Number of pipes the packet traversed.
         pub hops: usize,
-        /// Scheduling error accumulated across all hops.
+        /// The last hop's lateness, `delivered_at` minus its exit deadline:
+        /// every earlier hop was entered at its ideal time, so
+        /// `delivered_at - emulation_error` is the ideal delivery time.
         pub emulation_error: SimDuration,
     }
 }
 
 impl Delivery {
     /// The end-to-end delay the packet experienced inside the emulated
-    /// network (queueing + transmission + propagation + scheduling error).
+    /// network (queueing + transmission + propagation + the last hop's
+    /// [`emulation_error`](Delivery::emulation_error)).
     pub fn core_delay(&self) -> SimDuration {
         self.delivered_at - self.entered_at
     }
@@ -181,7 +189,6 @@ mod tests {
         let (routes, id) = table_with(vec![PipeId(4), PipeId(5)]);
         let mut d = Descriptor::new(packet(), id, SimTime::from_micros(19));
         d.hop = 2;
-        d.accumulated_error = SimDuration::from_nanos(321);
         assert!(d.fits(&routes));
         mn_util::codec::record_contract(d.clone());
         d.hop = 3;

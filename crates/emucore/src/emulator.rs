@@ -965,7 +965,8 @@ impl<X: CoreExecutor> Emulator<X> {
     }
 
     /// The one decoder, over a verified payload of format `version` (which
-    /// selects the route table's layout and nothing else). The checksum
+    /// selects the route table's layout, and whether the hardware profile
+    /// and every descriptor carry the retired timing fields). The checksum
     /// only says the bytes are the ones written; every index the run phase
     /// later uses unchecked — entry cores, the load vector, tunnel targets,
     /// the per-VN tables against the route table, each route's pipes
@@ -978,7 +979,11 @@ impl<X: CoreExecutor> Emulator<X> {
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
-        let profile = HardwareProfile::get(r)?;
+        let mut profile = HardwareProfile::get(r)?;
+        if version < 4 {
+            // That was the retired packet-debt byte; `payload_caching` follows.
+            profile.payload_caching = bool::get(r)?;
+        }
         let routes = Arc::new(match version {
             1 | 2 => RouteTable::decode_v2(r)?,
             _ => RouteTable::decode(r)?,
@@ -1039,7 +1044,8 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         let mut tunnels = TimerWheel::new();
         for _ in 0..r.get_count(<(SimTime, CoreId, Descriptor)>::MIN_BYTES)? {
-            let (time, target, descriptor) = <(SimTime, CoreId, Descriptor)>::get(r)?;
+            let (time, target) = <(SimTime, CoreId)>::get(r)?;
+            let descriptor = Descriptor::get_versioned(r, version)?;
             if target.index() >= core_count {
                 return Err(Invalid("tunnel target out of range"));
             }
@@ -1059,7 +1065,7 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         let mut cores = Vec::with_capacity(core_count);
         for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, profile, routes.clone(), &pod)?;
+            let core = EmulatorCore::decode_state(r, version, profile, routes.clone(), &pod)?;
             if core.id().index() != idx {
                 return Err(CodecError::Invalid("core ids out of order"));
             }

@@ -10,7 +10,9 @@
 //! are calibrated so that the Figure 4 knees land where the paper reports
 //! them: NIC-bound at ≈120 kpkt/s for short routes, CPU-bound at ≈90 kpkt/s
 //! for 8-hop routes (`fig4_capacity`, README "Experiment binaries", prints
-//! the curve).
+//! the curve). The `tick` only delays when a deadline is noticed: every pipe
+//! and tunnel is entered at its ideal time (the paper's "packet debt
+//! handling"), so a packet's error is its last hop's lateness alone.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,12 +44,6 @@ mn_util::codec_record! {
         /// How much CPU work may be backlogged before the core is considered
         /// saturated and starts dropping arrivals physically.
         pub saturation_backlog: SimDuration,
-        /// When `true`, a descriptor is entered into its next pipe at the
-        /// previous pipe's exit *deadline* rather than at the (tick-quantised)
-        /// service time, cancelling accumulated scheduling error. This is the
-        /// "packet debt handling" optimisation the paper describes as in
-        /// progress.
-        pub packet_debt_correction: bool,
         /// When `true`, descriptor tunnels carry only descriptor-sized payloads
         /// (the paper's payload-caching option, which leaves packet contents on
         /// the entry core); otherwise the full packet crosses the inter-core
@@ -71,7 +67,6 @@ impl HardwareProfile {
             tunnel_latency: SimDuration::from_micros(20),
             tick: SimDuration::from_micros(100),
             saturation_backlog: SimDuration::from_micros(300),
-            packet_debt_correction: false,
             payload_caching: false,
         }
     }
@@ -88,15 +83,8 @@ impl HardwareProfile {
             tunnel_latency: SimDuration::ZERO,
             tick: SimDuration::from_micros(100),
             saturation_backlog: SimDuration::from_secs(1),
-            packet_debt_correction: false,
             payload_caching: false,
         }
-    }
-
-    /// Enables packet debt correction.
-    pub fn with_debt_correction(mut self) -> Self {
-        self.packet_debt_correction = true;
-        self
     }
 
     /// CPU time needed to emulate one packet that traverses `hops` pipes on
@@ -125,12 +113,12 @@ impl HardwareProfile {
         self.nic_rate.as_bps() as f64 / size.as_bits() as f64
     }
 
-    /// Rounds `t` up to the next scheduler tick boundary.
+    /// Rounds `t` up to the next scheduler tick boundary; past the last
+    /// whole tick the `u64` nanosecond range holds, that last tick.
     pub fn next_tick_at(&self, t: mn_util::SimTime) -> mn_util::SimTime {
         let tick = self.tick.as_nanos().max(1);
-        let nanos = t.as_nanos();
-        let rounded = nanos.div_ceil(tick) * tick;
-        mn_util::SimTime::from_nanos(rounded)
+        let rounded = t.as_nanos().div_ceil(tick).checked_mul(tick);
+        mn_util::SimTime::from_nanos(rounded.unwrap_or(u64::MAX / tick * tick))
     }
 }
 
@@ -201,9 +189,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_toggles() {
-        let p = HardwareProfile::paper_core().with_debt_correction();
-        assert!(p.packet_debt_correction);
+    fn tick_rounding_saturates_at_the_last_whole_tick() {
+        let p = HardwareProfile::paper_core();
+        let tick = p.tick.as_nanos();
+        let last = SimTime::from_nanos(u64::MAX / tick * tick);
+        assert_eq!(p.next_tick_at(SimTime::from_nanos(u64::MAX - 1)), last);
+        assert_eq!(p.next_tick_at(SimTime::from_nanos(u64::MAX)), last);
+        assert_eq!(p.next_tick_at(last), last);
     }
 
     #[test]

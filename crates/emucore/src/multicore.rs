@@ -118,13 +118,14 @@ impl CoreExecutor for InlineExecutor {
 
     fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
         let mut tick_buf = std::mem::take(&mut self.tick_buf);
-        // Iterate: tunnel arrivals can enqueue work that completes within the
-        // same pass only if latency is zero; the loop is bounded by the
-        // longest route.
+        // Iterate: a tunnel leaves at its exit deadline, so its arrival can
+        // already be due and its next hops complete within this advance;
+        // the loop is bounded by the longest route.
         loop {
-            // Deliver tunnel descriptors that have arrived.
-            while let Some((_, (target, descriptor))) = self.tunnels.pop_due(now) {
-                let _ = self.cores[target.index()].accept_tunnel(now, descriptor);
+            // Deliver tunnel descriptors that have arrived, each into its
+            // pipe at its arrival time.
+            while let Some((arrival, (target, descriptor))) = self.tunnels.pop_due(now) {
+                let _ = self.cores[target.index()].accept_tunnel(arrival, descriptor);
             }
             // Run every core's scheduler through the reusable pass buffer.
             let mut produced_tunnel = false;
@@ -136,7 +137,7 @@ impl CoreExecutor for InlineExecutor {
                         .pod
                         .get_owner(pipe)
                         .expect("route references a pipe covered by the POD");
-                    let arrival = at.max(now) + self.profile.tunnel_latency;
+                    let arrival = at + self.profile.tunnel_latency;
                     self.tunnels.push(arrival, (owner, descriptor));
                     produced_tunnel = true;
                 }
@@ -412,17 +413,11 @@ mod tests {
         assert_eq!(deliveries.len(), 1);
         // 4 hops: 4 × 1.2 ms store-and-forward + 10 ms total latency.
         let ideal = SimDuration::from_micros(4 * 1200) + SimDuration::from_millis(10);
-        let delay = deliveries[0].core_delay();
-        assert!(delay >= ideal);
-        assert!(
-            delay <= ideal + SimDuration::from_micros(400),
-            "delay {delay}"
-        );
-        assert_eq!(deliveries[0].hops, 4);
-        // Accuracy bound: error within one tick per hop.
-        assert!(emu.cores()[0]
-            .accuracy()
-            .within_bound(SimDuration::from_micros(100)));
+        let d = &deliveries[0];
+        assert_eq!(d.delivered_at - d.emulation_error, d.entered_at + ideal);
+        // Only the last exit waits for the pass that notices it: one tick.
+        assert!(d.emulation_error < SimDuration::from_micros(100));
+        assert_eq!(d.hops, 4);
     }
 
     #[test]

@@ -290,8 +290,8 @@ impl Worker {
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
             self.chaos.check_epoch(self.epoch);
             // Deliver tunnel descriptors that have arrived.
-            while let Some((_, descriptor)) = self.arrivals.pop_due(now) {
-                let _ = self.core.accept_tunnel(now, descriptor);
+            while let Some((arrival, descriptor)) = self.arrivals.pop_due(now) {
+                let _ = self.core.accept_tunnel(arrival, descriptor);
             }
             // One scheduler pass through the reusable buffer.
             let mut tick_buf = std::mem::take(&mut self.tick_buf);
@@ -303,7 +303,7 @@ impl Worker {
                     .get_owner(pipe)
                     .expect("route references a pipe covered by the POD");
                 debug_assert_ne!(owner.index(), self.me, "own pipes never tunnel");
-                let arrival = at.max(now) + self.profile.tunnel_latency;
+                let arrival = at + self.profile.tunnel_latency;
                 produced_due |= arrival <= now;
                 self.send_tunnel(
                     owner.index(),

@@ -18,8 +18,10 @@
 //! the word-wise [`checksum64`]); version 3 changed the route table's
 //! section only (the route arena chunk by chunk with `u32` pipe ids, one row
 //! per location instead of one per endpoint — see
-//! [`mn_routing::RouteTable::encode`]); frames of every earlier version
-//! still decode. What is *not* captured: application
+//! [`mn_routing::RouteTable::encode`]); version 4 dropped the state of the
+//! retired accumulating timing mode (the hardware profile's packet-debt
+//! byte and each descriptor's 8-byte accumulated error); frames of every
+//! earlier version still decode. What is *not* captured: application
 //! state (traffic sources attached to a [`crate::Emulator`] via a
 //! runner live outside the emulator; the runner documents its own policy)
 //! and coordinator scratch buffers, which are rebuilt empty.
@@ -33,7 +35,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders keep reading every earlier version and reject
 /// later ones with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -69,7 +71,7 @@ impl EmulatorSnapshot {
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
             1 => Ok(mn_util::codec::fnv1a64),
-            2 | 3 => Ok(checksum64),
+            2..=4 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

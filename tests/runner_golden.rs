@@ -16,8 +16,15 @@
 //! per location, and the runner's checksum stopped covering the nested
 //! payload a second time): the same scenario, written by the last commit
 //! whose encoder wrote v2, restoring to the same digest.
-//! `tests/data/mnrs_v3_tcp.bin` is the scenario under the current encoder,
-//! which both backends must re-create byte for byte.
+//! `tests/data/mnrs_v3_tcp.bin` is the scenario under the v3 encoder.
+//!
+//! Format v4 nests an `MNSP` v4 frame, which dropped the accumulating timing
+//! rule's state when every pipe and every tunnel came to be entered at its
+//! ideal time (see `snapshot_golden.rs`); the runner's own bytes are v3's.
+//! `tests/data/mnrs_v4_tcp.bin` is the scenario under the current encoder
+//! and timing, which both backends must re-create byte for byte. The older
+//! files keep restoring unmodified; the run from their state changed with
+//! the timing rule, so their digest was re-recorded once, at that change.
 //!
 //! Only the runner's public API is used, so the same source compiles
 //! against the commit that wrote the fixture.
@@ -32,14 +39,19 @@ use modelnet::{
 const FIXTURE: &[u8] = include_bytes!("data/mnrs_v1_tcp.bin");
 const FIXTURE_V2: &[u8] = include_bytes!("data/mnrs_v2_tcp.bin");
 const FIXTURE_V3: &[u8] = include_bytes!("data/mnrs_v3_tcp.bin");
+const FIXTURE_V4: &[u8] = include_bytes!("data/mnrs_v4_tcp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
 /// The restored run is driven on to here.
 const HORIZON: SimTime = SimTime::from_secs(4);
-/// FNV-1a over the finished run's observable state, recorded by the commit
-/// that wrote the fixture.
-const TAIL_DIGEST: u64 = 0xbd54_9729_a53d_b683;
+/// FNV-1a over the observable state of the run finished from the v1–v3
+/// fixtures. Recorded by the commit that wrote the v1 fixture; re-recorded
+/// once, when every pipe and every tunnel came to be entered at its ideal
+/// time (the same state runs on differently).
+const TAIL_DIGEST: u64 = 0x65ba_441d_6b01_fd7b;
+/// The same digest over the run finished from the v4 fixture.
+const TAIL_DIGEST_V4: u64 = 0x8199_df7f_0859_e4bd;
 
 fn build(backend: ExecutionBackend) -> (Runner, [FlowId; 2]) {
     let topo = ring_topology(&RingParams {
@@ -101,12 +113,17 @@ fn tail_digest(mut runner: Runner, flows: [FlowId; 2]) -> u64 {
 
 fn restores_into_both_backends_and_finishes_identically(fixture: &[u8], version: u8) {
     assert_eq!(fixture[..8], [0x53, 0x52, 0x4E, 0x4D, version, 0, 0, 0]);
+    let digest = if version < 4 {
+        TAIL_DIGEST
+    } else {
+        TAIL_DIGEST_V4
+    };
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, flows) = build(backend);
         runner.recover_from(fixture).expect("the fixture restores");
         assert_eq!(
             tail_digest(runner, flows),
-            TAIL_DIGEST,
+            digest,
             "the restored v{version} tail diverged on {backend:?}"
         );
     }
@@ -124,18 +141,28 @@ fn the_v2_and_v3_runner_fixtures_restore_into_both_backends_and_finish_identical
 }
 
 #[test]
-fn both_backends_reproduce_the_v3_runner_fixture_byte_for_byte() {
+fn the_v4_runner_fixture_restores_into_both_backends_and_finishes_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V4, 4);
+}
+
+#[test]
+fn both_backends_reproduce_the_v4_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE_V3,
-            "checkpoint bytes drifted from the v3 fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V4,
+            "checkpoint bytes drifted from the v4 fixture on {backend:?}"
         );
     }
-    // The parent-written v2 file holds the same run: restored and
-    // serialised again, it is the v3 file.
-    let (mut runner, _) = build(ExecutionBackend::Sequential);
-    runner.recover_from(FIXTURE_V2).unwrap();
-    assert!(runner.snapshot().unwrap() == FIXTURE_V3);
+    // The parent-written v2 file and the v3 file hold the same run:
+    // restored and serialised again, they are one v4 checkpoint.
+    let again = |fixture| {
+        let (mut runner, _) = build(ExecutionBackend::Sequential);
+        runner.recover_from(fixture).unwrap();
+        runner.snapshot().unwrap()
+    };
+    let v4 = again(FIXTURE_V2);
+    assert_eq!(v4[..8], [0x53, 0x52, 0x4E, 0x4D, 4, 0, 0, 0]);
+    assert!(v4 == again(FIXTURE_V3));
 }
 
 /// The outer sum skips the nested frame's payload and nothing else: a bit
@@ -165,14 +192,14 @@ fn a_bit_flip_in_any_byte_of_the_v3_runner_fixture_is_a_typed_error() {
 /// --nocapture`, after renaming the path below), never to overwrite an
 /// existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v3_tcp.bin"]
+#[ignore = "writes tests/data/mnrs_v4_tcp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v3_tcp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v4_tcp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, flows) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

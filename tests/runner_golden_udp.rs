@@ -7,8 +7,12 @@
 //! streams' pacing state, the runner's UDP flow table, `Udp` port bindings
 //! and pending `UdpPoll` events. `tests/data/mnrs_v3_udp.bin` was written by
 //! the encoder before those records were declared through `codec_record!`:
-//! both backends must restore it and finish on the recorded digest, and
-//! re-create it byte for byte.
+//! both backends must restore it and finish on the recorded digest.
+//! `tests/data/mnrs_v4_udp.bin` is the scenario under the current encoder
+//! and timing (`MNRS` v4: every pipe and every tunnel entered at its ideal
+//! time), which both backends must restore to the same digest and re-create
+//! byte for byte. The digest counts what was sent, received and acked, not
+//! when, so it held across that timing change.
 //!
 //! Only the runner's public API is used, so the same source compiles
 //! against the commit that wrote the fixture.
@@ -22,13 +26,14 @@ use modelnet::{
 };
 
 const FIXTURE: &[u8] = include_bytes!("data/mnrs_v3_udp.bin");
+const FIXTURE_V4: &[u8] = include_bytes!("data/mnrs_v4_udp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
 /// The restored run is driven on to here.
 const HORIZON: SimTime = SimTime::from_secs(3);
 /// FNV-1a over the finished run's observable state, recorded by the commit
-/// that wrote the fixture.
+/// that wrote the v3 fixture.
 const TAIL_DIGEST: u64 = 0x43a2_a02a_f374_57bc;
 
 fn build(backend: ExecutionBackend) -> (Runner, FlowId, [UdpFlowId; 2]) {
@@ -104,15 +109,17 @@ fn tail_digest(mut runner: Runner, bulk: FlowId, udp: [UdpFlowId; 2]) -> u64 {
 
 #[test]
 fn the_udp_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    assert_eq!(FIXTURE[..8], [0x53, 0x52, 0x4E, 0x4D, 3, 0, 0, 0]);
-    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
-        let (mut runner, bulk, udp) = build(backend);
-        runner.recover_from(FIXTURE).expect("the fixture restores");
-        assert_eq!(
-            tail_digest(runner, bulk, udp),
-            TAIL_DIGEST,
-            "the restored tail diverged on {backend:?}"
-        );
+    for (fixture, version) in [(FIXTURE, 3), (FIXTURE_V4, 4)] {
+        assert_eq!(fixture[..8], [0x53, 0x52, 0x4E, 0x4D, version, 0, 0, 0]);
+        for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+            let (mut runner, bulk, udp) = build(backend);
+            runner.recover_from(fixture).expect("the fixture restores");
+            assert_eq!(
+                tail_digest(runner, bulk, udp),
+                TAIL_DIGEST,
+                "the restored v{version} tail diverged on {backend:?}"
+            );
+        }
     }
 }
 
@@ -120,8 +127,8 @@ fn the_udp_runner_fixture_restores_into_both_backends_and_finishes_identically()
 fn both_backends_reproduce_the_udp_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE,
-            "checkpoint bytes drifted from the UDP fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V4,
+            "checkpoint bytes drifted from the v4 UDP fixture on {backend:?}"
         );
     }
 }
@@ -130,14 +137,14 @@ fn both_backends_reproduce_the_udp_runner_fixture_byte_for_byte() {
 /// format is being pinned (`cargo test --test runner_golden_udp --
 /// --ignored --nocapture`), never to overwrite an existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v3_udp.bin"]
+#[ignore = "writes tests/data/mnrs_v4_udp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v3_udp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v4_udp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, bulk, udp) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

@@ -6,7 +6,8 @@
 //! tunnels in flight, one fluid flow, one CBR injector, one compensation
 //! rate, one departed VN and one that left and rejoined. Every later commit
 //! must restore that file into either executor and finish the run on the
-//! recorded delivery digest — a fixture is never re-blessed.
+//! recorded delivery digest — the file is never re-blessed, and its digest
+//! is re-recorded only by a deliberate behaviour change (v4 below).
 //!
 //! Format v2 (PR 17) changed the frame's checksum and nothing else, so
 //! `tests/data/mnsp_v2_path4.bin` is the same scenario under that encoder:
@@ -15,14 +16,25 @@
 //!
 //! Format v3 (PR 23) changed the route table's section — the route arena
 //! chunk by chunk with `u32` pipe ids, one row per location — and nothing
-//! else: `tests/data/mnsp_v3_path4.bin` is the same scenario under the
-//! current encoder, and every later commit must (a) re-create exactly those
-//! bytes on both executors, (b) keep every other section equal to the v2
-//! file's and (c) restore it to the same digest. A failure here means the
-//! snapshot format or the emulated behaviour changed: bump
-//! `SNAPSHOT_VERSION`, keep every file decoding, and add a fixture for the
-//! new version (a layout change also needs one written by the parent
-//! commit's encoder — `mnsp_v2_mux_churn.bin` and `mnrs_v2_tcp.bin` were).
+//! else: `tests/data/mnsp_v3_path4.bin` is the same scenario under that
+//! encoder, every other section equal to the v2 file's, restoring to the
+//! same digest.
+//!
+//! Format v4 dropped the state of the accumulating timing rule — the
+//! hardware profile's packet-debt byte and each descriptor's accumulated
+//! error — when every pipe and every tunnel came to be entered at its ideal
+//! time. That is a behaviour change as well as a layout one: the v1–v3 files
+//! still restore to the state they hold, byte for byte unmodified, but the
+//! run that continues from it is a different run, so their digest was
+//! re-recorded once, at that change. `tests/data/mnsp_v4_path4.bin` is the
+//! scenario under the current encoder and timing, stopped at [`STOP_AT`] —
+//! under deadline re-entry the first 50 µs step after the old stop at which
+//! tunnels are in flight — and every later commit must re-create exactly
+//! those bytes on both executors. A failure here means the snapshot format
+//! or the emulated behaviour changed: bump `SNAPSHOT_VERSION`, keep every
+//! file decoding, and add a fixture for the new version (a layout change
+//! also needs one written by the parent commit's encoder —
+//! `mnsp_v2_mux_churn.bin` and `mnrs_v2_tcp.bin` were).
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -44,16 +56,24 @@ use modelnet::EmulatorBackend;
 const FIXTURE: &[u8] = include_bytes!("data/mnsp_v1_path4.bin");
 const FIXTURE_V2: &[u8] = include_bytes!("data/mnsp_v2_path4.bin");
 const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_path4.bin");
+const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_path4.bin");
 
-/// Virtual time the scenario is stopped (and the fixture taken) at.
-const STOP_AT: SimTime = SimTime::from_micros(4_850);
+/// Virtual time the v1–v3 fixtures were taken at.
+const STOPPED_AT: SimTime = SimTime::from_micros(4_850);
+/// Virtual time the scenario is stopped (and the v4 fixture taken) at.
+const STOP_AT: SimTime = SimTime::from_micros(4_900);
 /// The restored run is driven wakeup by wakeup up to this horizon (the CBR
 /// injector and the fluid epoch keep the emulator busy forever, so there is
 /// no idle point to run to).
 const HORIZON: SimTime = SimTime::from_millis(40);
-/// FNV-1a over the restored run's delivery stream, final counters and fluid
-/// goodput, recorded by the commit that wrote the fixture.
-const TAIL_DIGEST: u64 = 0x158f_7b58_7218_15d3;
+/// FNV-1a over the run restored from the v1–v3 fixtures: its delivery
+/// stream, final counters and fluid goodput. Recorded by the commit that
+/// wrote the v1 fixture; re-recorded once, when every pipe and every tunnel
+/// came to be entered at its ideal time (the same state runs on
+/// differently).
+const TAIL_DIGEST: u64 = 0x3eaa_6516_a126_000d;
+/// The same digest over the run restored from the v4 fixture.
+const TAIL_DIGEST_V4: u64 = 0xaeee_df54_c7ba_c8f9;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -185,11 +205,12 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
     backend.snapshot().unwrap().to_bytes()
 }
 
-/// Runs a restored emulator to [`HORIZON`] and digests everything observable.
-fn tail_digest(mut backend: EmulatorBackend) -> u64 {
+/// Runs an emulator restored at `stopped_at` to [`HORIZON`] and digests
+/// everything observable.
+fn tail_digest(mut backend: EmulatorBackend, stopped_at: SimTime) -> u64 {
     let mut w = ByteWriter::with_capacity(4096);
     let mut deliveries = Vec::new();
-    let mut now = STOP_AT;
+    let mut now = stopped_at;
     while let Some(t) = backend.next_wakeup().filter(|&t| t <= HORIZON) {
         now = now.max(t);
         deliveries.clear();
@@ -211,15 +232,38 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
 }
 
 #[test]
-fn both_executors_reproduce_the_v3_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 3, "this fixture pins format v3");
+fn both_executors_reproduce_the_v4_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 4, "this fixture pins format v4");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V3,
-            "snapshot bytes drifted from the v3 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V4,
+            "snapshot bytes drifted from the v4 fixture (threaded: {threaded})"
         );
     }
+}
+
+/// v1, v2 and v3 hold one state: restored and serialised again they are one
+/// v4 frame, which restores to that state's digest — and which is the v3
+/// file less the packet-debt byte and 8 bytes per descriptor.
+#[test]
+fn the_v1_to_v3_fixtures_re_serialise_to_one_v4_frame() {
+    let v4 = |fixture| {
+        let mut restored = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+        // Descriptors: in the cores' slabs and in the tunnels between them.
+        let stats = restored.total_stats();
+        let in_cores: usize = restored.cores().iter().map(|c| c.in_flight()).sum();
+        let descriptors = in_cores + (stats.tunnels_out - stats.tunnels_in) as usize;
+        (restored.snapshot().unwrap().to_bytes(), descriptors)
+    };
+    let (bytes, descriptors) = v4(FIXTURE_V3);
+    assert!(v4(FIXTURE).0 == bytes && v4(FIXTURE_V2).0 == bytes);
+    assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+    assert!(descriptors > 0);
+    assert_eq!(bytes.len(), FIXTURE_V3.len() - 1 - 8 * descriptors);
+    let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
+    let restored = EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
+    assert_eq!(tail_digest(restored, STOPPED_AT), TAIL_DIGEST);
 }
 
 /// v3 is v2 with another version word, another route-table section (right
@@ -264,23 +308,32 @@ fn the_v2_fixture_differs_from_v1_only_in_version_word_and_checksum() {
     assert_eq!(FIXTURE_V2[sum_at..], checksum64(payload).to_le_bytes());
 }
 
-fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
+fn restores_into_both_executors_and_finishes_identically(
+    fixture: &[u8],
+    stopped_at: SimTime,
+    digest: u64,
+) {
     let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
     let sequential = EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
-    assert_eq!(tail_digest(sequential), TAIL_DIGEST);
+    assert_eq!(tail_digest(sequential, stopped_at), digest);
     let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
-    assert_eq!(tail_digest(threaded), TAIL_DIGEST);
+    assert_eq!(tail_digest(threaded, stopped_at), digest);
 }
 
 #[test]
 fn the_v1_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE);
+    restores_into_both_executors_and_finishes_identically(FIXTURE, STOPPED_AT, TAIL_DIGEST);
 }
 
 #[test]
 fn the_v2_and_v3_fixtures_restore_into_both_executors_and_finish_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V2);
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V3);
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V2, STOPPED_AT, TAIL_DIGEST);
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V3, STOPPED_AT, TAIL_DIGEST);
+}
+
+#[test]
+fn the_v4_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V4, STOP_AT, TAIL_DIGEST_V4);
 }
 
 /// A checksum-valid v2 frame whose first route names a pipe the ownership
@@ -328,6 +381,11 @@ fn every_bit_flip_and_every_truncation_of_the_v3_fixture_is_a_typed_error() {
     every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V3);
 }
 
+#[test]
+fn every_bit_flip_and_every_truncation_of_the_v4_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V4);
+}
+
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
     let mut bytes = fixture.to_vec();
     for bit in 0..bytes.len() * 8 {
@@ -352,7 +410,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V3.to_vec();
+    let mut after_frame = FIXTURE_V4.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -367,7 +425,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V3[16..FIXTURE_V3.len() - 8]);
+    w.put_bytes(&FIXTURE_V4[16..FIXTURE_V4.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -385,15 +443,16 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v3_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v4_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v3_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v4_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
-    let digest = tail_digest(EmulatorBackend::Sequential(
-        MultiCoreEmulator::restore(&snapshot).unwrap(),
-    ));
+    let digest = tail_digest(
+        EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap()),
+        STOP_AT,
+    );
     println!("{} bytes, TAIL_DIGEST = {digest:#018x}", bytes.len());
 }

@@ -14,10 +14,15 @@
 //!
 //! Format v3 (PR 23) writes one row per location and the route arena chunk
 //! by chunk: `tests/data/mnsp_v3_mux_churn.bin` is the same scenario under
-//! the current encoder, which every later commit must re-create byte for
-//! byte on both executors — and which must restore to the digest the
-//! parent-written v2 file restores to, so the two layouts are pinned to
-//! hold the same state.
+//! that encoder, which must restore to the digest the parent-written v2
+//! file restores to, so the two layouts are pinned to hold the same state.
+//!
+//! Format v4 dropped the accumulating timing rule's state (see
+//! `snapshot_golden.rs`): `tests/data/mnsp_v4_mux_churn.bin` is the scenario
+//! under the current encoder and timing, which every later commit must
+//! re-create byte for byte. The v2 and v3 files keep restoring unmodified;
+//! the run from their state changed with the timing rule, so their digest
+//! was re-recorded once, at that change.
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -37,6 +42,7 @@ use modelnet::EmulatorBackend;
 
 const FIXTURE: &[u8] = include_bytes!("data/mnsp_v2_mux_churn.bin");
 const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_mux_churn.bin");
+const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_mux_churn.bin");
 
 const ROUTERS: usize = 8;
 /// VNs bound at each client location when the run starts.
@@ -46,9 +52,14 @@ const STOP_AT: SimTime = SimTime::from_micros(4_850);
 /// The restored run is driven wakeup by wakeup up to this horizon (the
 /// fluid epoch keeps the emulator busy forever).
 const HORIZON: SimTime = SimTime::from_millis(30);
-/// FNV-1a over the restored run's delivery stream, final counters and fluid
-/// goodput, recorded by the commit that wrote the fixture.
-const TAIL_DIGEST: u64 = 0x826b_6112_a9a6_495e;
+/// FNV-1a over the run restored from the v2 and v3 fixtures: its delivery
+/// stream, final counters and fluid goodput. Recorded by the commit that
+/// wrote the v2 fixture; re-recorded once, when every pipe and every tunnel
+/// came to be entered at its ideal time (the same state runs on
+/// differently).
+const TAIL_DIGEST: u64 = 0x861e_cb87_9fa3_6701;
+/// The same digest over the run restored from the v4 fixture.
+const TAIL_DIGEST_V4: u64 = 0x3756_c0d7_c052_e133;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -226,50 +237,61 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
 }
 
 #[test]
-fn both_executors_reproduce_the_v3_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 3, "this fixture pins format v3");
+fn both_executors_reproduce_the_v4_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 4, "this fixture pins format v4");
     assert!(FIXTURE_V3.len() < FIXTURE.len(), "25 rows became 8");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V3,
-            "snapshot bytes drifted from the v3 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V4,
+            "snapshot bytes drifted from the v4 fixture (threaded: {threaded})"
         );
     }
 }
 
 #[test]
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
-    for fixture in [FIXTURE, FIXTURE_V3] {
+    for (fixture, digest) in [
+        (FIXTURE, TAIL_DIGEST),
+        (FIXTURE_V3, TAIL_DIGEST),
+        (FIXTURE_V4, TAIL_DIGEST_V4),
+    ] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
         let sequential =
             EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
-        assert_eq!(tail_digest(sequential), TAIL_DIGEST);
+        assert_eq!(tail_digest(sequential), digest);
         let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
-        assert_eq!(tail_digest(threaded), TAIL_DIGEST);
+        assert_eq!(tail_digest(threaded), digest);
     }
 }
 
-/// The parent-written v2 file, restored and re-serialised, is the v3 file:
-/// the old decoder's table and the new encoder's bytes hold one state.
+/// The parent-written v2 file and the v3 file, restored and re-serialised,
+/// are one v4 frame: each old decoder's table and the current encoder's
+/// bytes hold one state.
 #[test]
-fn the_v2_fixture_restored_re_serialises_to_the_v3_fixture() {
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V3);
+fn the_v2_and_v3_fixtures_restored_re_serialise_to_one_v4_frame() {
+    let v4 = |fixture| {
+        let mut restored = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+        restored.snapshot().unwrap().to_bytes()
+    };
+    let bytes = v4(FIXTURE);
+    assert_eq!(bytes[4..8], 4u32.to_le_bytes());
+    assert!(bytes == v4(FIXTURE_V3));
 }
 
 /// Writes the current version's fixture and prints the digest (`cargo test
 /// --test snapshot_golden_mux -- --ignored --nocapture`, after renaming the
-/// path below — run at the parent of PR 18 for v2, at PR 23 for v3); see the
-/// module docs for why an existing file is never rewritten.
+/// path below — run before the per-location table for v2, at the chunked
+/// table for v3, at the timing change for v4); see the module docs for why
+/// an existing file is never rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v3_mux_churn.bin"]
+#[ignore = "writes tests/data/mnsp_v4_mux_churn.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/mnsp_v3_mux_churn.bin"
+        "/tests/data/mnsp_v4_mux_churn.bin"
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();

@@ -212,48 +212,6 @@ fn emulation_error_stays_within_per_hop_tick_bound() {
 }
 
 #[test]
-fn packet_debt_correction_reduces_end_to_end_error() {
-    let run = |debt: bool| -> f64 {
-        let (topo, pairs) = mn_topology::generators::path_pairs_topology(
-            &mn_topology::generators::PathPairsParams {
-                pairs: 2,
-                hops: 8,
-                ..Default::default()
-            },
-        );
-        let profile = if debt {
-            HardwareProfile::paper_core().with_debt_correction()
-        } else {
-            HardwareProfile::paper_core()
-        };
-        let mut runner = Experiment::new(topo)
-            .distillation(DistillationMode::HopByHop)
-            .hardware(profile)
-            .seed(2)
-            .allow_disconnected()
-            .build()
-            .unwrap();
-        let binding = runner.binding().clone();
-        for (s, r) in &pairs {
-            runner.add_bulk_flow(
-                binding.vn_at(*s).unwrap(),
-                binding.vn_at(*r).unwrap(),
-                None,
-                SimTime::ZERO,
-            );
-        }
-        runner.run_for(SimDuration::from_secs(3)).unwrap();
-        runner.emulator().cores()[0].accuracy().mean_error_us()
-    };
-    let without = run(false);
-    let with = run(true);
-    assert!(
-        with <= without,
-        "debt correction should not increase mean error ({with} vs {without})"
-    );
-}
-
-#[test]
 fn cfs_download_completes_over_the_ron_mesh() {
     let mesh = ron_mesh(&RonMeshParams::default());
     let mut runner = Experiment::new(mesh.topology)
