@@ -471,14 +471,15 @@ impl Codec for Event {
 /// version independently.
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
-/// Current runner snapshot format version, the only one written. Version 4
-/// is version 3 nesting an `MNSP` version 4 frame. Version 3 nests an `MNSP`
-/// version 3 frame and stopped summing that frame's payload a second time:
-/// its checksum covers the runner's own fields and the nested frame's header
-/// and checksum ([`checksum_around_emulator_frame`]). Version 2 changed the
-/// frame checksum (FNV-1a to [`checksum64`]) and nothing else; version-1
-/// frames still restore.
-const RUNNER_SNAPSHOT_VERSION: u32 = 4;
+/// Current runner snapshot format version, the only one written. Versions 4
+/// and 5 are version 3 nesting an `MNSP` frame of their own version. Version
+/// 3 nests an `MNSP` version 3 frame and stopped summing that frame's
+/// payload a second time: its checksum covers the runner's own fields and
+/// the nested frame's header and checksum
+/// ([`checksum_around_emulator_frame`]). Version 2 changed the frame
+/// checksum (FNV-1a to [`checksum64`]) and nothing else; version-1 frames
+/// still restore.
+const RUNNER_SNAPSHOT_VERSION: u32 = 5;
 
 /// The `MNRS` version 3 sum of a payload: the virtual clock, a length and
 /// the `MNSP` frame of that length lead it, and everything but that frame's
@@ -1179,7 +1180,7 @@ impl Runner {
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
                 1 => Ok(mn_util::codec::fnv1a64),
                 2 => Ok(checksum64),
-                3 | 4 => Ok(checksum_around_emulator_frame),
+                3..=5 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::{PipeAttrs, PipeId};
-use mn_pipe::{CbrConfig, EmuPipe, EnqueueOutcome, PipeStats, QueueDiscipline};
+use mn_pipe::{CbrConfig, EmuPipe, EnqueueOutcome, PipeStats};
 use mn_routing::RouteTable;
 use mn_util::rngs::derived_rng;
 use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration};
@@ -54,7 +54,7 @@ pub enum IngressOutcome {
     /// interrupt handling is starved.
     PhysicalDropCpu,
     /// The packet was dropped by the first pipe's admission (virtual drop:
-    /// queue overflow, random loss or RED), or that pipe is a failed link
+    /// queue overflow or random loss), or that pipe is a failed link
     /// (counted in [`CoreStats::dropped_unreachable`]).
     VirtualDrop,
 }
@@ -161,7 +161,8 @@ pub struct TickOutput {
     /// destination edge node.
     pub deliveries: Vec<Delivery>,
     /// Descriptors whose next pipe is owned by another core, together with
-    /// that pipe and the time they left their previous pipe.
+    /// that pipe and their arrival there: the ideal time they left their
+    /// previous pipe plus the profile's `tunnel_latency`.
     pub tunnels: Vec<(PipeId, Descriptor, SimTime)>,
 }
 
@@ -214,7 +215,10 @@ enum Entering {
     Held(Slot),
 }
 
-/// One emulation core.
+/// One emulation core. It owns what is addressed to it: a descriptor
+/// tunnelled here is the core's from the moment the executor hands it over
+/// ([`EmulatorCore::receive_tunnel`]), waiting in its inbox until the first
+/// pass at or after its arrival admits it.
 #[derive(Debug, Clone)]
 pub struct EmulatorCore {
     id: CoreId,
@@ -249,6 +253,11 @@ pub struct EmulatorCore {
     /// the ideal time they left their previous one, staged until the end of
     /// the current (or next) tick copies them out as tunnel requests.
     pending_remote: Vec<(PipeId, Slot, SimTime)>,
+    /// Tunnels addressed to this core, keyed by arrival time, in the order
+    /// the executor filed them ([`EmulatorCore::receive_tunnel`]); a pass
+    /// admits the due ones before anything else. Not in the slab: a
+    /// descriptor takes a slot only once a pipe here accepts it.
+    pub(crate) inbox: TimerWheel<Descriptor>,
     /// Scheduled CBR background injectors on locally owned pipes, in
     /// installation order (the injection order, identical on both
     /// execution backends).
@@ -294,6 +303,7 @@ impl EmulatorCore {
             slab: Vec::new(),
             free: Vec::new(),
             pending_remote: Vec::new(),
+            inbox: TimerWheel::new(),
             cbr: Vec::new(),
             fluid_total_bps: 0,
             fluid_last: SimTime::ZERO,
@@ -316,23 +326,13 @@ impl EmulatorCore {
         self.id
     }
 
-    /// Installs a pipe on this core with the default FIFO discipline.
+    /// Installs a pipe on this core.
     ///
     /// # Panics
     ///
     /// Panics if the pipe id is outside the table this core was sized for.
     pub fn install_pipe(&mut self, pipe: PipeId, attrs: PipeAttrs) {
         self.pipes[pipe.index()] = Some(EmuPipe::new(attrs));
-    }
-
-    /// Installs a pipe with an explicit queueing discipline.
-    pub fn install_pipe_with_discipline(
-        &mut self,
-        pipe: PipeId,
-        attrs: PipeAttrs,
-        discipline: QueueDiscipline,
-    ) {
-        self.pipes[pipe.index()] = Some(EmuPipe::with_discipline(attrs, discipline));
     }
 
     /// Returns `true` if this core owns the pipe.
@@ -470,7 +470,6 @@ impl EmulatorCore {
             total.dequeued += s.dequeued;
             total.dropped_overflow += s.dropped_overflow;
             total.dropped_loss += s.dropped_loss;
-            total.dropped_red += s.dropped_red;
             total.bytes_out += s.bytes_out;
         }
         total
@@ -492,15 +491,15 @@ impl EmulatorCore {
     }
 
     /// Earliest time at which this core has scheduler work due, rounded up to
-    /// its tick boundary. Covers both pipe deadlines and descriptors staged
-    /// for tunnelling to a peer core.
+    /// its tick boundary. Covers pipe deadlines, descriptors staged for
+    /// tunnelling to a peer core and tunnels arriving here.
     pub fn next_wakeup(&self) -> Option<SimTime> {
         let heap_next = self.wheel.peek_time();
         let staged_next = self.pending_remote.iter().map(|(_, _, t)| *t).min();
         // An installed CBR injector keeps the core perpetually busy: its
         // next injection is always due work (background load never stops).
         let cbr_next = self.cbr.iter().map(|s| s.next_at).min();
-        [heap_next, staged_next, cbr_next]
+        [heap_next, staged_next, self.inbox.peek_time(), cbr_next]
             .into_iter()
             .flatten()
             .min()
@@ -575,19 +574,52 @@ impl EmulatorCore {
         self.enter_pipe(now, first, size, Entering::New(descriptor))
     }
 
-    /// Accepts a descriptor tunnelled from a peer core into its next pipe
-    /// (installed locally) at `arrival`, the tunnel's ideal arrival time.
-    pub fn accept_tunnel(&mut self, arrival: SimTime, descriptor: Descriptor) -> IngressOutcome {
+    /// Files a descriptor a peer core tunnelled here, arriving at `arrival`:
+    /// the first [`EmulatorCore::tick_into`] at or after that time admits it
+    /// into its next pipe, which must be installed on this core. Tunnels of
+    /// one arrival time are admitted in the order they were filed.
+    pub fn receive_tunnel(&mut self, arrival: SimTime, descriptor: Descriptor) {
+        self.inbox.push(arrival, descriptor);
+    }
+
+    /// [`EmulatorCore::receive_tunnel`] for a tunnel read from a checkpoint,
+    /// refused unless this core can admit it: its route and hop must
+    /// [fit](Descriptor::fits) and its next pipe be installed here (a
+    /// complete route would be counted in and never out, a peer's pipe
+    /// would send it on again at a second NIC/CPU cost).
+    pub(crate) fn receive_restored(
+        &mut self,
+        arrival: SimTime,
+        descriptor: Descriptor,
+    ) -> Result<(), CodecError> {
+        if !descriptor.fits(&self.routes) {
+            return Err(CodecError::Invalid("descriptor route or hop out of range"));
+        }
+        if !descriptor
+            .next_pipe(&self.routes)
+            .is_some_and(|pipe| self.owns_pipe(pipe))
+        {
+            return Err(CodecError::Invalid(
+                "tunnel's next pipe is not installed on its target",
+            ));
+        }
+        self.receive_tunnel(arrival, descriptor);
+        Ok(())
+    }
+
+    /// Admits a tunnelled descriptor into its next pipe (installed locally)
+    /// at `arrival`, the tunnel's ideal arrival time. A drop is counted
+    /// where it happens, by the NIC/CPU model or the pipe.
+    fn accept_tunnel(&mut self, arrival: SimTime, descriptor: Descriptor) {
         self.stats.tunnels_in += 1;
         let wire = tunnel_wire_bytes(&self.profile, &descriptor);
-        if let Err(dropped) = self.arrive(arrival, wire, self.profile.tunnel_cpu) {
-            return dropped;
+        if self.arrive(arrival, wire, self.profile.tunnel_cpu).is_err() {
+            return;
         }
-        let size = descriptor.packet.size;
-        match descriptor.next_pipe(&self.routes) {
-            Some(pipe) => self.enter_pipe(arrival, pipe, size, Entering::New(descriptor)),
-            // A tunnel is only ever sent toward a pipe of the route.
-            None => IngressOutcome::Accepted,
+        // A tunnel is only ever filed toward a pipe of its route.
+        if let Some(pipe) = descriptor.next_pipe(&self.routes) {
+            let size = descriptor.packet.size;
+            self.enter_pipe(arrival, pipe, size, Entering::New(descriptor));
         }
     }
 
@@ -677,13 +709,18 @@ impl EmulatorCore {
         out
     }
 
-    /// Runs one scheduler pass at time `now`: moves every descriptor whose
-    /// pipe deadline has passed to its next pipe, its destination edge node,
-    /// or a peer core. `out` is cleared and refilled; with a warmed
-    /// `TickOutput` the pass performs no heap allocation. A next pipe or
-    /// tunnel is entered at the exit deadline just popped, so every hop due
-    /// by `now` completes in this pass.
+    /// Runs one scheduler pass at time `now`: admits the tunnels that have
+    /// arrived, then moves every descriptor whose pipe deadline has passed
+    /// to its next pipe, its destination edge node, or a peer core. `out` is
+    /// cleared and refilled; with a warmed `TickOutput` the pass performs no
+    /// heap allocation. A next pipe or tunnel is entered at the exit
+    /// deadline just popped, so every hop due by `now` completes in this
+    /// pass.
     pub fn tick_into(&mut self, now: SimTime, out: &mut TickOutput) {
+        // Each at its own arrival, so before the CPU is credited up to now.
+        while let Some((arrival, descriptor)) = self.inbox.pop_due(now) {
+            self.accept_tunnel(arrival, descriptor);
+        }
         self.credit_cpu(now);
         out.clear();
 
@@ -736,13 +773,14 @@ impl EmulatorCore {
             self.stats.tunnels_out += 1;
             self.cpu_backlog += self.profile.tunnel_cpu;
             self.stats.bytes_out += tunnel_wire_bytes(&self.profile, &descriptor);
-            out.tunnels.push((pipe, descriptor, at));
+            out.tunnels
+                .push((pipe, descriptor, at + self.profile.tunnel_latency));
         }
     }
 
     /// Number of packets currently inside this core: in one of its pipes or
-    /// staged for tunnelling to a peer. O(1) — it is the number of occupied
-    /// slab slots.
+    /// staged for tunnelling to a peer (not those still in its inbox). O(1)
+    /// — it is the number of occupied slab slots.
     pub fn in_flight(&self) -> usize {
         self.slab.len() - self.free.len()
     }
@@ -763,12 +801,12 @@ impl EmulatorCore {
 
 impl EmulatorCore {
     /// Serializes this core's complete emulation state for a checkpoint:
-    /// every installed pipe (attributes, discipline, RED average, drain
-    /// clock, stats, fluid demand and in-flight packets in queue order), the
-    /// scheduler wheel's pending entries in pop order (stale entries
-    /// included, so the restored wheel services deadlines identically),
-    /// staged tunnel descriptors, CBR meters, the fluid/CPU/NIC accounting,
-    /// counters, the accuracy log and the RNG stream position. Slot handles
+    /// every installed pipe (attributes, drain clock, stats, fluid demand
+    /// and in-flight packets in queue order), the scheduler wheel's pending
+    /// entries in pop order (stale entries included, so the restored wheel
+    /// services deadlines identically), staged tunnel descriptors, CBR
+    /// meters, the fluid/CPU/NIC accounting, counters, the accuracy log, the
+    /// RNG stream position and the inbox in pop order. Slot handles
     /// are resolved: each queue position carries its descriptor, so neither
     /// a handle's value nor the free list reaches the bytes. The hardware
     /// profile and route table are shared emulator-level state and are
@@ -811,6 +849,12 @@ impl EmulatorCore {
         self.rx_tokens.put(w);
         self.rx_last_refill.put(w);
         (self.stats, self.accuracy, self.rng.state()).put(w);
+        let inbox = self.inbox.entries_in_order();
+        w.put_len(inbox.len());
+        for (arrival, descriptor) in inbox {
+            arrival.put(w);
+            descriptor.put(w);
+        }
     }
 
     /// Rebuilds a core from [`EmulatorCore::encode_state`] output. `profile`
@@ -821,7 +865,10 @@ impl EmulatorCore {
     /// the encoded core's looked like. Every descriptor must
     /// [fit](Descriptor::fits) `routes`; a wheel entry and a CBR source must
     /// name a pipe installed here, a staged tunnel one that `pod` gives to a
-    /// peer. `version` is the `MNSP` frame's ([`Descriptor::get_versioned`]).
+    /// peer, and a tunnel in the inbox must be one this core can admit
+    /// ([`EmulatorCore::receive_restored`]). `version` is the `MNSP` frame's
+    /// ([`Descriptor::get_versioned`], [`EmuPipe::get_with`]); before 5 a core
+    /// had no inbox and the frame carried every tunnel in flight.
     pub fn decode_state(
         r: &mut ByteReader,
         version: u32,
@@ -841,7 +888,12 @@ impl EmulatorCore {
         let mut pipes = Vec::with_capacity(pipe_slots);
         for _ in 0..pipe_slots {
             pipes.push(match bool::get(r)? {
-                true => Some(EmuPipe::get_with(r, Descriptor::MIN_BYTES, &mut to_slab)?),
+                true => Some(EmuPipe::get_with(
+                    r,
+                    version,
+                    Descriptor::MIN_BYTES,
+                    &mut to_slab,
+                )?),
                 false => None,
             });
         }
@@ -877,7 +929,7 @@ impl EmulatorCore {
         let (cpu_backlog, cpu_busy_total, cpu_last_credit) = Codec::get(r)?;
         let (started_at, last_seen, rx_tokens, rx_last_refill) = Codec::get(r)?;
         let (stats, accuracy, rng_state) = Codec::get(r)?;
-        Ok(EmulatorCore {
+        let mut core = EmulatorCore {
             id,
             profile,
             routes,
@@ -886,6 +938,7 @@ impl EmulatorCore {
             slab,
             free: Vec::new(),
             pending_remote,
+            inbox: TimerWheel::new(),
             cbr,
             fluid_total_bps,
             fluid_last,
@@ -900,7 +953,14 @@ impl EmulatorCore {
             stats,
             accuracy,
             rng: StdRng::from_state(rng_state),
-        })
+        };
+        if version >= 5 {
+            for _ in 0..r.get_count(<(SimTime, Descriptor)>::MIN_BYTES)? {
+                let (arrival, descriptor) = Codec::get(r)?;
+                core.receive_restored(arrival, descriptor)?;
+            }
+        }
+        Ok(core)
     }
 }
 
@@ -959,17 +1019,14 @@ mod tests {
         mn_util::codec::record_contract((CoreId(2), PipeId(9), mn_topology::NodeId(4)));
     }
 
-    /// A RED pipe mid-run beside a drop-tail one carrying a CBR meter, a
-    /// tunnel staged for a peer: its core's checkpoint bytes, pinned by their
-    /// length and sum — no golden fixture runs RED. First recorded by the
-    /// encoder before the pipe and core records were declared through
-    /// `codec_record!` (5 333 B, `0xb042_ee58_03a2_7023`); re-recorded once
-    /// when every hop came to be entered at its predecessor's exit deadline
-    /// and descriptors lost their accumulated-error word (`MNSP` v4).
+    /// A lossy pipe overflowing mid-run beside one carrying a CBR meter, a
+    /// tunnel staged for a peer and one waiting in the inbox: its core's
+    /// checkpoint bytes, pinned by their length and sum — no golden fixture
+    /// draws a random loss. Recorded once, at `MNSP` v5, when RED retired
+    /// and tunnels in flight moved into their target core.
     #[test]
-    fn a_red_core_encodes_to_its_pinned_bytes() {
+    fn a_lossy_core_encodes_to_its_pinned_bytes() {
         use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
-        use mn_pipe::RedParams;
 
         let mut table = RouteTable::new(2);
         let local = table.intern(&[PipeId(0), PipeId(1)]);
@@ -981,13 +1038,7 @@ mod tests {
             loss_rate: 0.01,
             ..PipeAttrs::new(DataRate::from_mbps(2), SimDuration::from_millis(3))
         };
-        let red = RedParams {
-            min_threshold: 3.0,
-            max_threshold: 25.0,
-            max_drop_probability: 0.2,
-            weight: 0.05,
-        };
-        core.install_pipe_with_discipline(PipeId(0), attrs, QueueDiscipline::Red(red));
+        core.install_pipe(PipeId(0), attrs);
         core.install_pipe(PipeId(1), attrs);
         let cbr = CbrConfig::new(DataRate::from_kbps(300), ByteSize::from_bytes(500));
         assert!(core.set_pipe_cbr(PipeId(1), Some(cbr), SimTime::from_millis(1)));
@@ -1013,14 +1064,18 @@ mod tests {
                 core.tick(now);
             }
         }
+        let arrives = SimTime::from_millis(50);
+        let mut crossing = Descriptor::new(packet(95, arrives), remote, SimTime::from_millis(45));
+        crossing.hop = 1;
+        core.receive_tunnel(arrives, crossing);
         let pipe = core.pipe_stats(PipeId(0)).unwrap();
-        assert!(pipe.dropped_red > 0 && pipe.dropped_loss > 0 && pipe.dropped_overflow == 0);
+        assert!(pipe.dropped_loss > 0 && pipe.dropped_overflow > 0);
         assert!(core.in_flight() > 0 && !core.pending_remote.is_empty());
         let mut w = mn_util::ByteWriter::new();
         core.encode_state(&mut w);
         assert_eq!(
             (w.len(), mn_util::codec::checksum64(w.as_slice())),
-            (4_903, 0x2889_01c0_cbaa_9c53)
+            (5_473, 0xfb87_5658_3761_8ee4)
         );
     }
 
@@ -1250,7 +1305,7 @@ mod tests {
             assert_eq!(core.in_flight(), 0);
             assert_eq!(core.free.len(), core.slab.len());
             assert_eq!(core.stats().tunnels_out, 2);
-            let [(short_pipe, short, _), (long_pipe, long, left_at)] = &tunnels[..] else {
+            let [(short_pipe, short, _), (long_pipe, long, arrival)] = &tunnels[..] else {
                 panic!("two tunnels, got {}", tunnels.len())
             };
             assert_eq!(
@@ -1261,12 +1316,16 @@ mod tests {
             // bookkeeping travel with the copy.
             assert_eq!((*long_pipe, long.packet.id.0, long.hop), (PipeId(2), 1, 2));
             assert_eq!(long.entered_at, now);
-            assert!(*left_at > now);
+            assert!(*arrival > now);
 
-            // The peer's side: accepting the copy takes a slot there.
+            // The peer's side: the copy waits in the inbox, slot-free, for
+            // the pass at its arrival, which admits it into a slot.
             let (mut peer, _) = core_owning(&[2, 3], HardwareProfile::unconstrained());
-            assert!(peer.accept_tunnel(*left_at, long.clone()).is_accepted());
-            assert_eq!(peer.in_flight(), 1);
+            peer.receive_tunnel(*arrival, long.clone());
+            let wakeup = peer.profile.next_tick_at(*arrival);
+            assert_eq!((peer.in_flight(), peer.next_wakeup()), (0, Some(wakeup)));
+            assert!(peer.tick(wakeup).tunnels.is_empty());
+            assert_eq!((peer.in_flight(), peer.stats().tunnels_in), (1, 1));
             let (delivered, tunnelled) = drain(&mut peer);
             assert_eq!((delivered, tunnelled, peer.in_flight()), (1, 0, 0));
         }
@@ -1379,10 +1438,11 @@ mod tests {
                     mn_util::CodecError::Invalid(what)
                 );
             }
-            // What the encoder writes of a staged tunnel and a CBR source
-            // passes: both re-serialise.
+            // What the encoder writes of a staged tunnel, a tunnel in the
+            // inbox and a CBR source passes: all three re-serialise.
             let mut sound = decode(&bytes).unwrap();
             stage(&mut sound, 2);
+            sound.receive_tunnel(SimTime::from_millis(3), sound.slab[0].clone());
             sound.cbr.push(cbr(0, SimDuration::from_millis(1)));
             let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
             sound.encode_state(&mut w);

@@ -19,7 +19,6 @@ use mn_packet::{Packet, VnId};
 use mn_pipe::CbrConfig;
 use mn_routing::{RouteId, RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
-use mn_util::TimerWheel;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome};
@@ -121,29 +120,25 @@ pub enum Dispatch {
 }
 
 /// Where the cores run. The coordinator owns all global state and calls
-/// down through this surface only; an executor owns the [`EmulatorCore`]s
-/// and the descriptors tunnelling between them, and nothing else.
+/// down through this surface only; an executor owns the [`EmulatorCore`]s,
+/// each holding the tunnels addressed to it, carries tunnelled descriptors
+/// from core to core, and nothing else.
 ///
 /// # Contract
 ///
 /// Results must be bit-identical to running the cores inline: admissions
 /// and `apply` take effect on the named core in call order, and `advance`
-/// reproduces the round structure *accept due tunnels → tick every core →
-/// exchange fresh tunnels → repeat while one is already due*, appending
-/// deliveries round-major, core-major. After any call returns, `stats` and
-/// `next_wakeup` reflect it. An executor that can fail (a dead or stalled
-/// worker) reports [`EmuError`] from the failing call and from every call
-/// after it, and `health` says so without touching a core.
+/// reproduces the round structure *tick every core → hand each fresh tunnel
+/// to its owner ([`EmulatorCore::receive_tunnel`]) → repeat while one is
+/// already due*, appending deliveries round-major, core-major, and filing
+/// tunnels round-major, source-core-major. After any call returns, `stats`
+/// and `next_wakeup` reflect it. An executor that can fail (a dead or
+/// stalled worker) reports [`EmuError`] from the failing call and from every
+/// call after it, and `health` says so without touching a core.
 pub trait CoreExecutor: Sized {
-    /// Takes ownership of the cores (in core order) and of the tunnels in
-    /// flight between them, keyed by arrival time and tagged with their
-    /// target.
-    fn from_cores(
-        cores: Vec<EmulatorCore>,
-        tunnels: TimerWheel<(CoreId, Descriptor)>,
-        pod: Arc<PipeOwnershipDirectory>,
-        profile: HardwareProfile,
-    ) -> Self;
+    /// Takes ownership of the cores, in core order; `pod` names the core a
+    /// tunnel is for.
+    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self;
 
     /// Number of cores.
     fn core_count(&self) -> usize;
@@ -154,8 +149,7 @@ pub trait CoreExecutor: Sized {
     /// One core's counters.
     fn stats(&self, core: CoreId) -> Option<CoreStats>;
 
-    /// Earliest tick-rounded time any core, or any tunnel in flight, has
-    /// work due.
+    /// Earliest tick-rounded time any core has work due.
     fn next_wakeup(&self) -> Option<SimTime>;
 
     /// The one admission path (`submit` is a batch of one): settles each
@@ -178,15 +172,10 @@ pub trait CoreExecutor: Sized {
     /// Installs `routes` on every core.
     fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError>;
 
-    /// The executor's share of a checkpoint: lends the tunnels in flight to
-    /// `head` (the coordinator's sections that precede the cores), then
-    /// appends the core count and every core's state in core order, each
-    /// encoded where it lives — nothing is cloned. Read-only: nothing ticks.
-    fn encode_cores(
-        &mut self,
-        w: &mut ByteWriter,
-        head: impl FnOnce(&mut ByteWriter, &TimerWheel<(CoreId, Descriptor)>),
-    ) -> Result<(), EmuError>;
+    /// The executor's share of a checkpoint: appends the core count and
+    /// every core's state in core order, each encoded where it lives —
+    /// nothing is cloned. Read-only: nothing ticks.
+    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError>;
 }
 
 /// A packet's route and first pipe ([`RouteTable::first_hop`]).
@@ -365,7 +354,7 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         let pod = Arc::new(pod);
         Emulator {
-            exec: X::from_cores(cores, TimerWheel::new(), pod.clone(), profile),
+            exec: X::from_cores(cores, pod.clone()),
             pod,
             profile,
             matrix,
@@ -922,24 +911,9 @@ impl<X: CoreExecutor> Emulator<X> {
         admission.vn_entry_core.iter().for_each(|core| core.put(w));
         admission.vn_active.iter().for_each(|active| active.put(w));
         core_load.put(w);
-        exec.encode_cores(w, |w, tunnels| {
-            // Canonical tunnel order: (arrival time, target core), with
-            // per-target FIFO preserved by the stable sort. Same-time tunnels
-            // to *different* targets commute (each `accept_tunnel` touches
-            // only its own core), so sorting does not change the restored run
-            // — it makes the encoding independent of how the executor kept
-            // the tunnels, so snapshots are byte-identical across executors
-            // and snapshot → restore → snapshot is byte-stable.
-            let mut tunnels = tunnels.entries_in_order();
-            tunnels.sort_by_key(|&(time, &(target, _))| (time, target.index()));
-            w.put_len(tunnels.len());
-            for (time, (target, descriptor)) in tunnels {
-                (time, *target).put(w);
-                descriptor.put(w);
-            }
-            admission.local_deliveries.put(w);
-            fluid.put(w);
-        })?;
+        admission.local_deliveries.put(w);
+        fluid.put(w);
+        exec.encode_cores(w)?;
         w.end_frame(frame);
         Ok(())
     }
@@ -965,17 +939,19 @@ impl<X: CoreExecutor> Emulator<X> {
     }
 
     /// The one decoder, over a verified payload of format `version` (which
-    /// selects the route table's layout, and whether the hardware profile
-    /// and every descriptor carry the retired timing fields). The checksum
-    /// only says the bytes are the ones written; every index the run phase
-    /// later uses unchecked — entry cores, the load vector, tunnel targets,
-    /// the per-VN tables against the route table, each route's pipes
-    /// against the ownership directory, each descriptor's route and hop,
-    /// the fluid solver's per-pipe vectors against the directory — is
-    /// checked here, so a hand-built or damaged snapshot is a typed error
-    /// here, not an out-of-bounds panic on the forwarding path. The frame is
-    /// written out rather than declared because those checks need what was
-    /// read before them.
+    /// selects the route table's layout, whether the hardware profile and
+    /// every descriptor carry the retired timing fields and every pipe the
+    /// retired RED ones, and whether tunnels in flight sit in a section of
+    /// their own or in their target cores). The checksum only says the bytes
+    /// are the ones written; every index the run phase later uses unchecked
+    /// — entry cores, the load vector, tunnel targets, the per-VN tables
+    /// against the route table, each route's pipes against the ownership
+    /// directory, each descriptor's route and hop, the fluid solver's
+    /// per-pipe vectors against the directory — is checked here, so a
+    /// hand-built or damaged snapshot is a typed error here, not an
+    /// out-of-bounds panic on the forwarding path. The frame is written out
+    /// rather than declared because those checks need what was read before
+    /// them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
@@ -1042,17 +1018,15 @@ impl<X: CoreExecutor> Emulator<X> {
         if entering != core_load {
             return Err(Invalid("core load is not the active VNs per entry core"));
         }
-        let mut tunnels = TimerWheel::new();
-        for _ in 0..r.get_count(<(SimTime, CoreId, Descriptor)>::MIN_BYTES)? {
-            let (time, target) = <(SimTime, CoreId)>::get(r)?;
-            let descriptor = Descriptor::get_versioned(r, version)?;
-            if target.index() >= core_count {
-                return Err(Invalid("tunnel target out of range"));
+        // Before v5 the tunnels in flight had a section of their own, a
+        // stable sort of one wheel by (time, target): per target, the order
+        // they arrive in. They are filed once the cores are read.
+        let mut tunnels = Vec::new();
+        if version < 5 {
+            for _ in 0..r.get_count(<(SimTime, CoreId, Descriptor)>::MIN_BYTES)? {
+                let (time, target) = <(SimTime, CoreId)>::get(r)?;
+                tunnels.push((time, target, Descriptor::get_versioned(r, version)?));
             }
-            if !descriptor.fits(&routes) {
-                return Err(Invalid("descriptor route or hop out of range"));
-            }
-            tunnels.push(time, (target, descriptor));
         }
         let local_deliveries = Vec::<Delivery>::get(r)?;
         let fluid = FluidState::get(r)?;
@@ -1072,8 +1046,13 @@ impl<X: CoreExecutor> Emulator<X> {
             cores.push(core);
         }
         r.finish()?;
+        for (time, target, descriptor) in tunnels {
+            let core = cores.get_mut(target.index());
+            let core = core.ok_or(Invalid("tunnel target out of range"))?;
+            core.receive_restored(time, descriptor)?;
+        }
         Ok(Emulator {
-            exec: X::from_cores(cores, tunnels, pod.clone(), profile),
+            exec: X::from_cores(cores, pod.clone()),
             pod,
             profile,
             matrix,
@@ -1117,6 +1096,13 @@ mod tests {
         Emulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile, 11)
     }
 
+    /// The core owning pipe `hop` of route 0.
+    fn owner_of_hop(emu: &MultiCoreEmulator, hop: usize) -> usize {
+        emu.pod
+            .owner(emu.route_table().pipes(RouteId(0))[hop])
+            .index()
+    }
+
     /// A tunnel in flight to `target`, `hop` pipes into `route`.
     fn stage_tunnel(emu: &mut MultiCoreEmulator, target: usize, route: RouteId, hop: usize) {
         let flow = FlowKey {
@@ -1134,13 +1120,13 @@ mod tests {
         let mut descriptor = Descriptor::new(packet, route, SimTime::ZERO);
         descriptor.hop = hop;
         let arrival = SimTime::from_millis(1);
-        emu.exec.tunnels.push(arrival, (CoreId(target), descriptor));
+        emu.exec.cores[target].receive_tunnel(arrival, descriptor);
     }
 
     #[test]
     fn restore_rejects_out_of_range_indices() {
         type Corrupt = fn(&mut MultiCoreEmulator);
-        let hostile: [(&str, Corrupt); 10] = [
+        let hostile: [(&str, Corrupt); 11] = [
             ("VN entry core out of range", |e| {
                 e.admission.vn_entry_core[3] = CoreId(99);
             }),
@@ -1161,9 +1147,6 @@ mod tests {
             ("VN location is not where the route table binds it", |e| {
                 e.admission.vn_location[0] = e.admission.vn_location[7];
             }),
-            ("tunnel target out of range", |e| {
-                stage_tunnel(e, 99, RouteId(0), 0);
-            }),
             ("descriptor route or hop out of range", |e| {
                 let routes = e.route_table().route_count() as u32;
                 stage_tunnel(e, 1, RouteId(routes), 0);
@@ -1171,6 +1154,16 @@ mod tests {
             ("descriptor route or hop out of range", |e| {
                 let hops = e.route_table().pipes(RouteId(0)).len();
                 stage_tunnel(e, 1, RouteId(0), hops + 1);
+            }),
+            // A complete route: counted in, never out.
+            ("tunnel's next pipe is not installed on its target", |e| {
+                let hops = e.route_table().pipes(RouteId(0)).len();
+                stage_tunnel(e, 1, RouteId(0), hops);
+            }),
+            // A peer's pipe: sent on again, at a second NIC/CPU cost.
+            ("tunnel's next pipe is not installed on its target", |e| {
+                let elsewhere = 1 - owner_of_hop(e, 0);
+                stage_tunnel(e, elsewhere, RouteId(0), 0);
             }),
             // Accepted at submit, then the first advance asks the directory
             // for pipe 9 999's owner.
@@ -1191,12 +1184,14 @@ mod tests {
                 CodecError::Invalid(what)
             );
         }
-        // What the encoder writes passes every check, staged tunnels at
-        // either end of their route included.
+        // What the encoder writes passes every check, tunnels at either end
+        // of their route, each with the owner of its next pipe, included.
         let mut source = ring_emulator();
-        let hops = source.route_table().pipes(RouteId(0)).len();
-        stage_tunnel(&mut source, 0, RouteId(0), 0);
-        stage_tunnel(&mut source, 1, RouteId(0), hops);
+        let last = source.route_table().pipes(RouteId(0)).len() - 1;
+        for hop in [0, last] {
+            let owner = owner_of_hop(&source, hop);
+            stage_tunnel(&mut source, owner, RouteId(0), hop);
+        }
         let snapshot = source.snapshot().unwrap();
         let mut restored = MultiCoreEmulator::restore(&snapshot).unwrap();
         assert!(restored.snapshot().unwrap() == snapshot);

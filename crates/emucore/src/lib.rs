@@ -16,12 +16,14 @@
 //! State has one owner, everything else is a command:
 //!
 //! * An [`EmulatorCore`] owns its pipes, its timing wheel, its RNG, its
-//!   NIC/CPU admission model and the descriptors of the packets inside it
-//!   outright. A descriptor is written into the core's slab at admission,
-//!   updated in place per hop and copied out once, at delivery or tunnel;
-//!   pipes and the wheel carry 4-byte slot handles and deadlines. Nothing
-//!   outside the core mutates any of it; the only things that cross between
-//!   cores are tunnelled descriptors, by value — handles never do.
+//!   NIC/CPU admission model, the descriptors of the packets inside it and
+//!   the tunnels addressed to it (its inbox) outright. A descriptor is
+//!   written into the core's slab at admission, updated in place per hop
+//!   and copied out once, at delivery or tunnel; pipes and the wheel carry
+//!   4-byte slot handles and deadlines. Nothing outside the core mutates any
+//!   of it; the only things that cross between cores are tunnelled
+//!   descriptors, by value, from one core's output to another's inbox —
+//!   handles never do.
 //! * [`Emulator`] — the coordinator — owns everything global: the routing
 //!   matrix, the published `Arc<RouteTable>`, VN location / entry-core /
 //!   membership tables, the per-core load vector, the fluid solver
@@ -31,7 +33,7 @@
 //!   body, there.
 //! * A [`CoreExecutor`] decides only where the cores run and carries the
 //!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
-//!   `Vec<EmulatorCore>` plus one shared tunnel wheel on the calling thread;
+//!   `Vec<EmulatorCore>` on the calling thread;
 //!   [`ThreadedExecutor`] gives each core an OS thread behind SPSC rings
 //!   and is the only place that knows about abort flags, heartbeats, the
 //!   stall watchdog and failure poisoning.
@@ -42,12 +44,13 @@
 //! sequence of matrix updates, route-table generations, entry-core
 //! assignments, fluid solves and per-core commands is literally the same
 //! code. On the executor side it holds by protocol: the threaded executor's
-//! epoch markers reproduce the inline executor's rounds (accept due tunnels
-//! → tick every core → exchange → repeat while one is due), tunnels are
-//! filed in the inline wheel's `(time, seq)` order, and deliveries are
-//! concatenated round-major, core-major (see [`parallel`]). The determinism,
-//! differential and snapshot suites pin the second; golden `MNSP` fixtures
-//! (v1 decodes, v2 is reproduced) pin the bytes.
+//! epoch markers reproduce the inline executor's rounds (tick every core,
+//! each admitting its due tunnels first → hand the fresh tunnels to their
+//! owners → repeat while one is due), every inbox is filed in the same
+//! (round, source core, FIFO) order, and deliveries are concatenated
+//! round-major, core-major (see [`parallel`]). The determinism, differential
+//! and snapshot suites pin the second; golden `MNSP` fixtures (v1–v4
+//! decode, v5 is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

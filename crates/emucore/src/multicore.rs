@@ -3,11 +3,12 @@
 //!
 //! When the next pipe on a descriptor's route is owned by a different core,
 //! the current core tunnels the descriptor to the owner (found by a POD
-//! lookup). The tunnel costs CPU on both sides, occupies the physical
-//! inter-core link, and adds the switch-crossing latency — which is exactly
-//! why Table 1 shows aggregate throughput degrading as the fraction of
-//! cross-core traffic grows. With payload caching enabled only the
-//! descriptor, not the packet contents, crosses the core network.
+//! lookup), which files it in its inbox until it arrives. The tunnel costs
+//! CPU on both sides, occupies the physical inter-core link, and adds the
+//! switch-crossing latency — which is exactly why Table 1 shows aggregate
+//! throughput degrading as the fraction of cross-core traffic grows. With
+//! payload caching enabled only the descriptor, not the packet contents,
+//! crosses the core network.
 //!
 //! [`InlineExecutor`] is the reference [`CoreExecutor`]: its `advance` *is*
 //! the round structure the trait's contract describes, and the threaded
@@ -16,9 +17,9 @@
 use std::sync::Arc;
 
 use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
-use mn_distill::DistilledTopology;
+use mn_distill::{DistilledTopology, PipeId};
 use mn_routing::{RouteTable, RoutingMatrix};
-use mn_util::{ByteWriter, SimTime, TimerWheel};
+use mn_util::{ByteWriter, SimTime};
 
 use crate::core::{CoreStats, EmulatorCore, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
@@ -32,9 +33,8 @@ use crate::hardware::HardwareProfile;
 /// ([`MultiCoreEmulator::cores`]).
 pub type MultiCoreEmulator = Emulator<InlineExecutor>;
 
-/// Runs every core on the calling thread, exchanging tunnelled descriptors
-/// through one shared timing wheel. Infallible: every `Result` it returns
-/// is `Ok`.
+/// Runs every core on the calling thread, handing each tunnelled descriptor
+/// to its owner's inbox. Infallible: every `Result` it returns is `Ok`.
 ///
 /// The per-packet methods are `#[inline]`: `Emulator<InlineExecutor>` is
 /// monomorphized in the *calling* crate, and without the hint these
@@ -43,29 +43,21 @@ pub type MultiCoreEmulator = Emulator<InlineExecutor>;
 #[derive(Debug)]
 pub struct InlineExecutor {
     pub(crate) cores: Vec<EmulatorCore>,
-    /// Tunnel descriptors in flight between cores, keyed by arrival time on
-    /// the same O(1) timing wheel the cores schedule pipes on.
-    pub(crate) tunnels: TimerWheel<(CoreId, Descriptor)>,
     pub(crate) pod: Arc<PipeOwnershipDirectory>,
-    pub(crate) profile: HardwareProfile,
-    /// Reusable per-core scheduler-pass buffer; capacity persists across
+    /// Reusable per-core scheduler-pass buffer, and the tunnels a round
+    /// produced until every core has ticked; capacities persist across
     /// advances so the steady state allocates nothing.
     tick_buf: TickOutput,
+    produced: Vec<(PipeId, Descriptor, SimTime)>,
 }
 
 impl CoreExecutor for InlineExecutor {
-    fn from_cores(
-        cores: Vec<EmulatorCore>,
-        tunnels: TimerWheel<(CoreId, Descriptor)>,
-        pod: Arc<PipeOwnershipDirectory>,
-        profile: HardwareProfile,
-    ) -> Self {
+    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
         InlineExecutor {
             cores,
-            tunnels,
             pod,
-            profile,
             tick_buf: TickOutput::default(),
+            produced: Vec::new(),
         }
     }
 
@@ -86,12 +78,7 @@ impl CoreExecutor for InlineExecutor {
 
     #[inline]
     fn next_wakeup(&self) -> Option<SimTime> {
-        let core_next = self.cores.iter().filter_map(|c| c.next_wakeup()).min();
-        let tunnel_next = self
-            .tunnels
-            .peek_time()
-            .map(|t| self.profile.next_tick_at(t));
-        [core_next, tunnel_next].into_iter().flatten().min()
+        self.cores.iter().filter_map(|c| c.next_wakeup()).min()
     }
 
     #[inline]
@@ -118,32 +105,27 @@ impl CoreExecutor for InlineExecutor {
 
     fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
         let mut tick_buf = std::mem::take(&mut self.tick_buf);
-        // Iterate: a tunnel leaves at its exit deadline, so its arrival can
-        // already be due and its next hops complete within this advance;
-        // the loop is bounded by the longest route.
+        // Rounds: every core ticks, then the tunnels the round produced are
+        // filed with their owners, so none is admitted in the round that
+        // made it. A tunnel leaves at its exit deadline, so its arrival can
+        // already be due and its next hops complete within this advance:
+        // another round follows while one is, bounded by the longest route.
         loop {
-            // Deliver tunnel descriptors that have arrived, each into its
-            // pipe at its arrival time.
-            while let Some((arrival, (target, descriptor))) = self.tunnels.pop_due(now) {
-                let _ = self.cores[target.index()].accept_tunnel(arrival, descriptor);
-            }
-            // Run every core's scheduler through the reusable pass buffer.
-            let mut produced_tunnel = false;
             for core in &mut self.cores {
                 core.tick_into(now, &mut tick_buf);
                 deliveries.append(&mut tick_buf.deliveries);
-                for (pipe, descriptor, at) in tick_buf.tunnels.drain(..) {
-                    let owner = self
-                        .pod
-                        .get_owner(pipe)
-                        .expect("route references a pipe covered by the POD");
-                    let arrival = at + self.profile.tunnel_latency;
-                    self.tunnels.push(arrival, (owner, descriptor));
-                    produced_tunnel = true;
-                }
+                self.produced.append(&mut tick_buf.tunnels);
             }
-            let more_due = self.tunnels.peek_time().is_some_and(|t| t <= now);
-            if !(produced_tunnel && more_due) {
+            let mut due = false;
+            for (pipe, descriptor, arrival) in self.produced.drain(..) {
+                let owner = self
+                    .pod
+                    .get_owner(pipe)
+                    .expect("route references a pipe covered by the POD");
+                due |= arrival <= now;
+                self.cores[owner.index()].receive_tunnel(arrival, descriptor);
+            }
+            if !due {
                 break;
             }
         }
@@ -168,12 +150,7 @@ impl CoreExecutor for InlineExecutor {
         Ok(())
     }
 
-    fn encode_cores(
-        &mut self,
-        w: &mut ByteWriter,
-        head: impl FnOnce(&mut ByteWriter, &TimerWheel<(CoreId, Descriptor)>),
-    ) -> Result<(), EmuError> {
-        head(w, &self.tunnels);
+    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         w.put_len(self.cores.len());
         for core in &self.cores {
             core.encode_state(w);

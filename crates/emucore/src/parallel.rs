@@ -10,10 +10,10 @@
 //!
 //! # Architecture
 //!
-//! * **One thread per core.** Each worker owns its `EmulatorCore` outright;
-//!   no emulation state is shared between threads. The route table, the
-//!   pipe ownership directory and the hardware profile are immutable and
-//!   shared through `Arc`s.
+//! * **One thread per core.** Each worker owns its `EmulatorCore` outright,
+//!   the tunnels addressed to it included; no emulation state is shared
+//!   between threads. The route table and the pipe ownership directory are
+//!   immutable and shared through `Arc`s.
 //! * **Bounded SPSC rings for tunnels.** A descriptor whose next pipe lives
 //!   on a peer core crosses through a [`mn_util::spsc`] ring dedicated to
 //!   that (source, target) core pair — the explicit-queue, lock-free
@@ -22,16 +22,16 @@
 //!   (overflow spills to a worker-local buffer rather than blocking, which
 //!   would risk a producer/consumer cycle deadlocking).
 //! * **Epoch markers as the time barrier.** The inline executor advances
-//!   all cores in rounds: deliver due tunnels, tick every core, exchange
-//!   freshly produced tunnels, repeat while any tunnel is due. The workers
+//!   all cores in rounds: tick every core (each admitting the tunnels due
+//!   in its inbox first), file the freshly produced tunnels in their
+//!   owners' inboxes, repeat while one of them is due. The workers
 //!   reproduce those rounds as *epochs*: after ticking, each worker pushes
 //!   an epoch marker down every outgoing ring, and no worker starts the
 //!   next epoch before it has collected every peer's marker for the current
 //!   one. Virtual clocks therefore never drift farther apart than one
 //!   tunnel exchange — the paper's bound on core cooperation — and each
-//!   worker files its incoming tunnels in a deterministic (epoch,
-//!   source-core, FIFO) order, which is exactly the `(time, seq)` order the
-//!   inline executor's shared timer wheel pins.
+//!   worker files its incoming tunnels in its core's inbox in (epoch,
+//!   source core, FIFO) order: the order the inline rounds file them in.
 //! * **Determinism of delivery streams.** Workers stream their deliveries
 //!   per epoch to the coordinator thread, which concatenates them
 //!   epoch-major, core-major — the same order the inline rounds append
@@ -58,14 +58,13 @@ use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::PipeId;
 use mn_routing::RouteTable;
 use mn_util::spsc::{self, Consumer, Producer};
-use mn_util::{ByteWriter, SimTime, SpinBarrier, SpinWait, TimerWheel};
+use mn_util::{ByteWriter, SimTime, SpinBarrier, SpinWait};
 
 use crate::chaos::ChaosPlan;
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
 use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
 use crate::error::{EmuError, FailureCause};
-use crate::hardware::HardwareProfile;
 use crate::multicore::{InlineExecutor, MultiCoreEmulator};
 
 /// The multi-threaded emulator: the same emulation contract as
@@ -106,8 +105,8 @@ enum Request {
     /// Carry out a coordinator command on this core.
     Apply(CoreCommand),
     /// Encode the core into the buffer carried (the one this worker filled
-    /// last time) and hand it back with the worker-local arrival backlog,
-    /// for a coordinator-assembled checkpoint. Read-only: nothing ticks.
+    /// last time) and hand it back, for a coordinator-assembled checkpoint.
+    /// Read-only: nothing ticks.
     Snapshot(Vec<u8>),
     /// Install a chaos fault plan (test-only fault injection; see
     /// [`crate::chaos`]). The one request without a reply.
@@ -139,12 +138,8 @@ enum Response {
     /// [`Request::Advance`], and in reply to [`Request::Apply`] (`ok` is
     /// whether the core accepted the command).
     Done { ok: bool, status: Status },
-    /// Reply to [`Request::Snapshot`]: the core's encoded state and the
-    /// worker-local tunnel arrival backlog in `(time, seq)` wheel order.
-    Snapshot {
-        state: Vec<u8>,
-        arrivals: Vec<(SimTime, Descriptor)>,
-    },
+    /// Reply to [`Request::Snapshot`]: the core's encoded state.
+    Snapshot(Vec<u8>),
     /// Reply to [`Request::Finish`].
     Core(Box<EmulatorCore>),
 }
@@ -169,7 +164,6 @@ struct Worker {
     core_count: usize,
     core: EmulatorCore,
     pod: Arc<PipeOwnershipDirectory>,
-    profile: HardwareProfile,
     requests: Consumer<Request>,
     responses: Producer<Response>,
     /// Outgoing tunnel rings, indexed by target core (`None` at `me`).
@@ -184,11 +178,6 @@ struct Worker {
     /// ring has room. Keeps phase B non-blocking, which is what rules out
     /// producer/consumer deadlock cycles.
     spill: Vec<VecDeque<TunnelMsg>>,
-    /// Tunnelled descriptors filed by arrival time. Local insertion order is
-    /// (epoch, source core, ring FIFO) — identical to the global push order
-    /// of the inline executor's shared wheel restricted to this core, so
-    /// `(time, seq)` pops match bit for bit.
-    arrivals: TimerWheel<Descriptor>,
     /// Global epoch counter; every worker holds the same value at every
     /// point of the protocol.
     epoch: u64,
@@ -248,19 +237,9 @@ impl Worker {
                     self.push_done(ok);
                 }
                 Request::Snapshot(buf) => {
-                    let arrivals = self
-                        .arrivals
-                        .entries_in_order()
-                        .into_iter()
-                        .map(|(time, descriptor)| (time, descriptor.clone()))
-                        .collect();
                     let mut state = ByteWriter::reusing(buf);
                     self.core.encode_state(&mut state);
-                    let response = Response::Snapshot {
-                        state: state.into_bytes(),
-                        arrivals,
-                    };
-                    self.push_response(response);
+                    self.push_response(Response::Snapshot(state.into_bytes()));
                 }
                 Request::SetChaos(plan) => self.chaos = plan,
                 Request::Finish => break,
@@ -282,28 +261,23 @@ impl Worker {
     }
 
     /// Mirrors [`InlineExecutor`]'s advance for this core: epochs of
-    /// (accept due tunnels → tick → exchange), repeated while any core
-    /// produced a tunnel that is already due.
+    /// (tick → exchange), repeated while any core produced a tunnel that is
+    /// already due.
     fn advance(&mut self, now: SimTime) {
         loop {
             self.epoch += 1;
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
             self.chaos.check_epoch(self.epoch);
-            // Deliver tunnel descriptors that have arrived.
-            while let Some((arrival, descriptor)) = self.arrivals.pop_due(now) {
-                let _ = self.core.accept_tunnel(arrival, descriptor);
-            }
             // One scheduler pass through the reusable buffer.
             let mut tick_buf = std::mem::take(&mut self.tick_buf);
             self.core.tick_into(now, &mut tick_buf);
             let mut produced_due = false;
-            for (pipe, descriptor, at) in tick_buf.tunnels.drain(..) {
+            for (pipe, descriptor, arrival) in tick_buf.tunnels.drain(..) {
                 let owner = self
                     .pod
                     .get_owner(pipe)
                     .expect("route references a pipe covered by the POD");
                 debug_assert_ne!(owner.index(), self.me, "own pipes never tunnel");
-                let arrival = at + self.profile.tunnel_latency;
                 produced_due |= arrival <= now;
                 self.send_tunnel(
                     owner.index(),
@@ -331,8 +305,8 @@ impl Worker {
                 self.push_response(Response::Delivery(delivery));
             }
             self.tick_buf = tick_buf;
-            // Epoch barrier: collect every peer's marker, staging their
-            // tunnels into the arrival wheel in source-major order.
+            // Epoch barrier: collect every peer's marker, filing their
+            // tunnels in the core's inbox in source-major order.
             let mut any_due = produced_due;
             for source in 0..self.core_count {
                 if source != self.me {
@@ -378,20 +352,11 @@ impl Worker {
         }
     }
 
-    /// Counters plus the earliest due work on this core, tick-rounded: pipe
-    /// deadlines, staged remote descriptors, and tunnel arrivals filed in
-    /// the local wheel.
+    /// Counters plus the earliest due work on this core, tick-rounded.
     fn status(&self) -> Status {
-        let tunnel_next = self
-            .arrivals
-            .peek_time()
-            .map(|t| self.profile.next_tick_at(t));
         Status {
             stats: *self.core.stats(),
-            next_wakeup: [self.core.next_wakeup(), tunnel_next]
-                .into_iter()
-                .flatten()
-                .min(),
+            next_wakeup: self.core.next_wakeup(),
         }
     }
 
@@ -451,7 +416,7 @@ impl Worker {
                     arrival,
                     descriptor,
                 }) => {
-                    self.arrivals.push(arrival, descriptor);
+                    self.core.receive_tunnel(arrival, descriptor);
                     wait.reset();
                 }
                 Some(TunnelMsg::Epoch {
@@ -830,21 +795,8 @@ impl CoreExecutor for ThreadedExecutor {
     /// # Panics
     ///
     /// Panics if a worker thread cannot be spawned.
-    fn from_cores(
-        cores: Vec<EmulatorCore>,
-        mut tunnels: TimerWheel<(CoreId, Descriptor)>,
-        pod: Arc<PipeOwnershipDirectory>,
-        profile: HardwareProfile,
-    ) -> Self {
+    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
         let n = cores.len();
-
-        // Tunnels in flight become each target worker's initial arrival
-        // backlog; popping the shared wheel here preserves the global
-        // (time, seq) order per target.
-        let mut arrivals: Vec<TimerWheel<Descriptor>> = (0..n).map(|_| TimerWheel::new()).collect();
-        while let Some((arrival, (target, descriptor))) = tunnels.pop() {
-            arrivals[target.index()].push(arrival, descriptor);
-        }
 
         // Wire the ring mesh: requests/responses per worker plus one tunnel
         // ring per ordered core pair.
@@ -865,7 +817,7 @@ impl CoreExecutor for ThreadedExecutor {
         let start = Arc::new(SpinBarrier::new(n));
         let abort = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::with_capacity(n);
-        for (me, (core, arrivals)) in cores.into_iter().zip(arrivals).enumerate() {
+        for (me, core) in cores.into_iter().enumerate() {
             let (request_tx, request_rx) = spsc::channel(REQUEST_RING_CAPACITY);
             let (response_tx, response_rx) = spsc::channel(RESPONSE_RING_CAPACITY);
             let heartbeat = Arc::new(AtomicU64::new(0));
@@ -874,14 +826,12 @@ impl CoreExecutor for ThreadedExecutor {
                 core_count: n,
                 core,
                 pod: pod.clone(),
-                profile,
                 requests: request_rx,
                 responses: response_tx,
                 tunnel_out: std::mem::take(&mut tunnel_producers[me]),
                 tunnel_in: std::mem::take(&mut tunnel_consumers[me]),
                 staged: (0..n).map(|_| VecDeque::new()).collect(),
                 spill: (0..n).map(|_| VecDeque::new()).collect(),
-                arrivals,
                 epoch: 0,
                 tick_buf: TickOutput::default(),
                 abort: abort.clone(),
@@ -1010,32 +960,19 @@ impl CoreExecutor for ThreadedExecutor {
         Ok(())
     }
 
-    /// Workers encode their own cores, all at once; the coordinator merges
-    /// the arrival backlogs for `head` and appends the encodings in order.
-    fn encode_cores(
-        &mut self,
-        w: &mut ByteWriter,
-        head: impl FnOnce(&mut ByteWriter, &TimerWheel<(CoreId, Descriptor)>),
-    ) -> Result<(), EmuError> {
+    /// Workers encode their own cores, all at once; the coordinator appends
+    /// the encodings in order.
+    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
             let buf = std::mem::take(&mut self.workers[index].snapshot_buf);
             self.send(index, Request::Snapshot(buf))?;
         }
-        let mut tunnels: TimerWheel<(CoreId, Descriptor)> = TimerWheel::new();
         for index in 0..self.workers.len() {
-            match self.wait(index)? {
-                Response::Snapshot { state, arrivals } => {
-                    // Target-major merge; a canonical order is the
-                    // encoder's business.
-                    for (arrival, descriptor) in arrivals {
-                        tunnels.push(arrival, (CoreId(index), descriptor));
-                    }
-                    self.workers[index].snapshot_buf = state;
-                }
-                _ => unreachable!("Snapshot is answered by Snapshot"),
-            }
+            let Response::Snapshot(state) = self.wait(index)? else {
+                unreachable!("Snapshot is answered by Snapshot")
+            };
+            self.workers[index].snapshot_buf = state;
         }
-        head(w, &tunnels);
         w.put_len(self.workers.len());
         for worker in &self.workers {
             w.put_bytes(&worker.snapshot_buf);
@@ -1063,14 +1000,8 @@ impl Emulator<ThreadedExecutor> {
     /// the threaded one.
     pub fn from_sequential(emulator: MultiCoreEmulator) -> Self {
         emulator.rehost(|inline| {
-            let InlineExecutor {
-                cores,
-                tunnels,
-                pod,
-                profile,
-                ..
-            } = inline;
-            ThreadedExecutor::from_cores(cores, tunnels, pod, profile)
+            let InlineExecutor { cores, pod, .. } = inline;
+            ThreadedExecutor::from_cores(cores, pod)
         })
     }
 
@@ -1112,6 +1043,7 @@ impl Emulator<ThreadedExecutor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hardware::HardwareProfile;
     use mn_assign::{greedy_k_clusters, Binding, BindingParams};
     use mn_distill::{distill, DistillationMode, DistilledTopology};
     use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
@@ -1145,6 +1077,14 @@ mod tests {
     /// The standard fixture: a 4-router, 8-client ring (hop-by-hop) split
     /// over `cores`, unconstrained hardware.
     fn ring_emulator<X: CoreExecutor>(cores: usize) -> (Emulator<X>, Binding, DistilledTopology) {
+        ring_emulator_with(cores, HardwareProfile::unconstrained())
+    }
+
+    /// [`ring_emulator`] on `profile`.
+    fn ring_emulator_with<X: CoreExecutor>(
+        cores: usize,
+        profile: HardwareProfile,
+    ) -> (Emulator<X>, Binding, DistilledTopology) {
         let topo = ring_topology(&RingParams {
             routers: 4,
             clients_per_router: 2,
@@ -1154,7 +1094,6 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
         let pod = greedy_k_clusters(&d, cores, 7);
-        let profile = HardwareProfile::unconstrained();
         let emu = Emulator::new(&d, pod, matrix, &binding, profile, 11);
         (emu, binding, d)
     }
@@ -1704,7 +1643,9 @@ mod tests {
     }
 
     /// Drives a deterministic partial workload, leaving descriptors (and,
-    /// on multi-core splits, tunnels) in flight.
+    /// on multi-core splits with a tunnel latency, tunnels) in flight: it
+    /// stops 10 µs after the last round is admitted, while the packets
+    /// whose entry core does not own their access pipe cross to its owner.
     fn drive_partial<X: CoreExecutor>(emu: &mut Emulator<X>, binding: &Binding) {
         let vns: Vec<VnId> = binding.vns().collect();
         let mut id = 0u64;
@@ -1717,7 +1658,7 @@ mod tests {
                 id += 1;
             }
         }
-        emu.advance(SimTime::from_micros(2100)).unwrap();
+        emu.advance(SimTime::from_micros(1_410)).unwrap();
     }
 
     /// Drains an emulation to idle, returning the delivery record stream.
@@ -1736,14 +1677,38 @@ mod tests {
 
     #[test]
     fn parallel_snapshot_is_byte_identical_to_sequential_and_resumes_exactly() {
+        // A tunnel latency leaves tunnels in flight when an advance returns.
+        let profile = HardwareProfile {
+            tunnel_latency: SimDuration::from_micros(20),
+            ..HardwareProfile::unconstrained()
+        };
         for cores in [1usize, 2, 4] {
             let build = || {
-                let (emu, binding, _) = ring_emulator::<InlineExecutor>(cores);
+                let (emu, binding, _) = ring_emulator_with::<InlineExecutor>(cores, profile);
                 (emu, binding)
             };
             // Identical partial runs on both backends.
             let (mut seq, binding) = build();
             drive_partial(&mut seq, &binding);
+            if cores == 4 {
+                // Tunnels in flight to two cores, due at one instant: the
+                // executors order such tunnels differently across cores, and
+                // the bytes stay equal because each core encodes its own.
+                let mut due: Vec<(SimTime, usize)> = (seq.cores().iter().enumerate())
+                    .flat_map(|(c, core)| {
+                        core.inbox
+                            .entries_in_order()
+                            .into_iter()
+                            .map(move |(t, _)| (t, c))
+                    })
+                    .collect();
+                due.sort_unstable();
+                due.dedup();
+                assert!(
+                    due.windows(2).any(|pair| pair[0].0 == pair[1].0),
+                    "no two cores have a tunnel due at one instant: {due:?}"
+                );
+            }
             let seq_snap = seq.snapshot().unwrap();
             let (seq2, binding2) = build();
             let mut par = ParallelEmulator::from_sequential(seq2);

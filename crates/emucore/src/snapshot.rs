@@ -20,8 +20,10 @@
 //! per location instead of one per endpoint — see
 //! [`mn_routing::RouteTable::encode`]); version 4 dropped the state of the
 //! retired accumulating timing mode (the hardware profile's packet-debt
-//! byte and each descriptor's 8-byte accumulated error); frames of every
-//! earlier version still decode. What is *not* captured: application
+//! byte and each descriptor's 8-byte accumulated error); version 5 moved the
+//! tunnels in flight from a section of their own into each target core's
+//! inbox and dropped each pipe's retired RED fields (17 bytes); frames of
+//! every earlier version still decode. What is *not* captured: application
 //! state (traffic sources attached to a [`crate::Emulator`] via a
 //! runner live outside the emulator; the runner documents its own policy)
 //! and coordinator scratch buffers, which are rebuilt empty.
@@ -35,7 +37,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders keep reading every earlier version and reject
 /// later ones with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -71,7 +73,7 @@ impl EmulatorSnapshot {
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
             1 => Ok(mn_util::codec::fnv1a64),
-            2..=4 => Ok(checksum64),
+            2..=5 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -3,8 +3,8 @@
 //! The timing model follows §2.2 of the paper exactly. When a packet arrives
 //! at a pipe at time *t*:
 //!
-//! 1. it may be dropped by the configured random loss rate, by RED, or
-//!    because the bandwidth queue already holds `queue_len` packets;
+//! 1. it may be dropped by the configured random loss rate, or because the
+//!    bandwidth queue already holds `queue_len` packets;
 //! 2. otherwise its *drain finish* time is computed from the packet size, the
 //!    sizes of all earlier packets waiting to enter the pipe, and the pipe
 //!    bandwidth: `drain_finish = max(t, previous drain_finish) + size/bw`;
@@ -26,7 +26,6 @@ use rand::Rng;
 use mn_distill::PipeAttrs;
 use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, DataRate, SimTime};
 
-use crate::discipline::{QueueDiscipline, RedState};
 use crate::stats::PipeStats;
 
 /// Result of offering a packet to a pipe.
@@ -42,8 +41,6 @@ pub enum EnqueueOutcome {
     DroppedOverflow,
     /// Dropped by the configured random loss rate.
     DroppedLoss,
-    /// Dropped early by the RED policy.
-    DroppedRed,
 }
 
 impl EnqueueOutcome {
@@ -76,8 +73,6 @@ struct InFlight<T> {
 #[derive(Debug, Clone)]
 pub struct EmuPipe<T> {
     attrs: PipeAttrs,
-    discipline: QueueDiscipline,
-    red_state: RedState,
     in_flight: VecDeque<InFlight<T>>,
     drain_busy_until: SimTime,
     stats: PipeStats,
@@ -88,18 +83,10 @@ pub struct EmuPipe<T> {
 }
 
 impl<T> EmuPipe<T> {
-    /// Creates a pipe with the given attributes and the default FIFO
-    /// drop-tail discipline.
+    /// Creates an empty FIFO drop-tail pipe with the given attributes.
     pub fn new(attrs: PipeAttrs) -> Self {
-        Self::with_discipline(attrs, QueueDiscipline::DropTail)
-    }
-
-    /// Creates a pipe with an explicit queueing discipline.
-    pub fn with_discipline(attrs: PipeAttrs, discipline: QueueDiscipline) -> Self {
         EmuPipe {
             attrs,
-            discipline,
-            red_state: RedState::default(),
             in_flight: VecDeque::new(),
             drain_busy_until: SimTime::ZERO,
             stats: PipeStats::default(),
@@ -209,18 +196,8 @@ impl<T> EmuPipe<T> {
             self.stats.dropped_loss += 1;
             return EnqueueOutcome::DroppedLoss;
         }
-        let occupancy = self.queue_occupancy(now);
-        // RED early drop (before the tail-drop check, as in dummynet).
-        if let QueueDiscipline::Red(params) = self.discipline {
-            let avg = self.red_state.observe(&params, occupancy);
-            let p = params.drop_probability(avg);
-            if p > 0.0 && rng.gen::<f64>() < p {
-                self.stats.dropped_red += 1;
-                return EnqueueOutcome::DroppedRed;
-            }
-        }
         // Tail drop on a full bandwidth queue.
-        if occupancy >= self.attrs.queue_len {
+        if self.queue_occupancy(now) >= self.attrs.queue_len {
             self.stats.dropped_overflow += 1;
             return EnqueueOutcome::DroppedOverflow;
         }
@@ -280,14 +257,14 @@ impl<T> EmuPipe<T> {
         out
     }
 
-    /// Writes the pipe's state for a checkpoint — attributes, discipline,
-    /// RED average, drain clock, counters, fluid demand, then the packets
-    /// inside in FIFO order with their sizes and deadlines — each queued item
-    /// as `put_item` writes it. Hand-written rather than declared because of
-    /// that hook: a core's pipes queue slab handles, and what its checkpoint
-    /// carries for each is the descriptor the handle resolves to.
+    /// Writes the pipe's state for a checkpoint — attributes, drain clock,
+    /// counters, fluid demand, then the packets inside in FIFO order with
+    /// their sizes and deadlines — each queued item as `put_item` writes it.
+    /// Hand-written rather than declared because of that hook: a core's
+    /// pipes queue slab handles, and what its checkpoint carries for each is
+    /// the descriptor the handle resolves to.
     pub fn put_with(&self, w: &mut ByteWriter, mut put_item: impl FnMut(&T, &mut ByteWriter)) {
-        (self.attrs, self.discipline, self.red_state).put(w);
+        self.attrs.put(w);
         (self.drain_busy_until, self.stats, self.fluid_demand).put(w);
         w.put_len(self.in_flight.len());
         for packet in &self.in_flight {
@@ -296,16 +273,39 @@ impl<T> EmuPipe<T> {
         }
     }
 
-    /// Rebuilds a pipe [`EmuPipe::put_with`] wrote, reading each queued item
-    /// with `get_item` (an item takes at least `item_bytes`). The restored
-    /// pipe behaves bit-identically to the one written.
+    /// Rebuilds a pipe [`EmuPipe::put_with`] wrote into a checkpoint of
+    /// format `version`, reading each queued item with `get_item` (an item
+    /// takes at least `item_bytes`). The restored pipe behaves bit-identically
+    /// to the one written. Before version 5 a pipe also carried the retired
+    /// RED discipline — a tag byte and an average after its attributes, a
+    /// drop counter before `bytes_out` — which is skipped; only drop-tail
+    /// pipes were ever written, so any other tag or a RED drop is refused.
     pub fn get_with(
         r: &mut ByteReader<'_>,
+        version: u32,
         item_bytes: usize,
         mut get_item: impl FnMut(&mut ByteReader<'_>) -> Result<T, CodecError>,
     ) -> Result<Self, CodecError> {
-        let (attrs, discipline, red_state) = Codec::get(r)?;
-        let (drain_busy_until, stats, fluid_demand) = Codec::get(r)?;
+        let attrs = PipeAttrs::get(r)?;
+        let (drain_busy_until, stats) = if version < 5 {
+            let (tag, _average, drain_busy_until, counts, red_drops, bytes_out) =
+                <(u8, f64, SimTime, [u64; 4], u64, u64)>::get(r)?;
+            if tag != 0 || red_drops != 0 {
+                return Err(CodecError::Invalid("a RED pipe, which no encoder wrote"));
+            }
+            let [enqueued, dequeued, dropped_overflow, dropped_loss] = counts;
+            let stats = PipeStats {
+                enqueued,
+                dequeued,
+                dropped_overflow,
+                dropped_loss,
+                bytes_out,
+            };
+            (drain_busy_until, stats)
+        } else {
+            Codec::get(r)?
+        };
+        let fluid_demand = DataRate::get(r)?;
         let count = r.get_count(item_bytes + <(ByteSize, SimTime, SimTime)>::MIN_BYTES)?;
         let mut in_flight = VecDeque::with_capacity(count);
         for _ in 0..count {
@@ -320,8 +320,6 @@ impl<T> EmuPipe<T> {
         }
         Ok(EmuPipe {
             attrs,
-            discipline,
-            red_state,
             in_flight,
             drain_busy_until,
             stats,
@@ -461,30 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn red_drops_before_tail_drop() {
-        let params = crate::RedParams {
-            min_threshold: 1.0,
-            max_threshold: 3.0,
-            max_drop_probability: 1.0,
-            weight: 1.0,
-        };
-        let mut pipe: EmuPipe<u32> =
-            EmuPipe::with_discipline(attrs(1, 1, 100), QueueDiscipline::Red(params));
-        let mut rng = seeded_rng(3);
-        let t = SimTime::ZERO;
-        let mut red_drops = 0;
-        for i in 0..50 {
-            if pipe.enqueue(t, kb(1500), i, &mut rng) == EnqueueOutcome::DroppedRed {
-                red_drops += 1
-            }
-        }
-        assert!(red_drops > 0, "RED should have dropped something");
-        assert_eq!(pipe.stats().dropped_red, red_drops);
-        // With a 100-slot queue and RED firing, no tail drops occurred.
-        assert_eq!(pipe.stats().dropped_overflow, 0);
-    }
-
-    #[test]
     fn dequeue_order_is_fifo() {
         let mut pipe: EmuPipe<u32> = EmuPipe::new(attrs(10, 5, 50));
         let mut rng = seeded_rng(1);
@@ -593,7 +567,7 @@ mod tests {
     }
 
     /// A pipe of plain items is a record: its queue items encode as
-    /// themselves.
+    /// themselves, in the current layout (`MNSP` v5).
     impl<T: Codec> Codec for EmuPipe<T> {
         const MIN_BYTES: usize = 0;
 
@@ -602,28 +576,52 @@ mod tests {
         }
 
         fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            EmuPipe::get_with(r, T::MIN_BYTES, T::get)
+            EmuPipe::get_with(r, 5, T::MIN_BYTES, T::get)
         }
     }
 
+    /// A lossy, overflowing pipe with packets inside keeps the record
+    /// contract; written with the RED fields a pre-v5 pipe carried, it reads
+    /// back as the same pipe unless those fields say RED.
     #[test]
-    fn a_red_pipe_mid_run_keeps_the_record_contract() {
-        let params = crate::RedParams {
-            min_threshold: 1.0,
-            max_threshold: 30.0,
-            max_drop_probability: 0.2,
-            weight: 0.3,
-        };
-        let mut pipe: EmuPipe<u32> =
-            EmuPipe::with_discipline(attrs(5, 10, 40), QueueDiscipline::Red(params));
+    fn a_pipe_mid_run_keeps_the_record_contract() {
+        let mut lossy = attrs(5, 10, 8);
+        lossy.loss_rate = 0.2;
+        let mut pipe: EmuPipe<u32> = EmuPipe::new(lossy);
         pipe.set_fluid_demand(DataRate::from_mbps(1));
         let mut rng = seeded_rng(11);
         for i in 0..20 {
             pipe.enqueue(SimTime::from_micros(i as u64 * 50), kb(700), i, &mut rng);
         }
-        assert!(pipe.in_flight_count() > 0 && pipe.stats().dropped_red > 0);
+        let stats = *pipe.stats();
+        assert!(pipe.in_flight_count() > 0 && stats.dropped_loss > 0 && stats.dropped_overflow > 0);
+        fn bytes_of(record: &impl Codec) -> Vec<u8> {
+            let mut w = ByteWriter::new();
+            record.put(&mut w);
+            w.into_bytes()
+        }
+        let v5 = bytes_of(&pipe);
         mn_util::codec::record_contract(pipe);
         mn_util::codec::record_contract(EmuPipe::<u64>::new(attrs(1, 1, 1)));
+
+        // v4: the tag and average after the attributes (then the drain clock
+        // and four counters), the RED drop counter before `bytes_out`.
+        let at = bytes_of(&lossy).len();
+        let legacy = |tag: u8, red_drops: u64| {
+            let mut w = ByteWriter::new();
+            w.put_bytes(&v5[..at]);
+            (tag, 0.0f64).put(&mut w);
+            w.put_bytes(&v5[at..at + 40]);
+            red_drops.put(&mut w);
+            w.put_bytes(&v5[at + 40..]);
+            let bytes = w.into_bytes();
+            let r = &mut ByteReader::new(&bytes);
+            EmuPipe::<u32>::get_with(r, 4, u32::MIN_BYTES, u32::get).map(|pipe| bytes_of(&pipe))
+        };
+        assert!(legacy(0, 0).unwrap() == v5);
+        let red = Err(CodecError::Invalid("a RED pipe, which no encoder wrote"));
+        assert_eq!(legacy(1, 0), red);
+        assert_eq!(legacy(0, 3), red);
     }
 
     #[test]

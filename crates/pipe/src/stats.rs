@@ -1,7 +1,7 @@
 //! Per-pipe counters.
 //!
 //! The distinction the paper draws between *virtual* drops (imposed by the
-//! emulated network: queue overflow, configured loss, RED) and *physical*
+//! emulated network: queue overflow, configured loss) and *physical*
 //! drops (an overloaded core failing to service its NIC) is central to its
 //! accuracy argument, so the counters keep the virtual-drop causes separate;
 //! physical drops are counted by the core, not by pipes.
@@ -22,8 +22,6 @@ mn_util::codec_record! {
         pub dropped_overflow: u64,
         /// Packets dropped by the configured random loss rate.
         pub dropped_loss: u64,
-        /// Packets dropped early by the RED policy.
-        pub dropped_red: u64,
         /// Payload + header bytes that exited the pipe.
         pub bytes_out: u64,
     }
@@ -32,7 +30,7 @@ mn_util::codec_record! {
 impl PipeStats {
     /// Total virtual drops of any cause.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped_overflow + self.dropped_loss + self.dropped_red
+        self.dropped_overflow + self.dropped_loss
     }
 
     /// Packets currently accounted for inside the pipe
@@ -63,8 +61,7 @@ mod tests {
             enqueued: 100,
             dequeued: 90,
             dropped_overflow: 5,
-            dropped_loss: 3,
-            dropped_red: 2,
+            dropped_loss: 5,
             bytes_out: 90_000,
         };
         assert_eq!(s.dropped_total(), 10);

@@ -21,10 +21,16 @@
 //! Format v4 nests an `MNSP` v4 frame, which dropped the accumulating timing
 //! rule's state when every pipe and every tunnel came to be entered at its
 //! ideal time (see `snapshot_golden.rs`); the runner's own bytes are v3's.
-//! `tests/data/mnrs_v4_tcp.bin` is the scenario under the current encoder
-//! and timing, which both backends must re-create byte for byte. The older
-//! files keep restoring unmodified; the run from their state changed with
-//! the timing rule, so their digest was re-recorded once, at that change.
+//! `tests/data/mnrs_v4_tcp.bin` is the scenario under that encoder and the
+//! current timing. The older files keep restoring unmodified; the run from
+//! their state changed with the timing rule, so their digest was
+//! re-recorded once, at that change.
+//!
+//! Format v5 nests an `MNSP` v5 frame (tunnels in flight inside their
+//! target cores, no RED fields; see `snapshot_golden.rs`), the runner's own
+//! bytes unchanged: `tests/data/mnrs_v5_tcp.bin` is the scenario under the
+//! current encoder, which both backends must re-create byte for byte and
+//! which the parent-written v4 file, restored and serialised again, is.
 //!
 //! Only the runner's public API is used, so the same source compiles
 //! against the commit that wrote the fixture.
@@ -40,6 +46,7 @@ const FIXTURE: &[u8] = include_bytes!("data/mnrs_v1_tcp.bin");
 const FIXTURE_V2: &[u8] = include_bytes!("data/mnrs_v2_tcp.bin");
 const FIXTURE_V3: &[u8] = include_bytes!("data/mnrs_v3_tcp.bin");
 const FIXTURE_V4: &[u8] = include_bytes!("data/mnrs_v4_tcp.bin");
+const FIXTURE_V5: &[u8] = include_bytes!("data/mnrs_v5_tcp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
@@ -50,7 +57,7 @@ const HORIZON: SimTime = SimTime::from_secs(4);
 /// once, when every pipe and every tunnel came to be entered at its ideal
 /// time (the same state runs on differently).
 const TAIL_DIGEST: u64 = 0x65ba_441d_6b01_fd7b;
-/// The same digest over the run finished from the v4 fixture.
+/// The same digest over the run finished from the v4 and v5 fixtures.
 const TAIL_DIGEST_V4: u64 = 0x8199_df7f_0859_e4bd;
 
 fn build(backend: ExecutionBackend) -> (Runner, [FlowId; 2]) {
@@ -146,23 +153,30 @@ fn the_v4_runner_fixture_restores_into_both_backends_and_finishes_identically() 
 }
 
 #[test]
-fn both_backends_reproduce_the_v4_runner_fixture_byte_for_byte() {
+fn the_v5_runner_fixture_restores_into_both_backends_and_finishes_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V5, 5);
+}
+
+#[test]
+fn both_backends_reproduce_the_v5_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE_V4,
-            "checkpoint bytes drifted from the v4 fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V5,
+            "checkpoint bytes drifted from the v5 fixture on {backend:?}"
         );
     }
-    // The parent-written v2 file and the v3 file hold the same run:
-    // restored and serialised again, they are one v4 checkpoint.
     let again = |fixture| {
         let (mut runner, _) = build(ExecutionBackend::Sequential);
         runner.recover_from(fixture).unwrap();
         runner.snapshot().unwrap()
     };
-    let v4 = again(FIXTURE_V2);
-    assert_eq!(v4[..8], [0x53, 0x52, 0x4E, 0x4D, 4, 0, 0, 0]);
-    assert!(v4 == again(FIXTURE_V3));
+    // The parent-written v4 file holds the same run; so do the
+    // parent-written v2 file and the v3 file, under the old timing rule:
+    // restored and serialised again, each group is one v5 checkpoint.
+    assert!(again(FIXTURE_V4) == FIXTURE_V5);
+    let v5 = again(FIXTURE_V2);
+    assert_eq!(v5[..8], [0x53, 0x52, 0x4E, 0x4D, 5, 0, 0, 0]);
+    assert!(v5 == again(FIXTURE_V3));
 }
 
 /// The outer sum skips the nested frame's payload and nothing else: a bit
@@ -192,14 +206,14 @@ fn a_bit_flip_in_any_byte_of_the_v3_runner_fixture_is_a_typed_error() {
 /// --nocapture`, after renaming the path below), never to overwrite an
 /// existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v4_tcp.bin"]
+#[ignore = "writes tests/data/mnrs_v5_tcp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v4_tcp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v5_tcp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, flows) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

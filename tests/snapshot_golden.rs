@@ -27,14 +27,22 @@
 //! still restore to the state they hold, byte for byte unmodified, but the
 //! run that continues from it is a different run, so their digest was
 //! re-recorded once, at that change. `tests/data/mnsp_v4_path4.bin` is the
-//! scenario under the current encoder and timing, stopped at [`STOP_AT`] —
-//! under deadline re-entry the first 50 µs step after the old stop at which
-//! tunnels are in flight — and every later commit must re-create exactly
-//! those bytes on both executors. A failure here means the snapshot format
-//! or the emulated behaviour changed: bump `SNAPSHOT_VERSION`, keep every
-//! file decoding, and add a fixture for the new version (a layout change
-//! also needs one written by the parent commit's encoder —
-//! `mnsp_v2_mux_churn.bin` and `mnrs_v2_tcp.bin` were).
+//! scenario under that encoder and timing, stopped at [`STOP_AT`] — under
+//! deadline re-entry the first 50 µs step after the old stop at which
+//! tunnels are in flight.
+//!
+//! Format v5 moved the tunnels in flight from a section of their own into
+//! the inbox of the core each is addressed to, and dropped every pipe's
+//! retired RED fields: a layout change only, so the v4 file (written by the
+//! parent of that change) restores to the same digest, and restored and
+//! serialised again — its tunnels filed core by core on the way — it is
+//! `tests/data/mnsp_v5_path4.bin` byte for byte. Every later commit must
+//! re-create exactly those bytes on both executors. A failure here means
+//! the snapshot format or the emulated behaviour changed: bump
+//! `SNAPSHOT_VERSION`, keep every file decoding, and add a fixture for the
+//! new version (a layout change also needs one written by the parent
+//! commit's encoder — `mnsp_v2_mux_churn.bin`, `mnrs_v2_tcp.bin` and the
+//! four v4 files were).
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -57,10 +65,11 @@ const FIXTURE: &[u8] = include_bytes!("data/mnsp_v1_path4.bin");
 const FIXTURE_V2: &[u8] = include_bytes!("data/mnsp_v2_path4.bin");
 const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_path4.bin");
 const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_path4.bin");
+const FIXTURE_V5: &[u8] = include_bytes!("data/mnsp_v5_path4.bin");
 
 /// Virtual time the v1–v3 fixtures were taken at.
 const STOPPED_AT: SimTime = SimTime::from_micros(4_850);
-/// Virtual time the scenario is stopped (and the v4 fixture taken) at.
+/// Virtual time the scenario is stopped (and the v4 and v5 fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
 /// The restored run is driven wakeup by wakeup up to this horizon (the CBR
 /// injector and the fluid epoch keep the emulator busy forever, so there is
@@ -72,7 +81,7 @@ const HORIZON: SimTime = SimTime::from_millis(40);
 /// came to be entered at its ideal time (the same state runs on
 /// differently).
 const TAIL_DIGEST: u64 = 0x3eaa_6516_a126_000d;
-/// The same digest over the run restored from the v4 fixture.
+/// The same digest over the run restored from the v4 and v5 fixtures.
 const TAIL_DIGEST_V4: u64 = 0xaeee_df54_c7ba_c8f9;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
@@ -231,36 +240,48 @@ fn tail_digest(mut backend: EmulatorBackend, stopped_at: SimTime) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
+/// The current encoder writes the v5 fixture on both executors, and so does
+/// restoring the parent-written v4 file, whose tunnels in flight are filed
+/// with their target cores on the way.
 #[test]
-fn both_executors_reproduce_the_v4_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 4, "this fixture pins format v4");
+fn both_executors_reproduce_the_v5_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 5, "this fixture pins format v5");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V4,
-            "snapshot bytes drifted from the v4 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V5,
+            "snapshot bytes drifted from the v5 fixture (threaded: {threaded})"
         );
     }
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V4).unwrap();
+    let stats = restored.total_stats();
+    assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V5);
 }
 
 /// v1, v2 and v3 hold one state: restored and serialised again they are one
-/// v4 frame, which restores to that state's digest — and which is the v3
-/// file less the packet-debt byte and 8 bytes per descriptor.
+/// v5 frame, which restores to that state's digest — and which is the v3
+/// file less the packet-debt byte, 8 bytes a descriptor, 17 a pipe (RED's
+/// tag, average and drop counter) and 8 a tunnel in flight (its target),
+/// with one inbox count a core for the one tunnel count.
 #[test]
-fn the_v1_to_v3_fixtures_re_serialise_to_one_v4_frame() {
-    let v4 = |fixture| {
+fn the_v1_to_v3_fixtures_re_serialise_to_one_v5_frame() {
+    let v5 = |fixture| {
         let mut restored = MultiCoreEmulator::restore_bytes(fixture).unwrap();
-        // Descriptors: in the cores' slabs and in the tunnels between them.
+        // Descriptors: in the cores' slabs and in their inboxes.
         let stats = restored.total_stats();
+        let tunnels = (stats.tunnels_out - stats.tunnels_in) as usize;
         let in_cores: usize = restored.cores().iter().map(|c| c.in_flight()).sum();
-        let descriptors = in_cores + (stats.tunnels_out - stats.tunnels_in) as usize;
-        (restored.snapshot().unwrap().to_bytes(), descriptors)
+        let bytes = restored.snapshot().unwrap().to_bytes();
+        (bytes, in_cores + tunnels, tunnels, restored.core_count())
     };
-    let (bytes, descriptors) = v4(FIXTURE_V3);
-    assert!(v4(FIXTURE).0 == bytes && v4(FIXTURE_V2).0 == bytes);
-    assert_eq!(bytes[4..8], 4u32.to_le_bytes());
-    assert!(descriptors > 0);
-    assert_eq!(bytes.len(), FIXTURE_V3.len() - 1 - 8 * descriptors);
+    let (bytes, descriptors, tunnels, cores) = v5(FIXTURE_V3);
+    assert!(v5(FIXTURE).0 == bytes && v5(FIXTURE_V2).0 == bytes);
+    assert_eq!(bytes[4..8], 5u32.to_le_bytes());
+    assert!(tunnels > 0);
+    let pipes = build(false).distilled.pipe_count();
+    let dropped = 1 + 8 * descriptors + 17 * pipes + 8 * tunnels;
+    assert_eq!(bytes.len(), FIXTURE_V3.len() - dropped + 8 * (cores - 1));
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let restored = EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
     assert_eq!(tail_digest(restored, STOPPED_AT), TAIL_DIGEST);
@@ -336,6 +357,11 @@ fn the_v4_fixture_restores_into_both_executors_and_finishes_identically() {
     restores_into_both_executors_and_finishes_identically(FIXTURE_V4, STOP_AT, TAIL_DIGEST_V4);
 }
 
+#[test]
+fn the_v5_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V5, STOP_AT, TAIL_DIGEST_V4);
+}
+
 /// A checksum-valid v2 frame whose first route names a pipe the ownership
 /// directory does not cover used to restore, accept a packet and panic on
 /// the first advance; it is refused like any other out-of-range index. (The
@@ -386,6 +412,11 @@ fn every_bit_flip_and_every_truncation_of_the_v4_fixture_is_a_typed_error() {
     every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V4);
 }
 
+#[test]
+fn every_bit_flip_and_every_truncation_of_the_v5_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V5);
+}
+
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
     let mut bytes = fixture.to_vec();
     for bit in 0..bytes.len() * 8 {
@@ -410,7 +441,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V4.to_vec();
+    let mut after_frame = FIXTURE_V5.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -425,7 +456,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V4[16..FIXTURE_V4.len() - 8]);
+    w.put_bytes(&FIXTURE_V5[16..FIXTURE_V5.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -443,11 +474,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v4_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v5_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v4_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v5_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(

@@ -19,10 +19,15 @@
 //!
 //! Format v4 dropped the accumulating timing rule's state (see
 //! `snapshot_golden.rs`): `tests/data/mnsp_v4_mux_churn.bin` is the scenario
-//! under the current encoder and timing, which every later commit must
-//! re-create byte for byte. The v2 and v3 files keep restoring unmodified;
-//! the run from their state changed with the timing rule, so their digest
-//! was re-recorded once, at that change.
+//! under that encoder and the current timing. The v2 and v3 files keep
+//! restoring unmodified; the run from their state changed with the timing
+//! rule, so their digest was re-recorded once, at that change.
+//!
+//! Format v5 moved tunnels in flight into their target cores and dropped
+//! the retired RED fields (see `snapshot_golden.rs`):
+//! `tests/data/mnsp_v5_mux_churn.bin` is the scenario under the current
+//! encoder, which every later commit must re-create byte for byte and which
+//! the parent-written v4 file, restored and serialised again, is.
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -43,6 +48,7 @@ use modelnet::EmulatorBackend;
 const FIXTURE: &[u8] = include_bytes!("data/mnsp_v2_mux_churn.bin");
 const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_mux_churn.bin");
 const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_mux_churn.bin");
+const FIXTURE_V5: &[u8] = include_bytes!("data/mnsp_v5_mux_churn.bin");
 
 const ROUTERS: usize = 8;
 /// VNs bound at each client location when the run starts.
@@ -58,7 +64,7 @@ const HORIZON: SimTime = SimTime::from_millis(30);
 /// came to be entered at its ideal time (the same state runs on
 /// differently).
 const TAIL_DIGEST: u64 = 0x861e_cb87_9fa3_6701;
-/// The same digest over the run restored from the v4 fixture.
+/// The same digest over the run restored from the v4 and v5 fixtures.
 const TAIL_DIGEST_V4: u64 = 0x3756_c0d7_c052_e133;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
@@ -236,17 +242,26 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
+/// Restores a fixture and serialises it again.
+fn re_serialised(fixture: &[u8]) -> Vec<u8> {
+    let mut restored = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+    restored.snapshot().unwrap().to_bytes()
+}
+
+/// The current encoder writes the v5 fixture on both executors, and so does
+/// restoring the parent-written v4 file.
 #[test]
-fn both_executors_reproduce_the_v4_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 4, "this fixture pins format v4");
+fn both_executors_reproduce_the_v5_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 5, "this fixture pins format v5");
     assert!(FIXTURE_V3.len() < FIXTURE.len(), "25 rows became 8");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V4,
-            "snapshot bytes drifted from the v4 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V5,
+            "snapshot bytes drifted from the v5 fixture (threaded: {threaded})"
         );
     }
+    assert!(re_serialised(FIXTURE_V4) == FIXTURE_V5);
 }
 
 #[test]
@@ -255,6 +270,7 @@ fn the_fixture_restores_into_both_executors_and_finishes_identically() {
         (FIXTURE, TAIL_DIGEST),
         (FIXTURE_V3, TAIL_DIGEST),
         (FIXTURE_V4, TAIL_DIGEST_V4),
+        (FIXTURE_V5, TAIL_DIGEST_V4),
     ] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
         let sequential =
@@ -266,32 +282,28 @@ fn the_fixture_restores_into_both_executors_and_finishes_identically() {
 }
 
 /// The parent-written v2 file and the v3 file, restored and re-serialised,
-/// are one v4 frame: each old decoder's table and the current encoder's
+/// are one v5 frame: each old decoder's table and the current encoder's
 /// bytes hold one state.
 #[test]
-fn the_v2_and_v3_fixtures_restored_re_serialise_to_one_v4_frame() {
-    let v4 = |fixture| {
-        let mut restored = MultiCoreEmulator::restore_bytes(fixture).unwrap();
-        restored.snapshot().unwrap().to_bytes()
-    };
-    let bytes = v4(FIXTURE);
-    assert_eq!(bytes[4..8], 4u32.to_le_bytes());
-    assert!(bytes == v4(FIXTURE_V3));
+fn the_v2_and_v3_fixtures_restored_re_serialise_to_one_v5_frame() {
+    let bytes = re_serialised(FIXTURE);
+    assert_eq!(bytes[4..8], 5u32.to_le_bytes());
+    assert!(bytes == re_serialised(FIXTURE_V3));
 }
 
 /// Writes the current version's fixture and prints the digest (`cargo test
 /// --test snapshot_golden_mux -- --ignored --nocapture`, after renaming the
 /// path below — run before the per-location table for v2, at the chunked
-/// table for v3, at the timing change for v4); see the module docs for why
-/// an existing file is never rewritten.
+/// table for v3, at the timing change for v4, at the per-core inboxes for
+/// v5); see the module docs for why an existing file is never rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v4_mux_churn.bin"]
+#[ignore = "writes tests/data/mnsp_v5_mux_churn.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/mnsp_v4_mux_churn.bin"
+        "/tests/data/mnsp_v5_mux_churn.bin"
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();

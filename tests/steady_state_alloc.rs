@@ -651,10 +651,10 @@ fn steady_state_survives_a_restore_without_allocating() {
 fn two_core_steady_state_allocates_nothing() {
     // The same bar across a core boundary: on two inline cores a ring's
     // routes cross from one core's pipes to the other's, so descriptors are
-    // copied out of one slab into the tick output's tunnel buffer, ride the
-    // shared tunnel wheel and take a slot in the peer's slab. Slabs, free
-    // lists, pipe queues and tunnel buffers all reach their capacity in
-    // warm-up; the measured window allocates nothing. (`drive_slow` because
+    // copied out of one slab into the tick output's tunnel buffer, wait in
+    // the peer's inbox and take a slot in the peer's slab. Slabs, free
+    // lists, pipe queues, inboxes and tunnel buffers all reach their capacity
+    // in warm-up; the measured window allocates nothing. (`drive_slow` because
     // this ring has the 2 Mb/s access pipes its doc comment describes.)
     let topo = ring_topology(&RingParams {
         routers: 8,
