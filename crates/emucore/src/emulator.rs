@@ -767,8 +767,9 @@ impl<X: CoreExecutor> Emulator<X> {
     /// packet (in input order) to `outcomes`. One pass resolves every
     /// packet's route and first pipe, then each is decided in input order:
     /// unknown or departed VN `NoRoute`, same location delivered locally,
-    /// else offered to its entry core — pipelined by an executor with round
-    /// trips to hide. The fast path for bulk traffic drivers.
+    /// else offered to its entry core — each core's share in one message
+    /// on an executor whose cores run on other threads. The fast path for
+    /// bulk traffic drivers.
     ///
     /// # Errors
     ///

@@ -32,14 +32,26 @@
 //!   tunnel exchange — the paper's bound on core cooperation — and each
 //!   worker files its incoming tunnels in its core's inbox in (epoch,
 //!   source core, FIFO) order: the order the inline rounds file them in.
-//! * **Determinism of delivery streams.** Workers stream their deliveries
-//!   per epoch to the coordinator thread, which concatenates them
-//!   epoch-major, core-major — the same order the inline rounds append
-//!   them.
-//! * **Every request is answered.** A worker's reply to an ingress, a
-//!   [`CoreCommand`] or an advance carries its refreshed counters and
-//!   earliest deadline, so the cached per-worker state `stats` and
-//!   `next_wakeup` read is never older than the last call.
+//! * **Determinism of delivery streams.** A worker appends an advance's
+//!   deliveries to one buffer, epoch after epoch, records where each epoch
+//!   ends, and hands both back in its one reply; the coordinator thread
+//!   interleaves the replies epoch-major, core-major — the same order the
+//!   inline rounds append them.
+//! * **Every request is answered, once.** One message per core per call:
+//!   a batch's packets for a core travel as one admission request, an
+//!   advance is one request, and each gets one reply. The reply carries the
+//!   core's refreshed counters and earliest deadline, so the cached
+//!   per-worker state `stats` and `next_wakeup` read is never older than
+//!   the last call. Buffers travel with the messages and come back in the
+//!   replies, so the steady state allocates nothing on any thread.
+//! * **The coordinator sleeps through the wait.** It polls a worker's
+//!   reply ring a few times, yielding between polls, then parks, so on a
+//!   host with no CPU to spare it does not compete with the workers it
+//!   waits for. Each request names the thread that waits for its reply
+//!   (the emulator may move between threads), and the worker unparks it
+//!   after every reply it pushes. The park has a timeout, so a dead worker
+//!   (which wakes nobody) is still reaped and the stall watchdog still
+//!   reads its heartbeat.
 //! * **Supervision lives here and only here.** Worker panics are caught at
 //!   the join handle, stalls by an opt-in heartbeat watchdog; the first
 //!   failure raises the shared abort flag and poisons the executor.
@@ -51,7 +63,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
@@ -79,29 +91,41 @@ pub type ParallelEmulator = Emulator<ThreadedExecutor>;
 
 /// Tunnel descriptors buffered per core pair before the producer spills.
 const TUNNEL_RING_CAPACITY: usize = 1024;
-/// Deliveries and replies buffered per worker.
+/// Replies buffered per worker.
 const RESPONSE_RING_CAPACITY: usize = 1024;
 /// Coordinator requests buffered per worker.
 const REQUEST_RING_CAPACITY: usize = 256;
-/// Ingress requests a batched submit keeps in flight per core before
-/// draining replies; must stay below both ring capacities so neither side
-/// of a pipelined batch can block on a full ring.
-const MAX_OUTSTANDING_INGRESS: usize = 128;
 /// Idle polls of the request ring before a worker parks its thread.
 const IDLE_SPINS_BEFORE_PARK: u32 = 256;
+/// Polls of a reply ring, each after a yield, before the waiting
+/// coordinator parks its thread: a reply that comes this soon costs no
+/// futex round trip.
+const WAIT_YIELDS_BEFORE_PARK: u32 = 32;
+/// The parked coordinator's timeout: how late at most it notices what
+/// wakes nobody — a dead worker, a stalled heartbeat.
+const WAIT_PARK_TIMEOUT: Duration = Duration::from_micros(500);
+
+/// A packet offered at a core's NIC at a time, into its resolved first pipe.
+type Admission = (SimTime, PipeId, Descriptor);
 
 /// Coordinator → worker requests. Delivered in FIFO order per worker, so
-/// ingress/command/advance interleaving matches the coordinator's call
-/// order.
+/// admission/command/advance interleaving matches the coordinator's call
+/// order. Each travels with the thread to unpark once its reply is pushed.
 enum Request {
-    /// A packet offered at this core's NIC, into its resolved first pipe.
-    Ingress {
-        now: SimTime,
-        first: PipeId,
-        descriptor: Descriptor,
+    /// This core's packets of one batch, admitted in order; `outcomes`
+    /// arrives empty and returns one decision per packet.
+    Admit {
+        batch: Vec<Admission>,
+        outcomes: Vec<IngressOutcome>,
     },
-    /// Run scheduler epochs at `now` until no tunnel remains due.
-    Advance { now: SimTime },
+    /// Run scheduler epochs at `now` until no tunnel remains due, appending
+    /// every epoch's deliveries to `deliveries` and the length they reach
+    /// at each epoch's end to `epoch_ends` (both arrive empty).
+    Advance {
+        now: SimTime,
+        deliveries: Vec<Delivery>,
+        epoch_ends: Vec<usize>,
+    },
     /// Carry out a coordinator command on this core.
     Apply(CoreCommand),
     /// Encode the core into the buffer carried (the one this worker filled
@@ -116,27 +140,38 @@ enum Request {
 }
 
 /// What the coordinator caches per worker: refreshed by every reply.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct Status {
     stats: CoreStats,
     next_wakeup: Option<SimTime>,
 }
 
-/// Worker → coordinator responses.
+impl Status {
+    /// Counters plus the earliest due work on `core`, tick-rounded.
+    fn of(core: &EmulatorCore) -> Self {
+        Status {
+            stats: *core.stats(),
+            next_wakeup: core.next_wakeup(),
+        }
+    }
+}
+
+/// Worker → coordinator responses, one per request (but `SetChaos`).
 enum Response {
-    /// Outcome of a [`Request::Ingress`].
-    Ingress {
-        outcome: IngressOutcome,
+    /// Reply to [`Request::Admit`]: its two buffers, `batch` drained and
+    /// `outcomes` filled in batch order.
+    Admitted {
+        batch: Vec<Admission>,
+        outcomes: Vec<IngressOutcome>,
         status: Status,
     },
-    /// One packet that exited the emulated network this epoch.
-    Delivery(Delivery),
-    /// This worker finished an epoch; `more` is the (globally agreed)
-    /// decision whether another epoch follows within the same advance.
-    EpochEnd { more: bool },
-    /// The worker's status: announced once at start-up, at the end of every
-    /// [`Request::Advance`], and in reply to [`Request::Apply`] (`ok` is
-    /// whether the core accepted the command).
+    /// Reply to [`Request::Advance`]: its two buffers, filled.
+    Advanced {
+        deliveries: Vec<Delivery>,
+        epoch_ends: Vec<usize>,
+        status: Status,
+    },
+    /// Reply to [`Request::Apply`]: whether the core accepted the command.
     Done { ok: bool, status: Status },
     /// Reply to [`Request::Snapshot`]: the core's encoded state.
     Snapshot(Vec<u8>),
@@ -164,8 +199,11 @@ struct Worker {
     core_count: usize,
     core: EmulatorCore,
     pod: Arc<PipeOwnershipDirectory>,
-    requests: Consumer<Request>,
+    requests: Consumer<(Request, Thread)>,
     responses: Producer<Response>,
+    /// The thread the last request came with, unparked after every reply:
+    /// whoever waits now, as the emulator may move between threads.
+    waiter: Option<Thread>,
     /// Outgoing tunnel rings, indexed by target core (`None` at `me`).
     tunnel_out: Vec<Option<Producer<TunnelMsg>>>,
     /// Incoming tunnel rings, indexed by source core (`None` at `me`).
@@ -197,13 +235,9 @@ struct Worker {
 impl Worker {
     fn run(mut self, start: Arc<SpinBarrier>) {
         start.wait();
-        // Seed the coordinator's cached status: the core may carry counters
-        // and scheduled deadlines from a previous life (a converted
-        // emulator, a restored checkpoint).
-        self.push_done(true);
         let mut idle_spins = 0u32;
         loop {
-            let Some(request) = self.requests.try_pop() else {
+            let Some((request, waiter)) = self.requests.try_pop() else {
                 idle_spins += 1;
                 if idle_spins < IDLE_SPINS_BEFORE_PARK {
                     std::thread::yield_now();
@@ -217,24 +251,38 @@ impl Worker {
                 continue;
             };
             idle_spins = 0;
+            self.waiter = Some(waiter);
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
             if !matches!(request, Request::SetChaos(_)) {
                 self.chaos.check_command();
             }
             match request {
-                Request::Ingress {
-                    now,
-                    first,
-                    descriptor,
+                Request::Admit {
+                    mut batch,
+                    mut outcomes,
                 } => {
-                    let outcome = self.core.ingress_into(now, first, descriptor);
-                    let status = self.status();
-                    self.push_response(Response::Ingress { outcome, status });
+                    let core = &mut self.core;
+                    outcomes.extend(
+                        batch.drain(..).map(|(now, first, descriptor)| {
+                            core.ingress_into(now, first, descriptor)
+                        }),
+                    );
+                    let status = Status::of(&self.core);
+                    self.push_response(Response::Admitted {
+                        batch,
+                        outcomes,
+                        status,
+                    });
                 }
-                Request::Advance { now } => self.advance(now),
+                Request::Advance {
+                    now,
+                    deliveries,
+                    epoch_ends,
+                } => self.advance(now, deliveries, epoch_ends),
                 Request::Apply(command) => {
                     let ok = command.apply_to(&mut self.core);
-                    self.push_done(ok);
+                    let status = Status::of(&self.core);
+                    self.push_response(Response::Done { ok, status });
                 }
                 Request::Snapshot(buf) => {
                     let mut state = ByteWriter::reusing(buf);
@@ -262,8 +310,8 @@ impl Worker {
 
     /// Mirrors [`InlineExecutor`]'s advance for this core: epochs of
     /// (tick → exchange), repeated while any core produced a tunnel that is
-    /// already due.
-    fn advance(&mut self, now: SimTime) {
+    /// already due. Replies once, with every epoch's deliveries.
+    fn advance(&mut self, now: SimTime, mut deliveries: Vec<Delivery>, mut epoch_ends: Vec<usize>) {
         loop {
             self.epoch += 1;
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
@@ -299,11 +347,7 @@ impl Worker {
                     );
                 }
             }
-            // Stream this epoch's deliveries (they are appended by the
-            // coordinator in core order, matching the inline executor).
-            for delivery in tick_buf.deliveries.drain(..) {
-                self.push_response(Response::Delivery(delivery));
-            }
+            deliveries.append(&mut tick_buf.deliveries);
             self.tick_buf = tick_buf;
             // Epoch barrier: collect every peer's marker, filing their
             // tunnels in the core's inbox in source-major order.
@@ -313,14 +357,14 @@ impl Worker {
                     match self.collect_marker(source, epoch) {
                         Some(due) => any_due |= due,
                         // A peer died or stalled and the coordinator
-                        // aborted this advance: bail out (no Done — nobody
+                        // aborted this advance: bail out (no reply — nobody
                         // is listening) and return to the request loop so
                         // Finish still reaches us.
                         None => return,
                     }
                 }
             }
-            self.push_response(Response::EpochEnd { more: any_due });
+            epoch_ends.push(deliveries.len());
             if !any_due {
                 break;
             }
@@ -335,7 +379,12 @@ impl Worker {
         // spill, but nothing on the exit path would — and a worker parked
         // with a spilled marker deadlocks the whole mesh.
         self.flush_all_spill_blocking();
-        self.push_done(true);
+        let status = Status::of(&self.core);
+        self.push_response(Response::Advanced {
+            deliveries,
+            epoch_ends,
+            status,
+        });
     }
 
     /// Spins until every spill queue has drained into its ring, keeping
@@ -350,19 +399,6 @@ impl Worker {
             self.make_progress();
             wait.spin();
         }
-    }
-
-    /// Counters plus the earliest due work on this core, tick-rounded.
-    fn status(&self) -> Status {
-        Status {
-            stats: *self.core.stats(),
-            next_wakeup: self.core.next_wakeup(),
-        }
-    }
-
-    fn push_done(&mut self, ok: bool) {
-        let status = self.status();
-        self.push_response(Response::Done { ok, status });
     }
 
     /// Queues a tunnel message to `target`, preserving per-ring FIFO order
@@ -458,16 +494,24 @@ impl Worker {
         }
     }
 
-    /// Blocking response push; the coordinator always drains the ring of
-    /// the worker it is waiting on, so this cannot deadlock. After an
-    /// abort the coordinator stops draining entirely — the message is
-    /// dropped instead (the run's results are void once a worker died).
+    /// Blocking response push, then a wake for the waiting thread; the
+    /// coordinator always drains the ring of the worker it is waiting on,
+    /// so this cannot deadlock. After an abort the coordinator stops
+    /// draining entirely — the message is dropped instead (the run's
+    /// results are void once a worker died).
     fn push_response(&mut self, message: Response) {
         let mut message = message;
         let mut wait = SpinWait::new();
         loop {
             match self.responses.try_push(message) {
-                Ok(()) => return,
+                Ok(()) => {
+                    // A wake before the waiter parks leaves a token, so
+                    // none is lost.
+                    if let Some(waiter) = &self.waiter {
+                        waiter.unpark();
+                    }
+                    return;
+                }
                 Err(back) => {
                     if self.abort.load(Ordering::Acquire) {
                         return;
@@ -486,13 +530,22 @@ struct WorkerHandle {
     /// The core this worker runs, for failure attribution.
     core: CoreId,
     thread: Option<JoinHandle<()>>,
-    requests: Producer<Request>,
+    requests: Producer<(Request, Thread)>,
     responses: Consumer<Response>,
     /// The worker's liveness counter, read by the stall watchdog.
     heartbeat: Arc<AtomicU64>,
     /// Latest counters and wakeup reported by the worker.
     status: Status,
-    /// Where this worker encodes its core at a checkpoint, kept in between.
+    /// A batch's packets for this core and the outcome slot of each, filled
+    /// while the batch is split and emptied by the reply.
+    admissions: Vec<Admission>,
+    slots: Vec<usize>,
+    /// The buffers the requests carry, back from the worker between calls
+    /// (empty, keeping their capacity): admission outcomes, an advance's
+    /// deliveries and its epoch ends, a checkpoint's encoded core.
+    outcomes: Vec<IngressOutcome>,
+    deliveries: Vec<Delivery>,
+    epoch_ends: Vec<usize>,
     snapshot_buf: Vec<u8>,
 }
 
@@ -527,18 +580,19 @@ impl WorkerHandle {
         }
     }
 
-    /// Sends a request (FIFO per worker) and wakes the thread if parked.
+    /// Sends a request (FIFO per worker) with the calling thread as the one
+    /// to wake for its reply, and wakes the worker if parked.
     ///
     /// A live worker always drains its ring, so a full ring plus a dead
     /// thread means the worker failed: the error carries the panic payload.
     fn send(&mut self, request: Request) -> Result<(), EmuError> {
-        let mut request = request;
+        let mut message = (request, std::thread::current());
         let mut wait = SpinWait::new();
         loop {
-            match self.requests.try_push(request) {
+            match self.requests.try_push(message) {
                 Ok(()) => break,
                 Err(back) => {
-                    request = back;
+                    message = back;
                     let dead = self.thread.as_ref().is_none_or(|thread| {
                         thread.thread().unpark();
                         thread.is_finished()
@@ -579,9 +633,6 @@ impl WorkerHandle {
 /// coordinator.
 pub struct ThreadedExecutor {
     workers: Vec<WorkerHandle>,
-    /// Per core, the outcome slots a pipelined batch awaits replies for:
-    /// empty between batches and sized once, so a batch allocates nothing.
-    owed: Vec<VecDeque<usize>>,
     /// Shared kill switch raised on the first worker failure so surviving
     /// workers escape their epoch waits instead of spinning forever.
     abort: Arc<AtomicBool>,
@@ -634,10 +685,13 @@ impl ThreadedExecutor {
     /// heartbeat stops moving for that long (wall clock) is reported as
     /// [`FailureCause::Stalled`]; the stalled core named is the one waited
     /// on, which may itself be a victim of a stalled peer.
+    ///
+    /// After a few yielding polls the thread parks: the worker's reply
+    /// unparks it, and the timeout re-runs both checks for what wakes
+    /// nobody.
     fn wait(&mut self, index: usize) -> Result<Response, EmuError> {
-        let mut wait = SpinWait::new();
         // Lazily initialised: the Instant read costs nothing unless a
-        // timeout is configured and the first poll missed.
+        // timeout is configured and the reply is slow enough to park for.
         let mut watchdog: Option<(u64, Instant)> = None;
         let mut polls: u32 = 0;
         loop {
@@ -660,97 +714,99 @@ impl ThreadedExecutor {
                     return Err(self.fail(error));
                 }
             }
+            if polls < WAIT_YIELDS_BEFORE_PARK {
+                polls += 1;
+                std::thread::yield_now();
+                continue;
+            }
             if let Some(timeout) = self.stall_timeout {
-                polls = polls.wrapping_add(1);
-                if polls.is_multiple_of(64) {
-                    let beat = self.workers[index].heartbeat.load(Ordering::Relaxed);
-                    match &mut watchdog {
-                        Some((last_beat, last_progress)) => {
-                            if beat != *last_beat {
-                                *last_beat = beat;
-                                *last_progress = Instant::now();
-                            } else if last_progress.elapsed() >= timeout {
-                                return Err(self.fail(EmuError::WorkerFailure {
-                                    core: self.workers[index].core,
-                                    cause: FailureCause::Stalled { waited: timeout },
-                                }));
-                            }
+                let beat = self.workers[index].heartbeat.load(Ordering::Relaxed);
+                match &mut watchdog {
+                    Some((last_beat, last_progress)) => {
+                        if beat != *last_beat {
+                            *last_beat = beat;
+                            *last_progress = Instant::now();
+                        } else if last_progress.elapsed() >= timeout {
+                            return Err(self.fail(EmuError::WorkerFailure {
+                                core: self.workers[index].core,
+                                cause: FailureCause::Stalled { waited: timeout },
+                            }));
                         }
-                        None => watchdog = Some((beat, Instant::now())),
                     }
+                    None => watchdog = Some((beat, Instant::now())),
                 }
             }
-            wait.spin();
+            std::thread::park_timeout(WAIT_PARK_TIMEOUT);
         }
     }
 
     /// Waits for worker `index`'s [`Response::Done`], refreshing its cached
     /// status; returns the reply's `ok`.
     fn wait_done(&mut self, index: usize) -> Result<bool, EmuError> {
-        match self.wait(index)? {
-            Response::Done { ok, status } => {
-                self.workers[index].status = status;
-                Ok(ok)
-            }
-            _ => unreachable!("start-up, Advance and Apply end with Done"),
-        }
+        let Response::Done { ok, status } = self.wait(index)? else {
+            unreachable!("Apply is answered by Done")
+        };
+        self.workers[index].status = status;
+        Ok(ok)
     }
 
-    /// Collects the replies worker `index` owes a pipelined batch into the
-    /// outcome slots reserved for them, oldest first, refreshing its status.
-    fn drain_ingress(
-        &mut self,
-        index: usize,
-        outcomes: &mut [SubmitOutcome],
-    ) -> Result<(), EmuError> {
-        while let Some(slot) = self.owed[index].pop_front() {
-            let Response::Ingress { outcome, status } = self.wait(index)? else {
-                unreachable!("Ingress is answered by Ingress")
-            };
-            self.workers[index].status = status;
-            outcomes[slot] = outcome.into();
-        }
-        Ok(())
-    }
-
-    /// Pipelines a batch's ring round trips instead of blocking on each
-    /// packet: requests go out as the batch is walked, replies are collected
-    /// per core whenever [`MAX_OUTSTANDING_INGRESS`] are owed, and at the
-    /// end. On error `outcomes` holds unanswered placeholders.
-    fn pipeline_ingress(
+    /// Splits a batch by core and sends each core with work its share in
+    /// one request, then fills the outcome slots from each core's one reply.
+    /// On error `outcomes` holds unanswered placeholders, and the executor
+    /// is poisoned, so no later batch meets the slots left behind.
+    fn admit(
         &mut self,
         batch: impl Iterator<Item = Dispatch>,
         outcomes: &mut Vec<SubmitOutcome>,
     ) -> Result<(), EmuError> {
         for dispatch in batch {
-            match dispatch {
-                Dispatch::Resolved(outcome) => outcomes.push(outcome),
+            let outcome = match dispatch {
+                Dispatch::Resolved(outcome) => outcome,
                 Dispatch::Ingress {
                     core,
                     now,
                     first,
                     descriptor,
                 } => {
-                    let index = core.index();
-                    let request = Request::Ingress {
-                        now,
-                        first,
-                        descriptor,
-                    };
-                    self.send(index, request)?;
-                    self.owed[index].push_back(outcomes.len());
+                    let worker = &mut self.workers[core.index()];
+                    worker.admissions.push((now, first, descriptor));
+                    worker.slots.push(outcomes.len());
                     // Placeholder, overwritten by the core's reply.
-                    outcomes.push(SubmitOutcome::NoRoute);
-                    // Keep the rings bounded: drain a core's replies before
-                    // its request/response rings can fill.
-                    if self.owed[index].len() >= MAX_OUTSTANDING_INGRESS {
-                        self.drain_ingress(index, outcomes)?;
-                    }
+                    SubmitOutcome::NoRoute
                 }
-            }
+            };
+            outcomes.push(outcome);
         }
         for index in 0..self.workers.len() {
-            self.drain_ingress(index, outcomes)?;
+            let worker = &mut self.workers[index];
+            if worker.slots.is_empty() {
+                continue;
+            }
+            let request = Request::Admit {
+                batch: std::mem::take(&mut worker.admissions),
+                outcomes: std::mem::take(&mut worker.outcomes),
+            };
+            self.send(index, request)?;
+        }
+        for index in 0..self.workers.len() {
+            if self.workers[index].slots.is_empty() {
+                continue;
+            }
+            let Response::Admitted {
+                batch,
+                outcomes: mut decided,
+                status,
+            } = self.wait(index)?
+            else {
+                unreachable!("Admit is answered by Admitted")
+            };
+            let worker = &mut self.workers[index];
+            for (&slot, &outcome) in worker.slots.iter().zip(&decided) {
+                outcomes[slot] = outcome.into();
+            }
+            worker.slots.clear();
+            decided.clear();
+            (worker.admissions, worker.outcomes, worker.status) = (batch, decided, status);
         }
         Ok(())
     }
@@ -770,9 +826,9 @@ impl ThreadedExecutor {
             let Some(thread) = worker.thread.take() else {
                 continue;
             };
-            // Drain until the Core reply; a worker that died mid-protocol
-            // may have left deliveries or epoch markers queued ahead of it
-            // (or nothing at all).
+            // Drain until the Core reply; a call that failed mid-protocol
+            // may have left unread replies queued ahead of it (or, from a
+            // dead worker, nothing at all).
             loop {
                 match worker.wait_response_until_dead(&thread) {
                     Some(Response::Core(core)) => {
@@ -821,6 +877,9 @@ impl CoreExecutor for ThreadedExecutor {
             let (request_tx, request_rx) = spsc::channel(REQUEST_RING_CAPACITY);
             let (response_tx, response_rx) = spsc::channel(RESPONSE_RING_CAPACITY);
             let heartbeat = Arc::new(AtomicU64::new(0));
+            // The core may carry counters and scheduled deadlines from a
+            // previous life (a converted emulator, a restored checkpoint).
+            let status = Status::of(&core);
             let worker = Worker {
                 me,
                 core_count: n,
@@ -828,6 +887,7 @@ impl CoreExecutor for ThreadedExecutor {
                 pod: pod.clone(),
                 requests: request_rx,
                 responses: response_tx,
+                waiter: None,
                 tunnel_out: std::mem::take(&mut tunnel_producers[me]),
                 tunnel_in: std::mem::take(&mut tunnel_consumers[me]),
                 staged: (0..n).map(|_| VecDeque::new()).collect(),
@@ -849,26 +909,22 @@ impl CoreExecutor for ThreadedExecutor {
                 requests: request_tx,
                 responses: response_rx,
                 heartbeat,
-                status: Status::default(),
+                status,
+                admissions: Vec::new(),
+                slots: Vec::new(),
+                outcomes: Vec::new(),
+                deliveries: Vec::new(),
+                epoch_ends: Vec::new(),
                 snapshot_buf: Vec::new(),
             });
         }
 
-        let mut executor = ThreadedExecutor {
+        ThreadedExecutor {
             workers,
-            owed: (0..n)
-                .map(|_| VecDeque::with_capacity(MAX_OUTSTANDING_INGRESS))
-                .collect(),
             abort,
             failure: None,
             stall_timeout: None,
-        };
-        for index in 0..n {
-            executor
-                .wait_done(index)
-                .expect("freshly spawned workers announce their status");
         }
-        executor
     }
 
     fn core_count(&self) -> usize {
@@ -899,45 +955,50 @@ impl CoreExecutor for ThreadedExecutor {
         outcomes: &mut Vec<SubmitOutcome>,
     ) -> Result<(), EmuError> {
         let base = outcomes.len();
-        let result = self.pipeline_ingress(batch, outcomes);
+        let result = self.admit(batch, outcomes);
         if result.is_err() {
             outcomes.truncate(base);
-            self.owed.iter_mut().for_each(VecDeque::clear);
         }
         result
     }
 
     fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
-            self.send(index, Request::Advance { now })?;
-        }
-        loop {
-            let mut more = false;
-            for index in 0..self.workers.len() {
-                loop {
-                    match self.wait(index)? {
-                        Response::Delivery(delivery) => deliveries.push(delivery),
-                        Response::EpochEnd { more: worker_more } => {
-                            if index == 0 {
-                                more = worker_more;
-                            } else {
-                                debug_assert_eq!(
-                                    more, worker_more,
-                                    "epoch continue decisions agree across cores"
-                                );
-                            }
-                            break;
-                        }
-                        _ => unreachable!("advance streams deliveries then EpochEnd"),
-                    }
-                }
-            }
-            if !more {
-                break;
-            }
+            let worker = &mut self.workers[index];
+            let request = Request::Advance {
+                now,
+                deliveries: std::mem::take(&mut worker.deliveries),
+                epoch_ends: std::mem::take(&mut worker.epoch_ends),
+            };
+            self.send(index, request)?;
         }
         for index in 0..self.workers.len() {
-            self.wait_done(index)?;
+            let Response::Advanced {
+                deliveries,
+                epoch_ends,
+                status,
+            } = self.wait(index)?
+            else {
+                unreachable!("Advance is answered by Advanced")
+            };
+            let worker = &mut self.workers[index];
+            (worker.deliveries, worker.epoch_ends, worker.status) =
+                (deliveries, epoch_ends, status);
+        }
+        // Epoch-major, core-major: the inline rounds' order. Every worker
+        // ran the same epochs, having agreed through its markers on each
+        // one's continue decision.
+        let epochs = self.workers[0].epoch_ends.len();
+        for epoch in 0..epochs {
+            for worker in &self.workers {
+                debug_assert_eq!(worker.epoch_ends.len(), epochs, "cores agree on epochs");
+                let start = epoch.checked_sub(1).map_or(0, |e| worker.epoch_ends[e]);
+                deliveries.extend_from_slice(&worker.deliveries[start..worker.epoch_ends[epoch]]);
+            }
+        }
+        for worker in &mut self.workers {
+            worker.deliveries.clear();
+            worker.epoch_ends.clear();
         }
         Ok(())
     }
@@ -1131,6 +1192,35 @@ mod tests {
     }
 
     #[test]
+    fn an_emulator_moved_to_another_thread_wakes_that_thread() {
+        // Built on this thread, driven on another: the thread to wake
+        // travels with each request, so the replies wake the driving
+        // thread, not the builder, and the run stays byte for byte the
+        // inline one.
+        fn run<X: CoreExecutor>(
+            emu: &mut Emulator<X>,
+            binding: &Binding,
+        ) -> (Vec<DeliveryRecord>, Vec<u8>) {
+            let log = drive(emu, binding);
+            (log, emu.snapshot().unwrap().to_bytes())
+        }
+        let (mut seq, binding, _) = ring_emulator::<InlineExecutor>(2);
+        let expected = run(&mut seq, &binding);
+        let (par, binding, _) = ring_emulator::<ThreadedExecutor>(2);
+        let driven = std::thread::spawn(move || {
+            let mut par = par;
+            run(&mut par, &binding)
+        })
+        .join()
+        .expect("the driving thread completes");
+        assert!(!expected.0.is_empty());
+        assert!(
+            driven == expected,
+            "a threaded run driven elsewhere diverges"
+        );
+    }
+
+    #[test]
     fn single_core_parallel_matches_sequential() {
         let (log, seq_stats, par_stats) = run_both(1);
         assert!(!log.is_empty());
@@ -1316,12 +1406,12 @@ mod tests {
     #[test]
     fn batched_submits_are_bit_identical_to_per_packet_submits() {
         // submit_batch resolves a whole batch's routes before it admits any
-        // packet and pipelines the ring round trips, but must decide every
-        // packet as one-by-one submits do: outcomes, deliveries, counters
-        // and the drained state's bytes all match, on both backends. The
-        // second batch holds the edges: VN ids past the table, a departed
-        // source and a departed destination, a co-located pair, and more
-        // packets for core 0 than a core may owe replies for at once.
+        // packet and sends each core its share in one request, but must
+        // decide every packet as one-by-one submits do: outcomes,
+        // deliveries, counters and the drained state's bytes all match, on
+        // both backends. The second batch holds the edges: VN ids past the
+        // table, a departed source and a departed destination, a co-located
+        // pair, and more packets for core 0 than its two rings hold.
         type Run = (Vec<SubmitOutcome>, Vec<DeliveryRecord>, CoreStats, Vec<u8>);
         fn run<X: CoreExecutor>(cores: usize, batched: bool) -> Run {
             let topo = ring_topology(&RingParams {
@@ -1351,7 +1441,7 @@ mod tests {
             };
             let plain =
                 (0..400u64).map(|i| packet(i, vns[i as usize % 8], vns[(i as usize + 3) % 8]));
-            let edges = (400..800u64).map(|i| {
+            let edges = (400..4_400u64).map(|i| {
                 let src = core0[i as usize % core0.len()];
                 let (src, dst) = match i % 12 {
                     0 => (VnId(999), vns[1]),
@@ -1387,7 +1477,8 @@ mod tests {
             let offered = |emu: &Emulator<X>| emu.core_stats(CoreId(0)).unwrap().packets_offered;
             let before = offered(&emu);
             submit(&mut emu, edges.collect(), &mut outcomes);
-            assert!(offered(&emu) - before > MAX_OUTSTANDING_INGRESS as u64);
+            let rings = REQUEST_RING_CAPACITY + RESPONSE_RING_CAPACITY;
+            assert!(offered(&emu) - before > rings as u64);
             log.extend(finish_run(&mut emu));
             let bytes = emu.snapshot().unwrap().to_bytes();
             (outcomes, log, emu.total_stats(), bytes)

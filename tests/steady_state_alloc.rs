@@ -10,7 +10,11 @@
 //! run of submit + advance must perform **zero** heap allocations on this
 //! thread. The sharded route table's lookup path gets its own guard: row
 //! shards and the chunked route store must resolve without touching the
-//! heap, rewired or not.
+//! heap, rewired or not. The threaded executor's guard reads the
+//! process-wide byte counter too, so it runs with every other test here
+//! held off ([`exclusive`]).
+
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mn_assign::{Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
@@ -20,11 +24,27 @@ use mn_emucore::{
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
-use mn_util::alloc::{thread_alloc_bytes as alloc_bytes, thread_alloc_calls as alloc_calls};
+use mn_util::alloc::{
+    thread_alloc_bytes as alloc_bytes, thread_alloc_calls as alloc_calls, total_allocated_bytes,
+};
 use mn_util::{SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOCATOR: mn_util::alloc::CountingAlloc = mn_util::alloc::CountingAlloc;
+
+/// Taken shared by every test in this file and exclusively by the one whose
+/// window reads [`mn_util::alloc::total_allocated_bytes`], which counts every
+/// thread of the process.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    // A panicking test poisons nothing the lock guards: it guards no data.
+    PROCESS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    PROCESS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tcp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -145,6 +165,7 @@ fn drive_aligned(
 
 #[test]
 fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
+    let _process = shared();
     // Runtime reconfiguration must not break the zero-alloc guarantee: a
     // mid-run bandwidth renegotiation (the dynamics engine's in-place
     // parameter update) and a running CBR background injector both ride
@@ -224,6 +245,7 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
 
 #[test]
 fn fluid_epochs_and_mid_run_resize_allocate_nothing() {
+    let _process = shared();
     // The hybrid fast path's steady state: live fluid bulk flows force a
     // fair-share recompute every epoch (the `advance_into` chop), and each
     // recompute redistributes per-pipe demands to the cores. All of that —
@@ -320,6 +342,7 @@ fn fluid_epochs_and_mid_run_resize_allocate_nothing() {
 /// incremental rewire (mixed shared and freshly published row shards).
 #[test]
 fn sharded_route_lookups_allocate_nothing() {
+    let _process = shared();
     let topo = ring_topology(&RingParams {
         routers: 8,
         clients_per_router: 2,
@@ -378,6 +401,7 @@ fn sharded_route_lookups_allocate_nothing() {
 /// rewire resolve every route through.
 #[test]
 fn on_demand_route_resolution_allocates_nothing_when_warmed() {
+    let _process = shared();
     let topo = ring_topology(&RingParams {
         routers: 8,
         clients_per_router: 2,
@@ -460,6 +484,7 @@ fn drive_slow(
 /// feedback loop would issue) is held to the same bar.
 #[test]
 fn compensated_steady_state_allocates_nothing() {
+    let _process = shared();
     let topo = ring_topology(&RingParams {
         routers: 8,
         clients_per_router: 2,
@@ -529,6 +554,7 @@ fn compensated_steady_state_allocates_nothing() {
 
 #[test]
 fn single_core_steady_state_allocates_nothing() {
+    let _process = shared();
     let topo = star_topology(&StarParams {
         clients: 64,
         ..StarParams::default()
@@ -574,13 +600,15 @@ fn single_core_steady_state_allocates_nothing() {
 }
 
 #[test]
-fn threaded_steady_state_allocates_nothing_on_the_calling_thread() {
-    // The threaded executor's coordinator side, as the benchmark drives it:
-    // `submit_batch` pipelines each batch's requests to the workers and
-    // collects their replies through queues the executor keeps, and
-    // `advance_into` streams deliveries into the caller's buffer. Warmed,
-    // the calling thread allocates nothing (the workers count on their own
-    // threads). The two-core ring of `two_core_steady_state_allocates_nothing`.
+fn threaded_steady_state_allocates_nothing_on_any_thread() {
+    let _process = exclusive();
+    // The threaded executor as the benchmark drives it: `submit_batch`
+    // sends each core its share of a batch in one request and
+    // `advance_into` collects one reply per core, every buffer travelling
+    // to the worker and back. Warmed, neither the calling thread nor a
+    // worker allocates: the process-wide byte counter stands still too, so
+    // a buffer that only travels one way (and is rebuilt each call) shows.
+    // The two-core ring of `two_core_steady_state_allocates_nothing`.
     let topo = ring_topology(&RingParams {
         routers: 8,
         clients_per_router: 2,
@@ -598,20 +626,26 @@ fn threaded_steady_state_allocates_nothing_on_the_calling_thread() {
 
     let warmed = drive_batched(&mut emu, &vns, &mut feed, CADENCE_NS, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
-    let before = alloc_calls();
+    let before = (alloc_calls(), total_allocated_bytes());
     let delivered = drive_batched(&mut emu, &vns, &mut feed, CADENCE_NS, 30_000, 10_000);
-    let delta = alloc_calls() - before;
+    let calls = alloc_calls() - before.0;
+    let bytes = total_allocated_bytes() - before.1;
     assert!(delivered > 0, "steady state must deliver packets");
     assert!(emu.total_stats().tunnels_out > 0, "the ring crosses cores");
     assert_eq!(
-        delta, 0,
-        "threaded submit_batch/advance_into made {delta} heap allocations \
+        calls, 0,
+        "threaded submit_batch/advance_into made {calls} heap allocations \
          on the calling thread"
+    );
+    assert_eq!(
+        bytes, 0,
+        "threaded submit_batch/advance_into requested {bytes} B process-wide"
     );
 }
 
 #[test]
 fn steady_state_survives_a_restore_without_allocating() {
+    let _process = shared();
     // A checkpoint is only a recovery policy if the emulator it rebuilds is
     // as good as the one it captured. Restore drops every scratch buffer
     // (they hold no state) and rebuilds queues and wheels at exactly their
@@ -649,6 +683,7 @@ fn steady_state_survives_a_restore_without_allocating() {
 
 #[test]
 fn two_core_steady_state_allocates_nothing() {
+    let _process = shared();
     // The same bar across a core boundary: on two inline cores a ring's
     // routes cross from one core's pipes to the other's, so descriptors are
     // copied out of one slab into the tick output's tunnel buffer, wait in
@@ -697,6 +732,7 @@ fn two_core_steady_state_allocates_nothing() {
 
 #[test]
 fn runner_tcp_steady_state_allocates_next_to_nothing() {
+    let _process = shared();
     // One level up: the whole driver loop — TCP endpoints polled into the
     // runner's own buffers, one live timer event per endpoint, the emulator
     // underneath. Not zero: buffers sized by traffic history (a receiver's
@@ -734,6 +770,7 @@ fn runner_tcp_steady_state_allocates_next_to_nothing() {
 
 #[test]
 fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
+    let _process = shared();
     // The allocation budget of the checkpoint path. A warmed run's second
     // `Runner::snapshot` streams every section into ONE buffer, pre-sized
     // from the first: no staged emulator payload, no copy into a frame. The
@@ -809,6 +846,7 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
 
 #[test]
 fn a_route_table_restore_allocates_per_chunk_not_per_route() {
+    let _process = shared();
     // The route arena's allocation budget. Routes live back to back in
     // chunks of 1024 (`ROUTE_CHUNK` in `mn_routing::table`), a chunk being
     // its `Arc`, its offsets and its pipes, and the encoding is those two
@@ -871,6 +909,7 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
 
 #[test]
 fn a_route_table_build_probes_no_index_and_requests_what_it_holds() {
+    let _process = shared();
     // `RouteTable::build` appends each location pair's route with no
     // content-index probe: two location pairs never share a route (its
     // first pipe leaves the source location, its last enters the
