@@ -471,20 +471,17 @@ impl Codec for Event {
 /// version independently.
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
-/// Current runner snapshot format version, the only one written. Versions 4
-/// and 5 are version 3 nesting an `MNSP` frame of their own version. Version
-/// 3 nests an `MNSP` version 3 frame and stopped summing that frame's
-/// payload a second time: its checksum covers the runner's own fields and
-/// the nested frame's header and checksum
-/// ([`checksum_around_emulator_frame`]). Version 2 changed the frame
-/// checksum (FNV-1a to [`checksum64`]) and nothing else; version-1 frames
-/// still restore.
+/// Current runner snapshot format version, the only one written; this
+/// version and the one before restore. Versions 4 and 5 have one layout,
+/// nesting an `MNSP` frame of their own version, and one checksum: the
+/// runner's own fields and the nested frame's header and checksum, not
+/// that frame's payload a second time ([`checksum_around_emulator_frame`]).
 const RUNNER_SNAPSHOT_VERSION: u32 = 5;
 
-/// The `MNRS` version 3 sum of a payload: the virtual clock, a length and
-/// the `MNSP` frame of that length lead it, and everything but that frame's
-/// own payload is summed ([`checksum64_around`]). A payload too short to
-/// hold what it says is summed whole — the decoder then refuses it.
+/// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
+/// frame of that length lead it, and everything but that frame's own
+/// payload is summed ([`checksum64_around`]). A payload too short to hold
+/// what it says is summed whole — the decoder then refuses it.
 fn checksum_around_emulator_frame(payload: &[u8]) -> u64 {
     let mut r = ByteReader::new(payload);
     let frame = SimTime::get(&mut r).and_then(|_| r.get_len());
@@ -1178,9 +1175,7 @@ impl Runner {
         }
         let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                1 => Ok(mn_util::codec::fnv1a64),
-                2 => Ok(checksum64),
-                3..=5 => Ok(checksum_around_emulator_frame),
+                4 | 5 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way
@@ -1201,7 +1196,7 @@ impl Runner {
         // index they do not cover. The same walk over the pending events
         // rebuilds each endpoint's armed-timer list, which is a function of
         // the queue alone and must hold for any multiset of timer events, in
-        // any order: version-1 snapshots exist with many per endpoint,
+        // any order, as a hand-built frame may hold: many per endpoint,
         // several at one instant.
         for binding in &port_bindings {
             let in_range = match *binding {

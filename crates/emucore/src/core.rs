@@ -867,8 +867,8 @@ impl EmulatorCore {
     /// name a pipe installed here, a staged tunnel one that `pod` gives to a
     /// peer, and a tunnel in the inbox must be one this core can admit
     /// ([`EmulatorCore::receive_restored`]). `version` is the `MNSP` frame's
-    /// ([`Descriptor::get_versioned`], [`EmuPipe::get_with`]); before 5 a core
-    /// had no inbox and the frame carried every tunnel in flight.
+    /// ([`EmuPipe::get_with`]); before 5 a core had no inbox and the frame
+    /// carried every tunnel in flight.
     pub fn decode_state(
         r: &mut ByteReader,
         version: u32,
@@ -881,7 +881,7 @@ impl EmulatorCore {
         let id = CoreId::get(r)?;
         let mut slab = Vec::new();
         let mut to_slab = |r: &mut ByteReader| {
-            slab.push(Descriptor::get_versioned(r, version)?);
+            slab.push(Descriptor::get(r)?);
             Ok((slab.len() - 1) as Slot)
         };
         let pipe_slots = r.get_count(bool::MIN_BYTES)?;

@@ -16,7 +16,7 @@
 
 use mn_packet::Packet;
 use mn_routing::{RouteId, RouteTable};
-use mn_util::{ByteReader, Codec, CodecError, SimDuration, SimTime};
+use mn_util::{SimDuration, SimTime};
 
 mn_util::codec_record! {
     /// A scheduled packet inside the core: the packet descriptor plus its route
@@ -44,16 +44,6 @@ impl Descriptor {
             hop: 0,
             entered_at,
         }
-    }
-
-    /// Reads a descriptor of an `MNSP` frame of `version`; before 4 it ended
-    /// in an 8-byte accumulated error, skipped.
-    pub(crate) fn get_versioned(r: &mut ByteReader<'_>, version: u32) -> Result<Self, CodecError> {
-        let descriptor = Self::get(r)?;
-        if version < 4 {
-            SimDuration::get(r)?;
-        }
-        Ok(descriptor)
     }
 
     /// Total number of pipes on the route.

@@ -940,31 +940,22 @@ impl<X: CoreExecutor> Emulator<X> {
     }
 
     /// The one decoder, over a verified payload of format `version` (which
-    /// selects the route table's layout, whether the hardware profile and
-    /// every descriptor carry the retired timing fields and every pipe the
-    /// retired RED ones, and whether tunnels in flight sit in a section of
-    /// their own or in their target cores). The checksum only says the bytes
-    /// are the ones written; every index the run phase later uses unchecked
-    /// — entry cores, the load vector, tunnel targets, the per-VN tables
-    /// against the route table, each route's pipes against the ownership
-    /// directory, each descriptor's route and hop, the fluid solver's
-    /// per-pipe vectors against the directory — is checked here, so a
-    /// hand-built or damaged snapshot is a typed error here, not an
-    /// out-of-bounds panic on the forwarding path. The frame is written out
-    /// rather than declared because those checks need what was read before
-    /// them.
+    /// selects whether every pipe carries the retired RED fields, and
+    /// whether tunnels in flight sit in a section of their own or in their
+    /// target cores). The checksum only says the bytes are the ones written;
+    /// every index the run phase later uses unchecked — entry cores, the
+    /// load vector, tunnel targets, the per-VN tables against the route
+    /// table, each route's pipes against the ownership directory, each
+    /// descriptor's route and hop, the fluid solver's per-pipe vectors
+    /// against the directory — is checked here, so a hand-built or damaged
+    /// snapshot is a typed error here, not an out-of-bounds panic on the
+    /// forwarding path. The frame is written out rather than declared
+    /// because those checks need what was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
-        let mut profile = HardwareProfile::get(r)?;
-        if version < 4 {
-            // That was the retired packet-debt byte; `payload_caching` follows.
-            profile.payload_caching = bool::get(r)?;
-        }
-        let routes = Arc::new(match version {
-            1 | 2 => RouteTable::decode_v2(r)?,
-            _ => RouteTable::decode(r)?,
-        });
+        let profile = HardwareProfile::get(r)?;
+        let routes = Arc::new(RouteTable::decode(r)?);
         let matrix = RoutingMatrix::get(r)?;
         let core_count = usize::get(r)?;
         let owners = r.get_u64s()?;
@@ -1026,7 +1017,7 @@ impl<X: CoreExecutor> Emulator<X> {
         if version < 5 {
             for _ in 0..r.get_count(<(SimTime, CoreId, Descriptor)>::MIN_BYTES)? {
                 let (time, target) = <(SimTime, CoreId)>::get(r)?;
-                tunnels.push((time, target, Descriptor::get_versioned(r, version)?));
+                tunnels.push((time, target, Descriptor::get(r)?));
             }
         }
         let local_deliveries = Vec::<Delivery>::get(r)?;

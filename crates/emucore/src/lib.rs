@@ -49,8 +49,8 @@
 //! owners → repeat while one is due), every inbox is filed in the same
 //! (round, source core, FIFO) order, and deliveries are concatenated
 //! round-major, core-major (see [`parallel`]). The determinism, differential
-//! and snapshot suites pin the second; golden `MNSP` fixtures (v1–v4
-//! decode, v5 is reproduced) pin the bytes.
+//! and snapshot suites pin the second; golden `MNSP` fixtures (v4
+//! decodes, v5 is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

@@ -13,20 +13,16 @@
 //!
 //! The wire format is a versioned, checksummed frame (`MNSP`: magic, version,
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
-//! padded or future-version snapshot is a structured [`CodecError`], never a
-//! mis-restore. Version 2 changed the checksum only (byte-serial FNV-1a to
-//! the word-wise [`checksum64`]); version 3 changed the route table's
-//! section only (the route arena chunk by chunk with `u32` pipe ids, one row
-//! per location instead of one per endpoint — see
-//! [`mn_routing::RouteTable::encode`]); version 4 dropped the state of the
-//! retired accumulating timing mode (the hardware profile's packet-debt
-//! byte and each descriptor's 8-byte accumulated error); version 5 moved the
-//! tunnels in flight from a section of their own into each target core's
-//! inbox and dropped each pipe's retired RED fields (17 bytes); frames of
-//! every earlier version still decode. What is *not* captured: application
-//! state (traffic sources attached to a [`crate::Emulator`] via a
-//! runner live outside the emulator; the runner documents its own policy)
-//! and coordinator scratch buffers, which are rebuilt empty.
+//! padded or unsupported-version snapshot is a structured [`CodecError`],
+//! never a mis-restore. A build reads the version it writes and the one
+//! before, here 5 and 4; a version bump retires the decoder two behind.
+//! Version 5 moved the tunnels in flight from a section of their own into
+//! each target core's inbox and dropped each pipe's retired RED fields (17
+//! bytes), both of which a version-4 frame still carries and the decoder
+//! still reads. What is *not* captured: application state (traffic sources
+//! attached to a [`crate::Emulator`] via a runner live outside the emulator;
+//! the runner documents its own policy) and coordinator scratch buffers,
+//! which are rebuilt empty.
 
 use mn_util::codec::checksum64;
 use mn_util::{ByteReader, CodecError};
@@ -35,8 +31,8 @@ use mn_util::{ByteReader, CodecError};
 pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 
 /// Current snapshot format version, the only one written. Bumped on any
-/// format change; decoders keep reading every earlier version and reject
-/// later ones with [`CodecError::BadVersion`].
+/// format change; decoders read this version and the one before, and
+/// reject every other with [`CodecError::BadVersion`].
 pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
@@ -72,8 +68,7 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            1 => Ok(mn_util::codec::fnv1a64),
-            2..=5 => Ok(checksum64),
+            4 | 5 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -141,11 +141,6 @@ impl<T> EmuPipe<T> {
         self.in_flight.len()
     }
 
-    /// Returns `true` if no packet is inside the pipe.
-    pub fn is_idle(&self) -> bool {
-        self.in_flight.is_empty()
-    }
-
     /// Number of packets still waiting to finish draining into the pipe at
     /// time `now` — the instantaneous bandwidth-queue occupancy used for the
     /// overflow check.
@@ -168,12 +163,6 @@ impl<T> EmuPipe<T> {
             }
         }
         lo
-    }
-
-    /// The earliest exit deadline among packets inside the pipe, i.e. the
-    /// pipe's position in the core scheduler's deadline heap.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.in_flight.front().map(|p| p.exit_time)
     }
 
     /// Offers a packet to the pipe at time `now`.
@@ -326,12 +315,6 @@ impl<T> EmuPipe<T> {
             fluid_demand,
         })
     }
-
-    /// Drains every packet regardless of deadline (used when tearing an
-    /// emulation down).
-    pub fn drain_all(&mut self) -> Vec<DequeuedPacket<T>> {
-        self.dequeue_ready(SimTime::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -366,13 +349,12 @@ mod tests {
                 exit_time: expected_exit
             }
         );
-        assert_eq!(pipe.next_deadline(), Some(expected_exit));
         assert!(pipe.dequeue_ready(SimTime::from_millis(11)).is_empty());
         let ready = pipe.dequeue_ready(expected_exit);
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].item, 7);
         assert_eq!(ready[0].exit_time, expected_exit);
-        assert!(pipe.is_idle());
+        assert_eq!(pipe.in_flight_count(), 0);
     }
 
     #[test]
@@ -539,9 +521,8 @@ mod tests {
         for i in 0..3 {
             pipe.enqueue(SimTime::ZERO, kb(100), i, &mut rng);
         }
-        assert_eq!(pipe.drain_all().len(), 3);
-        assert!(pipe.is_idle());
-        assert_eq!(pipe.next_deadline(), None);
+        assert_eq!(pipe.dequeue_ready(SimTime::MAX).len(), 3);
+        assert_eq!(pipe.in_flight_count(), 0);
     }
 
     #[test]
@@ -637,7 +618,7 @@ mod tests {
             let _ = pipe.enqueue(t, kb(200 + (i % 5) * 300), i, &mut rng);
             delivered += pipe.dequeue_ready(t).len() as u64;
         }
-        delivered += pipe.drain_all().len() as u64;
+        delivered += pipe.dequeue_ready(SimTime::MAX).len() as u64;
         let s = pipe.stats();
         assert!(s.is_conserved(offered));
         assert_eq!(delivered, s.dequeued);

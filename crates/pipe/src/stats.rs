@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use mn_util::ByteSize;
-
 mn_util::codec_record! {
     /// Counters maintained by each pipe.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,11 +37,6 @@ impl PipeStats {
         self.enqueued - self.dequeued
     }
 
-    /// Bytes delivered, as a size.
-    pub fn bytes_out_size(&self) -> ByteSize {
-        ByteSize::from_bytes(self.bytes_out)
-    }
-
     /// Conservation check: every packet offered to the pipe is either still
     /// inside, delivered, or counted in exactly one drop bucket.
     pub fn is_conserved(&self, offered: u64) -> bool {
@@ -66,7 +59,6 @@ mod tests {
         };
         assert_eq!(s.dropped_total(), 10);
         assert_eq!(s.in_flight(), 10);
-        assert_eq!(s.bytes_out_size().as_bytes(), 90_000);
         assert!(s.is_conserved(110));
         assert!(!s.is_conserved(111));
     }

@@ -497,12 +497,23 @@ impl RouteStore {
     /// Appends a route to the arena, indexing it under `new_content` (its
     /// fingerprint) when the index does not hold its content yet (`None`
     /// also for a store with no index yet: its first `find` covers it).
+    /// A route that fills the tail seals it: the sealed chunk is an exact
+    /// copy, three allocations, and the tail keeps its buffers, so
+    /// appending any number of chunks grows them at most to the longest
+    /// chunk, once.
     fn append(&mut self, pipes: &[PipeId], new_content: Option<u64>) -> RouteId {
+        assert!(self.len() < NO_ROUTE as usize, "route table overflow");
         let id = RouteId(self.len() as u32);
         self.tail.pipes.extend_from_slice(pipes);
         let bound = pipes.iter().map(|p| p.index() + 1).max();
         self.pipe_bound = self.pipe_bound.max(bound.unwrap_or(0));
-        self.close_route();
+        let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
+        self.tail.ends.push(end);
+        if self.tail.ends.len() == ROUTE_CHUNK {
+            self.sealed.push(Arc::new(self.tail.clone()));
+            self.tail.ends.clear();
+            self.tail.pipes.clear();
+        }
         if let Some(fingerprint) = new_content {
             let index = self.index.get_mut().expect("a failed find built the index");
             index.insert(fingerprint, id);
@@ -557,47 +568,6 @@ impl RouteStore {
         }
         self.pipe_bound = bound;
         Ok(())
-    }
-
-    /// Fills an empty store from the version-2 form: a route count, then
-    /// each route as a `u64`-count-prefixed run of `u64` pipe ids, read
-    /// straight into the tail chunk.
-    fn fill_routes_v2(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
-        use CodecError::Invalid;
-        // An empty route is its count prefix alone.
-        let route_count = r.get_count(Vec::<u64>::MIN_BYTES)?;
-        if route_count >= NO_ROUTE as usize {
-            return Err(Invalid("more routes than route ids"));
-        }
-        for _ in 0..route_count {
-            let hops = r.get_count(u64::MIN_BYTES)?;
-            if u32::try_from(self.tail.pipes.len() + hops).is_err() {
-                return Err(Invalid("route chunk beyond its u32 offsets"));
-            }
-            for word in r.take_bytes(hops * 8)?.chunks_exact(8) {
-                let pipe = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
-                let pipe = u32::try_from(pipe).map_err(|_| Invalid("pipe id beyond u32"))?;
-                self.pipe_bound = self.pipe_bound.max(pipe as usize + 1);
-                self.tail.pipes.push(PipeId(pipe as usize));
-            }
-            self.close_route();
-        }
-        Ok(())
-    }
-
-    /// Ends the route whose pipes were just pushed onto the tail, sealing
-    /// the tail if that filled it: the sealed chunk is an exact copy, three
-    /// allocations, and the tail keeps its buffers, so filling any number of
-    /// chunks grows them at most to the longest chunk, once.
-    fn close_route(&mut self) {
-        assert!(self.len() < NO_ROUTE as usize, "route table overflow");
-        let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
-        self.tail.ends.push(end);
-        if self.tail.ends.len() == ROUTE_CHUNK {
-            self.sealed.push(Arc::new(self.tail.clone()));
-            self.tail.ends.clear();
-            self.tail.pipes.clear();
-        }
     }
 }
 
@@ -1365,48 +1335,24 @@ impl RouteTable {
     /// no endpoint carries no row. A damaged snapshot is a typed error
     /// here, not a panic or a wrong answer on the forwarding path later.
     pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        Self::decode_layout(r, false)
-    }
-
-    /// [`RouteTable::decode`] for the layout `MNSP` versions 1 and 2
-    /// carried: the store one `u64`-count-prefixed run of `u64` pipe ids
-    /// per route, and one row shard **per endpoint** (its location's, or an
-    /// empty one if it is departed) ahead of the columns — the endpoints of
-    /// one location must carry one and the same row, a departed one none.
-    pub fn decode_v2(r: &mut ByteReader) -> Result<Self, CodecError> {
-        Self::decode_layout(r, true)
-    }
-
-    fn decode_layout(r: &mut ByteReader, per_endpoint: bool) -> Result<Self, CodecError> {
         use CodecError::Invalid;
-        // An endpoint is at least its column (and, per endpoint, a row tag).
-        let row_bytes = if per_endpoint { RowShard::MIN_BYTES } else { 0 };
-        let endpoint_count = r.get_count(u32::MIN_BYTES + row_bytes)?;
+        // An endpoint is at least its column.
+        let endpoint_count = r.get_count(u32::MIN_BYTES)?;
         let version = u64::get(r)?;
         let mut store = RouteStore::default();
-        // A location is its row tag, its node and the count of its endpoint
-        // list; the version-2 layout states the count after the columns.
-        let slots = if per_endpoint {
-            store.fill_routes_v2(r)?;
-            None
-        } else {
-            store.fill_chunks(r)?;
-            Some(r.get_count(<(RowShard, NodeId, Vec<u32>)>::MIN_BYTES)?)
-        };
+        store.fill_chunks(r)?;
         let route_count = store.len();
-        let row_count = slots.unwrap_or(endpoint_count);
-        let mut rows = Vec::with_capacity(row_count);
-        for _ in 0..row_count {
+        // A location is its row tag, its node and the count of its endpoint
+        // list.
+        let slots = r.get_count(<(RowShard, NodeId, Vec<u32>)>::MIN_BYTES)?;
+        let mut rows = Vec::with_capacity(slots);
+        for _ in 0..slots {
             rows.push(RowShard::get(r)?);
         }
         let mut cols_flat = Vec::with_capacity(endpoint_count);
         for _ in 0..endpoint_count {
             cols_flat.push(u32::get(r)?);
         }
-        let slots = match slots {
-            Some(slots) => slots,
-            None => r.get_count(<(NodeId, Vec<u32>)>::MIN_BYTES)?,
-        };
         if slots > DEPARTED as usize || cols_flat.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
@@ -1428,8 +1374,7 @@ impl RouteTable {
         }
         // Every endpoint is departed until its location's list claims it.
         cols_flat.iter_mut().for_each(|c| *c |= DEPARTED);
-        let mut rows_flat = Vec::with_capacity(slots);
-        for slot in 0..slots as u32 {
+        for (slot, row) in (0..).zip(&rows) {
             let list = Vec::<u32>::get(r)?;
             if list.windows(2).any(|pair| pair[0] >= pair[1]) {
                 return Err(Invalid("location's endpoints are not strictly ascending"));
@@ -1440,33 +1385,15 @@ impl RouteTable {
                     _ => return Err(Invalid("location lists an endpoint not bound there")),
                 }
             }
-            let row = if per_endpoint {
-                let row = list
-                    .first()
-                    .map_or(&RowShard::Empty, |&e| &rows[e as usize]);
-                if list.iter().any(|&e| rows[e as usize] != *row) {
-                    return Err(Invalid("co-located endpoints with different rows"));
-                }
-                row
-            } else {
-                &rows[slot as usize]
-            };
             if list.is_empty() && *row != RowShard::Empty {
                 return Err(Invalid("location without endpoints carries a row"));
             }
             row.check(route_count, slots)?;
-            rows_flat.push(row.clone());
             locs.endpoints.push(Arc::from(list));
-        }
-        let mut endpoints = cols_flat.iter().zip(&rows);
-        if per_endpoint
-            && endpoints.any(|(col, row)| col & DEPARTED != 0 && *row != RowShard::Empty)
-        {
-            return Err(Invalid("departed endpoint with a row"));
         }
         Ok(RouteTable {
             store: Arc::new(store),
-            rows: blocks_from_flat(rows_flat),
+            rows: blocks_from_flat(rows),
             endpoint_count,
             cols: blocks_from_flat(cols_flat),
             index_probes: 0,
@@ -1667,38 +1594,6 @@ mod tests {
             assert!(again.store.index.get().is_none(), "no index until a lookup");
             assert_eq!(again.pipe_bound(), self.pipe_bound());
             assert!(bytes == encoded(&again), "encode -> decode -> encode");
-            // The layout before it: what read it still reads the same table.
-            let old = self.encoded_v2();
-            let again = RouteTable::decode_v2(&mut mn_util::ByteReader::new(&old)).unwrap();
-            assert_eq!(again.pipe_bound(), self.pipe_bound());
-            assert!(bytes == encoded(&again), "v2 bytes -> decode_v2 -> encode");
-        }
-
-        /// The table in the layout `MNSP` versions 1 and 2 carried, as the
-        /// encoder before version 3 wrote it: a route count and one `u64`
-        /// run per route, then one row per *endpoint*.
-        fn encoded_v2(&self) -> Vec<u8> {
-            let mut w = mn_util::ByteWriter::new();
-            w.put_usize(self.endpoint_count);
-            w.put_u64(self.version);
-            w.put_len(self.route_count());
-            for id in 0..self.route_count() {
-                w.put_u64s(self.store.get(id).iter().map(|p| p.index() as u64));
-            }
-            for src in 0..self.endpoint_count {
-                self.live_row(src).unwrap_or(&RowShard::Empty).put(&mut w);
-            }
-            for e in 0..self.endpoint_count {
-                w.put_u32(self.col(e).unwrap() & !DEPARTED);
-            }
-            w.put_len(self.locs.locations.len());
-            for &loc in &self.locs.locations {
-                w.put_usize(loc.index());
-            }
-            for list in &self.locs.endpoints {
-                w.put_u32s(list);
-            }
-            w.into_bytes()
         }
     }
 
@@ -1725,20 +1620,7 @@ mod tests {
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
         assert!(table.unbind_endpoint(4));
         table.assert_sound();
-        type Decode = fn(&mut mn_util::ByteReader) -> Result<RouteTable, mn_util::CodecError>;
-        let layouts: [(Vec<u8>, Decode); 2] = [
-            (encoded(&table), RouteTable::decode),
-            (table.encoded_v2(), RouteTable::decode_v2),
-        ];
-        for (bytes, decode) in layouts {
-            mutate_every_byte(&bytes, decode);
-        }
-    }
-
-    fn mutate_every_byte(
-        bytes: &[u8],
-        decode: fn(&mut mn_util::ByteReader) -> Result<RouteTable, mn_util::CodecError>,
-    ) {
+        let bytes = encoded(&table);
         let (mut accepted, mut refused) = (0usize, 0usize);
         for at in 0..bytes.len() {
             let flips = (0..8).map(|bit| bytes[at] ^ (1 << bit));
@@ -1746,9 +1628,9 @@ mod tests {
                 if value == bytes[at] {
                     continue;
                 }
-                let mut mutated = bytes.to_vec();
+                let mut mutated = bytes.clone();
                 mutated[at] = value;
-                match decode(&mut mn_util::ByteReader::new(&mutated)) {
+                match RouteTable::decode(&mut mn_util::ByteReader::new(&mutated)) {
                     Ok(restored) => {
                         accepted += 1;
                         restored.assert_sound();
@@ -1777,47 +1659,47 @@ mod tests {
         assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
     }
 
-    /// The version-2 layout written by hand: two single-pipe routes, then
-    /// one row per endpoint (`None`: the empty tag; up to four ids inline,
-    /// more spilled), the columns, the location nodes and their endpoint
-    /// lists.
+    /// `encode`'s output written by hand: `chunk_count`, each chunk's
+    /// `(ends, pipes)`, then one row per location, the columns, the
+    /// location nodes and their endpoint lists.
     fn crafted(
-        rows: &[Option<(u32, &[u32])>],
+        chunk_count: usize,
+        chunks: &[(&[u32], &[u32])],
+        rows: &[RowShard],
         cols: &[u32],
         locations: &[usize],
         lists: &[&[u32]],
     ) -> Result<RouteTable, mn_util::CodecError> {
         let mut w = mn_util::ByteWriter::new();
-        w.put_usize(rows.len());
+        w.put_usize(cols.len());
         w.put_u64(7);
-        w.put_len(2);
-        w.put_u64s([1u64].into_iter());
-        w.put_u64s([2u64].into_iter());
-        for row in rows {
-            match row {
-                None => w.put_u8(0),
-                Some((base, slots)) if slots.len() <= INLINE_ROW_CAP => {
-                    w.put_u8(1);
-                    w.put_u32(*base);
-                    w.put_u8(slots.len() as u8);
-                    slots.iter().for_each(|&s| w.put_u32(s));
-                }
-                Some((base, slots)) => {
-                    w.put_u8(2);
-                    w.put_u32(*base);
-                    w.put_u32s(slots);
-                }
-            }
+        w.put_len(chunk_count);
+        for (ends, pipes) in chunks {
+            w.put_u32s(ends);
+            w.put_u32s(pipes);
         }
+        w.put_len(rows.len());
+        rows.iter().for_each(|row| row.put(&mut w));
         cols.iter().for_each(|&c| w.put_u32(c));
-        w.put_len(locations.len());
         locations.iter().for_each(|&loc| w.put_usize(loc));
         lists.iter().for_each(|list| w.put_u32s(list));
         let bytes = w.into_bytes();
         let mut r = mn_util::ByteReader::new(&bytes);
-        let table = RouteTable::decode_v2(&mut r)?;
+        let table = RouteTable::decode(&mut r)?;
         r.finish()?;
         Ok(table)
+    }
+
+    /// Two single-pipe routes (pipes 5 and 6) in the tail chunk.
+    const TAIL: (&[u32], &[u32]) = (&[1, 2], &[5, 6]);
+
+    /// The rows of two locations: slot 0 -> slot 1 is route `to_1`, the
+    /// reverse is route `to_0` (`NO_ROUTE`: the empty row).
+    fn two_rows(to_1: u32, to_0: u32) -> [RowShard; 2] {
+        [
+            RowShard::from_window(1, &[to_1]),
+            RowShard::from_window(0, &[to_0]),
+        ]
     }
 
     #[test]
@@ -1825,15 +1707,19 @@ mod tests {
         use mn_util::CodecError::Invalid;
         // Endpoints 0 and 2 at location 10 (slot 0), endpoint 1 at location
         // 11 (slot 1); slot 0 -> slot 1 is route 0, the reverse is route 1.
-        let (to_1, to_0): (&[u32], &[u32]) = (&[0], &[1]);
-        let rows = [Some((1, to_1)), Some((0, to_0)), Some((1, to_1))];
-        let sound = crafted(&rows, &[0, 1, 0], &[10, 11], &[&[0, 2], &[1]]).unwrap();
+        let rows = two_rows(0, 1);
+        let table = |rows: &[RowShard], locations: &[usize], lists: &[&[u32]]| {
+            crafted(1, &[TAIL], rows, &[0, 1, 0], locations, lists)
+        };
+        let refused = |rows: &[RowShard], locations: &[usize], lists: &[&[u32]]| {
+            table(rows, locations, lists).err()
+        };
+        let sound = table(&rows, &[10, 11], &[&[0, 2], &[1]]).unwrap();
         sound.assert_sound();
         assert_eq!(sound.route_id(2, 1), Some(RouteId(0)));
         assert_eq!(sound.route_id(1, 2), Some(RouteId(1)));
-        let refused = |rows: &[Option<(u32, &[u32])>], locations: &[usize], lists: &[&[u32]]| {
-            crafted(rows, &[0, 1, 0], locations, lists).err()
-        };
+        assert_eq!(sound.pipes(RouteId(1)), &[PipeId(6)]);
+        assert_eq!(sound.pipe_bound(), 7);
         // (a) An endpoint list that is not strictly ascending: the binary
         // searches over it would mis-answer.
         for list in [[2, 0], [0, 0]] {
@@ -1854,83 +1740,61 @@ mod tests {
             Some(Invalid("location node index beyond the input"))
         );
         // (c) A window wider than the location count — though no wider
-        // than the endpoint count, which used to pass.
-        let wide = [Some((1, to_1)), Some((1, &[1, 1][..])), Some((1, to_1))];
+        // than the endpoint count, which used to pass — and a row naming a
+        // route the chunks do not hold.
+        let wide = [rows[0].clone(), RowShard::from_window(1, &[1, 1])];
         assert_eq!(
             refused(&wide, &[10, 11], &[&[0, 2], &[1]]),
             Some(Invalid("row window outside the column range"))
         );
-        // (d) Co-located endpoints whose rows differ; a departed endpoint
-        // that still has a row; an endpoint listed where it is not bound.
-        let split = [Some((1, to_1)), Some((0, to_0)), Some((1, to_0))];
         assert_eq!(
-            refused(&split, &[10, 11], &[&[0, 2], &[1]]),
-            Some(Invalid("co-located endpoints with different rows"))
+            refused(&two_rows(2, 1), &[10, 11], &[&[0, 2], &[1]]),
+            Some(Invalid("row shard names a route the store does not hold"))
         );
-        assert_eq!(
-            refused(&rows, &[10, 11], &[&[0], &[1]]),
-            Some(Invalid("departed endpoint with a row"))
-        );
+        // (d) Rows are per location, so what co-located endpoints can
+        // disagree on is the location itself: a list naming an endpoint
+        // whose column is another slot, and a row at a location whose list
+        // is empty (every endpoint there departed).
         assert_eq!(
             refused(&rows, &[10, 11], &[&[0], &[1, 2]]),
             Some(Invalid("location lists an endpoint not bound there"))
         );
-        // The same departure written soundly: no row from the endpoint,
-        // routes toward it intact.
-        let left = [Some((1, to_1)), Some((0, to_0)), None];
-        let left = crafted(&left, &[0, 1, 0], &[10, 11], &[&[0], &[1]]).unwrap();
+        assert_eq!(
+            refused(&rows, &[10, 11], &[&[], &[1]]),
+            Some(Invalid("location without endpoints carries a row"))
+        );
+        // Departures written soundly: one endpoint of a location leaves and
+        // its row stays for the other, routes toward it intact; the last
+        // one of a location leaves with the row.
+        let left = table(&rows, &[10, 11], &[&[0], &[1]]).unwrap();
         left.assert_sound();
         assert_eq!(left.route_id(2, 1), None);
+        assert_eq!(left.route_id(0, 1), Some(RouteId(0)));
         assert_eq!(left.route_id(1, 2), Some(RouteId(1)));
         assert!(!left.is_endpoint_bound(2) && left.is_endpoint_bound(0));
-    }
-
-    /// `encode`'s output written by hand: `chunk_count`, each chunk's
-    /// `(ends, pipes)`, then one row per *location* (`None`: the empty tag),
-    /// the columns `[0, 1, 0]`, locations 10 and 11 and their endpoint lists.
-    fn crafted_chunks(
-        chunk_count: usize,
-        chunks: &[(&[u32], &[u32])],
-        rows: [Option<u32>; 2],
-        lists: [&[u32]; 2],
-    ) -> Result<RouteTable, mn_util::CodecError> {
-        let mut w = mn_util::ByteWriter::new();
-        w.put_usize(3);
-        w.put_u64(7);
-        w.put_len(chunk_count);
-        for (ends, pipes) in chunks {
-            w.put_u32s(ends);
-            w.put_u32s(pipes);
-        }
-        w.put_len(2);
-        for (slot, row) in rows.into_iter().enumerate() {
-            RowShard::from_window(1 - slot, &[row.unwrap_or(NO_ROUTE)]).put(&mut w);
-        }
-        [0, 1, 0].into_iter().for_each(|c| w.put_u32(c));
-        [10, 11].into_iter().for_each(|loc| w.put_usize(loc));
-        lists.iter().for_each(|list| w.put_u32s(list));
-        let bytes = w.into_bytes();
-        let mut r = mn_util::ByteReader::new(&bytes);
-        let table = RouteTable::decode(&mut r)?;
-        r.finish()?;
-        Ok(table)
+        let left = table(&two_rows(0, NO_ROUTE), &[10, 11], &[&[0, 2], &[]]).unwrap();
+        left.assert_sound();
+        assert_eq!(left.route_id(0, 1), Some(RouteId(0)));
+        assert!(!left.is_endpoint_bound(1));
     }
 
     #[test]
     fn decode_refuses_chunks_it_could_not_serve() {
         use mn_util::CodecError::Invalid;
-        // Two single-pipe routes in the tail chunk; endpoints 0 and 2 at
-        // slot 0, endpoint 1 at slot 1; slot 0 -> slot 1 is route 0, the
-        // reverse is route 1.
-        let tail: (&[u32], &[u32]) = (&[1, 2], &[5, 6]);
-        let (rows, lists): (_, [&[u32]; 2]) = ([Some(0), Some(1)], [&[0, 2], &[1]]);
-        let sound = crafted_chunks(1, &[tail], rows, lists).unwrap();
-        sound.assert_sound();
-        assert_eq!(sound.route_id(2, 1), Some(RouteId(0)));
-        assert_eq!(sound.pipes(RouteId(1)), &[PipeId(6)]);
-        assert_eq!(sound.pipe_bound(), 7);
-        let refused =
-            |count, chunks: &[(&[u32], &[u32])]| crafted_chunks(count, chunks, rows, lists).err();
+        // The sound table of `decode_refuses_tables_it_could_not_serve`
+        // under other route stores.
+        let (tail, rows) = (TAIL, two_rows(0, 1));
+        let crafted_chunks = |count, chunks: &[(&[u32], &[u32])]| {
+            crafted(
+                count,
+                chunks,
+                &rows,
+                &[0, 1, 0],
+                &[10, 11],
+                &[&[0, 2], &[1]],
+            )
+        };
+        let refused = |count, chunks: &[(&[u32], &[u32])]| crafted_chunks(count, chunks).err();
         // (a) Route ends that decrease, or do not finish on the pipe count:
         // `pipes(id)` would slice backwards or past the run.
         assert_eq!(
@@ -1959,7 +1823,7 @@ mod tests {
                 "route store has no tail chunk, or more routes than ids"
             ))
         );
-        let two = crafted_chunks(2, &[(&full, &full), tail], rows, lists).unwrap();
+        let two = crafted_chunks(2, &[(&full, &full), tail]).unwrap();
         two.assert_sound();
         assert_eq!(two.route_count(), ROUTE_CHUNK + 2);
         assert_eq!(two.pipes(RouteId(ROUTE_CHUNK as u32)), &[PipeId(5)]);
@@ -1969,27 +1833,6 @@ mod tests {
             Some(Invalid("length prefix exceeds input"))
         );
         assert_eq!(refused(2, &[tail]), shape, "the rows read as a chunk");
-        // (d) Rows are per location now, so what co-located endpoints can
-        // still disagree on is the location itself: a list naming an
-        // endpoint whose column is another slot, and a row at a location
-        // whose list is empty (every endpoint there departed).
-        assert_eq!(
-            crafted_chunks(1, &[tail], rows, [&[0, 1, 2], &[]]).err(),
-            Some(Invalid("location lists an endpoint not bound there"))
-        );
-        assert_eq!(
-            crafted_chunks(1, &[tail], rows, [&[0, 2], &[]]).err(),
-            Some(Invalid("location without endpoints carries a row"))
-        );
-        let left = crafted_chunks(1, &[tail], [Some(0), None], [&[0, 2], &[]]).unwrap();
-        left.assert_sound();
-        assert_eq!(left.route_id(0, 1), Some(RouteId(0)));
-        assert!(!left.is_endpoint_bound(1));
-        // A row naming a route the chunks do not hold.
-        assert_eq!(
-            crafted_chunks(1, &[tail], [Some(2), Some(1)], lists).err(),
-            Some(Invalid("row shard names a route the store does not hold"))
-        );
     }
 
     #[test]

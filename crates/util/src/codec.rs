@@ -48,9 +48,9 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash, the payload checksum of version-1 snapshot frames:
-/// byte-serial, which is why version 2 moved to [`checksum64`]. Not
-/// cryptographic — it guards against truncation and bit rot, not tampering.
+/// FNV-1a 64-bit hash, the digest golden tests and the benchmark take of a
+/// run's output. No frame this build reads is summed with it: it is
+/// byte-serial, which is why snapshot frames moved to [`checksum64`].
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
@@ -874,7 +874,7 @@ mod tests {
 
     #[test]
     fn checksum64_matches_reference_vectors() {
-        // Pinned: version-2 frames on disk carry these sums.
+        // Pinned: frames on disk carry these sums.
         let big = pattern(1 << 20);
         for (len, want) in [
             (0usize, 0x1a68_88c7_bea1_675eu64),
@@ -1015,7 +1015,7 @@ mod tests {
 
     #[test]
     fn a_sum_around_a_nested_frame_sees_every_byte_but_the_nested_payload() {
-        // The outer frame of a version-3 checkpoint: its sum covers its own
+        // The outer frame of an `MNRS` checkpoint: its sum covers its own
         // fields and the nested frame's header and checksum — every bit of
         // those changes it — and none of the nested payload, which the
         // nested frame's own sum covers.

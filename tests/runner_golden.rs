@@ -1,50 +1,37 @@
-//! Golden `MNRS` fixtures: a whole-run checkpoint in every format version.
+//! Golden `MNRS` fixtures: a whole-run checkpoint in every format version
+//! this build reads.
 //!
-//! `tests/data/mnrs_v1_tcp.bin` was written by the commit *before* the
-//! runner's frame moved to version 2 (PR 17: word-wise checksum, payload
-//! layout untouched) from the scenario below — two TCP flows over a small
-//! ring on two cores, stopped mid-transfer with segments in flight,
-//! retransmission timers armed and an auto-checkpoint pending. Every later
-//! commit must restore that file into either backend and finish the run on
-//! the recorded digest of everything the runner lets a caller observe. As
-//! with the `MNSP` fixture next to it: a format change bumps the version,
-//! keeps this file restoring, and adds a fixture written by its parent —
-//! this one is never re-blessed.
+//! The scenario below: two TCP flows over a small ring on two cores,
+//! stopped mid-transfer with segments in flight, retransmission timers
+//! armed and an auto-checkpoint pending. A build decodes its own format
+//! version and the one before, so two files of it are kept, each restoring
+//! into either backend and finishing the run on the recorded digest of
+//! everything the runner lets a caller observe. As with the `MNSP`
+//! fixtures: a format change bumps the version, adds a fixture written by
+//! its parent, and deletes the decoder and the fixtures of the version two
+//! behind; a kept file is never re-blessed.
 //!
-//! `tests/data/mnrs_v2_tcp.bin` is that parent-written fixture for format
-//! v3 (PR 23: the nested `MNSP` frame's route table went to chunks and rows
-//! per location, and the runner's checksum stopped covering the nested
-//! payload a second time): the same scenario, written by the last commit
-//! whose encoder wrote v2, restoring to the same digest.
-//! `tests/data/mnrs_v3_tcp.bin` is the scenario under the v3 encoder.
+//! `tests/data/mnrs_v4_tcp.bin` is the scenario under the v4 encoder, which
+//! nests an `MNSP` v4 frame. Format v5 nests an `MNSP` v5 frame (tunnels in
+//! flight inside their target cores, no RED fields; see
+//! `snapshot_golden.rs`), the runner's own bytes unchanged:
+//! `tests/data/mnrs_v5_tcp.bin` is the scenario under the current encoder,
+//! which both backends must re-create byte for byte and which the
+//! parent-written v4 file, restored and serialised again, is.
 //!
-//! Format v4 nests an `MNSP` v4 frame, which dropped the accumulating timing
-//! rule's state when every pipe and every tunnel came to be entered at its
-//! ideal time (see `snapshot_golden.rs`); the runner's own bytes are v3's.
-//! `tests/data/mnrs_v4_tcp.bin` is the scenario under that encoder and the
-//! current timing. The older files keep restoring unmodified; the run from
-//! their state changed with the timing rule, so their digest was
-//! re-recorded once, at that change.
-//!
-//! Format v5 nests an `MNSP` v5 frame (tunnels in flight inside their
-//! target cores, no RED fields; see `snapshot_golden.rs`), the runner's own
-//! bytes unchanged: `tests/data/mnrs_v5_tcp.bin` is the scenario under the
-//! current encoder, which both backends must re-create byte for byte and
-//! which the parent-written v4 file, restored and serialised again, is.
-//!
-//! Only the runner's public API is used, so the same source compiles
-//! against the commit that wrote the fixture.
+//! The fixture tests use only the runner's public API, so the same source
+//! compiles against the commit that wrote the fixture. The version-window
+//! test also restores the `MNSP` fixtures of `snapshot_golden.rs`.
 
+use mn_emucore::{EmulatorSnapshot, MultiCoreEmulator, ParallelEmulator};
 use mn_topology::generators::{ring_topology, RingParams};
 use mn_util::codec::fnv1a64;
-use mn_util::ByteWriter;
+use mn_util::{ByteWriter, CodecError};
 use modelnet::{
-    ByteSize, DistillationMode, ExecutionBackend, Experiment, FlowId, Runner, SimDuration, SimTime,
+    ByteSize, DistillationMode, ExecutionBackend, Experiment, FlowId, RecoverError, Runner,
+    SimDuration, SimTime,
 };
 
-const FIXTURE: &[u8] = include_bytes!("data/mnrs_v1_tcp.bin");
-const FIXTURE_V2: &[u8] = include_bytes!("data/mnrs_v2_tcp.bin");
-const FIXTURE_V3: &[u8] = include_bytes!("data/mnrs_v3_tcp.bin");
 const FIXTURE_V4: &[u8] = include_bytes!("data/mnrs_v4_tcp.bin");
 const FIXTURE_V5: &[u8] = include_bytes!("data/mnrs_v5_tcp.bin");
 
@@ -52,13 +39,8 @@ const FIXTURE_V5: &[u8] = include_bytes!("data/mnrs_v5_tcp.bin");
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
 /// The restored run is driven on to here.
 const HORIZON: SimTime = SimTime::from_secs(4);
-/// FNV-1a over the observable state of the run finished from the v1–v3
-/// fixtures. Recorded by the commit that wrote the v1 fixture; re-recorded
-/// once, when every pipe and every tunnel came to be entered at its ideal
-/// time (the same state runs on differently).
-const TAIL_DIGEST: u64 = 0x65ba_441d_6b01_fd7b;
-/// The same digest over the run finished from the v4 and v5 fixtures.
-const TAIL_DIGEST_V4: u64 = 0x8199_df7f_0859_e4bd;
+/// FNV-1a over the observable state of the run finished from the fixtures.
+const TAIL_DIGEST: u64 = 0x8199_df7f_0859_e4bd;
 
 fn build(backend: ExecutionBackend) -> (Runner, [FlowId; 2]) {
     let topo = ring_topology(&RingParams {
@@ -120,31 +102,15 @@ fn tail_digest(mut runner: Runner, flows: [FlowId; 2]) -> u64 {
 
 fn restores_into_both_backends_and_finishes_identically(fixture: &[u8], version: u8) {
     assert_eq!(fixture[..8], [0x53, 0x52, 0x4E, 0x4D, version, 0, 0, 0]);
-    let digest = if version < 4 {
-        TAIL_DIGEST
-    } else {
-        TAIL_DIGEST_V4
-    };
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, flows) = build(backend);
         runner.recover_from(fixture).expect("the fixture restores");
         assert_eq!(
             tail_digest(runner, flows),
-            digest,
+            TAIL_DIGEST,
             "the restored v{version} tail diverged on {backend:?}"
         );
     }
-}
-
-#[test]
-fn the_v1_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    restores_into_both_backends_and_finishes_identically(FIXTURE, 1);
-}
-
-#[test]
-fn the_v2_and_v3_runner_fixtures_restore_into_both_backends_and_finish_identically() {
-    restores_into_both_backends_and_finishes_identically(FIXTURE_V2, 2);
-    restores_into_both_backends_and_finishes_identically(FIXTURE_V3, 3);
 }
 
 #[test]
@@ -165,18 +131,11 @@ fn both_backends_reproduce_the_v5_runner_fixture_byte_for_byte() {
             "checkpoint bytes drifted from the v5 fixture on {backend:?}"
         );
     }
-    let again = |fixture| {
-        let (mut runner, _) = build(ExecutionBackend::Sequential);
-        runner.recover_from(fixture).unwrap();
-        runner.snapshot().unwrap()
-    };
-    // The parent-written v4 file holds the same run; so do the
-    // parent-written v2 file and the v3 file, under the old timing rule:
-    // restored and serialised again, each group is one v5 checkpoint.
-    assert!(again(FIXTURE_V4) == FIXTURE_V5);
-    let v5 = again(FIXTURE_V2);
-    assert_eq!(v5[..8], [0x53, 0x52, 0x4E, 0x4D, 5, 0, 0, 0]);
-    assert!(v5 == again(FIXTURE_V3));
+    // The parent-written v4 file holds the same run: restored and
+    // serialised again, it is the v5 checkpoint.
+    let (mut runner, _) = build(ExecutionBackend::Sequential);
+    runner.recover_from(FIXTURE_V4).unwrap();
+    assert!(runner.snapshot().unwrap() == FIXTURE_V5);
 }
 
 /// The outer sum skips the nested frame's payload and nothing else: a bit
@@ -184,9 +143,9 @@ fn both_backends_reproduce_the_v5_runner_fixture_byte_for_byte() {
 /// `MNSP` fixture's own test flips all eight) is still a typed error —
 /// caught by the outer sum, or by the nested frame's own — and so is a cut.
 #[test]
-fn a_bit_flip_in_any_byte_of_the_v3_runner_fixture_is_a_typed_error() {
+fn a_bit_flip_in_any_byte_of_the_v5_runner_fixture_is_a_typed_error() {
     let (mut runner, _) = build(ExecutionBackend::Sequential);
-    let mut bytes = FIXTURE_V3.to_vec();
+    let mut bytes = FIXTURE_V5.to_vec();
     for at in 0..bytes.len() {
         bytes[at] ^= 1 << (at % 8);
         assert!(
@@ -199,6 +158,51 @@ fn a_bit_flip_in_any_byte_of_the_v3_runner_fixture_is_a_typed_error() {
         assert!(runner.recover_from(&bytes[..len]).is_err(), "cut to {len}");
     }
     assert!(runner.recover_from(&bytes).is_ok());
+}
+
+/// Both frames decode their current version and the one before, and no
+/// other: a v5 fixture with any other version word is refused with exactly
+/// that version by every entry point, and a refused recovery leaves the
+/// runner as it was.
+#[test]
+fn both_frames_restore_versions_4_and_5_and_refuse_every_other() {
+    const MNSP_V4: &[u8] = include_bytes!("data/mnsp_v4_path4.bin");
+    const MNSP_V5: &[u8] = include_bytes!("data/mnsp_v5_path4.bin");
+    const RETIRED_OR_FUTURE: [u32; 5] = [0, 1, 2, 3, 6];
+    let with_version = |frame: &[u8], version: u32| {
+        let mut bytes = frame.to_vec();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        bytes
+    };
+    for v in RETIRED_OR_FUTURE {
+        let (frame, refused) = (with_version(MNSP_V5, v), Err(CodecError::BadVersion(v)));
+        assert_eq!(EmulatorSnapshot::from_bytes(&frame).map(|_| ()), refused);
+        assert_eq!(
+            MultiCoreEmulator::restore_bytes(&frame).map(|_| ()),
+            refused
+        );
+        assert_eq!(ParallelEmulator::restore_bytes(&frame).map(|_| ()), refused);
+    }
+    for frame in [MNSP_V4, MNSP_V5] {
+        assert!(MultiCoreEmulator::restore_bytes(frame).is_ok());
+        assert!(ParallelEmulator::restore_bytes(frame).is_ok());
+    }
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+        let (mut runner, _) = build(backend);
+        runner.recover_from(FIXTURE_V4).expect("v4 restores");
+        let before = runner.snapshot().unwrap();
+        for v in RETIRED_OR_FUTURE {
+            assert_eq!(
+                runner.recover_from(&with_version(FIXTURE_V5, v)),
+                Err(RecoverError::Codec(CodecError::BadVersion(v)))
+            );
+            assert!(
+                runner.snapshot().unwrap() == before,
+                "a refused v{v} recovery changed the runner on {backend:?}"
+            );
+        }
+        runner.recover_from(FIXTURE_V5).expect("v5 restores");
+    }
 }
 
 /// Writes the fixture and prints the digest. Run once, at the commit whose

@@ -1,22 +1,18 @@
 //! Golden `MNRS` fixture for the runner's UDP records.
 //!
-//! `tests/data/mnrs_v3_tcp.bin` holds TCP flows only. This file pins what
+//! `tests/data/mnrs_v5_tcp.bin` holds TCP flows only. This file pins what
 //! it leaves out: two paced UDP flows — one open-ended, one bounded by
 //! `max_datagrams` and still sending when the run stops — beside an
 //! unbounded bulk TCP flow, on two cores. Its checkpoint carries the
 //! streams' pacing state, the runner's UDP flow table, `Udp` port bindings
-//! and pending `UdpPoll` events. `tests/data/mnrs_v3_udp.bin` was written by
-//! the encoder before those records were declared through `codec_record!`:
-//! both backends must restore it and finish on the recorded digest.
-//! `tests/data/mnrs_v4_udp.bin` is the scenario under the v4 encoder and
-//! the current timing (`MNRS` v4: every pipe and every tunnel entered at
-//! its ideal time), which both backends must restore to the same digest.
-//! The digest counts what was sent, received and acked, not when, so it
-//! held across that timing change. `tests/data/mnrs_v5_udp.bin` is the
-//! scenario under the current encoder (`MNRS` v5: tunnels in flight inside
-//! their target cores, no RED fields), which both backends must re-create
-//! byte for byte and which the parent-written v4 file, restored and
-//! serialised again, is.
+//! and pending `UdpPoll` events. `tests/data/mnrs_v4_udp.bin` is the
+//! scenario under the v4 encoder (`MNRS` v4: every pipe and every tunnel
+//! entered at its ideal time), which both backends must restore and finish
+//! on the recorded digest. `tests/data/mnrs_v5_udp.bin` is the scenario
+//! under the current encoder (`MNRS` v5: tunnels in flight inside their
+//! target cores, no RED fields), which both backends must re-create byte
+//! for byte and which the parent-written v4 file, restored and serialised
+//! again, is.
 //!
 //! Only the runner's public API is used, so the same source compiles
 //! against the commit that wrote the fixture.
@@ -29,7 +25,6 @@ use modelnet::{
     DataRate, DistillationMode, ExecutionBackend, Experiment, FlowId, Runner, SimTime, UdpFlowId,
 };
 
-const FIXTURE: &[u8] = include_bytes!("data/mnrs_v3_udp.bin");
 const FIXTURE_V4: &[u8] = include_bytes!("data/mnrs_v4_udp.bin");
 const FIXTURE_V5: &[u8] = include_bytes!("data/mnrs_v5_udp.bin");
 
@@ -37,8 +32,8 @@ const FIXTURE_V5: &[u8] = include_bytes!("data/mnrs_v5_udp.bin");
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
 /// The restored run is driven on to here.
 const HORIZON: SimTime = SimTime::from_secs(3);
-/// FNV-1a over the finished run's observable state, recorded by the commit
-/// that wrote the v3 fixture.
+/// FNV-1a over the finished run's observable state: what was sent,
+/// received and acked, not when.
 const TAIL_DIGEST: u64 = 0x43a2_a02a_f374_57bc;
 
 fn build(backend: ExecutionBackend) -> (Runner, FlowId, [UdpFlowId; 2]) {
@@ -114,7 +109,7 @@ fn tail_digest(mut runner: Runner, bulk: FlowId, udp: [UdpFlowId; 2]) -> u64 {
 
 #[test]
 fn the_udp_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    for (fixture, version) in [(FIXTURE, 3), (FIXTURE_V4, 4), (FIXTURE_V5, 5)] {
+    for (fixture, version) in [(FIXTURE_V4, 4), (FIXTURE_V5, 5)] {
         assert_eq!(fixture[..8], [0x53, 0x52, 0x4E, 0x4D, version, 0, 0, 0]);
         for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
             let (mut runner, bulk, udp) = build(backend);

@@ -429,12 +429,15 @@ fn recover_refuses_bytes_after_the_frame_or_after_the_decoded_payload() {
     assert_eq!(fresh.recover_from(&after_frame), Err(trailing.clone()));
 
     // A well-formed frame (length and checksum cover the extra byte) around
-    // a payload with one byte more than the decoder reads.
+    // a payload with one byte more than the decoder reads. The payload
+    // leads with the clock and the nested frame's length, then that frame.
     let mut w = mn_util::ByteWriter::new();
-    let frame = w.begin_frame(u32::from_le_bytes(*b"SRNM"), 2);
+    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let frame = w.begin_frame(u32::from_le_bytes(*b"SRNM"), version);
     w.put_bytes(&bytes[16..bytes.len() - 8]);
     w.put_u8(0);
-    w.end_frame(frame);
+    let nested = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    w.end_frame_around(frame, frame + 16..frame + 16 + nested);
     assert_eq!(fresh.recover_from(w.as_slice()), Err(trailing));
 
     // Neither refusal touched the runner: the real snapshot still restores.

@@ -1,33 +1,22 @@
 //! Golden `MNSP` fixtures for the multiplexed, churned case.
 //!
-//! `tests/data/mnsp_v2_path4.bin` (see `snapshot_golden.rs`) has one VN per
-//! location and inline route-table rows only. `tests/data/mnsp_v2_mux_churn.bin`
-//! was written by the commit *before* the route table went from one row per
-//! endpoint to one row per location (PR 18), from the scenario below: an
-//! 8-router ring with three VNs bound at every client (rows 8 columns wide,
-//! so they spill), two cores, one fluid flow, stopped mid-run after — in
-//! this order — a link down, a leave whose siblings stay, a location
-//! emptied, the link up again, a rejoin into the emptied location, a rejoin
-//! elsewhere, a fresh VN id and a second link down. Every later commit must
-//! restore the file into both executors and finish the run on the recorded
-//! delivery digest. Like the v1 file it is never re-blessed.
+//! `tests/data/mnsp_v5_path4.bin` (see `snapshot_golden.rs`) has one VN per
+//! location and inline route-table rows only. The scenario below pins what
+//! that leaves out: an 8-router ring with three VNs bound at every client
+//! (rows 8 columns wide, so they spill), two cores, one fluid flow, stopped
+//! mid-run after — in this order — a link down, a leave whose siblings
+//! stay, a location emptied, the link up again, a rejoin into the emptied
+//! location, a rejoin elsewhere, a fresh VN id and a second link down.
 //!
-//! Format v3 (PR 23) writes one row per location and the route arena chunk
-//! by chunk: `tests/data/mnsp_v3_mux_churn.bin` is the same scenario under
-//! that encoder, which must restore to the digest the parent-written v2
-//! file restores to, so the two layouts are pinned to hold the same state.
-//!
-//! Format v4 dropped the accumulating timing rule's state (see
-//! `snapshot_golden.rs`): `tests/data/mnsp_v4_mux_churn.bin` is the scenario
-//! under that encoder and the current timing. The v2 and v3 files keep
-//! restoring unmodified; the run from their state changed with the timing
-//! rule, so their digest was re-recorded once, at that change.
-//!
-//! Format v5 moved tunnels in flight into their target cores and dropped
-//! the retired RED fields (see `snapshot_golden.rs`):
+//! `tests/data/mnsp_v4_mux_churn.bin` is the scenario under the v4 encoder
+//! and the current timing, written by the parent of the v5 change. Format
+//! v5 moved tunnels in flight into their target cores and dropped the
+//! retired RED fields (see `snapshot_golden.rs`):
 //! `tests/data/mnsp_v5_mux_churn.bin` is the scenario under the current
 //! encoder, which every later commit must re-create byte for byte and which
-//! the parent-written v4 file, restored and serialised again, is.
+//! the v4 file, restored and serialised again, is. Both files restore into
+//! both executors and finish the run on the recorded delivery digest; they
+//! are never re-blessed.
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -45,8 +34,6 @@ use mn_util::codec::fnv1a64;
 use mn_util::{ByteWriter, DataRate, SimDuration, SimTime};
 use modelnet::EmulatorBackend;
 
-const FIXTURE: &[u8] = include_bytes!("data/mnsp_v2_mux_churn.bin");
-const FIXTURE_V3: &[u8] = include_bytes!("data/mnsp_v3_mux_churn.bin");
 const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_mux_churn.bin");
 const FIXTURE_V5: &[u8] = include_bytes!("data/mnsp_v5_mux_churn.bin");
 
@@ -58,14 +45,9 @@ const STOP_AT: SimTime = SimTime::from_micros(4_850);
 /// The restored run is driven wakeup by wakeup up to this horizon (the
 /// fluid epoch keeps the emulator busy forever).
 const HORIZON: SimTime = SimTime::from_millis(30);
-/// FNV-1a over the run restored from the v2 and v3 fixtures: its delivery
-/// stream, final counters and fluid goodput. Recorded by the commit that
-/// wrote the v2 fixture; re-recorded once, when every pipe and every tunnel
-/// came to be entered at its ideal time (the same state runs on
-/// differently).
-const TAIL_DIGEST: u64 = 0x861e_cb87_9fa3_6701;
-/// The same digest over the run restored from the v4 and v5 fixtures.
-const TAIL_DIGEST_V4: u64 = 0x3756_c0d7_c052_e133;
+/// FNV-1a over the run restored from the fixtures: its delivery stream,
+/// final counters and fluid goodput.
+const TAIL_DIGEST: u64 = 0x3756_c0d7_c052_e133;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -242,18 +224,11 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// Restores a fixture and serialises it again.
-fn re_serialised(fixture: &[u8]) -> Vec<u8> {
-    let mut restored = MultiCoreEmulator::restore_bytes(fixture).unwrap();
-    restored.snapshot().unwrap().to_bytes()
-}
-
 /// The current encoder writes the v5 fixture on both executors, and so does
 /// restoring the parent-written v4 file.
 #[test]
 fn both_executors_reproduce_the_v5_fixture_byte_for_byte() {
     assert_eq!(SNAPSHOT_VERSION, 5, "this fixture pins format v5");
-    assert!(FIXTURE_V3.len() < FIXTURE.len(), "25 rows became 8");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
@@ -261,41 +236,27 @@ fn both_executors_reproduce_the_v5_fixture_byte_for_byte() {
             "snapshot bytes drifted from the v5 fixture (threaded: {threaded})"
         );
     }
-    assert!(re_serialised(FIXTURE_V4) == FIXTURE_V5);
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V4).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V5);
 }
 
 #[test]
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
-    for (fixture, digest) in [
-        (FIXTURE, TAIL_DIGEST),
-        (FIXTURE_V3, TAIL_DIGEST),
-        (FIXTURE_V4, TAIL_DIGEST_V4),
-        (FIXTURE_V5, TAIL_DIGEST_V4),
-    ] {
+    for fixture in [FIXTURE_V4, FIXTURE_V5] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
         let sequential =
             EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
-        assert_eq!(tail_digest(sequential), digest);
+        assert_eq!(tail_digest(sequential), TAIL_DIGEST);
         let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
-        assert_eq!(tail_digest(threaded), digest);
+        assert_eq!(tail_digest(threaded), TAIL_DIGEST);
     }
-}
-
-/// The parent-written v2 file and the v3 file, restored and re-serialised,
-/// are one v5 frame: each old decoder's table and the current encoder's
-/// bytes hold one state.
-#[test]
-fn the_v2_and_v3_fixtures_restored_re_serialise_to_one_v5_frame() {
-    let bytes = re_serialised(FIXTURE);
-    assert_eq!(bytes[4..8], 5u32.to_le_bytes());
-    assert!(bytes == re_serialised(FIXTURE_V3));
 }
 
 /// Writes the current version's fixture and prints the digest (`cargo test
 /// --test snapshot_golden_mux -- --ignored --nocapture`, after renaming the
-/// path below — run before the per-location table for v2, at the chunked
-/// table for v3, at the timing change for v4, at the per-core inboxes for
-/// v5); see the module docs for why an existing file is never rewritten.
+/// path below — run at the timing change for v4, at the per-core inboxes
+/// for v5); see the module docs for why an existing file is never
+/// rewritten.
 #[test]
 #[ignore = "writes tests/data/mnsp_v5_mux_churn.bin"]
 fn write_fixture() {
