@@ -25,18 +25,14 @@ use std::collections::HashMap;
 use mn_distill::PipeId;
 use mn_packet::VnId;
 use mn_routing::RouteTable;
-use mn_util::DEFAULT_WHEEL_QUANTUM;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
 /// Default cadence at which fluid rates are recomputed while flows are live:
-/// `2^23` ns ≈ 8.39 ms, exactly 64 default timer-wheel slots. A cadence
-/// commensurate with the wheel's slot grid keeps epoch timers landing on
-/// recycled slots; the old 10 ms default drifted across slot boundaries and
-/// made the wheel's high-water mark creep for the whole run.
+/// `2^23` ns ≈ 8.39 ms. The timer wheel keeps every pending entry in one
+/// arena, so the cadence need not line up with its slots to stay
+/// allocation-free; the value is kept because every recorded snapshot and
+/// digest was taken at it.
 pub const DEFAULT_FLUID_EPOCH: SimDuration = SimDuration::from_nanos(1 << 23);
-const _: () = assert!(DEFAULT_FLUID_EPOCH
-    .as_nanos()
-    .is_multiple_of(DEFAULT_WHEEL_QUANTUM.as_nanos()));
 
 /// Bit-nanoseconds per byte: the divisor turning a `bps × ns` integral into
 /// bytes.

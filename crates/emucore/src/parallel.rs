@@ -46,7 +46,7 @@
 //!   replies, so the steady state allocates nothing on any thread.
 //! * **The coordinator sleeps through the wait.** It polls a worker's
 //!   reply ring a few times, yielding between polls, then parks, so on a
-//!   host with no CPU to spare it does not compete with the workers it
+//!   host with no idle CPU it does not compete with the workers it
 //!   waits for. Each request names the thread that waits for its reply
 //!   (the emulator may move between threads), and the worker unparks it
 //!   after every reply it pushes. The park has a timeout, so a dead worker

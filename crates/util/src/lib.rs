@@ -38,4 +38,4 @@ pub use rngs::seeded_rng;
 pub use stats::{Cdf, RunningStats};
 pub use sync::{SpinBarrier, SpinWait};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{EventKey, TimerWheel, DEFAULT_WHEEL_QUANTUM};
+pub use wheel::{EventKey, TimerWheel};

@@ -1,23 +1,33 @@
 //! A hierarchical timing wheel for the per-packet scheduler path.
 //!
 //! [`TimerWheel`] is the emulator's one event queue. Where a binary heap
-//! pays `O(log n)` per push/pop, the wheel buckets deadlines into fixed-width slots sized around the
-//! emulator's scheduler quantum, so near-term deadlines cost `O(1)` to insert
-//! and `O(1)` amortised to pop — independent of how many pipes are pending.
+//! pays `O(log n)` per push/pop, the wheel buckets deadlines into fixed-width
+//! slots, so near-term deadlines cost `O(1)` to insert and `O(1)` amortised
+//! to pop — independent of how many pipes are pending.
 //!
 //! # Structure
 //!
 //! Two wheel levels plus an overflow heap:
 //!
-//! * **Level 0** — 256 slots of one quantum each (default quantum `2^17` ns ≈
-//!   131 µs, the power of two nearest the paper's 100 µs hardware tick).
-//!   Horizon ≈ 33.5 ms: queueing and transmission deadlines land here.
-//! * **Level 1** — 256 slots of 256 quanta each, horizon ≈ 8.6 s: long
-//!   propagation delays and retransmission timers land here and cascade into
-//!   level 0 as the wheel turns.
+//! * **Level 0** — 4096 slots of `2^13` ns ≈ 8.192 µs each. Horizon ≈ 33.5
+//!   ms: queueing and transmission deadlines land here. The width is sized
+//!   to the event density, not to a hardware tick: a slot is sorted once
+//!   when it becomes the next to pop, and at this width it holds a handful
+//!   of entries even on an 8-hop forwarding chain.
+//! * **Level 1** — 256 slots of one level-0 revolution each, horizon ≈ 8.6
+//!   s: long propagation delays and retransmission timers land here and
+//!   cascade into level 0 as the wheel turns.
 //! * **Overflow** — a comparison-based min-heap for deadlines beyond the
 //!   level-1 horizon (idle application timers, far-future wakeups). These are
 //!   rare by construction, so the `O(log n)` cost is off the per-packet path.
+//!
+//! Every entry filed in a slot of either level lives in one arena: a slot
+//! is the head of a list of arena indices, a cascade relinks nodes instead
+//! of copying them, and freed nodes go on a free list. The slot being popped
+//! is drained once into a sorted run, which arrivals for that slot join by
+//! sorted insertion. The arena grows to the peak number of pending entries
+//! and the run to the peak slot size, whichever slots a workload touches, so
+//! a steady state stops allocating without any cadence aligned to the slots.
 //!
 //! # Semantics
 //!
@@ -33,7 +43,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Ordering key of a queued event: deadline first, then insertion sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -45,24 +55,26 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// Slots per wheel level (`2^SLOT_BITS`).
-const SLOT_BITS: u32 = 8;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = (SLOTS as u64) - 1;
-/// Bitmap words per level.
-const OCC_WORDS: usize = SLOTS / 64;
+/// log2 of the level-0 slot width in nanoseconds: 8.192 µs.
+const SHIFT: u32 = 13;
+/// Level-0 slots (`2^L0_BITS`); a level-0 revolution is ≈ 33.5 ms.
+const L0_BITS: u32 = 12;
+const L0_SLOTS: usize = 1 << L0_BITS;
+const L0_MASK: u64 = (L0_SLOTS as u64) - 1;
+/// Level-1 slots (`2^L1_BITS`), one level-0 revolution each: ≈ 8.6 s.
+const L1_BITS: u32 = 8;
+const L1_SLOTS: usize = 1 << L1_BITS;
+const L1_MASK: u64 = (L1_SLOTS as u64) - 1;
+/// The end of a slot's list, and of the free list.
+const NIL: u32 = u32::MAX;
 
-/// Default quantum: `2^17` ns ≈ 131 µs, the power of two nearest the
-/// emulator's 100 µs scheduler tick.
-const DEFAULT_QUANTUM_SHIFT: u32 = 17;
-
-/// The slot width of a default-quantum wheel. Periodic work that should
-/// land on slot boundaries (e.g. the fluid-epoch grid) rounds its cadence
-/// to a multiple of this, keeping the wheel's high-water mark flat.
-pub const DEFAULT_WHEEL_QUANTUM: SimDuration = SimDuration::from_nanos(1 << DEFAULT_QUANTUM_SHIFT);
-
-/// Maximum number of drained slot buffers kept for reuse.
-const SPARE_POOL: usize = 8;
+/// The slot a deadline files under, clamped so that past deadlines land in
+/// the earliest still-reachable slot (they pop immediately, exactly like a
+/// heap push of a past time).
+#[inline]
+fn tick_of(time: SimTime, current: u64) -> u64 {
+    (time.as_nanos() >> SHIFT).max(current)
+}
 
 #[derive(Debug, Clone)]
 struct OverflowEntry<T> {
@@ -89,21 +101,69 @@ impl<T> Ord for OverflowEntry<T> {
 
 /// Returns the index of the first set bit at or after `from`, if any.
 #[inline]
-fn first_set(occ: &[u64; OCC_WORDS], from: usize) -> Option<usize> {
-    if from >= SLOTS {
+fn first_set<const WORDS: usize>(occ: &[u64; WORDS], from: usize) -> Option<usize> {
+    let mut word = from >> 6;
+    if word >= WORDS {
         return None;
     }
-    let mut word = from >> 6;
     let mut bits = occ[word] & (!0u64 << (from & 63));
     loop {
         if bits != 0 {
             return Some((word << 6) + bits.trailing_zeros() as usize);
         }
         word += 1;
-        if word >= OCC_WORDS {
+        if word >= WORDS {
             return None;
         }
         bits = occ[word];
+    }
+}
+
+/// A pending entry filed in a wheel slot; `next` links the slot's list (or,
+/// once freed, the free list, with `value` taken).
+#[derive(Debug, Clone)]
+struct Node<T> {
+    key: EventKey,
+    value: Option<T>,
+    next: u32,
+}
+
+/// The nodes of every slot list of both levels, and the list of free ones.
+#[derive(Debug, Clone)]
+struct Arena<T> {
+    nodes: Vec<Node<T>>,
+    free: u32,
+}
+
+impl<T> Arena<T> {
+    /// Files `(key, value)` at the front of the list headed by `head`.
+    #[inline]
+    fn link(&mut self, head: &mut u32, key: EventKey, value: T) {
+        let node = Node {
+            key,
+            value: Some(value),
+            next: *head,
+        };
+        *head = if self.free == NIL {
+            let index = self.nodes.len();
+            assert!(index < NIL as usize, "fewer than 2^32 - 1 pending entries");
+            self.nodes.push(node);
+            index as u32
+        } else {
+            let index = self.free;
+            let slot = &mut self.nodes[index as usize];
+            self.free = slot.next;
+            *slot = node;
+            index
+        };
+    }
+
+    /// The earliest deadline on the list headed by `head`. [`NIL`] lies
+    /// past the arena's end (`link` keeps it so), so `get` ends the walk.
+    fn min_time(&self, head: u32) -> Option<SimTime> {
+        let first = self.nodes.get(head as usize);
+        let list = std::iter::successors(first, |node| self.nodes.get(node.next as usize));
+        list.map(|node| node.key.time).min()
     }
 }
 
@@ -125,29 +185,24 @@ fn first_set(occ: &[u64; OCC_WORDS], from: usize) -> Option<usize> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimerWheel<T> {
-    /// log2 of the quantum in nanoseconds.
-    shift: u32,
-    /// The wheel's position: the quantum index of the earliest slot that may
-    /// still hold entries. Only ever advances.
+    /// The wheel's position: the level-0 slot index (deadline `>> SHIFT`) of
+    /// the earliest slot that may still hold entries. Only ever advances.
     current: u64,
-    /// Level 0: one slot per quantum for the 256 quanta at `current`'s
-    /// 256-block. Entries are unsorted except for the active slot.
-    l0: Box<[Vec<(EventKey, T)>; SLOTS]>,
-    /// Level 1: one slot per 256 quanta for `current`'s 65536-block.
-    l1: Box<[Vec<(EventKey, T)>; SLOTS]>,
-    l0_occ: [u64; OCC_WORDS],
-    l1_occ: [u64; OCC_WORDS],
+    /// Level 0: the list head of each slot of `current`'s revolution.
+    l0: Box<[u32; L0_SLOTS]>,
+    /// Level 1: the list head of each revolution of `current`'s 8.6 s block.
+    l1: Box<[u32; L1_SLOTS]>,
+    l0_occ: [u64; L0_SLOTS / 64],
+    l1_occ: [u64; L1_SLOTS / 64],
+    arena: Arena<T>,
+    /// The entries of the active level-0 slot, sorted descending by key so
+    /// `Vec::pop` yields the minimum.
+    run: Vec<(EventKey, T)>,
+    /// The level-0 slot whose entries are in `run`, if any. Its list is
+    /// empty and its occupancy bit stays set while `run` is non-empty.
+    active: Option<usize>,
     /// Deadlines beyond the level-1 horizon, ordered by full key.
     overflow: BinaryHeap<Reverse<OverflowEntry<T>>>,
-    /// Warmed slot buffers recovered from cascaded level-1 slots. A level-1
-    /// slot is touched once per level-0 revolution and then not again for a
-    /// full level-1 revolution (~8.6 s at the default quantum), so without
-    /// this pool every freshly touched slot would grow a `Vec` from zero —
-    /// a steady trickle of allocations on an otherwise allocation-free path.
-    spare: Vec<Vec<(EventKey, T)>>,
-    /// The level-0 slot currently sorted for popping (descending by key, so
-    /// `Vec::pop` yields the minimum), if any.
-    active: Option<usize>,
     len: usize,
     next_seq: u64,
 }
@@ -159,38 +214,24 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    /// Creates an empty wheel with the default ≈131 µs quantum.
+    /// Creates an empty wheel.
     pub fn new() -> Self {
-        Self::with_quantum_shift(DEFAULT_QUANTUM_SHIFT)
-    }
-
-    /// Creates an empty wheel whose slot width is the largest power of two at
-    /// or below `quantum` (clamped to `[1 µs, ~1 s]`).
-    pub fn with_quantum(quantum: SimDuration) -> Self {
-        let nanos = quantum.as_nanos().max(1);
-        let shift = (63 - nanos.leading_zeros()).clamp(10, 30);
-        Self::with_quantum_shift(shift)
-    }
-
-    fn with_quantum_shift(shift: u32) -> Self {
         TimerWheel {
-            shift,
             current: 0,
-            l0: Box::new(std::array::from_fn(|_| Vec::new())),
-            l1: Box::new(std::array::from_fn(|_| Vec::new())),
-            l0_occ: [0; OCC_WORDS],
-            l1_occ: [0; OCC_WORDS],
-            overflow: BinaryHeap::new(),
-            spare: Vec::new(),
+            l0: Box::new([NIL; L0_SLOTS]),
+            l1: Box::new([NIL; L1_SLOTS]),
+            l0_occ: [0; L0_SLOTS / 64],
+            l1_occ: [0; L1_SLOTS / 64],
+            arena: Arena {
+                nodes: Vec::new(),
+                free: NIL,
+            },
+            run: Vec::new(),
             active: None,
+            overflow: BinaryHeap::new(),
             len: 0,
             next_seq: 0,
         }
-    }
-
-    /// The slot width in virtual time.
-    pub fn quantum(&self) -> SimDuration {
-        SimDuration::from_nanos(1 << self.shift)
     }
 
     /// Number of pending events.
@@ -208,23 +249,17 @@ impl<T> TimerWheel<T> {
     /// Drops all pending events. The wheel position resets to zero; sequence
     /// numbers keep counting so keys stay unique across a clear.
     pub fn clear(&mut self) {
-        for slot in self.l0.iter_mut().chain(self.l1.iter_mut()) {
-            slot.clear();
-        }
-        self.l0_occ = [0; OCC_WORDS];
-        self.l1_occ = [0; OCC_WORDS];
-        self.overflow.clear();
+        self.l0.fill(NIL);
+        self.l1.fill(NIL);
+        self.l0_occ = [0; L0_SLOTS / 64];
+        self.l1_occ = [0; L1_SLOTS / 64];
+        self.arena.nodes.clear();
+        self.arena.free = NIL;
+        self.run.clear();
         self.active = None;
+        self.overflow.clear();
         self.current = 0;
         self.len = 0;
-    }
-
-    /// The quantum index a deadline files under, clamped so that past
-    /// deadlines land in the earliest still-reachable slot (they pop
-    /// immediately, exactly like a heap push of a past time).
-    #[inline]
-    fn tick_of(&self, time: SimTime) -> u64 {
-        (time.as_nanos() >> self.shift).max(self.current)
     }
 
     /// Schedules `value` to fire at `time`. Returns the key, which can be
@@ -242,120 +277,104 @@ impl<T> TimerWheel<T> {
     }
 
     fn insert(&mut self, key: EventKey, value: T) {
-        let tick = self.tick_of(key.time);
-        if tick >> SLOT_BITS == self.current >> SLOT_BITS {
-            let slot = (tick & SLOT_MASK) as usize;
+        let tick = tick_of(key.time, self.current);
+        if tick >> L0_BITS == self.current >> L0_BITS {
+            let slot = (tick & L0_MASK) as usize;
             if self.active == Some(slot) {
-                // The active slot is kept sorted descending by key so pops
-                // stay O(1); splice new arrivals into position.
-                let v = &mut self.l0[slot];
-                let pos = v.partition_point(|(k, _)| *k > key);
-                v.insert(pos, (key, value));
+                let pos = self.run.partition_point(|(k, _)| *k > key);
+                self.run.insert(pos, (key, value));
             } else {
-                self.l0[slot].push((key, value));
+                self.arena.link(&mut self.l0[slot], key, value);
+                self.l0_occ[slot >> 6] |= 1 << (slot & 63);
             }
-            self.l0_occ[slot >> 6] |= 1 << (slot & 63);
-        } else if tick >> (2 * SLOT_BITS) == self.current >> (2 * SLOT_BITS) {
-            let slot = ((tick >> SLOT_BITS) & SLOT_MASK) as usize;
-            self.push_l1(slot, key, value);
+        } else if tick >> (L0_BITS + L1_BITS) == self.current >> (L0_BITS + L1_BITS) {
+            let slot = ((tick >> L0_BITS) & L1_MASK) as usize;
+            self.arena.link(&mut self.l1[slot], key, value);
+            self.l1_occ[slot >> 6] |= 1 << (slot & 63);
         } else {
             self.overflow.push(Reverse(OverflowEntry { key, value }));
         }
     }
 
-    /// Files an entry under a level-1 slot, seeding a cold slot with a
-    /// warmed buffer from the spare pool.
-    #[inline]
-    fn push_l1(&mut self, slot: usize, key: EventKey, value: T) {
-        let v = &mut self.l1[slot];
-        if v.capacity() == 0 {
-            if let Some(spare) = self.spare.pop() {
-                *v = spare;
-            }
-        }
-        v.push((key, value));
-        self.l1_occ[slot >> 6] |= 1 << (slot & 63);
-    }
-
     /// Positions the wheel at the earliest pending slot (cascading coarser
-    /// levels as block boundaries are crossed) and sorts it for popping.
-    /// Returns the level-0 slot index, or `None` if the wheel is empty.
+    /// levels as block boundaries are crossed) and drains it into the sorted
+    /// run. Returns the level-0 slot index, or `None` if the wheel is empty.
     fn activate(&mut self) -> Option<usize> {
         if self.len == 0 {
-            self.active = None;
             return None;
         }
         loop {
-            let from = (self.current & SLOT_MASK) as usize;
-            if let Some(slot) = first_set(&self.l0_occ, from) {
-                self.current = (self.current & !SLOT_MASK) | slot as u64;
+            if let Some(slot) = first_set(&self.l0_occ, (self.current & L0_MASK) as usize) {
+                self.current = (self.current & !L0_MASK) | slot as u64;
                 if self.active != Some(slot) {
-                    self.l0[slot].sort_unstable_by_key(|(key, _)| Reverse(*key));
+                    self.drain_into_run(slot);
                     self.active = Some(slot);
                 }
                 return Some(slot);
             }
-            self.active = None;
             // Level 0 exhausted: cascade the next pending level-1 slot.
-            // Level-1 slots at or behind the current block are empty by
-            // construction (their ticks would have filed under level 0).
-            let l1_from = ((self.current >> SLOT_BITS) & SLOT_MASK) as usize + 1;
+            // Level-1 slots at or behind the current revolution are empty by
+            // construction (their deadlines would have filed under level 0).
+            let l1_from = ((self.current >> L0_BITS) & L1_MASK) as usize + 1;
             if let Some(slot) = first_set(&self.l1_occ, l1_from) {
-                self.current = (self.current & !(SLOT_MASK << SLOT_BITS | SLOT_MASK))
-                    | ((slot as u64) << SLOT_BITS);
+                self.current =
+                    (self.current & !(L1_MASK << L0_BITS | L0_MASK)) | ((slot as u64) << L0_BITS);
                 self.l1_occ[slot >> 6] &= !(1 << (slot & 63));
-                let mut entries = std::mem::take(&mut self.l1[slot]);
-                for (key, value) in entries.drain(..) {
-                    let tick = self.tick_of(key.time);
-                    let l0_slot = (tick & SLOT_MASK) as usize;
-                    self.l0[l0_slot].push((key, value));
+                let mut index = std::mem::replace(&mut self.l1[slot], NIL);
+                while index != NIL {
+                    let node = &mut self.arena.nodes[index as usize];
+                    let l0_slot = (tick_of(node.key.time, self.current) & L0_MASK) as usize;
+                    let next = std::mem::replace(&mut node.next, self.l0[l0_slot]);
+                    self.l0[l0_slot] = index;
                     self.l0_occ[l0_slot >> 6] |= 1 << (l0_slot & 63);
-                }
-                // This slot will not be touched again for a full level-1
-                // revolution; pool its warmed buffer for whichever cold slot
-                // is filled next.
-                if self.spare.len() < SPARE_POOL {
-                    self.spare.push(entries);
+                    index = next;
                 }
                 continue;
             }
             // Both wheel levels exhausted: jump to the overflow heap's
-            // earliest 65536-block and refill the wheels from it. Everything
+            // earliest 8.6 s block and refill the wheels from it. Everything
             // left in overflow is later than anything cascaded here.
             let earliest = self
                 .overflow
                 .peek()
                 .expect("len > 0 with empty wheels implies overflow entries");
-            let block = (earliest.0.key.time.as_nanos() >> self.shift) >> (2 * SLOT_BITS);
-            self.current = block << (2 * SLOT_BITS);
+            let block = (earliest.0.key.time.as_nanos() >> SHIFT) >> (L0_BITS + L1_BITS);
+            self.current = block << (L0_BITS + L1_BITS);
             while let Some(Reverse(head)) = self.overflow.peek() {
-                if (head.key.time.as_nanos() >> self.shift) >> (2 * SLOT_BITS) != block {
+                if (head.key.time.as_nanos() >> SHIFT) >> (L0_BITS + L1_BITS) != block {
                     break;
                 }
                 let Reverse(OverflowEntry { key, value }) =
                     self.overflow.pop().expect("peeked entry exists");
-                let tick = self.tick_of(key.time);
-                if tick >> SLOT_BITS == self.current >> SLOT_BITS {
-                    let slot = (tick & SLOT_MASK) as usize;
-                    self.l0[slot].push((key, value));
-                    self.l0_occ[slot >> 6] |= 1 << (slot & 63);
-                } else {
-                    let slot = ((tick >> SLOT_BITS) & SLOT_MASK) as usize;
-                    self.push_l1(slot, key, value);
-                }
+                self.insert(key, value);
             }
         }
     }
 
+    /// Moves level-0 `slot`'s entries into the (empty) run, sorted for
+    /// popping, and frees their nodes.
+    fn drain_into_run(&mut self, slot: usize) {
+        let mut index = std::mem::replace(&mut self.l0[slot], NIL);
+        while index != NIL {
+            let node = &mut self.arena.nodes[index as usize];
+            let value = node.value.take().expect("a listed node holds its value");
+            self.run.push((node.key, value));
+            let next = std::mem::replace(&mut node.next, self.arena.free);
+            self.arena.free = index;
+            index = next;
+        }
+        self.run.sort_unstable_by_key(|(key, _)| Reverse(*key));
+    }
+
     #[inline]
     fn pop_from_active(&mut self, slot: usize) -> (EventKey, T) {
-        let (key, value) = self.l0[slot].pop().expect("active slot is non-empty");
-        if self.l0[slot].is_empty() {
+        let entry = self.run.pop().expect("the active slot is non-empty");
+        if self.run.is_empty() {
             self.l0_occ[slot >> 6] &= !(1 << (slot & 63));
             self.active = None;
         }
         self.len -= 1;
-        (key, value)
+        entry
     }
 
     /// Removes and returns the earliest event, if any.
@@ -375,7 +394,7 @@ impl<T> TimerWheel<T> {
     #[inline]
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, T)> {
         let slot = self.activate()?;
-        let (key, _) = self.l0[slot].last().expect("active slot is non-empty");
+        let (key, _) = self.run.last().expect("the active slot is non-empty");
         if key.time <= now {
             let (key, value) = self.pop_from_active(slot);
             Some((key.time, value))
@@ -393,9 +412,9 @@ impl<T> TimerWheel<T> {
     /// FIFO order among equal deadlines is preserved).
     pub fn entries_in_order(&self) -> Vec<(SimTime, &T)> {
         let mut entries: Vec<(EventKey, &T)> = Vec::with_capacity(self.len);
-        for slot in self.l0.iter().chain(self.l1.iter()) {
-            entries.extend(slot.iter().map(|(k, v)| (*k, v)));
-        }
+        let listed = self.arena.nodes.iter();
+        entries.extend(listed.filter_map(|n| n.value.as_ref().map(|v| (n.key, v))));
+        entries.extend(self.run.iter().map(|(k, v)| (*k, v)));
         entries.extend(self.overflow.iter().map(|Reverse(e)| (e.key, &e.value)));
         entries.sort_unstable_by_key(|(k, _)| *k);
         entries.into_iter().map(|(k, v)| (k.time, v)).collect()
@@ -409,16 +428,15 @@ impl<T> TimerWheel<T> {
         if self.len == 0 {
             return None;
         }
-        let from = (self.current & SLOT_MASK) as usize;
-        if let Some(slot) = first_set(&self.l0_occ, from) {
+        if let Some(slot) = first_set(&self.l0_occ, (self.current & L0_MASK) as usize) {
             if self.active == Some(slot) {
-                return self.l0[slot].last().map(|(k, _)| k.time);
+                return self.run.last().map(|(k, _)| k.time);
             }
-            return self.l0[slot].iter().map(|(k, _)| k.time).min();
+            return self.arena.min_time(self.l0[slot]);
         }
-        let l1_from = ((self.current >> SLOT_BITS) & SLOT_MASK) as usize + 1;
+        let l1_from = ((self.current >> L0_BITS) & L1_MASK) as usize + 1;
         if let Some(slot) = first_set(&self.l1_occ, l1_from) {
-            return self.l1[slot].iter().map(|(k, _)| k.time).min();
+            return self.arena.min_time(self.l1[slot]);
         }
         self.overflow.peek().map(|Reverse(e)| e.key.time)
     }
@@ -477,7 +495,7 @@ mod tests {
     #[test]
     fn far_future_deadlines_cross_the_overflow_level() {
         let mut w = TimerWheel::new();
-        // Beyond the level-1 horizon (~8.6 s at the default quantum).
+        // Beyond the ~8.6 s level-1 horizon.
         w.push(SimTime::from_secs(3600), "hour");
         w.push(SimTime::from_secs(60), "minute");
         w.push(SimTime::from_micros(50), "now");
@@ -550,13 +568,16 @@ mod tests {
         assert!(k2.seq > k1.seq);
     }
 
-    #[test]
-    fn custom_quantum_rounds_to_power_of_two() {
-        let w: TimerWheel<()> = TimerWheel::with_quantum(SimDuration::from_micros(100));
-        // Largest power of two at or below 100 µs = 2^16 ns.
-        assert_eq!(w.quantum(), SimDuration::from_nanos(1 << 16));
-        let tiny: TimerWheel<()> = TimerWheel::with_quantum(SimDuration::from_nanos(1));
-        assert_eq!(tiny.quantum(), SimDuration::from_nanos(1 << 10));
+    /// Pops both queues to exhaustion, asserting equal `(key, value)` pairs.
+    fn drain_alike<T: PartialEq + std::fmt::Debug>(w: &mut TimerWheel<T>, h: &mut EventHeap<T>) {
+        loop {
+            let a = w.pop_with_key();
+            let b = h.pop_with_key();
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
     }
 
     /// Exhaustive small-scale sanity: every permutation of slot placement
@@ -564,8 +585,8 @@ mod tests {
     #[test]
     fn mixed_levels_pop_globally_sorted() {
         let times: Vec<u64> = vec![
-            0, 1, 130,    // same level-0 slot as 1 (131 µs quantum)
-            200,    // next level-0 slot
+            0, 1, // one level-0 slot (8.192 µs wide)
+            130, 200,    // two later level-0 slots
             40_000, // level 1 (past the 33.5 ms level-0 horizon)
             41_000, 9_000_000, // overflow (past the 8.6 s level-1 horizon)
             10_000_000,
@@ -576,14 +597,91 @@ mod tests {
             w.push(SimTime::from_micros(t), i);
             h.push(SimTime::from_micros(t), i);
         }
-        loop {
-            let a = w.pop_with_key();
-            let b = h.pop_with_key();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+        drain_alike(&mut w, &mut h);
+    }
+
+    #[test]
+    fn arrivals_for_the_active_slot_are_inserted_in_order() {
+        // The slot holding 100 µs becomes the active one: its entries are in
+        // the sorted run, and nothing is due yet.
+        let base = 100_000;
+        let mut w = TimerWheel::new();
+        let mut h = EventHeap::new();
+        for (i, off) in [4_000, 1_000].into_iter().enumerate() {
+            w.push(SimTime::from_nanos(base + off), i);
+            h.push(SimTime::from_nanos(base + off), i);
         }
+        assert_eq!(w.pop_due(SimTime::ZERO), None);
+        let slot = w.active.expect("the earliest slot is active");
+        // Out-of-order arrivals into that slot, ties with entries already in
+        // the run among them, and one behind the wheel position.
+        for (i, off) in [3_000, 1_000, 4_000, 0, 2_500, 1_000]
+            .into_iter()
+            .enumerate()
+        {
+            w.push(SimTime::from_nanos(base + off), 2 + i);
+            h.push(SimTime::from_nanos(base + off), 2 + i);
+        }
+        w.push(SimTime::from_nanos(10), 8);
+        h.push(SimTime::from_nanos(10), 8);
+        assert_eq!(w.active, Some(slot));
+        assert_eq!(w.run.len(), 9, "every arrival joined the run");
+        assert!(w.run.windows(2).all(|p| p[0].0 > p[1].0), "descending");
+        drain_alike(&mut w, &mut h);
+    }
+
+    #[test]
+    fn a_cleared_wheel_restarts_its_arena() {
+        let mut w = TimerWheel::new();
+        for i in 0..64u64 {
+            // Level 0, level 1 and overflow.
+            w.push(SimTime::from_micros(i * 700_000 % 20_000_000), i);
+        }
+        for _ in 0..10 {
+            w.pop();
+        }
+        assert!(w.arena.free != NIL, "popped nodes went on the free list");
+        let last = w.push(SimTime::ZERO, 0);
+        w.clear();
+        assert!(w.arena.nodes.is_empty());
+        assert_eq!(w.arena.free, NIL, "the free list resets with the arena");
+        assert!(w.active.is_none() && w.run.is_empty());
+        assert_eq!(w.peek_time(), None);
+
+        // Reused, the wheel numbers its nodes from zero again, keeps counting
+        // keys, and pops like a fresh heap.
+        let mut h = EventHeap::new();
+        for i in 0..32u64 {
+            let t = SimTime::from_micros(i * 3_000 % 50_000);
+            assert!(w.push(t, i).seq > last.seq);
+            h.push(t, i);
+        }
+        assert_eq!(w.arena.nodes.len(), 32);
+        let ours: Vec<_> = std::iter::from_fn(|| w.pop()).collect();
+        let theirs: Vec<_> = std::iter::from_fn(|| h.pop()).collect();
+        assert_eq!(ours, theirs);
+    }
+
+    #[test]
+    fn a_cloned_wheel_pops_what_the_original_pops() {
+        let mut w = TimerWheel::new();
+        for i in 0..200u64 {
+            w.push(SimTime::from_micros(i * 79_193 % 12_000_000), i);
+        }
+        // Mid-run: an active slot, a free list, entries on every level.
+        for _ in 0..50 {
+            w.pop();
+        }
+        let _ = w.pop_due(SimTime::ZERO);
+        let mut twin = w.clone();
+        for i in 0..20u64 {
+            let t = SimTime::from_micros(i * 1_000);
+            assert_eq!(w.push(t, 1_000 + i), twin.push(t, 1_000 + i));
+        }
+        let ours: Vec<_> = std::iter::from_fn(|| w.pop_with_key()).collect();
+        let theirs: Vec<_> = std::iter::from_fn(|| twin.pop_with_key()).collect();
+        assert_eq!(ours.len(), 170);
+        assert_eq!(ours, theirs);
     }
 
     mod properties {
@@ -599,6 +697,21 @@ mod tests {
                 4 => 0u64..50_000,                    // across level 0
                 2 => 0u64..5_000_000,                 // across level 1
                 1 => 8_000_000u64..60_000_000,        // crosses into overflow
+            ]
+        }
+
+        /// Nanosecond deadlines at the wheel's edges: inside one 8.192 µs
+        /// slot (ties and sub-slot order), and around the 33.5 ms level-0
+        /// and 8.6 s level-1 block boundaries (the first three of each).
+        fn deadline_nanos() -> impl Strategy<Value = u64> {
+            let edge = |bits: u32| {
+                (1u64..4, 0u64..40_000).prop_map(move |(k, d)| (k << bits) + d - 20_000)
+            };
+            prop_oneof![
+                2 => 0u64..1 << 13,
+                2 => (5u64 << 13)..(6 << 13),
+                3 => edge(13 + 12),
+                3 => edge(13 + 12 + 8),
             ]
         }
 
@@ -699,6 +812,44 @@ mod tests {
                         break;
                     }
                 }
+            }
+
+            /// Nanosecond deadlines inside one slot and across the block
+            /// boundaries, pushed in batches between `pop_due` calls whose
+            /// `now` walks over those boundaries too: heap-identical pops,
+            /// peeks and lengths throughout.
+            #[test]
+            fn slot_and_block_edges_match_event_heap(
+                batches in prop::collection::vec(
+                    (prop::collection::vec(deadline_nanos(), 0..12), deadline_nanos()),
+                    1..40,
+                ),
+            ) {
+                let mut w = TimerWheel::new();
+                let mut h = EventHeap::new();
+                let mut now = SimTime::ZERO;
+                for (i, (times, advance)) in batches.iter().enumerate() {
+                    for (j, &t) in times.iter().enumerate() {
+                        let kw = w.push(SimTime::from_nanos(t), (i, j));
+                        let kh = h.push(SimTime::from_nanos(t), (i, j));
+                        prop_assert_eq!(kw, kh);
+                    }
+                    now = now.max(SimTime::from_nanos(*advance));
+                    loop {
+                        let a = w.pop_due(now);
+                        let b = h.pop_due(now);
+                        prop_assert_eq!(&a, &b, "pop_due diverges at now={}", now);
+                        if a.is_none() {
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(w.peek_time(), h.peek_time(), "peek diverges");
+                    prop_assert_eq!(w.len(), h.len());
+                }
+                while let Some(a) = w.pop_with_key() {
+                    prop_assert_eq!(Some(a), h.pop_with_key());
+                }
+                prop_assert!(h.is_empty());
             }
         }
     }

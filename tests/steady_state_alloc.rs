@@ -5,12 +5,12 @@
 //! avoidable work. This test pins the reproduction to the same discipline: a
 //! counting global allocator (`mn_util::alloc`, which `mn-benchmark` reports
 //! memory with too) wraps the system allocator, the emulator is
-//! warmed until every buffer (timing-wheel slots, pipe queues, tick/delivery
-//! scratch) has reached its steady-state capacity, and a further measured
-//! run of submit + advance must perform **zero** heap allocations on this
-//! thread. The sharded route table's lookup path gets its own guard: row
-//! shards and the chunked route store must resolve without touching the
-//! heap, rewired or not. The threaded executor's guard reads the
+//! warmed until every buffer (the timing wheel's arena, pipe queues,
+//! tick/delivery scratch) has reached its steady-state capacity, and a
+//! further measured run of submit + advance must perform **zero** heap
+//! allocations on this thread. The sharded route table's lookup path gets
+//! its own guard: row shards and the chunked route store must resolve
+//! without touching the heap, rewired or not. The threaded executor's guard reads the
 //! process-wide byte counter too, so it runs with every other test here
 //! held off ([`exclusive`]).
 
@@ -103,7 +103,7 @@ struct Feed {
     deliveries: Vec<mn_emucore::Delivery>,
 }
 
-/// [`drive`] (or, at a 65.536 µs `cadence_ns`, [`drive_slow`]) through
+/// [`drive`] (or, at [`SLOW_CADENCE_NS`], [`drive_slow`]) through
 /// `submit_batch`, as the benchmark feeds it: the eight packets between two
 /// advances go in as one batch.
 fn drive_batched<X: CoreExecutor>(
@@ -132,37 +132,6 @@ fn drive_batched<X: CoreExecutor>(
     delivered
 }
 
-/// Like [`drive`], but with a submit cadence of 16.384 µs — an exact
-/// divisor of the timing wheel's 2^17 ns slot width. The exit-time residue
-/// pattern then repeats identically every wheel revolution, so slot
-/// occupancy high-water marks (and hence buffer capacities) saturate during
-/// warm-up instead of drifting for the whole run. An incommensurate cadence
-/// (like the 20 µs of [`drive`]) leaves high-water marks creeping for
-/// thousands of revolutions — warm-up noise that would mask the property
-/// this test pins: the *reconfiguration* adds no allocations of its own.
-fn drive_aligned(
-    emu: &mut MultiCoreEmulator,
-    vns: &[VnId],
-    deliveries: &mut Vec<mn_emucore::Delivery>,
-    start: u64,
-    iters: u64,
-) -> u64 {
-    const CADENCE_NS: u64 = 1 << 14; // 16.384 µs, 8 submissions per slot
-    let mut delivered = 0;
-    for i in start..start + iters {
-        let now = SimTime::from_nanos(i * CADENCE_NS);
-        let src = vns[i as usize % vns.len()];
-        let dst = vns[(i as usize + 7) % vns.len()];
-        let _ = emu.submit(now, tcp_packet(i, src, dst, now));
-        if i % 8 == 0 {
-            deliveries.clear();
-            emu.advance_into(now, deliveries).unwrap();
-            delivered += deliveries.len() as u64;
-        }
-    }
-    delivered
-}
-
 #[test]
 fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     let _process = shared();
@@ -183,10 +152,10 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
     // A CBR injector on one spoke pipe runs through warm-up and the whole
-    // measured window. 4096 bits every 2.097152 ms (16 wheel slots) keeps
-    // the injection pattern wheel-periodic too. The episode rides the fluid
-    // machinery, whose default epoch (2^23 ns = 64 wheel slots) is a whole
-    // multiple of that period, so recompute deadlines stay on the grid.
+    // measured window: 4096 bits every 2.097152 ms, riding the fluid
+    // machinery and its recompute epochs. Neither period lines up with the
+    // 20 µs submit cadence, and none has to: the wheel's arena reaches its
+    // peak in warm-up whichever slots the deadlines fall in.
     let cbr_pipe = mn_distill::PipeId(0);
     assert!(emu.set_pipe_cbr(
         cbr_pipe,
@@ -196,12 +165,12 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
         )),
         SimTime::ZERO,
     ));
-    let warmed = drive_aligned(&mut emu, &vns, &mut deliveries, 0, 30_000);
+    let warmed = drive(&mut emu, &vns, &mut deliveries, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
 
     // Pre-renegotiation steady state: zero allocations.
     let before = alloc_calls();
-    let delivered = drive_aligned(&mut emu, &vns, &mut deliveries, 30_000, 5_000);
+    let delivered = drive(&mut emu, &vns, &mut deliveries, 30_000, 5_000);
     let delta = alloc_calls() - before;
     assert!(delivered > 0, "steady state must deliver packets");
     assert_eq!(
@@ -221,12 +190,12 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     assert_eq!(alloc_calls() - before, 0, "update_pipe_attrs allocated");
 
     // A re-warm lets queue depths settle at the new bandwidth (the slower
-    // pipe holds more packets and lands exits in different slots, so
-    // buffers may grow to the new pattern's high-water marks once)…
-    let _ = drive_aligned(&mut emu, &vns, &mut deliveries, 35_000, 20_000);
+    // pipe holds more packets, so its queue and the wheel may grow to the
+    // new high-water marks once)…
+    let _ = drive(&mut emu, &vns, &mut deliveries, 35_000, 20_000);
     // …after which the renegotiated steady state is allocation-free again.
     let before = alloc_calls();
-    let delivered = drive_aligned(&mut emu, &vns, &mut deliveries, 55_000, 10_000);
+    let delivered = drive(&mut emu, &vns, &mut deliveries, 55_000, 10_000);
     let delta = alloc_calls() - before;
     assert!(
         delivered > 0,
@@ -265,9 +234,9 @@ fn fluid_epochs_and_mid_run_resize_allocate_nothing() {
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
-    // The default epoch (2^23 ns = 64 wheel slots) is wheel-periodic, and
-    // the measured window spans enough of them that it exercises the chop +
-    // solve + redistribute path, not just plain ticking.
+    // The measured window spans many default epochs (2^23 ns ≈ 8.4 ms), so
+    // it exercises the chop + solve + redistribute path, not just plain
+    // ticking.
     assert!(emu.add_fluid_flow(
         1,
         vns[1],
@@ -285,13 +254,13 @@ fn fluid_epochs_and_mid_run_resize_allocate_nothing() {
         SimTime::ZERO,
     ));
 
-    let warmed = drive_aligned(&mut emu, &vns, &mut deliveries, 0, 30_000);
+    let warmed = drive(&mut emu, &vns, &mut deliveries, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
 
     // Steady state with live fluid flows: epochs fire, rates re-solve,
     // residuals update — zero allocations.
     let before = alloc_calls();
-    let delivered = drive_aligned(&mut emu, &vns, &mut deliveries, 30_000, 5_000);
+    let delivered = drive(&mut emu, &vns, &mut deliveries, 30_000, 5_000);
     let delta = alloc_calls() - before;
     assert!(delivered > 0, "steady state must deliver packets");
     assert_eq!(
@@ -302,21 +271,20 @@ fn fluid_epochs_and_mid_run_resize_allocate_nothing() {
 
     // Mid-run resize: the flash-crowd grows. The call settles integrals,
     // re-solves the fair share and pushes changed residuals — in place.
-    const CADENCE_NS: u64 = 1 << 14;
     let before = alloc_calls();
     assert!(emu.resize_fluid_flow(
         1,
         mn_util::DataRate::from_mbps(6),
         750_000,
-        SimTime::from_nanos(35_000 * CADENCE_NS),
+        SimTime::from_micros(35_000 * 20),
     ));
     assert_eq!(alloc_calls() - before, 0, "resize_fluid_flow allocated");
 
     // A short re-warm lets packet queues settle against the shrunken
     // residual, after which the resized steady state is allocation-free.
-    let _ = drive_aligned(&mut emu, &vns, &mut deliveries, 35_000, 10_000);
+    let _ = drive(&mut emu, &vns, &mut deliveries, 35_000, 10_000);
     let before = alloc_calls();
-    let delivered = drive_aligned(&mut emu, &vns, &mut deliveries, 45_000, 5_000);
+    let delivered = drive(&mut emu, &vns, &mut deliveries, 45_000, 5_000);
     let delta = alloc_calls() - before;
     assert!(delivered > 0, "resized steady state must deliver packets");
     assert_eq!(
@@ -446,13 +414,15 @@ fn on_demand_route_resolution_allocates_nothing_when_warmed() {
     );
 }
 
-/// Like [`drive_aligned`], but with a 65.536 µs cadence (half a wheel slot,
-/// still wheel-periodic). The last-mile ring below carries 2 Mb/s client
-/// access pipes; the faster cadences would push every source past line rate
-/// and the resulting permanent overload has its own (pre-existing)
-/// allocation noise that would mask what this file's compensation test
-/// pins. At this cadence each VN sources ~1.7 Mb/s — below access line
-/// rate, like every other workload in this file.
+/// The submit cadence of [`drive_slow`]: 65 µs.
+const SLOW_CADENCE_NS: u64 = 65_000;
+
+/// Like [`drive`], but one submit per [`SLOW_CADENCE_NS`]. The last-mile
+/// ring below carries 2 Mb/s client access pipes; the 20 µs cadence would
+/// push every source past line rate and the resulting permanent overload
+/// has its own (pre-existing) allocation noise that would mask what this
+/// file's compensation test pins. At this cadence each VN sources ~1.7 Mb/s
+/// — below access line rate, like every other workload in this file.
 fn drive_slow(
     emu: &mut MultiCoreEmulator,
     vns: &[VnId],
@@ -460,10 +430,9 @@ fn drive_slow(
     start: u64,
     iters: u64,
 ) -> u64 {
-    const CADENCE_NS: u64 = 1 << 16;
     let mut delivered = 0;
     for i in start..start + iters {
-        let now = SimTime::from_nanos(i * CADENCE_NS);
+        let now = SimTime::from_nanos(i * SLOW_CADENCE_NS);
         let src = vns[i as usize % vns.len()];
         let dst = vns[(i as usize + 7) % vns.len()];
         let _ = emu.submit(now, tcp_packet(i, src, dst, now));
@@ -525,9 +494,8 @@ fn compensated_steady_state_allocates_nothing() {
 
     // Retune the compensation load in place (0.5 -> 0.75) on the warmed
     // emulator: the calls themselves must not allocate…
-    const CADENCE_NS: u64 = 1 << 16;
     let retuned = mn_distill::compensation_rates(&d, 0.75);
-    let at = SimTime::from_nanos(35_000 * CADENCE_NS);
+    let at = SimTime::from_nanos(35_000 * SLOW_CADENCE_NS);
     let before = alloc_calls();
     for &(pipe, rate) in &retuned {
         assert!(emu.set_pipe_compensation(pipe, Some(rate), at));
@@ -553,6 +521,46 @@ fn compensated_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn a_warmed_timer_wheel_allocates_nothing() {
+    let _process = shared();
+    // The scheduler alone, on no cadence aligned to its slots: every 20 µs
+    // of virtual time one push, due within the next 40 ms, and every due
+    // pop. Deadlines past the 33.5 ms level-0 revolution file under level 1
+    // and cascade back, and some land in the slot being popped. Warm-up
+    // runs 10 s, past the first 8.6 s level-1 block boundary, where the
+    // deadlines that cross it wait in the overflow heap. Warmed, the arena
+    // holds the peak of pending entries, the run the fullest slot and the
+    // heap the most entries a crossing puts in it, so a million more steps
+    // (20 s, two more crossings) make no allocator call.
+    const STEP_NS: u64 = 20_000;
+    const WARM: u64 = 500_000;
+    let mut wheel: mn_util::TimerWheel<u32> = mn_util::TimerWheel::new();
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut step = |wheel: &mut mn_util::TimerWheel<u32>, i: u64| {
+        // xorshift64: a fixed, allocation-free stream of deadlines.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let now = SimTime::from_nanos(i * STEP_NS);
+        wheel.push(now + SimDuration::from_nanos(state % 40_000_000), i as u32);
+        std::iter::from_fn(|| wheel.pop_due(now)).count()
+    };
+    for i in 0..WARM {
+        step(&mut wheel, i);
+    }
+    assert!(wheel.len() > 800, "{} pending after warm-up", wheel.len());
+
+    let before = alloc_calls();
+    let popped: usize = (WARM..WARM + 1_000_000).map(|i| step(&mut wheel, i)).sum();
+    let delta = alloc_calls() - before;
+    assert!(popped > 990_000, "{popped} pops in a million steps");
+    assert_eq!(
+        delta, 0,
+        "a warmed timer wheel made {delta} heap allocations in a million steps"
+    );
+}
+
+#[test]
 fn single_core_steady_state_allocates_nothing() {
     let _process = shared();
     let topo = star_topology(&StarParams {
@@ -567,10 +575,9 @@ fn single_core_steady_state_allocates_nothing() {
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
-    // Warm-up: cycle the timing wheel several full revolutions (256 slots ×
-    // ~131 µs per slot at 20 µs of virtual time per packet ≈ 1.7 k packets
-    // per revolution) so every slot, pipe queue and scratch buffer reaches
-    // its steady-state capacity.
+    // Warm-up: 0.6 s of virtual time, many level-0 revolutions of the timing
+    // wheel (33.5 ms each), so its arena, every pipe queue and every scratch
+    // buffer reaches its steady-state capacity.
     let warmed = drive(&mut emu, &vns, &mut deliveries, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
 
@@ -622,12 +629,11 @@ fn threaded_steady_state_allocates_nothing_on_any_thread() {
     let mut emu = ParallelEmulator::new(&d, pod, matrix, &binding, profile, 7);
     let vns: Vec<VnId> = binding.vns().collect();
     let mut feed = Feed::default();
-    const CADENCE_NS: u64 = 1 << 16;
 
-    let warmed = drive_batched(&mut emu, &vns, &mut feed, CADENCE_NS, 0, 30_000);
+    let warmed = drive_batched(&mut emu, &vns, &mut feed, SLOW_CADENCE_NS, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
     let before = (alloc_calls(), total_allocated_bytes());
-    let delivered = drive_batched(&mut emu, &vns, &mut feed, CADENCE_NS, 30_000, 10_000);
+    let delivered = drive_batched(&mut emu, &vns, &mut feed, SLOW_CADENCE_NS, 30_000, 10_000);
     let calls = alloc_calls() - before.0;
     let bytes = total_allocated_bytes() - before.1;
     assert!(delivered > 0, "steady state must deliver packets");
@@ -662,16 +668,16 @@ fn steady_state_survives_a_restore_without_allocating() {
         MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
-    let warmed = drive_aligned(&mut emu, &vns, &mut deliveries, 0, 30_000);
+    let warmed = drive(&mut emu, &vns, &mut deliveries, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
 
     let bytes = emu.snapshot().unwrap().to_bytes();
     let mut restored = MultiCoreEmulator::restore_bytes(&bytes).expect("state reconstructs");
     assert!(restored.snapshot().unwrap().to_bytes() == bytes);
 
-    let _ = drive_aligned(&mut restored, &vns, &mut deliveries, 30_000, 30_000);
+    let _ = drive(&mut restored, &vns, &mut deliveries, 30_000, 30_000);
     let before = alloc_calls();
-    let delivered = drive_aligned(&mut restored, &vns, &mut deliveries, 60_000, 10_000);
+    let delivered = drive(&mut restored, &vns, &mut deliveries, 60_000, 10_000);
     let delta = alloc_calls() - before;
     assert!(delivered > 0, "restored steady state must deliver packets");
     assert_eq!(
@@ -736,8 +742,8 @@ fn runner_tcp_steady_state_allocates_next_to_nothing() {
     // One level up: the whole driver loop — TCP endpoints polled into the
     // runner's own buffers, one live timer event per endpoint, the emulator
     // underneath. Not zero: buffers sized by traffic history (a receiver's
-    // out-of-order list, a wheel slot) can still meet a new high-water mark
-    // after warm-up. But far below one call per packet.
+    // out-of-order list) can still meet a new high-water mark after warm-up.
+    // But far below one call per packet.
     let topo = ring_topology(&RingParams {
         routers: 5,
         clients_per_router: 8,
