@@ -26,6 +26,7 @@
 
 pub mod dijkstra;
 pub mod matrix;
+mod resolver;
 pub mod table;
 
 pub use dijkstra::{

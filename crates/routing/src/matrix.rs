@@ -706,6 +706,14 @@ impl RoutingMatrix {
         )
     }
 
+    /// What a walk up `src`'s tree reads — its predecessor row and the tail
+    /// node of every pipe — or `None` when `src` is not a VN of the graph.
+    pub(crate) fn tree_of(&self, src: NodeId) -> Option<(&[u32], &[u32])> {
+        let (si, nc) = (self.vn_index(src)?, self.node_count);
+        let row = &self.pred[si * nc..(si + 1) * nc];
+        (src.index() < nc).then_some((row, &self.pipe_src))
+    }
+
     /// Distance label of `dst` in `src`'s shortest-route tree (total pipe
     /// cost: latency in nanoseconds plus one per hop), or `None` when
     /// either node is not a VN or the destination is unreachable.

@@ -46,15 +46,23 @@
 //! content-dedup index carry forward structurally — a rewire that brings
 //! back known routes re-interns nothing.
 //!
-//! **Interning is one probe.** A route a rewire or a join resolves enters
-//! through [`RouteTable::intern_pipes`]: one fixed multiplicative
-//! fingerprint over the pipe sequence, one linear probe of a flat
+//! **Interning is one probe.** A route enters through one fixed
+//! multiplicative fingerprint — a prefix fold over the pipe sequence,
+//! finished with its length — one linear probe of a flat
 //! `(fingerprint, id)` slot array, and a match is **verified against the
 //! store itself** — the index keeps no second copy of any route, a
 //! collision costs a comparison and can never alias, and ids are
-//! first-id-wins. The index is a pure function of the append-only store, so
-//! the bulk writers, each unsharing the store once, leave it out: `decode`
-//! fills whole chunks, and `build` appends every location pair's route
+//! first-id-wins. A rewire or a join resolves a run of pairs sharing a
+//! source at a time (the `resolver` module): one walk of the source's tree
+//! yields every route and its fold, the fold of a shared prefix computed
+//! once; every home slot of the run is read before its first probe, so the
+//! run's lookups wait on memory together; then the run is interned in pair
+//! order, each route exactly as [`RouteTable::intern_pipes`] would intern
+//! it, so ids and probe counts do not depend on the batching. No snapshot
+//! holds the index, so the fingerprint is an in-memory choice: the index is
+//! a pure function of the append-only store, so the bulk writers, each
+//! unsharing the store once, leave it out: `decode` fills whole chunks,
+//! and `build` appends every location pair's route
 //! unprobed (its first pipe leaves the source location and its last enters
 //! the destination, so no two pairs share a route and every probe would
 //! miss). The first `find` builds it, in one pass in id order over a table
@@ -71,7 +79,7 @@
 //! cores' point of view: a routing change builds the next generation (cheap,
 //! structurally shared) and swaps the `Arc<RouteTable>`.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +88,7 @@ use mn_topology::NodeId;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError};
 
 use crate::matrix::RoutingMatrix;
+use crate::resolver::{fold, fold_pipes, Pipes, Resolver, Route, Run};
 
 mn_util::codec_record! {
     /// Handle to an interned route in a [`RouteTable`].
@@ -457,13 +466,18 @@ impl RouteStore {
         self.sealed.iter().map(|c| &**c).chain([&self.tail])
     }
 
-    /// Fingerprints `pipes` and probes the index — built here if this is
-    /// the store's first lookup — for the first id interned with exactly
-    /// this content, verified against the arena. `probes` counts the slots
-    /// inspected and the comparisons.
-    fn find(&self, pipes: &[PipeId], probes: &mut u64) -> (u64, Option<RouteId>) {
-        let index = self.index.get_or_init(|| self.build_index());
-        let fingerprint = index.fingerprint(pipes);
+    /// The index, built here if this is the store's first lookup.
+    fn index(&self) -> &ContentIndex {
+        self.index.get_or_init(|| self.build_index())
+    }
+
+    /// Fingerprints `pipes` (`fold` is [`fold_pipes`] of them) and probes
+    /// the index for the first id interned with exactly this content,
+    /// verified against the arena. `probes` counts the slots inspected and
+    /// the comparisons.
+    fn find(&self, pipes: Pipes, fold: u64, probes: &mut u64) -> (u64, Option<RouteId>) {
+        let index = self.index();
+        let fingerprint = index.finish(fold, pipes.len());
         let content = |id: u32| self.get(id as usize);
         let known = index.probe(fingerprint, pipes, content, probes);
         (fingerprint, known.ok())
@@ -481,12 +495,14 @@ impl RouteStore {
         }
         let mut fingerprints = Vec::with_capacity(self.len());
         for chunk in self.chunks() {
-            fingerprints.extend((0..chunk.ends.len()).map(|at| index.fingerprint(chunk.get(at))));
+            let routes = (0..chunk.ends.len()).map(|at| Pipes(chunk.get(at), None));
+            fingerprints.extend(routes.map(|pipes| index.finish(fold_pipes(pipes), pipes.len())));
         }
         index.reserve(fingerprints.len().max(1));
         let content = |id: u32| self.get(id as usize);
         for (id, &fingerprint) in fingerprints.iter().enumerate() {
-            if let Err(free) = index.probe(fingerprint, self.get(id), content, &mut 0) {
+            let pipes = Pipes(self.get(id), None);
+            if let Err(free) = index.probe(fingerprint, pipes, content, &mut 0) {
                 index.slots[free] = (fingerprint, id as u32);
                 index.len += 1;
             }
@@ -501,12 +517,13 @@ impl RouteStore {
     /// copy, three allocations, and the tail keeps its buffers, so
     /// appending any number of chunks grows them at most to the longest
     /// chunk, once.
-    fn append(&mut self, pipes: &[PipeId], new_content: Option<u64>) -> RouteId {
+    fn append(&mut self, Pipes(head, last): Pipes, new_content: Option<u64>) -> RouteId {
         assert!(self.len() < NO_ROUTE as usize, "route table overflow");
         let id = RouteId(self.len() as u32);
-        self.tail.pipes.extend_from_slice(pipes);
-        let bound = pipes.iter().map(|p| p.index() + 1).max();
-        self.pipe_bound = self.pipe_bound.max(bound.unwrap_or(0));
+        self.tail.pipes.extend_from_slice(head);
+        self.tail.pipes.extend(last);
+        let pipes = head.iter().chain(&last);
+        self.pipe_bound = pipes.fold(self.pipe_bound, |bound, p| bound.max(p.index() + 1));
         let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
         self.tail.ends.push(end);
         if self.tail.ends.len() == ROUTE_CHUNK {
@@ -595,21 +612,39 @@ struct ContentIndex {
 }
 
 impl ContentIndex {
-    /// The fixed multiplicative fold of a pipe sequence.
-    fn fingerprint(&self, pipes: &[PipeId]) -> u64 {
+    /// The fingerprint of a pipe sequence of `len` pipes whose fold
+    /// ([`fold_pipes`], or a resolver's prefix fold) is `state`: the fixed
+    /// multiplicative fold finished with the length.
+    fn finish(&self, state: u64, len: usize) -> u64 {
         #[cfg(test)]
         if self.degenerate {
             return 0;
         }
-        pipes.iter().fold(pipes.len() as u64, |h, p| {
-            (h.rotate_left(5) ^ p.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        })
+        fold(state, len as u64)
     }
 
     /// First slot of a fingerprint's probe sequence: its top bits, the
     /// best-mixed ones of a multiplicative fold.
     fn home(&self, fingerprint: u64) -> usize {
         (fingerprint >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Starts reading `fingerprint`'s home slot, so that a probe issued
+    /// after a run's others finds it in cache: a run's lookups then wait
+    /// on memory together, not one after another.
+    #[inline]
+    fn prefetch(&self, fingerprint: u64) {
+        let slot = &self.slots[self.home(fingerprint)];
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a prefetch is a hint to the cache: it reads nothing the
+        // program observes and never faults, and `slot` is a live
+        // reference besides.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>((slot as *const (u64, u32)).cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        std::hint::black_box(slot.1);
     }
 
     /// Walks `fingerprint`'s probe sequence: the first id under that
@@ -619,7 +654,7 @@ impl ContentIndex {
     fn probe<'s>(
         &self,
         fingerprint: u64,
-        pipes: &[PipeId],
+        pipes: Pipes,
         content: impl Fn(u32) -> &'s [PipeId],
         probes: &mut u64,
     ) -> Result<RouteId, usize> {
@@ -632,7 +667,7 @@ impl ContentIndex {
             }
             if slot_fingerprint == fingerprint {
                 *probes += 1;
-                if content(id) == pipes {
+                if pipes.is(content(id)) {
                     return Ok(RouteId(id));
                 }
             }
@@ -733,13 +768,11 @@ impl LocationIndex {
         slot
     }
 
-    /// Each location slot's dense index in `matrix` (`None`: not a VN
-    /// there), resolved once so per-pair work is pure array indexing.
-    fn vn_of_slot(&self, matrix: &RoutingMatrix) -> Vec<Option<usize>> {
-        self.locations
-            .iter()
-            .map(|&loc| matrix.vn_index(loc))
-            .collect()
+    /// The columns of slot `si`'s row, ascending: every other slot with a
+    /// live endpoint (same-location pairs stay local, never routed).
+    fn row_columns(&self, si: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        let slots = 0..self.locations.len();
+        slots.filter(move |&di| di != si && !self.endpoints[di].is_empty())
     }
 }
 
@@ -771,46 +804,10 @@ fn push_entry<T: Clone>(blocks: &mut Vec<Arc<[T]>>, value: T) {
     }
 }
 
-/// The raw id of the matrix's current route between two VN indices,
-/// interned (through `intern`) on first sight; `NO_ROUTE` when an end is not
-/// a matrix VN or the destination is unreachable. `pipes` is the reusable
-/// buffer the tree-only matrix walks the route into — only a content-index
-/// miss copies it out.
-#[inline]
-fn resolve(
-    matrix: &RoutingMatrix,
-    ms: Option<usize>,
-    md: Option<usize>,
-    pipes: &mut Vec<PipeId>,
-    intern: &mut impl FnMut(&[PipeId]) -> RouteId,
-) -> u32 {
-    match (ms, md) {
-        (Some(ms), Some(md)) if matrix.materialize_at(ms, md, pipes) => intern(pipes).0,
-        _ => NO_ROUTE,
-    }
-}
-
-/// Derives location slot `si`'s row from the matrix: one column per other
-/// slot with a live endpoint (same-location pairs stay local, never routed).
-/// `bufs` are scratch: the route walked, the row at full width.
-fn derive_row(
-    matrix: &RoutingMatrix,
-    locs: &LocationIndex,
-    vn_of_slot: &[Option<usize>],
-    si: usize,
-    (pipes, ids): &mut (Vec<PipeId>, Vec<u32>),
-    intern: &mut impl FnMut(&[PipeId]) -> RouteId,
-) -> RowShard {
-    ids.clear();
-    ids.resize(vn_of_slot.len(), NO_ROUTE);
-    if let Some(ms) = vn_of_slot[si] {
-        for (di, id) in ids.iter_mut().enumerate() {
-            if di != si && !locs.endpoints[di].is_empty() {
-                *id = resolve(matrix, Some(ms), vn_of_slot[di], pipes, intern);
-            }
-        }
-    }
-    RowShard::from_window(0, ids)
+/// The resolver scratch table generations share, whoever last held it.
+fn lock(resolver: &Mutex<Resolver>) -> MutexGuard<'_, Resolver> {
+    // A panic mid-run leaves nothing a later run trusts: it stamps anew.
+    resolver.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Memory accounting snapshot for a [`RouteTable`] (see
@@ -859,6 +856,9 @@ pub struct RouteTable {
     /// Bumped by every rewire, bind and unbind, so drivers and tests can
     /// observe that a routing change took effect.
     version: u64,
+    /// The route resolver's scratch, shared by every generation cloned
+    /// from this one: sized once, whichever generation rewires.
+    resolver: Arc<Mutex<Resolver>>,
 }
 
 impl RouteTable {
@@ -885,6 +885,7 @@ impl RouteTable {
             index_probes: 0,
             locs: Arc::new(locs),
             version: 0,
+            resolver: Arc::default(),
         }
     }
 
@@ -947,15 +948,43 @@ impl RouteTable {
     /// store unshared once, with no probe: no two location pairs share a
     /// route (see the module docs), so each is new content.
     fn derive_rows(&mut self, matrix: &RoutingMatrix) {
-        let locs = Arc::clone(&self.locs);
-        let vn_of_slot = locs.vn_of_slot(matrix);
-        let mut bufs = (Vec::new(), Vec::new());
+        let (locs, resolver) = (Arc::clone(&self.locs), Arc::clone(&self.resolver));
+        let (mut resolver, mut row) = (lock(&resolver), Vec::new());
         let store = Arc::make_mut(&mut self.store);
         debug_assert!(store.len() == 0 && store.index.get().is_none());
-        let mut append = |pipes: &[PipeId]| store.append(pipes, None);
-        let rows = (0..locs.locations.len())
-            .map(|si| derive_row(matrix, &locs, &vn_of_slot, si, &mut bufs, &mut append));
+        let rows = (0..locs.locations.len()).map(|si| {
+            let mut run = resolver.run(matrix, locs.locations[si]);
+            row.clear();
+            row.resize(locs.locations.len(), NO_ROUTE);
+            for di in locs.row_columns(si) {
+                let route = run.route(locs.locations[di]);
+                let appended = run.pipes(route).map(|(pipes, _)| store.append(pipes, None));
+                row[di] = appended.map_or(NO_ROUTE, |id| id.0);
+            }
+            RowShard::from_window(0, &row)
+        });
         self.rows = blocks_from_flat(rows.collect());
+    }
+
+    /// Interns `routes` of `run`, in order, into `ids` (the raw id,
+    /// `NO_ROUTE` where unroutable). Every home slot is read before the
+    /// first probe, so the lookups wait on memory together; the probes and
+    /// appends then go in order, so ids and probe counts are those of one
+    /// [`RouteTable::intern_pipes`] a route. No two routes of a run are the
+    /// same content, so none of its lookups depends on another's append.
+    fn intern_run(&mut self, run: &Run, routes: &[Route], ids: &mut Vec<u32>) {
+        let mut routed = routes.iter().filter_map(|&r| run.pipes(r)).peekable();
+        if routed.peek().is_some() {
+            let index = self.store.index();
+            routed.for_each(|(pipes, fold)| index.prefetch(index.finish(fold, pipes.len())));
+        }
+        ids.clear();
+        for &route in routes {
+            let interned = run
+                .pipes(route)
+                .map(|(p, fold)| self.intern_folded(p, fold));
+            ids.push(interned.map_or(NO_ROUTE, |id| id.0));
+        }
     }
 
     /// Re-wires only the given changed location pairs against the updated
@@ -969,7 +998,9 @@ impl RouteTable {
     /// all, and keep literally the same allocation; a touched row is
     /// patched once per run of `changed` pairs naming its location as the
     /// source (`update_pipes` lists a source's pairs together: once),
-    /// however many endpoints are bound there.
+    /// however many endpoints are bound there. A run's routes come from one
+    /// walk of the source's tree (see the `resolver` module): a predecessor
+    /// is read once per run, not once per route crossing it.
     pub fn rewire_in_place(
         &mut self,
         matrix: &RoutingMatrix,
@@ -992,31 +1023,64 @@ impl RouteTable {
             self.geometry_matches(locations),
             "rewire_in_place locations must match the geometry the table was built over"
         );
-        let locs = Arc::clone(&self.locs);
-        let mut patches: Vec<(usize, u32)> = Vec::new();
-        let mut pipes = Vec::new();
-        // One row patch per run of pairs sharing a source, in the order
-        // given: `RoutingMatrix::update_pipes` reports a recomputed tree's
-        // pairs together. Every step is a load keyed by a node the pairs
-        // name — nothing here is sized by the location or VN count.
-        for run in changed.chunk_by(|a, b| a.0 == b.0) {
-            let src_loc = run[0].0;
-            let Some(ss) = locs.slot_of(src_loc) else {
+        let (locs, resolver) = (Arc::clone(&self.locs), Arc::clone(&self.resolver));
+        let mut resolver = lock(&resolver);
+        let (mut routes, mut ids, mut patches) = (Vec::new(), Vec::new(), Vec::new());
+        // One walk and one row patch per run of pairs sharing a source, in
+        // the order given: `RoutingMatrix::update_pipes` reports a
+        // recomputed tree's pairs together. Every step is a load keyed by a
+        // node the pairs name — nothing here is sized by the location or VN
+        // count.
+        for pairs in changed.chunk_by(|a, b| a.0 == b.0) {
+            let src = pairs[0].0;
+            let Some(ss) = locs.slot_of(src) else {
                 continue; // no endpoint ever bound there: nothing to rewire
             };
-            let ms = matrix.vn_index(src_loc);
+            // Resolved (and interned) even when nothing will read it, so
+            // `RouteId`s never depend on which locations are populated;
+            // same-location pairs stay local, never routed.
+            let others = pairs.iter().filter(|&&(_, dst)| dst != src);
+            let dsts = others.filter_map(|&(_, dst)| locs.slot_of(dst));
+            let mut run = resolver.run(matrix, src);
+            let nodes = dsts.clone().map(|ds| locs.locations[ds as usize]);
+            routes.clear();
+            routes.extend(nodes.map(|dst| run.route(dst)));
+            self.intern_run(&run, &routes, &mut ids);
             patches.clear();
-            for &(_, dst_loc) in run {
-                if dst_loc == src_loc {
-                    continue; // same-location pairs stay local, never routed
+            for (ds, &raw) in dsts.map(|ds| ds as usize).zip(&ids) {
+                if !locs.endpoints[ds].is_empty() {
+                    patches.push((ds, raw));
                 }
-                let Some(ds) = locs.slot_of(dst_loc) else {
+            }
+            if !locs.endpoints[ss as usize].is_empty() {
+                self.patch_row(ss as usize, &patches);
+            }
+        }
+        self.version += 1;
+    }
+
+    /// [`RouteTable::rewire_in_place`] one pair at a time: each route
+    /// walked alone and interned at once, one row patch per run. The
+    /// oracle the run-at-a-time rewire is tested against.
+    #[doc(hidden)]
+    pub fn rewire_pair_by_pair(&mut self, matrix: &RoutingMatrix, changed: &[(NodeId, NodeId)]) {
+        let (locs, mut pipes, mut patches) = (Arc::clone(&self.locs), Vec::new(), Vec::new());
+        for pairs in changed.chunk_by(|a, b| a.0 == b.0) {
+            let src = pairs[0].0;
+            let Some(ss) = locs.slot_of(src) else {
+                continue;
+            };
+            patches.clear();
+            for &(_, dst) in pairs.iter().filter(|&&(_, dst)| dst != src) {
+                let Some(ds) = locs.slot_of(dst) else {
                     continue;
                 };
-                // Resolved (and interned) even when nothing will read it, so
-                // `RouteId`s never depend on which locations are populated.
-                let md = matrix.vn_index(dst_loc);
-                let raw = resolve(matrix, ms, md, &mut pipes, &mut |p| self.intern_pipes(p));
+                let raw = match (matrix.vn_index(src), matrix.vn_index(dst)) {
+                    (Some(ms), Some(md)) if matrix.materialize_at(ms, md, &mut pipes) => {
+                        self.intern_pipes(&pipes).0
+                    }
+                    _ => NO_ROUTE,
+                };
                 if !locs.endpoints[ds as usize].is_empty() {
                     patches.push((ds as usize, raw));
                 }
@@ -1025,7 +1089,7 @@ impl RouteTable {
                 self.patch_row(ss as usize, &patches);
             }
         }
-        self.version += 1;
+        self.version += u64::from(!changed.is_empty());
     }
 
     /// The geometry invariant the rewire path relies on: every endpoint
@@ -1099,18 +1163,22 @@ impl RouteTable {
             // matrix. The other rows' columns toward it are either absent
             // (new slot) or stale (routing changed while it was fully
             // departed) — refresh them, one patch per live source location.
-            let locs = Arc::clone(&self.locs);
-            let vn_of_slot = locs.vn_of_slot(matrix);
-            let mut bufs = (Vec::new(), Vec::new());
-            let mut intern = |p: &[PipeId]| self.intern_pipes(p);
-            let row = derive_row(matrix, &locs, &vn_of_slot, slot, &mut bufs, &mut intern);
-            self.set_row(slot, row);
-            for si in 0..locs.locations.len() {
-                if si != slot && !locs.endpoints[si].is_empty() {
-                    let (ms, md) = (vn_of_slot[si], vn_of_slot[slot]);
-                    let raw = resolve(matrix, ms, md, &mut bufs.0, &mut |p| self.intern_pipes(p));
-                    self.patch_row(si, &[(slot, raw)]);
-                }
+            let (locs, resolver) = (Arc::clone(&self.locs), Arc::clone(&self.resolver));
+            let (mut resolver, mut ids) = (lock(&resolver), Vec::new());
+            let mut run = resolver.run(matrix, location);
+            let dsts = locs.row_columns(slot).map(|di| locs.locations[di]);
+            let routes: Vec<Route> = dsts.map(|dst| run.route(dst)).collect();
+            self.intern_run(&run, &routes, &mut ids);
+            let mut row = vec![NO_ROUTE; locs.locations.len()];
+            for (di, &raw) in locs.row_columns(slot).zip(&ids) {
+                row[di] = raw;
+            }
+            self.set_row(slot, RowShard::from_window(0, &row));
+            for si in locs.row_columns(slot) {
+                let mut run = resolver.run(matrix, locs.locations[si]);
+                let route = [run.route(location)];
+                self.intern_run(&run, &route, &mut ids);
+                self.patch_row(si, &[(slot, ids[0])]);
             }
         }
         self.version += 1;
@@ -1172,7 +1240,13 @@ impl RouteTable {
     /// per generation), copies `pipes` into the arena and inserts under the
     /// same fingerprint.
     pub fn intern_pipes(&mut self, pipes: &[PipeId]) -> RouteId {
-        match self.store.find(pipes, &mut self.index_probes) {
+        let pipes = Pipes(pipes, None);
+        self.intern_folded(pipes, fold_pipes(pipes))
+    }
+
+    /// [`RouteTable::intern_pipes`] of a route whose fold is known.
+    fn intern_folded(&mut self, pipes: Pipes, fold: u64) -> RouteId {
+        match self.store.find(pipes, fold, &mut self.index_probes) {
             (_, Some(known)) => known,
             (fingerprint, None) => Arc::make_mut(&mut self.store).append(pipes, Some(fingerprint)),
         }
@@ -1184,7 +1258,10 @@ impl RouteTable {
     /// Callers wiring pairs by hand are still responsible for reusing ids
     /// where they want sharing (see [`RouteTable::build`]).
     pub fn intern(&mut self, pipes: &[PipeId]) -> RouteId {
-        let (fingerprint, known) = self.store.find(pipes, &mut self.index_probes);
+        let pipes = Pipes(pipes, None);
+        let (fingerprint, known) =
+            self.store
+                .find(pipes, fold_pipes(pipes), &mut self.index_probes);
         Arc::make_mut(&mut self.store).append(pipes, known.is_none().then_some(fingerprint))
     }
 
@@ -1267,6 +1344,21 @@ impl RouteTable {
     #[doc(hidden)]
     pub fn content_index_probes(&self) -> u64 {
         self.index_probes
+    }
+
+    /// Predecessor reads the route resolver has made for this table and
+    /// every generation sharing its scratch. Exact, so tests can state walk
+    /// cost as a count.
+    #[doc(hidden)]
+    pub fn predecessor_steps(&self) -> u64 {
+        lock(&self.resolver).steps
+    }
+
+    /// Times the resolver shared with this table sized its per-node memo:
+    /// once per graph, however many generations and rewires use it.
+    #[doc(hidden)]
+    pub fn resolver_memo_sizings(&self) -> u64 {
+        lock(&self.resolver).sizings
     }
 
     /// Serialises the table for a checkpoint, in the form it is held in:
@@ -1399,6 +1491,7 @@ impl RouteTable {
             index_probes: 0,
             locs: Arc::new(locs),
             version,
+            resolver: Arc::default(),
         })
     }
 

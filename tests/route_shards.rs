@@ -443,3 +443,70 @@ fn the_kth_distinct_link_flap_costs_what_the_first_did() {
     // many generations came before.
     assert_eq!(cost[1], cost[2]);
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The rewire resolves a run of pairs sharing a source in one walk of
+    /// its tree, reads every home slot before the first probe and then
+    /// interns in pair order; [`RouteTable::rewire_pair_by_pair`] walks and
+    /// interns each pair alone. Across random flaps of a multiplexed ring
+    /// the two agree on every endpoint pair's `RouteId`, on the encoded
+    /// bytes and on the content-index probes spent. The ring has a VN at a
+    /// router, so a walk can stop at a destination another destination's
+    /// route passes through; a location whose endpoints all left and whose
+    /// tree is gone; and it starts by failing a client's access link, which
+    /// partitions that client from every other.
+    #[test]
+    fn a_run_rewire_matches_the_pair_by_pair_oracle(
+        flaps in prop::collection::vec((any::<usize>(), any::<bool>()), 1..24),
+    ) {
+        let topo = mn_topology::generators::ring_topology(&mn_topology::generators::RingParams {
+            routers: 6,
+            clients_per_router: 2,
+            ..Default::default()
+        });
+        let mut d = distill(&topo, DistillationMode::HopByHop);
+        let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
+        let mut matrix = RoutingMatrix::build(&d);
+        let (clients, router) = (d.vns().to_vec(), NodeId(0));
+        prop_assert!(matrix.vn_index(router).is_none(), "node 0 is a ring router");
+        prop_assert!(matrix.add_source(&d, router));
+        let mut locations: Vec<NodeId> = clients.iter().chain(&clients).copied().collect();
+        locations.push(router);
+        let mut table = RouteTable::build(&matrix, &locations);
+        for e in [0, clients.len()] {
+            prop_assert!(table.unbind_endpoint(e));
+        }
+        prop_assert!(matrix.remove_source(clients[0]));
+        let access = d.out_pipes(clients[1])[0];
+        let partition = access.index() / 2;
+        let mut oracle = table.clone();
+        for (k, up) in [(partition, false)].into_iter().chain(flaps) {
+            let k = k % (d.pipe_count() / 2);
+            let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+            for p in link {
+                d.pipe_attrs_mut(p).expect("pipe exists").bandwidth =
+                    if up { healthy[p.index()].bandwidth } else { DataRate::ZERO };
+            }
+            let update = matrix.update_pipes(&d, &link);
+            let mut next = table.clone();
+            next.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+            table = next;
+            let mut next = oracle.clone();
+            next.rewire_pair_by_pair(&matrix, &update.changed_pairs);
+            oracle = next;
+            let n = locations.len();
+            for (s, t) in (0..n * n).map(|i| (i / n, i % n)) {
+                prop_assert_eq!(table.route_id(s, t), oracle.route_id(s, t), "{} -> {}", s, t);
+            }
+            let encoded = |table: &RouteTable| {
+                let mut w = ByteWriter::new();
+                table.encode(&mut w);
+                w.into_bytes()
+            };
+            prop_assert!(encoded(&table) == encoded(&oracle), "bytes after link {} up = {}", k, up);
+            prop_assert_eq!(table.content_index_probes(), oracle.content_index_probes());
+        }
+    }
+}

@@ -438,3 +438,52 @@ fn route_state_costs_one_dijkstra_per_access_router() {
         assert!(runs <= 32, "{runs} Dijkstra runs");
     }
 }
+
+/// (vi) A rewire walks a source's tree once a run, not once a route: on
+/// `ctl_live4k`'s geometry (the 32 x 8 ring, 16 VNs a location) one
+/// link-down changes thousands of routes, and walking each alone read a
+/// predecessor per hop of every one of them. Through the resolver a run
+/// reads each node's predecessor at most once, and the 8 clients behind a
+/// router share every read but their last.
+#[test]
+fn a_rewire_reads_each_predecessor_once_a_run() {
+    let topo = ring_topology(&RingParams {
+        routers: 32,
+        clients_per_router: 8,
+        ..RingParams::default()
+    });
+    let mut d = distill(&topo, DistillationMode::HopByHop);
+    let mut matrix = RoutingMatrix::build(&d);
+    let locations: Vec<NodeId> = (0..16).flat_map(|_| d.vns().to_vec()).collect();
+    let mut table = RouteTable::build(&matrix, &locations);
+    // The first duplex pair is a ring link.
+    let link = [PipeId(0), PipeId(1)];
+    for p in link {
+        d.pipe_attrs_mut(p).expect("pipe exists").bandwidth = DataRate::ZERO;
+    }
+    let update = matrix.update_pipes(&d, &link);
+    let changed = &update.changed_pairs;
+    let walked_alone: usize = changed
+        .iter()
+        .map(|&(src, dst)| matrix.lookup(src, dst).map_or(0, |route| route.hop_count()))
+        .sum();
+    let runs = changed.chunk_by(|a, b| a.0 == b.0).count();
+    let steps = table.predecessor_steps();
+    table.rewire_in_place(&matrix, &locations, changed);
+    let steps = table.predecessor_steps() - steps;
+    println!(
+        "(vi) one link-down on the 32 x 8 ring, 16 VNs a location: {} changed routes in {runs} \
+         runs; {walked_alone} predecessor reads walking each alone, {steps} walking each run once",
+        changed.len()
+    );
+    assert!(changed.len() > 16_000, "{} changed routes", changed.len());
+    assert!(
+        steps <= (runs * d.node_count()) as u64,
+        "{steps} reads in {runs} runs over {} nodes",
+        d.node_count()
+    );
+    assert!(
+        steps * 8 <= walked_alone as u64,
+        "{steps} reads walking runs, {walked_alone} walking routes alone"
+    );
+}

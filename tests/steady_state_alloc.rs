@@ -952,3 +952,57 @@ fn a_route_table_build_probes_no_index_and_requests_what_it_holds() {
         "{requested} B requested building a table of {held} B"
     );
 }
+
+/// A rewire walks each run of pairs through the resolver's scratch, which
+/// every table generation cloned from the built one shares: the build sizes
+/// it once and no flap sizes it again, and once the buffers a run is held
+/// in have grown, each cycle of one link's flap requests the bytes the last
+/// did. On the 32 x 8 ring with 16 endpoints a location, `ctl_live4k`'s
+/// geometry, as a publish does it: clone, then rewire the clone.
+#[test]
+fn repeated_flaps_of_one_link_request_the_same_bytes_and_size_the_resolver_once() {
+    let _process = shared();
+    let topo = ring_topology(&RingParams {
+        routers: 32,
+        clients_per_router: 8,
+        ..RingParams::default()
+    });
+    let mut d = distill(&topo, DistillationMode::HopByHop);
+    let mut matrix = RoutingMatrix::build(&d);
+    let locations: Vec<_> = (0..16).flat_map(|_| d.vns().to_vec()).collect();
+    let mut table = mn_routing::RouteTable::build(&matrix, &locations);
+    assert_eq!(table.resolver_memo_sizings(), 1, "sized by the build");
+    // The first duplex pair is a ring link.
+    let link = [mn_distill::PipeId(0), mn_distill::PipeId(1)];
+    let healthy = link.map(|p| d.pipe(p).attrs.bandwidth);
+    let mut cycle = |table: &mut mn_routing::RouteTable| {
+        let before = alloc_bytes();
+        for up in [false, true] {
+            for (&p, &bandwidth) in link.iter().zip(&healthy) {
+                let attrs = d.pipe_attrs_mut(p).unwrap();
+                attrs.bandwidth = if up {
+                    bandwidth
+                } else {
+                    mn_util::DataRate::ZERO
+                };
+            }
+            let update = matrix.update_pipes(&d, &link);
+            assert!(!update.is_empty(), "a ring link carries routes");
+            let mut next = table.clone();
+            next.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+            *table = next;
+        }
+        alloc_bytes() - before
+    };
+    // The first cycle interns the detours and copies the index; the second
+    // still grows buffers the first left short.
+    let first = cycle(&mut table);
+    cycle(&mut table);
+    let steady: Vec<u64> = (0..4).map(|_| cycle(&mut table)).collect();
+    println!("one flap cycle: {first} B the first time, then {steady:?} B");
+    assert!(
+        steady.windows(2).all(|pair| pair[0] == pair[1]),
+        "bytes per cycle: {steady:?}"
+    );
+    assert_eq!(table.resolver_memo_sizings(), 1, "sized once, by the build");
+}
