@@ -74,7 +74,7 @@ pub enum ExecutionBackend {
     #[default]
     Sequential,
     /// Every core runs on its own OS thread ([`ParallelEmulator`]),
-    /// exchanging tunnelled descriptors over bounded SPSC rings under an
+    /// exchanging tunnelled descriptors through per-pair mailboxes at an
     /// epoch barrier. Scales heavy emulation work across host CPUs.
     Threaded,
 }

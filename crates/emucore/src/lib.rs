@@ -34,9 +34,9 @@
 //! * A [`CoreExecutor`] decides only where the cores run and carries the
 //!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
 //!   `Vec<EmulatorCore>` on the calling thread;
-//!   [`ThreadedExecutor`] gives each core an OS thread behind SPSC rings
-//!   and is the only place that knows about abort flags, heartbeats, the
-//!   stall watchdog and failure poisoning.
+//!   [`ThreadedExecutor`] gives each core an OS thread behind a request
+//!   ring and a reply ring and is the only place that knows about abort
+//!   flags, heartbeats, the stall watchdog and failure poisoning.
 //!
 //! [`MultiCoreEmulator`] and [`ParallelEmulator`] are type aliases of the
 //! two instantiations. Results are **bit-identical** between them for two
@@ -44,13 +44,13 @@
 //! sequence of matrix updates, route-table generations, entry-core
 //! assignments, fluid solves and per-core commands is literally the same
 //! code. On the executor side it holds by protocol: the threaded executor's
-//! epoch markers reproduce the inline executor's rounds (tick every core,
-//! each admitting its due tunnels first → hand the fresh tunnels to their
-//! owners → repeat while one is due), every inbox is filed in the same
-//! (round, source core, FIFO) order, and deliveries are concatenated
-//! round-major, core-major (see [`parallel`]). The determinism, differential
-//! and snapshot suites pin the second; golden `MNSP` fixtures (v4
-//! decodes, v5 is reproduced) pin the bytes.
+//! epochs, one barrier each, reproduce the inline executor's rounds (tick
+//! every core, each admitting its due tunnels first → hand the fresh
+//! tunnels to their owners → repeat while one is due), every inbox is
+//! filed in the same (round, source core, FIFO) order, and deliveries are
+//! concatenated round-major, core-major (see [`parallel`]). The
+//! determinism, differential and snapshot suites pin the second; golden
+//! `MNSP` fixtures (v4 decodes, v5 is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

@@ -14,36 +14,41 @@
 //!   the tunnels addressed to it included; no emulation state is shared
 //!   between threads. The route table and the pipe ownership directory are
 //!   immutable and shared through `Arc`s.
-//! * **Bounded SPSC rings for tunnels.** A descriptor whose next pipe lives
-//!   on a peer core crosses through a [`mn_util::spsc`] ring dedicated to
-//!   that (source, target) core pair — the explicit-queue, lock-free
-//!   communication pattern of application-defined dataplanes. Rings are
-//!   pre-sized; the steady state allocates nothing on the tunnel path
-//!   (overflow spills to a worker-local buffer rather than blocking, which
-//!   would risk a producer/consumer cycle deadlocking).
-//! * **Epoch markers as the time barrier.** The inline executor advances
-//!   all cores in rounds: tick every core (each admitting the tunnels due
-//!   in its inbox first), file the freshly produced tunnels in their
-//!   owners' inboxes, repeat while one of them is due. The workers
-//!   reproduce those rounds as *epochs*: after ticking, each worker pushes
-//!   an epoch marker down every outgoing ring, and no worker starts the
-//!   next epoch before it has collected every peer's marker for the current
-//!   one. Virtual clocks therefore never drift farther apart than one
-//!   tunnel exchange — the paper's bound on core cooperation — and each
-//!   worker files its incoming tunnels in its core's inbox in (epoch,
-//!   source core, FIFO) order: the order the inline rounds file them in.
+//! * **One epoch barrier, one mailbox per pair.** The inline executor
+//!   advances all cores in rounds: tick every core (each admitting the
+//!   tunnels due in its inbox first), file the freshly produced tunnels in
+//!   their owners' inboxes, repeat while one of them is due. The workers
+//!   reproduce those rounds as *epochs*. In each, a worker ticks its core,
+//!   sorts its fresh tunnels by target and posts each target's batch —
+//!   with its vote on whether to continue — to the mailbox for (epoch
+//!   parity, itself, target), taking one lock per pair per epoch. It then
+//!   waits at the one barrier all workers share, and afterwards drains the
+//!   mailboxes addressed to it in source-core order into its core's inbox:
+//!   the inline rounds' (epoch, source core, FIFO) filing order. Every
+//!   worker ORs the same votes, so all agree on whether another epoch
+//!   follows, and virtual clocks never drift farther apart than one tunnel
+//!   exchange — the paper's bound on core cooperation.
+//! * **Why parity is enough.** The mailbox for epoch e + 2 is written only
+//!   after barrier e + 1, which its reader reaches only once it has drained
+//!   epoch e's; so the barrier is the only synchronisation, and each
+//!   mailbox lock is never contended. A lock rather than a bare cell makes
+//!   a protocol bug a wrong answer, not undefined behaviour. The batches'
+//!   buffers rotate between a worker's outbox and its two mailboxes per
+//!   target, so the steady state allocates nothing on the tunnel path.
 //! * **Determinism of delivery streams.** A worker appends an advance's
 //!   deliveries to one buffer, epoch after epoch, records where each epoch
 //!   ends, and hands both back in its one reply; the coordinator thread
 //!   interleaves the replies epoch-major, core-major — the same order the
 //!   inline rounds append them.
-//! * **Every request is answered, once.** One message per core per call:
-//!   a batch's packets for a core travel as one admission request, an
-//!   advance is one request, and each gets one reply. The reply carries the
-//!   core's refreshed counters and earliest deadline, so the cached
-//!   per-worker state `stats` and `next_wakeup` read is never older than
-//!   the last call. Buffers travel with the messages and come back in the
-//!   replies, so the steady state allocates nothing on any thread.
+//! * **Every request is answered, once.** The coordinator talks to each
+//!   worker through an SPSC request ring and reply ring, one message per
+//!   core per call: a batch's packets for a core travel as one admission
+//!   request, an advance is one request, and each gets one reply. The
+//!   reply carries the core's refreshed counters and earliest deadline, so
+//!   the cached per-worker state `stats` and `next_wakeup` read is never
+//!   older than the last call. Buffers travel with the messages and come
+//!   back in the replies, so the steady state allocates nothing on any
+//!   thread.
 //! * **The coordinator sleeps through the wait.** It polls a worker's
 //!   reply ring a few times, yielding between polls, then parks, so on a
 //!   host with no idle CPU it does not compete with the workers it
@@ -54,15 +59,15 @@
 //!   reads its heartbeat.
 //! * **Supervision lives here and only here.** Worker panics are caught at
 //!   the join handle, stalls by an opt-in heartbeat watchdog; the first
-//!   failure raises the shared abort flag and poisons the executor.
+//!   failure raises the shared abort flag, which releases every worker
+//!   waiting at the barrier, and poisons the executor.
 //!
 //! Thread placement is the OS scheduler's: workers are named `mn-core-N`
 //! (what a profiler or `top -H` shows) and never pinned — `std` offers no
 //! portable pinning.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -89,8 +94,6 @@ use crate::multicore::{InlineExecutor, MultiCoreEmulator};
 /// suites pin.
 pub type ParallelEmulator = Emulator<ThreadedExecutor>;
 
-/// Tunnel descriptors buffered per core pair before the producer spills.
-const TUNNEL_RING_CAPACITY: usize = 1024;
 /// Replies buffered per worker.
 const RESPONSE_RING_CAPACITY: usize = 1024;
 /// Coordinator requests buffered per worker.
@@ -133,7 +136,7 @@ enum Request {
     /// Read-only: nothing ticks.
     Snapshot(Vec<u8>),
     /// Install a chaos fault plan (test-only fault injection; see
-    /// [`crate::chaos`]). The one request without a reply.
+    /// [`crate::chaos`]).
     SetChaos(ChaosPlan),
     /// Stop: hand the core back and exit the thread.
     Finish,
@@ -156,7 +159,7 @@ impl Status {
     }
 }
 
-/// Worker → coordinator responses, one per request (but `SetChaos`).
+/// Worker → coordinator responses, one per request.
 enum Response {
     /// Reply to [`Request::Admit`]: its two buffers, `batch` drained and
     /// `outcomes` filled in batch order.
@@ -171,7 +174,8 @@ enum Response {
         epoch_ends: Vec<usize>,
         status: Status,
     },
-    /// Reply to [`Request::Apply`]: whether the core accepted the command.
+    /// Reply to [`Request::Apply`]: whether the core accepted the command;
+    /// and to [`Request::SetChaos`], always `ok`.
     Done { ok: bool, status: Status },
     /// Reply to [`Request::Snapshot`]: the core's encoded state.
     Snapshot(Vec<u8>),
@@ -179,24 +183,55 @@ enum Response {
     Core(Box<EmulatorCore>),
 }
 
-/// Messages on the core-to-core tunnel rings.
-enum TunnelMsg {
-    /// A tunnelled descriptor arriving on the target core at `arrival`.
-    Descriptor {
-        arrival: SimTime,
-        descriptor: Descriptor,
-    },
-    /// End of the sender's epoch: everything the sender tunnels in `epoch`
-    /// precedes this marker in the ring. `produced_due` reports whether any
-    /// of it is due at the current advance time (the inline loop's continue
-    /// condition).
-    Epoch { epoch: u64, produced_due: bool },
+/// A tunnelled descriptor arriving on its target core at a time.
+type Tunnel = (SimTime, Descriptor);
+
+/// One epoch's tunnels from one core to another.
+#[derive(Default)]
+struct Post {
+    /// In the order the sender's tick produced them.
+    tunnels: Vec<Tunnel>,
+    /// Whether any tunnel the sender produced this epoch, to whichever
+    /// core, is due at the advance time: the inline rounds' continue
+    /// condition.
+    produced_due: bool,
+}
+
+/// A [`Post`] slot on its own cache line.
+#[repr(align(64))]
+#[derive(Default)]
+struct Mailbox(Mutex<Post>);
+
+/// What the workers share: the epoch barrier and one mailbox per (epoch
+/// parity, source core, target core).
+struct Exchange {
+    cores: usize,
+    barrier: SpinBarrier,
+    mailboxes: Box<[Mailbox]>,
+}
+
+impl Exchange {
+    fn new(cores: usize) -> Self {
+        Exchange {
+            cores,
+            barrier: SpinBarrier::new(cores),
+            mailboxes: (0..2 * cores * cores).map(|_| Mailbox::default()).collect(),
+        }
+    }
+
+    /// The mailbox `source` posts its `epoch` tunnels for `target` to. A
+    /// lock a panicking peer poisoned is read through: the coordinator
+    /// reports that peer, and the run's results are void anyway.
+    fn mailbox(&self, epoch: u64, source: usize, target: usize) -> MutexGuard<'_, Post> {
+        let parity = (epoch & 1) as usize;
+        let slot = &self.mailboxes[(parity * self.cores + source) * self.cores + target];
+        slot.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One core's execution thread.
 struct Worker {
     me: usize,
-    core_count: usize,
     core: EmulatorCore,
     pod: Arc<PipeOwnershipDirectory>,
     requests: Consumer<(Request, Thread)>,
@@ -204,26 +239,18 @@ struct Worker {
     /// The thread the last request came with, unparked after every reply:
     /// whoever waits now, as the emulator may move between threads.
     waiter: Option<Thread>,
-    /// Outgoing tunnel rings, indexed by target core (`None` at `me`).
-    tunnel_out: Vec<Option<Producer<TunnelMsg>>>,
-    /// Incoming tunnel rings, indexed by source core (`None` at `me`).
-    tunnel_in: Vec<Option<Consumer<TunnelMsg>>>,
-    /// Messages popped from an incoming ring ahead of their turn (the
-    /// collect loop drains peer rings opportunistically to keep producers
-    /// unblocked); FIFO per source.
-    staged: Vec<VecDeque<TunnelMsg>>,
-    /// Producer-side overflow per target, flushed in FIFO order whenever the
-    /// ring has room. Keeps phase B non-blocking, which is what rules out
-    /// producer/consumer deadlock cycles.
-    spill: Vec<VecDeque<TunnelMsg>>,
+    exchange: Arc<Exchange>,
+    /// This epoch's tunnels, by target core (empty at `me`); each batch
+    /// trades buffers with the mailbox it is posted to.
+    outbox: Vec<Vec<Tunnel>>,
     /// Global epoch counter; every worker holds the same value at every
     /// point of the protocol.
     epoch: u64,
     tick_buf: TickOutput,
     /// Coordinator-raised kill switch. Once set (a peer died or stalled),
-    /// every blocking wait in this worker gives up instead of spinning on a
-    /// peer that will never answer, and the worker returns to its request
-    /// loop so shutdown still completes.
+    /// the barrier releases this worker instead of holding it for a peer
+    /// that will never arrive, and the worker returns to its request loop
+    /// so shutdown still completes.
     abort: Arc<AtomicBool>,
     /// Liveness counter the coordinator's stall watchdog reads: bumped on
     /// every request popped and every epoch entered.
@@ -233,8 +260,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self, start: Arc<SpinBarrier>) {
-        start.wait();
+    fn run(mut self) {
         let mut idle_spins = 0u32;
         loop {
             let Some((request, waiter)) = self.requests.try_pop() else {
@@ -281,15 +307,17 @@ impl Worker {
                 } => self.advance(now, deliveries, epoch_ends),
                 Request::Apply(command) => {
                     let ok = command.apply_to(&mut self.core);
-                    let status = Status::of(&self.core);
-                    self.push_response(Response::Done { ok, status });
+                    self.done(ok);
                 }
                 Request::Snapshot(buf) => {
                     let mut state = ByteWriter::reusing(buf);
                     self.core.encode_state(&mut state);
                     self.push_response(Response::Snapshot(state.into_bytes()));
                 }
-                Request::SetChaos(plan) => self.chaos = plan,
+                Request::SetChaos(plan) => {
+                    self.chaos = plan;
+                    self.done(true);
+                }
                 Request::Finish => break,
             }
         }
@@ -312,10 +340,13 @@ impl Worker {
     /// (tick → exchange), repeated while any core produced a tunnel that is
     /// already due. Replies once, with every epoch's deliveries.
     fn advance(&mut self, now: SimTime, mut deliveries: Vec<Delivery>, mut epoch_ends: Vec<usize>) {
+        let me = self.me;
+        let peers = (0..self.exchange.cores).filter(move |&core| core != me);
         loop {
             self.epoch += 1;
+            let epoch = self.epoch;
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
-            self.chaos.check_epoch(self.epoch);
+            self.chaos.check_epoch(epoch);
             // One scheduler pass through the reusable buffer.
             let mut tick_buf = std::mem::take(&mut self.tick_buf);
             self.core.tick_into(now, &mut tick_buf);
@@ -327,41 +358,29 @@ impl Worker {
                     .expect("route references a pipe covered by the POD");
                 debug_assert_ne!(owner.index(), self.me, "own pipes never tunnel");
                 produced_due |= arrival <= now;
-                self.send_tunnel(
-                    owner.index(),
-                    TunnelMsg::Descriptor {
-                        arrival,
-                        descriptor,
-                    },
-                );
-            }
-            let epoch = self.epoch;
-            for target in 0..self.core_count {
-                if target != self.me {
-                    self.send_tunnel(
-                        target,
-                        TunnelMsg::Epoch {
-                            epoch,
-                            produced_due,
-                        },
-                    );
-                }
+                self.outbox[owner.index()].push((arrival, descriptor));
             }
             deliveries.append(&mut tick_buf.deliveries);
             self.tick_buf = tick_buf;
-            // Epoch barrier: collect every peer's marker, filing their
-            // tunnels in the core's inbox in source-major order.
+            // The mailbox's buffer was drained two epochs ago; it becomes
+            // the next outbox.
+            for target in peers.clone() {
+                let mut post = self.exchange.mailbox(epoch, me, target);
+                std::mem::swap(&mut post.tunnels, &mut self.outbox[target]);
+                post.produced_due = produced_due;
+            }
+            if !self.exchange.barrier.wait(&self.abort) {
+                // A peer died or stalled and the coordinator aborted this
+                // advance: bail out (no reply — nobody is listening) and
+                // return to the request loop so Finish still reaches us.
+                return;
+            }
             let mut any_due = produced_due;
-            for source in 0..self.core_count {
-                if source != self.me {
-                    match self.collect_marker(source, epoch) {
-                        Some(due) => any_due |= due,
-                        // A peer died or stalled and the coordinator
-                        // aborted this advance: bail out (no reply — nobody
-                        // is listening) and return to the request loop so
-                        // Finish still reaches us.
-                        None => return,
-                    }
+            for source in peers.clone() {
+                let mut post = self.exchange.mailbox(epoch, source, me);
+                any_due |= post.produced_due;
+                for (arrival, descriptor) in post.tunnels.drain(..) {
+                    self.core.receive_tunnel(arrival, descriptor);
                 }
             }
             epoch_ends.push(deliveries.len());
@@ -372,13 +391,6 @@ impl Worker {
         // Settle the fluid byte integral at the advance target, as the
         // executor contract requires.
         self.core.integrate_fluid_to(now);
-        // Leave no spilled message behind: a peer may still be waiting in
-        // its epoch collect for a marker that overflowed our ring (an epoch
-        // that tunnelled more than a ring's capacity to one target). While
-        // the advance loop runs, `send_tunnel`/`make_progress` retry the
-        // spill, but nothing on the exit path would — and a worker parked
-        // with a spilled marker deadlocks the whole mesh.
-        self.flush_all_spill_blocking();
         let status = Status::of(&self.core);
         self.push_response(Response::Advanced {
             deliveries,
@@ -387,111 +399,10 @@ impl Worker {
         });
     }
 
-    /// Spins until every spill queue has drained into its ring, keeping
-    /// the mesh live (incoming rings are drained into staging throughout,
-    /// so the consumers of our full rings can always make room).
-    fn flush_all_spill_blocking(&mut self) {
-        let mut wait = SpinWait::new();
-        while !self.spill.iter().all(VecDeque::is_empty) {
-            if self.abort.load(Ordering::Acquire) {
-                return;
-            }
-            self.make_progress();
-            wait.spin();
-        }
-    }
-
-    /// Queues a tunnel message to `target`, preserving per-ring FIFO order
-    /// and never blocking: overflow goes to the local spill, flushed as the
-    /// consumer makes room.
-    fn send_tunnel(&mut self, target: usize, message: TunnelMsg) {
-        self.flush_spill(target);
-        let producer = self.tunnel_out[target]
-            .as_mut()
-            .expect("tunnel targets are always peer cores");
-        if self.spill[target].is_empty() {
-            if let Err(back) = producer.try_push(message) {
-                self.spill[target].push_back(back);
-            }
-        } else {
-            // Ring order would be violated by pushing past older spill.
-            self.spill[target].push_back(message);
-        }
-    }
-
-    /// Pushes as much spilled backlog for `target` as the ring accepts.
-    fn flush_spill(&mut self, target: usize) {
-        let Some(producer) = self.tunnel_out[target].as_mut() else {
-            return;
-        };
-        while let Some(message) = self.spill[target].pop_front() {
-            if let Err(back) = producer.try_push(message) {
-                self.spill[target].push_front(back);
-                break;
-            }
-        }
-    }
-
-    /// Waits for `source`'s marker for `epoch`, filing every tunnelled
-    /// descriptor that precedes it. While waiting, keeps the whole mesh
-    /// live: flushes spill and drains other incoming rings into staging so
-    /// no producer can stay blocked on a full ring. Returns `None` when the
-    /// coordinator raised the abort flag (the marker will never come — a
-    /// peer died); the caller must bail out of the advance.
-    fn collect_marker(&mut self, source: usize, epoch: u64) -> Option<bool> {
-        let mut wait = SpinWait::new();
-        loop {
-            let message = self.staged[source].pop_front().or_else(|| {
-                self.tunnel_in[source]
-                    .as_mut()
-                    .expect("sources are always peer cores")
-                    .try_pop()
-            });
-            match message {
-                Some(TunnelMsg::Descriptor {
-                    arrival,
-                    descriptor,
-                }) => {
-                    self.core.receive_tunnel(arrival, descriptor);
-                    wait.reset();
-                }
-                Some(TunnelMsg::Epoch {
-                    epoch: e,
-                    produced_due,
-                }) => {
-                    debug_assert_eq!(e, epoch, "epoch markers arrive in lockstep");
-                    return Some(produced_due);
-                }
-                None => {
-                    if self.abort.load(Ordering::Acquire) {
-                        return None;
-                    }
-                    self.make_progress();
-                    wait.spin();
-                }
-            }
-        }
-    }
-
-    /// One liveness pass: flush all spilled tunnels and drain every
-    /// incoming ring into its staging queue.
-    fn make_progress(&mut self) {
-        for target in 0..self.core_count {
-            if target != self.me {
-                self.flush_spill(target);
-            }
-        }
-        for source in 0..self.core_count {
-            if source == self.me {
-                continue;
-            }
-            let consumer = self.tunnel_in[source]
-                .as_mut()
-                .expect("sources are always peer cores");
-            while let Some(message) = consumer.try_pop() {
-                self.staged[source].push_back(message);
-            }
-        }
+    /// Answers a command with the core's refreshed status.
+    fn done(&mut self, ok: bool) {
+        let status = Status::of(&self.core);
+        self.push_response(Response::Done { ok, status });
     }
 
     /// Blocking response push, then a wake for the waiting thread; the
@@ -517,7 +428,6 @@ impl Worker {
                         return;
                     }
                     message = back;
-                    self.make_progress();
                     wait.spin();
                 }
             }
@@ -634,7 +544,7 @@ impl WorkerHandle {
 pub struct ThreadedExecutor {
     workers: Vec<WorkerHandle>,
     /// Shared kill switch raised on the first worker failure so surviving
-    /// workers escape their epoch waits instead of spinning forever.
+    /// workers leave the epoch barrier instead of spinning forever.
     abort: Arc<AtomicBool>,
     /// First failure observed; poisons the executor — every subsequent
     /// call returns this same error until the pool is rebuilt (e.g. from a
@@ -657,7 +567,7 @@ impl std::fmt::Debug for ThreadedExecutor {
 
 impl ThreadedExecutor {
     /// Records the first worker failure: raises the shared abort flag (so
-    /// surviving workers escape their epoch waits) and poisons the
+    /// surviving workers leave the epoch barrier) and poisons the
     /// executor. Returns the error for propagation.
     fn fail(&mut self, error: EmuError) -> EmuError {
         self.abort.store(true, Ordering::Release);
@@ -744,10 +654,17 @@ impl ThreadedExecutor {
     /// status; returns the reply's `ok`.
     fn wait_done(&mut self, index: usize) -> Result<bool, EmuError> {
         let Response::Done { ok, status } = self.wait(index)? else {
-            unreachable!("Apply is answered by Done")
+            unreachable!("Apply and SetChaos are answered by Done")
         };
         self.workers[index].status = status;
         Ok(ok)
+    }
+
+    /// Sends worker `index` a request answered by [`Response::Done`] and
+    /// returns the reply's `ok`.
+    fn call(&mut self, index: usize, request: Request) -> Result<bool, EmuError> {
+        self.send(index, request)?;
+        self.wait_done(index)
     }
 
     /// Splits a batch by core and sends each core with work its share in
@@ -852,25 +769,10 @@ impl CoreExecutor for ThreadedExecutor {
     ///
     /// Panics if a worker thread cannot be spawned.
     fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
+        // Every worker is wired before any is spawned, and none reads a
+        // peer's mailbox before the first epoch's barrier.
         let n = cores.len();
-
-        // Wire the ring mesh: requests/responses per worker plus one tunnel
-        // ring per ordered core pair.
-        let mut tunnel_producers: Vec<Vec<Option<Producer<TunnelMsg>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut tunnel_consumers: Vec<Vec<Option<Consumer<TunnelMsg>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for source in 0..n {
-            for target in 0..n {
-                if source != target {
-                    let (producer, consumer) = spsc::channel(TUNNEL_RING_CAPACITY);
-                    tunnel_producers[source][target] = Some(producer);
-                    tunnel_consumers[target][source] = Some(consumer);
-                }
-            }
-        }
-
-        let start = Arc::new(SpinBarrier::new(n));
+        let exchange = Arc::new(Exchange::new(n));
         let abort = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::with_capacity(n);
         for (me, core) in cores.into_iter().enumerate() {
@@ -882,26 +784,22 @@ impl CoreExecutor for ThreadedExecutor {
             let status = Status::of(&core);
             let worker = Worker {
                 me,
-                core_count: n,
                 core,
                 pod: pod.clone(),
                 requests: request_rx,
                 responses: response_tx,
                 waiter: None,
-                tunnel_out: std::mem::take(&mut tunnel_producers[me]),
-                tunnel_in: std::mem::take(&mut tunnel_consumers[me]),
-                staged: (0..n).map(|_| VecDeque::new()).collect(),
-                spill: (0..n).map(|_| VecDeque::new()).collect(),
+                exchange: exchange.clone(),
+                outbox: vec![Vec::new(); n],
                 epoch: 0,
                 tick_buf: TickOutput::default(),
                 abort: abort.clone(),
                 heartbeat: heartbeat.clone(),
                 chaos: ChaosPlan::default(),
             };
-            let barrier = start.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("mn-core-{me}"))
-                .spawn(move || worker.run(barrier))
+                .spawn(move || worker.run())
                 .expect("spawn emulator core thread");
             workers.push(WorkerHandle {
                 core: CoreId(me),
@@ -986,7 +884,7 @@ impl CoreExecutor for ThreadedExecutor {
                 (deliveries, epoch_ends, status);
         }
         // Epoch-major, core-major: the inline rounds' order. Every worker
-        // ran the same epochs, having agreed through its markers on each
+        // ran the same epochs, having agreed through the mailboxes on each
         // one's continue decision.
         let epochs = self.workers[0].epoch_ends.len();
         for epoch in 0..epochs {
@@ -1004,8 +902,7 @@ impl CoreExecutor for ThreadedExecutor {
     }
 
     fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
-        self.send(core.index(), Request::Apply(command))?;
-        self.wait_done(core.index())
+        self.call(core.index(), Request::Apply(command))
     }
 
     fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
@@ -1045,8 +942,8 @@ impl CoreExecutor for ThreadedExecutor {
 impl Drop for ThreadedExecutor {
     fn drop(&mut self) {
         // When this drop runs during a panic unwind (e.g. the coordinator
-        // detected a dead worker), surviving workers may be wedged in an
-        // epoch collect waiting for the dead core forever — an orderly
+        // detected a dead worker), surviving workers may be wedged at the
+        // epoch barrier waiting for the dead core forever — an orderly
         // shutdown would hang and mask the original panic. Leak the
         // threads instead; the process is on its way down.
         if std::thread::panicking() {
@@ -1083,15 +980,13 @@ impl Emulator<ThreadedExecutor> {
     }
 
     /// Installs a chaos fault plan on one worker core (test-only fault
-    /// injection; see [`crate::chaos`]). Fire-and-forget; returns `false`
-    /// if the core does not exist or the emulator already failed.
+    /// injection; see [`crate::chaos`]) and waits for the worker to confirm.
+    /// Returns `false` if the core does not exist or the emulator failed,
+    /// before or during the call (it is then poisoned).
     pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
         self.exec.failure.is_none()
             && core.index() < self.exec.workers.len()
-            && self
-                .exec
-                .send(core.index(), Request::SetChaos(plan))
-                .is_ok()
+            && self.exec.call(core.index(), Request::SetChaos(plan)) == Ok(true)
     }
 
     /// Stops every worker thread and returns the cores (accuracy logs,
@@ -1348,14 +1243,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_overflowing_a_tunnel_ring_does_not_deadlock_the_mesh() {
+    fn an_epoch_tunnelling_1200_descriptors_matches_the_inline_rounds() {
         // 1200 disjoint 2-hop paths with the first hop on core 0 and the
-        // second on core 1: one scheduler tick emits 1200 tunnel messages
-        // core0 -> core1 in a single epoch — more than the ring capacity
-        // (1024), so the tail (including the epoch marker) spills. With a
-        // nonzero tunnel latency nothing is due after that epoch, the
-        // advance exits immediately, and the exit path must still flush
-        // the spill or core 1 waits for the marker forever.
+        // second on core 1: one scheduler tick tunnels 1200 descriptors
+        // core0 -> core1 in a single epoch, one batch in one mailbox. With a
+        // nonzero tunnel latency nothing is due after that epoch, so the
+        // advance ends after it; as in the inline rounds, every descriptor
+        // is still filed with core 1, crosses once and is delivered.
         const PATHS: u64 = 1200;
         let (topo, pairs) = path_pairs_topology(&PathPairsParams {
             pairs: PATHS as usize,
@@ -1668,6 +1562,40 @@ mod tests {
         assert!(emu.snapshot().is_err());
         // Dropping `emu` here must not hang: the abort flag released the
         // surviving worker from its epoch wait.
+    }
+
+    #[test]
+    fn worker_panic_on_a_four_core_ring_releases_every_waiting_peer() {
+        // Core 2 dies at the first epoch while the other three wait for it
+        // at the barrier; the abort must release all three, not just one.
+        let (mut emu, binding, _) = ring_emulator::<ThreadedExecutor>(4);
+        assert!(emu.set_chaos(CoreId(2), ChaosPlan::new().panic_at_epoch(1)));
+        let vns: Vec<VnId> = binding.vns().collect();
+        for (i, &src) in vns.iter().enumerate() {
+            let dst = vns[(i + 3) % vns.len()];
+            let packet = tcp_packet(i as u64, src, dst, 900, SimTime::ZERO);
+            emu.submit(SimTime::ZERO, packet).unwrap();
+        }
+        let err = emu.advance(SimTime::from_millis(1)).unwrap_err();
+        match &err {
+            EmuError::WorkerFailure {
+                core,
+                cause: FailureCause::Panicked(msg),
+            } => {
+                assert_eq!(core.index(), 2, "the failing core is attributed");
+                assert!(msg.contains("chaos"), "panic payload preserved: {msg}");
+            }
+            other => panic!("expected a panicked worker failure, got {other:?}"),
+        }
+        let later = SimTime::from_millis(2);
+        assert_eq!(emu.advance(later).unwrap_err(), err);
+        let packet = tcp_packet(99, vns[0], vns[3], 500, later);
+        assert_eq!(emu.submit(later, packet).unwrap_err(), err);
+        assert_eq!(emu.snapshot().unwrap_err(), err);
+        assert!(!emu.set_chaos(CoreId(0), ChaosPlan::new()));
+        // The three survivors left the barrier and answer Finish.
+        let cores = emu.finish();
+        assert_eq!(cores.len(), 3, "every surviving core comes back");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Bounded single-producer/single-consumer rings.
 //!
 //! [`channel`] builds the lock-free queue the parallel emulation backend
-//! moves tunnelled descriptors (and coordinator commands) through: one core
-//! thread pushes, one core thread pops, and the hot path is two atomic
-//! loads and one atomic store per operation — no locks, no allocation, no
-//! sharing of cache lines between the two sides.
+//! carries coordinator requests and worker replies through (tunnelled
+//! descriptors cross between cores through mailboxes instead): one thread
+//! pushes, one thread pops, and the hot path is two atomic loads and one
+//! atomic store per operation — no locks, no allocation, no sharing of
+//! cache lines between the two sides.
 //!
 //! The design is the classic Lamport ring with cached indices:
 //!
@@ -17,8 +18,8 @@
 //!
 //! Capacity is fixed at construction: [`Producer::try_push`] reports a full
 //! ring by handing the value back instead of blocking, which lets callers
-//! choose their own overflow policy (the emulator spills to a local buffer
-//! rather than risk a producer/consumer deadlock cycle).
+//! choose their own overflow policy (the emulator's senders retry, watching
+//! for a dead peer).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

@@ -1,20 +1,18 @@
 //! Epoch-synchronisation helpers for the parallel emulation backend.
 //!
-//! The parallel backend keeps its core threads in lockstep with *epoch
-//! markers* flowing through the same SPSC rings as the tunnelled
-//! descriptors (see `mn-emucore`), so there is no central lock to contend
-//! on. What remains here is the small amount of shared-state signalling
-//! that framing cannot express:
+//! The parallel backend's core threads meet once per epoch at a barrier,
+//! after posting their tunnelled descriptors to per-pair mailboxes and
+//! before draining the ones addressed to them (see `mn-emucore`):
 //!
 //! * [`SpinWait`] — an adaptive backoff for the wait loops: a few
 //!   `spin_loop` hints while the peer is probably mid-operation, then
 //!   `yield_now` so a single-CPU host (or an oversubscribed one) still
 //!   makes progress instead of burning a whole scheduler quantum.
-//! * [`SpinBarrier`] — a sense-reversing barrier used once per emulator
-//!   lifecycle to hold every worker at the starting line until all rings
-//!   are wired, and by tests that need threads released simultaneously.
+//! * [`SpinBarrier`] — a sense-reversing barrier, one generation per epoch,
+//!   whose waiters give up once a shared abort flag is raised (a peer died
+//!   and will never arrive).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// How many busy spins [`SpinWait`] performs before it starts yielding the
 /// CPU to the scheduler.
@@ -46,7 +44,7 @@ impl SpinWait {
     }
 
     /// Backs off once: a pipeline hint for the first few calls, a scheduler
-    /// yield from then on. Call [`SpinWait::reset`] after useful work.
+    /// yield from then on.
     #[inline]
     pub fn spin(&mut self) {
         if self.spins < SPINS_BEFORE_YIELD {
@@ -56,20 +54,13 @@ impl SpinWait {
             std::thread::yield_now();
         }
     }
-
-    /// Forgets accumulated backoff after the caller made progress.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.spins = 0;
-    }
 }
 
 /// A sense-reversing spin barrier for a fixed party count.
 ///
-/// Unlike [`std::sync::Barrier`] this never takes a lock, so it is safe to
-/// use from threads that must keep polling rings with bounded latency; on
-/// oversubscribed hosts the wait degrades to `yield_now` rather than a
-/// blocking park.
+/// Unlike [`std::sync::Barrier`] this never takes a lock, and a waiter can
+/// be released without its peers by an abort flag; on oversubscribed hosts
+/// the wait degrades to `yield_now` rather than a blocking park.
 #[derive(Debug)]
 pub struct SpinBarrier {
     parties: usize,
@@ -94,28 +85,25 @@ impl SpinBarrier {
         }
     }
 
-    /// Number of threads the barrier synchronises.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
-
-    /// Blocks (spinning, then yielding) until all parties have arrived.
-    /// Returns `true` on exactly one caller per generation (the last
-    /// arrival), mirroring `std::sync::Barrier`'s leader flag.
-    pub fn wait(&self) -> bool {
+    /// Blocks (spinning, then yielding) until all parties have arrived, and
+    /// returns `true`; or returns `false` once `abort` is raised first. An
+    /// aborted barrier is spent: its arrival count no longer matches.
+    pub fn wait(&self, abort: &AtomicBool) -> bool {
         let generation = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             // Last arrival: reset the count and open the next generation.
             self.arrived.store(0, Ordering::Release);
             self.generation.store(generation + 1, Ordering::Release);
-            true
-        } else {
-            let mut wait = SpinWait::new();
-            while self.generation.load(Ordering::Acquire) == generation {
-                wait.spin();
-            }
-            false
+            return true;
         }
+        let mut wait = SpinWait::new();
+        while self.generation.load(Ordering::Acquire) == generation {
+            if abort.load(Ordering::Acquire) {
+                return false;
+            }
+            wait.spin();
+        }
+        true
     }
 }
 
@@ -130,15 +118,14 @@ mod tests {
         for _ in 0..100 {
             w.spin();
         }
-        w.reset();
-        w.spin();
     }
 
     #[test]
     fn single_party_barrier_never_blocks() {
         let b = SpinBarrier::new(1);
+        let abort = AtomicBool::new(true);
         for _ in 0..10 {
-            assert!(b.wait(), "the only party is always the leader");
+            assert!(b.wait(&abort), "a lone party completes, abort or not");
         }
     }
 
@@ -148,26 +135,39 @@ mod tests {
         const GENERATIONS: usize = 25;
         let barrier = Arc::new(SpinBarrier::new(PARTIES));
         let counter = Arc::new(AtomicUsize::new(0));
+        let abort = Arc::new(AtomicBool::new(false));
         let handles: Vec<_> = (0..PARTIES)
             .map(|_| {
-                let barrier = barrier.clone();
-                let counter = counter.clone();
+                let (barrier, counter, abort) = (barrier.clone(), counter.clone(), abort.clone());
                 std::thread::spawn(move || {
-                    let mut leader_count = 0;
                     for g in 0..GENERATIONS {
                         counter.fetch_add(1, Ordering::SeqCst);
-                        if barrier.wait() {
-                            leader_count += 1;
-                            // Everyone has incremented for this generation.
-                            assert_eq!(counter.load(Ordering::SeqCst), (g + 1) * PARTIES);
-                        }
+                        assert!(barrier.wait(&abort));
+                        // Everyone has incremented for this generation, and
+                        // nobody more than once for the next.
+                        let seen = counter.load(Ordering::SeqCst);
+                        assert!((g + 1) * PARTIES <= seen && seen <= (g + 2) * PARTIES);
                     }
-                    leader_count
                 })
             })
             .collect();
-        let leaders: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(leaders, GENERATIONS, "exactly one leader per generation");
+        for handle in handles {
+            handle.join().unwrap();
+        }
         assert_eq!(counter.load(Ordering::SeqCst), PARTIES * GENERATIONS);
+    }
+
+    #[test]
+    fn a_party_whose_peer_never_arrives_returns_false_on_abort() {
+        let barrier = Arc::new(SpinBarrier::new(2));
+        let abort = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (barrier, abort) = (barrier.clone(), abort.clone());
+            std::thread::spawn(move || barrier.wait(&abort))
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "the lone party is held");
+        abort.store(true, Ordering::Release);
+        assert!(!waiter.join().unwrap(), "abort releases it unfinished");
     }
 }
