@@ -96,7 +96,7 @@ impl PipeOwnershipDirectory {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c == core)
-            .map(|(i, _)| PipeId(i))
+            .map(|(i, _)| PipeId::from_index(i))
             .collect()
     }
 
@@ -201,7 +201,7 @@ pub fn greedy_k_clusters(
                     .iter()
                     .enumerate()
                     .find(|(_, o)| o.is_none())
-                    .map(|(i, _)| (PipeId(i), ()))
+                    .map(|(i, _)| (PipeId::from_index(i), ()))
                 {
                     region.insert(topo.pipe(pid).src);
                     reseeded = true;

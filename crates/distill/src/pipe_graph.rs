@@ -13,18 +13,40 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use mn_topology::{LinkAttrs, NodeId};
-use mn_util::{DataRate, SimDuration};
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration};
 
-mn_util::codec_record! {
-    /// Identifier of a pipe within a [`DistilledTopology`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-    pub struct PipeId(pub usize);
-}
+/// Identifier of a pipe within a [`DistilledTopology`]: 4 bytes in memory,
+/// where route arenas and timer wheels hold one per hop or entry, and 8 on
+/// disk, the `u64` snapshots have always written (narrowing it there is a
+/// format change).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct PipeId(pub u32);
 
 impl PipeId {
+    /// The id of the pipe at `index`. Panics at 2³² or more: a topology
+    /// holds fewer pipes than that, as every pipe id in memory is a `u32`.
+    pub fn from_index(index: usize) -> Self {
+        PipeId(u32::try_from(index).expect("a topology holds fewer than 2^32 pipes"))
+    }
+
     /// Returns the raw index.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
+    }
+}
+
+/// A `u64` on the wire; a value of 2³² or more is refused, not wrapped.
+impl Codec for PipeId {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u64(self.0.into());
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        u32::try_from(r.get_u64()?)
+            .map(PipeId)
+            .map_err(|_| CodecError::Invalid("pipe id of 2^32 or more"))
     }
 }
 
@@ -148,7 +170,7 @@ impl DistilledTopology {
     ) -> PipeId {
         assert!(src.index() < self.node_count, "pipe src out of range");
         assert!(dst.index() < self.node_count, "pipe dst out of range");
-        let id = PipeId(self.pipes.len());
+        let id = PipeId::from_index(self.pipes.len());
         self.pipes.push(Pipe { src, dst, attrs });
         self.out_pipes[src.index()].push(id);
         self.collapsed_hops.push(hops.max(1));
@@ -220,12 +242,12 @@ impl DistilledTopology {
 
     /// Iterator over all `(id, pipe)` pairs.
     pub fn pipes(&self) -> impl Iterator<Item = (PipeId, &Pipe)> + '_ {
-        self.pipes.iter().enumerate().map(|(i, p)| (PipeId(i), p))
+        self.pipe_ids().zip(&self.pipes)
     }
 
     /// Iterator over all pipe identifiers.
     pub fn pipe_ids(&self) -> impl Iterator<Item = PipeId> + '_ {
-        (0..self.pipes.len()).map(PipeId)
+        (0..self.pipes.len()).map(PipeId::from_index)
     }
 
     /// Outgoing pipes of `node`.
@@ -305,6 +327,35 @@ mod tests {
         assert_eq!(g.pipe(id).attrs.bandwidth, DataRate::from_mbps(1));
         assert!(g.pipe_attrs_mut(PipeId(9)).is_none());
         assert!(g.get_pipe(PipeId(9)).is_none());
+    }
+
+    #[test]
+    fn a_pipe_id_round_trips_through_its_eight_wire_bytes() {
+        mn_util::codec::record_contract(PipeId(u32::MAX));
+        let mut w = ByteWriter::new();
+        PipeId(u32::MAX).put(&mut w);
+        assert_eq!(w.as_slice(), u64::from(u32::MAX).to_le_bytes());
+    }
+
+    #[test]
+    fn a_wire_pipe_id_of_2_to_the_32_is_refused_and_7_bytes_are_truncated() {
+        let wide = (u32::MAX as u64 + 1).to_le_bytes();
+        assert_eq!(
+            PipeId::get(&mut ByteReader::new(&wide)),
+            Err(CodecError::Invalid("pipe id of 2^32 or more"))
+        );
+        let max = u64::from(u32::MAX).to_le_bytes();
+        assert_eq!(
+            PipeId::get(&mut ByteReader::new(&max[..7])),
+            Err(CodecError::Eof)
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fewer than 2^32 pipes")]
+    fn a_pipe_index_of_2_to_the_32_has_no_id() {
+        let _ = PipeId::from_index(1 << 32);
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl FaultInjector {
             self.current[idx] = attrs;
             events.push(FaultEvent {
                 at,
-                pipe: PipeId(idx),
+                pipe: PipeId::from_index(idx),
                 attrs,
                 reroute,
             });
@@ -168,7 +168,7 @@ impl FaultInjector {
             .enumerate()
             .map(|(idx, &attrs)| FaultEvent {
                 at,
-                pipe: PipeId(idx),
+                pipe: PipeId::from_index(idx),
                 attrs,
                 reroute: true,
             })

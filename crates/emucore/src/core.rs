@@ -1148,7 +1148,7 @@ mod tests {
             let mut core = EmulatorCore::new(CoreId(0), profile, 1, Arc::new(table), 4);
             let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
             for &pipe in owned {
-                core.install_pipe(PipeId(pipe), attrs);
+                core.install_pipe(PipeId::from_index(pipe), attrs);
             }
             (core, routes)
         }

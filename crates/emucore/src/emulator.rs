@@ -906,7 +906,7 @@ impl<X: CoreExecutor> Emulator<X> {
         admission.routes.encode(w);
         matrix.put(w);
         w.put_usize(pod.core_count());
-        w.put_u64s((0..pod.pipe_count()).map(|pipe| pod.owner(PipeId(pipe)).index() as u64));
+        w.put_u64s((0..pod.pipe_count()).map(|p| pod.owner(PipeId::from_index(p)).index() as u64));
         // One count, the locations', covers all three per-VN tables.
         admission.vn_location.put(w);
         admission.vn_entry_core.iter().for_each(|core| core.put(w));
@@ -1187,6 +1187,29 @@ mod tests {
         let snapshot = source.snapshot().unwrap();
         let mut restored = MultiCoreEmulator::restore(&snapshot).unwrap();
         assert!(restored.snapshot().unwrap() == snapshot);
+    }
+
+    #[test]
+    fn restore_bytes_refuses_a_pipe_id_of_2_to_the_32_or_more() {
+        // A CBR source's pipe is one of the 8-byte pipe ids a snapshot
+        // carries: set bit 32 of it and seal the frame again.
+        let mut source = ring_emulator();
+        let cbr = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(777));
+        assert!(source.set_pipe_cbr(PipeId(5), Some(cbr), SimTime::ZERO));
+        let mut bytes = source.snapshot().unwrap().to_bytes();
+        let source_bytes = [5u64.to_le_bytes(), 777u64.to_le_bytes()].concat();
+        let at = bytes.windows(16).position(|w| w == source_bytes).unwrap();
+        bytes[at + 4] = 1;
+        let end = bytes.len() - 8;
+        let sum = mn_util::codec::checksum64(&bytes[16..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let refused = Err(CodecError::Invalid("pipe id of 2^32 or more"));
+        assert_eq!(
+            MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
+            refused
+        );
+        let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
+        assert_eq!(threaded.map(|_| ()), refused);
     }
 
     #[test]

@@ -389,7 +389,7 @@ impl FluidState {
         {
             if new != *old {
                 *old = new;
-                self.changed.push((PipeId(idx), new));
+                self.changed.push((PipeId::from_index(idx), new));
             }
         }
         // Maintain the epoch grid: live flows keep a recompute scheduled.

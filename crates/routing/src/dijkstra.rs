@@ -66,9 +66,7 @@ pub fn shortest_route_tree_with_dist(
     let (mut dist, mut pred) = (vec![UNUSABLE_COST; n], vec![NO_PRED; n]);
     let nodes: Vec<u32> = (0..n as u32).collect();
     scoped_route_tree(topo, source, &nodes, &mut dist, &mut pred, &mut Vec::new());
-    let pred = pred
-        .iter()
-        .map(|&p| (p != NO_PRED).then_some(PipeId(p as usize)));
+    let pred = pred.iter().map(|&p| (p != NO_PRED).then_some(PipeId(p)));
     (pred.collect(), dist)
 }
 
@@ -113,7 +111,7 @@ pub(crate) fn scoped_route_tree(
             let v = topo.pipe(pipe_id).dst;
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
-                pred[v.index()] = pipe_id.index() as u32;
+                pred[v.index()] = pipe_id.0;
                 heap.push(Reverse((nd, v)));
             }
         }

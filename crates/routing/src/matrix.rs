@@ -181,7 +181,7 @@ fn source_tree(
                     pred[u] = scratch.hub_pred[u];
                 }
                 (dist[source.index()], pred[source.index()]) = (0, NO_PRED);
-                pred[hub.index()] = p.index() as u32;
+                pred[hub.index()] = p.0;
                 return;
             }
         }
@@ -215,7 +215,7 @@ fn walk_row(
             out.clear();
             return false;
         }
-        out.push(PipeId(p as usize));
+        out.push(PipeId(p));
         cur = pipe_src[p as usize] as usize;
     }
     out.reverse();
@@ -984,7 +984,7 @@ mod tests {
     fn assert_reverse_index_exact(m: &RoutingMatrix, d: &DistilledTopology) {
         let nc = m.node_count;
         for pid in 0..d.pipe_count() {
-            let p = PipeId(pid);
+            let p = PipeId::from_index(pid);
             let head = d.pipe(p).dst.index();
             let expected: Vec<u32> = (0..m.vn_count() as u32)
                 .filter(|&si| m.pred[si as usize * nc + head] == pid as u32)
@@ -998,8 +998,8 @@ mod tests {
         let fresh = RoutingMatrix::build(d);
         for pid in 0..d.pipe_count() {
             assert_eq!(
-                m.pipe_tree_sources(PipeId(pid)),
-                fresh.pipe_tree_sources(PipeId(pid)),
+                m.pipe_tree_sources(PipeId::from_index(pid)),
+                fresh.pipe_tree_sources(PipeId::from_index(pid)),
                 "incrementally maintained index diverged from scratch for pipe {pid}"
             );
         }
@@ -1070,7 +1070,7 @@ mod tests {
         assert!(m.vn_index(victim).is_none());
         for pid in 0..d.pipe_count() {
             assert!(
-                !m.pipe_tree_sources(PipeId(pid)).contains(&si),
+                !m.pipe_tree_sources(PipeId::from_index(pid)).contains(&si),
                 "a removed tree must leave no reverse-index entries"
             );
         }
@@ -1226,10 +1226,7 @@ mod tests {
                 continue;
             }
             let (pred, dist) = crate::shortest_route_tree_with_dist(d, src);
-            let pred: Vec<u32> = pred
-                .iter()
-                .map(|p| p.map_or(NO_PRED, |p| p.index() as u32))
-                .collect();
+            let pred: Vec<u32> = pred.iter().map(|p| p.map_or(NO_PRED, |p| p.0)).collect();
             assert_eq!(m.pred[si * nc..(si + 1) * nc], pred, "pred row of {src}");
             assert_eq!(m.dist[si * nc..(si + 1) * nc], dist, "dist row of {src}");
         }

@@ -183,7 +183,7 @@ impl Resolver {
         let mut memo = Memo { start, ..top };
         for at in (0..self.chain.len()).rev() {
             let (v, p) = self.chain[at];
-            self.pipes.push(PipeId(p as usize));
+            self.pipes.push(PipeId(p));
             memo.len += 1;
             memo.fold = fold(memo.fold, p as u64);
             self.mark(v as usize, memo);
@@ -229,6 +229,6 @@ impl Run<'_> {
         let Route { parent, last } = route;
         let head = || &self.resolver.pipes[parent.start as usize..][..parent.len as usize];
         let fold = fold(parent.fold, last as u64);
-        (parent.len != UNREACHABLE).then(|| (Pipes(head(), Some(PipeId(last as usize))), fold))
+        (parent.len != UNREACHABLE).then(|| (Pipes(head(), Some(PipeId(last))), fold))
     }
 }

@@ -11,12 +11,11 @@
 //!   [`RouteId`] (the handle descriptors carry instead of a cloned route).
 //!   Routes live inline, back to back, in an arena of chunks of
 //!   `ROUTE_CHUNK` (1024) routes: a chunk is its `Arc`, a `u32` end offset
-//!   per route and one run of pipes — three allocations per chunk, none per
-//!   route. Sealed chunks are shared by every generation, so retaining the
-//!   ids in flight costs reference bumps, and a chunk's two runs are also
-//!   its encoded form: a checkpoint writes them as they lie (pipe ids
-//!   narrowed to the `u32` they are everywhere else) and a restore copies
-//!   them back in bulk.
+//!   per route and one run of 4-byte pipe ids — three allocations per
+//!   chunk, none per route. Sealed chunks are shared by every generation, so
+//!   retaining the ids in flight costs reference bumps, and a chunk's two
+//!   `u32` runs are also its encoded form: a checkpoint writes them as they
+//!   lie and a restore copies them back in bulk.
 //! * `rows` — **one row shard per location slot**, mapping a destination
 //!   location slot to its raw `RouteId`, page-grouped into shared blocks of
 //!   `BLOCK_ROWS` (1024) rows. A row stores only the window `[base, base +
@@ -552,7 +551,6 @@ impl RouteStore {
             ));
         }
         self.sealed.reserve_exact(chunks - 1);
-        let mut bound = 0;
         for at in 1..=chunks {
             let ends = r.get_u32s()?;
             let (full, tail) = (ends.len() == ROUTE_CHUNK, at == chunks);
@@ -564,26 +562,18 @@ impl RouteStore {
             if ends.windows(2).any(|pair| pair[0] > pair[1]) {
                 return Err(Invalid("a chunk's route ends decrease"));
             }
-            let words = r.get_count(u32::MIN_BYTES)?;
-            if ends.last().map_or(0, |&end| end as usize) != words {
+            let pipes: Vec<PipeId> = r.get_u32s()?.into_iter().map(PipeId).collect();
+            if ends.last().map_or(0, |&end| end as usize) != pipes.len() {
                 return Err(Invalid("a chunk's last route end is not its pipe count"));
             }
-            let words = r.take_bytes(words * 4)?.chunks_exact(4);
-            let pipes = words.map(|word| {
-                let pipe = u32::from_le_bytes(word.try_into().expect("4-byte chunk")) as usize;
-                bound = bound.max(pipe + 1);
-                PipeId(pipe)
-            });
-            let chunk = Chunk {
-                ends,
-                pipes: pipes.collect(),
-            };
+            let top = pipes.iter().max().map_or(0, |p| p.index() + 1);
+            self.pipe_bound = self.pipe_bound.max(top);
+            let chunk = Chunk { ends, pipes };
             match tail {
                 true => self.tail = chunk,
                 false => self.sealed.push(Arc::new(chunk)),
             }
         }
-        self.pipe_bound = bound;
         Ok(())
     }
 }
@@ -599,7 +589,9 @@ impl RouteStore {
 /// order is never observable: lookups return ids, nothing iterates.
 ///
 /// Copying it for a generation that interns new content is a flat memcpy
-/// of 16 B per slot — 4/3 to 8/3 slots per route, so under 43 B a route.
+/// of 16 B per slot — 4/3 to 8/3 slots per route, so under 43 B a route:
+/// the largest per-route term of the route state, as the arena holds 4 B a
+/// route and 4 B a hop.
 #[derive(Debug, Clone, Default)]
 struct ContentIndex {
     slots: Vec<(u64, u32)>,
@@ -1362,8 +1354,8 @@ impl RouteTable {
     }
 
     /// Serialises the table for a checkpoint, in the form it is held in:
-    /// the route arena chunk by chunk — each chunk's `ends`, then its pipes
-    /// narrowed to `u32`, as two bulk runs — one row shard **per location
+    /// the route arena chunk by chunk — each chunk's `ends`, then its pipes,
+    /// as the two bulk `u32` runs they are — one row shard **per location
     /// slot**, verbatim (window geometry included, so a restored row
     /// patches exactly like the captured one), then the column map without
     /// the departed bits, the location geometry and the version. The
@@ -1374,13 +1366,12 @@ impl RouteTable {
     /// sections (chunk ends against pipe runs, rows against the store and
     /// the columns, endpoint lists against the columns).
     pub fn encode(&self, w: &mut ByteWriter) {
-        assert!(self.store.pipe_bound as u64 <= 1 << 32, "pipe ids fit u32");
         w.put_usize(self.endpoint_count);
         w.put_u64(self.version);
         w.put_len(self.store.sealed.len() + 1);
         for chunk in self.store.chunks() {
             w.put_u32s(&chunk.ends);
-            w.put_u32s_from(chunk.pipes.iter().map(|p| p.index() as u32));
+            w.put_u32s_from(chunk.pipes.iter().map(|p| p.0));
         }
         w.put_len(self.locs.locations.len());
         for block in &self.rows {
@@ -1936,7 +1927,9 @@ mod tests {
         // appends — whether fingerprints tell routes apart or (degenerate)
         // every probe has to compare against the store.
         let mut table = RouteTable::new(2);
-        let content = |i: usize| [PipeId(i % 500), PipeId(i / 500)][..1 + i % 2].to_vec();
+        let content = |i: usize| {
+            [PipeId::from_index(i % 500), PipeId::from_index(i / 500)][..1 + i % 2].to_vec()
+        };
         let mut first_id = HashMap::new();
         for i in 0..ROUTE_CHUNK + 40 {
             let id = table.intern(&content(i));
@@ -2117,7 +2110,7 @@ mod tests {
             for op in ops {
                 match &op {
                     IndexOp::InternPipes(raw) | IndexOp::Intern(raw) => {
-                        let pipes: Vec<PipeId> = raw.iter().map(|&p| PipeId(p)).collect();
+                        let pipes: Vec<PipeId> = raw.iter().map(|&p| PipeId::from_index(p)).collect();
                         let always = matches!(op, IndexOp::Intern(_));
                         let want = if always {
                             oracle.intern(&pipes)
@@ -2135,7 +2128,7 @@ mod tests {
                     }
                     IndexOp::Flap(k, up) => {
                         let k = k % (d.pipe_count() / 2);
-                        let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+                        let link = [PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
                         for p in link {
                             d.pipe_attrs_mut(p).unwrap().bandwidth = if *up {
                                 healthy[p.index()].bandwidth
@@ -2226,7 +2219,7 @@ mod tests {
             // boundary: the ops straddle 1023 / 1024 / 1025, or 2048.
             while oracle.len() + short_by < chunks * ROUTE_CHUNK {
                 let i = oracle.len();
-                let pipes = vec![PipeId(100 + i % 7); i % 13];
+                let pipes = vec![PipeId::from_index(100 + i % 7); i % 13];
                 prop_assert_eq!(table.intern(&pipes), RouteId(i as u32));
                 oracle.push(pipes);
             }
@@ -2234,7 +2227,7 @@ mod tests {
             for op in ops {
                 match &op {
                     ArenaOp::InternPipes(raw) | ArenaOp::Intern(raw) | ArenaOp::PublishThenIntern(raw) => {
-                        let pipes: Vec<PipeId> = raw.iter().map(|&p| PipeId(p)).collect();
+                        let pipes: Vec<PipeId> = raw.iter().map(|&p| PipeId::from_index(p)).collect();
                         if matches!(op, ArenaOp::PublishThenIntern(_)) {
                             parent = table.clone();
                         }
@@ -2760,11 +2753,14 @@ mod tests {
         let mut table = RouteTable::new(4);
         let count = ROUTE_CHUNK * 2 + 7;
         let ids: Vec<RouteId> = (0..count)
-            .map(|i| table.intern(&[PipeId(i), PipeId(i + 1)]))
+            .map(|i| table.intern(&[PipeId::from_index(i), PipeId::from_index(i + 1)]))
             .collect();
         assert_eq!(table.route_count(), count);
         for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(table.pipes(id), &[PipeId(i), PipeId(i + 1)]);
+            assert_eq!(
+                table.pipes(id),
+                &[PipeId::from_index(i), PipeId::from_index(i + 1)]
+            );
         }
         // Cloning shares the sealed chunks; interning into the clone leaves
         // the original untouched.

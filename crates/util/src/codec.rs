@@ -213,8 +213,8 @@ impl ByteWriter {
         self.put_u32s_from(values.iter().copied());
     }
 
-    /// [`ByteWriter::put_u32s`] from an iterator, so wider index newtypes
-    /// narrow on the way out without a staging `Vec`.
+    /// [`ByteWriter::put_u32s`] from an iterator, so index newtypes encode
+    /// without a staging `Vec`.
     pub fn put_u32s_from(&mut self, values: impl ExactSizeIterator<Item = u32>) {
         self.put_words(values.map(u32::to_le_bytes));
     }

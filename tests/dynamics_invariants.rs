@@ -75,7 +75,7 @@ fn apply_flap(
     // 2k+1 are the two directions of target link k.
     let links = d.pipe_count() / 2;
     let k = link_choice % links;
-    let pipes = vec![PipeId(2 * k), PipeId(2 * k + 1)];
+    let pipes = vec![PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
     for &p in &pipes {
         let attrs = d.pipe_attrs_mut(p).expect("pipe exists");
         match flap {
@@ -168,7 +168,7 @@ proptest! {
         let vns: Vec<VnId> = binding.vns().collect();
         let links = d.pipe_count() / 2;
         let k = link_choice % links;
-        let victims = [PipeId(2 * k), PipeId(2 * k + 1)];
+        let victims = [PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
         let down_at = SimTime::from_millis(40);
         let up_at = SimTime::from_millis(80);
         let schedule = Schedule::new()

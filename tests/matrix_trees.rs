@@ -65,7 +65,7 @@ fn apply_op(
 ) -> Vec<PipeId> {
     let links = d.pipe_count() / 2;
     let k = link_choice % links;
-    let pipes = vec![PipeId(2 * k), PipeId(2 * k + 1)];
+    let pipes = vec![PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
     for &p in &pipes {
         let attrs = d.pipe_attrs_mut(p).expect("pipe exists");
         match op {
@@ -100,8 +100,8 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
         // recompute exactly the union of the two pipes' reverse-index
         // entries.
         let changed_pipes = [
-            PipeId(2 * (choice % (d.pipe_count() / 2))),
-            PipeId(2 * (choice % (d.pipe_count() / 2)) + 1),
+            PipeId::from_index(2 * (choice % (d.pipe_count() / 2))),
+            PipeId::from_index(2 * (choice % (d.pipe_count() / 2)) + 1),
         ];
         let pure_worsening = match op {
             Op::Down => changed_pipes
@@ -197,8 +197,8 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
         let fresh = RoutingMatrix::build(&d);
         for pid in 0..d.pipe_count() {
             prop_assert_eq!(
-                matrix.pipe_tree_sources(PipeId(pid)),
-                fresh.pipe_tree_sources(PipeId(pid)),
+                matrix.pipe_tree_sources(PipeId::from_index(pid)),
+                fresh.pipe_tree_sources(PipeId::from_index(pid)),
                 "reverse index diverged for pipe {} after {:?}",
                 pid,
                 op

@@ -89,7 +89,7 @@ fn apply_link_op(
 ) -> Vec<PipeId> {
     let links = d.pipe_count() / 2;
     let k = link_choice % links;
-    let pipes = vec![PipeId(2 * k), PipeId(2 * k + 1)];
+    let pipes = vec![PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
     for &p in &pipes {
         let attrs = d.pipe_attrs_mut(p).expect("pipe exists");
         match op {
@@ -315,7 +315,7 @@ fn flap_half(
     k: usize,
     up: bool,
 ) -> (RouteTable, Vec<(NodeId, NodeId)>, u64) {
-    let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+    let link = [PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
     for p in link {
         d.pipe_attrs_mut(p).expect("pipe exists").bandwidth = if up {
             healthy[p.index()].bandwidth
@@ -348,7 +348,7 @@ fn the_kth_distinct_link_flap_costs_what_the_first_did() {
     let mut d = distill(&topo, DistillationMode::HopByHop);
     let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
     for k in 0..ROUTERS {
-        let pipe = d.pipe(PipeId(2 * k));
+        let pipe = d.pipe(PipeId::from_index(2 * k));
         assert!(
             !d.vns().contains(&pipe.src) && !d.vns().contains(&pipe.dst),
             "the first {ROUTERS} duplex pairs are the ring links"
@@ -484,7 +484,7 @@ proptest! {
         let mut oracle = table.clone();
         for (k, up) in [(partition, false)].into_iter().chain(flaps) {
             let k = k % (d.pipe_count() / 2);
-            let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+            let link = [PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
             for p in link {
                 d.pipe_attrs_mut(p).expect("pipe exists").bandwidth =
                     if up { healthy[p.index()].bandwidth } else { DataRate::ZERO };

@@ -28,7 +28,7 @@ use mn_util::{DataRate, SimDuration, SimTime};
 static ALLOCATOR: mn_util::alloc::CountingAlloc = mn_util::alloc::CountingAlloc;
 
 /// `bytes_in_use` is process-wide and these tests hold up to a gigabyte
-/// each: they take turns.
+/// each: every test here takes its turn, so a byte count sees its own.
 fn my_turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -70,6 +70,32 @@ fn route_state_for_100k_endpoints_is_resident_under_a_gib() {
     assert!(table.memory().dense_equivalent_bytes > 32 << 30);
 }
 
+/// Endpoints bound at each location of [`ring_5x4_multiplexed`].
+const MUX: usize = 16;
+
+/// The 5 x 4 ring (20 locations) with `MUX` endpoints bound at each
+/// location, and its matrix: the geometry of claims (i') and (i'').
+fn ring_5x4_multiplexed() -> (RoutingMatrix, Vec<NodeId>, usize) {
+    let topo = ring_topology(&RingParams {
+        routers: 5,
+        clients_per_router: 4,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let base = d.vns();
+    let locations = (0..MUX * base.len()).map(|i| base[i % base.len()]);
+    (RoutingMatrix::build(&d), locations.collect(), base.len())
+}
+
+/// A table's routes and the hops of all of them.
+fn routes_and_hops(table: &RouteTable) -> (usize, usize) {
+    let routes = table.route_count();
+    let hops = (0..routes)
+        .map(|id| table.pipes(mn_routing::RouteId(id as u32)).len())
+        .sum();
+    (routes, hops)
+}
+
 /// (i') The encoded route table is the size of the state, not of the
 /// endpoint count: four bytes per route and per hop (the arena's two `u32`
 /// runs), four per location pair (one row per location) and a per-endpoint
@@ -78,34 +104,48 @@ fn route_state_for_100k_endpoints_is_resident_under_a_gib() {
 /// state on `ctl_live4k`), fails by count.
 #[test]
 fn an_encoded_route_table_is_four_bytes_a_hop_and_one_row_a_location() {
-    const MUX: usize = 16;
-    let topo = ring_topology(&RingParams {
-        routers: 5,
-        clients_per_router: 4,
-        ..RingParams::default()
-    });
-    let d = distill(&topo, DistillationMode::HopByHop);
-    let matrix = RoutingMatrix::build(&d);
-    let base = d.vns();
-    let locations: Vec<NodeId> = (0..MUX * base.len())
-        .map(|i| base[i % base.len()])
-        .collect();
+    let _turn = my_turn();
+    let (matrix, locations, n) = ring_5x4_multiplexed();
     let table = RouteTable::build(&matrix, &locations);
-    let routes = table.route_count();
-    let hops: usize = (0..routes)
-        .map(|id| table.pipes(mn_routing::RouteId(id as u32)).len())
-        .sum();
+    let (routes, hops) = routes_and_hops(&table);
     let mut w = mn_util::ByteWriter::new();
     table.encode(&mut w);
-    let bound = 4 * (routes + hops) + 4 * base.len() * base.len() + 4096;
+    let bound = 4 * (routes + hops) + 4 * n * n + 4096;
     println!(
-        "(i') {routes} routes, {hops} hops, {} locations x {MUX} VNs: {} B encoded, bound {bound}",
-        base.len(),
+        "(i') {routes} routes, {hops} hops, {n} locations x {MUX} VNs: {} B encoded, bound {bound}",
         w.len()
     );
-    assert_eq!(routes, base.len() * (base.len() - 1));
+    assert_eq!(routes, n * (n - 1));
     assert!(w.len() <= bound, "{} B encoded, bound {bound}", w.len());
     assert_eq!(table.encoded_len(), w.len());
+}
+
+/// (i'') The resident route arena is four bytes a hop, as it is encoded:
+/// `RouteTable::build` leaves allocated 4 B a route end and 4 B a hop —
+/// twice that at most here, as all 380 routes sit in the open chunk, whose
+/// two buffers grow by doubling — 4 B a row entry (one row a location), 8 B
+/// an endpoint (its column and its place in its location's list) and 4 KiB
+/// for the fixed-size parts: the store, block and location tables and the
+/// resolver's per-node scratch. An 8-byte pipe id adds at least 4 B a hop,
+/// more than the bound leaves over: it fails by count.
+#[test]
+fn the_resident_route_arena_is_four_bytes_a_hop() {
+    let _turn = my_turn();
+    let (matrix, locations, n) = ring_5x4_multiplexed();
+    let before = bytes_in_use();
+    let table = RouteTable::build(&matrix, &locations);
+    let resident = bytes_in_use().saturating_sub(before);
+    let (routes, hops) = routes_and_hops(&table);
+    assert!(routes < 1024, "one open chunk");
+    let bound = 2 * 4 * (routes + hops) + 4 * n * n + 8 * locations.len() + 4096;
+    println!(
+        "(i'') {routes} routes, {hops} hops, {n} locations x {MUX} VNs: {resident} B resident, bound {bound}"
+    );
+    assert!(resident <= bound, "{resident} B resident, bound {bound}");
+    assert!(
+        bound - resident < 4 * hops,
+        "the bound would pass 8 B a hop: tighten it"
+    );
 }
 
 /// One full flap of both directions of a link through the incremental path
@@ -389,6 +429,7 @@ fn a_million_fluid_clients_model_50x_the_hops_the_core_executes() {
 /// router while recomputing the 256 trees it did when each ran its own.
 #[test]
 fn route_state_costs_one_dijkstra_per_access_router() {
+    let _turn = my_turn();
     let star = star_topology(&StarParams {
         clients: 512,
         ..StarParams::default()
@@ -447,6 +488,7 @@ fn route_state_costs_one_dijkstra_per_access_router() {
 /// router share every read but their last.
 #[test]
 fn a_rewire_reads_each_predecessor_once_a_run() {
+    let _turn = my_turn();
     let topo = ring_topology(&RingParams {
         routers: 32,
         clients_per_router: 8,

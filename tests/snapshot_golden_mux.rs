@@ -87,7 +87,7 @@ fn build(threaded: bool) -> Scenario {
     let homes = distilled.vns().to_vec();
     assert_eq!(homes.len(), ROUTERS);
     for k in 0..ROUTERS {
-        let pipe = distilled.pipe(PipeId(2 * k));
+        let pipe = distilled.pipe(PipeId::from_index(2 * k));
         assert!(
             !homes.contains(&pipe.src) && !homes.contains(&pipe.dst),
             "the first {ROUTERS} duplex pairs are the ring links"
@@ -123,7 +123,7 @@ fn set_link(
     k: usize,
     healthy: Option<&[PipeAttrs]>,
 ) {
-    let link = [PipeId(2 * k), PipeId(2 * k + 1)];
+    let link = [PipeId::from_index(2 * k), PipeId::from_index(2 * k + 1)];
     for p in link {
         let attrs = distilled.pipe_attrs_mut(p).expect("ring pipe exists");
         match healthy {

@@ -859,9 +859,10 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
     // runs as they lie: decoding 100 000 routes is at most 3 allocator calls
     // per chunk plus 64 for the chunk list and the rows, columns and
     // geometry, and requests no more bytes than the arena it fills (4 B a
-    // route, 8 B a hop in memory) plus 64 KiB — in particular no content
-    // index, which nothing on the forwarding path reads: the first intern
-    // builds it (two blocks: the fingerprints, then the slots, sized once).
+    // route and a hop in memory; the bound allows 8 B a hop) plus 64 KiB —
+    // in particular no content index, which nothing on the forwarding path
+    // reads: the first intern builds it (two blocks: the fingerprints, then
+    // the slots, sized once).
     // Dropping the table frees 3 blocks per chunk plus 16. A `Vec` per
     // route made both at least 100 000.
     const ROUTES: usize = 100_000;
@@ -869,7 +870,7 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
     let mut table = mn_routing::RouteTable::new(2);
     let mut hops = 0;
     for i in 0..ROUTES {
-        let pipes = [i, i + 1, i % 7].map(mn_distill::PipeId);
+        let pipes = [i, i + 1, i % 7].map(mn_distill::PipeId::from_index);
         table.intern(&pipes[..2 + i % 2]);
         hops += 2 + i % 2;
     }
@@ -922,10 +923,11 @@ fn a_route_table_build_probes_no_index_and_requests_what_it_holds() {
     // destination), so every probe would miss, and the index is left to the
     // first intern to build, as after a decode. On the paper's 20 x 20 ring
     // (159 600 routes) the build probes nothing and requests no more than
-    // the arena — 4 B a route and 8 B a hop in its sealed chunks, plus the
-    // open chunk's two buffers, grown once by doubling to the longest chunk
-    // (at most twice it) — the rows (4 B a location pair), the columns (4 B
-    // an endpoint) and 64 KiB. An index would be another 4 MiB of slots.
+    // the arena — 4 B a route and a hop in its sealed chunks (the bound
+    // allows 8 B a hop; scale_claims (i'') pins 4), plus the open chunk's
+    // two buffers, grown once by doubling to the longest chunk (at most
+    // twice it) — the rows (4 B a location pair), the columns (4 B an
+    // endpoint) and 64 KiB. An index would be another 4 MiB of slots.
     let topo = ring_topology(&RingParams {
         routers: 20,
         clients_per_router: 20,
