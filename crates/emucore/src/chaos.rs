@@ -45,10 +45,10 @@ impl ChaosPlan {
         self
     }
 
-    /// Arms a panic on the next command the worker pops after installing
-    /// this plan (the installing `SetChaos` command itself is exempt). This
-    /// kills a worker *outside* an advance, which is how the coordinator's
-    /// send path — rather than its response-wait path — observes the death.
+    /// Arms a panic on the next request the worker receives after
+    /// installing this plan (the installing `SetChaos` itself is exempt).
+    /// This kills a worker while no peer waits for it at the epoch barrier,
+    /// so only its reported death ends the coordinator's wait.
     pub fn panic_on_next_command(mut self) -> Self {
         self.panic_on_next_command = true;
         self
@@ -69,7 +69,7 @@ impl ChaosPlan {
     }
 
     /// Runs the command-boundary fault point. Called by the worker before
-    /// handling each popped command (after the plan was installed).
+    /// handling each request it receives (after the plan was installed).
     pub(crate) fn check_command(&mut self) {
         if self.panic_on_next_command {
             panic!("chaos: injected worker panic on command");

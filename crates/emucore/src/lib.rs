@@ -34,8 +34,8 @@
 //! * A [`CoreExecutor`] decides only where the cores run and carries the
 //!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
 //!   `Vec<EmulatorCore>` on the calling thread;
-//!   [`ThreadedExecutor`] gives each core an OS thread behind a request
-//!   ring and a reply ring and is the only place that knows about abort
+//!   [`ThreadedExecutor`] gives each core an OS thread, called over
+//!   bounded channels, and is the only place that knows about abort
 //!   flags, heartbeats, the stall watchdog and failure poisoning.
 //!
 //! [`MultiCoreEmulator`] and [`ParallelEmulator`] are type aliases of the

@@ -40,42 +40,39 @@
 //!   ends, and hands both back in its one reply; the coordinator thread
 //!   interleaves the replies epoch-major, core-major — the same order the
 //!   inline rounds append them.
-//! * **Every request is answered, once.** The coordinator talks to each
-//!   worker through an SPSC request ring and reply ring, one message per
-//!   core per call: a batch's packets for a core travel as one admission
-//!   request, an advance is one request, and each gets one reply. The
-//!   reply carries the core's refreshed counters and earliest deadline, so
-//!   the cached per-worker state `stats` and `next_wakeup` read is never
-//!   older than the last call. Buffers travel with the messages and come
-//!   back in the replies, so the steady state allocates nothing on any
-//!   thread.
-//! * **The coordinator sleeps through the wait.** It polls a worker's
-//!   reply ring a few times, yielding between polls, then parks, so on a
-//!   host with no idle CPU it does not compete with the workers it
-//!   waits for. Each request names the thread that waits for its reply
-//!   (the emulator may move between threads), and the worker unparks it
-//!   after every reply it pushes. The park has a timeout, so a dead worker
-//!   (which wakes nobody) is still reaped and the stall watchdog still
-//!   reads its heartbeat.
-//! * **Supervision lives here and only here.** Worker panics are caught at
-//!   the join handle, stalls by an opt-in heartbeat watchdog; the first
-//!   failure raises the shared abort flag, which releases every worker
-//!   waiting at the barrier, and poisons the executor.
+//! * **Every request is answered, once.** Each worker takes requests from
+//!   its own bounded channel, one message per core per call (a batch's
+//!   packets for a core are one admission request, an advance is one
+//!   request), and all reply over one shared bounded channel, tagged with
+//!   their core; a reply that comes while the coordinator waits on another
+//!   worker is filed in that worker's slot. A reply carries the core's
+//!   refreshed counters and earliest deadline, which `stats` and
+//!   `next_wakeup` read. Buffers travel with the messages and come back in
+//!   the replies, so the steady state allocates nothing on any thread.
+//! * **Waiting leaves the CPU to the workers.** Both sides poll a few
+//!   times, yielding between polls, then block on their channel, which
+//!   wakes whichever thread blocks on it: any thread may drive the emulator.
+//! * **Supervision lives here and only here.** A worker's loop runs under
+//!   `catch_unwind`, and a panic is its last message, which ends any wait;
+//!   an opt-in heartbeat watchdog bounds a wait on a stalled worker. The
+//!   first failure raises the shared abort flag, which releases every
+//!   worker waiting at the barrier, and poisons the executor.
 //!
-//! Thread placement is the OS scheduler's: workers are named `mn-core-N`
+//! Placement is the OS scheduler's: workers are named `mn-core-N`
 //! (what a profiler or `top -H` shows) and never pinned — `std` offers no
 //! portable pinning.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::{JoinHandle, Thread};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::PipeId;
 use mn_routing::RouteTable;
-use mn_util::spsc::{self, Consumer, Producer};
-use mn_util::{ByteWriter, SimTime, SpinBarrier, SpinWait};
+use mn_util::{ByteWriter, SimTime, SpinBarrier};
 
 use crate::chaos::ChaosPlan;
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
@@ -94,26 +91,32 @@ use crate::multicore::{InlineExecutor, MultiCoreEmulator};
 /// suites pin.
 pub type ParallelEmulator = Emulator<ThreadedExecutor>;
 
-/// Replies buffered per worker.
-const RESPONSE_RING_CAPACITY: usize = 1024;
-/// Coordinator requests buffered per worker.
-const REQUEST_RING_CAPACITY: usize = 256;
-/// Idle polls of the request ring before a worker parks its thread.
-const IDLE_SPINS_BEFORE_PARK: u32 = 256;
-/// Polls of a reply ring, each after a yield, before the waiting
-/// coordinator parks its thread: a reply that comes this soon costs no
-/// futex round trip.
-const WAIT_YIELDS_BEFORE_PARK: u32 = 32;
-/// The parked coordinator's timeout: how late at most it notices what
-/// wakes nobody — a dead worker, a stalled heartbeat.
-const WAIT_PARK_TIMEOUT: Duration = Duration::from_micros(500);
+/// Messages in flight per worker, each way, at most: every call's replies
+/// are read before the next call, so one request and its reply, plus —
+/// after a failed call — the `Finish` and the worker's last message.
+const IN_FLIGHT: usize = 2;
+/// Polls of the request channel, each after a yield, before an idle worker
+/// blocks on it.
+const IDLE_POLLS_BEFORE_BLOCKING: u32 = 256;
+/// Polls of the reply channel, each after a yield, before the waiting
+/// coordinator blocks on it: a reply that comes this soon costs no futex
+/// round trip.
+const WAIT_POLLS_BEFORE_BLOCKING: u32 = 32;
+
+/// Blocks on the empty `receiver` for a moment. std puts a channel's list
+/// of blocked receivers, and a thread's context for blocking, on the heap
+/// the first time either blocks; priming every channel and thread at
+/// construction leaves that allocation to no steady-state wait.
+fn prime<T>(receiver: &Receiver<T>) {
+    let _ = receiver.recv_timeout(Duration::from_micros(10));
+}
 
 /// A packet offered at a core's NIC at a time, into its resolved first pipe.
 type Admission = (SimTime, PipeId, Descriptor);
 
 /// Coordinator → worker requests. Delivered in FIFO order per worker, so
 /// admission/command/advance interleaving matches the coordinator's call
-/// order. Each travels with the thread to unpark once its reply is pushed.
+/// order.
 enum Request {
     /// This core's packets of one batch, admitted in order; `outcomes`
     /// arrives empty and returns one decision per packet.
@@ -159,7 +162,7 @@ impl Status {
     }
 }
 
-/// Worker → coordinator responses, one per request.
+/// Worker → coordinator responses: one per request, and a last message.
 enum Response {
     /// Reply to [`Request::Admit`]: its two buffers, `batch` drained and
     /// `outcomes` filled in batch order.
@@ -179,8 +182,10 @@ enum Response {
     Done { ok: bool, status: Status },
     /// Reply to [`Request::Snapshot`]: the core's encoded state.
     Snapshot(Vec<u8>),
-    /// Reply to [`Request::Finish`].
+    /// Last message after [`Request::Finish`]: the core.
     Core(Box<EmulatorCore>),
+    /// Last message of a worker whose loop panicked: the panic message.
+    Died(String),
 }
 
 /// A tunnelled descriptor arriving on its target core at a time.
@@ -234,11 +239,9 @@ struct Worker {
     me: usize,
     core: EmulatorCore,
     pod: Arc<PipeOwnershipDirectory>,
-    requests: Consumer<(Request, Thread)>,
-    responses: Producer<Response>,
-    /// The thread the last request came with, unparked after every reply:
-    /// whoever waits now, as the emulator may move between threads.
-    waiter: Option<Thread>,
+    requests: Receiver<Request>,
+    /// Shared by every worker; each message is tagged with `me`.
+    replies: SyncSender<(usize, Response)>,
     exchange: Arc<Exchange>,
     /// This epoch's tunnels, by target core (empty at `me`); each batch
     /// trades buffers with the mailbox it is posted to.
@@ -249,97 +252,105 @@ struct Worker {
     tick_buf: TickOutput,
     /// Coordinator-raised kill switch. Once set (a peer died or stalled),
     /// the barrier releases this worker instead of holding it for a peer
-    /// that will never arrive, and the worker returns to its request loop
-    /// so shutdown still completes.
+    /// that will never arrive, and the worker replies and returns to its
+    /// request loop so shutdown still completes.
     abort: Arc<AtomicBool>,
     /// Liveness counter the coordinator's stall watchdog reads: bumped on
-    /// every request popped and every epoch entered.
+    /// every request received and every epoch entered.
     heartbeat: Arc<AtomicU64>,
     /// Armed fault points (inert by default; see [`crate::chaos`]).
     chaos: ChaosPlan,
 }
 
 impl Worker {
+    /// Serves requests until `Finish`, then hands the core (accuracy log,
+    /// pipe counters) back as its last message; a panic on the way is
+    /// caught and sent as the last message instead.
     fn run(mut self) {
-        let mut idle_spins = 0u32;
-        loop {
-            let Some((request, waiter)) = self.requests.try_pop() else {
-                idle_spins += 1;
-                if idle_spins < IDLE_SPINS_BEFORE_PARK {
-                    std::thread::yield_now();
-                } else {
-                    // The coordinator unparks after every request push, so
-                    // parking cannot lose a wakeup (a pre-park unpark leaves
-                    // a token).
-                    std::thread::park();
-                    idle_spins = 0;
-                }
-                continue;
-            };
-            idle_spins = 0;
-            self.waiter = Some(waiter);
+        // This thread's first block, on a channel of its own.
+        let (_sender, own) = mpsc::sync_channel::<()>(1);
+        prime(&own);
+        let last = match panic::catch_unwind(AssertUnwindSafe(|| self.serve())) {
+            Ok(()) => Response::Core(Box::new(self.core)),
+            Err(payload) => Response::Died(panic_message(payload.as_ref())),
+        };
+        // Refused only once the coordinator, its one reader, is gone.
+        let _ = self.replies.send((self.me, last));
+    }
+
+    fn serve(&mut self) {
+        while let Some(request) = self.next_request() {
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
             if !matches!(request, Request::SetChaos(_)) {
                 self.chaos.check_command();
             }
-            match request {
+            let reply = match request {
                 Request::Admit {
                     mut batch,
                     mut outcomes,
                 } => {
                     let core = &mut self.core;
-                    outcomes.extend(
-                        batch.drain(..).map(|(now, first, descriptor)| {
-                            core.ingress_into(now, first, descriptor)
-                        }),
-                    );
-                    let status = Status::of(&self.core);
-                    self.push_response(Response::Admitted {
+                    let admit = |(now, first, descriptor): Admission| {
+                        core.ingress_into(now, first, descriptor)
+                    };
+                    outcomes.extend(batch.drain(..).map(admit));
+                    Response::Admitted {
                         batch,
                         outcomes,
-                        status,
-                    });
+                        status: Status::of(&self.core),
+                    }
                 }
                 Request::Advance {
                     now,
                     deliveries,
                     epoch_ends,
                 } => self.advance(now, deliveries, epoch_ends),
-                Request::Apply(command) => {
-                    let ok = command.apply_to(&mut self.core);
-                    self.done(ok);
-                }
+                Request::Apply(command) => Response::Done {
+                    ok: command.apply_to(&mut self.core),
+                    status: Status::of(&self.core),
+                },
                 Request::Snapshot(buf) => {
                     let mut state = ByteWriter::reusing(buf);
                     self.core.encode_state(&mut state);
-                    self.push_response(Response::Snapshot(state.into_bytes()));
+                    Response::Snapshot(state.into_bytes())
                 }
                 Request::SetChaos(plan) => {
                     self.chaos = plan;
-                    self.done(true);
+                    Response::Done {
+                        ok: true,
+                        status: Status::of(&self.core),
+                    }
                 }
-                Request::Finish => break,
+                Request::Finish => return,
+            };
+            // Refused only once the coordinator is gone; then so are the
+            // requests, and the loop ends.
+            let _ = self.replies.send((self.me, reply));
+        }
+    }
+
+    /// The next request, or `None` once the coordinator is gone: a few
+    /// yielding polls, then a blocking receive.
+    fn next_request(&self) -> Option<Request> {
+        for _ in 0..IDLE_POLLS_BEFORE_BLOCKING {
+            match self.requests.try_recv() {
+                Ok(request) => return Some(request),
+                Err(TryRecvError::Empty) => std::thread::yield_now(),
+                Err(TryRecvError::Disconnected) => return None,
             }
         }
-        // Hand the core (accuracy log, pipe counters) back to the
-        // coordinator. `Worker` has no `Drop`, so fields move out freely.
-        let Worker {
-            core,
-            mut responses,
-            ..
-        } = self;
-        let mut wait = SpinWait::new();
-        let mut message = Response::Core(Box::new(core));
-        while let Err(back) = responses.try_push(message) {
-            message = back;
-            wait.spin();
-        }
+        self.requests.recv().ok()
     }
 
     /// Mirrors [`InlineExecutor`]'s advance for this core: epochs of
     /// (tick → exchange), repeated while any core produced a tunnel that is
-    /// already due. Replies once, with every epoch's deliveries.
-    fn advance(&mut self, now: SimTime, mut deliveries: Vec<Delivery>, mut epoch_ends: Vec<usize>) {
+    /// already due. Returns the one reply, with every epoch's deliveries.
+    fn advance(
+        &mut self,
+        now: SimTime,
+        mut deliveries: Vec<Delivery>,
+        mut epoch_ends: Vec<usize>,
+    ) -> Response {
         let me = self.me;
         let peers = (0..self.exchange.cores).filter(move |&core| core != me);
         loop {
@@ -371,9 +382,9 @@ impl Worker {
             }
             if !self.exchange.barrier.wait(&self.abort) {
                 // A peer died or stalled and the coordinator aborted this
-                // advance: bail out (no reply — nobody is listening) and
-                // return to the request loop so Finish still reaches us.
-                return;
+                // advance: reply at once (the poisoned coordinator skips the
+                // reply), so Finish still reaches us.
+                break;
             }
             let mut any_due = produced_due;
             for source in peers.clone() {
@@ -391,46 +402,10 @@ impl Worker {
         // Settle the fluid byte integral at the advance target, as the
         // executor contract requires.
         self.core.integrate_fluid_to(now);
-        let status = Status::of(&self.core);
-        self.push_response(Response::Advanced {
+        Response::Advanced {
             deliveries,
             epoch_ends,
-            status,
-        });
-    }
-
-    /// Answers a command with the core's refreshed status.
-    fn done(&mut self, ok: bool) {
-        let status = Status::of(&self.core);
-        self.push_response(Response::Done { ok, status });
-    }
-
-    /// Blocking response push, then a wake for the waiting thread; the
-    /// coordinator always drains the ring of the worker it is waiting on,
-    /// so this cannot deadlock. After an abort the coordinator stops
-    /// draining entirely — the message is dropped instead (the run's
-    /// results are void once a worker died).
-    fn push_response(&mut self, message: Response) {
-        let mut message = message;
-        let mut wait = SpinWait::new();
-        loop {
-            match self.responses.try_push(message) {
-                Ok(()) => {
-                    // A wake before the waiter parks leaves a token, so
-                    // none is lost.
-                    if let Some(waiter) = &self.waiter {
-                        waiter.unpark();
-                    }
-                    return;
-                }
-                Err(back) => {
-                    if self.abort.load(Ordering::Acquire) {
-                        return;
-                    }
-                    message = back;
-                    wait.spin();
-                }
-            }
+            status: Status::of(&self.core),
         }
     }
 }
@@ -440,8 +415,12 @@ struct WorkerHandle {
     /// The core this worker runs, for failure attribution.
     core: CoreId,
     thread: Option<JoinHandle<()>>,
-    requests: Producer<(Request, Thread)>,
-    responses: Consumer<Response>,
+    requests: SyncSender<Request>,
+    /// This worker's reply, if it came while the coordinator waited on
+    /// another worker.
+    reply: Option<Response>,
+    /// Whether the worker's last message — its core or its death — came.
+    gone: bool,
     /// The worker's liveness counter, read by the stall watchdog.
     heartbeat: Arc<AtomicU64>,
     /// Latest counters and wakeup reported by the worker.
@@ -462,87 +441,18 @@ struct WorkerHandle {
 /// Best-effort extraction of a panic payload message (the common
 /// `panic!("...")` cases carry a `&str` or `String`).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-impl WorkerHandle {
-    /// Joins a dead worker thread and converts its fate into a typed
-    /// [`EmuError::WorkerFailure`] carrying the panic message.
-    fn reap(&mut self) -> EmuError {
-        let cause = match self.thread.take() {
-            Some(thread) => match thread.join() {
-                Err(payload) => FailureCause::Panicked(panic_message(payload.as_ref())),
-                // A worker never exits cleanly except through Finish, which
-                // replies first — treat a silent exit as a panic too.
-                Ok(()) => FailureCause::Panicked("worker exited without replying".to_string()),
-            },
-            None => FailureCause::Panicked("worker already reaped".to_string()),
-        };
-        EmuError::WorkerFailure {
-            core: self.core,
-            cause,
-        }
-    }
-
-    /// Sends a request (FIFO per worker) with the calling thread as the one
-    /// to wake for its reply, and wakes the worker if parked.
-    ///
-    /// A live worker always drains its ring, so a full ring plus a dead
-    /// thread means the worker failed: the error carries the panic payload.
-    fn send(&mut self, request: Request) -> Result<(), EmuError> {
-        let mut message = (request, std::thread::current());
-        let mut wait = SpinWait::new();
-        loop {
-            match self.requests.try_push(message) {
-                Ok(()) => break,
-                Err(back) => {
-                    message = back;
-                    let dead = self.thread.as_ref().is_none_or(|thread| {
-                        thread.thread().unpark();
-                        thread.is_finished()
-                    });
-                    if dead {
-                        return Err(self.reap());
-                    }
-                    wait.spin();
-                }
-            }
-        }
-        if let Some(thread) = &self.thread {
-            thread.thread().unpark();
-        }
-        Ok(())
-    }
-
-    /// Non-panicking response wait for shutdown: returns `None` if the
-    /// worker exited without replying (a panicked worker).
-    fn wait_response_until_dead(&mut self, thread: &JoinHandle<()>) -> Option<Response> {
-        let mut wait = SpinWait::new();
-        loop {
-            if let Some(response) = self.responses.try_pop() {
-                return Some(response);
-            }
-            if thread.is_finished() {
-                // The final response may have been pushed just before exit.
-                return self.responses.try_pop();
-            }
-            wait.spin();
-        }
-    }
-}
-
-/// Runs every core on its own OS thread behind SPSC request/response
-/// rings. Owns everything supervision needs — abort flag, heartbeats, the
-/// stall watchdog, the first failure — so none of it leaks into the
-/// coordinator.
+/// Runs every core on its own OS thread, called over bounded channels.
+/// Owns everything supervision needs — abort flag, heartbeats, the stall
+/// watchdog, the first failure — so none of it leaks into the coordinator.
 pub struct ThreadedExecutor {
     workers: Vec<WorkerHandle>,
+    /// Every worker's messages, tagged with its index.
+    replies: Receiver<(usize, Response)>,
     /// Shared kill switch raised on the first worker failure so surviving
     /// workers leave the epoch barrier instead of spinning forever.
     abort: Arc<AtomicBool>,
@@ -577,76 +487,83 @@ impl ThreadedExecutor {
         error
     }
 
+    /// Sends worker `index` a request (FIFO per worker). A worker hangs up
+    /// only on its way out, after its last message, so a refused send reads
+    /// on to that message.
     fn send(&mut self, index: usize, request: Request) -> Result<(), EmuError> {
-        self.workers[index]
-            .send(request)
-            .map_err(|error| self.fail(error))
+        if self.workers[index].requests.send(request).is_ok() {
+            return Ok(());
+        }
+        loop {
+            self.wait(index)?;
+        }
     }
 
-    /// Blocks until worker `index`'s next response, watching the whole
-    /// pool while it does.
+    /// Blocks until worker `index`'s next reply, filing the replies of
+    /// other workers that arrive first in their slots.
     ///
     /// Instead of hanging forever on a dead or wedged worker, fails
-    /// structurally: a finished thread is reaped into a
-    /// [`FailureCause::Panicked`] — *any* worker's thread, because the
-    /// epoch barrier couples them, so the worker being waited on may be
+    /// structurally: a worker's death, reported as its last message, ends
+    /// the wait as a [`FailureCause::Panicked`] — *any* worker's, because
+    /// the epoch barrier couples them, so the worker being waited on may be
     /// innocently wedged behind a dead peer and it is the peer's death that
-    /// must surface. With a stall timeout configured, a live thread whose
+    /// must surface. With a stall timeout configured, a worker whose
     /// heartbeat stops moving for that long (wall clock) is reported as
     /// [`FailureCause::Stalled`]; the stalled core named is the one waited
     /// on, which may itself be a victim of a stalled peer.
     ///
-    /// After a few yielding polls the thread parks: the worker's reply
-    /// unparks it, and the timeout re-runs both checks for what wakes
-    /// nobody.
+    /// A few yielding polls come first, then a blocking receive.
     fn wait(&mut self, index: usize) -> Result<Response, EmuError> {
-        // Lazily initialised: the Instant read costs nothing unless a
-        // timeout is configured and the reply is slow enough to park for.
-        let mut watchdog: Option<(u64, Instant)> = None;
-        let mut polls: u32 = 0;
+        let mut polls = 0;
         loop {
-            if let Some(response) = self.workers[index].responses.try_pop() {
+            if let Some(response) = self.workers[index].reply.take() {
                 return Ok(response);
             }
-            for i in 0..self.workers.len() {
-                let thread = self.workers[i].thread.as_ref();
-                if thread.is_some_and(|t| t.is_finished()) {
-                    // Workers never exit except through Finish (shutdown
-                    // only), so a finished thread here is always a failure.
-                    // The waited-on worker gets one response re-check to
-                    // close the push-then-exit race.
-                    if i == index {
-                        if let Some(response) = self.workers[index].responses.try_pop() {
-                            return Ok(response);
-                        }
-                    }
-                    let error = self.workers[i].reap();
-                    return Err(self.fail(error));
-                }
-            }
-            if polls < WAIT_YIELDS_BEFORE_PARK {
+            let message = if polls < WAIT_POLLS_BEFORE_BLOCKING {
                 polls += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            if let Some(timeout) = self.stall_timeout {
-                let beat = self.workers[index].heartbeat.load(Ordering::Relaxed);
-                match &mut watchdog {
-                    Some((last_beat, last_progress)) => {
-                        if beat != *last_beat {
-                            *last_beat = beat;
-                            *last_progress = Instant::now();
-                        } else if last_progress.elapsed() >= timeout {
-                            return Err(self.fail(EmuError::WorkerFailure {
-                                core: self.workers[index].core,
-                                cause: FailureCause::Stalled { waited: timeout },
-                            }));
-                        }
+                match self.replies.try_recv() {
+                    Err(TryRecvError::Empty) => {
+                        std::thread::yield_now();
+                        continue;
                     }
-                    None => watchdog = Some((beat, Instant::now())),
+                    received => received.ok(),
                 }
+            } else if let Some(timeout) = self.stall_timeout {
+                let heartbeat = &self.workers[index].heartbeat;
+                let beat = heartbeat.load(Ordering::Relaxed);
+                match self.replies.recv_timeout(timeout) {
+                    Err(RecvTimeoutError::Timeout) if heartbeat.load(Ordering::Relaxed) == beat => {
+                        return Err(self.fail(EmuError::WorkerFailure {
+                            core: self.workers[index].core,
+                            cause: FailureCause::Stalled { waited: timeout },
+                        }));
+                    }
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    received => received.ok(),
+                }
+            } else {
+                self.replies.recv().ok()
+            };
+            // `None`: every worker has hung up, each after its last message.
+            let (from, response) = message.unwrap_or_else(|| {
+                (
+                    index,
+                    Response::Died("worker exited without replying".into()),
+                )
+            });
+            let worker = &mut self.workers[from];
+            match response {
+                Response::Died(message) => {
+                    worker.gone = true;
+                    let core = worker.core;
+                    return Err(self.fail(EmuError::WorkerFailure {
+                        core,
+                        cause: FailureCause::Panicked(message),
+                    }));
+                }
+                response if from == index => return Ok(response),
+                response => worker.reply = Some(response),
             }
-            std::thread::park_timeout(WAIT_PARK_TIMEOUT);
         }
     }
 
@@ -728,37 +645,35 @@ impl ThreadedExecutor {
         Ok(())
     }
 
-    /// Shutdown must never panic (it also runs from [`Drop`], possibly
-    /// during an unwind), so unlike the normal protocol paths it tolerates
-    /// a dead worker: stale responses a panicked worker left behind are
-    /// skipped, and its core is simply lost from the returned set.
+    /// Shutdown must never panic (it also runs from [`Drop`]), so unlike
+    /// the normal protocol paths it tolerates dead workers: every worker not
+    /// yet gone is sent `Finish`, and messages are read until each has sent
+    /// its last — its core, or its death, which loses the core from the
+    /// returned set. Replies a failed call left unread are skipped.
     fn shutdown(&mut self) -> Vec<EmulatorCore> {
-        let mut cores = Vec::new();
+        let mut cores: Vec<Option<EmulatorCore>> = self.workers.iter().map(|_| None).collect();
         for worker in &mut self.workers {
-            // Nothing to stop if the worker was reaped earlier, or is dead
-            // behind a full ring (`send` reaps — joins — it): no core.
-            if worker.thread.is_none() || worker.send(Request::Finish).is_err() {
-                continue;
+            if !worker.gone {
+                let _ = worker.requests.send(Request::Finish);
             }
-            let Some(thread) = worker.thread.take() else {
-                continue;
-            };
-            // Drain until the Core reply; a call that failed mid-protocol
-            // may have left unread replies queued ahead of it (or, from a
-            // dead worker, nothing at all).
-            loop {
-                match worker.wait_response_until_dead(&thread) {
-                    Some(Response::Core(core)) => {
-                        cores.push(*core);
-                        break;
-                    }
-                    Some(_) => continue,
-                    None => break, // panicked worker; join below reaps it
-                }
-            }
-            let _ = thread.join();
         }
-        cores
+        while self.workers.iter().any(|worker| !worker.gone) {
+            let Ok((from, response)) = self.replies.recv() else {
+                break;
+            };
+            match response {
+                Response::Core(core) => cores[from] = Some(*core),
+                Response::Died(_) => {}
+                _ => continue,
+            }
+            self.workers[from].gone = true;
+        }
+        for worker in &mut self.workers {
+            if let Some(thread) = worker.thread.take() {
+                let _ = thread.join();
+            }
+        }
+        cores.into_iter().flatten().collect()
     }
 }
 
@@ -774,10 +689,14 @@ impl CoreExecutor for ThreadedExecutor {
         let n = cores.len();
         let exchange = Arc::new(Exchange::new(n));
         let abort = Arc::new(AtomicBool::new(false));
+        // The coordinator keeps no sender, so a receive fails only once
+        // every worker has hung up.
+        let (reply_tx, replies) = mpsc::sync_channel(IN_FLIGHT * n);
+        prime(&replies);
         let mut workers = Vec::with_capacity(n);
         for (me, core) in cores.into_iter().enumerate() {
-            let (request_tx, request_rx) = spsc::channel(REQUEST_RING_CAPACITY);
-            let (response_tx, response_rx) = spsc::channel(RESPONSE_RING_CAPACITY);
+            let (request_tx, request_rx) = mpsc::sync_channel(IN_FLIGHT);
+            prime(&request_rx);
             let heartbeat = Arc::new(AtomicU64::new(0));
             // The core may carry counters and scheduled deadlines from a
             // previous life (a converted emulator, a restored checkpoint).
@@ -787,8 +706,7 @@ impl CoreExecutor for ThreadedExecutor {
                 core,
                 pod: pod.clone(),
                 requests: request_rx,
-                responses: response_tx,
-                waiter: None,
+                replies: reply_tx.clone(),
                 exchange: exchange.clone(),
                 outbox: vec![Vec::new(); n],
                 epoch: 0,
@@ -805,7 +723,8 @@ impl CoreExecutor for ThreadedExecutor {
                 core: CoreId(me),
                 thread: Some(thread),
                 requests: request_tx,
-                responses: response_rx,
+                reply: None,
+                gone: false,
                 heartbeat,
                 status,
                 admissions: Vec::new(),
@@ -819,6 +738,7 @@ impl CoreExecutor for ThreadedExecutor {
 
         ThreadedExecutor {
             workers,
+            replies,
             abort,
             failure: None,
             stall_timeout: None,
@@ -941,11 +861,9 @@ impl CoreExecutor for ThreadedExecutor {
 
 impl Drop for ThreadedExecutor {
     fn drop(&mut self) {
-        // When this drop runs during a panic unwind (e.g. the coordinator
-        // detected a dead worker), surviving workers may be wedged at the
-        // epoch barrier waiting for the dead core forever — an orderly
-        // shutdown would hang and mask the original panic. Leak the
-        // threads instead; the process is on its way down.
+        // During a panic unwind, surviving workers may be wedged at the
+        // epoch barrier waiting for a dead core forever, and an orderly
+        // shutdown would hang and mask the panic: hang up instead.
         if std::thread::panicking() {
             return;
         }
@@ -969,12 +887,11 @@ impl Emulator<ThreadedExecutor> {
     }
 
     /// Arms the stall watchdog: while the coordinator waits on a worker
-    /// whose thread is alive but whose heartbeat makes no progress for
-    /// `timeout` of wall-clock time, the wait fails with
-    /// [`FailureCause::Stalled`] instead of hanging forever. `None`
-    /// disables the watchdog (the default — virtual time runs arbitrarily
-    /// faster or slower than wall clock, so only a supervisor that knows
-    /// the deployment should set this).
+    /// whose heartbeat makes no progress for `timeout` of wall-clock time,
+    /// the wait fails with [`FailureCause::Stalled`] instead of hanging
+    /// forever. `None` disables the watchdog (the default — virtual time
+    /// runs arbitrarily faster or slower than wall clock, so only a
+    /// supervisor that knows the deployment should set this).
     pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
         self.exec.stall_timeout = timeout;
     }
@@ -1088,9 +1005,9 @@ mod tests {
 
     #[test]
     fn an_emulator_moved_to_another_thread_wakes_that_thread() {
-        // Built on this thread, driven on another: the thread to wake
-        // travels with each request, so the replies wake the driving
-        // thread, not the builder, and the run stays byte for byte the
+        // Built on this thread, driven on another: a reply wakes whichever
+        // thread blocks on the reply channel, so the driving thread is
+        // woken, not the builder, and the run stays byte for byte the
         // inline one.
         fn run<X: CoreExecutor>(
             emu: &mut Emulator<X>,
@@ -1305,7 +1222,7 @@ mod tests {
         // deliveries, counters and the drained state's bytes all match, on
         // both backends. The second batch holds the edges: VN ids past the
         // table, a departed source and a departed destination, a co-located
-        // pair, and more packets for core 0 than its two rings hold.
+        // pair, and 4 000 packets, most of them for core 0.
         type Run = (Vec<SubmitOutcome>, Vec<DeliveryRecord>, CoreStats, Vec<u8>);
         fn run<X: CoreExecutor>(cores: usize, batched: bool) -> Run {
             let topo = ring_topology(&RingParams {
@@ -1368,11 +1285,7 @@ mod tests {
                 .map(|d| (d.packet.id.0, d.delivered_at, d.entered_at, d.hops))
                 .collect();
             assert!(emu.vn_leave(departed, now));
-            let offered = |emu: &Emulator<X>| emu.core_stats(CoreId(0)).unwrap().packets_offered;
-            let before = offered(&emu);
             submit(&mut emu, edges.collect(), &mut outcomes);
-            let rings = REQUEST_RING_CAPACITY + RESPONSE_RING_CAPACITY;
-            assert!(offered(&emu) - before > rings as u64);
             log.extend(finish_run(&mut emu));
             let bytes = emu.snapshot().unwrap().to_bytes();
             (outcomes, log, emu.total_stats(), bytes)
@@ -1599,13 +1512,13 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_surfaces_as_typed_error_on_the_send_path() {
+    fn a_worker_dying_on_a_command_surfaces_as_a_typed_error() {
         let (mut emu, binding, mut d) = ring_emulator::<ThreadedExecutor>(2);
         assert!(emu.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
         // Flap a pipe and reroute until a command reaches worker 1: the
         // `UpdatePipe` goes to the pipe's owner, the `SetRoutes` of the
         // publish to every core. The death must be recorded as a typed
-        // failure on the send path, not abort the process.
+        // failure, not abort the process.
         let victim = d.out_pipes(binding.location(VnId(0)).unwrap())[0];
         let original = d.pipe(victim).attrs;
         for flap in 0..600 {
@@ -1632,6 +1545,42 @@ mod tests {
         }
         // The wait path reports the same poisoned state.
         assert!(emu.advance(SimTime::from_millis(1)).is_err());
+    }
+
+    #[test]
+    fn a_worker_dying_in_a_batched_admission_is_reported_after_its_peers_reply() {
+        // Both cores get a share of one batch; core 1 dies on its Admit
+        // while core 0 answers, so core 0's reply may arrive first and be
+        // filed before the death notice ends the call.
+        let (mut emu, binding) = two_core_emulator();
+        assert!(emu.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
+        let vns: Vec<VnId> = binding.vns().collect();
+        let entries: Vec<_> = vns.iter().map(|&vn| emu.vn_entry_core(vn)).collect();
+        assert!(entries.contains(&Some(CoreId(0))) && entries.contains(&Some(CoreId(1))));
+        let batch: Vec<_> = (vns.iter().enumerate())
+            .map(|(i, &src)| {
+                let dst = vns[(i + 3) % vns.len()];
+                (
+                    SimTime::ZERO,
+                    tcp_packet(i as u64, src, dst, 900, SimTime::ZERO),
+                )
+            })
+            .collect();
+        let mut outcomes = Vec::new();
+        let err = emu.submit_batch(batch, &mut outcomes).unwrap_err();
+        match &err {
+            EmuError::WorkerFailure {
+                core,
+                cause: FailureCause::Panicked(msg),
+            } => {
+                assert_eq!(core.index(), 1, "the failing core is attributed");
+                assert!(msg.contains("chaos"), "panic payload preserved: {msg}");
+            }
+            other => panic!("expected a panicked worker failure, got {other:?}"),
+        }
+        assert_eq!(emu.last_failure(), Some(&err));
+        // The survivor's reply, read or not, does not stand in for its core.
+        assert_eq!(emu.finish().len(), 1, "the surviving core comes back");
     }
 
     #[test]

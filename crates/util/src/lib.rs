@@ -10,11 +10,10 @@
 //! * [`TimerWheel`] — the hierarchical timing wheel every event queue of the
 //!   emulator runs on: `O(1)` push/pop for near-term deadlines, earliest
 //!   deadline first and insertion order among equal deadlines.
-//! * [`spsc`] — bounded single-producer/single-consumer rings, the
-//!   lock-free queues the parallel execution backend tunnels descriptors
-//!   through.
-//! * [`sync`] — spin/yield backoff and a sense-reversing spin barrier for
-//!   the epoch synchronisation of the parallel backend.
+//! * [`spsc`] — bounded single-producer/single-consumer rings, kept for
+//!   their one caller, the benchmark's ring kernel.
+//! * [`sync`] — the sense-reversing spin barrier the parallel backend's
+//!   workers meet at once per epoch.
 //! * [`stats`] — CDFs and summary statistics
 //!   used by the measurement infrastructure and the benchmark harness.
 //! * [`rngs`] — seeded RNG construction helpers so every experiment is
@@ -36,6 +35,6 @@ pub use codec::{ByteReader, ByteWriter, Codec, CodecError};
 pub use rate::{ByteSize, DataRate};
 pub use rngs::seeded_rng;
 pub use stats::{Cdf, RunningStats};
-pub use sync::{SpinBarrier, SpinWait};
+pub use sync::SpinBarrier;
 pub use time::{SimDuration, SimTime};
 pub use wheel::{EventKey, TimerWheel};

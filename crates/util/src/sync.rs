@@ -1,60 +1,17 @@
-//! Epoch-synchronisation helpers for the parallel emulation backend.
+//! Epoch synchronisation for the parallel emulation backend.
 //!
-//! The parallel backend's core threads meet once per epoch at a barrier,
-//! after posting their tunnelled descriptors to per-pair mailboxes and
-//! before draining the ones addressed to them (see `mn-emucore`):
-//!
-//! * [`SpinWait`] — an adaptive backoff for the wait loops: a few
-//!   `spin_loop` hints while the peer is probably mid-operation, then
-//!   `yield_now` so a single-CPU host (or an oversubscribed one) still
-//!   makes progress instead of burning a whole scheduler quantum.
-//! * [`SpinBarrier`] — a sense-reversing barrier, one generation per epoch,
-//!   whose waiters give up once a shared abort flag is raised (a peer died
-//!   and will never arrive).
+//! The parallel backend's core threads meet once per epoch at a
+//! [`SpinBarrier`], after posting their tunnelled descriptors to per-pair
+//! mailboxes and before draining the ones addressed to them (see
+//! `mn-emucore`): a sense-reversing barrier, one generation per epoch,
+//! whose waiters give up once a shared abort flag is raised (a peer died
+//! and will never arrive).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// How many busy spins [`SpinWait`] performs before it starts yielding the
-/// CPU to the scheduler.
+/// Busy spins a barrier waiter makes before it yields the CPU instead, so a
+/// single-CPU or oversubscribed host still makes progress.
 const SPINS_BEFORE_YIELD: u32 = 16;
-
-/// Adaptive wait loop: spin briefly, then yield.
-///
-/// # Examples
-///
-/// ```
-/// use mn_util::sync::SpinWait;
-///
-/// let mut wait = SpinWait::new();
-/// let mut tries = 0;
-/// while tries < 3 {
-///     tries += 1; // poll something...
-///     wait.spin(); // ...and back off between polls
-/// }
-/// ```
-#[derive(Debug, Default)]
-pub struct SpinWait {
-    spins: u32,
-}
-
-impl SpinWait {
-    /// A fresh backoff state.
-    pub fn new() -> Self {
-        SpinWait { spins: 0 }
-    }
-
-    /// Backs off once: a pipeline hint for the first few calls, a scheduler
-    /// yield from then on.
-    #[inline]
-    pub fn spin(&mut self) {
-        if self.spins < SPINS_BEFORE_YIELD {
-            self.spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
 
 /// A sense-reversing spin barrier for a fixed party count.
 ///
@@ -96,12 +53,17 @@ impl SpinBarrier {
             self.generation.store(generation + 1, Ordering::Release);
             return true;
         }
-        let mut wait = SpinWait::new();
+        let mut spins = 0;
         while self.generation.load(Ordering::Acquire) == generation {
             if abort.load(Ordering::Acquire) {
                 return false;
             }
-            wait.spin();
+            if spins < SPINS_BEFORE_YIELD {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
         true
     }
@@ -111,14 +73,6 @@ impl SpinBarrier {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn spin_wait_is_callable_many_times() {
-        let mut w = SpinWait::new();
-        for _ in 0..100 {
-            w.spin();
-        }
-    }
 
     #[test]
     fn single_party_barrier_never_blocks() {
