@@ -587,7 +587,7 @@ impl EmulatorCore {
     /// [fit](Descriptor::fits) and its next pipe be installed here (a
     /// complete route would be counted in and never out, a peer's pipe
     /// would send it on again at a second NIC/CPU cost).
-    pub(crate) fn receive_restored(
+    fn receive_restored(
         &mut self,
         arrival: SimTime,
         descriptor: Descriptor,
@@ -866,12 +866,9 @@ impl EmulatorCore {
     /// [fit](Descriptor::fits) `routes`; a wheel entry and a CBR source must
     /// name a pipe installed here, a staged tunnel one that `pod` gives to a
     /// peer, and a tunnel in the inbox must be one this core can admit
-    /// ([`EmulatorCore::receive_restored`]). `version` is the `MNSP` frame's
-    /// ([`EmuPipe::get_with`]); before 5 a core had no inbox and the frame
-    /// carried every tunnel in flight.
+    /// ([`EmulatorCore::receive_restored`]).
     pub fn decode_state(
         r: &mut ByteReader,
-        version: u32,
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
         pod: &PipeOwnershipDirectory,
@@ -888,12 +885,7 @@ impl EmulatorCore {
         let mut pipes = Vec::with_capacity(pipe_slots);
         for _ in 0..pipe_slots {
             pipes.push(match bool::get(r)? {
-                true => Some(EmuPipe::get_with(
-                    r,
-                    version,
-                    Descriptor::MIN_BYTES,
-                    &mut to_slab,
-                )?),
+                true => Some(EmuPipe::get_with(r, Descriptor::MIN_BYTES, &mut to_slab)?),
                 false => None,
             });
         }
@@ -954,11 +946,9 @@ impl EmulatorCore {
             accuracy,
             rng: StdRng::from_state(rng_state),
         };
-        if version >= 5 {
-            for _ in 0..r.get_count(<(SimTime, Descriptor)>::MIN_BYTES)? {
-                let (arrival, descriptor) = Codec::get(r)?;
-                core.receive_restored(arrival, descriptor)?;
-            }
+        for _ in 0..r.get_count(<(SimTime, Descriptor)>::MIN_BYTES)? {
+            let (arrival, descriptor) = Codec::get(r)?;
+            core.receive_restored(arrival, descriptor)?;
         }
         Ok(core)
     }
@@ -1383,8 +1373,7 @@ mod tests {
             let pod = PipeOwnershipDirectory::from_owners(owners, 2);
             let decode = |bytes: &[u8]| {
                 let r = &mut mn_util::ByteReader::new(bytes);
-                let version = crate::SNAPSHOT_VERSION;
-                EmulatorCore::decode_state(r, version, profile, table.clone(), &pod)
+                EmulatorCore::decode_state(r, profile, table.clone(), &pod)
             };
             let mut restored = decode(&bytes).unwrap();
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));

@@ -222,6 +222,16 @@ impl Admission {
         self.resolved.extend(self.batch.iter().map(lookup));
     }
 
+    /// Active VNs per entry core, over `cores` cores: the load vector the
+    /// join path reads.
+    fn core_load(&self, cores: usize) -> Vec<u32> {
+        let mut load = vec![0u32; cores];
+        for (core, &active) in self.vn_entry_core.iter().zip(&self.vn_active) {
+            load[core.index()] += u32::from(active);
+        }
+        load
+    }
+
     /// The per-packet decision over a resolved first hop: every lookup is an
     /// indexed array read (VN location, membership, entry core) — no
     /// hashing, no route clone, no allocation. (`#[inline]` so the `Dispatch`
@@ -332,10 +342,6 @@ impl<X: CoreExecutor> Emulator<X> {
             })
             .collect();
         let routes = Arc::new(RouteTable::build(&matrix, &vn_location));
-        let mut core_load = vec![0u32; pod.core_count()];
-        for core in &vn_entry_core {
-            core_load[core.index()] += 1;
-        }
         let mut cores: Vec<EmulatorCore> = (0..pod.core_count())
             .map(|c| {
                 EmulatorCore::new(
@@ -352,23 +358,24 @@ impl<X: CoreExecutor> Emulator<X> {
             cores[pod.owner(pipe_id).index()].install_pipe(pipe_id, pipe.attrs);
             capacity_bps[pipe_id.index()] = pipe.attrs.bandwidth.as_bps();
         }
+        let admission = Admission {
+            routes,
+            vn_active: vec![true; vn_location.len()],
+            vn_location,
+            vn_entry_core,
+            local_deliveries: Vec::new(),
+            batch: Vec::new(),
+            resolved: Vec::new(),
+            outcome: Vec::new(),
+        };
         let pod = Arc::new(pod);
         Emulator {
             exec: X::from_cores(cores, pod.clone()),
+            core_load: admission.core_load(pod.core_count()),
             pod,
             profile,
             matrix,
-            admission: Admission {
-                routes,
-                vn_active: vec![true; vn_location.len()],
-                vn_location,
-                vn_entry_core,
-                local_deliveries: Vec::new(),
-                batch: Vec::new(),
-                resolved: Vec::new(),
-                outcome: Vec::new(),
-            },
-            core_load,
+            admission,
             fluid: FluidState::new(capacity_bps),
         }
     }
@@ -898,7 +905,7 @@ impl<X: CoreExecutor> Emulator<X> {
             profile,
             matrix,
             admission,
-            core_load,
+            core_load: _,
             fluid,
         } = self;
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
@@ -907,11 +914,10 @@ impl<X: CoreExecutor> Emulator<X> {
         matrix.put(w);
         w.put_usize(pod.core_count());
         w.put_u64s((0..pod.pipe_count()).map(|p| pod.owner(PipeId::from_index(p)).index() as u64));
-        // One count, the locations', covers all three per-VN tables.
-        admission.vn_location.put(w);
-        admission.vn_entry_core.iter().for_each(|core| core.put(w));
-        admission.vn_active.iter().for_each(|active| active.put(w));
-        core_load.put(w);
+        // Each VN's location and liveness are the route table's, and the
+        // load vector follows from them: of the per-VN state, only the
+        // entry cores are written.
+        admission.vn_entry_core.put(w);
         admission.local_deliveries.put(w);
         fluid.put(w);
         exec.encode_cores(w)?;
@@ -939,18 +945,18 @@ impl<X: CoreExecutor> Emulator<X> {
         Self::decode(version, payload)
     }
 
-    /// The one decoder, over a verified payload of format `version` (which
-    /// selects whether every pipe carries the retired RED fields, and
-    /// whether tunnels in flight sit in a section of their own or in their
-    /// target cores). The checksum only says the bytes are the ones written;
-    /// every index the run phase later uses unchecked — entry cores, the
-    /// load vector, tunnel targets, the per-VN tables against the route
-    /// table, each route's pipes against the ownership directory, each
-    /// descriptor's route and hop, the fluid solver's per-pipe vectors
-    /// against the directory — is checked here, so a hand-built or damaged
-    /// snapshot is a typed error here, not an out-of-bounds panic on the
-    /// forwarding path. The frame is written out rather than declared
-    /// because those checks need what was read before them.
+    /// The one decoder, over a verified payload of format `version`. The
+    /// checksum only says the bytes are the ones written; every index the
+    /// run phase later uses unchecked — entry cores, each route's pipes
+    /// against the ownership directory, each descriptor's route and hop,
+    /// each tunnel's target, the fluid solver's per-pipe vectors against
+    /// the directory — is checked here, so a hand-built or damaged snapshot
+    /// is a typed error here, not an out-of-bounds panic on the forwarding
+    /// path. Each VN's location and liveness are rebuilt from the route
+    /// table, which records both, and the load vector from them and the
+    /// entry cores; a v5 frame's copies of all three are read past. The
+    /// frame is written out rather than declared because those checks need
+    /// what was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
@@ -971,19 +977,15 @@ impl<X: CoreExecutor> Emulator<X> {
         if routes.pipe_bound() > pod.pipe_count() {
             return Err(Invalid("route names a pipe the POD does not cover"));
         }
-        // One count covers the three per-VN tables.
-        let vn_count = r.get_count(<(NodeId, CoreId, bool)>::MIN_BYTES)?;
+        let vn_count = r.get_count(CoreId::MIN_BYTES)?;
         if vn_count != routes.endpoint_count() {
-            return Err(Invalid(
-                "VN tables do not cover the route table's endpoints",
-            ));
+            return Err(Invalid("entry cores do not cover the route table's VNs"));
         }
-        let mut vn_location = Vec::with_capacity(vn_count);
-        for vn in 0..vn_count {
-            vn_location.push(NodeId::get(r)?);
-            if routes.endpoint_location(vn) != Some(vn_location[vn]) {
-                return Err(Invalid("VN location is not where the route table binds it"));
-            }
+        // Version 5 wrote each VN's location before the entry cores, and
+        // each VN's liveness and the load vector after them.
+        let v5 = version == 5;
+        if v5 {
+            r.take_bytes(vn_count * NodeId::MIN_BYTES)?;
         }
         let mut vn_entry_core = Vec::with_capacity(vn_count);
         for _ in 0..vn_count {
@@ -992,33 +994,10 @@ impl<X: CoreExecutor> Emulator<X> {
         if vn_entry_core.iter().any(|core| core.index() >= core_count) {
             return Err(Invalid("VN entry core out of range"));
         }
-        let mut vn_active = Vec::with_capacity(vn_count);
-        for vn in 0..vn_count {
-            vn_active.push(bool::get(r)?);
-            if vn_active[vn] != routes.is_endpoint_bound(vn) {
-                return Err(Invalid("VN membership disagrees with the route table"));
-            }
-        }
-        let core_load = Vec::<u32>::get(r)?;
-        if core_load.len() != core_count {
-            return Err(Invalid("core load vector does not cover the cores"));
-        }
-        let mut entering = vec![0u32; core_count];
-        for (core, _) in vn_entry_core.iter().zip(&vn_active).filter(|(_, &a)| a) {
-            entering[core.index()] += 1;
-        }
-        if entering != core_load {
-            return Err(Invalid("core load is not the active VNs per entry core"));
-        }
-        // Before v5 the tunnels in flight had a section of their own, a
-        // stable sort of one wheel by (time, target): per target, the order
-        // they arrive in. They are filed once the cores are read.
-        let mut tunnels = Vec::new();
-        if version < 5 {
-            for _ in 0..r.get_count(<(SimTime, CoreId, Descriptor)>::MIN_BYTES)? {
-                let (time, target) = <(SimTime, CoreId)>::get(r)?;
-                tunnels.push((time, target, Descriptor::get(r)?));
-            }
+        if v5 {
+            r.take_bytes(vn_count * bool::MIN_BYTES)?;
+            let cores = r.get_count(u32::MIN_BYTES)?;
+            r.take_bytes(cores * u32::MIN_BYTES)?;
         }
         let local_deliveries = Vec::<Delivery>::get(r)?;
         let fluid = FluidState::get(r)?;
@@ -1031,34 +1010,35 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         let mut cores = Vec::with_capacity(core_count);
         for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, version, profile, routes.clone(), &pod)?;
+            let core = EmulatorCore::decode_state(r, profile, routes.clone(), &pod)?;
             if core.id().index() != idx {
                 return Err(CodecError::Invalid("core ids out of order"));
             }
             cores.push(core);
         }
         r.finish()?;
-        for (time, target, descriptor) in tunnels {
-            let core = cores.get_mut(target.index());
-            let core = core.ok_or(Invalid("tunnel target out of range"))?;
-            core.receive_restored(time, descriptor)?;
-        }
+        // A decoded table gives every endpoint a location slot.
+        let located = |vn| routes.endpoint_location(vn).expect("a located endpoint");
+        let admission = Admission {
+            vn_location: (0..vn_count).map(located).collect(),
+            vn_active: (0..vn_count)
+                .map(|vn| routes.is_endpoint_bound(vn))
+                .collect(),
+            vn_entry_core,
+            routes,
+            local_deliveries,
+            batch: Vec::new(),
+            resolved: Vec::new(),
+            outcome: Vec::new(),
+        };
         Ok(Emulator {
             exec: X::from_cores(cores, pod.clone()),
+            // Sized only now the cores section has matched the core count.
+            core_load: admission.core_load(core_count),
             pod,
             profile,
             matrix,
-            admission: Admission {
-                routes,
-                vn_location,
-                vn_entry_core,
-                vn_active,
-                local_deliveries,
-                batch: Vec::new(),
-                resolved: Vec::new(),
-                outcome: Vec::new(),
-            },
-            core_load,
+            admission,
             fluid,
         })
     }
@@ -1118,26 +1098,19 @@ mod tests {
     #[test]
     fn restore_rejects_out_of_range_indices() {
         type Corrupt = fn(&mut MultiCoreEmulator);
-        let hostile: [(&str, Corrupt); 11] = [
+        let hostile: [(&str, Corrupt); 8] = [
             ("VN entry core out of range", |e| {
                 e.admission.vn_entry_core[3] = CoreId(99);
             }),
-            ("core load vector does not cover the cores", |e| {
-                e.core_load.resize(7, 0);
-            }),
-            ("core load is not the active VNs per entry core", |e| {
-                e.core_load[0] += 1;
-            }),
-            ("VN tables do not cover the route table's endpoints", |e| {
-                e.admission.vn_location.pop();
+            ("entry cores do not cover the route table's VNs", |e| {
                 e.admission.vn_entry_core.pop();
-                e.admission.vn_active.pop();
             }),
-            ("VN membership disagrees with the route table", |e| {
-                e.admission.vn_active[1] = false;
-            }),
-            ("VN location is not where the route table binds it", |e| {
-                e.admission.vn_location[0] = e.admission.vn_location[7];
+            // The load vector is sized by the core count, so that count is
+            // refused before anything is: here by the cores section.
+            ("core count mismatch", |e| {
+                let owners = (0..e.pod.pipe_count()).map(|p| e.pod.owner(PipeId::from_index(p)));
+                let pod = PipeOwnershipDirectory::from_owners(owners.collect(), 1 << 40);
+                e.pod = Arc::new(pod);
             }),
             ("descriptor route or hop out of range", |e| {
                 let routes = e.route_table().route_count() as u32;

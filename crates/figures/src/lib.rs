@@ -3,7 +3,7 @@
 //! Each submodule corresponds to one experiment in the evaluation; its `run`
 //! function executes the workload at a configurable scale and returns the
 //! rows/series the paper reports, its `shape_holds` states the shape the
-//! paper's curve has, and its binary (`src/bin/…`) prints both.
+//! paper's curve has, and `mn-figures <name>` (`src/main.rs`) prints both.
 //! `Scale::Quick` keeps default invocations to seconds of wall time;
 //! `Scale::Paper` uses the paper's dimensions (README "Experiment binaries").
 
@@ -25,17 +25,6 @@ pub enum Scale {
     Quick,
     /// The paper's dimensions.
     Paper,
-}
-
-impl Scale {
-    /// Parses `--full` style command-line arguments.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full" || a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        }
-    }
 }
 
 /// Formats a `(value, cumulative fraction)` CDF as plain-text rows.

@@ -262,39 +262,16 @@ impl<T> EmuPipe<T> {
         }
     }
 
-    /// Rebuilds a pipe [`EmuPipe::put_with`] wrote into a checkpoint of
-    /// format `version`, reading each queued item with `get_item` (an item
-    /// takes at least `item_bytes`). The restored pipe behaves bit-identically
-    /// to the one written. Before version 5 a pipe also carried the retired
-    /// RED discipline — a tag byte and an average after its attributes, a
-    /// drop counter before `bytes_out` — which is skipped; only drop-tail
-    /// pipes were ever written, so any other tag or a RED drop is refused.
+    /// Rebuilds a pipe [`EmuPipe::put_with`] wrote into a checkpoint,
+    /// reading each queued item with `get_item` (an item takes at least
+    /// `item_bytes`). The restored pipe behaves bit-identically to the one
+    /// written.
     pub fn get_with(
         r: &mut ByteReader<'_>,
-        version: u32,
         item_bytes: usize,
         mut get_item: impl FnMut(&mut ByteReader<'_>) -> Result<T, CodecError>,
     ) -> Result<Self, CodecError> {
-        let attrs = PipeAttrs::get(r)?;
-        let (drain_busy_until, stats) = if version < 5 {
-            let (tag, _average, drain_busy_until, counts, red_drops, bytes_out) =
-                <(u8, f64, SimTime, [u64; 4], u64, u64)>::get(r)?;
-            if tag != 0 || red_drops != 0 {
-                return Err(CodecError::Invalid("a RED pipe, which no encoder wrote"));
-            }
-            let [enqueued, dequeued, dropped_overflow, dropped_loss] = counts;
-            let stats = PipeStats {
-                enqueued,
-                dequeued,
-                dropped_overflow,
-                dropped_loss,
-                bytes_out,
-            };
-            (drain_busy_until, stats)
-        } else {
-            Codec::get(r)?
-        };
-        let fluid_demand = DataRate::get(r)?;
+        let (attrs, drain_busy_until, stats, fluid_demand) = Codec::get(r)?;
         let count = r.get_count(item_bytes + <(ByteSize, SimTime, SimTime)>::MIN_BYTES)?;
         let mut in_flight = VecDeque::with_capacity(count);
         for _ in 0..count {
@@ -548,7 +525,7 @@ mod tests {
     }
 
     /// A pipe of plain items is a record: its queue items encode as
-    /// themselves, in the current layout (`MNSP` v5).
+    /// themselves.
     impl<T: Codec> Codec for EmuPipe<T> {
         const MIN_BYTES: usize = 0;
 
@@ -557,13 +534,12 @@ mod tests {
         }
 
         fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-            EmuPipe::get_with(r, 5, T::MIN_BYTES, T::get)
+            EmuPipe::get_with(r, T::MIN_BYTES, T::get)
         }
     }
 
     /// A lossy, overflowing pipe with packets inside keeps the record
-    /// contract; written with the RED fields a pre-v5 pipe carried, it reads
-    /// back as the same pipe unless those fields say RED.
+    /// contract.
     #[test]
     fn a_pipe_mid_run_keeps_the_record_contract() {
         let mut lossy = attrs(5, 10, 8);
@@ -576,33 +552,8 @@ mod tests {
         }
         let stats = *pipe.stats();
         assert!(pipe.in_flight_count() > 0 && stats.dropped_loss > 0 && stats.dropped_overflow > 0);
-        fn bytes_of(record: &impl Codec) -> Vec<u8> {
-            let mut w = ByteWriter::new();
-            record.put(&mut w);
-            w.into_bytes()
-        }
-        let v5 = bytes_of(&pipe);
         mn_util::codec::record_contract(pipe);
         mn_util::codec::record_contract(EmuPipe::<u64>::new(attrs(1, 1, 1)));
-
-        // v4: the tag and average after the attributes (then the drain clock
-        // and four counters), the RED drop counter before `bytes_out`.
-        let at = bytes_of(&lossy).len();
-        let legacy = |tag: u8, red_drops: u64| {
-            let mut w = ByteWriter::new();
-            w.put_bytes(&v5[..at]);
-            (tag, 0.0f64).put(&mut w);
-            w.put_bytes(&v5[at..at + 40]);
-            red_drops.put(&mut w);
-            w.put_bytes(&v5[at + 40..]);
-            let bytes = w.into_bytes();
-            let r = &mut ByteReader::new(&bytes);
-            EmuPipe::<u32>::get_with(r, 4, u32::MIN_BYTES, u32::get).map(|pipe| bytes_of(&pipe))
-        };
-        assert!(legacy(0, 0).unwrap() == v5);
-        let red = Err(CodecError::Invalid("a RED pipe, which no encoder wrote"));
-        assert_eq!(legacy(1, 0), red);
-        assert_eq!(legacy(0, 3), red);
     }
 
     #[test]

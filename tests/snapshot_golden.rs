@@ -9,16 +9,14 @@
 //! re-blessed, and its digest is re-recorded only by a deliberate behaviour
 //! change.
 //!
-//! `tests/data/mnsp_v4_path4.bin` is the scenario under the v4 encoder,
-//! which dropped the state of the accumulating timing rule when every pipe
-//! and every tunnel came to be entered at its ideal time. It was written by
-//! the parent of the v5 change. Format v5 moved the tunnels in flight from
-//! a section of their own into the inbox of the core each is addressed to,
-//! and dropped every pipe's retired RED fields: a layout change only, so
-//! the v4 file restores to the same digest, and restored and serialised
-//! again — its tunnels filed core by core on the way — it is
-//! `tests/data/mnsp_v5_path4.bin` byte for byte. Every later commit must
-//! re-create exactly those bytes on both executors.
+//! `tests/data/mnsp_v5_path4.bin` is the scenario under the v5 encoder,
+//! which wrote each VN's location, each VN's liveness and the active VNs
+//! per entry core beside the route table that records all three. Format v6
+//! writes only the entry cores and rebuilds the rest on restore: a layout
+//! change only, so the v5 file restores to the same digest, and restored
+//! and serialised again it is `tests/data/mnsp_v6_path4.bin` byte for byte
+//! — the tables rebuilt from its route table are the ones it persisted.
+//! Every later commit must re-create exactly those bytes on both executors.
 //!
 //! A failure here means the snapshot format or the emulated behaviour
 //! changed: bump `SNAPSHOT_VERSION`, add a fixture for the new version
@@ -42,8 +40,11 @@ use mn_util::codec::fnv1a64;
 use mn_util::{ByteSize, ByteWriter, CodecError, DataRate, SimDuration, SimTime};
 use modelnet::EmulatorBackend;
 
-const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_path4.bin");
+mod membership;
+use membership::membership;
+
 const FIXTURE_V5: &[u8] = include_bytes!("data/mnsp_v5_path4.bin");
+const FIXTURE_V6: &[u8] = include_bytes!("data/mnsp_v6_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
@@ -128,6 +129,13 @@ fn build(threaded: bool) -> Scenario {
 
 /// Drives the scenario to [`STOP_AT`] and returns the framed snapshot.
 fn run_to_stop(threaded: bool) -> Vec<u8> {
+    let (mut backend, _) = stop(threaded);
+    backend.snapshot().unwrap().to_bytes()
+}
+
+/// Drives the scenario to [`STOP_AT`]; returns the emulator there and the
+/// topology.
+fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology) {
     let Scenario {
         mut backend,
         distilled,
@@ -182,7 +190,7 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
     );
     assert!(stats.cbr_injected > 0 && stats.fluid_modelled_bytes > 0);
     assert!(!backend.vn_is_active(departed) && backend.vn_is_active(rejoiner));
-    backend.snapshot().unwrap().to_bytes()
+    (backend, distilled)
 }
 
 /// Runs an emulator restored at [`STOP_AT`] to [`HORIZON`] and digests
@@ -211,23 +219,24 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v5 fixture on both executors, and so does
-/// restoring the parent-written v4 file, whose tunnels in flight are filed
-/// with their target cores on the way.
+/// The current encoder writes the v6 fixture on both executors, and so does
+/// restoring the v5 file, whose dropped tables are rebuilt on the way.
 #[test]
-fn both_executors_reproduce_the_v5_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 5, "this fixture pins format v5");
+fn both_executors_reproduce_the_v6_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 6, "this fixture pins format v6");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V5,
-            "snapshot bytes drifted from the v5 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V6,
+            "snapshot bytes drifted from the v6 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V4).unwrap();
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V5).unwrap();
     let stats = restored.total_stats();
     assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V5);
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V6);
+    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V5).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V6);
 }
 
 fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
@@ -239,25 +248,47 @@ fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
 }
 
 #[test]
-fn the_v4_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V4);
+fn the_v5_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V5);
 }
 
 #[test]
-fn the_v5_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V5);
+fn the_v6_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V6);
+}
+
+/// The tables a restore rebuilds rather than reads hold what the
+/// uninterrupted run holds. Here, unlike in the multiplexed scenario, the
+/// one departed VN leaves the two cores' loads unequal, so a load vector
+/// that counted it would send a join elsewhere.
+#[test]
+fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
+    let (backend, distilled) = stop(false);
+    let EmulatorBackend::Sequential(mut uninterrupted) = backend else {
+        unreachable!("built sequential")
+    };
+    let homes = distilled.vns().to_vec();
+    let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
+    for fixture in [FIXTURE_V5, FIXTURE_V6] {
+        let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+        let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
+        assert_eq!(restored, expected);
+        let mut threaded = ParallelEmulator::restore_bytes(fixture).unwrap();
+        let restored = membership(&mut threaded, &distilled, &homes, STOP_AT);
+        assert_eq!(restored, expected);
+    }
 }
 
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v4_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V4);
+fn every_bit_flip_and_every_truncation_of_the_v5_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V5);
 }
 
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v5_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V5);
+fn every_bit_flip_and_every_truncation_of_the_v6_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V6);
 }
 
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
@@ -284,7 +315,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V5.to_vec();
+    let mut after_frame = FIXTURE_V6.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -299,7 +330,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V5[16..FIXTURE_V5.len() - 8]);
+    w.put_bytes(&FIXTURE_V6[16..FIXTURE_V6.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -317,11 +348,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v5_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v6_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v5_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v6_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(EmulatorBackend::Sequential(

@@ -8,15 +8,17 @@
 //! stay, a location emptied, the link up again, a rejoin into the emptied
 //! location, a rejoin elsewhere, a fresh VN id and a second link down.
 //!
-//! `tests/data/mnsp_v4_mux_churn.bin` is the scenario under the v4 encoder
-//! and the current timing, written by the parent of the v5 change. Format
-//! v5 moved tunnels in flight into their target cores and dropped the
-//! retired RED fields (see `snapshot_golden.rs`):
-//! `tests/data/mnsp_v5_mux_churn.bin` is the scenario under the current
+//! `tests/data/mnsp_v5_mux_churn.bin` is the scenario under the v5
+//! encoder, which also wrote each VN's location and liveness and the
+//! active VNs per entry core. Format v6 rebuilds those from the route table
+//! and the entry cores (see `snapshot_golden.rs`):
+//! `tests/data/mnsp_v6_mux_churn.bin` is the scenario under the current
 //! encoder, which every later commit must re-create byte for byte and which
-//! the v4 file, restored and serialised again, is. Both files restore into
+//! the v5 file, restored and serialised again, is. Both files restore into
 //! both executors and finish the run on the recorded delivery digest; they
-//! are never re-blessed.
+//! are never re-blessed. The digest cannot see the rebuilt load vector (no
+//! VN joins after the stop), so fresh joins after each restore are checked
+//! against the uninterrupted run separately.
 //!
 //! The scenario is driven through [`EmulatorBackend`] so the same source
 //! compiles against the commit that wrote the fixture.
@@ -34,8 +36,11 @@ use mn_util::codec::fnv1a64;
 use mn_util::{ByteWriter, DataRate, SimDuration, SimTime};
 use modelnet::EmulatorBackend;
 
-const FIXTURE_V4: &[u8] = include_bytes!("data/mnsp_v4_mux_churn.bin");
+mod membership;
+use membership::membership;
+
 const FIXTURE_V5: &[u8] = include_bytes!("data/mnsp_v5_mux_churn.bin");
+const FIXTURE_V6: &[u8] = include_bytes!("data/mnsp_v6_mux_churn.bin");
 
 const ROUTERS: usize = 8;
 /// VNs bound at each client location when the run starts.
@@ -139,6 +144,13 @@ fn set_link(
 
 /// Drives the scenario to [`STOP_AT`] and returns the framed snapshot.
 fn run_to_stop(threaded: bool) -> Vec<u8> {
+    let (mut backend, _, _) = stop(threaded);
+    backend.snapshot().unwrap().to_bytes()
+}
+
+/// Drives the scenario to [`STOP_AT`]; returns the emulator there, the
+/// topology as the run left it and the client locations.
+fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology, Vec<NodeId>) {
     let Scenario {
         mut backend,
         mut distilled,
@@ -196,7 +208,7 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
     assert!(!backend.vn_is_active(vn(3)) && !backend.vn_is_active(vn(3 + 2 * ROUTERS)));
     assert!(backend.vn_is_active(vn(3 + ROUTERS)) && backend.vn_is_active(vn(ROUTERS)));
     assert_eq!(backend.active_vn_count(), MUX * ROUTERS + 1 - 2);
-    backend.snapshot().unwrap().to_bytes()
+    (backend, distilled, homes)
 }
 
 /// Runs a restored emulator to [`HORIZON`] and digests everything observable.
@@ -224,25 +236,27 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v5 fixture on both executors, and so does
-/// restoring the parent-written v4 file.
+/// The current encoder writes the v6 fixture on both executors, and so does
+/// restoring the v5 file.
 #[test]
-fn both_executors_reproduce_the_v5_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 5, "this fixture pins format v5");
+fn both_executors_reproduce_the_v6_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 6, "this fixture pins format v6");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V5,
-            "snapshot bytes drifted from the v5 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V6,
+            "snapshot bytes drifted from the v6 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V4).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V5);
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V5).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V6);
+    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V5).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V6);
 }
 
 #[test]
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
-    for fixture in [FIXTURE_V4, FIXTURE_V5] {
+    for fixture in [FIXTURE_V5, FIXTURE_V6] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
         let sequential =
             EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
@@ -252,19 +266,41 @@ fn the_fixture_restores_into_both_executors_and_finishes_identically() {
     }
 }
 
+/// The tables a restore rebuilds rather than reads hold what the
+/// uninterrupted run holds: every VN agrees, and fresh VNs joined at every
+/// client land on the same cores.
+#[test]
+fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
+    let (backend, distilled, homes) = stop(false);
+    let EmulatorBackend::Sequential(mut uninterrupted) = backend else {
+        unreachable!("built sequential")
+    };
+    let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
+    assert_eq!(expected.0.len(), MUX * ROUTERS + 1);
+    assert!(expected.2.contains(&Some(CoreId(0))) && expected.2.contains(&Some(CoreId(1))));
+    for fixture in [FIXTURE_V5, FIXTURE_V6] {
+        let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+        let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
+        assert_eq!(restored, expected);
+        let mut threaded = ParallelEmulator::restore_bytes(fixture).unwrap();
+        let restored = membership(&mut threaded, &distilled, &homes, STOP_AT);
+        assert_eq!(restored, expected);
+    }
+}
+
 /// Writes the current version's fixture and prints the digest (`cargo test
 /// --test snapshot_golden_mux -- --ignored --nocapture`, after renaming the
-/// path below — run at the timing change for v4, at the per-core inboxes
-/// for v5); see the module docs for why an existing file is never
+/// path below — run at the per-core inboxes for v5, at the rebuilt VN
+/// tables for v6); see the module docs for why an existing file is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v5_mux_churn.bin"]
+#[ignore = "writes tests/data/mnsp_v6_mux_churn.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/mnsp_v5_mux_churn.bin"
+        "/tests/data/mnsp_v6_mux_churn.bin"
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
