@@ -954,15 +954,18 @@ impl<X: CoreExecutor> Emulator<X> {
     /// is a typed error here, not an out-of-bounds panic on the forwarding
     /// path. Each VN's location and liveness are rebuilt from the route
     /// table, which records both, and the load vector from them and the
-    /// entry cores; a v5 frame's copies of all three are read past. The
-    /// frame is written out rather than declared because those checks need
-    /// what was read before them.
+    /// entry cores; a v6 frame's distance labels are read past. The frame
+    /// is written out rather than declared because those checks need what
+    /// was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = RoutingMatrix::get(r)?;
+        let matrix = match version {
+            6 => RoutingMatrix::get_past_labels(r)?,
+            _ => RoutingMatrix::get(r)?,
+        };
         let core_count = usize::get(r)?;
         let owners = r.get_u64s()?;
         if owners.iter().any(|&owner| owner >= core_count as u64) {
@@ -977,15 +980,12 @@ impl<X: CoreExecutor> Emulator<X> {
         if routes.pipe_bound() > pod.pipe_count() {
             return Err(Invalid("route names a pipe the POD does not cover"));
         }
+        if matrix.pipe_count() != pod.pipe_count() {
+            return Err(Invalid("routing matrix and POD differ in pipes"));
+        }
         let vn_count = r.get_count(CoreId::MIN_BYTES)?;
         if vn_count != routes.endpoint_count() {
             return Err(Invalid("entry cores do not cover the route table's VNs"));
-        }
-        // Version 5 wrote each VN's location before the entry cores, and
-        // each VN's liveness and the load vector after them.
-        let v5 = version == 5;
-        if v5 {
-            r.take_bytes(vn_count * NodeId::MIN_BYTES)?;
         }
         let mut vn_entry_core = Vec::with_capacity(vn_count);
         for _ in 0..vn_count {
@@ -993,11 +993,6 @@ impl<X: CoreExecutor> Emulator<X> {
         }
         if vn_entry_core.iter().any(|core| core.index() >= core_count) {
             return Err(Invalid("VN entry core out of range"));
-        }
-        if v5 {
-            r.take_bytes(vn_count * bool::MIN_BYTES)?;
-            let cores = r.get_count(u32::MIN_BYTES)?;
-            r.take_bytes(cores * u32::MIN_BYTES)?;
         }
         let local_deliveries = Vec::<Delivery>::get(r)?;
         let fluid = FluidState::get(r)?;
@@ -1095,10 +1090,37 @@ mod tests {
         emu.exec.cores[target].receive_tunnel(arrival, descriptor);
     }
 
+    /// A routing matrix's fields as a frame lays them out.
+    type MatrixFields = (
+        (Vec<NodeId>, Vec<u32>, usize, Vec<u32>),
+        (Vec<u64>, Vec<u32>, Vec<u32>),
+        (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<u32>, u64),
+    );
+
+    /// A hand-built frame: `emu`'s checkpoint with the routing matrix's
+    /// fields rewritten by `corrupt`, sealed again.
+    fn with_matrix(emu: &mut MultiCoreEmulator, corrupt: fn(&mut MatrixFields)) -> Vec<u8> {
+        let bytes = emu.snapshot().unwrap().to_bytes();
+        let payload = &bytes[16..bytes.len() - 8];
+        let mut r = ByteReader::new(payload);
+        HardwareProfile::get(&mut r).unwrap();
+        RouteTable::decode(&mut r).unwrap();
+        let at = payload.len() - r.remaining();
+        let mut fields = MatrixFields::get(&mut r).unwrap();
+        corrupt(&mut fields);
+        let mut w = ByteWriter::new();
+        let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        w.put_bytes(&payload[..at]);
+        fields.put(&mut w);
+        w.put_bytes(&payload[payload.len() - r.remaining()..]);
+        w.end_frame(frame);
+        w.into_bytes()
+    }
+
     #[test]
     fn restore_rejects_out_of_range_indices() {
         type Corrupt = fn(&mut MultiCoreEmulator);
-        let hostile: [(&str, Corrupt); 8] = [
+        let hostile: [(&str, Corrupt); 9] = [
             ("VN entry core out of range", |e| {
                 e.admission.vn_entry_core[3] = CoreId(99);
             }),
@@ -1137,6 +1159,12 @@ mod tests {
                 let id = routes.intern_pipes(&[PipeId(9_999)]);
                 routes.set_pair(0, 5, id);
             }),
+            // Accepted, a reroute would ask the directory for its owner.
+            ("routing matrix and POD differ in pipes", |e| {
+                let owners = (0..e.pod.pipe_count()).map(|p| e.pod.owner(PipeId::from_index(p)));
+                let owners = owners.chain([CoreId(0)]).collect();
+                e.pod = Arc::new(PipeOwnershipDirectory::from_owners(owners, 2));
+            }),
         ];
         for (what, corrupt) in hostile {
             // Corrupting the state before it is serialized yields a snapshot
@@ -1149,6 +1177,47 @@ mod tests {
                 CodecError::Invalid(what)
             );
         }
+        // A matrix any later lookup, reroute or update would index out of
+        // range: refused when decoded, on both executors.
+        type CorruptMatrix = fn(&mut MatrixFields);
+        let matrix: [(&str, CorruptMatrix); 9] = [
+            ("predecessor rows do not cover the source slots", |f| {
+                f.0 .3.pop();
+            }),
+            ("pipe tables of unequal lengths", |f| {
+                f.2 .2.pop();
+            }),
+            ("pipe tail out of range", |f| f.1 .1[0] = f.0 .2 as u32),
+            ("predecessor pipe out of range", |f| {
+                f.0 .3[1] = f.1 .1.len() as u32
+            }),
+            ("source slots and node map disagree", |f| {
+                f.0 .1[f.0 .0[0].index()] = 1;
+            }),
+            ("source slots and node map disagree", |f| {
+                f.0 .0[1] = NodeId(f.0 .2);
+            }),
+            ("component or reverse index out of range", |f| {
+                f.1 .2[0] = f.2 .1.len() as u32;
+            }),
+            ("component or reverse index out of range", |f| {
+                f.2 .2[0].push(f.0 .0.len() as u32);
+            }),
+            ("free slots not ascending tombstones", |f| f.2 .3.push(0)),
+        ];
+        for (what, corrupt) in matrix {
+            let bytes = with_matrix(&mut ring_emulator(), corrupt);
+            let refused = Err(CodecError::Invalid(what));
+            assert_eq!(
+                MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
+                refused
+            );
+            let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
+            assert_eq!(threaded.map(|_| ()), refused);
+        }
+        assert!(
+            MultiCoreEmulator::restore_bytes(&with_matrix(&mut ring_emulator(), |_| {})).is_ok()
+        );
         // What the encoder writes passes every check, tunnels at either end
         // of their route, each with the owner of its next pipe, included.
         let mut source = ring_emulator();

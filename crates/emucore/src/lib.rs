@@ -50,7 +50,7 @@
 //! filed in the same (round, source core, FIFO) order, and deliveries are
 //! concatenated round-major, core-major (see [`parallel`]). The
 //! determinism, differential and snapshot suites pin the second; golden
-//! `MNSP` fixtures (v5 decodes, v6 is reproduced) pin the bytes.
+//! `MNSP` fixtures (v6 decodes, v7 is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

@@ -15,12 +15,14 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 6 and 5; a version bump retires the decoder two behind.
-//! The payload persists each fact once: version 6 dropped the three
+//! before, here 7 and 6; a version bump retires the decoder two behind.
+//! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
-//! restore rebuilds them from the route table and the entry cores. A
-//! version-5 frame still carries the three; the decoder reads past them.
+//! restore rebuilds them from the route table and the entry cores. Version
+//! 7 dropped the routing matrix's distance labels, 8 bytes a source slot
+//! and a node, which are the pipe costs summed up each predecessor row. A
+//! version-6 frame still carries the labels; the decoder reads past them.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
@@ -35,7 +37,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders read this version and the one before, and
 /// reject every other with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -70,7 +72,7 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            5 | 6 => Ok(checksum64),
+            6 | 7 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -57,7 +57,8 @@ pub const UNUSABLE_COST: u64 = u64::MAX;
 /// Single-source shortest routes over the pipe graph: for every node, the
 /// predecessor pipe on a latency-shortest route from `source` (`None` if
 /// unreachable or the source itself) and the distance label (`u64::MAX`
-/// when unreachable) — what [`crate::RoutingMatrix`] stores per source.
+/// when unreachable) — what [`crate::RoutingMatrix`] stores per source as
+/// a row, and sums up that row.
 pub fn shortest_route_tree_with_dist(
     topo: &DistilledTopology,
     source: NodeId,

@@ -10,9 +10,9 @@
 //! of route state on the *location* rather than the VN:
 //!
 //! * [`RoutingMatrix`] — one shortest-route **tree** per source location
-//!   (predecessor + distance rows, O(locations × nodes)) with a per-pipe
-//!   reverse index for output-sensitive reconfiguration; routes are
-//!   materialised on demand.
+//!   (a row of 4-byte predecessor pipes, O(locations × nodes)) with a
+//!   per-pipe reverse index for output-sensitive reconfiguration; routes
+//!   are materialised and distance labels summed on demand.
 //! * [`RouteTable`] — the per-packet lookup structure the cores read: each
 //!   distinct route interned once, one copy-on-write row per location, and
 //!   4 bytes per endpoint, so memory is O(locations²) however many VNs are

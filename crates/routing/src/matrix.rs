@@ -4,13 +4,16 @@
 //! straightforward design allows fast indexing and scales to 10,000 VNs,
 //! but the routing tables consume O(n²) space." This reproduction keeps the
 //! paper's *interface* (every ordered VN pair resolves to a shortest route)
-//! while storing only one shortest-route **tree** per source — predecessor
-//! and distance arrays over the pipe graph, O(vns × nodes) — and
+//! while storing only one shortest-route **tree** per source — a row of
+//! 4-byte predecessor pipes over the pipe graph, O(vns × nodes) — and
 //! materialising a route on demand by walking predecessors from the
-//! destination. A per-pipe **reverse index** (pipe → source trees that cross
-//! it as a tree edge) makes [`RoutingMatrix::update_pipes`] output-sensitive:
-//! worsening a pipe touches exactly the trees that used it, not every VN in
-//! the component.
+//! destination. A distance label is not stored: it is the sum of the pipe
+//! costs up the same walk ([`RoutingMatrix::distance`]), exactly the label
+//! Dijkstra computed, since Dijkstra accepts only a label below
+//! [`UNUSABLE_COST`]. A per-pipe **reverse index** (pipe → source trees that
+//! cross it as a tree edge) makes [`RoutingMatrix::update_pipes`]
+//! output-sensitive: worsening a pipe touches exactly the trees that used it,
+//! not every VN in the component.
 //!
 //! **Stub trees.** ModelNet's VNs are edge clients, each on one access link,
 //! so most sources are *stubs*: `s`'s only out-pipe `p` is usable, with cost
@@ -31,6 +34,7 @@ use serde::{Deserialize, Serialize};
 use mn_distill::DistilledTopology;
 use mn_topology::NodeId;
 use mn_util::codec::Transient;
+use mn_util::{ByteReader, Codec, CodecError};
 
 use crate::dijkstra::{pipe_cost, scoped_route_tree, Route, NO_PRED, UNUSABLE_COST};
 
@@ -62,15 +66,17 @@ impl RouteUpdate {
 mn_util::codec_record! {
     /// Tree-only route storage over the VN set of a distilled topology.
     ///
-    /// Per source VN the matrix holds one predecessor row and one distance row
-    /// over the pipe graph (the source's shortest-route tree); routes are never
-    /// stored, only derived. Lookup walks the destination's predecessor chain —
-    /// O(hops), allocation-free via [`RoutingMatrix::materialize_at`].
+    /// Per source VN the matrix holds one predecessor row over the pipe
+    /// graph (the source's shortest-route tree); routes and distance labels
+    /// are never stored, only derived. Lookup walks the destination's
+    /// predecessor chain — O(hops), allocation-free via
+    /// [`RoutingMatrix::materialize_at`].
     ///
-    /// Its checkpoint is the complete persistent route state — trees, labels,
-    /// reverse index, component maps, tombstones and version — in declaration
-    /// order; the scratch buffers hold no state between calls and restore
-    /// empty.
+    /// Its checkpoint is the complete persistent route state — trees, pipe
+    /// costs, reverse index, component maps, tombstones and version — in
+    /// declaration order; the scratch buffers hold no state between calls and
+    /// restore empty. Decoding refuses a state any later call would index out
+    /// of range.
     #[derive(Debug, Clone, Default, Serialize, Deserialize)]
     pub struct RoutingMatrix {
         /// The VN set, in index order.
@@ -81,15 +87,13 @@ mn_util::codec_record! {
         vn_of_node: Vec<u32>,
         /// Node count of the pipe graph the matrix was last (re)built against.
         node_count: usize,
-        /// Distance labels of every source's shortest-route tree
-        /// (`dist[src_index * node_count + node]`, `u64::MAX` unreachable).
-        dist: Vec<u64>,
         /// Predecessor pipe of every node in every source's tree
         /// (`pred[src_index * node_count + node]`, [`NO_PRED`] for the source
         /// itself and for unreachable nodes). Together with `pipe_src` this is
         /// the entire route store: a route is the reversed predecessor chain.
         pred: Vec<u32>,
-        /// Per-pipe routing cost snapshot from the last (re)build/update.
+        /// Per-pipe routing cost snapshot from the last (re)build/update: what
+        /// a label sums.
         pipe_cost: Vec<u64>,
         /// Tail node index of every pipe, so predecessor walks need no access
         /// to the topology the matrix was built from.
@@ -102,7 +106,7 @@ mn_util::codec_record! {
         /// VN indices per structural component, ascending.
         component_vns: Vec<Vec<u32>>,
         /// Node indices per structural component, ascending (bounds the
-        /// distance-label refresh of a recomputed source).
+        /// row refresh of a recomputed source).
         component_nodes: Vec<Vec<u32>>,
         /// Reverse index: for every pipe, the ascending source (VN) indices
         /// whose current tree crosses it as a **tree edge**
@@ -113,8 +117,9 @@ mn_util::codec_record! {
         /// output-sensitive.
         pipe_sources: Vec<Vec<u32>>,
         /// The fresh tree of a source [`RoutingMatrix::update_pipes`]
-        /// recomputes, diffed against its stored rows. Entries outside the
-        /// source's component are never read or written.
+        /// recomputes, diffed against its stored row, and the labels every
+        /// tree computation writes and drops. Entries outside the source's
+        /// component are never read or written.
         scratch_dist: Transient<Vec<u64>>,
         scratch_pred: Transient<Vec<u32>>,
         trees: Transient<TreeScratch>,
@@ -124,11 +129,24 @@ mn_util::codec_record! {
         /// Tombstoned source slots (ascending), left behind by
         /// [`RoutingMatrix::remove_source`] and reused by
         /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
-        /// label arrays without bound.
+        /// predecessor rows without bound.
         free_slots: Vec<u32>,
         /// Bumped by every rebuild and every non-empty incremental update.
         version: u64,
     }
+    refuse m if m.pred.len() != m.vns.len().saturating_mul(m.node_count)
+        => "predecessor rows do not cover the source slots";
+    refuse m if (m.pipe_cost.len(), m.pipe_sources.len()) != (m.pipe_src.len(), m.pipe_src.len())
+        => "pipe tables of unequal lengths";
+    refuse m if m.pipe_src.iter().any(|&u| u as usize >= m.node_count)
+        => "pipe tail out of range";
+    refuse m if m.pred.iter().any(|&p| p != NO_PRED && p as usize >= m.pipe_src.len())
+        => "predecessor pipe out of range";
+    refuse m if !m.slots_map_back() => "source slots and node map disagree";
+    refuse m if !m.lists_in_range() => "component or reverse index out of range";
+    refuse m if !m.free_slots.windows(2).all(|w| w[0] < w[1])
+        || m.free_slots.iter().any(|&si| m.vns.get(si as usize) != Some(&DEAD_SOURCE))
+        => "free slots not ascending tombstones";
 }
 
 /// What [`source_tree`] reuses, so no recompute allocates: the heap's
@@ -305,8 +323,6 @@ impl RoutingMatrix {
             }
         }
         self.rebuild_components(topo);
-        self.dist.clear();
-        self.dist.resize(n * nc, UNUSABLE_COST);
         self.pred.clear();
         self.pred.resize(n * nc, NO_PRED);
         self.pipe_sources = vec![Vec::new(); topo.pipe_count()];
@@ -319,15 +335,18 @@ impl RoutingMatrix {
         self.version += 1;
     }
 
-    /// Computes source slot `si`'s tree into its rows ([`source_tree`]) and
+    /// Computes source slot `si`'s tree into its row ([`source_tree`]) and
     /// enters the tree's edges into the reverse index, each pipe's list kept
     /// ascending — a push when slots are planted in ascending order, as
     /// [`RoutingMatrix::rebuild`] does.
     fn plant_tree(&mut self, topo: &DistilledTopology, si: usize) {
         let (nc, src, si_u32) = (self.node_count, self.vns[si], si as u32);
         let nodes = &self.component_nodes[self.node_component[src.index()] as usize];
-        let dist = &mut self.dist[si * nc..(si + 1) * nc];
-        let pred = &mut self.pred[si * nc..(si + 1) * nc];
+        self.scratch_dist.resize(nc, UNUSABLE_COST);
+        let (dist, pred) = (
+            &mut self.scratch_dist,
+            &mut self.pred[si * nc..(si + 1) * nc],
+        );
         source_tree(topo, src, nodes, dist, pred, &mut self.trees);
         for &u in nodes {
             let p = pred[u as usize];
@@ -410,9 +429,11 @@ impl RoutingMatrix {
     /// final distance, and an edge that lost that race before cannot win
     /// it by getting worse — a from-scratch rerun relaxes the same pushes
     /// in the same order and rebuilds the identical tree.) A pipe that got
-    /// *better* has no cheap exact set, so its component's VN labels are
-    /// scanned for sources it now ties or undercuts (`<=` so tie-breaking
-    /// matches a from-scratch recomputation exactly). The result equals a
+    /// *better* has no cheap exact set, so each source of its component sums
+    /// the labels at the pipe's two ends — at the costs its tree was computed
+    /// with, before this call's are written — and is recomputed where the
+    /// new cost ties or undercuts (`<=` so tie-breaking matches a
+    /// from-scratch recomputation exactly). The result equals a
     /// from-scratch [`RoutingMatrix::rebuild`] pair for pair — pinned by
     /// the `dynamics_invariants` and `matrix_trees` property suites.
     ///
@@ -424,26 +445,22 @@ impl RoutingMatrix {
         let same =
             (self.node_count, self.pipe_cost.len()) == (topo.node_count(), topo.pipe_count());
         assert!(same, "update_pipes over another pipe graph");
-        // Classify each genuinely changed pipe by cost direction.
+        // Classify each genuinely changed pipe by cost direction; the new
+        // costs are written once the labels have been read.
         let mut worsened: Vec<PipeId> = Vec::new();
         let mut improved: Vec<(usize, usize, u64)> = Vec::new(); // (src, dst, new cost)
+        let mut costs: Vec<(usize, u64)> = Vec::new();
         for &p in changed {
-            let old = self.pipe_cost[p.index()];
-            let new = pipe_cost(&topo.pipe(p).attrs);
-            if new == old {
-                continue;
-            }
+            let (old, new) = (self.pipe_cost[p.index()], pipe_cost(&topo.pipe(p).attrs));
             if new > old {
-                // A pipe that was already unusable cannot sit in any tree:
-                // worsening it further affects no source.
-                if old != UNUSABLE_COST {
-                    worsened.push(p);
-                }
-            } else {
+                worsened.push(p);
+            } else if new < old {
                 let pipe = topo.pipe(p);
                 improved.push((pipe.src.index(), pipe.dst.index(), new));
+            } else {
+                continue;
             }
-            self.pipe_cost[p.index()] = new;
+            costs.push((p.index(), new));
         }
         let mut update = RouteUpdate::default();
         if worsened.is_empty() && improved.is_empty() {
@@ -453,7 +470,7 @@ impl RoutingMatrix {
         // Candidate sources. Worsened pipes: the reverse index is exact —
         // no scan at all, cost proportional to the trees actually crossing
         // the pipe. Improved pipes: scan the pipe's structural component
-        // for sources whose stored labels the new cost ties or undercuts.
+        // for sources whose labels the new cost ties or undercuts.
         let mut candidates: Vec<u32> = Vec::new();
         for &p in &worsened {
             candidates.extend_from_slice(&self.pipe_sources[p.index()]);
@@ -467,10 +484,10 @@ impl RoutingMatrix {
             comps.dedup();
             for &c in &comps {
                 for &si in &self.component_vns[c as usize] {
-                    let row = &self.dist[si as usize * nc..(si as usize + 1) * nc];
+                    let label = |node| self.label(si as usize, node);
                     let undercut = improved.iter().any(|&(u, v, new_cost)| {
-                        let du = row[u];
-                        du != UNUSABLE_COST && du.saturating_add(new_cost) <= row[v]
+                        let du = label(u);
+                        du != UNUSABLE_COST && du.saturating_add(new_cost) <= label(v)
                     });
                     if undercut {
                         candidates.push(si);
@@ -478,24 +495,25 @@ impl RoutingMatrix {
                 }
             }
         }
+        for (p, new) in costs {
+            self.pipe_cost[p] = new;
+        }
         // Ascending order keeps the reported pair order identical to a full
         // ascending scan, so callers' rewire order cannot drift.
         candidates.sort_unstable();
         candidates.dedup();
         self.trees.hub = None;
+        self.scratch_dist.resize(nc, UNUSABLE_COST);
+        self.scratch_pred.resize(nc, NO_PRED);
+        self.scratch_memo.resize(nc, 0);
         for &si in &candidates {
             let si = si as usize;
             update.recomputed_sources += 1;
             let src = self.vns[si];
-            // Recompute, refresh labels and diff routes only inside the
+            // Recompute, refresh the row and diff routes only inside the
             // source's structural component: everything outside it is
             // unreachable in both the old and the fresh tree.
             let comp = self.node_component[src.index()] as usize;
-            if self.scratch_dist.len() != nc {
-                *self.scratch_dist = vec![UNUSABLE_COST; nc];
-                *self.scratch_pred = vec![NO_PRED; nc];
-                *self.scratch_memo = vec![0; nc];
-            }
             let mut fresh_dist = std::mem::take(&mut *self.scratch_dist);
             let mut fresh_pred = std::mem::take(&mut *self.scratch_pred);
             let nodes = &self.component_nodes[comp];
@@ -542,7 +560,6 @@ impl RoutingMatrix {
                     }
                     self.pred[si * nc + u] = new_p;
                 }
-                self.dist[si * nc + u] = fresh_dist[u];
             }
             *self.scratch_dist = fresh_dist;
             *self.scratch_pred = fresh_pred;
@@ -557,8 +574,8 @@ impl RoutingMatrix {
     /// Dijkstra plus reverse-index seeding — O(component log component),
     /// independent of how many sources the matrix already holds. A
     /// tombstoned slot left by [`RoutingMatrix::remove_source`] is reused
-    /// when available, so sustained join/leave churn keeps the label
-    /// arrays at the high-water source count instead of growing them
+    /// when available, so sustained join/leave churn keeps the predecessor
+    /// rows at the high-water source count instead of growing them
     /// forever. Returns `false` (and changes nothing) when `node` is
     /// already a live source or is not a node of the graph the matrix was
     /// built over.
@@ -570,7 +587,6 @@ impl RoutingMatrix {
         let si = if self.free_slots.is_empty() {
             let si = self.vns.len();
             self.vns.push(node);
-            self.dist.resize((si + 1) * nc, UNUSABLE_COST);
             self.pred.resize((si + 1) * nc, NO_PRED);
             si
         } else {
@@ -596,7 +612,7 @@ impl RoutingMatrix {
     }
 
     /// Removes `node`'s source tree incrementally: the tree's edges are
-    /// unhooked from the reverse index and its label rows cleared —
+    /// unhooked from the reverse index and its row cleared —
     /// O(component), independent of total source count — and the slot is
     /// tombstoned for reuse. Trees *toward* the node's location (other
     /// sources' rows) are untouched, which is what lets descriptors
@@ -621,7 +637,6 @@ impl RoutingMatrix {
                 }
                 self.pred[si * nc + u] = NO_PRED;
             }
-            self.dist[si * nc + u] = UNUSABLE_COST;
         }
         let vns = &mut self.component_vns[comp];
         if let Ok(pos) = vns.binary_search(&si_u32) {
@@ -719,11 +734,79 @@ impl RoutingMatrix {
     /// either node is not a VN or the destination is unreachable.
     pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<u64> {
         let si = self.vn_index(src)?;
-        if dst.index() >= self.node_count {
-            return None;
-        }
-        let d = self.dist[si * self.node_count + dst.index()];
+        let d = (dst.index() < self.node_count).then(|| self.label(si, dst.index()))?;
         (d != UNUSABLE_COST).then_some(d)
+    }
+
+    /// Slot `si`'s label of `node`: the pipe costs up its predecessor chain,
+    /// summed ([`UNUSABLE_COST`] when unreachable) — what Dijkstra computed,
+    /// as it accepts only a label below [`UNUSABLE_COST`].
+    fn label(&self, si: usize, node: usize) -> u64 {
+        let (nc, src) = (self.node_count, self.vns[si].index());
+        let row = &self.pred[si * nc..(si + 1) * nc];
+        let (mut cur, mut sum) = (node, 0u64);
+        while cur != src {
+            let p = row[cur];
+            if p == NO_PRED {
+                return UNUSABLE_COST;
+            }
+            sum = sum.saturating_add(self.pipe_cost[p as usize]);
+            cur = self.pipe_src[p as usize] as usize;
+        }
+        sum
+    }
+
+    /// Number of pipes of the graph the matrix was last (re)built over.
+    pub fn pipe_count(&self) -> usize {
+        self.pipe_src.len()
+    }
+
+    /// Whether `vn_of_node` maps as many nodes as there are live slots, each
+    /// to a slot that names it, and every live slot is a node of the graph.
+    fn slots_map_back(&self) -> bool {
+        let (live, vns) = (self.vns.iter().filter(|&&v| v != DEAD_SOURCE), &self.vns);
+        let named =
+            |(u, &s): (usize, &u32)| s == NO_PRED || vns.get(s as usize) == Some(&NodeId(u));
+        let mapped = self.vn_of_node.iter().filter(|&&s| s != NO_PRED).count();
+        live.clone().all(|v| v.index() < self.node_count)
+            && live.count() == mapped
+            && self.vn_of_node.iter().enumerate().all(named)
+    }
+
+    /// Whether every node has a component, and the component and reverse
+    /// index lists name only nodes of the graph and live slots.
+    fn lists_in_range(&self) -> bool {
+        let live = |&si: &u32| self.vns.get(si as usize).is_some_and(|&v| v != DEAD_SOURCE);
+        let node = |&u: &u32| (u as usize) < self.node_count;
+        let comp = |&c: &u32| (c as usize) < self.component_nodes.len();
+        self.node_component.len() == self.node_count
+            && self.component_vns.len() == self.component_nodes.len()
+            && self.node_component.iter().all(comp)
+            && self.component_nodes.iter().flatten().all(node)
+            && self.component_vns.iter().flatten().all(live)
+            && self.pipe_sources.iter().flatten().all(live)
+    }
+
+    /// Decodes a matrix in `MNSP` v6's layout, which carried every slot's
+    /// labels after the node count: that vector, whose count must be source
+    /// slots × nodes, is read past. The rest of the payload is copied once
+    /// to join the bytes around it, the price of reading a retired layout.
+    pub fn get_past_labels(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let rest = r.take_bytes(r.remaining())?;
+        let mut head = ByteReader::new(rest);
+        let slots = Vec::<NodeId>::get(&mut head)?.len();
+        Vec::<u32>::get(&mut head)?;
+        let labels = slots.saturating_mul(usize::get(&mut head)?);
+        let at = rest.len() - head.remaining();
+        if head.get_count(u64::MIN_BYTES)? != labels {
+            return Err(CodecError::Invalid("labels do not cover the source slots"));
+        }
+        head.take_bytes(labels * u64::MIN_BYTES)?;
+        let joined = [&rest[..at], &rest[rest.len() - head.remaining()..]].concat();
+        let mut joined = ByteReader::new(&joined);
+        let matrix = Self::get(&mut joined)?;
+        *r = ByteReader::new(&rest[rest.len() - joined.remaining()..]);
+        Ok(matrix)
     }
 
     /// Dijkstra runs this matrix has made (not carried by a snapshot): a
@@ -743,15 +826,14 @@ impl RoutingMatrix {
             .map_or(&[][..], |v| v.as_slice())
     }
 
-    /// Resident heap bytes of the route state (trees, labels, reverse
+    /// Resident heap bytes of the route state (trees, pipe costs, reverse
     /// index, component maps) — the structures that scale with topology
     /// size, reported beside the table's own accounting.
     pub fn memory_bytes(&self) -> usize {
         fn nested(v: &[Vec<u32>]) -> usize {
             std::mem::size_of_val(v) + v.iter().map(|e| e.capacity() * 4).sum::<usize>()
         }
-        self.dist.capacity() * 8
-            + self.pred.capacity() * 4
+        self.pred.capacity() * 4
             + self.pipe_cost.capacity() * 8
             + self.pipe_src.capacity() * 4
             + self.vn_of_node.capacity() * 4
@@ -766,14 +848,14 @@ impl RoutingMatrix {
     /// step per nested list), so a first checkpoint is one allocation.
     pub fn encoded_len(&self) -> usize {
         let nested = |v: &[Vec<u32>]| 8 + v.iter().map(|list| 8 + 4 * list.len()).sum::<usize>();
-        let wide = self.vns.len() + self.dist.len() + self.pipe_cost.len();
+        let wide = self.vns.len() + self.pipe_cost.len();
         let narrow = self.vn_of_node.len()
             + self.pred.len()
             + self.pipe_src.len()
             + self.node_component.len()
             + self.free_slots.len();
-        // Eight count prefixes, the node count and the version.
-        80 + 8 * wide
+        // Seven count prefixes, the node count and the version.
+        72 + 8 * wide
             + 4 * narrow
             + nested(&self.component_vns)
             + nested(&self.component_nodes)
@@ -1217,8 +1299,45 @@ mod tests {
         assert_reverse_index_exact(&restored, &d);
     }
 
-    /// Every live source's stored rows against a from-scratch Dijkstra, bit
-    /// for bit: a stub's shifted copy must be indistinguishable from it.
+    #[test]
+    fn a_v6_label_vector_is_read_past_by_its_count() {
+        let m = RoutingMatrix::build(&small_ring());
+        let mut w = mn_util::ByteWriter::new();
+        m.put(&mut w);
+        let v7 = w.into_bytes();
+        // The v6 layout: the labels sat after the node count.
+        let at = 8 + 8 * m.vns.len() + 8 + 4 * m.vn_of_node.len() + 8;
+        let v6 = |labels: usize| {
+            let mut w = mn_util::ByteWriter::new();
+            w.put_bytes(&v7[..at]);
+            w.put_len(labels);
+            w.put_bytes(&vec![7; 8 * labels]);
+            w.put_bytes(&v7[at..]);
+            w.put_u8(42);
+            w.into_bytes()
+        };
+        let cells = m.vns.len() * m.node_count;
+        let bytes = v6(cells);
+        let mut r = ByteReader::new(&bytes);
+        let back = RoutingMatrix::get_past_labels(&mut r).unwrap();
+        assert_eq!(
+            (r.get_u8(), r.remaining()),
+            (Ok(42), 0),
+            "what follows is left"
+        );
+        let mut again = mn_util::ByteWriter::new();
+        back.put(&mut again);
+        assert!(again.as_slice() == v7);
+        for labels in [0, cells - 1, cells + 1] {
+            let refused = RoutingMatrix::get_past_labels(&mut ByteReader::new(&v6(labels)));
+            let why = CodecError::Invalid("labels do not cover the source slots");
+            assert_eq!(refused.unwrap_err(), why);
+        }
+    }
+
+    /// Every live source's stored row and summed labels against a
+    /// from-scratch Dijkstra, bit for bit: a stub's shifted copy must be
+    /// indistinguishable from it.
     fn assert_rows_are_dijkstras(m: &RoutingMatrix, d: &DistilledTopology) {
         let nc = m.node_count;
         for (si, &src) in m.vns.iter().enumerate() {
@@ -1228,7 +1347,8 @@ mod tests {
             let (pred, dist) = crate::shortest_route_tree_with_dist(d, src);
             let pred: Vec<u32> = pred.iter().map(|p| p.map_or(NO_PRED, |p| p.0)).collect();
             assert_eq!(m.pred[si * nc..(si + 1) * nc], pred, "pred row of {src}");
-            assert_eq!(m.dist[si * nc..(si + 1) * nc], dist, "dist row of {src}");
+            let labels: Vec<u64> = (0..nc).map(|u| m.label(si, u)).collect();
+            assert_eq!(labels, dist, "labels of {src}");
         }
     }
 
@@ -1332,6 +1452,69 @@ mod tests {
         assert_eq!(m.dijkstra_runs(), 2, "the hub's, then client 0's own");
         assert!(m.lookup(m.vns()[0], m.vns()[1]).is_none());
         assert!(m.lookup(m.vns()[1], m.vns()[0]).is_some());
+        assert_rows_are_dijkstras(&m, &d);
+    }
+
+    /// Lists a call's changed pairs as slot indices, for recorded values.
+    fn slot_pairs(m: &RoutingMatrix, update: &RouteUpdate) -> Vec<(usize, usize)> {
+        let slot = |node| m.vn_index(node).unwrap();
+        let pairs = update.changed_pairs.iter();
+        pairs.map(|&(s, d)| (slot(s), slot(d))).collect()
+    }
+
+    #[test]
+    fn a_flap_up_listing_its_pipe_twice_counts_it_once() {
+        let mut d = small_ring();
+        let mut m = RoutingMatrix::build(&d);
+        let victim = m.lookup(m.vns()[0], m.vns()[6]).unwrap().pipes[1];
+        let original = d.pipe(victim).attrs;
+        d.pipe_attrs_mut(victim).unwrap().bandwidth = DataRate::ZERO;
+        m.update_pipes(&d, &[victim]);
+        *d.pipe_attrs_mut(victim).unwrap() = original;
+        let up = m.update_pipes(&d, &[victim, victim]);
+        // Recorded when each label was a stored row.
+        assert_eq!(up.recomputed_sources, 6);
+        let rows: [(&[usize], &[usize]); 3] = [
+            (&[0, 1], &[2, 3, 4, 5, 6, 7]),
+            (&[8, 9], &[2, 3]),
+            (&[10, 11], &[2, 3, 4, 5]),
+        ];
+        let mut expected = Vec::new();
+        for (srcs, dsts) in rows {
+            expected.extend(srcs.iter().flat_map(|&s| dsts.iter().map(move |&d| (s, d))));
+        }
+        assert_eq!(slot_pairs(&m, &up), expected);
+        assert_rows_are_dijkstras(&m, &d);
+    }
+
+    #[test]
+    fn two_improved_pipes_one_on_the_others_label_path() {
+        let mut d = small_ring();
+        let mut m = RoutingMatrix::build(&d);
+        let route = m.lookup(m.vns()[0], m.vns()[8]).unwrap();
+        let (first, second) = (route.pipes[1], route.pipes[2]);
+        assert_eq!(d.pipe(first).dst, d.pipe(second).src);
+        for p in [first, second] {
+            d.pipe_attrs_mut(p).unwrap().latency = SimDuration::ZERO;
+        }
+        // The scan reads `second`'s tail label before `first` is cheaper:
+        // recorded when each label was a stored row.
+        let update = m.update_pipes(&d, &[second, first]);
+        assert_eq!(update.recomputed_sources, 8);
+        let expected = [
+            (0, 6),
+            (0, 7),
+            (1, 6),
+            (1, 7),
+            (2, 8),
+            (2, 9),
+            (3, 8),
+            (3, 9),
+        ];
+        let expected = expected
+            .into_iter()
+            .chain([(10, 4), (10, 5), (11, 4), (11, 5)]);
+        assert_eq!(slot_pairs(&m, &update), expected.collect::<Vec<_>>());
         assert_rows_are_dijkstras(&m, &d);
     }
 

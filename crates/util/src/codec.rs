@@ -133,11 +133,13 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Creates a writer with `capacity` bytes pre-allocated.
+    /// Creates a writer with `capacity` bytes pre-allocated. A buffer of
+    /// megabytes (a checkpoint) is offered to the kernel for huge pages
+    /// ([`advise_huge_pages`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        ByteWriter {
-            buf: Vec::with_capacity(capacity),
-        }
+        let buf = Vec::with_capacity(capacity);
+        advise_huge_pages(&buf);
+        ByteWriter { buf }
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -280,6 +282,32 @@ impl ByteWriter {
         t.put(self);
     }
 }
+
+/// Advises the kernel that the whole 2 MiB pages inside `buf`'s allocation
+/// may be backed by transparent huge pages. A checkpoint is written once
+/// into memory the allocator often takes fresh from the kernel, which
+/// otherwise faults in one 4 KiB page at a time: ~1 500 faults for a 6 MiB
+/// buffer, about half its write time on a 2-vCPU VM. Advice only: the
+/// contents are untouched and an error changes nothing.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(buf: &Vec<u8>) {
+    const HUGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    let base = buf.as_ptr() as usize;
+    let start = base.next_multiple_of(HUGE);
+    let end = (base + buf.capacity()) / HUGE * HUGE;
+    if start < end {
+        // SAFETY: the range lies inside `buf`'s allocation, and the advice
+        // changes how its pages are backed, never what they hold.
+        unsafe { madvise(start as *mut std::ffi::c_void, end - start, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_: &Vec<u8>) {}
 
 /// A cursor over encoded bytes, mirroring [`ByteWriter`].
 #[derive(Debug)]
@@ -667,7 +695,7 @@ impl<T: Default> Codec for Transient<T> {
 /// impl — fields written and read in declaration order, `MIN_BYTES` the sum
 /// of the fields' minimums. The field list *is* the record's layout, so
 /// editing it is a format change. A tuple struct of one field (an id
-/// newtype) is encoded as that field. A trailing
+/// newtype) is encoded as that field. Each trailing
 /// `refuse value if <condition> => "why";` turns a decoded record for which
 /// the condition holds into [`CodecError::Invalid`] — for what the record can
 /// tell wrong on its own; checks that need context stay where it is used.
@@ -678,7 +706,7 @@ macro_rules! codec_record {
         $vis:vis struct $name:ident {
             $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
         }
-        $(refuse $value:ident if $bad:expr => $why:literal;)?
+        $(refuse $value:ident if $bad:expr => $why:literal;)*
     ) => {
         $(#[$meta])*
         $vis struct $name {
@@ -703,7 +731,7 @@ macro_rules! codec_record {
                     if $bad {
                         return Err($crate::codec::CodecError::Invalid($why));
                     }
-                )?
+                )*
                 Ok(record)
             }
         }

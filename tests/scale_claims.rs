@@ -148,6 +148,42 @@ fn the_resident_route_arena_is_four_bytes_a_hop() {
     );
 }
 
+/// (vii) The routing matrix is four bytes a source slot and a node: on the
+/// 512-location ring its predecessor rows hold 4 B for each (slot, node),
+/// the reverse index 4 B for each tree edge it lists (twice that resident,
+/// as its lists grow by doubling), and the rest — pipe costs and tails,
+/// the node and component maps, the count prefixes, the scratch rows and
+/// every list's header — fits 64 B a node and a pipe, encoded or resident.
+/// A stored 8-byte label per (slot, node), 2.25 MiB here, adds more than
+/// either bound leaves over: it fails by count.
+#[test]
+fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
+    let _turn = my_turn();
+    let d = ring_512();
+    let before = bytes_in_use();
+    let matrix = RoutingMatrix::build(&d);
+    let resident = bytes_in_use().saturating_sub(before);
+    let (slots, nodes, pipes) = (matrix.vn_count(), d.node_count(), d.pipe_count());
+    let edges: usize = (0..pipes)
+        .map(|p| matrix.pipe_tree_sources(PipeId::from_index(p)).len())
+        .sum();
+    let encoded = matrix.encoded_len();
+    let mut w = mn_util::ByteWriter::new();
+    mn_util::Codec::put(&matrix, &mut w);
+    assert_eq!(encoded, w.len());
+    let rows = 4 * slots * nodes;
+    let rest = 64 * (nodes + pipes);
+    let (encoded_bound, resident_bound) = (rows + 4 * edges + rest, rows + 8 * edges + rest);
+    println!(
+        "(vii) {slots} slots x {nodes} nodes, {pipes} pipes, {edges} tree edges: \
+         {encoded} B encoded (bound {encoded_bound}), {resident} B resident (bound {resident_bound})"
+    );
+    assert!(encoded <= encoded_bound, "{encoded} B encoded");
+    assert!(resident <= resident_bound, "{resident} B resident");
+    let label_bytes = 8 * slots * nodes;
+    assert!(encoded_bound - encoded < label_bytes && resident_bound - resident < label_bytes);
+}
+
 /// One full flap of both directions of a link through the incremental path
 /// (fail, `update_pipes` + `rewire_in_place`, restore, again): the trees it
 /// recomputed and the bytes it requested from the allocator.

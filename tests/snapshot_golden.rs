@@ -9,14 +9,14 @@
 //! re-blessed, and its digest is re-recorded only by a deliberate behaviour
 //! change.
 //!
-//! `tests/data/mnsp_v5_path4.bin` is the scenario under the v5 encoder,
-//! which wrote each VN's location, each VN's liveness and the active VNs
-//! per entry core beside the route table that records all three. Format v6
-//! writes only the entry cores and rebuilds the rest on restore: a layout
-//! change only, so the v5 file restores to the same digest, and restored
-//! and serialised again it is `tests/data/mnsp_v6_path4.bin` byte for byte
-//! — the tables rebuilt from its route table are the ones it persisted.
-//! Every later commit must re-create exactly those bytes on both executors.
+//! `tests/data/mnsp_v6_path4.bin` is the scenario under the v6 encoder,
+//! which wrote every routing-matrix source slot's distance labels beside
+//! the predecessor rows they are summed from. Format v7 writes only the
+//! rows and sums a label when it needs one: a layout change only, so the
+//! v6 file restores to the same digest, and restored and serialised again
+//! it is `tests/data/mnsp_v7_path4.bin` byte for byte — the labels held
+//! nothing the rows did not. Every later commit must re-create exactly
+//! those bytes on both executors.
 //!
 //! A failure here means the snapshot format or the emulated behaviour
 //! changed: bump `SNAPSHOT_VERSION`, add a fixture for the new version
@@ -43,8 +43,8 @@ use modelnet::EmulatorBackend;
 mod membership;
 use membership::membership;
 
-const FIXTURE_V5: &[u8] = include_bytes!("data/mnsp_v5_path4.bin");
 const FIXTURE_V6: &[u8] = include_bytes!("data/mnsp_v6_path4.bin");
+const FIXTURE_V7: &[u8] = include_bytes!("data/mnsp_v7_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
@@ -219,24 +219,24 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v6 fixture on both executors, and so does
-/// restoring the v5 file, whose dropped tables are rebuilt on the way.
+/// The current encoder writes the v7 fixture on both executors, and so does
+/// restoring the v6 file, whose distance labels are read past.
 #[test]
-fn both_executors_reproduce_the_v6_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 6, "this fixture pins format v6");
+fn both_executors_reproduce_the_v7_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 7, "this fixture pins format v7");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V6,
-            "snapshot bytes drifted from the v6 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V7,
+            "snapshot bytes drifted from the v7 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V5).unwrap();
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V6).unwrap();
     let stats = restored.total_stats();
     assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V6);
-    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V5).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V6);
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V7);
+    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V6).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V7);
 }
 
 fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
@@ -248,13 +248,13 @@ fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
 }
 
 #[test]
-fn the_v5_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V5);
+fn the_v6_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V6);
 }
 
 #[test]
-fn the_v6_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V6);
+fn the_v7_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V7);
 }
 
 /// The tables a restore rebuilds rather than reads hold what the
@@ -269,7 +269,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     };
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
-    for fixture in [FIXTURE_V5, FIXTURE_V6] {
+    for fixture in [FIXTURE_V6, FIXTURE_V7] {
         let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -282,13 +282,13 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v5_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V5);
+fn every_bit_flip_and_every_truncation_of_the_v6_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V6);
 }
 
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v6_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V6);
+fn every_bit_flip_and_every_truncation_of_the_v7_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V7);
 }
 
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
@@ -315,7 +315,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V6.to_vec();
+    let mut after_frame = FIXTURE_V7.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -330,7 +330,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V6[16..FIXTURE_V6.len() - 8]);
+    w.put_bytes(&FIXTURE_V7[16..FIXTURE_V7.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -348,11 +348,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v6_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v7_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v6_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v7_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(EmulatorBackend::Sequential(
