@@ -452,7 +452,8 @@ mod tests {
             let sequential = run(ExecutionBackend::Sequential, cores);
             let threaded = run(ExecutionBackend::Threaded, cores);
             assert_eq!(sequential, threaded, "{cores}-core runs diverge");
-            assert!(sequential.6.cbr_injected > 0, "CBR episode ran");
+            let modelled = sequential.6.fluid_modelled_bytes;
+            assert_eq!(modelled, 375_000, "1 Mb/s of CBR for 3 s");
             assert!(sequential.1 > 0, "traffic flowed through the dynamics");
         }
     }

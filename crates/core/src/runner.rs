@@ -187,8 +187,8 @@ impl EmulatorBackend {
         on_emulator!(self, emu => emu.update_pipe_attrs(pipe, attrs))
     }
 
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a pipe, on whichever core owns it.
+    /// Installs, replaces or (with `None`) removes the CBR cross-traffic
+    /// episode on a pipe: a fixed-rate fluid demand there.
     pub fn set_pipe_cbr(
         &mut self,
         pipe: mn_distill::PipeId,
@@ -472,11 +472,11 @@ impl Codec for Event {
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
 /// Current runner snapshot format version, the only one written; this
-/// version and the one before restore. Versions 6 and 7 have one layout,
+/// version and the one before restore. Versions 7 and 8 have one layout,
 /// nesting an `MNSP` frame of their own version, and one checksum: the
 /// runner's own fields and the nested frame's header and checksum, not
 /// that frame's payload a second time ([`checksum_around_emulator_frame`]).
-const RUNNER_SNAPSHOT_VERSION: u32 = 7;
+const RUNNER_SNAPSHOT_VERSION: u32 = 8;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -1175,7 +1175,7 @@ impl Runner {
         }
         let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                6 | 7 => Ok(checksum_around_emulator_frame),
+                7 | 8 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way

@@ -3,8 +3,8 @@
 //! [`ScheduleEngine`] owns the authoritative copy of the distilled pipe
 //! graph and walks a [`Schedule`](crate::Schedule) against a running
 //! emulation: pipe parameters are mutated in place on the allocation-free
-//! tick path, CBR injectors are installed/removed as first-class scheduled
-//! sources, and — only when a change can actually affect shortest paths
+//! tick path, CBR episodes are installed/removed as fixed-rate fluid
+//! demands, and — only when a change can actually affect shortest paths
 //! (latency, or a link failing/recovering) — the affected routes are
 //! recomputed **incrementally** through [`DynamicsTarget::reroute`].
 //! Changes applied at one apply point are batched into a single reroute, so
@@ -35,8 +35,8 @@ pub trait DynamicsTarget {
     /// inside the pipe keep their computed deadlines.
     fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool;
 
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a pipe; injection starts at `from`.
+    /// Installs, replaces or (with `None`) removes the CBR cross-traffic
+    /// episode on a pipe, from `from`.
     fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool;
 
     /// Recomputes routing incrementally after the listed pipes of `topo`
@@ -208,7 +208,7 @@ pub struct AppliedChanges {
     pub events: usize,
     /// Pipes whose parameters were updated in place.
     pub pipes_updated: usize,
-    /// CBR injectors installed, replaced or removed.
+    /// CBR episodes installed, replaced or removed.
     pub cbr_changes: usize,
     /// Fluid flows started, resized or stopped.
     pub fluid_changes: usize,

@@ -5,10 +5,11 @@
 //! * **Synthetic cross traffic.** The paper derives per-pipe settings from
 //!   a background-demand matrix off line and installs them periodically.
 //!   Here background load is carried at run time by the emulator itself:
-//!   CBR injectors on a pipe (`Emulator::set_pipe_cbr`, scheduled with
+//!   CBR episodes on a pipe (`Emulator::set_pipe_cbr`, scheduled with
 //!   [`ScheduleEvent::CbrStart`]/[`ScheduleEvent::CbrStop`]) and fluid
 //!   background demand (`Emulator::set_pipe_compensation`,
-//!   `Experiment::compensation`, scheduled fluid flows). There is no
+//!   `Experiment::compensation`, scheduled fluid flows), all of them fluid
+//!   demands the fair share allocates. There is no
 //!   off-line matrix tool in this crate.
 //! * **Fault injection and link perturbation**: scheduled changes to link
 //!   bandwidth/latency/loss (including complete failures), with routes
@@ -20,7 +21,7 @@
 //! virtual-time-stamped [`Schedule`] of link failures/recoveries, parameter
 //! renegotiation, node churn and CBR / fluid episode changes, applied to a
 //! live emulation by the [`ScheduleEngine`] — pipe parameters mutate in
-//! place, injectors ride the allocation-free tick path, and only the routes
+//! place, background demands re-solve allocation-free, and only the routes
 //! a change can affect are recomputed (incrementally, preserving the route
 //! ids of descriptors in flight).
 

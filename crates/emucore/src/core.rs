@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::{PipeAttrs, PipeId};
-use mn_pipe::{CbrConfig, EmuPipe, EnqueueOutcome, PipeStats};
+use mn_pipe::{EmuPipe, EnqueueOutcome, PipeStats};
 use mn_routing::RouteTable;
 use mn_util::rngs::derived_rng;
 use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration};
@@ -127,7 +127,9 @@ core_stats! {
     bytes_in,
     /// Bytes transmitted (deliveries plus tunnels out).
     bytes_out,
-    /// Background CBR cross-traffic packets injected into local pipes.
+    /// Always 0 since format v8: a CBR episode is a fluid demand (its bytes
+    /// count in `fluid_modelled_bytes`), and nothing meters its packets. A
+    /// core restored from a v7 checkpoint keeps the count that run made.
     cbr_injected,
     /// Descriptors dropped because their next pipe was a failed link
     /// (configured bandwidth zero, e.g. after a `NodeDown` event). Without
@@ -171,27 +173,6 @@ impl TickOutput {
     pub fn clear(&mut self) {
         self.deliveries.clear();
         self.tunnels.clear();
-    }
-}
-
-mn_util::codec_record! {
-    /// One scheduled constant-bit-rate background injector on a locally owned
-    /// pipe (the paper's hop-by-hop compensation for distilled-away links).
-    ///
-    /// Since the hybrid fluid model took over the bandwidth contention (the
-    /// coordinator registers a CBR episode as a fixed-rate fluid demand on the
-    /// pipe), the source is a pure meter: it advances `next_at` and counts
-    /// injections, but no longer materialises per-packet descriptors.
-    #[derive(Debug, Clone, Copy)]
-    struct CbrSource {
-        /// The pipe the injector feeds.
-        pipe: PipeId,
-        /// Wire size of each injected packet.
-        packet_size: mn_util::ByteSize,
-        /// Inter-packet gap realising the configured rate.
-        interval: SimDuration,
-        /// Virtual time of the next injection.
-        next_at: SimTime,
     }
 }
 
@@ -258,10 +239,6 @@ pub struct EmulatorCore {
     /// admits the due ones before anything else. Not in the slab: a
     /// descriptor takes a slot only once a pipe here accepts it.
     pub(crate) inbox: TimerWheel<Descriptor>,
-    /// Scheduled CBR background injectors on locally owned pipes, in
-    /// installation order (the injection order, identical on both
-    /// execution backends).
-    cbr: Vec<CbrSource>,
     /// Sum of fluid demand over locally owned pipes, in bits/second.
     fluid_total_bps: u64,
     /// Virtual time the fluid byte integral has been advanced to.
@@ -304,7 +281,6 @@ impl EmulatorCore {
             free: Vec::new(),
             pending_remote: Vec::new(),
             inbox: TimerWheel::new(),
-            cbr: Vec::new(),
             fluid_total_bps: 0,
             fluid_last: SimTime::ZERO,
             fluid_bits_ns_rem: 0,
@@ -342,7 +318,7 @@ impl EmulatorCore {
 
     /// The installed pipe for `id`, if this core owns it.
     #[inline]
-    fn pipe(&self, id: PipeId) -> Option<&EmuPipe<Slot>> {
+    pub(crate) fn pipe(&self, id: PipeId) -> Option<&EmuPipe<Slot>> {
         self.pipes.get(id.index()).and_then(Option::as_ref)
     }
 
@@ -367,28 +343,6 @@ impl EmulatorCore {
             }
             None => false,
         }
-    }
-
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a locally owned pipe. Injection starts at `from` and is
-    /// driven by the tick path, so it costs no allocation at steady state.
-    /// Returns `false` if the pipe is not installed here.
-    pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        if !self.owns_pipe(pipe) {
-            return false;
-        }
-        self.cbr.retain(|s| s.pipe != pipe);
-        if let Some(config) = config {
-            if let Some(interval) = config.interval() {
-                self.cbr.push(CbrSource {
-                    pipe,
-                    packet_size: config.packet_size,
-                    interval,
-                    next_at: from,
-                });
-            }
-        }
-        true
     }
 
     /// Sets the fluid (flow-level) bandwidth demand on a locally owned pipe,
@@ -426,28 +380,6 @@ impl EmulatorCore {
             self.fluid_total_bps as u128 * elapsed_ns as u128 + self.fluid_bits_ns_rem as u128;
         self.stats.fluid_modelled_bytes += (bits_ns / 8_000_000_000) as u64;
         self.fluid_bits_ns_rem = (bits_ns % 8_000_000_000) as u64;
-    }
-
-    /// The CBR injectors currently installed on this core, as
-    /// `(pipe, packet size, inter-packet gap)` triples.
-    pub fn cbr_sources(
-        &self,
-    ) -> impl Iterator<Item = (PipeId, mn_util::ByteSize, SimDuration)> + '_ {
-        self.cbr.iter().map(|s| (s.pipe, s.packet_size, s.interval))
-    }
-
-    /// Advances every CBR meter past `now`, counting the injections that
-    /// would have occurred. The bandwidth the injections consume is carried
-    /// by the pipe's fluid demand (installed by the coordinator alongside
-    /// the meter), so no per-packet descriptor is built and no RNG is
-    /// drawn. Runs at the head of each scheduler pass; allocates nothing.
-    fn inject_cbr(&mut self, now: SimTime) {
-        for source in &mut self.cbr {
-            while source.next_at <= now {
-                source.next_at += source.interval;
-                self.stats.cbr_injected += 1;
-            }
-        }
     }
 
     /// Counters.
@@ -496,10 +428,7 @@ impl EmulatorCore {
     pub fn next_wakeup(&self) -> Option<SimTime> {
         let heap_next = self.wheel.peek_time();
         let staged_next = self.pending_remote.iter().map(|(_, _, t)| *t).min();
-        // An installed CBR injector keeps the core perpetually busy: its
-        // next injection is always due work (background load never stops).
-        let cbr_next = self.cbr.iter().map(|s| s.next_at).min();
-        [heap_next, staged_next, self.inbox.peek_time(), cbr_next]
+        [heap_next, staged_next, self.inbox.peek_time()]
             .into_iter()
             .flatten()
             .min()
@@ -724,11 +653,6 @@ impl EmulatorCore {
         self.credit_cpu(now);
         out.clear();
 
-        // Background cross traffic first: due injections enter their pipes
-        // with their ideal timestamps, so they contend with (and are ordered
-        // against) the foreground work this pass services.
-        self.inject_cbr(now);
-
         let per_hop_cpu = self.profile.per_hop_cpu;
         // One loop per due wheel entry: pop a handle, step its descriptor in
         // place, hand the handle to the next pipe. An entry whose packet an
@@ -804,9 +728,10 @@ impl EmulatorCore {
     /// every installed pipe (attributes, drain clock, stats, fluid demand
     /// and in-flight packets in queue order), the scheduler wheel's pending
     /// entries in pop order (stale entries included, so the restored wheel
-    /// services deadlines identically), staged tunnel descriptors, CBR
-    /// meters, the fluid/CPU/NIC accounting, counters, the accuracy log, the
-    /// RNG stream position and the inbox in pop order. Slot handles
+    /// services deadlines identically), staged tunnel descriptors, the
+    /// fluid/CPU/NIC accounting, counters, the accuracy log, the RNG stream
+    /// position and the inbox in pop order. The fluid demand total is not
+    /// written: it is the sum of the pipes' demands. Slot handles
     /// are resolved: each queue position carries its descriptor, so neither
     /// a handle's value nor the free list reaches the bytes. The hardware
     /// profile and route table are shared emulator-level state and are
@@ -837,8 +762,6 @@ impl EmulatorCore {
             from_slab(slot, w);
             at.put(w);
         }
-        self.cbr.put(w);
-        self.fluid_total_bps.put(w);
         self.fluid_last.put(w);
         self.fluid_bits_ns_rem.put(w);
         self.cpu_backlog.put(w);
@@ -863,12 +786,15 @@ impl EmulatorCore {
     /// was encoded: same deadlines, same queue contents, same RNG draws. Its
     /// slab is filled densely in decode order with no free slot, whatever
     /// the encoded core's looked like. Every descriptor must
-    /// [fit](Descriptor::fits) `routes`; a wheel entry and a CBR source must
-    /// name a pipe installed here, a staged tunnel one that `pod` gives to a
-    /// peer, and a tunnel in the inbox must be one this core can admit
-    /// ([`EmulatorCore::receive_restored`]).
+    /// [fit](Descriptor::fits) `routes`; a wheel entry must name a pipe
+    /// installed here, a staged tunnel one that `pod` gives to a peer, and a
+    /// tunnel in the inbox must be one this core can admit
+    /// ([`EmulatorCore::receive_restored`]). The fluid demand total is summed
+    /// from the pipes; a `version` 7 core wrote it, after its CBR meters, and
+    /// both are read past.
     pub fn decode_state(
         r: &mut ByteReader,
+        version: u32,
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
         pod: &PipeOwnershipDirectory,
@@ -908,16 +834,21 @@ impl EmulatorCore {
             }
             pending_remote.push((pipe, to_slab(r)?, SimTime::get(r)?));
         }
-        let cbr = Vec::<CbrSource>::get(r)?;
-        // `inject_cbr` steps `next_at` by the interval until it passes now.
-        let runs = |source: &CbrSource| installed(source.pipe) && !source.interval.is_zero();
-        if !cbr.iter().all(runs) {
-            return Err(Invalid("CBR source with no pipe here or no interval"));
+        if version == 7 {
+            // Each meter: its pipe, packet size, interval and next injection.
+            let meter = <(PipeId, ByteSize, SimDuration, SimTime)>::MIN_BYTES;
+            let meters = r.get_count(meter)?;
+            r.take_bytes(meters * meter + u64::MIN_BYTES)?;
         }
         if slab.iter().any(|d| !d.fits(&routes)) {
             return Err(Invalid("descriptor route or hop out of range"));
         }
-        let (fluid_total_bps, fluid_last, fluid_bits_ns_rem) = Codec::get(r)?;
+        let fluid_total_bps = (pipes.iter().flatten())
+            .try_fold(0u64, |sum, pipe| {
+                sum.checked_add(pipe.fluid_demand().as_bps())
+            })
+            .ok_or(Invalid("pipes' fluid demand overflows"))?;
+        let (fluid_last, fluid_bits_ns_rem) = Codec::get(r)?;
         let (cpu_backlog, cpu_busy_total, cpu_last_credit) = Codec::get(r)?;
         let (started_at, last_seen, rx_tokens, rx_last_refill) = Codec::get(r)?;
         let (stats, accuracy, rng_state) = Codec::get(r)?;
@@ -931,7 +862,6 @@ impl EmulatorCore {
             free: Vec::new(),
             pending_remote,
             inbox: TimerWheel::new(),
-            cbr,
             fluid_total_bps,
             fluid_last,
             fluid_bits_ns_rem,
@@ -957,6 +887,7 @@ impl EmulatorCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SNAPSHOT_VERSION;
 
     #[test]
     fn merge_is_associative_and_commutative() {
@@ -999,21 +930,17 @@ mod tests {
     #[test]
     fn core_records_keep_the_record_contract() {
         mn_util::codec::record_contract(CoreStats::sample(7));
-        mn_util::codec::record_contract(CbrSource {
-            pipe: PipeId(3),
-            packet_size: ByteSize::from_bytes(500),
-            interval: SimDuration::from_micros(13_333),
-            next_at: SimTime::from_millis(2),
-        });
         mn_util::codec::record_contract(HardwareProfile::paper_core());
         mn_util::codec::record_contract((CoreId(2), PipeId(9), mn_topology::NodeId(4)));
     }
 
-    /// A lossy pipe overflowing mid-run beside one carrying a CBR meter, a
+    /// A lossy pipe overflowing mid-run beside one given a fluid demand, a
     /// tunnel staged for a peer and one waiting in the inbox: its core's
     /// checkpoint bytes, pinned by their length and sum — no golden fixture
-    /// draws a random loss. Recorded once, at `MNSP` v5, when RED retired
-    /// and tunnels in flight moved into their target core.
+    /// draws a random loss. Recorded at `MNSP` v5, when RED retired and
+    /// tunnels in flight moved into their target core, and again at v8,
+    /// 48 bytes shorter: the CBR meter this core carried then (a count and
+    /// 32 bytes) and the fluid total went.
     #[test]
     fn a_lossy_core_encodes_to_its_pinned_bytes() {
         use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
@@ -1030,8 +957,6 @@ mod tests {
         };
         core.install_pipe(PipeId(0), attrs);
         core.install_pipe(PipeId(1), attrs);
-        let cbr = CbrConfig::new(DataRate::from_kbps(300), ByteSize::from_bytes(500));
-        assert!(core.set_pipe_cbr(PipeId(1), Some(cbr), SimTime::from_millis(1)));
         let packet = |id: u64, now: SimTime| {
             let flow = FlowKey {
                 src: VnId(0),
@@ -1054,6 +979,8 @@ mod tests {
                 core.tick(now);
             }
         }
+        let demand = DataRate::from_kbps(300);
+        assert!(core.set_pipe_fluid_demand(PipeId(1), demand, SimTime::from_millis(47)));
         let arrives = SimTime::from_millis(50);
         let mut crossing = Descriptor::new(packet(95, arrives), remote, SimTime::from_millis(45));
         crossing.hop = 1;
@@ -1065,8 +992,47 @@ mod tests {
         core.encode_state(&mut w);
         assert_eq!(
             (w.len(), mn_util::codec::checksum64(w.as_slice())),
-            (5_473, 0xfb87_5658_3761_8ee4)
+            (5_425, 0xc0df_84d4_b384_c4b7)
         );
+        let pod = PipeOwnershipDirectory::from_owners([0, 0, 1].map(CoreId).to_vec(), 2);
+        let (profile, routes) = (core.profile, core.routes.clone());
+        let r = &mut mn_util::ByteReader::new(w.as_slice());
+        let restored = EmulatorCore::decode_state(r, SNAPSHOT_VERSION, profile, routes, &pod);
+        assert_eq!(restored.unwrap().fluid_total_bps, demand.as_bps());
+    }
+
+    /// A v7 core wrote its CBR meters (a count, 32 bytes each) and its fluid
+    /// total between its staged tunnels and its fluid clock: read past,
+    /// bounded by the meter count, the total summed from the pipes.
+    #[test]
+    fn a_v7_core_is_read_past_its_cbr_meters_and_fluid_total() {
+        let routes = Arc::new(RouteTable::new(2));
+        let profile = HardwareProfile::unconstrained();
+        let mut core = EmulatorCore::new(CoreId(0), profile, 1, routes.clone(), 1);
+        let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
+        core.install_pipe(PipeId(0), attrs);
+        let clock = SimTime::from_nanos(0x5eed_5eed_5eed);
+        assert!(core.set_pipe_fluid_demand(PipeId(0), DataRate::from_mbps(3), clock));
+        let mut w = mn_util::ByteWriter::new();
+        core.encode_state(&mut w);
+        let v8 = w.into_bytes();
+        let at = v8
+            .windows(8)
+            .position(|w| w == clock.as_nanos().to_le_bytes());
+        let (head, tail) = v8.split_at(at.expect("the fluid clock is written"));
+        let v7 = |meters: u64| [head, &meters.to_le_bytes(), &[9; 2 * 32 + 8], tail].concat();
+        let pod = PipeOwnershipDirectory::single_core(1);
+        let decode = |bytes: &[u8]| {
+            let r = &mut mn_util::ByteReader::new(bytes);
+            EmulatorCore::decode_state(r, 7, profile, routes.clone(), &pod)
+        };
+        let restored = decode(&v7(2)).unwrap();
+        assert_eq!(restored.fluid_total_bps, DataRate::from_mbps(3).as_bps());
+        let mut again = mn_util::ByteWriter::new();
+        restored.encode_state(&mut again);
+        assert!(again.into_bytes() == v8);
+        let why = mn_util::CodecError::Invalid("length prefix exceeds input");
+        assert_eq!(decode(&v7(u64::MAX)).map(|_| ()), Err(why));
     }
 
     /// Every hop is entered at the deadline its predecessor named, so an
@@ -1373,7 +1339,7 @@ mod tests {
             let pod = PipeOwnershipDirectory::from_owners(owners, 2);
             let decode = |bytes: &[u8]| {
                 let r = &mut mn_util::ByteReader::new(bytes);
-                EmulatorCore::decode_state(r, profile, table.clone(), &pod)
+                EmulatorCore::decode_state(r, SNAPSHOT_VERSION, profile, table.clone(), &pod)
             };
             let mut restored = decode(&bytes).unwrap();
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));
@@ -1384,21 +1350,15 @@ mod tests {
 
             // A slab descriptor on a route the table does not hold, or past
             // its route's end, is refused where it is read; so is a pipe id
-            // the run phase would index or look an owner up with, and a CBR
-            // source whose zero interval `inject_cbr` would spin on.
-            let cbr = |pipe, interval| CbrSource {
-                pipe: PipeId(pipe),
-                packet_size: ByteSize::from_bytes(100),
-                interval,
-                next_at: SimTime::ZERO,
-            };
+            // the run phase would index or look an owner up with, and fluid
+            // demands whose sum, the core's total, a u64 cannot hold.
             let stage = |core: &mut EmulatorCore, pipe| {
                 let slot = core.alloc_slot(core.slab[0].clone());
                 core.pending_remote
                     .push((PipeId(pipe), slot, SimTime::ZERO));
             };
             type Corrupt<'a> = &'a dyn Fn(&mut EmulatorCore);
-            let hostile: [(&str, Corrupt); 7] = [
+            let hostile: [(&str, Corrupt); 6] = [
                 ("descriptor route or hop out of range", &|c| {
                     c.slab[1].route = RouteId(99)
                 }),
@@ -1410,11 +1370,10 @@ mod tests {
                 }),
                 ("staged tunnel's pipe has no peer owner", &|c| stage(c, 99)),
                 ("staged tunnel's pipe has no peer owner", &|c| stage(c, 1)),
-                ("CBR source with no pipe here or no interval", &|c| {
-                    c.cbr.push(cbr(99, SimDuration::from_millis(1)))
-                }),
-                ("CBR source with no pipe here or no interval", &|c| {
-                    c.cbr.push(cbr(0, SimDuration::ZERO))
+                ("pipes' fluid demand overflows", &|c| {
+                    for pipe in c.pipes.iter_mut().flatten() {
+                        pipe.set_fluid_demand(DataRate::from_bps(u64::MAX));
+                    }
                 }),
             ];
             for (what, corrupt) in hostile {
@@ -1427,12 +1386,11 @@ mod tests {
                     mn_util::CodecError::Invalid(what)
                 );
             }
-            // What the encoder writes of a staged tunnel, a tunnel in the
-            // inbox and a CBR source passes: all three re-serialise.
+            // What the encoder writes of a staged tunnel and a tunnel in the
+            // inbox passes: both re-serialise.
             let mut sound = decode(&bytes).unwrap();
             stage(&mut sound, 2);
             sound.receive_tunnel(SimTime::from_millis(3), sound.slab[0].clone());
-            sound.cbr.push(cbr(0, SimDuration::from_millis(1)));
             let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
             sound.encode_state(&mut w);
             let staged = w.into_bytes();

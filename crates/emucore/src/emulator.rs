@@ -70,12 +70,6 @@ pub enum CoreCommand {
     SetRoutes(Arc<RouteTable>),
     /// Update one locally installed pipe's parameters.
     UpdatePipe { pipe: PipeId, attrs: PipeAttrs },
-    /// Install/replace/remove the CBR injector on one local pipe.
-    SetCbr {
-        pipe: PipeId,
-        config: Option<CbrConfig>,
-        from: SimTime,
-    },
     /// Apply a new per-pipe fluid demand from the coordinator's fair-share
     /// solve, effective at `at`.
     SetFluidDemand {
@@ -96,7 +90,6 @@ impl CoreCommand {
                 true
             }
             CoreCommand::UpdatePipe { pipe, attrs } => core.update_pipe_attrs(pipe, attrs),
-            CoreCommand::SetCbr { pipe, config, from } => core.set_pipe_cbr(pipe, config, from),
             CoreCommand::SetFluidDemand { pipe, rate, at } => {
                 core.set_pipe_fluid_demand(pipe, rate, at)
             }
@@ -504,15 +497,6 @@ impl<X: CoreExecutor> Emulator<X> {
         Ok(())
     }
 
-    /// Carries out `command` on the core that owns `pipe`; `Ok(false)` for a
-    /// pipe no core owns.
-    fn apply_to_owner(&mut self, pipe: PipeId, command: CoreCommand) -> Result<bool, EmuError> {
-        match self.pod.get_owner(pipe) {
-            Some(owner) => self.exec.apply(owner, command),
-            None => Ok(false),
-        }
-    }
-
     /// One change to the fluid state at `at`: if `change` took, the fair
     /// share is re-solved there.
     fn fluid_change(&mut self, at: SimTime, change: impl FnOnce(&mut FluidState) -> bool) -> bool {
@@ -538,7 +522,13 @@ impl<X: CoreExecutor> Emulator<X> {
     /// fluid model tracks the new capacity; live flows re-share immediately.
     pub fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
         self.control(|emu| {
-            if !emu.apply_to_owner(pipe, CoreCommand::UpdatePipe { pipe, attrs })? {
+            let Some(owner) = emu.pod.get_owner(pipe) else {
+                return Ok(false);
+            };
+            if !emu
+                .exec
+                .apply(owner, CoreCommand::UpdatePipe { pipe, attrs })?
+            {
                 return Ok(false);
             }
             emu.fluid.set_capacity(pipe, attrs.bandwidth);
@@ -547,34 +537,24 @@ impl<X: CoreExecutor> Emulator<X> {
         })
     }
 
-    /// Installs, replaces or (with `None`) removes the CBR background
-    /// injector on a pipe, on whichever core owns it. Injection starts at
-    /// `from` (the paper's hop-by-hop compensation for distilled-away
-    /// links, and the cross-traffic half of runtime reconfiguration).
+    /// Installs, replaces or (with `None`) removes a CBR cross-traffic
+    /// episode on a pipe from `from` (the paper's hop-by-hop compensation
+    /// for distilled-away links, and the cross-traffic half of runtime
+    /// reconfiguration): [`set_pipe_compensation`](Self::set_pipe_compensation)
+    /// at the config's rate. A config that would inject nothing carries no
+    /// demand. Returns `false` if the pipe is unknown.
     pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        self.control(|emu| {
-            if !emu.apply_to_owner(pipe, CoreCommand::SetCbr { pipe, config, from })? {
-                return Ok(false);
-            }
-            // The bandwidth half of the episode is a fixed-rate fluid demand
-            // on the pipe; degenerate configs (which inject nothing) carry
-            // none.
-            let rate = config.and_then(|c| c.interval().map(|_| c.rate));
-            emu.fluid.set_cbr(pipe, rate, from);
-            emu.recompute_fluid(from)?;
-            Ok(true)
-        })
+        let rate = config.and_then(|c| c.interval().map(|_| c.rate));
+        self.set_pipe_compensation(pipe, rate, from)
     }
 
-    /// Installs (or clears, with `None`) a distillation-compensation rate on
-    /// `pipe`: a fixed-rate background demand standing in for the contention
-    /// of the hops the pipe collapsed (§4.1, "background CBR cross traffic").
-    ///
-    /// Unlike [`set_pipe_cbr`](Self::set_pipe_cbr) this is fluid-only — no
-    /// packets are synthesised, foreground traffic just sees the pipe's
-    /// residual capacity — so the steady state allocates nothing. It shares
-    /// the per-pipe background demand slot with scheduled CBR episodes:
-    /// installing one replaces the other.
+    /// Installs (or clears, with `None`) a fixed-rate background demand on
+    /// `pipe` from `from`, standing in for the contention of the hops the
+    /// pipe collapsed (§4.1, "background CBR cross traffic"). It is a fluid
+    /// demand: no packets are synthesised, foreground traffic just sees the
+    /// pipe's residual capacity, and the steady state allocates nothing. A
+    /// pipe has one such slot, which CBR episodes share: installing one
+    /// replaces the other.
     ///
     /// Returns `false` if the pipe is unknown.
     pub fn set_pipe_compensation(
@@ -919,7 +899,7 @@ impl<X: CoreExecutor> Emulator<X> {
         // entry cores are written.
         admission.vn_entry_core.put(w);
         admission.local_deliveries.put(w);
-        fluid.put(w);
+        fluid.encode(w);
         exec.encode_cores(w)?;
         w.end_frame(frame);
         Ok(())
@@ -949,23 +929,22 @@ impl<X: CoreExecutor> Emulator<X> {
     /// checksum only says the bytes are the ones written; every index the
     /// run phase later uses unchecked — entry cores, each route's pipes
     /// against the ownership directory, each descriptor's route and hop,
-    /// each tunnel's target, the fluid solver's per-pipe vectors against
-    /// the directory — is checked here, so a hand-built or damaged snapshot
-    /// is a typed error here, not an out-of-bounds panic on the forwarding
-    /// path. Each VN's location and liveness are rebuilt from the route
-    /// table, which records both, and the load vector from them and the
-    /// entry cores; a v6 frame's distance labels are read past. The frame
-    /// is written out rather than declared because those checks need what
-    /// was read before them.
+    /// each tunnel's target, each pipe on the core the directory gives it
+    /// to — is checked here, so a hand-built or damaged snapshot is a typed
+    /// error here, not an out-of-bounds panic on the forwarding path. Each
+    /// VN's location and liveness are rebuilt from the route table, which
+    /// records both, and the load vector from them and the entry cores; the
+    /// fluid solver's per-pipe capacities and demands from the restored
+    /// pipes, which hold both. A v7 frame wrote those vectors, each core's
+    /// fluid total and CBR meters too; they are read past. The frame is
+    /// written out rather than declared because those checks need what was
+    /// read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = match version {
-            6 => RoutingMatrix::get_past_labels(r)?,
-            _ => RoutingMatrix::get(r)?,
-        };
+        let matrix = RoutingMatrix::get(r)?;
         let core_count = usize::get(r)?;
         let owners = r.get_u64s()?;
         if owners.iter().any(|&owner| owner >= core_count as u64) {
@@ -995,23 +974,27 @@ impl<X: CoreExecutor> Emulator<X> {
             return Err(Invalid("VN entry core out of range"));
         }
         let local_deliveries = Vec::<Delivery>::get(r)?;
-        let fluid = FluidState::get(r)?;
-        // The solver indexes them with every pipe a route names.
-        if fluid.pipe_count() != pod.pipe_count() {
-            return Err(Invalid("fluid capacities do not cover the POD's pipes"));
-        }
+        let mut fluid = FluidState::decode(r, version, pod.pipe_count())?;
         if r.get_len()? != core_count {
             return Err(CodecError::Invalid("core count mismatch"));
         }
         let mut cores = Vec::with_capacity(core_count);
         for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, profile, routes.clone(), &pod)?;
+            let core = EmulatorCore::decode_state(r, version, profile, routes.clone(), &pod)?;
             if core.id().index() != idx {
                 return Err(CodecError::Invalid("core ids out of order"));
             }
             cores.push(core);
         }
         r.finish()?;
+        // Each pipe's capacity and fluid demand are its owner's copy's.
+        for p in 0..pod.pipe_count() {
+            let pipe = PipeId::from_index(p);
+            let Some(installed) = cores[pod.owner(pipe).index()].pipe(pipe) else {
+                return Err(Invalid("pipe not installed on its POD owner"));
+            };
+            fluid.restore_pipe(pipe, installed.attrs().bandwidth, installed.fluid_demand());
+        }
         // A decoded table gives every endpoint a location slot.
         let located = |vn| routes.endpoint_location(vn).expect("a located endpoint");
         let admission = Admission {
@@ -1233,15 +1216,17 @@ mod tests {
 
     #[test]
     fn restore_bytes_refuses_a_pipe_id_of_2_to_the_32_or_more() {
-        // A CBR source's pipe is one of the 8-byte pipe ids a snapshot
-        // carries: set bit 32 of it and seal the frame again.
+        // A CBR episode's fluid flow is keyed by its pipe, one of the 8-byte
+        // pipe ids a snapshot carries: set bit 32 of it and seal the frame
+        // again.
         let mut source = ring_emulator();
-        let cbr = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(777));
-        assert!(source.set_pipe_cbr(PipeId(5), Some(cbr), SimTime::ZERO));
+        let rate = Some(DataRate::from_mbps(2));
+        assert!(source.set_pipe_compensation(PipeId(5), rate, SimTime::ZERO));
         let mut bytes = source.snapshot().unwrap().to_bytes();
-        let source_bytes = [5u64.to_le_bytes(), 777u64.to_le_bytes()].concat();
-        let at = bytes.windows(16).position(|w| w == source_bytes).unwrap();
-        bytes[at + 4] = 1;
+        // The flow's key and kind: each a pinned-pipe tag, then the pipe.
+        let pinned = [&[1u8][..], &5u64.to_le_bytes()].concat().repeat(2);
+        let at = bytes.windows(18).position(|w| w == pinned).unwrap();
+        bytes[at + 5] = 1;
         let end = bytes.len() - 8;
         let sum = mn_util::codec::checksum64(&bytes[16..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
@@ -1254,17 +1239,26 @@ mod tests {
         assert_eq!(threaded.map(|_| ()), refused);
     }
 
+    /// Restore reads each pipe's fluid capacity from the pipe on the core
+    /// the POD gives it to: a POD naming a core that does not hold the pipe
+    /// leaves that capacity, and the pipe's forwarding, with no owner.
     #[test]
     fn restore_refuses_fluid_capacities_that_do_not_cover_the_pod() {
-        // Accepted, the first solve over a route past the third pipe would
-        // index beyond them.
         let mut source = ring_emulator();
-        assert!(source.route_table().pipe_bound() > 3);
-        source.fluid = FluidState::new(vec![1_000; 3]);
-        let snapshot = source.snapshot().unwrap();
+        let pipes = source.pod.pipe_count();
+        let moved = |p: usize| match p {
+            0 => CoreId(1 - source.pod.owner(PipeId(0)).index()),
+            p => source.pod.owner(PipeId::from_index(p)),
+        };
+        let owners = (0..pipes).map(moved).collect();
+        source.pod = Arc::new(PipeOwnershipDirectory::from_owners(owners, 2));
+        let bytes = source.snapshot().unwrap().to_bytes();
+        let refused = Err(CodecError::Invalid("pipe not installed on its POD owner"));
         assert_eq!(
-            MultiCoreEmulator::restore(&snapshot).unwrap_err(),
-            CodecError::Invalid("fluid capacities do not cover the POD's pipes")
+            MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
+            refused
         );
+        let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
+        assert_eq!(threaded.map(|_| ()), refused);
     }
 }

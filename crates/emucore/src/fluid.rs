@@ -11,10 +11,10 @@
 //! packets queue and drop against the *residual* bandwidth — accuracy where
 //! it counts, flow-level cost for the bulk.
 //!
-//! The PR 4 CBR injectors are a special case: a CBR episode is a fixed-rate
-//! fluid demand pinned to a single pipe (allocated before the max-min pass,
-//! in installation order), with the per-packet injection reduced to a pure
-//! meter on the owning core.
+//! A CBR cross-traffic episode is a special case and nothing more: a
+//! fixed-rate fluid demand pinned to a single pipe, allocated before the
+//! max-min pass, in installation order. No core builds, meters or wakes
+//! for its packets.
 //!
 //! Everything here is integer arithmetic on bits/second and bit-nanoseconds:
 //! the solve is deterministic, identical on the sequential and threaded
@@ -401,11 +401,6 @@ impl FluidState {
         &self.changed
     }
 
-    /// Number of pipes the capacity and demand vectors cover.
-    pub(crate) fn pipe_count(&self) -> usize {
-        self.capacity_bps.len()
-    }
-
     /// Re-resolves every routed flow's pipe list from the route table.
     fn resolve_routes(&mut self, routes: &RouteTable) {
         for flow in &mut self.flows {
@@ -572,34 +567,37 @@ impl FluidState {
 
 /// The fluid state's checkpoint: the settled clock, epoch grid, every flow
 /// slot in order (so restore reproduces slot indices and therefore CBR
-/// allocation order exactly), the per-pipe capacity and distributed-demand
-/// vectors and the dirty mark. Written out rather than declared: the two
-/// per-pipe vectors share one count, and the flow index and solver scratch
-/// are rebuilt, not read. A restored state produces the same solves,
-/// integrals and epoch schedule as the original — and refuses what would
-/// hang or panic them: a zero epoch (the emulator's epoch loop would never
-/// pass it), a flow on a pipe beyond the capacities, two flows under one key.
-impl Codec for FluidState {
-    const MIN_BYTES: usize = <(SimTime, SimDuration, Option<SimTime>)>::MIN_BYTES
-        + <(Vec<FlowSlot>, Vec<u64>, bool)>::MIN_BYTES;
-
-    fn put(&self, w: &mut ByteWriter) {
+/// allocation order exactly) and the dirty mark. Each pipe's capacity and
+/// distributed demand are the pipe's own, which its core writes, so restore
+/// fills them in from the restored pipes ([`FluidState::restore_pipe`]).
+/// Written out rather than declared because a version-7 frame wrote the two
+/// per-pipe vectors between the flows and the mark, and the flow index and
+/// solver scratch are rebuilt, not read. A restored state produces the same
+/// solves, integrals and epoch schedule as the original — and refuses what
+/// would hang or panic them: a zero epoch (the emulator's epoch loop would
+/// never pass it), a flow on a pipe beyond the capacities, two flows under
+/// one key.
+impl FluidState {
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
         (self.clock, self.epoch, self.next_epoch).put(w);
         self.flows.put(w);
-        self.capacity_bps.put(w);
-        self.demand_bps.iter().for_each(|demand| demand.put(w));
         self.routes_dirty.put(w);
     }
 
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    /// Reads what [`FluidState::encode`] wrote, over `pipes` pipes whose
+    /// capacity and demand stay zero until restored.
+    pub(crate) fn decode(
+        r: &mut ByteReader<'_>,
+        version: u32,
+        pipes: usize,
+    ) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let (clock, epoch, next_epoch) = <(SimTime, SimDuration, _)>::get(r)?;
         let flows = Vec::<FlowSlot>::get(r)?;
-        let capacity_bps = Vec::<u64>::get(r)?;
-        let pipes = capacity_bps.len();
-        let mut demand_bps = Vec::with_capacity(pipes);
-        for _ in 0..pipes {
-            demand_bps.push(u64::get(r)?);
+        if version == 7 {
+            // The capacity vector, then as many demand words.
+            let written = r.get_count(2 * u64::MIN_BYTES)?;
+            r.take_bytes(written * 2 * u64::MIN_BYTES)?;
         }
         let routes_dirty = bool::get(r)?;
         if epoch.is_zero() {
@@ -627,8 +625,8 @@ impl Codec for FluidState {
             next_epoch,
             flows,
             index,
-            capacity_bps,
-            demand_bps,
+            capacity_bps: vec![0; pipes],
+            demand_bps: vec![0; pipes],
             new_demand: vec![0; pipes],
             remaining: vec![0; pipes],
             wsum: vec![0; pipes],
@@ -636,11 +634,19 @@ impl Codec for FluidState {
             routes_dirty,
         })
     }
+
+    /// Restore's rebuild of `pipe`'s capacity and the demand its core
+    /// applies, from the restored pipe.
+    pub(crate) fn restore_pipe(&mut self, pipe: PipeId, capacity: DataRate, demand: DataRate) {
+        self.capacity_bps[pipe.index()] = capacity.as_bps();
+        self.demand_bps[pipe.index()] = demand.as_bps();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SNAPSHOT_VERSION;
 
     fn table(routes: &[(usize, usize, Vec<PipeId>)], endpoints: usize) -> RouteTable {
         let mut t = RouteTable::new(endpoints);
@@ -802,8 +808,14 @@ mod tests {
         fluid.recompute(SimTime::ZERO, &routes);
         fluid.integrate_to(SimTime::from_millis(7));
 
-        // Snapshot → restore → snapshot is byte-identical.
-        mn_util::codec::record_contract(round_trip(&fluid).unwrap());
+        // Snapshot → restore → snapshot is byte-identical, and every strict
+        // prefix of the bytes is refused.
+        let bytes = encoded(&fluid);
+        assert!(encoded(&round_trip(&fluid).unwrap()) == bytes);
+        for len in 0..bytes.len() {
+            let r = &mut ByteReader::new(&bytes[..len]);
+            assert!(FluidState::decode(r, SNAPSHOT_VERSION, 2).is_err());
+        }
         let mut restored = round_trip(&fluid).unwrap();
 
         // The restored state observes and evolves exactly like the original.
@@ -823,11 +835,25 @@ mod tests {
         assert_eq!(restored.flow_goodput_bytes(2), fluid.flow_goodput_bytes(2));
     }
 
-    /// `state` written and read back.
-    fn round_trip(state: &FluidState) -> Result<FluidState, CodecError> {
+    fn encoded(state: &FluidState) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        state.put(&mut w);
-        FluidState::get(&mut ByteReader::new(w.as_slice()))
+        state.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// `state` written and read back, each pipe's capacity and demand
+    /// restored from the original, as restore fills them in from the pipes.
+    fn round_trip(state: &FluidState) -> Result<FluidState, CodecError> {
+        let (bytes, pipes) = (encoded(state), state.capacity_bps.len());
+        let mut restored =
+            FluidState::decode(&mut ByteReader::new(&bytes), SNAPSHOT_VERSION, pipes)?;
+        for (p, (&capacity, &demand)) in
+            state.capacity_bps.iter().zip(&state.demand_bps).enumerate()
+        {
+            let (capacity, demand) = (DataRate::from_bps(capacity), DataRate::from_bps(demand));
+            restored.restore_pipe(PipeId::from_index(p), capacity, demand);
+        }
+        Ok(restored)
     }
 
     /// A flow of 4 Mb/s between VNs 0 and 1 over pipe 0, solved.
@@ -843,14 +869,13 @@ mod tests {
     fn decode_rejects_corrupt_flow_tag() {
         let mut fluid = FluidState::new(vec![mbps(10).as_bps()]);
         fluid.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
-        let mut w = ByteWriter::new();
-        fluid.put(&mut w);
-        let mut bytes = w.into_bytes();
+        let mut bytes = encoded(&fluid);
         // The flow-key tag byte follows clock + epoch + Option tag + len.
         let tag_at = 8 + 8 + 1 + 8;
         assert_eq!(bytes[tag_at], 1, "layout drifted; fix the offset");
         bytes[tag_at] = 9;
-        assert!(FluidState::get(&mut ByteReader::new(&bytes)).is_err());
+        let r = &mut ByteReader::new(&bytes);
+        assert!(FluidState::decode(r, SNAPSHOT_VERSION, 1).is_err());
     }
 
     #[test]
@@ -877,6 +902,25 @@ mod tests {
         pinned.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
         pinned.flows[1].kind = FlowKind::Pipe { pipe: PipeId(7) };
         assert_eq!(round_trip(&pinned).map(|_| ()), refused);
+    }
+
+    /// A v7 state wrote its per-pipe capacity and demand vectors, under one
+    /// count, between its flows and its dirty mark: read past, bounded by
+    /// that count.
+    #[test]
+    fn a_v7_state_is_read_past_its_per_pipe_vectors() {
+        let fluid = one_flow();
+        let v8 = encoded(&fluid);
+        let (flows, mark) = v8.split_at(v8.len() - 1);
+        let v7 = |count: u64| [flows, &count.to_le_bytes(), &[7; 16], mark].concat();
+        let restored = FluidState::decode(&mut ByteReader::new(&v7(1)), 7, 1).unwrap();
+        assert!(encoded(&restored) == v8);
+        assert_eq!(restored.flow_rate(1), fluid.flow_rate(1));
+        for count in [2, u64::MAX] {
+            let refused = FluidState::decode(&mut ByteReader::new(&v7(count)), 7, 1);
+            let why = CodecError::Invalid("length prefix exceeds input");
+            assert_eq!(refused.map(|_| ()), Err(why));
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!   ([`FluidState`]) and its epoch chopping, same-location deliveries, and
 //!   snapshot encode/decode. Every operation (`submit`, `advance_into`,
 //!   `reroute`, `vn_join`, `set_pipe_cbr`, `snapshot`, …) has exactly one
-//!   body, there.
+//!   body, there. A CBR cross-traffic episode is a fixed-rate fluid flow
+//!   and nothing else: a core sees it only as its pipe's fluid demand.
 //! * A [`CoreExecutor`] decides only where the cores run and carries the
 //!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
 //!   `Vec<EmulatorCore>` on the calling thread;
@@ -50,7 +51,7 @@
 //! filed in the same (round, source core, FIFO) order, and deliveries are
 //! concatenated round-major, core-major (see [`parallel`]). The
 //! determinism, differential and snapshot suites pin the second; golden
-//! `MNSP` fixtures (v6 decodes, v7 is reproduced) pin the bytes.
+//! `MNSP` fixtures (v7 decodes, v8 is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

@@ -742,8 +742,8 @@ mod tests {
     #[test]
     fn cbr_cross_traffic_contends_for_bandwidth_and_queue() {
         // A 10 Mb/s hop carrying an 8 Mb/s foreground stream fits; with a
-        // 5 Mb/s CBR injector on the pipe the aggregate exceeds capacity,
-        // so the foreground stream must lose packets to queue overflow.
+        // 5 Mb/s CBR episode on the pipe the aggregate exceeds capacity, so
+        // the foreground stream must lose packets to queue overflow.
         let run = |cbr: bool| {
             let (mut emu, src, dst) = single_path(1, 1);
             if cbr {
@@ -770,17 +770,18 @@ mod tests {
                 now += SimDuration::from_millis(1);
                 let _ = emu.advance(now);
             }
-            // Drain the queues (bounded: CBR keeps the emulator non-idle).
+            // Drain the queues (bounded: the episode's fluid epochs keep the
+            // emulator non-idle).
             let _ = emu.advance(horizon + SimDuration::from_secs(1));
             (accepted, id, emu.total_stats())
         };
         let (clean_accepted, offered, clean_stats) = run(false);
         assert_eq!(clean_accepted, offered, "8 Mb/s fits a 10 Mb/s pipe");
-        assert_eq!(clean_stats.cbr_injected, 0);
+        assert_eq!(clean_stats.fluid_modelled_bytes, 0);
         let (loaded_accepted, offered, loaded_stats) = run(true);
-        assert!(
-            loaded_stats.cbr_injected > 500,
-            "CBR ran for 2 s at 625 pkt/s"
+        assert_eq!(
+            loaded_stats.fluid_modelled_bytes, 1_875_000,
+            "5 Mb/s of CBR for 3 s"
         );
         assert!(
             loaded_accepted < offered,
@@ -792,51 +793,47 @@ mod tests {
 
     #[test]
     fn cbr_injector_can_be_replaced_and_removed() {
+        // An episode is its pipe's fluid demand: its bytes are modelled, at
+        // the rate in force, and nothing else of it is kept.
         let (mut emu, _, _) = single_path(1, 1);
         let pipe = mn_distill::PipeId(0);
         let cbr = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(500));
         assert!(emu.set_pipe_cbr(pipe, Some(cbr), SimTime::ZERO));
-        assert!(
-            emu.next_wakeup().is_some(),
-            "an injector is always due work"
-        );
-        let sources = |emu: &MultiCoreEmulator| -> Vec<_> {
-            emu.cores().iter().flat_map(|c| c.cbr_sources()).collect()
-        };
-        // 500 B at 2 Mb/s: one injection every 2 ms.
-        assert_eq!(
-            sources(&emu),
-            vec![(
-                pipe,
-                mn_util::ByteSize::from_bytes(500),
-                SimDuration::from_millis(2)
-            )]
-        );
+        let modelled = |emu: &MultiCoreEmulator| emu.total_stats().fluid_modelled_bytes;
         let _ = emu.advance(SimTime::from_millis(100));
-        let after_run = emu.total_stats().cbr_injected;
-        assert!(after_run > 0);
-        // Replacing halves the rate (doubles the gap) without stacking a
-        // second source on the pipe.
+        assert_eq!(modelled(&emu), 25_000, "2 Mb/s for 100 ms");
+        // Replacing halves the rate without stacking a second demand on the
+        // pipe.
         let slower = CbrConfig::new(DataRate::from_mbps(1), mn_util::ByteSize::from_bytes(500));
         assert!(emu.set_pipe_cbr(pipe, Some(slower), SimTime::from_millis(100)));
-        assert_eq!(
-            sources(&emu),
-            vec![(
-                pipe,
-                mn_util::ByteSize::from_bytes(500),
-                SimDuration::from_millis(4)
-            )]
-        );
-        assert!(emu.set_pipe_cbr(pipe, None, SimTime::from_millis(100)));
-        assert!(sources(&emu).is_empty());
         let _ = emu.advance(SimTime::from_millis(200));
-        assert_eq!(
-            emu.total_stats().cbr_injected,
-            after_run,
-            "removed: no more injections"
-        );
+        assert_eq!(modelled(&emu), 37_500, "then 1 Mb/s for 100 ms");
+        assert_eq!(emu.fluid().flow_count(), 1);
+        assert!(emu.set_pipe_cbr(pipe, None, SimTime::from_millis(200)));
+        let _ = emu.advance(SimTime::from_millis(300));
+        assert_eq!(modelled(&emu), 37_500, "removed: nothing more");
+        assert_eq!((emu.fluid().flow_count(), emu.next_wakeup()), (0, None));
+        // A config that injects nothing carries no demand.
+        let silent = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(0));
+        assert!(emu.set_pipe_cbr(pipe, Some(silent), SimTime::from_millis(300)));
+        assert_eq!(emu.fluid().flow_count(), 0);
         // Unknown pipes are rejected.
         assert!(!emu.set_pipe_cbr(mn_distill::PipeId(999), Some(cbr), SimTime::ZERO));
+    }
+
+    /// An episode wakes the emulator only to re-solve the fair share: with
+    /// nothing else to do, every wakeup is on the fluid epoch grid.
+    #[test]
+    fn a_cbr_episode_alone_wakes_the_emulator_on_the_fluid_epoch_grid() {
+        let (mut emu, _, _) = single_path(1, 1);
+        let cbr = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(500));
+        let from = SimTime::from_millis(1);
+        assert!(emu.set_pipe_cbr(mn_distill::PipeId(0), Some(cbr), from));
+        for epoch in 1..=3 {
+            let due = from + crate::fluid::DEFAULT_FLUID_EPOCH * epoch;
+            assert_eq!(emu.next_wakeup(), Some(due));
+            assert!(emu.advance(due).unwrap().is_empty());
+        }
     }
 
     #[test]

@@ -1313,11 +1313,11 @@ mod tests {
     #[test]
     fn mid_run_reconfiguration_is_bit_identical_across_backends() {
         // The reconfiguration primitives themselves — in-place pipe
-        // renegotiation, CBR injector installation/removal, incremental
-        // reroute after a failure and after the restore — must leave the
-        // threaded backend bit-identical to the sequential one: same
-        // deliveries in the same order at the same times, same counters
-        // (including the CBR injection count).
+        // renegotiation, a CBR episode's installation and removal,
+        // incremental reroute after a failure and after the restore — must
+        // leave the threaded backend bit-identical to the sequential one:
+        // same deliveries in the same order at the same times, same counters
+        // (the episode's modelled bytes among them).
         use mn_pipe::CbrConfig;
         type Run = (Vec<(u64, SimTime, usize)>, CoreStats);
         fn run<X: CoreExecutor>(cores: usize) -> Run {
@@ -1374,8 +1374,8 @@ mod tests {
             let mut now = SimTime::from_millis(24);
             let horizon = SimTime::from_millis(200);
             while let Some(t) = emu.next_wakeup() {
-                // CBR was removed at round 8, so the emulator does go
-                // idle; the horizon only bounds a regression.
+                // The episode was removed at round 8, so the emulator does
+                // go idle; the horizon only bounds a regression.
                 if t > horizon {
                     break;
                 }
@@ -1390,7 +1390,8 @@ mod tests {
             let sequential = run::<InlineExecutor>(cores);
             let threaded = run::<ThreadedExecutor>(cores);
             assert!(!sequential.0.is_empty());
-            assert!(sequential.1.cbr_injected > 0, "CBR ran for 4 rounds");
+            let modelled = sequential.1.fluid_modelled_bytes;
+            assert_eq!(modelled, 1_000, "1 Mb/s of CBR for 4 rounds of 2 ms");
             assert_eq!(
                 sequential, threaded,
                 "{cores}-core reconfigured runs diverge"

@@ -2,8 +2,8 @@
 //!
 //! A snapshot captures the *complete* state of a running emulation — every
 //! pipe's queue contents and drain clock, per-core timing wheels (stale
-//! entries included), staged and in-flight tunnel descriptors, CBR meters,
-//! fluid flows and their epoch cursor, the published route-table generation
+//! entries included), staged and in-flight tunnel descriptors, fluid flows
+//! (CBR episodes among them) and their epoch cursor, the published route-table generation
 //! and routing matrix (tombstones and free slots verbatim), VN membership
 //! and entry-core assignment, per-core counters and accuracy logs, and the
 //! exact position of every deterministic RNG stream. Restoring a snapshot
@@ -15,14 +15,17 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 7 and 6; a version bump retires the decoder two behind.
+//! before, here 8 and 7; a version bump retires the decoder two behind.
 //! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
 //! restore rebuilds them from the route table and the entry cores. Version
-//! 7 dropped the routing matrix's distance labels, 8 bytes a source slot
-//! and a node, which are the pipe costs summed up each predecessor row. A
-//! version-6 frame still carries the labels; the decoder reads past them.
+//! 7 dropped the routing matrix's distance labels, which are the pipe costs
+//! summed up each predecessor row. Version 8 dropped the fluid solver's
+//! per-pipe capacity and demand vectors and each core's fluid demand total,
+//! which restore rebuilds from the pipes that hold them, and the per-core
+//! CBR meters, which counted packets nothing built. A version-7 frame still
+//! carries those; the decoder reads past them.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
@@ -37,7 +40,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders read this version and the one before, and
 /// reject every other with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -72,7 +75,7 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            6 | 7 => Ok(checksum64),
+            7 | 8 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -4,9 +4,10 @@
 //! traffic on the collapsed pipes (§4.1/§4.3 of the paper): a flow crossing
 //! such a pipe then competes for bandwidth and queue slots exactly as it
 //! would have competed with real traffic on the removed links. A
-//! [`CbrConfig`] describes one such injector — packets of a fixed wire size
-//! offered to one pipe at a constant rate. The emulation core schedules the
-//! injections on its tick path; this type only carries the parameters.
+//! [`CbrConfig`] describes one such episode — packets of a fixed wire size
+//! offered to one pipe at a constant rate. The emulator carries it as a
+//! fixed-rate fluid demand on the pipe; this type only carries the
+//! parameters.
 
 use serde::{Deserialize, Serialize};
 

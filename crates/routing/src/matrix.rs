@@ -34,7 +34,6 @@ use serde::{Deserialize, Serialize};
 use mn_distill::DistilledTopology;
 use mn_topology::NodeId;
 use mn_util::codec::Transient;
-use mn_util::{ByteReader, Codec, CodecError};
 
 use crate::dijkstra::{pipe_cost, scoped_route_tree, Route, NO_PRED, UNUSABLE_COST};
 
@@ -787,28 +786,6 @@ impl RoutingMatrix {
             && self.pipe_sources.iter().flatten().all(live)
     }
 
-    /// Decodes a matrix in `MNSP` v6's layout, which carried every slot's
-    /// labels after the node count: that vector, whose count must be source
-    /// slots × nodes, is read past. The rest of the payload is copied once
-    /// to join the bytes around it, the price of reading a retired layout.
-    pub fn get_past_labels(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let rest = r.take_bytes(r.remaining())?;
-        let mut head = ByteReader::new(rest);
-        let slots = Vec::<NodeId>::get(&mut head)?.len();
-        Vec::<u32>::get(&mut head)?;
-        let labels = slots.saturating_mul(usize::get(&mut head)?);
-        let at = rest.len() - head.remaining();
-        if head.get_count(u64::MIN_BYTES)? != labels {
-            return Err(CodecError::Invalid("labels do not cover the source slots"));
-        }
-        head.take_bytes(labels * u64::MIN_BYTES)?;
-        let joined = [&rest[..at], &rest[rest.len() - head.remaining()..]].concat();
-        let mut joined = ByteReader::new(&joined);
-        let matrix = Self::get(&mut joined)?;
-        *r = ByteReader::new(&rest[rest.len() - joined.remaining()..]);
-        Ok(matrix)
-    }
-
     /// Dijkstra runs this matrix has made (not carried by a snapshot): a
     /// stub's tree is a copy of its hub's, so this counts hubs, not sources.
     /// Exact, so tests can state tree cost as a count.
@@ -1297,42 +1274,6 @@ mod tests {
         assert!(m.add_source(&d, departed));
         assert_eq!(m.vn_index(departed), restored.vn_index(departed));
         assert_reverse_index_exact(&restored, &d);
-    }
-
-    #[test]
-    fn a_v6_label_vector_is_read_past_by_its_count() {
-        let m = RoutingMatrix::build(&small_ring());
-        let mut w = mn_util::ByteWriter::new();
-        m.put(&mut w);
-        let v7 = w.into_bytes();
-        // The v6 layout: the labels sat after the node count.
-        let at = 8 + 8 * m.vns.len() + 8 + 4 * m.vn_of_node.len() + 8;
-        let v6 = |labels: usize| {
-            let mut w = mn_util::ByteWriter::new();
-            w.put_bytes(&v7[..at]);
-            w.put_len(labels);
-            w.put_bytes(&vec![7; 8 * labels]);
-            w.put_bytes(&v7[at..]);
-            w.put_u8(42);
-            w.into_bytes()
-        };
-        let cells = m.vns.len() * m.node_count;
-        let bytes = v6(cells);
-        let mut r = ByteReader::new(&bytes);
-        let back = RoutingMatrix::get_past_labels(&mut r).unwrap();
-        assert_eq!(
-            (r.get_u8(), r.remaining()),
-            (Ok(42), 0),
-            "what follows is left"
-        );
-        let mut again = mn_util::ByteWriter::new();
-        back.put(&mut again);
-        assert!(again.as_slice() == v7);
-        for labels in [0, cells - 1, cells + 1] {
-            let refused = RoutingMatrix::get_past_labels(&mut ByteReader::new(&v6(labels)));
-            let why = CodecError::Invalid("labels do not cover the source slots");
-            assert_eq!(refused.unwrap_err(), why);
-        }
     }
 
     /// Every live source's stored row and summed labels against a

@@ -9,8 +9,8 @@
 //!   (slow start, congestion avoidance, fast retransmit/recovery, RTO with
 //!   exponential backoff, delayed ACKs, a simplified three-way handshake),
 //! * [`UdpStream`] — constant-bit-rate and on/off datagram sources,
-//! * [`netperf`] — the bulk-transfer and request/response load generators the
-//!   capacity experiments use.
+//! * [`netperf`] — the bulk-transfer load generator the capacity experiments
+//!   use.
 //!
 //! Everything here is a **pure state machine**: methods take the current
 //! virtual time and return the segments to transmit and the timers to arm;
@@ -20,6 +20,6 @@ pub mod netperf;
 pub mod tcp;
 pub mod udp;
 
-pub use netperf::{BulkSender, RequestResponse};
+pub use netperf::BulkSender;
 pub use tcp::{SegmentToSend, TcpConfig, TcpConnection, TcpEvent, TcpState};
 pub use udp::{UdpStream, UdpStreamConfig};

@@ -4,11 +4,6 @@
 //! with dozens to hundreds of netperf senders transmitting TCP streams to
 //! netserver receivers. [`BulkSender`] is that workload: an endless (or
 //! size-bounded) source that keeps the TCP connection's send buffer full.
-//! [`RequestResponse`] is the request/response variant used by application
-//! case studies (a client sends a request of one size and the server answers
-//! with a response of another).
-
-use serde::{Deserialize, Serialize};
 
 use mn_util::{ByteSize, SimTime};
 
@@ -109,30 +104,6 @@ impl BulkSender {
         } else {
             conn.bytes_acked() as f64 / 1024.0 / elapsed
         }
-    }
-}
-
-/// Request/response exchange sizes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RequestResponse {
-    /// Bytes in each request.
-    pub request: u32,
-    /// Bytes in each response.
-    pub response: u32,
-}
-
-impl RequestResponse {
-    /// An HTTP-like exchange: small request, configurable response.
-    pub fn http(response: u32) -> Self {
-        RequestResponse {
-            request: 350,
-            response,
-        }
-    }
-
-    /// Total bytes on the wire (both directions, payload only).
-    pub fn total_payload(&self) -> u64 {
-        self.request as u64 + self.response as u64
     }
 }
 
@@ -242,13 +213,6 @@ mod tests {
         assert_eq!(s.bytes_received(), 64 * 1024);
         let goodput = sender.goodput_kbytes_per_sec(now, &c);
         assert!(goodput > 0.0);
-    }
-
-    #[test]
-    fn request_response_sizes() {
-        let rr = RequestResponse::http(12_000);
-        assert_eq!(rr.request, 350);
-        assert_eq!(rr.total_payload(), 12_350);
     }
 
     #[test]

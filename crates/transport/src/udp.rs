@@ -4,8 +4,8 @@
 //! experiment exchanges 1500-byte UDP packets between netperf/netserver
 //! pairs, and §2.3 discusses how unresponsive UDP senders interact with the
 //! emulated first-hop pipes. [`UdpStream`] models a constant-bit-rate (or
-//! paced) datagram source with per-datagram sequence numbers so receivers can
-//! account for loss.
+//! paced) datagram source with per-datagram sequence numbers; the runner
+//! counts what arrives.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,7 +51,8 @@ mn_util::codec_record! {
 impl UdpStream {
     /// Creates a stream that starts sending at `start`. Datagrams are at
     /// least a nanosecond apart, however small the payload or fast the rate:
-    /// one virtual instant emits at most one.
+    /// one virtual instant emits at most one. A zero rate sends at `start`
+    /// and not again before [`SimTime::MAX`].
     pub fn new(config: UdpStreamConfig, start: SimTime) -> Self {
         let interval = if config.rate.is_zero() {
             SimDuration::MAX
@@ -110,69 +111,21 @@ impl UdpStream {
         out
     }
 
-    /// [`UdpStream::poll`] appending to a caller-owned buffer.
+    /// [`UdpStream::poll`] appending to a caller-owned buffer. A send time
+    /// past [`SimTime::MAX`] ends the stream at what it has sent.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
         while !self.is_finished() && self.next_send <= now {
             out.push(self.next_seq);
             self.next_seq += 1;
-            self.next_send += self.interval;
+            match self
+                .next_send
+                .as_nanos()
+                .checked_add(self.interval.as_nanos())
+            {
+                Some(next) => self.next_send = SimTime::from_nanos(next),
+                None => self.config.max_datagrams = Some(self.next_seq),
+            }
         }
-    }
-}
-
-/// Receiver-side loss accounting for a UDP stream.
-#[derive(Debug, Clone, Default)]
-pub struct UdpReceiver {
-    received: u64,
-    bytes: u64,
-    highest_seq: Option<u64>,
-    duplicates: u64,
-    seen_mask_base: u64,
-}
-
-impl UdpReceiver {
-    /// Creates an empty receiver.
-    pub fn new() -> Self {
-        UdpReceiver::default()
-    }
-
-    /// Records a received datagram.
-    pub fn on_datagram(&mut self, seq: u64, payload: u32) {
-        // Duplicate detection is approximate (window-free): a datagram with a
-        // sequence number at or below the highest seen and already counted is
-        // treated as a duplicate only if it equals the highest. This suffices
-        // for the experiments, which never re-order more than a window.
-        if Some(seq) == self.highest_seq {
-            self.duplicates += 1;
-            return;
-        }
-        self.received += 1;
-        self.bytes += payload as u64;
-        self.highest_seq = Some(self.highest_seq.map_or(seq, |h| h.max(seq)));
-        let _ = self.seen_mask_base;
-    }
-
-    /// Datagrams received.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
-
-    /// Payload bytes received.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Datagrams lost, inferred from the highest sequence number seen.
-    pub fn lost(&self) -> u64 {
-        match self.highest_seq {
-            Some(h) => (h + 1).saturating_sub(self.received),
-            None => 0,
-        }
-    }
-
-    /// Duplicate datagrams observed.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 }
 
@@ -212,16 +165,23 @@ mod tests {
         assert!(s.poll(SimTime::from_secs(20)).is_empty());
     }
 
+    /// A zero rate leaves no interval: after the datagram at its start the
+    /// stream's next send time is past [`SimTime::MAX`] (from a start of
+    /// zero, `SimTime::MAX` itself), and the stream ends there — it neither
+    /// wraps round to its start nor spins at the end of time.
     #[test]
     fn zero_rate_never_sends() {
-        let mut s = UdpStream::new(
-            UdpStreamConfig {
-                rate: DataRate::ZERO,
-                ..UdpStreamConfig::default()
-            },
-            SimTime::ZERO,
-        );
-        assert!(s.poll(SimTime::from_secs(100)).len() <= 1);
+        let config = UdpStreamConfig {
+            rate: DataRate::ZERO,
+            ..UdpStreamConfig::default()
+        };
+        for (start, at_the_end) in [(SimTime::ZERO, 1), (SimTime::from_millis(1), 0)] {
+            let mut s = UdpStream::new(config, start);
+            assert_eq!(s.poll(SimTime::from_secs(100)), [0], "from {start:?}");
+            assert_eq!(s.poll(SimTime::MAX).len(), at_the_end);
+            assert_eq!(s.next_send_time(), None);
+            assert!(s.poll(SimTime::MAX).is_empty());
+        }
     }
 
     #[test]
@@ -251,19 +211,6 @@ mod tests {
             assert_eq!(a.next_send_time(), b.next_send_time());
         }
         assert!(a.is_finished() && b.is_finished());
-    }
-
-    #[test]
-    fn receiver_counts_loss() {
-        let mut r = UdpReceiver::new();
-        for seq in [0u64, 1, 2, 4, 5, 9] {
-            r.on_datagram(seq, 1000);
-        }
-        assert_eq!(r.received(), 6);
-        assert_eq!(r.bytes(), 6000);
-        assert_eq!(r.lost(), 4);
-        r.on_datagram(9, 1000);
-        assert_eq!(r.duplicates(), 1);
     }
 
     #[test]
@@ -316,12 +263,5 @@ mod tests {
             UdpStream::get(&mut ByteReader::new(w.as_slice())).unwrap_err(),
             CodecError::Invalid("UDP stream with no interval")
         );
-    }
-
-    #[test]
-    fn receiver_empty_state() {
-        let r = UdpReceiver::new();
-        assert_eq!(r.received(), 0);
-        assert_eq!(r.lost(), 0);
     }
 }

@@ -92,9 +92,9 @@ fn main() {
     }
     let stats = runner.backend().total_stats();
     println!(
-        "\n{} packets delivered, {} CBR packets injected, schedule {}",
+        "\n{} packets delivered, {} bytes of CBR cross traffic modelled, schedule {}",
         stats.packets_delivered,
-        stats.cbr_injected,
+        stats.fluid_modelled_bytes,
         if runner.dynamics().unwrap().finished() {
             "fully applied"
         } else {

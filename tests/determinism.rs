@@ -383,12 +383,14 @@ fn control_plane_operations_leave_both_executors_in_the_same_observable_state() 
     // counters and the fluid epoch; after any control-plane operation all
     // three must be what the inline executor reports — a threaded executor
     // serving stale cached deadlines would make the driver sleep past due
-    // work (13.388608 ms instead of the CBR injector's 5 ms start).
+    // work. A CBR episode is a fluid demand, so the first call's only work
+    // is the fair share's next solve, one epoch after the episode starts.
     for cores in [1usize, 2, 4] {
         let inline = control_plane_trace::<InlineExecutor>(cores);
         let threaded = control_plane_trace::<ThreadedExecutor>(cores);
         assert!(inline.iter().all(|&(_, accepted, ..)| accepted));
-        assert_eq!(inline[0].2, Some(SimTime::from_millis(5)));
+        let epoch = mn_emucore::fluid::DEFAULT_FLUID_EPOCH;
+        assert_eq!(inline[0].2, Some(SimTime::from_millis(5) + epoch));
         for (a, b) in inline.iter().zip(&threaded) {
             assert_eq!(a, b, "{cores}-core executors diverge after {}", a.0);
         }

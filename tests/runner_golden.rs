@@ -11,13 +11,13 @@
 //! its parent, and deletes the decoder and the fixtures of the version two
 //! behind; a kept file is never re-blessed.
 //!
-//! `tests/data/mnrs_v6_tcp.bin` is the scenario under the v6 encoder, which
-//! nests an `MNSP` v6 frame. Format v7 nests an `MNSP` v7 frame (the routing
-//! matrix's distance labels summed on demand, not written; see
-//! `snapshot_golden.rs`), the runner's own bytes unchanged:
-//! `tests/data/mnrs_v7_tcp.bin` is the scenario under the current encoder,
-//! which both backends must re-create byte for byte and which the v6 file,
-//! restored and serialised again, is.
+//! `tests/data/mnrs_v7_tcp.bin` is the scenario under the v7 encoder, which
+//! nests an `MNSP` v7 frame. Format v8 nests an `MNSP` v8 frame (the fluid
+//! solver's per-pipe vectors and each core's fluid total rebuilt from the
+//! pipes, no CBR meters; see `snapshot_golden.rs`), the runner's own bytes
+//! unchanged: `tests/data/mnrs_v8_tcp.bin` is the scenario under the
+//! current encoder, which both backends must re-create byte for byte and
+//! which the v7 file, restored and serialised again, is.
 //!
 //! The fixture tests use only the runner's public API, so the same source
 //! compiles against the commit that wrote the fixture. The version-window
@@ -32,8 +32,8 @@ use modelnet::{
     SimDuration, SimTime,
 };
 
-const FIXTURE_V6: &[u8] = include_bytes!("data/mnrs_v6_tcp.bin");
 const FIXTURE_V7: &[u8] = include_bytes!("data/mnrs_v7_tcp.bin");
+const FIXTURE_V8: &[u8] = include_bytes!("data/mnrs_v8_tcp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
@@ -114,27 +114,27 @@ fn restores_into_both_backends_and_finishes_identically(fixture: &[u8], version:
 }
 
 #[test]
-fn the_v6_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    restores_into_both_backends_and_finishes_identically(FIXTURE_V6, 6);
-}
-
-#[test]
 fn the_v7_runner_fixture_restores_into_both_backends_and_finishes_identically() {
     restores_into_both_backends_and_finishes_identically(FIXTURE_V7, 7);
 }
 
 #[test]
-fn both_backends_reproduce_the_v7_runner_fixture_byte_for_byte() {
+fn the_v8_runner_fixture_restores_into_both_backends_and_finishes_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V8, 8);
+}
+
+#[test]
+fn both_backends_reproduce_the_v8_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE_V7,
-            "checkpoint bytes drifted from the v7 fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V8,
+            "checkpoint bytes drifted from the v8 fixture on {backend:?}"
         );
-        // The v6 file holds the same run: restored and serialised again, it
-        // is the v7 checkpoint.
+        // The v7 file holds the same run: restored and serialised again, it
+        // is the v8 checkpoint.
         let (mut runner, _) = build(backend);
-        runner.recover_from(FIXTURE_V6).unwrap();
-        assert!(runner.snapshot().unwrap() == FIXTURE_V7);
+        runner.recover_from(FIXTURE_V7).unwrap();
+        assert!(runner.snapshot().unwrap() == FIXTURE_V8);
     }
 }
 
@@ -143,9 +143,9 @@ fn both_backends_reproduce_the_v7_runner_fixture_byte_for_byte() {
 /// `MNSP` fixture's own test flips all eight) is still a typed error —
 /// caught by the outer sum, or by the nested frame's own — and so is a cut.
 #[test]
-fn a_bit_flip_in_any_byte_of_the_v6_runner_fixture_is_a_typed_error() {
+fn a_bit_flip_in_any_byte_of_the_v7_runner_fixture_is_a_typed_error() {
     let (mut runner, _) = build(ExecutionBackend::Sequential);
-    let mut bytes = FIXTURE_V6.to_vec();
+    let mut bytes = FIXTURE_V7.to_vec();
     for at in 0..bytes.len() {
         bytes[at] ^= 1 << (at % 8);
         assert!(
@@ -161,21 +161,21 @@ fn a_bit_flip_in_any_byte_of_the_v6_runner_fixture_is_a_typed_error() {
 }
 
 /// Both frames decode their current version and the one before, and no
-/// other: a v7 fixture with any other version word is refused with exactly
+/// other: a v8 fixture with any other version word is refused with exactly
 /// that version by every entry point, and a refused recovery leaves the
 /// runner as it was.
 #[test]
-fn both_frames_restore_versions_6_and_7_and_refuse_every_other() {
-    const MNSP_V6: &[u8] = include_bytes!("data/mnsp_v6_path4.bin");
+fn both_frames_restore_versions_7_and_8_and_refuse_every_other() {
     const MNSP_V7: &[u8] = include_bytes!("data/mnsp_v7_path4.bin");
-    const RETIRED_OR_FUTURE: [u32; 7] = [0, 1, 2, 3, 4, 5, 8];
+    const MNSP_V8: &[u8] = include_bytes!("data/mnsp_v8_path4.bin");
+    const RETIRED_OR_FUTURE: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 9];
     let with_version = |frame: &[u8], version: u32| {
         let mut bytes = frame.to_vec();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         bytes
     };
     for v in RETIRED_OR_FUTURE {
-        let (frame, refused) = (with_version(MNSP_V7, v), Err(CodecError::BadVersion(v)));
+        let (frame, refused) = (with_version(MNSP_V8, v), Err(CodecError::BadVersion(v)));
         assert_eq!(EmulatorSnapshot::from_bytes(&frame).map(|_| ()), refused);
         assert_eq!(
             MultiCoreEmulator::restore_bytes(&frame).map(|_| ()),
@@ -183,17 +183,17 @@ fn both_frames_restore_versions_6_and_7_and_refuse_every_other() {
         );
         assert_eq!(ParallelEmulator::restore_bytes(&frame).map(|_| ()), refused);
     }
-    for frame in [MNSP_V6, MNSP_V7] {
+    for frame in [MNSP_V7, MNSP_V8] {
         assert!(MultiCoreEmulator::restore_bytes(frame).is_ok());
         assert!(ParallelEmulator::restore_bytes(frame).is_ok());
     }
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, _) = build(backend);
-        runner.recover_from(FIXTURE_V6).expect("v6 restores");
+        runner.recover_from(FIXTURE_V7).expect("v7 restores");
         let before = runner.snapshot().unwrap();
         for v in RETIRED_OR_FUTURE {
             assert_eq!(
-                runner.recover_from(&with_version(FIXTURE_V7, v)),
+                runner.recover_from(&with_version(FIXTURE_V8, v)),
                 Err(RecoverError::Codec(CodecError::BadVersion(v)))
             );
             assert!(
@@ -201,7 +201,7 @@ fn both_frames_restore_versions_6_and_7_and_refuse_every_other() {
                 "a refused v{v} recovery changed the runner on {backend:?}"
             );
         }
-        runner.recover_from(FIXTURE_V7).expect("v7 restores");
+        runner.recover_from(FIXTURE_V8).expect("v8 restores");
     }
 }
 
@@ -210,14 +210,14 @@ fn both_frames_restore_versions_6_and_7_and_refuse_every_other() {
 /// --nocapture`, after renaming the path below), never to overwrite an
 /// existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v7_tcp.bin"]
+#[ignore = "writes tests/data/mnrs_v8_tcp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v7_tcp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v8_tcp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, flows) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

@@ -2,21 +2,25 @@
 //!
 //! The scenario below: three 4-hop paths whose hops alternate between two
 //! cores, stopped mid-run with tunnels in flight, one fluid flow, one CBR
-//! injector, one compensation rate, one departed VN and one that left and
+//! episode, one compensation rate, one departed VN and one that left and
 //! rejoined. A build decodes its own format version and the one before, so
 //! two files of it are kept, each restoring into either executor and
 //! finishing the run on the recorded delivery digest. A file is never
 //! re-blessed, and its digest is re-recorded only by a deliberate behaviour
 //! change.
 //!
-//! `tests/data/mnsp_v6_path4.bin` is the scenario under the v6 encoder,
-//! which wrote every routing-matrix source slot's distance labels beside
-//! the predecessor rows they are summed from. Format v7 writes only the
-//! rows and sums a label when it needs one: a layout change only, so the
-//! v6 file restores to the same digest, and restored and serialised again
-//! it is `tests/data/mnsp_v7_path4.bin` byte for byte — the labels held
-//! nothing the rows did not. Every later commit must re-create exactly
-//! those bytes on both executors.
+//! `tests/data/mnsp_v7_path4.bin` is the scenario under the v7 encoder,
+//! which wrote the fluid solver's per-pipe capacities and demands, each
+//! core's fluid total and a per-core CBR meter that counted the episode's
+//! packets. Format v8 writes none of them: the first three are the pipes'
+//! own, and the meter went with the packets it counted, which nothing
+//! built. Restored and serialised again, the v7 file is
+//! `tests/data/mnsp_v8_path4.bin` byte for byte but for each core's
+//! `cbr_injected` word, which the v7 run counted and the v8 one reads as
+//! 0. Every later commit must re-create exactly the v8 bytes on both
+//! executors. Without the meter the emulator no longer wakes at each
+//! injection, so the tail digest was re-recorded at v8, once, for both
+//! files: it digests every counter but `cbr_injected`.
 //!
 //! A failure here means the snapshot format or the emulated behaviour
 //! changed: bump `SNAPSHOT_VERSION`, add a fixture for the new version
@@ -30,31 +34,32 @@ use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_emucore::snapshot::SNAPSHOT_MAGIC;
 use mn_emucore::{
-    EmulatorSnapshot, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SNAPSHOT_VERSION,
+    CoreExecutor, CoreStats, Emulator, EmulatorSnapshot, HardwareProfile, InlineExecutor,
+    MultiCoreEmulator, ParallelEmulator, ThreadedExecutor, SNAPSHOT_VERSION,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_pipe::CbrConfig;
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, PathPairsParams};
 use mn_util::codec::fnv1a64;
-use mn_util::{ByteSize, ByteWriter, CodecError, DataRate, SimDuration, SimTime};
+use mn_util::{ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 use modelnet::EmulatorBackend;
 
 mod membership;
 use membership::membership;
 
-const FIXTURE_V6: &[u8] = include_bytes!("data/mnsp_v6_path4.bin");
 const FIXTURE_V7: &[u8] = include_bytes!("data/mnsp_v7_path4.bin");
+const FIXTURE_V8: &[u8] = include_bytes!("data/mnsp_v8_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
-/// The restored run is driven wakeup by wakeup up to this horizon (the CBR
-/// injector and the fluid epoch keep the emulator busy forever, so there is
-/// no idle point to run to).
+/// The restored run is driven wakeup by wakeup up to this horizon (the
+/// fluid epoch keeps the emulator busy forever, so there is no idle point
+/// to run to).
 const HORIZON: SimTime = SimTime::from_millis(40);
 /// FNV-1a over the run restored from the fixtures: its delivery stream,
-/// final counters and fluid goodput.
-const TAIL_DIGEST: u64 = 0xaeee_df54_c7ba_c8f9;
+/// final counters but `cbr_injected`, and fluid goodput.
+const TAIL_DIGEST: u64 = 0xe2a2_658b_1cfc_bdc6;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -188,7 +193,12 @@ fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology) {
         stats.tunnels_out > stats.tunnels_in,
         "the scenario stops with tunnels in flight"
     );
-    assert!(stats.cbr_injected > 0 && stats.fluid_modelled_bytes > 0);
+    // Path 0's four pipes carry flow 1's 3 Mb/s, its second the 1 Mb/s
+    // compensation and its third the 2 Mb/s episode. By 4.9 ms core 1 (hops
+    // 1 and 3) has modelled 7 Mb/s for 4.9 ms, 4 287 bytes of 4 287.5, and
+    // core 0 (hops 0 and 2) 8 Mb/s for 3.9 ms, 3 900 bytes: the episode,
+    // installed first, moved that core's fluid clock to its 1 ms start.
+    assert_eq!(stats.fluid_modelled_bytes, 8_187);
     assert!(!backend.vn_is_active(departed) && backend.vn_is_active(rejoiner));
     (backend, distilled)
 }
@@ -214,29 +224,64 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     assert!(!w.is_empty(), "the tail of the run delivers");
     let stats = backend.total_stats();
     assert_eq!(stats.tunnels_out, stats.tunnels_in, "tunnels all landed");
+    // What a v7 run counted: a v7 file's tail differs from its twin's there.
+    let stats = CoreStats {
+        cbr_injected: 0,
+        ..stats
+    };
     w.put_bytes(format!("{stats:?}").as_bytes());
     w.put_u64(backend.fluid_flow_goodput_bytes(1).expect("flow 1 is live"));
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v7 fixture on both executors, and so does
-/// restoring the v6 file, whose distance labels are read past.
+/// The current encoder writes the v8 fixture on both executors, and so does
+/// restoring the v7 file, whose fluid vectors, fluid totals and CBR meters
+/// are read past — all but the count the v7 meters made.
 #[test]
-fn both_executors_reproduce_the_v7_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 7, "this fixture pins format v7");
+fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 8, "this fixture pins format v8");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V7,
-            "snapshot bytes drifted from the v7 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V8,
+            "snapshot bytes drifted from the v8 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V6).unwrap();
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V7).unwrap();
     let stats = restored.total_stats();
     assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V7);
-    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V6).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V7);
+    assert!(stats.cbr_injected > 0, "the v7 run metered the episode");
+    assert!(restored.snapshot().unwrap().to_bytes() != FIXTURE_V8);
+    assert!(serialised_without_cbr_counts::<InlineExecutor>(FIXTURE_V7) == FIXTURE_V8);
+    assert!(serialised_without_cbr_counts::<ThreadedExecutor>(FIXTURE_V7) == FIXTURE_V8);
+}
+
+/// `fixture` restored onto `X` and serialised again, each core's
+/// `cbr_injected` word zeroed and the frame sealed again.
+fn serialised_without_cbr_counts<X: CoreExecutor>(fixture: &[u8]) -> Vec<u8> {
+    let mut emu = Emulator::<X>::restore_bytes(fixture).unwrap();
+    let framed = emu.snapshot().unwrap().to_bytes();
+    let mut payload = framed[16..framed.len() - 8].to_vec();
+    for core in 0..emu.core_count() {
+        let counted = emu.core_stats(CoreId(core)).unwrap();
+        let uncounted = CoreStats {
+            cbr_injected: 0,
+            ..counted
+        };
+        let [was, now] = [counted, uncounted].map(|stats| {
+            let mut w = ByteWriter::new();
+            stats.put(&mut w);
+            w.into_bytes()
+        });
+        let at = payload.windows(was.len()).position(|w| w == was);
+        let at = at.expect("the core's counters are in the payload");
+        payload[at..at + was.len()].copy_from_slice(&now);
+    }
+    let mut w = ByteWriter::new();
+    let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+    w.put_bytes(&payload);
+    w.end_frame(frame);
+    w.into_bytes()
 }
 
 fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
@@ -248,13 +293,13 @@ fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
 }
 
 #[test]
-fn the_v6_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V6);
+fn the_v7_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V7);
 }
 
 #[test]
-fn the_v7_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V7);
+fn the_v8_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V8);
 }
 
 /// The tables a restore rebuilds rather than reads hold what the
@@ -269,7 +314,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     };
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
-    for fixture in [FIXTURE_V6, FIXTURE_V7] {
+    for fixture in [FIXTURE_V7, FIXTURE_V8] {
         let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -282,13 +327,13 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v6_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V6);
+fn every_bit_flip_and_every_truncation_of_the_v7_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V7);
 }
 
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v7_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V7);
+fn every_bit_flip_and_every_truncation_of_the_v8_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V8);
 }
 
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
@@ -315,7 +360,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V7.to_vec();
+    let mut after_frame = FIXTURE_V8.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -330,7 +375,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V7[16..FIXTURE_V7.len() - 8]);
+    w.put_bytes(&FIXTURE_V8[16..FIXTURE_V8.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -348,11 +393,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v7_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v8_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v7_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v8_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(EmulatorBackend::Sequential(

@@ -1,6 +1,6 @@
 //! Golden `MNSP` fixtures for the multiplexed, churned case.
 //!
-//! `tests/data/mnsp_v7_path4.bin` (see `snapshot_golden.rs`) has one VN per
+//! `tests/data/mnsp_v8_path4.bin` (see `snapshot_golden.rs`) has one VN per
 //! location and inline route-table rows only. The scenario below pins what
 //! that leaves out: an 8-router ring with three VNs bound at every client
 //! (rows 8 columns wide, so they spill), two cores, one fluid flow, stopped
@@ -8,12 +8,13 @@
 //! stay, a location emptied, the link up again, a rejoin into the emptied
 //! location, a rejoin elsewhere, a fresh VN id and a second link down.
 //!
-//! `tests/data/mnsp_v6_mux_churn.bin` is the scenario under the v6
-//! encoder, which also wrote every routing-matrix source slot's distance
-//! labels. Format v7 sums them from the predecessor rows instead (see
-//! `snapshot_golden.rs`): `tests/data/mnsp_v7_mux_churn.bin` is the
+//! `tests/data/mnsp_v7_mux_churn.bin` is the scenario under the v7
+//! encoder, which also wrote the fluid solver's per-pipe capacities and
+//! demands and each core's fluid total and (here empty) CBR meters. Format
+//! v8 rebuilds the first three from the pipes and has no meters (see
+//! `snapshot_golden.rs`): `tests/data/mnsp_v8_mux_churn.bin` is the
 //! scenario under the current encoder, which every later commit must
-//! re-create byte for byte and which the v6 file, restored and serialised
+//! re-create byte for byte and which the v7 file, restored and serialised
 //! again, is. Both files restore into
 //! both executors and finish the run on the recorded delivery digest; they
 //! are never re-blessed. The digest cannot see the rebuilt load vector (no
@@ -39,8 +40,8 @@ use modelnet::EmulatorBackend;
 mod membership;
 use membership::membership;
 
-const FIXTURE_V6: &[u8] = include_bytes!("data/mnsp_v6_mux_churn.bin");
 const FIXTURE_V7: &[u8] = include_bytes!("data/mnsp_v7_mux_churn.bin");
+const FIXTURE_V8: &[u8] = include_bytes!("data/mnsp_v8_mux_churn.bin");
 
 const ROUTERS: usize = 8;
 /// VNs bound at each client location when the run starts.
@@ -236,27 +237,27 @@ fn tail_digest(mut backend: EmulatorBackend) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v7 fixture on both executors, and so does
-/// restoring the v6 file.
+/// The current encoder writes the v8 fixture on both executors, and so does
+/// restoring the v7 file.
 #[test]
-fn both_executors_reproduce_the_v7_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 7, "this fixture pins format v7");
+fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 8, "this fixture pins format v8");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V7,
-            "snapshot bytes drifted from the v7 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V8,
+            "snapshot bytes drifted from the v8 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V6).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V7);
-    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V6).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V7);
+    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V7).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V8);
+    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V7).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V8);
 }
 
 #[test]
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
-    for fixture in [FIXTURE_V6, FIXTURE_V7] {
+    for fixture in [FIXTURE_V7, FIXTURE_V8] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
         let sequential =
             EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
@@ -278,7 +279,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
     assert_eq!(expected.0.len(), MUX * ROUTERS + 1);
     assert!(expected.2.contains(&Some(CoreId(0))) && expected.2.contains(&Some(CoreId(1))));
-    for fixture in [FIXTURE_V6, FIXTURE_V7] {
+    for fixture in [FIXTURE_V7, FIXTURE_V8] {
         let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -291,16 +292,16 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// Writes the current version's fixture and prints the digest (`cargo test
 /// --test snapshot_golden_mux -- --ignored --nocapture`, after renaming the
 /// path below — run at the rebuilt VN tables for v6, at the summed labels
-/// for v7); see the module docs for why an existing file is never
-/// rewritten.
+/// for v7, at the rebuilt fluid vectors for v8); see the module docs for
+/// why an existing file is never rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v7_mux_churn.bin"]
+#[ignore = "writes tests/data/mnsp_v8_mux_churn.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/mnsp_v7_mux_churn.bin"
+        "/tests/data/mnsp_v8_mux_churn.bin"
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();

@@ -137,8 +137,8 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     let _process = shared();
     // Runtime reconfiguration must not break the zero-alloc guarantee: a
     // mid-run bandwidth renegotiation (the dynamics engine's in-place
-    // parameter update) and a running CBR background injector both ride
-    // the warmed tick path.
+    // parameter update) and a running CBR episode both ride the warmed
+    // tick path.
     let topo = star_topology(&StarParams {
         clients: 64,
         ..StarParams::default()
@@ -151,11 +151,11 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
-    // A CBR injector on one spoke pipe runs through warm-up and the whole
-    // measured window: 4096 bits every 2.097152 ms, riding the fluid
-    // machinery and its recompute epochs. Neither period lines up with the
-    // 20 µs submit cadence, and none has to: the wheel's arena reaches its
-    // peak in warm-up whichever slots the deadlines fall in.
+    // A CBR episode on one spoke pipe runs through warm-up and the whole
+    // measured window: a fluid demand of 1 953 125 b/s and its recompute
+    // epochs. The epoch period does not line up with the 20 µs submit
+    // cadence, and need not: the wheel's arena reaches its peak in warm-up
+    // whichever slots the deadlines fall in.
     let cbr_pipe = mn_distill::PipeId(0);
     assert!(emu.set_pipe_cbr(
         cbr_pipe,
@@ -201,9 +201,10 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
         delivered > 0,
         "renegotiated steady state must deliver packets"
     );
-    assert!(
-        emu.total_stats().cbr_injected > 0,
-        "the background injector ran"
+    assert_eq!(
+        emu.total_stats().fluid_modelled_bytes,
+        317_343,
+        "1 953 125 b/s from 0 to the last advance, at 1 299 840 µs"
     );
     assert_eq!(
         delta, 0,
