@@ -11,12 +11,12 @@ use std::fmt;
 
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode, DistilledTopology};
-use mn_emucore::{Emulator, HardwareProfile};
+use mn_emucore::{Emulator, Executor, HardwareProfile, MultiCoreEmulator, ParallelEmulator};
 use mn_routing::RoutingMatrix;
 use mn_topology::Topology;
 use mn_transport::TcpConfig;
 
-use crate::runner::{EmulatorBackend, ExecutionBackend, Runner};
+use crate::runner::{ExecutionBackend, Runner};
 
 /// Errors raised while building an experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,33 +211,21 @@ impl Experiment {
         let params = BindingParams::new(self.edge_nodes, self.cores);
         let binding = Binding::bind(distilled.vns(), &params);
         // Run-phase driver on the selected execution backend.
-        let mut backend = match self.backend {
-            ExecutionBackend::Sequential => EmulatorBackend::Sequential(Emulator::new(
-                &distilled,
-                pod,
-                matrix,
-                &binding,
-                self.profile,
-                self.seed,
-            )),
-            ExecutionBackend::Threaded => EmulatorBackend::Threaded(Emulator::new(
-                &distilled,
-                pod,
-                matrix,
-                &binding,
-                self.profile,
-                self.seed,
-            )),
+        let inline =
+            MultiCoreEmulator::new(&distilled, pod, matrix, &binding, self.profile, self.seed);
+        let mut emulator: Emulator<Executor> = match self.backend {
+            ExecutionBackend::Sequential => inline.into(),
+            ExecutionBackend::Threaded => ParallelEmulator::from_sequential(inline).into(),
         };
         if let Some(load) = self.compensation {
             // Pipe-id order on both backends: the fluid solver allocates
             // fixed-rate background demands in installation order, so the
             // order is part of the deterministic contract.
             for (pipe, rate) in mn_distill::compensation_rates(&distilled, load) {
-                backend.set_pipe_compensation(pipe, Some(rate), mn_util::SimTime::ZERO);
+                emulator.set_pipe_compensation(pipe, Some(rate), mn_util::SimTime::ZERO);
             }
         }
-        let mut runner = Runner::with_backend(backend, binding, TcpConfig::default());
+        let mut runner = Runner::with_backend(emulator, binding, TcpConfig::default());
         if let Some(schedule) = schedule {
             runner.install_schedule(mn_dynamics::ScheduleEngine::new(
                 distilled.clone(),
@@ -528,11 +516,14 @@ mod tests {
         );
     }
 
+    /// The emulator answers on both backends; only its cores, which live
+    /// on the worker threads of a threaded one, cannot be read there.
     #[test]
-    #[should_panic(expected = "sequential backend")]
+    #[should_panic(expected = "worker threads")]
     fn direct_emulator_access_panics_on_the_threaded_backend() {
         let runner = Experiment::new(small_ring()).threaded().build().unwrap();
-        let _ = runner.emulator();
+        assert_eq!(runner.emulator().core_count(), 1);
+        let _ = runner.emulator().cores();
     }
 
     #[test]

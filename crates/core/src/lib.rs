@@ -54,8 +54,8 @@ pub mod runner;
 
 pub use experiment::{Experiment, ExperimentError};
 pub use runner::{
-    DriverCounters, EmulatorBackend, ExecutionBackend, FlowId, RecoverError, Runner, SnapshotError,
-    UdpFlowId,
+    DriverCounters, EmulatorBackend, ExecutionBackend, FlowId, Reconfigure, RecoverError, Runner,
+    SnapshotError, UdpFlowId,
 };
 
 // Re-export the pieces users need to drive the pipeline by hand.
@@ -64,7 +64,8 @@ pub use mn_distill::{distill, DistillationMode, DistilledTopology};
 pub use mn_dynamics::{DynamicsTarget, Schedule, ScheduleEngine, ScheduleEvent};
 pub use mn_edge::{AppAction, AppCtx, Application, Message};
 pub use mn_emucore::{
-    ChaosPlan, EmuError, FailureCause, HardwareProfile, MultiCoreEmulator, ParallelEmulator,
+    ChaosPlan, EmuError, Emulator, Executor, FailureCause, HardwareProfile, MultiCoreEmulator,
+    ParallelEmulator,
 };
 pub use mn_packet::VnId;
 pub use mn_pipe::CbrConfig;

@@ -47,13 +47,17 @@ impl Codec for PortBinding {
 }
 
 use mn_assign::Binding;
-use mn_dynamics::ScheduleRestoreError;
+use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
+use mn_dynamics::{DynamicsTarget, ScheduleRestoreError};
 use mn_edge::{AppAction, AppCtx, Application, Message};
 use mn_emucore::{
-    Delivery, EmuError, Emulator, EmulatorSnapshot, MultiCoreEmulator, ParallelEmulator,
+    CoreExecutor, Delivery, EmuError, Emulator, Executor, MultiCoreEmulator, ParallelEmulator,
     SubmitOutcome,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
+use mn_pipe::CbrConfig;
+use mn_routing::RouteUpdate;
+use mn_topology::NodeId;
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
@@ -70,7 +74,8 @@ use mn_util::{SimTime, TimerWheel};
 pub enum ExecutionBackend {
     /// All cores advance cooperatively on the calling thread
     /// ([`MultiCoreEmulator`]). Lowest overhead for light workloads and the
-    /// only backend that exposes direct core access ([`Runner::emulator`]).
+    /// only backend whose cores can be read directly
+    /// (`runner.emulator().cores()`).
     #[default]
     Sequential,
     /// Every core runs on its own OS thread ([`ParallelEmulator`]),
@@ -79,13 +84,8 @@ pub enum ExecutionBackend {
     Threaded,
 }
 
-/// The emulator behind a [`Runner`]: the one coordinator
-/// ([`mn_emucore::Emulator`]) over the inline or the threaded executor.
-/// Every method below is the same call on either variant — the executors
-/// share the coordinator's signatures — so this enum only picks the type.
-// One long-lived value per runner, never moved on a hot path: the variant
-// size gap is irrelevant and boxing would only add a pointer chase.
-#[allow(clippy::large_enum_variant)]
+/// An emulator on either executor, as a caller that builds one itself
+/// hands it to [`Runner::with_backend`].
 #[derive(Debug)]
 pub enum EmulatorBackend {
     /// Cooperative execution on the calling thread.
@@ -94,238 +94,32 @@ pub enum EmulatorBackend {
     Threaded(ParallelEmulator),
 }
 
-/// Evaluates `$call` with `$emu` bound to whichever emulator `$backend`
-/// holds. The two arms are the same tokens at two types (static dispatch,
-/// no trait object on the packet path).
-macro_rules! on_emulator {
-    ($backend:expr, $emu:ident => $call:expr) => {
-        match $backend {
-            EmulatorBackend::Sequential($emu) => $call,
-            EmulatorBackend::Threaded($emu) => $call,
+impl From<EmulatorBackend> for Emulator<Executor> {
+    fn from(backend: EmulatorBackend) -> Self {
+        match backend {
+            EmulatorBackend::Sequential(emulator) => emulator.into(),
+            EmulatorBackend::Threaded(emulator) => emulator.into(),
         }
-    };
-}
-
-impl EmulatorBackend {
-    /// Submits a packet at time `now`. On the threaded backend a dead or
-    /// stalled worker surfaces as [`EmuError::WorkerFailure`]; the
-    /// sequential backend cannot fail.
-    pub fn submit(&mut self, now: SimTime, packet: Packet) -> Result<SubmitOutcome, EmuError> {
-        on_emulator!(self, emu => emu.submit(now, packet))
-    }
-
-    /// Advances the emulation to `now`, appending deliveries.
-    pub fn advance_into(
-        &mut self,
-        now: SimTime,
-        deliveries: &mut Vec<Delivery>,
-    ) -> Result<(), EmuError> {
-        on_emulator!(self, emu => emu.advance_into(now, deliveries))
-    }
-
-    /// The earliest time at which the emulation has work due.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        on_emulator!(self, emu => emu.next_wakeup())
-    }
-
-    /// Submits a batch of timestamped packets, appending one outcome per
-    /// packet (in input order) to `outcomes` — the bulk-driver fast path
-    /// (the threaded backend pipelines it). On error, `outcomes` is left
-    /// untouched.
-    pub fn submit_batch<I>(
-        &mut self,
-        batch: I,
-        outcomes: &mut Vec<SubmitOutcome>,
-    ) -> Result<(), EmuError>
-    where
-        I: IntoIterator<Item = (SimTime, Packet)>,
-    {
-        on_emulator!(self, emu => emu.submit_batch(batch, outcomes))
-    }
-
-    /// Serializes the complete emulator state. The snapshot is
-    /// backend-independent: it restores into either backend at any core
-    /// count with bit-identical continuation.
-    pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
-        on_emulator!(self, emu => emu.snapshot())
-    }
-
-    /// Rebuilds the emulator from the `MNSP` frame `framed` on the same
-    /// backend variant as `self` (a fresh worker pool on the threaded one).
-    fn restored(&self, framed: &[u8]) -> Result<Self, CodecError> {
-        Ok(match self {
-            EmulatorBackend::Sequential(_) => {
-                EmulatorBackend::Sequential(Emulator::restore_bytes(framed)?)
-            }
-            EmulatorBackend::Threaded(_) => {
-                EmulatorBackend::Threaded(Emulator::restore_bytes(framed)?)
-            }
-        })
-    }
-
-    /// Aggregated counters across cores.
-    pub fn total_stats(&self) -> mn_emucore::CoreStats {
-        on_emulator!(self, emu => emu.total_stats())
-    }
-
-    /// One core's counters, by value.
-    pub fn core_stats(&self, core: mn_assign::CoreId) -> Option<mn_emucore::CoreStats> {
-        on_emulator!(self, emu => emu.core_stats(core))
-    }
-
-    /// Number of cooperating cores.
-    pub fn core_count(&self) -> usize {
-        on_emulator!(self, emu => emu.core_count())
-    }
-
-    /// Updates a pipe's emulation parameters on whichever core owns it.
-    pub fn update_pipe_attrs(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        attrs: mn_distill::PipeAttrs,
-    ) -> bool {
-        on_emulator!(self, emu => emu.update_pipe_attrs(pipe, attrs))
-    }
-
-    /// Installs, replaces or (with `None`) removes the CBR cross-traffic
-    /// episode on a pipe: a fixed-rate fluid demand there.
-    pub fn set_pipe_cbr(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        config: Option<mn_pipe::CbrConfig>,
-        from: SimTime,
-    ) -> bool {
-        on_emulator!(self, emu => emu.set_pipe_cbr(pipe, config, from))
-    }
-
-    /// Installs (or clears, with `None`) a distillation-compensation rate on
-    /// a pipe: a fluid-only background demand standing in for the contention
-    /// of the hops the pipe collapsed. Shares the per-pipe background demand
-    /// slot with [`set_pipe_cbr`](Self::set_pipe_cbr) episodes.
-    pub fn set_pipe_compensation(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        rate: Option<DataRate>,
-        from: SimTime,
-    ) -> bool {
-        on_emulator!(self, emu => emu.set_pipe_compensation(pipe, rate, from))
-    }
-
-    /// Applies an incremental routing change after the listed pipes of
-    /// `topo` were mutated in place: only affected shortest-route trees are
-    /// recomputed and only changed pairs re-wired; untouched `RouteId`s
-    /// (and descriptors in flight on them) are preserved.
-    pub fn reroute(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        changed: &[mn_distill::PipeId],
-    ) -> mn_routing::RouteUpdate {
-        on_emulator!(self, emu => emu.reroute(topo, changed))
-    }
-
-    /// Starts a fluid bulk flow between two VNs at time `at`.
-    pub fn add_fluid_flow(
-        &mut self,
-        tag: u64,
-        src: VnId,
-        dst: VnId,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        on_emulator!(self, emu => emu.add_fluid_flow(tag, src, dst, demand, clients, at))
-    }
-
-    /// Changes a live fluid flow's offered demand and client count.
-    pub fn resize_fluid_flow(
-        &mut self,
-        tag: u64,
-        demand: DataRate,
-        clients: u32,
-        at: SimTime,
-    ) -> bool {
-        on_emulator!(self, emu => emu.resize_fluid_flow(tag, demand, clients, at))
-    }
-
-    /// Stops a fluid flow, returning its share to the packet path.
-    pub fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        on_emulator!(self, emu => emu.remove_fluid_flow(tag, at))
-    }
-
-    /// The rate the last fair-share solve allocated to a fluid flow.
-    pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
-        on_emulator!(self, emu => emu.fluid_flow_rate(tag))
-    }
-
-    /// Bytes of goodput a fluid flow has accumulated so far.
-    pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        on_emulator!(self, emu => emu.fluid_flow_goodput_bytes(tag))
-    }
-
-    /// Read access to the coordinator-owned fluid flow state.
-    pub fn fluid(&self) -> &mn_emucore::FluidState {
-        on_emulator!(self, emu => emu.fluid())
-    }
-
-    /// Joins a VN at a client location of `topo` mid-run: its source tree
-    /// and route-table entry are added incrementally — no full route rebuild — and
-    /// it enters through the least-loaded core.
-    pub fn vn_join(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        vn: VnId,
-        location: mn_topology::NodeId,
-        at: SimTime,
-    ) -> bool {
-        on_emulator!(self, emu => emu.vn_join(topo, vn, location, at))
-    }
-
-    /// Removes a VN mid-run. New traffic touching it is refused at once;
-    /// in-flight descriptors drain on their pre-departure routes and its
-    /// fluid flows are torn down.
-    pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        on_emulator!(self, emu => emu.vn_leave(vn, at))
-    }
-
-    /// `true` while a VN is an active member of the emulation.
-    pub fn vn_is_active(&self, vn: VnId) -> bool {
-        on_emulator!(self, emu => emu.vn_is_active(vn))
-    }
-
-    /// Number of currently active VNs.
-    pub fn active_vn_count(&self) -> usize {
-        on_emulator!(self, emu => emu.active_vn_count())
     }
 }
 
-/// The execution backends are what the dynamics engine reconfigures: one
-/// coordinator applies in-place pipe mutation, CBR injection, incremental
-/// rerouting, fluid flows and churn on both, so a [`mn_dynamics::Schedule`]
-/// applies identically (bit for bit) whichever backend drives the run.
-impl mn_dynamics::DynamicsTarget for EmulatorBackend {
-    fn update_pipe_attrs(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        attrs: mn_distill::PipeAttrs,
-    ) -> bool {
-        EmulatorBackend::update_pipe_attrs(self, pipe, attrs)
+/// An emulator as the dynamics engine reconfigures it: one coordinator
+/// applies in-place pipe mutation, CBR injection, incremental rerouting,
+/// fluid flows and churn on every executor, so a [`mn_dynamics::Schedule`]
+/// applies identically (bit for bit) whichever one drives the run.
+pub struct Reconfigure<'a, X: CoreExecutor>(pub &'a mut Emulator<X>);
+
+impl<X: CoreExecutor> DynamicsTarget for Reconfigure<'_, X> {
+    fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
+        self.0.update_pipe_attrs(pipe, attrs)
     }
 
-    fn set_pipe_cbr(
-        &mut self,
-        pipe: mn_distill::PipeId,
-        config: Option<mn_pipe::CbrConfig>,
-        from: SimTime,
-    ) -> bool {
-        EmulatorBackend::set_pipe_cbr(self, pipe, config, from)
+    fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
+        self.0.set_pipe_cbr(pipe, config, from)
     }
 
-    fn reroute(
-        &mut self,
-        topo: &mn_distill::DistilledTopology,
-        changed: &[mn_distill::PipeId],
-    ) -> mn_routing::RouteUpdate {
-        EmulatorBackend::reroute(self, topo, changed)
+    fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
+        self.0.reroute(topo, changed)
     }
 
     fn add_fluid_flow(
@@ -337,29 +131,29 @@ impl mn_dynamics::DynamicsTarget for EmulatorBackend {
         clients: u32,
         at: SimTime,
     ) -> bool {
-        EmulatorBackend::add_fluid_flow(self, tag, src, dst, demand, clients, at)
+        self.0.add_fluid_flow(tag, src, dst, demand, clients, at)
     }
 
     fn resize_fluid_flow(&mut self, tag: u64, demand: DataRate, clients: u32, at: SimTime) -> bool {
-        EmulatorBackend::resize_fluid_flow(self, tag, demand, clients, at)
+        self.0.resize_fluid_flow(tag, demand, clients, at)
     }
 
     fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool {
-        EmulatorBackend::remove_fluid_flow(self, tag, at)
+        self.0.remove_fluid_flow(tag, at)
     }
 
     fn vn_join(
         &mut self,
-        topo: &mn_distill::DistilledTopology,
+        topo: &DistilledTopology,
         vn: VnId,
-        location: mn_topology::NodeId,
+        location: NodeId,
         at: SimTime,
     ) -> bool {
-        EmulatorBackend::vn_join(self, topo, vn, location, at)
+        self.0.vn_join(topo, vn, location, at)
     }
 
     fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
-        EmulatorBackend::vn_leave(self, vn, at)
+        self.0.vn_leave(vn, at)
     }
 }
 
@@ -674,7 +468,7 @@ pub struct Runner {
     /// so the queue stays O(endpoints) however long the run (see
     /// [`Channel::armed`]).
     events: TimerWheel<Event>,
-    emulator: EmulatorBackend,
+    emulator: Emulator<Executor>,
     binding: Binding,
     tcp_config: TcpConfig,
     channels: Vec<Channel>,
@@ -717,24 +511,18 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates a runner over an already-built sequential emulator and
-    /// binding. Most users construct one through [`crate::Experiment`].
-    pub fn new(emulator: MultiCoreEmulator, binding: Binding, tcp_config: TcpConfig) -> Self {
-        Self::with_backend(EmulatorBackend::Sequential(emulator), binding, tcp_config)
-    }
-
-    /// Creates a runner over an explicit execution backend (sequential or
-    /// threaded); see [`ExecutionBackend`] and
-    /// [`crate::Experiment::backend`].
+    /// Creates a runner over an already-built emulator, on either executor
+    /// (sequential or threaded; see [`ExecutionBackend`]), and its binding.
+    /// Most users construct one through [`crate::Experiment`].
     pub fn with_backend(
-        emulator: EmulatorBackend,
+        emulator: impl Into<Emulator<Executor>>,
         binding: Binding,
         tcp_config: TcpConfig,
     ) -> Self {
         Runner {
             now: SimTime::ZERO,
             events: TimerWheel::new(),
-            emulator,
+            emulator: emulator.into(),
             binding,
             tcp_config,
             channels: Vec::new(),
@@ -794,50 +582,23 @@ impl Runner {
         &self.binding
     }
 
-    /// The execution backend driving the emulation.
-    pub fn backend(&self) -> &EmulatorBackend {
+    /// The emulator, on whichever executor drives it.
+    pub fn backend(&self) -> &Emulator<Executor> {
         &self.emulator
     }
 
-    /// Mutable access to the execution backend (routing changes, pipe
-    /// updates) — works for both backends.
-    pub fn backend_mut(&mut self) -> &mut EmulatorBackend {
+    /// Mutable access to the emulator: routing changes, pipe updates,
+    /// fluid flows and churn, on either executor. Work added here is
+    /// picked up by the next `run_until` / `run_for`.
+    pub fn backend_mut(&mut self) -> &mut Emulator<Executor> {
         &mut self.emulator
     }
 
-    /// The sequential emulator (core statistics, accuracy logs, pipe
-    /// counters).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the threaded backend, whose cores live on their own
-    /// threads; use [`Runner::backend`] for backend-agnostic access, or
-    /// [`EmulatorBackend::total_stats`] for counters.
-    pub fn emulator(&self) -> &MultiCoreEmulator {
-        match &self.emulator {
-            EmulatorBackend::Sequential(emu) => emu,
-            EmulatorBackend::Threaded(_) => panic!(
-                "Runner::emulator is only available on the sequential backend; \
-                 use Runner::backend for the threaded one"
-            ),
-        }
-    }
-
-    /// Mutable access to the sequential emulator, used by dynamic
-    /// network-change drivers to adjust pipe parameters mid-run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the threaded backend; use [`Runner::backend_mut`], which
-    /// supports routing and pipe updates on both backends.
-    pub fn emulator_mut(&mut self) -> &mut MultiCoreEmulator {
-        match &mut self.emulator {
-            EmulatorBackend::Sequential(emu) => emu,
-            EmulatorBackend::Threaded(_) => panic!(
-                "Runner::emulator_mut is only available on the sequential backend; \
-                 use Runner::backend_mut for the threaded one"
-            ),
-        }
+    /// The emulator, the same as [`Runner::backend`]: core statistics,
+    /// accuracy logs and pipe counters (`cores()` only while it runs
+    /// inline).
+    pub fn emulator(&self) -> &Emulator<Executor> {
+        &self.emulator
     }
 
     /// Installs an application instance on a VN. Applications receive
@@ -915,56 +676,6 @@ impl Runner {
         self.udp_flows.push(flow);
         self.events.push(start, Event::UdpPoll { flow: idx });
         UdpFlowId(idx)
-    }
-
-    /// Starts a fluid (flow-level) bulk flow between two VNs at the current
-    /// virtual time: `demand` offered in aggregate for `clients` modelled
-    /// clients. The flow's max-min share of every pipe it crosses shows up
-    /// to the packet path as consumed capacity; `tag` must be unique among
-    /// live fluid flows. Returns `false` on a duplicate tag.
-    pub fn add_fluid_flow(
-        &mut self,
-        tag: u64,
-        src: VnId,
-        dst: VnId,
-        demand: DataRate,
-        clients: u32,
-    ) -> bool {
-        let ok = self
-            .emulator
-            .add_fluid_flow(tag, src, dst, demand, clients, self.now);
-        if ok {
-            // The epoch grid is emulator work: make sure the driver wakes
-            // for the next recompute point.
-            self.schedule_emu_wakeup();
-        }
-        ok
-    }
-
-    /// Changes a live fluid flow's offered demand and client count.
-    pub fn resize_fluid_flow(&mut self, tag: u64, demand: DataRate, clients: u32) -> bool {
-        let ok = self
-            .emulator
-            .resize_fluid_flow(tag, demand, clients, self.now);
-        if ok {
-            self.schedule_emu_wakeup();
-        }
-        ok
-    }
-
-    /// Stops a fluid flow, returning its share to the packet path.
-    pub fn remove_fluid_flow(&mut self, tag: u64) -> bool {
-        self.emulator.remove_fluid_flow(tag, self.now)
-    }
-
-    /// The rate the last fair-share solve allocated to a fluid flow.
-    pub fn fluid_flow_rate(&self, tag: u64) -> Option<DataRate> {
-        self.emulator.fluid_flow_rate(tag)
-    }
-
-    /// Bytes of goodput a fluid flow has accumulated so far.
-    pub fn fluid_flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        self.emulator.fluid_flow_goodput_bytes(tag)
     }
 
     // ------------------------------------------------------------------
@@ -1060,6 +771,9 @@ impl Runner {
         if let Some(error) = &self.failure {
             return Err(error.clone());
         }
+        // Work added straight to the emulator since the last event (a fluid
+        // flow, a reroute) needs a wakeup the queue may not hold yet.
+        self.schedule_emu_wakeup();
         if !self.apps_started {
             self.apps_started = true;
             let vns: Vec<VnId> = (0..self.apps.len() as u32)
@@ -1120,7 +834,7 @@ impl Runner {
         // by the routing state's encoded length) plus room to have grown a
         // little; both frames' payloads are streamed in place.
         let hint = match self.snapshot_len_hint {
-            0 => on_emulator!(&self.emulator, emu => emu.snapshot_len_hint()),
+            0 => self.emulator.snapshot_len_hint(),
             last => last,
         };
         let mut w = ByteWriter::with_capacity(hint + hint / 16 + 4096);
@@ -1128,8 +842,7 @@ impl Runner {
         w.put_time(self.now);
         w.put_len(0);
         let emu_start = w.len();
-        on_emulator!(&mut self.emulator, emu => emu.snapshot_into(&mut w))
-            .map_err(SnapshotError::Emulator)?;
+        (self.emulator.snapshot_into(&mut w)).map_err(SnapshotError::Emulator)?;
         let emu_frame = emu_start..w.len();
         w.patch_u64(emu_start - 8, emu_frame.len() as u64);
         let entries = self.events.entries_in_order();
@@ -1236,7 +949,7 @@ impl Runner {
         }
         // On the threaded backend this spawns a fresh worker pool; a
         // poisoned one is torn down when the old value drops.
-        let emulator = self.emulator.restored(emu_frame)?;
+        let emulator = self.emulator.restore_like(emu_frame)?;
         // Fast-forward the schedule engine (validates the cursor against
         // the restored time) before replacing any state.
         match (dynamics_cursor, self.dynamics.as_mut()) {
@@ -1321,7 +1034,8 @@ impl Runner {
                 // Take the engine out so it can mutate the backend (both
                 // live on `self`); the slot is restored immediately after.
                 if let Some(mut engine) = self.dynamics.take() {
-                    let applied = engine.apply_due(self.now, &mut self.emulator);
+                    let target = &mut Reconfigure(&mut self.emulator);
+                    let applied = engine.apply_due(self.now, target);
                     self.dynamics = Some(engine);
                     if !applied.is_empty() {
                         // A reconfiguration can create emulator work (CBR

@@ -1239,6 +1239,33 @@ mod tests {
         assert_eq!(threaded.map(|_| ()), refused);
     }
 
+    #[test]
+    fn restore_bytes_refuses_a_fluid_epoch_of_u64_max_ns() {
+        // Every run recomputes on the default cadence; a frame saying
+        // otherwise would overflow `at + epoch` at the first solve (a panic
+        // in debug builds, a clock wrapped into the past in release ones).
+        let mut source = ring_emulator();
+        let rate = Some(DataRate::from_mbps(2));
+        assert!(source.set_pipe_compensation(PipeId(5), rate, SimTime::ZERO));
+        let mut bytes = source.snapshot().unwrap().to_bytes();
+        let mut fluid = ByteWriter::new();
+        source.fluid.encode(&mut fluid);
+        let fluid = fluid.into_bytes();
+        let at = bytes.windows(fluid.len()).position(|w| w == fluid).unwrap();
+        // The epoch word follows the fluid clock.
+        bytes[at + 8..at + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let end = bytes.len() - 8;
+        let sum = mn_util::codec::checksum64(&bytes[16..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
+        assert_eq!(
+            MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
+            refused
+        );
+        let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
+        assert_eq!(threaded.map(|_| ()), refused);
+    }
+
     /// Restore reads each pipe's fluid capacity from the pipe on the core
     /// the POD gives it to: a POD naming a core that does not hold the pipe
     /// leaves that capacity, and the pipe's forwarding, with no owner.

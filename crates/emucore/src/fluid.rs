@@ -27,7 +27,7 @@ use mn_packet::VnId;
 use mn_routing::RouteTable;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
-/// Default cadence at which fluid rates are recomputed while flows are live:
+/// Cadence at which fluid rates are recomputed while flows are live:
 /// `2^23` ns ≈ 8.39 ms. The timer wheel keeps every pending entry in one
 /// arena, so the cadence need not line up with its slots to stay
 /// allocation-free; the value is kept because every recorded snapshot and
@@ -134,8 +134,6 @@ mn_util::codec_record! {
 pub struct FluidState {
     /// Virtual time all flow integrals have been settled to.
     clock: SimTime,
-    /// Recompute cadence while any flow is live.
-    epoch: SimDuration,
     /// Next scheduled rate recompute, if any flow is live.
     next_epoch: Option<SimTime>,
     flows: Vec<FlowSlot>,
@@ -162,7 +160,6 @@ impl FluidState {
         let pipes = capacity_bps.len();
         FluidState {
             clock: SimTime::ZERO,
-            epoch: DEFAULT_FLUID_EPOCH,
             next_epoch: None,
             flows: Vec::new(),
             index: HashMap::new(),
@@ -396,7 +393,7 @@ impl FluidState {
         if self.flows.is_empty() {
             self.next_epoch = None;
         } else if self.next_epoch.is_none_or(|e| e <= at) {
-            self.next_epoch = Some(at + self.epoch);
+            self.next_epoch = Some(at + DEFAULT_FLUID_EPOCH);
         }
         &self.changed
     }
@@ -574,12 +571,13 @@ impl FluidState {
 /// per-pipe vectors between the flows and the mark, and the flow index and
 /// solver scratch are rebuilt, not read. A restored state produces the same
 /// solves, integrals and epoch schedule as the original — and refuses what
-/// would hang or panic them: a zero epoch (the emulator's epoch loop would
-/// never pass it), a flow on a pipe beyond the capacities, two flows under
-/// one key.
+/// would hang or panic them: a cadence other than [`DEFAULT_FLUID_EPOCH`],
+/// the only one a run sets (zero would pin the emulator's epoch loop to one
+/// instant, a huge one overflow the clock), a flow on a pipe beyond the
+/// capacities, two flows under one key.
 impl FluidState {
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        (self.clock, self.epoch, self.next_epoch).put(w);
+        (self.clock, DEFAULT_FLUID_EPOCH, self.next_epoch).put(w);
         self.flows.put(w);
         self.routes_dirty.put(w);
     }
@@ -600,8 +598,8 @@ impl FluidState {
             r.take_bytes(written * 2 * u64::MIN_BYTES)?;
         }
         let routes_dirty = bool::get(r)?;
-        if epoch.is_zero() {
-            return Err(Invalid("fluid epoch of zero"));
+        if epoch != DEFAULT_FLUID_EPOCH {
+            return Err(Invalid("fluid epoch other than the default"));
         }
         let pinned = |flow: &FlowSlot| match flow.kind {
             FlowKind::Pipe { pipe } => Some(pipe),
@@ -621,7 +619,6 @@ impl FluidState {
         }
         Ok(FluidState {
             clock,
-            epoch,
             next_epoch,
             flows,
             index,
@@ -881,11 +878,16 @@ mod tests {
     #[test]
     fn a_zero_epoch_is_refused() {
         // Restored, it would pin the next epoch to the instant it is solved
-        // at, and `Emulator::advance_into` would solve there forever.
-        let mut fluid = one_flow();
-        fluid.epoch = SimDuration::ZERO;
-        let refused = Err(CodecError::Invalid("fluid epoch of zero"));
-        assert_eq!(round_trip(&fluid).map(|_| ()), refused);
+        // at, and `Emulator::advance_into` would solve there forever. (The
+        // epoch word follows the clock.)
+        let mut bytes = encoded(&one_flow());
+        bytes[8..16].copy_from_slice(&0u64.to_le_bytes());
+        let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
+        let r = &mut ByteReader::new(&bytes);
+        assert_eq!(
+            FluidState::decode(r, SNAPSHOT_VERSION, 1).map(|_| ()),
+            refused
+        );
     }
 
     #[test]

@@ -40,8 +40,11 @@
 //!   flags, heartbeats, the stall watchdog and failure poisoning.
 //!
 //! [`MultiCoreEmulator`] and [`ParallelEmulator`] are type aliases of the
-//! two instantiations. Results are **bit-identical** between them for two
-//! separate reasons. On the coordinator side it holds by construction: the
+//! two instantiations; [`Executor`] holds either executor, so
+//! `Emulator<Executor>` is the one type for a driver that chooses at run
+//! time (the runner's), each of its calls one `match` onto the executor.
+//! Results are **bit-identical** between the executors for two separate
+//! reasons. On the coordinator side it holds by construction: the
 //! sequence of matrix updates, route-table generations, entry-core
 //! assignments, fluid solves and per-core commands is literally the same
 //! code. On the executor side it holds by protocol: the threaded executor's
@@ -72,6 +75,7 @@ pub mod core;
 pub mod descriptor;
 pub mod emulator;
 pub mod error;
+pub mod executor;
 pub mod fluid;
 pub mod hardware;
 pub mod multicore;
@@ -84,6 +88,7 @@ pub use core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 pub use descriptor::{Delivery, Descriptor};
 pub use emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
 pub use error::{EmuError, FailureCause};
+pub use executor::Executor;
 pub use fluid::FluidState;
 pub use hardware::HardwareProfile;
 pub use multicore::{InlineExecutor, MultiCoreEmulator};

@@ -12,7 +12,8 @@
 //!
 //! [`InlineExecutor`] is the reference [`CoreExecutor`]: its `advance` *is*
 //! the round structure the trait's contract describes, and the threaded
-//! executor is tested for bit-identity against it.
+//! executor is tested for bit-identity against it. A driver that picks the
+//! executor at run time holds it inside an [`crate::Executor`].
 
 use std::sync::Arc;
 
@@ -28,9 +29,9 @@ use crate::error::EmuError;
 use crate::hardware::HardwareProfile;
 
 /// The cooperative single-thread emulator: every core advances in turn on
-/// the calling thread. Lowest overhead, never fails, and the only
-/// instantiation that exposes the cores themselves
-/// ([`MultiCoreEmulator::cores`]).
+/// the calling thread. Lowest overhead, never fails, and exposes the cores
+/// themselves ([`MultiCoreEmulator::cores`]; `Emulator<Executor>::cores`
+/// too, while it runs inline).
 pub type MultiCoreEmulator = Emulator<InlineExecutor>;
 
 /// Runs every core on the calling thread, handing each tunnelled descriptor

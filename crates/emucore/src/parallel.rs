@@ -645,6 +645,13 @@ impl ThreadedExecutor {
         Ok(())
     }
 
+    /// [`ParallelEmulator::set_chaos`]'s body.
+    pub(crate) fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
+        self.failure.is_none()
+            && core.index() < self.workers.len()
+            && self.call(core.index(), Request::SetChaos(plan)) == Ok(true)
+    }
+
     /// Shutdown must never panic (it also runs from [`Drop`]), so unlike
     /// the normal protocol paths it tolerates dead workers: every worker not
     /// yet gone is sent `Finish`, and messages are read until each has sent
@@ -901,9 +908,7 @@ impl Emulator<ThreadedExecutor> {
     /// Returns `false` if the core does not exist or the emulator failed,
     /// before or during the call (it is then poisoned).
     pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
-        self.exec.failure.is_none()
-            && core.index() < self.exec.workers.len()
-            && self.exec.call(core.index(), Request::SetChaos(plan)) == Ok(true)
+        self.exec.set_chaos(core, plan)
     }
 
     /// Stops every worker thread and returns the cores (accuracy logs,

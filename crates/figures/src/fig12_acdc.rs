@@ -207,13 +207,13 @@ pub fn run(scale: Scale) -> Vec<AcdcSample> {
         if t >= d.perturb_start_s && t < d.perturb_end_s {
             for event in injector.perturb(SimTime::from_secs(t), &perturbation) {
                 runner
-                    .emulator_mut()
+                    .backend_mut()
                     .update_pipe_attrs(event.pipe, event.attrs);
             }
         } else if t == d.perturb_end_s {
             for event in injector.restore_all(SimTime::from_secs(t)) {
                 runner
-                    .emulator_mut()
+                    .backend_mut()
                     .update_pipe_attrs(event.pipe, event.attrs);
             }
         }

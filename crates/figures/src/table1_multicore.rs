@@ -130,7 +130,7 @@ fn run_point(vn_count: usize, cross_fraction: f64, measure_secs: u64) -> Multico
         HardwareProfile::paper_core(),
         11,
     );
-    let mut runner = Runner::new(emulator, binding.clone(), TcpConfig::default());
+    let mut runner = Runner::with_backend(emulator, binding.clone(), TcpConfig::default());
     for (s, r) in &pairs {
         let src = binding.vn_at(*s).expect("sender bound");
         let dst = binding.vn_at(*r).expect("receiver bound");

@@ -79,13 +79,13 @@ fn main() {
                     },
                 },
             ) {
-                runner.emulator_mut().update_pipe_attrs(ev.pipe, ev.attrs);
+                runner.backend_mut().update_pipe_attrs(ev.pipe, ev.attrs);
             }
         }
         if step == 6 {
             println!("-- restoring original link delays --");
             for ev in injector.restore_all(SimTime::from_secs(t)) {
-                runner.emulator_mut().update_pipe_attrs(ev.pipe, ev.attrs);
+                runner.backend_mut().update_pipe_attrs(ev.pipe, ev.attrs);
             }
         }
         let nodes: Vec<&AcdcNode> = members

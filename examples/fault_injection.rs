@@ -32,7 +32,7 @@ fn main() {
         runner.run_until(SimTime::from_secs(t)).unwrap();
         if t == 8 {
             println!("-- degrading the bottleneck to 1 Mb/s --");
-            runner.emulator_mut().update_pipe_attrs(
+            runner.backend_mut().update_pipe_attrs(
                 bottleneck,
                 PipeAttrs {
                     bandwidth: DataRate::from_mbps(1),
@@ -42,9 +42,7 @@ fn main() {
         }
         if t == 16 {
             println!("-- restoring the bottleneck to 10 Mb/s --");
-            runner
-                .emulator_mut()
-                .update_pipe_attrs(bottleneck, original);
+            runner.backend_mut().update_pipe_attrs(bottleneck, original);
         }
         let acked = runner.flow_bytes_acked(flow);
         let rate_mbps = (acked - last_acked) as f64 * 8.0 / 2.0 / 1e6;

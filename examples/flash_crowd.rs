@@ -53,7 +53,7 @@ fn main() {
         let fg_mbps = (acked - acked_at_phase_start) as f64 * 8.0 / (PHASE_SECS as f64 * 1e6);
         acked_at_phase_start = acked;
         let crowd_bps: u64 = (0..CROWD_FLOWS)
-            .filter_map(|tag| runner.fluid_flow_rate(tag))
+            .filter_map(|tag| runner.emulator().fluid_flow_rate(tag))
             .map(|r| r.as_bps())
             .sum();
         println!(
@@ -67,28 +67,30 @@ fn main() {
     phase(&mut runner, "baseline (no crowd)");
 
     // The crowd arrives: 6.4 Mb/s aggregate offered against the server's
-    // 10 Mb/s spoke — the foreground keeps the 3.6 Mb/s residual.
+    // 10 Mb/s spoke — the foreground keeps the 3.6 Mb/s residual. Flows
+    // change at the runner's clock; the next run picks the change up.
+    let now = runner.now();
+    let crowd = runner.backend_mut();
     for tag in 0..CROWD_FLOWS {
-        assert!(runner.add_fluid_flow(
-            tag,
-            crowd_src(tag),
-            server,
-            DataRate::from_kbps(200),
-            CLIENTS_PER_FLOW,
-        ));
+        let rate = DataRate::from_kbps(200);
+        assert!(crowd.add_fluid_flow(tag, crowd_src(tag), server, rate, CLIENTS_PER_FLOW, now));
     }
     phase(&mut runner, "crowd arrives (6.4 Mb/s)");
 
     // The crowd swells to 9 Mb/s offered; the download is squeezed to the
     // ~1 Mb/s residual but stays packet-accurate throughout.
+    let now = runner.now();
+    let crowd = runner.backend_mut();
     for tag in 0..CROWD_FLOWS {
-        assert!(runner.resize_fluid_flow(tag, DataRate::from_kbps(280), CLIENTS_PER_FLOW));
+        assert!(crowd.resize_fluid_flow(tag, DataRate::from_kbps(280), CLIENTS_PER_FLOW, now));
     }
     phase(&mut runner, "crowd swells (9 Mb/s)");
 
     // The crowd drains; the residual — and the download — recover.
+    let now = runner.now();
+    let crowd = runner.backend_mut();
     for tag in 0..CROWD_FLOWS {
-        assert!(runner.remove_fluid_flow(tag));
+        assert!(crowd.remove_fluid_flow(tag, now));
     }
     phase(&mut runner, "crowd departs");
 

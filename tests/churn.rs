@@ -32,7 +32,7 @@ use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, RingParams};
 use mn_topology::NodeId;
 use mn_util::{SimDuration, SimTime};
-use modelnet::EmulatorBackend;
+use modelnet::{Emulator, Executor, Reconfigure};
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, payload: u32, now: SimTime) -> Packet {
     Packet::new(
@@ -57,7 +57,7 @@ fn build_backend(
     cores: usize,
     threaded: bool,
     seed: u64,
-) -> (EmulatorBackend, Binding) {
+) -> (Emulator<Executor>, Binding) {
     let matrix = RoutingMatrix::build(d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
     let pod = greedy_k_clusters(d, cores, 7);
@@ -69,10 +69,10 @@ fn build_backend(
         HardwareProfile::unconstrained(),
         seed,
     );
-    let backend = if threaded {
-        EmulatorBackend::Threaded(ParallelEmulator::from_sequential(seq))
+    let backend: Emulator<Executor> = if threaded {
+        ParallelEmulator::from_sequential(seq).into()
     } else {
-        EmulatorBackend::Sequential(seq)
+        seq.into()
     };
     (backend, binding)
 }
@@ -125,7 +125,7 @@ proptest! {
             let mut records = Vec::new();
             let mut id = 0u64;
             for &probe_at in &probe_times {
-                let _ = engine.apply_due(probe_at, &mut backend);
+                let _ = engine.apply_due(probe_at, &mut Reconfigure(&mut backend));
                 for fi in 0..n {
                     let src = binding.vn_at(clients[fi]).unwrap();
                     let dst = binding.vn_at(clients[(fi + 1) % n]).unwrap();
@@ -242,7 +242,7 @@ fn sustained_ten_percent_churn_per_virtual_minute() {
         let mut id = 0u64;
         for m in 0..6u64 {
             let now = minute(m);
-            let _ = engine.apply_due(now, &mut backend);
+            let _ = engine.apply_due(now, &mut Reconfigure(&mut backend));
             active_log.push(backend.active_vn_count());
             // A full round of neighbor traffic every minute, staggered
             // 1 ms apart so the loss-free overlay stays drop-free;

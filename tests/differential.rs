@@ -306,7 +306,7 @@ fn dynamics_scenario() -> (Topology, [mn_topology::LinkId; 2], [NodeId; 3]) {
 fn failure_recovery_schedule_agrees_with_reference_across_backends() {
     use mn_dynamics::{Schedule, ScheduleEngine};
     use mn_refsim::ScheduledTopology;
-    use modelnet::EmulatorBackend;
+    use modelnet::{Emulator, Executor, Reconfigure};
 
     let (topo, [ar1, ar2], [a, b, c]) = dynamics_scenario();
     let d = distill(&topo, DistillationMode::HopByHop);
@@ -355,10 +355,10 @@ fn failure_recovery_schedule_agrees_with_reference_across_backends() {
             HardwareProfile::unconstrained(),
             5,
         );
-        let mut backend = if threaded {
-            EmulatorBackend::Threaded(ParallelEmulator::from_sequential(seq))
+        let mut backend: Emulator<Executor> = if threaded {
+            ParallelEmulator::from_sequential(seq).into()
         } else {
-            EmulatorBackend::Sequential(seq)
+            seq.into()
         };
         let mut engine = ScheduleEngine::new(d.clone(), schedule());
         let vn = |node| binding.vn_at(node).unwrap();
@@ -366,7 +366,7 @@ fn failure_recovery_schedule_agrees_with_reference_across_backends() {
         let mut id = 0u64;
         for &probe_at in &probe_times {
             // Apply every schedule event due before this probe.
-            let _ = engine.apply_due(probe_at, &mut backend);
+            let _ = engine.apply_due(probe_at, &mut Reconfigure(&mut backend));
             for (label, src, dst) in [("a->b", vn(a), vn(b)), ("c->b", vn(c), vn(b))] {
                 let pkt = udp_packet(id, src, dst, payload, probe_at);
                 id += 1;
@@ -457,7 +457,7 @@ fn cbr_episode_tracks_reduced_reference_capacity() {
     use mn_pipe::CbrConfig;
     use mn_refsim::ScheduledTopology;
     use mn_topology::{LinkAttrs, NodeKind};
-    use modelnet::EmulatorBackend;
+    use modelnet::Reconfigure;
 
     // One 10 Mb/s bottleneck path a - r - b.
     let mut topo = Topology::new();
@@ -489,9 +489,9 @@ fn cbr_episode_tracks_reduced_reference_capacity() {
     let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
     let seq =
         MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 3);
-    let mut backend = EmulatorBackend::Sequential(seq);
+    let mut backend = seq;
     let mut engine = mn_dynamics::ScheduleEngine::new(d.clone(), schedule);
-    let _ = engine.apply_due(SimTime::ZERO, &mut backend);
+    let _ = engine.apply_due(SimTime::ZERO, &mut Reconfigure(&mut backend));
     // Offer 8 Mb/s of foreground UDP for 2 s: a 1000-byte datagram every
     // millisecond.
     let src = binding.vn_at(a).unwrap();
@@ -538,7 +538,7 @@ fn cbr_episode_tracks_reduced_reference_capacity() {
 fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
     use mn_refsim::{fluid_max_min, FluidSpec, ScheduledTopology};
     use mn_topology::{LinkAttrs, NodeKind};
-    use modelnet::EmulatorBackend;
+    use modelnet::{Emulator, Executor};
 
     // a - r - b at 10 Mb/s carries the bulk aggregates; probe client c
     // shares only the r-b bottleneck with them.
@@ -600,10 +600,10 @@ fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
             HardwareProfile::unconstrained(),
             5,
         );
-        let mut backend = if threaded {
-            EmulatorBackend::Threaded(ParallelEmulator::from_sequential(seq))
+        let mut backend: Emulator<Executor> = if threaded {
+            ParallelEmulator::from_sequential(seq).into()
         } else {
-            EmulatorBackend::Sequential(seq)
+            seq.into()
         };
         let vn = |node| binding.vn_at(node).unwrap();
         assert!(backend.add_fluid_flow(1, vn(a), vn(b), DataRate::from_mbps(2), 1, SimTime::ZERO));
@@ -750,7 +750,7 @@ fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
 fn fluid_resize_goodput_matches_reference_water_fill() {
     use mn_refsim::{fluid_max_min, FluidSpec};
     use mn_topology::{LinkAttrs, NodeKind};
-    use modelnet::EmulatorBackend;
+    use modelnet::{Emulator, Executor};
 
     let mut topo = Topology::new();
     let a = topo.add_node(NodeKind::Client);
@@ -781,10 +781,10 @@ fn fluid_resize_goodput_matches_reference_water_fill() {
             HardwareProfile::unconstrained(),
             5,
         );
-        let mut backend = if threaded {
-            EmulatorBackend::Threaded(ParallelEmulator::from_sequential(seq))
+        let mut backend: Emulator<Executor> = if threaded {
+            ParallelEmulator::from_sequential(seq).into()
         } else {
-            EmulatorBackend::Sequential(seq)
+            seq.into()
         };
         let vn = |node| binding.vn_at(node).unwrap();
         assert!(backend.add_fluid_flow(1, vn(a), vn(b), DataRate::from_mbps(2), 1, SimTime::ZERO));

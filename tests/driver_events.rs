@@ -7,7 +7,10 @@
 //! exact count of virtual-time behaviour — no host timing.
 
 use mn_topology::generators::{ring_topology, RingParams};
-use modelnet::{DistillationMode, DriverCounters, Experiment, Runner, SimDuration, SimTime};
+use modelnet::{
+    DataRate, DistillationMode, DriverCounters, ExecutionBackend, Experiment, Runner, SimDuration,
+    SimTime,
+};
 
 const FLOWS: usize = 20;
 
@@ -69,4 +72,53 @@ fn timer_events_stay_a_fraction_of_deliveries_and_the_queue_stays_small() {
         "timer events per delivered packet rose from {short:.3} (5 s) to {long:.3} (10 s)"
     );
     assert!(runner.pending_driver_events() <= 4 * FLOWS + 8);
+}
+
+/// Work added straight to the emulator through `Runner::backend_mut` is
+/// picked up by the next run: a fluid flow started there wakes the driver at
+/// every rate epoch up to the deadline — the wakeups a twin emulator, stepped
+/// by hand from one `next_wakeup` to the next, makes — and accrues the same
+/// goodput, on both executors.
+#[test]
+fn a_fluid_flow_added_through_the_backend_wakes_the_driver() {
+    let end = SimTime::from_secs(2);
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+        let build = || {
+            let topo = ring_topology(&RingParams {
+                routers: 4,
+                clients_per_router: 2,
+                ..RingParams::default()
+            });
+            let mut runner = Experiment::new(topo)
+                .distillation(DistillationMode::HopByHop)
+                .cores(2)
+                .edge_nodes(4)
+                .backend(backend)
+                .unconstrained_hardware()
+                .seed(17)
+                .build()
+                .expect("experiment builds");
+            let (vns, now) = (runner.vn_ids(), runner.now());
+            let rate = DataRate::from_kbps(200);
+            assert!(runner
+                .backend_mut()
+                .add_fluid_flow(1, vns[0], vns[5], rate, 1, now));
+            runner
+        };
+        let mut runner = build();
+        runner.run_until(end).unwrap();
+
+        let mut twin = build();
+        let emulator = twin.backend_mut();
+        let (mut wakeups, mut sink) = (0, Vec::new());
+        while let Some(at) = emulator.next_wakeup().filter(|&at| at <= end) {
+            emulator.advance_into(at, &mut sink).unwrap();
+            wakeups += 1;
+        }
+        assert!(wakeups > 200, "{wakeups} fluid epochs in 2 s");
+        assert_eq!(runner.driver_counters().events, wakeups, "{backend:?}");
+        let goodput = runner.backend().fluid_flow_goodput_bytes(1);
+        assert!(goodput > Some(40_000), "{goodput:?} B at 200 kb/s for 2 s");
+        assert_eq!(goodput, emulator.fluid_flow_goodput_bytes(1), "{backend:?}");
+    }
 }

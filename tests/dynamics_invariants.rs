@@ -27,7 +27,7 @@ use mn_emucore::{HardwareProfile, MultiCoreEmulator};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::{RouteTable, RoutingMatrix};
 use mn_util::{DataRate, SimDuration, SimTime};
-use modelnet::EmulatorBackend;
+use modelnet::Reconfigure;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -164,7 +164,7 @@ proptest! {
             HardwareProfile::unconstrained(),
             9,
         );
-        let mut backend = EmulatorBackend::Sequential(seq);
+        let mut backend = seq;
         let vns: Vec<VnId> = binding.vns().collect();
         let links = d.pipe_count() / 2;
         let k = link_choice % links;
@@ -176,11 +176,9 @@ proptest! {
             .duplex_up(up_at, victims[0], victims[1]);
         let mut engine = ScheduleEngine::new(d.clone(), schedule);
 
-        let enqueued_on = |backend: &EmulatorBackend, pipe: PipeId| -> u64 {
-            let EmulatorBackend::Sequential(emu) = backend else {
-                unreachable!("test runs the sequential backend")
-            };
-            emu.cores()
+        let enqueued_on = |backend: &MultiCoreEmulator, pipe: PipeId| -> u64 {
+            backend
+                .cores()
                 .iter()
                 .find_map(|core| core.pipe_stats(pipe))
                 .map_or(0, |s| s.enqueued)
@@ -189,7 +187,7 @@ proptest! {
         // Phase A: pre-failure traffic (may use the victim link).
         let mut id = 0u64;
         let mut deliveries = Vec::new();
-        let mut drive = |backend: &mut EmulatorBackend,
+        let mut drive = |backend: &mut MultiCoreEmulator,
                          window: (u64, u64),
                          id: &mut u64| {
             for (i, &(s, t)) in submits.iter().enumerate() {
@@ -206,7 +204,7 @@ proptest! {
         };
         drive(&mut backend, (0, 40), &mut id);
         // The failure.
-        let applied = engine.apply_due(down_at, &mut backend);
+        let applied = engine.apply_due(down_at, &mut Reconfigure(&mut backend));
         prop_assert!(applied.reroute.is_some());
         let frozen: Vec<u64> = victims
             .iter()
@@ -222,7 +220,7 @@ proptest! {
             );
         }
         // Recovery: traffic flows over the link again eventually.
-        let _ = engine.apply_due(up_at, &mut backend);
+        let _ = engine.apply_due(up_at, &mut Reconfigure(&mut backend));
         prop_assert!(engine.finished());
         drive(&mut backend, (80, 120), &mut id);
         // Drain everything still in flight (loss-free links, no CBR: the

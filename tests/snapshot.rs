@@ -15,9 +15,9 @@ use mn_topology::generators::{ring_topology, RingParams};
 use mn_transport::UdpStreamConfig;
 use mn_util::CodecError;
 use modelnet::{
-    ByteSize, ChaosPlan, CoreId, DataRate, DistillationMode, EmuError, EmulatorBackend,
-    ExecutionBackend, Experiment, FailureCause, LinkAttrs, NodeKind, RecoverError, Runner,
-    Schedule, SimDuration, SimTime, Topology, VnId,
+    ByteSize, ChaosPlan, CoreId, DataRate, DistillationMode, EmuError, ExecutionBackend,
+    Experiment, FailureCause, LinkAttrs, NodeKind, RecoverError, Runner, Schedule, SimDuration,
+    SimTime, Topology, VnId,
 };
 
 /// A ring workload with two TCP flows and a paced UDP flow: enough state
@@ -131,10 +131,11 @@ fn chaos_panic_recovery_matches_the_uninterrupted_run() {
     victim.run_until(SimTime::from_secs(4)).unwrap();
     let (checkpoint_at, _) = victim.last_checkpoint().expect("auto-checkpoint fired");
     assert!(checkpoint_at >= SimTime::from_secs(1));
-    let EmulatorBackend::Threaded(par) = victim.backend_mut() else {
-        unreachable!("victim was built threaded");
-    };
-    assert!(par.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
+    let plan = ChaosPlan::new().panic_on_next_command();
+    assert!(victim.backend_mut().set_chaos(CoreId(1), plan));
+    // The inline executor has no worker to fault.
+    let mut inline = build(cores, ExecutionBackend::Sequential);
+    assert!(!inline.backend_mut().set_chaos(CoreId(1), plan));
 
     // The death is a structured error, not a panic or a hang — and it
     // poisons the runner so later calls keep failing fast.
@@ -197,9 +198,7 @@ fn chaos_poisoned_pool_refuses_control_operations_without_mutating_the_coordinat
         .next()
         .map(|(id, pipe)| (id, pipe.attrs))
         .expect("ring has pipes");
-    let EmulatorBackend::Threaded(par) = runner.backend_mut() else {
-        unreachable!("runner was built threaded");
-    };
+    let par = runner.backend_mut();
     assert!(par.add_fluid_flow(1, vns[0], vns[5], DataRate::from_mbps(2), 1, SimTime::ZERO));
     assert!(par.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
     let err = par.advance(at).unwrap_err();
@@ -230,7 +229,11 @@ fn chaos_poisoned_pool_refuses_control_operations_without_mutating_the_coordinat
         std::ptr::eq(par.route_table(), table),
         "no route-table generation was published"
     );
-    assert_eq!(par.last_failure(), Some(&err), "the first failure is kept");
+    assert_eq!(
+        par.advance(at).unwrap_err(),
+        err,
+        "the first failure is kept"
+    );
 }
 
 /// A core keeps its descriptors in a slab and its pipes queue slot handles;

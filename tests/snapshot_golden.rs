@@ -27,14 +27,14 @@
 //! (for a layout change, one written by the parent commit's encoder), and
 //! delete the decoder and the fixtures of the version two behind.
 //!
-//! The scenario is driven through [`EmulatorBackend`] so the same source
-//! compiles against the commit that wrote the fixture.
+//! The scenario is driven through `Emulator<Executor>`, the one type for
+//! either executor.
 
 use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_emucore::snapshot::SNAPSHOT_MAGIC;
 use mn_emucore::{
-    CoreExecutor, CoreStats, Emulator, EmulatorSnapshot, HardwareProfile, InlineExecutor,
+    CoreExecutor, CoreStats, Emulator, EmulatorSnapshot, Executor, HardwareProfile, InlineExecutor,
     MultiCoreEmulator, ParallelEmulator, ThreadedExecutor, SNAPSHOT_VERSION,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
@@ -43,7 +43,6 @@ use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, PathPairsParams};
 use mn_util::codec::fnv1a64;
 use mn_util::{ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
-use modelnet::EmulatorBackend;
 
 mod membership;
 use membership::membership;
@@ -80,7 +79,7 @@ fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
 }
 
 struct Scenario {
-    backend: EmulatorBackend,
+    backend: Emulator<Executor>,
     distilled: DistilledTopology,
     /// `(sender, receiver)` VN of each path.
     pairs: Vec<(VnId, VnId)>,
@@ -120,9 +119,9 @@ fn build(threaded: bool) -> Scenario {
         .collect();
     let sequential = MultiCoreEmulator::new(&distilled, pod, matrix, &binding, profile, 13);
     let backend = if threaded {
-        EmulatorBackend::Threaded(ParallelEmulator::from_sequential(sequential))
+        ParallelEmulator::from_sequential(sequential).into()
     } else {
-        EmulatorBackend::Sequential(sequential)
+        sequential.into()
     };
     Scenario {
         backend,
@@ -140,7 +139,7 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
 
 /// Drives the scenario to [`STOP_AT`]; returns the emulator there and the
 /// topology.
-fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology) {
+fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology) {
     let Scenario {
         mut backend,
         distilled,
@@ -205,7 +204,7 @@ fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology) {
 
 /// Runs an emulator restored at [`STOP_AT`] to [`HORIZON`] and digests
 /// everything observable.
-fn tail_digest(mut backend: EmulatorBackend) -> u64 {
+fn tail_digest(mut backend: Emulator<Executor>) -> u64 {
     let mut w = ByteWriter::with_capacity(4096);
     let mut deliveries = Vec::new();
     let mut now = STOP_AT;
@@ -286,9 +285,9 @@ fn serialised_without_cbr_counts<X: CoreExecutor>(fixture: &[u8]) -> Vec<u8> {
 
 fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
     let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
-    let sequential = EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
+    let sequential = Emulator::<Executor>::from(MultiCoreEmulator::restore(&snapshot).unwrap());
     assert_eq!(tail_digest(sequential), TAIL_DIGEST);
-    let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
+    let threaded = Emulator::<Executor>::from(ParallelEmulator::restore(&snapshot).unwrap());
     assert_eq!(tail_digest(threaded), TAIL_DIGEST);
 }
 
@@ -309,9 +308,7 @@ fn the_v8_fixture_restores_into_both_executors_and_finishes_identically() {
 #[test]
 fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let (backend, distilled) = stop(false);
-    let EmulatorBackend::Sequential(mut uninterrupted) = backend else {
-        unreachable!("built sequential")
-    };
+    let mut uninterrupted = backend;
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
     for fixture in [FIXTURE_V7, FIXTURE_V8] {
@@ -400,7 +397,7 @@ fn write_fixture() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v8_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
-    let digest = tail_digest(EmulatorBackend::Sequential(
+    let digest = tail_digest(Emulator::<Executor>::from(
         MultiCoreEmulator::restore(&snapshot).unwrap(),
     ));
     println!("{} bytes, TAIL_DIGEST = {digest:#018x}", bytes.len());

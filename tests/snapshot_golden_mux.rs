@@ -21,13 +21,14 @@
 //! VN joins after the stop), so fresh joins after each restore are checked
 //! against the uninterrupted run separately.
 //!
-//! The scenario is driven through [`EmulatorBackend`] so the same source
-//! compiles against the commit that wrote the fixture.
+//! The scenario is driven through `Emulator<Executor>`, the one type for
+//! either executor.
 
 use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeAttrs, PipeId};
 use mn_emucore::{
-    EmulatorSnapshot, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SNAPSHOT_VERSION,
+    Emulator, EmulatorSnapshot, Executor, HardwareProfile, MultiCoreEmulator, ParallelEmulator,
+    SNAPSHOT_VERSION,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
@@ -35,7 +36,6 @@ use mn_topology::generators::{ring_topology, RingParams};
 use mn_topology::NodeId;
 use mn_util::codec::fnv1a64;
 use mn_util::{ByteWriter, DataRate, SimDuration, SimTime};
-use modelnet::EmulatorBackend;
 
 mod membership;
 use membership::membership;
@@ -74,7 +74,7 @@ fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
 }
 
 struct Scenario {
-    backend: EmulatorBackend,
+    backend: Emulator<Executor>,
     distilled: DistilledTopology,
     /// The client node VN `i`, `i + ROUTERS` and `i + 2 * ROUTERS` start at.
     homes: Vec<NodeId>,
@@ -111,9 +111,9 @@ fn build(threaded: bool) -> Scenario {
     profile.tunnel_latency = SimDuration::from_micros(250);
     let sequential = MultiCoreEmulator::new(&distilled, pod, matrix, &binding, profile, 29);
     let backend = if threaded {
-        EmulatorBackend::Threaded(ParallelEmulator::from_sequential(sequential))
+        ParallelEmulator::from_sequential(sequential).into()
     } else {
-        EmulatorBackend::Sequential(sequential)
+        sequential.into()
     };
     Scenario {
         backend,
@@ -124,7 +124,7 @@ fn build(threaded: bool) -> Scenario {
 
 /// Fails (`healthy: None`) or restores both directions of ring link `k`.
 fn set_link(
-    backend: &mut EmulatorBackend,
+    backend: &mut Emulator<Executor>,
     distilled: &mut DistilledTopology,
     k: usize,
     healthy: Option<&[PipeAttrs]>,
@@ -151,7 +151,7 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
 
 /// Drives the scenario to [`STOP_AT`]; returns the emulator there, the
 /// topology as the run left it and the client locations.
-fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology, Vec<NodeId>) {
+fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology, Vec<NodeId>) {
     let Scenario {
         mut backend,
         mut distilled,
@@ -213,7 +213,7 @@ fn stop(threaded: bool) -> (EmulatorBackend, DistilledTopology, Vec<NodeId>) {
 }
 
 /// Runs a restored emulator to [`HORIZON`] and digests everything observable.
-fn tail_digest(mut backend: EmulatorBackend) -> u64 {
+fn tail_digest(mut backend: Emulator<Executor>) -> u64 {
     let mut w = ByteWriter::with_capacity(4096);
     let mut deliveries = Vec::new();
     let mut now = STOP_AT;
@@ -259,10 +259,9 @@ fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
     for fixture in [FIXTURE_V7, FIXTURE_V8] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
-        let sequential =
-            EmulatorBackend::Sequential(MultiCoreEmulator::restore(&snapshot).unwrap());
+        let sequential = Emulator::<Executor>::from(MultiCoreEmulator::restore(&snapshot).unwrap());
         assert_eq!(tail_digest(sequential), TAIL_DIGEST);
-        let threaded = EmulatorBackend::Threaded(ParallelEmulator::restore(&snapshot).unwrap());
+        let threaded = Emulator::<Executor>::from(ParallelEmulator::restore(&snapshot).unwrap());
         assert_eq!(tail_digest(threaded), TAIL_DIGEST);
     }
 }
@@ -273,9 +272,7 @@ fn the_fixture_restores_into_both_executors_and_finishes_identically() {
 #[test]
 fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let (backend, distilled, homes) = stop(false);
-    let EmulatorBackend::Sequential(mut uninterrupted) = backend else {
-        unreachable!("built sequential")
-    };
+    let mut uninterrupted = backend;
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
     assert_eq!(expected.0.len(), MUX * ROUTERS + 1);
     assert!(expected.2.contains(&Some(CoreId(0))) && expected.2.contains(&Some(CoreId(1))));
@@ -305,7 +302,7 @@ fn write_fixture() {
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
-    let digest = tail_digest(EmulatorBackend::Sequential(
+    let digest = tail_digest(Emulator::<Executor>::from(
         MultiCoreEmulator::restore(&snapshot).unwrap(),
     ));
     println!("{} bytes, TAIL_DIGEST = {digest:#018x}", bytes.len());

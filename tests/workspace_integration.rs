@@ -165,13 +165,13 @@ fn link_failure_reroutes_after_matrix_rebuild() {
         .unwrap();
     distilled.pipe_attrs_mut(rev).unwrap().bandwidth = DataRate::ZERO;
     runner
-        .emulator_mut()
+        .backend_mut()
         .update_pipe_attrs(failed_pipe, failed_attrs);
-    runner.emulator_mut().update_pipe_attrs(rev, failed_attrs);
+    runner.backend_mut().update_pipe_attrs(rev, failed_attrs);
     // "Perfect routing protocol": the routes the failure moved are
     // recomputed immediately.
     let update = runner
-        .emulator_mut()
+        .backend_mut()
         .reroute(&distilled, &[failed_pipe, rev]);
     assert!(!update.is_empty(), "the failed arc carried routes");
 
@@ -266,6 +266,6 @@ fn fault_injector_and_emulator_stay_consistent() {
     );
     assert_eq!(events.len(), distilled.pipe_count());
     for e in events {
-        assert!(runner.emulator_mut().update_pipe_attrs(e.pipe, e.attrs));
+        assert!(runner.backend_mut().update_pipe_attrs(e.pipe, e.attrs));
     }
 }
