@@ -504,8 +504,6 @@ pub struct Runner {
     auto_checkpoint: Option<SimDuration>,
     /// The most recent auto-checkpoint: (virtual time, framed snapshot).
     last_checkpoint: Option<(SimTime, Vec<u8>)>,
-    /// Length of the last snapshot, to pre-size the next; never serialized.
-    snapshot_len_hint: usize,
     /// Why auto-checkpointing disarmed itself, if it did.
     checkpoint_failure: Option<SnapshotError>,
 }
@@ -544,7 +542,6 @@ impl Runner {
             failure: None,
             auto_checkpoint: None,
             last_checkpoint: None,
-            snapshot_len_hint: 0,
             checkpoint_failure: None,
         }
     }
@@ -823,52 +820,62 @@ impl Runner {
     /// core count. Runs with applications installed are not supported
     /// (application state is type-erased).
     ///
-    /// The frame is written out rather than declared: it nests the
-    /// emulator's frame, whose length is patched in once it is streamed and
-    /// whose payload the outer sum skips. Everything else in it is records.
+    /// A checkpoint is one allocation of exactly its length
+    /// ([`Runner::snapshot_into`]).
     pub fn snapshot(&mut self) -> Result<Vec<u8>, SnapshotError> {
+        let mut bytes = Vec::new();
+        self.snapshot_into(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// [`Runner::snapshot`] into `buf`, replacing what it held: the frame
+    /// is measured (written once to a measuring writer), then written into
+    /// `buf`'s allocation if that has room, else into one of exactly the
+    /// frame's length ([`ByteWriter::write_exact`]). A refusal, and a
+    /// worker failure met while the frame is measured, leave `buf` as it
+    /// was; a worker failure met while it is written leaves `buf` empty.
+    pub fn snapshot_into(&mut self, buf: &mut Vec<u8>) -> Result<(), SnapshotError> {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(SnapshotError::AppsNotSupported);
-        }
-        // One pass into one buffer, sized by the last checkpoint (the first:
-        // by the routing state's encoded length) plus room to have grown a
-        // little; both frames' payloads are streamed in place.
-        let hint = match self.snapshot_len_hint {
-            0 => self.emulator.snapshot_len_hint(),
-            last => last,
-        };
-        let mut w = ByteWriter::with_capacity(hint + hint / 16 + 4096);
-        let frame = w.begin_frame(RUNNER_SNAPSHOT_MAGIC, RUNNER_SNAPSHOT_VERSION);
-        w.put_time(self.now);
-        w.put_len(0);
-        let emu_start = w.len();
-        (self.emulator.snapshot_into(&mut w)).map_err(SnapshotError::Emulator)?;
-        let emu_frame = emu_start..w.len();
-        w.patch_u64(emu_start - 8, emu_frame.len() as u64);
-        let entries = self.events.entries_in_order();
-        w.put_len(entries.len());
-        for (at, event) in entries {
-            at.put(&mut w);
-            event.put(&mut w);
         }
         let outboxes = self.channels.iter().flat_map(|ch| [&ch.a_to_b, &ch.b_to_a]);
         if outboxes.into_iter().any(|dir| !dir.outbox.is_empty()) {
             return Err(SnapshotError::PendingAppMessages);
         }
-        self.channels.put(&mut w);
-        self.port_bindings.put(&mut w);
-        self.udp_flows.put(&mut w);
-        self.next_packet_id.put(&mut w);
-        self.packets_submitted.put(&mut w);
-        self.packets_delivered.put(&mut w);
-        self.emu_wakeup_at.put(&mut w);
-        self.apps_started.put(&mut w);
+        ByteWriter::write_exact(buf, |w| self.put_frame(w))
+    }
+
+    /// Appends the `MNRS` frame. It is written out rather than declared: it
+    /// nests the emulator's frame, whose length is patched in once it is
+    /// streamed and whose payload the outer sum skips. Everything else in
+    /// it is records.
+    fn put_frame(&mut self, w: &mut ByteWriter) -> Result<(), SnapshotError> {
+        let frame = w.begin_frame(RUNNER_SNAPSHOT_MAGIC, RUNNER_SNAPSHOT_VERSION);
+        w.put_time(self.now);
+        w.put_len(0);
+        let emu_start = w.len();
+        (self.emulator.snapshot_into(w)).map_err(SnapshotError::Emulator)?;
+        let emu_frame = emu_start..w.len();
+        w.patch_u64(emu_start - 8, emu_frame.len() as u64);
+        let entries = self.events.entries_in_order();
+        w.put_len(entries.len());
+        for (at, event) in entries {
+            at.put(w);
+            event.put(w);
+        }
+        self.channels.put(w);
+        self.port_bindings.put(w);
+        self.udp_flows.put(w);
+        self.next_packet_id.put(w);
+        self.packets_submitted.put(w);
+        self.packets_delivered.put(w);
+        self.emu_wakeup_at.put(w);
+        self.apps_started.put(w);
         let cursor = self.dynamics.as_ref().map(|engine| engine.cursor());
-        (cursor, self.auto_checkpoint).put(&mut w);
+        (cursor, self.auto_checkpoint).put(w);
         // The emulator's payload is under its own frame's sum already.
         w.end_frame_around(frame, emu_frame);
-        self.snapshot_len_hint = w.len();
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     /// Restores a [`Runner::snapshot`] into this runner, replacing its
@@ -985,9 +992,12 @@ impl Runner {
 
     /// Arms periodic auto-checkpointing: every `every` of virtual time the
     /// runner serializes itself and keeps the most recent snapshot (see
-    /// [`Runner::last_checkpoint`]). If a checkpoint fails — an application
+    /// [`Runner::last_checkpoint`]), each written over the one before
+    /// ([`Runner::snapshot_into`]). If a checkpoint fails — an application
     /// was installed mid-run, or the emulator died — checkpointing disarms
-    /// and the cause is kept in [`Runner::checkpoint_failure`].
+    /// and the cause is kept in [`Runner::checkpoint_failure`]; the last
+    /// checkpoint survives unless a worker died while it was being
+    /// overwritten.
     pub fn set_auto_checkpoint(&mut self, every: SimDuration) {
         self.auto_checkpoint = Some(every);
         self.events.push(self.now + every, Event::Checkpoint);
@@ -1050,9 +1060,17 @@ impl Runner {
                     // snapshot carries it: a recovered run keeps
                     // checkpointing on the same virtual-time grid.
                     self.events.push(self.now + every, Event::Checkpoint);
-                    match self.snapshot() {
-                        Ok(bytes) => self.last_checkpoint = Some((self.now, bytes)),
+                    // Into the last one's buffer, which a checkpoint of no
+                    // more bytes fills without allocating.
+                    let (at, mut bytes) = self.last_checkpoint.take().unwrap_or_default();
+                    match self.snapshot_into(&mut bytes) {
+                        Ok(()) => self.last_checkpoint = Some((self.now, bytes)),
                         Err(error) => {
+                            // Refused before a byte was written: the last
+                            // checkpoint stands.
+                            if !bytes.is_empty() {
+                                self.last_checkpoint = Some((at, bytes));
+                            }
                             self.auto_checkpoint = None;
                             if let SnapshotError::Emulator(emu_error) = &error {
                                 if self.failure.is_none() {

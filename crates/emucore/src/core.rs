@@ -188,6 +188,14 @@ fn tunnel_wire_bytes(profile: &HardwareProfile, descriptor: &Descriptor) -> u64 
 /// Handle to a descriptor in its core's slab.
 type Slot = u32;
 
+/// The handle of slab index `index`. Panics at 2^32 or more, where the
+/// handle would wrap onto another descriptor's slot.
+#[inline]
+fn slot_at(index: usize) -> Slot {
+    assert!(index <= Slot::MAX as usize, "fewer than 2^32 slab slots");
+    index as Slot
+}
+
 /// A descriptor on its way into a pipe.
 enum Entering {
     /// Just admitted: it takes a slab slot only if the core keeps it.
@@ -578,7 +586,9 @@ impl EmulatorCore {
         // The slot the descriptor occupies if the pipe accepts it: its own,
         // or the one `alloc_slot` is about to hand out.
         let slot = match entering {
-            Entering::New(_) => self.free.last().copied().unwrap_or(self.slab.len() as Slot),
+            Entering::New(_) => {
+                (self.free.last().copied()).unwrap_or_else(|| slot_at(self.slab.len()))
+            }
             Entering::Held(slot) => slot,
         };
         // A failed link (bandwidth configured to zero, e.g. the pipe's far
@@ -624,7 +634,7 @@ impl EmulatorCore {
             }
             None => {
                 self.slab.push(descriptor);
-                (self.slab.len() - 1) as Slot
+                slot_at(self.slab.len() - 1)
             }
         }
     }
@@ -804,8 +814,10 @@ impl EmulatorCore {
         let id = CoreId::get(r)?;
         let mut slab = Vec::new();
         let mut to_slab = |r: &mut ByteReader| {
+            let slot =
+                Slot::try_from(slab.len()).map_err(|_| Invalid("2^32 descriptors or more"))?;
             slab.push(Descriptor::get(r)?);
-            Ok((slab.len() - 1) as Slot)
+            Ok(slot)
         };
         let pipe_slots = r.get_count(bool::MIN_BYTES)?;
         let mut pipes = Vec::with_capacity(pipe_slots);
@@ -888,6 +900,13 @@ impl EmulatorCore {
 mod tests {
     use super::*;
     use crate::snapshot::SNAPSHOT_VERSION;
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^32 slab slots")]
+    fn a_slab_index_past_the_handle_space_is_refused_not_wrapped() {
+        assert_eq!(slot_at(Slot::MAX as usize), Slot::MAX);
+        slot_at(Slot::MAX as usize + 1);
+    }
 
     #[test]
     fn merge_is_associative_and_commutative() {

@@ -854,29 +854,26 @@ impl<X: CoreExecutor> Emulator<X> {
     /// solver scratch) hold no state and are not captured.
     ///
     /// The encoding is canonical: snapshots of the same emulation point are
-    /// byte-identical whichever executor the cores were on.
+    /// byte-identical whichever executor the cores were on. It is one
+    /// allocation of exactly its length: [`Emulator::snapshot_into`] runs
+    /// once on a measuring writer, then once into that buffer
+    /// ([`ByteWriter::write_exact`]).
     ///
     /// # Errors
     ///
     /// [`EmuError::WorkerFailure`] if a core thread died or stalled.
     pub fn snapshot(&mut self) -> Result<EmulatorSnapshot, EmuError> {
-        let mut w = ByteWriter::with_capacity(self.snapshot_len_hint());
-        self.snapshot_into(&mut w)?;
-        let framed = w.into_bytes();
+        let mut framed = Vec::new();
+        ByteWriter::write_exact(&mut framed, |w| self.snapshot_into(w))?;
         Ok(EmulatorSnapshot { framed })
-    }
-
-    /// What sizes a checkpoint when there is no earlier one to go by: the
-    /// encoded route table and routing matrix, from lengths alone, plus
-    /// room for the cores and tables. Too small only costs a regrowth.
-    pub fn snapshot_len_hint(&self) -> usize {
-        self.admission.routes.encoded_len() + self.matrix.encoded_len() + 64 * 1024
     }
 
     /// The one encoder: appends the checkpoint to `w` as a complete `MNSP`
     /// frame, the payload streamed in place, so a caller nesting it in a
     /// frame of its own (the runner) stages nothing. On error `w` holds a
-    /// partial frame and is only good for dropping.
+    /// partial frame and is only good for dropping. On a measuring writer
+    /// the threaded executor's workers encode their cores, and the next
+    /// call appends those encodings unless a request came between.
     pub fn snapshot_into(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         self.exec.health()?;
         let Emulator {

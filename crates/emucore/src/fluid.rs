@@ -389,11 +389,14 @@ impl FluidState {
                 self.changed.push((PipeId::from_index(idx), new));
             }
         }
-        // Maintain the epoch grid: live flows keep a recompute scheduled.
+        // Maintain the epoch grid: live flows keep a recompute scheduled,
+        // never before the clock — a change applied at its (earlier)
+        // scheduled time, or a restored epoch behind the clock, does not
+        // have the epoch loop step up from the past.
         if self.flows.is_empty() {
             self.next_epoch = None;
         } else if self.next_epoch.is_none_or(|e| e <= at) {
-            self.next_epoch = Some(at + DEFAULT_FLUID_EPOCH);
+            self.next_epoch = Some((at + DEFAULT_FLUID_EPOCH).max(self.clock));
         }
         &self.changed
     }
@@ -573,8 +576,11 @@ impl FluidState {
 /// solves, integrals and epoch schedule as the original — and refuses what
 /// would hang or panic them: a cadence other than [`DEFAULT_FLUID_EPOCH`],
 /// the only one a run sets (zero would pin the emulator's epoch loop to one
-/// instant, a huge one overflow the clock), a flow on a pipe beyond the
-/// capacities, two flows under one key.
+/// instant, a huge one overflow the clock), a next epoch within one epoch
+/// of [`SimTime::MAX`] (the re-solve there would overflow the clock), a
+/// flow on a pipe beyond the capacities, two flows under one key. A next
+/// epoch before the clock is read as written: the first re-solve moves the
+/// grid up to the clock ([`FluidState::recompute`]).
 impl FluidState {
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         (self.clock, DEFAULT_FLUID_EPOCH, self.next_epoch).put(w);
@@ -590,7 +596,7 @@ impl FluidState {
         pipes: usize,
     ) -> Result<Self, CodecError> {
         use CodecError::Invalid;
-        let (clock, epoch, next_epoch) = <(SimTime, SimDuration, _)>::get(r)?;
+        let (clock, epoch, next_epoch) = <(SimTime, SimDuration, Option<SimTime>)>::get(r)?;
         let flows = Vec::<FlowSlot>::get(r)?;
         if version == 7 {
             // The capacity vector, then as many demand words.
@@ -600,6 +606,11 @@ impl FluidState {
         let routes_dirty = bool::get(r)?;
         if epoch != DEFAULT_FLUID_EPOCH {
             return Err(Invalid("fluid epoch other than the default"));
+        }
+        if next_epoch.is_some_and(|at| at > SimTime::MAX - DEFAULT_FLUID_EPOCH) {
+            return Err(Invalid(
+                "next fluid epoch within one epoch of the end of time",
+            ));
         }
         let pinned = |flow: &FlowSlot| match flow.kind {
             FlowKind::Pipe { pipe } => Some(pipe),
@@ -888,6 +899,63 @@ mod tests {
             FluidState::decode(r, SNAPSHOT_VERSION, 1).map(|_| ()),
             refused
         );
+    }
+
+    #[test]
+    fn a_next_epoch_near_the_end_of_time_is_refused() {
+        // There the first re-solve's `at + DEFAULT_FLUID_EPOCH` would
+        // overflow. (The clock leads, then the epoch word, the option tag
+        // and the next epoch.)
+        let with = |next_epoch: SimTime| {
+            let mut bytes = encoded(&one_flow());
+            assert_eq!(bytes[16], 1, "layout drifted; fix the offset");
+            bytes[17..25].copy_from_slice(&next_epoch.as_nanos().to_le_bytes());
+            let r = &mut ByteReader::new(&bytes);
+            FluidState::decode(r, SNAPSHOT_VERSION, 1).map(|_| ())
+        };
+        let refused = Err(CodecError::Invalid(
+            "next fluid epoch within one epoch of the end of time",
+        ));
+        let last = SimTime::MAX - DEFAULT_FLUID_EPOCH;
+        assert_eq!(with(last + SimDuration::from_nanos(1)), refused);
+        assert_eq!(with(SimTime::MAX), refused);
+        assert_eq!(with(last), Ok(()));
+    }
+
+    #[test]
+    fn the_next_epoch_is_never_set_before_the_clock() {
+        // A flow started behind the clock (a dynamics event applied late,
+        // at its scheduled time) is solved there; its first epoch is
+        // `at + DEFAULT_FLUID_EPOCH`, or the clock if that is earlier.
+        let routes = table(&[(0, 1, vec![PipeId(0)])], 2);
+        let clock = SimTime::from_millis(100);
+        let started_at = |at: SimTime| {
+            let mut fluid = FluidState::new(vec![mbps(10).as_bps()]);
+            fluid.integrate_to(clock);
+            assert!(fluid.add_flow(1, VnId(0), VnId(1), mbps(4), 1, at));
+            fluid.recompute(at, &routes);
+            fluid
+        };
+        assert_eq!(
+            started_at(SimTime::from_millis(90)).next_epoch(),
+            Some(clock)
+        );
+        let near = SimTime::from_millis(95);
+        assert_eq!(
+            started_at(near).next_epoch(),
+            Some(near + DEFAULT_FLUID_EPOCH)
+        );
+
+        // A restored epoch far behind the clock: the first re-solve, at
+        // that epoch, moves the grid up to the clock in one step.
+        let fluid = started_at(near);
+        let mut bytes = encoded(&fluid);
+        bytes[17..25].copy_from_slice(&0u64.to_le_bytes());
+        let r = &mut ByteReader::new(&bytes);
+        let mut restored = FluidState::decode(r, SNAPSHOT_VERSION, 1).unwrap();
+        assert_eq!(restored.next_epoch(), Some(SimTime::ZERO));
+        restored.recompute(SimTime::ZERO, &routes);
+        assert_eq!(restored.next_epoch(), Some(clock));
     }
 
     #[test]

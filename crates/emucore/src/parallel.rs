@@ -310,7 +310,8 @@ impl Worker {
                     status: Status::of(&self.core),
                 },
                 Request::Snapshot(buf) => {
-                    let mut state = ByteWriter::reusing(buf);
+                    // Kept between checkpoints: grown as it is written.
+                    let mut state = ByteWriter::reusing(buf, 0);
                     self.core.encode_state(&mut state);
                     Response::Snapshot(state.into_bytes())
                 }
@@ -436,6 +437,9 @@ struct WorkerHandle {
     deliveries: Vec<Delivery>,
     epoch_ends: Vec<usize>,
     snapshot_buf: Vec<u8>,
+    /// `snapshot_buf` is the core as it is: no request has gone to the
+    /// worker since it encoded it.
+    staged: bool,
 }
 
 /// Best-effort extraction of a panic payload message (the common
@@ -491,6 +495,7 @@ impl ThreadedExecutor {
     /// only on its way out, after its last message, so a refused send reads
     /// on to that message.
     fn send(&mut self, index: usize, request: Request) -> Result<(), EmuError> {
+        self.workers[index].staged = false;
         if self.workers[index].requests.send(request).is_ok() {
             return Ok(());
         }
@@ -740,6 +745,7 @@ impl CoreExecutor for ThreadedExecutor {
                 deliveries: Vec::new(),
                 epoch_ends: Vec::new(),
                 snapshot_buf: Vec::new(),
+                staged: false,
             });
         }
 
@@ -845,18 +851,26 @@ impl CoreExecutor for ThreadedExecutor {
         Ok(())
     }
 
-    /// Workers encode their own cores, all at once; the coordinator appends
-    /// the encodings in order.
+    /// Every worker whose core may have changed since it last encoded it
+    /// encodes it again, all at once, into its kept buffer; the coordinator
+    /// appends the encodings in order. A checkpoint's measuring pass has
+    /// the workers encode, and its writing pass, no request between,
+    /// appends what they encoded.
     fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
-            let buf = std::mem::take(&mut self.workers[index].snapshot_buf);
-            self.send(index, Request::Snapshot(buf))?;
+            if !self.workers[index].staged {
+                let buf = std::mem::take(&mut self.workers[index].snapshot_buf);
+                self.send(index, Request::Snapshot(buf))?;
+            }
         }
         for index in 0..self.workers.len() {
-            let Response::Snapshot(state) = self.wait(index)? else {
-                unreachable!("Snapshot is answered by Snapshot")
-            };
-            self.workers[index].snapshot_buf = state;
+            if !self.workers[index].staged {
+                let Response::Snapshot(state) = self.wait(index)? else {
+                    unreachable!("Snapshot is answered by Snapshot")
+                };
+                self.workers[index].snapshot_buf = state;
+                self.workers[index].staged = true;
+            }
         }
         w.put_len(self.workers.len());
         for worker in &self.workers {
@@ -1554,6 +1568,28 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_dying_as_a_checkpoint_is_measured_surfaces_as_a_typed_error() {
+        // A checkpoint is measured by having each worker encode its core:
+        // core 1 dies on that request while core 0 answers, and the death
+        // is reported as on any other request, before a byte is written.
+        let (mut emu, _) = two_core_emulator();
+        assert!(emu.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
+        let err = emu.snapshot().unwrap_err();
+        match &err {
+            EmuError::WorkerFailure {
+                core,
+                cause: FailureCause::Panicked(msg),
+            } => {
+                assert_eq!(core.index(), 1, "the failing core is attributed");
+                assert!(msg.contains("chaos"), "panic payload preserved: {msg}");
+            }
+            other => panic!("expected a panicked worker failure, got {other:?}"),
+        }
+        assert_eq!(emu.snapshot().map(|_| ()), Err(err));
+        assert_eq!(emu.finish().len(), 1, "the surviving core comes back");
+    }
+
+    #[test]
     fn a_worker_dying_in_a_batched_admission_is_reported_after_its_peers_reply() {
         // Both cores get a share of one batch; core 1 dies on its Admit
         // while core 0 answers, so core 0's reply may arrive first and be
@@ -1669,12 +1705,7 @@ mod tests {
                 // executors order such tunnels differently across cores, and
                 // the bytes stay equal because each core encodes its own.
                 let mut due: Vec<(SimTime, usize)> = (seq.cores().iter().enumerate())
-                    .flat_map(|(c, core)| {
-                        core.inbox
-                            .entries_in_order()
-                            .into_iter()
-                            .map(move |(t, _)| (t, c))
-                    })
+                    .flat_map(|(c, core)| core.inbox.entries_in_order().map(move |(t, _)| (t, c)))
                     .collect();
                 due.sort_unstable();
                 due.dedup();
@@ -1686,6 +1717,9 @@ mod tests {
             let seq_snap = seq.snapshot().unwrap();
             let (seq2, binding2) = build();
             let mut par = ParallelEmulator::from_sequential(seq2);
+            // Encoded before the run, each core's encoding goes stale with
+            // the run's first request: the checkpoint encodes it again.
+            par.snapshot().unwrap();
             drive_partial(&mut par, &binding2);
             let par_snap = par.snapshot().unwrap();
             // The canonical encoding makes the two checkpoints equal down

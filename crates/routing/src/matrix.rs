@@ -821,24 +821,6 @@ impl RoutingMatrix {
             + nested(&self.pipe_sources)
     }
 
-    /// The bytes its checkpoint takes, from lengths alone (one
-    /// step per nested list), so a first checkpoint is one allocation.
-    pub fn encoded_len(&self) -> usize {
-        let nested = |v: &[Vec<u32>]| 8 + v.iter().map(|list| 8 + 4 * list.len()).sum::<usize>();
-        let wide = self.vns.len() + self.pipe_cost.len();
-        let narrow = self.vn_of_node.len()
-            + self.pred.len()
-            + self.pipe_src.len()
-            + self.node_component.len()
-            + self.free_slots.len();
-        // Seven count prefixes, the node count and the version.
-        72 + 8 * wide
-            + 4 * narrow
-            + nested(&self.component_vns)
-            + nested(&self.component_nodes)
-            + nested(&self.pipe_sources)
-    }
-
     /// Longest route in pipes over all pairs (diagnostics: O(pairs × hops)
     /// predecessor walks into one reused buffer).
     pub fn max_route_length(&self) -> usize {

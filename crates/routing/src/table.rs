@@ -208,15 +208,6 @@ impl RowShard {
         }
     }
 
-    /// The bytes the shard's encoding takes.
-    fn encoded_len(&self) -> usize {
-        match self {
-            RowShard::Empty => 1,
-            RowShard::Inline { len, .. } => 6 + 4 * *len as usize,
-            RowShard::Spilled { slots, .. } => 13 + 4 * slots.len(),
-        }
-    }
-
     /// Checks every id against the store's `route_count` and the window
     /// against the table's `columns`.
     fn check(&self, route_count: usize, columns: usize) -> Result<(), CodecError> {
@@ -1388,18 +1379,13 @@ impl RouteTable {
         }
     }
 
-    /// The bytes [`RouteTable::encode`] writes, from lengths alone —
-    /// O(chunks + locations) — so a first checkpoint is one allocation.
+    /// The bytes [`RouteTable::encode`] writes, counted by running it on a
+    /// [`ByteWriter::measuring`] writer: O(rows + endpoints), the arena's
+    /// runs counted whole.
     pub fn encoded_len(&self) -> usize {
-        let chunks = self.store.chunks();
-        let store: usize = chunks
-            .map(|c| 16 + 4 * (c.ends.len() + c.pipes.len()))
-            .sum();
-        let rows = self.rows.iter().flat_map(|block| block.iter());
-        let rows: usize = rows.map(RowShard::encoded_len).sum();
-        let lists = self.locs.endpoints.iter();
-        let geometry: usize = lists.map(|list| 16 + 4 * list.len()).sum();
-        32 + store + rows + 4 * self.endpoint_count + geometry
+        let mut w = ByteWriter::measuring();
+        self.encode(&mut w);
+        w.len()
     }
 
     /// Rebuilds a table from bytes produced by [`RouteTable::encode`].

@@ -121,10 +121,15 @@ pub fn checksum64_around(payload: &[u8], nested: std::ops::Range<usize>) -> u64 
     sum_fold(checksum64(&payload[..head]), checksum64(&payload[tail..]))
 }
 
-/// An append-only little-endian byte sink.
+/// An append-only little-endian byte sink — or, made by
+/// [`ByteWriter::measuring`], one that stores nothing and only counts what
+/// it is given: an encoder run on one states its own length, so a buffer
+/// can be sized to the encoding exactly ([`ByteWriter::write_exact`]).
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+    /// A measuring writer's count; `None` in one that stores.
+    measured: Option<usize>,
 }
 
 impl ByteWriter {
@@ -133,13 +138,20 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Creates a writer with `capacity` bytes pre-allocated. A buffer of
-    /// megabytes (a checkpoint) is offered to the kernel for huge pages
-    /// ([`advise_huge_pages`]).
+    /// Creates a writer that stores nothing: [`ByteWriter::len`] is what
+    /// the calls made on it would have written, frames and runs included.
+    pub fn measuring() -> Self {
+        ByteWriter {
+            buf: Vec::new(),
+            measured: Some(0),
+        }
+    }
+
+    /// Creates a writer with exactly `capacity` bytes pre-allocated. A
+    /// buffer of megabytes (a checkpoint) is offered to the kernel for huge
+    /// pages ([`advise_huge_pages`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        let buf = Vec::with_capacity(capacity);
-        advise_huge_pages(&buf);
-        ByteWriter { buf }
+        ByteWriter::reusing(Vec::new(), capacity)
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -147,14 +159,14 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Bytes written so far.
+    /// Bytes written (or, measuring, counted) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.measured.unwrap_or(self.buf.len())
     }
 
     /// Returns `true` if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Borrow of the bytes written so far.
@@ -162,16 +174,56 @@ impl ByteWriter {
         &self.buf
     }
 
-    /// Wraps `buf`, emptied, keeping its allocation.
-    pub fn reusing(mut buf: Vec<u8>) -> Self {
+    /// Wraps `buf`, emptied, with room for `capacity` bytes: its own
+    /// allocation if that is large enough, else — the old one freed first —
+    /// one of exactly `capacity` bytes, as [`ByteWriter::with_capacity`]
+    /// makes it.
+    pub fn reusing(mut buf: Vec<u8>, capacity: usize) -> Self {
         buf.clear();
-        ByteWriter { buf }
+        if buf.capacity() < capacity {
+            drop(buf);
+            buf = Vec::with_capacity(capacity);
+            advise_huge_pages(&buf);
+        }
+        ByteWriter {
+            buf,
+            measured: None,
+        }
+    }
+
+    /// Writes what `encode` appends into `buf`, replacing what it held, in
+    /// one allocation of exactly its length: `encode` runs on a measuring
+    /// writer, then on one [`ByteWriter::reusing`] `buf` for that length.
+    /// An error from the first run leaves `buf` as it was; from the second,
+    /// empty.
+    pub fn write_exact<E>(
+        buf: &mut Vec<u8>,
+        mut encode: impl FnMut(&mut ByteWriter) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut measure = ByteWriter::measuring();
+        encode(&mut measure)?;
+        let mut w = ByteWriter::reusing(std::mem::take(buf), measure.len());
+        encode(&mut w)?;
+        debug_assert_eq!(w.len(), measure.len(), "the encoder wrote what it measured");
+        *buf = w.into_bytes();
+        Ok(())
+    }
+
+    /// Appends `bytes`, or counts them.
+    #[inline]
+    fn append(&mut self, bytes: &[u8]) {
+        match &mut self.measured {
+            Some(len) => *len += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// Overwrites the eight bytes at `at` (a length word reserved before its
-    /// value was known).
+    /// value was known); nothing, measuring.
     pub fn patch_u64(&mut self, at: usize, v: u64) {
-        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        if self.measured.is_none() {
+            self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Opens a checksummed frame — magic, version, a reserved length word —
@@ -187,21 +239,34 @@ impl ByteWriter {
     /// Closes the frame whose payload starts at `payload_start`: back-patches
     /// the length word and appends [`checksum64`] of the payload.
     pub fn end_frame(&mut self, payload_start: usize) {
-        self.patch_u64(payload_start - 8, (self.len() - payload_start) as u64);
-        self.put_u64(checksum64(&self.buf[payload_start..]));
+        self.close_frame(payload_start, checksum64);
     }
 
     /// [`ByteWriter::end_frame`] for a frame that nests another, closed one
     /// at the writer positions `nested`: appends [`checksum64_around`] it.
     pub fn end_frame_around(&mut self, payload_start: usize, nested: std::ops::Range<usize>) {
-        self.patch_u64(payload_start - 8, (self.len() - payload_start) as u64);
         let nested = nested.start - payload_start..nested.end - payload_start;
-        self.put_u64(checksum64_around(&self.buf[payload_start..], nested));
+        self.close_frame(payload_start, |payload| checksum64_around(payload, nested));
+    }
+
+    /// Patches the frame's length word and appends `sum` of its payload (a
+    /// word counted, measuring).
+    fn close_frame(&mut self, payload_start: usize, sum: impl FnOnce(&[u8]) -> u64) {
+        self.patch_u64(payload_start - 8, (self.len() - payload_start) as u64);
+        let sum = match self.measured {
+            Some(_) => 0,
+            None => sum(&self.buf[payload_start..]),
+        };
+        self.put_u64(sum);
     }
 
     /// Appends a count prefix and each word's bytes, reserved at once.
     fn put_words<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
         self.put_len(words.len());
+        if let Some(len) = &mut self.measured {
+            *len += words.len() * N;
+            return;
+        }
         let start = self.buf.len();
         self.buf.resize(start + words.len() * N, 0);
         for (chunk, word) in self.buf[start..].chunks_exact_mut(N).zip(words) {
@@ -229,32 +294,32 @@ impl ByteWriter {
 
     /// Appends raw bytes verbatim.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.append(bytes);
     }
 
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.append(&[v]);
     }
 
     /// Appends a `u16`, little-endian.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.append(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.append(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.append(&v.to_le_bytes());
     }
 
     /// Appends a `u128`, little-endian.
     pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.append(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64`.
@@ -448,13 +513,22 @@ impl<'a> ByteReader<'a> {
 /// A type with one persisted layout, written and read by the one
 /// declaration: a wire scalar, a shape over other `Codec` types, or a record
 /// declared with [`codec_record!`](crate::codec_record). `put` → `get` →
-/// `put` is byte-stable, and `get` refuses what it cannot represent with a
-/// typed [`CodecError`] — never a panic, never an allocation beyond what the
-/// remaining input could hold.
+/// `put` is byte-stable, `put` writes exactly [`Codec::encoded_len`] bytes,
+/// and `get` refuses what it cannot represent with a typed [`CodecError`] —
+/// never a panic, never an allocation beyond what the remaining input could
+/// hold.
 pub trait Codec: Sized {
     /// The fewest bytes any value's encoding takes: what a count prefix over
     /// a run of them is bounded with ([`ByteReader::get_count`]).
     const MIN_BYTES: usize;
+
+    /// The bytes [`Codec::put`] writes for this value: `put` run on a
+    /// [`ByteWriter::measuring`] writer, so the layout is stated once.
+    fn encoded_len(&self) -> usize {
+        let mut w = ByteWriter::measuring();
+        self.put(&mut w);
+        w.len()
+    }
 
     /// Appends the value.
     fn put(&self, w: &mut ByteWriter);
@@ -763,14 +837,20 @@ macro_rules! codec_record {
 
 /// Checks the contract every [`Codec`] type keeps, on `sample`: its bytes
 /// read back to a value that writes the same bytes, with nothing left over;
-/// they are at least [`Codec::MIN_BYTES`] long; and every strict prefix of
-/// them is refused with an error, not read and not a panic. Test support for
-/// the crates that declare records; panics on a breach.
+/// they are [`Codec::encoded_len`] long and at least [`Codec::MIN_BYTES`];
+/// and every strict prefix of them is refused with an error, not read and
+/// not a panic. Test support for the crates that declare records; panics on
+/// a breach.
 #[doc(hidden)]
 pub fn record_contract<T: Codec + fmt::Debug>(sample: T) {
     let mut w = ByteWriter::new();
     sample.put(&mut w);
     let bytes = w.into_bytes();
+    assert_eq!(
+        sample.encoded_len(),
+        bytes.len(),
+        "{sample:?}: encoded_len is not the bytes written"
+    );
     assert!(
         T::MIN_BYTES <= bytes.len(),
         "{sample:?}: MIN_BYTES {} above the {} bytes written",
@@ -1039,6 +1119,40 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(open(&bytes[..len]).is_err(), "truncated to {len}");
         }
+    }
+
+    #[test]
+    fn a_measuring_writer_counts_what_a_storing_one_writes() {
+        // Frames nested and patched, bulk runs, scalars and raw bytes: the
+        // same calls on a measuring writer count the bytes a storing one
+        // holds, at every step, and store none; `write_exact` then writes
+        // them into one block of exactly that length.
+        let encode = |w: &mut ByteWriter| -> Result<Vec<usize>, ()> {
+            let mut lens = Vec::new();
+            let outer = w.begin_frame(1, 2);
+            (7u8, 300u16, Some(SimTime::from_nanos(5))).put(w);
+            w.put_u32s(&[1, 2, 3]);
+            w.put_u64s([4u64, 5].into_iter());
+            lens.push(w.len());
+            let inner = w.begin_frame(3, 4);
+            w.put_bytes(b"streamed");
+            w.end_frame(inner);
+            let nested = inner - 16..w.len();
+            w.patch_u64(outer - 8, 0);
+            lens.push(w.len());
+            w.end_frame_around(outer, nested);
+            lens.push(w.len());
+            Ok(lens)
+        };
+        let (mut measure, mut store) = (ByteWriter::measuring(), ByteWriter::new());
+        assert_eq!(encode(&mut measure), encode(&mut store));
+        assert_eq!(measure.len(), store.len());
+        assert!(measure.as_slice().is_empty() && !measure.is_empty());
+        let mut buf = vec![0u8; 3];
+        ByteWriter::write_exact(&mut buf, |w| encode(w).map(|_| ())).unwrap();
+        assert!(buf == store.as_slice() && buf.capacity() == buf.len());
+        let refused = ByteWriter::write_exact(&mut buf, |_| Err("refused"));
+        assert!(refused.is_err() && buf == store.as_slice(), "untouched");
     }
 
     #[test]

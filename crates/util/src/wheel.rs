@@ -409,15 +409,16 @@ impl<T> TimerWheel<T> {
     /// This is the snapshot path: re-pushing the returned `(time, value)`
     /// pairs in order into a fresh wheel reproduces the exact pop sequence
     /// (fresh sequence numbers are assigned in push order, so relative
-    /// FIFO order among equal deadlines is preserved).
-    pub fn entries_in_order(&self) -> Vec<(SimTime, &T)> {
+    /// FIFO order among equal deadlines is preserved). One allocation: the
+    /// entries are sorted in a `Vec` the iterator owns.
+    pub fn entries_in_order(&self) -> impl ExactSizeIterator<Item = (SimTime, &T)> {
         let mut entries: Vec<(EventKey, &T)> = Vec::with_capacity(self.len);
         let listed = self.arena.nodes.iter();
         entries.extend(listed.filter_map(|n| n.value.as_ref().map(|v| (n.key, v))));
         entries.extend(self.run.iter().map(|(k, v)| (*k, v)));
         entries.extend(self.overflow.iter().map(|Reverse(e)| (e.key, &e.value)));
         entries.sort_unstable_by_key(|(k, _)| *k);
-        entries.into_iter().map(|(k, v)| (k.time, v)).collect()
+        entries.into_iter().map(|(k, v)| (k.time, v))
     }
 
     /// Returns the deadline of the earliest event without removing it.
@@ -527,11 +528,7 @@ mod tests {
         w.push(SimTime::from_micros(5), 2); // FIFO tie with 1
         w.push(SimTime::from_millis(40), 3); // level 1
         w.push(SimTime::from_micros(1), 4);
-        let snapshot: Vec<(SimTime, i32)> = w
-            .entries_in_order()
-            .into_iter()
-            .map(|(t, &v)| (t, v))
-            .collect();
+        let snapshot: Vec<(SimTime, i32)> = w.entries_in_order().map(|(t, &v)| (t, v)).collect();
         // Re-pushing the snapshot into a fresh wheel reproduces pop order.
         let mut restored = TimerWheel::new();
         for &(t, v) in &snapshot {

@@ -167,7 +167,7 @@ fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
     let edges: usize = (0..pipes)
         .map(|p| matrix.pipe_tree_sources(PipeId::from_index(p)).len())
         .sum();
-    let encoded = matrix.encoded_len();
+    let encoded = mn_util::Codec::encoded_len(&matrix);
     let mut w = mn_util::ByteWriter::new();
     mn_util::Codec::put(&matrix, &mut w);
     assert_eq!(encoded, w.len());

@@ -449,6 +449,85 @@ fn recover_refuses_bytes_after_the_frame_or_after_the_decoded_payload() {
     assert_eq!(fresh.now(), SimTime::from_secs(1));
 }
 
+/// One executor's run of [`a_checkpoint_right_after_a_late_fluid_start_restores`]:
+/// returns the checkpoint taken at 100 ms and the one taken once the
+/// original and its restored copy have both run on to 200 ms.
+fn late_fluid_start<X: mn_emucore::CoreExecutor>(
+    mut emu: mn_emucore::Emulator<X>,
+    d: &mn_distill::DistilledTopology,
+    vns: &[VnId],
+) -> (Vec<u8>, Vec<u8>) {
+    use mn_dynamics::{Schedule, ScheduleEngine};
+    use mn_emucore::Emulator;
+    use modelnet::Reconfigure;
+    let ms = SimTime::from_millis;
+    // Due at 90 ms, applied at 100 ms: at its scheduled time, more than one
+    // fluid epoch behind the clock the advance left.
+    let schedule =
+        Schedule::new().fluid_start(ms(90), 1, vns[0], vns[9], DataRate::from_mbps(3), 2);
+    let mut engine = ScheduleEngine::new(d.clone(), schedule);
+    emu.advance(ms(100)).unwrap();
+    let applied = engine.apply_due(ms(100), &mut Reconfigure(&mut emu));
+    assert_eq!(applied.fluid_changes, 1);
+    assert_eq!(
+        emu.fluid().next_epoch(),
+        Some(ms(100)),
+        "the epoch grid starts at the clock, not behind it"
+    );
+    let snap = emu.snapshot().unwrap();
+    let mut restored = Emulator::<X>::restore(&snap).unwrap();
+    for step in 1..=5 {
+        let t = ms(100 + 20 * step);
+        assert_eq!(
+            emu.advance(t).unwrap().len(),
+            restored.advance(t).unwrap().len()
+        );
+    }
+    assert_eq!(
+        emu.fluid_flow_goodput_bytes(1),
+        restored.fluid_flow_goodput_bytes(1)
+    );
+    assert!(emu.fluid_flow_goodput_bytes(1).unwrap() > 0);
+    let on = restored.snapshot().unwrap().to_bytes();
+    assert!(emu.snapshot().unwrap().to_bytes() == on);
+    (snap.to_bytes(), on)
+}
+
+/// A checkpoint taken right after a fluid flow's late start — the
+/// dynamics engine applies an event at its scheduled time, which can lie
+/// behind the emulator's clock — restores on either executor, and the
+/// restored copy runs on exactly as the original does.
+#[test]
+fn a_checkpoint_right_after_a_late_fluid_start_restores() {
+    use mn_assign::{Binding, BindingParams};
+    use mn_distill::distill;
+    use mn_emucore::{HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+    use mn_routing::RoutingMatrix;
+    let topo = ring_topology(&RingParams {
+        routers: 4,
+        clients_per_router: 4,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
+    let vns: Vec<VnId> = binding.vns().collect();
+    let build = || {
+        let pod = mn_assign::greedy_k_clusters(&d, 2, 3);
+        let matrix = RoutingMatrix::build(&d);
+        MultiCoreEmulator::new(
+            &d,
+            pod,
+            matrix,
+            &binding,
+            HardwareProfile::unconstrained(),
+            3,
+        )
+    };
+    let inline = late_fluid_start(build(), &d, &vns);
+    let threaded = late_fluid_start(ParallelEmulator::from_sequential(build()), &d, &vns);
+    assert!(inline == threaded, "the executors' checkpoints differ");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

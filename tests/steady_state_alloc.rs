@@ -775,18 +775,64 @@ fn runner_tcp_steady_state_allocates_next_to_nothing() {
     );
 }
 
+/// Takes a checkpoint with `take` and checks its allocation budget: the
+/// bytes sit in one block of exactly their length, that is the largest
+/// block the calling thread requests, and beside it and `copies` blocks of
+/// its length (`EmulatorSnapshot::to_bytes`) the thread requests at most
+/// `scratch` bytes, in at most 8 allocator calls in all. The scratch is
+/// the timer wheels' `entries_in_order` `Vec`s of references, one a
+/// non-empty wheel, sized by what is pending, made once by the measuring
+/// run and once by the writing run; a section staged in a block of its own
+/// (a copied core encoding) would not fit.
+/// The scratch budget of a checkpoint with little traffic pending.
+const LIGHT: u64 = 16 << 10;
+
+fn one_exact_buffer(
+    what: &str,
+    copies: u64,
+    scratch: u64,
+    take: impl FnOnce() -> Vec<u8>,
+) -> Vec<u8> {
+    mn_util::alloc::take_thread_largest_alloc();
+    let (calls, requested) = (alloc_calls(), alloc_bytes());
+    let bytes = take();
+    let (calls, requested) = (alloc_calls() - calls, alloc_bytes() - requested);
+    let largest = mn_util::alloc::take_thread_largest_alloc();
+    let frames = 1 + copies;
+    let beside = requested - frames * bytes.len() as u64;
+    println!(
+        "{what}: {} B, largest block {largest} B, {beside} B in {} calls beside",
+        bytes.len(),
+        calls - frames
+    );
+    assert_eq!(
+        bytes.capacity(),
+        bytes.len(),
+        "{what}: capacity beyond the bytes"
+    );
+    assert_eq!(
+        largest,
+        bytes.len(),
+        "{what}: the largest block is not the checkpoint"
+    );
+    assert!(
+        beside <= scratch && calls <= 8,
+        "{what}: {} allocator calls requesting {beside} bytes beside the frame",
+        calls - frames
+    );
+    bytes
+}
+
 #[test]
 fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
     let _process = shared();
-    // The allocation budget of the checkpoint path. A warmed run's second
-    // `Runner::snapshot` streams every section into ONE buffer, pre-sized
-    // from the first: no staged emulator payload, no copy into a frame. The
-    // budget is 1.25 × the returned length in at most 8 allocator calls. It
-    // is stated with the timer wheels' `entries_in_order` scratch inside it
-    // (two short-lived `Vec`s of references per non-empty wheel — the
-    // runner's events, the tunnels, each core's schedule — sized by what is
-    // pending, not by the snapshot; a few KiB here, which is why the run is
-    // routing-heavy and light on traffic).
+    // The allocation budget of the checkpoint path. The frame is measured
+    // (its encoder run on a measuring writer) before it is written, so a
+    // checkpoint — a run's first, a later one, a restored runner's first —
+    // is ONE block of exactly its length: no staged emulator payload, no
+    // copy into a frame, no buffer grown by doubling. The run is
+    // routing-heavy and light on traffic, so the wheels' scratch beside it
+    // is a few KiB.
     let topo = ring_topology(&RingParams {
         routers: 12,
         clients_per_router: 8,
@@ -809,32 +855,10 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
     };
     let mut runner = build();
     runner.run_for(SimDuration::from_secs(1)).unwrap();
-    // The first checkpoint has no predecessor to size it: the routing
-    // state's encoded length (`encoded_len`, from lengths alone) does, so it
-    // too is one buffer — not 4 KiB doubled until it fits.
-    let (calls, bytes) = (alloc_calls(), alloc_bytes());
-    let first = runner.snapshot().unwrap();
-    let (calls, bytes) = (alloc_calls() - calls, alloc_bytes() - bytes);
-    println!(
-        "first checkpoint: {calls} calls, {bytes} B requested, {} B long",
-        first.len()
-    );
-    assert!(
-        calls <= 8 && bytes as f64 <= 1.25 * first.len() as f64,
-        "{calls} allocator calls requesting {bytes} bytes for a first checkpoint of {} bytes",
-        first.len()
-    );
+    let first = one_exact_buffer("first checkpoint", 0, LIGHT, || runner.snapshot().unwrap());
     runner.run_for(SimDuration::from_millis(300)).unwrap();
-
-    let (calls, bytes) = (alloc_calls(), alloc_bytes());
-    let second = runner.snapshot().unwrap();
-    let (calls, bytes) = (alloc_calls() - calls, alloc_bytes() - bytes);
+    let second = one_exact_buffer("second checkpoint", 0, LIGHT, || runner.snapshot().unwrap());
     assert!(second.len() > 100_000 && second.len().abs_diff(first.len()) < 4096);
-    assert!(
-        calls <= 8 && bytes as f64 <= 1.25 * second.len() as f64,
-        "{calls} allocator calls requesting {bytes} bytes for a {}-byte checkpoint",
-        second.len()
-    );
 
     // Restore decodes the borrowed bytes in place: the state it rebuilds is
     // many blocks, none of them as large as the payload — which a private
@@ -848,7 +872,65 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
         "restoring {} bytes requested a {largest}-byte block",
         second.len()
     );
-    assert!(fresh.snapshot().unwrap() == second);
+    let again = one_exact_buffer("a restored runner's first", 0, LIGHT, || {
+        fresh.snapshot().unwrap()
+    });
+    assert!(again == second);
+
+    // A buffer with room is written in place: no block of its size.
+    let mut kept = again;
+    let at = kept.as_ptr();
+    mn_util::alloc::take_thread_largest_alloc();
+    fresh.snapshot_into(&mut kept).unwrap();
+    let largest = mn_util::alloc::take_thread_largest_alloc();
+    assert!(kept == second && kept.as_ptr() == at && largest < second.len() / 2);
+}
+
+#[test]
+fn a_traffic_heavy_checkpoint_is_one_exact_buffer_on_either_executor() {
+    let _process = shared();
+    // Thousands of descriptors in flight, each written with its packet:
+    // what the cores hold outweighs the routing state here, which is where
+    // a buffer sized from the routing state alone fell short and doubled.
+    // On the threaded executor each worker encodes its core for the
+    // measuring pass and the writing pass appends those encodings; its
+    // frame is the inline one's, byte for byte.
+    let topo = ring_topology(&RingParams {
+        routers: 8,
+        clients_per_router: 8,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
+    let pod = mn_assign::greedy_k_clusters(&d, 2, 7);
+    let profile = HardwareProfile::unconstrained();
+    let mut inline = MultiCoreEmulator::new(
+        &d,
+        pod.clone(),
+        RoutingMatrix::build(&d),
+        &binding,
+        profile,
+        7,
+    );
+    let mut threaded =
+        ParallelEmulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile, 7);
+    let vns: Vec<VnId> = binding.vns().collect();
+    // Every VN sources ~15 Mb/s into a 2 Mb/s access pipe: queues fill.
+    drive_batched(&mut inline, &vns, &mut Feed::default(), 2_000, 0, 20_000);
+    drive_batched(&mut threaded, &vns, &mut Feed::default(), 2_000, 0, 20_000);
+    let in_flight: usize = inline.cores().iter().map(|core| core.in_flight()).sum();
+    println!("{in_flight} descriptors in flight");
+    assert!(in_flight > 2_000, "{in_flight} descriptors in flight");
+
+    // (`to_bytes` copies the frame into a second block of its length.)
+    // The inline executor sorts each core's pending entries on this thread,
+    // once a run: ~175 KiB of references here; the workers sort theirs.
+    let heavy = 256 << 10;
+    let on_inline = one_exact_buffer("inline", 1, heavy, || inline.snapshot().unwrap().to_bytes());
+    let on_threaded = one_exact_buffer("threaded", 1, heavy, || {
+        threaded.snapshot().unwrap().to_bytes()
+    });
+    assert!(on_inline == on_threaded);
 }
 
 #[test]
