@@ -109,8 +109,9 @@ impl Experiment {
     }
 
     /// Installs a runtime reconfiguration schedule: link failures and
-    /// recoveries, bandwidth/latency renegotiation, node churn and CBR
-    /// cross-traffic changes are applied mid-run at their scheduled virtual
+    /// recoveries, bandwidth/latency renegotiation, seeded perturbations,
+    /// node and VN churn, and CBR and fluid background-demand changes are
+    /// applied mid-run at their scheduled virtual
     /// times, without restarting the experiment. Both execution backends
     /// apply the same schedule identically (bit-for-bit deliveries).
     pub fn with_schedule(mut self, schedule: mn_dynamics::Schedule) -> Self {
@@ -386,8 +387,13 @@ mod tests {
         assert!(ring_pipes.len() >= 3, "a 4-router ring has 4 ring links");
         let t = SimTime::from_millis;
         let schedule = || {
-            let cbr =
-                mn_pipe::CbrConfig::new(DataRate::from_mbps(1), mn_util::ByteSize::from_bytes(700));
+            let perturbation = mn_dynamics::LinkPerturbation {
+                fraction: 0.5,
+                kind: mn_dynamics::FaultKind::DelayIncrease {
+                    min: 0.0,
+                    max: 0.25,
+                },
+            };
             mn_dynamics::Schedule::new()
                 .duplex_down(t(500), ring_pipes[0].0, ring_pipes[0].1)
                 .duplex_up(t(1500), ring_pipes[0].0, ring_pipes[0].1)
@@ -395,8 +401,9 @@ mod tests {
                 .duplex_up(t(3000), ring_pipes[1].0, ring_pipes[1].1)
                 .duplex_down(t(3500), ring_pipes[2].0, ring_pipes[2].1)
                 .duplex_up(t(4500), ring_pipes[2].0, ring_pipes[2].1)
-                .cbr_start(t(1000), ring_pipes[3].0, cbr)
+                .cbr_start(t(1000), ring_pipes[3].0, DataRate::from_mbps(1))
                 .cbr_stop(t(4000), ring_pipes[3].0)
+                .perturb(t(2500), perturbation, 13)
         };
         let run = |backend: ExecutionBackend, cores: usize| {
             let mut runner = Experiment::new(small_ring())

@@ -68,7 +68,6 @@ pub use mn_emucore::{
     ParallelEmulator,
 };
 pub use mn_packet::VnId;
-pub use mn_pipe::CbrConfig;
 pub use mn_routing::RoutingMatrix;
 pub use mn_topology::{LinkAttrs, NodeId, NodeKind, Topology};
 pub use mn_transport::TcpConfig;

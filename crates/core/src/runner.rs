@@ -55,7 +55,6 @@ use mn_emucore::{
     SubmitOutcome,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
-use mn_pipe::CbrConfig;
 use mn_routing::RouteUpdate;
 use mn_topology::NodeId;
 use mn_transport::{
@@ -104,7 +103,7 @@ impl From<EmulatorBackend> for Emulator<Executor> {
 }
 
 /// An emulator as the dynamics engine reconfigures it: one coordinator
-/// applies in-place pipe mutation, CBR injection, incremental rerouting,
+/// applies in-place pipe mutation, CBR demands, incremental rerouting,
 /// fluid flows and churn on every executor, so a [`mn_dynamics::Schedule`]
 /// applies identically (bit for bit) whichever one drives the run.
 pub struct Reconfigure<'a, X: CoreExecutor>(pub &'a mut Emulator<X>);
@@ -114,8 +113,13 @@ impl<X: CoreExecutor> DynamicsTarget for Reconfigure<'_, X> {
         self.0.update_pipe_attrs(pipe, attrs)
     }
 
-    fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        self.0.set_pipe_cbr(pipe, config, from)
+    fn set_pipe_compensation(
+        &mut self,
+        pipe: PipeId,
+        rate: Option<DataRate>,
+        from: SimTime,
+    ) -> bool {
+        self.0.set_pipe_compensation(pipe, rate, from)
     }
 
     fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
@@ -1049,7 +1053,7 @@ impl Runner {
                     self.dynamics = Some(engine);
                     if !applied.is_empty() {
                         // A reconfiguration can create emulator work (CBR
-                        // injections) or retire the pending wakeup.
+                        // and fluid re-solves) or retire the pending wakeup.
                         self.schedule_emu_wakeup();
                     }
                 }

@@ -1,16 +1,19 @@
 //! The runtime reconfiguration engine.
 //!
 //! [`ScheduleEngine`] owns the authoritative copy of the distilled pipe
-//! graph and walks a [`Schedule`](crate::Schedule) against a running
-//! emulation: pipe parameters are mutated in place on the allocation-free
-//! tick path, CBR episodes are installed/removed as fixed-rate fluid
-//! demands, and — only when a change can actually affect shortest paths
-//! (latency, or a link failing/recovering) — the affected routes are
-//! recomputed **incrementally** through [`DynamicsTarget::reroute`].
-//! Changes applied at one apply point are batched into a single reroute, so
-//! a node failure taking down a dozen pipes costs one routing update — and
-//! each reroute publishes one copy-on-write route-table generation whose
-//! cost is proportional to the rows that changed, not to the VN pair count.
+//! graph — the one record of every run-time change — and walks a
+//! [`Schedule`](crate::Schedule) against a running emulation: every pipe
+//! event (a renegotiation, a link or node flap, a seeded perturbation) is
+//! folded into the graph first and the pipes it changed are then mutated in
+//! place on the allocation-free tick path; CBR episodes are installed and
+//! removed as fixed-rate fluid demands; and — only when a change can
+//! actually affect shortest paths (latency, or a link failing/recovering) —
+//! the affected routes are recomputed **incrementally** through
+//! [`DynamicsTarget::reroute`]. Changes applied at one apply point are
+//! batched into a single reroute, so a node failure taking down a dozen
+//! pipes costs one routing update — and each reroute publishes one
+//! copy-on-write route-table generation whose cost is proportional to the
+//! rows that changed, not to the VN pair count.
 //!
 //! The engine performs no time-keeping of its own: the driver (the Runner,
 //! or a test loop) calls [`ScheduleEngine::apply_due`] at its apply points.
@@ -20,78 +23,65 @@
 
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_packet::VnId;
-use mn_pipe::CbrConfig;
 use mn_routing::RouteUpdate;
 use mn_topology::NodeId;
 use mn_util::{DataRate, SimTime};
 
+use crate::faults::failed;
 use crate::schedule::{Schedule, ScheduleEvent};
 
 /// The emulation-side interface the engine reconfigures through. The
-/// façade's execution backends implement it for both the sequential and the
-/// threaded emulator.
+/// façade's `modelnet::Reconfigure` implements it over an emulator on
+/// either executor.
 pub trait DynamicsTarget {
     /// Replaces a pipe's emulation parameters in place. Packets already
     /// inside the pipe keep their computed deadlines.
     fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool;
 
-    /// Installs, replaces or (with `None`) removes the CBR cross-traffic
-    /// episode on a pipe, from `from`.
-    fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool;
+    /// Installs, replaces or (with `None`) removes the fixed-rate
+    /// background demand on a pipe, from `from`.
+    fn set_pipe_compensation(
+        &mut self,
+        pipe: PipeId,
+        rate: Option<DataRate>,
+        from: SimTime,
+    ) -> bool;
 
     /// Recomputes routing incrementally after the listed pipes of `topo`
     /// changed. In-flight descriptors keep their (still valid) route ids.
     fn reroute(&mut self, topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate;
 
-    /// Starts a fluid bulk flow effective at `at`. Targets without a fluid
-    /// model reject the event (the default).
+    /// Starts a fluid bulk flow effective at `at`.
     fn add_fluid_flow(
         &mut self,
-        _tag: u64,
-        _src: VnId,
-        _dst: VnId,
-        _demand: DataRate,
-        _clients: u32,
-        _at: SimTime,
-    ) -> bool {
-        false
-    }
+        tag: u64,
+        src: VnId,
+        dst: VnId,
+        demand: DataRate,
+        clients: u32,
+        at: SimTime,
+    ) -> bool;
 
     /// Changes a fluid flow's offered demand and client count at `at`.
-    fn resize_fluid_flow(
-        &mut self,
-        _tag: u64,
-        _demand: DataRate,
-        _clients: u32,
-        _at: SimTime,
-    ) -> bool {
-        false
-    }
+    fn resize_fluid_flow(&mut self, tag: u64, demand: DataRate, clients: u32, at: SimTime) -> bool;
 
     /// Stops a fluid flow at `at`.
-    fn remove_fluid_flow(&mut self, _tag: u64, _at: SimTime) -> bool {
-        false
-    }
+    fn remove_fluid_flow(&mut self, tag: u64, at: SimTime) -> bool;
 
     /// Binds a VN at a client location of `topo` and starts routing for
-    /// it, incrementally (no full route rebuild). Targets without live
-    /// endpoint churn reject the event (the default).
+    /// it, incrementally (no full route rebuild).
     fn vn_join(
         &mut self,
-        _topo: &DistilledTopology,
-        _vn: VnId,
-        _location: NodeId,
-        _at: SimTime,
-    ) -> bool {
-        false
-    }
+        topo: &DistilledTopology,
+        vn: VnId,
+        location: NodeId,
+        at: SimTime,
+    ) -> bool;
 
     /// Removes a VN at `at`. New traffic to or from it is refused from
     /// this apply point on; in-flight descriptors drain on their
     /// pre-departure routes.
-    fn vn_leave(&mut self, _vn: VnId, _at: SimTime) -> bool {
-        false
-    }
+    fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool;
 }
 
 /// Why [`ScheduleEngine::restore_cursor`] refused to fast-forward.
@@ -149,58 +139,6 @@ impl std::fmt::Display for ScheduleRestoreError {
 
 impl std::error::Error for ScheduleRestoreError {}
 
-/// No-op target for [`ScheduleEngine::restore_cursor`] replays: the engine
-/// folds topology mutations into its authoritative graph while the restored
-/// emulator (which already carries the effects) hears nothing.
-struct Quiet;
-
-impl DynamicsTarget for Quiet {
-    fn update_pipe_attrs(&mut self, _pipe: PipeId, _attrs: PipeAttrs) -> bool {
-        true
-    }
-    fn set_pipe_cbr(&mut self, _pipe: PipeId, _config: Option<CbrConfig>, _from: SimTime) -> bool {
-        true
-    }
-    fn reroute(&mut self, _topo: &DistilledTopology, _changed: &[PipeId]) -> RouteUpdate {
-        RouteUpdate::default()
-    }
-    fn add_fluid_flow(
-        &mut self,
-        _tag: u64,
-        _src: VnId,
-        _dst: VnId,
-        _demand: DataRate,
-        _clients: u32,
-        _at: SimTime,
-    ) -> bool {
-        true
-    }
-    fn resize_fluid_flow(
-        &mut self,
-        _tag: u64,
-        _demand: DataRate,
-        _clients: u32,
-        _at: SimTime,
-    ) -> bool {
-        true
-    }
-    fn remove_fluid_flow(&mut self, _tag: u64, _at: SimTime) -> bool {
-        true
-    }
-    fn vn_join(
-        &mut self,
-        _topo: &DistilledTopology,
-        _vn: VnId,
-        _location: NodeId,
-        _at: SimTime,
-    ) -> bool {
-        true
-    }
-    fn vn_leave(&mut self, _vn: VnId, _at: SimTime) -> bool {
-        true
-    }
-}
-
 /// What one [`ScheduleEngine::apply_due`] call did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AppliedChanges {
@@ -242,9 +180,11 @@ pub struct ScheduleEngine {
     /// Scratch: pipes whose routing-relevant attributes changed at the
     /// current apply point (batched into one reroute).
     changed: Vec<PipeId>,
-    /// Scratch: incident-pipe working copy for node churn, reused across
-    /// apply points so repeated churn allocates nothing new.
-    node_scratch: Vec<PipeId>,
+    /// Scratch: the pipes the event being applied changed, in order.
+    touched: Vec<PipeId>,
+    /// Scratch: the pipes a node or perturbation event walks, reused
+    /// across apply points so repeated churn allocates nothing new.
+    walk: Vec<PipeId>,
 }
 
 impl ScheduleEngine {
@@ -264,7 +204,8 @@ impl ScheduleEngine {
             schedule,
             cursor: 0,
             changed: Vec::new(),
-            node_scratch: Vec::new(),
+            touched: Vec::new(),
+            walk: Vec::new(),
         }
     }
 
@@ -305,13 +246,14 @@ impl ScheduleEngine {
 
     /// Fast-forwards a **fresh** engine to a checkpointed position.
     ///
-    /// The first `cursor` events are replayed against a silent no-op target
-    /// so the engine's authoritative pipe graph folds in every applied
-    /// change (the emulator side was restored from the snapshot and already
-    /// carries them), then every still-pending event is validated against
-    /// the restored virtual time: an event stamped before `resumed_at`
-    /// would have to fire in the past, which means the cursor and the
-    /// snapshot disagree — a structured error, not a silent skip.
+    /// The first `cursor` events are folded into the engine's authoritative
+    /// pipe graph without a target (the emulator side was restored from
+    /// the snapshot and already carries them; a perturbation redraws from
+    /// its own seed, so it folds in the changes it made), then every
+    /// still-pending event is validated against the restored virtual time:
+    /// an event stamped before `resumed_at` would have to fire in the past,
+    /// which means the cursor and the snapshot disagree — a structured
+    /// error, not a silent skip.
     pub fn restore_cursor(
         &mut self,
         cursor: usize,
@@ -336,12 +278,11 @@ impl ScheduleEngine {
                 });
             }
         }
-        let mut quiet = Quiet;
-        let mut discard = AppliedChanges::default();
         while self.cursor < cursor {
-            let (at, event) = self.schedule.events()[self.cursor];
+            let (_, event) = self.schedule.events()[self.cursor];
             self.cursor += 1;
-            self.apply_one(&mut quiet, at, event, &mut discard);
+            self.fold(event);
+            self.touched.clear();
         }
         // The emulator restored its own routing state; the batched-reroute
         // scratch from the replay must not leak into the next apply point.
@@ -360,7 +301,13 @@ impl ScheduleEngine {
             }
             self.cursor += 1;
             applied.events += 1;
-            self.apply_one(target, at, event, &mut applied);
+            self.fold(event);
+            for &pipe in &self.touched {
+                target.update_pipe_attrs(pipe, self.topo.pipe(pipe).attrs);
+            }
+            applied.pipes_updated += self.touched.len();
+            self.touched.clear();
+            Self::forward(&self.topo, target, at, event, &mut applied);
         }
         if !self.changed.is_empty() {
             let update = target.reroute(&self.topo, &self.changed);
@@ -370,168 +317,139 @@ impl ScheduleEngine {
         applied
     }
 
-    /// Applies a single schedule event to `target`, updating `applied` and
-    /// the batched-reroute scratch.
-    fn apply_one<T: DynamicsTarget>(
-        &mut self,
-        target: &mut T,
-        at: SimTime,
-        event: ScheduleEvent,
-        applied: &mut AppliedChanges,
-    ) {
+    /// Folds a pipe event into the authoritative graph, listing the pipes
+    /// it changed in `touched`. Other events leave the graph alone.
+    fn fold(&mut self, event: ScheduleEvent) {
+        let mut walk = std::mem::take(&mut self.walk);
         match event {
-            ScheduleEvent::SetPipe { pipe, attrs } => {
-                self.apply_pipe(target, pipe, attrs, applied);
-            }
+            ScheduleEvent::SetPipe { pipe, attrs } => self.set_attrs(pipe, attrs),
             ScheduleEvent::LinkDown { pipe } => {
-                let Some(current) = self.topo.get_pipe(pipe).map(|p| p.attrs) else {
-                    return;
-                };
-                let failed = PipeAttrs {
-                    bandwidth: DataRate::ZERO,
-                    ..current
-                };
-                self.apply_pipe(target, pipe, failed, applied);
+                if let Some(current) = self.topo.get_pipe(pipe).map(|p| p.attrs) {
+                    self.set_attrs(pipe, failed(current));
+                }
             }
             ScheduleEvent::LinkUp { pipe } => {
-                let Some(&original) = self.original.get(pipe.index()) else {
-                    return;
-                };
-                self.apply_pipe(target, pipe, original, applied);
+                if let Some(&original) = self.original.get(pipe.index()) {
+                    self.set_attrs(pipe, original);
+                }
             }
-            ScheduleEvent::NodeDown { node } => {
-                let mut pipes = std::mem::take(&mut self.node_scratch);
-                pipes.clear();
-                pipes.extend_from_slice(
-                    self.incident
-                        .get(node.index())
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]),
-                );
-                for &pipe in &pipes {
-                    let current = self.topo.pipe(pipe).attrs;
-                    let failed = PipeAttrs {
-                        bandwidth: DataRate::ZERO,
-                        ..current
+            ScheduleEvent::NodeDown { node } | ScheduleEvent::NodeUp { node } => {
+                walk.clear();
+                walk.extend_from_slice(self.incident.get(node.index()).map_or(&[], Vec::as_slice));
+                for &pipe in &walk {
+                    let attrs = match event {
+                        ScheduleEvent::NodeDown { .. } => failed(self.topo.pipe(pipe).attrs),
+                        _ => self.original[pipe.index()],
                     };
-                    self.apply_pipe(target, pipe, failed, applied);
-                }
-                self.node_scratch = pipes;
-            }
-            ScheduleEvent::NodeUp { node } => {
-                let mut pipes = std::mem::take(&mut self.node_scratch);
-                pipes.clear();
-                pipes.extend_from_slice(
-                    self.incident
-                        .get(node.index())
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]),
-                );
-                for &pipe in &pipes {
-                    let original = self.original[pipe.index()];
-                    self.apply_pipe(target, pipe, original, applied);
-                }
-                self.node_scratch = pipes;
-            }
-            ScheduleEvent::CbrStart { pipe, config } => {
-                // Injection starts at the event's scheduled time, not
-                // the (possibly later) apply time: replays are
-                // deterministic regardless of driver granularity.
-                if target.set_pipe_cbr(pipe, Some(config), at) {
-                    applied.cbr_changes += 1;
+                    self.set_attrs(pipe, attrs);
                 }
             }
-            ScheduleEvent::CbrStop { pipe } => {
-                if target.set_pipe_cbr(pipe, None, at) {
-                    applied.cbr_changes += 1;
+            ScheduleEvent::Perturb { perturbation, seed } => {
+                let mut rng = perturbation.select(seed, self.original.len(), &mut walk);
+                for &pipe in &walk {
+                    let (current, original) =
+                        (self.topo.pipe(pipe).attrs, self.original[pipe.index()]);
+                    let attrs = perturbation.kind.apply(current, original, &mut rng);
+                    self.set_attrs(pipe, attrs);
                 }
             }
-            ScheduleEvent::FluidStart {
-                tag,
-                src,
-                dst,
-                demand,
-                clients,
-            } => {
-                // Like CBR events, the flow is effective from its
-                // scheduled time, not the (possibly later) apply time.
-                if target.add_fluid_flow(tag, src, dst, demand, clients, at) {
-                    applied.fluid_changes += 1;
-                }
-            }
-            ScheduleEvent::FluidResize {
-                tag,
-                demand,
-                clients,
-            } => {
-                if target.resize_fluid_flow(tag, demand, clients, at) {
-                    applied.fluid_changes += 1;
-                }
-            }
-            ScheduleEvent::FluidStop { tag } => {
-                if target.remove_fluid_flow(tag, at) {
-                    applied.fluid_changes += 1;
-                }
-            }
-            ScheduleEvent::VnJoin { vn, location } => {
-                // The engine's authoritative graph carries every
-                // applied pipe change, so the newcomer's source tree
-                // is computed against current attributes.
-                if target.vn_join(&self.topo, vn, location, at) {
-                    applied.vn_changes += 1;
-                }
-            }
-            ScheduleEvent::VnLeave { vn } => {
-                if target.vn_leave(vn, at) {
-                    applied.vn_changes += 1;
-                }
-            }
+            _ => {}
         }
+        self.walk = walk;
     }
 
-    /// Writes one pipe's new attributes into the authoritative graph and
-    /// the target, flagging it for the batched reroute when the change can
-    /// affect shortest paths (latency, or usability flipping).
-    fn apply_pipe<T: DynamicsTarget>(
-        &mut self,
-        target: &mut T,
-        pipe: PipeId,
-        attrs: PipeAttrs,
-        applied: &mut AppliedChanges,
-    ) {
+    /// Writes one pipe's new attributes into the authoritative graph,
+    /// listing it in `touched` if they changed and flagging it for the
+    /// batched reroute when the change can affect shortest paths (latency,
+    /// or usability flipping).
+    fn set_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) {
         let Some(slot) = self.topo.pipe_attrs_mut(pipe) else {
             return;
         };
-        let old = *slot;
+        let old = std::mem::replace(slot, attrs);
         if old == attrs {
             return;
         }
-        *slot = attrs;
-        target.update_pipe_attrs(pipe, attrs);
-        applied.pipes_updated += 1;
+        self.touched.push(pipe);
         let routing_relevant =
             old.latency != attrs.latency || old.bandwidth.is_zero() != attrs.bandwidth.is_zero();
         if routing_relevant && !self.changed.contains(&pipe) {
             self.changed.push(pipe);
         }
     }
+
+    /// Hands a background-demand or VN event to `target`, effective from
+    /// the event's scheduled time `at` rather than the (possibly later)
+    /// apply time, so replays are deterministic regardless of driver
+    /// granularity. Pipe events were folded already.
+    fn forward<T: DynamicsTarget>(
+        topo: &DistilledTopology,
+        target: &mut T,
+        at: SimTime,
+        event: ScheduleEvent,
+        applied: &mut AppliedChanges,
+    ) {
+        let (accepted, count) = match event {
+            ScheduleEvent::CbrStart { pipe, rate } => (
+                target.set_pipe_compensation(pipe, (!rate.is_zero()).then_some(rate), at),
+                &mut applied.cbr_changes,
+            ),
+            ScheduleEvent::CbrStop { pipe } => (
+                target.set_pipe_compensation(pipe, None, at),
+                &mut applied.cbr_changes,
+            ),
+            ScheduleEvent::FluidStart {
+                tag,
+                src,
+                dst,
+                demand,
+                clients,
+            } => (
+                target.add_fluid_flow(tag, src, dst, demand, clients, at),
+                &mut applied.fluid_changes,
+            ),
+            ScheduleEvent::FluidResize {
+                tag,
+                demand,
+                clients,
+            } => (
+                target.resize_fluid_flow(tag, demand, clients, at),
+                &mut applied.fluid_changes,
+            ),
+            ScheduleEvent::FluidStop { tag } => (
+                target.remove_fluid_flow(tag, at),
+                &mut applied.fluid_changes,
+            ),
+            // The graph carries every applied pipe change, so the
+            // newcomer's source tree is computed against current attributes.
+            ScheduleEvent::VnJoin { vn, location } => (
+                target.vn_join(topo, vn, location, at),
+                &mut applied.vn_changes,
+            ),
+            ScheduleEvent::VnLeave { vn } => (target.vn_leave(vn, at), &mut applied.vn_changes),
+            _ => return,
+        };
+        if accepted {
+            *count += 1;
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub mod tests {
     use super::*;
+    use crate::{FaultKind, LinkPerturbation};
     use mn_distill::{distill, DistillationMode};
     use mn_topology::generators::{ring_topology, RingParams};
-    use mn_util::ByteSize;
 
     /// Records every call the engine makes.
     #[derive(Default)]
-    struct MockTarget {
-        updates: Vec<(PipeId, PipeAttrs)>,
-        cbr: Vec<(PipeId, Option<CbrConfig>, SimTime)>,
-        reroutes: Vec<Vec<PipeId>>,
-        fluid: Vec<(u64, SimTime)>,
-        churn: Vec<(VnId, Option<NodeId>, SimTime)>,
+    pub struct MockTarget {
+        pub updates: Vec<(PipeId, PipeAttrs)>,
+        pub cbr: Vec<(PipeId, Option<DataRate>, SimTime)>,
+        pub reroutes: Vec<Vec<PipeId>>,
+        pub fluid: Vec<(u64, SimTime)>,
+        pub churn: Vec<(VnId, Option<NodeId>, SimTime)>,
     }
 
     impl DynamicsTarget for MockTarget {
@@ -539,8 +457,13 @@ mod tests {
             self.updates.push((pipe, attrs));
             true
         }
-        fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-            self.cbr.push((pipe, config, from));
+        fn set_pipe_compensation(
+            &mut self,
+            pipe: PipeId,
+            rate: Option<DataRate>,
+            from: SimTime,
+        ) -> bool {
+            self.cbr.push((pipe, rate, from));
             true
         }
         fn reroute(&mut self, _topo: &DistilledTopology, changed: &[PipeId]) -> RouteUpdate {
@@ -589,7 +512,7 @@ mod tests {
         }
     }
 
-    fn graph() -> DistilledTopology {
+    pub fn graph() -> DistilledTopology {
         let topo = ring_topology(&RingParams {
             routers: 4,
             clients_per_router: 1,
@@ -693,10 +616,11 @@ mod tests {
     #[test]
     fn cbr_events_carry_their_scheduled_start_time() {
         let d = graph();
-        let cbr = CbrConfig::new(DataRate::from_mbps(2), ByteSize::from_bytes(800));
+        let rate = DataRate::from_mbps(2);
         let schedule = Schedule::new()
-            .cbr_start(SimTime::from_secs(1), PipeId(3), cbr)
-            .cbr_stop(SimTime::from_secs(4), PipeId(3));
+            .cbr_start(SimTime::from_secs(1), PipeId(3), rate)
+            .cbr_stop(SimTime::from_secs(4), PipeId(3))
+            .cbr_start(SimTime::from_secs(5), PipeId(3), DataRate::ZERO);
         let mut engine = ScheduleEngine::new(d, schedule);
         let mut target = MockTarget::default();
         // Applied late: the injector still starts at its scheduled time.
@@ -704,13 +628,17 @@ mod tests {
         assert_eq!(applied.cbr_changes, 1);
         assert_eq!(
             target.cbr,
-            vec![(PipeId(3), Some(cbr), SimTime::from_secs(1))]
+            vec![(PipeId(3), Some(rate), SimTime::from_secs(1))]
         );
         let applied = engine.apply_due(SimTime::from_secs(10), &mut target);
-        assert_eq!(applied.cbr_changes, 1);
+        assert_eq!(applied.cbr_changes, 2);
+        // A zero rate installs no demand: it removes the pipe's demand.
         assert_eq!(
-            target.cbr.last(),
-            Some(&(PipeId(3), None, SimTime::from_secs(4)))
+            target.cbr[1..],
+            [
+                (PipeId(3), None, SimTime::from_secs(4)),
+                (PipeId(3), None, SimTime::from_secs(5))
+            ]
         );
         assert!(applied.reroute.is_none(), "CBR does not change routes");
     }
@@ -733,26 +661,6 @@ mod tests {
             applied.reroute.is_none(),
             "fluid flows do not change routes"
         );
-        // A target without a fluid model rejects the events: nothing counted.
-        struct NoFluid;
-        impl DynamicsTarget for NoFluid {
-            fn update_pipe_attrs(&mut self, _: PipeId, _: PipeAttrs) -> bool {
-                true
-            }
-            fn set_pipe_cbr(&mut self, _: PipeId, _: Option<CbrConfig>, _: SimTime) -> bool {
-                true
-            }
-            fn reroute(&mut self, _: &DistilledTopology, _: &[PipeId]) -> RouteUpdate {
-                RouteUpdate::default()
-            }
-        }
-        let mut engine = ScheduleEngine::new(
-            graph(),
-            Schedule::new().fluid_start(t(1), 9, VnId(0), VnId(1), DataRate::from_mbps(8), 10),
-        );
-        let applied = engine.apply_due(t(5), &mut NoFluid);
-        assert_eq!(applied.events, 1);
-        assert_eq!(applied.fluid_changes, 0);
     }
 
     #[test]
@@ -781,59 +689,71 @@ mod tests {
                 (VnId(41), Some(loc), t(2)),
             ]
         );
-        // Targets without churn support reject the events: nothing counted.
-        let mut engine = ScheduleEngine::new(graph(), Schedule::new().vn_join(t(1), VnId(7), loc));
-        struct NoChurn;
-        impl DynamicsTarget for NoChurn {
-            fn update_pipe_attrs(&mut self, _: PipeId, _: PipeAttrs) -> bool {
-                true
-            }
-            fn set_pipe_cbr(&mut self, _: PipeId, _: Option<CbrConfig>, _: SimTime) -> bool {
-                true
-            }
-            fn reroute(&mut self, _: &DistilledTopology, _: &[PipeId]) -> RouteUpdate {
-                RouteUpdate::default()
-            }
-        }
-        let applied = engine.apply_due(t(5), &mut NoChurn);
-        assert_eq!(applied.events, 1);
-        assert_eq!(applied.vn_changes, 0);
+    }
+
+    pub fn perturb(fraction: f64, kind: FaultKind) -> LinkPerturbation {
+        LinkPerturbation { fraction, kind }
     }
 
     #[test]
     fn restore_cursor_folds_applied_changes_without_touching_the_target() {
         let d = graph();
         let t = SimTime::from_secs;
+        let slower = PipeAttrs {
+            latency: d.pipe(PipeId(2)).attrs.latency * 3,
+            ..d.pipe(PipeId(2)).attrs
+        };
+        let delay = FaultKind::DelayIncrease { min: 0.0, max: 0.5 };
+        let bandwidth = FaultKind::BandwidthScale { min: 0.5, max: 0.9 };
+        let loc = d.vns()[0];
+        // A prefix holding every kind of event, then a tail whose
+        // perturbation compounds on whatever the prefix left.
         let schedule = Schedule::new()
-            .duplex_down(t(1), PipeId(0), PipeId(1))
-            .duplex_up(t(3), PipeId(0), PipeId(1));
-        // A reference engine applies the failure the normal way.
+            .set_pipe(t(1), PipeId(2), slower)
+            .link_down(t(1), PipeId(0))
+            .node_down(t(2), NodeId(1))
+            .perturb(t(2), perturb(0.5, delay), 11)
+            .link_up(t(3), PipeId(0))
+            .node_up(t(3), NodeId(1))
+            .perturb(t(3), perturb(0.5, bandwidth), 12)
+            .cbr_start(t(3), PipeId(4), DataRate::from_mbps(1))
+            .fluid_start(t(3), 9, VnId(0), VnId(1), DataRate::from_mbps(8), 10)
+            .vn_join(t(3), VnId(40), loc)
+            .perturb(
+                t(4),
+                perturb(1.0, FaultKind::DelayIncrease { min: 0.1, max: 0.2 }),
+                13,
+            )
+            .link_down(t(4), PipeId(5));
+        // A reference engine applies the prefix the normal way.
         let mut reference = ScheduleEngine::new(d.clone(), schedule.clone());
-        let mut target = MockTarget::default();
-        reference.apply_due(t(2), &mut target);
-        assert_eq!(reference.cursor(), 2);
+        reference.apply_due(t(3), &mut MockTarget::default());
+        assert_eq!(reference.cursor(), 10);
         // A fresh engine fast-forwarded to the same cursor must agree on
-        // the pipe graph and the pending tail — with zero target calls.
-        let mut restored = ScheduleEngine::new(d, schedule);
-        restored.restore_cursor(2, t(2)).expect("valid cursor");
-        assert_eq!(restored.cursor(), 2);
+        // the pipe graph, pipe for pipe, and on the pending tail.
+        let mut restored = ScheduleEngine::new(d.clone(), schedule);
+        restored.restore_cursor(10, t(3)).expect("valid cursor");
+        assert_eq!(restored.cursor(), 10);
         assert_eq!(restored.pending(), reference.pending());
-        assert_eq!(restored.next_time(), Some(t(3)));
-        assert!(restored
-            .topology()
-            .pipe(PipeId(0))
-            .attrs
-            .bandwidth
-            .is_zero());
-        // Resuming walks the remaining schedule exactly like the reference.
-        let mut quiet_after = MockTarget::default();
-        let up = restored.apply_due(t(3), &mut quiet_after);
-        assert_eq!(up.pipes_updated, 2);
-        assert_eq!(
-            quiet_after.reroutes,
-            vec![vec![PipeId(0), PipeId(1)]],
-            "only the post-restore apply point reroutes"
+        assert_eq!(restored.next_time(), Some(t(4)));
+        let attrs = |engine: &ScheduleEngine| -> Vec<PipeAttrs> {
+            engine.topology().pipes().map(|(_, p)| p.attrs).collect()
+        };
+        assert_eq!(attrs(&restored), attrs(&reference));
+        assert_ne!(
+            attrs(&restored),
+            attrs(&ScheduleEngine::new(d, Schedule::new()))
         );
+        // Resuming walks the tail exactly like the reference, and only the
+        // post-restore apply point reaches a target.
+        let (mut want, mut got) = (MockTarget::default(), MockTarget::default());
+        reference.apply_due(t(4), &mut want);
+        restored.apply_due(t(4), &mut got);
+        assert!(!got.updates.is_empty());
+        assert_eq!(got.updates, want.updates);
+        assert_eq!(got.reroutes, want.reroutes);
+        assert!(got.cbr.is_empty() && got.fluid.is_empty() && got.churn.is_empty());
+        assert_eq!(attrs(&restored), attrs(&reference));
         assert!(restored.finished());
     }
 

@@ -1,4 +1,4 @@
-//! Fault injection and scheduled link perturbation.
+//! Seeded link perturbation: what a [`ScheduleEvent::Perturb`] does.
 //!
 //! Users direct ModelNet to change the bandwidth, delay and loss rate of a
 //! set of links according to a probability distribution every so often, or to
@@ -6,15 +6,21 @@
 //! routing tables by recomputing all-pairs shortest paths. The ACDC
 //! experiment (Figure 12) uses exactly this: every 25 seconds between
 //! t = 500 s and t = 1500 s, 25 % of randomly chosen IP links have their
-//! delay increased by 0–25 %.
+//! delay increased by 0–25 %. Each such change is one scheduled
+//! [`ScheduleEvent::Perturb`], which the
+//! [`ScheduleEngine`](crate::ScheduleEngine) applies to its pipe graph and
+//! reroutes after like any other pipe change.
+//!
+//! [`ScheduleEvent::Perturb`]: crate::ScheduleEvent::Perturb
 
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
+use mn_distill::{PipeAttrs, PipeId};
 use mn_util::rngs::derived_rng;
-use mn_util::SimTime;
+use mn_util::DataRate;
 
 /// What a perturbation does to the pipes it selects.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,7 +55,7 @@ pub enum FaultKind {
 }
 
 /// One perturbation applied to a random fraction of pipes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkPerturbation {
     /// Fraction of pipes to select, in `[0, 1]`.
     pub fraction: f64,
@@ -57,184 +63,105 @@ pub struct LinkPerturbation {
     pub kind: FaultKind,
 }
 
-/// A concrete change to one pipe produced by the injector.
-#[derive(Debug, Clone)]
-pub struct FaultEvent {
-    /// Virtual time at which the change takes effect.
-    pub at: SimTime,
-    /// The pipe affected.
-    pub pipe: PipeId,
-    /// Its new attributes.
-    pub attrs: PipeAttrs,
-    /// Whether this change can alter reachability (failures and restores), in
-    /// which case routes should be recomputed.
-    pub reroute: bool,
+impl LinkPerturbation {
+    /// Fills `pipes` with the pipes this perturbation changes out of
+    /// `pipe_count`, in the order their attributes are drawn, and returns
+    /// the RNG that draws them. Both come from `seed` alone, so replaying
+    /// the event redraws the same changes.
+    pub(crate) fn select(&self, seed: u64, pipe_count: usize, pipes: &mut Vec<PipeId>) -> StdRng {
+        let mut rng = derived_rng(seed, 0xFA17);
+        let count = ((pipe_count as f64) * self.fraction.clamp(0.0, 1.0)).round() as usize;
+        pipes.clear();
+        pipes.extend((0..pipe_count).map(PipeId::from_index));
+        pipes.shuffle(&mut rng);
+        pipes.truncate(count);
+        rng
+    }
 }
 
-/// Generates scheduled pipe perturbations against a distilled topology.
-#[derive(Debug)]
-pub struct FaultInjector {
-    /// Original attributes, for restores.
-    original: Vec<PipeAttrs>,
-    /// Current attributes as far as the injector knows.
-    current: Vec<PipeAttrs>,
-    rng: rand::rngs::StdRng,
+impl FaultKind {
+    /// A selected pipe's new attributes, given its `current` and build-time
+    /// `original` ones.
+    pub(crate) fn apply(
+        self,
+        current: PipeAttrs,
+        original: PipeAttrs,
+        rng: &mut StdRng,
+    ) -> PipeAttrs {
+        let mut draw = |min: f64, max: f64| rng.gen_range(min..=max.max(min + f64::EPSILON));
+        match self {
+            FaultKind::DelayIncrease { min, max } => PipeAttrs {
+                latency: current.latency.mul_f64(1.0 + draw(min, max)),
+                ..current
+            },
+            FaultKind::BandwidthScale { min, max } => PipeAttrs {
+                bandwidth: current.bandwidth.mul_f64(draw(min, max)),
+                ..current
+            },
+            FaultKind::LossRate { min, max } => PipeAttrs {
+                loss_rate: draw(min, max).clamp(0.0, 1.0),
+                ..current
+            },
+            FaultKind::LinkFailure => failed(current),
+            FaultKind::Restore => original,
+        }
+    }
 }
 
-impl FaultInjector {
-    /// Creates an injector for the given pipe graph.
-    pub fn new(topo: &DistilledTopology, seed: u64) -> Self {
-        let original: Vec<PipeAttrs> = topo.pipes().map(|(_, p)| p.attrs).collect();
-        FaultInjector {
-            current: original.clone(),
-            original,
-            rng: derived_rng(seed, 0xFA17),
-        }
-    }
-
-    /// The attributes the injector believes a pipe currently has.
-    pub fn current_attrs(&self, pipe: PipeId) -> Option<PipeAttrs> {
-        self.current.get(pipe.index()).copied()
-    }
-
-    /// Applies a perturbation at time `at`, returning the concrete per-pipe
-    /// changes (already recorded internally).
-    pub fn perturb(&mut self, at: SimTime, perturbation: &LinkPerturbation) -> Vec<FaultEvent> {
-        let n = self.current.len();
-        let count = ((n as f64) * perturbation.fraction.clamp(0.0, 1.0)).round() as usize;
-        let mut indices: Vec<usize> = (0..n).collect();
-        indices.shuffle(&mut self.rng);
-        indices.truncate(count);
-
-        let mut events = Vec::with_capacity(count);
-        for idx in indices {
-            let base = self.current[idx];
-            let (attrs, reroute) = match perturbation.kind {
-                FaultKind::DelayIncrease { min, max } => {
-                    let factor = 1.0 + self.rng.gen_range(min..=max.max(min + f64::EPSILON));
-                    (
-                        PipeAttrs {
-                            latency: base.latency.mul_f64(factor),
-                            ..base
-                        },
-                        false,
-                    )
-                }
-                FaultKind::BandwidthScale { min, max } => {
-                    let factor = self.rng.gen_range(min..=max.max(min + f64::EPSILON));
-                    (
-                        PipeAttrs {
-                            bandwidth: base.bandwidth.mul_f64(factor),
-                            ..base
-                        },
-                        false,
-                    )
-                }
-                FaultKind::LossRate { min, max } => {
-                    let loss = self.rng.gen_range(min..=max.max(min + f64::EPSILON));
-                    (
-                        PipeAttrs {
-                            loss_rate: loss.clamp(0.0, 1.0),
-                            ..base
-                        },
-                        false,
-                    )
-                }
-                FaultKind::LinkFailure => (
-                    PipeAttrs {
-                        bandwidth: mn_util::DataRate::ZERO,
-                        ..base
-                    },
-                    true,
-                ),
-                FaultKind::Restore => (self.original[idx], true),
-            };
-            self.current[idx] = attrs;
-            events.push(FaultEvent {
-                at,
-                pipe: PipeId::from_index(idx),
-                attrs,
-                reroute,
-            });
-        }
-        events
-    }
-
-    /// Restores every pipe to its original attributes.
-    pub fn restore_all(&mut self, at: SimTime) -> Vec<FaultEvent> {
-        let events = self
-            .original
-            .iter()
-            .enumerate()
-            .map(|(idx, &attrs)| FaultEvent {
-                at,
-                pipe: PipeId::from_index(idx),
-                attrs,
-                reroute: true,
-            })
-            .collect();
-        self.current = self.original.clone();
-        events
+/// `attrs` with zero bandwidth: a failed link.
+pub(crate) fn failed(attrs: PipeAttrs) -> PipeAttrs {
+    PipeAttrs {
+        bandwidth: DataRate::ZERO,
+        ..attrs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_distill::{distill, DistillationMode};
-    use mn_topology::generators::{ring_topology, RingParams};
-    use mn_util::DataRate;
-
-    fn graph() -> DistilledTopology {
-        let topo = ring_topology(&RingParams {
-            routers: 5,
-            clients_per_router: 2,
-            ..RingParams::default()
-        });
-        distill(&topo, DistillationMode::HopByHop)
-    }
+    use crate::engine::tests::{graph, perturb, MockTarget};
+    use crate::{Schedule, ScheduleEngine};
+    use mn_util::SimTime;
 
     #[test]
     fn delay_increase_touches_the_requested_fraction() {
         let d = graph();
-        let mut inj = FaultInjector::new(&d, 1);
-        let events = inj.perturb(
-            SimTime::from_secs(500),
-            &LinkPerturbation {
-                fraction: 0.25,
-                kind: FaultKind::DelayIncrease {
-                    min: 0.0,
-                    max: 0.25,
-                },
-            },
-        );
+        let kind = FaultKind::DelayIncrease {
+            min: 0.0,
+            max: 0.25,
+        };
+        let schedule = Schedule::new().perturb(SimTime::from_secs(500), perturb(0.25, kind), 1);
+        let mut engine = ScheduleEngine::new(d.clone(), schedule);
+        let mut target = MockTarget::default();
+        let applied = engine.apply_due(SimTime::from_secs(500), &mut target);
         let expected = (d.pipe_count() as f64 * 0.25).round() as usize;
-        assert_eq!(events.len(), expected);
-        for e in &events {
-            let base = d.pipe(e.pipe).attrs;
-            assert!(e.attrs.latency >= base.latency);
-            assert!(e.attrs.latency <= base.latency.mul_f64(1.26));
-            assert!(!e.reroute);
+        assert_eq!(applied.pipes_updated, expected);
+        assert_eq!(target.reroutes.len(), 1, "a delay change reroutes");
+        assert_eq!(target.reroutes[0].len(), expected);
+        for &(pipe, attrs) in &target.updates {
+            let base = d.pipe(pipe).attrs.latency;
+            assert!(attrs.latency > base && attrs.latency <= base.mul_f64(1.26));
+            assert_eq!(engine.topology().pipe(pipe).attrs, attrs);
         }
+    }
+
+    /// Ten compounding 10 % delay increases of every pipe, one a second
+    /// from t = 0.
+    fn compounding() -> Schedule {
+        let kind = FaultKind::DelayIncrease { min: 0.1, max: 0.1 };
+        (0..10).fold(Schedule::new(), |schedule, i| {
+            schedule.perturb(SimTime::from_secs(i), perturb(1.0, kind), i)
+        })
     }
 
     #[test]
     fn repeated_perturbations_compound() {
-        let d = graph();
-        let mut inj = FaultInjector::new(&d, 2);
-        for i in 0..10 {
-            inj.perturb(
-                SimTime::from_secs(i),
-                &LinkPerturbation {
-                    fraction: 1.0,
-                    kind: FaultKind::DelayIncrease { min: 0.1, max: 0.1 },
-                },
-            );
-        }
+        let mut engine = ScheduleEngine::new(graph(), compounding());
+        engine.apply_due(SimTime::from_secs(9), &mut MockTarget::default());
         // Ten compounding 10% increases ≈ 2.59x.
         let pipe = PipeId(0);
-        let base = d.pipe(pipe).attrs.latency;
-        let now = inj.current_attrs(pipe).unwrap().latency;
+        let base = graph().pipe(pipe).attrs.latency;
+        let now = engine.topology().pipe(pipe).attrs.latency;
         let ratio = now.as_secs_f64() / base.as_secs_f64();
         assert!((2.4..2.8).contains(&ratio), "ratio {ratio}");
     }
@@ -242,87 +169,78 @@ mod tests {
     #[test]
     fn link_failure_zeroes_bandwidth_and_requests_reroute() {
         let d = graph();
-        let mut inj = FaultInjector::new(&d, 3);
-        let events = inj.perturb(
-            SimTime::ZERO,
-            &LinkPerturbation {
-                fraction: 0.1,
-                kind: FaultKind::LinkFailure,
-            },
-        );
-        assert!(!events.is_empty());
-        for e in &events {
-            assert_eq!(e.attrs.bandwidth, DataRate::ZERO);
-            assert!(e.reroute);
+        let schedule =
+            Schedule::new().perturb(SimTime::ZERO, perturb(0.1, FaultKind::LinkFailure), 3);
+        let mut engine = ScheduleEngine::new(d, schedule);
+        let mut target = MockTarget::default();
+        let applied = engine.apply_due(SimTime::ZERO, &mut target);
+        assert!(applied.pipes_updated > 0);
+        for &(pipe, attrs) in &target.updates {
+            assert_eq!(attrs.bandwidth, DataRate::ZERO);
+            assert_eq!(target.reroutes[0].iter().filter(|&&p| p == pipe).count(), 1);
         }
+        assert_eq!(target.reroutes.len(), 1);
     }
 
     #[test]
     fn restore_all_returns_to_original() {
         let d = graph();
-        let mut inj = FaultInjector::new(&d, 4);
-        inj.perturb(
-            SimTime::ZERO,
-            &LinkPerturbation {
-                fraction: 1.0,
-                kind: FaultKind::LinkFailure,
-            },
-        );
-        let events = inj.restore_all(SimTime::from_secs(1));
-        assert_eq!(events.len(), d.pipe_count());
-        for e in &events {
-            assert_eq!(e.attrs, d.pipe(e.pipe).attrs);
+        let schedule = compounding()
+            .perturb(
+                SimTime::from_secs(10),
+                perturb(1.0, FaultKind::LinkFailure),
+                0,
+            )
+            .perturb(SimTime::from_secs(11), perturb(1.0, FaultKind::Restore), 0);
+        let mut engine = ScheduleEngine::new(d.clone(), schedule);
+        let mut target = MockTarget::default();
+        engine.apply_due(SimTime::from_secs(10), &mut target);
+        let restore = engine.apply_due(SimTime::from_secs(11), &mut target);
+        assert_eq!(restore.pipes_updated, d.pipe_count());
+        assert!(restore.reroute.is_some());
+        for (id, pipe) in engine.topology().pipes() {
+            assert_eq!(pipe.attrs, d.pipe(id).attrs);
         }
-        assert_eq!(
-            inj.current_attrs(PipeId(0)).unwrap(),
-            d.pipe(PipeId(0)).attrs
-        );
     }
 
     #[test]
     fn loss_and_bandwidth_perturbations_stay_in_range() {
         let d = graph();
-        let mut inj = FaultInjector::new(&d, 5);
-        let loss_events = inj.perturb(
-            SimTime::ZERO,
-            &LinkPerturbation {
-                fraction: 0.5,
-                kind: FaultKind::LossRate {
-                    min: 0.01,
-                    max: 0.05,
-                },
-            },
-        );
-        for e in &loss_events {
-            assert!(e.attrs.loss_rate >= 0.01 && e.attrs.loss_rate <= 0.05);
+        let t = SimTime::from_secs;
+        let loss = FaultKind::LossRate {
+            min: 0.01,
+            max: 0.05,
+        };
+        let bandwidth = FaultKind::BandwidthScale { min: 0.5, max: 0.5 };
+        let schedule = Schedule::new()
+            .perturb(t(1), perturb(0.5, loss), 5)
+            .perturb(t(2), perturb(0.5, bandwidth), 6);
+        let mut engine = ScheduleEngine::new(d.clone(), schedule);
+        let mut target = MockTarget::default();
+        let applied = engine.apply_due(t(1), &mut target);
+        assert!(applied.pipes_updated > 0);
+        assert!(applied.reroute.is_none(), "loss is not a routing metric");
+        for (_, attrs) in target.updates.drain(..) {
+            assert!((0.01..=0.05).contains(&attrs.loss_rate));
         }
-        let bw_events = inj.perturb(
-            SimTime::ZERO,
-            &LinkPerturbation {
-                fraction: 0.5,
-                kind: FaultKind::BandwidthScale { min: 0.5, max: 0.5 },
-            },
-        );
-        for e in &bw_events {
-            assert!(e.attrs.bandwidth <= d.pipe(e.pipe).attrs.bandwidth);
+        engine.apply_due(t(2), &mut target);
+        assert!(!target.updates.is_empty());
+        for &(pipe, attrs) in &target.updates {
+            assert_eq!(attrs.bandwidth, d.pipe(pipe).attrs.bandwidth.mul_f64(0.5));
         }
     }
 
     #[test]
     fn deterministic_for_seed() {
-        let d = graph();
-        let perturb = LinkPerturbation {
-            fraction: 0.3,
-            kind: FaultKind::DelayIncrease { min: 0.0, max: 0.2 },
+        let kind = FaultKind::DelayIncrease { min: 0.0, max: 0.2 };
+        let updates = |seed| {
+            let schedule = Schedule::new().perturb(SimTime::ZERO, perturb(0.3, kind), seed);
+            let mut target = MockTarget::default();
+            ScheduleEngine::new(graph(), schedule).apply_due(SimTime::ZERO, &mut target);
+            target.updates
         };
-        let mut a = FaultInjector::new(&d, 9);
-        let mut b = FaultInjector::new(&d, 9);
-        let ea = a.perturb(SimTime::ZERO, &perturb);
-        let eb = b.perturb(SimTime::ZERO, &perturb);
-        assert_eq!(ea.len(), eb.len());
-        for (x, y) in ea.iter().zip(eb.iter()) {
-            assert_eq!(x.pipe, y.pipe);
-            assert_eq!(x.attrs, y.attrs);
-        }
+        assert!(!updates(9).is_empty());
+        assert_eq!(updates(9), updates(9));
+        assert_ne!(updates(9), updates(10));
     }
 }

@@ -2,20 +2,22 @@
 //!
 //! A [`Schedule`] is the declarative half of runtime network dynamics: an
 //! ordered stream of [`ScheduleEvent`]s — link failures and recoveries,
-//! bandwidth/latency/loss renegotiation, node churn, and CBR cross-traffic
-//! injector changes — each pinned to a virtual time. The
-//! [`ScheduleEngine`](crate::ScheduleEngine) applies the stream to a running
-//! emulation; because the stream is a plain sorted list with no hidden
-//! state, the same schedule replayed against the same experiment produces
+//! bandwidth/latency/loss renegotiation, seeded perturbations, node and VN
+//! churn, and CBR / fluid background-demand changes — each pinned to a
+//! virtual time. The [`ScheduleEngine`](crate::ScheduleEngine) applies the
+//! stream to a running emulation; because the stream is a plain sorted
+//! list with no hidden state (a perturbation carries its own seed), the
+//! same schedule replayed against the same experiment produces
 //! bit-identical runs on both execution backends.
 
 use serde::{Deserialize, Serialize};
 
 use mn_distill::{PipeAttrs, PipeId};
 use mn_packet::VnId;
-use mn_pipe::CbrConfig;
 use mn_topology::NodeId;
 use mn_util::{DataRate, SimTime};
+
+use crate::faults::LinkPerturbation;
 
 /// One scheduled reconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,14 +52,25 @@ pub enum ScheduleEvent {
         /// The node whose pipes recover.
         node: NodeId,
     },
-    /// Install (or replace) a CBR cross-traffic injector on a pipe.
+    /// Change a random fraction of the pipes (a fault-injection step): the
+    /// pipes and their new attributes are drawn from an RNG derived from
+    /// `seed` alone, against the attributes in force when the event
+    /// applies. Routes are recomputed as for [`ScheduleEvent::SetPipe`].
+    Perturb {
+        /// Which pipes change, and how.
+        perturbation: LinkPerturbation,
+        /// The draws' seed; replaying the event redraws the same changes.
+        seed: u64,
+    },
+    /// Install (or replace) a constant-bit-rate background demand on a pipe
+    /// (a zero rate removes it).
     CbrStart {
         /// The pipe carrying the background load.
         pipe: PipeId,
-        /// Injector parameters.
-        config: CbrConfig,
+        /// Offered background load.
+        rate: DataRate,
     },
-    /// Remove the CBR injector from a pipe.
+    /// Remove the CBR background demand from a pipe.
     CbrStop {
         /// The pipe to quiesce.
         pipe: PipeId,
@@ -176,12 +189,17 @@ impl Schedule {
         self.at(at, ScheduleEvent::NodeUp { node })
     }
 
-    /// Schedules a CBR injector.
-    pub fn cbr_start(self, at: SimTime, pipe: PipeId, config: CbrConfig) -> Self {
-        self.at(at, ScheduleEvent::CbrStart { pipe, config })
+    /// Schedules a seeded perturbation of a random fraction of the pipes.
+    pub fn perturb(self, at: SimTime, perturbation: LinkPerturbation, seed: u64) -> Self {
+        self.at(at, ScheduleEvent::Perturb { perturbation, seed })
     }
 
-    /// Schedules a CBR injector removal.
+    /// Schedules a CBR background demand.
+    pub fn cbr_start(self, at: SimTime, pipe: PipeId, rate: DataRate) -> Self {
+        self.at(at, ScheduleEvent::CbrStart { pipe, rate })
+    }
+
+    /// Schedules a CBR background demand's removal.
     pub fn cbr_stop(self, at: SimTime, pipe: PipeId) -> Self {
         self.at(at, ScheduleEvent::CbrStop { pipe })
     }
@@ -262,7 +280,8 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_util::{ByteSize, DataRate, SimDuration};
+    use crate::FaultKind;
+    use mn_util::SimDuration;
 
     #[test]
     fn events_are_kept_time_ordered_and_stable() {
@@ -290,7 +309,10 @@ mod tests {
     #[test]
     fn builder_shorthands_cover_every_event_kind() {
         let t = SimTime::from_secs(1);
-        let cbr = CbrConfig::new(DataRate::from_mbps(1), ByteSize::from_bytes(500));
+        let perturbation = LinkPerturbation {
+            fraction: 0.5,
+            kind: FaultKind::LinkFailure,
+        };
         let attrs = PipeAttrs::new(DataRate::from_mbps(2), SimDuration::from_millis(3));
         let schedule = Schedule::new()
             .duplex_down(t, PipeId(0), PipeId(1))
@@ -298,14 +320,15 @@ mod tests {
             .set_pipe(t, PipeId(2), attrs)
             .node_down(t, NodeId(4))
             .node_up(t, NodeId(4))
-            .cbr_start(t, PipeId(2), cbr)
+            .perturb(t, perturbation, 3)
+            .cbr_start(t, PipeId(2), DataRate::from_mbps(1))
             .cbr_stop(t, PipeId(2))
             .fluid_start(t, 7, VnId(0), VnId(1), DataRate::from_mbps(4), 100)
             .fluid_resize(t, 7, DataRate::from_mbps(2), 50)
             .fluid_stop(t, 7)
             .vn_join(t, VnId(9), NodeId(5))
             .vn_leave(t, VnId(9));
-        assert_eq!(schedule.len(), 14);
+        assert_eq!(schedule.len(), 15);
         assert!(!schedule.is_empty());
         assert_eq!(schedule.times(), vec![t]);
     }

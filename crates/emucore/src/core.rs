@@ -137,7 +137,9 @@ core_stats! {
     /// admitted but never delivered, tunnelled or physically dropped.
     dropped_unreachable,
     /// Bytes of traffic modelled at flow level (fluid) on this core's
-    /// pipes: the per-pipe fluid demand integrated over virtual time.
+    /// pipes: the per-pipe fluid demand integrated over virtual time. The
+    /// count saturates at `u64::MAX` (16 EiB, e.g. 100 Gb/s for ~47 years of
+    /// virtual time) rather than wrapping; so does a fluid flow's goodput.
     fluid_modelled_bytes,
 }
 
@@ -386,7 +388,8 @@ impl EmulatorCore {
         }
         let bits_ns =
             self.fluid_total_bps as u128 * elapsed_ns as u128 + self.fluid_bits_ns_rem as u128;
-        self.stats.fluid_modelled_bytes += (bits_ns / 8_000_000_000) as u64;
+        let bytes = u64::try_from(bits_ns / 8_000_000_000).unwrap_or(u64::MAX);
+        self.stats.fluid_modelled_bytes = self.stats.fluid_modelled_bytes.saturating_add(bytes);
         self.fluid_bits_ns_rem = (bits_ns % 8_000_000_000) as u64;
     }
 
@@ -1018,6 +1021,19 @@ mod tests {
         let r = &mut mn_util::ByteReader::new(w.as_slice());
         let restored = EmulatorCore::decode_state(r, SNAPSHOT_VERSION, profile, routes, &pod);
         assert_eq!(restored.unwrap().fluid_total_bps, demand.as_bps());
+    }
+
+    /// 100 Gb/s over the whole `u64` nanosecond range models ~2.3·10^20
+    /// bytes: the count stops at `u64::MAX` instead of wrapping.
+    #[test]
+    fn the_fluid_byte_integral_saturates() {
+        let routes = Arc::new(RouteTable::new(2));
+        let mut core = EmulatorCore::new(CoreId(0), HardwareProfile::unconstrained(), 1, routes, 1);
+        let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
+        core.install_pipe(PipeId(0), attrs);
+        assert!(core.set_pipe_fluid_demand(PipeId(0), DataRate::from_gbps(100), SimTime::ZERO));
+        core.integrate_fluid_to(SimTime::from_nanos(u64::MAX));
+        assert_eq!(core.stats().fluid_modelled_bytes, u64::MAX);
     }
 
     /// A v7 core wrote its CBR meters (a count, 32 bytes each) and its fluid

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_packet::{Packet, VnId};
-use mn_pipe::CbrConfig;
 use mn_routing::{RouteId, RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
@@ -537,24 +536,13 @@ impl<X: CoreExecutor> Emulator<X> {
         })
     }
 
-    /// Installs, replaces or (with `None`) removes a CBR cross-traffic
-    /// episode on a pipe from `from` (the paper's hop-by-hop compensation
-    /// for distilled-away links, and the cross-traffic half of runtime
-    /// reconfiguration): [`set_pipe_compensation`](Self::set_pipe_compensation)
-    /// at the config's rate. A config that would inject nothing carries no
-    /// demand. Returns `false` if the pipe is unknown.
-    pub fn set_pipe_cbr(&mut self, pipe: PipeId, config: Option<CbrConfig>, from: SimTime) -> bool {
-        let rate = config.and_then(|c| c.interval().map(|_| c.rate));
-        self.set_pipe_compensation(pipe, rate, from)
-    }
-
     /// Installs (or clears, with `None`) a fixed-rate background demand on
     /// `pipe` from `from`, standing in for the contention of the hops the
     /// pipe collapsed (§4.1, "background CBR cross traffic"). It is a fluid
     /// demand: no packets are synthesised, foreground traffic just sees the
     /// pipe's residual capacity, and the steady state allocates nothing. A
-    /// pipe has one such slot, which CBR episodes share: installing one
-    /// replaces the other.
+    /// pipe has one such slot, which a schedule's CBR episodes
+    /// (`ScheduleEvent::CbrStart`) share: installing one replaces the other.
     ///
     /// Returns `false` if the pipe is unknown.
     pub fn set_pipe_compensation(

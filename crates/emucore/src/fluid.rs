@@ -320,11 +320,12 @@ impl FluidState {
             .map(|&slot| DataRate::from_bps(self.flows[slot].rate_bps))
     }
 
-    /// Bytes of goodput a flow has accumulated up to the settled clock.
+    /// Bytes of goodput a flow has accumulated up to the settled clock,
+    /// saturating at `u64::MAX`.
     pub fn flow_goodput_bytes(&self, tag: u64) -> Option<u64> {
-        self.index
-            .get(&FlowKey::User(tag))
-            .map(|&slot| (self.flows[slot].goodput_bits_ns / BITS_NS_PER_BYTE) as u64)
+        self.index.get(&FlowKey::User(tag)).map(|&slot| {
+            u64::try_from(self.flows[slot].goodput_bits_ns / BITS_NS_PER_BYTE).unwrap_or(u64::MAX)
+        })
     }
 
     /// Updates a pipe's capacity after its attributes changed. The caller
@@ -752,6 +753,14 @@ mod tests {
         fluid.recompute(SimTime::from_secs(1), &routes);
         fluid.integrate_to(SimTime::from_secs(2));
         assert_eq!(fluid.flow_goodput_bytes(1), Some(1_250_000));
+        // 100 Gb/s to the end of the clock is ~2.3·10^20 bytes: the count
+        // saturates instead of wrapping.
+        let fast = DataRate::from_gbps(100);
+        let mut fluid = FluidState::new(vec![fast.as_bps()]);
+        fluid.add_flow(1, VnId(0), VnId(1), fast, 1, SimTime::ZERO);
+        fluid.recompute(SimTime::ZERO, &routes);
+        fluid.integrate_to(SimTime::from_nanos(u64::MAX));
+        assert_eq!(fluid.flow_goodput_bytes(1), Some(u64::MAX));
     }
 
     #[test]

@@ -29,9 +29,12 @@
 //!   membership tables, the per-core load vector, the fluid solver
 //!   ([`FluidState`]) and its epoch chopping, same-location deliveries, and
 //!   snapshot encode/decode. Every operation (`submit`, `advance_into`,
-//!   `reroute`, `vn_join`, `set_pipe_cbr`, `snapshot`, …) has exactly one
-//!   body, there. A CBR cross-traffic episode is a fixed-rate fluid flow
-//!   and nothing else: a core sees it only as its pipe's fluid demand.
+//!   `reroute`, `vn_join`, `set_pipe_compensation`, `snapshot`, …) has
+//!   exactly one body, there. A CBR cross-traffic episode is a fixed-rate
+//!   fluid flow (`set_pipe_compensation`) and nothing else: a core sees it
+//!   only as its pipe's fluid demand. The coordinator keeps no record of
+//!   run-time changes beyond its pipes' state; a schedule's pipe graph
+//!   (`mn_dynamics::ScheduleEngine`) is that record.
 //! * A [`CoreExecutor`] decides only where the cores run and carries the
 //!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
 //!   `Vec<EmulatorCore>` on the calling thread;

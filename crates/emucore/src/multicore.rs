@@ -185,7 +185,6 @@ mod tests {
     use mn_assign::{greedy_k_clusters, BindingParams};
     use mn_distill::{distill, DistillationMode, PipeAttrs, PipeId};
     use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
-    use mn_pipe::CbrConfig;
     use mn_topology::generators::{
         path_pairs_topology, star_topology, PathPairsParams, StarParams,
     };
@@ -325,14 +324,7 @@ mod tests {
         );
         let vn = |node| binding.vn_at(node).unwrap();
         let t0 = SimTime::ZERO;
-        assert!(emu.set_pipe_cbr(
-            mn_distill::PipeId(0),
-            Some(CbrConfig::new(
-                DataRate::from_mbps(2),
-                mn_util::ByteSize::from_bytes(500),
-            )),
-            t0,
-        ));
+        assert!(emu.set_pipe_compensation(mn_distill::PipeId(0), Some(DataRate::from_mbps(2)), t0));
         assert!(emu.add_fluid_flow(7, vn(a), vn(b), DataRate::from_mbps(4), 3, t0));
         assert!(emu.vn_leave(vn(c), t0));
         let _ = emu.advance(SimTime::from_millis(30));
@@ -748,12 +740,9 @@ mod tests {
         let run = |cbr: bool| {
             let (mut emu, src, dst) = single_path(1, 1);
             if cbr {
-                assert!(emu.set_pipe_cbr(
+                assert!(emu.set_pipe_compensation(
                     mn_distill::PipeId(0),
-                    Some(CbrConfig::new(
-                        DataRate::from_mbps(5),
-                        mn_util::ByteSize::from_bytes(1000),
-                    )),
+                    Some(DataRate::from_mbps(5)),
                     SimTime::ZERO,
                 ));
             }
@@ -798,28 +787,24 @@ mod tests {
         // the rate in force, and nothing else of it is kept.
         let (mut emu, _, _) = single_path(1, 1);
         let pipe = mn_distill::PipeId(0);
-        let cbr = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(500));
-        assert!(emu.set_pipe_cbr(pipe, Some(cbr), SimTime::ZERO));
+        let cbr = Some(DataRate::from_mbps(2));
+        assert!(emu.set_pipe_compensation(pipe, cbr, SimTime::ZERO));
         let modelled = |emu: &MultiCoreEmulator| emu.total_stats().fluid_modelled_bytes;
         let _ = emu.advance(SimTime::from_millis(100));
         assert_eq!(modelled(&emu), 25_000, "2 Mb/s for 100 ms");
         // Replacing halves the rate without stacking a second demand on the
         // pipe.
-        let slower = CbrConfig::new(DataRate::from_mbps(1), mn_util::ByteSize::from_bytes(500));
-        assert!(emu.set_pipe_cbr(pipe, Some(slower), SimTime::from_millis(100)));
+        let slower = Some(DataRate::from_mbps(1));
+        assert!(emu.set_pipe_compensation(pipe, slower, SimTime::from_millis(100)));
         let _ = emu.advance(SimTime::from_millis(200));
         assert_eq!(modelled(&emu), 37_500, "then 1 Mb/s for 100 ms");
         assert_eq!(emu.fluid().flow_count(), 1);
-        assert!(emu.set_pipe_cbr(pipe, None, SimTime::from_millis(200)));
+        assert!(emu.set_pipe_compensation(pipe, None, SimTime::from_millis(200)));
         let _ = emu.advance(SimTime::from_millis(300));
         assert_eq!(modelled(&emu), 37_500, "removed: nothing more");
         assert_eq!((emu.fluid().flow_count(), emu.next_wakeup()), (0, None));
-        // A config that injects nothing carries no demand.
-        let silent = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(0));
-        assert!(emu.set_pipe_cbr(pipe, Some(silent), SimTime::from_millis(300)));
-        assert_eq!(emu.fluid().flow_count(), 0);
         // Unknown pipes are rejected.
-        assert!(!emu.set_pipe_cbr(mn_distill::PipeId(999), Some(cbr), SimTime::ZERO));
+        assert!(!emu.set_pipe_compensation(mn_distill::PipeId(999), cbr, SimTime::ZERO));
     }
 
     /// An episode wakes the emulator only to re-solve the fair share: with
@@ -827,9 +812,9 @@ mod tests {
     #[test]
     fn a_cbr_episode_alone_wakes_the_emulator_on_the_fluid_epoch_grid() {
         let (mut emu, _, _) = single_path(1, 1);
-        let cbr = CbrConfig::new(DataRate::from_mbps(2), mn_util::ByteSize::from_bytes(500));
+        let cbr = Some(DataRate::from_mbps(2));
         let from = SimTime::from_millis(1);
-        assert!(emu.set_pipe_cbr(mn_distill::PipeId(0), Some(cbr), from));
+        assert!(emu.set_pipe_compensation(mn_distill::PipeId(0), cbr, from));
         for epoch in 1..=3 {
             let due = from + crate::fluid::DEFAULT_FLUID_EPOCH * epoch;
             assert_eq!(emu.next_wakeup(), Some(due));

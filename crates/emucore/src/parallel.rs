@@ -1337,7 +1337,6 @@ mod tests {
         // leave the threaded backend bit-identical to the sequential one:
         // same deliveries in the same order at the same times, same counters
         // (the episode's modelled bytes among them).
-        use mn_pipe::CbrConfig;
         type Run = (Vec<(u64, SimTime, usize)>, CoreStats);
         fn run<X: CoreExecutor>(cores: usize) -> Run {
             let (mut emu, binding, mut d) = ring_emulator::<X>(cores);
@@ -1362,14 +1361,8 @@ mod tests {
                         assert!(emu.update_pipe_attrs(victim, slow));
                     }
                     4 => {
-                        assert!(emu.set_pipe_cbr(
-                            victim,
-                            Some(CbrConfig::new(
-                                DataRate::from_mbps(1),
-                                mn_util::ByteSize::from_bytes(500),
-                            )),
-                            now,
-                        ));
+                        let cbr = Some(DataRate::from_mbps(1));
+                        assert!(emu.set_pipe_compensation(victim, cbr, now));
                     }
                     6 => {
                         let mut dead = original;
@@ -1380,7 +1373,7 @@ mod tests {
                     8 => {
                         *d.pipe_attrs_mut(victim).unwrap() = original;
                         let _ = emu.reroute(&d, &[victim]);
-                        assert!(emu.set_pipe_cbr(victim, None, now));
+                        assert!(emu.set_pipe_compensation(victim, None, now));
                     }
                     _ => {}
                 }

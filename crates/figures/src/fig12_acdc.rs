@@ -4,7 +4,8 @@
 //! 120 of the clients of a transit–stub topology participate in the ACDC
 //! overlay with a 1500 ms delay target. After the overlay stabilises, the
 //! experiment increases the delay of 25 % of randomly chosen links by 0–25 %
-//! every 25 seconds for a period, then lets conditions subside. The figure
+//! every 25 seconds for a period, then lets conditions subside; each step is
+//! a scheduled perturbation, after which routes are recomputed. The figure
 //! plots, against time, the overlay's cost relative to an off-line minimum
 //! spanning tree and the worst-case delay from the root, together with the
 //! off-line shortest-path-tree delay.
@@ -12,12 +13,12 @@
 use mn_apps::acdc::summary;
 use mn_apps::{AcdcConfig, AcdcNode};
 use mn_distill::DistillationMode;
-use mn_dynamics::{FaultInjector, FaultKind, LinkPerturbation};
+use mn_dynamics::{FaultKind, LinkPerturbation};
 use mn_packet::VnId;
 use mn_refsim::path_latency;
 use mn_topology::generators::{transit_stub_topology, TransitStubParams, TransitStubTopology};
 use mn_topology::{NodeId, Topology};
-use modelnet::{Experiment, SimDuration, SimTime};
+use modelnet::{Experiment, Schedule, SimDuration, SimTime};
 
 use crate::Scale;
 
@@ -142,13 +143,35 @@ pub fn run(scale: Scale) -> Vec<AcdcSample> {
     let ts = transit_stub_topology(&TransitStubParams::sized_for(d.target_nodes, 29));
     let member_nodes = pick_members(&ts, d.members);
 
-    let (mut runner, distilled) = Experiment::new(ts.topology.clone())
+    // Perturb the emulated pipes every sample period of the window, then
+    // restore them all.
+    let perturbation = LinkPerturbation {
+        fraction: 0.25,
+        kind: FaultKind::DelayIncrease {
+            min: 0.0,
+            max: 0.25,
+        },
+    };
+    let restore = LinkPerturbation {
+        fraction: 1.0,
+        kind: FaultKind::Restore,
+    };
+    let schedule = (d.perturb_start_s..d.perturb_end_s)
+        .step_by(d.sample_every_s as usize)
+        .fold(Schedule::new(), |schedule, t| {
+            let seed = mn_util::rngs::derive_seed(29, t);
+            schedule.perturb(SimTime::from_secs(t), perturbation, seed)
+        })
+        .perturb(SimTime::from_secs(d.perturb_end_s), restore, 29);
+
+    let mut runner = Experiment::new(ts.topology.clone())
         .distillation(DistillationMode::HopByHop)
         .cores(1)
         .edge_nodes(10)
         .unconstrained_hardware()
         .seed(29)
-        .build_with_distilled()
+        .with_schedule(schedule)
+        .build()
         .expect("ACDC experiment builds");
     let binding = runner.binding().clone();
     let member_vns: Vec<VnId> = member_nodes
@@ -188,35 +211,12 @@ pub fn run(scale: Scale) -> Vec<AcdcSample> {
         runner.add_application(vn, Box::new(AcdcNode::new(vn, config.clone())));
     }
 
-    let mut injector = FaultInjector::new(&distilled, 29);
-    let perturbation = LinkPerturbation {
-        fraction: 0.25,
-        kind: FaultKind::DelayIncrease {
-            min: 0.0,
-            max: 0.25,
-        },
-    };
-
     let mut samples = Vec::new();
     let mut t = 0u64;
     while t < d.total_s {
         let next = (t + d.sample_every_s).min(d.total_s);
         runner.run_until(SimTime::from_secs(next)).unwrap();
         t = next;
-        // Perturb (or restore) the emulated pipes on schedule.
-        if t >= d.perturb_start_s && t < d.perturb_end_s {
-            for event in injector.perturb(SimTime::from_secs(t), &perturbation) {
-                runner
-                    .backend_mut()
-                    .update_pipe_attrs(event.pipe, event.attrs);
-            }
-        } else if t == d.perturb_end_s {
-            for event in injector.restore_all(SimTime::from_secs(t)) {
-                runner
-                    .backend_mut()
-                    .update_pipe_attrs(event.pipe, event.attrs);
-            }
-        }
         // Sample the overlay state.
         let nodes: Vec<&AcdcNode> = member_vns
             .iter()
@@ -273,6 +273,22 @@ mod tests {
         ];
         assert_eq!(mst_cost(&costs), 3.0);
         assert_eq!(mst_cost(&[]), 0.0);
+    }
+
+    #[test]
+    fn quick_scale_holds_its_shape() {
+        let samples = run(Scale::Quick);
+        assert!(shape_holds(&samples));
+        // The perturbations raise the overlay's worst delay, and once they
+        // are restored it settles back where it started.
+        let d = dims(Scale::Quick);
+        let delay_at = |t: u64| {
+            let sample = samples.iter().find(|s| s.time_s == t as f64);
+            sample.expect("sampled").max_delay_s
+        };
+        let before = delay_at(d.perturb_start_s);
+        assert!(delay_at(d.perturb_end_s) > before * 1.1);
+        assert!((delay_at(d.total_s) - before).abs() < 1e-3);
     }
 
     #[test]

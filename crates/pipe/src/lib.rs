@@ -11,10 +11,8 @@
 //! would have imposed — as opposed to the *physical* drops an overloaded core
 //! suffers at its NIC.
 
-pub mod cbr;
 pub mod emu_pipe;
 pub mod stats;
 
-pub use cbr::CbrConfig;
 pub use emu_pipe::{DequeuedPacket, EmuPipe, EnqueueOutcome};
 pub use stats::PipeStats;

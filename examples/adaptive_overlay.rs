@@ -1,28 +1,45 @@
 //! ACDC adaptive overlay reacting to injected delay changes.
 //!
 //! A small overlay self-organises over a transit–stub topology; midway
-//! through the run the example raises the delay of a quarter of the links and
-//! prints how the overlay's worst-case delay and cost evolve — the dynamic
-//! the paper's Figure 12 shows.
+//! through the run a scheduled perturbation raises the delay of a quarter of
+//! the links (routes are recomputed after it), a second one restores them,
+//! and the example prints how the overlay's worst-case delay and cost
+//! evolve — the dynamic the paper's Figure 12 shows.
 //!
 //! Run with: `cargo run --release --example adaptive_overlay`
 
 use mn_apps::acdc::summary;
 use mn_apps::{AcdcConfig, AcdcNode};
-use mn_dynamics::{FaultInjector, FaultKind, LinkPerturbation};
+use mn_dynamics::{FaultKind, LinkPerturbation};
 use mn_topology::generators::{transit_stub_topology, TransitStubParams};
 use mn_topology::paths::{shortest_path, PathMetric};
-use modelnet::{DistillationMode, Experiment, SimDuration, SimTime, VnId};
+use modelnet::{DistillationMode, Experiment, Schedule, SimDuration, SimTime, VnId};
 
 fn main() {
     let ts = transit_stub_topology(&TransitStubParams::sized_for(150, 29));
-    let (mut runner, distilled) = Experiment::new(ts.topology.clone())
+    // +0..25% delay on 25% of the links at t=120s, restored at t=180s.
+    let delay = LinkPerturbation {
+        fraction: 0.25,
+        kind: FaultKind::DelayIncrease {
+            min: 0.0,
+            max: 0.25,
+        },
+    };
+    let restore = LinkPerturbation {
+        fraction: 1.0,
+        kind: FaultKind::Restore,
+    };
+    let schedule = Schedule::new()
+        .perturb(SimTime::from_secs(120), delay, 29)
+        .perturb(SimTime::from_secs(180), restore, 29);
+    let mut runner = Experiment::new(ts.topology.clone())
         .distillation(DistillationMode::HopByHop)
         .cores(1)
         .edge_nodes(6)
         .unconstrained_hardware()
         .seed(29)
-        .build_with_distilled()
+        .with_schedule(schedule)
+        .build()
         .expect("experiment builds");
     let binding = runner.binding().clone();
 
@@ -63,30 +80,14 @@ fn main() {
         runner.add_application(vn, Box::new(AcdcNode::new(vn, config.clone())));
     }
 
-    let mut injector = FaultInjector::new(&distilled, 29);
     for step in 1..=8 {
         let t = step * 30;
         runner.run_until(SimTime::from_secs(t)).unwrap();
         if step == 4 {
-            println!("-- injecting +0..25% delay on 25% of links --");
-            for ev in injector.perturb(
-                SimTime::from_secs(t),
-                &LinkPerturbation {
-                    fraction: 0.25,
-                    kind: FaultKind::DelayIncrease {
-                        min: 0.0,
-                        max: 0.25,
-                    },
-                },
-            ) {
-                runner.backend_mut().update_pipe_attrs(ev.pipe, ev.attrs);
-            }
+            println!("-- injected +0..25% delay on 25% of links --");
         }
         if step == 6 {
-            println!("-- restoring original link delays --");
-            for ev in injector.restore_all(SimTime::from_secs(t)) {
-                runner.backend_mut().update_pipe_attrs(ev.pipe, ev.attrs);
-            }
+            println!("-- restored original link delays --");
         }
         let nodes: Vec<&AcdcNode> = members
             .iter()

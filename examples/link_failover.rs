@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example link_failover`
 
 use mn_topology::{LinkAttrs, NodeKind, Topology};
-use modelnet::{CbrConfig, DataRate, DistillationMode, Experiment, Schedule, SimDuration, SimTime};
+use modelnet::{DataRate, DistillationMode, Experiment, Schedule, SimDuration, SimTime};
 
 fn main() {
     // Create: clients a, b joined by a fast path (via r1) and a detour
@@ -53,11 +53,7 @@ fn main() {
         .duplex_up(SimTime::from_secs(8), ar1, r1a)
         // t=10s..14s: 6 Mb/s of CBR cross traffic on the restored primary's
         // second hop — the flow now competes for the remaining headroom.
-        .cbr_start(
-            SimTime::from_secs(10),
-            r1b,
-            CbrConfig::new(DataRate::from_mbps(6), mn_util::ByteSize::from_bytes(1000)),
-        )
+        .cbr_start(SimTime::from_secs(10), r1b, DataRate::from_mbps(6))
         .cbr_stop(SimTime::from_secs(14), r1b);
 
     let mut runner = Experiment::new(topo)

@@ -18,7 +18,7 @@ use mn_emucore::{
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, ring_topology, PathPairsParams, RingParams};
-use mn_util::{ByteSize, DataRate, SimDuration, SimTime};
+use mn_util::{DataRate, SimDuration, SimTime};
 
 fn tcp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
     Packet::new(
@@ -340,7 +340,6 @@ fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
         42,
     );
     let ms = SimTime::from_millis;
-    let cbr = mn_pipe::CbrConfig::new(DataRate::from_mbps(2), ByteSize::from_bytes(500));
     let mut slow = d.pipe(route[1]).attrs;
     slow.bandwidth = DataRate::from_mbps(1);
     let mut trace = Vec::new();
@@ -353,8 +352,8 @@ fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
             emu.fluid().next_epoch(),
         ));
     };
-    let ok = emu.set_pipe_cbr(route[0], Some(cbr), ms(5));
-    observe("set_pipe_cbr", ok, &emu);
+    let ok = emu.set_pipe_compensation(route[0], Some(DataRate::from_mbps(2)), ms(5));
+    observe("set_pipe_compensation", ok, &emu);
     let ok = emu.update_pipe_attrs(route[1], slow);
     observe("update_pipe_attrs", ok, &emu);
     let ok = emu.set_pipe_compensation(route[2], Some(DataRate::from_mbps(1)), ms(6));
@@ -372,8 +371,8 @@ fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
     observe("vn_join", ok, &emu);
     let ok = emu.remove_fluid_flow(1, ms(11));
     observe("remove_fluid_flow", ok, &emu);
-    let ok = emu.set_pipe_cbr(route[0], None, ms(12));
-    observe("set_pipe_cbr(None)", ok, &emu);
+    let ok = emu.set_pipe_compensation(route[0], None, ms(12));
+    observe("set_pipe_compensation(None)", ok, &emu);
     trace
 }
 

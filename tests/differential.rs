@@ -454,7 +454,6 @@ fn failure_recovery_schedule_agrees_with_reference_across_backends() {
 #[test]
 fn cbr_episode_tracks_reduced_reference_capacity() {
     use mn_dynamics::Schedule;
-    use mn_pipe::CbrConfig;
     use mn_refsim::ScheduledTopology;
     use mn_topology::{LinkAttrs, NodeKind};
     use modelnet::Reconfigure;
@@ -470,11 +469,7 @@ fn cbr_episode_tracks_reduced_reference_capacity() {
     let d = distill(&topo, DistillationMode::HopByHop);
     let bottleneck = d.find_pipe(r, b).unwrap();
     let cbr_rate = DataRate::from_mbps(5);
-    let schedule = Schedule::new().cbr_start(
-        SimTime::ZERO,
-        bottleneck,
-        CbrConfig::new(cbr_rate, mn_util::ByteSize::from_bytes(1000)),
-    );
+    let schedule = Schedule::new().cbr_start(SimTime::ZERO, bottleneck, cbr_rate);
     // Reference: the r-b link keeps 5 of its 10 Mb/s.
     let reduced = LinkAttrs::new(DataRate::from_mbps(5), SimDuration::from_millis(1));
     let reference = ScheduledTopology::new(topo.clone()).set_link(SimTime::ZERO, rb, reduced);

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use mn_dynamics::{FaultKind, LinkPerturbation};
 use mn_topology::generators::{ring_topology, RingParams};
 use mn_transport::UdpStreamConfig;
 use mn_util::CodecError;
@@ -215,7 +216,7 @@ fn chaos_poisoned_pool_refuses_control_operations_without_mutating_the_coordinat
     distilled.pipe_attrs_mut(some_pipe).unwrap().bandwidth = DataRate::ZERO;
     assert!(par.reroute(&distilled, &[some_pipe]).is_empty());
     assert!(!par.update_pipe_attrs(some_pipe, attrs));
-    assert!(!par.set_pipe_cbr(some_pipe, None, at));
+    assert!(!par.set_pipe_compensation(some_pipe, None, at));
     assert!(!par.set_pipe_compensation(some_pipe, Some(DataRate::from_mbps(1)), at));
     assert!(!par.add_fluid_flow(2, vns[1], vns[6], DataRate::from_mbps(1), 1, at));
     assert!(!par.resize_fluid_flow(1, DataRate::from_mbps(1), 3, at));
@@ -310,7 +311,21 @@ fn a_fragmented_descriptor_slab_never_reaches_bytes_or_behaviour() {
 /// the already-applied prefix and the remaining events fire on time.
 #[test]
 fn restore_replays_the_dynamics_cursor() {
-    let build = || {
+    // Half the pipes get up to 25 % more delay before the stop; after it,
+    // every pipe gets 10 % more on top of what it then has, so a restored
+    // engine must have folded the first draws in to send the same delays.
+    let jitter = LinkPerturbation {
+        fraction: 0.5,
+        kind: FaultKind::DelayIncrease {
+            min: 0.0,
+            max: 0.25,
+        },
+    };
+    let slowdown = LinkPerturbation {
+        fraction: 1.0,
+        kind: FaultKind::DelayIncrease { min: 0.1, max: 0.1 },
+    };
+    let build = |backend| {
         let mut topo = Topology::new();
         let a = topo.add_node(NodeKind::Client);
         let b = topo.add_node(NodeKind::Client);
@@ -325,10 +340,13 @@ fn restore_replays_the_dynamics_cursor() {
         let d = modelnet::distill(&topo, DistillationMode::HopByHop);
         let (ar1, r1a) = (d.find_pipe(a, r1).unwrap(), d.find_pipe(r1, a).unwrap());
         let schedule = Schedule::new()
+            .perturb(SimTime::from_secs(1), jitter, 7)
             .duplex_down(SimTime::from_secs(2), ar1, r1a)
-            .duplex_up(SimTime::from_secs(5), ar1, r1a);
+            .duplex_up(SimTime::from_secs(5), ar1, r1a)
+            .perturb(SimTime::from_secs(6), slowdown, 8);
         let mut runner = Experiment::new(topo)
             .distillation(DistillationMode::HopByHop)
+            .backend(backend)
             .cores(1)
             .edge_nodes(2)
             .unconstrained_hardware()
@@ -343,26 +361,28 @@ fn restore_replays_the_dynamics_cursor() {
         runner
     };
 
-    let mut reference = build();
-    reference.run_until(SimTime::from_secs(8)).unwrap();
-    let want = reference.snapshot().unwrap();
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+        let mut reference = build(backend);
+        reference.run_until(SimTime::from_secs(8)).unwrap();
+        let want = reference.snapshot().unwrap();
 
-    // Snapshot between the two schedule events: the restore must replay the
-    // link-down into the engine's cursor without re-touching the emulator,
-    // then apply the link-up live at t=5s.
-    let mut first = build();
-    first.run_until(SimTime::from_secs(3)).unwrap();
-    assert_eq!(first.dynamics().unwrap().cursor(), 2);
-    let checkpoint = first.snapshot().unwrap();
+        // Snapshot between the flap's two halves: the restore must fold the
+        // perturbation and the link-down into the engine's graph without
+        // re-touching the emulator, then apply the rest live.
+        let mut first = build(backend);
+        first.run_until(SimTime::from_secs(3)).unwrap();
+        assert_eq!(first.dynamics().unwrap().cursor(), 3);
+        let checkpoint = first.snapshot().unwrap();
 
-    let mut resumed = build();
-    resumed.recover_from(&checkpoint).unwrap();
-    assert_eq!(resumed.dynamics().unwrap().cursor(), 2);
-    resumed.run_until(SimTime::from_secs(8)).unwrap();
-    assert!(
-        resumed.snapshot().unwrap() == want,
-        "resume across a dynamics schedule diverged"
-    );
+        let mut resumed = build(backend);
+        resumed.recover_from(&checkpoint).unwrap();
+        assert_eq!(resumed.dynamics().unwrap().cursor(), 3);
+        resumed.run_until(SimTime::from_secs(8)).unwrap();
+        assert!(
+            resumed.snapshot().unwrap() == want,
+            "{backend:?}: resume across a dynamics schedule diverged"
+        );
+    }
 }
 
 #[test]

@@ -38,11 +38,10 @@ use mn_emucore::{
     MultiCoreEmulator, ParallelEmulator, ThreadedExecutor, SNAPSHOT_VERSION,
 };
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
-use mn_pipe::CbrConfig;
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, PathPairsParams};
 use mn_util::codec::fnv1a64;
-use mn_util::{ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
+use mn_util::{ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
 mod membership;
 use membership::membership;
@@ -147,12 +146,9 @@ fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology) {
         path0,
     } = build(threaded);
     assert!(backend.set_pipe_compensation(path0[1], Some(DataRate::from_mbps(1)), SimTime::ZERO));
-    assert!(backend.set_pipe_cbr(
+    assert!(backend.set_pipe_compensation(
         path0[2],
-        Some(CbrConfig::new(
-            DataRate::from_mbps(2),
-            ByteSize::from_bytes(500)
-        )),
+        Some(DataRate::from_mbps(2)),
         SimTime::from_millis(1),
     ));
     assert!(backend.add_fluid_flow(

@@ -157,12 +157,9 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     // cadence, and need not: the wheel's arena reaches its peak in warm-up
     // whichever slots the deadlines fall in.
     let cbr_pipe = mn_distill::PipeId(0);
-    assert!(emu.set_pipe_cbr(
+    assert!(emu.set_pipe_compensation(
         cbr_pipe,
-        Some(mn_pipe::CbrConfig::new(
-            mn_util::DataRate::from_bps(1_953_125),
-            mn_util::ByteSize::from_bytes(512),
-        )),
+        Some(mn_util::DataRate::from_bps(1_953_125)),
         SimTime::ZERO,
     ));
     let warmed = drive(&mut emu, &vns, &mut deliveries, 0, 30_000);

@@ -5,15 +5,13 @@
 
 use mn_apps::{CfsClient, CfsConfig, CfsServer, ChordRing};
 use mn_distill::DistillationMode;
-use mn_dynamics::{FaultInjector, FaultKind, LinkPerturbation};
-use mn_topology::generators::{
-    dumbbell_topology, ring_topology, star_topology, DumbbellParams, RingParams, StarParams,
-};
+use mn_dynamics::{FaultKind, LinkPerturbation};
+use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
 use mn_topology::gml;
 use mn_topology::ron::{ron_mesh, RonMeshParams};
 use modelnet::{
-    ByteSize, DataRate, DistilledTopology, Experiment, HardwareProfile, Runner, SimDuration,
-    SimTime,
+    ByteSize, DataRate, ExecutionBackend, Experiment, HardwareProfile, RoutingMatrix, Runner,
+    Schedule, SimDuration, SimTime,
 };
 
 fn finish_bulk(runner: &mut Runner, flow: modelnet::FlowId, secs: u64) -> Option<SimTime> {
@@ -248,24 +246,45 @@ fn cfs_download_completes_over_the_ron_mesh() {
     );
 }
 
+/// The ACDC experiment's perturbation (25 % of the pipes, delay +0–25 %),
+/// scheduled on a ring whose opposite routers tie on two directions: the
+/// emulator's routes after it are the shortest paths of the perturbed graph,
+/// as if routed from scratch, on both executors.
 #[test]
 fn fault_injector_and_emulator_stay_consistent() {
-    let (topo, _, _) = dumbbell_topology(&DumbbellParams::default());
-    let (mut runner, distilled): (Runner, DistilledTopology) = Experiment::new(topo)
-        .distillation(DistillationMode::HopByHop)
-        .unconstrained_hardware()
-        .build_with_distilled()
-        .unwrap();
-    let mut injector = FaultInjector::new(&distilled, 3);
-    let events = injector.perturb(
-        SimTime::from_secs(1),
-        &LinkPerturbation {
-            fraction: 1.0,
-            kind: FaultKind::DelayIncrease { min: 0.1, max: 0.1 },
+    let perturbation = LinkPerturbation {
+        fraction: 0.25,
+        kind: FaultKind::DelayIncrease {
+            min: 0.0,
+            max: 0.25,
         },
-    );
-    assert_eq!(events.len(), distilled.pipe_count());
-    for e in events {
-        assert!(runner.backend_mut().update_pipe_attrs(e.pipe, e.attrs));
+    };
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
+        let topo = ring_topology(&RingParams {
+            routers: 8,
+            clients_per_router: 1,
+            ..RingParams::default()
+        });
+        let mut runner = Experiment::new(topo)
+            .distillation(DistillationMode::HopByHop)
+            .unconstrained_hardware()
+            .backend(backend)
+            .with_schedule(Schedule::new().perturb(SimTime::from_secs(1), perturbation, 29))
+            .build()
+            .unwrap();
+        runner.run_until(SimTime::from_secs(2)).unwrap();
+        let engine = runner.dynamics().unwrap();
+        assert!(engine.finished());
+        let perturbed = engine.topology();
+        let fresh = RoutingMatrix::build(perturbed);
+        let routing = runner.emulator().routing();
+        let mut reached = 0;
+        for &a in perturbed.vns() {
+            for &b in perturbed.vns() {
+                assert_eq!(routing.lookup(a, b), fresh.lookup(a, b), "{a} -> {b}");
+                reached += usize::from(fresh.lookup(a, b).is_some());
+            }
+        }
+        assert_eq!(reached, 8 * 8);
     }
 }
