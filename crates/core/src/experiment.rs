@@ -11,7 +11,7 @@ use std::fmt;
 
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode, DistilledTopology};
-use mn_emucore::{Emulator, Executor, HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+use mn_emucore::{Emulator, HardwareProfile};
 use mn_routing::RoutingMatrix;
 use mn_topology::Topology;
 use mn_transport::TcpConfig;
@@ -212,12 +212,11 @@ impl Experiment {
         let params = BindingParams::new(self.edge_nodes, self.cores);
         let binding = Binding::bind(distilled.vns(), &params);
         // Run-phase driver on the selected execution backend.
-        let inline =
-            MultiCoreEmulator::new(&distilled, pod, matrix, &binding, self.profile, self.seed);
-        let mut emulator: Emulator<Executor> = match self.backend {
-            ExecutionBackend::Sequential => inline.into(),
-            ExecutionBackend::Threaded => ParallelEmulator::from_sequential(inline).into(),
-        };
+        let mut emulator =
+            Emulator::new(&distilled, pod, matrix, &binding, self.profile, self.seed);
+        if self.backend == ExecutionBackend::Threaded {
+            emulator = emulator.threaded();
+        }
         if let Some(load) = self.compensation {
             // Pipe-id order on both backends: the fluid solver allocates
             // fixed-rate background demands in installation order, so the

@@ -63,10 +63,7 @@ pub use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 pub use mn_distill::{distill, DistillationMode, DistilledTopology};
 pub use mn_dynamics::{DynamicsTarget, Schedule, ScheduleEngine, ScheduleEvent};
 pub use mn_edge::{AppAction, AppCtx, Application, Message};
-pub use mn_emucore::{
-    ChaosPlan, EmuError, Emulator, Executor, FailureCause, HardwareProfile, MultiCoreEmulator,
-    ParallelEmulator,
-};
+pub use mn_emucore::{ChaosPlan, EmuError, Emulator, FailureCause, HardwareProfile};
 pub use mn_packet::VnId;
 pub use mn_routing::RoutingMatrix;
 pub use mn_topology::{LinkAttrs, NodeId, NodeKind, Topology};

@@ -50,10 +50,7 @@ use mn_assign::Binding;
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_dynamics::{DynamicsTarget, ScheduleRestoreError};
 use mn_edge::{AppAction, AppCtx, Application, Message};
-use mn_emucore::{
-    CoreExecutor, Delivery, EmuError, Emulator, Executor, MultiCoreEmulator, ParallelEmulator,
-    SubmitOutcome,
-};
+use mn_emucore::{Delivery, EmuError, Emulator, SubmitOutcome};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::RouteUpdate;
 use mn_topology::NodeId;
@@ -71,33 +68,32 @@ use mn_util::{SimTime, TimerWheel};
 /// how the work is executed on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionBackend {
-    /// All cores advance cooperatively on the calling thread
-    /// ([`MultiCoreEmulator`]). Lowest overhead for light workloads and the
-    /// only backend whose cores can be read directly
-    /// (`runner.emulator().cores()`).
+    /// All cores advance cooperatively on the calling thread. Lowest
+    /// overhead for light workloads and the only backend whose cores can be
+    /// read directly (`runner.emulator().cores()`).
     #[default]
     Sequential,
-    /// Every core runs on its own OS thread ([`ParallelEmulator`]),
+    /// Every core runs on its own OS thread ([`Emulator::threaded`]),
     /// exchanging tunnelled descriptors through per-pair mailboxes at an
     /// epoch barrier. Scales heavy emulation work across host CPUs.
     Threaded,
 }
 
-/// An emulator on either executor, as a caller that builds one itself
-/// hands it to [`Runner::with_backend`].
+/// An emulator as a caller that builds one itself hands it to
+/// [`Runner::with_backend`]. Both variants hold the same type: the emulator
+/// knows where its cores run, and the variant only names it.
 #[derive(Debug)]
 pub enum EmulatorBackend {
     /// Cooperative execution on the calling thread.
-    Sequential(MultiCoreEmulator),
+    Sequential(Emulator),
     /// One OS thread per emulated core.
-    Threaded(ParallelEmulator),
+    Threaded(Emulator),
 }
 
-impl From<EmulatorBackend> for Emulator<Executor> {
+impl From<EmulatorBackend> for Emulator {
     fn from(backend: EmulatorBackend) -> Self {
         match backend {
-            EmulatorBackend::Sequential(emulator) => emulator.into(),
-            EmulatorBackend::Threaded(emulator) => emulator.into(),
+            EmulatorBackend::Sequential(emulator) | EmulatorBackend::Threaded(emulator) => emulator,
         }
     }
 }
@@ -106,9 +102,9 @@ impl From<EmulatorBackend> for Emulator<Executor> {
 /// applies in-place pipe mutation, CBR demands, incremental rerouting,
 /// fluid flows and churn on every executor, so a [`mn_dynamics::Schedule`]
 /// applies identically (bit for bit) whichever one drives the run.
-pub struct Reconfigure<'a, X: CoreExecutor>(pub &'a mut Emulator<X>);
+pub struct Reconfigure<'a>(pub &'a mut Emulator);
 
-impl<X: CoreExecutor> DynamicsTarget for Reconfigure<'_, X> {
+impl DynamicsTarget for Reconfigure<'_> {
     fn update_pipe_attrs(&mut self, pipe: PipeId, attrs: PipeAttrs) -> bool {
         self.0.update_pipe_attrs(pipe, attrs)
     }
@@ -472,7 +468,7 @@ pub struct Runner {
     /// so the queue stays O(endpoints) however long the run (see
     /// [`Channel::armed`]).
     events: TimerWheel<Event>,
-    emulator: Emulator<Executor>,
+    emulator: Emulator,
     binding: Binding,
     tcp_config: TcpConfig,
     channels: Vec<Channel>,
@@ -517,7 +513,7 @@ impl Runner {
     /// (sequential or threaded; see [`ExecutionBackend`]), and its binding.
     /// Most users construct one through [`crate::Experiment`].
     pub fn with_backend(
-        emulator: impl Into<Emulator<Executor>>,
+        emulator: impl Into<Emulator>,
         binding: Binding,
         tcp_config: TcpConfig,
     ) -> Self {
@@ -584,21 +580,21 @@ impl Runner {
     }
 
     /// The emulator, on whichever executor drives it.
-    pub fn backend(&self) -> &Emulator<Executor> {
+    pub fn backend(&self) -> &Emulator {
         &self.emulator
     }
 
     /// Mutable access to the emulator: routing changes, pipe updates,
     /// fluid flows and churn, on either executor. Work added here is
     /// picked up by the next `run_until` / `run_for`.
-    pub fn backend_mut(&mut self) -> &mut Emulator<Executor> {
+    pub fn backend_mut(&mut self) -> &mut Emulator {
         &mut self.emulator
     }
 
     /// The emulator, the same as [`Runner::backend`]: core statistics,
     /// accuracy logs and pipe counters (`cores()` only while it runs
     /// inline).
-    pub fn emulator(&self) -> &Emulator<Executor> {
+    pub fn emulator(&self) -> &Emulator {
         &self.emulator
     }
 
@@ -798,10 +794,10 @@ impl Runner {
         Ok(())
     }
 
-    /// Runs the emulation for `duration` of additional virtual time.
+    /// Runs the emulation for `duration` of additional virtual time, or to
+    /// [`SimTime::MAX`], the end of virtual time, if that comes first.
     pub fn run_for(&mut self, duration: SimDuration) -> Result<(), EmuError> {
-        let deadline = self.now + duration;
-        self.run_until(deadline)
+        self.run_until(self.now.saturating_add(duration))
     }
 
     /// The worker failure that stopped the run, if any.
@@ -1002,9 +998,21 @@ impl Runner {
     /// and the cause is kept in [`Runner::checkpoint_failure`]; the last
     /// checkpoint survives unless a worker died while it was being
     /// overwritten.
+    ///
+    /// A zero cadence takes no checkpoint (and disarms an earlier cadence),
+    /// and no checkpoint is armed past [`SimTime::MAX`]: the last one falls
+    /// at or before the end of virtual time.
     pub fn set_auto_checkpoint(&mut self, every: SimDuration) {
-        self.auto_checkpoint = Some(every);
-        self.events.push(self.now + every, Event::Checkpoint);
+        self.auto_checkpoint = (!every.is_zero()).then_some(every);
+        self.arm_checkpoint(every);
+    }
+
+    /// Queues the auto-checkpoint `every` from now, unless that is now (it
+    /// would repeat without time passing) or past the end of virtual time.
+    fn arm_checkpoint(&mut self, every: SimDuration) {
+        if let Some(at) = self.now.checked_add(every).filter(|&at| at > self.now) {
+            self.events.push(at, Event::Checkpoint);
+        }
     }
 
     /// The most recent auto-checkpoint: the virtual time it was taken at
@@ -1063,7 +1071,7 @@ impl Runner {
                     // Arm the next point *before* serializing so the
                     // snapshot carries it: a recovered run keeps
                     // checkpointing on the same virtual-time grid.
-                    self.events.push(self.now + every, Event::Checkpoint);
+                    self.arm_checkpoint(every);
                     // Into the last one's buffer, which a checkpoint of no
                     // more bytes fills without allocating.
                     let (at, mut bytes) = self.last_checkpoint.take().unwrap_or_default();
@@ -1450,9 +1458,11 @@ impl Runner {
                     }
                     self.pump_channel(ch);
                 }
+                // A timer past the end of virtual time never fires.
                 AppAction::SetTimer { delay, token } => {
-                    self.events
-                        .push(self.now + delay, Event::AppTimer { vn, token });
+                    if let Some(at) = self.now.checked_add(delay) {
+                        self.events.push(at, Event::AppTimer { vn, token });
+                    }
                 }
                 AppAction::Record { metric, value } => {
                     self.metrics.entry(metric).or_default().add(value);
@@ -1755,6 +1765,83 @@ mod tests {
         );
         let (at, _) = runner.last_checkpoint().expect("pre-app checkpoint kept");
         assert!(at <= SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn run_for_saturates_at_the_end_of_virtual_time() {
+        let mut runner = star_runner(4);
+        runner.run_until(SimTime::from_secs(1)).unwrap();
+        runner.run_for(SimDuration::MAX).unwrap();
+        assert_eq!(runner.now(), SimTime::MAX);
+    }
+
+    #[test]
+    fn a_zero_checkpoint_cadence_takes_no_checkpoint() {
+        let mut runner = star_runner(4);
+        runner.set_auto_checkpoint(SimDuration::ZERO);
+        runner.run_for(SimDuration::from_secs(1)).unwrap();
+        assert!(runner.last_checkpoint().is_none());
+        assert_eq!(runner.now(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn checkpoints_stop_at_the_end_of_virtual_time() {
+        let mut runner = star_runner(4);
+        let last = SimTime::MAX - SimDuration::from_millis(500);
+        runner.run_until(last - SimDuration::from_secs(2)).unwrap();
+        runner.set_auto_checkpoint(SimDuration::from_secs(1));
+        runner.run_for(SimDuration::MAX).unwrap();
+        assert_eq!(runner.now(), SimTime::MAX);
+        let (at, _) = runner.last_checkpoint().expect("checkpoints fired");
+        assert_eq!(at, last);
+        assert!(runner.checkpoint_failure().is_none());
+        assert!(runner.events.is_empty(), "nothing re-armed past the end");
+    }
+
+    /// The construction path of the `bench/` package, which names the
+    /// emulator's former types: each variant holds an emulator on the
+    /// executor it names, and both run the same traffic to the same result.
+    #[test]
+    fn the_named_constructors_build_on_the_executor_their_variant_names() {
+        use mn_assign::{greedy_k_clusters, BindingParams, CoreId};
+        use mn_emucore::{ChaosPlan, HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+        use mn_routing::RoutingMatrix;
+        let topo = star_topology(&StarParams {
+            clients: 6,
+            ..StarParams::default()
+        });
+        let d = mn_distill::distill(&topo, DistillationMode::HopByHop);
+        let run = |threaded: bool| {
+            let pod = greedy_k_clusters(&d, 2, 7);
+            let matrix = RoutingMatrix::build(&d);
+            let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2));
+            let profile = HardwareProfile::unconstrained();
+            let backend = if threaded {
+                let emulator = ParallelEmulator::new(&d, pod, matrix, &binding, profile, 7);
+                EmulatorBackend::Threaded(emulator)
+            } else {
+                let emulator = MultiCoreEmulator::new(&d, pod, matrix, &binding, profile, 7);
+                EmulatorBackend::Sequential(emulator)
+            };
+            let mut runner = Runner::with_backend(backend, binding, TcpConfig::default());
+            // An inert chaos plan installs only on worker threads.
+            let on_threads = runner.backend_mut().set_chaos(CoreId(0), ChaosPlan::new());
+            assert_eq!(on_threads, threaded);
+            let vns = runner.vn_ids();
+            runner.add_bulk_flow(vns[0], vns[3], None, SimTime::ZERO);
+            runner.add_bulk_flow(vns[4], vns[1], None, SimTime::ZERO);
+            runner.run_for(SimDuration::from_secs(1)).unwrap();
+            let stats = runner.backend().total_stats();
+            (
+                runner.packets_delivered(),
+                stats,
+                runner.snapshot().unwrap(),
+            )
+        };
+        let sequential = run(false);
+        assert!(sequential.0 > 0);
+        assert!(sequential.1.tunnels_out > 0, "the star crosses cores");
+        assert!(run(true) == sequential, "the executors diverge");
     }
 
     /// One short fixed transfer and one long-lived flow over two cores.

@@ -2,7 +2,7 @@
 //!
 //! [`ScheduleEngine`] owns the authoritative copy of the distilled pipe
 //! graph — the one record of every run-time change — and walks a
-//! [`Schedule`](crate::Schedule) against a running emulation: every pipe
+//! [`Schedule`] against a running emulation: every pipe
 //! event (a renegotiation, a link or node flap, a seeded perturbation) is
 //! folded into the graph first and the pipes it changed are then mutated in
 //! place on the allocation-free tick path; CBR episodes are installed and
@@ -163,7 +163,7 @@ impl AppliedChanges {
     }
 }
 
-/// Applies a [`Schedule`](crate::Schedule) to a running emulation.
+/// Applies a [`Schedule`] to a running emulation.
 #[derive(Debug)]
 pub struct ScheduleEngine {
     /// The authoritative pipe graph, mutated as events apply; routing

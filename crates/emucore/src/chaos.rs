@@ -9,7 +9,7 @@
 //!
 //! The module is always compiled (integration tests in the workspace root
 //! cannot see `#[cfg(test)]` APIs), but nothing routes through it unless
-//! [`crate::ParallelEmulator::set_chaos`] is called; a default plan is
+//! [`crate::Emulator::set_chaos`] is called; a default plan is
 //! completely inert and costs two branch checks per epoch.
 
 use std::time::Duration;

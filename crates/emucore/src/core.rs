@@ -259,9 +259,9 @@ pub struct EmulatorCore {
     // CPU model.
     cpu_backlog: SimDuration,
     cpu_busy_total: SimDuration,
+    /// The last time CPU work was credited; the core starts at zero, so
+    /// utilisation is measured over this long.
     cpu_last_credit: SimTime,
-    started_at: SimTime,
-    last_seen: SimTime,
     // NIC receive model (token bucket at line rate, capped by the buffer).
     rx_tokens: f64,
     rx_last_refill: SimTime,
@@ -297,8 +297,6 @@ impl EmulatorCore {
             cpu_backlog: SimDuration::ZERO,
             cpu_busy_total: SimDuration::ZERO,
             cpu_last_credit: SimTime::ZERO,
-            started_at: SimTime::ZERO,
-            last_seen: SimTime::ZERO,
             rx_tokens: profile.nic_buffer.as_bytes() as f64,
             rx_last_refill: SimTime::ZERO,
             stats: CoreStats::default(),
@@ -425,7 +423,7 @@ impl EmulatorCore {
 
     /// Fraction of wall time the CPU spent on emulation work so far.
     pub fn cpu_utilization(&self) -> f64 {
-        let elapsed = (self.last_seen - self.started_at).as_secs_f64();
+        let elapsed = self.cpu_last_credit.as_secs_f64();
         if elapsed <= 0.0 {
             0.0
         } else {
@@ -455,7 +453,6 @@ impl EmulatorCore {
         self.cpu_backlog -= worked;
         self.cpu_busy_total += worked;
         self.cpu_last_credit = now;
-        self.last_seen = now;
     }
 
     /// The NIC/CPU model an arrival from an edge node or a peer core passes
@@ -780,8 +777,9 @@ impl EmulatorCore {
         self.cpu_backlog.put(w);
         self.cpu_busy_total.put(w);
         self.cpu_last_credit.put(w);
-        self.started_at.put(w);
-        self.last_seen.put(w);
+        // Two words the format keeps, read by nothing: the core's start and
+        // its last credit again.
+        (SimTime::ZERO, self.cpu_last_credit).put(w);
         self.rx_tokens.put(w);
         self.rx_last_refill.put(w);
         (self.stats, self.accuracy, self.rng.state()).put(w);
@@ -798,11 +796,11 @@ impl EmulatorCore {
     /// once. The restored core is observationally identical to the one that
     /// was encoded: same deadlines, same queue contents, same RNG draws. Its
     /// slab is filled densely in decode order with no free slot, whatever
-    /// the encoded core's looked like. Every descriptor must
-    /// [fit](Descriptor::fits) `routes`; a wheel entry must name a pipe
-    /// installed here, a staged tunnel one that `pod` gives to a peer, and a
-    /// tunnel in the inbox must be one this core can admit
-    /// ([`EmulatorCore::receive_restored`]). The fluid demand total is summed
+    /// the encoded core's looked like. Every descriptor must fit `routes`
+    /// (`Descriptor::fits`); a wheel entry must name a pipe installed here,
+    /// a staged tunnel one that `pod` gives to a peer, and a tunnel in the
+    /// inbox must be one this core can admit
+    /// (`EmulatorCore::receive_restored`). The fluid demand total is summed
     /// from the pipes; a `version` 7 core wrote it, after its CBR meters, and
     /// both are read past.
     pub fn decode_state(
@@ -866,6 +864,11 @@ impl EmulatorCore {
         let (fluid_last, fluid_bits_ns_rem) = Codec::get(r)?;
         let (cpu_backlog, cpu_busy_total, cpu_last_credit) = Codec::get(r)?;
         let (started_at, last_seen, rx_tokens, rx_last_refill) = Codec::get(r)?;
+        // The encoder writes both from the CPU clock, so that a decoded core
+        // re-encodes to its input.
+        if (started_at, last_seen) != (SimTime::ZERO, cpu_last_credit) {
+            return Err(Invalid("CPU clock words disagree"));
+        }
         let (stats, accuracy, rng_state) = Codec::get(r)?;
         let mut core = EmulatorCore {
             id,
@@ -883,8 +886,6 @@ impl EmulatorCore {
             cpu_backlog,
             cpu_busy_total,
             cpu_last_credit,
-            started_at,
-            last_seen,
             rx_tokens,
             rx_last_refill,
             stats,
@@ -1209,7 +1210,7 @@ mod tests {
             assert_eq!(delivered, 4, "the short routes are out");
             assert_eq!(core.in_flight(), core.handles_held());
             // Four more go into the holes, not onto the end.
-            let t = core.last_seen;
+            let t = core.cpu_last_credit;
             for i in 8..12 {
                 assert!(core
                     .ingress(t, descriptor(i, routes[SHORT], t))
@@ -1261,7 +1262,7 @@ mod tests {
             assert_eq!(core.slab.len(), 3);
             // Failed before admission: dropped at hop one, nothing stored.
             assert!(core.update_pipe_attrs(PipeId(3), down));
-            let t = core.last_seen;
+            let t = core.cpu_last_credit;
             assert_eq!(
                 core.ingress(t, descriptor(9, routes[SHORT], t)),
                 IngressOutcome::VirtualDrop

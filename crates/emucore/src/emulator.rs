@@ -1,17 +1,18 @@
-//! The emulation coordinator: one [`Emulator`] over any [`CoreExecutor`].
+//! The emulation coordinator: one [`Emulator`], whichever way its cores run.
 //!
 //! The paper's core nodes each own their pipes outright and cooperate only
 //! by handing descriptors to the owner. Everything else — the routing
 //! matrix, the published route table, VN membership and entry cores, the
 //! fluid solver, checkpoint assembly — is global state with exactly one
 //! writer. [`Emulator`] is that writer. It decides *what* happens to which
-//! core and in which order; a [`CoreExecutor`] only decides *where* the
-//! cores run (inline on the calling thread, or one OS thread each) and
-//! carries the coordinator's [`CoreCommand`]s to them. What an executor
-//! must guarantee is spelled out on the trait; why the results are
-//! bit-identical across executors, in the crate docs.
+//! core and in which order; its executor, a private field, only decides
+//! *where* the cores run (inline on the calling thread, or one OS thread
+//! each, after [`Emulator::threaded`]) and carries the coordinator's
+//! commands to them. Why the results are bit-identical across executors is
+//! in the crate docs.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
@@ -20,11 +21,15 @@ use mn_routing::{RouteId, RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
+use crate::chaos::ChaosPlan;
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome};
 use crate::descriptor::{Delivery, Descriptor};
 use crate::error::EmuError;
+use crate::executor::Executor;
 use crate::fluid::FluidState;
 use crate::hardware::HardwareProfile;
+use crate::multicore::InlineExecutor;
+use crate::parallel::ThreadedExecutor;
 use crate::snapshot::{EmulatorSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
 /// Result of submitting a packet to the emulation.
@@ -62,7 +67,7 @@ impl From<IngressOutcome> for SubmitOutcome {
 /// A control-plane change to one core, issued by the coordinator and
 /// carried out wherever the executor keeps that core.
 #[derive(Debug)]
-pub enum CoreCommand {
+pub(crate) enum CoreCommand {
     /// Install the next route-table generation. The table is copy-on-write:
     /// every core receives the same `Arc`, and the location rows a change
     /// did not touch are the allocations the core was already reading.
@@ -82,7 +87,7 @@ impl CoreCommand {
     /// Carries the command out on `core`; `false` if it names a pipe the
     /// core does not own. Both executors run commands through here, so a
     /// command means the same thing wherever the core lives.
-    pub fn apply_to(self, core: &mut EmulatorCore) -> bool {
+    pub(crate) fn apply_to(self, core: &mut EmulatorCore) -> bool {
         match self {
             CoreCommand::SetRoutes(routes) => {
                 core.set_route_table(routes);
@@ -98,7 +103,7 @@ impl CoreCommand {
 
 /// Where the coordinator's admission decision sent a submitted packet.
 #[derive(Debug)]
-pub enum Dispatch {
+pub(crate) enum Dispatch {
     /// Decided at the coordinator: no route, or a same-location delivery.
     Resolved(SubmitOutcome),
     /// Owed by the entry core's NIC/CPU admission into `first`, the first
@@ -109,65 +114,6 @@ pub enum Dispatch {
         first: PipeId,
         descriptor: Descriptor,
     },
-}
-
-/// Where the cores run. The coordinator owns all global state and calls
-/// down through this surface only; an executor owns the [`EmulatorCore`]s,
-/// each holding the tunnels addressed to it, carries tunnelled descriptors
-/// from core to core, and nothing else.
-///
-/// # Contract
-///
-/// Results must be bit-identical to running the cores inline: admissions
-/// and `apply` take effect on the named core in call order, and `advance`
-/// reproduces the round structure *tick every core → hand each fresh tunnel
-/// to its owner ([`EmulatorCore::receive_tunnel`]) → repeat while one is
-/// already due*, appending deliveries round-major, core-major, and filing
-/// tunnels round-major, source-core-major. After any call returns, `stats`
-/// and `next_wakeup` reflect it. An executor that can fail (a dead or
-/// stalled worker) reports [`EmuError`] from the failing call and from every
-/// call after it, and `health` says so without touching a core.
-pub trait CoreExecutor: Sized {
-    /// Takes ownership of the cores, in core order; `pod` names the core a
-    /// tunnel is for.
-    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self;
-
-    /// Number of cores.
-    fn core_count(&self) -> usize;
-
-    /// `Err` with the first failure once the executor is poisoned.
-    fn health(&self) -> Result<(), EmuError>;
-
-    /// One core's counters.
-    fn stats(&self, core: CoreId) -> Option<CoreStats>;
-
-    /// Earliest tick-rounded time any core has work due.
-    fn next_wakeup(&self) -> Option<SimTime>;
-
-    /// The one admission path (`submit` is a batch of one): settles each
-    /// dispatch in input order, an `Ingress` by [`EmulatorCore::ingress_into`]
-    /// on its core, appending one outcome each. May overlap the cores' work;
-    /// on error `outcomes` is left as it was.
-    fn ingress_batch<I: Iterator<Item = Dispatch>>(
-        &mut self,
-        batch: I,
-        outcomes: &mut Vec<SubmitOutcome>,
-    ) -> Result<(), EmuError>;
-
-    /// One un-chopped advance of every core to `now`, then settles each
-    /// core's fluid byte integral there.
-    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError>;
-
-    /// Carries out `command` on `core`; `Ok(false)` if the core refused it.
-    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError>;
-
-    /// Installs `routes` on every core.
-    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError>;
-
-    /// The executor's share of a checkpoint: appends the core count and
-    /// every core's state in core order, each encoded where it lives —
-    /// nothing is cloned. Read-only: nothing ticks.
-    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError>;
 }
 
 /// A packet's route and first pipe ([`RouteTable::first_hop`]).
@@ -269,17 +215,18 @@ impl Admission {
 }
 
 /// The set of cooperating core nodes emulating one distilled topology:
-/// the coordinator state plus the executor `X` the cores run on.
+/// the coordinator state plus the executor the cores run on.
 ///
-/// [`crate::MultiCoreEmulator`] and [`crate::ParallelEmulator`] are the two
-/// instantiations. Operations that reach a core return
-/// `Result<_, EmuError>`; on the inline executor they never fail. Control
-/// operations return `false` (or an empty [`RouteUpdate`]) when refused —
-/// and a poisoned executor refuses all of them, before any coordinator
-/// state changes.
+/// Every constructor runs the cores inline, on the calling thread;
+/// [`Emulator::threaded`] moves them onto one OS thread each. Results are
+/// bit-identical either way. Operations that reach a core return
+/// `Result<_, EmuError>`; inline they never fail. Control operations
+/// return `false` (or an empty [`RouteUpdate`]) when refused — and a
+/// poisoned executor refuses all of them, before any coordinator state
+/// changes.
 #[derive(Debug)]
-pub struct Emulator<X: CoreExecutor> {
-    pub(crate) exec: X,
+pub struct Emulator {
+    pub(crate) exec: Executor,
     pod: Arc<PipeOwnershipDirectory>,
     profile: HardwareProfile,
     matrix: RoutingMatrix,
@@ -294,16 +241,15 @@ pub struct Emulator<X: CoreExecutor> {
     fluid: FluidState,
 }
 
-impl<X: CoreExecutor> Emulator<X> {
-    /// Builds the emulator: installs each pipe on the core the POD assigns it
-    /// to, and records each VN's topology location and entry core from the
-    /// binding.
+impl Emulator {
+    /// Builds the emulator, its cores inline: installs each pipe on the core
+    /// the POD assigns it to, and records each VN's topology location and
+    /// entry core from the binding.
     ///
     /// # Panics
     ///
     /// Panics if the POD covers a different number of pipes than the
-    /// distilled topology contains (or, on the threaded executor, if a
-    /// worker thread cannot be spawned).
+    /// distilled topology contains.
     pub fn new(
         topo: &DistilledTopology,
         pod: PipeOwnershipDirectory,
@@ -362,7 +308,7 @@ impl<X: CoreExecutor> Emulator<X> {
         };
         let pod = Arc::new(pod);
         Emulator {
-            exec: X::from_cores(cores, pod.clone()),
+            exec: Executor::Inline(InlineExecutor::new(cores, pod.clone())),
             core_load: admission.core_load(pod.core_count()),
             pod,
             profile,
@@ -372,23 +318,88 @@ impl<X: CoreExecutor> Emulator<X> {
         }
     }
 
-    /// Moves the emulation, in-flight state included, onto another
-    /// executor; `rehost` hands the cores across.
-    pub(crate) fn rehost<Y: CoreExecutor>(self, rehost: impl FnOnce(X) -> Y) -> Emulator<Y> {
-        Emulator {
-            exec: rehost(self.exec),
-            pod: self.pod,
-            profile: self.profile,
-            matrix: self.matrix,
-            admission: self.admission,
-            core_load: self.core_load,
-            fluid: self.fluid,
+    /// Convenience constructor for single-core emulation.
+    pub fn single_core(
+        topo: &DistilledTopology,
+        matrix: RoutingMatrix,
+        binding: &Binding,
+        profile: HardwareProfile,
+        seed: u64,
+    ) -> Self {
+        let pod = PipeOwnershipDirectory::single_core(topo.pipe_count());
+        Self::new(topo, pod, matrix, binding, profile, seed)
+    }
+
+    /// Moves the cores, in-flight state included, onto one OS thread each;
+    /// already there, the emulator is returned as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread cannot be spawned.
+    pub fn threaded(mut self) -> Self {
+        if let Executor::Inline(inline) = &mut self.exec {
+            let cores = std::mem::take(&mut inline.cores);
+            self.exec = Executor::Threaded(ThreadedExecutor::new(cores, self.pod.clone()));
+        }
+        self
+    }
+
+    /// The cores themselves (accuracy logs, utilisation, pipes).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the threaded executor, whose cores live on their own
+    /// threads; read counters through [`Emulator::total_stats`] there, or
+    /// take the cores back with [`Emulator::finish`].
+    pub fn cores(&self) -> &[EmulatorCore] {
+        match &self.exec {
+            Executor::Inline(inline) => &inline.cores,
+            Executor::Threaded(_) => panic!(
+                "the cores of a threaded emulator live on their worker threads; \
+                 use the coordinator's counters instead"
+            ),
+        }
+    }
+
+    /// Stops every worker thread, if the cores run on their own, and
+    /// returns the cores (accuracy logs, pipe counters) in core order. A
+    /// core whose worker died is missing.
+    pub fn finish(mut self) -> Vec<EmulatorCore> {
+        match &mut self.exec {
+            Executor::Inline(inline) => std::mem::take(&mut inline.cores),
+            Executor::Threaded(threaded) => threaded.shutdown(),
+        }
+    }
+
+    /// Arms the threaded executor's stall watchdog: a wait on a worker whose
+    /// heartbeat stands still for `timeout` of wall-clock time fails with
+    /// [`crate::FailureCause::Stalled`] instead of hanging. `None` (the
+    /// default) disarms it — virtual time runs arbitrarily faster or slower
+    /// than wall clock, so only a supervisor that knows the deployment
+    /// should set this. A no-op on inline cores, which cannot stall.
+    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
+        if let Executor::Threaded(threaded) = &mut self.exec {
+            threaded.stall_timeout = timeout;
+        }
+    }
+
+    /// Installs a chaos fault plan on one worker core (test-only fault
+    /// injection; see [`crate::chaos`]) and waits for the worker to
+    /// confirm. Returns `false` if the cores run inline (there is no worker
+    /// to fault), if the core does not exist, or if the emulator failed,
+    /// before or during the call (it is then poisoned). A default plan is
+    /// inert, so `set_chaos(CoreId(0), ChaosPlan::new())` is `true` exactly
+    /// when a healthy emulator runs on worker threads.
+    pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
+        match &mut self.exec {
+            Executor::Inline(_) => false,
+            Executor::Threaded(threaded) => threaded.set_chaos(core, plan),
         }
     }
 
     /// Number of cooperating cores.
     pub fn core_count(&self) -> usize {
-        self.exec.core_count()
+        self.pod.core_count()
     }
 
     /// One core's counters.
@@ -890,9 +901,8 @@ impl<X: CoreExecutor> Emulator<X> {
         Ok(())
     }
 
-    /// Rebuilds an emulator from a checkpoint taken by
-    /// [`Emulator::snapshot`] on any executor (the threaded one spawns a
-    /// fresh worker pool).
+    /// Rebuilds an emulator, its cores inline, from a checkpoint taken by
+    /// [`Emulator::snapshot`] on either executor.
     ///
     /// # Errors
     ///
@@ -908,6 +918,17 @@ impl<X: CoreExecutor> Emulator<X> {
     pub fn restore_bytes(framed: &[u8]) -> Result<Self, CodecError> {
         let (version, payload) = EmulatorSnapshot::verify(framed)?;
         Self::decode(version, payload)
+    }
+
+    /// [`Emulator::restore_bytes`] onto the executor `self` runs on: a
+    /// fresh worker pool on the threaded one (the way out of a poisoned
+    /// run), the calling thread on the inline one.
+    pub fn restore_like(&self, framed: &[u8]) -> Result<Self, CodecError> {
+        let restored = Self::restore_bytes(framed)?;
+        Ok(match self.exec {
+            Executor::Inline(_) => restored,
+            Executor::Threaded(_) => restored.threaded(),
+        })
     }
 
     /// The one decoder, over a verified payload of format `version`. The
@@ -931,15 +952,15 @@ impl<X: CoreExecutor> Emulator<X> {
         let routes = Arc::new(RouteTable::decode(r)?);
         let matrix = RoutingMatrix::get(r)?;
         let core_count = usize::get(r)?;
+        if core_count == 0 {
+            return Err(Invalid("no cores"));
+        }
         let owners = r.get_u64s()?;
         if owners.iter().any(|&owner| owner >= core_count as u64) {
             return Err(Invalid("pipe owner out of range"));
         }
         let owners = owners.into_iter().map(|o| CoreId(o as usize)).collect();
-        let pod = Arc::new(PipeOwnershipDirectory::from_owners(
-            owners,
-            core_count.max(1),
-        ));
+        let pod = Arc::new(PipeOwnershipDirectory::from_owners(owners, core_count));
         // A hop is forwarded by asking the directory who owns its pipe.
         if routes.pipe_bound() > pod.pipe_count() {
             return Err(Invalid("route names a pipe the POD does not cover"));
@@ -995,7 +1016,7 @@ impl<X: CoreExecutor> Emulator<X> {
             outcome: Vec::new(),
         };
         Ok(Emulator {
-            exec: X::from_cores(cores, pod.clone()),
+            exec: Executor::Inline(InlineExecutor::new(cores, pod.clone())),
             // Sized only now the cores section has matched the core count.
             core_load: admission.core_load(core_count),
             pod,
@@ -1007,10 +1028,35 @@ impl<X: CoreExecutor> Emulator<X> {
     }
 }
 
+/// [`Emulator`] under its former name, kept for callers that still build
+/// it by that name; [`Emulator::new`] runs the cores inline.
+#[doc(hidden)]
+pub type MultiCoreEmulator = Emulator;
+
+/// The threaded emulator's former name, kept for `ParallelEmulator::new`.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ParallelEmulator;
+
+impl ParallelEmulator {
+    /// [`Emulator::new`], then [`Emulator::threaded`]: there is no other
+    /// type to return.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(
+        topo: &DistilledTopology,
+        pod: PipeOwnershipDirectory,
+        matrix: RoutingMatrix,
+        binding: &Binding,
+        profile: HardwareProfile,
+        seed: u64,
+    ) -> Emulator {
+        Emulator::new(topo, pod, matrix, binding, profile, seed).threaded()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multicore::MultiCoreEmulator;
     use mn_assign::{greedy_k_clusters, BindingParams};
     use mn_distill::{distill, DistillationMode};
     use mn_packet::{FlowKey, PacketId, Protocol, TransportHeader};
@@ -1018,7 +1064,7 @@ mod tests {
     use mn_topology::generators::{ring_topology, RingParams};
 
     /// A 2-core emulator over a 4-router, 8-client ring.
-    fn ring_emulator() -> MultiCoreEmulator {
+    fn ring_emulator() -> Emulator {
         let topo = ring_topology(&RingParams {
             routers: 4,
             clients_per_router: 2,
@@ -1032,14 +1078,14 @@ mod tests {
     }
 
     /// The core owning pipe `hop` of route 0.
-    fn owner_of_hop(emu: &MultiCoreEmulator, hop: usize) -> usize {
+    fn owner_of_hop(emu: &Emulator, hop: usize) -> usize {
         emu.pod
             .owner(emu.route_table().pipes(RouteId(0))[hop])
             .index()
     }
 
     /// A tunnel in flight to `target`, `hop` pipes into `route`.
-    fn stage_tunnel(emu: &mut MultiCoreEmulator, target: usize, route: RouteId, hop: usize) {
+    fn stage_tunnel(emu: &mut Emulator, target: usize, route: RouteId, hop: usize) {
         let flow = FlowKey {
             src: VnId(0),
             dst: VnId(5),
@@ -1055,7 +1101,10 @@ mod tests {
         let mut descriptor = Descriptor::new(packet, route, SimTime::ZERO);
         descriptor.hop = hop;
         let arrival = SimTime::from_millis(1);
-        emu.exec.cores[target].receive_tunnel(arrival, descriptor);
+        let Executor::Inline(inline) = &mut emu.exec else {
+            unreachable!("the test's emulator runs inline")
+        };
+        inline.cores[target].receive_tunnel(arrival, descriptor);
     }
 
     /// A routing matrix's fields as a frame lays them out.
@@ -1067,7 +1116,7 @@ mod tests {
 
     /// A hand-built frame: `emu`'s checkpoint with the routing matrix's
     /// fields rewritten by `corrupt`, sealed again.
-    fn with_matrix(emu: &mut MultiCoreEmulator, corrupt: fn(&mut MatrixFields)) -> Vec<u8> {
+    fn with_matrix(emu: &mut Emulator, corrupt: fn(&mut MatrixFields)) -> Vec<u8> {
         let bytes = emu.snapshot().unwrap().to_bytes();
         let payload = &bytes[16..bytes.len() - 8];
         let mut r = ByteReader::new(payload);
@@ -1087,7 +1136,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_out_of_range_indices() {
-        type Corrupt = fn(&mut MultiCoreEmulator);
+        type Corrupt = fn(&mut Emulator);
         let hostile: [(&str, Corrupt); 9] = [
             ("VN entry core out of range", |e| {
                 e.admission.vn_entry_core[3] = CoreId(99);
@@ -1141,7 +1190,7 @@ mod tests {
             corrupt(&mut source);
             let snapshot = source.snapshot().unwrap();
             assert_eq!(
-                MultiCoreEmulator::restore(&snapshot).unwrap_err(),
+                Emulator::restore(&snapshot).unwrap_err(),
                 CodecError::Invalid(what)
             );
         }
@@ -1176,16 +1225,9 @@ mod tests {
         for (what, corrupt) in matrix {
             let bytes = with_matrix(&mut ring_emulator(), corrupt);
             let refused = Err(CodecError::Invalid(what));
-            assert_eq!(
-                MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
-                refused
-            );
-            let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
-            assert_eq!(threaded.map(|_| ()), refused);
+            assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
         }
-        assert!(
-            MultiCoreEmulator::restore_bytes(&with_matrix(&mut ring_emulator(), |_| {})).is_ok()
-        );
+        assert!(Emulator::restore_bytes(&with_matrix(&mut ring_emulator(), |_| {})).is_ok());
         // What the encoder writes passes every check, tunnels at either end
         // of their route, each with the owner of its next pipe, included.
         let mut source = ring_emulator();
@@ -1195,7 +1237,7 @@ mod tests {
             stage_tunnel(&mut source, owner, RouteId(0), hop);
         }
         let snapshot = source.snapshot().unwrap();
-        let mut restored = MultiCoreEmulator::restore(&snapshot).unwrap();
+        let mut restored = Emulator::restore(&snapshot).unwrap();
         assert!(restored.snapshot().unwrap() == snapshot);
     }
 
@@ -1216,12 +1258,7 @@ mod tests {
         let sum = mn_util::codec::checksum64(&bytes[16..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
         let refused = Err(CodecError::Invalid("pipe id of 2^32 or more"));
-        assert_eq!(
-            MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
-            refused
-        );
-        let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
-        assert_eq!(threaded.map(|_| ()), refused);
+        assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
     }
 
     #[test]
@@ -1243,12 +1280,55 @@ mod tests {
         let sum = mn_util::codec::checksum64(&bytes[16..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
         let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
+        assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
+    }
+
+    #[test]
+    fn restore_refuses_a_core_whose_cpu_clock_words_disagree() {
+        // A core writes its CPU clock, then two words nothing reads: its
+        // start, always zero, and the clock again. Every core ticks at the
+        // advance, so each clock reads 3 ms.
+        let mut source = ring_emulator();
+        source.advance(SimTime::from_millis(3)).unwrap();
+        let bytes = source.snapshot().unwrap().to_bytes();
+        let clock = SimTime::from_millis(3).as_nanos().to_le_bytes();
+        let words = [&clock[..], &[0; 8], &clock].concat();
+        let at: Vec<usize> = (0..bytes.len() - 24)
+            .filter(|&i| bytes[i..i + 24] == words[..])
+            .collect();
+        assert_eq!(at.len(), 2, "one clock per core");
+        for word in [8, 16] {
+            let mut bytes = bytes.clone();
+            bytes[at[1] + word] ^= 1;
+            let end = bytes.len() - 8;
+            let sum = mn_util::codec::checksum64(&bytes[16..end]);
+            bytes[end..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                Emulator::restore_bytes(&bytes).map(|_| ()),
+                Err(CodecError::Invalid("CPU clock words disagree"))
+            );
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_frame_with_no_cores() {
+        // The core-count word follows the routing matrix.
+        let mut bytes = ring_emulator().snapshot().unwrap().to_bytes();
+        let end = bytes.len() - 8;
+        let at = {
+            let mut r = ByteReader::new(&bytes[16..end]);
+            HardwareProfile::get(&mut r).unwrap();
+            RouteTable::decode(&mut r).unwrap();
+            RoutingMatrix::get(&mut r).unwrap();
+            end - r.remaining()
+        };
+        bytes[at..at + 8].fill(0);
+        let sum = mn_util::codec::checksum64(&bytes[16..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
-            refused
+            Emulator::restore_bytes(&bytes).map(|_| ()),
+            Err(CodecError::Invalid("no cores"))
         );
-        let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
-        assert_eq!(threaded.map(|_| ()), refused);
     }
 
     /// Restore reads each pipe's fluid capacity from the pipe on the core
@@ -1266,11 +1346,6 @@ mod tests {
         source.pod = Arc::new(PipeOwnershipDirectory::from_owners(owners, 2));
         let bytes = source.snapshot().unwrap().to_bytes();
         let refused = Err(CodecError::Invalid("pipe not installed on its POD owner"));
-        assert_eq!(
-            MultiCoreEmulator::restore_bytes(&bytes).map(|_| ()),
-            refused
-        );
-        let threaded = crate::parallel::ParallelEmulator::restore_bytes(&bytes);
-        assert_eq!(threaded.map(|_| ()), refused);
+        assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
     }
 }

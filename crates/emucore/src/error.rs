@@ -4,7 +4,7 @@
 //! panics or stops making progress used to take the whole process down (the
 //! coordinator asserted the thread was alive and panicked itself otherwise).
 //! Worker death is instead surfaced as a typed [`EmuError::WorkerFailure`]
-//! through [`crate::ParallelEmulator::advance_into`] and friends, so a
+//! through [`crate::Emulator::advance_into`] and friends, so a
 //! supervisor (the runner) can tear the pool down and recover from the last
 //! checkpoint instead of aborting.
 
@@ -21,7 +21,7 @@ pub enum FailureCause {
     Panicked(String),
     /// The worker thread is alive but made no heartbeat progress for at
     /// least the configured stall timeout (see
-    /// [`crate::ParallelEmulator::set_stall_timeout`]).
+    /// [`crate::Emulator::set_stall_timeout`]).
     Stalled {
         /// How long the coordinator waited without observing a heartbeat.
         waited: Duration,

@@ -1,27 +1,43 @@
-//! The executor chosen at run time, so that one type, `Emulator<Executor>`,
-//! stands for an emulation whichever way its cores run.
+//! Where the cores run: the one dispatch point between the coordinator
+//! ([`crate::Emulator`]) and its two executors.
 
 use std::sync::Arc;
 
-use mn_assign::{CoreId, PipeOwnershipDirectory};
+use mn_assign::CoreId;
 use mn_routing::RouteTable;
-use mn_util::{ByteWriter, CodecError, SimTime};
+use mn_util::{ByteWriter, SimTime};
 
-use crate::chaos::ChaosPlan;
-use crate::core::{CoreStats, EmulatorCore};
+use crate::core::CoreStats;
 use crate::descriptor::Delivery;
-use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
+use crate::emulator::{CoreCommand, Dispatch, SubmitOutcome};
 use crate::error::EmuError;
-use crate::multicore::{InlineExecutor, MultiCoreEmulator};
-use crate::parallel::{ParallelEmulator, ThreadedExecutor};
+use crate::multicore::InlineExecutor;
+use crate::parallel::ThreadedExecutor;
 
-/// The inline or the threaded executor, chosen when the emulator is built.
-/// Every call is one `match` onto the executor inside, so results are
-/// bit-identical either way. The forwards are `#[inline]` for the reason
-/// [`InlineExecutor`]'s per-packet methods are: `Emulator<Executor>` is
-/// monomorphized in the calling crate.
+/// Where the cores run, chosen when the emulator is built. The coordinator
+/// owns all global state and calls down through this surface only; an
+/// executor owns the [`crate::EmulatorCore`]s, each holding the tunnels
+/// addressed to it, carries tunnelled descriptors from core to core, and
+/// nothing else. Every call is one `match` onto the executor inside.
+///
+/// # Contract
+///
+/// Results must be bit-identical to running the cores inline: admissions
+/// and `apply` take effect on the named core in call order, and `advance`
+/// reproduces the round structure *tick every core → hand each fresh tunnel
+/// to its owner ([`crate::EmulatorCore::receive_tunnel`]) → repeat while
+/// one is already due*, appending deliveries round-major, core-major, and
+/// filing tunnels round-major, source-core-major. After any call returns,
+/// `stats` and `next_wakeup` reflect it. The threaded executor can fail (a
+/// dead or stalled worker): it reports [`EmuError`] from the failing call
+/// and from every call after it, and `health` says so without touching a
+/// core. The inline executor never errs.
+///
+/// The forwards are `#[inline]` for the reason [`InlineExecutor`]'s
+/// per-packet methods are: the admission path is generic over its batch,
+/// so it is monomorphized in the calling crate.
 #[derive(Debug)]
-pub enum Executor {
+pub(crate) enum Executor {
     /// Every core on the calling thread.
     Inline(InlineExecutor),
     /// One OS thread per core.
@@ -38,35 +54,30 @@ macro_rules! on_executor {
     };
 }
 
-impl CoreExecutor for Executor {
-    /// Runs the cores inline; [`ParallelEmulator::new`] or
-    /// [`Emulator::restore_like`] builds on the threaded executor.
-    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
-        Executor::Inline(InlineExecutor::from_cores(cores, pod))
-    }
-
+impl Executor {
+    /// `Err` with the first failure once the executor is poisoned.
     #[inline]
-    fn core_count(&self) -> usize {
-        on_executor!(self, x => x.core_count())
-    }
-
-    #[inline]
-    fn health(&self) -> Result<(), EmuError> {
+    pub(crate) fn health(&self) -> Result<(), EmuError> {
         on_executor!(self, x => x.health())
     }
 
     #[inline]
-    fn stats(&self, core: CoreId) -> Option<CoreStats> {
+    pub(crate) fn stats(&self, core: CoreId) -> Option<CoreStats> {
         on_executor!(self, x => x.stats(core))
     }
 
     #[inline]
-    fn next_wakeup(&self) -> Option<SimTime> {
+    pub(crate) fn next_wakeup(&self) -> Option<SimTime> {
         on_executor!(self, x => x.next_wakeup())
     }
 
+    /// The one admission path (`submit` is a batch of one): settles each
+    /// dispatch in input order, an `Ingress` by
+    /// [`crate::EmulatorCore::ingress_into`] on its core, appending one
+    /// outcome each. May overlap the cores' work; on error `outcomes` is
+    /// left as it was.
     #[inline]
-    fn ingress_batch<I: Iterator<Item = Dispatch>>(
+    pub(crate) fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
         batch: I,
         outcomes: &mut Vec<SubmitOutcome>,
@@ -74,73 +85,33 @@ impl CoreExecutor for Executor {
         on_executor!(self, x => x.ingress_batch(batch, outcomes))
     }
 
+    /// One un-chopped advance of every core to `now`, then settles each
+    /// core's fluid byte integral there.
     #[inline]
-    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
+    pub(crate) fn advance(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
         on_executor!(self, x => x.advance(now, deliveries))
     }
 
+    /// Carries out `command` on `core`; `Ok(false)` if the core refused it.
     #[inline]
-    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
+    pub(crate) fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
         on_executor!(self, x => x.apply(core, command))
     }
 
     #[inline]
-    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
+    pub(crate) fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
         on_executor!(self, x => x.broadcast_routes(routes))
     }
 
+    /// The executor's share of a checkpoint: appends the core count and
+    /// every core's state in core order, each encoded where it lives —
+    /// nothing is cloned. Read-only: nothing ticks.
     #[inline]
-    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
+    pub(crate) fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         on_executor!(self, x => x.encode_cores(w))
-    }
-}
-
-impl From<MultiCoreEmulator> for Emulator<Executor> {
-    fn from(emulator: MultiCoreEmulator) -> Self {
-        emulator.rehost(Executor::Inline)
-    }
-}
-
-impl From<ParallelEmulator> for Emulator<Executor> {
-    fn from(emulator: ParallelEmulator) -> Self {
-        emulator.rehost(Executor::Threaded)
-    }
-}
-
-impl Emulator<Executor> {
-    /// The cores themselves (accuracy logs, utilisation, pipes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the threaded executor, whose cores live on their own
-    /// threads; read counters through [`Emulator::total_stats`] there.
-    pub fn cores(&self) -> &[EmulatorCore] {
-        match &self.exec {
-            Executor::Inline(inline) => &inline.cores,
-            Executor::Threaded(_) => panic!(
-                "the cores of a threaded emulator live on their worker threads; \
-                 use the coordinator's counters instead"
-            ),
-        }
-    }
-
-    /// [`Emulator::restore_bytes`] onto the executor `self` runs on: a
-    /// fresh worker pool on the threaded one (the way out of a poisoned
-    /// run), the calling thread on the inline one.
-    pub fn restore_like(&self, framed: &[u8]) -> Result<Self, CodecError> {
-        let restored = MultiCoreEmulator::restore_bytes(framed)?;
-        Ok(match self.exec {
-            Executor::Inline(_) => restored.into(),
-            Executor::Threaded(_) => ParallelEmulator::from_sequential(restored).into(),
-        })
-    }
-
-    /// [`ParallelEmulator::set_chaos`] on the threaded executor; `false` on
-    /// the inline one, which has no worker to fault.
-    pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
-        match &mut self.exec {
-            Executor::Inline(_) => false,
-            Executor::Threaded(threaded) => threaded.set_chaos(core, plan),
-        }
     }
 }

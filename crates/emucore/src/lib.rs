@@ -35,19 +35,17 @@
 //!   only as its pipe's fluid demand. The coordinator keeps no record of
 //!   run-time changes beyond its pipes' state; a schedule's pipe graph
 //!   (`mn_dynamics::ScheduleEngine`) is that record.
-//! * A [`CoreExecutor`] decides only where the cores run and carries the
-//!   coordinator's [`CoreCommand`]s to them: [`InlineExecutor`] keeps a
-//!   `Vec<EmulatorCore>` on the calling thread;
-//!   [`ThreadedExecutor`] gives each core an OS thread, called over
-//!   bounded channels, and is the only place that knows about abort
-//!   flags, heartbeats, the stall watchdog and failure poisoning.
+//! * An executor, a private field of the emulator, decides only where the
+//!   cores run and carries the coordinator's commands to them: inline, a
+//!   `Vec<EmulatorCore>` on the calling thread (what every constructor
+//!   builds), or threaded, each core on an OS thread called over bounded
+//!   channels ([`Emulator::threaded`]). The threaded executor is the only
+//!   place that knows about abort flags, heartbeats, the stall watchdog
+//!   and failure poisoning.
 //!
-//! [`MultiCoreEmulator`] and [`ParallelEmulator`] are type aliases of the
-//! two instantiations; [`Executor`] holds either executor, so
-//! `Emulator<Executor>` is the one type for a driver that chooses at run
-//! time (the runner's), each of its calls one `match` onto the executor.
-//! Results are **bit-identical** between the executors for two separate
-//! reasons. On the coordinator side it holds by construction: the
+//! There is one emulator type, and each call that reaches a core is one
+//! `match` onto the executor inside. Results are **bit-identical** between
+//! the executors for two separate reasons. On the coordinator side it holds by construction: the
 //! sequence of matrix updates, route-table generations, entry-core
 //! assignments, fluid solves and per-core commands is literally the same
 //! code. On the executor side it holds by protocol: the threaded executor's
@@ -55,9 +53,9 @@
 //! every core, each admitting its due tunnels first → hand the fresh
 //! tunnels to their owners → repeat while one is due), every inbox is
 //! filed in the same (round, source core, FIFO) order, and deliveries are
-//! concatenated round-major, core-major (see [`parallel`]). The
-//! determinism, differential and snapshot suites pin the second; golden
-//! `MNSP` fixtures (v7 decodes, v8 is reproduced) pin the bytes.
+//! concatenated round-major, core-major. The determinism, differential and
+//! snapshot suites pin the second; golden `MNSP` fixtures (v7 decodes, v8
+//! is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an
@@ -78,22 +76,21 @@ pub mod core;
 pub mod descriptor;
 pub mod emulator;
 pub mod error;
-pub mod executor;
+mod executor;
 pub mod fluid;
 pub mod hardware;
-pub mod multicore;
-pub mod parallel;
+mod multicore;
+mod parallel;
 pub mod snapshot;
 
 pub use accuracy::AccuracyLog;
 pub use chaos::ChaosPlan;
 pub use core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 pub use descriptor::{Delivery, Descriptor};
-pub use emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
+pub use emulator::{Emulator, SubmitOutcome};
+#[doc(hidden)]
+pub use emulator::{MultiCoreEmulator, ParallelEmulator};
 pub use error::{EmuError, FailureCause};
-pub use executor::Executor;
 pub use fluid::FluidState;
 pub use hardware::HardwareProfile;
-pub use multicore::{InlineExecutor, MultiCoreEmulator};
-pub use parallel::{ParallelEmulator, ThreadedExecutor};
 pub use snapshot::{EmulatorSnapshot, SNAPSHOT_VERSION};

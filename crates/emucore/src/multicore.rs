@@ -10,41 +10,33 @@
 //! payload caching enabled only the descriptor, not the packet contents,
 //! crosses the core network.
 //!
-//! [`InlineExecutor`] is the reference [`CoreExecutor`]: its `advance` *is*
-//! the round structure the trait's contract describes, and the threaded
-//! executor is tested for bit-identity against it. A driver that picks the
-//! executor at run time holds it inside an [`crate::Executor`].
+//! [`InlineExecutor`] is the reference executor: its `advance` *is* the
+//! round structure `Executor`'s contract describes, and the threaded
+//! executor is tested for bit-identity against it.
 
 use std::sync::Arc;
 
-use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
-use mn_distill::{DistilledTopology, PipeId};
-use mn_routing::{RouteTable, RoutingMatrix};
+use mn_assign::{CoreId, PipeOwnershipDirectory};
+use mn_distill::PipeId;
+use mn_routing::RouteTable;
 use mn_util::{ByteWriter, SimTime};
 
 use crate::core::{CoreStats, EmulatorCore, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
-use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
+use crate::emulator::{CoreCommand, Dispatch, SubmitOutcome};
 use crate::error::EmuError;
-use crate::hardware::HardwareProfile;
-
-/// The cooperative single-thread emulator: every core advances in turn on
-/// the calling thread. Lowest overhead, never fails, and exposes the cores
-/// themselves ([`MultiCoreEmulator::cores`]; `Emulator<Executor>::cores`
-/// too, while it runs inline).
-pub type MultiCoreEmulator = Emulator<InlineExecutor>;
 
 /// Runs every core on the calling thread, handing each tunnelled descriptor
 /// to its owner's inbox. Infallible: every `Result` it returns is `Ok`.
 ///
-/// The per-packet methods are `#[inline]`: `Emulator<InlineExecutor>` is
+/// The per-packet methods are `#[inline]`: the admission path is
 /// monomorphized in the *calling* crate, and without the hint these
 /// non-generic bodies would stay out-of-line calls across the crate
 /// boundary on the submit path.
 #[derive(Debug)]
-pub struct InlineExecutor {
+pub(crate) struct InlineExecutor {
     pub(crate) cores: Vec<EmulatorCore>,
-    pub(crate) pod: Arc<PipeOwnershipDirectory>,
+    pod: Arc<PipeOwnershipDirectory>,
     /// Reusable per-core scheduler-pass buffer, and the tunnels a round
     /// produced until every core has ticked; capacities persist across
     /// advances so the steady state allocates nothing.
@@ -52,8 +44,10 @@ pub struct InlineExecutor {
     produced: Vec<(PipeId, Descriptor, SimTime)>,
 }
 
-impl CoreExecutor for InlineExecutor {
-    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
+impl InlineExecutor {
+    /// Takes ownership of the cores, in core order; `pod` names the core a
+    /// tunnel is for.
+    pub(crate) fn new(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
         InlineExecutor {
             cores,
             pod,
@@ -63,27 +57,22 @@ impl CoreExecutor for InlineExecutor {
     }
 
     #[inline]
-    fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
-    #[inline]
-    fn health(&self) -> Result<(), EmuError> {
+    pub(crate) fn health(&self) -> Result<(), EmuError> {
         Ok(())
     }
 
     #[inline]
-    fn stats(&self, core: CoreId) -> Option<CoreStats> {
+    pub(crate) fn stats(&self, core: CoreId) -> Option<CoreStats> {
         self.cores.get(core.index()).map(|c| *c.stats())
     }
 
     #[inline]
-    fn next_wakeup(&self) -> Option<SimTime> {
+    pub(crate) fn next_wakeup(&self) -> Option<SimTime> {
         self.cores.iter().filter_map(|c| c.next_wakeup()).min()
     }
 
     #[inline]
-    fn ingress_batch<I: Iterator<Item = Dispatch>>(
+    pub(crate) fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
         batch: I,
         outcomes: &mut Vec<SubmitOutcome>,
@@ -104,7 +93,11 @@ impl CoreExecutor for InlineExecutor {
         Ok(())
     }
 
-    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
+    pub(crate) fn advance(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
         let mut tick_buf = std::mem::take(&mut self.tick_buf);
         // Rounds: every core ticks, then the tunnels the round produced are
         // filed with their owners, so none is admitted in the round that
@@ -140,18 +133,18 @@ impl CoreExecutor for InlineExecutor {
         Ok(())
     }
 
-    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
+    pub(crate) fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
         Ok(command.apply_to(&mut self.cores[core.index()]))
     }
 
-    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
+    pub(crate) fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
         for core in &mut self.cores {
             core.set_route_table(routes.clone());
         }
         Ok(())
     }
 
-    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
+    pub(crate) fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         w.put_len(self.cores.len());
         for core in &self.cores {
             core.encode_state(w);
@@ -160,31 +153,15 @@ impl CoreExecutor for InlineExecutor {
     }
 }
 
-impl Emulator<InlineExecutor> {
-    /// Convenience constructor for single-core emulation.
-    pub fn single_core(
-        topo: &DistilledTopology,
-        matrix: RoutingMatrix,
-        binding: &Binding,
-        profile: HardwareProfile,
-        seed: u64,
-    ) -> Self {
-        let pod = PipeOwnershipDirectory::single_core(topo.pipe_count());
-        Self::new(topo, pod, matrix, binding, profile, seed)
-    }
-
-    /// Access to the cores themselves (accuracy logs, utilisation, pipes).
-    pub fn cores(&self) -> &[EmulatorCore] {
-        &self.exec.cores
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mn_assign::{greedy_k_clusters, BindingParams};
+    use crate::emulator::Emulator;
+    use crate::hardware::HardwareProfile;
+    use mn_assign::{greedy_k_clusters, Binding, BindingParams};
     use mn_distill::{distill, DistillationMode, PipeAttrs, PipeId};
     use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
+    use mn_routing::RoutingMatrix;
     use mn_topology::generators::{
         path_pairs_topology, star_topology, PathPairsParams, StarParams,
     };
@@ -213,7 +190,7 @@ mod tests {
     }
 
     /// One sender/receiver pair over `hops` 10 Mb/s pipes, 10 ms end to end.
-    fn single_path(hops: usize, cores: usize) -> (MultiCoreEmulator, VnId, VnId) {
+    fn single_path(hops: usize, cores: usize) -> (Emulator, VnId, VnId) {
         let (topo, pairs) = path_pairs_topology(&PathPairsParams {
             pairs: 1,
             hops,
@@ -224,7 +201,7 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
         let pod = greedy_k_clusters(&d, cores, 7);
-        let emu = MultiCoreEmulator::new(
+        let emu = Emulator::new(
             &d,
             pod,
             matrix,
@@ -238,7 +215,7 @@ mod tests {
         (emu, sender, receiver)
     }
 
-    fn run_until_idle(emu: &mut MultiCoreEmulator, mut now: SimTime) -> Vec<Delivery> {
+    fn run_until_idle(emu: &mut Emulator, mut now: SimTime) -> Vec<Delivery> {
         let mut all = Vec::new();
         for _ in 0..100_000 {
             match emu.next_wakeup() {
@@ -258,7 +235,7 @@ mod tests {
         // air, packets queued in pipes, RNG streams advanced), restores, and
         // continues. Both must produce identical deliveries and stats — and
         // snapshot → restore → snapshot must be byte-stable.
-        let drive = |emu: &mut MultiCoreEmulator,
+        let drive = |emu: &mut Emulator,
                      src: VnId,
                      dst: VnId,
                      from: u64,
@@ -284,7 +261,7 @@ mod tests {
         assert!(first_half.total_stats().packets_admitted > 0);
         drop(first_half);
 
-        let mut resumed = MultiCoreEmulator::restore(&snap).unwrap();
+        let mut resumed = Emulator::restore(&snap).unwrap();
         let resnap = resumed.snapshot().unwrap();
         assert_eq!(
             snap.to_bytes(),
@@ -315,13 +292,8 @@ mod tests {
         let d = distill(&topo, DistillationMode::HopByHop);
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(1, 1));
-        let mut emu = MultiCoreEmulator::single_core(
-            &d,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            11,
-        );
+        let mut emu =
+            Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 11);
         let vn = |node| binding.vn_at(node).unwrap();
         let t0 = SimTime::ZERO;
         assert!(emu.set_pipe_compensation(mn_distill::PipeId(0), Some(DataRate::from_mbps(2)), t0));
@@ -330,7 +302,7 @@ mod tests {
         let _ = emu.advance(SimTime::from_millis(30));
 
         let snap = emu.snapshot().unwrap();
-        let mut restored = MultiCoreEmulator::restore(&snap).unwrap();
+        let mut restored = Emulator::restore(&snap).unwrap();
         assert_eq!(snap.to_bytes(), restored.snapshot().unwrap().to_bytes());
         assert_eq!(restored.active_vn_count(), emu.active_vn_count());
         assert!(!restored.vn_is_active(vn(c)));
@@ -465,13 +437,8 @@ mod tests {
         let d = distill(&topo, DistillationMode::HopByHop);
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
-        let mut emu = MultiCoreEmulator::single_core(
-            &d,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            3,
-        );
+        let mut emu =
+            Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 3);
         let vns: Vec<VnId> = binding.vns().collect();
         let mut sent = 0;
         for (i, &a) in vns.iter().enumerate() {
@@ -507,13 +474,8 @@ mod tests {
         }
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(1, 1));
-        let mut emu = MultiCoreEmulator::single_core(
-            &d,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            5,
-        );
+        let mut emu =
+            Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 5);
         let src = binding.vn_at(pairs[0].0).unwrap();
         let dst = binding.vn_at(pairs[0].1).unwrap();
         let mut virtual_drops = 0;
@@ -552,7 +514,7 @@ mod tests {
         let mut profile = HardwareProfile::paper_core();
         profile.nic_rate = DataRate::from_mbps(10);
         profile.nic_buffer = mn_util::ByteSize::from_kb(16);
-        let mut emu = MultiCoreEmulator::single_core(&d, matrix, &binding, profile, 5);
+        let mut emu = Emulator::single_core(&d, matrix, &binding, profile, 5);
         let src = binding.vn_at(pairs[0].0).unwrap();
         let dst = binding.vn_at(pairs[0].1).unwrap();
         let mut physical = 0;
@@ -581,13 +543,8 @@ mod tests {
         // Bind both VNs to the same location by hand.
         let loc = pairs[0].0;
         let binding = Binding::bind(&[loc, loc], &BindingParams::new(1, 1));
-        let mut emu = MultiCoreEmulator::single_core(
-            &d,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            1,
-        );
+        let mut emu =
+            Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 1);
         let outcome = emu
             .submit(
                 SimTime::from_millis(1),
@@ -671,15 +628,10 @@ mod tests {
         let mut d = distill(&topo, DistillationMode::HopByHop);
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(1, 1));
-        let mut emu = MultiCoreEmulator::single_core(
-            &d,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            1,
-        );
+        let mut emu =
+            Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 1);
         let vn = |node| binding.vn_at(node).unwrap();
-        let pair_id = |emu: &MultiCoreEmulator, x: VnId, y: VnId| {
+        let pair_id = |emu: &Emulator, x: VnId, y: VnId| {
             emu.route_table().route_id(x.index(), y.index()).unwrap()
         };
         let ab_before = pair_id(&emu, vn(a), vn(b));
@@ -789,7 +741,7 @@ mod tests {
         let pipe = mn_distill::PipeId(0);
         let cbr = Some(DataRate::from_mbps(2));
         assert!(emu.set_pipe_compensation(pipe, cbr, SimTime::ZERO));
-        let modelled = |emu: &MultiCoreEmulator| emu.total_stats().fluid_modelled_bytes;
+        let modelled = |emu: &Emulator| emu.total_stats().fluid_modelled_bytes;
         let _ = emu.advance(SimTime::from_millis(100));
         assert_eq!(modelled(&emu), 25_000, "2 Mb/s for 100 ms");
         // Replacing halves the rate without stacking a second demand on the
@@ -836,7 +788,7 @@ mod tests {
             let pod = greedy_k_clusters(&d, 2, 3);
             let mut profile = HardwareProfile::unconstrained();
             profile.payload_caching = caching;
-            let mut emu = MultiCoreEmulator::new(&d, pod, matrix, &binding, profile, 1);
+            let mut emu = Emulator::new(&d, pod, matrix, &binding, profile, 1);
             let src = binding.vn_at(pairs[0].0).unwrap();
             let dst = binding.vn_at(pairs[0].1).unwrap();
             for i in 0..20 {
@@ -858,9 +810,7 @@ mod tests {
     /// One 4-hop path on one core, for the failed-link tests: the emulator,
     /// the hop-`failed_hop` pipe of the only route with its bandwidth already
     /// zeroed in the returned attributes, and the route's end VNs.
-    fn path4_with_failed_hop(
-        failed_hop: usize,
-    ) -> (MultiCoreEmulator, PipeId, PipeAttrs, VnId, VnId) {
+    fn path4_with_failed_hop(failed_hop: usize) -> (Emulator, PipeId, PipeAttrs, VnId, VnId) {
         let (topo, pairs) = path_pairs_topology(&PathPairsParams {
             pairs: 1,
             hops: 4,
@@ -872,7 +822,7 @@ mod tests {
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
         let pod = greedy_k_clusters(&d, 1, 7);
         let pipe = matrix.lookup(pairs[0].0, pairs[0].1).unwrap().pipes[failed_hop];
-        let emu = MultiCoreEmulator::new(
+        let emu = Emulator::new(
             &d,
             pod,
             matrix,
@@ -993,7 +943,7 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
         let pod = greedy_k_clusters(&d, 1, 7);
-        let mut emu = MultiCoreEmulator::new(
+        let mut emu = Emulator::new(
             &d,
             pod,
             matrix,
@@ -1041,7 +991,7 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2));
         let pod = greedy_k_clusters(&d, 2, 7);
-        let mut emu = MultiCoreEmulator::new(
+        let mut emu = Emulator::new(
             &d,
             pod,
             matrix,

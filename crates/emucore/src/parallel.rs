@@ -5,8 +5,8 @@
 //! separate machine — while producing **bit-identical** results to the
 //! inline executor: the same deliveries in the same order at the same
 //! virtual times, the same per-core counters, the same RNG streams. The
-//! coordinator above it ([`Emulator`]) is the same code for both, so only
-//! what happens *between* cores needs an argument, and this is it.
+//! coordinator above it ([`crate::Emulator`]) is the same code for both, so
+//! only what happens *between* cores needs an argument, and this is it.
 //!
 //! # Architecture
 //!
@@ -77,19 +77,8 @@ use mn_util::{ByteWriter, SimTime, SpinBarrier};
 use crate::chaos::ChaosPlan;
 use crate::core::{CoreStats, EmulatorCore, IngressOutcome, TickOutput};
 use crate::descriptor::{Delivery, Descriptor};
-use crate::emulator::{CoreCommand, CoreExecutor, Dispatch, Emulator, SubmitOutcome};
+use crate::emulator::{CoreCommand, Dispatch, SubmitOutcome};
 use crate::error::{EmuError, FailureCause};
-use crate::multicore::{InlineExecutor, MultiCoreEmulator};
-
-/// The multi-threaded emulator: the same emulation contract as
-/// [`MultiCoreEmulator`], with each core running on its own OS thread.
-///
-/// Construction spawns one worker thread per core; [`Drop`] (or
-/// [`ParallelEmulator::finish`]) stops and joins them. Results are
-/// bit-identical to the inline executor — same deliveries, same order,
-/// same times, same counters — which the determinism and differential test
-/// suites pin.
-pub type ParallelEmulator = Emulator<ThreadedExecutor>;
 
 /// Messages in flight per worker, each way, at most: every call's replies
 /// are read before the next call, so one request and its reply, plus —
@@ -453,7 +442,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs every core on its own OS thread, called over bounded channels.
 /// Owns everything supervision needs — abort flag, heartbeats, the stall
 /// watchdog, the first failure — so none of it leaks into the coordinator.
-pub struct ThreadedExecutor {
+pub(crate) struct ThreadedExecutor {
     workers: Vec<WorkerHandle>,
     /// Every worker's messages, tagged with its index.
     replies: Receiver<(usize, Response)>,
@@ -467,7 +456,7 @@ pub struct ThreadedExecutor {
     /// Wall-clock budget the stall watchdog allows a worker's heartbeat to
     /// stand still while the coordinator waits on it. `None` (the default)
     /// disables the watchdog.
-    stall_timeout: Option<Duration>,
+    pub(crate) stall_timeout: Option<Duration>,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
@@ -650,7 +639,7 @@ impl ThreadedExecutor {
         Ok(())
     }
 
-    /// [`ParallelEmulator::set_chaos`]'s body.
+    /// [`crate::Emulator::set_chaos`]'s body.
     pub(crate) fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
         self.failure.is_none()
             && core.index() < self.workers.len()
@@ -662,7 +651,7 @@ impl ThreadedExecutor {
     /// yet gone is sent `Finish`, and messages are read until each has sent
     /// its last — its core, or its death, which loses the core from the
     /// returned set. Replies a failed call left unread are skipped.
-    fn shutdown(&mut self) -> Vec<EmulatorCore> {
+    pub(crate) fn shutdown(&mut self) -> Vec<EmulatorCore> {
         let mut cores: Vec<Option<EmulatorCore>> = self.workers.iter().map(|_| None).collect();
         for worker in &mut self.workers {
             if !worker.gone {
@@ -687,15 +676,14 @@ impl ThreadedExecutor {
         }
         cores.into_iter().flatten().collect()
     }
-}
 
-impl CoreExecutor for ThreadedExecutor {
-    /// Spawns one execution thread per core.
+    /// Takes ownership of the cores, in core order (`pod` names the core a
+    /// tunnel is for), and spawns one execution thread per core.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread cannot be spawned.
-    fn from_cores(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
+    pub(crate) fn new(cores: Vec<EmulatorCore>, pod: Arc<PipeOwnershipDirectory>) -> Self {
         // Every worker is wired before any is spawned, and none reads a
         // peer's mailbox before the first epoch's barrier.
         let n = cores.len();
@@ -758,29 +746,25 @@ impl CoreExecutor for ThreadedExecutor {
         }
     }
 
-    fn core_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn health(&self) -> Result<(), EmuError> {
+    pub(crate) fn health(&self) -> Result<(), EmuError> {
         match &self.failure {
             Some(error) => Err(error.clone()),
             None => Ok(()),
         }
     }
 
-    fn stats(&self, core: CoreId) -> Option<CoreStats> {
+    pub(crate) fn stats(&self, core: CoreId) -> Option<CoreStats> {
         self.workers.get(core.index()).map(|w| w.status.stats)
     }
 
-    fn next_wakeup(&self) -> Option<SimTime> {
+    pub(crate) fn next_wakeup(&self) -> Option<SimTime> {
         self.workers
             .iter()
             .filter_map(|w| w.status.next_wakeup)
             .min()
     }
 
-    fn ingress_batch<I: Iterator<Item = Dispatch>>(
+    pub(crate) fn ingress_batch<I: Iterator<Item = Dispatch>>(
         &mut self,
         batch: I,
         outcomes: &mut Vec<SubmitOutcome>,
@@ -793,7 +777,11 @@ impl CoreExecutor for ThreadedExecutor {
         result
     }
 
-    fn advance(&mut self, now: SimTime, deliveries: &mut Vec<Delivery>) -> Result<(), EmuError> {
+    pub(crate) fn advance(
+        &mut self,
+        now: SimTime,
+        deliveries: &mut Vec<Delivery>,
+    ) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
             let worker = &mut self.workers[index];
             let request = Request::Advance {
@@ -834,11 +822,11 @@ impl CoreExecutor for ThreadedExecutor {
         Ok(())
     }
 
-    fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
+    pub(crate) fn apply(&mut self, core: CoreId, command: CoreCommand) -> Result<bool, EmuError> {
         self.call(core.index(), Request::Apply(command))
     }
 
-    fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
+    pub(crate) fn broadcast_routes(&mut self, routes: &Arc<RouteTable>) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
             self.send(
                 index,
@@ -856,7 +844,7 @@ impl CoreExecutor for ThreadedExecutor {
     /// appends the encodings in order. A checkpoint's measuring pass has
     /// the workers encode, and its writing pass, no request between,
     /// appends what they encoded.
-    fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
+    pub(crate) fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         for index in 0..self.workers.len() {
             if !self.workers[index].staged {
                 let buf = std::mem::take(&mut self.workers[index].snapshot_buf);
@@ -892,49 +880,10 @@ impl Drop for ThreadedExecutor {
     }
 }
 
-impl Emulator<ThreadedExecutor> {
-    /// Converts a sequential emulator (including any in-flight state) into
-    /// the threaded one.
-    pub fn from_sequential(emulator: MultiCoreEmulator) -> Self {
-        emulator.rehost(|inline| {
-            let InlineExecutor { cores, pod, .. } = inline;
-            ThreadedExecutor::from_cores(cores, pod)
-        })
-    }
-
-    /// The first worker failure observed, if the emulator is poisoned.
-    pub fn last_failure(&self) -> Option<&EmuError> {
-        self.exec.failure.as_ref()
-    }
-
-    /// Arms the stall watchdog: while the coordinator waits on a worker
-    /// whose heartbeat makes no progress for `timeout` of wall-clock time,
-    /// the wait fails with [`FailureCause::Stalled`] instead of hanging
-    /// forever. `None` disables the watchdog (the default — virtual time
-    /// runs arbitrarily faster or slower than wall clock, so only a
-    /// supervisor that knows the deployment should set this).
-    pub fn set_stall_timeout(&mut self, timeout: Option<Duration>) {
-        self.exec.stall_timeout = timeout;
-    }
-
-    /// Installs a chaos fault plan on one worker core (test-only fault
-    /// injection; see [`crate::chaos`]) and waits for the worker to confirm.
-    /// Returns `false` if the core does not exist or the emulator failed,
-    /// before or during the call (it is then poisoned).
-    pub fn set_chaos(&mut self, core: CoreId, plan: ChaosPlan) -> bool {
-        self.exec.set_chaos(core, plan)
-    }
-
-    /// Stops every worker thread and returns the cores (accuracy logs,
-    /// pipe counters) in core order.
-    pub fn finish(mut self) -> Vec<EmulatorCore> {
-        self.exec.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emulator::Emulator;
     use crate::hardware::HardwareProfile;
     use mn_assign::{greedy_k_clusters, Binding, BindingParams};
     use mn_distill::{distill, DistillationMode, DistilledTopology};
@@ -966,17 +915,29 @@ mod tests {
         )
     }
 
+    /// `emu` with its cores moved onto worker threads, checked: an inert
+    /// chaos plan installs only there, so a pair cannot silently compare
+    /// the inline executor with itself.
+    fn on_threads(emu: Emulator) -> Emulator {
+        let mut emu = emu.threaded();
+        assert!(
+            emu.set_chaos(CoreId(0), ChaosPlan::new()),
+            "cores on worker threads"
+        );
+        emu
+    }
+
     /// The standard fixture: a 4-router, 8-client ring (hop-by-hop) split
-    /// over `cores`, unconstrained hardware.
-    fn ring_emulator<X: CoreExecutor>(cores: usize) -> (Emulator<X>, Binding, DistilledTopology) {
+    /// over `cores`, unconstrained hardware, its cores inline.
+    fn ring_emulator(cores: usize) -> (Emulator, Binding, DistilledTopology) {
         ring_emulator_with(cores, HardwareProfile::unconstrained())
     }
 
     /// [`ring_emulator`] on `profile`.
-    fn ring_emulator_with<X: CoreExecutor>(
+    fn ring_emulator_with(
         cores: usize,
         profile: HardwareProfile,
-    ) -> (Emulator<X>, Binding, DistilledTopology) {
+    ) -> (Emulator, Binding, DistilledTopology) {
         let topo = ring_topology(&RingParams {
             routers: 4,
             clients_per_router: 2,
@@ -996,10 +957,10 @@ mod tests {
     /// A ring workload split over `cores`, drained to idle on both
     /// backends; returns every delivery field that must be bit-identical.
     fn run_both(cores: usize) -> (Vec<DeliveryRecord>, CoreStats, CoreStats) {
-        let (mut seq, binding, _) = ring_emulator::<InlineExecutor>(cores);
+        let (mut seq, binding, _) = ring_emulator(cores);
         let seq_log = drive(&mut seq, &binding);
         let (seq2, binding2, _) = ring_emulator(cores);
-        let mut par = ParallelEmulator::from_sequential(seq2);
+        let mut par = on_threads(seq2);
         let par_log = drive(&mut par, &binding2);
         assert_eq!(seq_log, par_log, "{cores}-core delivery streams diverge");
         (seq_log, seq.total_stats(), par.total_stats())
@@ -1007,7 +968,7 @@ mod tests {
 
     /// One driver for both backends, so the bit-identity comparison cannot
     /// silently diverge between two copies of the schedule.
-    fn drive<X: CoreExecutor>(emu: &mut Emulator<X>, binding: &Binding) -> Vec<DeliveryRecord> {
+    fn drive(emu: &mut Emulator, binding: &Binding) -> Vec<DeliveryRecord> {
         let vns: Vec<VnId> = binding.vns().collect();
         let mut id = 0u64;
         for round in 0..4u64 {
@@ -1028,16 +989,14 @@ mod tests {
         // thread blocks on the reply channel, so the driving thread is
         // woken, not the builder, and the run stays byte for byte the
         // inline one.
-        fn run<X: CoreExecutor>(
-            emu: &mut Emulator<X>,
-            binding: &Binding,
-        ) -> (Vec<DeliveryRecord>, Vec<u8>) {
+        fn run(emu: &mut Emulator, binding: &Binding) -> (Vec<DeliveryRecord>, Vec<u8>) {
             let log = drive(emu, binding);
             (log, emu.snapshot().unwrap().to_bytes())
         }
-        let (mut seq, binding, _) = ring_emulator::<InlineExecutor>(2);
+        let (mut seq, binding, _) = ring_emulator(2);
         let expected = run(&mut seq, &binding);
-        let (par, binding, _) = ring_emulator::<ThreadedExecutor>(2);
+        let (par, binding, _) = ring_emulator(2);
+        let par = on_threads(par);
         let driven = std::thread::spawn(move || {
             let mut par = par;
             run(&mut par, &binding)
@@ -1076,8 +1035,8 @@ mod tests {
     /// mid-round (with its descriptors still in flight) and rejoins one
     /// round later. Admission outcomes and delivery streams are recorded
     /// for the bit-identity comparison.
-    fn drive_churn<X: CoreExecutor>(
-        emu: &mut Emulator<X>,
+    fn drive_churn(
+        emu: &mut Emulator,
         d: &DistilledTopology,
         binding: &Binding,
     ) -> (Vec<DeliveryRecord>, Vec<SubmitOutcome>) {
@@ -1115,10 +1074,10 @@ mod tests {
     #[test]
     fn churn_is_bit_identical_across_backends_and_core_counts() {
         for cores in [1, 2, 4] {
-            let (mut seq, binding, d) = ring_emulator::<InlineExecutor>(cores);
+            let (mut seq, binding, d) = ring_emulator(cores);
             let seq_run = drive_churn(&mut seq, &d, &binding);
             let (seq2, binding2, _) = ring_emulator(cores);
-            let mut par = ParallelEmulator::from_sequential(seq2);
+            let mut par = on_threads(seq2);
             let par_run = drive_churn(&mut par, &d, &binding2);
             assert_eq!(seq_run, par_run, "{cores}-core churn run diverges");
             assert_eq!(
@@ -1150,14 +1109,8 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2));
         let pod = greedy_k_clusters(&d, 2, 7);
-        let mut emu = ParallelEmulator::new(
-            &d,
-            pod,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            1,
-        );
+        let profile = HardwareProfile::unconstrained();
+        let mut emu = Emulator::new(&d, pod, matrix, &binding, profile, 1).threaded();
         let src = binding.vn_at(pairs[0].0).unwrap();
         let dst = binding.vn_at(pairs[0].1).unwrap();
         for i in 0..10 {
@@ -1206,7 +1159,7 @@ mod tests {
         let pod = PipeOwnershipDirectory::from_owners(owners, 2);
         let mut profile = HardwareProfile::unconstrained();
         profile.tunnel_latency = SimDuration::from_micros(20);
-        let mut emu = ParallelEmulator::new(&d, pod, matrix, &binding, profile, 3);
+        let mut emu = Emulator::new(&d, pod, matrix, &binding, profile, 3).threaded();
         // Every packet enters at t=0 and exits its identical first pipe at
         // the same tick.
         for (i, &(a, b)) in pairs.iter().enumerate() {
@@ -1243,7 +1196,7 @@ mod tests {
         // table, a departed source and a departed destination, a co-located
         // pair, and 4 000 packets, most of them for core 0.
         type Run = (Vec<SubmitOutcome>, Vec<DeliveryRecord>, CoreStats, Vec<u8>);
-        fn run<X: CoreExecutor>(cores: usize, batched: bool) -> Run {
+        fn run(cores: usize, threaded: bool, batched: bool) -> Run {
             let topo = ring_topology(&RingParams {
                 routers: 4,
                 clients_per_router: 2,
@@ -1257,7 +1210,10 @@ mod tests {
             let pod = greedy_k_clusters(&d, cores, 7);
             let matrix = RoutingMatrix::build(&d);
             let profile = HardwareProfile::unconstrained();
-            let mut emu = Emulator::<X>::new(&d, pod, matrix, &binding, profile, 11);
+            let mut emu = Emulator::new(&d, pod, matrix, &binding, profile, 11);
+            if threaded {
+                emu = on_threads(emu);
+            }
             let vns: Vec<VnId> = binding.vns().collect();
             let (colocated, departed) = (vns[8], vns[5]);
             let core0: Vec<VnId> = vns
@@ -1285,7 +1241,7 @@ mod tests {
                 packet(i, src, dst)
             });
             type Batch = Vec<(SimTime, Packet)>;
-            let submit = |emu: &mut Emulator<X>, batch: Batch, outcomes: &mut Vec<_>| {
+            let submit = |emu: &mut Emulator, batch: Batch, outcomes: &mut Vec<_>| {
                 if batched {
                     emu.submit_batch(batch, outcomes).unwrap();
                 } else {
@@ -1310,16 +1266,16 @@ mod tests {
             (outcomes, log, emu.total_stats(), bytes)
         }
         for cores in [1usize, 3] {
-            let reference = run::<InlineExecutor>(cores, false);
+            let reference = run(cores, false, false);
             assert!(reference.0.contains(&SubmitOutcome::NoRoute));
             assert!(
                 reference.1.iter().any(|&(.., hops)| hops == 0),
                 "a local delivery"
             );
             for (executor, batched, other) in [
-                ("inline", true, run::<InlineExecutor>(cores, true)),
-                ("threaded", false, run::<ThreadedExecutor>(cores, false)),
-                ("threaded", true, run::<ThreadedExecutor>(cores, true)),
+                ("inline", true, run(cores, false, true)),
+                ("threaded", false, run(cores, true, false)),
+                ("threaded", true, run(cores, true, true)),
             ] {
                 assert!(
                     other == reference,
@@ -1338,8 +1294,11 @@ mod tests {
         // same deliveries in the same order at the same times, same counters
         // (the episode's modelled bytes among them).
         type Run = (Vec<(u64, SimTime, usize)>, CoreStats);
-        fn run<X: CoreExecutor>(cores: usize) -> Run {
-            let (mut emu, binding, mut d) = ring_emulator::<X>(cores);
+        fn run(cores: usize, threaded: bool) -> Run {
+            let (mut emu, binding, mut d) = ring_emulator(cores);
+            if threaded {
+                emu = on_threads(emu);
+            }
             let vns: Vec<VnId> = binding.vns().collect();
             let victim = {
                 let src = binding.location(vns[0]).unwrap();
@@ -1399,8 +1358,8 @@ mod tests {
             (log, emu.total_stats())
         }
         for cores in [1usize, 2, 4] {
-            let sequential = run::<InlineExecutor>(cores);
-            let threaded = run::<ThreadedExecutor>(cores);
+            let sequential = run(cores, false);
+            let threaded = run(cores, true);
             assert!(!sequential.0.is_empty());
             let modelled = sequential.1.fluid_modelled_bytes;
             assert_eq!(modelled, 1_000, "1 Mb/s of CBR for 4 rounds of 2 ms");
@@ -1422,14 +1381,8 @@ mod tests {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 2));
         let pod = greedy_k_clusters(&d, 2, 3);
-        let mut emu = ParallelEmulator::new(
-            &d,
-            pod,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            5,
-        );
+        let profile = HardwareProfile::unconstrained();
+        let mut emu = Emulator::new(&d, pod, matrix, &binding, profile, 5).threaded();
         let vns: Vec<VnId> = binding.vns().collect();
         emu.submit(
             SimTime::ZERO,
@@ -1452,9 +1405,9 @@ mod tests {
 
     /// A 2-core emulator over the standard ring fixture, for the failure
     /// and chaos tests.
-    fn two_core_emulator() -> (ParallelEmulator, Binding) {
+    fn two_core_emulator() -> (Emulator, Binding) {
         let (emu, binding, _) = ring_emulator(2);
-        (emu, binding)
+        (emu.threaded(), binding)
     }
 
     #[test]
@@ -1477,7 +1430,7 @@ mod tests {
             other => panic!("expected a panicked worker failure, got {other:?}"),
         }
         // The emulator is poisoned: every path reports the same failure.
-        assert_eq!(emu.last_failure(), Some(&err));
+        assert_eq!(emu.exec.health(), Err(err.clone()));
         assert_eq!(emu.advance(SimTime::from_millis(2)).unwrap_err(), err);
         let vns: Vec<VnId> = binding.vns().collect();
         let now = SimTime::from_millis(2);
@@ -1494,7 +1447,8 @@ mod tests {
     fn worker_panic_on_a_four_core_ring_releases_every_waiting_peer() {
         // Core 2 dies at the first epoch while the other three wait for it
         // at the barrier; the abort must release all three, not just one.
-        let (mut emu, binding, _) = ring_emulator::<ThreadedExecutor>(4);
+        let (emu, binding, _) = ring_emulator(4);
+        let mut emu = emu.threaded();
         assert!(emu.set_chaos(CoreId(2), ChaosPlan::new().panic_at_epoch(1)));
         let vns: Vec<VnId> = binding.vns().collect();
         for (i, &src) in vns.iter().enumerate() {
@@ -1526,7 +1480,8 @@ mod tests {
 
     #[test]
     fn a_worker_dying_on_a_command_surfaces_as_a_typed_error() {
-        let (mut emu, binding, mut d) = ring_emulator::<ThreadedExecutor>(2);
+        let (emu, binding, mut d) = ring_emulator(2);
+        let mut emu = emu.threaded();
         assert!(emu.set_chaos(CoreId(1), ChaosPlan::new().panic_on_next_command()));
         // Flap a pipe and reroute until a command reaches worker 1: the
         // `UpdatePipe` goes to the pipe's owner, the `SetRoutes` of the
@@ -1542,11 +1497,11 @@ mod tests {
             *d.pipe_attrs_mut(victim).unwrap() = attrs;
             let _ = emu.update_pipe_attrs(victim, attrs);
             let _ = emu.reroute(&d, &[victim]);
-            if emu.last_failure().is_some() {
+            if emu.exec.health().is_err() {
                 break;
             }
         }
-        match emu.last_failure() {
+        match emu.exec.health().err() {
             Some(EmuError::WorkerFailure {
                 core,
                 cause: FailureCause::Panicked(msg),
@@ -1613,7 +1568,7 @@ mod tests {
             }
             other => panic!("expected a panicked worker failure, got {other:?}"),
         }
-        assert_eq!(emu.last_failure(), Some(&err));
+        assert_eq!(emu.exec.health(), Err(err));
         // The survivor's reply, read or not, does not stand in for its core.
         assert_eq!(emu.finish().len(), 1, "the surviving core comes back");
     }
@@ -1641,7 +1596,7 @@ mod tests {
             ),
             "expected a stall, got {err:?}"
         );
-        assert!(emu.last_failure().is_some());
+        assert!(emu.exec.health().is_err());
         // Drop completes once the sleeper wakes and drains its Finish.
     }
 
@@ -1649,7 +1604,7 @@ mod tests {
     /// on multi-core splits with a tunnel latency, tunnels) in flight: it
     /// stops 10 µs after the last round is admitted, while the packets
     /// whose entry core does not own their access pipe cross to its owner.
-    fn drive_partial<X: CoreExecutor>(emu: &mut Emulator<X>, binding: &Binding) {
+    fn drive_partial(emu: &mut Emulator, binding: &Binding) {
         let vns: Vec<VnId> = binding.vns().collect();
         let mut id = 0u64;
         for round in 0..3u64 {
@@ -1665,7 +1620,7 @@ mod tests {
     }
 
     /// Drains an emulation to idle, returning the delivery record stream.
-    fn finish_run<X: CoreExecutor>(emu: &mut Emulator<X>) -> Vec<DeliveryRecord> {
+    fn finish_run(emu: &mut Emulator) -> Vec<DeliveryRecord> {
         let mut log = Vec::new();
         let mut now = SimTime::ZERO;
         for _ in 0..100_000 {
@@ -1687,7 +1642,7 @@ mod tests {
         };
         for cores in [1usize, 2, 4] {
             let build = || {
-                let (emu, binding, _) = ring_emulator_with::<InlineExecutor>(cores, profile);
+                let (emu, binding, _) = ring_emulator_with(cores, profile);
                 (emu, binding)
             };
             // Identical partial runs on both backends.
@@ -1709,7 +1664,7 @@ mod tests {
             }
             let seq_snap = seq.snapshot().unwrap();
             let (seq2, binding2) = build();
-            let mut par = ParallelEmulator::from_sequential(seq2);
+            let mut par = on_threads(seq2);
             // Encoded before the run, each core's encoding goes stale with
             // the run's first request: the checkpoint encodes it again.
             par.snapshot().unwrap();
@@ -1724,7 +1679,7 @@ mod tests {
             );
             // Resuming the threaded restore finishes bit-identically to the
             // uninterrupted sequential run.
-            let mut restored = ParallelEmulator::restore(&par_snap).unwrap();
+            let mut restored = on_threads(Emulator::restore(&par_snap).unwrap());
             let expected = finish_run(&mut seq);
             let resumed = finish_run(&mut restored);
             assert!(!expected.is_empty(), "the tail of the run delivers");

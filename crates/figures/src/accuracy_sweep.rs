@@ -8,7 +8,7 @@
 //! the hop-by-hop run is reported per `(mode, compensation load)` point
 //! together with each configuration's pipe count.
 //!
-//! On top of the measured table, [`mn_distill::autodistill`] picks the
+//! On top of the measured table, [`mn_distill::autodistill()`] picks the
 //! cheapest configuration fitting a ≤5% error budget. The workload-pruned
 //! end-to-end mesh (one pipe per communicating pair) is the configuration
 //! that undercuts hop-by-hop's pipe count. Every run is in virtual time, so

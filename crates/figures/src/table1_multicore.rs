@@ -10,7 +10,7 @@
 
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator};
+use mn_emucore::{Emulator, HardwareProfile};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{star_topology, StarParams};
 use mn_transport::TcpConfig;
@@ -122,7 +122,7 @@ fn run_point(vn_count: usize, cross_fraction: f64, measure_secs: u64) -> Multico
 
     // The Table 1 run gives each edge node a gigabit link; cores keep the
     // paper profile.
-    let emulator = MultiCoreEmulator::new(
+    let emulator = Emulator::new(
         &distilled,
         pod,
         matrix,

@@ -149,7 +149,7 @@ impl ByteWriter {
 
     /// Creates a writer with exactly `capacity` bytes pre-allocated. A
     /// buffer of megabytes (a checkpoint) is offered to the kernel for huge
-    /// pages ([`advise_huge_pages`]).
+    /// pages (`advise_huge_pages`).
     pub fn with_capacity(capacity: usize) -> Self {
         ByteWriter::reusing(Vec::new(), capacity)
     }

@@ -243,6 +243,11 @@ impl SimTime {
         SimTime(self.0.saturating_add(d.as_nanos()))
     }
 
+    /// The instant `d` after this one, or `None` past [`SimTime::MAX`].
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.as_nanos()).map(SimTime)
+    }
+
     /// Returns the larger of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {

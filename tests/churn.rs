@@ -21,18 +21,18 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::arb_unique_path_topology;
+use common::{arb_unique_path_topology, on_threads};
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode, DistilledTopology};
 use mn_dynamics::{Schedule, ScheduleEngine};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+use mn_emucore::HardwareProfile;
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_refsim::{FlowSpec, ScheduledTopology};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, RingParams};
 use mn_topology::NodeId;
 use mn_util::{SimDuration, SimTime};
-use modelnet::{Emulator, Executor, Reconfigure};
+use modelnet::{Emulator, Reconfigure};
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, payload: u32, now: SimTime) -> Packet {
     Packet::new(
@@ -57,11 +57,11 @@ fn build_backend(
     cores: usize,
     threaded: bool,
     seed: u64,
-) -> (Emulator<Executor>, Binding) {
+) -> (Emulator, Binding) {
     let matrix = RoutingMatrix::build(d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
     let pod = greedy_k_clusters(d, cores, 7);
-    let seq = MultiCoreEmulator::new(
+    let seq = Emulator::new(
         d,
         pod,
         matrix,
@@ -69,11 +69,7 @@ fn build_backend(
         HardwareProfile::unconstrained(),
         seed,
     );
-    let backend: Emulator<Executor> = if threaded {
-        ParallelEmulator::from_sequential(seq).into()
-    } else {
-        seq.into()
-    };
+    let backend = if threaded { on_threads(seq) } else { seq };
     (backend, binding)
 }
 

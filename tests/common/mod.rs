@@ -2,6 +2,8 @@
 
 use proptest::prelude::*;
 
+use mn_assign::CoreId;
+use mn_emucore::{ChaosPlan, Emulator};
 use mn_topology::{LinkAttrs, NodeKind, Topology};
 use mn_util::rngs::seeded_rng;
 use mn_util::{DataRate, SimDuration};
@@ -16,6 +18,7 @@ use mn_util::{DataRate, SimDuration};
 /// `loss` is the loss rate applied to the stub backbone links (client
 /// access links and chords stay loss-free); pass `Just(0.0)` for the
 /// loss-free variant where every submitted packet must be delivered.
+#[allow(dead_code)]
 pub fn arb_unique_path_topology(
     loss: impl Strategy<Value = f64>,
 ) -> impl Strategy<Value = Topology> {
@@ -126,4 +129,17 @@ pub fn arb_tied_stub_ring() -> impl Strategy<Value = Topology> {
         }
         topo
     })
+}
+
+/// `emu` with its cores moved onto worker threads, checked: an inert chaos
+/// plan installs only there, so a test pairing the two executors cannot
+/// compare the inline one with itself.
+#[allow(dead_code)]
+pub fn on_threads(emu: Emulator) -> Emulator {
+    let mut emu = emu.threaded();
+    assert!(
+        emu.set_chaos(CoreId(0), ChaosPlan::new()),
+        "cores on worker threads"
+    );
+    emu
 }

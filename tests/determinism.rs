@@ -9,12 +9,12 @@
 //! packets that reach one pipe within the same advance; and how many packets
 //! the caller submits per advance changes no packet's ideal delivery time.
 
+mod common;
+
+use common::on_threads;
 use mn_assign::{greedy_k_clusters, Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{
-    CoreExecutor, CoreStats, Delivery, Emulator, HardwareProfile, InlineExecutor,
-    MultiCoreEmulator, ParallelEmulator, ThreadedExecutor,
-};
+use mn_emucore::{CoreStats, Delivery, Emulator, HardwareProfile};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, ring_topology, PathPairsParams, RingParams};
@@ -57,7 +57,7 @@ fn run_workload(cores: usize, seed: u64) -> (CoreStats, Vec<DeliveryRecord>) {
 }
 
 /// Builds the same emulation [`run_workload`] uses, without driving it.
-fn build_emulator(cores: usize, seed: u64) -> (MultiCoreEmulator, Binding) {
+fn build_emulator(cores: usize, seed: u64) -> (Emulator, Binding) {
     let topo = ring_topology(&RingParams {
         routers: 6,
         clients_per_router: 2,
@@ -67,7 +67,7 @@ fn build_emulator(cores: usize, seed: u64) -> (MultiCoreEmulator, Binding) {
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, cores));
     let pod = greedy_k_clusters(&d, cores, 7);
-    let emu = MultiCoreEmulator::new(
+    let emu = Emulator::new(
         &d,
         pod,
         matrix,
@@ -85,7 +85,7 @@ type StrictRecord = (u64, SimTime, SimTime, usize, SimDuration);
 
 /// Drives the standard burst workload on either executor — one driver, one
 /// schedule, no per-backend copies to drift apart.
-fn drive_strict<X: CoreExecutor>(binding: &Binding, emu: &mut Emulator<X>) -> Vec<StrictRecord> {
+fn drive_strict(binding: &Binding, emu: &mut Emulator) -> Vec<StrictRecord> {
     let vns: Vec<VnId> = binding.vns().collect();
     let mut id = 0u64;
     for round in 0..5u64 {
@@ -126,7 +126,7 @@ fn parallel_backend_is_bit_identical_to_sequential() {
         let (mut seq, binding) = build_emulator(cores, 42);
         let seq_log = drive_strict(&binding, &mut seq);
         let (seq2, binding2) = build_emulator(cores, 42);
-        let mut par = ParallelEmulator::from_sequential(seq2);
+        let mut par = on_threads(seq2);
         let par_log = drive_strict(&binding2, &mut par);
         assert!(!seq_log.is_empty());
         assert_eq!(
@@ -155,7 +155,7 @@ fn parallel_backend_reruns_are_byte_identical() {
     // OS scheduling: thread interleaving must never leak into results.
     let run = || {
         let (seq, binding) = build_emulator(4, 42);
-        let mut par = ParallelEmulator::from_sequential(seq);
+        let mut par = on_threads(seq);
         let log = drive_strict(&binding, &mut par);
         (log, par.total_stats())
     };
@@ -181,10 +181,7 @@ fn same_seed_reruns_are_byte_identical() {
 
 /// The burst's packets one at a time, each drained to idle before the
 /// next: nothing ever waits behind another packet.
-fn drive_uncongested<X: CoreExecutor>(
-    binding: &Binding,
-    emu: &mut Emulator<X>,
-) -> Vec<StrictRecord> {
+fn drive_uncongested(binding: &Binding, emu: &mut Emulator) -> Vec<StrictRecord> {
     let vns: Vec<VnId> = binding.vns().collect();
     let mut log = Vec::new();
     let mut deliveries = Vec::new();
@@ -310,7 +307,7 @@ type Observed = (
 
 /// Applies every control-plane operation to an idle emulator, observing the
 /// emulator after each one.
-fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
+fn control_plane_trace(cores: usize, threaded: bool) -> Vec<Observed> {
     let topo = ring_topology(&RingParams {
         routers: 6,
         clients_per_router: 2,
@@ -331,7 +328,7 @@ fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
         .pipes
         .to_vec();
     assert!(route.len() >= 3, "the flow crosses access and ring pipes");
-    let mut emu = Emulator::<X>::new(
+    let mut emu = Emulator::new(
         &d,
         pod,
         matrix,
@@ -339,11 +336,14 @@ fn control_plane_trace<X: CoreExecutor>(cores: usize) -> Vec<Observed> {
         HardwareProfile::unconstrained(),
         42,
     );
+    if threaded {
+        emu = on_threads(emu);
+    }
     let ms = SimTime::from_millis;
     let mut slow = d.pipe(route[1]).attrs;
     slow.bandwidth = DataRate::from_mbps(1);
     let mut trace = Vec::new();
-    let mut observe = |op: &'static str, accepted: bool, emu: &Emulator<X>| {
+    let mut observe = |op: &'static str, accepted: bool, emu: &Emulator| {
         trace.push((
             op,
             accepted,
@@ -385,8 +385,8 @@ fn control_plane_operations_leave_both_executors_in_the_same_observable_state() 
     // work. A CBR episode is a fluid demand, so the first call's only work
     // is the fair share's next solve, one epoch after the episode starts.
     for cores in [1usize, 2, 4] {
-        let inline = control_plane_trace::<InlineExecutor>(cores);
-        let threaded = control_plane_trace::<ThreadedExecutor>(cores);
+        let inline = control_plane_trace(cores, false);
+        let threaded = control_plane_trace(cores, true);
         assert!(inline.iter().all(|&(_, accepted, ..)| accepted));
         let epoch = mn_emucore::fluid::DEFAULT_FLUID_EPOCH;
         assert_eq!(inline[0].2, Some(SimTime::from_millis(5) + epoch));
@@ -410,7 +410,7 @@ const CADENCE_PACKETS: u64 = 1024;
 /// over `cores` cores (on two, every hop boundary is a tunnel), with each
 /// direction of each path as a flow: `(src, dst)` and the flow's
 /// uncontended delay for one packet.
-fn uncongested_paths(cores: usize) -> (MultiCoreEmulator, Vec<(VnId, VnId, SimDuration)>) {
+fn uncongested_paths(cores: usize) -> (Emulator, Vec<(VnId, VnId, SimDuration)>) {
     let (topo, pairs) = path_pairs_topology(&PathPairsParams {
         pairs: PATHS,
         hops: PATH_HOPS,
@@ -439,7 +439,7 @@ fn uncongested_paths(cores: usize) -> (MultiCoreEmulator, Vec<(VnId, VnId, SimDu
     }
     let pod = PipeOwnershipDirectory::from_owners(owners, cores);
     let profile = HardwareProfile::unconstrained();
-    let emu = MultiCoreEmulator::new(&d, pod, matrix, &binding, profile, 5);
+    let emu = Emulator::new(&d, pod, matrix, &binding, profile, 5);
     (emu, flows)
 }
 
@@ -447,8 +447,8 @@ fn uncongested_paths(cores: usize) -> (MultiCoreEmulator, Vec<(VnId, VnId, SimDu
 /// advancing after every `per_advance` of them and then on at that interval
 /// until all are delivered; returns the deliveries by packet id and the
 /// counters.
-fn drive_cadence<X: CoreExecutor>(
-    emu: &mut Emulator<X>,
+fn drive_cadence(
+    emu: &mut Emulator,
     flows: &[(VnId, VnId, SimDuration)],
     per_advance: u64,
 ) -> (Vec<Delivery>, CoreStats) {
@@ -484,13 +484,9 @@ fn ideal_delivery_times_do_not_depend_on_packets_per_advance() {
     for cores in [1usize, 2] {
         for per_advance in [16u64, 64, 256] {
             for threaded in [false, true] {
-                let (mut emu, flows) = uncongested_paths(cores);
-                let (log, stats) = if threaded {
-                    let mut emu = ParallelEmulator::from_sequential(emu);
-                    drive_cadence(&mut emu, &flows, per_advance)
-                } else {
-                    drive_cadence(&mut emu, &flows, per_advance)
-                };
+                let (emu, flows) = uncongested_paths(cores);
+                let mut emu = if threaded { on_threads(emu) } else { emu };
+                let (log, stats) = drive_cadence(&mut emu, &flows, per_advance);
                 let case = format!("{cores} cores, {per_advance} per advance, threaded {threaded}");
                 assert_eq!(log.len(), CADENCE_PACKETS as usize, "{case}");
                 assert_eq!(stats.tunnels_out > 0, cores > 1, "{case}");

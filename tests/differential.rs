@@ -6,7 +6,7 @@
 //! which shares no code with the emulation path. Two families of checks:
 //!
 //! 1. **Emulator vs. reference simulator.** Random distilled topologies and
-//!    packet workloads run through `MultiCoreEmulator` at 1, 2 and 4 cores;
+//!    packet workloads run through the inline emulator at 1, 2 and 4 cores;
 //!    per-packet delivery times must land inside the analytic window the
 //!    reference model predicts (propagation + transmission, plus one
 //!    scheduler tick: every pipe and tunnel is entered at its ideal time, so
@@ -16,7 +16,7 @@
 //!    sides. A congestion workload additionally pins steady-state
 //!    throughput to the reference's max-min fair share.
 //! 2. **Sequential vs. parallel bit-identity.** The same random workloads
-//!    run through the threaded `ParallelEmulator`; delivery streams
+//!    run through the threaded emulator; delivery streams
 //!    (order, ids, times, hops, error) and per-core counter
 //!    totals must be *exactly* equal to the sequential backend's.
 //! 3. **Dynamics differential.** A failure/recovery schedule (plus a CBR
@@ -31,12 +31,10 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::arb_unique_path_topology;
+use common::{arb_unique_path_topology, on_threads};
 use mn_assign::{greedy_k_clusters, Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{
-    CoreExecutor, Emulator, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SubmitOutcome,
-};
+use mn_emucore::{Emulator, HardwareProfile, SubmitOutcome};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_refsim::{max_min_fair_share, FlowSpec};
 use mn_routing::RoutingMatrix;
@@ -83,12 +81,12 @@ fn udp_packet(id: u64, src: VnId, dst: VnId, payload: u32, now: SimTime) -> Pack
     )
 }
 
-fn build_emulator(topo: &Topology, cores: usize, seed: u64) -> (MultiCoreEmulator, Binding) {
+fn build_emulator(topo: &Topology, cores: usize, seed: u64) -> (Emulator, Binding) {
     let d = distill(topo, DistillationMode::HopByHop);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
     let pod = greedy_k_clusters(&d, cores, seed);
-    let emu = MultiCoreEmulator::new(
+    let emu = Emulator::new(
         &d,
         pod,
         matrix,
@@ -99,7 +97,7 @@ fn build_emulator(topo: &Topology, cores: usize, seed: u64) -> (MultiCoreEmulato
     (emu, binding)
 }
 
-fn drain_to_idle(emu: &mut MultiCoreEmulator, from: SimTime) -> Vec<mn_emucore::Delivery> {
+fn drain_to_idle(emu: &mut Emulator, from: SimTime) -> Vec<mn_emucore::Delivery> {
     let mut now = from;
     let mut all = Vec::new();
     for _ in 0..100_000 {
@@ -121,11 +119,7 @@ type Record = (u64, SimTime, SimTime, usize, SimDuration);
 
 /// Replays `schedule` on `emu`, then drains it to idle from `end`; returns
 /// the delivery stream and the submit outcomes.
-fn drive<X: CoreExecutor>(
-    emu: &mut Emulator<X>,
-    schedule: &[Step],
-    end: SimTime,
-) -> (Vec<Record>, Vec<SubmitOutcome>) {
+fn drive(emu: &mut Emulator, schedule: &[Step], end: SimTime) -> (Vec<Record>, Vec<SubmitOutcome>) {
     let record = |d: &mn_emucore::Delivery| {
         (
             d.packet.id.0,
@@ -243,7 +237,7 @@ proptest! {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
         let pod = greedy_k_clusters(&d, cores, 11);
-        let build = || MultiCoreEmulator::new(
+        let build = || Emulator::new(
             &d,
             pod.clone(),
             matrix.clone(),
@@ -267,7 +261,7 @@ proptest! {
         let mut seq = build();
         let (seq_log, seq_outcomes) = drive(&mut seq, &schedule, SimTime::from_micros(clock));
         let seq_stats = seq.total_stats();
-        let mut par = ParallelEmulator::from_sequential(build());
+        let mut par = on_threads(build());
         let (par_log, par_outcomes) = drive(&mut par, &schedule, SimTime::from_micros(clock));
         prop_assert_eq!(seq_outcomes, par_outcomes, "submit outcomes diverge");
         prop_assert_eq!(seq_log, par_log, "delivery streams diverge");
@@ -306,7 +300,7 @@ fn dynamics_scenario() -> (Topology, [mn_topology::LinkId; 2], [NodeId; 3]) {
 fn failure_recovery_schedule_agrees_with_reference_across_backends() {
     use mn_dynamics::{Schedule, ScheduleEngine};
     use mn_refsim::ScheduledTopology;
-    use modelnet::{Emulator, Executor, Reconfigure};
+    use modelnet::Reconfigure;
 
     let (topo, [ar1, ar2], [a, b, c]) = dynamics_scenario();
     let d = distill(&topo, DistillationMode::HopByHop);
@@ -347,7 +341,7 @@ fn failure_recovery_schedule_agrees_with_reference_across_backends() {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
         let pod = greedy_k_clusters(&d, cores, 7);
-        let seq = MultiCoreEmulator::new(
+        let seq = Emulator::new(
             &d,
             pod,
             matrix,
@@ -355,11 +349,7 @@ fn failure_recovery_schedule_agrees_with_reference_across_backends() {
             HardwareProfile::unconstrained(),
             5,
         );
-        let mut backend: Emulator<Executor> = if threaded {
-            ParallelEmulator::from_sequential(seq).into()
-        } else {
-            seq.into()
-        };
+        let mut backend = if threaded { on_threads(seq) } else { seq };
         let mut engine = ScheduleEngine::new(d.clone(), schedule());
         let vn = |node| binding.vn_at(node).unwrap();
         let mut records = Vec::new();
@@ -482,8 +472,7 @@ fn cbr_episode_tracks_reduced_reference_capacity() {
 
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
-    let seq =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 3);
+    let seq = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 3);
     let mut backend = seq;
     let mut engine = mn_dynamics::ScheduleEngine::new(d.clone(), schedule);
     let _ = engine.apply_due(SimTime::ZERO, &mut Reconfigure(&mut backend));
@@ -533,7 +522,6 @@ fn cbr_episode_tracks_reduced_reference_capacity() {
 fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
     use mn_refsim::{fluid_max_min, FluidSpec, ScheduledTopology};
     use mn_topology::{LinkAttrs, NodeKind};
-    use modelnet::{Emulator, Executor};
 
     // a - r - b at 10 Mb/s carries the bulk aggregates; probe client c
     // shares only the r-b bottleneck with them.
@@ -587,7 +575,7 @@ fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, cores));
         let pod = greedy_k_clusters(&d, cores, 7);
-        let seq = MultiCoreEmulator::new(
+        let seq = Emulator::new(
             &d,
             pod,
             matrix,
@@ -595,11 +583,7 @@ fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
             HardwareProfile::unconstrained(),
             5,
         );
-        let mut backend: Emulator<Executor> = if threaded {
-            ParallelEmulator::from_sequential(seq).into()
-        } else {
-            seq.into()
-        };
+        let mut backend = if threaded { on_threads(seq) } else { seq };
         let vn = |node| binding.vn_at(node).unwrap();
         assert!(backend.add_fluid_flow(1, vn(a), vn(b), DataRate::from_mbps(2), 1, SimTime::ZERO));
         assert!(backend.add_fluid_flow(2, vn(a), vn(b), DataRate::from_mbps(4), 3, SimTime::ZERO));
@@ -745,7 +729,6 @@ fn hybrid_fluid_and_packet_traffic_agree_with_reference_across_backends() {
 fn fluid_resize_goodput_matches_reference_water_fill() {
     use mn_refsim::{fluid_max_min, FluidSpec};
     use mn_topology::{LinkAttrs, NodeKind};
-    use modelnet::{Emulator, Executor};
 
     let mut topo = Topology::new();
     let a = topo.add_node(NodeKind::Client);
@@ -768,7 +751,7 @@ fn fluid_resize_goodput_matches_reference_water_fill() {
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
         let pod = greedy_k_clusters(&d, 1, 7);
-        let seq = MultiCoreEmulator::new(
+        let seq = Emulator::new(
             &d,
             pod,
             matrix,
@@ -776,11 +759,7 @@ fn fluid_resize_goodput_matches_reference_water_fill() {
             HardwareProfile::unconstrained(),
             5,
         );
-        let mut backend: Emulator<Executor> = if threaded {
-            ParallelEmulator::from_sequential(seq).into()
-        } else {
-            seq.into()
-        };
+        let mut backend = if threaded { on_threads(seq) } else { seq };
         let vn = |node| binding.vn_at(node).unwrap();
         assert!(backend.add_fluid_flow(1, vn(a), vn(b), DataRate::from_mbps(2), 1, SimTime::ZERO));
         assert!(backend.add_fluid_flow(2, vn(a), vn(b), DataRate::from_mbps(4), 3, SimTime::ZERO));

@@ -23,7 +23,7 @@ use common::arb_unique_path_topology;
 use mn_assign::{Binding, BindingParams};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_dynamics::{Schedule, ScheduleEngine};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator};
+use mn_emucore::{Emulator, HardwareProfile};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::{RouteTable, RoutingMatrix};
 use mn_util::{DataRate, SimDuration, SimTime};
@@ -103,7 +103,7 @@ proptest! {
         let original: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
         let mut matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
-        let mut emu = MultiCoreEmulator::single_core(
+        let mut emu = Emulator::single_core(
             &d,
             matrix.clone(),
             &binding,
@@ -157,7 +157,7 @@ proptest! {
         let d = distill(&topo, DistillationMode::HopByHop);
         let matrix = RoutingMatrix::build(&d);
         let binding = Binding::bind(d.vns(), &BindingParams::new(2, 1));
-        let seq = MultiCoreEmulator::single_core(
+        let seq = Emulator::single_core(
             &d,
             matrix,
             &binding,
@@ -176,7 +176,7 @@ proptest! {
             .duplex_up(up_at, victims[0], victims[1]);
         let mut engine = ScheduleEngine::new(d.clone(), schedule);
 
-        let enqueued_on = |backend: &MultiCoreEmulator, pipe: PipeId| -> u64 {
+        let enqueued_on = |backend: &Emulator, pipe: PipeId| -> u64 {
             backend
                 .cores()
                 .iter()
@@ -187,7 +187,7 @@ proptest! {
         // Phase A: pre-failure traffic (may use the victim link).
         let mut id = 0u64;
         let mut deliveries = Vec::new();
-        let mut drive = |backend: &mut MultiCoreEmulator,
+        let mut drive = |backend: &mut Emulator,
                          window: (u64, u64),
                          id: &mut u64| {
             for (i, &(s, t)) in submits.iter().enumerate() {

@@ -5,7 +5,7 @@
 
 use mn_assign::CoreId;
 use mn_distill::DistilledTopology;
-use mn_emucore::{CoreExecutor, Emulator};
+use mn_emucore::Emulator;
 use mn_packet::VnId;
 use mn_topology::NodeId;
 use mn_util::SimTime;
@@ -19,8 +19,8 @@ pub type Membership = (
 );
 
 /// [`Membership`] of `emu`, joining the fresh VNs at `at`.
-pub fn membership<X: CoreExecutor>(
-    emu: &mut Emulator<X>,
+pub fn membership(
+    emu: &mut Emulator,
     distilled: &DistilledTopology,
     homes: &[NodeId],
     at: SimTime,

@@ -23,7 +23,7 @@
 //! compiles against the commit that wrote the fixture. The version-window
 //! test also restores the `MNSP` fixtures of `snapshot_golden.rs`.
 
-use mn_emucore::{EmulatorSnapshot, MultiCoreEmulator, ParallelEmulator};
+use mn_emucore::{Emulator, EmulatorSnapshot};
 use mn_topology::generators::{ring_topology, RingParams};
 use mn_util::codec::fnv1a64;
 use mn_util::{ByteWriter, CodecError};
@@ -177,15 +177,10 @@ fn both_frames_restore_versions_7_and_8_and_refuse_every_other() {
     for v in RETIRED_OR_FUTURE {
         let (frame, refused) = (with_version(MNSP_V8, v), Err(CodecError::BadVersion(v)));
         assert_eq!(EmulatorSnapshot::from_bytes(&frame).map(|_| ()), refused);
-        assert_eq!(
-            MultiCoreEmulator::restore_bytes(&frame).map(|_| ()),
-            refused
-        );
-        assert_eq!(ParallelEmulator::restore_bytes(&frame).map(|_| ()), refused);
+        assert_eq!(Emulator::restore_bytes(&frame).map(|_| ()), refused);
     }
     for frame in [MNSP_V7, MNSP_V8] {
-        assert!(MultiCoreEmulator::restore_bytes(frame).is_ok());
-        assert!(ParallelEmulator::restore_bytes(frame).is_ok());
+        assert!(Emulator::restore_bytes(frame).is_ok());
     }
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, _) = build(backend);

@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use mn_assign::{Binding, BindingParams};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeAttrs, PipeId};
-use mn_emucore::{HardwareProfile, MultiCoreEmulator};
+use mn_emucore::{Emulator, HardwareProfile};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::{RouteTable, RoutingMatrix};
 use mn_topology::generators::{
@@ -296,17 +296,16 @@ fn churn_cost(n: usize) -> ChurnCost {
     locations.push(base[base.len() - 1]);
     let binding = Binding::bind(&locations, &BindingParams::new(4, 1));
     let matrix = RoutingMatrix::build(&d);
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
 
     let mut clock = 0u64;
-    let mut cycle = |emu: &mut MultiCoreEmulator, endpoint: usize| {
+    let mut cycle = |emu: &mut Emulator, endpoint: usize| {
         clock += 2;
         let vn = VnId(endpoint as u32);
         assert!(emu.vn_leave(vn, SimTime::from_nanos(clock - 1)));
         assert!(emu.vn_join(&d, vn, locations[endpoint], SimTime::from_nanos(clock)));
     };
-    let mut cycle_bytes = |emu: &mut MultiCoreEmulator, endpoint: usize| {
+    let mut cycle_bytes = |emu: &mut Emulator, endpoint: usize| {
         for _ in 0..4 {
             cycle(emu, endpoint);
         }
@@ -403,8 +402,7 @@ fn a_million_fluid_clients_model_50x_the_hops_the_core_executes() {
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
     let vns: Vec<VnId> = binding.vns().collect();
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     for i in 0..CROWD_PAIRS {
         // 9 of the spoke's 10 Gb/s: the residual carries packets too.
         assert!(emu.add_fluid_flow(

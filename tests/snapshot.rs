@@ -39,6 +39,9 @@ fn build_seeded(cores: usize, backend: ExecutionBackend, seed: u64) -> Runner {
         .seed(seed)
         .build()
         .expect("experiment builds");
+    // An inert chaos plan installs only on worker threads.
+    let on_threads = runner.backend_mut().set_chaos(CoreId(0), ChaosPlan::new());
+    assert_eq!(on_threads, backend == ExecutionBackend::Threaded);
     let vns = runner.vn_ids();
     runner.add_bulk_flow(vns[0], vns[5], Some(ByteSize::from_kb(512)), SimTime::ZERO);
     runner.add_bulk_flow(vns[2], vns[7], None, SimTime::from_millis(250));
@@ -472,13 +475,12 @@ fn recover_refuses_bytes_after_the_frame_or_after_the_decoded_payload() {
 /// One executor's run of [`a_checkpoint_right_after_a_late_fluid_start_restores`]:
 /// returns the checkpoint taken at 100 ms and the one taken once the
 /// original and its restored copy have both run on to 200 ms.
-fn late_fluid_start<X: mn_emucore::CoreExecutor>(
-    mut emu: mn_emucore::Emulator<X>,
+fn late_fluid_start(
+    mut emu: mn_emucore::Emulator,
     d: &mn_distill::DistilledTopology,
     vns: &[VnId],
 ) -> (Vec<u8>, Vec<u8>) {
     use mn_dynamics::{Schedule, ScheduleEngine};
-    use mn_emucore::Emulator;
     use modelnet::Reconfigure;
     let ms = SimTime::from_millis;
     // Due at 90 ms, applied at 100 ms: at its scheduled time, more than one
@@ -495,7 +497,7 @@ fn late_fluid_start<X: mn_emucore::CoreExecutor>(
         "the epoch grid starts at the clock, not behind it"
     );
     let snap = emu.snapshot().unwrap();
-    let mut restored = Emulator::<X>::restore(&snap).unwrap();
+    let mut restored = emu.restore_like(&snap.to_bytes()).unwrap();
     for step in 1..=5 {
         let t = ms(100 + 20 * step);
         assert_eq!(
@@ -521,7 +523,7 @@ fn late_fluid_start<X: mn_emucore::CoreExecutor>(
 fn a_checkpoint_right_after_a_late_fluid_start_restores() {
     use mn_assign::{Binding, BindingParams};
     use mn_distill::distill;
-    use mn_emucore::{HardwareProfile, MultiCoreEmulator, ParallelEmulator};
+    use mn_emucore::{Emulator, HardwareProfile};
     use mn_routing::RoutingMatrix;
     let topo = ring_topology(&RingParams {
         routers: 4,
@@ -534,17 +536,16 @@ fn a_checkpoint_right_after_a_late_fluid_start_restores() {
     let build = || {
         let pod = mn_assign::greedy_k_clusters(&d, 2, 3);
         let matrix = RoutingMatrix::build(&d);
-        MultiCoreEmulator::new(
-            &d,
-            pod,
-            matrix,
-            &binding,
-            HardwareProfile::unconstrained(),
-            3,
-        )
+        let profile = HardwareProfile::unconstrained();
+        Emulator::new(&d, pod, matrix, &binding, profile, 3)
     };
     let inline = late_fluid_start(build(), &d, &vns);
-    let threaded = late_fluid_start(ParallelEmulator::from_sequential(build()), &d, &vns);
+    let mut threaded = build().threaded();
+    assert!(
+        threaded.set_chaos(CoreId(0), ChaosPlan::new()),
+        "on worker threads"
+    );
+    let threaded = late_fluid_start(threaded, &d, &vns);
     assert!(inline == threaded, "the executors' checkpoints differ");
 }
 

@@ -27,23 +27,22 @@
 //! (for a layout change, one written by the parent commit's encoder), and
 //! delete the decoder and the fixtures of the version two behind.
 //!
-//! The scenario is driven through `Emulator<Executor>`, the one type for
-//! either executor.
+//! The scenario is driven through `Emulator`, one type for either
+//! executor.
 
 use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_emucore::snapshot::SNAPSHOT_MAGIC;
-use mn_emucore::{
-    CoreExecutor, CoreStats, Emulator, EmulatorSnapshot, Executor, HardwareProfile, InlineExecutor,
-    MultiCoreEmulator, ParallelEmulator, ThreadedExecutor, SNAPSHOT_VERSION,
-};
+use mn_emucore::{CoreStats, Emulator, EmulatorSnapshot, HardwareProfile, SNAPSHOT_VERSION};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, PathPairsParams};
 use mn_util::codec::fnv1a64;
 use mn_util::{ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
+mod common;
 mod membership;
+use common::on_threads;
 use membership::membership;
 
 const FIXTURE_V7: &[u8] = include_bytes!("data/mnsp_v7_path4.bin");
@@ -78,7 +77,7 @@ fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
 }
 
 struct Scenario {
-    backend: Emulator<Executor>,
+    backend: Emulator,
     distilled: DistilledTopology,
     /// `(sender, receiver)` VN of each path.
     pairs: Vec<(VnId, VnId)>,
@@ -116,11 +115,11 @@ fn build(threaded: bool) -> Scenario {
         .iter()
         .map(|&(a, b)| (binding.vn_at(a).unwrap(), binding.vn_at(b).unwrap()))
         .collect();
-    let sequential = MultiCoreEmulator::new(&distilled, pod, matrix, &binding, profile, 13);
+    let sequential = Emulator::new(&distilled, pod, matrix, &binding, profile, 13);
     let backend = if threaded {
-        ParallelEmulator::from_sequential(sequential).into()
+        on_threads(sequential)
     } else {
-        sequential.into()
+        sequential
     };
     Scenario {
         backend,
@@ -138,7 +137,7 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
 
 /// Drives the scenario to [`STOP_AT`]; returns the emulator there and the
 /// topology.
-fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology) {
+fn stop(threaded: bool) -> (Emulator, DistilledTopology) {
     let Scenario {
         mut backend,
         distilled,
@@ -200,7 +199,7 @@ fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology) {
 
 /// Runs an emulator restored at [`STOP_AT`] to [`HORIZON`] and digests
 /// everything observable.
-fn tail_digest(mut backend: Emulator<Executor>) -> u64 {
+fn tail_digest(mut backend: Emulator) -> u64 {
     let mut w = ByteWriter::with_capacity(4096);
     let mut deliveries = Vec::new();
     let mut now = STOP_AT;
@@ -242,19 +241,22 @@ fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
             "snapshot bytes drifted from the v8 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V7).unwrap();
+    let mut restored = Emulator::restore_bytes(FIXTURE_V7).unwrap();
     let stats = restored.total_stats();
     assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
     assert!(stats.cbr_injected > 0, "the v7 run metered the episode");
     assert!(restored.snapshot().unwrap().to_bytes() != FIXTURE_V8);
-    assert!(serialised_without_cbr_counts::<InlineExecutor>(FIXTURE_V7) == FIXTURE_V8);
-    assert!(serialised_without_cbr_counts::<ThreadedExecutor>(FIXTURE_V7) == FIXTURE_V8);
+    assert!(serialised_without_cbr_counts(FIXTURE_V7, false) == FIXTURE_V8);
+    assert!(serialised_without_cbr_counts(FIXTURE_V7, true) == FIXTURE_V8);
 }
 
-/// `fixture` restored onto `X` and serialised again, each core's
-/// `cbr_injected` word zeroed and the frame sealed again.
-fn serialised_without_cbr_counts<X: CoreExecutor>(fixture: &[u8]) -> Vec<u8> {
-    let mut emu = Emulator::<X>::restore_bytes(fixture).unwrap();
+/// `fixture` restored (onto worker threads if `threaded`) and serialised
+/// again, each core's `cbr_injected` word zeroed and the frame sealed again.
+fn serialised_without_cbr_counts(fixture: &[u8], threaded: bool) -> Vec<u8> {
+    let mut emu = Emulator::restore_bytes(fixture).unwrap();
+    if threaded {
+        emu = on_threads(emu);
+    }
     let framed = emu.snapshot().unwrap().to_bytes();
     let mut payload = framed[16..framed.len() - 8].to_vec();
     for core in 0..emu.core_count() {
@@ -281,9 +283,9 @@ fn serialised_without_cbr_counts<X: CoreExecutor>(fixture: &[u8]) -> Vec<u8> {
 
 fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
     let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
-    let sequential = Emulator::<Executor>::from(MultiCoreEmulator::restore(&snapshot).unwrap());
+    let sequential = Emulator::restore(&snapshot).unwrap();
     assert_eq!(tail_digest(sequential), TAIL_DIGEST);
-    let threaded = Emulator::<Executor>::from(ParallelEmulator::restore(&snapshot).unwrap());
+    let threaded = on_threads(Emulator::restore(&snapshot).unwrap());
     assert_eq!(tail_digest(threaded), TAIL_DIGEST);
 }
 
@@ -308,10 +310,10 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
     for fixture in [FIXTURE_V7, FIXTURE_V8] {
-        let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+        let mut sequential = Emulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
-        let mut threaded = ParallelEmulator::restore_bytes(fixture).unwrap();
+        let mut threaded = on_threads(Emulator::restore_bytes(fixture).unwrap());
         let restored = membership(&mut threaded, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
     }
@@ -334,7 +336,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
     for bit in 0..bytes.len() * 8 {
         bytes[bit / 8] ^= 1 << (bit % 8);
         assert!(
-            MultiCoreEmulator::restore_bytes(&bytes).is_err(),
+            Emulator::restore_bytes(&bytes).is_err(),
             "bit {bit} flipped and the snapshot still restored"
         );
         bytes[bit / 8] ^= 1 << (bit % 8);
@@ -345,7 +347,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
             "cut to {len} bytes and the snapshot still parsed"
         );
     }
-    assert!(MultiCoreEmulator::restore_bytes(&bytes).is_ok());
+    assert!(Emulator::restore_bytes(&bytes).is_ok());
 }
 
 /// Bytes after the frame, and bytes the payload's decoder did not consume,
@@ -359,10 +361,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
         trailing
     );
-    assert_eq!(
-        MultiCoreEmulator::restore_bytes(&after_frame).map(|_| ()),
-        trailing
-    );
+    assert_eq!(Emulator::restore_bytes(&after_frame).map(|_| ()), trailing);
 
     // A well-formed frame (length and checksum cover the extra byte) around
     // a payload with one byte more than the decoder reads.
@@ -373,9 +372,9 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     w.end_frame(frame);
     let after_payload = w.into_bytes();
     let snapshot = EmulatorSnapshot::from_bytes(&after_payload).expect("the frame is sound");
-    assert_eq!(MultiCoreEmulator::restore(&snapshot).map(|_| ()), trailing);
+    assert_eq!(Emulator::restore(&snapshot).map(|_| ()), trailing);
     assert_eq!(
-        ParallelEmulator::restore_bytes(&after_payload).map(|_| ()),
+        Emulator::restore_bytes(&after_payload).map(|_| ()),
         trailing
     );
 }
@@ -393,8 +392,6 @@ fn write_fixture() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v8_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
-    let digest = tail_digest(Emulator::<Executor>::from(
-        MultiCoreEmulator::restore(&snapshot).unwrap(),
-    ));
+    let digest = tail_digest(Emulator::restore(&snapshot).unwrap());
     println!("{} bytes, TAIL_DIGEST = {digest:#018x}", bytes.len());
 }

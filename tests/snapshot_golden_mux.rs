@@ -21,15 +21,12 @@
 //! VN joins after the stop), so fresh joins after each restore are checked
 //! against the uninterrupted run separately.
 //!
-//! The scenario is driven through `Emulator<Executor>`, the one type for
-//! either executor.
+//! The scenario is driven through `Emulator`, one type for either
+//! executor.
 
 use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeAttrs, PipeId};
-use mn_emucore::{
-    Emulator, EmulatorSnapshot, Executor, HardwareProfile, MultiCoreEmulator, ParallelEmulator,
-    SNAPSHOT_VERSION,
-};
+use mn_emucore::{Emulator, EmulatorSnapshot, HardwareProfile, SNAPSHOT_VERSION};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, RingParams};
@@ -37,7 +34,9 @@ use mn_topology::NodeId;
 use mn_util::codec::fnv1a64;
 use mn_util::{ByteWriter, DataRate, SimDuration, SimTime};
 
+mod common;
 mod membership;
+use common::on_threads;
 use membership::membership;
 
 const FIXTURE_V7: &[u8] = include_bytes!("data/mnsp_v7_mux_churn.bin");
@@ -74,7 +73,7 @@ fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
 }
 
 struct Scenario {
-    backend: Emulator<Executor>,
+    backend: Emulator,
     distilled: DistilledTopology,
     /// The client node VN `i`, `i + ROUTERS` and `i + 2 * ROUTERS` start at.
     homes: Vec<NodeId>,
@@ -109,11 +108,11 @@ fn build(threaded: bool) -> Scenario {
     let pod = PipeOwnershipDirectory::from_owners(owners, 2);
     let mut profile = HardwareProfile::unconstrained();
     profile.tunnel_latency = SimDuration::from_micros(250);
-    let sequential = MultiCoreEmulator::new(&distilled, pod, matrix, &binding, profile, 29);
+    let sequential = Emulator::new(&distilled, pod, matrix, &binding, profile, 29);
     let backend = if threaded {
-        ParallelEmulator::from_sequential(sequential).into()
+        on_threads(sequential)
     } else {
-        sequential.into()
+        sequential
     };
     Scenario {
         backend,
@@ -124,7 +123,7 @@ fn build(threaded: bool) -> Scenario {
 
 /// Fails (`healthy: None`) or restores both directions of ring link `k`.
 fn set_link(
-    backend: &mut Emulator<Executor>,
+    backend: &mut Emulator,
     distilled: &mut DistilledTopology,
     k: usize,
     healthy: Option<&[PipeAttrs]>,
@@ -151,7 +150,7 @@ fn run_to_stop(threaded: bool) -> Vec<u8> {
 
 /// Drives the scenario to [`STOP_AT`]; returns the emulator there, the
 /// topology as the run left it and the client locations.
-fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology, Vec<NodeId>) {
+fn stop(threaded: bool) -> (Emulator, DistilledTopology, Vec<NodeId>) {
     let Scenario {
         mut backend,
         mut distilled,
@@ -213,7 +212,7 @@ fn stop(threaded: bool) -> (Emulator<Executor>, DistilledTopology, Vec<NodeId>) 
 }
 
 /// Runs a restored emulator to [`HORIZON`] and digests everything observable.
-fn tail_digest(mut backend: Emulator<Executor>) -> u64 {
+fn tail_digest(mut backend: Emulator) -> u64 {
     let mut w = ByteWriter::with_capacity(4096);
     let mut deliveries = Vec::new();
     let mut now = STOP_AT;
@@ -249,9 +248,9 @@ fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
             "snapshot bytes drifted from the v8 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = MultiCoreEmulator::restore_bytes(FIXTURE_V7).unwrap();
+    let mut restored = Emulator::restore_bytes(FIXTURE_V7).unwrap();
     assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V8);
-    let mut restored = ParallelEmulator::restore_bytes(FIXTURE_V7).unwrap();
+    let mut restored = on_threads(Emulator::restore_bytes(FIXTURE_V7).unwrap());
     assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V8);
 }
 
@@ -259,9 +258,9 @@ fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
     for fixture in [FIXTURE_V7, FIXTURE_V8] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
-        let sequential = Emulator::<Executor>::from(MultiCoreEmulator::restore(&snapshot).unwrap());
+        let sequential = Emulator::restore(&snapshot).unwrap();
         assert_eq!(tail_digest(sequential), TAIL_DIGEST);
-        let threaded = Emulator::<Executor>::from(ParallelEmulator::restore(&snapshot).unwrap());
+        let threaded = on_threads(Emulator::restore(&snapshot).unwrap());
         assert_eq!(tail_digest(threaded), TAIL_DIGEST);
     }
 }
@@ -277,10 +276,10 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     assert_eq!(expected.0.len(), MUX * ROUTERS + 1);
     assert!(expected.2.contains(&Some(CoreId(0))) && expected.2.contains(&Some(CoreId(1))));
     for fixture in [FIXTURE_V7, FIXTURE_V8] {
-        let mut sequential = MultiCoreEmulator::restore_bytes(fixture).unwrap();
+        let mut sequential = Emulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
-        let mut threaded = ParallelEmulator::restore_bytes(fixture).unwrap();
+        let mut threaded = on_threads(Emulator::restore_bytes(fixture).unwrap());
         let restored = membership(&mut threaded, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
     }
@@ -302,8 +301,6 @@ fn write_fixture() {
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
-    let digest = tail_digest(Emulator::<Executor>::from(
-        MultiCoreEmulator::restore(&snapshot).unwrap(),
-    ));
+    let digest = tail_digest(Emulator::restore(&snapshot).unwrap());
     println!("{} bytes, TAIL_DIGEST = {digest:#018x}", bytes.len());
 }

@@ -16,11 +16,13 @@
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+mod common;
+
+use common::on_threads;
+
 use mn_assign::{Binding, BindingParams};
 use mn_distill::{distill, DistillationMode};
-use mn_emucore::{
-    CoreExecutor, Emulator, HardwareProfile, MultiCoreEmulator, ParallelEmulator, SubmitOutcome,
-};
+use mn_emucore::{Emulator, HardwareProfile, SubmitOutcome};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TcpFlags, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
@@ -73,7 +75,7 @@ fn tcp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
 /// Drives `iters` submit/advance cycles starting at packet/time index
 /// `start`: one submit per 20 µs of virtual time, one advance per eight.
 fn drive(
-    emu: &mut MultiCoreEmulator,
+    emu: &mut Emulator,
     vns: &[VnId],
     deliveries: &mut Vec<mn_emucore::Delivery>,
     start: u64,
@@ -106,8 +108,8 @@ struct Feed {
 /// [`drive`] (or, at [`SLOW_CADENCE_NS`], [`drive_slow`]) through
 /// `submit_batch`, as the benchmark feeds it: the eight packets between two
 /// advances go in as one batch.
-fn drive_batched<X: CoreExecutor>(
-    emu: &mut Emulator<X>,
+fn drive_batched(
+    emu: &mut Emulator,
     vns: &[VnId],
     feed: &mut Feed,
     cadence_ns: u64,
@@ -146,8 +148,7 @@ fn steady_state_survives_a_bandwidth_renegotiation_without_allocating() {
     let d = distill(&topo, DistillationMode::HopByHop);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
@@ -227,8 +228,7 @@ fn fluid_epochs_and_mid_run_resize_allocate_nothing() {
     let d = distill(&topo, DistillationMode::HopByHop);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
@@ -317,8 +317,7 @@ fn sharded_route_lookups_allocate_nothing() {
     let mut d = distill(&topo, DistillationMode::HopByHop);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     // Fail a transit pipe (both directions) through the incremental path so
     // the table in force is a rewired copy-on-write generation, not the
     // pristine build.
@@ -422,7 +421,7 @@ const SLOW_CADENCE_NS: u64 = 65_000;
 /// file's compensation test pins. At this cadence each VN sources ~1.7 Mb/s
 /// — below access line rate, like every other workload in this file.
 fn drive_slow(
-    emu: &mut MultiCoreEmulator,
+    emu: &mut Emulator,
     vns: &[VnId],
     deliveries: &mut Vec<mn_emucore::Delivery>,
     start: u64,
@@ -460,8 +459,7 @@ fn compensated_steady_state_allocates_nothing() {
     let d = distill(&topo, DistillationMode::LAST_MILE);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     // Install the distiller-derived compensation demand on every collapsed
     // pipe, exactly as `Experiment::compensation` does at build time.
     let rates = mn_distill::compensation_rates(&d, 0.5);
@@ -568,8 +566,7 @@ fn single_core_steady_state_allocates_nothing() {
     let d = distill(&topo, DistillationMode::HopByHop);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
 
@@ -624,7 +621,7 @@ fn threaded_steady_state_allocates_nothing_on_any_thread() {
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
     let pod = mn_assign::greedy_k_clusters(&d, 2, 7);
     let profile = HardwareProfile::unconstrained();
-    let mut emu = ParallelEmulator::new(&d, pod, matrix, &binding, profile, 7);
+    let mut emu = Emulator::new(&d, pod, matrix, &binding, profile, 7).threaded();
     let vns: Vec<VnId> = binding.vns().collect();
     let mut feed = Feed::default();
 
@@ -662,15 +659,14 @@ fn steady_state_survives_a_restore_without_allocating() {
     let d = distill(&topo, DistillationMode::HopByHop);
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 1));
-    let mut emu =
-        MultiCoreEmulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
+    let mut emu = Emulator::single_core(&d, matrix, &binding, HardwareProfile::unconstrained(), 7);
     let vns: Vec<VnId> = binding.vns().collect();
     let mut deliveries: Vec<mn_emucore::Delivery> = Vec::new();
     let warmed = drive(&mut emu, &vns, &mut deliveries, 0, 30_000);
     assert!(warmed > 0, "warm-up must deliver packets");
 
     let bytes = emu.snapshot().unwrap().to_bytes();
-    let mut restored = MultiCoreEmulator::restore_bytes(&bytes).expect("state reconstructs");
+    let mut restored = Emulator::restore_bytes(&bytes).expect("state reconstructs");
     assert!(restored.snapshot().unwrap().to_bytes() == bytes);
 
     let _ = drive(&mut restored, &vns, &mut deliveries, 30_000, 30_000);
@@ -704,7 +700,7 @@ fn two_core_steady_state_allocates_nothing() {
     let matrix = RoutingMatrix::build(&d);
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
     let pod = mn_assign::greedy_k_clusters(&d, 2, 7);
-    let mut emu = MultiCoreEmulator::new(
+    let mut emu = Emulator::new(
         &d,
         pod,
         matrix,
@@ -901,7 +897,7 @@ fn a_traffic_heavy_checkpoint_is_one_exact_buffer_on_either_executor() {
     let binding = Binding::bind(d.vns(), &BindingParams::new(4, 2));
     let pod = mn_assign::greedy_k_clusters(&d, 2, 7);
     let profile = HardwareProfile::unconstrained();
-    let mut inline = MultiCoreEmulator::new(
+    let mut inline = Emulator::new(
         &d,
         pod.clone(),
         RoutingMatrix::build(&d),
@@ -909,8 +905,8 @@ fn a_traffic_heavy_checkpoint_is_one_exact_buffer_on_either_executor() {
         profile,
         7,
     );
-    let mut threaded =
-        ParallelEmulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile, 7);
+    let threaded = Emulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile, 7);
+    let mut threaded = on_threads(threaded);
     let vns: Vec<VnId> = binding.vns().collect();
     // Every VN sources ~15 Mb/s into a 2 Mb/s access pipe: queues fill.
     drive_batched(&mut inline, &vns, &mut Feed::default(), 2_000, 0, 20_000);
