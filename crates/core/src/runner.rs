@@ -266,11 +266,13 @@ impl Codec for Event {
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
 /// Current runner snapshot format version, the only one written; this
-/// version and the one before restore. Versions 7 and 8 have one layout,
-/// nesting an `MNSP` frame of their own version, and one checksum: the
-/// runner's own fields and the nested frame's header and checksum, not
-/// that frame's payload a second time ([`checksum_around_emulator_frame`]).
-const RUNNER_SNAPSHOT_VERSION: u32 = 8;
+/// version and the one before restore. Versions 8 and 9 nest an `MNSP`
+/// frame of their own version and share one checksum: the runner's own
+/// fields and the nested frame's header and checksum, not that frame's
+/// payload a second time ([`checksum_around_emulator_frame`]). Version 9
+/// adds the armed auto-checkpoint instant at the end; for a version-8 frame
+/// it is the earliest queued checkpoint event.
+const RUNNER_SNAPSHOT_VERSION: u32 = 9;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -502,6 +504,9 @@ pub struct Runner {
     /// Auto-checkpoint cadence, when armed (see
     /// [`Runner::set_auto_checkpoint`]).
     auto_checkpoint: Option<SimDuration>,
+    /// The one instant a queued checkpoint event checkpoints at: an event
+    /// for any other (one queued before a re-arm) is stale.
+    checkpoint_at: Option<SimTime>,
     /// The most recent auto-checkpoint: (virtual time, framed snapshot).
     last_checkpoint: Option<(SimTime, Vec<u8>)>,
     /// Why auto-checkpointing disarmed itself, if it did.
@@ -541,6 +546,7 @@ impl Runner {
             dynamics: None,
             failure: None,
             auto_checkpoint: None,
+            checkpoint_at: None,
             last_checkpoint: None,
             checkpoint_failure: None,
         }
@@ -872,7 +878,7 @@ impl Runner {
         self.emu_wakeup_at.put(w);
         self.apps_started.put(w);
         let cursor = self.dynamics.as_ref().map(|engine| engine.cursor());
-        (cursor, self.auto_checkpoint).put(w);
+        (cursor, self.auto_checkpoint, self.checkpoint_at).put(w);
         // The emulator's payload is under its own frame's sum already.
         w.end_frame_around(frame, emu_frame);
         Ok(())
@@ -893,9 +899,9 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(RecoverError::AppsNotSupported);
         }
-        let (_, mut r) =
+        let (version, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                7 | 8 => Ok(checksum_around_emulator_frame),
+                8 | 9 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way
@@ -910,6 +916,14 @@ impl Runner {
         let udp_flows = Vec::<UdpFlow>::get(&mut r)?;
         let (next_packet_id, packets_submitted, packets_delivered) = Codec::get(&mut r)?;
         let (emu_wakeup_at, apps_started, dynamics_cursor, auto_checkpoint) = Codec::get(&mut r)?;
+        let checkpoint_at = match version {
+            8 => pending
+                .iter()
+                .filter(|(_, event)| matches!(event, Event::Checkpoint))
+                .map(|&(at, _)| at)
+                .min(),
+            _ => Option::<SimTime>::get(&mut r)?,
+        };
         r.finish()?;
         // The event loop and the delivery path index `channels` and
         // `udp_flows` with what the snapshot says, unchecked: refuse any
@@ -983,6 +997,7 @@ impl Runner {
         self.emu_wakeup_at = emu_wakeup_at;
         self.apps_started = apps_started;
         self.auto_checkpoint = auto_checkpoint;
+        self.checkpoint_at = checkpoint_at;
         self.failure = None;
         self.checkpoint_failure = None;
         self.delivery_buf.clear();
@@ -999,18 +1014,23 @@ impl Runner {
     /// checkpoint survives unless a worker died while it was being
     /// overwritten.
     ///
-    /// A zero cadence takes no checkpoint (and disarms an earlier cadence),
-    /// and no checkpoint is armed past [`SimTime::MAX`]: the last one falls
-    /// at or before the end of virtual time.
+    /// Each call replaces the cadence and the grid: the next checkpoint
+    /// falls `every` from now, and one armed before is not taken. A zero
+    /// cadence takes no checkpoint (and disarms an earlier cadence), and no
+    /// checkpoint is armed past [`SimTime::MAX`]: the last one falls at or
+    /// before the end of virtual time.
     pub fn set_auto_checkpoint(&mut self, every: SimDuration) {
         self.auto_checkpoint = (!every.is_zero()).then_some(every);
         self.arm_checkpoint(every);
     }
 
-    /// Queues the auto-checkpoint `every` from now, unless that is now (it
-    /// would repeat without time passing) or past the end of virtual time.
+    /// Arms the auto-checkpoint `every` from now — the one instant a
+    /// checkpoint event is taken at — unless that is now (it would repeat
+    /// without time passing) or past the end of virtual time, which
+    /// disarms it.
     fn arm_checkpoint(&mut self, every: SimDuration) {
-        if let Some(at) = self.now.checked_add(every).filter(|&at| at > self.now) {
+        self.checkpoint_at = self.now.checked_add(every).filter(|&at| at > self.now);
+        if let Some(at) = self.checkpoint_at {
             self.events.push(at, Event::Checkpoint);
         }
     }
@@ -1066,6 +1086,8 @@ impl Runner {
                     }
                 }
             }
+            // An event queued before a re-arm is stale.
+            Event::Checkpoint if self.checkpoint_at != Some(at) => {}
             Event::Checkpoint => {
                 if let Some(every) = self.auto_checkpoint {
                     // Arm the next point *before* serializing so the
@@ -1083,7 +1105,7 @@ impl Runner {
                             if !bytes.is_empty() {
                                 self.last_checkpoint = Some((at, bytes));
                             }
-                            self.auto_checkpoint = None;
+                            (self.auto_checkpoint, self.checkpoint_at) = (None, None);
                             if let SnapshotError::Emulator(emu_error) = &error {
                                 if self.failure.is_none() {
                                     self.failure = Some(emu_error.clone());
@@ -1782,6 +1804,42 @@ mod tests {
         runner.run_for(SimDuration::from_secs(1)).unwrap();
         assert!(runner.last_checkpoint().is_none());
         assert_eq!(runner.now(), SimTime::from_secs(1));
+    }
+
+    /// Re-arming replaces the grid: the checkpoint armed first is not
+    /// taken, and neither is one armed before a zero cadence. A restore
+    /// keeps the armed instant.
+    #[test]
+    fn re_arming_the_checkpoint_cadence_retires_the_earlier_grid() {
+        let secs = SimTime::from_secs;
+        let taken = |runner: &Runner| runner.last_checkpoint().map(|(at, _)| at);
+        let mut runner = star_runner(4);
+        let vns = runner.vn_ids();
+        runner.add_bulk_flow(vns[0], vns[1], None, SimTime::ZERO);
+        runner.set_auto_checkpoint(SimDuration::from_secs(2));
+        runner.set_auto_checkpoint(SimDuration::from_secs(3));
+        let mut at_six = Vec::new();
+        for (until, expected) in [(2, None), (3, Some(3)), (5, Some(3)), (6, Some(6))] {
+            runner.run_until(secs(until)).unwrap();
+            assert_eq!(taken(&runner), expected.map(secs), "at {until} s");
+        }
+        at_six.extend_from_slice(runner.last_checkpoint().unwrap().1);
+        for (until, expected) in [(8, 6), (9, 9)] {
+            runner.run_until(secs(until)).unwrap();
+            assert_eq!(taken(&runner), Some(secs(expected)), "at {until} s");
+        }
+        let mut restored = star_runner(4);
+        restored.recover_from(&at_six).unwrap();
+        restored.run_until(secs(8)).unwrap();
+        assert_eq!(taken(&restored), None);
+        restored.run_until(secs(9)).unwrap();
+        assert_eq!(taken(&restored), Some(secs(9)));
+
+        let mut disarmed = star_runner(4);
+        disarmed.set_auto_checkpoint(SimDuration::from_secs(2));
+        disarmed.set_auto_checkpoint(SimDuration::ZERO);
+        disarmed.run_for(SimDuration::from_secs(5)).unwrap();
+        assert_eq!(taken(&disarmed), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
-use mn_distill::{PipeAttrs, PipeId};
+use mn_distill::{PipeAttrs, PipeId, WidePipeId};
 use mn_pipe::{EmuPipe, EnqueueOutcome, PipeStats};
 use mn_routing::RouteTable;
 use mn_util::rngs::derived_rng;
@@ -128,8 +128,7 @@ core_stats! {
     /// Bytes transmitted (deliveries plus tunnels out).
     bytes_out,
     /// Always 0 since format v8: a CBR episode is a fluid demand (its bytes
-    /// count in `fluid_modelled_bytes`), and nothing meters its packets. A
-    /// core restored from a v7 checkpoint keeps the count that run made.
+    /// count in `fluid_modelled_bytes`), and nothing meters its packets.
     cbr_injected,
     /// Descriptors dropped because their next pipe was a failed link
     /// (configured bandwidth zero, e.g. after a `NodeDown` event). Without
@@ -777,9 +776,6 @@ impl EmulatorCore {
         self.cpu_backlog.put(w);
         self.cpu_busy_total.put(w);
         self.cpu_last_credit.put(w);
-        // Two words the format keeps, read by nothing: the core's start and
-        // its last credit again.
-        (SimTime::ZERO, self.cpu_last_credit).put(w);
         self.rx_tokens.put(w);
         self.rx_last_refill.put(w);
         (self.stats, self.accuracy, self.rng.state()).put(w);
@@ -801,8 +797,10 @@ impl EmulatorCore {
     /// a staged tunnel one that `pod` gives to a peer, and a tunnel in the
     /// inbox must be one this core can admit
     /// (`EmulatorCore::receive_restored`). The fluid demand total is summed
-    /// from the pipes; a `version` 7 core wrote it, after its CBR meters, and
-    /// both are read past.
+    /// from the pipes. A `version` 8 core wrote each wheel entry's and
+    /// staged tunnel's pipe id in 8 bytes ([`WidePipeId`]), and after its CPU
+    /// clock two words nothing reads — zero and the clock again — which are
+    /// refused unless they are those.
     pub fn decode_state(
         r: &mut ByteReader,
         version: u32,
@@ -829,9 +827,14 @@ impl EmulatorCore {
             });
         }
         let installed = |pipe: PipeId| pipes.get(pipe.index()).is_some_and(Option::is_some);
+        let get_pipe = |r: &mut ByteReader| match version {
+            8 => WidePipeId::get(r).map(PipeId::from),
+            _ => PipeId::get(r),
+        };
         let mut wheel = TimerWheel::new();
         for _ in 0..r.get_count(<(SimTime, PipeId)>::MIN_BYTES)? {
-            let (time, pipe) = Codec::get(r)?;
+            let time = SimTime::get(r)?;
+            let pipe = get_pipe(r)?;
             if !installed(pipe) {
                 return Err(Invalid("wheel entry for a pipe not installed here"));
             }
@@ -840,18 +843,12 @@ impl EmulatorCore {
         let pending_count = r.get_count(<(PipeId, Descriptor, SimTime)>::MIN_BYTES)?;
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
-            let pipe = PipeId::get(r)?;
+            let pipe = get_pipe(r)?;
             // The tunnel exchange sends it to the pipe's owner, unasked.
             if pod.get_owner(pipe).is_none_or(|owner| owner == id) {
                 return Err(Invalid("staged tunnel's pipe has no peer owner"));
             }
             pending_remote.push((pipe, to_slab(r)?, SimTime::get(r)?));
-        }
-        if version == 7 {
-            // Each meter: its pipe, packet size, interval and next injection.
-            let meter = <(PipeId, ByteSize, SimDuration, SimTime)>::MIN_BYTES;
-            let meters = r.get_count(meter)?;
-            r.take_bytes(meters * meter + u64::MIN_BYTES)?;
         }
         if slab.iter().any(|d| !d.fits(&routes)) {
             return Err(Invalid("descriptor route or hop out of range"));
@@ -863,12 +860,12 @@ impl EmulatorCore {
             .ok_or(Invalid("pipes' fluid demand overflows"))?;
         let (fluid_last, fluid_bits_ns_rem) = Codec::get(r)?;
         let (cpu_backlog, cpu_busy_total, cpu_last_credit) = Codec::get(r)?;
-        let (started_at, last_seen, rx_tokens, rx_last_refill) = Codec::get(r)?;
-        // The encoder writes both from the CPU clock, so that a decoded core
-        // re-encodes to its input.
-        if (started_at, last_seen) != (SimTime::ZERO, cpu_last_credit) {
+        // Its v8 encoder wrote both from the CPU clock, so that a decoded
+        // core re-encodes to its input.
+        if version == 8 && <(SimTime, SimTime)>::get(r)? != (SimTime::ZERO, cpu_last_credit) {
             return Err(Invalid("CPU clock words disagree"));
         }
+        let (rx_tokens, rx_last_refill) = Codec::get(r)?;
         let (stats, accuracy, rng_state) = Codec::get(r)?;
         let mut core = EmulatorCore {
             id,
@@ -961,9 +958,11 @@ mod tests {
     /// tunnel staged for a peer and one waiting in the inbox: its core's
     /// checkpoint bytes, pinned by their length and sum — no golden fixture
     /// draws a random loss. Recorded at `MNSP` v5, when RED retired and
-    /// tunnels in flight moved into their target core, and again at v8,
-    /// 48 bytes shorter: the CBR meter this core carried then (a count and
-    /// 32 bytes) and the fluid total went.
+    /// tunnels in flight moved into their target core, again at v8, 48
+    /// bytes shorter: the CBR meter this core carried then (a count and 32
+    /// bytes) and the fluid total went, and again at v9, 192 bytes shorter:
+    /// its two spare clock words went and the pipe ids of its 44 wheel
+    /// entries and staged tunnels narrowed to 4 bytes.
     #[test]
     fn a_lossy_core_encodes_to_its_pinned_bytes() {
         use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
@@ -1015,7 +1014,7 @@ mod tests {
         core.encode_state(&mut w);
         assert_eq!(
             (w.len(), mn_util::codec::checksum64(w.as_slice())),
-            (5_425, 0xc0df_84d4_b384_c4b7)
+            (5_233, 0x0984_878c_0741_c27c)
         );
         let pod = PipeOwnershipDirectory::from_owners([0, 0, 1].map(CoreId).to_vec(), 2);
         let (profile, routes) = (core.profile, core.routes.clone());
@@ -1037,38 +1036,33 @@ mod tests {
         assert_eq!(core.stats().fluid_modelled_bytes, u64::MAX);
     }
 
-    /// A v7 core wrote its CBR meters (a count, 32 bytes each) and its fluid
-    /// total between its staged tunnels and its fluid clock: read past,
-    /// bounded by the meter count, the total summed from the pipes.
+    /// A v8 core wrote two words after its CPU clock — zero and the clock
+    /// again — that nothing reads: read and checked, then dropped.
     #[test]
-    fn a_v7_core_is_read_past_its_cbr_meters_and_fluid_total() {
+    fn a_v8_core_is_read_past_its_clock_words() {
         let routes = Arc::new(RouteTable::new(2));
         let profile = HardwareProfile::unconstrained();
         let mut core = EmulatorCore::new(CoreId(0), profile, 1, routes.clone(), 1);
         let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
         core.install_pipe(PipeId(0), attrs);
-        let clock = SimTime::from_nanos(0x5eed_5eed_5eed);
-        assert!(core.set_pipe_fluid_demand(PipeId(0), DataRate::from_mbps(3), clock));
+        core.cpu_last_credit = SimTime::from_nanos(0x5eed_5eed_5eed);
         let mut w = mn_util::ByteWriter::new();
         core.encode_state(&mut w);
-        let v8 = w.into_bytes();
-        let at = v8
-            .windows(8)
-            .position(|w| w == clock.as_nanos().to_le_bytes());
-        let (head, tail) = v8.split_at(at.expect("the fluid clock is written"));
-        let v7 = |meters: u64| [head, &meters.to_le_bytes(), &[9; 2 * 32 + 8], tail].concat();
+        let current = w.into_bytes();
+        let clock = core.cpu_last_credit.as_nanos().to_le_bytes();
+        let at = current.windows(8).position(|w| w == clock);
+        let (head, tail) = current.split_at(at.expect("the CPU clock is written") + 8);
+        let v8 = |start: u64| [head, &start.to_le_bytes(), &clock, tail].concat();
         let pod = PipeOwnershipDirectory::single_core(1);
         let decode = |bytes: &[u8]| {
             let r = &mut mn_util::ByteReader::new(bytes);
-            EmulatorCore::decode_state(r, 7, profile, routes.clone(), &pod)
+            EmulatorCore::decode_state(r, 8, profile, routes.clone(), &pod)
         };
-        let restored = decode(&v7(2)).unwrap();
-        assert_eq!(restored.fluid_total_bps, DataRate::from_mbps(3).as_bps());
         let mut again = mn_util::ByteWriter::new();
-        restored.encode_state(&mut again);
-        assert!(again.into_bytes() == v8);
-        let why = mn_util::CodecError::Invalid("length prefix exceeds input");
-        assert_eq!(decode(&v7(u64::MAX)).map(|_| ()), Err(why));
+        decode(&v8(0)).unwrap().encode_state(&mut again);
+        assert!(again.into_bytes() == current);
+        let why = mn_util::CodecError::Invalid("CPU clock words disagree");
+        assert_eq!(decode(&v8(1)).map(|_| ()), Err(why));
     }
 
     /// Every hop is entered at the deadline its predecessor named, so an

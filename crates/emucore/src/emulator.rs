@@ -941,16 +941,20 @@ impl Emulator {
     /// VN's location and liveness are rebuilt from the route table, which
     /// records both, and the load vector from them and the entry cores; the
     /// fluid solver's per-pipe capacities and demands from the restored
-    /// pipes, which hold both. A v7 frame wrote those vectors, each core's
-    /// fluid total and CBR meters too; they are read past. The frame is
-    /// written out rather than declared because those checks need what was
-    /// read before them.
+    /// pipes, which hold both. A v8 frame carries the route table's and the
+    /// matrix's v8 forms ([`RouteTable::decode_v8`],
+    /// [`RoutingMatrix::get_v8`]) and 8-byte pipe ids. The frame is written
+    /// out rather than declared because those checks need what was read
+    /// before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
-        let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = RoutingMatrix::get(r)?;
+        let (routes, matrix) = match version {
+            8 => (RouteTable::decode_v8(r)?, RoutingMatrix::get_v8(r)?),
+            _ => (RouteTable::decode(r)?, RoutingMatrix::get(r)?),
+        };
+        let routes = Arc::new(routes);
         let core_count = usize::get(r)?;
         if core_count == 0 {
             return Err(Invalid("no cores"));
@@ -1063,6 +1067,8 @@ mod tests {
     use mn_routing::RouteId;
     use mn_topology::generators::{ring_topology, RingParams};
 
+    use crate::fluid::DEFAULT_FLUID_EPOCH;
+
     /// A 2-core emulator over a 4-router, 8-client ring.
     fn ring_emulator() -> Emulator {
         let topo = ring_topology(&RingParams {
@@ -1107,11 +1113,16 @@ mod tests {
         inline.cores[target].receive_tunnel(arrival, descriptor);
     }
 
-    /// A routing matrix's fields as a frame lays them out.
+    /// A routing matrix's fields as a frame lays them out: the node map and
+    /// count, the pipe tables, the component maps, every row back to back
+    /// (each as wide as its source's component), then the reverse index and
+    /// the free slots.
     type MatrixFields = (
-        (Vec<NodeId>, Vec<u32>, usize, Vec<u32>),
-        (Vec<u64>, Vec<u32>, Vec<u32>),
-        (Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<Vec<u32>>, Vec<u32>, u64),
+        (Vec<NodeId>, Vec<u32>, usize),
+        (Vec<u64>, Vec<u32>),
+        (Vec<u32>, Vec<Vec<u32>>, Vec<Vec<u32>>),
+        Vec<u32>,
+        (Vec<Vec<u32>>, Vec<u32>),
     );
 
     /// A hand-built frame: `emu`'s checkpoint with the routing matrix's
@@ -1123,12 +1134,26 @@ mod tests {
         HardwareProfile::get(&mut r).unwrap();
         RouteTable::decode(&mut r).unwrap();
         let at = payload.len() - r.remaining();
-        let mut fields = MatrixFields::get(&mut r).unwrap();
+        let mut fields: MatrixFields = Default::default();
+        (fields.0, fields.1, fields.2) = Codec::get(&mut r).unwrap();
+        let (components, lists) = (&fields.2 .0, &fields.2 .2);
+        let width = |vn: &NodeId| {
+            components
+                .get(vn.index())
+                .map_or(0, |&c| lists[c as usize].len())
+        };
+        fields.3 = r
+            .get_bare_u32s(fields.0 .0.iter().map(width).sum())
+            .unwrap();
+        fields.4 = Codec::get(&mut r).unwrap();
         corrupt(&mut fields);
         let mut w = ByteWriter::new();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.put_bytes(&payload[..at]);
-        fields.put(&mut w);
+        let (head, pipes, maps, rows, tail) = fields;
+        (head, pipes, maps).put(&mut w);
+        w.put_bare_u32s(&rows);
+        tail.put(&mut w);
         w.put_bytes(&payload[payload.len() - r.remaining()..]);
         w.end_frame(frame);
         w.into_bytes()
@@ -1198,15 +1223,13 @@ mod tests {
         // range: refused when decoded, on both executors.
         type CorruptMatrix = fn(&mut MatrixFields);
         let matrix: [(&str, CorruptMatrix); 9] = [
-            ("predecessor rows do not cover the source slots", |f| {
-                f.0 .3.pop();
-            }),
+            ("component maps disagree", |f| f.2 .0[0] = 1),
             ("pipe tables of unequal lengths", |f| {
-                f.2 .2.pop();
+                f.4 .0.pop();
             }),
             ("pipe tail out of range", |f| f.1 .1[0] = f.0 .2 as u32),
             ("predecessor pipe out of range", |f| {
-                f.0 .3[1] = f.1 .1.len() as u32
+                f.3[1] = f.1 .1.len() as u32
             }),
             ("source slots and node map disagree", |f| {
                 f.0 .1[f.0 .0[0].index()] = 1;
@@ -1215,12 +1238,12 @@ mod tests {
                 f.0 .0[1] = NodeId(f.0 .2);
             }),
             ("component or reverse index out of range", |f| {
-                f.1 .2[0] = f.2 .1.len() as u32;
+                f.2 .1[0].push(f.0 .0.len() as u32);
             }),
             ("component or reverse index out of range", |f| {
-                f.2 .2[0].push(f.0 .0.len() as u32);
+                f.4 .0[0].push(f.0 .0.len() as u32);
             }),
-            ("free slots not ascending tombstones", |f| f.2 .3.push(0)),
+            ("free slots not ascending tombstones", |f| f.4 .1.push(0)),
         ];
         for (what, corrupt) in matrix {
             let bytes = with_matrix(&mut ring_emulator(), corrupt);
@@ -1241,70 +1264,75 @@ mod tests {
         assert!(restored.snapshot().unwrap() == snapshot);
     }
 
-    #[test]
-    fn restore_bytes_refuses_a_pipe_id_of_2_to_the_32_or_more() {
-        // A CBR episode's fluid flow is keyed by its pipe, one of the 8-byte
-        // pipe ids a snapshot carries: set bit 32 of it and seal the frame
-        // again.
-        let mut source = ring_emulator();
-        let rate = Some(DataRate::from_mbps(2));
-        assert!(source.set_pipe_compensation(PipeId(5), rate, SimTime::ZERO));
-        let mut bytes = source.snapshot().unwrap().to_bytes();
-        // The flow's key and kind: each a pinned-pipe tag, then the pipe.
-        let pinned = [&[1u8][..], &5u64.to_le_bytes()].concat().repeat(2);
-        let at = bytes.windows(18).position(|w| w == pinned).unwrap();
-        bytes[at + 5] = 1;
+    /// A v8 checkpoint: the `mnsp_v8_path4` fixture of the golden tests
+    /// (two cores stopped at 4.9 ms, two CBR episodes among its fluid
+    /// flows).
+    const V8_FRAME: &[u8] = include_bytes!("../../../tests/data/mnsp_v8_path4.bin");
+
+    /// [`V8_FRAME`] with the `patch` bytes written at each of `at`, and the
+    /// frame sealed again.
+    fn patched_v8(at: &[usize], patch: &[u8]) -> Vec<u8> {
+        let mut bytes = V8_FRAME.to_vec();
+        for &at in at {
+            bytes[at..at + patch.len()].copy_from_slice(patch);
+        }
         let end = bytes.len() - 8;
         let sum = mn_util::codec::checksum64(&bytes[16..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// Where `pattern` lies in [`V8_FRAME`].
+    fn v8_positions(pattern: &[u8]) -> Vec<usize> {
+        let windows = V8_FRAME.windows(pattern.len()).enumerate();
+        windows
+            .filter(|(_, w)| *w == pattern)
+            .map(|(at, _)| at)
+            .collect()
+    }
+
+    #[test]
+    fn restore_bytes_refuses_a_pipe_id_of_2_to_the_32_or_more() {
+        // A CBR episode's fluid flow is keyed by its pipe, one of the 8-byte
+        // pipe ids a v8 snapshot carries: set bit 32 of it and seal the
+        // frame again.
+        assert!(Emulator::restore_bytes(V8_FRAME).is_ok());
+        // The flow's key and kind: each a pinned-pipe tag, then pipe 2.
+        let pinned = [&[1u8][..], &2u64.to_le_bytes()].concat().repeat(2);
+        let at = v8_positions(&pinned)[0];
         let refused = Err(CodecError::Invalid("pipe id of 2^32 or more"));
+        let bytes = patched_v8(&[at + 5], &[1]);
         assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
     }
 
     #[test]
     fn restore_bytes_refuses_a_fluid_epoch_of_u64_max_ns() {
-        // Every run recomputes on the default cadence; a frame saying
+        // Every run recomputes on the default cadence; a v8 frame saying
         // otherwise would overflow `at + epoch` at the first solve (a panic
         // in debug builds, a clock wrapped into the past in release ones).
-        let mut source = ring_emulator();
-        let rate = Some(DataRate::from_mbps(2));
-        assert!(source.set_pipe_compensation(PipeId(5), rate, SimTime::ZERO));
-        let mut bytes = source.snapshot().unwrap().to_bytes();
-        let mut fluid = ByteWriter::new();
-        source.fluid.encode(&mut fluid);
-        let fluid = fluid.into_bytes();
-        let at = bytes.windows(fluid.len()).position(|w| w == fluid).unwrap();
-        // The epoch word follows the fluid clock.
-        bytes[at + 8..at + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let end = bytes.len() - 8;
-        let sum = mn_util::codec::checksum64(&bytes[16..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        // The cadence word precedes the next epoch's tag.
+        let epoch = [&DEFAULT_FLUID_EPOCH.as_nanos().to_le_bytes()[..], &[1]].concat();
+        let at = v8_positions(&epoch);
+        assert_eq!(at.len(), 1);
+        let bytes = patched_v8(&at, &u64::MAX.to_le_bytes());
         let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
         assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
     }
 
     #[test]
     fn restore_refuses_a_core_whose_cpu_clock_words_disagree() {
-        // A core writes its CPU clock, then two words nothing reads: its
-        // start, always zero, and the clock again. Every core ticks at the
-        // advance, so each clock reads 3 ms.
-        let mut source = ring_emulator();
-        source.advance(SimTime::from_millis(3)).unwrap();
-        let bytes = source.snapshot().unwrap().to_bytes();
-        let clock = SimTime::from_millis(3).as_nanos().to_le_bytes();
+        // A v8 core writes its CPU clock, then two words nothing reads: its
+        // start, always zero, and the clock again. Both cores stopped at
+        // 4.9 ms.
+        let clock = SimTime::from_micros(4_900).as_nanos().to_le_bytes();
         let words = [&clock[..], &[0; 8], &clock].concat();
-        let at: Vec<usize> = (0..bytes.len() - 24)
-            .filter(|&i| bytes[i..i + 24] == words[..])
-            .collect();
+        let at = v8_positions(&words);
         assert_eq!(at.len(), 2, "one clock per core");
         for word in [8, 16] {
-            let mut bytes = bytes.clone();
-            bytes[at[1] + word] ^= 1;
-            let end = bytes.len() - 8;
-            let sum = mn_util::codec::checksum64(&bytes[16..end]);
-            bytes[end..].copy_from_slice(&sum.to_le_bytes());
+            let mut flipped = words[word..word + 8].to_vec();
+            flipped[0] ^= 1;
             assert_eq!(
-                Emulator::restore_bytes(&bytes).map(|_| ()),
+                Emulator::restore_bytes(&patched_v8(&[at[1] + word], &flipped)).map(|_| ()),
                 Err(CodecError::Invalid("CPU clock words disagree"))
             );
         }

@@ -22,9 +22,10 @@
 
 use std::collections::HashMap;
 
-use mn_distill::PipeId;
+use mn_distill::{PipeId, WidePipeId};
 use mn_packet::VnId;
 use mn_routing::RouteTable;
+use mn_util::codec::Transient;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
 /// Cadence at which fluid rates are recomputed while flows are live:
@@ -60,9 +61,16 @@ impl Codec for FlowKey {
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Self::get_as::<PipeId>(r)
+    }
+}
+
+impl FlowKey {
+    /// A key whose pipe id is written as `P` ([`WidePipeId`] in format v8).
+    fn get_as<P: Codec + Into<PipeId>>(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
             0 => Ok(FlowKey::User(u64::get(r)?)),
-            1 => Ok(FlowKey::Cbr(PipeId::get(r)?)),
+            1 => Ok(FlowKey::Cbr(P::get(r)?.into())),
             _ => Err(CodecError::Invalid("unknown fluid flow key tag")),
         }
     }
@@ -90,13 +98,20 @@ impl Codec for FlowKind {
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Self::get_as::<PipeId>(r)
+    }
+}
+
+impl FlowKind {
+    /// A kind whose pipe id is written as `P` ([`WidePipeId`] in format v8).
+    fn get_as<P: Codec + Into<PipeId>>(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
             0 => Ok(FlowKind::Route {
                 src: VnId::get(r)?,
                 dst: VnId::get(r)?,
             }),
             1 => Ok(FlowKind::Pipe {
-                pipe: PipeId::get(r)?,
+                pipe: P::get(r)?.into(),
             }),
             _ => Err(CodecError::Invalid("unknown fluid flow kind tag")),
         }
@@ -122,7 +137,31 @@ mn_util::codec_record! {
         /// Exact integral of the allocated rate over virtual time.
         goodput_bits_ns: u128,
         /// Solver scratch: the flow's allocation is final for this solve.
-        frozen: bool,
+        frozen: Transient<bool>,
+    }
+}
+
+impl FlowSlot {
+    /// A slot as format v8 wrote it: 8-byte pipe ids ([`WidePipeId`]), and
+    /// the solver's `frozen` flag after the integral, read and dropped.
+    /// Read by v8 checkpoints alone; the next format drops it.
+    fn get_v8(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let key = FlowKey::get_as::<WidePipeId>(r)?;
+        let kind = FlowKind::get_as::<WidePipeId>(r)?;
+        let (demand_bps, weight, rate_bps) = Codec::get(r)?;
+        let pipes = Vec::<WidePipeId>::get(r)?;
+        let (routable, goodput_bits_ns, _frozen) = <(bool, u128, bool)>::get(r)?;
+        Ok(FlowSlot {
+            key,
+            kind,
+            demand_bps,
+            weight,
+            rate_bps,
+            pipes: pipes.into_iter().map(PipeId::from).collect(),
+            routable,
+            goodput_bits_ns,
+            frozen: Transient(false),
+        })
     }
 }
 
@@ -230,7 +269,7 @@ impl FluidState {
             pipes: Vec::new(),
             routable: false,
             goodput_bits_ns: 0,
-            frozen: false,
+            frozen: Transient(false),
         });
         self.routes_dirty = true;
         true
@@ -277,7 +316,7 @@ impl FluidState {
                         pipes: vec![pipe],
                         routable: true,
                         goodput_bits_ns: 0,
-                        frozen: false,
+                        frozen: Transient(false),
                     });
                 }
             }
@@ -433,39 +472,39 @@ impl FluidState {
 
         // Pass 1: CBR episodes, installation order, demand-or-residual.
         for flow in &mut self.flows {
-            flow.frozen = false;
+            *flow.frozen = false;
             let FlowKind::Pipe { pipe } = flow.kind else {
                 continue;
             };
             let p = pipe.index();
             let rate = flow.demand_bps.min(self.remaining[p]);
             flow.rate_bps = rate;
-            flow.frozen = true;
+            *flow.frozen = true;
             self.remaining[p] -= rate;
             self.new_demand[p] += rate;
         }
 
         // Pass 2: routed flows water-fill the residual.
         for flow in &mut self.flows {
-            if flow.frozen {
+            if *flow.frozen {
                 continue;
             }
             flow.rate_bps = 0;
             if !flow.routable {
-                flow.frozen = true;
+                *flow.frozen = true;
                 continue;
             }
             if flow.pipes.is_empty() || flow.demand_bps == 0 {
                 // Local (zero-hop) flows get their full demand off-network.
                 flow.rate_bps = flow.demand_bps;
-                flow.frozen = true;
+                *flow.frozen = true;
             }
         }
         loop {
             // Weight sums over unfrozen flows, and the bottleneck increment.
             let mut any = false;
             for flow in &self.flows {
-                if flow.frozen {
+                if *flow.frozen {
                     continue;
                 }
                 any = true;
@@ -478,7 +517,7 @@ impl FluidState {
             }
             let mut inc = u64::MAX;
             for flow in &self.flows {
-                if flow.frozen {
+                if *flow.frozen {
                     continue;
                 }
                 for &pipe in &flow.pipes {
@@ -492,7 +531,7 @@ impl FluidState {
             // the bottleneck pipe (whose residual fell below its weight sum)
             // freezes, so every round retires at least one flow.
             for flow in &mut self.flows {
-                if flow.frozen {
+                if *flow.frozen {
                     continue;
                 }
                 let grant = (inc.saturating_mul(flow.weight)).min(flow.demand_bps - flow.rate_bps);
@@ -502,11 +541,11 @@ impl FluidState {
                     self.remaining[p] -= grant.min(self.remaining[p]);
                 }
                 if flow.rate_bps >= flow.demand_bps {
-                    flow.frozen = true;
+                    *flow.frozen = true;
                 }
             }
             for flow in &mut self.flows {
-                if flow.frozen {
+                if *flow.frozen {
                     continue;
                 }
                 if flow
@@ -514,7 +553,7 @@ impl FluidState {
                     .iter()
                     .any(|pipe| self.remaining[pipe.index()] < self.wsum[pipe.index()])
                 {
-                    flow.frozen = true;
+                    *flow.frozen = true;
                 }
             }
             // Reset the weight sums for the next round (only touched pipes).
@@ -566,25 +605,26 @@ impl FluidState {
     }
 }
 
-/// The fluid state's checkpoint: the settled clock, epoch grid, every flow
-/// slot in order (so restore reproduces slot indices and therefore CBR
+/// The fluid state's checkpoint: the settled clock, the next epoch, every
+/// flow slot in order (so restore reproduces slot indices and therefore CBR
 /// allocation order exactly) and the dirty mark. Each pipe's capacity and
 /// distributed demand are the pipe's own, which its core writes, so restore
 /// fills them in from the restored pipes ([`FluidState::restore_pipe`]).
-/// Written out rather than declared because a version-7 frame wrote the two
-/// per-pipe vectors between the flows and the mark, and the flow index and
-/// solver scratch are rebuilt, not read. A restored state produces the same
-/// solves, integrals and epoch schedule as the original — and refuses what
-/// would hang or panic them: a cadence other than [`DEFAULT_FLUID_EPOCH`],
-/// the only one a run sets (zero would pin the emulator's epoch loop to one
-/// instant, a huge one overflow the clock), a next epoch within one epoch
-/// of [`SimTime::MAX`] (the re-solve there would overflow the clock), a
-/// flow on a pipe beyond the capacities, two flows under one key. A next
-/// epoch before the clock is read as written: the first re-solve moves the
-/// grid up to the clock ([`FluidState::recompute`]).
+/// Written out rather than declared because a version-8 frame wrote the
+/// cadence after the clock and its flow slots in their v8 form
+/// ([`FlowSlot::get_v8`]), and the flow index and solver scratch are rebuilt, not
+/// read. A restored state produces the same solves, integrals and epoch
+/// schedule as the original — and refuses what would hang or panic them: a
+/// v8 cadence other than [`DEFAULT_FLUID_EPOCH`], the only one a run sets
+/// (zero would pin the emulator's epoch loop to one instant, a huge one
+/// overflow the clock), a next epoch within one epoch of [`SimTime::MAX`]
+/// (the re-solve there would overflow the clock), a flow on a pipe beyond
+/// the capacities, two flows under one key. A next epoch before the clock
+/// is read as written: the first re-solve moves the grid up to the clock
+/// ([`FluidState::recompute`]).
 impl FluidState {
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
-        (self.clock, DEFAULT_FLUID_EPOCH, self.next_epoch).put(w);
+        (self.clock, self.next_epoch).put(w);
         self.flows.put(w);
         self.routes_dirty.put(w);
     }
@@ -597,17 +637,18 @@ impl FluidState {
         pipes: usize,
     ) -> Result<Self, CodecError> {
         use CodecError::Invalid;
-        let (clock, epoch, next_epoch) = <(SimTime, SimDuration, Option<SimTime>)>::get(r)?;
-        let flows = Vec::<FlowSlot>::get(r)?;
-        if version == 7 {
-            // The capacity vector, then as many demand words.
-            let written = r.get_count(2 * u64::MIN_BYTES)?;
-            r.take_bytes(written * 2 * u64::MIN_BYTES)?;
-        }
-        let routes_dirty = bool::get(r)?;
-        if epoch != DEFAULT_FLUID_EPOCH {
+        let clock = SimTime::get(r)?;
+        if version == 8 && SimDuration::get(r)? != DEFAULT_FLUID_EPOCH {
             return Err(Invalid("fluid epoch other than the default"));
         }
+        let next_epoch = Option::<SimTime>::get(r)?;
+        let flows = match version {
+            8 => (0..r.get_count(FlowSlot::MIN_BYTES)?)
+                .map(|_| FlowSlot::get_v8(r))
+                .collect::<Result<_, _>>()?,
+            _ => Vec::<FlowSlot>::get(r)?,
+        };
+        let routes_dirty = bool::get(r)?;
         if next_epoch.is_some_and(|at| at > SimTime::MAX - DEFAULT_FLUID_EPOCH) {
             return Err(Invalid(
                 "next fluid epoch within one epoch of the end of time",
@@ -887,38 +928,79 @@ mod tests {
         let mut fluid = FluidState::new(vec![mbps(10).as_bps()]);
         fluid.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
         let mut bytes = encoded(&fluid);
-        // The flow-key tag byte follows clock + epoch + Option tag + len.
-        let tag_at = 8 + 8 + 1 + 8;
+        // The flow-key tag byte follows clock + Option tag + len.
+        let tag_at = 8 + 1 + 8;
         assert_eq!(bytes[tag_at], 1, "layout drifted; fix the offset");
         bytes[tag_at] = 9;
         let r = &mut ByteReader::new(&bytes);
         assert!(FluidState::decode(r, SNAPSHOT_VERSION, 1).is_err());
     }
 
+    /// `state` as format v8 wrote it, its cadence word `epoch`.
+    fn encoded_v8(state: &FluidState, epoch: SimDuration) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        (state.clock, epoch, state.next_epoch).put(&mut w);
+        w.put_len(state.flows.len());
+        for flow in &state.flows {
+            match flow.key {
+                FlowKey::User(tag) => (0u8, tag).put(&mut w),
+                FlowKey::Cbr(pipe) => (1u8, WidePipeId(pipe)).put(&mut w),
+            }
+            match flow.kind {
+                FlowKind::Route { src, dst } => (0u8, src, dst).put(&mut w),
+                FlowKind::Pipe { pipe } => (1u8, WidePipeId(pipe)).put(&mut w),
+            }
+            (flow.demand_bps, flow.weight, flow.rate_bps).put(&mut w);
+            let wide: Vec<WidePipeId> = flow.pipes.iter().map(|&p| WidePipeId(p)).collect();
+            (wide, flow.routable, flow.goodput_bits_ns, *flow.frozen).put(&mut w);
+        }
+        state.routes_dirty.put(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn a_zero_epoch_is_refused() {
         // Restored, it would pin the next epoch to the instant it is solved
-        // at, and `Emulator::advance_into` would solve there forever. (The
-        // epoch word follows the clock.)
-        let mut bytes = encoded(&one_flow());
-        bytes[8..16].copy_from_slice(&0u64.to_le_bytes());
+        // at, and `Emulator::advance_into` would solve there forever. Only a
+        // v8 frame writes the cadence.
+        let bytes = encoded_v8(&one_flow(), SimDuration::ZERO);
         let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
         let r = &mut ByteReader::new(&bytes);
-        assert_eq!(
-            FluidState::decode(r, SNAPSHOT_VERSION, 1).map(|_| ()),
-            refused
-        );
+        assert_eq!(FluidState::decode(r, 8, 1).map(|_| ()), refused);
+    }
+
+    /// A v8 state — 8-byte pipe ids, the cadence and each slot's solver
+    /// flag — reads back to the state it was written from.
+    #[test]
+    fn a_v8_state_reads_as_the_current_one() {
+        let mut fluid = one_flow();
+        fluid.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
+        let current = encoded(&fluid);
+        let v8 = encoded_v8(&fluid, DEFAULT_FLUID_EPOCH);
+        // The cadence; each slot's flag and routed pipe; the episode's key
+        // and kind.
+        assert_eq!(v8.len(), current.len() + 8 + 2 * (1 + 4) + 2 * 4);
+        let restored = FluidState::decode(&mut ByteReader::new(&v8), 8, 1).unwrap();
+        assert!(encoded(&restored) == current);
+        // The episode's key and kind: each a pinned-pipe tag, then pipe 0.
+        let pinned = [&[1u8][..], &0u64.to_le_bytes()].concat().repeat(2);
+        let at = v8.windows(18).position(|w| w == pinned).unwrap();
+        let mut beyond = v8.clone();
+        beyond[at + 5] = 1;
+        let refused = Err(CodecError::Invalid("pipe id of 2^32 or more"));
+        let r = &mut ByteReader::new(&beyond);
+        assert_eq!(FluidState::decode(r, 8, 1).map(|_| ()), refused);
     }
 
     #[test]
     fn a_next_epoch_near_the_end_of_time_is_refused() {
         // There the first re-solve's `at + DEFAULT_FLUID_EPOCH` would
-        // overflow. (The clock leads, then the epoch word, the option tag
-        // and the next epoch.)
+        // overflow. (The clock leads, then the option tag and the next
+        // epoch.)
         let with = |next_epoch: SimTime| {
             let mut bytes = encoded(&one_flow());
-            assert_eq!(bytes[16], 1, "layout drifted; fix the offset");
-            bytes[17..25].copy_from_slice(&next_epoch.as_nanos().to_le_bytes());
+            assert_eq!(bytes[8], 1, "layout drifted; fix the offset");
+            bytes[9..17].copy_from_slice(&next_epoch.as_nanos().to_le_bytes());
             let r = &mut ByteReader::new(&bytes);
             FluidState::decode(r, SNAPSHOT_VERSION, 1).map(|_| ())
         };
@@ -959,7 +1041,7 @@ mod tests {
         // that epoch, moves the grid up to the clock in one step.
         let fluid = started_at(near);
         let mut bytes = encoded(&fluid);
-        bytes[17..25].copy_from_slice(&0u64.to_le_bytes());
+        bytes[9..17].copy_from_slice(&0u64.to_le_bytes());
         let r = &mut ByteReader::new(&bytes);
         let mut restored = FluidState::decode(r, SNAPSHOT_VERSION, 1).unwrap();
         assert_eq!(restored.next_epoch(), Some(SimTime::ZERO));
@@ -981,25 +1063,6 @@ mod tests {
         pinned.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
         pinned.flows[1].kind = FlowKind::Pipe { pipe: PipeId(7) };
         assert_eq!(round_trip(&pinned).map(|_| ()), refused);
-    }
-
-    /// A v7 state wrote its per-pipe capacity and demand vectors, under one
-    /// count, between its flows and its dirty mark: read past, bounded by
-    /// that count.
-    #[test]
-    fn a_v7_state_is_read_past_its_per_pipe_vectors() {
-        let fluid = one_flow();
-        let v8 = encoded(&fluid);
-        let (flows, mark) = v8.split_at(v8.len() - 1);
-        let v7 = |count: u64| [flows, &count.to_le_bytes(), &[7; 16], mark].concat();
-        let restored = FluidState::decode(&mut ByteReader::new(&v7(1)), 7, 1).unwrap();
-        assert!(encoded(&restored) == v8);
-        assert_eq!(restored.flow_rate(1), fluid.flow_rate(1));
-        for count in [2, u64::MAX] {
-            let refused = FluidState::decode(&mut ByteReader::new(&v7(count)), 7, 1);
-            let why = CodecError::Invalid("length prefix exceeds input");
-            assert_eq!(refused.map(|_| ()), Err(why));
-        }
     }
 
     #[test]

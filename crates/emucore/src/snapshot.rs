@@ -15,7 +15,7 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 8 and 7; a version bump retires the decoder two behind.
+//! before, here 9 and 8; a version bump retires the decoder two behind.
 //! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
@@ -24,8 +24,13 @@
 //! summed up each predecessor row. Version 8 dropped the fluid solver's
 //! per-pipe capacity and demand vectors and each core's fluid demand total,
 //! which restore rebuilds from the pipes that hold them, and the per-core
-//! CBR meters, which counted packets nothing built. A version-7 frame still
-//! carries those; the decoder reads past them.
+//! CBR meters, which counted packets nothing built. Version 9 writes each
+//! routing-matrix row over its source's structural component only, a pipe
+//! id in 4 bytes, and none of the words nothing read: the route table's and
+//! the matrix's change counters, the fluid cadence (always
+//! `DEFAULT_FLUID_EPOCH`), each fluid flow's solver flag and each core's
+//! two spare clock words. A version-8 frame still carries those and dense
+//! rows; the decoder reads them and keeps the rows over their components.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
@@ -40,7 +45,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders read this version and the one before, and
 /// reject every other with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -75,7 +80,7 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            7 | 8 => Ok(checksum64),
+            8 | 9 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

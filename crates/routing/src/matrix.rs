@@ -5,15 +5,20 @@
 //! but the routing tables consume O(n²) space." This reproduction keeps the
 //! paper's *interface* (every ordered VN pair resolves to a shortest route)
 //! while storing only one shortest-route **tree** per source — a row of
-//! 4-byte predecessor pipes over the pipe graph, O(vns × nodes) — and
-//! materialising a route on demand by walking predecessors from the
-//! destination. A distance label is not stored: it is the sum of the pipe
-//! costs up the same walk ([`RoutingMatrix::distance`]), exactly the label
-//! Dijkstra computed, since Dijkstra accepts only a label below
-//! [`UNUSABLE_COST`]. A per-pipe **reverse index** (pipe → source trees that
-//! cross it as a tree edge) makes [`RoutingMatrix::update_pipes`]
-//! output-sensitive: worsening a pipe touches exactly the trees that used it,
-//! not every VN in the component.
+//! 4-byte predecessor pipes over the nodes of the source's structural
+//! component, O(Σ_c slots_c × nodes_c) — and materialising a route on
+//! demand by walking predecessors from the destination. A source reaches
+//! nothing outside its component, so a row holds no entry for it: the
+//! Fig. 4 capacity topology (many disjoint chains) stores a few nodes a
+//! source, not the whole graph. A row is indexed by a node's position in its
+//! component's node list, and each pipe keeps its tail's position beside its
+//! tail node, so a walk stays in those coordinates. A distance label is not
+//! stored: it is the sum of the pipe costs up the same walk
+//! ([`RoutingMatrix::distance`]), exactly the label Dijkstra computed, since
+//! Dijkstra accepts only a label below [`UNUSABLE_COST`]. A per-pipe
+//! **reverse index** (pipe → source trees that cross it as a tree edge)
+//! makes [`RoutingMatrix::update_pipes`] output-sensitive: worsening a pipe
+//! touches exactly the trees that used it, not every VN in the component.
 //!
 //! **Stub trees.** ModelNet's VNs are edge clients, each on one access link,
 //! so most sources are *stubs*: `s`'s only out-pipe `p` is usable, with cost
@@ -29,19 +34,17 @@
 
 use std::cmp::Reverse;
 
-use serde::{Deserialize, Serialize};
-
 use mn_distill::DistilledTopology;
 use mn_topology::NodeId;
-use mn_util::codec::Transient;
+use mn_util::{ByteReader, ByteWriter, Codec, CodecError};
 
 use crate::dijkstra::{pipe_cost, scoped_route_tree, Route, NO_PRED, UNUSABLE_COST};
 
 use mn_distill::PipeId;
 
 /// Sentinel location of a tombstoned source slot (see
-/// [`RoutingMatrix::remove_source`]): the slot's rows stay allocated for
-/// reuse by the next [`RoutingMatrix::add_source`], but no node maps to it.
+/// [`RoutingMatrix::remove_source`]): the slot's row is empty until the
+/// next [`RoutingMatrix::add_source`] reuses it, and no node maps to it.
 const DEAD_SOURCE: NodeId = NodeId(usize::MAX);
 
 /// What one [`RoutingMatrix::update_pipes`] call changed.
@@ -62,178 +65,178 @@ impl RouteUpdate {
     }
 }
 
-mn_util::codec_record! {
-    /// Tree-only route storage over the VN set of a distilled topology.
-    ///
-    /// Per source VN the matrix holds one predecessor row over the pipe
-    /// graph (the source's shortest-route tree); routes and distance labels
-    /// are never stored, only derived. Lookup walks the destination's
-    /// predecessor chain — O(hops), allocation-free via
-    /// [`RoutingMatrix::materialize_at`].
-    ///
-    /// Its checkpoint is the complete persistent route state — trees, pipe
-    /// costs, reverse index, component maps, tombstones and version — in
-    /// declaration order; the scratch buffers hold no state between calls and
-    /// restore empty. Decoding refuses a state any later call would index out
-    /// of range.
-    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-    pub struct RoutingMatrix {
-        /// The VN set, in index order.
-        vns: Vec<NodeId>,
-        /// Dense node-index → VN-index table (`u32::MAX` for non-VN nodes);
-        /// the hash-free replacement for the old `index_of` map on every hot
-        /// path.
-        vn_of_node: Vec<u32>,
-        /// Node count of the pipe graph the matrix was last (re)built against.
-        node_count: usize,
-        /// Predecessor pipe of every node in every source's tree
-        /// (`pred[src_index * node_count + node]`, [`NO_PRED`] for the source
-        /// itself and for unreachable nodes). Together with `pipe_src` this is
-        /// the entire route store: a route is the reversed predecessor chain.
-        pred: Vec<u32>,
-        /// Per-pipe routing cost snapshot from the last (re)build/update: what
-        /// a label sums.
-        pipe_cost: Vec<u64>,
-        /// Tail node index of every pipe, so predecessor walks need no access
-        /// to the topology the matrix was built from.
-        pipe_src: Vec<u32>,
-        /// Structural (attrs-independent) connected component of every node.
-        /// Pipes never change endpoints at runtime — only attributes — so a
-        /// pipe change can only ever affect sources and destinations inside its
-        /// own structural component.
-        node_component: Vec<u32>,
-        /// VN indices per structural component, ascending.
-        component_vns: Vec<Vec<u32>>,
-        /// Node indices per structural component, ascending (bounds the
-        /// row refresh of a recomputed source).
-        component_nodes: Vec<Vec<u32>>,
-        /// Reverse index: for every pipe, the ascending source (VN) indices
-        /// whose current tree crosses it as a **tree edge**
-        /// (`pred[head] == pipe`). Maintained incrementally by diffing
-        /// predecessor rows on every recompute. For a *worsened* pipe this set
-        /// is exactly the trees a from-scratch rebuild would change (see
-        /// [`RoutingMatrix::update_pipes`]), which is what makes reconfiguration
-        /// output-sensitive.
-        pipe_sources: Vec<Vec<u32>>,
-        /// The fresh tree of a source [`RoutingMatrix::update_pipes`]
-        /// recomputes, diffed against its stored row, and the labels every
-        /// tree computation writes and drops. Entries outside the source's
-        /// component are never read or written.
-        scratch_dist: Transient<Vec<u64>>,
-        scratch_pred: Transient<Vec<u32>>,
-        trees: Transient<TreeScratch>,
-        /// Per-node verdicts of the changed-destination scan of one recomputed
-        /// tree (see [`route_changed`]).
-        scratch_memo: Transient<Vec<u8>>,
-        /// Tombstoned source slots (ascending), left behind by
-        /// [`RoutingMatrix::remove_source`] and reused by
-        /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
-        /// predecessor rows without bound.
-        free_slots: Vec<u32>,
-        /// Bumped by every rebuild and every non-empty incremental update.
-        version: u64,
-    }
-    refuse m if m.pred.len() != m.vns.len().saturating_mul(m.node_count)
-        => "predecessor rows do not cover the source slots";
-    refuse m if (m.pipe_cost.len(), m.pipe_sources.len()) != (m.pipe_src.len(), m.pipe_src.len())
-        => "pipe tables of unequal lengths";
-    refuse m if m.pipe_src.iter().any(|&u| u as usize >= m.node_count)
-        => "pipe tail out of range";
-    refuse m if m.pred.iter().any(|&p| p != NO_PRED && p as usize >= m.pipe_src.len())
-        => "predecessor pipe out of range";
-    refuse m if !m.slots_map_back() => "source slots and node map disagree";
-    refuse m if !m.lists_in_range() => "component or reverse index out of range";
-    refuse m if !m.free_slots.windows(2).all(|w| w[0] < w[1])
-        || m.free_slots.iter().any(|&si| m.vns.get(si as usize) != Some(&DEAD_SOURCE))
-        => "free slots not ascending tombstones";
+/// Tree-only route storage over the VN set of a distilled topology.
+///
+/// Per source VN the matrix holds one predecessor row over the source's
+/// structural component (its shortest-route tree); routes and distance
+/// labels are never stored, only derived. Lookup walks the destination's
+/// predecessor chain — O(hops), allocation-free via
+/// [`RoutingMatrix::materialize_at`].
+///
+/// Its checkpoint ([`Codec`]) is the complete persistent route state —
+/// trees, pipe costs, reverse index, component maps and tombstones; the
+/// positions of nodes and pipe tails within their component are derived
+/// from the component maps, and the scratch buffers hold no state between
+/// calls and restore empty. Decoding refuses a state any later call would
+/// index out of range.
+#[derive(Debug, Clone, Default)]
+pub struct RoutingMatrix {
+    /// The VN set, in index order.
+    vns: Vec<NodeId>,
+    /// Dense node-index → VN-index table (`u32::MAX` for non-VN nodes);
+    /// the hash-free replacement for the old `index_of` map on every hot
+    /// path.
+    vn_of_node: Vec<u32>,
+    /// Node count of the pipe graph the matrix was last (re)built against.
+    node_count: usize,
+    /// Every source slot's predecessor row over its structural component:
+    /// `pred[si][i]` is the predecessor pipe of `component_nodes[c][i]` in
+    /// the slot's tree ([`NO_PRED`] for the source itself and for
+    /// unreachable nodes), and a tombstoned slot's row is empty. Together
+    /// with `pipe_tail` this is the entire route store: a route is the
+    /// reversed predecessor chain.
+    pred: Vec<Vec<u32>>,
+    /// Per-pipe routing cost snapshot from the last (re)build/update: what
+    /// a label sums.
+    pipe_cost: Vec<u64>,
+    /// Tail node index of every pipe.
+    pipe_src: Vec<u32>,
+    /// Every pipe's tail as a position in its component's node list — the
+    /// coordinates a row is in, so a walk needs no access to the topology
+    /// and no lookup a step. A pipe never leaves its component.
+    pipe_tail: Vec<u32>,
+    /// Structural (attrs-independent) connected component of every node.
+    /// Pipes never change endpoints at runtime — only attributes — so a
+    /// pipe change can only ever affect sources and destinations inside its
+    /// own structural component.
+    node_component: Vec<u32>,
+    /// Every node's position in its component's node list.
+    node_local: Vec<u32>,
+    /// VN indices per structural component, ascending.
+    component_vns: Vec<Vec<u32>>,
+    /// Node indices per structural component, ascending: what a row's
+    /// positions name.
+    component_nodes: Vec<Vec<u32>>,
+    /// Reverse index: for every pipe, the ascending source (VN) indices
+    /// whose current tree crosses it as a **tree edge** (the row names it
+    /// at the pipe's head). Maintained incrementally by diffing predecessor
+    /// rows on every recompute. For a *worsened* pipe this set is exactly
+    /// the trees a from-scratch rebuild would change (see
+    /// [`RoutingMatrix::update_pipes`]), which is what makes
+    /// reconfiguration output-sensitive.
+    pipe_sources: Vec<Vec<u32>>,
+    /// The fresh row of a source [`RoutingMatrix::update_pipes`]
+    /// recomputes, diffed against its stored row.
+    scratch_row: Vec<u32>,
+    trees: TreeScratch,
+    /// Per-position verdicts of the changed-destination scan of one
+    /// recomputed tree (see [`route_changed`]).
+    scratch_memo: Vec<u8>,
+    /// Tombstoned source slots (ascending), left behind by
+    /// [`RoutingMatrix::remove_source`] and reused by
+    /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
+    /// slot count without bound.
+    free_slots: Vec<u32>,
+    /// Bumped by every rebuild and every non-empty incremental update (not
+    /// carried by a snapshot).
+    version: u64,
 }
 
 /// What [`source_tree`] reuses, so no recompute allocates: the heap's
-/// backing vector, and the tree of the last hub a stub was shifted from.
-/// [`RoutingMatrix::rebuild`], `update_pipes` and `add_source` each start by
-/// forgetting the hub: pipe costs may have changed since the last call.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// backing vector, Dijkstra's labels and predecessors by node, and the row
+/// of the last hub a stub was shifted from. [`RoutingMatrix::rebuild`],
+/// `update_pipes` and `add_source` each start by forgetting the hub: pipe
+/// costs may have changed since the last call.
+#[derive(Debug, Clone, Default)]
 struct TreeScratch {
     heap: Vec<Reverse<(u64, NodeId)>>,
-    /// The hub whose tree `hub_dist` / `hub_pred` hold, and its largest
-    /// finite label.
+    /// The last Dijkstra's labels and predecessors, by node index (only
+    /// the source's component is written).
+    dist: Vec<u64>,
+    pred: Vec<u32>,
+    /// The hub whose row `hub_row` holds, and its largest finite label.
     hub: Option<(NodeId, u64)>,
-    hub_dist: Vec<u64>,
-    hub_pred: Vec<u32>,
+    hub_row: Vec<u32>,
     /// Dijkstra runs so far ([`RoutingMatrix::dijkstra_runs`]).
     runs: u64,
 }
 
-/// `source`'s shortest-route tree into `dist` / `pred` over its component's
-/// `nodes`, bit for bit what [`scoped_route_tree`] computes. A stub — a
-/// source whose only out-pipe `p` is usable, with cost `c`, into a hub `h ≠
-/// source` — copies `h`'s tree shifted by `c` instead (the module docs have
-/// the proof), computing that tree only when the call has not already; if a
-/// shifted label would overflow, the stub runs Dijkstra itself.
+impl TreeScratch {
+    /// Dijkstra from `source` over its component's `nodes` into `dist` /
+    /// `pred`.
+    fn dijkstra(&mut self, topo: &DistilledTopology, source: NodeId, nodes: &[u32]) {
+        self.dist.resize(topo.node_count(), UNUSABLE_COST);
+        self.pred.resize(topo.node_count(), NO_PRED);
+        scoped_route_tree(
+            topo,
+            source,
+            nodes,
+            &mut self.dist,
+            &mut self.pred,
+            &mut self.heap,
+        );
+        self.runs += 1;
+    }
+}
+
+/// `source`'s shortest-route tree as a row over its component's `nodes`
+/// (`local` maps a node to its position there), bit for bit what
+/// [`scoped_route_tree`] computes. A stub — a source whose only out-pipe `p`
+/// is usable, with cost `c`, into a hub `h ≠ source` — copies `h`'s row
+/// instead (the module docs have the proof), computing that tree only when
+/// the call has not already; if a shifted label would overflow, the stub
+/// runs Dijkstra itself.
 fn source_tree(
     topo: &DistilledTopology,
     source: NodeId,
     nodes: &[u32],
-    dist: &mut [u64],
-    pred: &mut [u32],
+    local: &[u32],
+    row: &mut [u32],
     scratch: &mut TreeScratch,
 ) {
     if let &[p] = topo.out_pipes(source) {
         let (hub, c) = (topo.pipe(p).dst, pipe_cost(&topo.pipe(p).attrs));
         if c != UNUSABLE_COST && hub != source {
             if scratch.hub.is_none_or(|(known, _)| known != hub) {
-                scratch.hub_dist.resize(dist.len(), UNUSABLE_COST);
-                scratch.hub_pred.resize(pred.len(), NO_PRED);
-                let (hub_dist, hub_pred) = (&mut scratch.hub_dist, &mut scratch.hub_pred);
-                scoped_route_tree(topo, hub, nodes, hub_dist, hub_pred, &mut scratch.heap);
-                let labels = nodes.iter().map(|&u| hub_dist[u as usize]);
+                scratch.dijkstra(topo, hub, nodes);
+                let labels = nodes.iter().map(|&u| scratch.dist[u as usize]);
                 let far = labels.filter(|&d| d != UNUSABLE_COST).max();
                 scratch.hub = Some((hub, far.unwrap_or(0)));
-                scratch.runs += 1;
+                scratch.hub_row.clear();
+                let pred = &scratch.pred;
+                scratch
+                    .hub_row
+                    .extend(nodes.iter().map(|&u| pred[u as usize]));
             }
             if scratch.hub.is_some_and(|(_, far)| far < UNUSABLE_COST - c) {
-                for &u in nodes {
-                    let (u, d) = (u as usize, scratch.hub_dist[u as usize]);
-                    dist[u] = if d == UNUSABLE_COST { d } else { d + c };
-                    pred[u] = scratch.hub_pred[u];
-                }
-                (dist[source.index()], pred[source.index()]) = (0, NO_PRED);
-                pred[hub.index()] = p.0;
+                row.copy_from_slice(&scratch.hub_row);
+                row[local[source.index()] as usize] = NO_PRED;
+                row[local[hub.index()] as usize] = p.0;
                 return;
             }
         }
     }
-    scoped_route_tree(topo, source, nodes, dist, pred, &mut scratch.heap);
-    scratch.runs += 1;
+    scratch.dijkstra(topo, source, nodes);
+    for (entry, &u) in row.iter_mut().zip(nodes) {
+        *entry = scratch.pred[u as usize];
+    }
 }
 
-/// Walks `dst`'s predecessor chain in one stored tree row, writing the
-/// forward pipe sequence into `out`. Returns whether a route exists; the
-/// trivial `src == dst` route always does (empty), matching
-/// [`crate::dijkstra::route_from_tree`].
-fn walk_row(
-    pred_row: &[u32],
-    pipe_src: &[u32],
-    src: NodeId,
-    dst: NodeId,
-    out: &mut Vec<PipeId>,
-) -> bool {
+/// Walks the predecessor chain of position `dst` in one stored row up to
+/// the source's position `src`, writing the forward pipe sequence into
+/// `out`. Returns whether a route exists; the trivial `src == dst` route
+/// always does (empty), matching [`crate::dijkstra::route_from_tree`].
+fn walk_row(row: &[u32], tails: &[u32], src: usize, dst: usize, out: &mut Vec<PipeId>) -> bool {
     out.clear();
-    if src == dst {
-        return true;
-    }
-    if dst.index() >= pred_row.len() || src.index() >= pred_row.len() {
-        return false;
-    }
-    let mut cur = dst.index();
-    while cur != src.index() {
-        let p = pred_row[cur];
+    let mut cur = dst;
+    while cur != src {
+        let p = row[cur];
         if p == NO_PRED {
             out.clear();
             return false;
         }
         out.push(PipeId(p));
-        cur = pipe_src[p as usize] as usize;
+        cur = tails[p as usize] as usize;
     }
     out.reverse();
     true
@@ -243,27 +246,25 @@ fn walk_row(
 const ROUTE_SAME: u8 = 1;
 const ROUTE_CHANGED: u8 = 2;
 
-/// Whether the route to `dst` differs between two predecessor rows of the
-/// same graph, without materialising either: the route *is* the predecessor
-/// chain read backwards, so a node's route changed iff its predecessor pipe
-/// changed or its tree parent's route did. `memo` (zeroed over the
-/// component before a tree's first call) keeps every verdict reached, so a
-/// tree's destinations together cost O(component nodes), not a chain each.
+/// Whether the route to position `dst` differs between two predecessor
+/// rows of one source (at position `src`), without materialising either:
+/// the route *is* the predecessor chain read backwards, so a node's route
+/// changed iff its predecessor pipe changed or its tree parent's route did.
+/// `memo` (zeroed over the row before a tree's first call) keeps every
+/// verdict reached, so a tree's destinations together cost O(component
+/// nodes), not a chain each.
 fn route_changed(
     old_row: &[u32],
     new_row: &[u32],
-    pipe_src: &[u32],
+    tails: &[u32],
     memo: &mut [u8],
-    src: NodeId,
-    dst: NodeId,
+    src: usize,
+    dst: usize,
 ) -> bool {
-    if dst.index() >= old_row.len() {
-        return false; // outside the graph in both trees: no route either way
-    }
     // Walk up to the first node whose verdict is known or decided locally…
-    let mut cur = dst.index();
+    let mut cur = dst;
     let verdict = loop {
-        if cur == src.index() {
+        if cur == src {
             break ROUTE_SAME;
         }
         if memo[cur] != 0 {
@@ -276,17 +277,41 @@ fn route_changed(
         if p == NO_PRED {
             break ROUTE_SAME; // unreachable in both trees from the same node
         }
-        cur = pipe_src[p as usize] as usize;
+        cur = tails[p as usize] as usize;
     };
     // …and hand it down the chain: every node below shares it, because
     // each kept its predecessor pipe.
     memo[cur] = verdict;
-    let mut below = dst.index();
+    let mut below = dst;
     while below != cur {
         memo[below] = verdict;
-        below = pipe_src[old_row[below] as usize] as usize;
+        below = tails[old_row[below] as usize] as usize;
     }
     verdict == ROUTE_CHANGED
+}
+
+/// What a walk up one source's tree reads ([`RoutingMatrix::tree_of`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tree<'a> {
+    /// The source's predecessor row, by position in its component.
+    pub(crate) pred: &'a [u32],
+    /// Every pipe's tail, by position in its component.
+    pub(crate) tails: &'a [u32],
+    /// The source's own position.
+    pub(crate) root: usize,
+    component: u32,
+    matrix: &'a RoutingMatrix,
+}
+
+impl Tree<'_> {
+    /// `node`'s position in the row, or `None` outside the source's
+    /// component (no route reaches it).
+    #[inline]
+    pub(crate) fn position(&self, node: NodeId) -> Option<usize> {
+        let m = self.matrix;
+        let same = m.node_component.get(node.index()) == Some(&self.component);
+        same.then(|| m.node_local[node.index()] as usize)
+    }
 }
 
 impl RoutingMatrix {
@@ -322,8 +347,7 @@ impl RoutingMatrix {
             }
         }
         self.rebuild_components(topo);
-        self.pred.clear();
-        self.pred.resize(n * nc, NO_PRED);
+        self.pred = vec![Vec::new(); n];
         self.pipe_sources = vec![Vec::new(); topo.pipe_count()];
         self.trees.hub = None;
         for si in 0..n {
@@ -334,28 +358,23 @@ impl RoutingMatrix {
         self.version += 1;
     }
 
-    /// Computes source slot `si`'s tree into its row ([`source_tree`]) and
-    /// enters the tree's edges into the reverse index, each pipe's list kept
-    /// ascending — a push when slots are planted in ascending order, as
-    /// [`RoutingMatrix::rebuild`] does.
+    /// Computes source slot `si`'s tree into its row, sized to its
+    /// component ([`source_tree`]), and enters the tree's edges into the
+    /// reverse index, each pipe's list kept ascending — a push when slots
+    /// are planted in ascending order, as [`RoutingMatrix::rebuild`] does.
     fn plant_tree(&mut self, topo: &DistilledTopology, si: usize) {
-        let (nc, src, si_u32) = (self.node_count, self.vns[si], si as u32);
+        let (src, si_u32) = (self.vns[si], si as u32);
         let nodes = &self.component_nodes[self.node_component[src.index()] as usize];
-        self.scratch_dist.resize(nc, UNUSABLE_COST);
-        let (dist, pred) = (
-            &mut self.scratch_dist,
-            &mut self.pred[si * nc..(si + 1) * nc],
-        );
-        source_tree(topo, src, nodes, dist, pred, &mut self.trees);
-        for &u in nodes {
-            let p = pred[u as usize];
-            if p != NO_PRED {
-                let sources = &mut self.pipe_sources[p as usize];
-                if sources.last() < Some(&si_u32) {
-                    sources.push(si_u32);
-                } else if let Err(pos) = sources.binary_search(&si_u32) {
-                    sources.insert(pos, si_u32);
-                }
+        let row = &mut self.pred[si];
+        row.clear();
+        row.resize(nodes.len(), NO_PRED);
+        source_tree(topo, src, nodes, &self.node_local, row, &mut self.trees);
+        for &p in row.iter().filter(|&&p| p != NO_PRED) {
+            let sources = &mut self.pipe_sources[p as usize];
+            if sources.last() < Some(&si_u32) {
+                sources.push(si_u32);
+            } else if let Err(pos) = sources.binary_search(&si_u32) {
+                sources.insert(pos, si_u32);
             }
         }
     }
@@ -413,6 +432,20 @@ impl RoutingMatrix {
         self.node_component = node_component;
         self.component_vns = component_vns;
         self.component_nodes = component_nodes;
+        self.derive_positions();
+    }
+
+    /// Fills `node_local` and `pipe_tail` from the component lists and the
+    /// pipe tails: what a row's positions mean.
+    fn derive_positions(&mut self) {
+        self.node_local = vec![0; self.node_count];
+        for nodes in &self.component_nodes {
+            for (at, &u) in nodes.iter().enumerate() {
+                self.node_local[u as usize] = at as u32;
+            }
+        }
+        let local = &self.node_local;
+        self.pipe_tail = self.pipe_src.iter().map(|&u| local[u as usize]).collect();
     }
 
     /// Incrementally updates the matrix after the listed pipes of `topo`
@@ -465,7 +498,6 @@ impl RoutingMatrix {
         if worsened.is_empty() && improved.is_empty() {
             return update;
         }
-        let nc = self.node_count;
         // Candidate sources. Worsened pipes: the reverse index is exact —
         // no scan at all, cost proportional to the trees actually crossing
         // the pipe. Improved pipes: scan the pipe's structural component
@@ -502,37 +534,27 @@ impl RoutingMatrix {
         candidates.sort_unstable();
         candidates.dedup();
         self.trees.hub = None;
-        self.scratch_dist.resize(nc, UNUSABLE_COST);
-        self.scratch_pred.resize(nc, NO_PRED);
-        self.scratch_memo.resize(nc, 0);
         for &si in &candidates {
             let si = si as usize;
             update.recomputed_sources += 1;
             let src = self.vns[si];
-            // Recompute, refresh the row and diff routes only inside the
-            // source's structural component: everything outside it is
-            // unreachable in both the old and the fresh tree.
+            // Recompute, refresh the row and diff routes inside the
+            // source's structural component: the row covers nothing else.
             let comp = self.node_component[src.index()] as usize;
-            let mut fresh_dist = std::mem::take(&mut *self.scratch_dist);
-            let mut fresh_pred = std::mem::take(&mut *self.scratch_pred);
             let nodes = &self.component_nodes[comp];
-            source_tree(
-                topo,
-                src,
-                nodes,
-                &mut fresh_dist,
-                &mut fresh_pred,
-                &mut self.trees,
-            );
+            let fresh = &mut self.scratch_row;
+            fresh.clear();
+            fresh.resize(nodes.len(), NO_PRED);
+            source_tree(topo, src, nodes, &self.node_local, fresh, &mut self.trees);
             // Report changed destinations against the still-old row…
-            let old_row = &self.pred[si * nc..(si + 1) * nc];
-            for &u in &self.component_nodes[comp] {
-                self.scratch_memo[u as usize] = 0;
-            }
+            let (old_row, root) = (&self.pred[si], self.node_local[src.index()] as usize);
+            self.scratch_memo.clear();
+            self.scratch_memo.resize(nodes.len(), 0);
             for &di in &self.component_vns[comp] {
                 let dst = self.vns[di as usize];
+                let at = self.node_local[dst.index()] as usize;
                 let memo = &mut self.scratch_memo;
-                if route_changed(old_row, &fresh_pred, &self.pipe_src, memo, src, dst) {
+                if route_changed(old_row, fresh, &self.pipe_tail, memo, root, at) {
                     update.changed_pairs.push((src, dst));
                 }
             }
@@ -540,13 +562,11 @@ impl RoutingMatrix {
             // keep the per-pipe reverse index exact at O(changed tree
             // edges) cost.
             let si_u32 = si as u32;
-            for &u in &self.component_nodes[comp] {
-                let u = u as usize;
-                let old_p = self.pred[si * nc + u];
-                let new_p = fresh_pred[u];
-                if old_p != new_p {
-                    if old_p != NO_PRED {
-                        let sources = &mut self.pipe_sources[old_p as usize];
+            let row = &mut self.pred[si];
+            for (old_p, &new_p) in row.iter_mut().zip(fresh.iter()) {
+                if *old_p != new_p {
+                    if *old_p != NO_PRED {
+                        let sources = &mut self.pipe_sources[*old_p as usize];
                         if let Ok(pos) = sources.binary_search(&si_u32) {
                             sources.remove(pos);
                         }
@@ -557,11 +577,9 @@ impl RoutingMatrix {
                             sources.insert(pos, si_u32);
                         }
                     }
-                    self.pred[si * nc + u] = new_p;
+                    *old_p = new_p;
                 }
             }
-            *self.scratch_dist = fresh_dist;
-            *self.scratch_pred = fresh_pred;
         }
         if !update.changed_pairs.is_empty() || update.recomputed_sources > 0 {
             self.version += 1;
@@ -573,21 +591,19 @@ impl RoutingMatrix {
     /// Dijkstra plus reverse-index seeding — O(component log component),
     /// independent of how many sources the matrix already holds. A
     /// tombstoned slot left by [`RoutingMatrix::remove_source`] is reused
-    /// when available, so sustained join/leave churn keeps the predecessor
-    /// rows at the high-water source count instead of growing them
-    /// forever. Returns `false` (and changes nothing) when `node` is
-    /// already a live source or is not a node of the graph the matrix was
-    /// built over.
+    /// when available, its row sized to `node`'s component, so sustained
+    /// join/leave churn keeps the slot count at its high-water mark instead
+    /// of growing it forever. Returns `false` (and changes nothing) when
+    /// `node` is already a live source or is not a node of the graph the
+    /// matrix was built over.
     pub fn add_source(&mut self, topo: &DistilledTopology, node: NodeId) -> bool {
         if self.vn_index(node).is_some() || node.index() >= self.node_count {
             return false;
         }
-        let nc = self.node_count;
         let si = if self.free_slots.is_empty() {
-            let si = self.vns.len();
             self.vns.push(node);
-            self.pred.resize((si + 1) * nc, NO_PRED);
-            si
+            self.pred.push(Vec::new());
+            self.vns.len() - 1
         } else {
             // Lowest tombstone first: slot assignment is a pure function
             // of the churn history, so replayed schedules land identical
@@ -611,7 +627,7 @@ impl RoutingMatrix {
     }
 
     /// Removes `node`'s source tree incrementally: the tree's edges are
-    /// unhooked from the reverse index and its row cleared —
+    /// unhooked from the reverse index and its row emptied —
     /// O(component), independent of total source count — and the slot is
     /// tombstoned for reuse. Trees *toward* the node's location (other
     /// sources' rows) are untouched, which is what lets descriptors
@@ -622,22 +638,17 @@ impl RoutingMatrix {
         let Some(si) = self.vn_index(node) else {
             return false;
         };
-        let nc = self.node_count;
         let si_u32 = si as u32;
         self.vn_of_node[node.index()] = NO_PRED;
-        let comp = self.node_component[node.index()] as usize;
-        for &u in &self.component_nodes[comp] {
-            let u = u as usize;
-            let p = self.pred[si * nc + u];
-            if p != NO_PRED {
-                let sources = &mut self.pipe_sources[p as usize];
-                if let Ok(pos) = sources.binary_search(&si_u32) {
-                    sources.remove(pos);
-                }
-                self.pred[si * nc + u] = NO_PRED;
+        for &p in self.pred[si].iter().filter(|&&p| p != NO_PRED) {
+            let sources = &mut self.pipe_sources[p as usize];
+            if let Ok(pos) = sources.binary_search(&si_u32) {
+                sources.remove(pos);
             }
         }
-        let vns = &mut self.component_vns[comp];
+        // The allocation stays for the slot's next tree.
+        self.pred[si].clear();
+        let vns = &mut self.component_vns[self.node_component[node.index()] as usize];
         if let Ok(pos) = vns.binary_search(&si_u32) {
             vns.remove(pos);
         }
@@ -654,8 +665,9 @@ impl RoutingMatrix {
         self.vns.len() - self.free_slots.len()
     }
 
-    /// Monotonic change counter: bumped by every rebuild and every
-    /// incremental update that touched a source tree.
+    /// Change counter of this matrix (a restored one starts at 0): bumped
+    /// by every rebuild and every incremental update that touched a source
+    /// tree.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -710,22 +722,36 @@ impl RoutingMatrix {
     ) -> bool {
         let n = self.vns.len();
         assert!(src_index < n && dst_index < n, "VN index out of range");
-        let nc = self.node_count;
-        walk_row(
-            &self.pred[src_index * nc..(src_index + 1) * nc],
-            &self.pipe_src,
-            self.vns[src_index],
-            self.vns[dst_index],
-            out,
-        )
+        out.clear();
+        let (src, dst) = (self.vns[src_index], self.vns[dst_index]);
+        if src == dst {
+            return true;
+        }
+        match self
+            .tree_of_slot(src_index)
+            .and_then(|t| Some((t, t.position(dst)?)))
+        {
+            Some((tree, at)) => walk_row(tree.pred, tree.tails, tree.root, at, out),
+            None => false,
+        }
     }
 
-    /// What a walk up `src`'s tree reads — its predecessor row and the tail
-    /// node of every pipe — or `None` when `src` is not a VN of the graph.
-    pub(crate) fn tree_of(&self, src: NodeId) -> Option<(&[u32], &[u32])> {
-        let (si, nc) = (self.vn_index(src)?, self.node_count);
-        let row = &self.pred[si * nc..(si + 1) * nc];
-        (src.index() < nc).then_some((row, &self.pipe_src))
+    /// What a walk up `src`'s tree reads, or `None` when `src` is not a VN
+    /// of the graph.
+    pub(crate) fn tree_of(&self, src: NodeId) -> Option<Tree<'_>> {
+        self.tree_of_slot(self.vn_index(src)?)
+    }
+
+    /// [`RoutingMatrix::tree_of`] by slot: `None` for a tombstone.
+    fn tree_of_slot(&self, si: usize) -> Option<Tree<'_>> {
+        let src = self.vns[si].index();
+        (src < self.node_count).then(|| Tree {
+            pred: &self.pred[si],
+            tails: &self.pipe_tail,
+            root: self.node_local[src] as usize,
+            component: self.node_component[src],
+            matrix: self,
+        })
     }
 
     /// Distance label of `dst` in `src`'s shortest-route tree (total pipe
@@ -741,16 +767,20 @@ impl RoutingMatrix {
     /// summed ([`UNUSABLE_COST`] when unreachable) — what Dijkstra computed,
     /// as it accepts only a label below [`UNUSABLE_COST`].
     fn label(&self, si: usize, node: usize) -> u64 {
-        let (nc, src) = (self.node_count, self.vns[si].index());
-        let row = &self.pred[si * nc..(si + 1) * nc];
-        let (mut cur, mut sum) = (node, 0u64);
-        while cur != src {
-            let p = row[cur];
+        let Some(tree) = self.tree_of_slot(si) else {
+            return UNUSABLE_COST;
+        };
+        let Some(mut cur) = tree.position(NodeId(node)) else {
+            return UNUSABLE_COST;
+        };
+        let mut sum = 0u64;
+        while cur != tree.root {
+            let p = tree.pred[cur];
             if p == NO_PRED {
                 return UNUSABLE_COST;
             }
             sum = sum.saturating_add(self.pipe_cost[p as usize]);
-            cur = self.pipe_src[p as usize] as usize;
+            cur = self.pipe_tail[p as usize] as usize;
         }
         sum
     }
@@ -758,32 +788,6 @@ impl RoutingMatrix {
     /// Number of pipes of the graph the matrix was last (re)built over.
     pub fn pipe_count(&self) -> usize {
         self.pipe_src.len()
-    }
-
-    /// Whether `vn_of_node` maps as many nodes as there are live slots, each
-    /// to a slot that names it, and every live slot is a node of the graph.
-    fn slots_map_back(&self) -> bool {
-        let (live, vns) = (self.vns.iter().filter(|&&v| v != DEAD_SOURCE), &self.vns);
-        let named =
-            |(u, &s): (usize, &u32)| s == NO_PRED || vns.get(s as usize) == Some(&NodeId(u));
-        let mapped = self.vn_of_node.iter().filter(|&&s| s != NO_PRED).count();
-        live.clone().all(|v| v.index() < self.node_count)
-            && live.count() == mapped
-            && self.vn_of_node.iter().enumerate().all(named)
-    }
-
-    /// Whether every node has a component, and the component and reverse
-    /// index lists name only nodes of the graph and live slots.
-    fn lists_in_range(&self) -> bool {
-        let live = |&si: &u32| self.vns.get(si as usize).is_some_and(|&v| v != DEAD_SOURCE);
-        let node = |&u: &u32| (u as usize) < self.node_count;
-        let comp = |&c: &u32| (c as usize) < self.component_nodes.len();
-        self.node_component.len() == self.node_count
-            && self.component_vns.len() == self.component_nodes.len()
-            && self.node_component.iter().all(comp)
-            && self.component_nodes.iter().flatten().all(node)
-            && self.component_vns.iter().flatten().all(live)
-            && self.pipe_sources.iter().flatten().all(live)
     }
 
     /// Dijkstra runs this matrix has made (not carried by a snapshot): a
@@ -803,18 +807,21 @@ impl RoutingMatrix {
             .map_or(&[][..], |v| v.as_slice())
     }
 
-    /// Resident heap bytes of the route state (trees, pipe costs, reverse
-    /// index, component maps) — the structures that scale with topology
-    /// size, reported beside the table's own accounting.
+    /// Resident heap bytes of the route state (trees, pipe costs and
+    /// tails, reverse index, component maps and positions) — the structures
+    /// that scale with topology size, reported beside the table's own
+    /// accounting.
     pub fn memory_bytes(&self) -> usize {
         fn nested(v: &[Vec<u32>]) -> usize {
             std::mem::size_of_val(v) + v.iter().map(|e| e.capacity() * 4).sum::<usize>()
         }
-        self.pred.capacity() * 4
+        nested(&self.pred)
             + self.pipe_cost.capacity() * 8
             + self.pipe_src.capacity() * 4
+            + self.pipe_tail.capacity() * 4
             + self.vn_of_node.capacity() * 4
             + self.node_component.capacity() * 4
+            + self.node_local.capacity() * 4
             + self.vns.capacity() * std::mem::size_of::<NodeId>()
             + nested(&self.component_vns)
             + nested(&self.component_nodes)
@@ -828,6 +835,201 @@ impl RoutingMatrix {
         let routed = |i| (self.materialize_at(i / n, i % n, &mut pipes)).then_some(pipes.len());
         (0..n * n).filter_map(routed).max().unwrap_or(0)
     }
+
+    /// Slot `si`'s row width: its component's node count, 0 for a
+    /// tombstone.
+    fn width(&self, si: usize) -> usize {
+        let src = self.vns[si].index();
+        let comp = |c: &u32| self.component_nodes[*c as usize].len();
+        self.node_component.get(src).map_or(0, comp)
+    }
+
+    /// Reads the matrix as format v8 wrote it: each row dense over the
+    /// whole graph (`vns × node_count` words in one run, after the node
+    /// count) and a change counter at the end. A row entry outside the
+    /// slot's component that is not [`NO_PRED`] is refused — no tree
+    /// reaches there — and the row is kept over its component only. Read by
+    /// v8 checkpoints alone; the next format drops it.
+    #[doc(hidden)]
+    pub fn get_v8(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (vns, vn_of_node, node_count) = Codec::get(r)?;
+        let dense = Vec::<u32>::get(r)?;
+        let mut m = Self::get_maps(r, vns, vn_of_node, node_count)?;
+        (m.pipe_sources, m.free_slots) = Codec::get(r)?;
+        u64::get(r)?;
+        if dense.len() != m.vns.len().saturating_mul(node_count) {
+            return Err(CodecError::Invalid(
+                "predecessor rows do not cover the source slots",
+            ));
+        }
+        for (si, row) in dense.chunks(node_count.max(1)).enumerate() {
+            let members = m.node_component.get(m.vns[si].index());
+            let members = members.map_or(&[][..], |&c| &m.component_nodes[c as usize]);
+            let kept = members.iter().map(|&u| row[u as usize]).collect::<Vec<_>>();
+            let set = |r: &[u32]| r.iter().filter(|&&p| p != NO_PRED).count();
+            if set(&kept) != set(row) {
+                return Err(CodecError::Invalid(
+                    "predecessor outside the slot's component",
+                ));
+            }
+            m.pred.push(kept);
+        }
+        m.pred.resize(m.vns.len(), Vec::new());
+        m.checked()
+    }
+
+    /// Reads the pipe tables and the component maps that follow the node
+    /// count in either format, and refuses maps a row's width or position
+    /// could not be read from: a node without a component, a component list
+    /// that is not its nodes' ascending, or a live slot outside the graph.
+    fn get_maps(
+        r: &mut ByteReader<'_>,
+        vns: Vec<NodeId>,
+        vn_of_node: Vec<u32>,
+        node_count: usize,
+    ) -> Result<Self, CodecError> {
+        let (pipe_cost, pipe_src) = Codec::get(r)?;
+        let (node_component, component_vns, component_nodes) = Codec::get(r)?;
+        let m = RoutingMatrix {
+            vns,
+            vn_of_node,
+            node_count,
+            pipe_cost,
+            pipe_src,
+            node_component,
+            component_vns,
+            component_nodes,
+            ..RoutingMatrix::default()
+        };
+        if !m.components_partition_the_nodes() {
+            return Err(CodecError::Invalid("component maps disagree"));
+        }
+        if !m
+            .vns
+            .iter()
+            .all(|&v| v == DEAD_SOURCE || v.index() < node_count)
+        {
+            return Err(CodecError::Invalid("source slots and node map disagree"));
+        }
+        Ok(m)
+    }
+
+    /// Whether every node has a component whose ascending list names it,
+    /// and the lists name nothing else.
+    fn components_partition_the_nodes(&self) -> bool {
+        let (nodes, lists) = (&self.node_component, &self.component_nodes);
+        let listed: usize = lists.iter().map(Vec::len).sum();
+        let member = |c: usize| move |&u: &u32| nodes.get(u as usize) == Some(&(c as u32));
+        nodes.len() == self.node_count
+            && listed == self.node_count
+            && self.component_vns.len() == lists.len()
+            && (lists.iter().enumerate()).all(|(c, list)| list.iter().all(member(c)))
+            && lists
+                .iter()
+                .all(|list| list.windows(2).all(|w| w[0] < w[1]))
+    }
+
+    /// Refuses what the rest of a decoded matrix could make a later call
+    /// index out of range, and derives the positions.
+    fn checked(mut self) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
+        let pipes = self.pipe_src.len();
+        if (self.pipe_cost.len(), self.pipe_sources.len()) != (pipes, pipes) {
+            return Err(Invalid("pipe tables of unequal lengths"));
+        }
+        if self.pipe_src.iter().any(|&u| u as usize >= self.node_count) {
+            return Err(Invalid("pipe tail out of range"));
+        }
+        // Each pipe's component, looked up per row entry only where there
+        // is more than one to be in.
+        let several = self.component_nodes.len() > 1;
+        let comp_of = |u: &u32| self.node_component[*u as usize];
+        let pipe_comp: Vec<u32> = match several {
+            true => self.pipe_src.iter().map(comp_of).collect(),
+            false => Vec::new(),
+        };
+        for (si, row) in self.pred.iter().enumerate() {
+            let Some(&comp) = self.node_component.get(self.vns[si].index()) else {
+                continue;
+            };
+            let foreign = |p: u32| {
+                p != NO_PRED && (p as usize >= pipes || several && pipe_comp[p as usize] != comp)
+            };
+            if let Some(p) = row.iter().copied().find(|&p| foreign(p)) {
+                return Err(Invalid(match p as usize >= pipes {
+                    true => "predecessor pipe out of range",
+                    false => "predecessor pipe from another component",
+                }));
+            }
+        }
+        if !self.slots_map_back() {
+            return Err(Invalid("source slots and node map disagree"));
+        }
+        let live = |&si: &u32| self.vns.get(si as usize).is_some_and(|&v| v != DEAD_SOURCE);
+        let lists = self.component_vns.iter().chain(&self.pipe_sources);
+        if !lists.flatten().all(live) {
+            return Err(Invalid("component or reverse index out of range"));
+        }
+        let free = &self.free_slots;
+        if !free.windows(2).all(|w| w[0] < w[1])
+            || free
+                .iter()
+                .any(|&si| self.vns.get(si as usize) != Some(&DEAD_SOURCE))
+        {
+            return Err(Invalid("free slots not ascending tombstones"));
+        }
+        self.derive_positions();
+        Ok(self)
+    }
+
+    /// Whether `vn_of_node` maps as many nodes as there are live slots, each
+    /// to a slot that names it.
+    fn slots_map_back(&self) -> bool {
+        let (live, vns) = (self.vns.iter().filter(|&&v| v != DEAD_SOURCE), &self.vns);
+        let named =
+            |(u, &s): (usize, &u32)| s == NO_PRED || vns.get(s as usize) == Some(&NodeId(u));
+        let mapped = self.vn_of_node.iter().filter(|&&s| s != NO_PRED).count();
+        live.count() == mapped && self.vn_of_node.iter().enumerate().all(named)
+    }
+}
+
+/// The node map and count, the pipe tables, the component maps, then every
+/// slot's row at its component's width (none for a tombstone) with no
+/// length of its own — the maps before it give each — then the reverse
+/// index and the free slots. Written out rather than declared because the
+/// rows' widths come from the maps, which are checked before a row is read;
+/// the positions are derived from the maps, and the change counter and the
+/// scratch are not written.
+impl Codec for RoutingMatrix {
+    /// Nine count prefixes and the node count.
+    const MIN_BYTES: usize = 9 * <Vec<u32> as Codec>::MIN_BYTES + usize::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        self.vns.put(w);
+        self.vn_of_node.put(w);
+        self.node_count.put(w);
+        self.pipe_cost.put(w);
+        self.pipe_src.put(w);
+        self.node_component.put(w);
+        self.component_vns.put(w);
+        self.component_nodes.put(w);
+        for row in &self.pred {
+            w.put_bare_u32s(row);
+        }
+        self.pipe_sources.put(w);
+        self.free_slots.put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (vns, vn_of_node, node_count) = Codec::get(r)?;
+        let mut m = Self::get_maps(r, vns, vn_of_node, node_count)?;
+        for si in 0..m.vns.len() {
+            let row = r.get_bare_u32s(m.width(si))?;
+            m.pred.push(row);
+        }
+        (m.pipe_sources, m.free_slots) = Codec::get(r)?;
+        m.checked()
+    }
 }
 
 #[cfg(test)]
@@ -835,8 +1037,7 @@ mod tests {
     use super::*;
     use mn_distill::{distill, DistillationMode, PipeAttrs};
     use mn_topology::generators::{ring_topology, star_topology, RingParams, StarParams};
-    use mn_util::Codec;
-    use mn_util::{DataRate, SimDuration};
+    use mn_util::{Codec, DataRate, SimDuration};
 
     fn small_ring() -> DistilledTopology {
         let topo = ring_topology(&RingParams {
@@ -1023,25 +1224,31 @@ mod tests {
     /// `p` at the pipe's head), and — after incremental maintenance — match
     /// the index a from-scratch build would seed.
     fn assert_reverse_index_exact(m: &RoutingMatrix, d: &DistilledTopology) {
-        let nc = m.node_count;
-        for pid in 0..d.pipe_count() {
-            let p = PipeId::from_index(pid);
-            let head = d.pipe(p).dst.index();
-            let expected: Vec<u32> = (0..m.vn_count() as u32)
-                .filter(|&si| m.pred[si as usize * nc + head] == pid as u32)
-                .collect();
-            assert_eq!(
-                m.pipe_tree_sources(p),
-                expected.as_slice(),
-                "reverse index diverged from the stored trees for pipe {pid}"
-            );
-        }
+        assert_index_matches_rows(m, d);
         let fresh = RoutingMatrix::build(d);
         for pid in 0..d.pipe_count() {
             assert_eq!(
                 m.pipe_tree_sources(PipeId::from_index(pid)),
                 fresh.pipe_tree_sources(PipeId::from_index(pid)),
                 "incrementally maintained index diverged from scratch for pipe {pid}"
+            );
+        }
+    }
+
+    /// `pipe_sources[p]` ≡ the slots whose row names `p` at its head.
+    fn assert_index_matches_rows(m: &RoutingMatrix, d: &DistilledTopology) {
+        for pid in 0..d.pipe_count() {
+            let p = PipeId::from_index(pid);
+            let head = d.pipe(p).dst;
+            let names = |si: &u32| {
+                let tree = m.tree_of_slot(*si as usize);
+                tree.and_then(|t| Some(t.pred[t.position(head)?])) == Some(pid as u32)
+            };
+            let expected: Vec<u32> = (0..m.vn_count() as u32).filter(names).collect();
+            assert_eq!(
+                m.pipe_tree_sources(p),
+                expected.as_slice(),
+                "reverse index diverged from the stored trees for pipe {pid}"
             );
         }
     }
@@ -1237,7 +1444,7 @@ mod tests {
         // Byte-stable, and every strict prefix is refused.
         mn_util::codec::record_contract(m.clone());
 
-        assert_eq!(restored.version(), m.version());
+        assert_eq!(restored.version(), 0, "the change counter is not written");
         assert_eq!(restored.live_source_count(), m.live_source_count());
         for &a in m.vns() {
             for &b in m.vns() {
@@ -1265,11 +1472,20 @@ mod tests {
         let nc = m.node_count;
         for (si, &src) in m.vns.iter().enumerate() {
             if src == DEAD_SOURCE {
+                assert!(m.pred[si].is_empty(), "a tombstone's row is empty");
                 continue;
             }
             let (pred, dist) = crate::shortest_route_tree_with_dist(d, src);
             let pred: Vec<u32> = pred.iter().map(|p| p.map_or(NO_PRED, |p| p.0)).collect();
-            assert_eq!(m.pred[si * nc..(si + 1) * nc], pred, "pred row of {src}");
+            let nodes = &m.component_nodes[m.node_component[src.index()] as usize];
+            let kept: Vec<u32> = nodes.iter().map(|&u| pred[u as usize]).collect();
+            assert_eq!(m.pred[si], kept, "pred row of {src}");
+            let set = |row: &[u32]| row.iter().filter(|&&p| p != NO_PRED).count();
+            assert_eq!(
+                set(&kept),
+                set(&pred),
+                "{src} reaches outside its component"
+            );
             let labels: Vec<u64> = (0..nc).map(|u| m.label(si, u)).collect();
             assert_eq!(labels, dist, "labels of {src}");
         }
@@ -1439,6 +1655,150 @@ mod tests {
             .chain([(10, 4), (10, 5), (11, 4), (11, 5)]);
         assert_eq!(slot_pairs(&m, &update), expected.collect::<Vec<_>>());
         assert_rows_are_dijkstras(&m, &d);
+    }
+
+    /// Two islands of unequal width: clients a, b on one stub (3 nodes),
+    /// clients c, d at either end of two stubs (4 nodes).
+    fn two_islands() -> DistilledTopology {
+        let mut topo = mn_topology::Topology::new();
+        let attrs =
+            |ms| mn_topology::LinkAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(ms));
+        let client =
+            |topo: &mut mn_topology::Topology| topo.add_node(mn_topology::NodeKind::Client);
+        let stub = |topo: &mut mn_topology::Topology| topo.add_node(mn_topology::NodeKind::Stub);
+        let (a, r, b) = (client(&mut topo), stub(&mut topo), client(&mut topo));
+        topo.add_link(a, r, attrs(1)).unwrap();
+        topo.add_link(r, b, attrs(2)).unwrap();
+        let (c, s1, s2, d) = (
+            client(&mut topo),
+            stub(&mut topo),
+            stub(&mut topo),
+            client(&mut topo),
+        );
+        topo.add_link(c, s1, attrs(1)).unwrap();
+        topo.add_link(s1, s2, attrs(3)).unwrap();
+        topo.add_link(s2, d, attrs(1)).unwrap();
+        distill(&topo, DistillationMode::HopByHop)
+    }
+
+    #[test]
+    fn each_row_is_as_wide_as_its_component_and_a_tombstone_is_empty() {
+        let d = two_islands();
+        let mut m = RoutingMatrix::build(&d);
+        let widths: Vec<usize> = m.pred.iter().map(Vec::len).collect();
+        assert_eq!(widths, [3, 3, 4, 4]);
+        let [a, b, c, _] = m.vns().to_vec()[..] else {
+            unreachable!("four clients")
+        };
+        assert!(m.lookup(a, c).is_none() && m.distance(a, c).is_none());
+        assert_eq!(m.lookup(a, b).unwrap().hop_count(), 2);
+        // A tombstone in the narrow island, reused by a stub of the wide
+        // one: the row takes the new component's width.
+        assert!(m.remove_source(a));
+        assert!(m.pred[0].is_empty());
+        let stub = NodeId(c.index() + 1);
+        assert!(m.add_source(&d, stub));
+        assert_eq!((m.vn_index(stub), m.pred[0].len()), (Some(0), 4));
+        assert_rows_are_dijkstras(&m, &d);
+        assert_index_matches_rows(&m, &d);
+        assert_eq!(m.lookup(stub, c).unwrap().hop_count(), 1);
+        assert!(m.lookup(stub, b).is_none());
+        mn_util::codec::record_contract(m);
+    }
+
+    /// The matrix as format v8 wrote it: every row over the whole graph
+    /// and the change counter at the end.
+    fn put_v8(m: &RoutingMatrix, w: &mut mn_util::ByteWriter) {
+        let dense = (0..m.vns.len()).flat_map(|si| {
+            let mut row = vec![NO_PRED; m.node_count];
+            if let Some(tree) = m.tree_of_slot(si) {
+                for (at, &u) in m.component_nodes[tree.component as usize]
+                    .iter()
+                    .enumerate()
+                {
+                    row[u as usize] = tree.pred[at];
+                }
+            }
+            row
+        });
+        (m.vns.clone(), m.vn_of_node.clone(), m.node_count).put(w);
+        dense.collect::<Vec<u32>>().put(w);
+        (m.pipe_cost.clone(), m.pipe_src.clone()).put(w);
+        let maps = (m.node_component.clone(), m.component_vns.clone());
+        (maps, m.component_nodes.clone()).put(w);
+        (m.pipe_sources.clone(), m.free_slots.clone(), m.version).put(w);
+    }
+
+    #[test]
+    fn a_v8_matrix_reads_as_the_current_one() {
+        let d = two_islands();
+        let mut m = RoutingMatrix::build(&d);
+        assert!(m.remove_source(m.vns()[2]));
+        let mut v8 = mn_util::ByteWriter::new();
+        put_v8(&m, &mut v8);
+        let restored = RoutingMatrix::get_v8(&mut mn_util::ByteReader::new(v8.as_slice())).unwrap();
+        let [current, again] = [&m, &restored].map(|m| {
+            let mut w = mn_util::ByteWriter::new();
+            m.put(&mut w);
+            w.into_bytes()
+        });
+        assert_eq!(again, current);
+        assert!(v8.len() > current.len(), "dense rows are wider");
+    }
+
+    /// Rows that would let a walk index another component's positions are
+    /// a typed error in either format, never a panic.
+    #[test]
+    fn a_row_naming_a_pipe_of_another_component_is_refused() {
+        let d = two_islands();
+        let m = RoutingMatrix::build(&d);
+        // Slot 0 (client a) names the wide island's first pipe.
+        let elsewhere = d.out_pipes(m.vns()[2])[0].0;
+        let mut hostile = m.clone();
+        hostile.pred[0][1] = elsewhere;
+        let mut w = mn_util::ByteWriter::new();
+        hostile.put(&mut w);
+        let refused = Err(CodecError::Invalid(
+            "predecessor pipe from another component",
+        ));
+        let r = &mut mn_util::ByteReader::new(w.as_slice());
+        assert_eq!(RoutingMatrix::get(r).map(|_| ()), refused);
+        // In v8, any entry outside slot 0's island, at a node of the other.
+        let mut v8 = mn_util::ByteWriter::new();
+        put_v8(&m, &mut v8);
+        let mut bytes = v8.into_bytes();
+        let (head, slot0) = (m.vns.encoded_len() + m.vn_of_node.encoded_len() + 8 + 8, 0);
+        let node = m.vns()[3].index();
+        let at = head + 4 * (slot0 * m.node_count + node);
+        assert_eq!(bytes[at..at + 4], NO_PRED.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&elsewhere.to_le_bytes());
+        let refused = Err(CodecError::Invalid(
+            "predecessor outside the slot's component",
+        ));
+        let r = &mut mn_util::ByteReader::new(&bytes);
+        assert_eq!(RoutingMatrix::get_v8(r).map(|_| ()), refused);
+    }
+
+    /// Whatever one byte of a matrix's bytes becomes, decoding returns a
+    /// matrix or a typed error.
+    #[test]
+    fn any_one_byte_changed_decodes_or_is_a_typed_error() {
+        let d = two_islands();
+        let mut m = RoutingMatrix::build(&d);
+        assert!(m.remove_source(m.vns()[1]));
+        let mut w = mn_util::ByteWriter::new();
+        m.put(&mut w);
+        let bytes = w.into_bytes();
+        for at in 0..bytes.len() {
+            for value in [0x00, 0x01, 0x02, 0x05, 0xFF, bytes[at] ^ 0x80] {
+                let mut mutated = bytes.clone();
+                mutated[at] = value;
+                match RoutingMatrix::get(&mut mn_util::ByteReader::new(&mutated)) {
+                    Ok(_) | Err(CodecError::Invalid(_) | CodecError::Eof) => {}
+                    Err(other) => panic!("byte {at} -> {value:#04x}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use mn_distill::PipeId;
 use mn_topology::NodeId;
 
 use crate::dijkstra::NO_PRED;
-use crate::matrix::RoutingMatrix;
+use crate::matrix::{RoutingMatrix, Tree};
 
 /// One step of the fingerprint fold, which starts at 0: a pipe index, or
 /// the route length that finishes it.
@@ -95,8 +95,8 @@ const UNROUTED: Route = Route {
 /// share one, so no rewire allocates it.
 #[derive(Debug, Default)]
 pub(crate) struct Resolver {
-    /// Per node of the matrix's graph: the run that memoized it (0: none)
-    /// and its entry in `memos`.
+    /// Per position in the source's component: the run that memoized the
+    /// node there (0: none) and its entry in `memos`.
     marks: Vec<(u32, u32)>,
     /// The current run's stamp.
     stamp: u32,
@@ -119,16 +119,16 @@ impl Resolver {
         self.pipes.clear();
         self.memos.clear();
         let tree = matrix.tree_of(src);
-        if let Some((pred, _)) = tree {
-            if self.marks.len() < pred.len() {
-                self.marks.resize(pred.len(), (0, 0));
+        if let Some(tree) = tree {
+            if self.marks.len() < tree.pred.len() {
+                self.marks.resize(tree.pred.len(), (0, 0));
                 self.sizings += 1;
             }
             self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
                 self.marks.fill((0, 0));
                 1
             });
-            self.mark(src.index(), Memo { len: 0, ..NONE });
+            self.mark(tree.root, Memo { len: 0, ..NONE });
         }
         Run {
             resolver: self,
@@ -150,12 +150,12 @@ impl Resolver {
         self.memos.push(memo);
     }
 
-    /// `node`'s route, not yet memoized: walks up to the nearest memoized
-    /// ancestor (the source is one), then lays out that ancestor's route
-    /// and the pipes walked once, every node on the way down a prefix of
-    /// it.
+    /// The route of the node at position `node`, not yet memoized: walks
+    /// up to the nearest memoized ancestor (the source is one), then lays
+    /// out that ancestor's route and the pipes walked once, every node on
+    /// the way down a prefix of it.
     #[cold]
-    fn memoize(&mut self, node: usize, pred: &[u32], pipe_src: &[u32]) -> Memo {
+    fn memoize(&mut self, node: usize, pred: &[u32], tails: &[u32]) -> Memo {
         self.chain.clear();
         let mut cur = node;
         let top = loop {
@@ -169,7 +169,7 @@ impl Resolver {
                 break NONE;
             }
             self.chain.push((cur as u32, p));
-            cur = pipe_src[p as usize] as usize;
+            cur = tails[p as usize] as usize;
         };
         if top.len == UNREACHABLE {
             for &(v, _) in &self.chain {
@@ -197,28 +197,31 @@ impl Resolver {
 pub(crate) struct Run<'a> {
     resolver: &'a mut Resolver,
     matrix: &'a RoutingMatrix,
-    /// The source's predecessor row and each pipe's tail node (`None`: the
-    /// source is no VN of the matrix).
-    tree: Option<(&'a [u32], &'a [u32])>,
+    /// The source's tree (`None`: the source is no VN of the matrix).
+    tree: Option<Tree<'a>>,
 }
 
 impl Run<'_> {
     /// The route to `dst`: none where it is not one of the matrix's VNs or
     /// is unreachable.
     pub(crate) fn route(&mut self, dst: NodeId) -> Route {
-        let Some((pred, pipe_src)) = self.tree else {
+        let Some(tree) = self.tree else {
             return UNROUTED;
         };
-        if dst.index() >= pred.len() || self.matrix.vn_index(dst).is_none() {
+        let Some(at) = tree.position(dst) else {
+            return UNROUTED;
+        };
+        if self.matrix.vn_index(dst).is_none() {
             return UNROUTED;
         }
         self.resolver.steps += 1;
-        match pred[dst.index()] {
+        match tree.pred[at] {
             NO_PRED => UNROUTED,
             last => {
-                let node = pipe_src[last as usize] as usize;
+                let node = tree.tails[last as usize] as usize;
                 let memo = self.resolver.memo(node);
-                let parent = memo.unwrap_or_else(|| self.resolver.memoize(node, pred, pipe_src));
+                let parent =
+                    memo.unwrap_or_else(|| self.resolver.memoize(node, tree.pred, tree.tails));
                 Route { parent, last }
             }
         }

@@ -836,9 +836,6 @@ pub struct RouteTable {
     index_probes: u64,
     /// Endpoint/location geometry, shared across generations.
     locs: Arc<LocationIndex>,
-    /// Bumped by every rewire, bind and unbind, so drivers and tests can
-    /// observe that a routing change took effect.
-    version: u64,
     /// The route resolver's scratch, shared by every generation cloned
     /// from this one: sized once, whichever generation rewires.
     resolver: Arc<Mutex<Resolver>>,
@@ -867,7 +864,6 @@ impl RouteTable {
             cols: blocks_from_flat(slot_of_endpoint),
             index_probes: 0,
             locs: Arc::new(locs),
-            version: 0,
             resolver: Arc::default(),
         }
     }
@@ -1039,7 +1035,6 @@ impl RouteTable {
                 self.patch_row(ss as usize, &patches);
             }
         }
-        self.version += 1;
     }
 
     /// [`RouteTable::rewire_in_place`] one pair at a time: each route
@@ -1072,7 +1067,6 @@ impl RouteTable {
                 self.patch_row(ss as usize, &patches);
             }
         }
-        self.version += u64::from(!changed.is_empty());
     }
 
     /// The geometry invariant the rewire path relies on: every endpoint
@@ -1164,7 +1158,6 @@ impl RouteTable {
                 self.patch_row(si, &[(slot, ids[0])]);
             }
         }
-        self.version += 1;
         true
     }
 
@@ -1194,7 +1187,6 @@ impl RouteTable {
             self.set_row(slot, RowShard::Empty);
         }
         self.set_col(endpoint, slot as u32 | DEPARTED);
-        self.version += 1;
         true
     }
 
@@ -1246,11 +1238,6 @@ impl RouteTable {
             self.store
                 .find(pipes, fold_pipes(pipes), &mut self.index_probes);
         Arc::make_mut(&mut self.store).append(pipes, known.is_none().then_some(fingerprint))
-    }
-
-    /// Monotonic change counter, bumped by every rewire.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Wires the ordered *location* pair two endpoints are bound at to an
@@ -1349,7 +1336,7 @@ impl RouteTable {
     /// as the two bulk `u32` runs they are — one row shard **per location
     /// slot**, verbatim (window geometry included, so a restored row
     /// patches exactly like the captured one), then the column map without
-    /// the departed bits, the location geometry and the version. The
+    /// the departed bits and the location geometry. The
     /// content-dedup index is not written — it is a pure function of the
     /// store, rebuilt first-id-wins by the restored table's first lookup.
     /// The layout is written out rather than declared: the arena goes out
@@ -1358,7 +1345,6 @@ impl RouteTable {
     /// the columns, endpoint lists against the columns).
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_usize(self.endpoint_count);
-        w.put_u64(self.version);
         w.put_len(self.store.sealed.len() + 1);
         for chunk in self.store.chunks() {
             w.put_u32s(&chunk.ends);
@@ -1404,10 +1390,23 @@ impl RouteTable {
     /// no endpoint carries no row. A damaged snapshot is a typed error
     /// here, not a panic or a wrong answer on the forwarding path later.
     pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        use CodecError::Invalid;
         // An endpoint is at least its column.
         let endpoint_count = r.get_count(u32::MIN_BYTES)?;
-        let version = u64::get(r)?;
+        Self::decode_after_count(r, endpoint_count)
+    }
+
+    /// [`RouteTable::decode`] of the table as format v8 wrote it: a change
+    /// counter nothing reads after the endpoint count. Read by v8
+    /// checkpoints alone; the next format drops it.
+    #[doc(hidden)]
+    pub fn decode_v8(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let endpoint_count = r.get_count(u32::MIN_BYTES)?;
+        u64::get(r)?;
+        Self::decode_after_count(r, endpoint_count)
+    }
+
+    fn decode_after_count(r: &mut ByteReader, endpoint_count: usize) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
         let mut store = RouteStore::default();
         store.fill_chunks(r)?;
         let route_count = store.len();
@@ -1467,7 +1466,6 @@ impl RouteTable {
             cols: blocks_from_flat(cols_flat),
             index_probes: 0,
             locs: Arc::new(locs),
-            version,
             resolver: Arc::default(),
         })
     }
@@ -1577,7 +1575,7 @@ mod tests {
     fn codec_round_trip_is_byte_stable_and_preserves_lookups() {
         // A multiplexed table (two endpoints per location) exercises shared
         // rows, the column map and the location geometry; a rewire before
-        // the checkpoint exercises patched windows and a bumped version.
+        // the checkpoint exercises patched windows.
         let topo = ring_topology(&RingParams {
             routers: 6,
             clients_per_router: 1,
@@ -1602,7 +1600,6 @@ mod tests {
 
         assert_eq!(restored.endpoint_count(), table.endpoint_count());
         assert_eq!(restored.route_count(), table.route_count());
-        assert_eq!(restored.version(), table.version());
         let n = table.endpoint_count();
         for s in 0..n {
             for t in 0..n {
@@ -1617,7 +1614,6 @@ mod tests {
         let update = matrix.update_pipes(&d, &[victim]);
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
         restored.rewire_in_place(&matrix, &locations, &update.changed_pairs);
-        assert_eq!(restored.version(), table.version());
         assert_eq!(restored.route_count(), table.route_count());
         for s in 0..n {
             for t in 0..n {
@@ -1724,8 +1720,8 @@ mod tests {
                 }
             }
         }
-        // Both outcomes occur: pipe ids (32 bits of them) and the version are
-        // free-form, every count and index is not.
+        // Both outcomes occur: pipe ids (32 bits of them) are free-form,
+        // every count and index is not.
         assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
     }
 
@@ -1742,7 +1738,6 @@ mod tests {
     ) -> Result<RouteTable, mn_util::CodecError> {
         let mut w = mn_util::ByteWriter::new();
         w.put_usize(cols.len());
-        w.put_u64(7);
         w.put_len(chunk_count);
         for (ends, pipes) in chunks {
             w.put_u32s(ends);
@@ -2615,7 +2610,6 @@ mod tests {
             count_after_down > count_after_build,
             "detour routes interned"
         );
-        assert_eq!(table.version(), 4, "one bump per rewire");
     }
 
     #[test]

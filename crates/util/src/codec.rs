@@ -263,6 +263,11 @@ impl ByteWriter {
     /// Appends a count prefix and each word's bytes, reserved at once.
     fn put_words<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
         self.put_len(words.len());
+        self.put_bare_words(words);
+    }
+
+    /// Appends each word's bytes, reserved at once, with no count prefix.
+    fn put_bare_words<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
         if let Some(len) = &mut self.measured {
             *len += words.len() * N;
             return;
@@ -284,6 +289,12 @@ impl ByteWriter {
     /// without a staging `Vec`.
     pub fn put_u32s_from(&mut self, values: impl ExactSizeIterator<Item = u32>) {
         self.put_words(values.map(u32::to_le_bytes));
+    }
+
+    /// Appends `u32`s with no count prefix: a run whose length the reader
+    /// knows from what it has read before ([`ByteReader::get_bare_u32s`]).
+    pub fn put_bare_u32s(&mut self, values: &[u32]) {
+        self.put_bare_words(values.iter().map(|v| v.to_le_bytes()));
     }
 
     /// Appends a count-prefixed run of `u64`s; an iterator, so index
@@ -502,6 +513,15 @@ impl<'a> ByteReader<'a> {
     /// Reads a run written by [`ByteWriter::put_u32s`].
     pub fn get_u32s(&mut self) -> Result<Vec<u32>, CodecError> {
         self.get_words(u32::from_le_bytes)
+    }
+
+    /// Reads `count` words [`ByteWriter::put_bare_u32s`] wrote.
+    pub fn get_bare_u32s(&mut self, count: usize) -> Result<Vec<u32>, CodecError> {
+        let bytes = count.checked_mul(4).ok_or(CodecError::Eof)?;
+        let words = self.take_bytes(bytes)?.chunks_exact(4);
+        Ok(words
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect())
     }
 
     /// Reads a run written by [`ByteWriter::put_u64s`].

@@ -29,7 +29,7 @@ use mn_routing::{
     route_from_tree, shortest_route_tree_with_dist, RouteId, RouteTable, RoutingMatrix,
     UNUSABLE_COST,
 };
-use mn_topology::NodeId;
+use mn_topology::{LinkAttrs, NodeId, NodeKind, Topology};
 use mn_util::{DataRate, SimDuration};
 
 /// One random perturbation of a duplex link.
@@ -207,8 +207,51 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
     }
 }
 
+/// `parts` disjoint components, each a chain of 1–3 stubs with 0–3 clients
+/// hung off random stubs, then 1–2 isolated clients (components of one VN)
+/// and an isolated stub (a component with no VN). Every link has a random
+/// latency of 1–4 ms, so routes inside a component tie now and then.
+fn arb_disjoint_components() -> impl Strategy<Value = Topology> {
+    let part = (1usize..4, 0usize..4, prop::collection::vec(1u64..5, 8..9));
+    let parts = prop::collection::vec(part, 2..5);
+    (parts, 1usize..3).prop_map(|(parts, isolated)| {
+        let mut topo = Topology::new();
+        for (stubs, clients, latencies) in parts {
+            let mut latency = latencies.into_iter().cycle();
+            let mut link = |topo: &mut Topology, a, b| {
+                let ms = SimDuration::from_millis(latency.next().expect("cycled"));
+                topo.add_link(a, b, LinkAttrs::new(DataRate::from_mbps(10), ms))
+                    .unwrap();
+            };
+            let stub_ids: Vec<_> = (0..stubs).map(|_| topo.add_node(NodeKind::Stub)).collect();
+            for w in stub_ids.windows(2) {
+                link(&mut topo, w[0], w[1]);
+            }
+            for c in 0..clients {
+                let client = topo.add_node(NodeKind::Client);
+                link(&mut topo, client, stub_ids[c % stubs]);
+            }
+        }
+        for _ in 0..isolated {
+            topo.add_node(NodeKind::Client);
+        }
+        topo.add_node(NodeKind::Stub);
+        topo
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same invariants over many structural components, where each
+    /// source's row covers its own component only.
+    #[test]
+    fn rows_over_disjoint_components_match_dense_reference_under_random_dynamics(
+        topo in arb_disjoint_components(),
+        ops in prop::collection::vec((any::<usize>(), arb_op()), 1..10),
+    ) {
+        check_random_dynamics(&topo, ops);
+    }
 
     #[test]
     fn tree_matrix_matches_dense_reference_under_random_dynamics(

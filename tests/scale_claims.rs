@@ -184,6 +184,49 @@ fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
     assert!(encoded_bound - encoded < label_bytes && resident_bound - resident < label_bytes);
 }
 
+/// (viii) A routing matrix row covers its source's component only: on the
+/// Fig. 4 capacity topology (256 disjoint 8-hop paths, 512 source slots,
+/// 2 304 nodes) each slot reaches the 9 nodes of its own path, so the
+/// matrix, encoded and resident, fits 4 B a (slot, node of its component)
+/// and 64 B a node and a pipe for the rest — reverse index, pipe tables,
+/// component maps and positions, headers. A row over every node of the
+/// graph, 4.5 MiB here, adds more than the bound leaves over: it fails by
+/// count.
+#[test]
+fn a_routing_matrix_row_is_as_wide_as_its_component() {
+    let _turn = my_turn();
+    let (pairs, hops) = (256, 8);
+    let (topo, _) = path_pairs_topology(&PathPairsParams {
+        pairs,
+        hops,
+        bandwidth: DataRate::from_mbps(100),
+        end_to_end_latency: SimDuration::from_millis(8),
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let before = bytes_in_use();
+    let matrix = RoutingMatrix::build(&d);
+    let resident = bytes_in_use().saturating_sub(before);
+    let (slots, nodes, pipes) = (matrix.vn_count(), d.node_count(), d.pipe_count());
+    assert_eq!((slots, nodes), (2 * pairs, pairs * (hops + 1)));
+    let encoded = mn_util::Codec::encoded_len(&matrix);
+    let rows = 4 * slots * (hops + 1);
+    let bound = rows + 64 * (nodes + pipes);
+    println!(
+        "(viii) {slots} slots x {} nodes of {nodes}, {pipes} pipes: {encoded} B encoded, \
+         {resident} B resident, {} B counted (bound {bound})",
+        hops + 1,
+        matrix.memory_bytes()
+    );
+    assert!(encoded <= bound, "{encoded} B encoded");
+    assert!(resident <= bound, "{resident} B resident");
+    assert!(
+        matrix.memory_bytes() <= resident,
+        "memory_bytes counts what is resident"
+    );
+    let dense_rows = 4 * slots * nodes;
+    assert!(bound - encoded < dense_rows - rows && bound - resident < dense_rows - rows);
+}
+
 /// One full flap of both directions of a link through the incremental path
 /// (fail, `update_pipes` + `rewire_in_place`, restore, again): the trees it
 /// recomputed and the bytes it requested from the allocator.

@@ -9,18 +9,17 @@
 //! re-blessed, and its digest is re-recorded only by a deliberate behaviour
 //! change.
 //!
-//! `tests/data/mnsp_v7_path4.bin` is the scenario under the v7 encoder,
-//! which wrote the fluid solver's per-pipe capacities and demands, each
-//! core's fluid total and a per-core CBR meter that counted the episode's
-//! packets. Format v8 writes none of them: the first three are the pipes'
-//! own, and the meter went with the packets it counted, which nothing
-//! built. Restored and serialised again, the v7 file is
-//! `tests/data/mnsp_v8_path4.bin` byte for byte but for each core's
-//! `cbr_injected` word, which the v7 run counted and the v8 one reads as
-//! 0. Every later commit must re-create exactly the v8 bytes on both
-//! executors. Without the meter the emulator no longer wakes at each
-//! injection, so the tail digest was re-recorded at v8, once, for both
-//! files: it digests every counter but `cbr_injected`.
+//! `tests/data/mnsp_v8_path4.bin` is the scenario under the v8 encoder,
+//! which wrote each routing-matrix row over the whole graph, 8-byte pipe
+//! ids and words nothing reads (the route table's and the matrix's change
+//! counters, the fluid cadence, each fluid flow's solver flag, each core's
+//! two spare clock words). Format v9 writes a row over its source's
+//! component only, 4-byte pipe ids and none of those words: restored on
+//! either executor and serialised again, the v8 file is
+//! `tests/data/mnsp_v9_path4.bin` byte for byte, which every later commit
+//! must re-create on both executors. Without the CBR meter v8 dropped, the
+//! emulator no longer wakes at each injection, so the tail digest was
+//! re-recorded at v8, once: it digests every counter.
 //!
 //! A failure here means the snapshot format or the emulated behaviour
 //! changed: bump `SNAPSHOT_VERSION`, add a fixture for the new version
@@ -33,20 +32,20 @@
 use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_emucore::snapshot::SNAPSHOT_MAGIC;
-use mn_emucore::{CoreStats, Emulator, EmulatorSnapshot, HardwareProfile, SNAPSHOT_VERSION};
+use mn_emucore::{Emulator, EmulatorSnapshot, HardwareProfile, SNAPSHOT_VERSION};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::RoutingMatrix;
 use mn_topology::generators::{path_pairs_topology, PathPairsParams};
 use mn_util::codec::fnv1a64;
-use mn_util::{ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
+use mn_util::{ByteWriter, CodecError, DataRate, SimDuration, SimTime};
 
 mod common;
 mod membership;
 use common::on_threads;
 use membership::membership;
 
-const FIXTURE_V7: &[u8] = include_bytes!("data/mnsp_v7_path4.bin");
 const FIXTURE_V8: &[u8] = include_bytes!("data/mnsp_v8_path4.bin");
+const FIXTURE_V9: &[u8] = include_bytes!("data/mnsp_v9_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
@@ -55,7 +54,7 @@ const STOP_AT: SimTime = SimTime::from_micros(4_900);
 /// to run to).
 const HORIZON: SimTime = SimTime::from_millis(40);
 /// FNV-1a over the run restored from the fixtures: its delivery stream,
-/// final counters but `cbr_injected`, and fluid goodput.
+/// final counters and fluid goodput.
 const TAIL_DIGEST: u64 = 0xe2a2_658b_1cfc_bdc6;
 
 fn udp_packet(id: u64, src: VnId, dst: VnId, now: SimTime) -> Packet {
@@ -218,67 +217,30 @@ fn tail_digest(mut backend: Emulator) -> u64 {
     assert!(!w.is_empty(), "the tail of the run delivers");
     let stats = backend.total_stats();
     assert_eq!(stats.tunnels_out, stats.tunnels_in, "tunnels all landed");
-    // What a v7 run counted: a v7 file's tail differs from its twin's there.
-    let stats = CoreStats {
-        cbr_injected: 0,
-        ..stats
-    };
     w.put_bytes(format!("{stats:?}").as_bytes());
     w.put_u64(backend.fluid_flow_goodput_bytes(1).expect("flow 1 is live"));
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v8 fixture on both executors, and so does
-/// restoring the v7 file, whose fluid vectors, fluid totals and CBR meters
-/// are read past — all but the count the v7 meters made.
+/// The current encoder writes the v9 fixture on both executors, and so does
+/// restoring the v8 file on either.
 #[test]
-fn both_executors_reproduce_the_v8_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 8, "this fixture pins format v8");
+fn both_executors_reproduce_the_v9_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 9, "this fixture pins format v9");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V8,
-            "snapshot bytes drifted from the v8 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V9,
+            "snapshot bytes drifted from the v9 fixture (threaded: {threaded})"
         );
+        let mut restored = Emulator::restore_bytes(FIXTURE_V8).unwrap();
+        if threaded {
+            restored = on_threads(restored);
+        }
+        let stats = restored.total_stats();
+        assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
+        assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V9);
     }
-    let mut restored = Emulator::restore_bytes(FIXTURE_V7).unwrap();
-    let stats = restored.total_stats();
-    assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
-    assert!(stats.cbr_injected > 0, "the v7 run metered the episode");
-    assert!(restored.snapshot().unwrap().to_bytes() != FIXTURE_V8);
-    assert!(serialised_without_cbr_counts(FIXTURE_V7, false) == FIXTURE_V8);
-    assert!(serialised_without_cbr_counts(FIXTURE_V7, true) == FIXTURE_V8);
-}
-
-/// `fixture` restored (onto worker threads if `threaded`) and serialised
-/// again, each core's `cbr_injected` word zeroed and the frame sealed again.
-fn serialised_without_cbr_counts(fixture: &[u8], threaded: bool) -> Vec<u8> {
-    let mut emu = Emulator::restore_bytes(fixture).unwrap();
-    if threaded {
-        emu = on_threads(emu);
-    }
-    let framed = emu.snapshot().unwrap().to_bytes();
-    let mut payload = framed[16..framed.len() - 8].to_vec();
-    for core in 0..emu.core_count() {
-        let counted = emu.core_stats(CoreId(core)).unwrap();
-        let uncounted = CoreStats {
-            cbr_injected: 0,
-            ..counted
-        };
-        let [was, now] = [counted, uncounted].map(|stats| {
-            let mut w = ByteWriter::new();
-            stats.put(&mut w);
-            w.into_bytes()
-        });
-        let at = payload.windows(was.len()).position(|w| w == was);
-        let at = at.expect("the core's counters are in the payload");
-        payload[at..at + was.len()].copy_from_slice(&now);
-    }
-    let mut w = ByteWriter::new();
-    let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&payload);
-    w.end_frame(frame);
-    w.into_bytes()
 }
 
 fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
@@ -290,13 +252,13 @@ fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
 }
 
 #[test]
-fn the_v7_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V7);
+fn the_v8_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V8);
 }
 
 #[test]
-fn the_v8_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V8);
+fn the_v9_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V9);
 }
 
 /// The tables a restore rebuilds rather than reads hold what the
@@ -309,7 +271,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let mut uninterrupted = backend;
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
-    for fixture in [FIXTURE_V7, FIXTURE_V8] {
+    for fixture in [FIXTURE_V8, FIXTURE_V9] {
         let mut sequential = Emulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -322,13 +284,13 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v7_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V7);
+fn every_bit_flip_and_every_truncation_of_the_v8_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V8);
 }
 
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v8_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V8);
+fn every_bit_flip_and_every_truncation_of_the_v9_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V9);
 }
 
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
@@ -355,7 +317,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V8.to_vec();
+    let mut after_frame = FIXTURE_V9.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -367,7 +329,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V8[16..FIXTURE_V8.len() - 8]);
+    w.put_bytes(&FIXTURE_V9[16..FIXTURE_V9.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -385,11 +347,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v8_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v9_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v8_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v9_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(Emulator::restore(&snapshot).unwrap());
