@@ -266,13 +266,13 @@ impl Codec for Event {
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
 /// Current runner snapshot format version, the only one written; this
-/// version and the one before restore. Versions 8 and 9 nest an `MNSP`
+/// version and the one before restore. Versions 9 and 10 nest an `MNSP`
 /// frame of their own version and share one checksum: the runner's own
 /// fields and the nested frame's header and checksum, not that frame's
-/// payload a second time ([`checksum_around_emulator_frame`]). Version 9
-/// adds the armed auto-checkpoint instant at the end; for a version-8 frame
-/// it is the earliest queued checkpoint event.
-const RUNNER_SNAPSHOT_VERSION: u32 = 9;
+/// payload a second time ([`checksum_around_emulator_frame`]). Both end
+/// with the armed auto-checkpoint instant; they differ only in the nested
+/// frame.
+const RUNNER_SNAPSHOT_VERSION: u32 = 10;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -899,9 +899,9 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(RecoverError::AppsNotSupported);
         }
-        let (version, mut r) =
+        let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                8 | 9 => Ok(checksum_around_emulator_frame),
+                9 | 10 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way
@@ -915,15 +915,8 @@ impl Runner {
         let port_bindings = Vec::<PortBinding>::get(&mut r)?;
         let udp_flows = Vec::<UdpFlow>::get(&mut r)?;
         let (next_packet_id, packets_submitted, packets_delivered) = Codec::get(&mut r)?;
-        let (emu_wakeup_at, apps_started, dynamics_cursor, auto_checkpoint) = Codec::get(&mut r)?;
-        let checkpoint_at = match version {
-            8 => pending
-                .iter()
-                .filter(|(_, event)| matches!(event, Event::Checkpoint))
-                .map(|&(at, _)| at)
-                .min(),
-            _ => Option::<SimTime>::get(&mut r)?,
-        };
+        let (emu_wakeup_at, apps_started) = Codec::get(&mut r)?;
+        let (dynamics_cursor, auto_checkpoint, checkpoint_at) = Codec::get(&mut r)?;
         r.finish()?;
         // The event loop and the delivery path index `channels` and
         // `udp_flows` with what the snapshot says, unchecked: refuse any

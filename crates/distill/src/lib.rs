@@ -29,4 +29,4 @@ pub use autodistill::{autodistill, CandidateConfig, DistillBudget, DistillChoice
 pub use distiller::{
     compensation_rates, distill, distill_end_to_end_pairs, frontier_sets, DistillationMode,
 };
-pub use pipe_graph::{DistilledTopology, Pipe, PipeAttrs, PipeId, WidePipeId};
+pub use pipe_graph::{DistilledTopology, Pipe, PipeAttrs, PipeId};

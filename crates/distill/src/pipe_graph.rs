@@ -17,7 +17,7 @@ use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration};
 
 /// Identifier of a pipe within a [`DistilledTopology`]: 4 bytes in memory,
 /// where route arenas and timer wheels hold one per hop or entry, and 4 on
-/// disk since format v9 (v8 wrote a `u64`: [`WidePipeId`]).
+/// disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PipeId(pub u32);
 
@@ -46,33 +46,6 @@ impl Codec for PipeId {
     #[inline]
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.get_u32().map(PipeId)
-    }
-}
-
-/// A [`PipeId`] as format v8 wrote it: a `u64`, a value of 2³² or more
-/// refused, not wrapped. Read by v8 checkpoints alone; the next format
-/// drops it.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WidePipeId(pub PipeId);
-
-impl From<WidePipeId> for PipeId {
-    fn from(wide: WidePipeId) -> Self {
-        wide.0
-    }
-}
-
-impl Codec for WidePipeId {
-    const MIN_BYTES: usize = 8;
-
-    fn put(&self, w: &mut ByteWriter) {
-        w.put_u64(self.0 .0.into());
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        u32::try_from(r.get_u64()?)
-            .map(|id| WidePipeId(PipeId(id)))
-            .map_err(|_| CodecError::Invalid("pipe id of 2^32 or more"))
     }
 }
 
@@ -361,29 +334,6 @@ mod tests {
         let mut w = ByteWriter::new();
         PipeId(0x0102_0304).put(&mut w);
         assert_eq!(w.as_slice(), [4, 3, 2, 1]);
-    }
-
-    /// Format v8's form of a pipe id.
-    #[test]
-    fn a_pipe_id_round_trips_through_its_eight_wire_bytes() {
-        mn_util::codec::record_contract(WidePipeId(PipeId(u32::MAX)));
-        let mut w = ByteWriter::new();
-        WidePipeId(PipeId(u32::MAX)).put(&mut w);
-        assert_eq!(w.as_slice(), u64::from(u32::MAX).to_le_bytes());
-    }
-
-    #[test]
-    fn a_wire_pipe_id_of_2_to_the_32_is_refused_and_7_bytes_are_truncated() {
-        let wide = (u32::MAX as u64 + 1).to_le_bytes();
-        assert_eq!(
-            WidePipeId::get(&mut ByteReader::new(&wide)),
-            Err(CodecError::Invalid("pipe id of 2^32 or more"))
-        );
-        let max = u64::from(u32::MAX).to_le_bytes();
-        assert_eq!(
-            WidePipeId::get(&mut ByteReader::new(&max[..7])),
-            Err(CodecError::Eof)
-        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
-use mn_distill::{PipeAttrs, PipeId, WidePipeId};
+use mn_distill::{PipeAttrs, PipeId};
 use mn_pipe::{EmuPipe, EnqueueOutcome, PipeStats};
 use mn_routing::RouteTable;
 use mn_util::rngs::derived_rng;
@@ -797,13 +797,9 @@ impl EmulatorCore {
     /// a staged tunnel one that `pod` gives to a peer, and a tunnel in the
     /// inbox must be one this core can admit
     /// (`EmulatorCore::receive_restored`). The fluid demand total is summed
-    /// from the pipes. A `version` 8 core wrote each wheel entry's and
-    /// staged tunnel's pipe id in 8 bytes ([`WidePipeId`]), and after its CPU
-    /// clock two words nothing reads — zero and the clock again — which are
-    /// refused unless they are those.
+    /// from the pipes.
     pub fn decode_state(
         r: &mut ByteReader,
-        version: u32,
         profile: HardwareProfile,
         routes: Arc<RouteTable>,
         pod: &PipeOwnershipDirectory,
@@ -827,14 +823,10 @@ impl EmulatorCore {
             });
         }
         let installed = |pipe: PipeId| pipes.get(pipe.index()).is_some_and(Option::is_some);
-        let get_pipe = |r: &mut ByteReader| match version {
-            8 => WidePipeId::get(r).map(PipeId::from),
-            _ => PipeId::get(r),
-        };
         let mut wheel = TimerWheel::new();
         for _ in 0..r.get_count(<(SimTime, PipeId)>::MIN_BYTES)? {
             let time = SimTime::get(r)?;
-            let pipe = get_pipe(r)?;
+            let pipe = PipeId::get(r)?;
             if !installed(pipe) {
                 return Err(Invalid("wheel entry for a pipe not installed here"));
             }
@@ -843,7 +835,7 @@ impl EmulatorCore {
         let pending_count = r.get_count(<(PipeId, Descriptor, SimTime)>::MIN_BYTES)?;
         let mut pending_remote = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
-            let pipe = get_pipe(r)?;
+            let pipe = PipeId::get(r)?;
             // The tunnel exchange sends it to the pipe's owner, unasked.
             if pod.get_owner(pipe).is_none_or(|owner| owner == id) {
                 return Err(Invalid("staged tunnel's pipe has no peer owner"));
@@ -860,11 +852,6 @@ impl EmulatorCore {
             .ok_or(Invalid("pipes' fluid demand overflows"))?;
         let (fluid_last, fluid_bits_ns_rem) = Codec::get(r)?;
         let (cpu_backlog, cpu_busy_total, cpu_last_credit) = Codec::get(r)?;
-        // Its v8 encoder wrote both from the CPU clock, so that a decoded
-        // core re-encodes to its input.
-        if version == 8 && <(SimTime, SimTime)>::get(r)? != (SimTime::ZERO, cpu_last_credit) {
-            return Err(Invalid("CPU clock words disagree"));
-        }
         let (rx_tokens, rx_last_refill) = Codec::get(r)?;
         let (stats, accuracy, rng_state) = Codec::get(r)?;
         let mut core = EmulatorCore {
@@ -900,7 +887,6 @@ impl EmulatorCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SNAPSHOT_VERSION;
 
     #[test]
     #[should_panic(expected = "fewer than 2^32 slab slots")]
@@ -1019,7 +1005,7 @@ mod tests {
         let pod = PipeOwnershipDirectory::from_owners([0, 0, 1].map(CoreId).to_vec(), 2);
         let (profile, routes) = (core.profile, core.routes.clone());
         let r = &mut mn_util::ByteReader::new(w.as_slice());
-        let restored = EmulatorCore::decode_state(r, SNAPSHOT_VERSION, profile, routes, &pod);
+        let restored = EmulatorCore::decode_state(r, profile, routes, &pod);
         assert_eq!(restored.unwrap().fluid_total_bps, demand.as_bps());
     }
 
@@ -1034,35 +1020,6 @@ mod tests {
         assert!(core.set_pipe_fluid_demand(PipeId(0), DataRate::from_gbps(100), SimTime::ZERO));
         core.integrate_fluid_to(SimTime::from_nanos(u64::MAX));
         assert_eq!(core.stats().fluid_modelled_bytes, u64::MAX);
-    }
-
-    /// A v8 core wrote two words after its CPU clock — zero and the clock
-    /// again — that nothing reads: read and checked, then dropped.
-    #[test]
-    fn a_v8_core_is_read_past_its_clock_words() {
-        let routes = Arc::new(RouteTable::new(2));
-        let profile = HardwareProfile::unconstrained();
-        let mut core = EmulatorCore::new(CoreId(0), profile, 1, routes.clone(), 1);
-        let attrs = PipeAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(1));
-        core.install_pipe(PipeId(0), attrs);
-        core.cpu_last_credit = SimTime::from_nanos(0x5eed_5eed_5eed);
-        let mut w = mn_util::ByteWriter::new();
-        core.encode_state(&mut w);
-        let current = w.into_bytes();
-        let clock = core.cpu_last_credit.as_nanos().to_le_bytes();
-        let at = current.windows(8).position(|w| w == clock);
-        let (head, tail) = current.split_at(at.expect("the CPU clock is written") + 8);
-        let v8 = |start: u64| [head, &start.to_le_bytes(), &clock, tail].concat();
-        let pod = PipeOwnershipDirectory::single_core(1);
-        let decode = |bytes: &[u8]| {
-            let r = &mut mn_util::ByteReader::new(bytes);
-            EmulatorCore::decode_state(r, 8, profile, routes.clone(), &pod)
-        };
-        let mut again = mn_util::ByteWriter::new();
-        decode(&v8(0)).unwrap().encode_state(&mut again);
-        assert!(again.into_bytes() == current);
-        let why = mn_util::CodecError::Invalid("CPU clock words disagree");
-        assert_eq!(decode(&v8(1)).map(|_| ()), Err(why));
     }
 
     /// Every hop is entered at the deadline its predecessor named, so an
@@ -1369,7 +1326,7 @@ mod tests {
             let pod = PipeOwnershipDirectory::from_owners(owners, 2);
             let decode = |bytes: &[u8]| {
                 let r = &mut mn_util::ByteReader::new(bytes);
-                EmulatorCore::decode_state(r, SNAPSHOT_VERSION, profile, table.clone(), &pod)
+                EmulatorCore::decode_state(r, profile, table.clone(), &pod)
             };
             let mut restored = decode(&bytes).unwrap();
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));

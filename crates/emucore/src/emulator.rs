@@ -263,11 +263,12 @@ impl Emulator {
             topo.pipe_count(),
             "POD must cover every pipe of the distilled topology"
         );
-        // Dense per-VN tables: `Binding` numbers VNs 0..vn_count, so plain
-        // vectors indexed by `VnId::index` cover every bound VN.
+        // Dense per-VN tables: `Binding` numbers VNs 0..vn_count and holds a
+        // location for each (so `filter_map` skips none), so plain vectors
+        // indexed by `VnId::index` cover every bound VN.
         let vn_location: Vec<NodeId> = binding
             .vns()
-            .map(|vn| binding.location(vn).expect("binding locates every VN"))
+            .filter_map(|vn| binding.location(vn))
             .collect();
         let vn_entry_core: Vec<CoreId> = binding
             .vns()
@@ -496,6 +497,11 @@ impl Emulator {
     fn recompute_fluid(&mut self, at: SimTime) -> Result<(), EmuError> {
         let changed = self.fluid.recompute(at, &self.admission.routes);
         for &(pipe, bps) in changed {
+            // A routed flow's pipes are its route's, and every route names
+            // pipes the POD covers (`Emulator::new` builds the table over
+            // the POD's topology, `decode` checks `pipe_bound`); a pinned
+            // flow's pipe has an owner (`set_pipe_compensation` asks, and
+            // `FluidState::decode` refuses one beyond the POD's pipes).
             let owner = self
                 .pod
                 .get_owner(pipe)
@@ -573,8 +579,9 @@ impl Emulator {
 
     /// Applies an **incremental** routing change after the listed pipes of
     /// `topo` were mutated in place (failure, restore, latency
-    /// renegotiation): the matrix's per-pipe reverse index names exactly
-    /// the shortest-route trees a worsened pipe sat on, only those (plus
+    /// renegotiation): the matrix's rows name exactly the shortest-route
+    /// trees a worsened pipe sat on (those whose row gives it as its head's
+    /// predecessor), only those (plus
     /// the label-bounded candidates of an improvement) are recomputed
     /// ([`RoutingMatrix::update_pipes`]), and only the
     /// endpoint pairs whose route actually changed are re-wired in the
@@ -746,6 +753,8 @@ impl Emulator {
         let submitted = self.submit_batch([(now, packet)], &mut outcome);
         let last = outcome.pop();
         self.admission.outcome = outcome;
+        // A batch that is admitted appends one outcome a packet, so a batch
+        // of one leaves exactly one.
         submitted.map(|()| last.expect("a batch of one has one outcome"))
     }
 
@@ -941,20 +950,18 @@ impl Emulator {
     /// VN's location and liveness are rebuilt from the route table, which
     /// records both, and the load vector from them and the entry cores; the
     /// fluid solver's per-pipe capacities and demands from the restored
-    /// pipes, which hold both. A v8 frame carries the route table's and the
-    /// matrix's v8 forms ([`RouteTable::decode_v8`],
-    /// [`RoutingMatrix::get_v8`]) and 8-byte pipe ids. The frame is written
-    /// out rather than declared because those checks need what was read
-    /// before them.
+    /// pipes, which hold both. A v9 frame differs only in the matrix's form
+    /// ([`RoutingMatrix::get_v9`]). The frame is written out rather than
+    /// declared because those checks need what was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
-        let (routes, matrix) = match version {
-            8 => (RouteTable::decode_v8(r)?, RoutingMatrix::get_v8(r)?),
-            _ => (RouteTable::decode(r)?, RoutingMatrix::get(r)?),
+        let routes = Arc::new(RouteTable::decode(r)?);
+        let matrix = match version {
+            9 => RoutingMatrix::get_v9(r)?,
+            _ => RoutingMatrix::get(r)?,
         };
-        let routes = Arc::new(routes);
         let core_count = usize::get(r)?;
         if core_count == 0 {
             return Err(Invalid("no cores"));
@@ -984,13 +991,13 @@ impl Emulator {
             return Err(Invalid("VN entry core out of range"));
         }
         let local_deliveries = Vec::<Delivery>::get(r)?;
-        let mut fluid = FluidState::decode(r, version, pod.pipe_count())?;
+        let mut fluid = FluidState::decode(r, pod.pipe_count())?;
         if r.get_len()? != core_count {
             return Err(CodecError::Invalid("core count mismatch"));
         }
         let mut cores = Vec::with_capacity(core_count);
         for idx in 0..core_count {
-            let core = EmulatorCore::decode_state(r, version, profile, routes.clone(), &pod)?;
+            let core = EmulatorCore::decode_state(r, profile, routes.clone(), &pod)?;
             if core.id().index() != idx {
                 return Err(CodecError::Invalid("core ids out of order"));
             }
@@ -1006,9 +1013,13 @@ impl Emulator {
             fluid.restore_pipe(pipe, installed.attrs().bandwidth, installed.fluid_demand());
         }
         // A decoded table gives every endpoint a location slot.
-        let located = |vn| routes.endpoint_location(vn).expect("a located endpoint");
+        let located = |vn| {
+            routes
+                .endpoint_location(vn)
+                .ok_or(Invalid("endpoint without a location"))
+        };
         let admission = Admission {
-            vn_location: (0..vn_count).map(located).collect(),
+            vn_location: (0..vn_count).map(located).collect::<Result<_, _>>()?,
             vn_active: (0..vn_count)
                 .map(|vn| routes.is_endpoint_bound(vn))
                 .collect(),
@@ -1067,8 +1078,6 @@ mod tests {
     use mn_routing::RouteId;
     use mn_topology::generators::{ring_topology, RingParams};
 
-    use crate::fluid::DEFAULT_FLUID_EPOCH;
-
     /// A 2-core emulator over a 4-router, 8-client ring.
     fn ring_emulator() -> Emulator {
         let topo = ring_topology(&RingParams {
@@ -1113,16 +1122,15 @@ mod tests {
         inline.cores[target].receive_tunnel(arrival, descriptor);
     }
 
-    /// A routing matrix's fields as a frame lays them out: the node map and
-    /// count, the pipe tables, the component maps, every row back to back
-    /// (each as wide as its source's component), then the reverse index and
-    /// the free slots.
+    /// A routing matrix's fields as a frame lays them out: the slot list
+    /// and the node count, the pipe tables (costs, tails), the component
+    /// maps (each node's, each component's nodes), then every row back to
+    /// back (each as wide as its source's component).
     type MatrixFields = (
-        (Vec<NodeId>, Vec<u32>, usize),
+        (Vec<NodeId>, usize),
         (Vec<u64>, Vec<u32>),
-        (Vec<u32>, Vec<Vec<u32>>, Vec<Vec<u32>>),
+        (Vec<u32>, Vec<Vec<u32>>),
         Vec<u32>,
-        (Vec<Vec<u32>>, Vec<u32>),
     );
 
     /// A hand-built frame: `emu`'s checkpoint with the routing matrix's
@@ -1136,7 +1144,7 @@ mod tests {
         let at = payload.len() - r.remaining();
         let mut fields: MatrixFields = Default::default();
         (fields.0, fields.1, fields.2) = Codec::get(&mut r).unwrap();
-        let (components, lists) = (&fields.2 .0, &fields.2 .2);
+        let (components, lists) = (&fields.2 .0, &fields.2 .1);
         let width = |vn: &NodeId| {
             components
                 .get(vn.index())
@@ -1145,15 +1153,13 @@ mod tests {
         fields.3 = r
             .get_bare_u32s(fields.0 .0.iter().map(width).sum())
             .unwrap();
-        fields.4 = Codec::get(&mut r).unwrap();
         corrupt(&mut fields);
         let mut w = ByteWriter::new();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.put_bytes(&payload[..at]);
-        let (head, pipes, maps, rows, tail) = fields;
+        let (head, pipes, maps, rows) = fields;
         (head, pipes, maps).put(&mut w);
         w.put_bare_u32s(&rows);
-        tail.put(&mut w);
         w.put_bytes(&payload[payload.len() - r.remaining()..]);
         w.end_frame(frame);
         w.into_bytes()
@@ -1222,28 +1228,36 @@ mod tests {
         // A matrix any later lookup, reroute or update would index out of
         // range: refused when decoded, on both executors.
         type CorruptMatrix = fn(&mut MatrixFields);
-        let matrix: [(&str, CorruptMatrix); 9] = [
+        let matrix: [(&str, CorruptMatrix); 7] = [
             ("component maps disagree", |f| f.2 .0[0] = 1),
             ("pipe tables of unequal lengths", |f| {
-                f.4 .0.pop();
+                f.1 .0.pop();
             }),
-            ("pipe tail out of range", |f| f.1 .1[0] = f.0 .2 as u32),
+            ("pipe tail out of range", |f| f.1 .1[0] = f.0 .1 as u32),
             ("predecessor pipe out of range", |f| {
                 f.3[1] = f.1 .1.len() as u32
             }),
-            ("source slots and node map disagree", |f| {
-                f.0 .1[f.0 .0[0].index()] = 1;
+            ("source slot outside the graph", |f| {
+                f.0 .0[1] = NodeId(f.0 .1);
             }),
-            ("source slots and node map disagree", |f| {
-                f.0 .0[1] = NodeId(f.0 .2);
+            // The node → slot map is derived from the slot list.
+            ("node claimed by two live slots", |f| f.0 .0[1] = f.0 .0[0]),
+            // The ring is one component, so slot 0's row is the first
+            // `node_count` entries and a position is a node index. Some
+            // entry of it names a pipe from a node t other than the source;
+            // pointing t at that pipe's reverse (hop-by-hop distillation
+            // adds a duplex link's two pipes back to back) closes a loop.
+            ("predecessor row with a cycle", |f| {
+                let (root, tails) = (f.0 .0[0].index() as u32, &f.1 .1);
+                let row = &f.3[..f.0 .1];
+                let named = |&p: &u32| p != u32::MAX && tails[p as usize] != root;
+                let p = row
+                    .iter()
+                    .copied()
+                    .find(named)
+                    .expect("a node past the first hop");
+                f.3[tails[p as usize] as usize] = p ^ 1;
             }),
-            ("component or reverse index out of range", |f| {
-                f.2 .1[0].push(f.0 .0.len() as u32);
-            }),
-            ("component or reverse index out of range", |f| {
-                f.4 .0[0].push(f.0 .0.len() as u32);
-            }),
-            ("free slots not ascending tombstones", |f| f.4 .1.push(0)),
         ];
         for (what, corrupt) in matrix {
             let bytes = with_matrix(&mut ring_emulator(), corrupt);
@@ -1262,80 +1276,6 @@ mod tests {
         let snapshot = source.snapshot().unwrap();
         let mut restored = Emulator::restore(&snapshot).unwrap();
         assert!(restored.snapshot().unwrap() == snapshot);
-    }
-
-    /// A v8 checkpoint: the `mnsp_v8_path4` fixture of the golden tests
-    /// (two cores stopped at 4.9 ms, two CBR episodes among its fluid
-    /// flows).
-    const V8_FRAME: &[u8] = include_bytes!("../../../tests/data/mnsp_v8_path4.bin");
-
-    /// [`V8_FRAME`] with the `patch` bytes written at each of `at`, and the
-    /// frame sealed again.
-    fn patched_v8(at: &[usize], patch: &[u8]) -> Vec<u8> {
-        let mut bytes = V8_FRAME.to_vec();
-        for &at in at {
-            bytes[at..at + patch.len()].copy_from_slice(patch);
-        }
-        let end = bytes.len() - 8;
-        let sum = mn_util::codec::checksum64(&bytes[16..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
-        bytes
-    }
-
-    /// Where `pattern` lies in [`V8_FRAME`].
-    fn v8_positions(pattern: &[u8]) -> Vec<usize> {
-        let windows = V8_FRAME.windows(pattern.len()).enumerate();
-        windows
-            .filter(|(_, w)| *w == pattern)
-            .map(|(at, _)| at)
-            .collect()
-    }
-
-    #[test]
-    fn restore_bytes_refuses_a_pipe_id_of_2_to_the_32_or_more() {
-        // A CBR episode's fluid flow is keyed by its pipe, one of the 8-byte
-        // pipe ids a v8 snapshot carries: set bit 32 of it and seal the
-        // frame again.
-        assert!(Emulator::restore_bytes(V8_FRAME).is_ok());
-        // The flow's key and kind: each a pinned-pipe tag, then pipe 2.
-        let pinned = [&[1u8][..], &2u64.to_le_bytes()].concat().repeat(2);
-        let at = v8_positions(&pinned)[0];
-        let refused = Err(CodecError::Invalid("pipe id of 2^32 or more"));
-        let bytes = patched_v8(&[at + 5], &[1]);
-        assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
-    }
-
-    #[test]
-    fn restore_bytes_refuses_a_fluid_epoch_of_u64_max_ns() {
-        // Every run recomputes on the default cadence; a v8 frame saying
-        // otherwise would overflow `at + epoch` at the first solve (a panic
-        // in debug builds, a clock wrapped into the past in release ones).
-        // The cadence word precedes the next epoch's tag.
-        let epoch = [&DEFAULT_FLUID_EPOCH.as_nanos().to_le_bytes()[..], &[1]].concat();
-        let at = v8_positions(&epoch);
-        assert_eq!(at.len(), 1);
-        let bytes = patched_v8(&at, &u64::MAX.to_le_bytes());
-        let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
-        assert_eq!(Emulator::restore_bytes(&bytes).map(|_| ()), refused);
-    }
-
-    #[test]
-    fn restore_refuses_a_core_whose_cpu_clock_words_disagree() {
-        // A v8 core writes its CPU clock, then two words nothing reads: its
-        // start, always zero, and the clock again. Both cores stopped at
-        // 4.9 ms.
-        let clock = SimTime::from_micros(4_900).as_nanos().to_le_bytes();
-        let words = [&clock[..], &[0; 8], &clock].concat();
-        let at = v8_positions(&words);
-        assert_eq!(at.len(), 2, "one clock per core");
-        for word in [8, 16] {
-            let mut flipped = words[word..word + 8].to_vec();
-            flipped[0] ^= 1;
-            assert_eq!(
-                Emulator::restore_bytes(&patched_v8(&[at[1] + word], &flipped)).map(|_| ()),
-                Err(CodecError::Invalid("CPU clock words disagree"))
-            );
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use mn_distill::{PipeId, WidePipeId};
+use mn_distill::PipeId;
 use mn_packet::VnId;
 use mn_routing::RouteTable;
 use mn_util::codec::Transient;
@@ -61,16 +61,9 @@ impl Codec for FlowKey {
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Self::get_as::<PipeId>(r)
-    }
-}
-
-impl FlowKey {
-    /// A key whose pipe id is written as `P` ([`WidePipeId`] in format v8).
-    fn get_as<P: Codec + Into<PipeId>>(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
             0 => Ok(FlowKey::User(u64::get(r)?)),
-            1 => Ok(FlowKey::Cbr(P::get(r)?.into())),
+            1 => Ok(FlowKey::Cbr(PipeId::get(r)?)),
             _ => Err(CodecError::Invalid("unknown fluid flow key tag")),
         }
     }
@@ -98,20 +91,13 @@ impl Codec for FlowKind {
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Self::get_as::<PipeId>(r)
-    }
-}
-
-impl FlowKind {
-    /// A kind whose pipe id is written as `P` ([`WidePipeId`] in format v8).
-    fn get_as<P: Codec + Into<PipeId>>(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
             0 => Ok(FlowKind::Route {
                 src: VnId::get(r)?,
                 dst: VnId::get(r)?,
             }),
             1 => Ok(FlowKind::Pipe {
-                pipe: P::get(r)?.into(),
+                pipe: PipeId::get(r)?,
             }),
             _ => Err(CodecError::Invalid("unknown fluid flow kind tag")),
         }
@@ -138,30 +124,6 @@ mn_util::codec_record! {
         goodput_bits_ns: u128,
         /// Solver scratch: the flow's allocation is final for this solve.
         frozen: Transient<bool>,
-    }
-}
-
-impl FlowSlot {
-    /// A slot as format v8 wrote it: 8-byte pipe ids ([`WidePipeId`]), and
-    /// the solver's `frozen` flag after the integral, read and dropped.
-    /// Read by v8 checkpoints alone; the next format drops it.
-    fn get_v8(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let key = FlowKey::get_as::<WidePipeId>(r)?;
-        let kind = FlowKind::get_as::<WidePipeId>(r)?;
-        let (demand_bps, weight, rate_bps) = Codec::get(r)?;
-        let pipes = Vec::<WidePipeId>::get(r)?;
-        let (routable, goodput_bits_ns, _frozen) = <(bool, u128, bool)>::get(r)?;
-        Ok(FlowSlot {
-            key,
-            kind,
-            demand_bps,
-            weight,
-            rate_bps,
-            pipes: pipes.into_iter().map(PipeId::from).collect(),
-            routable,
-            goodput_bits_ns,
-            frozen: Transient(false),
-        })
     }
 }
 
@@ -610,14 +572,10 @@ impl FluidState {
 /// allocation order exactly) and the dirty mark. Each pipe's capacity and
 /// distributed demand are the pipe's own, which its core writes, so restore
 /// fills them in from the restored pipes ([`FluidState::restore_pipe`]).
-/// Written out rather than declared because a version-8 frame wrote the
-/// cadence after the clock and its flow slots in their v8 form
-/// ([`FlowSlot::get_v8`]), and the flow index and solver scratch are rebuilt, not
-/// read. A restored state produces the same solves, integrals and epoch
-/// schedule as the original — and refuses what would hang or panic them: a
-/// v8 cadence other than [`DEFAULT_FLUID_EPOCH`], the only one a run sets
-/// (zero would pin the emulator's epoch loop to one instant, a huge one
-/// overflow the clock), a next epoch within one epoch of [`SimTime::MAX`]
+/// Written out rather than declared because the flow index and solver
+/// scratch are rebuilt, not read. A restored state produces the same
+/// solves, integrals and epoch schedule as the original — and refuses what
+/// would hang or panic them: a next epoch within one epoch of [`SimTime::MAX`]
 /// (the re-solve there would overflow the clock), a flow on a pipe beyond
 /// the capacities, two flows under one key. A next epoch before the clock
 /// is read as written: the first re-solve moves the grid up to the clock
@@ -631,23 +589,10 @@ impl FluidState {
 
     /// Reads what [`FluidState::encode`] wrote, over `pipes` pipes whose
     /// capacity and demand stay zero until restored.
-    pub(crate) fn decode(
-        r: &mut ByteReader<'_>,
-        version: u32,
-        pipes: usize,
-    ) -> Result<Self, CodecError> {
+    pub(crate) fn decode(r: &mut ByteReader<'_>, pipes: usize) -> Result<Self, CodecError> {
         use CodecError::Invalid;
-        let clock = SimTime::get(r)?;
-        if version == 8 && SimDuration::get(r)? != DEFAULT_FLUID_EPOCH {
-            return Err(Invalid("fluid epoch other than the default"));
-        }
-        let next_epoch = Option::<SimTime>::get(r)?;
-        let flows = match version {
-            8 => (0..r.get_count(FlowSlot::MIN_BYTES)?)
-                .map(|_| FlowSlot::get_v8(r))
-                .collect::<Result<_, _>>()?,
-            _ => Vec::<FlowSlot>::get(r)?,
-        };
+        let (clock, next_epoch) = <(SimTime, Option<SimTime>)>::get(r)?;
+        let flows = Vec::<FlowSlot>::get(r)?;
         let routes_dirty = bool::get(r)?;
         if next_epoch.is_some_and(|at| at > SimTime::MAX - DEFAULT_FLUID_EPOCH) {
             return Err(Invalid(
@@ -696,7 +641,6 @@ impl FluidState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SNAPSHOT_VERSION;
 
     fn table(routes: &[(usize, usize, Vec<PipeId>)], endpoints: usize) -> RouteTable {
         let mut t = RouteTable::new(endpoints);
@@ -872,7 +816,7 @@ mod tests {
         assert!(encoded(&round_trip(&fluid).unwrap()) == bytes);
         for len in 0..bytes.len() {
             let r = &mut ByteReader::new(&bytes[..len]);
-            assert!(FluidState::decode(r, SNAPSHOT_VERSION, 2).is_err());
+            assert!(FluidState::decode(r, 2).is_err());
         }
         let mut restored = round_trip(&fluid).unwrap();
 
@@ -903,8 +847,7 @@ mod tests {
     /// restored from the original, as restore fills them in from the pipes.
     fn round_trip(state: &FluidState) -> Result<FluidState, CodecError> {
         let (bytes, pipes) = (encoded(state), state.capacity_bps.len());
-        let mut restored =
-            FluidState::decode(&mut ByteReader::new(&bytes), SNAPSHOT_VERSION, pipes)?;
+        let mut restored = FluidState::decode(&mut ByteReader::new(&bytes), pipes)?;
         for (p, (&capacity, &demand)) in
             state.capacity_bps.iter().zip(&state.demand_bps).enumerate()
         {
@@ -933,63 +876,7 @@ mod tests {
         assert_eq!(bytes[tag_at], 1, "layout drifted; fix the offset");
         bytes[tag_at] = 9;
         let r = &mut ByteReader::new(&bytes);
-        assert!(FluidState::decode(r, SNAPSHOT_VERSION, 1).is_err());
-    }
-
-    /// `state` as format v8 wrote it, its cadence word `epoch`.
-    fn encoded_v8(state: &FluidState, epoch: SimDuration) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        (state.clock, epoch, state.next_epoch).put(&mut w);
-        w.put_len(state.flows.len());
-        for flow in &state.flows {
-            match flow.key {
-                FlowKey::User(tag) => (0u8, tag).put(&mut w),
-                FlowKey::Cbr(pipe) => (1u8, WidePipeId(pipe)).put(&mut w),
-            }
-            match flow.kind {
-                FlowKind::Route { src, dst } => (0u8, src, dst).put(&mut w),
-                FlowKind::Pipe { pipe } => (1u8, WidePipeId(pipe)).put(&mut w),
-            }
-            (flow.demand_bps, flow.weight, flow.rate_bps).put(&mut w);
-            let wide: Vec<WidePipeId> = flow.pipes.iter().map(|&p| WidePipeId(p)).collect();
-            (wide, flow.routable, flow.goodput_bits_ns, *flow.frozen).put(&mut w);
-        }
-        state.routes_dirty.put(&mut w);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn a_zero_epoch_is_refused() {
-        // Restored, it would pin the next epoch to the instant it is solved
-        // at, and `Emulator::advance_into` would solve there forever. Only a
-        // v8 frame writes the cadence.
-        let bytes = encoded_v8(&one_flow(), SimDuration::ZERO);
-        let refused = Err(CodecError::Invalid("fluid epoch other than the default"));
-        let r = &mut ByteReader::new(&bytes);
-        assert_eq!(FluidState::decode(r, 8, 1).map(|_| ()), refused);
-    }
-
-    /// A v8 state — 8-byte pipe ids, the cadence and each slot's solver
-    /// flag — reads back to the state it was written from.
-    #[test]
-    fn a_v8_state_reads_as_the_current_one() {
-        let mut fluid = one_flow();
-        fluid.set_cbr(PipeId(0), Some(mbps(1)), SimTime::ZERO);
-        let current = encoded(&fluid);
-        let v8 = encoded_v8(&fluid, DEFAULT_FLUID_EPOCH);
-        // The cadence; each slot's flag and routed pipe; the episode's key
-        // and kind.
-        assert_eq!(v8.len(), current.len() + 8 + 2 * (1 + 4) + 2 * 4);
-        let restored = FluidState::decode(&mut ByteReader::new(&v8), 8, 1).unwrap();
-        assert!(encoded(&restored) == current);
-        // The episode's key and kind: each a pinned-pipe tag, then pipe 0.
-        let pinned = [&[1u8][..], &0u64.to_le_bytes()].concat().repeat(2);
-        let at = v8.windows(18).position(|w| w == pinned).unwrap();
-        let mut beyond = v8.clone();
-        beyond[at + 5] = 1;
-        let refused = Err(CodecError::Invalid("pipe id of 2^32 or more"));
-        let r = &mut ByteReader::new(&beyond);
-        assert_eq!(FluidState::decode(r, 8, 1).map(|_| ()), refused);
+        assert!(FluidState::decode(r, 1).is_err());
     }
 
     #[test]
@@ -1002,7 +889,7 @@ mod tests {
             assert_eq!(bytes[8], 1, "layout drifted; fix the offset");
             bytes[9..17].copy_from_slice(&next_epoch.as_nanos().to_le_bytes());
             let r = &mut ByteReader::new(&bytes);
-            FluidState::decode(r, SNAPSHOT_VERSION, 1).map(|_| ())
+            FluidState::decode(r, 1).map(|_| ())
         };
         let refused = Err(CodecError::Invalid(
             "next fluid epoch within one epoch of the end of time",
@@ -1043,7 +930,7 @@ mod tests {
         let mut bytes = encoded(&fluid);
         bytes[9..17].copy_from_slice(&0u64.to_le_bytes());
         let r = &mut ByteReader::new(&bytes);
-        let mut restored = FluidState::decode(r, SNAPSHOT_VERSION, 1).unwrap();
+        let mut restored = FluidState::decode(r, 1).unwrap();
         assert_eq!(restored.next_epoch(), Some(SimTime::ZERO));
         restored.recompute(SimTime::ZERO, &routes);
         assert_eq!(restored.next_epoch(), Some(clock));

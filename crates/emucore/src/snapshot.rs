@@ -4,7 +4,7 @@
 //! pipe's queue contents and drain clock, per-core timing wheels (stale
 //! entries included), staged and in-flight tunnel descriptors, fluid flows
 //! (CBR episodes among them) and their epoch cursor, the published route-table generation
-//! and routing matrix (tombstones and free slots verbatim), VN membership
+//! and routing matrix (tombstoned slots verbatim), VN membership
 //! and entry-core assignment, per-core counters and accuracy logs, and the
 //! exact position of every deterministic RNG stream. Restoring a snapshot
 //! and running forward is **bit-identical** to never having stopped: same
@@ -15,7 +15,7 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 9 and 8; a version bump retires the decoder two behind.
+//! before, here 10 and 9; a version bump retires the decoder two behind.
 //! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
@@ -29,8 +29,12 @@
 //! id in 4 bytes, and none of the words nothing read: the route table's and
 //! the matrix's change counters, the fluid cadence (always
 //! `DEFAULT_FLUID_EPOCH`), each fluid flow's solver flag and each core's
-//! two spare clock words. A version-8 frame still carries those and dense
-//! rows; the decoder reads them and keeps the rows over their components.
+//! two spare clock words. Version 10 drops four routing-matrix tables the
+//! rows, the slot list and the component maps determine: the per-pipe
+//! reverse index (which trees cross a pipe is read off the rows), the node
+//! → slot map, each component's slots and the free slots (the last three
+//! derived from the slot list). A version-9 frame still carries them; the
+//! decoder reads past them.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
@@ -45,7 +49,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders read this version and the one before, and
 /// reject every other with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -80,7 +84,7 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            8 | 9 => Ok(checksum64),
+            9 | 10 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -10,9 +10,10 @@
 //! of route state on the *location* rather than the VN:
 //!
 //! * [`RoutingMatrix`] — one shortest-route **tree** per source location
-//!   (a row of 4-byte predecessor pipes, O(locations × nodes)) with a
-//!   per-pipe reverse index for output-sensitive reconfiguration; routes
-//!   are materialised and distance labels summed on demand.
+//!   (a row of 4-byte predecessor pipes, O(locations × nodes)); routes are
+//!   materialised and distance labels summed on demand, and the trees a
+//!   changed pipe is an edge of are read off the rows, which is what makes
+//!   reconfiguration output-sensitive.
 //! * [`RouteTable`] — the per-packet lookup structure the cores read: each
 //!   distinct route interned once, one copy-on-write row per location, and
 //!   4 bytes per endpoint, so memory is O(locations²) however many VNs are

@@ -15,10 +15,11 @@
 //! tail node, so a walk stays in those coordinates. A distance label is not
 //! stored: it is the sum of the pipe costs up the same walk
 //! ([`RoutingMatrix::distance`]), exactly the label Dijkstra computed, since
-//! Dijkstra accepts only a label below [`UNUSABLE_COST`]. A per-pipe
-//! **reverse index** (pipe → source trees that cross it as a tree edge)
-//! makes [`RoutingMatrix::update_pipes`] output-sensitive: worsening a pipe
-//! touches exactly the trees that used it, not every VN in the component.
+//! Dijkstra accepts only a label below [`UNUSABLE_COST`]. The rows are also
+//! the index of which trees cross a pipe: pipe `p` into node `h` is an edge
+//! of exactly the trees whose row names `p` at `h`'s position, so
+//! [`RoutingMatrix::update_pipes`] finds the trees a worsened pipe touches
+//! with one read per source of its component, and recomputes only those.
 //!
 //! **Stub trees.** ModelNet's VNs are edge clients, each on one access link,
 //! so most sources are *stubs*: `s`'s only out-pipe `p` is usable, with cost
@@ -74,18 +75,19 @@ impl RouteUpdate {
 /// [`RoutingMatrix::materialize_at`].
 ///
 /// Its checkpoint ([`Codec`]) is the complete persistent route state —
-/// trees, pipe costs, reverse index, component maps and tombstones; the
-/// positions of nodes and pipe tails within their component are derived
-/// from the component maps, and the scratch buffers hold no state between
-/// calls and restore empty. Decoding refuses a state any later call would
-/// index out of range.
+/// the slot list (tombstones included), trees, pipe costs and tails and the
+/// component maps; the positions of nodes and pipe tails, the node → slot
+/// map, each component's slots and the free slots are derived from those,
+/// and the scratch buffers hold no state between calls and restore empty.
+/// Decoding refuses a state any later call would index out of range or
+/// walk forever.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingMatrix {
     /// The VN set, in index order.
     vns: Vec<NodeId>,
     /// Dense node-index → VN-index table (`u32::MAX` for non-VN nodes);
     /// the hash-free replacement for the old `index_of` map on every hot
-    /// path.
+    /// path. Derived from `vns` ([`RoutingMatrix::index_slots`]).
     vn_of_node: Vec<u32>,
     /// Node count of the pipe graph the matrix was last (re)built against.
     node_count: usize,
@@ -112,19 +114,12 @@ pub struct RoutingMatrix {
     node_component: Vec<u32>,
     /// Every node's position in its component's node list.
     node_local: Vec<u32>,
-    /// VN indices per structural component, ascending.
+    /// Live VN indices per structural component, ascending: the sources a
+    /// pipe of the component can be a tree edge of. Derived from `vns`.
     component_vns: Vec<Vec<u32>>,
     /// Node indices per structural component, ascending: what a row's
     /// positions name.
     component_nodes: Vec<Vec<u32>>,
-    /// Reverse index: for every pipe, the ascending source (VN) indices
-    /// whose current tree crosses it as a **tree edge** (the row names it
-    /// at the pipe's head). Maintained incrementally by diffing predecessor
-    /// rows on every recompute. For a *worsened* pipe this set is exactly
-    /// the trees a from-scratch rebuild would change (see
-    /// [`RoutingMatrix::update_pipes`]), which is what makes
-    /// reconfiguration output-sensitive.
-    pipe_sources: Vec<Vec<u32>>,
     /// The fresh row of a source [`RoutingMatrix::update_pipes`]
     /// recomputes, diffed against its stored row.
     scratch_row: Vec<u32>,
@@ -135,7 +130,7 @@ pub struct RoutingMatrix {
     /// Tombstoned source slots (ascending), left behind by
     /// [`RoutingMatrix::remove_source`] and reused by
     /// [`RoutingMatrix::add_source`] so sustained churn does not grow the
-    /// slot count without bound.
+    /// slot count without bound. Derived from `vns`.
     free_slots: Vec<u32>,
     /// Bumped by every rebuild and every non-empty incremental update (not
     /// carried by a snapshot).
@@ -335,20 +330,9 @@ impl RoutingMatrix {
         let nc = self.node_count;
         self.pipe_cost = topo.pipes().map(|(_, p)| pipe_cost(&p.attrs)).collect();
         self.pipe_src = topo.pipes().map(|(_, p)| p.src.index() as u32).collect();
-        // Dense node→VN table: sized to cover every node and every VN id
-        // (tombstoned slots map no node).
-        let live = self.vns.iter().filter(|v| **v != DEAD_SOURCE);
-        let table_len = live.map(|v| v.index() + 1).max().unwrap_or(0).max(nc);
-        self.vn_of_node.clear();
-        self.vn_of_node.resize(table_len, NO_PRED);
-        for (i, &vn) in self.vns.iter().enumerate() {
-            if vn.index() < table_len {
-                self.vn_of_node[vn.index()] = i as u32;
-            }
-        }
         self.rebuild_components(topo);
+        self.index_slots();
         self.pred = vec![Vec::new(); n];
-        self.pipe_sources = vec![Vec::new(); topo.pipe_count()];
         self.trees.hub = None;
         for si in 0..n {
             if self.vns[si].index() < nc {
@@ -359,24 +343,42 @@ impl RoutingMatrix {
     }
 
     /// Computes source slot `si`'s tree into its row, sized to its
-    /// component ([`source_tree`]), and enters the tree's edges into the
-    /// reverse index, each pipe's list kept ascending — a push when slots
-    /// are planted in ascending order, as [`RoutingMatrix::rebuild`] does.
+    /// component ([`source_tree`]).
     fn plant_tree(&mut self, topo: &DistilledTopology, si: usize) {
-        let (src, si_u32) = (self.vns[si], si as u32);
+        let src = self.vns[si];
         let nodes = &self.component_nodes[self.node_component[src.index()] as usize];
         let row = &mut self.pred[si];
         row.clear();
         row.resize(nodes.len(), NO_PRED);
         source_tree(topo, src, nodes, &self.node_local, row, &mut self.trees);
-        for &p in row.iter().filter(|&&p| p != NO_PRED) {
-            let sources = &mut self.pipe_sources[p as usize];
-            if sources.last() < Some(&si_u32) {
-                sources.push(si_u32);
-            } else if let Err(pos) = sources.binary_search(&si_u32) {
-                sources.insert(pos, si_u32);
+    }
+
+    /// Derives what the slot list determines: the dense node → slot map
+    /// (sized to cover every node and every live slot's node), each
+    /// component's live slots and the free slots, all ascending. Returns
+    /// whether no node is claimed by two live slots (if one is, the later
+    /// slot is mapped).
+    fn index_slots(&mut self) -> bool {
+        let live = self.vns.iter().filter(|v| **v != DEAD_SOURCE);
+        let table_len = live.map(|v| v.index() + 1).max().unwrap_or(0);
+        self.vn_of_node.clear();
+        self.vn_of_node
+            .resize(table_len.max(self.node_count), NO_PRED);
+        self.component_vns = vec![Vec::new(); self.component_nodes.len()];
+        self.free_slots.clear();
+        let mut distinct = true;
+        for (si, &vn) in self.vns.iter().enumerate() {
+            if vn == DEAD_SOURCE {
+                self.free_slots.push(si as u32);
+                continue;
+            }
+            distinct &= self.vn_of_node[vn.index()] == NO_PRED;
+            self.vn_of_node[vn.index()] = si as u32;
+            if let Some(&c) = self.node_component.get(vn.index()) {
+                self.component_vns[c as usize].push(si as u32);
             }
         }
+        distinct
     }
 
     /// Recomputes the structural component index (union-find over the pipe
@@ -423,14 +425,7 @@ impl RoutingMatrix {
             node_component[u as usize] = id;
             component_nodes[id as usize].push(u);
         }
-        let mut component_vns: Vec<Vec<u32>> = vec![Vec::new(); component_nodes.len()];
-        for (si, &vn) in self.vns.iter().enumerate() {
-            if vn.index() < self.node_count {
-                component_vns[node_component[vn.index()] as usize].push(si as u32);
-            }
-        }
         self.node_component = node_component;
-        self.component_vns = component_vns;
         self.component_nodes = component_nodes;
         self.derive_positions();
     }
@@ -454,7 +449,8 @@ impl RoutingMatrix {
     ///
     /// Output-sensitive in both directions. A pipe that got *worse* can
     /// only change trees that crossed it as a tree edge — exactly the
-    /// reverse-index entry `pipe_sources[pipe]`. (A source whose labels
+    /// sources whose row names it at its head
+    /// ([`RoutingMatrix::pipe_tree_sources`]). (A source whose labels
     /// merely held the pipe *tight* without using it is provably
     /// unaffected: relaxation is strict, so the final predecessor of the
     /// pipe's head is the first edge in relaxation order to achieve the
@@ -498,13 +494,13 @@ impl RoutingMatrix {
         if worsened.is_empty() && improved.is_empty() {
             return update;
         }
-        // Candidate sources. Worsened pipes: the reverse index is exact —
-        // no scan at all, cost proportional to the trees actually crossing
-        // the pipe. Improved pipes: scan the pipe's structural component
-        // for sources whose labels the new cost ties or undercuts.
+        // Candidate sources. Worsened pipes: the trees whose row names the
+        // pipe at its head — one read a source of its component. Improved
+        // pipes: scan the pipe's structural component for sources whose
+        // labels the new cost ties or undercuts.
         let mut candidates: Vec<u32> = Vec::new();
         for &p in &worsened {
-            candidates.extend_from_slice(&self.pipe_sources[p.index()]);
+            candidates.extend(self.pipe_tree_sources(topo, p));
         }
         if !improved.is_empty() {
             let mut comps: Vec<u32> = improved
@@ -558,28 +554,8 @@ impl RoutingMatrix {
                     update.changed_pairs.push((src, dst));
                 }
             }
-            // …then refresh the row, diffing predecessors edge by edge to
-            // keep the per-pipe reverse index exact at O(changed tree
-            // edges) cost.
-            let si_u32 = si as u32;
-            let row = &mut self.pred[si];
-            for (old_p, &new_p) in row.iter_mut().zip(fresh.iter()) {
-                if *old_p != new_p {
-                    if *old_p != NO_PRED {
-                        let sources = &mut self.pipe_sources[*old_p as usize];
-                        if let Ok(pos) = sources.binary_search(&si_u32) {
-                            sources.remove(pos);
-                        }
-                    }
-                    if new_p != NO_PRED {
-                        let sources = &mut self.pipe_sources[new_p as usize];
-                        if let Err(pos) = sources.binary_search(&si_u32) {
-                            sources.insert(pos, si_u32);
-                        }
-                    }
-                    *old_p = new_p;
-                }
-            }
+            // …then keep the fresh row.
+            self.pred[si].copy_from_slice(fresh);
         }
         if !update.changed_pairs.is_empty() || update.recomputed_sources > 0 {
             self.version += 1;
@@ -588,7 +564,7 @@ impl RoutingMatrix {
     }
 
     /// Adds a source tree for `node` incrementally: one component-scoped
-    /// Dijkstra plus reverse-index seeding — O(component log component),
+    /// Dijkstra — O(component log component),
     /// independent of how many sources the matrix already holds. A
     /// tombstoned slot left by [`RoutingMatrix::remove_source`] is reused
     /// when available, its row sized to `node`'s component, so sustained
@@ -626,10 +602,8 @@ impl RoutingMatrix {
         true
     }
 
-    /// Removes `node`'s source tree incrementally: the tree's edges are
-    /// unhooked from the reverse index and its row emptied —
-    /// O(component), independent of total source count — and the slot is
-    /// tombstoned for reuse. Trees *toward* the node's location (other
+    /// Removes `node`'s source tree incrementally: its row is emptied and
+    /// the slot tombstoned for reuse. Trees *toward* the node's location (other
     /// sources' rows) are untouched, which is what lets descriptors
     /// already in flight toward a departed endpoint drain on their
     /// pre-departure routes. Returns `false` when `node` is not a live
@@ -640,12 +614,6 @@ impl RoutingMatrix {
         };
         let si_u32 = si as u32;
         self.vn_of_node[node.index()] = NO_PRED;
-        for &p in self.pred[si].iter().filter(|&&p| p != NO_PRED) {
-            let sources = &mut self.pipe_sources[p as usize];
-            if let Ok(pos) = sources.binary_search(&si_u32) {
-                sources.remove(pos);
-            }
-        }
         // The allocation stays for the slot's next tree.
         self.pred[si].clear();
         let vns = &mut self.component_vns[self.node_component[node.index()] as usize];
@@ -799,16 +767,31 @@ impl RoutingMatrix {
     }
 
     /// The sources (ascending dense VN indices) whose current tree crosses
-    /// `pipe` as a tree edge — exactly the trees a worsening of this pipe
-    /// forces [`RoutingMatrix::update_pipes`] to recompute.
-    pub fn pipe_tree_sources(&self, pipe: PipeId) -> &[u32] {
-        self.pipe_sources
-            .get(pipe.index())
-            .map_or(&[][..], |v| v.as_slice())
+    /// `pipe` of `topo` as a tree edge — exactly the trees a worsening of
+    /// this pipe forces [`RoutingMatrix::update_pipes`] to recompute. A
+    /// tree edge is its head's predecessor, so these are the live sources
+    /// of the pipe's component whose row names it at its head's position:
+    /// one read a source.
+    #[doc(hidden)]
+    pub fn pipe_tree_sources<'a>(
+        &'a self,
+        topo: &DistilledTopology,
+        pipe: PipeId,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let head = topo.get_pipe(pipe).map(|p| p.dst.index());
+        let (sources, at) = match head.filter(|&h| h < self.node_count) {
+            Some(h) => {
+                let comp = self.node_component[h] as usize;
+                (&self.component_vns[comp][..], self.node_local[h] as usize)
+            }
+            None => (&[][..], 0),
+        };
+        let crosses = move |si: &u32| self.pred[*si as usize][at] == pipe.0;
+        sources.iter().copied().filter(crosses)
     }
 
     /// Resident heap bytes of the route state (trees, pipe costs and
-    /// tails, reverse index, component maps and positions) — the structures
+    /// tails, component maps and positions) — the structures
     /// that scale with topology size, reported beside the table's own
     /// accounting.
     pub fn memory_bytes(&self) -> usize {
@@ -825,7 +808,6 @@ impl RoutingMatrix {
             + self.vns.capacity() * std::mem::size_of::<NodeId>()
             + nested(&self.component_vns)
             + nested(&self.component_nodes)
-            + nested(&self.pipe_sources)
     }
 
     /// Longest route in pipes over all pairs (diagnostics: O(pairs × hops)
@@ -844,74 +826,57 @@ impl RoutingMatrix {
         self.node_component.get(src).map_or(0, comp)
     }
 
-    /// Reads the matrix as format v8 wrote it: each row dense over the
-    /// whole graph (`vns × node_count` words in one run, after the node
-    /// count) and a change counter at the end. A row entry outside the
-    /// slot's component that is not [`NO_PRED`] is refused — no tree
-    /// reaches there — and the row is kept over its component only. Read by
-    /// v8 checkpoints alone; the next format drops it.
+    /// Reads the matrix as format v9 wrote it: the current layout with four
+    /// derived tables besides — the node → slot map after the slot list,
+    /// each component's slots before the component node lists, the reverse
+    /// index and the free slots after the rows — read past unchecked, since
+    /// nothing reads them. Read by v9 checkpoints alone; the next format
+    /// drops it.
     #[doc(hidden)]
-    pub fn get_v8(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let (vns, vn_of_node, node_count) = Codec::get(r)?;
-        let dense = Vec::<u32>::get(r)?;
-        let mut m = Self::get_maps(r, vns, vn_of_node, node_count)?;
-        (m.pipe_sources, m.free_slots) = Codec::get(r)?;
-        u64::get(r)?;
-        if dense.len() != m.vns.len().saturating_mul(node_count) {
-            return Err(CodecError::Invalid(
-                "predecessor rows do not cover the source slots",
-            ));
-        }
-        for (si, row) in dense.chunks(node_count.max(1)).enumerate() {
-            let members = m.node_component.get(m.vns[si].index());
-            let members = members.map_or(&[][..], |&c| &m.component_nodes[c as usize]);
-            let kept = members.iter().map(|&u| row[u as usize]).collect::<Vec<_>>();
-            let set = |r: &[u32]| r.iter().filter(|&&p| p != NO_PRED).count();
-            if set(&kept) != set(row) {
-                return Err(CodecError::Invalid(
-                    "predecessor outside the slot's component",
-                ));
-            }
-            m.pred.push(kept);
-        }
-        m.pred.resize(m.vns.len(), Vec::new());
-        m.checked()
+    pub fn get_v9(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Self::read(r, true)
     }
 
-    /// Reads the pipe tables and the component maps that follow the node
-    /// count in either format, and refuses maps a row's width or position
-    /// could not be read from: a node without a component, a component list
-    /// that is not its nodes' ascending, or a live slot outside the graph.
-    fn get_maps(
-        r: &mut ByteReader<'_>,
-        vns: Vec<NodeId>,
-        vn_of_node: Vec<u32>,
-        node_count: usize,
-    ) -> Result<Self, CodecError> {
-        let (pipe_cost, pipe_src) = Codec::get(r)?;
-        let (node_component, component_vns, component_nodes) = Codec::get(r)?;
-        let m = RoutingMatrix {
+    /// Reads the slot list, the node count, the pipe tables and the
+    /// component maps, refuses maps a row's width or position could not be
+    /// read from (a node without a component, a component list that is not
+    /// its nodes' ascending, a live slot outside the graph), then reads each
+    /// slot's row at its component's width and checks the whole
+    /// ([`RoutingMatrix::checked`]). `v9` reads past what format v9 also
+    /// wrote.
+    fn read(r: &mut ByteReader<'_>, v9: bool) -> Result<Self, CodecError> {
+        let vns = Vec::<NodeId>::get(r)?;
+        if v9 {
+            Vec::<u32>::get(r)?;
+        }
+        let (node_count, pipe_cost, pipe_src, node_component) = Codec::get(r)?;
+        if v9 {
+            Vec::<Vec<u32>>::get(r)?;
+        }
+        let mut m = RoutingMatrix {
             vns,
-            vn_of_node,
             node_count,
             pipe_cost,
             pipe_src,
             node_component,
-            component_vns,
-            component_nodes,
+            component_nodes: Codec::get(r)?,
             ..RoutingMatrix::default()
         };
         if !m.components_partition_the_nodes() {
             return Err(CodecError::Invalid("component maps disagree"));
         }
-        if !m
-            .vns
-            .iter()
-            .all(|&v| v == DEAD_SOURCE || v.index() < node_count)
-        {
-            return Err(CodecError::Invalid("source slots and node map disagree"));
+        let in_graph = |v: &NodeId| *v == DEAD_SOURCE || v.index() < node_count;
+        if !m.vns.iter().all(in_graph) {
+            return Err(CodecError::Invalid("source slot outside the graph"));
         }
-        Ok(m)
+        for si in 0..m.vns.len() {
+            let row = r.get_bare_u32s(m.width(si))?;
+            m.pred.push(row);
+        }
+        if v9 {
+            <(Vec<Vec<u32>>, Vec<u32>)>::get(r)?;
+        }
+        m.checked()
     }
 
     /// Whether every node has a component whose ascending list names it,
@@ -922,7 +887,6 @@ impl RoutingMatrix {
         let member = |c: usize| move |&u: &u32| nodes.get(u as usize) == Some(&(c as u32));
         nodes.len() == self.node_count
             && listed == self.node_count
-            && self.component_vns.len() == lists.len()
             && (lists.iter().enumerate()).all(|(c, list)| list.iter().all(member(c)))
             && lists
                 .iter()
@@ -930,105 +894,112 @@ impl RoutingMatrix {
     }
 
     /// Refuses what the rest of a decoded matrix could make a later call
-    /// index out of range, and derives the positions.
+    /// index out of range or walk forever, and derives what the slot list
+    /// and the component maps determine.
     fn checked(mut self) -> Result<Self, CodecError> {
         use CodecError::Invalid;
-        let pipes = self.pipe_src.len();
-        if (self.pipe_cost.len(), self.pipe_sources.len()) != (pipes, pipes) {
+        if self.pipe_cost.len() != self.pipe_src.len() {
             return Err(Invalid("pipe tables of unequal lengths"));
         }
         if self.pipe_src.iter().any(|&u| u as usize >= self.node_count) {
             return Err(Invalid("pipe tail out of range"));
         }
-        // Each pipe's component, looked up per row entry only where there
-        // is more than one to be in.
+        if !self.index_slots() {
+            return Err(Invalid("node claimed by two live slots"));
+        }
+        self.derive_positions();
+        self.check_rows()?;
+        Ok(self)
+    }
+
+    /// Refuses a row that names a pipe out of range or of another
+    /// component, or whose walk up from some position comes back to it
+    /// (a cycle: a lookup, label or route diff over it never ends). One
+    /// pass over each row: every position is stamped by the first walk
+    /// through it, each walk with a fresh stamp, and a walk ends at the
+    /// root, at [`NO_PRED`], or at a position an earlier walk of the row
+    /// stamped — one that walk showed ends. A position the walk itself
+    /// stamped is a cycle. Stamps only grow, so none is cleared between
+    /// rows.
+    fn check_rows(&self) -> Result<(), CodecError> {
+        use CodecError::Invalid;
+        let pipes = self.pipe_src.len();
+        // Each pipe's component, looked up per entry only where there is
+        // more than one to be in.
         let several = self.component_nodes.len() > 1;
         let comp_of = |u: &u32| self.node_component[*u as usize];
         let pipe_comp: Vec<u32> = match several {
             true => self.pipe_src.iter().map(comp_of).collect(),
             false => Vec::new(),
         };
-        for (si, row) in self.pred.iter().enumerate() {
-            let Some(&comp) = self.node_component.get(self.vns[si].index()) else {
+        let widest = self.component_nodes.iter().map(Vec::len).max();
+        let mut stamp = vec![0u64; widest.unwrap_or(0)];
+        let mut walk = 0u64;
+        for (row, &src) in self.pred.iter().zip(&self.vns) {
+            let Some(&comp) = self.node_component.get(src.index()) else {
                 continue;
             };
-            let foreign = |p: u32| {
-                p != NO_PRED && (p as usize >= pipes || several && pipe_comp[p as usize] != comp)
-            };
-            if let Some(p) = row.iter().copied().find(|&p| foreign(p)) {
-                return Err(Invalid(match p as usize >= pipes {
-                    true => "predecessor pipe out of range",
-                    false => "predecessor pipe from another component",
-                }));
+            let (root, row_start) = (self.node_local[src.index()] as usize, walk + 1);
+            for start in 0..row.len() {
+                if stamp[start] >= row_start {
+                    continue;
+                }
+                walk += 1;
+                let mut at = start;
+                loop {
+                    stamp[at] = walk;
+                    let p = row[at];
+                    if p == NO_PRED {
+                        break;
+                    }
+                    if p as usize >= pipes {
+                        return Err(Invalid("predecessor pipe out of range"));
+                    }
+                    if several && pipe_comp[p as usize] != comp {
+                        return Err(Invalid("predecessor pipe from another component"));
+                    }
+                    if at == root {
+                        break;
+                    }
+                    at = self.pipe_tail[p as usize] as usize;
+                    if stamp[at] >= row_start {
+                        if stamp[at] == walk {
+                            return Err(Invalid("predecessor row with a cycle"));
+                        }
+                        break;
+                    }
+                }
             }
         }
-        if !self.slots_map_back() {
-            return Err(Invalid("source slots and node map disagree"));
-        }
-        let live = |&si: &u32| self.vns.get(si as usize).is_some_and(|&v| v != DEAD_SOURCE);
-        let lists = self.component_vns.iter().chain(&self.pipe_sources);
-        if !lists.flatten().all(live) {
-            return Err(Invalid("component or reverse index out of range"));
-        }
-        let free = &self.free_slots;
-        if !free.windows(2).all(|w| w[0] < w[1])
-            || free
-                .iter()
-                .any(|&si| self.vns.get(si as usize) != Some(&DEAD_SOURCE))
-        {
-            return Err(Invalid("free slots not ascending tombstones"));
-        }
-        self.derive_positions();
-        Ok(self)
-    }
-
-    /// Whether `vn_of_node` maps as many nodes as there are live slots, each
-    /// to a slot that names it.
-    fn slots_map_back(&self) -> bool {
-        let (live, vns) = (self.vns.iter().filter(|&&v| v != DEAD_SOURCE), &self.vns);
-        let named =
-            |(u, &s): (usize, &u32)| s == NO_PRED || vns.get(s as usize) == Some(&NodeId(u));
-        let mapped = self.vn_of_node.iter().filter(|&&s| s != NO_PRED).count();
-        live.count() == mapped && self.vn_of_node.iter().enumerate().all(named)
+        Ok(())
     }
 }
 
-/// The node map and count, the pipe tables, the component maps, then every
-/// slot's row at its component's width (none for a tombstone) with no
-/// length of its own — the maps before it give each — then the reverse
-/// index and the free slots. Written out rather than declared because the
-/// rows' widths come from the maps, which are checked before a row is read;
-/// the positions are derived from the maps, and the change counter and the
-/// scratch are not written.
+/// The slot list and the node count, the pipe tables, the component maps,
+/// then every slot's row at its component's width (none for a tombstone)
+/// with no length of its own — the maps before it give each. Written out
+/// rather than declared because the rows' widths come from the maps, which
+/// are checked before a row is read; the positions, the node → slot map,
+/// each component's slots and the free slots are derived from the rest,
+/// and the change counter and the scratch are not written.
 impl Codec for RoutingMatrix {
-    /// Nine count prefixes and the node count.
-    const MIN_BYTES: usize = 9 * <Vec<u32> as Codec>::MIN_BYTES + usize::MIN_BYTES;
+    /// Five count prefixes and the node count.
+    const MIN_BYTES: usize = 5 * <Vec<u32> as Codec>::MIN_BYTES + usize::MIN_BYTES;
 
     fn put(&self, w: &mut ByteWriter) {
         self.vns.put(w);
-        self.vn_of_node.put(w);
         self.node_count.put(w);
         self.pipe_cost.put(w);
         self.pipe_src.put(w);
         self.node_component.put(w);
-        self.component_vns.put(w);
         self.component_nodes.put(w);
         for row in &self.pred {
             w.put_bare_u32s(row);
         }
-        self.pipe_sources.put(w);
-        self.free_slots.put(w);
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let (vns, vn_of_node, node_count) = Codec::get(r)?;
-        let mut m = Self::get_maps(r, vns, vn_of_node, node_count)?;
-        for si in 0..m.vns.len() {
-            let row = r.get_bare_u32s(m.width(si))?;
-            m.pred.push(row);
-        }
-        (m.pipe_sources, m.free_slots) = Codec::get(r)?;
-        m.checked()
+        Self::read(r, false)
     }
 }
 
@@ -1219,24 +1190,31 @@ mod tests {
         assert_eq!(update.recomputed_sources, 0);
     }
 
-    /// The reverse index must hold exactly the tree membership of the
-    /// stored predecessor rows (`pipe_sources[p]` ≡ sources whose row names
-    /// `p` at the pipe's head), and — after incremental maintenance — match
-    /// the index a from-scratch build would seed.
-    fn assert_reverse_index_exact(m: &RoutingMatrix, d: &DistilledTopology) {
-        assert_index_matches_rows(m, d);
+    /// The trees `pipe` is an edge of, as [`RoutingMatrix::update_pipes`]
+    /// reads them off the rows.
+    fn trees(m: &RoutingMatrix, d: &DistilledTopology, pipe: PipeId) -> Vec<u32> {
+        m.pipe_tree_sources(d, pipe).collect()
+    }
+
+    /// Every pipe is an edge of exactly the trees whose stored row, of any
+    /// slot, names it at its head, and — after incremental maintenance — of
+    /// the trees a from-scratch build puts it in.
+    fn assert_tree_membership_exact(m: &RoutingMatrix, d: &DistilledTopology) {
+        assert_membership_matches_rows(m, d);
         let fresh = RoutingMatrix::build(d);
         for pid in 0..d.pipe_count() {
+            let p = PipeId::from_index(pid);
             assert_eq!(
-                m.pipe_tree_sources(PipeId::from_index(pid)),
-                fresh.pipe_tree_sources(PipeId::from_index(pid)),
-                "incrementally maintained index diverged from scratch for pipe {pid}"
+                trees(m, d, p),
+                trees(&fresh, d, p),
+                "incrementally maintained trees diverged from scratch for pipe {pid}"
             );
         }
     }
 
-    /// `pipe_sources[p]` ≡ the slots whose row names `p` at its head.
-    fn assert_index_matches_rows(m: &RoutingMatrix, d: &DistilledTopology) {
+    /// The scan over a component's live slots ≡ the slots whose row names
+    /// `p` at its head, among all slots.
+    fn assert_membership_matches_rows(m: &RoutingMatrix, d: &DistilledTopology) {
         for pid in 0..d.pipe_count() {
             let p = PipeId::from_index(pid);
             let head = d.pipe(p).dst;
@@ -1245,40 +1223,36 @@ mod tests {
                 tree.and_then(|t| Some(t.pred[t.position(head)?])) == Some(pid as u32)
             };
             let expected: Vec<u32> = (0..m.vn_count() as u32).filter(names).collect();
-            assert_eq!(
-                m.pipe_tree_sources(p),
-                expected.as_slice(),
-                "reverse index diverged from the stored trees for pipe {pid}"
-            );
+            assert_eq!(trees(m, d, p), expected, "pipe {pid}");
         }
     }
 
     #[test]
-    fn reverse_index_matches_tree_membership() {
+    fn tree_membership_matches_a_scratch_build_across_a_flap() {
         let mut d = small_ring();
         let mut m = RoutingMatrix::build(&d);
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
         // …and stays exact across a fail/restore flap maintained
         // incrementally.
         let victim = m.lookup(m.vns()[0], m.vns()[6]).unwrap().pipes[1];
         let original = d.pipe(victim).attrs;
         d.pipe_attrs_mut(victim).unwrap().bandwidth = DataRate::ZERO;
         m.update_pipes(&d, &[victim]);
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
         *d.pipe_attrs_mut(victim).unwrap() = original;
         m.update_pipes(&d, &[victim]);
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
     }
 
     #[test]
-    fn flap_recomputes_exactly_the_reverse_index_set() {
+    fn flap_recomputes_exactly_the_trees_crossing_the_pipe() {
         // The acceptance criterion of the tree-only design: a worsened pipe
-        // recomputes precisely the trees in its reverse-index entry, and a
-        // restore returns the index to its pre-failure state.
+        // recomputes precisely the trees it is an edge of, and a restore
+        // puts it back in the same trees.
         let mut d = small_ring();
         let mut m = RoutingMatrix::build(&d);
         let victim = m.lookup(m.vns()[0], m.vns()[6]).unwrap().pipes[1];
-        let before: Vec<u32> = m.pipe_tree_sources(victim).to_vec();
+        let before = trees(&m, &d, victim);
         assert!(!before.is_empty(), "a transit pipe carries some tree");
         let original = d.pipe(victim).attrs;
         d.pipe_attrs_mut(victim).unwrap().bandwidth = DataRate::ZERO;
@@ -1286,19 +1260,19 @@ mod tests {
         assert_eq!(
             down.recomputed_sources,
             before.len(),
-            "down-flap recompute set must equal the pipe's reverse index"
+            "down-flap recompute set must equal the trees crossing the pipe"
         );
         assert!(
-            m.pipe_tree_sources(victim).is_empty(),
+            trees(&m, &d, victim).is_empty(),
             "a failed pipe sits in no tree"
         );
         *d.pipe_attrs_mut(victim).unwrap() = original;
         let up = m.update_pipes(&d, &[victim]);
         assert!(up.recomputed_sources > 0);
         assert_eq!(
-            m.pipe_tree_sources(victim),
-            before.as_slice(),
-            "restore returns the reverse index to its pre-failure state"
+            trees(&m, &d, victim),
+            before,
+            "restore puts the pipe back in its pre-failure trees"
         );
     }
 
@@ -1318,8 +1292,8 @@ mod tests {
         assert!(m.vn_index(victim).is_none());
         for pid in 0..d.pipe_count() {
             assert!(
-                !m.pipe_tree_sources(PipeId::from_index(pid)).contains(&si),
-                "a removed tree must leave no reverse-index entries"
+                !trees(&m, &d, PipeId::from_index(pid)).contains(&si),
+                "a removed tree crosses no pipe"
             );
         }
         // Rejoin reuses the tombstoned slot and restores scratch equality.
@@ -1332,7 +1306,7 @@ mod tests {
                 assert_eq!(m.lookup(a, b), scratch.lookup(a, b), "{a}->{b}");
             }
         }
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
     }
 
     #[test]
@@ -1394,13 +1368,13 @@ mod tests {
                 assert_eq!(m.lookup(a, b), scratch.lookup(a, b), "{a}->{b}");
             }
         }
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
     }
 
     #[test]
     fn update_pipes_skips_departed_sources() {
         // A pipe flap while a source is tombstoned must neither recompute
-        // the dead tree nor resurrect its reverse-index entries.
+        // the dead tree nor put the pipe back in it.
         let mut d = small_ring();
         let mut m = RoutingMatrix::build(&d);
         let victim_vn = m.vns()[0];
@@ -1419,14 +1393,14 @@ mod tests {
                 assert_eq!(m.lookup(a, b), scratch.lookup(a, b), "{a}->{b}");
             }
         }
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
     }
 
     #[test]
     fn codec_round_trip_preserves_state_and_future_updates() {
         // Capture a matrix mid-history (a flap plus a tombstoned source), so
-        // the codec has to carry reverse-index diffs, free slots and the
-        // version — not just a freshly built state.
+        // the codec has to carry recomputed rows and a tombstone, and the
+        // decoder derive the free slot — not just a freshly built state.
         let mut d = small_ring();
         let mut m = RoutingMatrix::build(&d);
         let victim = m.lookup(m.vns()[0], m.vns()[6]).unwrap().pipes[1];
@@ -1462,7 +1436,7 @@ mod tests {
         assert!(restored.add_source(&d, departed));
         assert!(m.add_source(&d, departed));
         assert_eq!(m.vn_index(departed), restored.vn_index(departed));
-        assert_reverse_index_exact(&restored, &d);
+        assert_tree_membership_exact(&restored, &d);
     }
 
     /// Every live source's stored row and summed labels against a
@@ -1543,7 +1517,7 @@ mod tests {
         assert_eq!(m.dijkstra_runs(), 1);
         let victim = m.lookup(m.vns()[1], m.vns()[0]).unwrap().pipes[1];
         let original = d.pipe(victim).attrs;
-        let crossing = m.pipe_tree_sources(victim).to_vec();
+        let crossing = trees(&m, &d, victim);
         assert_eq!(crossing, [1, 2, 3, 4, 5]);
         for attrs in [
             PipeAttrs {
@@ -1559,7 +1533,7 @@ mod tests {
             assert_eq!(m.dijkstra_runs() - runs, 1, "one hub tree a call");
             assert_rows_are_dijkstras(&m, &d);
         }
-        assert_eq!(m.pipe_tree_sources(victim), crossing);
+        assert_eq!(trees(&m, &d, victim), crossing);
     }
 
     #[test]
@@ -1572,7 +1546,7 @@ mod tests {
         assert!(m.add_source(&d, stub));
         assert_eq!(m.dijkstra_runs() - runs, 1, "the hub's tree");
         assert_rows_are_dijkstras(&m, &d);
-        assert_reverse_index_exact(&m, &d);
+        assert_tree_membership_exact(&m, &d);
     }
 
     #[test]
@@ -1700,50 +1674,62 @@ mod tests {
         assert!(m.add_source(&d, stub));
         assert_eq!((m.vn_index(stub), m.pred[0].len()), (Some(0), 4));
         assert_rows_are_dijkstras(&m, &d);
-        assert_index_matches_rows(&m, &d);
+        assert_membership_matches_rows(&m, &d);
         assert_eq!(m.lookup(stub, c).unwrap().hop_count(), 1);
         assert!(m.lookup(stub, b).is_none());
         mn_util::codec::record_contract(m);
     }
 
-    /// The matrix as format v8 wrote it: every row over the whole graph
-    /// and the change counter at the end.
-    fn put_v8(m: &RoutingMatrix, w: &mut mn_util::ByteWriter) {
-        let dense = (0..m.vns.len()).flat_map(|si| {
-            let mut row = vec![NO_PRED; m.node_count];
-            if let Some(tree) = m.tree_of_slot(si) {
-                for (at, &u) in m.component_nodes[tree.component as usize]
-                    .iter()
-                    .enumerate()
-                {
-                    row[u as usize] = tree.pred[at];
-                }
-            }
-            row
-        });
+    /// The matrix as format v9 wrote it: the current layout with the node
+    /// map after the slot list, each component's slots before the
+    /// component node lists, and the reverse index and the free slots after
+    /// the rows.
+    fn put_v9(m: &RoutingMatrix, d: &DistilledTopology, w: &mut mn_util::ByteWriter) {
         (m.vns.clone(), m.vn_of_node.clone(), m.node_count).put(w);
-        dense.collect::<Vec<u32>>().put(w);
-        (m.pipe_cost.clone(), m.pipe_src.clone()).put(w);
-        let maps = (m.node_component.clone(), m.component_vns.clone());
-        (maps, m.component_nodes.clone()).put(w);
-        (m.pipe_sources.clone(), m.free_slots.clone(), m.version).put(w);
+        (
+            m.pipe_cost.clone(),
+            m.pipe_src.clone(),
+            m.node_component.clone(),
+        )
+            .put(w);
+        (m.component_vns.clone(), m.component_nodes.clone()).put(w);
+        for row in &m.pred {
+            w.put_bare_u32s(row);
+        }
+        let index = (0..d.pipe_count()).map(|p| trees(m, d, PipeId::from_index(p)));
+        (index.collect::<Vec<_>>(), m.free_slots.clone()).put(w);
+    }
+
+    fn encoded(m: &RoutingMatrix) -> Vec<u8> {
+        let mut w = mn_util::ByteWriter::new();
+        m.put(&mut w);
+        w.into_bytes()
+    }
+
+    fn decoded(m: &RoutingMatrix) -> Result<RoutingMatrix, CodecError> {
+        RoutingMatrix::get(&mut mn_util::ByteReader::new(&encoded(m)))
+    }
+
+    /// `m` as `put_v9` writes it, decoded by [`RoutingMatrix::get_v9`].
+    fn via_v9(m: &RoutingMatrix, d: &DistilledTopology) -> Result<RoutingMatrix, CodecError> {
+        let mut w = mn_util::ByteWriter::new();
+        put_v9(m, d, &mut w);
+        RoutingMatrix::get_v9(&mut mn_util::ByteReader::new(w.as_slice()))
     }
 
     #[test]
-    fn a_v8_matrix_reads_as_the_current_one() {
+    fn a_v9_matrix_reads_as_the_current_one() {
         let d = two_islands();
         let mut m = RoutingMatrix::build(&d);
         assert!(m.remove_source(m.vns()[2]));
-        let mut v8 = mn_util::ByteWriter::new();
-        put_v8(&m, &mut v8);
-        let restored = RoutingMatrix::get_v8(&mut mn_util::ByteReader::new(v8.as_slice())).unwrap();
-        let [current, again] = [&m, &restored].map(|m| {
-            let mut w = mn_util::ByteWriter::new();
-            m.put(&mut w);
-            w.into_bytes()
-        });
-        assert_eq!(again, current);
-        assert!(v8.len() > current.len(), "dense rows are wider");
+        let restored = via_v9(&m, &d).unwrap();
+        assert_eq!(encoded(&restored), encoded(&m));
+        // What the current format derives instead of reading.
+        let derived = |m: &RoutingMatrix| {
+            let maps = (m.vn_of_node.clone(), m.component_vns.clone());
+            (maps, m.free_slots.clone())
+        };
+        assert_eq!(derived(&restored), derived(&m));
     }
 
     /// Rows that would let a walk index another component's positions are
@@ -1756,27 +1742,43 @@ mod tests {
         let elsewhere = d.out_pipes(m.vns()[2])[0].0;
         let mut hostile = m.clone();
         hostile.pred[0][1] = elsewhere;
-        let mut w = mn_util::ByteWriter::new();
-        hostile.put(&mut w);
         let refused = Err(CodecError::Invalid(
             "predecessor pipe from another component",
         ));
-        let r = &mut mn_util::ByteReader::new(w.as_slice());
-        assert_eq!(RoutingMatrix::get(r).map(|_| ()), refused);
-        // In v8, any entry outside slot 0's island, at a node of the other.
-        let mut v8 = mn_util::ByteWriter::new();
-        put_v8(&m, &mut v8);
-        let mut bytes = v8.into_bytes();
-        let (head, slot0) = (m.vns.encoded_len() + m.vn_of_node.encoded_len() + 8 + 8, 0);
-        let node = m.vns()[3].index();
-        let at = head + 4 * (slot0 * m.node_count + node);
-        assert_eq!(bytes[at..at + 4], NO_PRED.to_le_bytes());
-        bytes[at..at + 4].copy_from_slice(&elsewhere.to_le_bytes());
-        let refused = Err(CodecError::Invalid(
-            "predecessor outside the slot's component",
-        ));
-        let r = &mut mn_util::ByteReader::new(&bytes);
-        assert_eq!(RoutingMatrix::get_v8(r).map(|_| ()), refused);
+        assert_eq!(decoded(&hostile).map(|_| ()), refused);
+        assert_eq!(via_v9(&hostile, &d).map(|_| ()), refused);
+    }
+
+    /// A row whose walk comes back to where it started is a typed error in
+    /// either format: a lookup, label or route diff over it would never
+    /// end. Here client a's entry at its stub r names the pipe b → r, so
+    /// the walk from r goes to b and back.
+    #[test]
+    fn a_row_with_a_cycle_is_refused() {
+        let d = two_islands();
+        let m = RoutingMatrix::build(&d);
+        let [a, b, ..] = m.vns().to_vec()[..] else {
+            unreachable!("four clients")
+        };
+        let stub = NodeId(a.index() + 1);
+        let b_to_stub = d.out_pipes(b)[0];
+        assert_eq!(d.pipe(b_to_stub).dst, stub);
+        let mut hostile = m.clone();
+        hostile.pred[0][m.node_local[stub.index()] as usize] = b_to_stub.0;
+        let refused = Err(CodecError::Invalid("predecessor row with a cycle"));
+        assert_eq!(decoded(&hostile).map(|_| ()), refused);
+        assert_eq!(via_v9(&hostile, &d).map(|_| ()), refused);
+    }
+
+    /// The node → slot map is derived from the slot list, which therefore
+    /// must name each node once.
+    #[test]
+    fn a_node_claimed_by_two_live_slots_is_refused() {
+        let d = two_islands();
+        let mut hostile = RoutingMatrix::build(&d);
+        hostile.vns[1] = hostile.vns[0];
+        let refused = Err(CodecError::Invalid("node claimed by two live slots"));
+        assert_eq!(decoded(&hostile).map(|_| ()), refused);
     }
 
     /// Whatever one byte of a matrix's bytes becomes, decoding returns a

@@ -1390,23 +1390,9 @@ impl RouteTable {
     /// no endpoint carries no row. A damaged snapshot is a typed error
     /// here, not a panic or a wrong answer on the forwarding path later.
     pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
         // An endpoint is at least its column.
         let endpoint_count = r.get_count(u32::MIN_BYTES)?;
-        Self::decode_after_count(r, endpoint_count)
-    }
-
-    /// [`RouteTable::decode`] of the table as format v8 wrote it: a change
-    /// counter nothing reads after the endpoint count. Read by v8
-    /// checkpoints alone; the next format drops it.
-    #[doc(hidden)]
-    pub fn decode_v8(r: &mut ByteReader) -> Result<Self, CodecError> {
-        let endpoint_count = r.get_count(u32::MIN_BYTES)?;
-        u64::get(r)?;
-        Self::decode_after_count(r, endpoint_count)
-    }
-
-    fn decode_after_count(r: &mut ByteReader, endpoint_count: usize) -> Result<Self, CodecError> {
-        use CodecError::Invalid;
         let mut store = RouteStore::default();
         store.fill_chunks(r)?;
         let route_count = store.len();

@@ -1,9 +1,10 @@
 //! Property suite for the tree-only routing matrix.
 //!
-//! The matrix stores one shortest-route tree per source (predecessor +
-//! distance rows) and derives routes on demand; a per-pipe reverse index
-//! drives output-sensitive reconfiguration. Three invariants pin the design
-//! against a dense reference built from the raw Dijkstra primitives:
+//! The matrix stores one shortest-route tree per source (a predecessor row)
+//! and derives routes and distance labels on demand; the rows also say which
+//! trees a pipe is an edge of, which drives output-sensitive
+//! reconfiguration. Three invariants pin the design against a dense
+//! reference built from the raw Dijkstra primitives:
 //!
 //! 1. **Observational equivalence.** Across random fail/restore/renegotiate
 //!    sequences, every route *and* every distance label the incrementally
@@ -12,10 +13,10 @@
 //! 2. **`RouteId` stability.** Driving a sharded route table with the
 //!    matrix's updates keeps the ids of untouched pairs intact, and every
 //!    id still resolves to the reference pipe sequence.
-//! 3. **Reverse-index exactness.** After every step the per-pipe index
-//!    equals the tree membership a scratch build derives, and a pure
-//!    worsening recomputes exactly the trees in the changed pipes' index
-//!    entries — the output-sensitivity claim itself.
+//! 3. **Tree-membership exactness.** After every step the trees each pipe
+//!    is an edge of equal those of a scratch build, and a pure worsening
+//!    recomputes exactly the trees the reference rows had the changed pipes
+//!    in — the output-sensitivity claim itself.
 
 mod common;
 
@@ -97,8 +98,8 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
     for (choice, op) in ops {
         // Output-sensitivity oracle, captured before the step: a pure
         // worsening (Down on a live link, or a latency increase) must
-        // recompute exactly the union of the two pipes' reverse-index
-        // entries.
+        // recompute exactly the sources whose reference tree has either
+        // pipe as an edge (its head's predecessor).
         let changed_pipes = [
             PipeId::from_index(2 * (choice % (d.pipe_count() / 2))),
             PipeId::from_index(2 * (choice % (d.pipe_count() / 2)) + 1),
@@ -114,10 +115,12 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
             }),
             _ => false,
         };
-        let expected_recompute: HashSet<u32> = changed_pipes
-            .iter()
-            .flat_map(|&p| matrix.pipe_tree_sources(p).iter().copied())
-            .collect();
+        let crosses = |src: &NodeId| {
+            let (pred, _) = reference_tree(&d, *src);
+            let edge = |p: &PipeId| pred[d.pipe(*p).dst.index()] == Some(*p);
+            changed_pipes.iter().any(edge)
+        };
+        let expected_recompute = vns.iter().filter(|src| crosses(src)).count();
 
         let ids_before: Vec<Option<RouteId>> =
             (0..n * n).map(|i| table.route_id(i / n, i % n)).collect();
@@ -130,8 +133,8 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
         if pure_worsening {
             prop_assert_eq!(
                 update.recomputed_sources,
-                expected_recompute.len(),
-                "a worsening must recompute exactly the reverse-index trees after {:?}",
+                expected_recompute,
+                "a worsening must recompute exactly the trees crossing it after {:?}",
                 op
             );
         }
@@ -192,14 +195,18 @@ fn check_random_dynamics(topo: &mn_topology::Topology, ops: Vec<(usize, Op)>) {
             }
         }
 
-        // 3. Reverse-index exactness: incremental maintenance equals the
-        //    index a from-scratch build seeds, pipe for pipe.
+        // 3. Tree-membership exactness: the incrementally maintained rows
+        //    put every pipe in the trees a from-scratch build does.
         let fresh = RoutingMatrix::build(&d);
         for pid in 0..d.pipe_count() {
+            let trees = |m: &RoutingMatrix| {
+                let sources = m.pipe_tree_sources(&d, PipeId::from_index(pid));
+                sources.collect::<Vec<u32>>()
+            };
             prop_assert_eq!(
-                matrix.pipe_tree_sources(PipeId::from_index(pid)),
-                fresh.pipe_tree_sources(PipeId::from_index(pid)),
-                "reverse index diverged for pipe {} after {:?}",
+                trees(&matrix),
+                trees(&fresh),
+                "tree membership diverged for pipe {} after {:?}",
                 pid,
                 op
             );

@@ -1,0 +1,157 @@
+//! Closed-form oracles: the emulator measured against queueing theory.
+//!
+//! (i) **M/D/1.** Poisson arrivals of fixed-size packets at one pipe form
+//! an M/D/1 queue: the service time is `S = size / bandwidth`, the load
+//! `ρ = λ·S`, and Pollaczek–Khinchine gives the mean wait before service,
+//! `W = ρ·S / (2(1 − ρ))`. A packet's wait is what its delivery shows
+//! beyond `S` and the pipe's latency. Successive waits are correlated, so
+//! the tolerance is a batch-means interval: three standard errors of the
+//! means of consecutive batches. That bounds the waits at the ideal
+//! delivery times (`delivered_at - emulation_error`); a core notices a
+//! delivery up to one tick of its hardware profile after that, which every
+//! delivery is checked against, so the waits as delivered are within the
+//! interval plus one tick.
+
+mod common;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use common::on_threads;
+use mn_assign::{Binding, BindingParams, PipeOwnershipDirectory};
+use mn_distill::{distill, DistillationMode, PipeId};
+use mn_emucore::{Delivery, Emulator, HardwareProfile};
+use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
+use mn_routing::RoutingMatrix;
+use mn_topology::{LinkAttrs, NodeKind, Topology};
+use mn_util::{DataRate, SimDuration, SimTime};
+
+/// 1 000 wire bytes (972 of UDP payload) at 8 Mb/s: 1 ms of service.
+const PAYLOAD: u32 = 972;
+const BANDWIDTH_MBPS: u64 = 8;
+const SERVICE: SimDuration = SimDuration::from_millis(1);
+const LATENCY: SimDuration = SimDuration::from_millis(2);
+/// Packets a run offers; the first batch's worth is the warm-up and is not
+/// counted, the rest form `BATCHES` batches.
+const PACKETS: usize = 31_500;
+const BATCHES: usize = 20;
+
+/// An emulator over one duplex link between two VNs, on one core, whose
+/// queues never overflow; and the two VNs.
+fn one_pipe() -> (Emulator, VnId, VnId) {
+    let mut topo = Topology::new();
+    let a = topo.add_node(NodeKind::Client);
+    let b = topo.add_node(NodeKind::Client);
+    let attrs = LinkAttrs::new(DataRate::from_mbps(BANDWIDTH_MBPS), LATENCY);
+    topo.add_link(a, b, attrs).unwrap();
+    let mut d = distill(&topo, DistillationMode::HopByHop);
+    for p in 0..d.pipe_count() {
+        d.pipe_attrs_mut(PipeId::from_index(p)).unwrap().queue_len = 1 << 20;
+    }
+    let binding = Binding::bind(d.vns(), &BindingParams::new(1, 1));
+    let (src, dst) = (binding.vn_at(a).unwrap(), binding.vn_at(b).unwrap());
+    let pod = PipeOwnershipDirectory::single_core(d.pipe_count());
+    let emu = Emulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile(), 1);
+    (emu, src, dst)
+}
+
+fn profile() -> HardwareProfile {
+    HardwareProfile::unconstrained()
+}
+
+fn packet(id: usize, src: VnId, dst: VnId, now: SimTime) -> Packet {
+    let flow = FlowKey {
+        src,
+        dst,
+        src_port: 1,
+        dst_port: 2,
+        protocol: Protocol::Udp,
+    };
+    let header = TransportHeader::Udp {
+        payload_len: PAYLOAD,
+        seq: id as u64,
+    };
+    Packet::new(PacketId(id as u64), flow, header, now)
+}
+
+/// Advances `emu` wakeup by wakeup up to `until`, appending deliveries.
+fn run_to(emu: &mut Emulator, until: SimTime, sink: &mut Vec<Delivery>) {
+    while let Some(t) = emu.next_wakeup().filter(|&t| t <= until) {
+        emu.advance_into(t, sink).unwrap();
+    }
+    emu.advance_into(until, sink).unwrap();
+}
+
+/// Every packet's wait in nanoseconds at its ideal delivery time, by
+/// arrival, for seeded Poisson arrivals at load `rho`.
+fn waits(mut emu: Emulator, src: VnId, dst: VnId, rho: f64, seed: u64) -> Vec<f64> {
+    assert_eq!(
+        packet(0, src, dst, SimTime::ZERO)
+            .header
+            .wire_size()
+            .as_bytes(),
+        1_000
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mean_gap = SERVICE.as_nanos() as f64 / rho;
+    let (mut now, mut arrivals, mut sink) = (SimTime::ZERO, Vec::new(), Vec::new());
+    for id in 0..PACKETS {
+        let gap = -mean_gap * (1.0 - rng.gen::<f64>()).ln();
+        now += SimDuration::from_nanos(gap.round() as u64);
+        run_to(&mut emu, now, &mut sink);
+        assert!(emu
+            .submit(now, packet(id, src, dst, now))
+            .unwrap()
+            .is_accepted());
+        arrivals.push(now);
+    }
+    while let Some(t) = emu.next_wakeup() {
+        emu.advance_into(t, &mut sink).unwrap();
+    }
+    assert_eq!(sink.len(), PACKETS, "every packet is delivered");
+    let mut waits = vec![0.0; PACKETS];
+    for d in &sink {
+        let late = d.emulation_error;
+        assert!(late <= profile().tick, "late by {late:?}");
+        let id = d.packet.id.0 as usize;
+        let transit = d.delivered_at - late - arrivals[id];
+        waits[id] = transit.as_nanos() as f64 - (SERVICE + LATENCY).as_nanos() as f64;
+    }
+    waits
+}
+
+/// The mean wait after the warm-up batch, and three standard errors of
+/// the batch means.
+fn batch_means(waits: &[f64]) -> (f64, f64) {
+    let size = waits.len() / (BATCHES + 1);
+    let means: Vec<f64> = waits[size..]
+        .chunks_exact(size)
+        .map(|batch| batch.iter().sum::<f64>() / size as f64)
+        .collect();
+    let n = means.len() as f64;
+    let mean = means.iter().sum::<f64>() / n;
+    let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, 3.0 * (var / n).sqrt())
+}
+
+fn pollaczek_khinchine(rho: f64) -> f64 {
+    rho * SERVICE.as_nanos() as f64 / (2.0 * (1.0 - rho))
+}
+
+#[test]
+fn one_pipe_under_poisson_arrivals_waits_as_md1_on_both_executors() {
+    for (rho, seed) in [(0.3, 11), (0.6, 12), (0.9, 13)] {
+        let (emu, src, dst) = one_pipe();
+        let inline = waits(emu, src, dst, rho, seed);
+        let (mean, half_width) = batch_means(&inline);
+        let expected = pollaczek_khinchine(rho);
+        println!("rho {rho}: mean wait {mean:.0} ns, P-K {expected:.0} ns, +- {half_width:.0} ns");
+        assert!(
+            (mean - expected).abs() <= half_width,
+            "rho {rho}: mean wait {mean:.0} ns against {expected:.0} ns (+- {half_width:.0} ns)"
+        );
+        let (emu, src, dst) = one_pipe();
+        let threaded = waits(on_threads(emu), src, dst, rho, seed);
+        assert!(threaded == inline, "rho {rho}: the executors disagree");
+    }
+}

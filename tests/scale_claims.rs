@@ -150,12 +150,12 @@ fn the_resident_route_arena_is_four_bytes_a_hop() {
 
 /// (vii) The routing matrix is four bytes a source slot and a node: on the
 /// 512-location ring its predecessor rows hold 4 B for each (slot, node),
-/// the reverse index 4 B for each tree edge it lists (twice that resident,
-/// as its lists grow by doubling), and the rest — pipe costs and tails,
-/// the node and component maps, the count prefixes, the scratch rows and
-/// every list's header — fits 64 B a node and a pipe, encoded or resident.
-/// A stored 8-byte label per (slot, node), 2.25 MiB here, adds more than
-/// either bound leaves over: it fails by count.
+/// and the rest — pipe costs and tails, the node and component maps, the
+/// count prefixes, the scratch rows and every list's header — fits 64 B a
+/// node and a pipe, encoded or resident. Nothing is stored per tree edge:
+/// which trees cross a pipe is read off the rows. A stored 8-byte label per
+/// (slot, node), 2.25 MiB here, adds more than the bound leaves over: it
+/// fails by count.
 #[test]
 fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
     let _turn = my_turn();
@@ -164,32 +164,27 @@ fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
     let matrix = RoutingMatrix::build(&d);
     let resident = bytes_in_use().saturating_sub(before);
     let (slots, nodes, pipes) = (matrix.vn_count(), d.node_count(), d.pipe_count());
-    let edges: usize = (0..pipes)
-        .map(|p| matrix.pipe_tree_sources(PipeId::from_index(p)).len())
-        .sum();
     let encoded = mn_util::Codec::encoded_len(&matrix);
     let mut w = mn_util::ByteWriter::new();
     mn_util::Codec::put(&matrix, &mut w);
     assert_eq!(encoded, w.len());
-    let rows = 4 * slots * nodes;
-    let rest = 64 * (nodes + pipes);
-    let (encoded_bound, resident_bound) = (rows + 4 * edges + rest, rows + 8 * edges + rest);
+    let bound = 4 * slots * nodes + 64 * (nodes + pipes);
     println!(
-        "(vii) {slots} slots x {nodes} nodes, {pipes} pipes, {edges} tree edges: \
-         {encoded} B encoded (bound {encoded_bound}), {resident} B resident (bound {resident_bound})"
+        "(vii) {slots} slots x {nodes} nodes, {pipes} pipes: \
+         {encoded} B encoded, {resident} B resident (bound {bound})"
     );
-    assert!(encoded <= encoded_bound, "{encoded} B encoded");
-    assert!(resident <= resident_bound, "{resident} B resident");
+    assert!(encoded <= bound, "{encoded} B encoded");
+    assert!(resident <= bound, "{resident} B resident");
     let label_bytes = 8 * slots * nodes;
-    assert!(encoded_bound - encoded < label_bytes && resident_bound - resident < label_bytes);
+    assert!(bound - encoded < label_bytes && bound - resident < label_bytes);
 }
 
 /// (viii) A routing matrix row covers its source's component only: on the
 /// Fig. 4 capacity topology (256 disjoint 8-hop paths, 512 source slots,
 /// 2 304 nodes) each slot reaches the 9 nodes of its own path, so the
 /// matrix, encoded and resident, fits 4 B a (slot, node of its component)
-/// and 64 B a node and a pipe for the rest — reverse index, pipe tables,
-/// component maps and positions, headers. A row over every node of the
+/// and 32 B a node and a pipe for the rest — pipe tables, component maps
+/// and positions, headers. A row over every node of the
 /// graph, 4.5 MiB here, adds more than the bound leaves over: it fails by
 /// count.
 #[test]
@@ -210,7 +205,7 @@ fn a_routing_matrix_row_is_as_wide_as_its_component() {
     assert_eq!((slots, nodes), (2 * pairs, pairs * (hops + 1)));
     let encoded = mn_util::Codec::encoded_len(&matrix);
     let rows = 4 * slots * (hops + 1);
-    let bound = rows + 64 * (nodes + pipes);
+    let bound = rows + 32 * (nodes + pipes);
     println!(
         "(viii) {slots} slots x {} nodes of {nodes}, {pipes} pipes: {encoded} B encoded, \
          {resident} B resident, {} B counted (bound {bound})",

@@ -9,17 +9,15 @@
 //! re-blessed, and its digest is re-recorded only by a deliberate behaviour
 //! change.
 //!
-//! `tests/data/mnsp_v8_path4.bin` is the scenario under the v8 encoder,
-//! which wrote each routing-matrix row over the whole graph, 8-byte pipe
-//! ids and words nothing reads (the route table's and the matrix's change
-//! counters, the fluid cadence, each fluid flow's solver flag, each core's
-//! two spare clock words). Format v9 writes a row over its source's
-//! component only, 4-byte pipe ids and none of those words: restored on
-//! either executor and serialised again, the v8 file is
-//! `tests/data/mnsp_v9_path4.bin` byte for byte, which every later commit
-//! must re-create on both executors. Without the CBR meter v8 dropped, the
-//! emulator no longer wakes at each injection, so the tail digest was
-//! re-recorded at v8, once: it digests every counter.
+//! `tests/data/mnsp_v9_path4.bin` is the scenario under the v9 encoder,
+//! which wrote four routing-matrix tables the rest determines: the node →
+//! slot map, each component's slots, the per-pipe reverse index and the
+//! free slots. Format v10 writes none of them: restored on either executor
+//! and serialised again, the v9 file is `tests/data/mnsp_v10_path4.bin`
+//! byte for byte, which every later commit must re-create on both
+//! executors. Without the CBR meter v8 dropped, the emulator no longer
+//! wakes at each injection, so the tail digest was re-recorded at v8, once:
+//! it digests every counter.
 //!
 //! A failure here means the snapshot format or the emulated behaviour
 //! changed: bump `SNAPSHOT_VERSION`, add a fixture for the new version
@@ -44,8 +42,8 @@ mod membership;
 use common::on_threads;
 use membership::membership;
 
-const FIXTURE_V8: &[u8] = include_bytes!("data/mnsp_v8_path4.bin");
 const FIXTURE_V9: &[u8] = include_bytes!("data/mnsp_v9_path4.bin");
+const FIXTURE_V10: &[u8] = include_bytes!("data/mnsp_v10_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
@@ -222,24 +220,24 @@ fn tail_digest(mut backend: Emulator) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v9 fixture on both executors, and so does
-/// restoring the v8 file on either.
+/// The current encoder writes the v10 fixture on both executors, and so
+/// does restoring the v9 file on either.
 #[test]
-fn both_executors_reproduce_the_v9_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 9, "this fixture pins format v9");
+fn both_executors_reproduce_the_v10_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 10, "this fixture pins format v10");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V9,
-            "snapshot bytes drifted from the v9 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V10,
+            "snapshot bytes drifted from the v10 fixture (threaded: {threaded})"
         );
-        let mut restored = Emulator::restore_bytes(FIXTURE_V8).unwrap();
+        let mut restored = Emulator::restore_bytes(FIXTURE_V9).unwrap();
         if threaded {
             restored = on_threads(restored);
         }
         let stats = restored.total_stats();
         assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
-        assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V9);
+        assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V10);
     }
 }
 
@@ -252,13 +250,13 @@ fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
 }
 
 #[test]
-fn the_v8_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V8);
+fn the_v9_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V9);
 }
 
 #[test]
-fn the_v9_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V9);
+fn the_v10_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V10);
 }
 
 /// The tables a restore rebuilds rather than reads hold what the
@@ -271,7 +269,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let mut uninterrupted = backend;
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
-    for fixture in [FIXTURE_V8, FIXTURE_V9] {
+    for fixture in [FIXTURE_V9, FIXTURE_V10] {
         let mut sequential = Emulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -284,13 +282,13 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v8_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V8);
+fn every_bit_flip_and_every_truncation_of_the_v9_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V9);
 }
 
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v9_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V9);
+fn every_bit_flip_and_every_truncation_of_the_v10_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V10);
 }
 
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
@@ -317,7 +315,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V9.to_vec();
+    let mut after_frame = FIXTURE_V10.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -329,7 +327,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V9[16..FIXTURE_V9.len() - 8]);
+    w.put_bytes(&FIXTURE_V10[16..FIXTURE_V10.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -347,11 +345,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v9_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v10_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v9_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v10_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(Emulator::restore(&snapshot).unwrap());
