@@ -266,13 +266,13 @@ impl Codec for Event {
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
 /// Current runner snapshot format version, the only one written; this
-/// version and the one before restore. Versions 9 and 10 nest an `MNSP`
+/// version and the one before restore. Versions 10 and 11 nest an `MNSP`
 /// frame of their own version and share one checksum: the runner's own
 /// fields and the nested frame's header and checksum, not that frame's
 /// payload a second time ([`checksum_around_emulator_frame`]). Both end
 /// with the armed auto-checkpoint instant; they differ only in the nested
 /// frame.
-const RUNNER_SNAPSHOT_VERSION: u32 = 10;
+const RUNNER_SNAPSHOT_VERSION: u32 = 11;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -901,7 +901,7 @@ impl Runner {
         }
         let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                9 | 10 => Ok(checksum_around_emulator_frame),
+                10 | 11 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way

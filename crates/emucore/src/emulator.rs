@@ -950,8 +950,8 @@ impl Emulator {
     /// VN's location and liveness are rebuilt from the route table, which
     /// records both, and the load vector from them and the entry cores; the
     /// fluid solver's per-pipe capacities and demands from the restored
-    /// pipes, which hold both. A v9 frame differs only in the matrix's form
-    /// ([`RoutingMatrix::get_v9`]). The frame is written out rather than
+    /// pipes, which hold both. A v10 frame differs only in the matrix's form
+    /// ([`RoutingMatrix::get_v10`]). The frame is written out rather than
     /// declared because those checks need what was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
@@ -959,7 +959,7 @@ impl Emulator {
         let profile = HardwareProfile::get(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
         let matrix = match version {
-            9 => RoutingMatrix::get_v9(r)?,
+            10 => RoutingMatrix::get_v10(r)?,
             _ => RoutingMatrix::get(r)?,
         };
         let core_count = usize::get(r)?;
@@ -1124,12 +1124,14 @@ mod tests {
 
     /// A routing matrix's fields as a frame lays them out: the slot list
     /// and the node count, the pipe tables (costs, tails), the component
-    /// maps (each node's, each component's nodes), then every row back to
-    /// back (each as wide as its source's component).
+    /// node lists, the rows' roots, every row back to back (each as wide as
+    /// its root's component), then each live slot's row.
     type MatrixFields = (
         (Vec<NodeId>, usize),
         (Vec<u64>, Vec<u32>),
-        (Vec<u32>, Vec<Vec<u32>>),
+        Vec<Vec<u32>>,
+        Vec<u32>,
+        Vec<u32>,
         Vec<u32>,
     );
 
@@ -1143,23 +1145,28 @@ mod tests {
         RouteTable::decode(&mut r).unwrap();
         let at = payload.len() - r.remaining();
         let mut fields: MatrixFields = Default::default();
-        (fields.0, fields.1, fields.2) = Codec::get(&mut r).unwrap();
-        let (components, lists) = (&fields.2 .0, &fields.2 .1);
-        let width = |vn: &NodeId| {
-            components
-                .get(vn.index())
-                .map_or(0, |&c| lists[c as usize].len())
+        (fields.0, fields.1, fields.2, fields.3) = Codec::get(&mut r).unwrap();
+        let lists = &fields.2;
+        let width = |root: &u32| {
+            let list = lists.iter().find(|list| list.contains(root));
+            list.map_or(0, Vec::len)
         };
-        fields.3 = r
-            .get_bare_u32s(fields.0 .0.iter().map(width).sum())
-            .unwrap();
+        fields.4 = r.get_bare_u32s(fields.3.iter().map(width).sum()).unwrap();
+        let live = fields
+            .0
+             .0
+            .iter()
+            .filter(|v| v.index() != usize::MAX)
+            .count();
+        fields.5 = r.get_bare_u32s(live).unwrap();
         corrupt(&mut fields);
         let mut w = ByteWriter::new();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.put_bytes(&payload[..at]);
-        let (head, pipes, maps, rows) = fields;
-        (head, pipes, maps).put(&mut w);
+        let (head, pipes, lists, roots, rows, slots) = fields;
+        (head, pipes, lists, roots).put(&mut w);
         w.put_bare_u32s(&rows);
+        w.put_bare_u32s(&slots);
         w.put_bytes(&payload[payload.len() - r.remaining()..]);
         w.end_frame(frame);
         w.into_bytes()
@@ -1228,35 +1235,52 @@ mod tests {
         // A matrix any later lookup, reroute or update would index out of
         // range: refused when decoded, on both executors.
         type CorruptMatrix = fn(&mut MatrixFields);
-        let matrix: [(&str, CorruptMatrix); 7] = [
-            ("component maps disagree", |f| f.2 .0[0] = 1),
+        let matrix: [(&str, CorruptMatrix); 11] = [
+            ("component lists do not partition the nodes", |f| {
+                f.2[0].pop();
+            }),
             ("pipe tables of unequal lengths", |f| {
                 f.1 .0.pop();
             }),
             ("pipe tail out of range", |f| f.1 .1[0] = f.0 .1 as u32),
             ("predecessor pipe out of range", |f| {
-                f.3[1] = f.1 .1.len() as u32
+                f.4[1] = f.1 .1.len() as u32
             }),
             ("source slot outside the graph", |f| {
                 f.0 .0[1] = NodeId(f.0 .1);
             }),
             // The node → slot map is derived from the slot list.
             ("node claimed by two live slots", |f| f.0 .0[1] = f.0 .0[0]),
-            // The ring is one component, so slot 0's row is the first
+            // The ring is one component, so row 0 is the first
             // `node_count` entries and a position is a node index. Some
-            // entry of it names a pipe from a node t other than the source;
+            // entry of it names a pipe from a node t other than the root;
             // pointing t at that pipe's reverse (hop-by-hop distillation
             // adds a duplex link's two pipes back to back) closes a loop.
             ("predecessor row with a cycle", |f| {
-                let (root, tails) = (f.0 .0[0].index() as u32, &f.1 .1);
-                let row = &f.3[..f.0 .1];
+                let (root, tails) = (f.3[0], &f.1 .1);
+                let row = &f.4[..f.0 .1];
                 let named = |&p: &u32| p != u32::MAX && tails[p as usize] != root;
                 let p = row
                     .iter()
                     .copied()
                     .find(named)
                     .expect("a node past the first hop");
-                f.3[tails[p as usize] as usize] = p ^ 1;
+                f.4[tails[p as usize] as usize] = p ^ 1;
+            }),
+            // Four routers, four rows: one for each router's two clients.
+            ("slot names a row out of range", |f| f.5[0] = 4),
+            ("two rows with one root", |f| f.3[1] = f.3[0]),
+            ("row no slot reads", |f| {
+                let other = (f.5[0] + 1) % 4;
+                f.5.iter_mut().for_each(|row| *row = other);
+            }),
+            // A client given a second out-pipe (the access pipe of a
+            // client of another router, which no row names).
+            ("stub slot without a unique access pipe", |f| {
+                let tails = &mut f.1 .1;
+                let [a, b] = [0, 7].map(|si| f.0 .0[si].index() as u32);
+                let p = tails.iter().position(|&t| t == b).unwrap();
+                tails[p] = a;
             }),
         ];
         for (what, corrupt) in matrix {

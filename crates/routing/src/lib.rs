@@ -9,8 +9,9 @@
 //! interface and answers the scaling question once, by keying every piece
 //! of route state on the *location* rather than the VN:
 //!
-//! * [`RoutingMatrix`] — one shortest-route **tree** per source location
-//!   (a row of 4-byte predecessor pipes, O(locations × nodes)); routes are
+//! * [`RoutingMatrix`] — one shortest-route **tree** per tree root, a
+//!   source location's or, for a stub location, its access router's (a row
+//!   of 4-byte predecessor pipes, O(roots × nodes)); routes are
 //!   materialised and distance labels summed on demand, and the trees a
 //!   changed pipe is an edge of are read off the rows, which is what makes
 //!   reconfiguration output-sensitive.

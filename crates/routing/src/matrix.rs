@@ -4,22 +4,22 @@
 //! straightforward design allows fast indexing and scales to 10,000 VNs,
 //! but the routing tables consume O(n²) space." This reproduction keeps the
 //! paper's *interface* (every ordered VN pair resolves to a shortest route)
-//! while storing only one shortest-route **tree** per source — a row of
-//! 4-byte predecessor pipes over the nodes of the source's structural
-//! component, O(Σ_c slots_c × nodes_c) — and materialising a route on
-//! demand by walking predecessors from the destination. A source reaches
-//! nothing outside its component, so a row holds no entry for it: the
-//! Fig. 4 capacity topology (many disjoint chains) stores a few nodes a
-//! source, not the whole graph. A row is indexed by a node's position in its
-//! component's node list, and each pipe keeps its tail's position beside its
-//! tail node, so a walk stays in those coordinates. A distance label is not
-//! stored: it is the sum of the pipe costs up the same walk
-//! ([`RoutingMatrix::distance`]), exactly the label Dijkstra computed, since
-//! Dijkstra accepts only a label below [`UNUSABLE_COST`]. The rows are also
-//! the index of which trees cross a pipe: pipe `p` into node `h` is an edge
-//! of exactly the trees whose row names `p` at `h`'s position, so
-//! [`RoutingMatrix::update_pipes`] finds the trees a worsened pipe touches
-//! with one read per source of its component, and recomputes only those.
+//! while storing only shortest-route **trees** — rows of 4-byte predecessor
+//! pipes over the nodes of a tree root's structural component — and
+//! materialising a route on demand by walking predecessors from the
+//! destination. A root reaches nothing outside its component, so a row holds
+//! no entry for it: the Fig. 4 capacity topology (many disjoint chains)
+//! stores a few nodes a row, not the whole graph. A row is indexed by a
+//! node's position in its component's node list, and each pipe keeps its
+//! tail's position beside its tail node, so a walk stays in those
+//! coordinates. A distance label is not stored: it is the sum of the pipe
+//! costs up the same walk ([`RoutingMatrix::distance`]), exactly the label
+//! Dijkstra computed, since Dijkstra accepts only a label below
+//! [`UNUSABLE_COST`]. The rows are also the index of which trees cross a
+//! pipe: pipe `p` into node `h` is an edge of exactly the trees that name
+//! `p` at `h`'s position, so [`RoutingMatrix::update_pipes`] finds the trees
+//! a worsened pipe touches with one read per source of its component, and
+//! recomputes only those.
 //!
 //! **Stub trees.** ModelNet's VNs are edge clients, each on one access link,
 //! so most sources are *stubs*: `s`'s only out-pipe `p` is usable, with cost
@@ -29,9 +29,20 @@
 //! `s`: `s` pops first and improves only `h`, which pops next at `c`;
 //! relaxation is strict and every pipe costs ≥ 1, so nothing improves `s`
 //! again; and from there every key is `h`'s run's plus `c`, which keeps the
-//! `(dist, node)` pop order and every comparison, ties included. So a call
-//! runs one Dijkstra per hub ([`RoutingMatrix::dijkstra_runs`]) and copies
-//! it per stub; where `c + dist_h` would overflow, the stub runs its own.
+//! `(dist, node)` pop order and every comparison, ties included. So a stub
+//! stores no row: its slot names the row rooted at its hub and its access
+//! pipe, and a read patches those two entries over the hub's row. `s` is a leaf of `h`'s tree (its one out-pipe enters
+//! the root), so no walk through the hub's row passes through `s`. One row
+//! per hub, one Dijkstra per hub ([`RoutingMatrix::dijkstra_runs`]), however
+//! many stubs hang off it. A stub whose access pipe is unusable, or whose
+//! shifted labels would overflow, roots a row of its own.
+//!
+//! A hub row's entry at a stub's position is read by the row's other
+//! readers only. When that stub is the row's one reader nothing reads the
+//! entry, and the row keeps `NO_PRED` there — which is what makes the rows
+//! a function of the trees alone, and lets a format-v10 frame (a row per
+//! slot, which cannot say what the entry was) restore to them. A second
+//! reader joining such a row recomputes it.
 
 use std::cmp::Reverse;
 
@@ -44,9 +55,13 @@ use crate::dijkstra::{pipe_cost, scoped_route_tree, Route, NO_PRED, UNUSABLE_COS
 use mn_distill::PipeId;
 
 /// Sentinel location of a tombstoned source slot (see
-/// [`RoutingMatrix::remove_source`]): the slot's row is empty until the
-/// next [`RoutingMatrix::add_source`] reuses it, and no node maps to it.
+/// [`RoutingMatrix::remove_source`]): the slot reads no row until the next
+/// [`RoutingMatrix::add_source`] reuses it, and no node maps to it.
 const DEAD_SOURCE: NodeId = NodeId(usize::MAX);
+
+/// `row_dead` of a row an update found stale: whoever is placed on it
+/// first recomputes it.
+const STALE: u32 = NO_PRED - 1;
 
 /// What one [`RoutingMatrix::update_pipes`] call changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -55,7 +70,8 @@ pub struct RouteUpdate {
     /// or was rewired). Callers re-wire exactly these pairs in their route
     /// tables.
     pub changed_pairs: Vec<(NodeId, NodeId)>,
-    /// Number of sources whose shortest-route tree had to be recomputed.
+    /// Number of sources whose shortest-route tree had to be recomputed (a
+    /// stub counts through the row it reads).
     pub recomputed_sources: usize,
 }
 
@@ -68,19 +84,23 @@ impl RouteUpdate {
 
 /// Tree-only route storage over the VN set of a distilled topology.
 ///
-/// Per source VN the matrix holds one predecessor row over the source's
-/// structural component (its shortest-route tree); routes and distance
-/// labels are never stored, only derived. Lookup walks the destination's
-/// predecessor chain — O(hops), allocation-free via
-/// [`RoutingMatrix::materialize_at`].
+/// The matrix stores one predecessor row per *tree root* — a hub some stub
+/// hangs off, a source that is no stub, a stub that cannot share its hub's
+/// row — over the root's structural component, and each source slot names
+/// the row it reads and, for a stub, the access pipe patched over it (see
+/// the module docs). Routes and distance labels are never stored, only
+/// derived. Lookup walks the destination's predecessor chain — O(hops),
+/// allocation-free via [`RoutingMatrix::materialize_at`].
 ///
-/// Its checkpoint ([`Codec`]) is the complete persistent route state —
-/// the slot list (tombstones included), trees, pipe costs and tails and the
-/// component maps; the positions of nodes and pipe tails, the node → slot
-/// map, each component's slots and the free slots are derived from those,
-/// and the scratch buffers hold no state between calls and restore empty.
-/// Decoding refuses a state any later call would index out of range or
-/// walk forever.
+/// Its checkpoint ([`Codec`]) is the complete persistent route state — the
+/// slot list (tombstones included), pipe costs and tails, the component
+/// node lists, the rows in ascending root order with their roots, and each
+/// live slot's row. Everything else is derived from those: each node's
+/// component and position, the pipe tails' positions, the node → slot map,
+/// each component's slots, the free slots, each stub's access pipe (its one
+/// out-pipe), the readers of each row; the scratch buffers hold no state
+/// between calls and restore empty. Decoding refuses a state any later call
+/// would index out of range or walk forever.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingMatrix {
     /// The VN set, in index order.
@@ -91,13 +111,36 @@ pub struct RoutingMatrix {
     vn_of_node: Vec<u32>,
     /// Node count of the pipe graph the matrix was last (re)built against.
     node_count: usize,
-    /// Every source slot's predecessor row over its structural component:
-    /// `pred[si][i]` is the predecessor pipe of `component_nodes[c][i]` in
-    /// the slot's tree ([`NO_PRED`] for the source itself and for
-    /// unreachable nodes), and a tombstoned slot's row is empty. Together
-    /// with `pipe_tail` this is the entire route store: a route is the
-    /// reversed predecessor chain.
-    pred: Vec<Vec<u32>>,
+    /// The stored rows: `rows[r][i]` is the predecessor pipe of
+    /// `component_nodes[c][i]` in the tree rooted at `row_root[r]` ([`NO_PRED`]
+    /// for the root, for unreachable nodes and at an entry the row does not
+    /// keep, `row_dead`). A free row is empty. Together with `pipe_tail` and
+    /// the slots' patches this is the entire route store.
+    rows: Vec<Vec<u32>>,
+    /// Each row's root node ([`NO_PRED`]: a free row).
+    row_root: Vec<u32>,
+    /// The live slots reading each row.
+    row_refs: Vec<u32>,
+    /// Each row's position not kept ([`NO_PRED`]: none): its one reader's,
+    /// when that reader is a stub patched over it.
+    row_dead: Vec<u32>,
+    /// Each row's largest finite label, once a placement has asked for it
+    /// ([`UNUSABLE_COST`] until then: no label is finite there).
+    row_far: Vec<u64>,
+    /// Node → the row rooted there ([`NO_PRED`]: none).
+    row_of_node: Vec<u32>,
+    /// Free rows (ascending), reused lowest first by the next row a call
+    /// needs.
+    free_rows: Vec<u32>,
+    /// Each live row's index in root order: where the frame writes it.
+    /// Refreshed at the end of a call that stored or freed a row.
+    row_rank: Vec<u32>,
+    ranks_stale: bool,
+    /// Each slot's row ([`NO_PRED`] for a tombstone).
+    slot_row: Vec<u32>,
+    /// Each slot's access pipe, patched over its row's root position
+    /// ([`NO_PRED`]: the slot is its row's root).
+    slot_access: Vec<u32>,
     /// Per-pipe routing cost snapshot from the last (re)build/update: what
     /// a label sums.
     pipe_cost: Vec<u64>,
@@ -110,7 +153,7 @@ pub struct RoutingMatrix {
     /// Structural (attrs-independent) connected component of every node.
     /// Pipes never change endpoints at runtime — only attributes — so a
     /// pipe change can only ever affect sources and destinations inside its
-    /// own structural component.
+    /// own structural component. Derived from `component_nodes`.
     node_component: Vec<u32>,
     /// Every node's position in its component's node list.
     node_local: Vec<u32>,
@@ -120,9 +163,20 @@ pub struct RoutingMatrix {
     /// Node indices per structural component, ascending: what a row's
     /// positions name.
     component_nodes: Vec<Vec<u32>>,
-    /// The fresh row of a source [`RoutingMatrix::update_pipes`]
-    /// recomputes, diffed against its stored row.
-    scratch_row: Vec<u32>,
+    /// The rows an update reads its old trees from: `(row, entries)`, the
+    /// first `saved_len` in use, their buffers kept across calls.
+    saved: Vec<(u32, Vec<u32>)>,
+    saved_len: usize,
+    /// The verdict memos of an update's diff: `(saved row, row, memo)`,
+    /// the first `memos_len` in use, one for each old and new row a stub
+    /// kept its patch between (see [`RoutingMatrix::update_pipes`]).
+    memos: Vec<(u32, u32, Vec<u8>)>,
+    memos_len: usize,
+    /// Rows a call touched, settled ([`RoutingMatrix::settle`]) at its end.
+    touched: Vec<u32>,
+    /// Labels by position and a walk's chain, for [`RoutingMatrix::far`].
+    labels: Vec<u64>,
+    chain: Vec<u32>,
     trees: TreeScratch,
     /// Per-position verdicts of the changed-destination scan of one
     /// recomputed tree (see [`route_changed`]).
@@ -137,11 +191,8 @@ pub struct RoutingMatrix {
     version: u64,
 }
 
-/// What [`source_tree`] reuses, so no recompute allocates: the heap's
-/// backing vector, Dijkstra's labels and predecessors by node, and the row
-/// of the last hub a stub was shifted from. [`RoutingMatrix::rebuild`],
-/// `update_pipes` and `add_source` each start by forgetting the hub: pipe
-/// costs may have changed since the last call.
+/// What a recompute reuses, so none allocates: the heap's backing vector
+/// and Dijkstra's labels and predecessors by node.
 #[derive(Debug, Clone, Default)]
 struct TreeScratch {
     heap: Vec<Reverse<(u64, NodeId)>>,
@@ -149,17 +200,20 @@ struct TreeScratch {
     /// the source's component is written).
     dist: Vec<u64>,
     pred: Vec<u32>,
-    /// The hub whose row `hub_row` holds, and its largest finite label.
-    hub: Option<(NodeId, u64)>,
-    hub_row: Vec<u32>,
     /// Dijkstra runs so far ([`RoutingMatrix::dijkstra_runs`]).
     runs: u64,
 }
 
 impl TreeScratch {
-    /// Dijkstra from `source` over its component's `nodes` into `dist` /
-    /// `pred`.
-    fn dijkstra(&mut self, topo: &DistilledTopology, source: NodeId, nodes: &[u32]) {
+    /// `source`'s tree over its component's `nodes`, bit for bit what
+    /// [`scoped_route_tree`] computes, into `row` by position.
+    fn tree_row(
+        &mut self,
+        topo: &DistilledTopology,
+        source: NodeId,
+        nodes: &[u32],
+        row: &mut Vec<u32>,
+    ) {
         self.dist.resize(topo.node_count(), UNUSABLE_COST);
         self.pred.resize(topo.node_count(), NO_PRED);
         scoped_route_tree(
@@ -171,61 +225,56 @@ impl TreeScratch {
             &mut self.heap,
         );
         self.runs += 1;
+        row.clear();
+        row.extend(nodes.iter().map(|&u| self.pred[u as usize]));
     }
 }
 
-/// `source`'s shortest-route tree as a row over its component's `nodes`
-/// (`local` maps a node to its position there), bit for bit what
-/// [`scoped_route_tree`] computes. A stub — a source whose only out-pipe `p`
-/// is usable, with cost `c`, into a hub `h ≠ source` — copies `h`'s row
-/// instead (the module docs have the proof), computing that tree only when
-/// the call has not already; if a shifted label would overflow, the stub
-/// runs Dijkstra itself.
-fn source_tree(
-    topo: &DistilledTopology,
-    source: NodeId,
-    nodes: &[u32],
-    local: &[u32],
-    row: &mut [u32],
-    scratch: &mut TreeScratch,
-) {
-    if let &[p] = topo.out_pipes(source) {
-        let (hub, c) = (topo.pipe(p).dst, pipe_cost(&topo.pipe(p).attrs));
-        if c != UNUSABLE_COST && hub != source {
-            if scratch.hub.is_none_or(|(known, _)| known != hub) {
-                scratch.dijkstra(topo, hub, nodes);
-                let labels = nodes.iter().map(|&u| scratch.dist[u as usize]);
-                let far = labels.filter(|&d| d != UNUSABLE_COST).max();
-                scratch.hub = Some((hub, far.unwrap_or(0)));
-                scratch.hub_row.clear();
-                let pred = &scratch.pred;
-                scratch
-                    .hub_row
-                    .extend(nodes.iter().map(|&u| pred[u as usize]));
-            }
-            if scratch.hub.is_some_and(|(_, far)| far < UNUSABLE_COST - c) {
-                row.copy_from_slice(&scratch.hub_row);
-                row[local[source.index()] as usize] = NO_PRED;
-                row[local[hub.index()] as usize] = p.0;
-                return;
-            }
+/// The stub `source` is, if it is one: its only out-pipe, usable, the hub
+/// that pipe enters, and its cost.
+fn stub_of(topo: &DistilledTopology, source: NodeId) -> Option<(PipeId, NodeId, u64)> {
+    let &[p] = topo.out_pipes(source) else {
+        return None;
+    };
+    let (hub, c) = (topo.pipe(p).dst, pipe_cost(&topo.pipe(p).attrs));
+    (c != UNUSABLE_COST && hub != source).then_some((p, hub, c))
+}
+
+/// One source's tree as a stored row and the patch over it: the source's
+/// position `root`, its row's root position `hub`, and the access pipe
+/// (`hub == root` and [`NO_PRED`] for a slot that is its row's root).
+#[derive(Debug, Clone, Copy)]
+struct Patched<'a> {
+    row: &'a [u32],
+    root: usize,
+    hub: usize,
+    access: u32,
+}
+
+impl Patched<'_> {
+    /// The predecessor pipe at position `at`: none at the source, the
+    /// access pipe at the hub, the row's entry everywhere else.
+    #[inline]
+    fn pred(&self, at: usize) -> u32 {
+        if at == self.root {
+            NO_PRED
+        } else if at == self.hub {
+            self.access
+        } else {
+            self.row[at]
         }
     }
-    scratch.dijkstra(topo, source, nodes);
-    for (entry, &u) in row.iter_mut().zip(nodes) {
-        *entry = scratch.pred[u as usize];
-    }
 }
 
-/// Walks the predecessor chain of position `dst` in one stored row up to
-/// the source's position `src`, writing the forward pipe sequence into
-/// `out`. Returns whether a route exists; the trivial `src == dst` route
-/// always does (empty), matching [`crate::dijkstra::route_from_tree`].
-fn walk_row(row: &[u32], tails: &[u32], src: usize, dst: usize, out: &mut Vec<PipeId>) -> bool {
+/// Walks the predecessor chain of position `dst` in one tree up to its
+/// source, writing the forward pipe sequence into `out`. Returns whether a
+/// route exists; the trivial `src == dst` route always does (empty),
+/// matching [`crate::dijkstra::route_from_tree`].
+fn walk_tree(tree: Patched<'_>, tails: &[u32], dst: usize, out: &mut Vec<PipeId>) -> bool {
     out.clear();
     let mut cur = dst;
-    while cur != src {
-        let p = row[cur];
+    while cur != tree.root {
+        let p = tree.pred(cur);
         if p == NO_PRED {
             out.clear();
             return false;
@@ -237,36 +286,49 @@ fn walk_row(row: &[u32], tails: &[u32], src: usize, dst: usize, out: &mut Vec<Pi
     true
 }
 
+/// The label of position `at` in `tree`: the pipe costs up its chain,
+/// summed ([`UNUSABLE_COST`] when unreachable).
+fn tree_label(tree: Patched<'_>, tails: &[u32], costs: &[u64], at: usize) -> u64 {
+    let (mut cur, mut sum) = (at, 0u64);
+    while cur != tree.root {
+        let p = tree.pred(cur);
+        if p == NO_PRED {
+            return UNUSABLE_COST;
+        }
+        sum = sum.saturating_add(costs[p as usize]);
+        cur = tails[p as usize] as usize;
+    }
+    sum
+}
+
 /// [`route_changed`] verdicts in its memo row; `0` is "not yet known".
 const ROUTE_SAME: u8 = 1;
 const ROUTE_CHANGED: u8 = 2;
 
-/// Whether the route to position `dst` differs between two predecessor
-/// rows of one source (at position `src`), without materialising either:
-/// the route *is* the predecessor chain read backwards, so a node's route
-/// changed iff its predecessor pipe changed or its tree parent's route did.
-/// `memo` (zeroed over the row before a tree's first call) keeps every
-/// verdict reached, so a tree's destinations together cost O(component
-/// nodes), not a chain each.
+/// Whether the route to position `dst` differs between two trees of one
+/// source, without materialising either: the route *is* the predecessor
+/// chain read backwards, so a node's route changed iff its predecessor pipe
+/// changed or its tree parent's route did. `memo` (zeroed over the row
+/// before a tree's first call) keeps every verdict reached, so a tree's
+/// destinations together cost O(component nodes), not a chain each.
 fn route_changed(
-    old_row: &[u32],
-    new_row: &[u32],
+    old: Patched<'_>,
+    new: Patched<'_>,
     tails: &[u32],
     memo: &mut [u8],
-    src: usize,
     dst: usize,
 ) -> bool {
     // Walk up to the first node whose verdict is known or decided locally…
     let mut cur = dst;
     let verdict = loop {
-        if cur == src {
+        if cur == old.root {
             break ROUTE_SAME;
         }
         if memo[cur] != 0 {
             break memo[cur];
         }
-        let p = old_row[cur];
-        if p != new_row[cur] {
+        let p = old.pred(cur);
+        if p != new.pred(cur) {
             break ROUTE_CHANGED;
         }
         if p == NO_PRED {
@@ -280,7 +342,7 @@ fn route_changed(
     let mut below = dst;
     while below != cur {
         memo[below] = verdict;
-        below = tails[old_row[below] as usize] as usize;
+        below = tails[old.pred(below) as usize] as usize;
     }
     verdict == ROUTE_CHANGED
 }
@@ -288,17 +350,32 @@ fn route_changed(
 /// What a walk up one source's tree reads ([`RoutingMatrix::tree_of`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tree<'a> {
-    /// The source's predecessor row, by position in its component.
-    pub(crate) pred: &'a [u32],
+    patched: Patched<'a>,
     /// Every pipe's tail, by position in its component.
     pub(crate) tails: &'a [u32],
-    /// The source's own position.
-    pub(crate) root: usize,
     component: u32,
     matrix: &'a RoutingMatrix,
 }
 
 impl Tree<'_> {
+    /// The predecessor pipe of the node at position `at` ([`NO_PRED`] at
+    /// the source and where no route reaches): the stored row's entry, or
+    /// the stub's patch.
+    #[inline]
+    pub(crate) fn pred(&self, at: usize) -> u32 {
+        self.patched.pred(at)
+    }
+
+    /// The source's own position.
+    pub(crate) fn root(&self) -> usize {
+        self.patched.root
+    }
+
+    /// Positions in the tree: its component's node count.
+    pub(crate) fn width(&self) -> usize {
+        self.patched.row.len()
+    }
+
     /// `node`'s position in the row, or `None` outside the source's
     /// component (no route reaches it).
     #[inline]
@@ -332,25 +409,201 @@ impl RoutingMatrix {
         self.pipe_src = topo.pipes().map(|(_, p)| p.src.index() as u32).collect();
         self.rebuild_components(topo);
         self.index_slots();
-        self.pred = vec![Vec::new(); n];
-        self.trees.hub = None;
+        self.rows.clear();
+        self.row_far.clear();
+        let tables = [&mut self.row_root, &mut self.row_refs, &mut self.row_dead];
+        tables
+            .into_iter()
+            .chain([&mut self.free_rows])
+            .for_each(Vec::clear);
+        self.ranks_stale = true;
+        self.row_of_node = vec![NO_PRED; nc];
+        self.slot_row = vec![NO_PRED; n];
+        self.slot_access = vec![NO_PRED; n];
         for si in 0..n {
             if self.vns[si].index() < nc {
-                self.plant_tree(topo, si);
+                self.place(topo, si);
             }
         }
+        self.settle_touched();
         self.version += 1;
     }
 
-    /// Computes source slot `si`'s tree into its row, sized to its
-    /// component ([`source_tree`]).
-    fn plant_tree(&mut self, topo: &DistilledTopology, si: usize) {
+    /// Binds slot `si` to the row its tree is read from: its hub's, patched
+    /// with its access pipe, when it is a stub whose shifted labels fit
+    /// below [`UNUSABLE_COST`]; its own otherwise.
+    fn place(&mut self, topo: &DistilledTopology, si: usize) {
         let src = self.vns[si];
-        let nodes = &self.component_nodes[self.node_component[src.index()] as usize];
-        let row = &mut self.pred[si];
-        row.clear();
-        row.resize(nodes.len(), NO_PRED);
-        source_tree(topo, src, nodes, &self.node_local, row, &mut self.trees);
+        let at = self.node_local[src.index()];
+        if let Some((p, hub, c)) = stub_of(topo, src) {
+            let r = self.row_for(topo, hub, at);
+            if self.far(r) < UNUSABLE_COST - c {
+                self.bind(si, r, p.0);
+                return;
+            }
+        }
+        let r = self.row_for(topo, src, NO_PRED);
+        self.bind(si, r, NO_PRED);
+    }
+
+    /// The row rooted at `root`, able to serve a new reader (at position
+    /// `reader` when it is a stub patched over the row, [`NO_PRED`] when it
+    /// is the root): the stored one, recomputed first if it does not keep an
+    /// entry the reader reads, or a new one.
+    fn row_for(&mut self, topo: &DistilledTopology, root: NodeId, reader: u32) -> usize {
+        let stored = self.row_of_node[root.index()];
+        if stored != NO_PRED {
+            let r = stored as usize;
+            let dead = self.row_dead[r];
+            if dead != NO_PRED && (reader == NO_PRED || dead != reader) {
+                self.fill(topo, r);
+            }
+            return r;
+        }
+        let r = match self.free_rows.first() {
+            Some(_) => self.free_rows.remove(0) as usize,
+            None => {
+                self.rows.push(Vec::new());
+                self.row_root.push(NO_PRED);
+                self.row_refs.push(0);
+                self.row_dead.push(NO_PRED);
+                self.row_far.push(UNUSABLE_COST);
+                self.rows.len() - 1
+            }
+        };
+        self.row_root[r] = root.index() as u32;
+        self.row_of_node[root.index()] = r as u32;
+        self.touched.push(r as u32);
+        self.ranks_stale = true;
+        self.fill(topo, r);
+        r
+    }
+
+    /// Recomputes row `r`: its root's Dijkstra, every entry kept.
+    fn fill(&mut self, topo: &DistilledTopology, r: usize) {
+        let root = self.row_root[r] as usize;
+        let nodes = &self.component_nodes[self.node_component[root] as usize];
+        let row = &mut self.rows[r];
+        self.trees.tree_row(topo, NodeId(root), nodes, row);
+        (self.row_dead[r], self.row_far[r]) = (NO_PRED, UNUSABLE_COST);
+    }
+
+    /// Row `r`'s largest finite label: what a stub shifted from it adds its
+    /// access cost to. Summed off the stored row, so a restored matrix
+    /// places a stub as the one it was taken from does: each position's
+    /// label once, a walk up to the first known one summed back down.
+    fn far(&mut self, r: usize) -> u64 {
+        if self.row_far[r] != UNUSABLE_COST {
+            return self.row_far[r];
+        }
+        let (row, tails, costs) = (&self.rows[r], &self.pipe_tail, &self.pipe_cost);
+        let root = self.node_local[self.row_root[r] as usize] as usize;
+        let (labels, known, chain) = (&mut self.labels, &mut self.scratch_memo, &mut self.chain);
+        labels.clear();
+        labels.resize(row.len(), 0);
+        known.clear();
+        known.resize(row.len(), 0);
+        known[root] = 1;
+        let mut far = 0;
+        for start in 0..row.len() {
+            let mut cur = start;
+            chain.clear();
+            while known[cur] == 0 {
+                let p = row[cur];
+                if p == NO_PRED {
+                    (labels[cur], known[cur]) = (UNUSABLE_COST, 1);
+                    break;
+                }
+                chain.push(cur as u32);
+                cur = tails[p as usize] as usize;
+            }
+            let mut sum = labels[cur];
+            for &v in chain.iter().rev() {
+                if sum != UNUSABLE_COST {
+                    sum = sum.saturating_add(costs[row[v as usize] as usize]);
+                }
+                (labels[v as usize], known[v as usize]) = (sum, 1);
+            }
+            if labels[start] != UNUSABLE_COST {
+                far = far.max(labels[start]);
+            }
+        }
+        self.row_far[r] = far;
+        far
+    }
+
+    /// Slot `si` reads row `r`, patched with `access`.
+    fn bind(&mut self, si: usize, r: usize, access: u32) {
+        (self.slot_row[si], self.slot_access[si]) = (r as u32, access);
+        self.row_refs[r] += 1;
+        self.touched.push(r as u32);
+    }
+
+    /// Slot `si` reads no row; the row it read is settled at the call's
+    /// end.
+    fn unbind(&mut self, si: usize) {
+        let r = self.slot_row[si];
+        if r != NO_PRED {
+            self.row_refs[r as usize] -= 1;
+            self.touched.push(r);
+        }
+        (self.slot_row[si], self.slot_access[si]) = (NO_PRED, NO_PRED);
+    }
+
+    /// Settles every row the call touched: a row no slot reads is freed,
+    /// and a row whose one reader is a stub drops the entry at that stub's
+    /// position (nothing reads it).
+    fn settle_touched(&mut self) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        for &r in &touched {
+            self.settle(r as usize);
+        }
+        touched.clear();
+        self.touched = touched;
+        if std::mem::take(&mut self.ranks_stale) {
+            self.row_rank.clear();
+            self.row_rank.resize(self.rows.len(), NO_PRED);
+            let live = self.row_of_node.iter().filter(|&&r| r != NO_PRED);
+            for (rank, &r) in live.enumerate() {
+                self.row_rank[r as usize] = rank as u32;
+            }
+        }
+    }
+
+    fn settle(&mut self, r: usize) {
+        let root = self.row_root[r];
+        if root == NO_PRED {
+            return;
+        }
+        if self.row_refs[r] == 0 {
+            self.rows[r].clear();
+            self.row_of_node[root as usize] = NO_PRED;
+            (self.row_root[r], self.row_dead[r]) = (NO_PRED, NO_PRED);
+            self.row_far[r] = UNUSABLE_COST;
+            if let Err(at) = self.free_rows.binary_search(&(r as u32)) {
+                self.free_rows.insert(at, r as u32);
+            }
+            self.ranks_stale = true;
+            return;
+        }
+        if self.row_refs[r] == 1 && self.row_dead[r] == NO_PRED {
+            if let Some(at) = self.lone_stub(r) {
+                self.rows[r][at as usize] = NO_PRED;
+                (self.row_dead[r], self.row_far[r]) = (at, UNUSABLE_COST);
+            }
+        }
+    }
+
+    /// The position of row `r`'s one reader, when that reader is a stub
+    /// patched over it.
+    fn lone_stub(&self, r: usize) -> Option<u32> {
+        let comp = self.node_component[self.row_root[r] as usize] as usize;
+        let reads = |&&si: &&u32| self.slot_row[si as usize] == r as u32;
+        let si = *self.component_vns[comp].iter().find(reads)? as usize;
+        let patched = self.slot_access[si] != NO_PRED;
+        patched.then(|| self.node_local[self.vns[si].index()])
     }
 
     /// Derives what the slot list determines: the dense node → slot map
@@ -449,7 +702,7 @@ impl RoutingMatrix {
     ///
     /// Output-sensitive in both directions. A pipe that got *worse* can
     /// only change trees that crossed it as a tree edge — exactly the
-    /// sources whose row names it at its head
+    /// sources whose tree names it at its head
     /// ([`RoutingMatrix::pipe_tree_sources`]). (A source whose labels
     /// merely held the pipe *tight* without using it is provably
     /// unaffected: relaxation is strict, so the final predecessor of the
@@ -461,9 +714,14 @@ impl RoutingMatrix {
     /// the labels at the pipe's two ends — at the costs its tree was computed
     /// with, before this call's are written — and is recomputed where the
     /// new cost ties or undercuts (`<=` so tie-breaking matches a
-    /// from-scratch recomputation exactly). The result equals a
-    /// from-scratch [`RoutingMatrix::rebuild`] pair for pair — pinned by
-    /// the `dynamics_invariants` and `matrix_trees` property suites.
+    /// from-scratch recomputation exactly). The same two tests, applied to
+    /// each stored row as its root's tree, pick the rows to recompute: each
+    /// once, however many stubs read it. A stub whose tree changed only in
+    /// its patch (its access pipe) is placed again, and roots a row of its
+    /// own or reads its hub's by the same rule as at a build. The result
+    /// equals a from-scratch [`RoutingMatrix::rebuild`] pair for pair —
+    /// pinned by the `dynamics_invariants` and `matrix_trees` property
+    /// suites.
     ///
     /// # Panics
     ///
@@ -494,13 +752,23 @@ impl RoutingMatrix {
         if worsened.is_empty() && improved.is_empty() {
             return update;
         }
-        // Candidate sources. Worsened pipes: the trees whose row names the
-        // pipe at its head — one read a source of its component. Improved
-        // pipes: scan the pipe's structural component for sources whose
-        // labels the new cost ties or undercuts.
+        // Candidate sources and rows. Worsened pipes: the trees that name
+        // the pipe at its head — one read a source of its component, and a
+        // row of a root other than the head. Improved pipes: the trees of
+        // the pipe's component whose labels the new cost ties or undercuts.
         let mut candidates: Vec<u32> = Vec::new();
+        let mut rows: Vec<u32> = Vec::new();
         for &p in &worsened {
             candidates.extend(self.pipe_tree_sources(topo, p));
+            let head = topo.pipe(p).dst.index();
+            let at = self.node_local[head] as usize;
+            let comp = self.node_component[head] as usize;
+            for &si in &self.component_vns[comp] {
+                let r = self.slot_row[si as usize] as usize;
+                if self.rows[r][at] == p.0 && self.row_root[r] as usize != head {
+                    rows.push(r as u32);
+                }
+            }
         }
         if !improved.is_empty() {
             let mut comps: Vec<u32> = improved
@@ -509,15 +777,40 @@ impl RoutingMatrix {
                 .collect();
             comps.sort_unstable();
             comps.dedup();
+            let undercut = |tree| {
+                let label = |node: usize| {
+                    let at = self.node_local[node] as usize;
+                    tree_label(tree, &self.pipe_tail, &self.pipe_cost, at)
+                };
+                improved.iter().any(|&(u, v, new_cost)| {
+                    let du = label(u);
+                    du != UNUSABLE_COST && du.saturating_add(new_cost) <= label(v)
+                })
+            };
             for &c in &comps {
+                let mut comp_rows = Vec::new();
                 for &si in &self.component_vns[c as usize] {
-                    let label = |node| self.label(si as usize, node);
-                    let undercut = improved.iter().any(|&(u, v, new_cost)| {
-                        let du = label(u);
-                        du != UNUSABLE_COST && du.saturating_add(new_cost) <= label(v)
-                    });
-                    if undercut {
+                    let tree = self
+                        .patched(si as usize)
+                        .expect("a component's slots are live");
+                    if undercut(tree) {
                         candidates.push(si);
+                    }
+                    comp_rows.push(self.slot_row[si as usize]);
+                }
+                comp_rows.sort_unstable();
+                comp_rows.dedup();
+                for r in comp_rows {
+                    let root = self.node_local[self.row_root[r as usize] as usize] as usize;
+                    let row = &self.rows[r as usize];
+                    let tree = Patched {
+                        row,
+                        root,
+                        hub: root,
+                        access: NO_PRED,
+                    };
+                    if undercut(tree) {
+                        rows.push(r);
                     }
                 }
             }
@@ -529,56 +822,144 @@ impl RoutingMatrix {
         // ascending scan, so callers' rewire order cannot drift.
         candidates.sort_unstable();
         candidates.dedup();
-        self.trees.hub = None;
-        for &si in &candidates {
-            let si = si as usize;
-            update.recomputed_sources += 1;
+        rows.sort_unstable();
+        rows.dedup();
+        update.recomputed_sources = candidates.len();
+        // Every reader of a stale row is placed again and diffed, with the
+        // candidates: its old tree is read from a saved copy of its old
+        // row. A stale row is recomputed when the first slot is placed on
+        // it, and freed if none is.
+        let mut affected = candidates;
+        for &r in &rows {
+            let comp = self.node_component[self.row_root[r as usize] as usize] as usize;
+            let readers = self.component_vns[comp].iter();
+            affected.extend(readers.filter(|&&si| self.slot_row[si as usize] == r));
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        let mut old_places: Vec<(u32, u32, u32)> = Vec::with_capacity(affected.len());
+        self.saved_len = 0;
+        for &si in &affected {
+            let (r, access) = (self.slot_row[si as usize], self.slot_access[si as usize]);
+            let root = self.row_root[r as usize];
+            old_places.push((self.save(r), root, access));
+        }
+        for &r in &rows {
+            self.row_dead[r as usize] = STALE;
+        }
+        for &si in &affected {
+            self.unbind(si as usize);
+            self.place(topo, si as usize);
+        }
+        // Report changed destinations, old trees against new. A slot that
+        // reads the same root's row with the same patch before and after
+        // shares the root's verdicts at every destination but itself (a
+        // stub is a leaf of its hub's tree): one memo a pair of rows.
+        self.memos_len = 0;
+        for (&si, &(saved, old_root, old_access)) in affected.iter().zip(&old_places) {
+            let (si, r) = (si as usize, self.slot_row[si as usize] as usize);
             let src = self.vns[si];
-            // Recompute, refresh the row and diff routes inside the
-            // source's structural component: the row covers nothing else.
             let comp = self.node_component[src.index()] as usize;
-            let nodes = &self.component_nodes[comp];
-            let fresh = &mut self.scratch_row;
-            fresh.clear();
-            fresh.resize(nodes.len(), NO_PRED);
-            source_tree(topo, src, nodes, &self.node_local, fresh, &mut self.trees);
-            // Report changed destinations against the still-old row…
-            let (old_row, root) = (&self.pred[si], self.node_local[src.index()] as usize);
-            self.scratch_memo.clear();
-            self.scratch_memo.resize(nodes.len(), 0);
+            let root = self.node_local[src.index()] as usize;
+            let (hub, access) = (self.row_root[r], self.slot_access[si]);
+            let at_hub = self.node_local[hub as usize] as usize;
+            let old_row = &self.saved[saved as usize].1;
+            let shared = (old_root, old_access) == (hub, access);
+            let (old, new, memo) = if shared {
+                let kept = self.memos[..self.memos_len].iter();
+                let k = match kept
+                    .into_iter()
+                    .position(|m| (m.0, m.1) == (saved, r as u32))
+                {
+                    Some(k) => k,
+                    None => {
+                        if self.memos_len == self.memos.len() {
+                            self.memos.push((0, 0, Vec::new()));
+                        }
+                        let (old, new, memo) = &mut self.memos[self.memos_len];
+                        (*old, *new) = (saved, r as u32);
+                        memo.clear();
+                        memo.resize(old_row.len(), 0);
+                        self.memos_len += 1;
+                        self.memos_len - 1
+                    }
+                };
+                let tree = |row| Patched {
+                    row,
+                    root: at_hub,
+                    hub: at_hub,
+                    access: NO_PRED,
+                };
+                (tree(old_row), tree(&self.rows[r]), &mut self.memos[k].2)
+            } else {
+                self.scratch_memo.clear();
+                self.scratch_memo.resize(old_row.len(), 0);
+                let old = Patched {
+                    row: old_row,
+                    root,
+                    hub: self.node_local[old_root as usize] as usize,
+                    access: old_access,
+                };
+                let new = Patched {
+                    row: &self.rows[r],
+                    hub: at_hub,
+                    access,
+                    ..old
+                };
+                (old, new, &mut self.scratch_memo)
+            };
             for &di in &self.component_vns[comp] {
                 let dst = self.vns[di as usize];
                 let at = self.node_local[dst.index()] as usize;
-                let memo = &mut self.scratch_memo;
-                if route_changed(old_row, fresh, &self.pipe_tail, memo, root, at) {
+                if at != root && route_changed(old, new, &self.pipe_tail, memo, at) {
                     update.changed_pairs.push((src, dst));
                 }
             }
-            // …then keep the fresh row.
-            self.pred[si].copy_from_slice(fresh);
         }
+        self.settle_touched();
         if !update.changed_pairs.is_empty() || update.recomputed_sources > 0 {
             self.version += 1;
         }
         update
     }
 
-    /// Adds a source tree for `node` incrementally: one component-scoped
-    /// Dijkstra — O(component log component),
-    /// independent of how many sources the matrix already holds. A
-    /// tombstoned slot left by [`RoutingMatrix::remove_source`] is reused
-    /// when available, its row sized to `node`'s component, so sustained
-    /// join/leave churn keeps the slot count at its high-water mark instead
-    /// of growing it forever. Returns `false` (and changes nothing) when
-    /// `node` is already a live source or is not a node of the graph the
-    /// matrix was built over.
+    /// Saves row `r`'s entries for this update's diff, once: the index of
+    /// its copy.
+    fn save(&mut self, r: u32) -> u32 {
+        let kept = &self.saved[..self.saved_len];
+        if let Some(at) = kept.iter().position(|(row, _)| *row == r) {
+            return at as u32;
+        }
+        if self.saved_len == self.saved.len() {
+            self.saved.push((r, Vec::new()));
+        }
+        let (row, copy) = &mut self.saved[self.saved_len];
+        *row = r;
+        copy.clear();
+        copy.extend_from_slice(&self.rows[r as usize]);
+        self.saved_len += 1;
+        self.saved_len as u32 - 1
+    }
+
+    /// Adds a source tree for `node` incrementally. A stub whose hub's row
+    /// is stored reads it: no Dijkstra and no row (unless the row's one
+    /// reader so far was a stub, whose entry the row did not keep — then
+    /// the row is recomputed). Otherwise one component-scoped Dijkstra —
+    /// O(component log component), independent of how many sources the
+    /// matrix already holds. A tombstoned slot left by
+    /// [`RoutingMatrix::remove_source`] is reused when available, so
+    /// sustained join/leave churn keeps the slot count at its high-water
+    /// mark instead of growing it forever. Returns `false` (and changes
+    /// nothing) when `node` is already a live source or is not a node of the
+    /// graph the matrix was built over.
     pub fn add_source(&mut self, topo: &DistilledTopology, node: NodeId) -> bool {
         if self.vn_index(node).is_some() || node.index() >= self.node_count {
             return false;
         }
         let si = if self.free_slots.is_empty() {
             self.vns.push(node);
-            self.pred.push(Vec::new());
+            self.slot_row.push(NO_PRED);
+            self.slot_access.push(NO_PRED);
             self.vns.len() - 1
         } else {
             // Lowest tombstone first: slot assignment is a pure function
@@ -596,26 +977,25 @@ impl RoutingMatrix {
         if let Err(pos) = vns.binary_search(&(si as u32)) {
             vns.insert(pos, si as u32);
         }
-        self.trees.hub = None;
-        self.plant_tree(topo, si);
+        self.place(topo, si);
+        self.settle_touched();
         self.version += 1;
         true
     }
 
-    /// Removes `node`'s source tree incrementally: its row is emptied and
-    /// the slot tombstoned for reuse. Trees *toward* the node's location (other
-    /// sources' rows) are untouched, which is what lets descriptors
-    /// already in flight toward a departed endpoint drain on their
-    /// pre-departure routes. Returns `false` when `node` is not a live
-    /// source.
+    /// Removes `node`'s source tree incrementally: the slot is tombstoned
+    /// for reuse, and its row freed if no other slot reads it. Trees
+    /// *toward* the node's location (other sources' rows) are untouched,
+    /// which is what lets descriptors already in flight toward a departed
+    /// endpoint drain on their pre-departure routes. Returns `false` when
+    /// `node` is not a live source.
     pub fn remove_source(&mut self, node: NodeId) -> bool {
         let Some(si) = self.vn_index(node) else {
             return false;
         };
         let si_u32 = si as u32;
         self.vn_of_node[node.index()] = NO_PRED;
-        // The allocation stays for the slot's next tree.
-        self.pred[si].clear();
+        self.unbind(si);
         let vns = &mut self.component_vns[self.node_component[node.index()] as usize];
         if let Ok(pos) = vns.binary_search(&si_u32) {
             vns.remove(pos);
@@ -624,6 +1004,7 @@ impl RoutingMatrix {
         if let Err(pos) = self.free_slots.binary_search(&si_u32) {
             self.free_slots.insert(pos, si_u32);
         }
+        self.settle_touched();
         self.version += 1;
         true
     }
@@ -631,6 +1012,11 @@ impl RoutingMatrix {
     /// Number of live (non-tombstoned) source trees currently stored.
     pub fn live_source_count(&self) -> usize {
         self.vns.len() - self.free_slots.len()
+    }
+
+    /// Number of rows stored: one per tree root, not one per source.
+    pub fn stored_row_count(&self) -> usize {
+        self.rows.len() - self.free_rows.len()
     }
 
     /// Change counter of this matrix (a restored one starts at 0): bumped
@@ -699,7 +1085,7 @@ impl RoutingMatrix {
             .tree_of_slot(src_index)
             .and_then(|t| Some((t, t.position(dst)?)))
         {
-            Some((tree, at)) => walk_row(tree.pred, tree.tails, tree.root, at, out),
+            Some((tree, at)) => walk_tree(tree.patched, tree.tails, at, out),
             None => false,
         }
     }
@@ -712,13 +1098,24 @@ impl RoutingMatrix {
 
     /// [`RoutingMatrix::tree_of`] by slot: `None` for a tombstone.
     fn tree_of_slot(&self, si: usize) -> Option<Tree<'_>> {
-        let src = self.vns[si].index();
-        (src < self.node_count).then(|| Tree {
-            pred: &self.pred[si],
+        let patched = self.patched(si)?;
+        Some(Tree {
+            patched,
             tails: &self.pipe_tail,
-            root: self.node_local[src] as usize,
-            component: self.node_component[src],
+            component: self.node_component[self.vns[si].index()],
             matrix: self,
+        })
+    }
+
+    /// Slot `si`'s tree as its row and patch: `None` for a tombstone.
+    fn patched(&self, si: usize) -> Option<Patched<'_>> {
+        let r = *self.slot_row.get(si).filter(|&&r| r != NO_PRED)? as usize;
+        let root = self.node_local[self.vns[si].index()] as usize;
+        Some(Patched {
+            row: &self.rows[r],
+            root,
+            hub: self.node_local[self.row_root[r] as usize] as usize,
+            access: self.slot_access[si],
         })
     }
 
@@ -738,19 +1135,10 @@ impl RoutingMatrix {
         let Some(tree) = self.tree_of_slot(si) else {
             return UNUSABLE_COST;
         };
-        let Some(mut cur) = tree.position(NodeId(node)) else {
-            return UNUSABLE_COST;
-        };
-        let mut sum = 0u64;
-        while cur != tree.root {
-            let p = tree.pred[cur];
-            if p == NO_PRED {
-                return UNUSABLE_COST;
-            }
-            sum = sum.saturating_add(self.pipe_cost[p as usize]);
-            cur = self.pipe_tail[p as usize] as usize;
+        match tree.position(NodeId(node)) {
+            Some(at) => tree_label(tree.patched, tree.tails, &self.pipe_cost, at),
+            None => UNUSABLE_COST,
         }
-        sum
     }
 
     /// Number of pipes of the graph the matrix was last (re)built over.
@@ -759,7 +1147,7 @@ impl RoutingMatrix {
     }
 
     /// Dijkstra runs this matrix has made (not carried by a snapshot): a
-    /// stub's tree is a copy of its hub's, so this counts hubs, not sources.
+    /// stub reads its hub's row, so this counts tree roots, not sources.
     /// Exact, so tests can state tree cost as a count.
     #[doc(hidden)]
     pub fn dijkstra_runs(&self) -> u64 {
@@ -770,8 +1158,9 @@ impl RoutingMatrix {
     /// `pipe` of `topo` as a tree edge — exactly the trees a worsening of
     /// this pipe forces [`RoutingMatrix::update_pipes`] to recompute. A
     /// tree edge is its head's predecessor, so these are the live sources
-    /// of the pipe's component whose row names it at its head's position:
-    /// one read a source.
+    /// of the pipe's component whose tree names it at its head's position
+    /// (a stub's through its hub's row, or its access pipe): one read a
+    /// source.
     #[doc(hidden)]
     pub fn pipe_tree_sources<'a>(
         &'a self,
@@ -786,25 +1175,39 @@ impl RoutingMatrix {
             }
             None => (&[][..], 0),
         };
-        let crosses = move |si: &u32| self.pred[*si as usize][at] == pipe.0;
+        let crosses = move |si: &u32| {
+            let tree = self.patched(*si as usize);
+            tree.is_some_and(|t| t.pred(at) == pipe.0)
+        };
         sources.iter().copied().filter(crosses)
     }
 
-    /// Resident heap bytes of the route state (trees, pipe costs and
-    /// tails, component maps and positions) — the structures
-    /// that scale with topology size, reported beside the table's own
-    /// accounting.
+    /// Resident heap bytes of the route state (rows, slot and row maps,
+    /// pipe costs and tails, component maps and positions) — the
+    /// structures that scale with topology size, reported beside the
+    /// table's own accounting.
     pub fn memory_bytes(&self) -> usize {
         fn nested(v: &[Vec<u32>]) -> usize {
             std::mem::size_of_val(v) + v.iter().map(|e| e.capacity() * 4).sum::<usize>()
         }
-        nested(&self.pred)
-            + self.pipe_cost.capacity() * 8
-            + self.pipe_src.capacity() * 4
-            + self.pipe_tail.capacity() * 4
-            + self.vn_of_node.capacity() * 4
-            + self.node_component.capacity() * 4
-            + self.node_local.capacity() * 4
+        let u32s = [
+            &self.row_root,
+            &self.row_refs,
+            &self.row_dead,
+            &self.row_of_node,
+            &self.free_rows,
+            &self.row_rank,
+            &self.slot_row,
+            &self.slot_access,
+            &self.pipe_src,
+            &self.pipe_tail,
+            &self.vn_of_node,
+            &self.node_component,
+            &self.node_local,
+        ];
+        nested(&self.rows)
+            + u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
+            + (self.row_far.capacity() + self.pipe_cost.capacity()) * 8
             + self.vns.capacity() * std::mem::size_of::<NodeId>()
             + nested(&self.component_vns)
             + nested(&self.component_nodes)
@@ -818,110 +1221,266 @@ impl RoutingMatrix {
         (0..n * n).filter_map(routed).max().unwrap_or(0)
     }
 
-    /// Slot `si`'s row width: its component's node count, 0 for a
-    /// tombstone.
-    fn width(&self, si: usize) -> usize {
-        let src = self.vns[si].index();
+    /// The component node count of `node` (0 outside the graph): a row's
+    /// width.
+    fn width_at(&self, node: usize) -> usize {
         let comp = |c: &u32| self.component_nodes[*c as usize].len();
-        self.node_component.get(src).map_or(0, comp)
+        self.node_component.get(node).map_or(0, comp)
     }
 
-    /// Reads the matrix as format v9 wrote it: the current layout with four
-    /// derived tables besides — the node → slot map after the slot list,
-    /// each component's slots before the component node lists, the reverse
-    /// index and the free slots after the rows — read past unchecked, since
-    /// nothing reads them. Read by v9 checkpoints alone; the next format
-    /// drops it.
+    /// Reads the matrix as format v10 wrote it — the slot list, the node
+    /// count, the pipe tables, each node's component, the component node
+    /// lists and a row per slot — checks it as the current format is
+    /// checked, and stores each stub's row once, at its hub
+    /// ([`RoutingMatrix::share_rows`]). Read by v10 checkpoints alone; the
+    /// next format drops it.
     #[doc(hidden)]
-    pub fn get_v9(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Self::read(r, true)
-    }
-
-    /// Reads the slot list, the node count, the pipe tables and the
-    /// component maps, refuses maps a row's width or position could not be
-    /// read from (a node without a component, a component list that is not
-    /// its nodes' ascending, a live slot outside the graph), then reads each
-    /// slot's row at its component's width and checks the whole
-    /// ([`RoutingMatrix::checked`]). `v9` reads past what format v9 also
-    /// wrote.
-    fn read(r: &mut ByteReader<'_>, v9: bool) -> Result<Self, CodecError> {
+    pub fn get_v10(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let vns = Vec::<NodeId>::get(r)?;
-        if v9 {
-            Vec::<u32>::get(r)?;
-        }
-        let (node_count, pipe_cost, pipe_src, node_component) = Codec::get(r)?;
-        if v9 {
-            Vec::<Vec<u32>>::get(r)?;
-        }
+        let (node_count, pipe_cost, pipe_src, node_component): (_, _, _, Vec<u32>) = Codec::get(r)?;
         let mut m = RoutingMatrix {
             vns,
             node_count,
             pipe_cost,
             pipe_src,
-            node_component,
             component_nodes: Codec::get(r)?,
             ..RoutingMatrix::default()
         };
-        if !m.components_partition_the_nodes() {
+        if !m.derive_components() || node_component != m.node_component {
             return Err(CodecError::Invalid("component maps disagree"));
         }
-        let in_graph = |v: &NodeId| *v == DEAD_SOURCE || v.index() < node_count;
-        if !m.vns.iter().all(in_graph) {
-            return Err(CodecError::Invalid("source slot outside the graph"));
-        }
+        m.check_tables()?;
+        let mut trees = Vec::with_capacity(m.vns.len());
         for si in 0..m.vns.len() {
-            let row = r.get_bare_u32s(m.width(si))?;
-            m.pred.push(row);
+            trees.push(r.get_bare_u32s(m.width_at(m.vns[si].index()))?);
         }
-        if v9 {
-            <(Vec<Vec<u32>>, Vec<u32>)>::get(r)?;
-        }
-        m.checked()
+        let live = (m.vns.iter().zip(&trees)).filter(|(v, _)| **v != DEAD_SOURCE);
+        m.check_rows(live.map(|(v, row)| (&row[..], v.index())))?;
+        m.share_rows(trees);
+        Ok(m)
     }
 
-    /// Whether every node has a component whose ascending list names it,
-    /// and the lists name nothing else.
-    fn components_partition_the_nodes(&self) -> bool {
-        let (nodes, lists) = (&self.node_component, &self.component_nodes);
-        let listed: usize = lists.iter().map(Vec::len).sum();
-        let member = |c: usize| move |&u: &u32| nodes.get(u as usize) == Some(&(c as u32));
-        nodes.len() == self.node_count
-            && listed == self.node_count
-            && (lists.iter().enumerate()).all(|(c, list)| list.iter().all(member(c)))
-            && lists
-                .iter()
-                .all(|list| list.windows(2).all(|w| w[0] < w[1]))
+    /// Stores format v10's per-slot trees as rows keyed by root. A stub
+    /// slot's tree (one usable out-pipe `p`, named in its tree at the hub's
+    /// position) is its hub's row patched, and the group of stubs of one hub
+    /// gives that row back: the entries the patch hides are the hub's own
+    /// row's, when the hub is a source, or a sibling's. A slot whose tree is
+    /// not the group's row patched — and every other slot — roots its own.
+    /// The layout is then the one a build over the same trees stores. Should
+    /// two rows claim one root, every slot roots its own row instead: the
+    /// same trees, stored per slot.
+    fn share_rows(&mut self, trees: Vec<Vec<u32>>) {
+        let n = self.vns.len();
+        let mut outs = vec![(0u32, NO_PRED); self.node_count];
+        for (p, &u) in self.pipe_src.iter().enumerate() {
+            outs[u as usize] = (outs[u as usize].0.saturating_add(1), p as u32);
+        }
+        // Each live slot's (hub position, access pipe), for a stub.
+        let stub = |si: usize| {
+            let src = self.vns[si];
+            let (count, p) = *outs.get(src.index())?;
+            let usable = count == 1 && self.pipe_cost[p as usize] != UNUSABLE_COST;
+            let own = self.node_local[src.index()] as usize;
+            let hub = trees[si].iter().position(|&e| e == p);
+            hub.filter(|&h| usable && h != own).map(|h| (h, p))
+        };
+        let stubs: Vec<Option<(usize, u32)>> = (0..n).map(stub).collect();
+        // Stubs by hub node, in slot order.
+        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+        for (si, s) in stubs.iter().enumerate() {
+            if let Some((hub, _)) = s {
+                let comp = self.node_component[self.vns[si].index()] as usize;
+                let node = self.component_nodes[comp][*hub] as usize;
+                groups.entry(node).or_default().push(si);
+            }
+        }
+        let mut rows: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
+        let mut places = vec![(NO_PRED, NO_PRED); n];
+        let mut clash = false;
+        for (&hub, members) in &groups {
+            let hub_slot = self.vn_index(NodeId(hub)).filter(|&h| stubs[h].is_none());
+            let at = |si: usize| self.node_local[self.vns[si].index()] as usize;
+            let hub_at = self.node_local[hub] as usize;
+            // The row read off member `k`, its own position's entry off the
+            // first sibling whose tree agrees with its elsewhere.
+            let from_member = |k: usize| {
+                let (own, tree) = (at(members[k]), &trees[members[k]]);
+                let agrees = |&&s: &&usize| {
+                    let skip = |i: &usize| ![own, at(s), hub_at].contains(i);
+                    s != members[k] && (0..tree.len()).filter(skip).all(|i| trees[s][i] == tree[i])
+                };
+                let mut row = tree.clone();
+                row[hub_at] = NO_PRED;
+                row[own] = members
+                    .iter()
+                    .find(agrees)
+                    .map_or(NO_PRED, |&s| trees[s][own]);
+                row
+            };
+            let sharing = |row: &[u32]| {
+                let shares = |&&si: &&usize| {
+                    let access = stubs[si].map_or(NO_PRED, |(_, p)| p);
+                    let patched = Patched {
+                        row,
+                        root: at(si),
+                        hub: hub_at,
+                        access,
+                    };
+                    (0..row.len()).all(|i| patched.pred(i) == trees[si][i])
+                };
+                members
+                    .iter()
+                    .filter(shares)
+                    .copied()
+                    .collect::<Vec<usize>>()
+            };
+            // The hub's own tree, or the member's tree most members share.
+            let (row, readers) = match hub_slot {
+                Some(h) => (trees[h].clone(), sharing(&trees[h])),
+                None => {
+                    let mut best = (Vec::new(), Vec::new());
+                    for k in 0..members.len() {
+                        let row = from_member(k);
+                        let readers = sharing(&row);
+                        if readers.len() > best.1.len() {
+                            best = (row, readers);
+                        }
+                        if best.1.len() == members.len() {
+                            break;
+                        }
+                    }
+                    best
+                }
+            };
+            for &si in &readers {
+                places[si] = (hub as u32, stubs[si].map_or(NO_PRED, |(_, p)| p));
+            }
+            if let Some(h) = hub_slot {
+                places[h] = (hub as u32, NO_PRED);
+            }
+            if hub_slot.is_some() || !readers.is_empty() {
+                clash |= rows.insert(hub, row).is_some();
+            }
+        }
+        for si in 0..n {
+            let src = self.vns[si];
+            if src != DEAD_SOURCE && places[si].0 == NO_PRED {
+                places[si] = (src.index() as u32, NO_PRED);
+                clash |= rows.insert(src.index(), trees[si].clone()).is_some();
+            }
+        }
+        if clash {
+            rows.clear();
+            for (si, &src) in self.vns.iter().enumerate() {
+                if src != DEAD_SOURCE {
+                    places[si] = (src.index() as u32, NO_PRED);
+                    rows.insert(src.index(), trees[si].clone());
+                }
+            }
+        }
+        self.row_of_node = vec![NO_PRED; self.node_count];
+        for (root, row) in rows {
+            self.row_of_node[root] = self.rows.len() as u32;
+            self.row_root.push(root as u32);
+            self.rows.push(row);
+        }
+        self.slot_row = places
+            .iter()
+            .map(|&(root, _)| match root {
+                NO_PRED => NO_PRED,
+                root => self.row_of_node[root as usize],
+            })
+            .collect();
+        self.slot_access = places.iter().map(|&(_, access)| access).collect();
+        self.index_rows();
+        for (row, &dead) in self.rows.iter_mut().zip(&self.row_dead) {
+            if dead != NO_PRED {
+                row[dead as usize] = NO_PRED;
+            }
+        }
     }
 
-    /// Refuses what the rest of a decoded matrix could make a later call
-    /// index out of range or walk forever, and derives what the slot list
-    /// and the component maps determine.
-    fn checked(mut self) -> Result<Self, CodecError> {
+    /// Derives what the rows and the slots' rows determine: each row's
+    /// readers, its dropped entry, and the node → row map.
+    fn index_rows(&mut self) {
+        let rows = self.rows.len();
+        self.row_rank = (0..rows as u32).collect();
+        self.row_refs = vec![0; rows];
+        self.row_dead = vec![NO_PRED; rows];
+        self.row_far = vec![UNUSABLE_COST; rows];
+        self.row_of_node = vec![NO_PRED; self.node_count];
+        for (r, &root) in self.row_root.iter().enumerate() {
+            self.row_of_node[root as usize] = r as u32;
+        }
+        for &r in self.slot_row.iter().filter(|&&r| r != NO_PRED) {
+            self.row_refs[r as usize] += 1;
+        }
+        for r in 0..rows {
+            if self.row_refs[r] == 1 {
+                self.row_dead[r] = self.lone_stub(r).unwrap_or(NO_PRED);
+            }
+        }
+    }
+
+    /// Derives each node's component from the component lists; returns
+    /// whether they partition the nodes, each list ascending.
+    fn derive_components(&mut self) -> bool {
+        let listed: usize = self.component_nodes.iter().map(Vec::len).sum();
+        if listed != self.node_count {
+            return false;
+        }
+        let mut node_component = vec![NO_PRED; self.node_count];
+        for (c, list) in self.component_nodes.iter().enumerate() {
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return false;
+            }
+            for &u in list {
+                match node_component.get_mut(u as usize) {
+                    Some(slot) if *slot == NO_PRED => *slot = c as u32,
+                    _ => return false,
+                }
+            }
+        }
+        self.node_component = node_component;
+        self.node_component.iter().all(|&c| c != NO_PRED)
+    }
+
+    /// Refuses pipe tables and slot lists a later call would index out of
+    /// range with, and derives the node → slot map, each component's slots,
+    /// the free slots and the positions.
+    fn check_tables(&mut self) -> Result<(), CodecError> {
         use CodecError::Invalid;
+        let node_count = self.node_count;
+        let in_graph = |v: &NodeId| *v == DEAD_SOURCE || v.index() < node_count;
+        if !self.vns.iter().all(in_graph) {
+            return Err(Invalid("source slot outside the graph"));
+        }
         if self.pipe_cost.len() != self.pipe_src.len() {
             return Err(Invalid("pipe tables of unequal lengths"));
         }
-        if self.pipe_src.iter().any(|&u| u as usize >= self.node_count) {
+        if self.pipe_src.iter().any(|&u| u as usize >= node_count) {
             return Err(Invalid("pipe tail out of range"));
         }
         if !self.index_slots() {
             return Err(Invalid("node claimed by two live slots"));
         }
         self.derive_positions();
-        self.check_rows()?;
-        Ok(self)
+        Ok(())
     }
 
     /// Refuses a row that names a pipe out of range or of another
     /// component, or whose walk up from some position comes back to it
-    /// (a cycle: a lookup, label or route diff over it never ends). One
-    /// pass over each row: every position is stamped by the first walk
-    /// through it, each walk with a fresh stamp, and a walk ends at the
-    /// root, at [`NO_PRED`], or at a position an earlier walk of the row
-    /// stamped — one that walk showed ends. A position the walk itself
-    /// stamped is a cycle. Stamps only grow, so none is cleared between
-    /// rows.
-    fn check_rows(&self) -> Result<(), CodecError> {
+    /// (a cycle: a lookup, label or route diff over it never ends). `rows`
+    /// yields each row with its root node. One pass over each row: every
+    /// position is stamped by the first walk through it, each walk with a
+    /// fresh stamp, and a walk ends at the root, at [`NO_PRED`], or at a
+    /// position an earlier walk of the row stamped — one that walk showed
+    /// ends. A position the walk itself stamped is a cycle. Stamps only
+    /// grow, so none is cleared between rows.
+    fn check_rows<'a>(
+        &self,
+        rows: impl Iterator<Item = (&'a [u32], usize)>,
+    ) -> Result<(), CodecError> {
         use CodecError::Invalid;
         let pipes = self.pipe_src.len();
         // Each pipe's component, looked up per entry only where there is
@@ -935,11 +1494,9 @@ impl RoutingMatrix {
         let widest = self.component_nodes.iter().map(Vec::len).max();
         let mut stamp = vec![0u64; widest.unwrap_or(0)];
         let mut walk = 0u64;
-        for (row, &src) in self.pred.iter().zip(&self.vns) {
-            let Some(&comp) = self.node_component.get(src.index()) else {
-                continue;
-            };
-            let (root, row_start) = (self.node_local[src.index()] as usize, walk + 1);
+        for (row, src) in rows {
+            let comp = self.node_component[src];
+            let (root, row_start) = (self.node_local[src] as usize, walk + 1);
             for start in 0..row.len() {
                 if stamp[start] >= row_start {
                     continue;
@@ -975,13 +1532,16 @@ impl RoutingMatrix {
     }
 }
 
-/// The slot list and the node count, the pipe tables, the component maps,
-/// then every slot's row at its component's width (none for a tombstone)
-/// with no length of its own — the maps before it give each. Written out
-/// rather than declared because the rows' widths come from the maps, which
-/// are checked before a row is read; the positions, the node → slot map,
-/// each component's slots and the free slots are derived from the rest,
-/// and the change counter and the scratch are not written.
+/// The slot list and the node count, the pipe tables, the component node
+/// lists, the rows' roots (ascending) and then every row at its root
+/// component's width, and last each live slot's row (its index in root
+/// order) — rows and slots' rows with no length of their own, as the lists
+/// before them give each. Written out rather than declared because the
+/// rows' widths come from the maps, which are checked before a row is read;
+/// each node's component and position, the node → slot map, each
+/// component's slots, the free slots, each stub's access pipe and each
+/// row's readers are derived from the rest, and the change counter and the
+/// scratch are not written.
 impl Codec for RoutingMatrix {
     /// Five count prefixes and the node count.
     const MIN_BYTES: usize = 5 * <Vec<u32> as Codec>::MIN_BYTES + usize::MIN_BYTES;
@@ -991,15 +1551,91 @@ impl Codec for RoutingMatrix {
         self.node_count.put(w);
         self.pipe_cost.put(w);
         self.pipe_src.put(w);
-        self.node_component.put(w);
         self.component_nodes.put(w);
-        for row in &self.pred {
-            w.put_bare_u32s(row);
+        // Rows in root order: the layout is the trees', not the history's.
+        let order = self.row_of_node.iter().filter(|&&r| r != NO_PRED);
+        w.put_len(self.stored_row_count());
+        for &r in order.clone() {
+            w.put_u32(self.row_root[r as usize]);
+        }
+        for &r in order {
+            w.put_bare_u32s(&self.rows[r as usize]);
+        }
+        let live = self.slot_row.iter().filter(|&&r| r != NO_PRED);
+        for &r in live {
+            w.put_u32(self.row_rank[r as usize]);
         }
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Self::read(r, false)
+        use CodecError::Invalid;
+        let vns = Vec::<NodeId>::get(r)?;
+        let (node_count, pipe_cost, pipe_src) = Codec::get(r)?;
+        let mut m = RoutingMatrix {
+            vns,
+            node_count,
+            pipe_cost,
+            pipe_src,
+            component_nodes: Codec::get(r)?,
+            ..RoutingMatrix::default()
+        };
+        if !m.derive_components() {
+            return Err(Invalid("component lists do not partition the nodes"));
+        }
+        m.check_tables()?;
+        m.row_root = r.get_u32s()?;
+        for pair in m.row_root.windows(2) {
+            if pair[0] >= pair[1] {
+                return Err(Invalid(match pair[0] == pair[1] {
+                    true => "two rows with one root",
+                    false => "rows out of root order",
+                }));
+            }
+        }
+        if m.row_root
+            .last()
+            .is_some_and(|&root| root as usize >= node_count)
+        {
+            return Err(Invalid("row root outside the graph"));
+        }
+        for i in 0..m.row_root.len() {
+            let row = r.get_bare_u32s(m.width_at(m.row_root[i] as usize))?;
+            m.rows.push(row);
+        }
+        let roots = m.row_root.iter().map(|&root| root as usize);
+        m.check_rows(m.rows.iter().map(Vec::as_slice).zip(roots))?;
+        // Each node's one out-pipe, if it has exactly one.
+        let mut outs = vec![(0u32, NO_PRED); node_count];
+        for (p, &u) in m.pipe_src.iter().enumerate() {
+            outs[u as usize] = (outs[u as usize].0.saturating_add(1), p as u32);
+        }
+        (m.slot_row, m.slot_access) = (vec![NO_PRED; m.vns.len()], vec![NO_PRED; m.vns.len()]);
+        for si in 0..m.vns.len() {
+            let src = m.vns[si].index();
+            if m.vns[si] == DEAD_SOURCE {
+                continue;
+            }
+            let row = r.get_u32()?;
+            let Some(&root) = m.row_root.get(row as usize) else {
+                return Err(Invalid("slot names a row out of range"));
+            };
+            if m.node_component[root as usize] != m.node_component[src] {
+                return Err(Invalid("row of another component than its slot's"));
+            }
+            if root as usize != src {
+                let (count, p) = outs[src];
+                if count != 1 {
+                    return Err(Invalid("stub slot without a unique access pipe"));
+                }
+                m.slot_access[si] = p;
+            }
+            m.slot_row[si] = row;
+        }
+        m.index_rows();
+        if m.row_refs.contains(&0) {
+            return Err(Invalid("row no slot reads"));
+        }
+        Ok(m)
     }
 }
 
@@ -1220,7 +1856,7 @@ mod tests {
             let head = d.pipe(p).dst;
             let names = |si: &u32| {
                 let tree = m.tree_of_slot(*si as usize);
-                tree.and_then(|t| Some(t.pred[t.position(head)?])) == Some(pid as u32)
+                tree.and_then(|t| Some(t.pred(t.position(head)?))) == Some(pid as u32)
             };
             let expected: Vec<u32> = (0..m.vn_count() as u32).filter(names).collect();
             assert_eq!(trees(m, d, p), expected, "pipe {pid}");
@@ -1439,29 +2075,52 @@ mod tests {
         assert_tree_membership_exact(&restored, &d);
     }
 
-    /// Every live source's stored row and summed labels against a
-    /// from-scratch Dijkstra, bit for bit: a stub's shifted copy must be
-    /// indistinguishable from it.
+    /// Every live source's tree (its row, patched) and summed labels
+    /// against a from-scratch Dijkstra, bit for bit: a stub read through its
+    /// hub's row must be indistinguishable from it. And every stored row is
+    /// its root's tree, but for the entry a lone stub reader does not read;
+    /// no row is stale, and none is stored that no slot reads.
     fn assert_rows_are_dijkstras(m: &RoutingMatrix, d: &DistilledTopology) {
         let nc = m.node_count;
-        for (si, &src) in m.vns.iter().enumerate() {
-            if src == DEAD_SOURCE {
-                assert!(m.pred[si].is_empty(), "a tombstone's row is empty");
-                continue;
-            }
+        let dijkstra = |src: NodeId| {
             let (pred, dist) = crate::shortest_route_tree_with_dist(d, src);
             let pred: Vec<u32> = pred.iter().map(|p| p.map_or(NO_PRED, |p| p.0)).collect();
             let nodes = &m.component_nodes[m.node_component[src.index()] as usize];
             let kept: Vec<u32> = nodes.iter().map(|&u| pred[u as usize]).collect();
-            assert_eq!(m.pred[si], kept, "pred row of {src}");
             let set = |row: &[u32]| row.iter().filter(|&&p| p != NO_PRED).count();
             assert_eq!(
                 set(&kept),
                 set(&pred),
                 "{src} reaches outside its component"
             );
+            (kept, dist)
+        };
+        for (si, &src) in m.vns.iter().enumerate() {
+            if src == DEAD_SOURCE {
+                assert_eq!(m.slot_row[si], NO_PRED, "a tombstone reads no row");
+                continue;
+            }
+            let (kept, dist) = dijkstra(src);
+            let tree = m.tree_of_slot(si).unwrap();
+            let read: Vec<u32> = (0..tree.width()).map(|at| tree.pred(at)).collect();
+            assert_eq!(read, kept, "pred row of {src}");
             let labels: Vec<u64> = (0..nc).map(|u| m.label(si, u)).collect();
             assert_eq!(labels, dist, "labels of {src}");
+        }
+        for r in 0..m.rows.len() {
+            let root = m.row_root[r];
+            if root == NO_PRED {
+                assert!(m.rows[r].is_empty() && m.free_rows.contains(&(r as u32)));
+                continue;
+            }
+            assert!(m.row_refs[r] > 0, "row {r} is read");
+            let (mut kept, _) = dijkstra(NodeId(root as usize));
+            let dead = m.row_dead[r];
+            assert_ne!(dead, STALE);
+            if dead != NO_PRED {
+                kept[dead as usize] = NO_PRED;
+            }
+            assert_eq!(m.rows[r], kept, "row {r} rooted at {root}");
         }
     }
 
@@ -1500,7 +2159,8 @@ mod tests {
         let d = distill(&topo, DistillationMode::HopByHop);
         let m = RoutingMatrix::build(&d);
         assert_eq!(m.vns(), [t, h, s1, s2]);
-        assert_eq!(m.dijkstra_runs(), 3, "t, h, and h again as the hub");
+        assert_eq!(m.dijkstra_runs(), 2, "t, and h for itself and its stubs");
+        assert_eq!(m.stored_row_count(), 2);
         assert_rows_are_dijkstras(&m, &d);
     }
 
@@ -1536,15 +2196,49 @@ mod tests {
         assert_eq!(trees(&m, &d, victim), crossing);
     }
 
+    /// A stub joining a hub whose row other slots read binds its slot to
+    /// that row: no Dijkstra, and no row stored or allocated.
+    #[test]
+    fn a_stub_joining_a_live_hub_row_runs_no_dijkstra_and_stores_no_row() {
+        let topo = star_topology(&StarParams {
+            clients: 6,
+            ..StarParams::default()
+        });
+        let d = distill(&topo, DistillationMode::HopByHop);
+        let mut m = RoutingMatrix::build(&d);
+        assert_eq!((m.dijkstra_runs(), m.stored_row_count()), (1, 1));
+        let stub = m.vns()[3];
+        assert!(m.remove_source(stub));
+        let (runs, rows, capacity) = (m.dijkstra_runs(), m.rows.len(), m.rows[0].capacity());
+        assert!(m.add_source(&d, stub));
+        assert_eq!(m.dijkstra_runs(), runs, "no Dijkstra");
+        assert_eq!((m.rows.len(), m.stored_row_count()), (rows, 1), "no row");
+        assert_eq!(m.rows[0].capacity(), capacity, "no row reallocated");
+        assert_rows_are_dijkstras(&m, &d);
+        assert_tree_membership_exact(&m, &d);
+    }
+
+    /// A stub rejoining reads its hub's tree. Here the hub's row was read
+    /// by one stub meanwhile, so it did not keep the entry at that stub's
+    /// position, and the second stub joining recomputes it, once.
     #[test]
     fn add_source_of_a_stub_copies_its_hubs_tree() {
         let d = small_ring();
         let mut m = RoutingMatrix::build(&d);
         let stub = m.vns()[3];
         assert!(m.remove_source(stub));
+        let sibling = m.vns()[2];
+        let r = m.slot_row[2] as usize;
+        let at = m.node_local[sibling.index()];
+        assert_eq!(
+            (m.row_refs[r], m.row_dead[r], m.rows[r][at as usize]),
+            (1, at, NO_PRED)
+        );
+        assert_rows_are_dijkstras(&m, &d);
         let runs = m.dijkstra_runs();
         assert!(m.add_source(&d, stub));
         assert_eq!(m.dijkstra_runs() - runs, 1, "the hub's tree");
+        assert_eq!((m.slot_row[3], m.row_dead[r]), (r as u32, NO_PRED));
         assert_rows_are_dijkstras(&m, &d);
         assert_tree_membership_exact(&m, &d);
     }
@@ -1659,45 +2353,43 @@ mod tests {
     fn each_row_is_as_wide_as_its_component_and_a_tombstone_is_empty() {
         let d = two_islands();
         let mut m = RoutingMatrix::build(&d);
-        let widths: Vec<usize> = m.pred.iter().map(Vec::len).collect();
-        assert_eq!(widths, [3, 3, 4, 4]);
+        // a and b hang off one stub router; c and d off one each.
+        let widths: Vec<usize> = m.rows.iter().map(Vec::len).collect();
+        assert_eq!(widths, [3, 4, 4]);
+        assert_eq!(m.slot_row, [0, 0, 1, 2]);
         let [a, b, c, _] = m.vns().to_vec()[..] else {
             unreachable!("four clients")
         };
         assert!(m.lookup(a, c).is_none() && m.distance(a, c).is_none());
         assert_eq!(m.lookup(a, b).unwrap().hop_count(), 2);
-        // A tombstone in the narrow island, reused by a stub of the wide
-        // one: the row takes the new component's width.
+        // A tombstone in the narrow island, reused by a router of the wide
+        // one: the slot reads that router's row, which its stub read alone.
         assert!(m.remove_source(a));
-        assert!(m.pred[0].is_empty());
-        let stub = NodeId(c.index() + 1);
-        assert!(m.add_source(&d, stub));
-        assert_eq!((m.vn_index(stub), m.pred[0].len()), (Some(0), 4));
+        assert_eq!(m.slot_row[0], NO_PRED);
+        let router = NodeId(c.index() + 1);
+        assert!(m.add_source(&d, router));
+        assert_eq!((m.vn_index(router), m.slot_row[0]), (Some(0), 1));
+        assert_eq!(m.slot_access[0], NO_PRED, "the router roots the row");
         assert_rows_are_dijkstras(&m, &d);
         assert_membership_matches_rows(&m, &d);
-        assert_eq!(m.lookup(stub, c).unwrap().hop_count(), 1);
-        assert!(m.lookup(stub, b).is_none());
+        assert_eq!(m.lookup(router, c).unwrap().hop_count(), 1);
+        assert!(m.lookup(router, b).is_none());
         mn_util::codec::record_contract(m);
     }
 
-    /// The matrix as format v9 wrote it: the current layout with the node
-    /// map after the slot list, each component's slots before the
-    /// component node lists, and the reverse index and the free slots after
-    /// the rows.
-    fn put_v9(m: &RoutingMatrix, d: &DistilledTopology, w: &mut mn_util::ByteWriter) {
-        (m.vns.clone(), m.vn_of_node.clone(), m.node_count).put(w);
-        (
-            m.pipe_cost.clone(),
-            m.pipe_src.clone(),
-            m.node_component.clone(),
-        )
-            .put(w);
-        (m.component_vns.clone(), m.component_nodes.clone()).put(w);
-        for row in &m.pred {
-            w.put_bare_u32s(row);
+    /// The matrix as format v10 wrote it: the slot list, the node count, the
+    /// pipe tables, each node's component, the component lists, and every
+    /// slot's tree as a row of its own.
+    fn put_v10(m: &RoutingMatrix, w: &mut mn_util::ByteWriter) {
+        (m.vns.clone(), m.node_count).put(w);
+        (m.pipe_cost.clone(), m.pipe_src.clone()).put(w);
+        (m.node_component.clone(), m.component_nodes.clone()).put(w);
+        for si in 0..m.vns.len() {
+            if let Some(tree) = m.tree_of_slot(si) {
+                let row: Vec<u32> = (0..tree.width()).map(|at| tree.pred(at)).collect();
+                w.put_bare_u32s(&row);
+            }
         }
-        let index = (0..d.pipe_count()).map(|p| trees(m, d, PipeId::from_index(p)));
-        (index.collect::<Vec<_>>(), m.free_slots.clone()).put(w);
     }
 
     fn encoded(m: &RoutingMatrix) -> Vec<u8> {
@@ -1710,26 +2402,62 @@ mod tests {
         RoutingMatrix::get(&mut mn_util::ByteReader::new(&encoded(m)))
     }
 
-    /// `m` as `put_v9` writes it, decoded by [`RoutingMatrix::get_v9`].
-    fn via_v9(m: &RoutingMatrix, d: &DistilledTopology) -> Result<RoutingMatrix, CodecError> {
+    /// `m` as `put_v10` writes it, decoded by [`RoutingMatrix::get_v10`].
+    fn via_v10(m: &RoutingMatrix) -> Result<RoutingMatrix, CodecError> {
         let mut w = mn_util::ByteWriter::new();
-        put_v9(m, d, &mut w);
-        RoutingMatrix::get_v9(&mut mn_util::ByteReader::new(w.as_slice()))
+        put_v10(m, &mut w);
+        RoutingMatrix::get_v10(&mut mn_util::ByteReader::new(w.as_slice()))
     }
 
+    /// A v10 matrix — a row per slot — restores to the rows a build keyed
+    /// by root: byte for byte, whether a hub's row has several stub
+    /// readers, one (whose entry v10 could not say), or its own source.
     #[test]
-    fn a_v9_matrix_reads_as_the_current_one() {
-        let d = two_islands();
-        let mut m = RoutingMatrix::build(&d);
-        assert!(m.remove_source(m.vns()[2]));
-        let restored = via_v9(&m, &d).unwrap();
-        assert_eq!(encoded(&restored), encoded(&m));
-        // What the current format derives instead of reading.
-        let derived = |m: &RoutingMatrix| {
-            let maps = (m.vn_of_node.clone(), m.component_vns.clone());
-            (maps, m.free_slots.clone())
-        };
-        assert_eq!(derived(&restored), derived(&m));
+    fn a_v10_matrix_reads_as_the_current_one() {
+        let mut ring = RoutingMatrix::build(&small_ring());
+        assert!(ring.remove_source(ring.vns()[5]));
+        let mut islands = RoutingMatrix::build(&two_islands());
+        assert!(islands.remove_source(islands.vns()[2]));
+        let mut hub = RoutingMatrix::build(&two_islands());
+        assert!(hub.add_source(&two_islands(), NodeId(1)));
+        // A star whose client 0 cannot share its hub's row (its shifted
+        // labels would overflow): the others do.
+        let mut star = distill(
+            &star_topology(&StarParams {
+                clients: 4,
+                ..StarParams::default()
+            }),
+            DistillationMode::HopByHop,
+        );
+        let access = star.out_pipes(star.vns()[0])[0];
+        star.pipe_attrs_mut(access).unwrap().latency = SimDuration::from_nanos(u64::MAX - 100);
+        let star = RoutingMatrix::build(&star);
+        assert_eq!(
+            (
+                star.stored_row_count(),
+                star.slot_row[0] != star.slot_row[1]
+            ),
+            (2, true)
+        );
+        for m in [
+            ring,
+            islands,
+            hub,
+            star,
+            RoutingMatrix::build(&small_ring()),
+        ] {
+            let restored = via_v10(&m).unwrap();
+            assert_eq!(encoded(&restored), encoded(&m));
+            let derived = |m: &RoutingMatrix| {
+                let maps = (m.vn_of_node.clone(), m.component_vns.clone());
+                let rows = m.row_root.iter().zip(&m.row_dead);
+                let mut dead: Vec<(u32, u32)> = rows.map(|(&r, &d)| (r, d)).collect();
+                dead.retain(|&(root, _)| root != NO_PRED);
+                dead.sort_unstable();
+                (maps, m.free_slots.clone(), m.slot_access.clone(), dead)
+            };
+            assert_eq!(derived(&restored), derived(&m));
+        }
     }
 
     /// Rows that would let a walk index another component's positions are
@@ -1738,36 +2466,36 @@ mod tests {
     fn a_row_naming_a_pipe_of_another_component_is_refused() {
         let d = two_islands();
         let m = RoutingMatrix::build(&d);
-        // Slot 0 (client a) names the wide island's first pipe.
+        // Row 0 (a and b's hub) names the wide island's first pipe at b.
         let elsewhere = d.out_pipes(m.vns()[2])[0].0;
         let mut hostile = m.clone();
-        hostile.pred[0][1] = elsewhere;
+        hostile.rows[0][2] = elsewhere;
         let refused = Err(CodecError::Invalid(
             "predecessor pipe from another component",
         ));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
-        assert_eq!(via_v9(&hostile, &d).map(|_| ()), refused);
+        assert_eq!(via_v10(&hostile).map(|_| ()), refused);
     }
 
     /// A row whose walk comes back to where it started is a typed error in
     /// either format: a lookup, label or route diff over it would never
-    /// end. Here client a's entry at its stub r names the pipe b → r, so
-    /// the walk from r goes to b and back.
+    /// end. Here the row rooted at the wide island's first stub router
+    /// names, at the second, the pipe from client d, whose own entry names
+    /// the pipe back: the walk from d goes to the router and back.
     #[test]
     fn a_row_with_a_cycle_is_refused() {
         let d = two_islands();
         let m = RoutingMatrix::build(&d);
-        let [a, b, ..] = m.vns().to_vec()[..] else {
-            unreachable!("four clients")
-        };
-        let stub = NodeId(a.index() + 1);
-        let b_to_stub = d.out_pipes(b)[0];
-        assert_eq!(d.pipe(b_to_stub).dst, stub);
+        let far = m.vns()[3];
+        let router = NodeId(far.index() - 1);
+        let back = d.out_pipes(far)[0];
+        assert_eq!(d.pipe(back).dst, router);
+        assert_eq!(m.row_root[1] as usize, router.index() - 1);
         let mut hostile = m.clone();
-        hostile.pred[0][m.node_local[stub.index()] as usize] = b_to_stub.0;
+        hostile.rows[1][m.node_local[router.index()] as usize] = back.0;
         let refused = Err(CodecError::Invalid("predecessor row with a cycle"));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
-        assert_eq!(via_v9(&hostile, &d).map(|_| ()), refused);
+        assert_eq!(via_v10(&hostile).map(|_| ()), refused);
     }
 
     /// The node → slot map is derived from the slot list, which therefore
@@ -1779,6 +2507,104 @@ mod tests {
         hostile.vns[1] = hostile.vns[0];
         let refused = Err(CodecError::Invalid("node claimed by two live slots"));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
+    }
+
+    /// A matrix frame's fields, as [`Codec::put`] lays them out.
+    #[derive(Clone)]
+    struct Frame {
+        vns: Vec<NodeId>,
+        node_count: usize,
+        costs: Vec<u64>,
+        tails: Vec<u32>,
+        lists: Vec<Vec<u32>>,
+        roots: Vec<u32>,
+        rows: Vec<Vec<u32>>,
+        slots: Vec<u32>,
+    }
+
+    impl Frame {
+        fn of(m: &RoutingMatrix) -> Frame {
+            let bytes = encoded(m);
+            let r = &mut mn_util::ByteReader::new(&bytes);
+            let (vns, node_count, costs, tails, lists) = Codec::get(r).unwrap();
+            let mut f = Frame {
+                vns,
+                node_count,
+                costs,
+                tails,
+                lists,
+                roots: r.get_u32s().unwrap(),
+                rows: Vec::new(),
+                slots: Vec::new(),
+            };
+            for &root in &f.roots {
+                let width = m.width_at(root as usize);
+                f.rows.push(r.get_bare_u32s(width).unwrap());
+            }
+            let live = f.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
+            f.slots = r.get_bare_u32s(live).unwrap();
+            assert!(r.is_exhausted());
+            f
+        }
+
+        fn decoded(&self) -> Result<RoutingMatrix, CodecError> {
+            let mut w = mn_util::ByteWriter::new();
+            (self.vns.clone(), self.node_count).put(&mut w);
+            (self.costs.clone(), self.tails.clone(), self.lists.clone()).put(&mut w);
+            self.roots.put(&mut w);
+            for row in &self.rows {
+                w.put_bare_u32s(row);
+            }
+            w.put_bare_u32s(&self.slots);
+            RoutingMatrix::get(&mut mn_util::ByteReader::new(w.as_slice()))
+        }
+    }
+
+    /// Each refusal of the slots' rows and the rows' roots, on a frame of
+    /// the two islands whose only fault is the one named.
+    #[test]
+    fn a_frame_whose_rows_or_slots_disagree_is_refused() {
+        let d = two_islands();
+        let m = RoutingMatrix::build(&d);
+        let f = Frame::of(&m);
+        assert_eq!(f.roots.len(), 3);
+        assert!(f.decoded().is_ok());
+        type Corrupt = fn(&mut Frame);
+        let cases: [(&str, Corrupt); 9] = [
+            ("slot names a row out of range", |f| f.slots[1] = 3),
+            // Client a reads the wide island's row.
+            ("row of another component than its slot's", |f| {
+                f.slots[0] = 1
+            }),
+            // Client d's access pipe, which no row names, moved to leave
+            // client c: c has two out-pipes, d none.
+            ("stub slot without a unique access pipe", |f| {
+                let [c, d] = [2, 3].map(|si| f.vns[si].index() as u32);
+                let p = f.tails.iter().position(|&t| t == d).unwrap();
+                f.tails[p] = c;
+            }),
+            ("two rows with one root", |f| f.roots[2] = f.roots[1]),
+            ("rows out of root order", |f| f.roots.swap(1, 2)),
+            ("row root outside the graph", |f| {
+                f.roots[2] = f.node_count as u32;
+            }),
+            // Nobody reads row 1 once client c reads row 2.
+            ("row no slot reads", |f| f.slots[2] = 2),
+            ("component lists do not partition the nodes", |f| {
+                let node = f.lists[1][0];
+                f.lists[0].push(node);
+                f.lists[0].sort_unstable();
+            }),
+            ("component lists do not partition the nodes", |f| {
+                f.lists[1].pop();
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut hostile = f.clone();
+            corrupt(&mut hostile);
+            let refused = Err(CodecError::Invalid(what));
+            assert_eq!(hostile.decoded().map(|_| ()), refused, "{what}");
+        }
     }
 
     /// Whatever one byte of a matrix's bytes becomes, decoding returns a

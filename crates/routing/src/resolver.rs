@@ -120,15 +120,15 @@ impl Resolver {
         self.memos.clear();
         let tree = matrix.tree_of(src);
         if let Some(tree) = tree {
-            if self.marks.len() < tree.pred.len() {
-                self.marks.resize(tree.pred.len(), (0, 0));
+            if self.marks.len() < tree.width() {
+                self.marks.resize(tree.width(), (0, 0));
                 self.sizings += 1;
             }
             self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
                 self.marks.fill((0, 0));
                 1
             });
-            self.mark(tree.root, Memo { len: 0, ..NONE });
+            self.mark(tree.root(), Memo { len: 0, ..NONE });
         }
         Run {
             resolver: self,
@@ -155,21 +155,21 @@ impl Resolver {
     /// out that ancestor's route and the pipes walked once, every node on
     /// the way down a prefix of it.
     #[cold]
-    fn memoize(&mut self, node: usize, pred: &[u32], tails: &[u32]) -> Memo {
+    fn memoize(&mut self, node: usize, tree: &Tree<'_>) -> Memo {
         self.chain.clear();
         let mut cur = node;
         let top = loop {
             if let Some(memo) = self.memo(cur) {
                 break memo;
             }
-            let p = pred[cur];
+            let p = tree.pred(cur);
             self.steps += 1;
             if p == NO_PRED {
                 self.mark(cur, NONE);
                 break NONE;
             }
             self.chain.push((cur as u32, p));
-            cur = tails[p as usize] as usize;
+            cur = tree.tails[p as usize] as usize;
         };
         if top.len == UNREACHABLE {
             for &(v, _) in &self.chain {
@@ -215,13 +215,12 @@ impl Run<'_> {
             return UNROUTED;
         }
         self.resolver.steps += 1;
-        match tree.pred[at] {
+        match tree.pred(at) {
             NO_PRED => UNROUTED,
             last => {
                 let node = tree.tails[last as usize] as usize;
                 let memo = self.resolver.memo(node);
-                let parent =
-                    memo.unwrap_or_else(|| self.resolver.memoize(node, tree.pred, tree.tails));
+                let parent = memo.unwrap_or_else(|| self.resolver.memoize(node, &tree));
                 Route { parent, last }
             }
         }

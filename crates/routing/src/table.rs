@@ -183,13 +183,13 @@ impl RowShard {
     /// trimmed, all-unroutable collapses to [`RowShard::Empty`], narrow
     /// windows inline, wide ones spill to a fresh shared allocation.
     fn from_window(base: usize, values: &[u32]) -> RowShard {
-        let Some(first) = values.iter().position(|&v| v != NO_ROUTE) else {
+        let routable = |&v: &u32| v != NO_ROUTE;
+        let (Some(first), Some(last)) = (
+            values.iter().position(routable),
+            values.iter().rposition(routable),
+        ) else {
             return RowShard::Empty;
         };
-        let last = values
-            .iter()
-            .rposition(|&v| v != NO_ROUTE)
-            .expect("a first routable entry implies a last");
         let trimmed = &values[first..=last];
         let base = (base + first) as u32;
         if trimmed.len() <= INLINE_ROW_CAP {
@@ -335,6 +335,8 @@ impl RowShard {
             }
             RowShard::Spilled { base, slots } => {
                 let mut copy: Arc<[u32]> = Arc::from(&slots[..]);
+                // Invariant: an `Arc` built the line above has one strong
+                // and no weak reference, so `get_mut` returns it.
                 let buf = Arc::get_mut(&mut copy).expect("freshly allocated slot copy is unique");
                 for &(d, raw) in patches {
                     let i = d.wrapping_sub(*base as usize);
@@ -514,6 +516,13 @@ impl RouteStore {
         self.tail.pipes.extend(last);
         let pipes = head.iter().chain(&last);
         self.pipe_bound = pipes.fold(self.pipe_bound, |bound, p| bound.max(p.index() + 1));
+        // Invariant: a chunk holds at most `ROUTE_CHUNK` routes, each a
+        // walk up one component's tree, so fewer hops than its nodes; a
+        // built chunk's offsets fit u32 below 4 M nodes a component (a
+        // matrix row of 16 MiB). A decoded tail's pipe count is its last
+        // end, a `u32` the decoder checks ("a chunk's last route end is not
+        // its pipe count"), so appending to it overflows only within one
+        // route of 2^32 pipes: a 16 GiB frame.
         let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
         self.tail.ends.push(end);
         if self.tail.ends.len() == ROUTE_CHUNK {
@@ -521,8 +530,9 @@ impl RouteStore {
             self.tail.ends.clear();
             self.tail.pipes.clear();
         }
-        if let Some(fingerprint) = new_content {
-            let index = self.index.get_mut().expect("a failed find built the index");
+        // A store with no index yet indexes this route with the rest at
+        // its first `find`.
+        if let (Some(fingerprint), Some(index)) = (new_content, self.index.get_mut()) {
             index.insert(fingerprint, id);
         }
         id
@@ -772,6 +782,8 @@ fn block_mut<T: Clone>(blocks: &mut [Arc<[T]>], block: usize) -> &mut [T] {
     if Arc::get_mut(&mut blocks[block]).is_none() {
         blocks[block] = Arc::from(&blocks[block][..]);
     }
+    // Invariant: the block is unshared — it was, or it was just replaced by
+    // a fresh copy — so `get_mut` returns it.
     Arc::get_mut(&mut blocks[block]).expect("block was just unshared")
 }
 
@@ -1083,6 +1095,12 @@ impl RouteTable {
     /// Patches one location's row; a no-op patch leaves the shard (and its
     /// block) untouched.
     fn patch_row(&mut self, slot: usize, patches: &[(usize, u32)]) {
+        // Invariant: `slot` is a location slot, and the rows hold one shard
+        // per location slot (the decoder reads one for each slot it lists;
+        // binding an endpoint at a new slot appends one). Callers pass a
+        // live endpoint's column, which the decoder checks is a location
+        // slot ("column is not a location slot"), or a slot the rewire read
+        // off the location runs.
         let row = self.row(slot).expect("location slot in range");
         if let Some(patched) = row.patched(patches) {
             self.set_row(slot, patched);
@@ -1249,6 +1267,7 @@ impl RouteTable {
     /// Panics if `src` is out of range or departed, `dst` is out of range,
     /// or the route id is.
     pub fn set_pair(&mut self, src: usize, dst: usize, id: RouteId) {
+        // The documented panics: the caller names the endpoints.
         let src = self.live_slot(src).expect("src endpoint out of range");
         let dst = self.col(dst).expect("dst endpoint out of range") & !DEPARTED;
         assert!(id.index() < self.route_count(), "route id out of range");
@@ -1354,8 +1373,8 @@ impl RouteTable {
         for block in &self.rows {
             block.iter().for_each(|row| row.put(w));
         }
-        for e in 0..self.endpoint_count {
-            w.put_u32(self.col(e).expect("endpoint in range") & !DEPARTED);
+        for block in &self.cols {
+            block.iter().for_each(|&col| w.put_u32(col & !DEPARTED));
         }
         for &loc in &self.locs.locations {
             w.put_usize(loc.index());

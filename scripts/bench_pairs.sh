@@ -5,7 +5,7 @@ set -euo pipefail
 
 usage() {
     cat <<'EOF'
-usage: scripts/bench_pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=1]
+usage: scripts/bench_pairs.sh [--record FILE] <parent-ref> <workload|all> [pairs=10] [seed=1]
 
 Measures the working tree against <parent-ref> on one BENCHMARK.json workload,
 or on each of them in turn (`all`).
@@ -28,6 +28,14 @@ or on each of them in turn (`all`).
 A gain is claimed only when the change is ahead in at least nine tenths of
 the pairs and the medians differ by more than the parent's interquartile
 range (last column). Run it on a quiet machine.
+
+--record FILE also writes the whole comparison to FILE as JSON: the parent
+ref and commit, the change's commit, pairs, seed, run length and the host's
+CPU count and architecture, and per
+workload every run of every end-to-end metric on each side (in run order),
+both medians and quartile pairs, the ratio, the ahead-in count, every
+result digest and the failed/attempted counts. The printed tables, the
+BEHIND: lines and the exit status are the same with or without it.
 EOF
 }
 
@@ -37,6 +45,15 @@ case "${1:-}" in
     exit 0
     ;;
 esac
+record=
+if [ "${1:-}" = --record ]; then
+    if [ $# -lt 2 ]; then
+        usage >&2
+        exit 2
+    fi
+    record=$(realpath -m "$2")
+    shift 2
+fi
 if [ $# -lt 2 ] || [ $# -gt 4 ]; then
     usage >&2
     exit 2
@@ -136,7 +153,8 @@ for workload in "${workloads[@]}"; do
     for metric in "${metrics[@]}"; do
         IFS=: read -r name better bound <<<"$metric"
         paste "$data/parent.$name" "$data/change.$name" | awk -v name="$name" \
-            -v better="$better" -v bound="$bound" -v workload="$workload" -v behind_file="$tmp/behind" '
+            -v better="$better" -v bound="$bound" -v workload="$workload" -v behind_file="$tmp/behind" \
+            -v json_file="$data/json" '
             # Quantile by linear interpolation between order statistics.
             function quantile(v, n, q,    pos, lo, frac) {
                 pos = q * (n - 1) + 1; lo = int(pos); frac = pos - lo
@@ -171,6 +189,16 @@ for workload in "${workloads[@]}"; do
                 if (beyond * 10 >= n * 9)
                     printf "BEHIND: %s %s: change worse than parent by more than %g%% in %d of %d pairs (medians %.8g vs %.8g)\n",
                         workload, name, bound * 100, beyond, n, cm, pm >>behind_file
+                # One JSON member per metric, every run listed in run order.
+                runs_p = p[1]; runs_c = c[1]
+                for (i = 2; i <= n; i++) { runs_p = runs_p ", " p[i]; runs_c = runs_c ", " c[i] }
+                printf "\"%s\": {\"better\": \"%s\", \"bound\": %s, \"parent\": [%s], \"change\": [%s], " \
+                    "\"parent_median\": %.8g, \"parent_q1\": %.8g, \"parent_q3\": %.8g, " \
+                    "\"change_median\": %.8g, \"change_q1\": %.8g, \"change_q3\": %.8g, " \
+                    "\"ratio\": %s, \"change_ahead\": %d, \"change_behind\": %d, \"pairs\": %d}\n",
+                    name, better, bound, runs_p, runs_c, pm, pq1, pq3, cm,
+                    quantile(cs, n, 0.25), quantile(cs, n, 0.75),
+                    pm == 0 ? "null" : sprintf("%.6f", cm / pm), ahead, behind, n >>json_file
             }'
     done
 
@@ -185,7 +213,33 @@ for workload in "${workloads[@]}"; do
         awk -v side="$side" '{ f += $1; a += $2 } END { printf "failed: %s %d of %d attempted\n", side, f, a }' \
             "$data/$side.failed"
     done
+    if [ -n "$record" ]; then
+        {
+            printf '"%s": {"metrics": {%s},\n' "$workload" "$(paste -sd, "$data/json")"
+            for side in parent change; do
+                printf '  "%s_digests": [%s],\n' "$side" \
+                    "$(sed 's/.*/"&"/' "$data/$side.digest" | paste -sd, -)"
+                awk -v side="$side" '{ f += $1; a += $2 }
+                    END { printf "  \"%s_failed\": %d, \"%s_attempted\": %d%s\n", side, f, side, a, side == "parent" ? "," : "}" }' \
+                    "$data/$side.failed"
+            done
+        } >>"$tmp/record"
+    fi
 done
+
+if [ -n "$record" ]; then
+    {
+        printf '{"parent_ref": "%s", "parent_commit": "%s", "change_commit": "%s", "uncommitted": %s,\n' \
+            "$parent_ref" "$(git rev-parse "$parent_ref")" "$(git rev-parse HEAD)" \
+            "$(git diff --quiet HEAD && echo false || echo true)"
+        printf ' "pairs": %d, "seed": %d, "run_seconds": %d, "host": {"cpus": %d, "machine": "%s"},\n' \
+            "$pairs" "$seed" "$seconds" "$(nproc)" "$(uname -m)"
+        printf ' "workloads": {\n'
+        awk 'NR > 1 && /^"/ { printf "," } { print }' "$tmp/record"
+        printf '}}\n'
+    } >"$record"
+    echo "recorded: $record"
+fi
 
 echo
 if [ -s "$tmp/behind" ]; then

@@ -11,6 +11,17 @@
 //! delivery up to one tick of its hardware profile after that, which every
 //! delivery is checked against, so the waits as delivered are within the
 //! interval plus one tick.
+//!
+//! (ii) **M/D/1/K.** The same arrivals at a pipe whose bandwidth queue
+//! holds `K` packets — the one in service among them, as the pipe counts
+//! every packet that has not finished draining — form an M/D/1/K queue.
+//! Its loss probability follows from the chain embedded at departures: a
+//! departure leaves `j` behind with the probabilities of Poisson arrivals
+//! in one service time, `a_k = e^{−ρ} ρ^k / k!`, capped at `K − 1`; its
+//! stationary law `π` is the balance equations solved forward from
+//! `π_0`, and by PASTA an arrival finds the queue full with probability
+//! `1 − 1/(π_0 + ρ)`. Losses cluster, so the tolerance is again three
+//! standard errors of the batch means of the lost fraction.
 
 mod common;
 
@@ -37,8 +48,8 @@ const PACKETS: usize = 31_500;
 const BATCHES: usize = 20;
 
 /// An emulator over one duplex link between two VNs, on one core, whose
-/// queues never overflow; and the two VNs.
-fn one_pipe() -> (Emulator, VnId, VnId) {
+/// queues hold `queue_len` packets; and the two VNs.
+fn one_pipe(queue_len: usize) -> (Emulator, VnId, VnId) {
     let mut topo = Topology::new();
     let a = topo.add_node(NodeKind::Client);
     let b = topo.add_node(NodeKind::Client);
@@ -46,7 +57,7 @@ fn one_pipe() -> (Emulator, VnId, VnId) {
     topo.add_link(a, b, attrs).unwrap();
     let mut d = distill(&topo, DistillationMode::HopByHop);
     for p in 0..d.pipe_count() {
-        d.pipe_attrs_mut(PipeId::from_index(p)).unwrap().queue_len = 1 << 20;
+        d.pipe_attrs_mut(PipeId::from_index(p)).unwrap().queue_len = queue_len;
     }
     let binding = Binding::bind(d.vns(), &BindingParams::new(1, 1));
     let (src, dst) = (binding.vn_at(a).unwrap(), binding.vn_at(b).unwrap());
@@ -82,9 +93,15 @@ fn run_to(emu: &mut Emulator, until: SimTime, sink: &mut Vec<Delivery>) {
     emu.advance_into(until, sink).unwrap();
 }
 
-/// Every packet's wait in nanoseconds at its ideal delivery time, by
-/// arrival, for seeded Poisson arrivals at load `rho`.
-fn waits(mut emu: Emulator, src: VnId, dst: VnId, rho: f64, seed: u64) -> Vec<f64> {
+/// Offers `packets` seeded Poisson arrivals at load `rho` and runs the
+/// emulator dry: each packet's arrival time and every delivery.
+fn offer(
+    emu: &mut Emulator,
+    (src, dst): (VnId, VnId),
+    packets: usize,
+    rho: f64,
+    seed: u64,
+) -> (Vec<SimTime>, Vec<Delivery>) {
     assert_eq!(
         packet(0, src, dst, SimTime::ZERO)
             .header
@@ -95,19 +112,23 @@ fn waits(mut emu: Emulator, src: VnId, dst: VnId, rho: f64, seed: u64) -> Vec<f6
     let mut rng = StdRng::seed_from_u64(seed);
     let mean_gap = SERVICE.as_nanos() as f64 / rho;
     let (mut now, mut arrivals, mut sink) = (SimTime::ZERO, Vec::new(), Vec::new());
-    for id in 0..PACKETS {
+    for id in 0..packets {
         let gap = -mean_gap * (1.0 - rng.gen::<f64>()).ln();
         now += SimDuration::from_nanos(gap.round() as u64);
-        run_to(&mut emu, now, &mut sink);
-        assert!(emu
-            .submit(now, packet(id, src, dst, now))
-            .unwrap()
-            .is_accepted());
+        run_to(emu, now, &mut sink);
+        emu.submit(now, packet(id, src, dst, now)).unwrap();
         arrivals.push(now);
     }
     while let Some(t) = emu.next_wakeup() {
         emu.advance_into(t, &mut sink).unwrap();
     }
+    (arrivals, sink)
+}
+
+/// Every packet's wait in nanoseconds at its ideal delivery time, by
+/// arrival, for seeded Poisson arrivals at load `rho`.
+fn waits(mut emu: Emulator, src: VnId, dst: VnId, rho: f64, seed: u64) -> Vec<f64> {
+    let (arrivals, sink) = offer(&mut emu, (src, dst), PACKETS, rho, seed);
     assert_eq!(sink.len(), PACKETS, "every packet is delivered");
     let mut waits = vec![0.0; PACKETS];
     for d in &sink {
@@ -120,8 +141,8 @@ fn waits(mut emu: Emulator, src: VnId, dst: VnId, rho: f64, seed: u64) -> Vec<f6
     waits
 }
 
-/// The mean wait after the warm-up batch, and three standard errors of
-/// the batch means.
+/// The mean after the warm-up batch, and three standard errors of the
+/// batch means.
 fn batch_means(waits: &[f64]) -> (f64, f64) {
     let size = waits.len() / (BATCHES + 1);
     let means: Vec<f64> = waits[size..]
@@ -141,7 +162,7 @@ fn pollaczek_khinchine(rho: f64) -> f64 {
 #[test]
 fn one_pipe_under_poisson_arrivals_waits_as_md1_on_both_executors() {
     for (rho, seed) in [(0.3, 11), (0.6, 12), (0.9, 13)] {
-        let (emu, src, dst) = one_pipe();
+        let (emu, src, dst) = one_pipe(1 << 20);
         let inline = waits(emu, src, dst, rho, seed);
         let (mean, half_width) = batch_means(&inline);
         let expected = pollaczek_khinchine(rho);
@@ -150,8 +171,61 @@ fn one_pipe_under_poisson_arrivals_waits_as_md1_on_both_executors() {
             (mean - expected).abs() <= half_width,
             "rho {rho}: mean wait {mean:.0} ns against {expected:.0} ns (+- {half_width:.0} ns)"
         );
-        let (emu, src, dst) = one_pipe();
+        let (emu, src, dst) = one_pipe(1 << 20);
         let threaded = waits(on_threads(emu), src, dst, rho, seed);
+        assert!(threaded == inline, "rho {rho}: the executors disagree");
+    }
+}
+
+/// Places in the M/D/1/K pipe's queue, the packet in service included.
+const K: usize = 5;
+/// Packets a loss run offers: a warm-up batch and `BATCHES` batches.
+const LOSS_PACKETS: usize = 21_000;
+
+/// The M/D/1/K loss probability at load `rho` (see the module docs).
+fn md1k_loss(rho: f64, k: usize) -> f64 {
+    let a: Vec<f64> = (0..k)
+        .scan(f64::exp(-rho), |term, j| {
+            let aj = *term;
+            *term *= rho / (j + 1) as f64;
+            Some(aj)
+        })
+        .collect();
+    // π_j = π_0 a_j + Σ_{i=1}^{j+1} π_i a_{j+1−i} for j < K − 1, solved
+    // for π_{j+1}; π_0 = 1 until normalised.
+    let mut pi = vec![1.0];
+    for j in 0..k - 1 {
+        let below: f64 = (1..=j).map(|i| pi[i] * a[j + 1 - i]).sum();
+        pi.push((pi[j] - pi[0] * a[j] - below) / a[0]);
+    }
+    let pi0 = pi[0] / pi.iter().sum::<f64>();
+    1.0 - 1.0 / (pi0 + rho)
+}
+
+/// Whether each offered packet was lost, by arrival.
+fn losses(mut emu: Emulator, src: VnId, dst: VnId, rho: f64, seed: u64) -> Vec<f64> {
+    let (_, sink) = offer(&mut emu, (src, dst), LOSS_PACKETS, rho, seed);
+    let mut lost = vec![1.0; LOSS_PACKETS];
+    for d in &sink {
+        lost[d.packet.id.0 as usize] = 0.0;
+    }
+    lost
+}
+
+#[test]
+fn a_full_queue_loses_as_md1k_on_both_executors() {
+    for (rho, seed) in [(0.9, 21), (1.2, 22)] {
+        let (emu, src, dst) = one_pipe(K);
+        let inline = losses(emu, src, dst, rho, seed);
+        let (lost, half_width) = batch_means(&inline);
+        let expected = md1k_loss(rho, K);
+        println!("rho {rho}, K {K}: lost {lost:.4}, M/D/1/K {expected:.4}, +- {half_width:.4}");
+        assert!(
+            (lost - expected).abs() <= half_width,
+            "rho {rho}: lost {lost:.4} against {expected:.4} (+- {half_width:.4})"
+        );
+        let (emu, src, dst) = one_pipe(K);
+        let threaded = losses(on_threads(emu), src, dst, rho, seed);
         assert!(threaded == inline, "rho {rho}: the executors disagree");
     }
 }

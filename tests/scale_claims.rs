@@ -148,14 +148,16 @@ fn the_resident_route_arena_is_four_bytes_a_hop() {
     );
 }
 
-/// (vii) The routing matrix is four bytes a source slot and a node: on the
-/// 512-location ring its predecessor rows hold 4 B for each (slot, node),
-/// and the rest — pipe costs and tails, the node and component maps, the
-/// count prefixes, the scratch rows and every list's header — fits 64 B a
-/// node and a pipe, encoded or resident. Nothing is stored per tree edge:
-/// which trees cross a pipe is read off the rows. A stored 8-byte label per
-/// (slot, node), 2.25 MiB here, adds more than the bound leaves over: it
-/// fails by count.
+/// (vii) The routing matrix is four bytes a stored row and a node: on the
+/// 512-location ring (64 routers × 8 clients) a client's slot reads its
+/// router's row, so its 64 predecessor rows hold 4 B for each (row, node),
+/// and the rest — pipe costs and tails, the node and component maps, each
+/// slot's row, the count prefixes, the scratch and every list's header —
+/// fits 64 B a node and a pipe, encoded or resident. Nothing is stored per
+/// tree edge: which trees cross a pipe is read off the rows. A stored
+/// 8-byte label per (row, node) adds more than the bound leaves over, and a
+/// row per slot, as format v10 stored, is over the bound alone: both fail
+/// by count.
 #[test]
 fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
     let _turn = my_turn();
@@ -164,19 +166,22 @@ fn the_routing_matrix_is_four_bytes_a_slot_and_a_node() {
     let matrix = RoutingMatrix::build(&d);
     let resident = bytes_in_use().saturating_sub(before);
     let (slots, nodes, pipes) = (matrix.vn_count(), d.node_count(), d.pipe_count());
+    let rows = matrix.stored_row_count();
+    assert_eq!(rows, 64, "one row a router");
     let encoded = mn_util::Codec::encoded_len(&matrix);
     let mut w = mn_util::ByteWriter::new();
     mn_util::Codec::put(&matrix, &mut w);
     assert_eq!(encoded, w.len());
-    let bound = 4 * slots * nodes + 64 * (nodes + pipes);
+    let bound = 4 * rows * nodes + 64 * (nodes + pipes);
     println!(
-        "(vii) {slots} slots x {nodes} nodes, {pipes} pipes: \
+        "(vii) {slots} slots, {rows} rows x {nodes} nodes, {pipes} pipes: \
          {encoded} B encoded, {resident} B resident (bound {bound})"
     );
     assert!(encoded <= bound, "{encoded} B encoded");
     assert!(resident <= bound, "{resident} B resident");
-    let label_bytes = 8 * slots * nodes;
+    let label_bytes = 8 * rows * nodes;
     assert!(bound - encoded < label_bytes && bound - resident < label_bytes);
+    assert!(4 * slots * nodes > bound, "a row per slot fits the bound");
 }
 
 /// (viii) A routing matrix row covers its source's component only: on the
@@ -550,6 +555,42 @@ fn route_state_costs_one_dijkstra_per_access_router() {
         );
         assert!(runs <= 32, "{runs} Dijkstra runs");
     }
+}
+
+/// (ix) Route state at the scale of the paper's routing sentence, the
+/// matrix half: on the 64 × 64 ring (4 096 VN locations, 4 160 nodes) the
+/// matrix, resident and encoded, fits 8 B a stored row and node plus 64 B
+/// a node and a pipe — about 2.9 MB, where a row per location took 137 MB.
+/// Each client reads its router's row, so the matrix stores 64 rows and
+/// runs 64 Dijkstras; a row per slot fails the bound by count.
+#[test]
+fn the_routing_matrix_of_4096_locations_stores_a_row_a_router() {
+    let _turn = my_turn();
+    let topo = ring_topology(&RingParams {
+        routers: 64,
+        clients_per_router: 64,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let before = bytes_in_use();
+    let matrix = RoutingMatrix::build(&d);
+    let resident = bytes_in_use().saturating_sub(before);
+    let (slots, nodes, pipes) = (matrix.vn_count(), d.node_count(), d.pipe_count());
+    assert_eq!((slots, nodes), (4096, 4160));
+    let rows = matrix.stored_row_count();
+    let encoded = mn_util::Codec::encoded_len(&matrix);
+    let bound = 8 * rows * nodes + 64 * (nodes + pipes);
+    println!(
+        "(ix) {slots} slots, {rows} rows x {nodes} nodes, {pipes} pipes: {encoded} B encoded, \
+         {resident} B resident, {} B counted (bound {bound}), {} Dijkstra runs",
+        matrix.memory_bytes(),
+        matrix.dijkstra_runs()
+    );
+    assert_eq!((rows, matrix.dijkstra_runs()), (64, 64));
+    assert!(encoded <= bound, "{encoded} B encoded");
+    assert!(resident <= bound, "{resident} B resident");
+    assert!(matrix.memory_bytes() <= resident);
+    assert!(4 * slots * nodes > bound, "a row per slot fits the bound");
 }
 
 /// (vi) A rewire walks a source's tree once a run, not once a route: on
