@@ -266,13 +266,13 @@ impl Codec for Event {
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 
 /// Current runner snapshot format version, the only one written; this
-/// version and the one before restore. Versions 10 and 11 nest an `MNSP`
+/// version and the one before restore. Versions 11 and 12 nest an `MNSP`
 /// frame of their own version and share one checksum: the runner's own
 /// fields and the nested frame's header and checksum, not that frame's
 /// payload a second time ([`checksum_around_emulator_frame`]). Both end
 /// with the armed auto-checkpoint instant; they differ only in the nested
 /// frame.
-const RUNNER_SNAPSHOT_VERSION: u32 = 11;
+const RUNNER_SNAPSHOT_VERSION: u32 = 12;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -901,7 +901,7 @@ impl Runner {
         }
         let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                10 | 11 => Ok(checksum_around_emulator_frame),
+                11 | 12 => Ok(checksum_around_emulator_frame),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way
@@ -1432,17 +1432,15 @@ impl Runner {
                     Side::B => (&mut channel.a_to_b, channel.a, channel.b),
                     Side::A => (&mut channel.b_to_a, channel.b, channel.a),
                 };
-                if dir
-                    .outbox
-                    .front()
-                    .is_some_and(|(end, _)| *end <= delivered_upto)
-                {
-                    let (end, msg) = dir.outbox.pop_front().expect("front exists");
-                    dir.dispatched = end;
-                    (from, to, msg)
-                } else {
+                let Some((end, msg)) = dir.outbox.pop_front() else {
+                    break;
+                };
+                if end > delivered_upto {
+                    dir.outbox.push_front((end, msg));
                     break;
                 }
+                dir.dispatched = end;
+                (from, to, msg)
             };
             let now = self.now;
             if let Some(app) = self.app_mut(to) {
@@ -1461,6 +1459,8 @@ impl Runner {
                     let ch = self.app_channel(vn, to);
                     {
                         let channel = &mut self.channels[ch];
+                        // `push_channel` keys a channel by its own `a` and
+                        // `b`, as does `recover_from`'s rebuilt map: `vn` is one.
                         let side = channel.side_of(vn).expect("sender is an endpoint");
                         let (dir, conn) = match side {
                             Side::A => (&mut channel.a_to_b, &mut channel.conn_a),

@@ -950,8 +950,8 @@ impl Emulator {
     /// VN's location and liveness are rebuilt from the route table, which
     /// records both, and the load vector from them and the entry cores; the
     /// fluid solver's per-pipe capacities and demands from the restored
-    /// pipes, which hold both. A v10 frame differs only in the matrix's form
-    /// ([`RoutingMatrix::get_v10`]). The frame is written out rather than
+    /// pipes, which hold both. A v11 frame differs only in the matrix's form
+    /// ([`RoutingMatrix::get_v11`]). The frame is written out rather than
     /// declared because those checks need what was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
@@ -959,7 +959,7 @@ impl Emulator {
         let profile = HardwareProfile::get(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
         let matrix = match version {
-            10 => RoutingMatrix::get_v10(r)?,
+            11 => RoutingMatrix::get_v11(r)?,
             _ => RoutingMatrix::get(r)?,
         };
         let core_count = usize::get(r)?;
@@ -1124,13 +1124,12 @@ mod tests {
 
     /// A routing matrix's fields as a frame lays them out: the slot list
     /// and the node count, the pipe tables (costs, tails), the component
-    /// node lists, the rows' roots, every row back to back (each as wide as
-    /// its root's component), then each live slot's row.
+    /// node lists, each live slot's root, then the row of each distinct
+    /// root back to back (each as wide as its root's component).
     type MatrixFields = (
         (Vec<NodeId>, usize),
         (Vec<u64>, Vec<u32>),
         Vec<Vec<u32>>,
-        Vec<u32>,
         Vec<u32>,
         Vec<u32>,
     );
@@ -1145,28 +1144,26 @@ mod tests {
         RouteTable::decode(&mut r).unwrap();
         let at = payload.len() - r.remaining();
         let mut fields: MatrixFields = Default::default();
-        (fields.0, fields.1, fields.2, fields.3) = Codec::get(&mut r).unwrap();
+        (fields.0, fields.1, fields.2) = Codec::get(&mut r).unwrap();
+        let live = fields.0 .0.iter().filter(|v| v.index() != usize::MAX);
+        fields.3 = r.get_bare_u32s(live.count()).unwrap();
         let lists = &fields.2;
         let width = |root: &u32| {
             let list = lists.iter().find(|list| list.contains(root));
             list.map_or(0, Vec::len)
         };
-        fields.4 = r.get_bare_u32s(fields.3.iter().map(width).sum()).unwrap();
-        let live = fields
-            .0
-             .0
-            .iter()
-            .filter(|v| v.index() != usize::MAX)
-            .count();
-        fields.5 = r.get_bare_u32s(live).unwrap();
+        let mut roots = fields.3.clone();
+        roots.sort_unstable();
+        roots.dedup();
+        fields.4 = r.get_bare_u32s(roots.iter().map(width).sum()).unwrap();
         corrupt(&mut fields);
         let mut w = ByteWriter::new();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.put_bytes(&payload[..at]);
-        let (head, pipes, lists, roots, rows, slots) = fields;
-        (head, pipes, lists, roots).put(&mut w);
+        let (head, pipes, lists, roots, rows) = fields;
+        (head, pipes, lists).put(&mut w);
+        w.put_bare_u32s(&roots);
         w.put_bare_u32s(&rows);
-        w.put_bare_u32s(&slots);
         w.put_bytes(&payload[payload.len() - r.remaining()..]);
         w.end_frame(frame);
         w.into_bytes()
@@ -1235,7 +1232,7 @@ mod tests {
         // A matrix any later lookup, reroute or update would index out of
         // range: refused when decoded, on both executors.
         type CorruptMatrix = fn(&mut MatrixFields);
-        let matrix: [(&str, CorruptMatrix); 11] = [
+        let matrix: [(&str, CorruptMatrix); 10] = [
             ("component lists do not partition the nodes", |f| {
                 f.2[0].pop();
             }),
@@ -1251,13 +1248,14 @@ mod tests {
             }),
             // The node → slot map is derived from the slot list.
             ("node claimed by two live slots", |f| f.0 .0[1] = f.0 .0[0]),
-            // The ring is one component, so row 0 is the first
-            // `node_count` entries and a position is a node index. Some
-            // entry of it names a pipe from a node t other than the root;
-            // pointing t at that pipe's reverse (hop-by-hop distillation
-            // adds a duplex link's two pipes back to back) closes a loop.
+            // The ring is one component, so the first row, the lowest
+            // root's, is the first `node_count` entries and a position is a
+            // node index. Some entry of it names a pipe from a node t other
+            // than the root; pointing t at that pipe's reverse (hop-by-hop
+            // distillation adds a duplex link's two pipes back to back)
+            // closes a loop.
             ("predecessor row with a cycle", |f| {
-                let (root, tails) = (f.3[0], &f.1 .1);
+                let (root, tails) = (*f.3.iter().min().unwrap(), &f.1 .1);
                 let row = &f.4[..f.0 .1];
                 let named = |&p: &u32| p != u32::MAX && tails[p as usize] != root;
                 let p = row
@@ -1267,12 +1265,15 @@ mod tests {
                     .expect("a node past the first hop");
                 f.4[tails[p as usize] as usize] = p ^ 1;
             }),
-            // Four routers, four rows: one for each router's two clients.
-            ("slot names a row out of range", |f| f.5[0] = 4),
-            ("two rows with one root", |f| f.3[1] = f.3[0]),
-            ("row no slot reads", |f| {
-                let other = (f.5[0] + 1) % 4;
-                f.5.iter_mut().for_each(|row| *row = other);
+            ("slot root outside the graph", |f| f.3[0] = f.0 .1 as u32),
+            // Slot 0 is a client, which reads its router's row: the router
+            // listed as a component of its own, the lists still partition
+            // the nodes.
+            ("root of another component than its slot's", |f| {
+                let router = f.3[0];
+                assert_ne!(f.0 .0[0].index() as u32, router);
+                let rest = f.2[0].iter().copied().filter(|&u| u != router);
+                f.2 = vec![rest.collect(), vec![router]];
             }),
             // A client given a second out-pipe (the access pipe of a
             // client of another router, which no row names).

@@ -15,7 +15,7 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 11 and 10; a version bump retires the decoder two behind.
+//! before, here 12 and 11; a version bump retires the decoder two behind.
 //! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
@@ -37,8 +37,9 @@
 //! tree root instead of per source slot: a stub VN's slot names its hub's
 //! row (its access pipe, the one pipe leaving it, is patched over the row
 //! when read), and each node's component is derived from the component
-//! node lists. A version-10 frame's per-slot rows are regrouped by root at
-//! restore.
+//! node lists. Version 12 writes each live slot's root node instead of the
+//! roots list and a row index a slot, which a version-11 frame's restore
+//! reads into slot roots.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
@@ -53,7 +54,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders read this version and the one before, and
 /// reject every other with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 11;
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -88,7 +89,7 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            10 | 11 => Ok(checksum64),
+            11 | 12 => Ok(checksum64),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -30,19 +30,23 @@
 //! relaxation is strict and every pipe costs ≥ 1, so nothing improves `s`
 //! again; and from there every key is `h`'s run's plus `c`, which keeps the
 //! `(dist, node)` pop order and every comparison, ties included. So a stub
-//! stores no row: its slot names the row rooted at its hub and its access
-//! pipe, and a read patches those two entries over the hub's row. `s` is a leaf of `h`'s tree (its one out-pipe enters
-//! the root), so no walk through the hub's row passes through `s`. One row
+//! stores no row: its slot names its hub, whose row it reads, and its
+//! access pipe, and a read patches those two entries over the hub's row.
+//! `s` is a leaf of `h`'s tree (its one out-pipe enters the root), so no
+//! walk through the hub's row passes through `s`. One row
 //! per hub, one Dijkstra per hub ([`RoutingMatrix::dijkstra_runs`]), however
 //! many stubs hang off it. A stub whose access pipe is unusable, or whose
 //! shifted labels would overflow, roots a row of its own.
 //!
+//! A row is named by its root: the matrix keeps one entry a node, the row
+//! rooted there or none, and a source slot names the node whose row it
+//! reads. A row is stored exactly while some live slot names its root.
+//!
 //! A hub row's entry at a stub's position is read by the row's other
 //! readers only. When that stub is the row's one reader nothing reads the
 //! entry, and the row keeps `NO_PRED` there — which is what makes the rows
-//! a function of the trees alone, and lets a format-v10 frame (a row per
-//! slot, which cannot say what the entry was) restore to them. A second
-//! reader joining such a row recomputes it.
+//! a function of the trees alone. A second reader joining such a row
+//! recomputes it.
 
 use std::cmp::Reverse;
 
@@ -59,9 +63,40 @@ use mn_distill::PipeId;
 /// [`RoutingMatrix::add_source`] reuses it, and no node maps to it.
 const DEAD_SOURCE: NodeId = NodeId(usize::MAX);
 
-/// `row_dead` of a row an update found stale: whoever is placed on it
+/// [`Row::dead`] of a row an update found stale: whoever is placed on it
 /// first recomputes it.
 const STALE: u32 = NO_PRED - 1;
+
+/// One stored row: a tree root's predecessor pipes over its component,
+/// and what placing a reader on it needs.
+#[derive(Debug, Clone)]
+struct Row {
+    /// `entries[i]` is the predecessor pipe of `component_nodes[c][i]` in
+    /// the root's tree ([`NO_PRED`] for the root, for unreachable nodes and
+    /// at `dead`).
+    entries: Box<[u32]>,
+    /// The live slots reading the row.
+    refs: u32,
+    /// The position not kept ([`NO_PRED`]: none): its one reader's, when
+    /// that reader is a stub patched over it.
+    dead: u32,
+    /// The largest finite label ([`UNUSABLE_COST`]: not known, for a row
+    /// restored or one that dropped an entry, until a placement asks).
+    far: u64,
+}
+
+impl Row {
+    /// A row of `entries` that no slot reads yet, every entry kept.
+    fn new(entries: Box<[u32]>) -> Box<Row> {
+        let (refs, dead, far) = (0, NO_PRED, UNUSABLE_COST);
+        Box::new(Row {
+            entries,
+            refs,
+            dead,
+            far,
+        })
+    }
+}
 
 /// What one [`RoutingMatrix::update_pipes`] call changed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -86,21 +121,23 @@ impl RouteUpdate {
 ///
 /// The matrix stores one predecessor row per *tree root* — a hub some stub
 /// hangs off, a source that is no stub, a stub that cannot share its hub's
-/// row — over the root's structural component, and each source slot names
-/// the row it reads and, for a stub, the access pipe patched over it (see
-/// the module docs). Routes and distance labels are never stored, only
-/// derived. Lookup walks the destination's predecessor chain — O(hops),
-/// allocation-free via [`RoutingMatrix::materialize_at`].
+/// row — over the root's structural component, at the root's node, and
+/// each source slot names the root whose row it reads and, for a stub, the
+/// access pipe patched over it (see the module docs). Routes and distance
+/// labels are never stored, only derived. Lookup walks the destination's
+/// predecessor chain — O(hops), allocation-free via
+/// [`RoutingMatrix::materialize_at`].
 ///
 /// Its checkpoint ([`Codec`]) is the complete persistent route state — the
 /// slot list (tombstones included), pipe costs and tails, the component
-/// node lists, the rows in ascending root order with their roots, and each
-/// live slot's row. Everything else is derived from those: each node's
-/// component and position, the pipe tails' positions, the node → slot map,
-/// each component's slots, the free slots, each stub's access pipe (its one
-/// out-pipe), the readers of each row; the scratch buffers hold no state
-/// between calls and restore empty. Decoding refuses a state any later call
-/// would index out of range or walk forever.
+/// node lists, each live slot's root, and the rows in ascending root order.
+/// Everything else is derived from those: each node's component and
+/// position, the pipe tails' positions, the node → slot map, each
+/// component's slots, the free slots, each stub's access pipe (its one
+/// out-pipe), the set of roots (the slots' roots) and the readers of each
+/// row; the scratch buffers hold no state between calls and restore empty.
+/// Decoding refuses a state any later call would index out of range or
+/// walk forever.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingMatrix {
     /// The VN set, in index order.
@@ -111,33 +148,14 @@ pub struct RoutingMatrix {
     vn_of_node: Vec<u32>,
     /// Node count of the pipe graph the matrix was last (re)built against.
     node_count: usize,
-    /// The stored rows: `rows[r][i]` is the predecessor pipe of
-    /// `component_nodes[c][i]` in the tree rooted at `row_root[r]` ([`NO_PRED`]
-    /// for the root, for unreachable nodes and at an entry the row does not
-    /// keep, `row_dead`). A free row is empty. Together with `pipe_tail` and
-    /// the slots' patches this is the entire route store.
-    rows: Vec<Vec<u32>>,
-    /// Each row's root node ([`NO_PRED`]: a free row).
-    row_root: Vec<u32>,
-    /// The live slots reading each row.
-    row_refs: Vec<u32>,
-    /// Each row's position not kept ([`NO_PRED`]: none): its one reader's,
-    /// when that reader is a stub patched over it.
-    row_dead: Vec<u32>,
-    /// Each row's largest finite label, once a placement has asked for it
-    /// ([`UNUSABLE_COST`] until then: no label is finite there).
-    row_far: Vec<u64>,
-    /// Node → the row rooted there ([`NO_PRED`]: none).
-    row_of_node: Vec<u32>,
-    /// Free rows (ascending), reused lowest first by the next row a call
-    /// needs.
-    free_rows: Vec<u32>,
-    /// Each live row's index in root order: where the frame writes it.
-    /// Refreshed at the end of a call that stored or freed a row.
-    row_rank: Vec<u32>,
-    ranks_stale: bool,
-    /// Each slot's row ([`NO_PRED`] for a tombstone).
-    slot_row: Vec<u32>,
+    /// The stored rows by root node: `rows[u]` is the row rooted at node
+    /// `u`, `None` where no row is. One pointer a node, the row behind it
+    /// only where one is stored. Together with `pipe_tail` and the slots'
+    /// patches this is the entire route store.
+    rows: Vec<Option<Box<Row>>>,
+    /// Each slot's root: the node whose row it reads ([`NO_PRED`] for a
+    /// tombstone).
+    slot_root: Vec<u32>,
     /// Each slot's access pipe, patched over its row's root position
     /// ([`NO_PRED`]: the slot is its row's root).
     slot_access: Vec<u32>,
@@ -163,20 +181,18 @@ pub struct RoutingMatrix {
     /// Node indices per structural component, ascending: what a row's
     /// positions name.
     component_nodes: Vec<Vec<u32>>,
-    /// The rows an update reads its old trees from: `(row, entries)`, the
+    /// The rows an update reads its old trees from: `(root, entries)`, the
     /// first `saved_len` in use, their buffers kept across calls.
     saved: Vec<(u32, Vec<u32>)>,
     saved_len: usize,
-    /// The verdict memos of an update's diff: `(saved row, row, memo)`,
+    /// The verdict memos of an update's diff: `(saved row, root, memo)`,
     /// the first `memos_len` in use, one for each old and new row a stub
     /// kept its patch between (see [`RoutingMatrix::update_pipes`]).
     memos: Vec<(u32, u32, Vec<u8>)>,
     memos_len: usize,
-    /// Rows a call touched, settled ([`RoutingMatrix::settle`]) at its end.
+    /// The roots of the rows a call touched, settled
+    /// ([`RoutingMatrix::settle`]) at its end.
     touched: Vec<u32>,
-    /// Labels by position and a walk's chain, for [`RoutingMatrix::far`].
-    labels: Vec<u64>,
-    chain: Vec<u32>,
     trees: TreeScratch,
     /// Per-position verdicts of the changed-destination scan of one
     /// recomputed tree (see [`route_changed`]).
@@ -212,7 +228,7 @@ impl TreeScratch {
         topo: &DistilledTopology,
         source: NodeId,
         nodes: &[u32],
-        row: &mut Vec<u32>,
+        row: &mut [u32],
     ) {
         self.dist.resize(topo.node_count(), UNUSABLE_COST);
         self.pred.resize(topo.node_count(), NO_PRED);
@@ -225,9 +241,15 @@ impl TreeScratch {
             &mut self.heap,
         );
         self.runs += 1;
-        row.clear();
-        row.extend(nodes.iter().map(|&u| self.pred[u as usize]));
+        for (entry, &u) in row.iter_mut().zip(nodes) {
+            *entry = self.pred[u as usize];
+        }
     }
+}
+
+/// The row rooted at `root`: stored, as every live slot's root's is.
+fn stored(rows: &[Option<Box<Row>>], root: usize) -> &Row {
+    rows[root].as_deref().expect("a slot's root stores a row")
 }
 
 /// The stub `source` is, if it is one: its only out-pipe, usable, the hub
@@ -410,15 +432,8 @@ impl RoutingMatrix {
         self.rebuild_components(topo);
         self.index_slots();
         self.rows.clear();
-        self.row_far.clear();
-        let tables = [&mut self.row_root, &mut self.row_refs, &mut self.row_dead];
-        tables
-            .into_iter()
-            .chain([&mut self.free_rows])
-            .for_each(Vec::clear);
-        self.ranks_stale = true;
-        self.row_of_node = vec![NO_PRED; nc];
-        self.slot_row = vec![NO_PRED; n];
+        self.rows.resize_with(nc, || None);
+        self.slot_root = vec![NO_PRED; n];
         self.slot_access = vec![NO_PRED; n];
         for si in 0..n {
             if self.vns[si].index() < nc {
@@ -436,171 +451,126 @@ impl RoutingMatrix {
         let src = self.vns[si];
         let at = self.node_local[src.index()];
         if let Some((p, hub, c)) = stub_of(topo, src) {
-            let r = self.row_for(topo, hub, at);
-            if self.far(r) < UNUSABLE_COST - c {
-                self.bind(si, r, p.0);
+            let hub = hub.index();
+            self.row_for(topo, hub, at);
+            if self.far(hub) < UNUSABLE_COST - c {
+                self.bind(si, hub, p.0);
                 return;
             }
         }
-        let r = self.row_for(topo, src, NO_PRED);
-        self.bind(si, r, NO_PRED);
+        self.row_for(topo, src.index(), NO_PRED);
+        self.bind(si, src.index(), NO_PRED);
     }
 
-    /// The row rooted at `root`, able to serve a new reader (at position
-    /// `reader` when it is a stub patched over the row, [`NO_PRED`] when it
-    /// is the root): the stored one, recomputed first if it does not keep an
-    /// entry the reader reads, or a new one.
-    fn row_for(&mut self, topo: &DistilledTopology, root: NodeId, reader: u32) -> usize {
-        let stored = self.row_of_node[root.index()];
-        if stored != NO_PRED {
-            let r = stored as usize;
-            let dead = self.row_dead[r];
-            if dead != NO_PRED && (reader == NO_PRED || dead != reader) {
-                self.fill(topo, r);
-            }
-            return r;
+    /// Makes the row rooted at `root` able to serve a new reader (at
+    /// position `reader` when it is a stub patched over the row, [`NO_PRED`]
+    /// when it is the root): stores it if none is, and recomputes it if it
+    /// does not keep an entry the reader reads.
+    fn row_for(&mut self, topo: &DistilledTopology, root: usize, reader: u32) {
+        let dead = self.rows[root].as_ref().map_or(STALE, |row| row.dead);
+        if dead != NO_PRED && (reader == NO_PRED || dead != reader) {
+            self.fill(topo, root);
         }
-        let r = match self.free_rows.first() {
-            Some(_) => self.free_rows.remove(0) as usize,
-            None => {
-                self.rows.push(Vec::new());
-                self.row_root.push(NO_PRED);
-                self.row_refs.push(0);
-                self.row_dead.push(NO_PRED);
-                self.row_far.push(UNUSABLE_COST);
-                self.rows.len() - 1
-            }
-        };
-        self.row_root[r] = root.index() as u32;
-        self.row_of_node[root.index()] = r as u32;
-        self.touched.push(r as u32);
-        self.ranks_stale = true;
-        self.fill(topo, r);
-        r
     }
 
-    /// Recomputes row `r`: its root's Dijkstra, every entry kept.
-    fn fill(&mut self, topo: &DistilledTopology, r: usize) {
-        let root = self.row_root[r] as usize;
+    /// Recomputes the row rooted at `root`, stored first if none is: the
+    /// root's Dijkstra, every entry kept. The row is settled at the call's
+    /// end.
+    fn fill(&mut self, topo: &DistilledTopology, root: usize) {
         let nodes = &self.component_nodes[self.node_component[root] as usize];
-        let row = &mut self.rows[r];
-        self.trees.tree_row(topo, NodeId(root), nodes, row);
-        (self.row_dead[r], self.row_far[r]) = (NO_PRED, UNUSABLE_COST);
+        let width = nodes.len();
+        let row = self.rows[root].get_or_insert_with(|| Row::new(vec![NO_PRED; width].into()));
+        self.trees
+            .tree_row(topo, NodeId(root), nodes, &mut row.entries);
+        let dist = nodes.iter().map(|&u| self.trees.dist[u as usize]);
+        let far = dist.filter(|&d| d != UNUSABLE_COST).max();
+        (row.dead, row.far) = (NO_PRED, far.unwrap_or(0));
+        self.touched.push(root as u32);
     }
 
-    /// Row `r`'s largest finite label: what a stub shifted from it adds its
-    /// access cost to. Summed off the stored row, so a restored matrix
-    /// places a stub as the one it was taken from does: each position's
-    /// label once, a walk up to the first known one summed back down.
-    fn far(&mut self, r: usize) -> u64 {
-        if self.row_far[r] != UNUSABLE_COST {
-            return self.row_far[r];
-        }
-        let (row, tails, costs) = (&self.rows[r], &self.pipe_tail, &self.pipe_cost);
-        let root = self.node_local[self.row_root[r] as usize] as usize;
-        let (labels, known, chain) = (&mut self.labels, &mut self.scratch_memo, &mut self.chain);
-        labels.clear();
-        labels.resize(row.len(), 0);
-        known.clear();
-        known.resize(row.len(), 0);
-        known[root] = 1;
-        let mut far = 0;
-        for start in 0..row.len() {
-            let mut cur = start;
-            chain.clear();
-            while known[cur] == 0 {
-                let p = row[cur];
-                if p == NO_PRED {
-                    (labels[cur], known[cur]) = (UNUSABLE_COST, 1);
-                    break;
-                }
-                chain.push(cur as u32);
-                cur = tails[p as usize] as usize;
-            }
-            let mut sum = labels[cur];
-            for &v in chain.iter().rev() {
-                if sum != UNUSABLE_COST {
-                    sum = sum.saturating_add(costs[row[v as usize] as usize]);
-                }
-                (labels[v as usize], known[v as usize]) = (sum, 1);
-            }
-            if labels[start] != UNUSABLE_COST {
-                far = far.max(labels[start]);
-            }
-        }
-        self.row_far[r] = far;
-        far
+    fn row_mut(&mut self, root: usize) -> &mut Row {
+        self.rows[root]
+            .as_deref_mut()
+            .expect("a slot's root stores a row")
     }
 
-    /// Slot `si` reads row `r`, patched with `access`.
-    fn bind(&mut self, si: usize, r: usize, access: u32) {
-        (self.slot_row[si], self.slot_access[si]) = (r as u32, access);
-        self.row_refs[r] += 1;
-        self.touched.push(r as u32);
+    /// The largest finite label of the row rooted at `root`: what a stub
+    /// shifted from it adds its access cost to. Read off the stored row —
+    /// Dijkstra's labels when it was filled, which are the pipe costs summed
+    /// up the row; summed, once, for a row restored or one that dropped an
+    /// entry — so a restored matrix places a stub as the one it was taken
+    /// from does.
+    fn far(&mut self, root: usize) -> u64 {
+        let row = stored(&self.rows, root);
+        if row.far == UNUSABLE_COST {
+            let at = self.node_local[root] as usize;
+            let tree = Patched {
+                row: &row.entries,
+                root: at,
+                hub: at,
+                access: NO_PRED,
+            };
+            let label = |i| tree_label(tree, &self.pipe_tail, &self.pipe_cost, i);
+            let finite = (0..row.entries.len())
+                .map(label)
+                .filter(|&l| l != UNUSABLE_COST);
+            self.row_mut(root).far = finite.max().unwrap_or(0);
+        }
+        stored(&self.rows, root).far
+    }
+
+    /// Slot `si` reads the row rooted at `root`, patched with `access`.
+    fn bind(&mut self, si: usize, root: usize, access: u32) {
+        (self.slot_root[si], self.slot_access[si]) = (root as u32, access);
+        self.row_mut(root).refs += 1;
+        self.touched.push(root as u32);
     }
 
     /// Slot `si` reads no row; the row it read is settled at the call's
     /// end.
     fn unbind(&mut self, si: usize) {
-        let r = self.slot_row[si];
-        if r != NO_PRED {
-            self.row_refs[r as usize] -= 1;
-            self.touched.push(r);
+        let root = self.slot_root[si];
+        if root != NO_PRED {
+            self.row_mut(root as usize).refs -= 1;
+            self.touched.push(root);
         }
-        (self.slot_row[si], self.slot_access[si]) = (NO_PRED, NO_PRED);
+        (self.slot_root[si], self.slot_access[si]) = (NO_PRED, NO_PRED);
     }
 
-    /// Settles every row the call touched: a row no slot reads is freed,
+    /// Settles every row the call touched: a row no slot reads is dropped,
     /// and a row whose one reader is a stub drops the entry at that stub's
     /// position (nothing reads it).
     fn settle_touched(&mut self) {
         let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
         touched.dedup();
-        for &r in &touched {
-            self.settle(r as usize);
+        for &root in &touched {
+            self.settle(root as usize);
         }
         touched.clear();
         self.touched = touched;
-        if std::mem::take(&mut self.ranks_stale) {
-            self.row_rank.clear();
-            self.row_rank.resize(self.rows.len(), NO_PRED);
-            let live = self.row_of_node.iter().filter(|&&r| r != NO_PRED);
-            for (rank, &r) in live.enumerate() {
-                self.row_rank[r as usize] = rank as u32;
+    }
+
+    fn settle(&mut self, root: usize) {
+        let Some(row) = self.rows[root].as_deref() else {
+            return;
+        };
+        if row.refs == 0 {
+            self.rows[root] = None;
+        } else if row.refs == 1 && row.dead == NO_PRED {
+            if let Some(at) = self.lone_stub(root) {
+                let row = self.row_mut(root);
+                row.entries[at as usize] = NO_PRED;
+                (row.dead, row.far) = (at, UNUSABLE_COST);
             }
         }
     }
 
-    fn settle(&mut self, r: usize) {
-        let root = self.row_root[r];
-        if root == NO_PRED {
-            return;
-        }
-        if self.row_refs[r] == 0 {
-            self.rows[r].clear();
-            self.row_of_node[root as usize] = NO_PRED;
-            (self.row_root[r], self.row_dead[r]) = (NO_PRED, NO_PRED);
-            self.row_far[r] = UNUSABLE_COST;
-            if let Err(at) = self.free_rows.binary_search(&(r as u32)) {
-                self.free_rows.insert(at, r as u32);
-            }
-            self.ranks_stale = true;
-            return;
-        }
-        if self.row_refs[r] == 1 && self.row_dead[r] == NO_PRED {
-            if let Some(at) = self.lone_stub(r) {
-                self.rows[r][at as usize] = NO_PRED;
-                (self.row_dead[r], self.row_far[r]) = (at, UNUSABLE_COST);
-            }
-        }
-    }
-
-    /// The position of row `r`'s one reader, when that reader is a stub
-    /// patched over it.
-    fn lone_stub(&self, r: usize) -> Option<u32> {
-        let comp = self.node_component[self.row_root[r] as usize] as usize;
-        let reads = |&&si: &&u32| self.slot_row[si as usize] == r as u32;
+    /// The position of the one reader of the row rooted at `root`, when
+    /// that reader is a stub patched over it.
+    fn lone_stub(&self, root: usize) -> Option<u32> {
+        let comp = self.node_component[root] as usize;
+        let reads = |&&si: &&u32| self.slot_root[si as usize] == root as u32;
         let si = *self.component_vns[comp].iter().find(reads)? as usize;
         let patched = self.slot_access[si] != NO_PRED;
         patched.then(|| self.node_local[self.vns[si].index()])
@@ -662,24 +632,17 @@ impl RoutingMatrix {
         }
         // Roots are node indices, so a dense table maps root → component id
         // without hashing (the whole rebuild path is now hash-free).
-        let mut id_of_root = vec![u32::MAX; self.node_count];
-        let mut node_component = vec![0u32; self.node_count];
-        let mut component_nodes: Vec<Vec<u32>> = Vec::new();
+        let mut id_of_root = vec![NO_PRED; self.node_count];
+        self.component_nodes.clear();
         for u in 0..self.node_count as u32 {
             let root = find(&mut parent, u) as usize;
-            let id = if id_of_root[root] != u32::MAX {
-                id_of_root[root]
-            } else {
-                let id = component_nodes.len() as u32;
-                id_of_root[root] = id;
-                component_nodes.push(Vec::new());
-                id
-            };
-            node_component[u as usize] = id;
-            component_nodes[id as usize].push(u);
+            if id_of_root[root] == NO_PRED {
+                id_of_root[root] = self.component_nodes.len() as u32;
+                self.component_nodes.push(Vec::new());
+            }
+            self.component_nodes[id_of_root[root] as usize].push(u);
         }
-        self.node_component = node_component;
-        self.component_nodes = component_nodes;
+        self.derive_components();
         self.derive_positions();
     }
 
@@ -762,11 +725,9 @@ impl RoutingMatrix {
             candidates.extend(self.pipe_tree_sources(topo, p));
             let head = topo.pipe(p).dst.index();
             let at = self.node_local[head] as usize;
-            let comp = self.node_component[head] as usize;
-            for &si in &self.component_vns[comp] {
-                let r = self.slot_row[si as usize] as usize;
-                if self.rows[r][at] == p.0 && self.row_root[r] as usize != head {
-                    rows.push(r as u32);
+            for (root, row) in self.component_rows(self.node_component[head] as usize) {
+                if row.entries[at] == p.0 && root as usize != head {
+                    rows.push(root);
                 }
             }
         }
@@ -788,7 +749,6 @@ impl RoutingMatrix {
                 })
             };
             for &c in &comps {
-                let mut comp_rows = Vec::new();
                 for &si in &self.component_vns[c as usize] {
                     let tree = self
                         .patched(si as usize)
@@ -796,21 +756,17 @@ impl RoutingMatrix {
                     if undercut(tree) {
                         candidates.push(si);
                     }
-                    comp_rows.push(self.slot_row[si as usize]);
                 }
-                comp_rows.sort_unstable();
-                comp_rows.dedup();
-                for r in comp_rows {
-                    let root = self.node_local[self.row_root[r as usize] as usize] as usize;
-                    let row = &self.rows[r as usize];
+                for (root, row) in self.component_rows(c as usize) {
+                    let at = self.node_local[root as usize] as usize;
                     let tree = Patched {
-                        row,
-                        root,
-                        hub: root,
+                        row: &row.entries,
+                        root: at,
+                        hub: at,
                         access: NO_PRED,
                     };
                     if undercut(tree) {
-                        rows.push(r);
+                        rows.push(root);
                     }
                 }
             }
@@ -830,22 +786,21 @@ impl RoutingMatrix {
         // row. A stale row is recomputed when the first slot is placed on
         // it, and freed if none is.
         let mut affected = candidates;
-        for &r in &rows {
-            let comp = self.node_component[self.row_root[r as usize] as usize] as usize;
+        for &root in &rows {
+            let comp = self.node_component[root as usize] as usize;
             let readers = self.component_vns[comp].iter();
-            affected.extend(readers.filter(|&&si| self.slot_row[si as usize] == r));
+            affected.extend(readers.filter(|&&si| self.slot_root[si as usize] == root));
         }
         affected.sort_unstable();
         affected.dedup();
         let mut old_places: Vec<(u32, u32, u32)> = Vec::with_capacity(affected.len());
         self.saved_len = 0;
         for &si in &affected {
-            let (r, access) = (self.slot_row[si as usize], self.slot_access[si as usize]);
-            let root = self.row_root[r as usize];
-            old_places.push((self.save(r), root, access));
+            let (root, access) = (self.slot_root[si as usize], self.slot_access[si as usize]);
+            old_places.push((self.save(root), root, access));
         }
-        for &r in &rows {
-            self.row_dead[r as usize] = STALE;
+        for &root in &rows {
+            self.row_mut(root as usize).dead = STALE;
         }
         for &si in &affected {
             self.unbind(si as usize);
@@ -857,27 +812,24 @@ impl RoutingMatrix {
         // stub is a leaf of its hub's tree): one memo a pair of rows.
         self.memos_len = 0;
         for (&si, &(saved, old_root, old_access)) in affected.iter().zip(&old_places) {
-            let (si, r) = (si as usize, self.slot_row[si as usize] as usize);
+            let si = si as usize;
             let src = self.vns[si];
             let comp = self.node_component[src.index()] as usize;
             let root = self.node_local[src.index()] as usize;
-            let (hub, access) = (self.row_root[r], self.slot_access[si]);
+            let (hub, access) = (self.slot_root[si], self.slot_access[si]);
             let at_hub = self.node_local[hub as usize] as usize;
             let old_row = &self.saved[saved as usize].1;
             let shared = (old_root, old_access) == (hub, access);
             let (old, new, memo) = if shared {
                 let kept = self.memos[..self.memos_len].iter();
-                let k = match kept
-                    .into_iter()
-                    .position(|m| (m.0, m.1) == (saved, r as u32))
-                {
+                let k = match kept.into_iter().position(|m| (m.0, m.1) == (saved, hub)) {
                     Some(k) => k,
                     None => {
                         if self.memos_len == self.memos.len() {
                             self.memos.push((0, 0, Vec::new()));
                         }
                         let (old, new, memo) = &mut self.memos[self.memos_len];
-                        (*old, *new) = (saved, r as u32);
+                        (*old, *new) = (saved, hub);
                         memo.clear();
                         memo.resize(old_row.len(), 0);
                         self.memos_len += 1;
@@ -890,7 +842,8 @@ impl RoutingMatrix {
                     hub: at_hub,
                     access: NO_PRED,
                 };
-                (tree(old_row), tree(&self.rows[r]), &mut self.memos[k].2)
+                let new_row = &stored(&self.rows, hub as usize).entries;
+                (tree(old_row), tree(new_row), &mut self.memos[k].2)
             } else {
                 self.scratch_memo.clear();
                 self.scratch_memo.resize(old_row.len(), 0);
@@ -901,7 +854,7 @@ impl RoutingMatrix {
                     access: old_access,
                 };
                 let new = Patched {
-                    row: &self.rows[r],
+                    row: &stored(&self.rows, hub as usize).entries,
                     hub: at_hub,
                     access,
                     ..old
@@ -923,20 +876,29 @@ impl RoutingMatrix {
         update
     }
 
-    /// Saves row `r`'s entries for this update's diff, once: the index of
-    /// its copy.
-    fn save(&mut self, r: u32) -> u32 {
+    /// The rows stored over component `c`, with their roots.
+    fn component_rows(&self, c: usize) -> impl Iterator<Item = (u32, &Row)> {
+        let nodes = &self.component_nodes[c];
+        nodes
+            .iter()
+            .filter_map(|&u| Some((u, self.rows[u as usize].as_deref()?)))
+    }
+
+    /// Saves the entries of the row rooted at `root` for this update's
+    /// diff, once: the index of its copy.
+    fn save(&mut self, root: u32) -> u32 {
         let kept = &self.saved[..self.saved_len];
-        if let Some(at) = kept.iter().position(|(row, _)| *row == r) {
+        if let Some(at) = kept.iter().position(|(saved, _)| *saved == root) {
             return at as u32;
         }
         if self.saved_len == self.saved.len() {
-            self.saved.push((r, Vec::new()));
+            self.saved.push((root, Vec::new()));
         }
-        let (row, copy) = &mut self.saved[self.saved_len];
-        *row = r;
+        let stored = stored(&self.rows, root as usize);
+        let (saved, copy) = &mut self.saved[self.saved_len];
+        *saved = root;
         copy.clear();
-        copy.extend_from_slice(&self.rows[r as usize]);
+        copy.extend_from_slice(&stored.entries);
         self.saved_len += 1;
         self.saved_len as u32 - 1
     }
@@ -958,7 +920,7 @@ impl RoutingMatrix {
         }
         let si = if self.free_slots.is_empty() {
             self.vns.push(node);
-            self.slot_row.push(NO_PRED);
+            self.slot_root.push(NO_PRED);
             self.slot_access.push(NO_PRED);
             self.vns.len() - 1
         } else {
@@ -1016,7 +978,7 @@ impl RoutingMatrix {
 
     /// Number of rows stored: one per tree root, not one per source.
     pub fn stored_row_count(&self) -> usize {
-        self.rows.len() - self.free_rows.len()
+        self.rows.iter().flatten().count()
     }
 
     /// Change counter of this matrix (a restored one starts at 0): bumped
@@ -1109,12 +1071,12 @@ impl RoutingMatrix {
 
     /// Slot `si`'s tree as its row and patch: `None` for a tombstone.
     fn patched(&self, si: usize) -> Option<Patched<'_>> {
-        let r = *self.slot_row.get(si).filter(|&&r| r != NO_PRED)? as usize;
-        let root = self.node_local[self.vns[si].index()] as usize;
+        let hub = *self.slot_root.get(si)? as usize;
+        let row = self.rows.get(hub)?.as_deref()?;
         Some(Patched {
-            row: &self.rows[r],
-            root,
-            hub: self.node_local[self.row_root[r] as usize] as usize,
+            row: &row.entries,
+            root: self.node_local[self.vns[si].index()] as usize,
+            hub: self.node_local[hub] as usize,
             access: self.slot_access[si],
         })
     }
@@ -1182,22 +1144,18 @@ impl RoutingMatrix {
         sources.iter().copied().filter(crosses)
     }
 
-    /// Resident heap bytes of the route state (rows, slot and row maps,
-    /// pipe costs and tails, component maps and positions) — the
-    /// structures that scale with topology size, reported beside the
-    /// table's own accounting.
+    /// Resident heap bytes of the route state (rows, slot maps, pipe costs
+    /// and tails, component maps and positions) — the structures that
+    /// scale with topology size, reported beside the table's own
+    /// accounting.
     pub fn memory_bytes(&self) -> usize {
         fn nested(v: &[Vec<u32>]) -> usize {
             std::mem::size_of_val(v) + v.iter().map(|e| e.capacity() * 4).sum::<usize>()
         }
+        let rows = self.rows.iter().flatten();
+        let row_bytes = rows.map(|row| std::mem::size_of::<Row>() + row.entries.len() * 4);
         let u32s = [
-            &self.row_root,
-            &self.row_refs,
-            &self.row_dead,
-            &self.row_of_node,
-            &self.free_rows,
-            &self.row_rank,
-            &self.slot_row,
+            &self.slot_root,
             &self.slot_access,
             &self.pipe_src,
             &self.pipe_tail,
@@ -1205,9 +1163,10 @@ impl RoutingMatrix {
             &self.node_component,
             &self.node_local,
         ];
-        nested(&self.rows)
+        self.rows.capacity() * std::mem::size_of::<Option<Box<Row>>>()
+            + row_bytes.sum::<usize>()
             + u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
-            + (self.row_far.capacity() + self.pipe_cost.capacity()) * 8
+            + self.pipe_cost.capacity() * 8
             + self.vns.capacity() * std::mem::size_of::<NodeId>()
             + nested(&self.component_vns)
             + nested(&self.component_nodes)
@@ -1228,16 +1187,12 @@ impl RoutingMatrix {
         self.node_component.get(node).map_or(0, comp)
     }
 
-    /// Reads the matrix as format v10 wrote it — the slot list, the node
-    /// count, the pipe tables, each node's component, the component node
-    /// lists and a row per slot — checks it as the current format is
-    /// checked, and stores each stub's row once, at its hub
-    /// ([`RoutingMatrix::share_rows`]). Read by v10 checkpoints alone; the
-    /// next format drops it.
-    #[doc(hidden)]
-    pub fn get_v10(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    /// Reads the matrix's head — the slot list, the node count, the pipe
+    /// tables and the component node lists — and refuses one a later call
+    /// would index out of range with.
+    fn get_head(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let vns = Vec::<NodeId>::get(r)?;
-        let (node_count, pipe_cost, pipe_src, node_component): (_, _, _, Vec<u32>) = Codec::get(r)?;
+        let (node_count, pipe_cost, pipe_src) = Codec::get(r)?;
         let mut m = RoutingMatrix {
             vns,
             node_count,
@@ -1246,180 +1201,111 @@ impl RoutingMatrix {
             component_nodes: Codec::get(r)?,
             ..RoutingMatrix::default()
         };
-        if !m.derive_components() || node_component != m.node_component {
-            return Err(CodecError::Invalid("component maps disagree"));
-        }
         m.check_tables()?;
-        let mut trees = Vec::with_capacity(m.vns.len());
-        for si in 0..m.vns.len() {
-            trees.push(r.get_bare_u32s(m.width_at(m.vns[si].index()))?);
-        }
-        let live = (m.vns.iter().zip(&trees)).filter(|(v, _)| **v != DEAD_SOURCE);
-        m.check_rows(live.map(|(v, row)| (&row[..], v.index())))?;
-        m.share_rows(trees);
         Ok(m)
     }
 
-    /// Stores format v10's per-slot trees as rows keyed by root. A stub
-    /// slot's tree (one usable out-pipe `p`, named in its tree at the hub's
-    /// position) is its hub's row patched, and the group of stubs of one hub
-    /// gives that row back: the entries the patch hides are the hub's own
-    /// row's, when the hub is a source, or a sibling's. A slot whose tree is
-    /// not the group's row patched — and every other slot — roots its own.
-    /// The layout is then the one a build over the same trees stores. Should
-    /// two rows claim one root, every slot roots its own row instead: the
-    /// same trees, stored per slot.
-    fn share_rows(&mut self, trees: Vec<Vec<u32>>) {
-        let n = self.vns.len();
+    /// Binds each live slot, in slot order, to the row rooted at its entry
+    /// of `roots`, patched with its one out-pipe when it is not that root.
+    /// Refuses a root outside the graph or of another component than the
+    /// slot's, and a stub slot without exactly one out-pipe.
+    fn bind_slots(&mut self, roots: &[u32]) -> Result<(), CodecError> {
+        use CodecError::Invalid;
+        // Each node's one out-pipe, if it has exactly one.
         let mut outs = vec![(0u32, NO_PRED); self.node_count];
         for (p, &u) in self.pipe_src.iter().enumerate() {
             outs[u as usize] = (outs[u as usize].0.saturating_add(1), p as u32);
         }
-        // Each live slot's (hub position, access pipe), for a stub.
-        let stub = |si: usize| {
-            let src = self.vns[si];
-            let (count, p) = *outs.get(src.index())?;
-            let usable = count == 1 && self.pipe_cost[p as usize] != UNUSABLE_COST;
-            let own = self.node_local[src.index()] as usize;
-            let hub = trees[si].iter().position(|&e| e == p);
-            hub.filter(|&h| usable && h != own).map(|h| (h, p))
-        };
-        let stubs: Vec<Option<(usize, u32)>> = (0..n).map(stub).collect();
-        // Stubs by hub node, in slot order.
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for (si, s) in stubs.iter().enumerate() {
-            if let Some((hub, _)) = s {
-                let comp = self.node_component[self.vns[si].index()] as usize;
-                let node = self.component_nodes[comp][*hub] as usize;
-                groups.entry(node).or_default().push(si);
+        let n = self.vns.len();
+        (self.slot_root, self.slot_access) = (vec![NO_PRED; n], vec![NO_PRED; n]);
+        let live = (0..n).filter(|&si| self.vns[si] != DEAD_SOURCE);
+        for (si, &root) in live.zip(roots) {
+            let src = self.vns[si].index();
+            let Some(&comp) = self.node_component.get(root as usize) else {
+                return Err(Invalid("slot root outside the graph"));
+            };
+            if comp != self.node_component[src] {
+                return Err(Invalid("root of another component than its slot's"));
             }
-        }
-        let mut rows: std::collections::BTreeMap<usize, Vec<u32>> = Default::default();
-        let mut places = vec![(NO_PRED, NO_PRED); n];
-        let mut clash = false;
-        for (&hub, members) in &groups {
-            let hub_slot = self.vn_index(NodeId(hub)).filter(|&h| stubs[h].is_none());
-            let at = |si: usize| self.node_local[self.vns[si].index()] as usize;
-            let hub_at = self.node_local[hub] as usize;
-            // The row read off member `k`, its own position's entry off the
-            // first sibling whose tree agrees with its elsewhere.
-            let from_member = |k: usize| {
-                let (own, tree) = (at(members[k]), &trees[members[k]]);
-                let agrees = |&&s: &&usize| {
-                    let skip = |i: &usize| ![own, at(s), hub_at].contains(i);
-                    s != members[k] && (0..tree.len()).filter(skip).all(|i| trees[s][i] == tree[i])
-                };
-                let mut row = tree.clone();
-                row[hub_at] = NO_PRED;
-                row[own] = members
-                    .iter()
-                    .find(agrees)
-                    .map_or(NO_PRED, |&s| trees[s][own]);
-                row
-            };
-            let sharing = |row: &[u32]| {
-                let shares = |&&si: &&usize| {
-                    let access = stubs[si].map_or(NO_PRED, |(_, p)| p);
-                    let patched = Patched {
-                        row,
-                        root: at(si),
-                        hub: hub_at,
-                        access,
-                    };
-                    (0..row.len()).all(|i| patched.pred(i) == trees[si][i])
-                };
-                members
-                    .iter()
-                    .filter(shares)
-                    .copied()
-                    .collect::<Vec<usize>>()
-            };
-            // The hub's own tree, or the member's tree most members share.
-            let (row, readers) = match hub_slot {
-                Some(h) => (trees[h].clone(), sharing(&trees[h])),
-                None => {
-                    let mut best = (Vec::new(), Vec::new());
-                    for k in 0..members.len() {
-                        let row = from_member(k);
-                        let readers = sharing(&row);
-                        if readers.len() > best.1.len() {
-                            best = (row, readers);
-                        }
-                        if best.1.len() == members.len() {
-                            break;
-                        }
-                    }
-                    best
+            if root as usize != src {
+                let (count, p) = outs[src];
+                if count != 1 {
+                    return Err(Invalid("stub slot without a unique access pipe"));
                 }
-            };
-            for &si in &readers {
-                places[si] = (hub as u32, stubs[si].map_or(NO_PRED, |(_, p)| p));
+                self.slot_access[si] = p;
             }
-            if let Some(h) = hub_slot {
-                places[h] = (hub as u32, NO_PRED);
-            }
-            if hub_slot.is_some() || !readers.is_empty() {
-                clash |= rows.insert(hub, row).is_some();
-            }
+            self.slot_root[si] = root;
         }
-        for si in 0..n {
-            let src = self.vns[si];
-            if src != DEAD_SOURCE && places[si].0 == NO_PRED {
-                places[si] = (src.index() as u32, NO_PRED);
-                clash |= rows.insert(src.index(), trees[si].clone()).is_some();
-            }
-        }
-        if clash {
-            rows.clear();
-            for (si, &src) in self.vns.iter().enumerate() {
-                if src != DEAD_SOURCE {
-                    places[si] = (src.index() as u32, NO_PRED);
-                    rows.insert(src.index(), trees[si].clone());
-                }
-            }
-        }
-        self.row_of_node = vec![NO_PRED; self.node_count];
-        for (root, row) in rows {
-            self.row_of_node[root] = self.rows.len() as u32;
-            self.row_root.push(root as u32);
-            self.rows.push(row);
-        }
-        self.slot_row = places
-            .iter()
-            .map(|&(root, _)| match root {
-                NO_PRED => NO_PRED,
-                root => self.row_of_node[root as usize],
-            })
-            .collect();
-        self.slot_access = places.iter().map(|&(_, access)| access).collect();
-        self.index_rows();
-        for (row, &dead) in self.rows.iter_mut().zip(&self.row_dead) {
-            if dead != NO_PRED {
-                row[dead as usize] = NO_PRED;
-            }
-        }
+        Ok(())
     }
 
-    /// Derives what the rows and the slots' rows determine: each row's
-    /// readers, its dropped entry, and the node → row map.
-    fn index_rows(&mut self) {
-        let rows = self.rows.len();
-        self.row_rank = (0..rows as u32).collect();
-        self.row_refs = vec![0; rows];
-        self.row_dead = vec![NO_PRED; rows];
-        self.row_far = vec![UNUSABLE_COST; rows];
-        self.row_of_node = vec![NO_PRED; self.node_count];
-        for (r, &root) in self.row_root.iter().enumerate() {
-            self.row_of_node[root as usize] = r as u32;
+    /// Reads a row for each of `roots` (in the graph), each at its root's
+    /// component's width, and refuses one [`RoutingMatrix::check_rows`]
+    /// refuses.
+    fn get_rows(&self, r: &mut ByteReader<'_>, roots: &[u32]) -> Result<Vec<Vec<u32>>, CodecError> {
+        let mut rows = Vec::with_capacity(roots.len());
+        for &root in roots {
+            rows.push(r.get_bare_u32s(self.width_at(root as usize))?);
         }
-        for &r in self.slot_row.iter().filter(|&&r| r != NO_PRED) {
-            self.row_refs[r as usize] += 1;
+        let at = roots.iter().map(|&root| root as usize);
+        self.check_rows(rows.iter().map(Vec::as_slice).zip(at))?;
+        Ok(rows)
+    }
+
+    /// Stores `rows` at their `roots`, counts each row's readers among the
+    /// bound slots and settles each row read.
+    fn store_rows(&mut self, roots: &[u32], rows: Vec<Vec<u32>>) {
+        self.rows.resize_with(self.node_count, || None);
+        for (&root, row) in roots.iter().zip(rows) {
+            self.rows[root as usize] = Some(Row::new(row.into()));
         }
-        for r in 0..rows {
-            if self.row_refs[r] == 1 {
-                self.row_dead[r] = self.lone_stub(r).unwrap_or(NO_PRED);
+        for &root in &self.slot_root {
+            if let Some(Some(row)) = self.rows.get_mut(root as usize) {
+                row.refs += 1;
+                self.touched.push(root);
             }
         }
+        self.settle_touched();
+    }
+
+    /// Reads the matrix as format v11 wrote it: the rows' roots listed
+    /// before the rows, and each live slot's row as its index in root order.
+    /// Its four refusals of roots and rows that disagree describe states a
+    /// current frame cannot express. Read by v11 checkpoints alone; the
+    /// next format drops it.
+    #[doc(hidden)]
+    pub fn get_v11(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
+        let mut m = Self::get_head(r)?;
+        let roots = r.get_u32s()?;
+        for pair in roots.windows(2) {
+            if pair[0] >= pair[1] {
+                return Err(Invalid(match pair[0] == pair[1] {
+                    true => "two rows with one root",
+                    false => "rows out of root order",
+                }));
+            }
+        }
+        let beyond = roots.last().is_some_and(|&r| r as usize >= m.node_count);
+        if beyond {
+            return Err(Invalid("row root outside the graph"));
+        }
+        let rows = m.get_rows(r, &roots)?;
+        let live = m.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
+        let ranks = r.get_bare_u32s(live)?;
+        let at = |&rank: &u32| roots.get(rank as usize).copied();
+        let Some(slot_roots) = ranks.iter().map(at).collect::<Option<Vec<u32>>>() else {
+            return Err(Invalid("slot names a row out of range"));
+        };
+        m.bind_slots(&slot_roots)?;
+        m.store_rows(&roots, rows);
+        if roots
+            .iter()
+            .any(|&root| stored(&m.rows, root as usize).refs == 0)
+        {
+            return Err(Invalid("row no slot reads"));
+        }
+        Ok(m)
     }
 
     /// Derives each node's component from the component lists; returns
@@ -1445,11 +1331,15 @@ impl RoutingMatrix {
         self.node_component.iter().all(|&c| c != NO_PRED)
     }
 
-    /// Refuses pipe tables and slot lists a later call would index out of
-    /// range with, and derives the node → slot map, each component's slots,
-    /// the free slots and the positions.
+    /// Refuses component lists, pipe tables and slot lists a later call
+    /// would index out of range with, and derives each node's component,
+    /// the node → slot map, each component's slots, the free slots and the
+    /// positions.
     fn check_tables(&mut self) -> Result<(), CodecError> {
         use CodecError::Invalid;
+        if !self.derive_components() {
+            return Err(Invalid("component lists do not partition the nodes"));
+        }
         let node_count = self.node_count;
         let in_graph = |v: &NodeId| *v == DEAD_SOURCE || v.index() < node_count;
         if !self.vns.iter().all(in_graph) {
@@ -1533,18 +1423,18 @@ impl RoutingMatrix {
 }
 
 /// The slot list and the node count, the pipe tables, the component node
-/// lists, the rows' roots (ascending) and then every row at its root
-/// component's width, and last each live slot's row (its index in root
-/// order) — rows and slots' rows with no length of their own, as the lists
-/// before them give each. Written out rather than declared because the
-/// rows' widths come from the maps, which are checked before a row is read;
-/// each node's component and position, the node → slot map, each
-/// component's slots, the free slots, each stub's access pipe and each
-/// row's readers are derived from the rest, and the change counter and the
-/// scratch are not written.
+/// lists, each live slot's root, and then the row of each distinct root,
+/// ascending, at its root's component's width — roots and rows with no
+/// length of their own, as the lists before them give each. Written out
+/// rather than declared because the rows' widths come from the maps, which
+/// are checked before a row is read; the set of roots is the slots' (a row
+/// is stored exactly while a live slot reads it), and each node's component
+/// and position, the node → slot map, each component's slots, the free
+/// slots, each stub's access pipe and each row's readers are derived from
+/// the rest. The change counter and the scratch are not written.
 impl Codec for RoutingMatrix {
-    /// Five count prefixes and the node count.
-    const MIN_BYTES: usize = 5 * <Vec<u32> as Codec>::MIN_BYTES + usize::MIN_BYTES;
+    /// Four count prefixes and the node count.
+    const MIN_BYTES: usize = 4 * <Vec<u32> as Codec>::MIN_BYTES + usize::MIN_BYTES;
 
     fn put(&self, w: &mut ByteWriter) {
         self.vns.put(w);
@@ -1552,89 +1442,25 @@ impl Codec for RoutingMatrix {
         self.pipe_cost.put(w);
         self.pipe_src.put(w);
         self.component_nodes.put(w);
+        for &root in self.slot_root.iter().filter(|&&root| root != NO_PRED) {
+            w.put_u32(root);
+        }
         // Rows in root order: the layout is the trees', not the history's.
-        let order = self.row_of_node.iter().filter(|&&r| r != NO_PRED);
-        w.put_len(self.stored_row_count());
-        for &r in order.clone() {
-            w.put_u32(self.row_root[r as usize]);
-        }
-        for &r in order {
-            w.put_bare_u32s(&self.rows[r as usize]);
-        }
-        let live = self.slot_row.iter().filter(|&&r| r != NO_PRED);
-        for &r in live {
-            w.put_u32(self.row_rank[r as usize]);
+        for row in self.rows.iter().flatten() {
+            w.put_bare_u32s(&row.entries);
         }
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        use CodecError::Invalid;
-        let vns = Vec::<NodeId>::get(r)?;
-        let (node_count, pipe_cost, pipe_src) = Codec::get(r)?;
-        let mut m = RoutingMatrix {
-            vns,
-            node_count,
-            pipe_cost,
-            pipe_src,
-            component_nodes: Codec::get(r)?,
-            ..RoutingMatrix::default()
-        };
-        if !m.derive_components() {
-            return Err(Invalid("component lists do not partition the nodes"));
-        }
-        m.check_tables()?;
-        m.row_root = r.get_u32s()?;
-        for pair in m.row_root.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(Invalid(match pair[0] == pair[1] {
-                    true => "two rows with one root",
-                    false => "rows out of root order",
-                }));
-            }
-        }
-        if m.row_root
-            .last()
-            .is_some_and(|&root| root as usize >= node_count)
-        {
-            return Err(Invalid("row root outside the graph"));
-        }
-        for i in 0..m.row_root.len() {
-            let row = r.get_bare_u32s(m.width_at(m.row_root[i] as usize))?;
-            m.rows.push(row);
-        }
-        let roots = m.row_root.iter().map(|&root| root as usize);
-        m.check_rows(m.rows.iter().map(Vec::as_slice).zip(roots))?;
-        // Each node's one out-pipe, if it has exactly one.
-        let mut outs = vec![(0u32, NO_PRED); node_count];
-        for (p, &u) in m.pipe_src.iter().enumerate() {
-            outs[u as usize] = (outs[u as usize].0.saturating_add(1), p as u32);
-        }
-        (m.slot_row, m.slot_access) = (vec![NO_PRED; m.vns.len()], vec![NO_PRED; m.vns.len()]);
-        for si in 0..m.vns.len() {
-            let src = m.vns[si].index();
-            if m.vns[si] == DEAD_SOURCE {
-                continue;
-            }
-            let row = r.get_u32()?;
-            let Some(&root) = m.row_root.get(row as usize) else {
-                return Err(Invalid("slot names a row out of range"));
-            };
-            if m.node_component[root as usize] != m.node_component[src] {
-                return Err(Invalid("row of another component than its slot's"));
-            }
-            if root as usize != src {
-                let (count, p) = outs[src];
-                if count != 1 {
-                    return Err(Invalid("stub slot without a unique access pipe"));
-                }
-                m.slot_access[si] = p;
-            }
-            m.slot_row[si] = row;
-        }
-        m.index_rows();
-        if m.row_refs.contains(&0) {
-            return Err(Invalid("row no slot reads"));
-        }
+        let mut m = Self::get_head(r)?;
+        let live = m.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
+        let slot_roots = r.get_bare_u32s(live)?;
+        m.bind_slots(&slot_roots)?;
+        let mut roots = slot_roots;
+        roots.sort_unstable();
+        roots.dedup();
+        let rows = m.get_rows(r, &roots)?;
+        m.store_rows(&roots, rows);
         Ok(m)
     }
 }
@@ -2097,7 +1923,7 @@ mod tests {
         };
         for (si, &src) in m.vns.iter().enumerate() {
             if src == DEAD_SOURCE {
-                assert_eq!(m.slot_row[si], NO_PRED, "a tombstone reads no row");
+                assert_eq!(m.slot_root[si], NO_PRED, "a tombstone reads no row");
                 continue;
             }
             let (kept, dist) = dijkstra(src);
@@ -2107,20 +1933,18 @@ mod tests {
             let labels: Vec<u64> = (0..nc).map(|u| m.label(si, u)).collect();
             assert_eq!(labels, dist, "labels of {src}");
         }
-        for r in 0..m.rows.len() {
-            let root = m.row_root[r];
-            if root == NO_PRED {
-                assert!(m.rows[r].is_empty() && m.free_rows.contains(&(r as u32)));
+        assert_eq!(m.rows.len(), nc, "one entry a node");
+        for (root, row) in m.rows.iter().enumerate() {
+            let Some(row) = row else {
                 continue;
+            };
+            assert!(row.refs > 0, "the row rooted at {root} is read");
+            let (mut kept, _) = dijkstra(NodeId(root));
+            assert_ne!(row.dead, STALE);
+            if row.dead != NO_PRED {
+                kept[row.dead as usize] = NO_PRED;
             }
-            assert!(m.row_refs[r] > 0, "row {r} is read");
-            let (mut kept, _) = dijkstra(NodeId(root as usize));
-            let dead = m.row_dead[r];
-            assert_ne!(dead, STALE);
-            if dead != NO_PRED {
-                kept[dead as usize] = NO_PRED;
-            }
-            assert_eq!(m.rows[r], kept, "row {r} rooted at {root}");
+            assert_eq!(*row.entries, kept, "row rooted at {root}");
         }
     }
 
@@ -2209,11 +2033,16 @@ mod tests {
         assert_eq!((m.dijkstra_runs(), m.stored_row_count()), (1, 1));
         let stub = m.vns()[3];
         assert!(m.remove_source(stub));
-        let (runs, rows, capacity) = (m.dijkstra_runs(), m.rows.len(), m.rows[0].capacity());
+        let hub = m.slot_root[0] as usize;
+        let (runs, entries) = (m.dijkstra_runs(), stored(&m.rows, hub).entries.as_ptr());
         assert!(m.add_source(&d, stub));
         assert_eq!(m.dijkstra_runs(), runs, "no Dijkstra");
-        assert_eq!((m.rows.len(), m.stored_row_count()), (rows, 1), "no row");
-        assert_eq!(m.rows[0].capacity(), capacity, "no row reallocated");
+        assert_eq!(m.stored_row_count(), 1, "no row");
+        assert_eq!(
+            stored(&m.rows, hub).entries.as_ptr(),
+            entries,
+            "no row reallocated"
+        );
         assert_rows_are_dijkstras(&m, &d);
         assert_tree_membership_exact(&m, &d);
     }
@@ -2228,17 +2057,21 @@ mod tests {
         let stub = m.vns()[3];
         assert!(m.remove_source(stub));
         let sibling = m.vns()[2];
-        let r = m.slot_row[2] as usize;
+        let hub = m.slot_root[2] as usize;
         let at = m.node_local[sibling.index()];
+        let row = stored(&m.rows, hub);
         assert_eq!(
-            (m.row_refs[r], m.row_dead[r], m.rows[r][at as usize]),
+            (row.refs, row.dead, row.entries[at as usize]),
             (1, at, NO_PRED)
         );
         assert_rows_are_dijkstras(&m, &d);
         let runs = m.dijkstra_runs();
         assert!(m.add_source(&d, stub));
         assert_eq!(m.dijkstra_runs() - runs, 1, "the hub's tree");
-        assert_eq!((m.slot_row[3], m.row_dead[r]), (r as u32, NO_PRED));
+        assert_eq!(
+            (m.slot_root[3], stored(&m.rows, hub).dead),
+            (hub as u32, NO_PRED)
+        );
         assert_rows_are_dijkstras(&m, &d);
         assert_tree_membership_exact(&m, &d);
     }
@@ -2353,10 +2186,11 @@ mod tests {
     fn each_row_is_as_wide_as_its_component_and_a_tombstone_is_empty() {
         let d = two_islands();
         let mut m = RoutingMatrix::build(&d);
-        // a and b hang off one stub router; c and d off one each.
-        let widths: Vec<usize> = m.rows.iter().map(Vec::len).collect();
+        // a and b hang off one stub router (node 1); c and d off one each
+        // (nodes 4 and 5).
+        let widths: Vec<usize> = m.rows.iter().flatten().map(|r| r.entries.len()).collect();
         assert_eq!(widths, [3, 4, 4]);
-        assert_eq!(m.slot_row, [0, 0, 1, 2]);
+        assert_eq!(m.slot_root, [1, 1, 4, 5]);
         let [a, b, c, _] = m.vns().to_vec()[..] else {
             unreachable!("four clients")
         };
@@ -2365,31 +2199,16 @@ mod tests {
         // A tombstone in the narrow island, reused by a router of the wide
         // one: the slot reads that router's row, which its stub read alone.
         assert!(m.remove_source(a));
-        assert_eq!(m.slot_row[0], NO_PRED);
+        assert_eq!(m.slot_root[0], NO_PRED);
         let router = NodeId(c.index() + 1);
         assert!(m.add_source(&d, router));
-        assert_eq!((m.vn_index(router), m.slot_row[0]), (Some(0), 1));
+        assert_eq!((m.vn_index(router), m.slot_root[0]), (Some(0), 4));
         assert_eq!(m.slot_access[0], NO_PRED, "the router roots the row");
         assert_rows_are_dijkstras(&m, &d);
         assert_membership_matches_rows(&m, &d);
         assert_eq!(m.lookup(router, c).unwrap().hop_count(), 1);
         assert!(m.lookup(router, b).is_none());
         mn_util::codec::record_contract(m);
-    }
-
-    /// The matrix as format v10 wrote it: the slot list, the node count, the
-    /// pipe tables, each node's component, the component lists, and every
-    /// slot's tree as a row of its own.
-    fn put_v10(m: &RoutingMatrix, w: &mut mn_util::ByteWriter) {
-        (m.vns.clone(), m.node_count).put(w);
-        (m.pipe_cost.clone(), m.pipe_src.clone()).put(w);
-        (m.node_component.clone(), m.component_nodes.clone()).put(w);
-        for si in 0..m.vns.len() {
-            if let Some(tree) = m.tree_of_slot(si) {
-                let row: Vec<u32> = (0..tree.width()).map(|at| tree.pred(at)).collect();
-                w.put_bare_u32s(&row);
-            }
-        }
     }
 
     fn encoded(m: &RoutingMatrix) -> Vec<u8> {
@@ -2402,79 +2221,22 @@ mod tests {
         RoutingMatrix::get(&mut mn_util::ByteReader::new(&encoded(m)))
     }
 
-    /// `m` as `put_v10` writes it, decoded by [`RoutingMatrix::get_v10`].
-    fn via_v10(m: &RoutingMatrix) -> Result<RoutingMatrix, CodecError> {
-        let mut w = mn_util::ByteWriter::new();
-        put_v10(m, &mut w);
-        RoutingMatrix::get_v10(&mut mn_util::ByteReader::new(w.as_slice()))
-    }
-
-    /// A v10 matrix — a row per slot — restores to the rows a build keyed
-    /// by root: byte for byte, whether a hub's row has several stub
-    /// readers, one (whose entry v10 could not say), or its own source.
-    #[test]
-    fn a_v10_matrix_reads_as_the_current_one() {
-        let mut ring = RoutingMatrix::build(&small_ring());
-        assert!(ring.remove_source(ring.vns()[5]));
-        let mut islands = RoutingMatrix::build(&two_islands());
-        assert!(islands.remove_source(islands.vns()[2]));
-        let mut hub = RoutingMatrix::build(&two_islands());
-        assert!(hub.add_source(&two_islands(), NodeId(1)));
-        // A star whose client 0 cannot share its hub's row (its shifted
-        // labels would overflow): the others do.
-        let mut star = distill(
-            &star_topology(&StarParams {
-                clients: 4,
-                ..StarParams::default()
-            }),
-            DistillationMode::HopByHop,
-        );
-        let access = star.out_pipes(star.vns()[0])[0];
-        star.pipe_attrs_mut(access).unwrap().latency = SimDuration::from_nanos(u64::MAX - 100);
-        let star = RoutingMatrix::build(&star);
-        assert_eq!(
-            (
-                star.stored_row_count(),
-                star.slot_row[0] != star.slot_row[1]
-            ),
-            (2, true)
-        );
-        for m in [
-            ring,
-            islands,
-            hub,
-            star,
-            RoutingMatrix::build(&small_ring()),
-        ] {
-            let restored = via_v10(&m).unwrap();
-            assert_eq!(encoded(&restored), encoded(&m));
-            let derived = |m: &RoutingMatrix| {
-                let maps = (m.vn_of_node.clone(), m.component_vns.clone());
-                let rows = m.row_root.iter().zip(&m.row_dead);
-                let mut dead: Vec<(u32, u32)> = rows.map(|(&r, &d)| (r, d)).collect();
-                dead.retain(|&(root, _)| root != NO_PRED);
-                dead.sort_unstable();
-                (maps, m.free_slots.clone(), m.slot_access.clone(), dead)
-            };
-            assert_eq!(derived(&restored), derived(&m));
-        }
-    }
-
     /// Rows that would let a walk index another component's positions are
     /// a typed error in either format, never a panic.
     #[test]
     fn a_row_naming_a_pipe_of_another_component_is_refused() {
         let d = two_islands();
         let m = RoutingMatrix::build(&d);
-        // Row 0 (a and b's hub) names the wide island's first pipe at b.
+        // The row rooted at a and b's hub, node 1, names the wide island's
+        // first pipe at b.
         let elsewhere = d.out_pipes(m.vns()[2])[0].0;
         let mut hostile = m.clone();
-        hostile.rows[0][2] = elsewhere;
+        hostile.row_mut(1).entries[2] = elsewhere;
         let refused = Err(CodecError::Invalid(
             "predecessor pipe from another component",
         ));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
-        assert_eq!(via_v10(&hostile).map(|_| ()), refused);
+        assert_eq!(V11::of(&hostile).decoded().map(|_| ()), refused);
     }
 
     /// A row whose walk comes back to where it started is a typed error in
@@ -2490,12 +2252,12 @@ mod tests {
         let router = NodeId(far.index() - 1);
         let back = d.out_pipes(far)[0];
         assert_eq!(d.pipe(back).dst, router);
-        assert_eq!(m.row_root[1] as usize, router.index() - 1);
         let mut hostile = m.clone();
-        hostile.rows[1][m.node_local[router.index()] as usize] = back.0;
+        let at = m.node_local[router.index()] as usize;
+        hostile.row_mut(router.index() - 1).entries[at] = back.0;
         let refused = Err(CodecError::Invalid("predecessor row with a cycle"));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
-        assert_eq!(via_v10(&hostile).map(|_| ()), refused);
+        assert_eq!(V11::of(&hostile).decoded().map(|_| ()), refused);
     }
 
     /// The node → slot map is derived from the slot list, which therefore
@@ -2517,9 +2279,8 @@ mod tests {
         costs: Vec<u64>,
         tails: Vec<u32>,
         lists: Vec<Vec<u32>>,
-        roots: Vec<u32>,
-        rows: Vec<Vec<u32>>,
         slots: Vec<u32>,
+        rows: Vec<Vec<u32>>,
     }
 
     impl Frame {
@@ -2533,48 +2294,56 @@ mod tests {
                 costs,
                 tails,
                 lists,
-                roots: r.get_u32s().unwrap(),
-                rows: Vec::new(),
                 slots: Vec::new(),
+                rows: Vec::new(),
             };
-            for &root in &f.roots {
+            let live = f.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
+            f.slots = r.get_bare_u32s(live).unwrap();
+            let mut roots = f.slots.clone();
+            roots.sort_unstable();
+            roots.dedup();
+            for root in roots {
                 let width = m.width_at(root as usize);
                 f.rows.push(r.get_bare_u32s(width).unwrap());
             }
-            let live = f.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
-            f.slots = r.get_bare_u32s(live).unwrap();
             assert!(r.is_exhausted());
             f
         }
 
+        /// The fields before the slots' roots.
+        fn put_head(&self, w: &mut mn_util::ByteWriter) {
+            (self.vns.clone(), self.node_count).put(w);
+            (self.costs.clone(), self.tails.clone(), self.lists.clone()).put(w);
+        }
+
         fn decoded(&self) -> Result<RoutingMatrix, CodecError> {
             let mut w = mn_util::ByteWriter::new();
-            (self.vns.clone(), self.node_count).put(&mut w);
-            (self.costs.clone(), self.tails.clone(), self.lists.clone()).put(&mut w);
-            self.roots.put(&mut w);
+            self.put_head(&mut w);
+            w.put_bare_u32s(&self.slots);
             for row in &self.rows {
                 w.put_bare_u32s(row);
             }
-            w.put_bare_u32s(&self.slots);
             RoutingMatrix::get(&mut mn_util::ByteReader::new(w.as_slice()))
         }
     }
 
-    /// Each refusal of the slots' rows and the rows' roots, on a frame of
-    /// the two islands whose only fault is the one named.
+    /// Each refusal of the slots' roots and the component lists, on a
+    /// frame of the two islands whose only fault is the one named.
     #[test]
     fn a_frame_whose_rows_or_slots_disagree_is_refused() {
         let d = two_islands();
         let m = RoutingMatrix::build(&d);
         let f = Frame::of(&m);
-        assert_eq!(f.roots.len(), 3);
+        assert_eq!((f.slots.as_slice(), f.rows.len()), (&[1, 1, 4, 5][..], 3));
         assert!(f.decoded().is_ok());
         type Corrupt = fn(&mut Frame);
-        let cases: [(&str, Corrupt); 9] = [
-            ("slot names a row out of range", |f| f.slots[1] = 3),
+        let cases: [(&str, Corrupt); 5] = [
+            ("slot root outside the graph", |f| {
+                f.slots[3] = f.node_count as u32;
+            }),
             // Client a reads the wide island's row.
-            ("row of another component than its slot's", |f| {
-                f.slots[0] = 1
+            ("root of another component than its slot's", |f| {
+                f.slots[0] = 4
             }),
             // Client d's access pipe, which no row names, moved to leave
             // client c: c has two out-pipes, d none.
@@ -2583,13 +2352,6 @@ mod tests {
                 let p = f.tails.iter().position(|&t| t == d).unwrap();
                 f.tails[p] = c;
             }),
-            ("two rows with one root", |f| f.roots[2] = f.roots[1]),
-            ("rows out of root order", |f| f.roots.swap(1, 2)),
-            ("row root outside the graph", |f| {
-                f.roots[2] = f.node_count as u32;
-            }),
-            // Nobody reads row 1 once client c reads row 2.
-            ("row no slot reads", |f| f.slots[2] = 2),
             ("component lists do not partition the nodes", |f| {
                 let node = f.lists[1][0];
                 f.lists[0].push(node);
@@ -2597,6 +2359,116 @@ mod tests {
             }),
             ("component lists do not partition the nodes", |f| {
                 f.lists[1].pop();
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut hostile = f.clone();
+            corrupt(&mut hostile);
+            let refused = Err(CodecError::Invalid(what));
+            assert_eq!(hostile.decoded().map(|_| ()), refused, "{what}");
+        }
+    }
+
+    /// A format-v11 matrix frame: the head, the rows' roots as a counted
+    /// list, the rows, and each live slot's row as its index in root order.
+    /// Read by [`RoutingMatrix::get_v11`] alone, and goes with it.
+    #[derive(Clone)]
+    struct V11 {
+        frame: Frame,
+        roots: Vec<u32>,
+        ranks: Vec<u32>,
+    }
+
+    impl V11 {
+        fn of(m: &RoutingMatrix) -> V11 {
+            let frame = Frame::of(m);
+            let mut roots = frame.slots.clone();
+            roots.sort_unstable();
+            roots.dedup();
+            let rank = |root: &u32| roots.binary_search(root).unwrap() as u32;
+            let ranks = frame.slots.iter().map(rank).collect();
+            V11 {
+                frame,
+                roots,
+                ranks,
+            }
+        }
+
+        fn decoded(&self) -> Result<RoutingMatrix, CodecError> {
+            let mut w = mn_util::ByteWriter::new();
+            self.frame.put_head(&mut w);
+            self.roots.put(&mut w);
+            for row in &self.frame.rows {
+                w.put_bare_u32s(row);
+            }
+            w.put_bare_u32s(&self.ranks);
+            RoutingMatrix::get_v11(&mut mn_util::ByteReader::new(w.as_slice()))
+        }
+    }
+
+    /// A v11 matrix restores to the matrix it was taken from: its current
+    /// frame byte for byte, and every table derived, whether a hub's row
+    /// has several stub readers, one (whose entry it does not keep), or
+    /// its own source.
+    #[test]
+    fn a_v11_matrix_reads_as_the_current_one() {
+        let mut ring = RoutingMatrix::build(&small_ring());
+        assert!(ring.remove_source(ring.vns()[5]));
+        let mut islands = RoutingMatrix::build(&two_islands());
+        assert!(islands.remove_source(islands.vns()[2]));
+        let mut hub = RoutingMatrix::build(&two_islands());
+        assert!(hub.add_source(&two_islands(), NodeId(1)));
+        // A star whose client 0 cannot share its hub's row (its shifted
+        // labels would overflow): it roots its own.
+        let mut star = distill(
+            &star_topology(&StarParams {
+                clients: 4,
+                ..StarParams::default()
+            }),
+            DistillationMode::HopByHop,
+        );
+        let access = star.out_pipes(star.vns()[0])[0];
+        star.pipe_attrs_mut(access).unwrap().latency = SimDuration::from_nanos(u64::MAX - 100);
+        let star = RoutingMatrix::build(&star);
+        assert_eq!(star.stored_row_count(), 2);
+        let small = RoutingMatrix::build(&small_ring());
+        for m in [ring, islands, hub, star, small] {
+            let restored = V11::of(&m).decoded().unwrap();
+            assert_eq!(encoded(&restored), encoded(&m));
+            let derived = |m: &RoutingMatrix| {
+                let maps = (m.vn_of_node.clone(), m.component_vns.clone());
+                let rows = m.rows.iter().enumerate();
+                let dead: Vec<(usize, u32, u32)> = rows
+                    .filter_map(|(root, row)| Some((root, row.as_ref()?.refs, row.as_ref()?.dead)))
+                    .collect();
+                (maps, m.free_slots.clone(), m.slot_access.clone(), dead)
+            };
+            assert_eq!(derived(&restored), derived(&m));
+        }
+    }
+
+    /// Each refusal only a v11 frame can earn, on a frame of the two
+    /// islands whose only fault is the one named.
+    #[test]
+    fn a_v11_frame_whose_rows_or_slots_disagree_is_refused() {
+        let f = V11::of(&RoutingMatrix::build(&two_islands()));
+        assert_eq!(
+            (f.roots.as_slice(), f.ranks.as_slice()),
+            (&[1, 4, 5][..], &[0, 0, 1, 2][..])
+        );
+        assert!(f.decoded().is_ok());
+        type Corrupt = fn(&mut V11);
+        let cases: [(&str, Corrupt); 6] = [
+            ("slot names a row out of range", |f| f.ranks[1] = 3),
+            ("two rows with one root", |f| f.roots[2] = f.roots[1]),
+            ("rows out of root order", |f| f.roots.swap(1, 2)),
+            ("row root outside the graph", |f| {
+                f.roots[2] = f.frame.node_count as u32;
+            }),
+            // Nobody reads row 1 once client c reads row 2.
+            ("row no slot reads", |f| f.ranks[2] = 2),
+            ("root of another component than its slot's", |f| {
+                f.ranks[0] = 1
             }),
         ];
         for (what, corrupt) in cases {

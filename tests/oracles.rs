@@ -22,6 +22,13 @@
 //! `π_0`, and by PASTA an arrival finds the queue full with probability
 //! `1 − 1/(π_0 + ρ)`. Losses cluster, so the tolerance is again three
 //! standard errors of the batch means of the lost fraction.
+//!
+//! (iii) **Bernoulli loss.** Packets paced far below capacity never queue,
+//! so on a path of two pipes that each drop a packet with probability `p`
+//! only the loss draws decide a packet's fate: each is delivered
+//! independently with probability `q = (1 − p)²`, and the delivered count
+//! of `N` is binomial. The tolerance is the two-sided 99.9 % normal
+//! interval, `q ± 3.29·√(q(1 − q)/N)`.
 
 mod common;
 
@@ -29,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use common::on_threads;
-use mn_assign::{Binding, BindingParams, PipeOwnershipDirectory};
+use mn_assign::{Binding, BindingParams, CoreId, PipeOwnershipDirectory};
 use mn_distill::{distill, DistillationMode, PipeId};
 use mn_emucore::{Delivery, Emulator, HardwareProfile};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
@@ -227,5 +234,83 @@ fn a_full_queue_loses_as_md1k_on_both_executors() {
         let (emu, src, dst) = one_pipe(K);
         let threaded = losses(on_threads(emu), src, dst, rho, seed);
         assert!(threaded == inline, "rho {rho}: the executors disagree");
+    }
+}
+
+/// Packets a Bernoulli-loss run offers, one every `GAP`.
+const BERNOULLI_PACKETS: usize = 10_000;
+/// A 1 000-byte packet drains in 80 µs at 100 Mb/s: a packet a millisecond
+/// is an 8 % load, and no packet waits for another.
+const GAP: SimDuration = SimDuration::from_millis(1);
+/// The two-sided 99.9 % point of the standard normal.
+const Z_999: f64 = 3.29;
+
+/// An emulator over VNs `a` and `b` joined through a router, every pipe
+/// dropping with probability `loss`, on `cores` cores: on two, the path's
+/// first pipe (and its reverse) runs on core 0 and its second on core 1.
+fn lossy_path(loss: f64, cores: usize) -> (Emulator, VnId, VnId) {
+    let mut topo = Topology::new();
+    let a = topo.add_node(NodeKind::Client);
+    let router = topo.add_node(NodeKind::Stub);
+    let b = topo.add_node(NodeKind::Client);
+    let attrs = LinkAttrs::new(DataRate::from_mbps(100), LATENCY).with_loss(loss);
+    topo.add_link(a, router, attrs).unwrap();
+    topo.add_link(router, b, attrs).unwrap();
+    let d = distill(&topo, DistillationMode::HopByHop);
+    let owners = d.pipes().map(|(_, pipe)| {
+        let first = pipe.src == a || pipe.dst == a;
+        CoreId(usize::from(!first) % cores)
+    });
+    let pod = PipeOwnershipDirectory::from_owners(owners.collect(), cores);
+    let binding = Binding::bind(d.vns(), &BindingParams::new(1, cores));
+    let (src, dst) = (binding.vn_at(a).unwrap(), binding.vn_at(b).unwrap());
+    let emu = Emulator::new(&d, pod, RoutingMatrix::build(&d), &binding, profile(), 7);
+    (emu, src, dst)
+}
+
+/// Offers `BERNOULLI_PACKETS` packets from `src` to `dst`, one every
+/// `GAP`, and runs the emulator dry: each delivery's packet id, time and
+/// hop count.
+fn paced(mut emu: Emulator, src: VnId, dst: VnId) -> Vec<(u64, SimTime, usize)> {
+    let mut sink = Vec::new();
+    for id in 0..BERNOULLI_PACKETS {
+        let now = SimTime::ZERO + GAP * id as u64;
+        run_to(&mut emu, now, &mut sink);
+        emu.submit(now, packet(id, src, dst, now)).unwrap();
+    }
+    while let Some(t) = emu.next_wakeup() {
+        emu.advance_into(t, &mut sink).unwrap();
+    }
+    let seen = sink.iter().map(|d| (d.packet.id.0, d.delivered_at, d.hops));
+    seen.collect()
+}
+
+#[test]
+fn two_lossy_pipes_deliver_as_bernoulli_draws_on_both_executors_at_one_and_two_cores() {
+    for loss in [0.01, 0.1] {
+        let q = (1.0 - loss) * (1.0 - loss);
+        let n = BERNOULLI_PACKETS as f64;
+        let half_width = Z_999 * (q * (1.0 - q) / n).sqrt();
+        for cores in [1, 2] {
+            let (emu, src, dst) = lossy_path(loss, cores);
+            let inline = paced(emu, src, dst);
+            let delivered = inline.len() as f64 / n;
+            println!(
+                "p {loss}, {cores} core(s): delivered {delivered:.4}, (1 - p)^2 {q:.4}, \
+                 +- {half_width:.4}"
+            );
+            assert!(
+                (delivered - q).abs() <= half_width,
+                "p {loss}, {cores} core(s): delivered {delivered:.4} against {q:.4} \
+                 (+- {half_width:.4})"
+            );
+            assert!(inline.iter().all(|&(_, _, hops)| hops == 2));
+            let (emu, src, dst) = lossy_path(loss, cores);
+            let threaded = paced(on_threads(emu), src, dst);
+            assert!(
+                threaded == inline,
+                "p {loss}, {cores} core(s): the executors disagree"
+            );
+        }
     }
 }

@@ -11,12 +11,13 @@
 //! its parent, and deletes the decoder and the fixtures of the version two
 //! behind; a kept file is never re-blessed.
 //!
-//! `tests/data/mnrs_v10_tcp.bin` is the scenario under the v10 encoder, which
-//! nests an `MNSP` v10 frame. Format v11 nests an `MNSP` v11 frame (a
-//! routing-matrix row per tree root; see `snapshot_golden.rs`) and
-//! is otherwise the same: `tests/data/mnrs_v11_tcp.bin` is the scenario
-//! under the current encoder, which both backends must re-create byte for
-//! byte and which the v10 file, restored and serialised again, is.
+//! `tests/data/mnrs_v11_tcp.bin` is the scenario under the v11 encoder, which
+//! nests an `MNSP` v11 frame. Format v12 nests an `MNSP` v12 frame (each
+//! slot names its routing-matrix row by the row's root node; see
+//! `snapshot_golden.rs`) and is otherwise the same:
+//! `tests/data/mnrs_v12_tcp.bin` is the scenario under the current encoder,
+//! which both backends must re-create byte for byte and which the v11 file,
+//! restored and serialised again, is.
 //!
 //! The fixture tests use only the runner's public API, so the same source
 //! compiles against the commit that wrote the fixture. The version-window
@@ -31,8 +32,8 @@ use modelnet::{
     SimDuration, SimTime,
 };
 
-const FIXTURE_V10: &[u8] = include_bytes!("data/mnrs_v10_tcp.bin");
 const FIXTURE_V11: &[u8] = include_bytes!("data/mnrs_v11_tcp.bin");
+const FIXTURE_V12: &[u8] = include_bytes!("data/mnrs_v12_tcp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
@@ -113,27 +114,27 @@ fn restores_into_both_backends_and_finishes_identically(fixture: &[u8], version:
 }
 
 #[test]
-fn the_v10_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    restores_into_both_backends_and_finishes_identically(FIXTURE_V10, 10);
-}
-
-#[test]
 fn the_v11_runner_fixture_restores_into_both_backends_and_finishes_identically() {
     restores_into_both_backends_and_finishes_identically(FIXTURE_V11, 11);
 }
 
 #[test]
-fn both_backends_reproduce_the_v11_runner_fixture_byte_for_byte() {
+fn the_v12_runner_fixture_restores_into_both_backends_and_finishes_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V12, 12);
+}
+
+#[test]
+fn both_backends_reproduce_the_v12_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE_V11,
-            "checkpoint bytes drifted from the v11 fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V12,
+            "checkpoint bytes drifted from the v12 fixture on {backend:?}"
         );
-        // The v10 file holds the same run: restored and serialised again, it
-        // is the v11 checkpoint.
+        // The v11 file holds the same run: restored and serialised again, it
+        // is the v12 checkpoint.
         let (mut runner, _) = build(backend);
-        runner.recover_from(FIXTURE_V10).unwrap();
-        assert!(runner.snapshot().unwrap() == FIXTURE_V11);
+        runner.recover_from(FIXTURE_V11).unwrap();
+        assert!(runner.snapshot().unwrap() == FIXTURE_V12);
     }
 }
 
@@ -142,9 +143,9 @@ fn both_backends_reproduce_the_v11_runner_fixture_byte_for_byte() {
 /// `MNSP` fixture's own test flips all eight) is still a typed error —
 /// caught by the outer sum, or by the nested frame's own — and so is a cut.
 #[test]
-fn a_bit_flip_in_any_byte_of_the_v10_runner_fixture_is_a_typed_error() {
+fn a_bit_flip_in_any_byte_of_the_v11_runner_fixture_is_a_typed_error() {
     let (mut runner, _) = build(ExecutionBackend::Sequential);
-    let mut bytes = FIXTURE_V10.to_vec();
+    let mut bytes = FIXTURE_V11.to_vec();
     for at in 0..bytes.len() {
         bytes[at] ^= 1 << (at % 8);
         assert!(
@@ -160,34 +161,34 @@ fn a_bit_flip_in_any_byte_of_the_v10_runner_fixture_is_a_typed_error() {
 }
 
 /// Both frames decode their current version and the one before, and no
-/// other: a v11 fixture with any other version word is refused with
+/// other: a v12 fixture with any other version word is refused with
 /// exactly that version by every entry point, and a refused recovery leaves
 /// the runner as it was.
 #[test]
-fn both_frames_restore_versions_10_and_11_and_refuse_every_other() {
-    const MNSP_V10: &[u8] = include_bytes!("data/mnsp_v10_path4.bin");
+fn both_frames_restore_versions_11_and_12_and_refuse_every_other() {
     const MNSP_V11: &[u8] = include_bytes!("data/mnsp_v11_path4.bin");
-    const RETIRED_OR_FUTURE: [u32; 11] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12];
+    const MNSP_V12: &[u8] = include_bytes!("data/mnsp_v12_path4.bin");
+    const RETIRED_OR_FUTURE: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13];
     let with_version = |frame: &[u8], version: u32| {
         let mut bytes = frame.to_vec();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         bytes
     };
     for v in RETIRED_OR_FUTURE {
-        let (frame, refused) = (with_version(MNSP_V11, v), Err(CodecError::BadVersion(v)));
+        let (frame, refused) = (with_version(MNSP_V12, v), Err(CodecError::BadVersion(v)));
         assert_eq!(EmulatorSnapshot::from_bytes(&frame).map(|_| ()), refused);
         assert_eq!(Emulator::restore_bytes(&frame).map(|_| ()), refused);
     }
-    for frame in [MNSP_V10, MNSP_V11] {
+    for frame in [MNSP_V11, MNSP_V12] {
         assert!(Emulator::restore_bytes(frame).is_ok());
     }
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, _) = build(backend);
-        runner.recover_from(FIXTURE_V10).expect("v10 restores");
+        runner.recover_from(FIXTURE_V11).expect("v11 restores");
         let before = runner.snapshot().unwrap();
         for v in RETIRED_OR_FUTURE {
             assert_eq!(
-                runner.recover_from(&with_version(FIXTURE_V11, v)),
+                runner.recover_from(&with_version(FIXTURE_V12, v)),
                 Err(RecoverError::Codec(CodecError::BadVersion(v)))
             );
             assert!(
@@ -195,7 +196,7 @@ fn both_frames_restore_versions_10_and_11_and_refuse_every_other() {
                 "a refused v{v} recovery changed the runner on {backend:?}"
             );
         }
-        runner.recover_from(FIXTURE_V11).expect("v11 restores");
+        runner.recover_from(FIXTURE_V12).expect("v12 restores");
     }
 }
 
@@ -204,14 +205,14 @@ fn both_frames_restore_versions_10_and_11_and_refuse_every_other() {
 /// --nocapture`, after renaming the path below), never to overwrite an
 /// existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v11_tcp.bin"]
+#[ignore = "writes tests/data/mnrs_v12_tcp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v11_tcp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v12_tcp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, flows) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();
