@@ -18,15 +18,13 @@
 use std::any::Any;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use mn_edge::{AppCtx, Application, Message};
 use mn_packet::VnId;
 use mn_util::rngs::derived_rng;
 use mn_util::{SimDuration, SimTime};
 
 /// Configuration of one ACDC overlay node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AcdcConfig {
     /// All overlay members (the 120 participants in the paper's run).
     pub members: Vec<VnId>,

@@ -12,8 +12,6 @@
 use std::any::Any;
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use mn_edge::{AppCtx, Application, Message};
 use mn_packet::VnId;
 use mn_util::SimTime;
@@ -61,7 +59,7 @@ const BLOCK_REQUEST_BYTES: u32 = 44;
 const BLOCK_HEADER_BYTES: u32 = 64;
 
 /// Configuration of a CFS download experiment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CfsConfig {
     /// Name of the file (determines block placement).
     pub file_seed: u64,

@@ -8,12 +8,10 @@
 //! fingers — each hop still crosses the emulated network, which is what makes
 //! lookup latency sensitive to the underlying topology.
 
-use serde::{Deserialize, Serialize};
-
 use mn_packet::VnId;
 
 /// A point on the Chord identifier circle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChordId(pub u64);
 
 impl ChordId {
@@ -57,7 +55,7 @@ pub fn chord_interval_contains(from: ChordId, to: ChordId, x: ChordId) -> bool {
 }
 
 /// A static view of the Chord ring: every member and its identifier.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChordRing {
     /// Members sorted by ring identifier.
     members: Vec<(ChordId, VnId)>,

@@ -11,14 +11,12 @@
 use std::any::Any;
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use mn_edge::{AppCtx, Application, Message};
 use mn_packet::VnId;
 use mn_util::SimDuration;
 
 /// Configuration of one gnutella node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GnutellaConfig {
     /// Initial neighbour set (bootstrap peers).
     pub neighbours: Vec<VnId>,

@@ -14,7 +14,6 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mn_edge::{AppCtx, Application, Message};
 use mn_packet::VnId;
@@ -22,7 +21,7 @@ use mn_util::rngs::derived_rng;
 use mn_util::{SimDuration, SimTime};
 
 /// One request in a client's playback schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEntry {
     /// Offset from the start of the playback at which the request is issued.
     pub at: SimDuration,
@@ -31,7 +30,7 @@ pub struct TraceEntry {
 }
 
 /// A request trace shared by the clients of one experiment.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadTrace {
     entries: Vec<TraceEntry>,
 }

@@ -10,15 +10,13 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mn_packet::VnId;
 use mn_topology::NodeId;
 
 use crate::partition::CoreId;
 
 /// Identifier of a physical edge node (a machine hosting VNs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeNodeId(pub usize);
 
 impl EdgeNodeId {
@@ -52,7 +50,7 @@ impl BindingParams {
 
 /// The complete binding: VN ↔ topology location, VN → edge node and
 /// edge node → core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Binding {
     /// Topology client node hosting each VN, indexed by `VnId`.
     vn_location: Vec<NodeId>,

@@ -6,7 +6,6 @@ use std::fmt;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mn_distill::{DistilledTopology, PipeId};
 use mn_routing::Route;
@@ -15,7 +14,7 @@ use mn_util::rngs::derived_rng;
 
 mn_util::codec_record! {
     /// Identifier of a core (emulation) node.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     pub struct CoreId(pub usize);
 }
 
@@ -36,7 +35,7 @@ impl fmt::Display for CoreId {
 ///
 /// Created during the Binding phase and consulted by multi-core emulation to
 /// decide when a packet descriptor must be tunnelled to another core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipeOwnershipDirectory {
     owner: Vec<CoreId>,
     cores: usize,

@@ -57,7 +57,7 @@ use mn_topology::NodeId;
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
-use mn_util::codec::{checksum64, checksum64_around, Transient};
+use mn_util::codec::{checksum64, checksum64_around, versioned_sum, Transient};
 use mn_util::{ByteReader, ByteSize, ByteWriter, Cdf, Codec, CodecError, DataRate, SimDuration};
 use mn_util::{SimTime, TimerWheel};
 
@@ -272,7 +272,7 @@ const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
 /// payload a second time ([`checksum_around_emulator_frame`]). Both end
 /// with the armed auto-checkpoint instant; they differ only in the nested
 /// frame.
-const RUNNER_SNAPSHOT_VERSION: u32 = 12;
+const RUNNER_SNAPSHOT_VERSION: u32 = 13;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -901,7 +901,8 @@ impl Runner {
         }
         let (_, mut r) =
             ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                11 | 12 => Ok(checksum_around_emulator_frame),
+                12 => Ok(checksum_around_emulator_frame),
+                13 => Ok(|payload| versioned_sum(checksum_around_emulator_frame(payload), 13)),
                 v => Err(CodecError::BadVersion(v)),
             })?;
         // Decode everything into locals first: a decode error part-way

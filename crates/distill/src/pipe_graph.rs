@@ -10,15 +10,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mn_topology::{LinkAttrs, NodeId};
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration};
 
 /// Identifier of a pipe within a [`DistilledTopology`]: 4 bytes in memory,
 /// where route arenas and timer wheels hold one per hop or entry, and 4 on
 /// disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PipeId(pub u32);
 
 impl PipeId {
@@ -57,7 +55,7 @@ impl fmt::Display for PipeId {
 
 mn_util::codec_record! {
     /// Emulation parameters of one pipe.
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct PipeAttrs {
         /// Drain rate of the bandwidth queue.
         pub bandwidth: DataRate,
@@ -105,7 +103,7 @@ impl From<LinkAttrs> for PipeAttrs {
 }
 
 /// A directed emulated link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pipe {
     /// Node the pipe leaves.
     pub src: NodeId,
@@ -121,7 +119,7 @@ pub struct Pipe {
 /// distillation never renumbers nodes, it only removes links (collapsing them
 /// into mesh pipes), so a node that became interior under an end-to-end
 /// distillation simply has no incident pipes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DistilledTopology {
     node_count: usize,
     pipes: Vec<Pipe>,

@@ -16,14 +16,13 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mn_distill::{PipeAttrs, PipeId};
 use mn_util::rngs::derived_rng;
 use mn_util::DataRate;
 
 /// What a perturbation does to the pipes it selects.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Scale the latency by a factor drawn uniformly from `[1 + min, 1 + max]`.
     DelayIncrease {
@@ -55,7 +54,7 @@ pub enum FaultKind {
 }
 
 /// One perturbation applied to a random fraction of pipes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkPerturbation {
     /// Fraction of pipes to select, in `[0, 1]`.
     pub fraction: f64,

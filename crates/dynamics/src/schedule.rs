@@ -10,8 +10,6 @@
 //! same schedule replayed against the same experiment produces
 //! bit-identical runs on both execution backends.
 
-use serde::{Deserialize, Serialize};
-
 use mn_distill::{PipeAttrs, PipeId};
 use mn_packet::VnId;
 use mn_topology::NodeId;
@@ -20,7 +18,7 @@ use mn_util::{DataRate, SimTime};
 use crate::faults::LinkPerturbation;
 
 /// One scheduled reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScheduleEvent {
     /// Replace a pipe's emulation parameters in place (bandwidth/latency/
     /// loss/queue renegotiation). Routes are recomputed only if the change
@@ -127,7 +125,7 @@ pub enum ScheduleEvent {
 }
 
 /// A virtual-time-ordered stream of reconfigurations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Schedule {
     /// `(time, event)` pairs; kept sorted by time, stable for equal times
     /// (insertion order breaks ties, so a `LinkUp` scheduled after a

@@ -16,12 +16,10 @@
 //! shared link; switching between runnable processes costs a fixed number of
 //! cycles.
 
-use serde::{Deserialize, Serialize};
-
 use mn_util::{ByteSize, DataRate, SimDuration, SimTime};
 
 /// Parameters of the edge host and the multiplexing workload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EdgeHostParams {
     /// CPU clock rate in cycles per second (instructions retire at one per
     /// cycle, the paper's CPI = 1.0 assumption).
@@ -49,7 +47,7 @@ impl Default for EdgeHostParams {
 }
 
 /// One measured point of the multiplexing experiment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MultiplexObservation {
     /// Number of netperf/netserver process pairs sharing the host.
     pub processes: usize,

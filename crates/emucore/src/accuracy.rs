@@ -9,8 +9,6 @@
 //! up to and including 100% CPU utilisation (beyond which packets are dropped
 //! physically rather than emulated late).
 
-use serde::{Deserialize, Serialize};
-
 use mn_util::{RunningStats, SimDuration};
 
 use crate::descriptor::Delivery;
@@ -18,7 +16,7 @@ use crate::descriptor::Delivery;
 mn_util::codec_record! {
     /// Aggregated per-packet emulation-error statistics; a core's checkpoint
     /// carries the raw accumulators.
-    #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default)]
     pub struct AccuracyLog {
         error: RunningStats,
         per_hop_error: RunningStats,

@@ -28,12 +28,11 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::{PipeAttrs, PipeId};
 use mn_pipe::{EmuPipe, EnqueueOutcome, PipeStats};
-use mn_routing::RouteTable;
+use mn_routing::{RouteId, RouteNumbering, RouteTable};
 use mn_util::rngs::derived_rng;
 use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, DataRate, SimDuration};
 use mn_util::{SimTime, TimerWheel};
@@ -74,7 +73,7 @@ macro_rules! core_stats {
     ($($(#[$doc:meta])* $field:ident,)*) => {
         mn_util::codec_record! {
             /// Counters for one core.
-            #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+            #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
             pub struct CoreStats {
                 $($(#[$doc])* pub $field: u64,)*
             }
@@ -747,9 +746,16 @@ impl EmulatorCore {
     /// written once by the emulator snapshot, not per core. The layout is
     /// written out here rather than declared for that reason: pipes and
     /// staged tunnels hold slab handles, the bytes the descriptors behind
-    /// them.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        let from_slab = |slot: &Slot, w: &mut ByteWriter| self.slab[*slot as usize].put(w);
+    /// them. A descriptor's route is written as `numbering` numbers it.
+    pub fn encode_state(&self, w: &mut ByteWriter, numbering: Option<&RouteNumbering>) {
+        let put = |d: &Descriptor, w: &mut ByteWriter| match numbering {
+            None => d.put(w),
+            Some(n) => {
+                let route = n.canonical(d.route);
+                Descriptor { route, ..d.clone() }.put(w)
+            }
+        };
+        let from_slab = |slot: &Slot, w: &mut ByteWriter| put(&self.slab[*slot as usize], w);
         // The slot ledger: every occupied slot is referenced exactly once.
         debug_assert_eq!(self.in_flight(), self.handles_held());
         self.id.put(w);
@@ -783,8 +789,17 @@ impl EmulatorCore {
         w.put_len(inbox.len());
         for (arrival, descriptor) in inbox {
             arrival.put(w);
-            descriptor.put(w);
+            put(descriptor, w);
         }
+    }
+
+    /// Appends the route of every descriptor on this core, slab and inbox.
+    pub(crate) fn route_reads(&self, routes: &mut Vec<RouteId>) {
+        let mut held = vec![true; self.slab.len()];
+        self.free.iter().for_each(|&s| held[s as usize] = false);
+        let slab = self.slab.iter().zip(held).filter(|(_, held)| *held);
+        routes.extend(slab.map(|(d, _)| d.route));
+        routes.extend(self.inbox.entries_in_order().map(|(_, d)| d.route));
     }
 
     /// Rebuilds a core from [`EmulatorCore::encode_state`] output. `profile`
@@ -997,7 +1012,7 @@ mod tests {
         assert!(pipe.dropped_loss > 0 && pipe.dropped_overflow > 0);
         assert!(core.in_flight() > 0 && !core.pending_remote.is_empty());
         let mut w = mn_util::ByteWriter::new();
-        core.encode_state(&mut w);
+        core.encode_state(&mut w, None);
         assert_eq!(
             (w.len(), mn_util::codec::checksum64(w.as_slice())),
             (5_233, 0x0984_878c_0741_c27c)
@@ -1319,7 +1334,7 @@ mod tests {
             assert_eq!((core.slab.len(), core.free.len()), (6, 3));
 
             let mut w = mn_util::ByteWriter::with_capacity(1024);
-            core.encode_state(&mut w);
+            core.encode_state(&mut w, None);
             let bytes = w.into_bytes();
             let (profile, table) = (core.profile, core.routes.clone());
             let owners = [0, 0, 1, 1].map(CoreId).to_vec();
@@ -1332,7 +1347,7 @@ mod tests {
             assert_eq!((restored.slab.len(), restored.free.len()), (3, 0));
             assert_eq!(restored.in_flight(), 3);
             let mut again = mn_util::ByteWriter::with_capacity(bytes.len());
-            restored.encode_state(&mut again);
+            restored.encode_state(&mut again, None);
             assert!(again.into_bytes() == bytes, "re-serialises identically");
 
             // A slab descriptor on a route the table does not hold, or past
@@ -1367,7 +1382,7 @@ mod tests {
                 let mut damaged = decode(&bytes).unwrap();
                 corrupt(&mut damaged);
                 let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
-                damaged.encode_state(&mut w);
+                damaged.encode_state(&mut w, None);
                 assert_eq!(
                     decode(&w.into_bytes()).unwrap_err(),
                     mn_util::CodecError::Invalid(what)
@@ -1379,10 +1394,10 @@ mod tests {
             stage(&mut sound, 2);
             sound.receive_tunnel(SimTime::from_millis(3), sound.slab[0].clone());
             let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
-            sound.encode_state(&mut w);
+            sound.encode_state(&mut w, None);
             let staged = w.into_bytes();
             let mut w = mn_util::ByteWriter::with_capacity(bytes.len());
-            decode(&staged).unwrap().encode_state(&mut w);
+            decode(&staged).unwrap().encode_state(&mut w, None);
             assert!(w.into_bytes() == staged);
 
             // Different handles, same future.

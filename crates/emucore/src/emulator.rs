@@ -17,7 +17,7 @@ use std::time::Duration;
 use mn_assign::{Binding, CoreId, PipeOwnershipDirectory};
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_packet::{Packet, VnId};
-use mn_routing::{RouteId, RouteTable, RouteUpdate, RoutingMatrix};
+use mn_routing::{RouteId, RouteNumbering, RouteTable, RouteUpdate, RoutingMatrix};
 use mn_topology::NodeId;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, DataRate, SimDuration, SimTime};
 
@@ -239,6 +239,9 @@ pub struct Emulator {
     /// pushed to the owning cores, which see only piecewise-constant
     /// per-pipe totals.
     fluid: FluidState,
+    /// The route numbering of the state as it is, once a checkpoint made
+    /// it; `control`, `submit_batch` and `advance_into` drop it.
+    route_numbering: Option<Option<Arc<RouteNumbering>>>,
 }
 
 impl Emulator {
@@ -316,6 +319,7 @@ impl Emulator {
             matrix,
             admission,
             fluid: FluidState::new(capacity_bps),
+            route_numbering: None,
         }
     }
 
@@ -472,6 +476,7 @@ impl Emulator {
     /// that fails mid-operation poisons the emulator and yields the same
     /// refusal.
     fn control<T: Default>(&mut self, op: impl FnOnce(&mut Self) -> Result<T, EmuError>) -> T {
+        self.route_numbering = None;
         if self.exec.health().is_err() {
             return T::default();
         }
@@ -779,6 +784,7 @@ impl Emulator {
     where
         I: IntoIterator<Item = (SimTime, Packet)>,
     {
+        self.route_numbering = None;
         self.exec.health()?;
         let admission = &mut self.admission;
         admission.resolve(batch);
@@ -835,6 +841,7 @@ impl Emulator {
         now: SimTime,
         deliveries: &mut Vec<Delivery>,
     ) -> Result<(), EmuError> {
+        self.route_numbering = None;
         self.exec.health()?;
         while let Some(epoch) = self.fluid.next_epoch().filter(|&e| e <= now) {
             self.advance_cores(epoch, deliveries)?;
@@ -879,9 +886,11 @@ impl Emulator {
     /// The one encoder: appends the checkpoint to `w` as a complete `MNSP`
     /// frame, the payload streamed in place, so a caller nesting it in a
     /// frame of its own (the runner) stages nothing. On error `w` holds a
-    /// partial frame and is only good for dropping. On a measuring writer
-    /// the threaded executor's workers encode their cores, and the next
-    /// call appends those encodings unless a request came between.
+    /// partial frame and is only good for dropping. The route numbering
+    /// ([`RouteTable::numbering`]) is made once for the state as it is; on
+    /// a measuring writer the threaded executor's workers encode their
+    /// cores, and the next call appends those encodings unless a request
+    /// came between.
     pub fn snapshot_into(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
         self.exec.health()?;
         let Emulator {
@@ -892,10 +901,16 @@ impl Emulator {
             admission,
             core_load: _,
             fluid,
+            route_numbering,
         } = self;
+        if route_numbering.is_none() {
+            let made = admission.routes.numbering(|ids| exec.route_reads(ids))?;
+            *route_numbering = Some(made.map(Arc::new));
+        }
+        let numbering = route_numbering.clone().flatten();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         profile.put(w);
-        admission.routes.encode(w);
+        admission.routes.encode_numbered(w, numbering.as_deref());
         matrix.put(w);
         w.put_usize(pod.core_count());
         w.put_u64s((0..pod.pipe_count()).map(|p| pod.owner(PipeId::from_index(p)).index() as u64));
@@ -905,7 +920,7 @@ impl Emulator {
         admission.vn_entry_core.put(w);
         admission.local_deliveries.put(w);
         fluid.encode(w);
-        exec.encode_cores(w)?;
+        exec.encode_cores(w, numbering.as_ref())?;
         w.end_frame(frame);
         Ok(())
     }
@@ -950,18 +965,16 @@ impl Emulator {
     /// VN's location and liveness are rebuilt from the route table, which
     /// records both, and the load vector from them and the entry cores; the
     /// fluid solver's per-pipe capacities and demands from the restored
-    /// pipes, which hold both. A v11 frame differs only in the matrix's form
-    /// ([`RoutingMatrix::get_v11`]). The frame is written out rather than
-    /// declared because those checks need what was read before them.
+    /// pipes, which hold both. A v13 frame's routes must be numbered as
+    /// [`RouteTable::numbering`] numbers them; v12 wrote the whole store.
+    /// The frame is written out rather than declared because those checks
+    /// need what was read before them.
     fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
         let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = match version {
-            11 => RoutingMatrix::get_v11(r)?,
-            _ => RoutingMatrix::get(r)?,
-        };
+        let matrix = RoutingMatrix::get(r)?;
         let core_count = usize::get(r)?;
         if core_count == 0 {
             return Err(Invalid("no cores"));
@@ -1004,10 +1017,14 @@ impl Emulator {
             cores.push(core);
         }
         r.finish()?;
+        let mut inline = InlineExecutor::new(cores, pod.clone());
+        if version > 12 && !matches!(routes.numbering(|ids| inline.route_reads(ids)), Ok(None)) {
+            return Err(Invalid("routes not numbered as a checkpoint numbers them"));
+        }
         // Each pipe's capacity and fluid demand are its owner's copy's.
         for p in 0..pod.pipe_count() {
             let pipe = PipeId::from_index(p);
-            let Some(installed) = cores[pod.owner(pipe).index()].pipe(pipe) else {
+            let Some(installed) = inline.cores[pod.owner(pipe).index()].pipe(pipe) else {
                 return Err(Invalid("pipe not installed on its POD owner"));
             };
             fluid.restore_pipe(pipe, installed.attrs().bandwidth, installed.fluid_demand());
@@ -1031,7 +1048,7 @@ impl Emulator {
             outcome: Vec::new(),
         };
         Ok(Emulator {
-            exec: Executor::Inline(InlineExecutor::new(cores, pod.clone())),
+            exec: Executor::Inline(inline),
             // Sized only now the cores section has matched the core count.
             core_load: admission.core_load(core_count),
             pod,
@@ -1039,6 +1056,7 @@ impl Emulator {
             matrix,
             admission,
             fluid,
+            route_numbering: None,
         })
     }
 }
@@ -1162,8 +1180,8 @@ mod tests {
         w.put_bytes(&payload[..at]);
         let (head, pipes, lists, roots, rows) = fields;
         (head, pipes, lists).put(&mut w);
-        w.put_bare_u32s(&roots);
-        w.put_bare_u32s(&rows);
+        w.put_bare_u32s(roots.iter().copied());
+        w.put_bare_u32s(rows.iter().copied());
         w.put_bytes(&payload[payload.len() - r.remaining()..]);
         w.end_frame(frame);
         w.into_bytes()
@@ -1317,6 +1335,7 @@ mod tests {
         };
         bytes[at..at + 8].fill(0);
         let sum = mn_util::codec::checksum64(&bytes[16..end]);
+        let sum = mn_util::codec::versioned_sum(sum, SNAPSHOT_VERSION);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             Emulator::restore_bytes(&bytes).map(|_| ()),

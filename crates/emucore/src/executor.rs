@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use mn_assign::CoreId;
-use mn_routing::RouteTable;
+use mn_routing::{RouteId, RouteNumbering, RouteTable};
 use mn_util::{ByteWriter, SimTime};
 
 use crate::core::CoreStats;
@@ -107,11 +107,21 @@ impl Executor {
         on_executor!(self, x => x.broadcast_routes(routes))
     }
 
-    /// The executor's share of a checkpoint: appends the core count and
-    /// every core's state in core order, each encoded where it lives —
-    /// nothing is cloned. Read-only: nothing ticks.
+    /// Appends every descriptor's route, read where its core lives. Read-only.
     #[inline]
-    pub(crate) fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
-        on_executor!(self, x => x.encode_cores(w))
+    pub(crate) fn route_reads(&mut self, routes: &mut Vec<RouteId>) -> Result<(), EmuError> {
+        on_executor!(self, x => x.route_reads(routes))
+    }
+
+    /// The executor's share of a checkpoint: appends the core count and
+    /// every core's state in core order, its routes numbered as given, each
+    /// encoded where it lives — nothing is cloned. Read-only: nothing ticks.
+    #[inline]
+    pub(crate) fn encode_cores(
+        &mut self,
+        w: &mut ByteWriter,
+        numbering: Option<&Arc<RouteNumbering>>,
+    ) -> Result<(), EmuError> {
+        on_executor!(self, x => x.encode_cores(w, numbering))
     }
 }

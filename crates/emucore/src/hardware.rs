@@ -14,14 +14,12 @@
 //! and tunnel is entered at its ideal time (the paper's "packet debt
 //! handling"), so a packet's error is its last hop's lateness alone.
 
-use serde::{Deserialize, Serialize};
-
 use mn_util::{ByteSize, DataRate, SimDuration};
 
 mn_util::codec_record! {
     /// Capacity model of one core node and its network attachment. A snapshot
     /// carries it once, as the emulator's first record.
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct HardwareProfile {
         /// Line rate of the core's NIC (each direction).
         pub nic_rate: DataRate,

@@ -54,7 +54,7 @@
 //! tunnels to their owners → repeat while one is due), every inbox is
 //! filed in the same (round, source core, FIFO) order, and deliveries are
 //! concatenated round-major, core-major. The determinism, differential and
-//! snapshot suites pin the second; golden `MNSP` fixtures (v11 decodes, v12
+//! snapshot suites pin the second; golden `MNSP` fixtures (v12 decodes, v13
 //! is reproduced) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature

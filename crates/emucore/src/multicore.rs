@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::PipeId;
-use mn_routing::RouteTable;
+use mn_routing::{RouteId, RouteNumbering, RouteTable};
 use mn_util::{ByteWriter, SimTime};
 
 use crate::core::{CoreStats, EmulatorCore, TickOutput};
@@ -144,10 +144,19 @@ impl InlineExecutor {
         Ok(())
     }
 
-    pub(crate) fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
+    pub(crate) fn route_reads(&mut self, routes: &mut Vec<RouteId>) -> Result<(), EmuError> {
+        self.cores.iter().for_each(|core| core.route_reads(routes));
+        Ok(())
+    }
+
+    pub(crate) fn encode_cores(
+        &mut self,
+        w: &mut ByteWriter,
+        numbering: Option<&Arc<RouteNumbering>>,
+    ) -> Result<(), EmuError> {
         w.put_len(self.cores.len());
         for core in &self.cores {
-            core.encode_state(w);
+            core.encode_state(w, numbering.map(|n| &**n));
         }
         Ok(())
     }

@@ -71,7 +71,7 @@ use std::time::Duration;
 
 use mn_assign::{CoreId, PipeOwnershipDirectory};
 use mn_distill::PipeId;
-use mn_routing::RouteTable;
+use mn_routing::{RouteId, RouteNumbering, RouteTable};
 use mn_util::{ByteWriter, SimTime, SpinBarrier};
 
 use crate::chaos::ChaosPlan;
@@ -123,10 +123,11 @@ enum Request {
     },
     /// Carry out a coordinator command on this core.
     Apply(CoreCommand),
-    /// Encode the core into the buffer carried (the one this worker filled
-    /// last time) and hand it back, for a coordinator-assembled checkpoint.
-    /// Read-only: nothing ticks.
-    Snapshot(Vec<u8>),
+    /// Hand back the route of every descriptor on the core. Read-only.
+    RouteReads,
+    /// Encode the core, its routes numbered as given, into the buffer
+    /// carried (the one this worker filled last time) and hand it back.
+    Snapshot(Vec<u8>, Option<Arc<RouteNumbering>>),
     /// Install a chaos fault plan (test-only fault injection; see
     /// [`crate::chaos`]).
     SetChaos(ChaosPlan),
@@ -169,6 +170,8 @@ enum Response {
     /// Reply to [`Request::Apply`]: whether the core accepted the command;
     /// and to [`Request::SetChaos`], always `ok`.
     Done { ok: bool, status: Status },
+    /// Reply to [`Request::RouteReads`].
+    RouteReads(Vec<RouteId>),
     /// Reply to [`Request::Snapshot`]: the core's encoded state.
     Snapshot(Vec<u8>),
     /// Last message after [`Request::Finish`]: the core.
@@ -298,10 +301,15 @@ impl Worker {
                     ok: command.apply_to(&mut self.core),
                     status: Status::of(&self.core),
                 },
-                Request::Snapshot(buf) => {
+                Request::RouteReads => {
+                    let mut routes = Vec::new();
+                    self.core.route_reads(&mut routes);
+                    Response::RouteReads(routes)
+                }
+                Request::Snapshot(buf, numbering) => {
                     // Kept between checkpoints: grown as it is written.
                     let mut state = ByteWriter::reusing(buf, 0);
-                    self.core.encode_state(&mut state);
+                    self.core.encode_state(&mut state, numbering.as_deref());
                     Response::Snapshot(state.into_bytes())
                 }
                 Request::SetChaos(plan) => {
@@ -353,6 +361,8 @@ impl Worker {
             self.core.tick_into(now, &mut tick_buf);
             let mut produced_due = false;
             for (pipe, descriptor, arrival) in tick_buf.tunnels.drain(..) {
+                // Invariant: the POD covers every pipe a route names (it
+                // covers the topology; a restore refuses routes past it).
                 let owner = self
                     .pod
                     .get_owner(pipe)
@@ -457,6 +467,8 @@ pub(crate) struct ThreadedExecutor {
     /// stand still while the coordinator waits on it. `None` (the default)
     /// disables the watchdog.
     pub(crate) stall_timeout: Option<Duration>,
+    /// The route numbering the staged encodings were written under.
+    staged_numbering: Option<Arc<RouteNumbering>>,
 }
 
 impl std::fmt::Debug for ThreadedExecutor {
@@ -715,6 +727,7 @@ impl ThreadedExecutor {
                 heartbeat: heartbeat.clone(),
                 chaos: ChaosPlan::default(),
             };
+            // The panic `Emulator::threaded` documents.
             let thread = std::thread::Builder::new()
                 .name(format!("mn-core-{me}"))
                 .spawn(move || worker.run())
@@ -743,6 +756,7 @@ impl ThreadedExecutor {
             abort,
             failure: None,
             stall_timeout: None,
+            staged_numbering: None,
         }
     }
 
@@ -839,16 +853,37 @@ impl ThreadedExecutor {
         Ok(())
     }
 
-    /// Every worker whose core may have changed since it last encoded it
-    /// encodes it again, all at once, into its kept buffer; the coordinator
-    /// appends the encodings in order. A checkpoint's measuring pass has
-    /// the workers encode, and its writing pass, no request between,
-    /// appends what they encoded.
-    pub(crate) fn encode_cores(&mut self, w: &mut ByteWriter) -> Result<(), EmuError> {
+    /// Appends every descriptor's route, one request a worker, all at once.
+    pub(crate) fn route_reads(&mut self, routes: &mut Vec<RouteId>) -> Result<(), EmuError> {
+        for index in 0..self.workers.len() {
+            self.send(index, Request::RouteReads)?;
+        }
+        for index in 0..self.workers.len() {
+            let Response::RouteReads(held) = self.wait(index)? else {
+                unreachable!("RouteReads is answered by RouteReads")
+            };
+            routes.extend_from_slice(&held);
+        }
+        Ok(())
+    }
+
+    /// Every worker whose core may have changed since it last encoded it,
+    /// or that encoded it under another numbering `Arc`, encodes it again,
+    /// all at once, into its kept buffer; the coordinator appends the
+    /// encodings in order, so a checkpoint's writing pass sends nothing.
+    pub(crate) fn encode_cores(
+        &mut self,
+        w: &mut ByteWriter,
+        numbering: Option<&Arc<RouteNumbering>>,
+    ) -> Result<(), EmuError> {
+        if numbering.map(Arc::as_ptr) != self.staged_numbering.as_ref().map(Arc::as_ptr) {
+            self.workers.iter_mut().for_each(|h| h.staged = false);
+            self.staged_numbering = numbering.cloned();
+        }
         for index in 0..self.workers.len() {
             if !self.workers[index].staged {
                 let buf = std::mem::take(&mut self.workers[index].snapshot_buf);
-                self.send(index, Request::Snapshot(buf))?;
+                self.send(index, Request::Snapshot(buf, numbering.cloned()))?;
             }
         }
         for index in 0..self.workers.len() {

@@ -15,7 +15,8 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 12 and 11; a version bump retires the decoder two behind.
+//! before, here 13 and 12; a version bump retires the decoder two behind.
+//! Since version 13 the sum folds in the version word ([`versioned_sum`]).
 //! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
@@ -39,13 +40,16 @@
 //! when read), and each node's component is derived from the component
 //! node lists. Version 12 writes each live slot's root node instead of the
 //! roots list and a row index a slot, which a version-11 frame's restore
-//! reads into slot roots.
+//! read into slot roots. Version 13 keeps only the routes a row or a
+//! descriptor in flight reads, numbered canonically
+//! (`mn_routing::RouteNumbering`): the frame is a function of the emulation
+//! state alone, and a restore collects the rest of the store's history.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
 //! rebuilt empty.
 
-use mn_util::codec::checksum64;
+use mn_util::codec::{checksum64, versioned_sum};
 use mn_util::{ByteReader, CodecError};
 
 /// Magic bytes identifying an emulator snapshot ("MNSP").
@@ -54,7 +58,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// Current snapshot format version, the only one written. Bumped on any
 /// format change; decoders read this version and the one before, and
 /// reject every other with [`CodecError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 12;
+pub const SNAPSHOT_VERSION: u32 = 13;
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -89,7 +93,8 @@ impl EmulatorSnapshot {
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
         ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            11 | 12 => Ok(checksum64),
+            12 => Ok(checksum64),
+            13 => Ok(|payload| versioned_sum(checksum64(payload), 13)),
             v => Err(CodecError::BadVersion(v)),
         })
     }

@@ -11,12 +11,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 mn_util::codec_record! {
     /// Identifier of a virtual node (an application instance with its own
     /// emulated IP address and location in the target topology).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     pub struct VnId(pub u32);
 }
 
@@ -53,7 +51,7 @@ impl fmt::Display for VnId {
 }
 
 /// An emulated IPv4 address in the `10.0.0.0/8` block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VnAddr {
     /// Dotted-quad octets.
     pub octets: [u8; 4],

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mn_util::{ByteReader, ByteSize, ByteWriter, Codec, CodecError, SimTime};
 
 use crate::addr::VnId;
@@ -26,7 +24,7 @@ pub const MSS_BYTES: u32 = MTU_BYTES - IP_TCP_HEADER_BYTES;
 
 mn_util::codec_record! {
     /// Globally unique packet identifier (assigned by the sending stack).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     pub struct PacketId(pub u64);
 }
 
@@ -37,7 +35,7 @@ impl fmt::Display for PacketId {
 }
 
 /// Transport protocol of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
     /// Reliable, congestion-controlled byte stream.
     Tcp,
@@ -66,7 +64,7 @@ mn_util::codec_record! {
     /// The 5-tuple identifying a flow. Route lookup in the core is by
     /// (source VN, destination VN); the full tuple is used by the edge stacks
     /// to demultiplex to sockets.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
     pub struct FlowKey {
         /// Sending VN.
         pub src: VnId,
@@ -106,7 +104,7 @@ impl fmt::Display for FlowKey {
 
 mn_util::codec_record! {
     /// TCP header flags relevant to the emulated state machines.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct TcpFlags {
         /// Connection-establishment flag.
         pub syn: bool,
@@ -145,7 +143,7 @@ impl TcpFlags {
 }
 
 /// Transport-layer header carried by a packet descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransportHeader {
     /// A TCP segment.
     Tcp {
@@ -227,7 +225,7 @@ mn_util::codec_record! {
     /// A packet descriptor moving through the emulation. Its checkpoint
     /// carries the wire size verbatim (it is not re-derived from the header
     /// on restore, so size overrides survive).
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct Packet {
         /// Unique identifier.
         pub id: PacketId,

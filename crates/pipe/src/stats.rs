@@ -6,11 +6,9 @@
 //! accuracy argument, so the counters keep the virtual-drop causes separate;
 //! physical drops are counted by the core, not by pipes.
 
-use serde::{Deserialize, Serialize};
-
 mn_util::codec_record! {
     /// Counters maintained by each pipe.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct PipeStats {
         /// Packets that entered the bandwidth queue.
         pub enqueued: u64,

@@ -13,14 +13,12 @@
 //! timeouts); for long-lived flows over moderate drop rates, max-min fair
 //! share is the standard first-order prediction of what TCP converges to.
 
-use serde::{Deserialize, Serialize};
-
 use mn_topology::paths::{shortest_path, PathMetric};
 use mn_topology::{LinkId, NodeId, Topology};
 use mn_util::{DataRate, SimDuration, SimTime};
 
 /// One long-lived flow between two nodes of the target topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Source node.
     pub src: NodeId,
@@ -29,7 +27,7 @@ pub struct FlowSpec {
 }
 
 /// The computed allocation for one flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowAllocation {
     /// The flow this allocation is for.
     pub flow: FlowSpec,
@@ -153,7 +151,7 @@ pub fn max_min_fair_share(topo: &Topology, flows: &[FlowSpec]) -> Vec<FlowAlloca
 /// One fluid (flow-level) demand between two nodes: an aggregate offered
 /// rate standing in for `weight` modelled clients. The reference oracle for
 /// the emulation's hybrid fluid/packet fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FluidSpec {
     /// Source node.
     pub src: NodeId,
@@ -298,7 +296,7 @@ pub fn path_latency(topo: &Topology, src: NodeId, dst: NodeId) -> Option<SimDura
 }
 
 /// A timed change to one link of a dynamic reference scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkChange {
     /// The link fails (zero bandwidth: no path may use it).
     Down,
@@ -311,7 +309,7 @@ pub enum LinkChange {
 
 /// A timed endpoint-membership change: the reference-side mirror of the
 /// emulation's first-class VN join/leave churn events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberChange {
     /// The endpoint departs: flows touching it are refused from this
     /// instant (they receive zero allocations, exactly as the emulation

@@ -8,14 +8,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use mn_distill::{DistilledTopology, PipeId};
 use mn_topology::NodeId;
 use mn_util::SimDuration;
 
 /// An ordered list of pipes a packet traverses from source to destination.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Route {
     /// The pipes, in traversal order. Empty for `src == dst`.
     pub pipes: Vec<PipeId>,

@@ -35,4 +35,4 @@ pub use dijkstra::{
     pipe_cost, route_between, route_from_tree, shortest_route_tree_with_dist, Route, UNUSABLE_COST,
 };
 pub use matrix::{RouteUpdate, RoutingMatrix};
-pub use table::{RouteId, RouteStateMemory, RouteTable};
+pub use table::{RouteId, RouteNumbering, RouteStateMemory, RouteTable};

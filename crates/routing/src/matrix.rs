@@ -1187,24 +1187,6 @@ impl RoutingMatrix {
         self.node_component.get(node).map_or(0, comp)
     }
 
-    /// Reads the matrix's head — the slot list, the node count, the pipe
-    /// tables and the component node lists — and refuses one a later call
-    /// would index out of range with.
-    fn get_head(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let vns = Vec::<NodeId>::get(r)?;
-        let (node_count, pipe_cost, pipe_src) = Codec::get(r)?;
-        let mut m = RoutingMatrix {
-            vns,
-            node_count,
-            pipe_cost,
-            pipe_src,
-            component_nodes: Codec::get(r)?,
-            ..RoutingMatrix::default()
-        };
-        m.check_tables()?;
-        Ok(m)
-    }
-
     /// Binds each live slot, in slot order, to the row rooted at its entry
     /// of `roots`, patched with its one out-pipe when it is not that root.
     /// Refuses a root outside the graph or of another component than the
@@ -1237,75 +1219,6 @@ impl RoutingMatrix {
             self.slot_root[si] = root;
         }
         Ok(())
-    }
-
-    /// Reads a row for each of `roots` (in the graph), each at its root's
-    /// component's width, and refuses one [`RoutingMatrix::check_rows`]
-    /// refuses.
-    fn get_rows(&self, r: &mut ByteReader<'_>, roots: &[u32]) -> Result<Vec<Vec<u32>>, CodecError> {
-        let mut rows = Vec::with_capacity(roots.len());
-        for &root in roots {
-            rows.push(r.get_bare_u32s(self.width_at(root as usize))?);
-        }
-        let at = roots.iter().map(|&root| root as usize);
-        self.check_rows(rows.iter().map(Vec::as_slice).zip(at))?;
-        Ok(rows)
-    }
-
-    /// Stores `rows` at their `roots`, counts each row's readers among the
-    /// bound slots and settles each row read.
-    fn store_rows(&mut self, roots: &[u32], rows: Vec<Vec<u32>>) {
-        self.rows.resize_with(self.node_count, || None);
-        for (&root, row) in roots.iter().zip(rows) {
-            self.rows[root as usize] = Some(Row::new(row.into()));
-        }
-        for &root in &self.slot_root {
-            if let Some(Some(row)) = self.rows.get_mut(root as usize) {
-                row.refs += 1;
-                self.touched.push(root);
-            }
-        }
-        self.settle_touched();
-    }
-
-    /// Reads the matrix as format v11 wrote it: the rows' roots listed
-    /// before the rows, and each live slot's row as its index in root order.
-    /// Its four refusals of roots and rows that disagree describe states a
-    /// current frame cannot express. Read by v11 checkpoints alone; the
-    /// next format drops it.
-    #[doc(hidden)]
-    pub fn get_v11(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        use CodecError::Invalid;
-        let mut m = Self::get_head(r)?;
-        let roots = r.get_u32s()?;
-        for pair in roots.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(Invalid(match pair[0] == pair[1] {
-                    true => "two rows with one root",
-                    false => "rows out of root order",
-                }));
-            }
-        }
-        let beyond = roots.last().is_some_and(|&r| r as usize >= m.node_count);
-        if beyond {
-            return Err(Invalid("row root outside the graph"));
-        }
-        let rows = m.get_rows(r, &roots)?;
-        let live = m.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
-        let ranks = r.get_bare_u32s(live)?;
-        let at = |&rank: &u32| roots.get(rank as usize).copied();
-        let Some(slot_roots) = ranks.iter().map(at).collect::<Option<Vec<u32>>>() else {
-            return Err(Invalid("slot names a row out of range"));
-        };
-        m.bind_slots(&slot_roots)?;
-        m.store_rows(&roots, rows);
-        if roots
-            .iter()
-            .any(|&root| stored(&m.rows, root as usize).refs == 0)
-        {
-            return Err(Invalid("row no slot reads"));
-        }
-        Ok(m)
     }
 
     /// Derives each node's component from the component lists; returns
@@ -1447,20 +1360,49 @@ impl Codec for RoutingMatrix {
         }
         // Rows in root order: the layout is the trees', not the history's.
         for row in self.rows.iter().flatten() {
-            w.put_bare_u32s(&row.entries);
+            w.put_bare_u32s(row.entries.iter().copied());
         }
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut m = Self::get_head(r)?;
+        let vns = Vec::<NodeId>::get(r)?;
+        let (node_count, pipe_cost, pipe_src) = Codec::get(r)?;
+        let mut m = RoutingMatrix {
+            vns,
+            node_count,
+            pipe_cost,
+            pipe_src,
+            component_nodes: Codec::get(r)?,
+            ..RoutingMatrix::default()
+        };
+        // Tables a later read would index out of range with are refused
+        // before anything is read against them.
+        m.check_tables()?;
         let live = m.vns.iter().filter(|&&v| v != DEAD_SOURCE).count();
         let slot_roots = r.get_bare_u32s(live)?;
         m.bind_slots(&slot_roots)?;
         let mut roots = slot_roots;
         roots.sort_unstable();
         roots.dedup();
-        let rows = m.get_rows(r, &roots)?;
-        m.store_rows(&roots, rows);
+        // A row a root, at its component's width, stored at the root; then
+        // each row's readers counted among the bound slots.
+        let mut rows = Vec::with_capacity(roots.len());
+        for &root in &roots {
+            rows.push(r.get_bare_u32s(m.width_at(root as usize))?);
+        }
+        let at = roots.iter().map(|&root| root as usize);
+        m.check_rows(rows.iter().map(Vec::as_slice).zip(at))?;
+        m.rows.resize_with(m.node_count, || None);
+        for (&root, row) in roots.iter().zip(rows) {
+            m.rows[root as usize] = Some(Row::new(row.into()));
+        }
+        for &root in &m.slot_root {
+            if let Some(Some(row)) = m.rows.get_mut(root as usize) {
+                row.refs += 1;
+                m.touched.push(root);
+            }
+        }
+        m.settle_touched();
         Ok(m)
     }
 }
@@ -2222,7 +2164,7 @@ mod tests {
     }
 
     /// Rows that would let a walk index another component's positions are
-    /// a typed error in either format, never a panic.
+    /// a typed error, never a panic.
     #[test]
     fn a_row_naming_a_pipe_of_another_component_is_refused() {
         let d = two_islands();
@@ -2236,11 +2178,10 @@ mod tests {
             "predecessor pipe from another component",
         ));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
-        assert_eq!(V11::of(&hostile).decoded().map(|_| ()), refused);
     }
 
-    /// A row whose walk comes back to where it started is a typed error in
-    /// either format: a lookup, label or route diff over it would never
+    /// A row whose walk comes back to where it started is a typed error: a
+    /// lookup, label or route diff over it would never
     /// end. Here the row rooted at the wide island's first stub router
     /// names, at the second, the pipe from client d, whose own entry names
     /// the pipe back: the walk from d goes to the router and back.
@@ -2257,7 +2198,6 @@ mod tests {
         hostile.row_mut(router.index() - 1).entries[at] = back.0;
         let refused = Err(CodecError::Invalid("predecessor row with a cycle"));
         assert_eq!(decoded(&hostile).map(|_| ()), refused);
-        assert_eq!(V11::of(&hostile).decoded().map(|_| ()), refused);
     }
 
     /// The node → slot map is derived from the slot list, which therefore
@@ -2319,9 +2259,9 @@ mod tests {
         fn decoded(&self) -> Result<RoutingMatrix, CodecError> {
             let mut w = mn_util::ByteWriter::new();
             self.put_head(&mut w);
-            w.put_bare_u32s(&self.slots);
+            w.put_bare_u32s(self.slots.iter().copied());
             for row in &self.rows {
-                w.put_bare_u32s(row);
+                w.put_bare_u32s(row.iter().copied());
             }
             RoutingMatrix::get(&mut mn_util::ByteReader::new(w.as_slice()))
         }
@@ -2359,116 +2299,6 @@ mod tests {
             }),
             ("component lists do not partition the nodes", |f| {
                 f.lists[1].pop();
-            }),
-        ];
-        for (what, corrupt) in cases {
-            let mut hostile = f.clone();
-            corrupt(&mut hostile);
-            let refused = Err(CodecError::Invalid(what));
-            assert_eq!(hostile.decoded().map(|_| ()), refused, "{what}");
-        }
-    }
-
-    /// A format-v11 matrix frame: the head, the rows' roots as a counted
-    /// list, the rows, and each live slot's row as its index in root order.
-    /// Read by [`RoutingMatrix::get_v11`] alone, and goes with it.
-    #[derive(Clone)]
-    struct V11 {
-        frame: Frame,
-        roots: Vec<u32>,
-        ranks: Vec<u32>,
-    }
-
-    impl V11 {
-        fn of(m: &RoutingMatrix) -> V11 {
-            let frame = Frame::of(m);
-            let mut roots = frame.slots.clone();
-            roots.sort_unstable();
-            roots.dedup();
-            let rank = |root: &u32| roots.binary_search(root).unwrap() as u32;
-            let ranks = frame.slots.iter().map(rank).collect();
-            V11 {
-                frame,
-                roots,
-                ranks,
-            }
-        }
-
-        fn decoded(&self) -> Result<RoutingMatrix, CodecError> {
-            let mut w = mn_util::ByteWriter::new();
-            self.frame.put_head(&mut w);
-            self.roots.put(&mut w);
-            for row in &self.frame.rows {
-                w.put_bare_u32s(row);
-            }
-            w.put_bare_u32s(&self.ranks);
-            RoutingMatrix::get_v11(&mut mn_util::ByteReader::new(w.as_slice()))
-        }
-    }
-
-    /// A v11 matrix restores to the matrix it was taken from: its current
-    /// frame byte for byte, and every table derived, whether a hub's row
-    /// has several stub readers, one (whose entry it does not keep), or
-    /// its own source.
-    #[test]
-    fn a_v11_matrix_reads_as_the_current_one() {
-        let mut ring = RoutingMatrix::build(&small_ring());
-        assert!(ring.remove_source(ring.vns()[5]));
-        let mut islands = RoutingMatrix::build(&two_islands());
-        assert!(islands.remove_source(islands.vns()[2]));
-        let mut hub = RoutingMatrix::build(&two_islands());
-        assert!(hub.add_source(&two_islands(), NodeId(1)));
-        // A star whose client 0 cannot share its hub's row (its shifted
-        // labels would overflow): it roots its own.
-        let mut star = distill(
-            &star_topology(&StarParams {
-                clients: 4,
-                ..StarParams::default()
-            }),
-            DistillationMode::HopByHop,
-        );
-        let access = star.out_pipes(star.vns()[0])[0];
-        star.pipe_attrs_mut(access).unwrap().latency = SimDuration::from_nanos(u64::MAX - 100);
-        let star = RoutingMatrix::build(&star);
-        assert_eq!(star.stored_row_count(), 2);
-        let small = RoutingMatrix::build(&small_ring());
-        for m in [ring, islands, hub, star, small] {
-            let restored = V11::of(&m).decoded().unwrap();
-            assert_eq!(encoded(&restored), encoded(&m));
-            let derived = |m: &RoutingMatrix| {
-                let maps = (m.vn_of_node.clone(), m.component_vns.clone());
-                let rows = m.rows.iter().enumerate();
-                let dead: Vec<(usize, u32, u32)> = rows
-                    .filter_map(|(root, row)| Some((root, row.as_ref()?.refs, row.as_ref()?.dead)))
-                    .collect();
-                (maps, m.free_slots.clone(), m.slot_access.clone(), dead)
-            };
-            assert_eq!(derived(&restored), derived(&m));
-        }
-    }
-
-    /// Each refusal only a v11 frame can earn, on a frame of the two
-    /// islands whose only fault is the one named.
-    #[test]
-    fn a_v11_frame_whose_rows_or_slots_disagree_is_refused() {
-        let f = V11::of(&RoutingMatrix::build(&two_islands()));
-        assert_eq!(
-            (f.roots.as_slice(), f.ranks.as_slice()),
-            (&[1, 4, 5][..], &[0, 0, 1, 2][..])
-        );
-        assert!(f.decoded().is_ok());
-        type Corrupt = fn(&mut V11);
-        let cases: [(&str, Corrupt); 6] = [
-            ("slot names a row out of range", |f| f.ranks[1] = 3),
-            ("two rows with one root", |f| f.roots[2] = f.roots[1]),
-            ("rows out of root order", |f| f.roots.swap(1, 2)),
-            ("row root outside the graph", |f| {
-                f.roots[2] = f.frame.node_count as u32;
-            }),
-            // Nobody reads row 1 once client c reads row 2.
-            ("row no slot reads", |f| f.ranks[2] = 2),
-            ("root of another component than its slot's", |f| {
-                f.ranks[0] = 1
             }),
         ];
         for (what, corrupt) in cases {

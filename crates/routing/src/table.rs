@@ -14,8 +14,8 @@
 //!   per route and one run of 4-byte pipe ids — three allocations per
 //!   chunk, none per route. Sealed chunks are shared by every generation, so
 //!   retaining the ids in flight costs reference bumps, and a chunk's two
-//!   `u32` runs are also its encoded form: a checkpoint writes them as they
-//!   lie and a restore copies them back in bulk.
+//!   `u32` runs are its encoded form, copied whole by a restore, and by a
+//!   checkpoint where its numbering ([`RouteNumbering`]) is the identity.
 //! * `rows` — **one row shard per location slot**, mapping a destination
 //!   location slot to its raw `RouteId`, page-grouped into shared blocks of
 //!   `BLOCK_ROWS` (1024) rows. A row stores only the window `[base, base +
@@ -80,8 +80,6 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use mn_distill::PipeId;
 use mn_topology::NodeId;
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError};
@@ -91,7 +89,7 @@ use crate::resolver::{fold, fold_pipes, Pipes, Resolver, Route, Run};
 
 mn_util::codec_record! {
     /// Handle to an interned route in a [`RouteTable`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     pub struct RouteId(pub u32);
 }
 
@@ -170,6 +168,15 @@ impl RowShard {
         }
     }
 
+    /// The window's raw ids, in column order.
+    fn ids(&self) -> &[u32] {
+        match self {
+            RowShard::Empty => &[],
+            RowShard::Inline { len, slots, .. } => &slots[..*len as usize],
+            RowShard::Spilled { slots, .. } => slots,
+        }
+    }
+
     /// The stored window as `(base, width)`.
     fn window(&self) -> (usize, usize) {
         match self {
@@ -208,19 +215,27 @@ impl RowShard {
         }
     }
 
-    /// Checks every id against the store's `route_count` and the window
-    /// against the table's `columns`.
-    fn check(&self, route_count: usize, columns: usize) -> Result<(), CodecError> {
-        use CodecError::Invalid;
+    /// Checks the window against `columns` ([`RouteTable::decode`] checks the ids).
+    fn check(&self, columns: usize) -> Result<(), CodecError> {
         let (base, width) = self.window();
-        let mut ids = (base..base + width).map(|column| self.raw(column));
-        if ids.any(|raw| raw != NO_ROUTE && raw as usize >= route_count) {
-            return Err(Invalid("row shard names a route the store does not hold"));
-        }
         if base + width > columns {
-            return Err(Invalid("row window outside the column range"));
+            return Err(CodecError::Invalid("row window outside the column range"));
         }
         Ok(())
+    }
+
+    /// [`Codec::put`], each id written as `numbering` numbers it (`NO_ROUTE` as it is).
+    fn put_numbered(&self, w: &mut ByteWriter, numbering: Option<&RouteNumbering>) {
+        match self {
+            RowShard::Empty => w.put_u8(0),
+            RowShard::Inline { base, len, .. } => (1u8, *base, *len).put(w),
+            RowShard::Spilled { base, slots } => (2u8, *base, slots.len()).put(w),
+        }
+        let ids = self.ids().iter().copied();
+        match numbering {
+            None => w.put_bare_u32s(ids),
+            Some(n) => w.put_bare_u32s(ids.map(|id| *n.canonical.get(id as usize).unwrap_or(&id))),
+        }
     }
 
     /// `true` when two shards are literally the same storage: a shared slot
@@ -362,17 +377,7 @@ impl Codec for RowShard {
     const MIN_BYTES: usize = 1;
 
     fn put(&self, w: &mut ByteWriter) {
-        match self {
-            RowShard::Empty => w.put_u8(0),
-            RowShard::Inline { base, len, slots } => {
-                (1u8, *base, *len).put(w);
-                slots[..*len as usize].iter().for_each(|slot| slot.put(w));
-            }
-            RowShard::Spilled { base, slots } => {
-                (2u8, *base).put(w);
-                u32::put_run(slots, w);
-            }
-        }
+        self.put_numbered(w, None);
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
@@ -824,6 +829,25 @@ pub struct RouteStateMemory {
     pub inline_rows: usize,
 }
 
+/// The ids a checkpoint writes a [`RouteTable`]'s routes under: only the
+/// routes something reads, the rows' in order of first appearance (slot,
+/// then column), then those only descriptors in flight read, by pipe
+/// sequence — a function of the state, not of the intern history.
+#[derive(Debug, Clone)]
+pub struct RouteNumbering {
+    /// Each stored route's canonical id (`NO_ROUTE`: not kept).
+    canonical: Vec<u32>,
+    /// The kept routes' stored ids, in canonical order.
+    kept: Vec<u32>,
+}
+
+impl RouteNumbering {
+    /// The id a checkpoint writes for the stored route `id`.
+    pub fn canonical(&self, id: RouteId) -> RouteId {
+        RouteId(self.canonical[id.index()])
+    }
+}
+
 /// Copy-on-write route lookup state for one emulation, one row per location.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
@@ -851,6 +875,10 @@ pub struct RouteTable {
     /// The route resolver's scratch, shared by every generation cloned
     /// from this one: sized once, whichever generation rewires.
     resolver: Arc<Mutex<Resolver>>,
+    /// `Some(n)`: the rows read routes `0..n`, each first in id order, as a
+    /// built or a decoded table's may (an append leaves it; a row write
+    /// clears it).
+    rows_read: Option<usize>,
 }
 
 impl RouteTable {
@@ -877,6 +905,7 @@ impl RouteTable {
             index_probes: 0,
             locs: Arc::new(locs),
             resolver: Arc::default(),
+            rows_read: Some(0),
         }
     }
 
@@ -913,6 +942,7 @@ impl RouteTable {
 
     /// Replaces one location's row shard, copy-on-write on its block.
     fn set_row(&mut self, slot: usize, shard: RowShard) {
+        self.rows_read = None;
         block_mut(&mut self.rows, slot / BLOCK_ROWS)[slot % BLOCK_ROWS] = shard;
     }
 
@@ -955,6 +985,7 @@ impl RouteTable {
             RowShard::from_window(0, &row)
         });
         self.rows = blocks_from_flat(rows.collect());
+        self.rows_read = Some(self.route_count());
     }
 
     /// Interns `routes` of `run`, in order, into `ids` (the raw id,
@@ -1350,28 +1381,92 @@ impl RouteTable {
         lock(&self.resolver).sizings
     }
 
-    /// Serialises the table for a checkpoint, in the form it is held in:
-    /// the route arena chunk by chunk — each chunk's `ends`, then its pipes,
-    /// as the two bulk `u32` runs they are — one row shard **per location
-    /// slot**, verbatim (window geometry included, so a restored row
-    /// patches exactly like the captured one), then the column map without
-    /// the departed bits and the location geometry. The
-    /// content-dedup index is not written — it is a pure function of the
-    /// store, rebuilt first-id-wins by the restored table's first lookup.
-    /// The layout is written out rather than declared: the arena goes out
-    /// as it lies in memory, and what [`RouteTable::decode`] checks spans
-    /// sections (chunk ends against pipe runs, rows against the store and
-    /// the columns, endpoint lists against the columns).
+    /// Every route id the rows hold, slot by slot, in column order.
+    fn row_routes(&self) -> impl Iterator<Item = u32> + '_ {
+        let rows = self.rows.iter().flat_map(|block| block.iter());
+        let ids = rows.flat_map(|row| row.ids().iter().copied());
+        ids.filter(|&id| id != NO_ROUTE)
+    }
+
+    /// The numbering a checkpoint writes the routes under, `None` where it
+    /// is the identity (a built table's; a decoded table is canonical
+    /// exactly then). `held` appends every descriptor's route, and is called,
+    /// and its error returned, only when some route is read by no row.
+    pub fn numbering<E>(
+        &self,
+        held: impl FnOnce(&mut Vec<RouteId>) -> Result<(), E>,
+    ) -> Result<Option<RouteNumbering>, E> {
+        let count = self.route_count();
+        if self.rows_read == Some(count) {
+            return Ok(None);
+        }
+        let (mut canonical, mut kept) = (vec![NO_ROUTE; count], Vec::new());
+        for id in self.row_routes() {
+            if canonical[id as usize] == NO_ROUTE {
+                canonical[id as usize] = kept.len() as u32;
+                kept.push(id);
+            }
+        }
+        let mut extra = Vec::new();
+        if kept.len() < count {
+            held(&mut extra)?;
+        }
+        // The routes no row reads, each once; equal content is one route,
+        // kept under its first id.
+        extra.retain(|id| canonical[id.index()] == NO_ROUTE);
+        extra.sort_unstable_by(|a, b| self.pipes(*a).cmp(self.pipes(*b)).then(a.cmp(b)));
+        extra.dedup();
+        for (at, &id) in extra.iter().enumerate() {
+            if at == 0 || self.pipes(extra[at - 1]) != self.pipes(id) {
+                kept.push(id.0);
+            }
+            canonical[id.index()] = kept.len() as u32 - 1;
+        }
+        let identity =
+            kept.len() == count && kept.iter().enumerate().all(|(at, &id)| at == id as usize);
+        Ok((!identity).then_some(RouteNumbering { canonical, kept }))
+    }
+
+    /// [`RouteTable::encode_numbered`] of every stored route, as it lies.
     pub fn encode(&self, w: &mut ByteWriter) {
+        self.encode_numbered(w, None);
+    }
+
+    /// Serialises the table for a checkpoint, its routes numbered as
+    /// `numbering` says (`None`: as stored): the kept routes chunk by chunk,
+    /// `ends` and pipes as two `u32` runs (a stored chunk copied whole where
+    /// the numbering is the identity over it); one row shard **per location
+    /// slot**, window geometry verbatim; the column map without the departed
+    /// bits; the location geometry. Not the content-dedup index, which the
+    /// first lookup rebuilds. Written out, not declared: what
+    /// [`RouteTable::decode`] checks spans sections.
+    pub fn encode_numbered(&self, w: &mut ByteWriter, numbering: Option<&RouteNumbering>) {
         w.put_usize(self.endpoint_count);
-        w.put_len(self.store.sealed.len() + 1);
-        for chunk in self.store.chunks() {
-            w.put_u32s(&chunk.ends);
-            w.put_u32s_from(chunk.pipes.iter().map(|p| p.0));
+        let store = &*self.store;
+        let count = numbering.map_or(store.len(), |n| n.kept.len());
+        w.put_len(count / ROUTE_CHUNK + 1);
+        for (at, start) in (0..=count).step_by(ROUTE_CHUNK).enumerate() {
+            let ids = start..count.min(start + ROUTE_CHUNK);
+            let stored = store.sealed.get(at).map_or(&store.tail, |chunk| &**chunk);
+            let kept = numbering.map_or(&[][..], |n| &n.kept[ids.clone()]);
+            let same = || ids.clone().eq(kept.iter().map(|&id| id as usize));
+            if stored.ends.len() == ids.len() && (numbering.is_none() || same()) {
+                w.put_u32s(&stored.ends);
+                w.put_u32s_from(stored.pipes.iter().map(|p| p.0));
+                continue;
+            }
+            let (routes, mut end) = (kept.iter().map(|&id| store.get(id as usize)), 0);
+            w.put_len(kept.len());
+            routes.clone().for_each(|pipes| {
+                end += pipes.len() as u32;
+                w.put_u32(end);
+            });
+            w.put_len(end as usize);
+            routes.for_each(|pipes| w.put_bare_u32s(pipes.iter().map(|p| p.0)));
         }
         w.put_len(self.locs.locations.len());
         for block in &self.rows {
-            block.iter().for_each(|row| row.put(w));
+            block.iter().for_each(|row| row.put_numbered(w, numbering));
         }
         for block in &self.cols {
             block.iter().for_each(|&col| w.put_u32(col & !DEPARTED));
@@ -1393,11 +1488,9 @@ impl RouteTable {
         w.len()
     }
 
-    /// Rebuilds a table from bytes produced by [`RouteTable::encode`].
-    /// Route ids are the positions the routes were interned at, so every
-    /// stored id — including the ones descriptors in flight carry — keeps
-    /// resolving to the same route, and re-encoding the result reproduces
-    /// the input byte for byte.
+    /// Rebuilds a table from [`RouteTable::encode_numbered`] output. Route
+    /// ids are the positions the routes were written at, as the ids written
+    /// beside them are; re-encoding the result reproduces the input.
     ///
     /// Nothing read is trusted, and every invariant the table relies on is
     /// checked here rather than where it is used: counts are bounded by the
@@ -1461,8 +1554,19 @@ impl RouteTable {
             if list.is_empty() && *row != RowShard::Empty {
                 return Err(Invalid("location without endpoints carries a row"));
             }
-            row.check(route_count, slots)?;
+            row.check(slots)?;
             locs.endpoints.push(Arc::from(list));
+        }
+        // One pass: every id names a stored route; note `rows_read`.
+        let (mut next, mut in_order) = (0, true);
+        for row in &rows {
+            for &id in row.ids().iter().filter(|&&id| id != NO_ROUTE) {
+                if id as usize >= route_count {
+                    return Err(Invalid("row shard names a route the store does not hold"));
+                }
+                in_order &= id <= next;
+                next += u32::from(id == next);
+            }
         }
         Ok(RouteTable {
             store: Arc::new(store),
@@ -1472,6 +1576,7 @@ impl RouteTable {
             index_probes: 0,
             locs: Arc::new(locs),
             resolver: Arc::default(),
+            rows_read: in_order.then_some(next as usize),
         })
     }
 

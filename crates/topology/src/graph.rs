@@ -10,13 +10,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mn_util::{DataRate, SimDuration};
 
 mn_util::codec_record! {
     /// Identifier of a node within a [`Topology`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
     pub struct NodeId(pub usize);
 }
 
@@ -34,7 +32,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of an undirected link within a [`Topology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 impl LinkId {
@@ -51,7 +49,7 @@ impl fmt::Display for LinkId {
 }
 
 /// Role of a node in the target topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An end host: the attachment point of one or more virtual nodes.
     Client,
@@ -79,7 +77,7 @@ impl fmt::Display for NodeKind {
 }
 
 /// Attributes of a target-network link, as understood by the emulation core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkAttrs {
     /// Link bandwidth.
     pub bandwidth: DataRate,
@@ -130,7 +128,7 @@ impl LinkAttrs {
 }
 
 /// A node record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// The node's role.
     pub kind: NodeKind,
@@ -139,7 +137,7 @@ pub struct Node {
 }
 
 /// An undirected link record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,
@@ -206,7 +204,7 @@ impl std::error::Error for TopologyError {}
 /// assert_eq!(topo.client_nodes().count(), 2);
 /// assert!(topo.is_connected());
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

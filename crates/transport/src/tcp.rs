@@ -14,14 +14,12 @@
 //! simply stop offering data), and selective acknowledgements are not
 //! implemented (the paper's era predates widespread SACK deployment).
 
-use serde::{Deserialize, Serialize};
-
 use mn_packet::{TcpFlags, MSS_BYTES};
 use mn_util::{ByteReader, ByteWriter, Codec, CodecError, SimDuration, SimTime};
 
 mn_util::codec_record! {
     /// Configuration of one TCP endpoint.
-    #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy)]
     pub struct TcpConfig {
         /// Maximum segment size in bytes.
         pub mss: u32,
@@ -58,7 +56,7 @@ impl Default for TcpConfig {
 }
 
 /// Connection establishment state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// Passive endpoint waiting for a SYN.
     Listen,

@@ -7,13 +7,11 @@
 //! paced) datagram source with per-datagram sequence numbers; the runner
 //! counts what arrives.
 
-use serde::{Deserialize, Serialize};
-
 use mn_util::{ByteSize, DataRate, SimDuration, SimTime};
 
 mn_util::codec_record! {
     /// Configuration of a UDP sending stream.
-    #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy)]
     pub struct UdpStreamConfig {
         /// Payload bytes per datagram.
         pub payload: u32,

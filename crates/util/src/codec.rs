@@ -108,6 +108,13 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// The checksum function a frame's format version selects.
 pub type ChecksumFn = fn(&[u8]) -> u64;
 
+/// The sum a frame of format `version` records for a payload summed to
+/// `sum`: the version word folded in, so a version word changed between two
+/// readable versions fails it. Frames before `MNSP`/`MNRS` v13 record `sum`.
+pub fn versioned_sum(sum: u64, version: u32) -> u64 {
+    sum_fold(sum, u64::from(version))
+}
+
 /// [`checksum64`] of a payload around the frame nested at `nested`: the
 /// bytes up to the end of the nested frame's 16-byte header and the bytes
 /// from its 8-byte checksum on, each summed and the two sums folded. The
@@ -237,7 +244,8 @@ impl ByteWriter {
     }
 
     /// Closes the frame whose payload starts at `payload_start`: back-patches
-    /// the length word and appends [`checksum64`] of the payload.
+    /// the length word and appends [`checksum64`] of the payload, the
+    /// frame's version folded in ([`versioned_sum`]).
     pub fn end_frame(&mut self, payload_start: usize) {
         self.close_frame(payload_start, checksum64);
     }
@@ -249,13 +257,17 @@ impl ByteWriter {
         self.close_frame(payload_start, |payload| checksum64_around(payload, nested));
     }
 
-    /// Patches the frame's length word and appends `sum` of its payload (a
-    /// word counted, measuring).
+    /// Patches the frame's length word and appends `sum` of its payload
+    /// with the version word folded in (a word counted, measuring).
     fn close_frame(&mut self, payload_start: usize, sum: impl FnOnce(&[u8]) -> u64) {
         self.patch_u64(payload_start - 8, (self.len() - payload_start) as u64);
         let sum = match self.measured {
             Some(_) => 0,
-            None => sum(&self.buf[payload_start..]),
+            None => {
+                let version = &self.buf[payload_start - 12..payload_start - 8];
+                let version = u32::from_le_bytes(version.try_into().expect("4 bytes"));
+                versioned_sum(sum(&self.buf[payload_start..]), version)
+            }
         };
         self.put_u64(sum);
     }
@@ -293,8 +305,8 @@ impl ByteWriter {
 
     /// Appends `u32`s with no count prefix: a run whose length the reader
     /// knows from what it has read before ([`ByteReader::get_bare_u32s`]).
-    pub fn put_bare_u32s(&mut self, values: &[u32]) {
-        self.put_bare_words(values.iter().map(|v| v.to_le_bytes()));
+    pub fn put_bare_u32s(&mut self, values: impl ExactSizeIterator<Item = u32>) {
+        self.put_bare_words(values.map(u32::to_le_bytes));
     }
 
     /// Appends a count-prefixed run of `u64`s; an iterator, so index
@@ -1098,7 +1110,7 @@ mod tests {
         const OUTER: u32 = 0x4F55_5452;
         const INNER: u32 = 0x494E_4E52;
         let current = |version| match version {
-            2 => Ok(checksum64 as ChecksumFn),
+            2 => Ok((|payload| versioned_sum(checksum64(payload), 2)) as ChecksumFn),
             v => Err(CodecError::BadVersion(v)),
         };
         let mut w = ByteWriter::new();
@@ -1195,7 +1207,8 @@ mod tests {
         let payload = &bytes[outer..bytes.len() - 8];
         let span = nested.start - outer..nested.end - outer;
         let sum = checksum64_around(payload, span.clone());
-        assert_eq!(bytes[bytes.len() - 8..], sum.to_le_bytes());
+        let recorded = versioned_sum(sum, 3).to_le_bytes();
+        assert_eq!(bytes[bytes.len() - 8..], recorded);
         let inner_payload = span.start + 16..span.end - 8;
         for bit in 0..payload.len() * 8 {
             let mut flipped = payload.to_vec();

@@ -9,16 +9,12 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// A quantity of data in bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {
@@ -121,9 +117,7 @@ impl fmt::Display for ByteSize {
 ///
 /// The paper quotes link rates in decimal megabits (10 Mb/s = 10,000,000
 /// bit/s), which is the convention used here.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DataRate(u64);
 
 impl DataRate {

@@ -6,8 +6,6 @@
 //! by `mn-emucore`'s accuracy log, by the applications and by the benchmark
 //! harness when it prints the rows/series of each table and figure.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.quantile(0.5), Some(2.0));
 /// assert_eq!(cdf.fraction_at_or_below(3.0), 0.75);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Cdf {
     samples: Vec<f64>,
     sorted: bool,
@@ -161,7 +159,7 @@ crate::codec_record! {
     /// Streaming mean / variance / extremes without storing samples
     /// (Welford's algorithm). Its checkpoint is the raw accumulators, so a
     /// restored estimator continues the stream bit-identically.
-    #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, Default)]
     pub struct RunningStats {
         count: u64,
         mean: f64,

@@ -2,12 +2,14 @@
 # Renders a `scripts/bench_pairs.sh --record` JSON file as BENCH.md's
 # per-PR medians table: one row per end-to-end metric, one column per
 # workload, each cell "ratio (change ahead in k; median gap in parent
-# IQRs)". awk and printf only.
+# IQRs)"; or every committed record as one trajectory table per workload.
+# awk and printf only.
 set -euo pipefail
 
 usage() {
     cat <<'EOF'
 usage: scripts/bench_render.sh FILE
+       scripts/bench_render.sh --trajectory
        scripts/bench_render.sh --check MARKDOWN
 
 FILE is a JSON file `scripts/bench_pairs.sh --record` wrote. Prints a caption
@@ -16,10 +18,17 @@ A ratio is change / parent ("-" where the parent's median is 0); the gap is
 |change median - parent median| / parent IQR ("equal" or "inf" where the
 IQR is 0).
 
+--trajectory reads every BENCH_PR<N>.json at the repository root (a record
+of seed 1, as `bench_pairs.sh --record` writes one per perf PR) and prints,
+for each workload in the order the records first name it, a table with one
+row per PR, ascending: the change's medians of hops_per_s, peak_mem_mib,
+model_err_pct and checkpoint_ms, as recorded ("-" where the PR's record has
+no such workload).
+
 --check re-renders every block of MARKDOWN that opens with a line
-`<!-- bench_render PATH -->` (PATH relative to the repository root) and
-closes with `<!-- end -->`, and exits 1, printing the difference, if any
-block is not what its file renders.
+`<!-- bench_render PATH -->` (PATH relative to the repository root, or
+`--trajectory`) and closes with `<!-- end -->`, and exits 1, printing the
+difference, if any block is not what its file renders.
 EOF
 }
 
@@ -79,6 +88,54 @@ render() {
         }' "$1"
 }
 
+# The trajectory tables of the records at repository root $1.
+trajectory() {
+    local records
+    records=$(find "$1" -maxdepth 1 -name 'BENCH_PR*.json' | grep -E '/BENCH_PR[0-9]+\.json$' |
+        sed -E 's/.*BENCH_PR([0-9]+)\.json$/\1 &/' | sort -n | cut -d' ' -f2-)
+    [ -n "$records" ] || { echo "bench_render: no BENCH_PR<N>.json records" >&2; return 1; }
+    # shellcheck disable=SC2086 # one path per line, none with spaces
+    awk '
+        function field(s, key,    at) {
+            at = index(s, "\"" key "\": ")
+            if (at == 0) return ""
+            s = substr(s, at + length(key) + 4)
+            match(s, /^[^,}]*/)
+            return substr(s, 1, RLENGTH)
+        }
+        FNR == 1 {
+            pr = FILENAME; sub(/.*BENCH_PR/, "", pr); sub(/\.json$/, "", pr)
+            prs[++np] = pr
+        }
+        /^,?"[A-Za-z0-9_]+": \{"metrics": \{/ {
+            w = $0; sub(/^,?"/, "", w); sub(/".*/, "", w)
+            if (!(w in named)) { named[w] = 1; workloads[++nw] = w }
+            for (i = 1; i <= nm; i++) {
+                at = index($0, "\"" metrics[i] "\": {")
+                if (at) cell[w, pr, i] = field(substr($0, at), "change_median")
+            }
+        }
+        BEGIN { nm = split("hops_per_s peak_mem_mib model_err_pct checkpoint_ms", metrics, " ") }
+        END {
+            for (j = 1; j <= nw; j++) {
+                if (j > 1) printf "\n"
+                printf "`%s`, the change'"'"'s median by PR:\n\n| PR |", workloads[j]
+                for (i = 1; i <= nm; i++) printf " `%s` |", metrics[i]
+                printf "\n|---|"
+                for (i = 1; i <= nm; i++) printf "---|"
+                printf "\n"
+                for (k = 1; k <= np; k++) {
+                    printf "| %s |", prs[k]
+                    for (i = 1; i <= nm; i++) {
+                        c = (workloads[j], prs[k], i) in cell ? cell[workloads[j], prs[k], i] : "-"
+                        printf " %s |", c
+                    }
+                    printf "\n"
+                }
+            }
+        }' $records
+}
+
 case "${1:-}" in
 -h | --help)
     usage
@@ -90,7 +147,10 @@ case "${1:-}" in
     blocks=0
     while IFS= read -r path; do
         blocks=$((blocks + 1))
-        expected=$(render "$root/$path")
+        case $path in
+        --trajectory) expected=$(trajectory "$root") ;;
+        *) expected=$(render "$root/$path") ;;
+        esac
         actual=$(awk -v open="<!-- bench_render $path -->" '
             $0 == open { inside = 1; next }
             inside && $0 == "<!-- end -->" { exit }
@@ -103,6 +163,9 @@ case "${1:-}" in
     done < <(sed -n 's/^<!-- bench_render \(.*\) -->$/\1/p' "$markdown")
     echo "bench_render: $blocks block(s) of $markdown checked"
     exit $status
+    ;;
+--trajectory)
+    trajectory "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
     ;;
 ?*)
     render "$1"

@@ -11,13 +11,12 @@
 //! its parent, and deletes the decoder and the fixtures of the version two
 //! behind; a kept file is never re-blessed.
 //!
-//! `tests/data/mnrs_v11_tcp.bin` is the scenario under the v11 encoder, which
-//! nests an `MNSP` v11 frame. Format v12 nests an `MNSP` v12 frame (each
-//! slot names its routing-matrix row by the row's root node; see
-//! `snapshot_golden.rs`) and is otherwise the same:
-//! `tests/data/mnrs_v12_tcp.bin` is the scenario under the current encoder,
-//! which both backends must re-create byte for byte and which the v11 file,
-//! restored and serialised again, is.
+//! `tests/data/mnrs_v12_tcp.bin` is the scenario under the v12 encoder, which
+//! nests an `MNSP` v12 frame. Format v13 nests an `MNSP` v13 frame (only the
+//! routes something reads, numbered canonically; see `snapshot_golden.rs`)
+//! and is otherwise the same: `tests/data/mnrs_v13_tcp.bin` is the scenario
+//! under the current encoder, which both backends must re-create byte for
+//! byte and which the v12 file, restored and serialised again, is.
 //!
 //! The fixture tests use only the runner's public API, so the same source
 //! compiles against the commit that wrote the fixture. The version-window
@@ -32,8 +31,8 @@ use modelnet::{
     SimDuration, SimTime,
 };
 
-const FIXTURE_V11: &[u8] = include_bytes!("data/mnrs_v11_tcp.bin");
 const FIXTURE_V12: &[u8] = include_bytes!("data/mnrs_v12_tcp.bin");
+const FIXTURE_V13: &[u8] = include_bytes!("data/mnrs_v13_tcp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
@@ -114,27 +113,27 @@ fn restores_into_both_backends_and_finishes_identically(fixture: &[u8], version:
 }
 
 #[test]
-fn the_v11_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    restores_into_both_backends_and_finishes_identically(FIXTURE_V11, 11);
-}
-
-#[test]
 fn the_v12_runner_fixture_restores_into_both_backends_and_finishes_identically() {
     restores_into_both_backends_and_finishes_identically(FIXTURE_V12, 12);
 }
 
 #[test]
-fn both_backends_reproduce_the_v12_runner_fixture_byte_for_byte() {
+fn the_v13_runner_fixture_restores_into_both_backends_and_finishes_identically() {
+    restores_into_both_backends_and_finishes_identically(FIXTURE_V13, 13);
+}
+
+#[test]
+fn both_backends_reproduce_the_v13_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE_V12,
-            "checkpoint bytes drifted from the v12 fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V13,
+            "checkpoint bytes drifted from the v13 fixture on {backend:?}"
         );
-        // The v11 file holds the same run: restored and serialised again, it
-        // is the v12 checkpoint.
+        // The v12 file holds the same run: restored and serialised again, it
+        // is the v13 checkpoint.
         let (mut runner, _) = build(backend);
-        runner.recover_from(FIXTURE_V11).unwrap();
-        assert!(runner.snapshot().unwrap() == FIXTURE_V12);
+        runner.recover_from(FIXTURE_V12).unwrap();
+        assert!(runner.snapshot().unwrap() == FIXTURE_V13);
     }
 }
 
@@ -143,9 +142,9 @@ fn both_backends_reproduce_the_v12_runner_fixture_byte_for_byte() {
 /// `MNSP` fixture's own test flips all eight) is still a typed error —
 /// caught by the outer sum, or by the nested frame's own — and so is a cut.
 #[test]
-fn a_bit_flip_in_any_byte_of_the_v11_runner_fixture_is_a_typed_error() {
+fn a_bit_flip_in_any_byte_of_the_v13_runner_fixture_is_a_typed_error() {
     let (mut runner, _) = build(ExecutionBackend::Sequential);
-    let mut bytes = FIXTURE_V11.to_vec();
+    let mut bytes = FIXTURE_V13.to_vec();
     for at in 0..bytes.len() {
         bytes[at] ^= 1 << (at % 8);
         assert!(
@@ -161,34 +160,34 @@ fn a_bit_flip_in_any_byte_of_the_v11_runner_fixture_is_a_typed_error() {
 }
 
 /// Both frames decode their current version and the one before, and no
-/// other: a v12 fixture with any other version word is refused with
+/// other: a v13 fixture with any other version word is refused with
 /// exactly that version by every entry point, and a refused recovery leaves
 /// the runner as it was.
 #[test]
-fn both_frames_restore_versions_11_and_12_and_refuse_every_other() {
-    const MNSP_V11: &[u8] = include_bytes!("data/mnsp_v11_path4.bin");
+fn both_frames_restore_versions_12_and_13_and_refuse_every_other() {
     const MNSP_V12: &[u8] = include_bytes!("data/mnsp_v12_path4.bin");
-    const RETIRED_OR_FUTURE: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13];
+    const MNSP_V13: &[u8] = include_bytes!("data/mnsp_v13_path4.bin");
+    const RETIRED_OR_FUTURE: [u32; 13] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14];
     let with_version = |frame: &[u8], version: u32| {
         let mut bytes = frame.to_vec();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         bytes
     };
     for v in RETIRED_OR_FUTURE {
-        let (frame, refused) = (with_version(MNSP_V12, v), Err(CodecError::BadVersion(v)));
+        let (frame, refused) = (with_version(MNSP_V13, v), Err(CodecError::BadVersion(v)));
         assert_eq!(EmulatorSnapshot::from_bytes(&frame).map(|_| ()), refused);
         assert_eq!(Emulator::restore_bytes(&frame).map(|_| ()), refused);
     }
-    for frame in [MNSP_V11, MNSP_V12] {
+    for frame in [MNSP_V12, MNSP_V13] {
         assert!(Emulator::restore_bytes(frame).is_ok());
     }
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         let (mut runner, _) = build(backend);
-        runner.recover_from(FIXTURE_V11).expect("v11 restores");
+        runner.recover_from(FIXTURE_V12).expect("v12 restores");
         let before = runner.snapshot().unwrap();
         for v in RETIRED_OR_FUTURE {
             assert_eq!(
-                runner.recover_from(&with_version(FIXTURE_V12, v)),
+                runner.recover_from(&with_version(FIXTURE_V13, v)),
                 Err(RecoverError::Codec(CodecError::BadVersion(v)))
             );
             assert!(
@@ -196,7 +195,7 @@ fn both_frames_restore_versions_11_and_12_and_refuse_every_other() {
                 "a refused v{v} recovery changed the runner on {backend:?}"
             );
         }
-        runner.recover_from(FIXTURE_V12).expect("v12 restores");
+        runner.recover_from(FIXTURE_V13).expect("v13 restores");
     }
 }
 
@@ -205,14 +204,14 @@ fn both_frames_restore_versions_11_and_12_and_refuse_every_other() {
 /// --nocapture`, after renaming the path below), never to overwrite an
 /// existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v12_tcp.bin"]
+#[ignore = "writes tests/data/mnrs_v13_tcp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v12_tcp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v13_tcp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, flows) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

@@ -1,17 +1,16 @@
 //! Golden `MNRS` fixture for the runner's UDP records.
 //!
-//! `tests/data/mnrs_v12_tcp.bin` holds TCP flows only. This file pins what
+//! `tests/data/mnrs_v13_tcp.bin` holds TCP flows only. This file pins what
 //! it leaves out: two paced UDP flows — one open-ended, one bounded by
 //! `max_datagrams` and still sending when the run stops — beside an
 //! unbounded bulk TCP flow, on two cores. Its checkpoint carries the
 //! streams' pacing state, the runner's UDP flow table, `Udp` port bindings
-//! and pending `UdpPoll` events. `tests/data/mnrs_v11_udp.bin` is the
-//! scenario under the v11 encoder (`MNRS` v11: the routing matrix's roots
-//! list and each slot's row index), which both backends must restore and
-//! finish on the recorded digest. `tests/data/mnrs_v12_udp.bin` is the
-//! scenario under the current encoder (`MNRS` v12), which both backends
-//! must re-create byte for byte and which the v11 file, restored and
-//! serialised again, is.
+//! and pending `UdpPoll` events. `tests/data/mnrs_v12_udp.bin` is the
+//! scenario under the v12 encoder (`MNRS` v12: the route table's whole
+//! store as it lay), which both backends must restore and finish on the
+//! recorded digest. `tests/data/mnrs_v13_udp.bin` is the scenario under the
+//! current encoder (`MNRS` v13), which both backends must re-create byte
+//! for byte and which the v12 file, restored and serialised again, is.
 //!
 //! Only the runner's public API is used, so the same source compiles
 //! against the commit that wrote the fixture.
@@ -24,8 +23,8 @@ use modelnet::{
     DataRate, DistillationMode, ExecutionBackend, Experiment, FlowId, Runner, SimTime, UdpFlowId,
 };
 
-const FIXTURE_V11: &[u8] = include_bytes!("data/mnrs_v11_udp.bin");
 const FIXTURE_V12: &[u8] = include_bytes!("data/mnrs_v12_udp.bin");
+const FIXTURE_V13: &[u8] = include_bytes!("data/mnrs_v13_udp.bin");
 
 /// Virtual time the scenario is stopped (and the fixture taken) at.
 const STOP_AT: SimTime = SimTime::from_millis(1_500);
@@ -108,7 +107,7 @@ fn tail_digest(mut runner: Runner, bulk: FlowId, udp: [UdpFlowId; 2]) -> u64 {
 
 #[test]
 fn the_udp_runner_fixture_restores_into_both_backends_and_finishes_identically() {
-    for (fixture, version) in [(FIXTURE_V11, 11), (FIXTURE_V12, 12)] {
+    for (fixture, version) in [(FIXTURE_V12, 12), (FIXTURE_V13, 13)] {
         assert_eq!(fixture[..8], [0x53, 0x52, 0x4E, 0x4D, version, 0, 0, 0]);
         for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
             let (mut runner, bulk, udp) = build(backend);
@@ -126,12 +125,12 @@ fn the_udp_runner_fixture_restores_into_both_backends_and_finishes_identically()
 fn both_backends_reproduce_the_udp_runner_fixture_byte_for_byte() {
     for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threaded] {
         assert!(
-            run_to_stop(backend) == FIXTURE_V12,
-            "checkpoint bytes drifted from the v12 UDP fixture on {backend:?}"
+            run_to_stop(backend) == FIXTURE_V13,
+            "checkpoint bytes drifted from the v13 UDP fixture on {backend:?}"
         );
         let (mut runner, ..) = build(backend);
-        runner.recover_from(FIXTURE_V11).unwrap();
-        assert!(runner.snapshot().unwrap() == FIXTURE_V12);
+        runner.recover_from(FIXTURE_V12).unwrap();
+        assert!(runner.snapshot().unwrap() == FIXTURE_V13);
     }
 }
 
@@ -140,14 +139,14 @@ fn both_backends_reproduce_the_udp_runner_fixture_byte_for_byte() {
 /// --ignored --nocapture`, after renaming the path below), never to
 /// overwrite an existing fixture.
 #[test]
-#[ignore = "writes tests/data/mnrs_v12_udp.bin"]
+#[ignore = "writes tests/data/mnrs_v13_udp.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(ExecutionBackend::Sequential);
     assert!(
         bytes == run_to_stop(ExecutionBackend::Threaded),
         "backends disagree"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v12_udp.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnrs_v13_udp.bin");
     std::fs::write(path, &bytes).unwrap();
     let (mut runner, bulk, udp) = build(ExecutionBackend::Sequential);
     runner.recover_from(&bytes).unwrap();

@@ -9,13 +9,14 @@
 //! re-blessed, and its digest is re-recorded only by a deliberate behaviour
 //! change.
 //!
-//! `tests/data/mnsp_v11_path4.bin` is the scenario under the v11 encoder,
-//! which wrote the routing matrix's rows with a list of their roots and
-//! each live slot's row as its index in root order. Format v12 writes each
-//! live slot's root node instead, and no roots list: restored on either
-//! executor and serialised again, the v11 file is
-//! `tests/data/mnsp_v12_path4.bin` byte for byte, which every later commit
-//! must re-create on both executors. Here one stub is the only reader of
+//! `tests/data/mnsp_v12_path4.bin` is the scenario under the v12 encoder,
+//! which wrote the route table's whole store as it lay. Format v13 writes
+//! only the routes a row or a descriptor in flight reads, numbered
+//! canonically: restored on either executor and serialised again, the v12
+//! file is `tests/data/mnsp_v13_path4.bin` byte for byte, which every later
+//! commit must re-create on both executors. (Here the store holds nothing
+//! else, in that order, so the two files differ only in the version word.)
+//! Here one stub is the only reader of
 //! its hub's row (its path's other end departed), whose entry at that stub
 //! the row does not keep. Without the CBR meter v8 dropped, the emulator no longer
 //! wakes at each injection, so the tail digest was re-recorded at v8, once:
@@ -44,8 +45,8 @@ mod membership;
 use common::on_threads;
 use membership::membership;
 
-const FIXTURE_V11: &[u8] = include_bytes!("data/mnsp_v11_path4.bin");
 const FIXTURE_V12: &[u8] = include_bytes!("data/mnsp_v12_path4.bin");
+const FIXTURE_V13: &[u8] = include_bytes!("data/mnsp_v13_path4.bin");
 
 /// Virtual time the scenario is stopped (and the fixtures taken) at.
 const STOP_AT: SimTime = SimTime::from_micros(4_900);
@@ -222,24 +223,24 @@ fn tail_digest(mut backend: Emulator) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v12 fixture on both executors, and so
-/// does restoring the v11 file on either.
+/// The current encoder writes the v13 fixture on both executors, and so
+/// does restoring the v12 file on either.
 #[test]
-fn both_executors_reproduce_the_v12_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 12, "this fixture pins format v12");
+fn both_executors_reproduce_the_v13_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 13, "this fixture pins format v13");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V12,
-            "snapshot bytes drifted from the v12 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V13,
+            "snapshot bytes drifted from the v13 fixture (threaded: {threaded})"
         );
-        let mut restored = Emulator::restore_bytes(FIXTURE_V11).unwrap();
+        let mut restored = Emulator::restore_bytes(FIXTURE_V12).unwrap();
         if threaded {
             restored = on_threads(restored);
         }
         let stats = restored.total_stats();
         assert!(stats.tunnels_out > stats.tunnels_in, "tunnels in flight");
-        assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V12);
+        assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V13);
     }
 }
 
@@ -252,13 +253,13 @@ fn restores_into_both_executors_and_finishes_identically(fixture: &[u8]) {
 }
 
 #[test]
-fn the_v11_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V11);
+fn the_v12_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V12);
 }
 
 #[test]
-fn the_v12_fixture_restores_into_both_executors_and_finishes_identically() {
-    restores_into_both_executors_and_finishes_identically(FIXTURE_V12);
+fn the_v13_fixture_restores_into_both_executors_and_finishes_identically() {
+    restores_into_both_executors_and_finishes_identically(FIXTURE_V13);
 }
 
 /// The tables a restore rebuilds rather than reads hold what the
@@ -271,7 +272,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let mut uninterrupted = backend;
     let homes = distilled.vns().to_vec();
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
-    for fixture in [FIXTURE_V11, FIXTURE_V12] {
+    for fixture in [FIXTURE_V12, FIXTURE_V13] {
         let mut sequential = Emulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -284,13 +285,13 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// A frame guards its bytes: whatever single bit flips, wherever the file
 /// is cut, decoding stops at a typed error — before any state is built.
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v11_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V11);
+fn every_bit_flip_and_every_truncation_of_the_v12_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V12);
 }
 
 #[test]
-fn every_bit_flip_and_every_truncation_of_the_v12_fixture_is_a_typed_error() {
-    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V12);
+fn every_bit_flip_and_every_truncation_of_the_v13_fixture_is_a_typed_error() {
+    every_bit_flip_and_every_truncation_is_a_typed_error(FIXTURE_V13);
 }
 
 fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
@@ -317,7 +318,7 @@ fn every_bit_flip_and_every_truncation_is_a_typed_error(fixture: &[u8]) {
 #[test]
 fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     let trailing = Err(CodecError::Invalid("trailing bytes"));
-    let mut after_frame = FIXTURE_V12.to_vec();
+    let mut after_frame = FIXTURE_V13.to_vec();
     after_frame.push(0);
     assert_eq!(
         EmulatorSnapshot::from_bytes(&after_frame).map(|_| ()),
@@ -329,7 +330,7 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
     // a payload with one byte more than the decoder reads.
     let mut w = ByteWriter::new();
     let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-    w.put_bytes(&FIXTURE_V12[16..FIXTURE_V12.len() - 8]);
+    w.put_bytes(&FIXTURE_V13[16..FIXTURE_V13.len() - 8]);
     w.put_u8(0);
     w.end_frame(frame);
     let after_payload = w.into_bytes();
@@ -347,11 +348,11 @@ fn bytes_after_the_frame_or_after_the_decoded_payload_are_refused() {
 /// below); see the module docs for why an existing fixture is never
 /// rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v12_path4.bin"]
+#[ignore = "writes tests/data/mnsp_v13_path4.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v12_path4.bin");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/mnsp_v13_path4.bin");
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
     let digest = tail_digest(Emulator::restore(&snapshot).unwrap());

@@ -1,6 +1,6 @@
 //! Golden `MNSP` fixtures for the multiplexed, churned case.
 //!
-//! `tests/data/mnsp_v12_path4.bin` (see `snapshot_golden.rs`) has one VN per
+//! `tests/data/mnsp_v13_path4.bin` (see `snapshot_golden.rs`) has one VN per
 //! location and inline route-table rows only. The scenario below pins what
 //! that leaves out: an 8-router ring with three VNs bound at every client
 //! (rows 8 columns wide, so they spill), two cores, one fluid flow, stopped
@@ -8,12 +8,14 @@
 //! stay, a location emptied, the link up again, a rejoin into the emptied
 //! location, a rejoin elsewhere, a fresh VN id and a second link down.
 //!
-//! `tests/data/mnsp_v11_mux_churn.bin` is the scenario under the v11
-//! encoder, which wrote the routing matrix's roots list and each slot's
-//! row index (see `snapshot_golden.rs`): `tests/data/mnsp_v12_mux_churn.bin`
-//! is the scenario under the current encoder, which every later commit must
-//! re-create byte for byte and which the v11 file, restored and serialised
-//! again, is. Both files restore into
+//! `tests/data/mnsp_v12_mux_churn.bin` is the scenario under the v12
+//! encoder, which wrote the route table's whole store, the routes the
+//! link down and the emptied location left unread among them:
+//! `tests/data/mnsp_v13_mux_churn.bin` is the scenario under the current
+//! encoder, which writes only the routes something reads, numbered
+//! canonically (see `snapshot_golden.rs`), 564 bytes fewer. Every later
+//! commit must re-create it byte for byte, and the v12 file, restored and
+//! serialised again, is it. Both files restore into
 //! both executors and finish the run on the recorded delivery digest; they
 //! are never re-blessed. The digest cannot see the rebuilt load vector (no
 //! VN joins after the stop), so fresh joins after each restore are checked
@@ -37,8 +39,8 @@ mod membership;
 use common::on_threads;
 use membership::membership;
 
-const FIXTURE_V11: &[u8] = include_bytes!("data/mnsp_v11_mux_churn.bin");
 const FIXTURE_V12: &[u8] = include_bytes!("data/mnsp_v12_mux_churn.bin");
+const FIXTURE_V13: &[u8] = include_bytes!("data/mnsp_v13_mux_churn.bin");
 
 const ROUTERS: usize = 8;
 /// VNs bound at each client location when the run starts.
@@ -234,27 +236,27 @@ fn tail_digest(mut backend: Emulator) -> u64 {
     fnv1a64(&w.into_bytes())
 }
 
-/// The current encoder writes the v12 fixture on both executors, and so
-/// does restoring the v11 file on either.
+/// The current encoder writes the v13 fixture on both executors, and so
+/// does restoring the v12 file on either.
 #[test]
-fn both_executors_reproduce_the_v12_fixture_byte_for_byte() {
-    assert_eq!(SNAPSHOT_VERSION, 12, "this fixture pins format v12");
+fn both_executors_reproduce_the_v13_fixture_byte_for_byte() {
+    assert_eq!(SNAPSHOT_VERSION, 13, "this fixture pins format v13");
     for threaded in [false, true] {
         let bytes = run_to_stop(threaded);
         assert!(
-            bytes == FIXTURE_V12,
-            "snapshot bytes drifted from the v12 fixture (threaded: {threaded})"
+            bytes == FIXTURE_V13,
+            "snapshot bytes drifted from the v13 fixture (threaded: {threaded})"
         );
     }
-    let mut restored = Emulator::restore_bytes(FIXTURE_V11).unwrap();
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V12);
-    let mut restored = on_threads(Emulator::restore_bytes(FIXTURE_V11).unwrap());
-    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V12);
+    let mut restored = Emulator::restore_bytes(FIXTURE_V12).unwrap();
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V13);
+    let mut restored = on_threads(Emulator::restore_bytes(FIXTURE_V12).unwrap());
+    assert!(restored.snapshot().unwrap().to_bytes() == FIXTURE_V13);
 }
 
 #[test]
 fn the_fixture_restores_into_both_executors_and_finishes_identically() {
-    for fixture in [FIXTURE_V11, FIXTURE_V12] {
+    for fixture in [FIXTURE_V12, FIXTURE_V13] {
         let snapshot = EmulatorSnapshot::from_bytes(fixture).expect("the fixture decodes");
         let sequential = Emulator::restore(&snapshot).unwrap();
         assert_eq!(tail_digest(sequential), TAIL_DIGEST);
@@ -273,7 +275,7 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
     let expected = membership(&mut uninterrupted, &distilled, &homes, STOP_AT);
     assert_eq!(expected.0.len(), MUX * ROUTERS + 1);
     assert!(expected.2.contains(&Some(CoreId(0))) && expected.2.contains(&Some(CoreId(1))));
-    for fixture in [FIXTURE_V11, FIXTURE_V12] {
+    for fixture in [FIXTURE_V12, FIXTURE_V13] {
         let mut sequential = Emulator::restore_bytes(fixture).unwrap();
         let restored = membership(&mut sequential, &distilled, &homes, STOP_AT);
         assert_eq!(restored, expected);
@@ -288,16 +290,17 @@ fn a_restore_rebuilds_the_vn_tables_and_the_join_index() {
 /// path below — run at the rebuilt VN tables for v6, at the summed labels
 /// for v7, at the rebuilt fluid vectors for v8, at the component-wide rows
 /// for v9, at the derived matrix tables for v10, at the rows keyed by tree
-/// root for v11, at the slots' root nodes for v12); see the module docs for
+/// root for v11, at the slots' root nodes for v12, at the canonical route
+/// numbering for v13); see the module docs for
 /// why an existing file is never rewritten.
 #[test]
-#[ignore = "writes tests/data/mnsp_v12_mux_churn.bin"]
+#[ignore = "writes tests/data/mnsp_v13_mux_churn.bin"]
 fn write_fixture() {
     let bytes = run_to_stop(false);
     assert!(bytes == run_to_stop(true), "executors disagree");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/data/mnsp_v12_mux_churn.bin"
+        "/tests/data/mnsp_v13_mux_churn.bin"
     );
     std::fs::write(path, &bytes).unwrap();
     let snapshot = EmulatorSnapshot::from_bytes(&bytes).unwrap();
