@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn probe_gets_a_reply_with_state() {
         let mut root = AcdcNode::new(VnId(0), config(8));
-        let mut ctx = AppCtx::new(VnId(0), SimTime::from_millis(5));
+        let mut ctx = AppCtx::new(SimTime::from_millis(5));
         root.on_message(
             &mut ctx,
             VnId(3),
@@ -424,7 +424,7 @@ mod tests {
         assert!(!node.is_attached());
         // Simulate a completed probe of the root with a 100 ms RTT.
         node.round_results.insert(VnId(0), (0.1, 0.0, true, 0));
-        let mut ctx = AppCtx::new(VnId(5), SimTime::from_secs(1));
+        let mut ctx = AppCtx::new(SimTime::from_secs(1));
         node.adapt(&mut ctx);
         assert_eq!(node.parent(), Some(VnId(0)));
         assert!((node.delay_to_root_s() - 0.05).abs() < 1e-9);
@@ -436,7 +436,7 @@ mod tests {
         let mut node = AcdcNode::new(VnId(5), config(8));
         // Attach through the root (cost |5-0| = 5).
         node.round_results.insert(VnId(0), (0.2, 0.0, true, 0));
-        let mut ctx = AppCtx::new(VnId(5), SimTime::from_secs(1));
+        let mut ctx = AppCtx::new(SimTime::from_secs(1));
         node.adapt(&mut ctx);
         assert_eq!(node.parent(), Some(VnId(0)));
         // Candidate VnId(4): cost 1, delay well within target, shallower
@@ -447,7 +447,7 @@ mod tests {
         node.round_results
             .insert(node.parent.unwrap(), (0.2, 0.0, true, 0));
         node.round_results.insert(VnId(4), (0.1, 0.05, true, 0));
-        let mut ctx = AppCtx::new(VnId(5), SimTime::from_secs(6));
+        let mut ctx = AppCtx::new(SimTime::from_secs(6));
         node.adapt(&mut ctx);
         assert_eq!(
             node.parent(),
@@ -458,7 +458,7 @@ mod tests {
         node.round_results.clear();
         node.round_results.insert(VnId(4), (0.1, 0.05, true, 0));
         node.round_results.insert(VnId(6), (0.1, 5.0, true, 0));
-        let mut ctx = AppCtx::new(VnId(5), SimTime::from_secs(11));
+        let mut ctx = AppCtx::new(SimTime::from_secs(11));
         node.adapt(&mut ctx);
         assert_eq!(node.parent(), Some(VnId(4)));
     }
@@ -467,7 +467,7 @@ mod tests {
     fn delay_violation_triggers_repair_even_at_higher_cost() {
         let mut node = AcdcNode::new(VnId(5), config(8));
         node.round_results.insert(VnId(4), (0.2, 0.0, true, 0));
-        let mut ctx = AppCtx::new(VnId(5), SimTime::from_secs(1));
+        let mut ctx = AppCtx::new(SimTime::from_secs(1));
         node.adapt(&mut ctx);
         assert_eq!(node.parent(), Some(VnId(4)));
         // The parent's delay to root balloons past the target; a higher-cost
@@ -475,7 +475,7 @@ mod tests {
         node.round_results.clear();
         node.round_results.insert(VnId(4), (0.2, 3.0, true, 0));
         node.round_results.insert(VnId(1), (0.2, 0.0, true, 0));
-        let mut ctx = AppCtx::new(VnId(5), SimTime::from_secs(6));
+        let mut ctx = AppCtx::new(SimTime::from_secs(6));
         node.adapt(&mut ctx);
         assert_eq!(node.parent(), Some(VnId(1)), "delay repair overrides cost");
     }
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn start_round_probes_a_bounded_candidate_set() {
         let mut node = AcdcNode::new(VnId(3), config(32));
-        let mut ctx = AppCtx::new(VnId(3), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         node.start_round(&mut ctx);
         let sends = ctx
             .into_actions()

@@ -396,7 +396,7 @@ mod tests {
         // the on_start callback without sending anything.
         let ring = ChordRing::new([VnId(0)]);
         let mut client = CfsClient::new(VnId(0), ring, CfsConfig::default());
-        let mut ctx = AppCtx::new(VnId(0), SimTime::from_secs(1));
+        let mut ctx = AppCtx::new(SimTime::from_secs(1));
         client.on_start(&mut ctx);
         assert!(client.is_complete());
         assert_eq!(client.blocks_completed(), 128);
@@ -416,7 +416,7 @@ mod tests {
             ..CfsConfig::default()
         };
         let mut client = CfsClient::new(members[0], ring, config);
-        let mut ctx = AppCtx::new(members[0], SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         client.on_start(&mut ctx);
         let sends = ctx
             .into_actions()
@@ -439,7 +439,7 @@ mod tests {
         let key = ChordId::of_block("file-1", 7);
         let owner = ring.owner_of(key).unwrap();
         let mut server = CfsServer::new(owner, ring.clone());
-        let mut ctx = AppCtx::new(owner, SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         server.handle(
             &mut ctx,
             VnId(0),
@@ -455,7 +455,7 @@ mod tests {
         // A non-owner forwards.
         let not_owner = members.iter().copied().find(|&m| m != owner).unwrap();
         let mut other = CfsServer::new(not_owner, ring);
-        let mut ctx2 = AppCtx::new(not_owner, SimTime::ZERO);
+        let mut ctx2 = AppCtx::new(SimTime::ZERO);
         other.handle(
             &mut ctx2,
             VnId(0),
@@ -473,7 +473,7 @@ mod tests {
     fn server_serves_blocks_with_full_wire_size() {
         let ring = ChordRing::new((0..4).map(VnId));
         let mut server = CfsServer::new(VnId(1), ring);
-        let mut ctx = AppCtx::new(VnId(1), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         server.handle(
             &mut ctx,
             VnId(2),

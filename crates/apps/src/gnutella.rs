@@ -92,11 +92,6 @@ impl GnutellaNode {
         self.known_peers.len()
     }
 
-    /// Current neighbour count.
-    pub fn neighbour_count(&self) -> usize {
-        self.neighbours.len()
-    }
-
     /// PINGs forwarded on behalf of other nodes.
     pub fn pings_forwarded(&self) -> u64 {
         self.pings_forwarded
@@ -205,7 +200,7 @@ mod tests {
     #[test]
     fn ping_floods_to_all_neighbours_except_sender() {
         let mut n = node(1, &[2, 3, 4]);
-        let mut ctx = AppCtx::new(VnId(1), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         n.on_message(
             &mut ctx,
             VnId(2),
@@ -241,10 +236,10 @@ mod tests {
             id: 5,
             ttl: 3,
         };
-        let mut ctx = AppCtx::new(VnId(1), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         n.on_message(&mut ctx, VnId(2), Message::new(PING_BYTES, ping));
         let first = ctx.action_count();
-        let mut ctx2 = AppCtx::new(VnId(1), SimTime::from_millis(1));
+        let mut ctx2 = AppCtx::new(SimTime::from_millis(1));
         n.on_message(&mut ctx2, VnId(3), Message::new(PING_BYTES, ping));
         assert!(first > 0);
         assert_eq!(
@@ -257,7 +252,7 @@ mod tests {
     #[test]
     fn ttl_zero_stops_the_flood() {
         let mut n = node(1, &[2, 3]);
-        let mut ctx = AppCtx::new(VnId(1), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         n.on_message(
             &mut ctx,
             VnId(2),
@@ -286,7 +281,7 @@ mod tests {
     fn pongs_grow_the_known_peer_set_and_neighbours() {
         let mut n = node(1, &[2]);
         for peer in 3..9 {
-            let mut ctx = AppCtx::new(VnId(1), SimTime::ZERO);
+            let mut ctx = AppCtx::new(SimTime::ZERO);
             n.on_message(
                 &mut ctx,
                 VnId(peer),
@@ -301,13 +296,12 @@ mod tests {
         }
         assert_eq!(n.known_peers(), 6);
         assert_eq!(n.pongs_received(), 6);
-        assert!(n.neighbour_count() <= GnutellaConfig::default().max_neighbours);
     }
 
     #[test]
     fn timer_floods_own_ping() {
         let mut n = node(1, &[2, 3, 4]);
-        let mut ctx = AppCtx::new(VnId(1), SimTime::from_secs(1));
+        let mut ctx = AppCtx::new(SimTime::from_secs(1));
         n.on_timer(&mut ctx, TIMER_PING);
         let actions = ctx.into_actions();
         let sends = actions

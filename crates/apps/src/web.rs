@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn server_answers_with_requested_size() {
         let mut server = WebServer::new();
-        let mut ctx = AppCtx::new(VnId(1), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         server.on_message(
             &mut ctx,
             VnId(5),
@@ -340,12 +340,12 @@ mod tests {
             },
         ]);
         let mut client = WebClient::new(VnId(9), trace);
-        let mut ctx = AppCtx::new(VnId(0), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         client.on_start(&mut ctx);
         assert_eq!(ctx.action_count(), 1, "first timer armed");
 
         // Fire the first timer at its scheduled time.
-        let mut ctx = AppCtx::new(VnId(0), SimTime::from_millis(10));
+        let mut ctx = AppCtx::new(SimTime::from_millis(10));
         client.on_timer(&mut ctx, 0);
         assert_eq!(client.outstanding(), 1);
         let actions = ctx.into_actions();
@@ -354,7 +354,7 @@ mod tests {
             .any(|a| matches!(a, mn_edge::AppAction::Send { to: VnId(9), .. })));
 
         // The response arrives 42 ms later.
-        let mut ctx = AppCtx::new(VnId(0), SimTime::from_millis(52));
+        let mut ctx = AppCtx::new(SimTime::from_millis(52));
         client.on_message(
             &mut ctx,
             VnId(9),
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn duplicate_or_unknown_responses_are_ignored() {
         let mut client = WebClient::new(VnId(9), WorkloadTrace::default());
-        let mut ctx = AppCtx::new(VnId(0), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         client.on_message(
             &mut ctx,
             VnId(9),

@@ -145,25 +145,6 @@ impl Binding {
     pub fn entry_core(&self, vn: VnId) -> Option<CoreId> {
         self.core_of_edge(self.edge_of(vn)?)
     }
-
-    /// All VNs hosted on an edge machine.
-    pub fn vns_on_edge(&self, edge: EdgeNodeId) -> Vec<VnId> {
-        self.vn_edge
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e == edge)
-            .map(|(i, _)| VnId(i as u32))
-            .collect()
-    }
-
-    /// The multiplexing degree: the largest number of VNs on any edge node.
-    pub fn max_multiplexing(&self) -> usize {
-        let mut counts = vec![0usize; self.edge_core.len()];
-        for e in &self.vn_edge {
-            counts[e.index()] += 1;
-        }
-        counts.into_iter().max().unwrap_or(0)
-    }
 }
 
 /// Entry-core choice for a VN joining a running emulation: the least-loaded
@@ -199,12 +180,10 @@ mod tests {
         let b = Binding::bind(&locs, &BindingParams::new(5, 2));
         assert_eq!(b.vn_count(), 10);
         assert_eq!(b.edge_count(), 5);
-        assert_eq!(b.max_multiplexing(), 2);
         // First two VNs share edge 0.
         assert_eq!(b.edge_of(VnId(0)), Some(EdgeNodeId(0)));
         assert_eq!(b.edge_of(VnId(1)), Some(EdgeNodeId(0)));
         assert_eq!(b.edge_of(VnId(2)), Some(EdgeNodeId(1)));
-        assert_eq!(b.vns_on_edge(EdgeNodeId(0)), vec![VnId(0), VnId(1)]);
     }
 
     #[test]
@@ -234,14 +213,12 @@ mod tests {
     #[test]
     fn more_edges_than_vns_is_fine() {
         let b = Binding::bind(&locations(2), &BindingParams::new(10, 3));
-        assert_eq!(b.max_multiplexing(), 1);
         assert_eq!(b.edge_of(VnId(1)), Some(EdgeNodeId(1)));
     }
 
     #[test]
     fn single_edge_hosts_everything() {
         let b = Binding::bind(&locations(12), &BindingParams::new(1, 1));
-        assert_eq!(b.max_multiplexing(), 12);
         assert!(b.vns().all(|vn| b.edge_of(vn) == Some(EdgeNodeId(0))));
     }
 

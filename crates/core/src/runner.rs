@@ -50,14 +50,15 @@ use mn_assign::Binding;
 use mn_distill::{DistilledTopology, PipeAttrs, PipeId};
 use mn_dynamics::{DynamicsTarget, ScheduleRestoreError};
 use mn_edge::{AppAction, AppCtx, Application, Message};
-use mn_emucore::{Delivery, EmuError, Emulator, SubmitOutcome};
+use mn_emucore::snapshot::frame_sum;
+use mn_emucore::{Delivery, EmuError, Emulator, SubmitOutcome, SNAPSHOT_VERSION};
 use mn_packet::{FlowKey, Packet, PacketId, Protocol, TransportHeader, VnId};
 use mn_routing::RouteUpdate;
 use mn_topology::NodeId;
 use mn_transport::{
     BulkSender, SegmentToSend, TcpConfig, TcpConnection, UdpStream, UdpStreamConfig,
 };
-use mn_util::codec::{checksum64, checksum64_around, versioned_sum, Transient};
+use mn_util::codec::{checksum64, checksum64_around, Transient};
 use mn_util::{ByteReader, ByteSize, ByteWriter, Cdf, Codec, CodecError, DataRate, SimDuration};
 use mn_util::{SimTime, TimerWheel};
 
@@ -261,18 +262,12 @@ impl Codec for Event {
 }
 
 /// Magic bytes identifying a runner snapshot ("MNRS"). The runner frames its
-/// own payload (which nests the emulator snapshot) so the two formats
-/// version independently.
+/// own payload, which nests the emulator snapshot. The frame carries
+/// [`SNAPSHOT_VERSION`], as the nested one does, and is read in the same
+/// versions ([`frame_sum`]); its sum covers the runner's own fields and the
+/// nested frame's header and checksum, not that frame's payload a second
+/// time ([`checksum_around_emulator_frame`]).
 const RUNNER_SNAPSHOT_MAGIC: u32 = 0x4D4E_5253;
-
-/// Current runner snapshot format version, the only one written; this
-/// version and the one before restore. Versions 11 and 12 nest an `MNSP`
-/// frame of their own version and share one checksum: the runner's own
-/// fields and the nested frame's header and checksum, not that frame's
-/// payload a second time ([`checksum_around_emulator_frame`]). Both end
-/// with the armed auto-checkpoint instant; they differ only in the nested
-/// frame.
-const RUNNER_SNAPSHOT_VERSION: u32 = 13;
 
 /// The `MNRS` sum of a payload: the virtual clock, a length and the `MNSP`
 /// frame of that length lead it, and everything but that frame's own
@@ -856,7 +851,7 @@ impl Runner {
     /// streamed and whose payload the outer sum skips. Everything else in
     /// it is records.
     fn put_frame(&mut self, w: &mut ByteWriter) -> Result<(), SnapshotError> {
-        let frame = w.begin_frame(RUNNER_SNAPSHOT_MAGIC, RUNNER_SNAPSHOT_VERSION);
+        let frame = w.begin_frame(RUNNER_SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.put_time(self.now);
         w.put_len(0);
         let emu_start = w.len();
@@ -899,12 +894,9 @@ impl Runner {
         if self.apps.iter().any(|a| a.is_some()) {
             return Err(RecoverError::AppsNotSupported);
         }
-        let (_, mut r) =
-            ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |version| match version {
-                12 => Ok(checksum_around_emulator_frame),
-                13 => Ok(|payload| versioned_sum(checksum_around_emulator_frame(payload), 13)),
-                v => Err(CodecError::BadVersion(v)),
-            })?;
+        let (_, mut r) = ByteReader::open_frame(bytes, RUNNER_SNAPSHOT_MAGIC, |v| {
+            frame_sum(v, checksum_around_emulator_frame)
+        })?;
         // Decode everything into locals first: a decode error part-way
         // through must leave the runner untouched. The emulator's frame is
         // borrowed where it lies; counts are bounded by their smallest record.
@@ -1055,7 +1047,7 @@ impl Runner {
             Event::AppTimer { vn, token } => {
                 let now = self.now;
                 if let Some(app) = self.app_mut(vn) {
-                    let mut ctx = AppCtx::new(vn, now);
+                    let mut ctx = AppCtx::new(now);
                     app.on_timer(&mut ctx, token);
                     let actions = ctx.into_actions();
                     self.process_app_actions(vn, actions);
@@ -1116,7 +1108,7 @@ impl Runner {
     fn start_app(&mut self, vn: VnId) {
         let now = self.now;
         if let Some(app) = self.app_mut(vn) {
-            let mut ctx = AppCtx::new(vn, now);
+            let mut ctx = AppCtx::new(now);
             app.on_start(&mut ctx);
             let actions = ctx.into_actions();
             self.process_app_actions(vn, actions);
@@ -1445,7 +1437,7 @@ impl Runner {
             };
             let now = self.now;
             if let Some(app) = self.app_mut(to) {
-                let mut ctx = AppCtx::new(to, now);
+                let mut ctx = AppCtx::new(now);
                 app.on_message(&mut ctx, from, message);
                 let actions = ctx.into_actions();
                 self.process_app_actions(to, actions);

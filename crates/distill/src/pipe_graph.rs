@@ -273,16 +273,6 @@ impl DistilledTopology {
             .copied()
             .find(|&p| self.pipes[p.index()].dst == dst)
     }
-
-    /// Total buffering required if every pipe's delay line were full: the sum
-    /// of bandwidth-delay products. The paper uses this to argue that a core
-    /// node needs only a few hundred megabytes of packet buffer memory.
-    pub fn total_bandwidth_delay_product(&self) -> mn_util::ByteSize {
-        self.pipes
-            .iter()
-            .map(|p| p.attrs.bandwidth_delay_product())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -359,13 +349,6 @@ mod tests {
         assert_eq!(p.latency, SimDuration::from_millis(7));
         assert_eq!(p.loss_rate, 0.05);
         assert_eq!(p.queue_len, 13);
-    }
-
-    #[test]
-    fn total_bdp_sums_over_pipes() {
-        let mut g = DistilledTopology::new(2, vec![], 0);
-        g.add_duplex(NodeId(0), NodeId(1), attrs(10, 100));
-        assert_eq!(g.total_bandwidth_delay_product().as_bytes(), 250_000);
     }
 
     #[test]

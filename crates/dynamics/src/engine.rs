@@ -209,12 +209,6 @@ impl ScheduleEngine {
         }
     }
 
-    /// The virtual time of the next unapplied event, or `None` when the
-    /// schedule is exhausted.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.schedule.events().get(self.cursor).map(|&(t, _)| t)
-    }
-
     /// Number of unapplied events.
     pub fn pending(&self) -> usize {
         self.schedule.len() - self.cursor
@@ -530,7 +524,6 @@ pub mod tests {
             .duplex_up(SimTime::from_secs(2), PipeId(0), PipeId(1));
         let mut engine = ScheduleEngine::new(d, schedule);
         let mut target = MockTarget::default();
-        assert_eq!(engine.next_time(), Some(SimTime::from_secs(1)));
         // Nothing due yet.
         let early = engine.apply_due(SimTime::from_millis(500), &mut target);
         assert!(early.is_empty());
@@ -547,7 +540,6 @@ pub mod tests {
         assert_eq!(engine.topology().pipe(PipeId(0)).attrs, original);
         assert_eq!(target.reroutes.len(), 2);
         assert!(engine.finished());
-        assert_eq!(engine.next_time(), None);
     }
 
     #[test]
@@ -735,7 +727,6 @@ pub mod tests {
         restored.restore_cursor(10, t(3)).expect("valid cursor");
         assert_eq!(restored.cursor(), 10);
         assert_eq!(restored.pending(), reference.pending());
-        assert_eq!(restored.next_time(), Some(t(4)));
         let attrs = |engine: &ScheduleEngine| -> Vec<PipeAttrs> {
             engine.topology().pipes().map(|(_, p)| p.attrs).collect()
         };

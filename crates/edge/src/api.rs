@@ -87,24 +87,17 @@ pub enum AppAction {
 
 /// The context handed to every application callback.
 pub struct AppCtx {
-    vn: VnId,
     now: SimTime,
     actions: Vec<AppAction>,
 }
 
 impl AppCtx {
-    /// Creates a context for a callback delivered at `now` to `vn`.
-    pub fn new(vn: VnId, now: SimTime) -> Self {
+    /// Creates a context for a callback delivered at `now`.
+    pub fn new(now: SimTime) -> Self {
         AppCtx {
-            vn,
             now,
             actions: Vec::new(),
         }
-    }
-
-    /// The VN this application instance is bound to.
-    pub fn my_id(&self) -> VnId {
-        self.vn
     }
 
     /// The current virtual time.
@@ -207,8 +200,7 @@ mod tests {
 
     #[test]
     fn ctx_collects_actions_in_order() {
-        let mut ctx = AppCtx::new(VnId(3), SimTime::from_secs(5));
-        assert_eq!(ctx.my_id(), VnId(3));
+        let mut ctx = AppCtx::new(SimTime::from_secs(5));
         assert_eq!(ctx.now(), SimTime::from_secs(5));
         ctx.send(VnId(4), Message::new(16, Ping(1)));
         ctx.set_timer(SimDuration::from_millis(10), 99);
@@ -229,11 +221,11 @@ mod tests {
     #[test]
     fn application_callbacks_drive_actions() {
         let mut app = Echo { received: vec![] };
-        let mut ctx = AppCtx::new(VnId(0), SimTime::ZERO);
+        let mut ctx = AppCtx::new(SimTime::ZERO);
         app.on_start(&mut ctx);
         assert_eq!(ctx.action_count(), 1);
 
-        let mut ctx = AppCtx::new(VnId(0), SimTime::from_millis(1));
+        let mut ctx = AppCtx::new(SimTime::from_millis(1));
         app.on_message(&mut ctx, VnId(9), Message::new(8, Ping(5)));
         assert_eq!(app.received, vec![5]);
         let actions = ctx.into_actions();

@@ -71,13 +71,6 @@ impl EdgeHostModel {
         EdgeHostModel { params }
     }
 
-    /// The theoretical instructions-per-byte budget at which the CPU exactly
-    /// keeps up with the link: `cpu_hz * 8 / link_rate` (80 for the paper's
-    /// 1 GHz / 100 Mb/s configuration).
-    pub fn theoretical_budget(&self) -> f64 {
-        self.params.cpu_hz * 8.0 / self.params.link_rate.as_bps() as f64
-    }
-
     /// Simulates `processes` sender processes, each computing
     /// `instructions_per_byte` per transmitted byte, for `duration` of
     /// virtual time, and returns the aggregate throughput observed.
@@ -194,11 +187,6 @@ mod tests {
 
     fn model() -> EdgeHostModel {
         EdgeHostModel::default()
-    }
-
-    #[test]
-    fn theoretical_budget_is_eighty() {
-        assert!((model().theoretical_budget() - 80.0).abs() < 1e-9);
     }
 
     #[test]

@@ -91,26 +91,6 @@ impl HardwareProfile {
         self.per_packet_cpu + self.per_hop_cpu * hops as u64
     }
 
-    /// Upper bound on sustainable packets/second for routes of `hops` hops,
-    /// considering only the CPU ceiling.
-    pub fn cpu_capacity_pps(&self, hops: usize) -> f64 {
-        let cost = self.packet_cpu_cost(hops);
-        if cost.is_zero() {
-            f64::INFINITY
-        } else {
-            1.0 / cost.as_secs_f64()
-        }
-    }
-
-    /// Upper bound on sustainable packets/second for packets of `size`,
-    /// considering only the NIC line rate.
-    pub fn nic_capacity_pps(&self, size: ByteSize) -> f64 {
-        if size.is_zero() {
-            return f64::INFINITY;
-        }
-        self.nic_rate.as_bps() as f64 / size.as_bits() as f64
-    }
-
     /// Rounds `t` up to the next scheduler tick boundary; past the last
     /// whole tick the `u64` nanosecond range holds, that last tick.
     pub fn next_tick_at(&self, t: mn_util::SimTime) -> mn_util::SimTime {
@@ -137,22 +117,23 @@ mod tests {
         // Average emulated packet in the capacity experiment is ~1 KB
         // (two 1500-byte data packets per 40-byte ACK).
         let avg = ByteSize::from_bytes(1013);
-        let nic = p.nic_capacity_pps(avg);
+        let nic = p.nic_rate.as_bps() as f64 / avg.as_bits() as f64;
         assert!(
             (115_000.0..135_000.0).contains(&nic),
             "NIC ceiling {nic} should be ~123 kpps"
         );
+        let cpu = |hops| 1.0 / p.packet_cpu_cost(hops).as_secs_f64();
         // CPU ceiling for 1 and 4 hops sits above the NIC ceiling…
-        assert!(p.cpu_capacity_pps(1) > nic);
-        assert!(p.cpu_capacity_pps(4) > nic);
+        assert!(cpu(1) > nic);
+        assert!(cpu(4) > nic);
         // …and for 8 hops it falls to roughly 90 kpps.
-        let cpu8 = p.cpu_capacity_pps(8);
+        let cpu8 = cpu(8);
         assert!(
             (80_000.0..100_000.0).contains(&cpu8),
             "8-hop CPU ceiling {cpu8} should be ~90 kpps"
         );
         // 12 hops is lower still.
-        assert!(p.cpu_capacity_pps(12) < cpu8);
+        assert!(cpu(12) < cpu8);
     }
 
     #[test]
@@ -168,8 +149,8 @@ mod tests {
     #[test]
     fn unconstrained_profile_has_no_ceilings() {
         let p = HardwareProfile::unconstrained();
-        assert!(p.cpu_capacity_pps(100).is_infinite());
-        assert!(p.nic_capacity_pps(ByteSize::from_bytes(1500)) > 1e7);
+        assert!(p.packet_cpu_cost(100).is_zero());
+        assert!(p.nic_rate.as_bps() > 10_000_000 * 1500 * 8);
     }
 
     #[test]
@@ -194,11 +175,5 @@ mod tests {
         assert_eq!(p.next_tick_at(SimTime::from_nanos(u64::MAX - 1)), last);
         assert_eq!(p.next_tick_at(SimTime::from_nanos(u64::MAX)), last);
         assert_eq!(p.next_tick_at(last), last);
-    }
-
-    #[test]
-    fn zero_size_nic_capacity_is_infinite() {
-        let p = HardwareProfile::paper_core();
-        assert!(p.nic_capacity_pps(ByteSize::ZERO).is_infinite());
     }
 }

@@ -54,8 +54,9 @@
 //! tunnels to their owners → repeat while one is due), every inbox is
 //! filed in the same (round, source core, FIFO) order, and deliveries are
 //! concatenated round-major, core-major. The determinism, differential and
-//! snapshot suites pin the second; golden `MNSP` fixtures (v12 decodes, v13
-//! is reproduced) pin the bytes.
+//! snapshot suites pin the second; the golden fixtures of `tests/golden.rs`
+//! (the current version reproduced byte for byte by both executors, it and
+//! the one before restored on both) pin the bytes.
 //!
 //! Operations that reach a core share one fallible signature
 //! (`Result<_, EmuError>`; the inline executor never errs). Once an

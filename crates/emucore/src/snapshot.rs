@@ -16,7 +16,8 @@
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
 //! before, here 13 and 12; a version bump retires the decoder two behind.
-//! Since version 13 the sum folds in the version word ([`versioned_sum`]).
+//! Since version 13 the sum folds in the version word ([`frame_sum`]). The
+//! runner's `MNRS` frame, which nests this one, carries the same version.
 //! The payload persists each fact once. Version 6 dropped the three
 //! coordinator tables the route table already records — each VN's
 //! location, each VN's liveness and the active VNs per entry core — and
@@ -55,10 +56,29 @@ use mn_util::{ByteReader, CodecError};
 /// Magic bytes identifying an emulator snapshot ("MNSP").
 pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 
-/// Current snapshot format version, the only one written. Bumped on any
-/// format change; decoders read this version and the one before, and
-/// reject every other with [`CodecError::BadVersion`].
+/// Current snapshot format version, the only one written, by the `MNSP`
+/// frame and by the runner's `MNRS` frame alike. Bumped on any change to
+/// either format; decoders read this version and the one before, and reject
+/// every other with [`CodecError::BadVersion`] ([`frame_sum`]).
 pub const SNAPSHOT_VERSION: u32 = 13;
+
+/// The sum a frame of `version` records over a payload that `sum` sums, if
+/// this build reads that version: [`SNAPSHOT_VERSION`] and the one before.
+/// Since version 13 the version word is folded in ([`versioned_sum`]), so a
+/// frame relabelled from one readable version to the other fails its sum.
+/// Both frames ask here, each with its own payload sum.
+pub fn frame_sum(
+    version: u32,
+    sum: impl Fn(&[u8]) -> u64,
+) -> Result<impl Fn(&[u8]) -> u64, CodecError> {
+    if !(SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION).contains(&version) {
+        return Err(CodecError::BadVersion(version));
+    }
+    Ok(move |payload: &[u8]| match version {
+        12 => sum(payload),
+        _ => versioned_sum(sum(payload), version),
+    })
+}
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.
 ///
@@ -92,11 +112,7 @@ impl EmulatorSnapshot {
     /// version's checksum, nothing after it) and returns its version with a
     /// reader that borrows the payload.
     pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
-        ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |version| match version {
-            12 => Ok(checksum64),
-            13 => Ok(|payload| versioned_sum(checksum64(payload), 13)),
-            v => Err(CodecError::BadVersion(v)),
-        })
+        ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |v| frame_sum(v, checksum64))
     }
 
     /// Parses and validates a framed snapshot. Rejects bad magic, versions

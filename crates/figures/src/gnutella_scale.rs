@@ -4,9 +4,11 @@
 //! edge machines and evaluated the evolution and connectivity of the overlay.
 //! This regenerator runs the same workload on the flooding overlay of
 //! `mn_apps::gnutella` over a transit–stub topology and reports how much of
-//! the network each node discovers. At `Scale::Quick` the run uses a few
-//! hundred VNs; `Scale::Paper` raises the count (bounded by memory for the
-//! routing matrix: one tree per VN over every node).
+//! the network each node discovers. At `Scale::Quick` the run uses 120 VNs;
+//! `Scale::Paper` raises the count to 2 000 and does not finish today: a
+//! responder answers each ping's origin on a TCP channel of its own, and
+//! the runner, whose ports are never recycled, panics once more than 55 535
+//! flows have been opened (`Runner::bind_port`).
 
 use mn_apps::{GnutellaConfig, GnutellaNode};
 use mn_distill::DistillationMode;

@@ -71,22 +71,6 @@ impl VnAddr {
         }
         Some(VnAddr { octets })
     }
-
-    /// Returns the [`VnId`] this address was assigned to, or `None` if the
-    /// address does not follow the sequential assignment scheme.
-    pub fn vn_id(self) -> Option<VnId> {
-        let host = self.octets[3] as u32;
-        if host == 0 || host == 255 {
-            return None;
-        }
-        let subnet = ((self.octets[1] as u32) << 8) | self.octets[2] as u32;
-        Some(VnId(subnet * 254 + host - 1))
-    }
-
-    /// Returns `true` if the address lies in the `10.0.0.0/8` VN block.
-    pub fn is_vn_block(self) -> bool {
-        self.octets[0] == 10
-    }
 }
 
 impl fmt::Display for VnAddr {
@@ -113,14 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn addr_roundtrips_to_vn_id() {
-        for raw in [0u32, 1, 253, 254, 255, 1000, 10_000, 65_535] {
-            let id = VnId(raw);
-            assert_eq!(id.addr().vn_id(), Some(id), "roundtrip failed for {raw}");
-        }
-    }
-
-    #[test]
     fn parse_accepts_only_ten_slash_eight() {
         assert_eq!(
             VnAddr::parse("10.1.2.3"),
@@ -132,33 +108,6 @@ mod tests {
         assert_eq!(VnAddr::parse("10.0.0"), None);
         assert_eq!(VnAddr::parse("10.0.0.1.2"), None);
         assert_eq!(VnAddr::parse("10.0.0.x"), None);
-    }
-
-    #[test]
-    fn special_host_octets_have_no_vn() {
-        assert_eq!(
-            VnAddr {
-                octets: [10, 0, 0, 0]
-            }
-            .vn_id(),
-            None
-        );
-        assert_eq!(
-            VnAddr {
-                octets: [10, 0, 0, 255]
-            }
-            .vn_id(),
-            None
-        );
-    }
-
-    #[test]
-    fn block_membership() {
-        assert!(VnId(7).addr().is_vn_block());
-        assert!(!VnAddr {
-            octets: [11, 0, 0, 1]
-        }
-        .is_vn_block());
     }
 
     #[test]

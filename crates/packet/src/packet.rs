@@ -262,11 +262,6 @@ impl Packet {
     pub fn dst(&self) -> VnId {
         self.flow.dst
     }
-
-    /// Returns `true` if this packet carries no payload (e.g. a pure ACK).
-    pub fn is_control(&self) -> bool {
-        self.header.payload_len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -347,25 +342,7 @@ mod tests {
         assert_eq!(p.size.as_bytes(), 540);
         assert_eq!(p.src(), VnId(1));
         assert_eq!(p.dst(), VnId(2));
-        assert!(!p.is_control());
         assert_eq!(p.sent_at, SimTime::from_millis(3));
-    }
-
-    #[test]
-    fn pure_ack_is_control() {
-        let p = Packet::new(
-            PacketId(2),
-            flow().reverse(),
-            TransportHeader::Tcp {
-                seq: 0,
-                ack: 1460,
-                payload_len: 0,
-                flags: TcpFlags::ACK,
-                window: 65535,
-            },
-            SimTime::ZERO,
-        );
-        assert!(p.is_control());
     }
 
     #[test]

@@ -293,14 +293,6 @@ impl Default for TransitStubParams {
 }
 
 impl TransitStubParams {
-    /// Total number of nodes the generator will produce.
-    pub fn expected_nodes(&self) -> usize {
-        let transit = self.transit_domains * self.transit_nodes_per_domain;
-        let stub_routers = transit * self.stubs_per_transit_node * self.stub_nodes_per_domain;
-        let clients = stub_routers * self.clients_per_stub_node;
-        transit + stub_routers + clients
-    }
-
     /// Chooses parameters so the total node count is close to `target`
     /// (within the granularity of whole stub domains), holding the default
     /// shape ratios. Used to build the paper's "320-node" and "600-node"
@@ -523,7 +515,8 @@ mod tests {
         assert_eq!(ts.clients_by_domain.len(), 24);
         let total_clients: usize = ts.clients_by_domain.iter().map(Vec::len).sum();
         assert_eq!(total_clients, ts.topology.client_count());
-        assert_eq!(ts.topology.node_count(), params.expected_nodes());
+        // 8 transit nodes, 24 stub domains of 4 routers, 2 clients a router.
+        assert_eq!(ts.topology.node_count(), 8 + 96 + 192);
     }
 
     #[test]
@@ -549,17 +542,16 @@ mod tests {
 
     #[test]
     fn transit_stub_sized_for_reaches_target_scale() {
-        let params = TransitStubParams::sized_for(320, 3);
-        let n = params.expected_nodes();
+        let ts = transit_stub_topology(&TransitStubParams::sized_for(320, 3));
+        let n = ts.topology.node_count();
         assert!(
             (200..=480).contains(&n),
             "sized_for(320) produced {n} nodes"
         );
-        let ts = transit_stub_topology(&params);
         assert!(ts.topology.is_connected());
 
-        let params = TransitStubParams::sized_for(600, 3);
-        let n = params.expected_nodes();
+        let ts = transit_stub_topology(&TransitStubParams::sized_for(600, 3));
+        let n = ts.topology.node_count();
         assert!(
             (400..=800).contains(&n),
             "sized_for(600) produced {n} nodes"

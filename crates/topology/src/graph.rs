@@ -359,16 +359,6 @@ impl Topology {
         self.bfs_distances(NodeId(0)).iter().all(Option::is_some)
     }
 
-    /// Returns the set of nodes in the same connected component as `start`.
-    pub fn connected_component(&self, start: NodeId) -> Vec<NodeId> {
-        self.bfs_distances(start)
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_some())
-            .map(|(i, _)| NodeId(i))
-            .collect()
-    }
-
     /// The hop-count diameter of the topology (longest shortest path), or 0
     /// for an empty or disconnected topology.
     ///
@@ -386,21 +376,6 @@ impl Topology {
             }
         }
         diameter
-    }
-
-    /// Applies `f` to every link's attributes. This is the annotation hook the
-    /// Create phase exposes: users may overwrite attributes a topology source
-    /// did not provide (e.g. assigning loss rates to every transit link).
-    pub fn annotate_links<F>(&mut self, mut f: F)
-    where
-        F: FnMut(LinkId, NodeKind, NodeKind, &mut LinkAttrs),
-    {
-        for i in 0..self.links.len() {
-            let (a, b) = (self.links[i].a, self.links[i].b);
-            let ka = self.nodes[a.0].kind;
-            let kb = self.nodes[b.0].kind;
-            f(LinkId(i), ka, kb, &mut self.links[i].attrs);
-        }
     }
 
     /// Total number of client nodes.
@@ -483,11 +458,9 @@ mod tests {
     #[test]
     fn disconnected_detection() {
         let mut t = line(3);
-        let lonely = t.add_node(NodeKind::Client);
+        t.add_node(NodeKind::Client);
         assert!(!t.is_connected());
         assert_eq!(t.hop_diameter(), 0);
-        assert_eq!(t.connected_component(lonely), vec![lonely]);
-        assert_eq!(t.connected_component(NodeId(0)).len(), 3);
     }
 
     #[test]
@@ -502,19 +475,6 @@ mod tests {
             t.client_nodes().collect::<Vec<_>>(),
             vec![NodeId(0), NodeId(2)]
         );
-    }
-
-    #[test]
-    fn annotate_links_rewrites_attrs() {
-        let mut t = line(4);
-        t.annotate_links(|_, _, _, attrs| {
-            attrs.loss_rate = 0.01;
-            attrs.queue_len = 10;
-        });
-        for (_, l) in t.links() {
-            assert_eq!(l.attrs.loss_rate, 0.01);
-            assert_eq!(l.attrs.queue_len, 10);
-        }
     }
 
     #[test]

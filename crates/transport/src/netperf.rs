@@ -48,22 +48,6 @@ impl BulkSender {
         self.written
     }
 
-    /// Returns `true` once the whole fixed transfer has been handed to TCP.
-    pub fn is_write_complete(&self) -> bool {
-        match self.total {
-            Some(t) => self.written >= t,
-            None => false,
-        }
-    }
-
-    /// Returns `true` once the whole fixed transfer has been acknowledged.
-    pub fn is_acked(&self, conn: &TcpConnection) -> bool {
-        match self.total {
-            Some(t) => conn.bytes_acked() >= t,
-            None => false,
-        }
-    }
-
     /// Time the first byte was offered, if any.
     pub fn started_at(&self) -> Option<SimTime> {
         self.started_at
@@ -90,20 +74,6 @@ impl BulkSender {
             self.written += write;
         }
         write
-    }
-
-    /// Measured goodput of the transfer so far, in kilobytes/second
-    /// (the unit the CFS figures use), based on acknowledged bytes.
-    pub fn goodput_kbytes_per_sec(&self, now: SimTime, conn: &TcpConnection) -> f64 {
-        let Some(start) = self.started_at else {
-            return 0.0;
-        };
-        let elapsed = now.duration_since(start).as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            conn.bytes_acked() as f64 / 1024.0 / elapsed
-        }
     }
 }
 
@@ -155,7 +125,6 @@ mod tests {
         assert_eq!(w1, 256 * 1024);
         // Nothing acknowledged yet, so a second pump adds nothing.
         assert_eq!(sender.pump(SimTime::from_millis(1), &mut conn), 0);
-        assert!(!sender.is_write_complete());
     }
 
     #[test]
@@ -164,9 +133,8 @@ mod tests {
         let mut sender = BulkSender::fixed(ByteSize::from_kb(8));
         let w = sender.pump(SimTime::ZERO, &mut conn);
         assert_eq!(w, 8 * 1024);
-        assert!(sender.is_write_complete());
         assert_eq!(sender.pump(SimTime::from_millis(1), &mut conn), 0);
-        assert!(!sender.is_acked(&conn));
+        assert_eq!(sender.written(), 8 * 1024);
     }
 
     #[test]
@@ -205,14 +173,12 @@ mod tests {
                     seg.window,
                 );
             }
-            if sender.is_acked(&c) {
+            if c.bytes_acked() >= 64 * 1024 {
                 break;
             }
         }
-        assert!(sender.is_acked(&c));
+        assert_eq!(c.bytes_acked(), 64 * 1024);
         assert_eq!(s.bytes_received(), 64 * 1024);
-        let goodput = sender.goodput_kbytes_per_sec(now, &c);
-        assert!(goodput > 0.0);
     }
 
     #[test]

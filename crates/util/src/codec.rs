@@ -91,22 +91,19 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
         0,
         SUM_P1.wrapping_neg(),
     ];
-    let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            *lane = sum_round(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    for stripe in stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.as_chunks::<8>().0) {
+            *lane = sum_round(*lane, u64::from_le_bytes(*word));
         }
     }
     let sum = lanes.into_iter().fold(bytes.len() as u64, sum_fold);
-    stripes.remainder().chunks(8).fold(sum, |sum, tail| {
+    tail.chunks(8).fold(sum, |sum, tail| {
         let mut word = [0u8; 8];
         word[..tail.len()].copy_from_slice(tail);
         sum_fold(sum, u64::from_le_bytes(word))
     })
 }
-
-/// The checksum function a frame's format version selects.
-pub type ChecksumFn = fn(&[u8]) -> u64;
 
 /// The sum a frame of format `version` records for a payload summed to
 /// `sum`: the version word folded in, so a version word changed between two
@@ -264,6 +261,8 @@ impl ByteWriter {
         let sum = match self.measured {
             Some(_) => 0,
             None => {
+                // `begin_frame` put the version word 12 bytes before the
+                // payload, so the slice holds 4 bytes.
                 let version = &self.buf[payload_start - 12..payload_start - 8];
                 let version = u32::from_le_bytes(version.try_into().expect("4 bytes"));
                 versioned_sum(sum(&self.buf[payload_start..]), version)
@@ -414,10 +413,10 @@ impl<'a> ByteReader<'a> {
     /// [`ByteWriter::end_frame`] that spans exactly `bytes` and returns its
     /// version word and a reader over its payload, borrowed. `checksum_for`
     /// maps the version to the checksum that version carries, or refuses it.
-    pub fn open_frame(
+    pub fn open_frame<S: FnOnce(&[u8]) -> u64>(
         bytes: &'a [u8],
         magic: u32,
-        checksum_for: impl FnOnce(u32) -> Result<ChecksumFn, CodecError>,
+        checksum_for: impl FnOnce(u32) -> Result<S, CodecError>,
     ) -> Result<(u32, Self), CodecError> {
         let mut r = ByteReader::new(bytes);
         if r.get_u32()? != magic {
@@ -471,24 +470,29 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take_bytes(2)?.try_into().unwrap()))
+        self.take_array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take_bytes(4)?.try_into().unwrap()))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take_bytes(8)?.try_into().unwrap()))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `u128`.
     pub fn get_u128(&mut self) -> Result<u128, CodecError> {
-        Ok(u128::from_le_bytes(
-            self.take_bytes(16)?.try_into().unwrap(),
-        ))
+        self.take_array().map(u128::from_le_bytes)
+    }
+
+    /// Takes the next `N` raw bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let bytes = self.buf[self.pos..].first_chunk().ok_or(CodecError::Eof)?;
+        self.pos += N;
+        Ok(*bytes)
     }
 
     /// Reads a `usize` encoded as a `u64`, rejecting values that do not fit.
@@ -518,8 +522,8 @@ impl<'a> ByteReader<'a> {
         word: impl Fn([u8; N]) -> T,
     ) -> Result<Vec<T>, CodecError> {
         let count = self.get_count(N)?;
-        let words = self.take_bytes(count * N)?.chunks_exact(N);
-        Ok(words.map(|w| word(w.try_into().unwrap())).collect())
+        let (words, _) = self.take_bytes(count * N)?.as_chunks();
+        Ok(words.iter().map(|&w| word(w)).collect())
     }
 
     /// Reads a run written by [`ByteWriter::put_u32s`].
@@ -530,10 +534,8 @@ impl<'a> ByteReader<'a> {
     /// Reads `count` words [`ByteWriter::put_bare_u32s`] wrote.
     pub fn get_bare_u32s(&mut self, count: usize) -> Result<Vec<u32>, CodecError> {
         let bytes = count.checked_mul(4).ok_or(CodecError::Eof)?;
-        let words = self.take_bytes(bytes)?.chunks_exact(4);
-        Ok(words
-            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
-            .collect())
+        let (words, _) = self.take_bytes(bytes)?.as_chunks();
+        Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
     }
 
     /// Reads a run written by [`ByteWriter::put_u64s`].
@@ -727,6 +729,7 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let items: Vec<T> = (0..N).map(|_| T::get(r)).collect::<Result<_, _>>()?;
+        // `items` holds N items, so the conversion cannot fail.
         Ok(items.try_into().ok().expect("N items were read"))
     }
 }
@@ -1110,7 +1113,7 @@ mod tests {
         const OUTER: u32 = 0x4F55_5452;
         const INNER: u32 = 0x494E_4E52;
         let current = |version| match version {
-            2 => Ok((|payload| versioned_sum(checksum64(payload), 2)) as ChecksumFn),
+            2 => Ok((|payload| versioned_sum(checksum64(payload), 2)) as fn(&[u8]) -> u64),
             v => Err(CodecError::BadVersion(v)),
         };
         let mut w = ByteWriter::new();
