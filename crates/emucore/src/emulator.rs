@@ -239,9 +239,10 @@ pub struct Emulator {
     /// pushed to the owning cores, which see only piecewise-constant
     /// per-pipe totals.
     fluid: FluidState,
-    /// The route numbering of the state as it is, once a checkpoint made
-    /// it; `control`, `submit_batch` and `advance_into` drop it.
-    route_numbering: Option<Option<Arc<RouteNumbering>>>,
+    /// The route numbering of the state as it is and how many routes the
+    /// rows read ([`RouteTable::numbering`]), once a checkpoint made it;
+    /// `control`, `submit_batch` and `advance_into` drop it.
+    route_numbering: Option<(usize, Option<Arc<RouteNumbering>>)>,
 }
 
 impl Emulator {
@@ -713,13 +714,13 @@ impl Emulator {
     /// departed in the next route-table generation (no row is touched while
     /// a sibling stays at its location), so new traffic to or from it is
     /// refused from this instant; its entry-core load slot is released, and
-    /// if it was the last endpoint at its location the location's row is
-    /// cleared and the matrix source tree removed too. Routes *toward* the
-    /// departed endpoint — and every interned `RouteId` — are retained, so
-    /// descriptors already in flight drain deterministically on their
-    /// pre-departure routes. Its fluid flows are torn down and their share
-    /// returned to the network. Returns `false` when the VN is not an
-    /// active member.
+    /// if it was the last endpoint at its location the location's row and
+    /// every other row's column toward it are cleared
+    /// ([`RouteTable::unbind_endpoint`]) and the matrix source tree removed
+    /// too. Every interned `RouteId` is retained, so descriptors already in
+    /// flight drain deterministically on their pre-departure routes. Its
+    /// fluid flows are torn down and their share returned to the network.
+    /// Returns `false` when the VN is not an active member.
     pub fn vn_leave(&mut self, vn: VnId, at: SimTime) -> bool {
         self.control(|emu| {
             let idx = vn.index();
@@ -904,14 +905,16 @@ impl Emulator {
             route_numbering,
         } = self;
         if route_numbering.is_none() {
-            let made = admission.routes.numbering(|ids| exec.route_reads(ids))?;
-            *route_numbering = Some(made.map(Arc::new));
+            let (rows, made) = admission.routes.numbering(|ids| exec.route_reads(ids))?;
+            *route_numbering = Some((rows, made.map(Arc::new)));
         }
-        let numbering = route_numbering.clone().flatten();
+        let (rows, numbering) = route_numbering.clone().unwrap_or_default();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         profile.put(w);
-        admission.routes.encode_numbered(w, numbering.as_deref());
         matrix.put(w);
+        admission
+            .routes
+            .encode_section(w, rows, numbering.as_deref());
         w.put_usize(pod.core_count());
         w.put_u64s((0..pod.pipe_count()).map(|p| pod.owner(PipeId::from_index(p)).index() as u64));
         // Each VN's location and liveness are the route table's, and the
@@ -934,21 +937,23 @@ impl Emulator {
     /// the last byte.
     pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
         let (version, payload) = snapshot.reader();
-        Self::decode(version, payload)
+        Self::decode(version, payload, None)
     }
 
     /// [`Emulator::restore`] straight from a framed snapshot of any version
     /// this build reads: `framed` is verified and decoded in place.
     pub fn restore_bytes(framed: &[u8]) -> Result<Self, CodecError> {
         let (version, payload) = EmulatorSnapshot::verify(framed)?;
-        Self::decode(version, payload)
+        Self::decode(version, payload, None)
     }
 
     /// [`Emulator::restore_bytes`] onto the executor `self` runs on: a
     /// fresh worker pool on the threaded one (the way out of a poisoned
-    /// run), the calling thread on the inline one.
+    /// run), the calling thread on the inline one; where `self`'s route
+    /// table is the one the frame would derive, it is shared instead.
     pub fn restore_like(&self, framed: &[u8]) -> Result<Self, CodecError> {
-        let restored = Self::restore_bytes(framed)?;
+        let (version, payload) = EmulatorSnapshot::verify(framed)?;
+        let restored = Self::decode(version, payload, Some(self))?;
         Ok(match self.exec {
             Executor::Inline(_) => restored,
             Executor::Threaded(_) => restored.threaded(),
@@ -965,16 +970,34 @@ impl Emulator {
     /// VN's location and liveness are rebuilt from the route table, which
     /// records both, and the load vector from them and the entry cores; the
     /// fluid solver's per-pipe capacities and demands from the restored
-    /// pipes, which hold both. A v13 frame's routes must be numbered as
-    /// [`RouteTable::numbering`] numbers them; v12 wrote the whole store.
+    /// pipes, which hold both. The route table is derived over the
+    /// restored matrix, or is `own`'s ([`RouteTable::decode_section`]), and
+    /// numbered as [`RouteTable::numbering`] numbers it. A v13 frame holds
+    /// the whole table, whose columns toward departed locations are cleared.
     /// The frame is written out rather than declared because those checks
     /// need what was read before them.
-    fn decode(version: u32, mut payload: ByteReader<'_>) -> Result<Self, CodecError> {
+    fn decode(
+        version: u32,
+        mut payload: ByteReader<'_>,
+        own: Option<&Emulator>,
+    ) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
-        let routes = Arc::new(RouteTable::decode(r)?);
-        let matrix = RoutingMatrix::get(r)?;
+        let (matrix, routes) = match version {
+            13 => {
+                let routes = RouteTable::decode(r)?;
+                (RoutingMatrix::get_v13(r)?, routes)
+            }
+            _ => {
+                let matrix = RoutingMatrix::get(r)?;
+                let own = own.filter(|own| own.matrix.same_state(&matrix));
+                let own = own.map(|own| &*own.admission.routes);
+                let routes = RouteTable::decode_section(r, &matrix, own)?;
+                (matrix, routes)
+            }
+        };
+        let mut routes = Arc::new(routes);
         let core_count = usize::get(r)?;
         if core_count == 0 {
             return Err(Invalid("no cores"));
@@ -1018,8 +1041,18 @@ impl Emulator {
         }
         r.finish()?;
         let mut inline = InlineExecutor::new(cores, pod.clone());
-        if version > 12 && !matches!(routes.numbering(|ids| inline.route_reads(ids)), Ok(None)) {
+        if !matches!(
+            routes.numbering(|ids| inline.route_reads(ids)),
+            Ok((_, None))
+        ) {
             return Err(Invalid("routes not numbered as a checkpoint numbers them"));
+        }
+        if version == 13 {
+            Arc::make_mut(&mut routes).clear_departed_columns();
+            // Invariant: the inline executor's broadcast cannot fail.
+            inline
+                .broadcast_routes(&routes)
+                .expect("inline cores take routes");
         }
         // Each pipe's capacity and fluid demand are its owner's copy's.
         for p in 0..pod.pipe_count() {
@@ -1140,14 +1173,16 @@ mod tests {
         inline.cores[target].receive_tunnel(arrival, descriptor);
     }
 
-    /// A routing matrix's fields as a frame lays them out: the slot list
-    /// and the node count, the pipe tables (costs, tails), the component
-    /// node lists, each live slot's root, then the row of each distinct
-    /// root back to back (each as wide as its root's component).
+    /// A routing matrix's fields: the slot list and the node count, the
+    /// pipe tables (costs, tails), the component node lists, each live
+    /// slot's root, the row of each distinct root back to back (each as
+    /// wide as its root's component), and the pipe heads, which a frame
+    /// lays out after the tails.
     type MatrixFields = (
         (Vec<NodeId>, usize),
         (Vec<u64>, Vec<u32>),
         Vec<Vec<u32>>,
+        Vec<u32>,
         Vec<u32>,
         Vec<u32>,
     );
@@ -1159,10 +1194,11 @@ mod tests {
         let payload = &bytes[16..bytes.len() - 8];
         let mut r = ByteReader::new(payload);
         HardwareProfile::get(&mut r).unwrap();
-        RouteTable::decode(&mut r).unwrap();
         let at = payload.len() - r.remaining();
         let mut fields: MatrixFields = Default::default();
-        (fields.0, fields.1, fields.2) = Codec::get(&mut r).unwrap();
+        (fields.0, fields.1) = Codec::get(&mut r).unwrap();
+        fields.5 = r.get_bare_u32s(fields.1 .1.len()).unwrap();
+        fields.2 = Codec::get(&mut r).unwrap();
         let live = fields.0 .0.iter().filter(|v| v.index() != usize::MAX);
         fields.3 = r.get_bare_u32s(live.count()).unwrap();
         let lists = &fields.2;
@@ -1178,8 +1214,10 @@ mod tests {
         let mut w = ByteWriter::new();
         let frame = w.begin_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.put_bytes(&payload[..at]);
-        let (head, pipes, lists, roots, rows) = fields;
-        (head, pipes, lists).put(&mut w);
+        let (head, pipes, lists, roots, rows, heads) = fields;
+        (head, pipes).put(&mut w);
+        w.put_bare_u32s(heads.iter().copied());
+        lists.put(&mut w);
         w.put_bare_u32s(roots.iter().copied());
         w.put_bare_u32s(rows.iter().copied());
         w.put_bytes(&payload[payload.len() - r.remaining()..]);
@@ -1222,12 +1260,12 @@ mod tests {
                 let elsewhere = 1 - owner_of_hop(e, 0);
                 stage_tunnel(e, elsewhere, RouteId(0), 0);
             }),
-            // Accepted at submit, then the first advance asks the directory
-            // for pipe 9 999's owner.
-            ("route names a pipe the POD does not cover", |e| {
+            // A descriptor's next hop would ask the directory for pipe
+            // 9 999's owner.
+            ("held route names a pipe the matrix does not hold", |e| {
                 let routes = Arc::make_mut(&mut e.admission.routes);
                 let id = routes.intern_pipes(&[PipeId(9_999)]);
-                routes.set_pair(0, 5, id);
+                stage_tunnel(e, 1, id, 0);
             }),
             // Accepted, a reroute would ask the directory for its owner.
             ("routing matrix and POD differ in pipes", |e| {
@@ -1250,7 +1288,7 @@ mod tests {
         // A matrix any later lookup, reroute or update would index out of
         // range: refused when decoded, on both executors.
         type CorruptMatrix = fn(&mut MatrixFields);
-        let matrix: [(&str, CorruptMatrix); 10] = [
+        let matrix: [(&str, CorruptMatrix); 11] = [
             ("component lists do not partition the nodes", |f| {
                 f.2[0].pop();
             }),
@@ -1301,6 +1339,13 @@ mod tests {
                 let p = tails.iter().position(|&t| t == b).unwrap();
                 tails[p] = a;
             }),
+            // Slot 0's access pipe said to enter another client's router.
+            ("stub slot's access pipe does not enter its root", |f| {
+                let [a, b] = [0, 7].map(|si| f.0 .0[si].index() as u32);
+                let access = f.1 .1.iter().position(|&t| t == a).unwrap();
+                let elsewhere = f.1 .1.iter().position(|&t| t == b).unwrap();
+                f.5[access] = f.5[elsewhere];
+            }),
         ];
         for (what, corrupt) in matrix {
             let bytes = with_matrix(&mut ring_emulator(), corrupt);
@@ -1323,14 +1368,14 @@ mod tests {
 
     #[test]
     fn restore_refuses_a_frame_with_no_cores() {
-        // The core-count word follows the routing matrix.
+        // The core-count word follows the route section.
         let mut bytes = ring_emulator().snapshot().unwrap().to_bytes();
         let end = bytes.len() - 8;
         let at = {
             let mut r = ByteReader::new(&bytes[16..end]);
             HardwareProfile::get(&mut r).unwrap();
-            RouteTable::decode(&mut r).unwrap();
-            RoutingMatrix::get(&mut r).unwrap();
+            let matrix = RoutingMatrix::get(&mut r).unwrap();
+            RouteTable::decode_section(&mut r, &matrix, None).unwrap();
             end - r.remaining()
         };
         bytes[at..at + 8].fill(0);

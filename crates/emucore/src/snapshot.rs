@@ -15,36 +15,13 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 13 and 12; a version bump retires the decoder two behind.
-//! Since version 13 the sum folds in the version word ([`frame_sum`]). The
+//! before, here 14 and 13; a version bump retires the decoder two behind.
+//! The sum folds in the version word ([`frame_sum`]). The
 //! runner's `MNRS` frame, which nests this one, carries the same version.
-//! The payload persists each fact once. Version 6 dropped the three
-//! coordinator tables the route table already records — each VN's
-//! location, each VN's liveness and the active VNs per entry core — and
-//! restore rebuilds them from the route table and the entry cores. Version
-//! 7 dropped the routing matrix's distance labels, which are the pipe costs
-//! summed up each predecessor row. Version 8 dropped the fluid solver's
-//! per-pipe capacity and demand vectors and each core's fluid demand total,
-//! which restore rebuilds from the pipes that hold them, and the per-core
-//! CBR meters, which counted packets nothing built. Version 9 writes each
-//! routing-matrix row over its source's structural component only, a pipe
-//! id in 4 bytes, and none of the words nothing read: the route table's and
-//! the matrix's change counters, the fluid cadence (always
-//! `DEFAULT_FLUID_EPOCH`), each fluid flow's solver flag and each core's
-//! two spare clock words. Version 10 drops four routing-matrix tables the
-//! rows, the slot list and the component maps determine: the per-pipe
-//! reverse index (which trees cross a pipe is read off the rows), the node
-//! → slot map, each component's slots and the free slots (the last three
-//! derived from the slot list). Version 11 stores a routing-matrix row per
-//! tree root instead of per source slot: a stub VN's slot names its hub's
-//! row (its access pipe, the one pipe leaving it, is patched over the row
-//! when read), and each node's component is derived from the component
-//! node lists. Version 12 writes each live slot's root node instead of the
-//! roots list and a row index a slot, which a version-11 frame's restore
-//! read into slot roots. Version 13 keeps only the routes a row or a
-//! descriptor in flight reads, numbered canonically
-//! (`mn_routing::RouteNumbering`): the frame is a function of the emulation
-//! state alone, and a restore collects the rest of the store's history.
+//! The payload persists each fact once: since version 14 it writes no route
+//! a restore can derive, only the endpoint geometry and the routes no row
+//! reads (`mn_routing::RouteTable::encode_section`). README's "Snapshot
+//! format and its evolution rule" gives each version's change.
 //! What is *not* captured: application state (traffic sources attached to
 //! a [`crate::Emulator`] via a runner live outside the emulator; the runner
 //! documents its own policy) and coordinator scratch buffers, which are
@@ -60,12 +37,12 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// frame and by the runner's `MNRS` frame alike. Bumped on any change to
 /// either format; decoders read this version and the one before, and reject
 /// every other with [`CodecError::BadVersion`] ([`frame_sum`]).
-pub const SNAPSHOT_VERSION: u32 = 13;
+pub const SNAPSHOT_VERSION: u32 = 14;
 
 /// The sum a frame of `version` records over a payload that `sum` sums, if
 /// this build reads that version: [`SNAPSHOT_VERSION`] and the one before.
-/// Since version 13 the version word is folded in ([`versioned_sum`]), so a
-/// frame relabelled from one readable version to the other fails its sum.
+/// The version word is folded in ([`versioned_sum`]), so a frame
+/// relabelled from one readable version to the other fails its sum.
 /// Both frames ask here, each with its own payload sum.
 pub fn frame_sum(
     version: u32,
@@ -74,10 +51,7 @@ pub fn frame_sum(
     if !(SNAPSHOT_VERSION - 1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(CodecError::BadVersion(version));
     }
-    Ok(move |payload: &[u8]| match version {
-        12 => sum(payload),
-        _ => versioned_sum(sum(payload), version),
-    })
+    Ok(move |payload: &[u8]| versioned_sum(sum(payload), version))
 }
 
 /// A serialized emulator checkpoint: one verified `MNSP` frame.

@@ -147,7 +147,7 @@ pub struct RoutingMatrix {
     /// path. Derived from `vns` ([`RoutingMatrix::index_slots`]).
     vn_of_node: Vec<u32>,
     /// Node count of the pipe graph the matrix was last (re)built against.
-    node_count: usize,
+    pub(crate) node_count: usize,
     /// The stored rows by root node: `rows[u]` is the row rooted at node
     /// `u`, `None` where no row is. One pointer a node, the row behind it
     /// only where one is stored. Together with `pipe_tail` and the slots'
@@ -163,7 +163,7 @@ pub struct RoutingMatrix {
     /// a label sums.
     pipe_cost: Vec<u64>,
     /// Tail node index of every pipe.
-    pipe_src: Vec<u32>,
+    pub(crate) pipe_src: Vec<u32>,
     /// Every pipe's tail as a position in its component's node list — the
     /// coordinates a row is in, so a walk needs no access to the topology
     /// and no lookup a step. A pipe never leaves its component.
@@ -205,6 +205,10 @@ pub struct RoutingMatrix {
     /// Bumped by every rebuild and every non-empty incremental update (not
     /// carried by a snapshot).
     version: u64,
+    /// Head node index of every pipe. Declared last: declared beside the
+    /// tails, it moved the fields a tree walk reads, and `fwd_chain8`'s
+    /// setup (`RouteTable::build`) read about 10 % slower on a 2-vCPU host.
+    pub(crate) pipe_dst: Vec<u32>,
 }
 
 /// What a recompute reuses, so none allocates: the heap's backing vector
@@ -429,6 +433,7 @@ impl RoutingMatrix {
         let nc = self.node_count;
         self.pipe_cost = topo.pipes().map(|(_, p)| pipe_cost(&p.attrs)).collect();
         self.pipe_src = topo.pipes().map(|(_, p)| p.src.index() as u32).collect();
+        self.pipe_dst = topo.pipes().map(|(_, p)| p.dst.index() as u32).collect();
         self.rebuild_components(topo);
         self.index_slots();
         self.rows.clear();
@@ -1108,6 +1113,18 @@ impl RoutingMatrix {
         self.pipe_src.len()
     }
 
+    /// `true` when both matrices write the same checkpoint, compared field
+    /// by field rather than encoded.
+    pub fn same_state(&self, other: &RoutingMatrix) -> bool {
+        let mut rows = self.rows.iter().zip(&other.rows);
+        (self.vns == other.vns && self.node_count == other.node_count)
+            && (self.pipe_cost == other.pipe_cost && self.pipe_src == other.pipe_src)
+            && (self.pipe_dst == other.pipe_dst && self.component_nodes == other.component_nodes)
+            && (self.slot_root == other.slot_root && self.rows.len() == other.rows.len())
+            && rows
+                .all(|(a, b)| a.as_deref().map(|a| &a.entries) == b.as_deref().map(|b| &b.entries))
+    }
+
     /// Dijkstra runs this matrix has made (not carried by a snapshot): a
     /// stub reads its hub's row, so this counts tree roots, not sources.
     /// Exact, so tests can state tree cost as a count.
@@ -1158,6 +1175,7 @@ impl RoutingMatrix {
             &self.slot_root,
             &self.slot_access,
             &self.pipe_src,
+            &self.pipe_dst,
             &self.pipe_tail,
             &self.vn_of_node,
             &self.node_component,
@@ -1190,7 +1208,8 @@ impl RoutingMatrix {
     /// Binds each live slot, in slot order, to the row rooted at its entry
     /// of `roots`, patched with its one out-pipe when it is not that root.
     /// Refuses a root outside the graph or of another component than the
-    /// slot's, and a stub slot without exactly one out-pipe.
+    /// slot's, and a stub slot without exactly one out-pipe or whose
+    /// out-pipe does not enter the root.
     fn bind_slots(&mut self, roots: &[u32]) -> Result<(), CodecError> {
         use CodecError::Invalid;
         // Each node's one out-pipe, if it has exactly one.
@@ -1213,6 +1232,9 @@ impl RoutingMatrix {
                 let (count, p) = outs[src];
                 if count != 1 {
                     return Err(Invalid("stub slot without a unique access pipe"));
+                }
+                if self.pipe_dst[p as usize] != root {
+                    return Err(Invalid("stub slot's access pipe does not enter its root"));
                 }
                 self.slot_access[si] = p;
             }
@@ -1258,11 +1280,15 @@ impl RoutingMatrix {
         if !self.vns.iter().all(in_graph) {
             return Err(Invalid("source slot outside the graph"));
         }
-        if self.pipe_cost.len() != self.pipe_src.len() {
+        let pipes = self.pipe_src.len();
+        if self.pipe_cost.len() != pipes || self.pipe_dst.len() != pipes {
             return Err(Invalid("pipe tables of unequal lengths"));
         }
         if self.pipe_src.iter().any(|&u| u as usize >= node_count) {
             return Err(Invalid("pipe tail out of range"));
+        }
+        if self.pipe_dst.iter().any(|&u| u as usize >= node_count) {
+            return Err(Invalid("pipe head out of range"));
         }
         if !self.index_slots() {
             return Err(Invalid("node claimed by two live slots"));
@@ -1271,8 +1297,9 @@ impl RoutingMatrix {
         Ok(())
     }
 
-    /// Refuses a row that names a pipe out of range or of another
-    /// component, or whose walk up from some position comes back to it
+    /// Refuses a row that names a pipe out of range, of another component or
+    /// not entering the node at its position, or whose walk up from some
+    /// position comes back to it
     /// (a cycle: a lookup, label or route diff over it never ends). `rows`
     /// yields each row with its root node. One pass over each row: every
     /// position is stamped by the first walk through it, each walk with a
@@ -1299,6 +1326,7 @@ impl RoutingMatrix {
         let mut walk = 0u64;
         for (row, src) in rows {
             let comp = self.node_component[src];
+            let nodes = &self.component_nodes[comp as usize];
             let (root, row_start) = (self.node_local[src] as usize, walk + 1);
             for start in 0..row.len() {
                 if stamp[start] >= row_start {
@@ -1318,6 +1346,9 @@ impl RoutingMatrix {
                     if several && pipe_comp[p as usize] != comp {
                         return Err(Invalid("predecessor pipe from another component"));
                     }
+                    if self.pipe_dst[p as usize] != nodes[at] {
+                        return Err(Invalid("predecessor pipe does not enter its node"));
+                    }
                     if at == root {
                         break;
                     }
@@ -1335,7 +1366,8 @@ impl RoutingMatrix {
     }
 }
 
-/// The slot list and the node count, the pipe tables, the component node
+/// The slot list and the node count, the pipe tables (costs and tails, then
+/// the heads with no length of their own), the component node
 /// lists, each live slot's root, and then the row of each distinct root,
 /// ascending, at its root's component's width — roots and rows with no
 /// length of their own, as the lists before them give each. Written out
@@ -1354,6 +1386,7 @@ impl Codec for RoutingMatrix {
         self.node_count.put(w);
         self.pipe_cost.put(w);
         self.pipe_src.put(w);
+        w.put_bare_u32s(self.pipe_dst.iter().copied());
         self.component_nodes.put(w);
         for &root in self.slot_root.iter().filter(|&&root| root != NO_PRED) {
             w.put_u32(root);
@@ -1365,13 +1398,32 @@ impl Codec for RoutingMatrix {
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        RoutingMatrix::get_with(r, true)
+    }
+}
+
+impl RoutingMatrix {
+    /// [`Codec::get`] of the previous version's layout, which writes no
+    /// heads: a pipe's head is taken as its duplex twin's tail (pipes `2k`
+    /// and `2k + 1`, as distillation lays links out).
+    pub fn get_v13(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        RoutingMatrix::get_with(r, false)
+    }
+
+    fn get_with(r: &mut ByteReader<'_>, heads: bool) -> Result<Self, CodecError> {
         let vns = Vec::<NodeId>::get(r)?;
-        let (node_count, pipe_cost, pipe_src) = Codec::get(r)?;
+        let (node_count, pipe_cost, pipe_src): (usize, Vec<u64>, Vec<u32>) = Codec::get(r)?;
+        let pipe_dst = match (heads, pipe_src.len() % 2) {
+            (true, _) => r.get_bare_u32s(pipe_src.len())?,
+            (false, 0) => (0..pipe_src.len()).map(|p| pipe_src[p ^ 1]).collect(),
+            _ => return Err(CodecError::Invalid("pipes not in duplex pairs")),
+        };
         let mut m = RoutingMatrix {
             vns,
             node_count,
             pipe_cost,
             pipe_src,
+            pipe_dst,
             component_nodes: Codec::get(r)?,
             ..RoutingMatrix::default()
         };
@@ -2218,6 +2270,7 @@ mod tests {
         node_count: usize,
         costs: Vec<u64>,
         tails: Vec<u32>,
+        heads: Vec<u32>,
         lists: Vec<Vec<u32>>,
         slots: Vec<u32>,
         rows: Vec<Vec<u32>>,
@@ -2227,13 +2280,15 @@ mod tests {
         fn of(m: &RoutingMatrix) -> Frame {
             let bytes = encoded(m);
             let r = &mut mn_util::ByteReader::new(&bytes);
-            let (vns, node_count, costs, tails, lists) = Codec::get(r).unwrap();
+            let (vns, node_count, costs, tails): (_, _, _, Vec<u32>) = Codec::get(r).unwrap();
+            let heads = r.get_bare_u32s(tails.len()).unwrap();
             let mut f = Frame {
                 vns,
                 node_count,
                 costs,
                 tails,
-                lists,
+                heads,
+                lists: Codec::get(r).unwrap(),
                 slots: Vec::new(),
                 rows: Vec::new(),
             };
@@ -2253,7 +2308,9 @@ mod tests {
         /// The fields before the slots' roots.
         fn put_head(&self, w: &mut mn_util::ByteWriter) {
             (self.vns.clone(), self.node_count).put(w);
-            (self.costs.clone(), self.tails.clone(), self.lists.clone()).put(w);
+            (self.costs.clone(), self.tails.clone()).put(w);
+            w.put_bare_u32s(self.heads.iter().copied());
+            self.lists.put(w);
         }
 
         fn decoded(&self) -> Result<RoutingMatrix, CodecError> {
@@ -2277,7 +2334,7 @@ mod tests {
         assert_eq!((f.slots.as_slice(), f.rows.len()), (&[1, 1, 4, 5][..], 3));
         assert!(f.decoded().is_ok());
         type Corrupt = fn(&mut Frame);
-        let cases: [(&str, Corrupt); 5] = [
+        let cases: [(&str, Corrupt); 8] = [
             ("slot root outside the graph", |f| {
                 f.slots[3] = f.node_count as u32;
             }),
@@ -2300,6 +2357,16 @@ mod tests {
             ("component lists do not partition the nodes", |f| {
                 f.lists[1].pop();
             }),
+            // Client a's access pipe (pipe 0) enters a, not router 1.
+            ("stub slot's access pipe does not enter its root", |f| {
+                f.heads[0] = 0;
+            }),
+            // The pipe from router 4 to router 5, the row rooted at 4's
+            // entry at 5, enters client c.
+            ("predecessor pipe does not enter its node", |f| {
+                f.heads[6] = 3
+            }),
+            ("pipe head out of range", |f| f.heads[6] = 7),
         ];
         for (what, corrupt) in cases {
             let mut hostile = f.clone();

@@ -13,9 +13,11 @@
 //!   `ROUTE_CHUNK` (1024) routes: a chunk is its `Arc`, a `u32` end offset
 //!   per route and one run of 4-byte pipe ids — three allocations per
 //!   chunk, none per route. Sealed chunks are shared by every generation, so
-//!   retaining the ids in flight costs reference bumps, and a chunk's two
-//!   `u32` runs are its encoded form, copied whole by a restore, and by a
-//!   checkpoint where its numbering ([`RouteNumbering`]) is the identity.
+//!   retaining the ids in flight costs reference bumps. A checkpoint writes
+//!   none of the routes a row reads, only those descriptors in flight alone
+//!   read ([`RouteTable::encode_section`]): the rows and their routes are a
+//!   function of the matrix and the geometry, which a restore derives them
+//!   from ([`RouteTable::decode_section`]).
 //! * `rows` — **one row shard per location slot**, mapping a destination
 //!   location slot to its raw `RouteId`, page-grouped into shared blocks of
 //!   `BLOCK_ROWS` (1024) rows. A row stores only the window `[base, base +
@@ -60,17 +62,18 @@
 //! it, so ids and probe counts do not depend on the batching. No snapshot
 //! holds the index, so the fingerprint is an in-memory choice: the index is
 //! a pure function of the append-only store, so the bulk writers, each
-//! unsharing the store once, leave it out: `decode` fills whole chunks,
-//! and `build` appends every location pair's route
-//! unprobed (its first pipe leaves the source location and its last enters
-//! the destination, so no two pairs share a route and every probe would
-//! miss). The first `find` builds it, in one pass in id order over a table
-//! sized once: a run or a restore that only forwards never pays for it. It
-//! sits with the store behind one `Arc`: generations share both, and the
-//! first to intern new content copies the chunk handles, the open tail and
-//! the index — flat, 16 B per slot at 4/3 to 8/3 slots per route: ≤ 43 B
-//! per route — so a link-up or an oscillation, which intern nothing, never
-//! pays.
+//! unsharing the store once, leave it out: `build` and a restore's derive
+//! append every location pair's route unprobed (its first pipe leaves the
+//! source location and its last enters the destination, so no two pairs
+//! share a route and every probe would miss), a restore then the held
+//! routes, which a checkpoint wrote distinct from those, and the previous
+//! version's `decode` fills whole chunks. The first `find` builds it, in
+//! one pass in id order over a table sized once: a run or a restore that
+//! only forwards never pays for it. It sits with the store behind one
+//! `Arc`: generations share both, and the first to intern new content
+//! copies the chunk handles, the open tail and the index — flat, 16 B per
+//! slot at 4/3 to 8/3 slots per route: ≤ 43 B per route — so a link-up or
+//! an oscillation, which intern nothing, never pays.
 //!
 //! Endpoint indices are the dense VN indices of the binding (`VnId::index`),
 //! but the table is deliberately typed on `usize` so `mn-routing` stays
@@ -224,20 +227,6 @@ impl RowShard {
         Ok(())
     }
 
-    /// [`Codec::put`], each id written as `numbering` numbers it (`NO_ROUTE` as it is).
-    fn put_numbered(&self, w: &mut ByteWriter, numbering: Option<&RouteNumbering>) {
-        match self {
-            RowShard::Empty => w.put_u8(0),
-            RowShard::Inline { base, len, .. } => (1u8, *base, *len).put(w),
-            RowShard::Spilled { base, slots } => (2u8, *base, slots.len()).put(w),
-        }
-        let ids = self.ids().iter().copied();
-        match numbering {
-            None => w.put_bare_u32s(ids),
-            Some(n) => w.put_bare_u32s(ids.map(|id| *n.canonical.get(id as usize).unwrap_or(&id))),
-        }
-    }
-
     /// `true` when two shards are literally the same storage: a shared slot
     /// allocation for spilled rows, bit-identical content for the
     /// allocation-free forms.
@@ -377,7 +366,12 @@ impl Codec for RowShard {
     const MIN_BYTES: usize = 1;
 
     fn put(&self, w: &mut ByteWriter) {
-        self.put_numbered(w, None);
+        match self {
+            RowShard::Empty => w.put_u8(0),
+            RowShard::Inline { base, len, .. } => (1u8, *base, *len).put(w),
+            RowShard::Spilled { base, slots } => (2u8, *base, slots.len()).put(w),
+        }
+        w.put_bare_u32s(self.ids().iter().copied());
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
@@ -897,11 +891,16 @@ impl RouteTable {
     /// gives every location an empty one, `derive_rows` derives them.
     fn rowless(locations: &[NodeId]) -> Self {
         let (locs, slot_of_endpoint) = LocationIndex::build(locations);
+        Self::with_geometry(slot_of_endpoint, locs)
+    }
+
+    /// A table with no route and no row over this geometry.
+    fn with_geometry(cols: Vec<u32>, locs: LocationIndex) -> Self {
         RouteTable {
             store: Arc::default(),
             rows: Vec::new(),
-            endpoint_count: locations.len(),
-            cols: blocks_from_flat(slot_of_endpoint),
+            endpoint_count: cols.len(),
+            cols: blocks_from_flat(cols),
             index_probes: 0,
             locs: Arc::new(locs),
             resolver: Arc::default(),
@@ -974,6 +973,9 @@ impl RouteTable {
         let store = Arc::make_mut(&mut self.store);
         debug_assert!(store.len() == 0 && store.index.get().is_none());
         let rows = (0..locs.locations.len()).map(|si| {
+            if locs.endpoints[si].is_empty() {
+                return RowShard::Empty;
+            }
             let mut run = resolver.run(matrix, locs.locations[si]);
             row.clear();
             row.resize(locs.locations.len(), NO_ROUTE);
@@ -1212,12 +1214,12 @@ impl RouteTable {
 
     /// Unbinds `endpoint` — the leave half of live endpoint churn: its
     /// column entry is marked departed (new lookups from it fail) and it
-    /// leaves its location's endpoint list. No row is touched unless it
-    /// was the last endpoint there, in which case the location's row is
-    /// cleared. Everything else — including the other rows' columns toward
-    /// it and every interned route a descriptor in flight may still
-    /// reference — is retained, which is what makes the departure drain
-    /// deterministic. O(1) blocks touched.
+    /// leaves its location's endpoint list, touching O(1) blocks. If it was
+    /// the last endpoint there, the location's row and every other row's
+    /// column toward it are cleared (O(locations) patches, as a first join
+    /// there refreshes them), so the rows stay what [`RouteTable::build`]
+    /// derives for the live endpoints. Every interned route is retained, so
+    /// descriptors in flight drain deterministically on their ids.
     ///
     /// Returns `false` when the endpoint is out of range or not bound.
     pub fn unbind_endpoint(&mut self, endpoint: usize) -> bool {
@@ -1234,9 +1236,19 @@ impl RouteTable {
         *list = shrunk.into();
         if emptied {
             self.set_row(slot, RowShard::Empty);
+            self.clear_column(slot);
         }
         self.set_col(endpoint, slot as u32 | DEPARTED);
         true
+    }
+
+    /// Clears every live row's column toward `slot`, a location with no
+    /// live endpoint.
+    fn clear_column(&mut self, slot: usize) {
+        let locs = Arc::clone(&self.locs);
+        for si in locs.row_columns(slot) {
+            self.patch_row(si, &[(slot, NO_ROUTE)]);
+        }
     }
 
     /// `true` when the endpoint is currently bound at some location.
@@ -1310,8 +1322,10 @@ impl RouteTable {
     /// This is the per-packet lookup: a fixed chain of indexed loads — both
     /// columns, block, row shard, slot (inline rows resolve the slot inside
     /// the already-loaded shard) — with no hashing and no allocation. A
-    /// departed *destination* still resolves: descriptors in flight toward
-    /// it drain on their routes.
+    /// departed *destination* resolves while a sibling stays at its
+    /// location; once its location's last endpoint leaves, it resolves to
+    /// `None` ([`RouteTable::unbind_endpoint`]), and descriptors in flight
+    /// toward it drain on the routes they hold by id.
     #[inline]
     pub fn route_id(&self, src: usize, dst: usize) -> Option<RouteId> {
         let col = self.col(dst)? & !DEPARTED;
@@ -1388,27 +1402,34 @@ impl RouteTable {
         ids.filter(|&id| id != NO_ROUTE)
     }
 
-    /// The numbering a checkpoint writes the routes under, `None` where it
-    /// is the identity (a built table's; a decoded table is canonical
-    /// exactly then). `held` appends every descriptor's route, and is called,
-    /// and its error returned, only when some route is read by no row.
+    /// The numbering a checkpoint writes the routes under, and how many of
+    /// them the rows read: those come first, the routes only descriptors
+    /// read after them. The numbering is `None` where it is the identity (a
+    /// built or derived table's; a restored table is canonical exactly
+    /// then). `held` appends every descriptor's route, and is called, and
+    /// its error returned, only when some route is read by no row.
     pub fn numbering<E>(
         &self,
         held: impl FnOnce(&mut Vec<RouteId>) -> Result<(), E>,
-    ) -> Result<Option<RouteNumbering>, E> {
+    ) -> Result<(usize, Option<RouteNumbering>), E> {
         let count = self.route_count();
         if self.rows_read == Some(count) {
-            return Ok(None);
+            return Ok((count, None));
         }
         let (mut canonical, mut kept) = (vec![NO_ROUTE; count], Vec::new());
-        for id in self.row_routes() {
+        let row_routes: Box<dyn Iterator<Item = u32>> = match self.rows_read {
+            Some(rows) => Box::new(0..rows as u32),
+            None => Box::new(self.row_routes()),
+        };
+        for id in row_routes {
             if canonical[id as usize] == NO_ROUTE {
                 canonical[id as usize] = kept.len() as u32;
                 kept.push(id);
             }
         }
+        let rows = kept.len();
         let mut extra = Vec::new();
-        if kept.len() < count {
+        if rows < count {
             held(&mut extra)?;
         }
         // The routes no row reads, each once; equal content is one route,
@@ -1424,50 +1445,41 @@ impl RouteTable {
         }
         let identity =
             kept.len() == count && kept.iter().enumerate().all(|(at, &id)| at == id as usize);
-        Ok((!identity).then_some(RouteNumbering { canonical, kept }))
+        Ok((
+            rows,
+            (!identity).then_some(RouteNumbering { canonical, kept }),
+        ))
     }
 
-    /// [`RouteTable::encode_numbered`] of every stored route, as it lies.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        self.encode_numbered(w, None);
-    }
-
-    /// Serialises the table for a checkpoint, its routes numbered as
-    /// `numbering` says (`None`: as stored): the kept routes chunk by chunk,
-    /// `ends` and pipes as two `u32` runs (a stored chunk copied whole where
-    /// the numbering is the identity over it); one row shard **per location
-    /// slot**, window geometry verbatim; the column map without the departed
-    /// bits; the location geometry. Not the content-dedup index, which the
-    /// first lookup rebuilds. Written out, not declared: what
-    /// [`RouteTable::decode`] checks spans sections.
-    pub fn encode_numbered(&self, w: &mut ByteWriter, numbering: Option<&RouteNumbering>) {
+    /// Serialises what a restore cannot derive ([`RouteTable::decode_section`]):
+    /// the geometry, then the routes only descriptors read — `numbering`'s
+    /// past the first `rows` ([`RouteTable::numbering`]) — as `ends` and
+    /// pipes, two `u32` runs.
+    pub fn encode_section(
+        &self,
+        w: &mut ByteWriter,
+        rows: usize,
+        numbering: Option<&RouteNumbering>,
+    ) {
         w.put_usize(self.endpoint_count);
-        let store = &*self.store;
-        let count = numbering.map_or(store.len(), |n| n.kept.len());
-        w.put_len(count / ROUTE_CHUNK + 1);
-        for (at, start) in (0..=count).step_by(ROUTE_CHUNK).enumerate() {
-            let ids = start..count.min(start + ROUTE_CHUNK);
-            let stored = store.sealed.get(at).map_or(&store.tail, |chunk| &**chunk);
-            let kept = numbering.map_or(&[][..], |n| &n.kept[ids.clone()]);
-            let same = || ids.clone().eq(kept.iter().map(|&id| id as usize));
-            if stored.ends.len() == ids.len() && (numbering.is_none() || same()) {
-                w.put_u32s(&stored.ends);
-                w.put_u32s_from(stored.pipes.iter().map(|p| p.0));
-                continue;
-            }
-            let (routes, mut end) = (kept.iter().map(|&id| store.get(id as usize)), 0);
-            w.put_len(kept.len());
-            routes.clone().for_each(|pipes| {
-                end += pipes.len() as u32;
-                w.put_u32(end);
-            });
-            w.put_len(end as usize);
-            routes.for_each(|pipes| w.put_bare_u32s(pipes.iter().map(|p| p.0)));
-        }
         w.put_len(self.locs.locations.len());
-        for block in &self.rows {
-            block.iter().for_each(|row| row.put_numbered(w, numbering));
-        }
+        self.put_geometry(w);
+        let count = numbering.map_or(self.route_count(), |n| n.kept.len());
+        let stored = |at: usize| numbering.map_or(at, |n| n.kept[at] as usize);
+        let held = (rows..count).map(|at| self.store.get(stored(at)));
+        let mut end = 0;
+        w.put_len(count - rows);
+        held.clone().for_each(|pipes| {
+            end += pipes.len() as u32;
+            w.put_u32(end);
+        });
+        w.put_len(end as usize);
+        held.for_each(|pipes| w.put_bare_u32s(pipes.iter().map(|p| p.0)));
+    }
+
+    /// The column map without the departed bits, each location slot's
+    /// node, and each slot's endpoint list.
+    fn put_geometry(&self, w: &mut ByteWriter) {
         for block in &self.cols {
             block.iter().for_each(|&col| w.put_u32(col & !DEPARTED));
         }
@@ -1479,54 +1491,24 @@ impl RouteTable {
         }
     }
 
-    /// The bytes [`RouteTable::encode`] writes, counted by running it on a
-    /// [`ByteWriter::measuring`] writer: O(rows + endpoints), the arena's
-    /// runs counted whole.
-    pub fn encoded_len(&self) -> usize {
-        let mut w = ByteWriter::measuring();
-        self.encode(&mut w);
-        w.len()
-    }
-
-    /// Rebuilds a table from [`RouteTable::encode_numbered`] output. Route
-    /// ids are the positions the routes were written at, as the ids written
-    /// beside them are; re-encoding the result reproduces the input.
-    ///
-    /// Nothing read is trusted, and every invariant the table relies on is
-    /// checked here rather than where it is used: counts are bounded by the
-    /// bytes left; every chunk but the last is full, the last is not, each
-    /// chunk's `ends` never decrease and finish on its pipe count; route
-    /// ids, row windows and columns are range-checked; locations are
-    /// distinct; each location's endpoint list is strictly ascending and
-    /// names only endpoints whose column is that location; a location with
-    /// no endpoint carries no row. A damaged snapshot is a typed error
-    /// here, not a panic or a wrong answer on the forwarding path later.
-    pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+    /// Reads what [`RouteTable::put_geometry`] writes for `slots` slots,
+    /// checked: columns name slots, locations are distinct nodes below
+    /// `node_limit` (they size the node → slot map), and each list ascends
+    /// strictly and names endpoints whose column it is; the rest departed.
+    fn get_geometry(
+        r: &mut ByteReader,
+        endpoints: usize,
+        slots: usize,
+        node_limit: usize,
+    ) -> Result<(Vec<u32>, LocationIndex), CodecError> {
         use CodecError::Invalid;
-        // An endpoint is at least its column.
-        let endpoint_count = r.get_count(u32::MIN_BYTES)?;
-        let mut store = RouteStore::default();
-        store.fill_chunks(r)?;
-        let route_count = store.len();
-        // A location is its row tag, its node and the count of its endpoint
-        // list.
-        let slots = r.get_count(<(RowShard, NodeId, Vec<u32>)>::MIN_BYTES)?;
-        let mut rows = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            rows.push(RowShard::get(r)?);
+        let mut cols = Vec::with_capacity(endpoints);
+        for _ in 0..endpoints {
+            cols.push(u32::get(r)?);
         }
-        let mut cols_flat = Vec::with_capacity(endpoint_count);
-        for _ in 0..endpoint_count {
-            cols_flat.push(u32::get(r)?);
-        }
-        if slots > DEPARTED as usize || cols_flat.iter().any(|&c| c as usize >= slots) {
+        if slots > DEPARTED as usize || cols.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
-        // A location's node index sizes the dense node → slot map, so it is
-        // bounded like a count, by the bytes left: eight nodes a byte (the
-        // matrix that follows in an emulator's snapshot alone spends four
-        // bytes on every node).
-        let node_limit = r.remaining().saturating_mul(8);
         let mut locs = LocationIndex::default();
         for _ in 0..slots {
             let loc = NodeId::get(r)?;
@@ -1539,45 +1521,156 @@ impl RouteTable {
             locs.add_location(loc);
         }
         // Every endpoint is departed until its location's list claims it.
-        cols_flat.iter_mut().for_each(|c| *c |= DEPARTED);
-        for (slot, row) in (0..).zip(&rows) {
+        cols.iter_mut().for_each(|c| *c |= DEPARTED);
+        for slot in 0..slots as u32 {
             let list = Vec::<u32>::get(r)?;
             if list.windows(2).any(|pair| pair[0] >= pair[1]) {
                 return Err(Invalid("location's endpoints are not strictly ascending"));
             }
             for &e in &list {
-                match cols_flat.get_mut(e as usize) {
+                match cols.get_mut(e as usize) {
                     Some(col) if *col == slot | DEPARTED => *col = slot,
                     _ => return Err(Invalid("location lists an endpoint not bound there")),
                 }
             }
+            locs.endpoints.push(Arc::from(list));
+        }
+        Ok((cols, locs))
+    }
+
+    /// `true` when both tables bind each endpoint at the same location.
+    fn same_geometry(&self, other: &RouteTable) -> bool {
+        let cols = self.cols.iter().flat_map(|block| block.iter());
+        self.locs.locations == other.locs.locations
+            && self.locs.endpoints == other.locs.endpoints
+            && cols.eq(other.cols.iter().flat_map(|block| block.iter()))
+    }
+
+    /// Reads what [`RouteTable::encode_section`] writes over the restored
+    /// `matrix`: the rows derived as [`RouteTable::build`] derives them, or
+    /// `own`'s, shared, when `own` is exactly a build (no row written, no
+    /// route appended) over the same geometry and, as the caller checks,
+    /// the same matrix; then the held routes, each non-empty, over the
+    /// matrix's pipes and not the route the rows give between its ends.
+    pub fn decode_section(
+        r: &mut ByteReader,
+        matrix: &RoutingMatrix,
+        own: Option<&RouteTable>,
+    ) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
+        // An endpoint is at least its column; a location its node and the
+        // count of its endpoint list.
+        let endpoints = r.get_count(u32::MIN_BYTES)?;
+        let slots = r.get_count(<(NodeId, Vec<u32>)>::MIN_BYTES)?;
+        let (cols, locs) = Self::get_geometry(r, endpoints, slots, matrix.node_count)?;
+        let ends = r.get_u32s()?;
+        let held = Chunk {
+            pipes: r.get_u32s()?.into_iter().map(PipeId).collect(),
+            ends,
+        };
+        let rising = held.ends.first() != Some(&0) && held.ends.windows(2).all(|e| e[0] < e[1]);
+        if !rising || held.ends.last().map_or(0, |&end| end as usize) != held.pipes.len() {
+            return Err(Invalid("held routes' ends do not rise to their pipes"));
+        }
+        if held.pipes.iter().any(|p| p.index() >= matrix.pipe_count()) {
+            return Err(Invalid("held route names a pipe the matrix does not hold"));
+        }
+        let mut table = Self::with_geometry(cols, locs);
+        match own {
+            Some(own) if own.rows_read == Some(own.route_count()) && own.same_geometry(&table) => {
+                table = own.clone()
+            }
+            _ => table.derive_rows(matrix),
+        }
+        if held.ends.len() > NO_ROUTE as usize - table.route_count() {
+            return Err(Invalid("more routes than ids"));
+        }
+        for at in 0..held.ends.len() {
+            let pipes = held.get(at);
+            let (first, last) = (pipes[0].index(), pipes[pipes.len() - 1].index());
+            let slot = |node: u32| table.locs.slot_of(NodeId(node as usize));
+            let ends = slot(matrix.pipe_src[first]).zip(slot(matrix.pipe_dst[last]));
+            let row = ends.and_then(|(s, d)| Some(table.row(s as usize)?.raw(d as usize)));
+            if row.is_some_and(|id| id != NO_ROUTE && table.pipes(RouteId(id)) == pipes) {
+                return Err(Invalid("held route equal to a derived one"));
+            }
+        }
+        if !held.ends.is_empty() {
+            let store = Arc::make_mut(&mut table.store);
+            // A shared table's content index would not see the appends: the
+            // first lookup builds it again.
+            store.index.take();
+            for at in 0..held.ends.len() {
+                store.append(Pipes(held.get(at), None), None);
+            }
+        }
+        Ok(table)
+    }
+
+    /// The previous version's route section, [`RouteTable::decode`]'s
+    /// input: every stored route, chunk by chunk (`ends` and pipes as two
+    /// `u32` runs), a row shard per location slot, then the geometry.
+    pub fn encode(&self, w: &mut ByteWriter) {
+        w.put_usize(self.endpoint_count);
+        w.put_len(self.store.sealed.len() + 1);
+        for chunk in self.store.chunks() {
+            w.put_u32s(&chunk.ends);
+            w.put_u32s_from(chunk.pipes.iter().map(|p| p.0));
+        }
+        w.put_len(self.locs.locations.len());
+        for block in &self.rows {
+            block.iter().for_each(|row| row.put(w));
+        }
+        self.put_geometry(w);
+    }
+
+    /// Rebuilds a table from [`RouteTable::encode`] output: route ids are
+    /// the positions the routes were written at, and re-encoding the result
+    /// reproduces the input. Every invariant the table relies on is checked
+    /// here: counts are bounded by the bytes left; every chunk but the last
+    /// is full, the last is not, each chunk's `ends` never decrease and
+    /// finish on its pipe count; route ids, row windows and the geometry are
+    /// checked; a location with no endpoint carries no row.
+    pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        use CodecError::Invalid;
+        // An endpoint is at least its column.
+        let endpoint_count = r.get_count(u32::MIN_BYTES)?;
+        let mut store = RouteStore::default();
+        store.fill_chunks(r)?;
+        // A location is its row tag, its node and the count of its endpoint
+        // list.
+        let slots = r.get_count(<(RowShard, NodeId, Vec<u32>)>::MIN_BYTES)?;
+        let mut rows = Vec::with_capacity(slots);
+        for _ in 0..slots {
+            rows.push(RowShard::get(r)?);
+        }
+        // The routing matrix that follows spends four bytes on every node.
+        let node_limit = r.remaining().saturating_mul(8);
+        let (cols, locs) = Self::get_geometry(r, endpoint_count, slots, node_limit)?;
+        for (row, list) in rows.iter().zip(&locs.endpoints) {
             if list.is_empty() && *row != RowShard::Empty {
                 return Err(Invalid("location without endpoints carries a row"));
             }
             row.check(slots)?;
-            locs.endpoints.push(Arc::from(list));
-        }
-        // One pass: every id names a stored route; note `rows_read`.
-        let (mut next, mut in_order) = (0, true);
-        for row in &rows {
-            for &id in row.ids().iter().filter(|&&id| id != NO_ROUTE) {
-                if id as usize >= route_count {
-                    return Err(Invalid("row shard names a route the store does not hold"));
-                }
-                in_order &= id <= next;
-                next += u32::from(id == next);
+            let mut ids = row.ids().iter().filter(|&&id| id != NO_ROUTE);
+            if ids.any(|&id| id as usize >= store.len()) {
+                return Err(Invalid("row shard names a route the store does not hold"));
             }
         }
-        Ok(RouteTable {
-            store: Arc::new(store),
-            rows: blocks_from_flat(rows),
-            endpoint_count,
-            cols: blocks_from_flat(cols_flat),
-            index_probes: 0,
-            locs: Arc::new(locs),
-            resolver: Arc::default(),
-            rows_read: in_order.then_some(next as usize),
-        })
+        let mut table = Self::with_geometry(cols, locs);
+        (table.store, table.rows) = (Arc::new(store), blocks_from_flat(rows));
+        table.rows_read = None;
+        Ok(table)
+    }
+
+    /// Clears every row's column toward a location with no live endpoint,
+    /// which the previous version kept.
+    pub fn clear_departed_columns(&mut self) {
+        for slot in 0..self.locs.locations.len() {
+            if self.locs.endpoints[slot].is_empty() {
+                self.clear_column(slot);
+            }
+        }
     }
 
     /// One past the largest pipe id any interned route names (0 when no
@@ -1765,7 +1858,6 @@ mod tests {
             let departed = cols.iter().filter(|&&c| c & DEPARTED != 0).count();
             assert_eq!(live + departed, self.endpoint_count, "listed or departed");
             let bytes = encoded(self);
-            assert_eq!(self.encoded_len(), bytes.len());
             let again = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
             assert!(again.store.index.get().is_none(), "no index until a lookup");
             assert_eq!(again.pipe_bound(), self.pipe_bound());
@@ -2510,12 +2602,13 @@ mod tests {
         assert!(table.unbind_endpoint(departed));
         assert!(!table.is_endpoint_bound(departed));
         assert!(!table.unbind_endpoint(departed), "double-leave refused");
-        // New lookups *from* the departed endpoint fail; routes *toward*
-        // it survive so in-flight descriptors drain on pre-departure ids.
+        // New lookups from and toward the departed endpoint, the last at
+        // its location, fail; the route toward it survives in the store,
+        // so in-flight descriptors drain on pre-departure ids.
         for t in 0..n {
             assert!(table.route_id(departed, t).is_none());
+            assert!(table.route_id(t, departed).is_none());
         }
-        assert_eq!(table.route_id(0, departed), Some(inbound_before));
         assert_eq!(table.pipes(inbound_before), fresh.pipes(inbound_before));
         // Rejoin at the same (now empty) location: sibling-less path.
         assert!(table.bind_endpoint(&matrix, departed, locations[departed]));

@@ -11,7 +11,9 @@
 //!    sequence — with endpoints multiplexed two per location throughout.
 //! 2. **`RouteId` stability.** Pairs a step did not change keep their exact
 //!    `RouteId` (descriptors in flight keep resolving), routes *toward* an
-//!    endpoint that just left included.
+//!    endpoint that just left included while a sibling stays at its
+//!    location; the last leave there clears them, as a build over the live
+//!    binding has none.
 //! 3. **Copy-on-write identity.** After a step, the rows of untouched source
 //!    locations are literally the same storage as before it (`Arc` identity
 //!    for spilled rows) — the publish cost is O(changed rows) — and a
@@ -113,12 +115,15 @@ struct Sut {
 }
 
 impl Sut {
-    fn leave(&mut self, e: usize) {
+    /// Returns whether the leave emptied its location (which writes rows).
+    fn leave(&mut self, e: usize) -> bool {
         assert!(self.table.unbind_endpoint(e));
         self.live[e] = false;
-        if !self.table.has_endpoints_at(self.locations[e]) {
+        let emptied = !self.table.has_endpoints_at(self.locations[e]);
+        if emptied {
             assert!(self.matrix.remove_source(self.locations[e]));
         }
+        emptied
     }
 
     /// Returns whether the join populated an empty location (the one kind
@@ -178,7 +183,8 @@ proptest! {
                 .collect();
             // Location pairs whose route the step may change, endpoints it
             // binds or unbinds, and whether it may write rows at all (a
-            // link op, or a join that populates an empty location).
+            // link op, a join that populates an empty location, or a leave
+            // that empties one).
             let mut changed_set: HashSet<(NodeId, NodeId)> = HashSet::new();
             let mut churned: Vec<usize> = Vec::new();
             let mut rows_may_move = false;
@@ -194,7 +200,7 @@ proptest! {
                 }
                 Op::Leave(choice) => {
                     if let Some(e) = sut.pick(true, choice) {
-                        sut.leave(e);
+                        rows_may_move = sut.leave(e);
                         churned.push(e);
                     }
                 }
@@ -203,7 +209,7 @@ proptest! {
                         let at = sut.locations[e];
                         for e in 0..n_before {
                             if sut.live[e] && sut.locations[e] == at {
-                                sut.leave(e);
+                                rows_may_move |= sut.leave(e);
                                 churned.push(e);
                             }
                         }
@@ -252,7 +258,8 @@ proptest! {
             // 2. RouteId stability: a pair of endpoints the step neither
             //    bound nor unbound, whose location pair it did not list,
             //    keeps its exact pre-step id — and so does every route
-            //    *toward* an endpoint that just left.
+            //    *toward* an endpoint that just left, unless it was the
+            //    last at its location: then there is none.
             let stayed = |e: usize| e < n_before && live_before[e] && sut.live[e];
             for s in (0..n_before).filter(|&s| stayed(s)) {
                 for t in 0..n_before {
@@ -262,9 +269,10 @@ proptest! {
                         live_before[t] && churned.contains(&t)
                     };
                     if kept {
+                        let sibling = stayed(t) || table.has_endpoints_at(sut.locations[t]);
                         prop_assert_eq!(
                             table.route_id(s, t),
-                            ids_before[s * n_before + t],
+                            ids_before[s * n_before + t].filter(|_| sibling),
                             "untouched pair ({}, {}) must keep its RouteId after {:?}",
                             s, t, op
                         );

@@ -851,7 +851,8 @@ fn a_checkpoint_is_one_buffer_and_a_restore_copies_no_payload() {
     let first = one_exact_buffer("first checkpoint", 0, LIGHT, || runner.snapshot().unwrap());
     runner.run_for(SimDuration::from_millis(300)).unwrap();
     let second = one_exact_buffer("second checkpoint", 0, LIGHT, || runner.snapshot().unwrap());
-    assert!(second.len() > 100_000 && second.len().abs_diff(first.len()) < 4096);
+    // About 59.5 KB since the frame carries no route a row reads.
+    assert!(second.len() > 50_000 && second.len().abs_diff(first.len()) < 4096);
 
     // Restore decodes the borrowed bytes in place: the state it rebuilds is
     // many blocks, none of them as large as the payload — which a private
