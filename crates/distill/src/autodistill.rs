@@ -66,7 +66,8 @@ pub struct CandidateConfig {
     /// Predicted memory cost: undirected pipes in the distilled graph.
     pub undirected_pipes: usize,
     /// Predicted per-packet cost: the distilled graph's route-length bound
-    /// (pipes a packet crosses end to end).
+    /// (pipes a packet crosses end to end). For hop-by-hop, which records
+    /// no bound, the target's hop diameter: a ranking proxy, not a bound.
     pub route_pipe_bound: usize,
 }
 
@@ -110,12 +111,13 @@ pub fn autodistill(
 ) -> DistillChoice {
     let mut candidates: Vec<CandidateConfig> = Vec::new();
     let mut push = |mode: DistillationMode, pruned: bool, d: &DistilledTopology| {
+        let hop_by_hop = (mode == DistillationMode::HopByHop).then(|| topo.hop_diameter());
         candidates.push(CandidateConfig {
             mode,
             pruned_to_workload: pruned,
             compensation_load: 0.0,
             undirected_pipes: d.undirected_pipe_count(),
-            route_pipe_bound: d.max_route_pipes(),
+            route_pipe_bound: hop_by_hop.unwrap_or_else(|| d.max_route_pipes()),
         });
     };
 

@@ -228,7 +228,8 @@ fn vn_list(topo: &Topology) -> Vec<NodeId> {
 
 fn distill_hop_by_hop(topo: &Topology) -> DistilledTopology {
     let vns = vn_list(topo);
-    let mut out = DistilledTopology::new(topo.node_count(), vns, topo.hop_diameter());
+    // No route bound: routes minimise latency, not hops.
+    let mut out = DistilledTopology::new(topo.node_count(), vns, 0);
     for (_, link) in topo.links() {
         out.add_duplex(link.a, link.b, link.attrs.into());
     }

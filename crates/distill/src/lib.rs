@@ -8,7 +8,8 @@
 //!
 //! * [`DistillationMode::HopByHop`] — the pipe graph is isomorphic to the
 //!   target network: every link is faithfully emulated, all congestion and
-//!   contention effects are captured, per-packet cost is highest.
+//!   contention effects are captured, per-packet cost is highest. It records
+//!   no route bound: routes minimise latency, not hops.
 //! * [`DistillationMode::EndToEnd`] — all interior nodes are removed and each
 //!   VN pair is connected by a single pipe whose bandwidth is the minimum
 //!   along the original path, latency the sum and reliability the product.

@@ -261,7 +261,8 @@ impl DistilledTopology {
     }
 
     /// Upper bound on the number of pipes any VN-to-VN route traverses, or 0
-    /// if the distiller did not record one.
+    /// if the distiller did not record one. Hop-by-hop records none: routes
+    /// minimise latency, not hops, so the hop diameter bounds no route.
     pub fn max_route_pipes(&self) -> usize {
         self.max_route_pipes
     }

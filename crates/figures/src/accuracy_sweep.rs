@@ -174,12 +174,13 @@ pub fn run(scale: Scale) -> AccuracySweep {
         } else {
             mn_distill::distill(&topo, mode)
         };
+        let hop_by_hop = (mode == DistillationMode::HopByHop).then(|| topo.hop_diameter());
         CandidateConfig {
             mode,
             pruned_to_workload: pruned,
             compensation_load: load,
             undirected_pipes: d.undirected_pipe_count(),
-            route_pipe_bound: d.max_route_pipes(),
+            route_pipe_bound: hop_by_hop.unwrap_or_else(|| d.max_route_pipes()),
         }
     };
 

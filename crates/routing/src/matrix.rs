@@ -171,8 +171,9 @@ pub struct RoutingMatrix {
     /// Structural (attrs-independent) connected component of every node.
     /// Pipes never change endpoints at runtime — only attributes — so a
     /// pipe change can only ever affect sources and destinations inside its
-    /// own structural component. Derived from `component_nodes`.
-    node_component: Vec<u32>,
+    /// own structural component. Derived from `component_nodes`; route
+    /// tables share it.
+    pub(crate) node_component: std::sync::Arc<[u32]>,
     /// Every node's position in its component's node list.
     node_local: Vec<u32>,
     /// Live VN indices per structural component, ascending: the sources a
@@ -1178,12 +1179,12 @@ impl RoutingMatrix {
             &self.pipe_dst,
             &self.pipe_tail,
             &self.vn_of_node,
-            &self.node_component,
             &self.node_local,
         ];
         self.rows.capacity() * std::mem::size_of::<Option<Box<Row>>>()
             + row_bytes.sum::<usize>()
             + u32s.iter().map(|v| v.capacity() * 4).sum::<usize>()
+            + self.node_component.len() * 4
             + self.pipe_cost.capacity() * 8
             + self.vns.capacity() * std::mem::size_of::<NodeId>()
             + nested(&self.component_vns)
@@ -1262,7 +1263,7 @@ impl RoutingMatrix {
                 }
             }
         }
-        self.node_component = node_component;
+        self.node_component = node_component.into();
         self.node_component.iter().all(|&c| c != NO_PRED)
     }
 

@@ -24,7 +24,8 @@
 //!   width)` that actually holds routable columns: narrow windows (≤ 4
 //!   entries) are kept inline in the block with no heap allocation at all,
 //!   wider windows spill to an `Arc<[u32]>` that successive generations
-//!   share.
+//!   share. A row visits only its source's structural component's slots,
+//!   as no route leaves one: a build costs O(routes + locations).
 //! * `cols` — an endpoint is nothing but its 4-byte column entry: the slot
 //!   of the location it is bound at, plus a departed bit. Any number of
 //!   endpoints multiplexed onto one location read the one row, so route
@@ -512,9 +513,11 @@ impl RouteStore {
         assert!(self.len() < NO_ROUTE as usize, "route table overflow");
         let id = RouteId(self.len() as u32);
         self.tail.pipes.extend_from_slice(head);
-        self.tail.pipes.extend(last);
-        let pipes = head.iter().chain(&last);
-        self.pipe_bound = pipes.fold(self.pipe_bound, |bound, p| bound.max(p.index() + 1));
+        if let Some(last) = last {
+            self.tail.pipes.push(last);
+        }
+        let top = head.iter().max().copied().max(last);
+        self.pipe_bound = self.pipe_bound.max(top.map_or(0, |p| p.index() + 1));
         // Invariant: a chunk holds at most `ROUTE_CHUNK` routes, each a
         // walk up one component's tree, so fewer hops than its nodes; a
         // built chunk's offsets fit u32 below 4 M nodes a component (a
@@ -717,16 +720,24 @@ struct LocationIndex {
     /// Departed endpoints are removed from their list; the slot itself
     /// persists once created.
     endpoints: Vec<Arc<[u32]>>,
+    /// Each node's structural component, the matrix's (none: one component).
+    node_component: Arc<[u32]>,
+    /// Slots by component, ascending: `by_component[starts[c]..starts[c + 1]]`.
+    by_component: Vec<u32>,
+    starts: Vec<u32>,
 }
 
 /// "No location at this node" in [`LocationIndex::slot_of_node`].
 const NO_SLOT: u32 = u32::MAX;
 
 impl LocationIndex {
-    /// Builds the geometry, also returning each endpoint's location slot
-    /// (the table's column map).
-    fn build(locations: &[NodeId]) -> (Self, Vec<u32>) {
-        let mut idx = LocationIndex::default();
+    /// Builds the geometry over the nodes' components, also returning each
+    /// endpoint's location slot (the table's column map).
+    fn build(locations: &[NodeId], node_component: Arc<[u32]>) -> (Self, Vec<u32>) {
+        let mut idx = LocationIndex {
+            node_component,
+            ..LocationIndex::default()
+        };
         let mut lists: Vec<Vec<u32>> = Vec::new();
         let mut slot_of_endpoint = Vec::with_capacity(locations.len());
         for (e, &loc) in locations.iter().enumerate() {
@@ -757,14 +768,37 @@ impl LocationIndex {
             self.slot_of_node.resize(node.index() + 1, NO_SLOT);
         }
         self.slot_of_node[node.index()] = slot;
+        let (c, end) = (self.component(node), self.by_component.len() as u32);
+        self.starts.resize(self.starts.len().max(c + 2), end);
+        self.by_component.insert(self.starts[c + 1] as usize, slot);
+        self.starts[c + 1..].iter_mut().for_each(|s| *s += 1);
         slot
     }
 
-    /// The columns of slot `si`'s row, ascending: every other slot with a
-    /// live endpoint (same-location pairs stay local, never routed).
-    fn row_columns(&self, si: usize) -> impl Iterator<Item = usize> + Clone + '_ {
-        let slots = 0..self.locations.len();
+    /// `node`'s structural component (0 outside the map).
+    fn component(&self, node: NodeId) -> usize {
+        let c = self.node_component.get(node.index());
+        c.map_or(0, |&c| c as usize)
+    }
+
+    /// The columns of slot `si`'s row, ascending: every other live slot of
+    /// its component (no route leaves it; same-location pairs stay local).
+    fn row_columns(&self, si: usize) -> impl DoubleEndedIterator<Item = usize> + Clone + '_ {
+        let c = self.component(self.locations[si]);
+        let slots = &self.by_component[self.starts[c] as usize..self.starts[c + 1] as usize];
+        let slots = slots.iter().map(|&di| di as usize);
         slots.filter(move |&di| di != si && !self.endpoints[di].is_empty())
+    }
+
+    /// Sizes `row` to the window slot `si`'s columns span, unroutable, and
+    /// returns the window's first column.
+    fn row_window(&self, si: usize, row: &mut Vec<u32>) -> usize {
+        let mut columns = self.row_columns(si);
+        let first = columns.next();
+        let last = columns.next_back().or(first);
+        row.clear();
+        row.resize(first.zip(last).map_or(0, |(a, b)| b + 1 - a), NO_ROUTE);
+        first.unwrap_or(0)
     }
 }
 
@@ -882,16 +916,10 @@ impl RouteTable {
     /// [`RouteTable::set_pair`].
     pub fn new(endpoint_count: usize) -> Self {
         let own: Vec<NodeId> = (0..endpoint_count).map(NodeId).collect();
-        let mut table = Self::rowless(&own);
+        let (locs, cols) = LocationIndex::build(&own, Arc::default());
+        let mut table = Self::with_geometry(cols, locs);
         table.rows = blocks_from_flat(vec![RowShard::Empty; endpoint_count]);
         table
-    }
-
-    /// A table over the given binding with no rows yet: [`RouteTable::new`]
-    /// gives every location an empty one, `derive_rows` derives them.
-    fn rowless(locations: &[NodeId]) -> Self {
-        let (locs, slot_of_endpoint) = LocationIndex::build(locations);
-        Self::with_geometry(slot_of_endpoint, locs)
     }
 
     /// A table with no route and no row over this geometry.
@@ -958,7 +986,8 @@ impl RouteTable {
     /// O(endpoints²). Same-location pairs stay unroutable — callers deliver
     /// those locally without touching a route.
     pub fn build(matrix: &RoutingMatrix, locations: &[NodeId]) -> Self {
-        let mut table = Self::rowless(locations);
+        let (locs, cols) = LocationIndex::build(locations, Arc::clone(&matrix.node_component));
+        let mut table = Self::with_geometry(cols, locs);
         table.derive_rows(matrix);
         table
     }
@@ -977,14 +1006,13 @@ impl RouteTable {
                 return RowShard::Empty;
             }
             let mut run = resolver.run(matrix, locs.locations[si]);
-            row.clear();
-            row.resize(locs.locations.len(), NO_ROUTE);
+            let base = locs.row_window(si, &mut row);
             for di in locs.row_columns(si) {
                 let route = run.route(locs.locations[di]);
                 let appended = run.pipes(route).map(|(pipes, _)| store.append(pipes, None));
-                row[di] = appended.map_or(NO_ROUTE, |id| id.0);
+                row[di - base] = appended.map_or(NO_ROUTE, |id| id.0);
             }
-            RowShard::from_window(0, &row)
+            RowShard::from_window(base, &row)
         });
         self.rows = blocks_from_flat(rows.collect());
         self.rows_read = Some(self.route_count());
@@ -1148,8 +1176,8 @@ impl RouteTable {
     /// A join at a location that already has a live endpoint is **one
     /// column write**: the newcomer reads the location's row. A join at a
     /// fresh or fully departed location derives that one row from the matrix
-    /// and refreshes the location's destination column in the other live
-    /// locations' rows (O(locations) patches — flat in the endpoint count).
+    /// and refreshes the location's destination column in the rows of its
+    /// component's other live locations (a patch each, flat in endpoints).
     /// Route ids are append-only throughout, so descriptors in flight keep
     /// resolving.
     ///
@@ -1192,16 +1220,16 @@ impl RouteTable {
             // (new slot) or stale (routing changed while it was fully
             // departed) — refresh them, one patch per live source location.
             let (locs, resolver) = (Arc::clone(&self.locs), Arc::clone(&self.resolver));
-            let (mut resolver, mut ids) = (lock(&resolver), Vec::new());
+            let (mut resolver, mut ids, mut row) = (lock(&resolver), Vec::new(), Vec::new());
             let mut run = resolver.run(matrix, location);
             let dsts = locs.row_columns(slot).map(|di| locs.locations[di]);
             let routes: Vec<Route> = dsts.map(|dst| run.route(dst)).collect();
             self.intern_run(&run, &routes, &mut ids);
-            let mut row = vec![NO_ROUTE; locs.locations.len()];
+            let base = locs.row_window(slot, &mut row);
             for (di, &raw) in locs.row_columns(slot).zip(&ids) {
-                row[di] = raw;
+                row[di - base] = raw;
             }
-            self.set_row(slot, RowShard::from_window(0, &row));
+            self.set_row(slot, RowShard::from_window(base, &row));
             for si in locs.row_columns(slot) {
                 let mut run = resolver.run(matrix, locs.locations[si]);
                 let route = [run.route(location)];
@@ -1215,9 +1243,9 @@ impl RouteTable {
     /// Unbinds `endpoint` — the leave half of live endpoint churn: its
     /// column entry is marked departed (new lookups from it fail) and it
     /// leaves its location's endpoint list, touching O(1) blocks. If it was
-    /// the last endpoint there, the location's row and every other row's
-    /// column toward it are cleared (O(locations) patches, as a first join
-    /// there refreshes them), so the rows stay what [`RouteTable::build`]
+    /// the last endpoint there, the location's row and its component's rows'
+    /// columns toward it are cleared (a patch each, as a first join there
+    /// refreshes them), so the rows stay what [`RouteTable::build`]
     /// derives for the live endpoints. Every interned route is retained, so
     /// descriptors in flight drain deterministically on their ids.
     ///
@@ -1500,6 +1528,7 @@ impl RouteTable {
         endpoints: usize,
         slots: usize,
         node_limit: usize,
+        node_component: Arc<[u32]>,
     ) -> Result<(Vec<u32>, LocationIndex), CodecError> {
         use CodecError::Invalid;
         let mut cols = Vec::with_capacity(endpoints);
@@ -1509,7 +1538,7 @@ impl RouteTable {
         if slots > DEPARTED as usize || cols.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
-        let mut locs = LocationIndex::default();
+        let (mut locs, _) = LocationIndex::build(&[], node_component);
         for _ in 0..slots {
             let loc = NodeId::get(r)?;
             if loc.index() >= node_limit {
@@ -1562,7 +1591,8 @@ impl RouteTable {
         // count of its endpoint list.
         let endpoints = r.get_count(u32::MIN_BYTES)?;
         let slots = r.get_count(<(NodeId, Vec<u32>)>::MIN_BYTES)?;
-        let (cols, locs) = Self::get_geometry(r, endpoints, slots, matrix.node_count)?;
+        let components = Arc::clone(&matrix.node_component);
+        let (cols, locs) = Self::get_geometry(r, endpoints, slots, matrix.node_count, components)?;
         let ends = r.get_u32s()?;
         let held = Chunk {
             pipes: r.get_u32s()?.into_iter().map(PipeId).collect(),
@@ -1646,7 +1676,8 @@ impl RouteTable {
         }
         // The routing matrix that follows spends four bytes on every node.
         let node_limit = r.remaining().saturating_mul(8);
-        let (cols, locs) = Self::get_geometry(r, endpoint_count, slots, node_limit)?;
+        let no_map = Arc::default();
+        let (cols, locs) = Self::get_geometry(r, endpoint_count, slots, node_limit, no_map)?;
         for (row, list) in rows.iter().zip(&locs.endpoints) {
             if list.is_empty() && *row != RowShard::Empty {
                 return Err(Invalid("location without endpoints carries a row"));
@@ -1729,6 +1760,7 @@ impl RouteTable {
         // Location geometry.
         let locs = &*self.locs;
         bytes += locs.locations.capacity() * size_of::<NodeId>() + locs.slot_of_node.capacity() * 4;
+        bytes += (locs.by_component.capacity() + locs.starts.capacity()) * 4;
         let lists = locs.endpoints.iter();
         bytes += lists
             .map(|v| v.len() * 4 + ARC_HEADER + size_of::<Arc<[u32]>>())
@@ -2271,7 +2303,11 @@ mod tests {
             let healthy: Vec<_> = d.pipes().map(|(_, p)| p.attrs).collect();
             let mut tables = [
                 RouteTable::build(&matrix, &locations),
-                RouteTable::rowless(&locations),
+                {
+                    let node_component = Arc::clone(&matrix.node_component);
+                    let (locs, cols) = LocationIndex::build(&locations, node_component);
+                    RouteTable::with_geometry(cols, locs)
+                },
             ];
             Arc::make_mut(&mut tables[1].store).degenerate = true;
             tables[1].derive_rows(&matrix);
@@ -2463,6 +2499,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_build_over_disjoint_paths_reads_a_predecessor_a_hop_and_a_location() {
+        // `fwd_chain8`'s geometry: 256 disjoint 8-hop paths, 512 locations
+        // and 512 routes. A row visits its own component's slots only, so
+        // the build reads at most one predecessor a hop of every route and
+        // one a location.
+        use mn_topology::generators::{path_pairs_topology, PathPairsParams};
+        let params = PathPairsParams {
+            pairs: 256,
+            hops: 8,
+            ..Default::default()
+        };
+        let d = distill(&path_pairs_topology(&params).0, DistillationMode::HopByHop);
+        let table = RouteTable::build(&RoutingMatrix::build(&d), d.vns());
+        let (routes, locations) = (table.route_count(), table.locs.locations.len());
+        assert_eq!((routes, locations), (512, 512));
+        let mut hops = (0..routes).map(|id| table.pipes(RouteId(id as u32)).len());
+        assert!(hops.all(|hops| hops == 8));
+        let steps = table.predecessor_steps();
+        println!("{routes} routes over {locations} locations: {steps} predecessor reads");
+        assert!(steps <= (routes * 8 + locations) as u64, "{steps} reads");
     }
 
     #[test]

@@ -269,6 +269,29 @@ fn walk_in_out_preserves_the_core_and_collapses_around_it() {
     assert_eq!(d.max_route_pipes(), 2 + 2 + 3);
 }
 
+/// Hop-by-hop records no route bound: routes minimise latency, not hops, so
+/// the hop diameter bounds no route. x and y hang off routers A and C, joined
+/// by A–B–C at 1 ms a link and by a direct 10 ms A–C link: the diameter is 3,
+/// and the route x → y takes the 4 fast pipes.
+#[test]
+fn hop_by_hop_records_no_bound_since_a_route_may_exceed_the_hop_diameter() {
+    let mut topo = Topology::new();
+    let x = topo.add_node(NodeKind::Client);
+    let routers: Vec<NodeId> = (0..3).map(|_| topo.add_node(NodeKind::Stub)).collect();
+    let y = topo.add_node(NodeKind::Client);
+    let ms = |ms| LinkAttrs::new(DataRate::from_mbps(10), SimDuration::from_millis(ms));
+    topo.add_link(x, routers[0], ms(1)).unwrap();
+    topo.add_link(routers[0], routers[1], ms(1)).unwrap();
+    topo.add_link(routers[1], routers[2], ms(1)).unwrap();
+    topo.add_link(routers[2], y, ms(1)).unwrap();
+    topo.add_link(routers[0], routers[2], ms(10)).unwrap();
+
+    let d = distill(&topo, DistillationMode::HopByHop);
+    assert_eq!(topo.hop_diameter(), 3);
+    assert_eq!(route_between(&d, x, y).expect("route").hop_count(), 4);
+    assert_eq!(d.max_route_pipes(), 0, "unknown, not the diameter");
+}
+
 /// Regression for the walk-in/out route bound: a route crossing the
 /// preserved core traverses *two* mesh pipes (interior→boundary and
 /// boundary→interior), so the bound must budget `2*walk_in + 2 + |core|` —

@@ -20,18 +20,22 @@
 //!    co-located join or leave touches no row at all.
 //! 4. **Byte stability.** `encode → decode → encode` reproduces the bytes
 //!    after every step.
+//!
+//! A row covers its source's structural component only; on a topology of
+//! several components, a build, first joins at new locations and last
+//! leaves give every route and id the derive over every slot gives.
 
 mod common;
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use common::arb_unique_path_topology;
 use mn_distill::{distill, DistillationMode, DistilledTopology, PipeId};
 use mn_routing::{RouteId, RouteTable, RoutingMatrix};
-use mn_topology::NodeId;
-use mn_util::{ByteReader, ByteWriter, DataRate};
+use mn_topology::{LinkAttrs, NodeId, NodeKind, Topology};
+use mn_util::{ByteReader, ByteWriter, DataRate, SimDuration};
 
 /// One random perturbation of a duplex link.
 #[derive(Debug, Clone, Copy)]
@@ -155,6 +159,72 @@ impl Sut {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_multi_component_table_matches_the_derive_over_every_slot(
+        components in 2usize..4,
+        routers in 1usize..4,
+        clients in 1usize..3,
+        ops in prop::collection::vec((0u8..3, any::<usize>(), any::<usize>()), 1..16),
+    ) {
+        let d = distill(&disjoint_chains(components, routers, clients), DistillationMode::HopByHop);
+        let homes = d.vns().to_vec();
+        let matrix = RoutingMatrix::build(&d);
+        // Every third client is left unbound, so a join can open a location.
+        let bound: Vec<NodeId> = homes.iter().copied().step_by(3).chain(
+            homes.iter().copied().skip(1).step_by(3)).collect();
+        let locations: Vec<NodeId> = bound.iter().chain(&bound).copied().collect();
+        let table = RouteTable::build(&matrix, &locations);
+        let live = vec![true; locations.len()];
+        let mut sut = Sut { matrix, table, locations, live };
+        let mut model = AllSlots::default();
+        for &at in &sut.locations {
+            if !model.slots.contains(&at) {
+                model.slots.push(at);
+            }
+        }
+        let slots = model.live_except(&sut, None);
+        for &src in &slots {
+            for &dst in slots.iter().filter(|&&dst| dst != src) {
+                model.derive(&sut.matrix, src, dst);
+            }
+        }
+        for (kind, choice, at) in ops {
+            let at = homes[at % homes.len()];
+            let joined = match kind {
+                0 => {
+                    if let Some(e) = sut.pick(true, choice) {
+                        sut.leave(e);
+                    }
+                    None
+                }
+                1 => sut.pick(false, choice).map(|e| (e, sut.join(&d, e, at))),
+                _ => Some((sut.live.len(), sut.join(&d, sut.live.len(), at))),
+            };
+            if let Some((_, true)) = joined {
+                if !model.slots.contains(&at) {
+                    model.slots.push(at);
+                }
+                for dst in model.live_except(&sut, Some(at)) {
+                    model.derive(&sut.matrix, at, dst);
+                }
+                for src in model.live_except(&sut, Some(at)) {
+                    model.derive(&sut.matrix, src, at);
+                }
+            }
+            let (n, table) = (sut.live.len(), &sut.table);
+            prop_assert_eq!(table.route_count(), model.ids.len());
+            for s in (0..n).filter(|&s| sut.live[s]) {
+                for t in (0..n).filter(|&t| sut.live[t]) {
+                    let (src, dst) = (sut.locations[s], sut.locations[t]);
+                    let route = sut.matrix.lookup(src, dst).filter(|_| src != dst);
+                    let expected = route.map(|r| (model.ids[&r.pipes], r.pipes));
+                    let got = table.route_id(s, t).map(|id| (id.0, table.pipes(id).to_vec()));
+                    prop_assert_eq!(got, expected, "{} -> {}", s, t);
+                }
+            }
+        }
+    }
 
     #[test]
     fn sharded_table_matches_dense_reference_under_random_dynamics(
@@ -306,6 +376,68 @@ proptest! {
             restored.encode(&mut w);
             prop_assert!(bytes == w.into_bytes(), "encode -> decode -> encode after {:?}", op);
         }
+    }
+}
+
+/// `components` disjoint chains of `routers` routers, `clients` clients a
+/// router, the clients added round-robin over the components so that their
+/// VN order interleaves the components.
+fn disjoint_chains(components: usize, routers: usize, clients: usize) -> Topology {
+    let mut topo = Topology::new();
+    let chains: Vec<Vec<NodeId>> = (0..components)
+        .map(|_| {
+            (0..routers)
+                .map(|_| topo.add_node(NodeKind::Stub))
+                .collect()
+        })
+        .collect();
+    let link = |k: usize| {
+        LinkAttrs::new(
+            DataRate::from_mbps(10),
+            SimDuration::from_micros(100 + k as u64),
+        )
+    };
+    let mut links = 0;
+    for chain in &chains {
+        for pair in chain.windows(2) {
+            links += 1;
+            topo.add_link(pair[0], pair[1], link(links)).unwrap();
+        }
+    }
+    for i in 0..components * routers * clients {
+        let client = topo.add_node(NodeKind::Client);
+        links += 1;
+        let router = chains[i % components][(i / components) % routers];
+        topo.add_link(client, router, link(links)).unwrap();
+    }
+    topo
+}
+
+/// The derive over every slot: a row visits every other live slot, and a
+/// route takes the next id when its content is first derived — at a build,
+/// row by row in slot order, and at a first join, the location's row, then
+/// every other row's column toward it.
+#[derive(Default)]
+struct AllSlots {
+    /// Location nodes in slot order (first appearance).
+    slots: Vec<NodeId>,
+    ids: HashMap<Vec<PipeId>, u32>,
+}
+
+impl AllSlots {
+    fn derive(&mut self, matrix: &RoutingMatrix, src: NodeId, dst: NodeId) {
+        if let Some(route) = matrix.lookup(src, dst) {
+            let next = self.ids.len() as u32;
+            self.ids.entry(route.pipes).or_insert(next);
+        }
+    }
+
+    /// Live slots in slot order, other than `at`.
+    fn live_except(&self, sut: &Sut, at: Option<NodeId>) -> Vec<NodeId> {
+        let live = |&&node: &&NodeId| {
+            Some(node) != at && (0..sut.live.len()).any(|e| sut.live[e] && sut.locations[e] == node)
+        };
+        self.slots.iter().filter(live).copied().collect()
     }
 }
 

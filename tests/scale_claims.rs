@@ -592,6 +592,31 @@ fn the_routing_matrix_of_4096_locations_stores_a_row_a_router() {
     assert!(4 * slots * nodes > bound, "a row per slot fits the bound");
 }
 
+/// (x) Setup at the paper's §5 scale, "10,000 unmodified gnutella clients":
+/// the 100 × 100 ring (10 000 VN locations, 10 100 nodes) distils hop-by-hop
+/// with no all-pairs pass (hop-by-hop records no route bound, which the hop
+/// diameter was not) and builds its matrix with one Dijkstra a router.
+#[test]
+fn the_100x100_ring_distils_and_builds_its_matrix_at_a_dijkstra_a_router() {
+    let _turn = my_turn();
+    let topo = ring_topology(&RingParams {
+        routers: 100,
+        clients_per_router: 100,
+        ..RingParams::default()
+    });
+    let d = distill(&topo, DistillationMode::HopByHop);
+    assert_eq!((d.vns().len(), d.node_count()), (10_000, 10_100));
+    assert_eq!(d.max_route_pipes(), 0, "no bound recorded");
+    let matrix = RoutingMatrix::build(&d);
+    println!(
+        "(x) 100 x 100 ring: {} pipes, {} rows, {} Dijkstra runs",
+        d.pipe_count(),
+        matrix.stored_row_count(),
+        matrix.dijkstra_runs()
+    );
+    assert_eq!(matrix.dijkstra_runs(), 100);
+}
+
 /// (vi) A rewire walks a source's tree once a run, not once a route: on
 /// `ctl_live4k`'s geometry (the 32 x 8 ring, 16 VNs a location) one
 /// link-down changes thousands of routes, and walking each alone read a
