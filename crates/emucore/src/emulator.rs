@@ -505,7 +505,8 @@ impl Emulator {
         for &(pipe, bps) in changed {
             // A routed flow's pipes are its route's, and every route names
             // pipes the POD covers (`Emulator::new` builds the table over
-            // the POD's topology, `decode` checks `pipe_bound`); a pinned
+            // the POD's topology, `decode` checks the matrix's pipes against
+            // the POD's and each held route's against the matrix's); a pinned
             // flow's pipe has an owner (`set_pipe_compensation` asks, and
             // `FluidState::decode` refuses one beyond the POD's pipes).
             let owner = self
@@ -936,15 +937,13 @@ impl Emulator {
     /// [`CodecError`] if the payload is inconsistent or is not consumed to
     /// the last byte.
     pub fn restore(snapshot: &EmulatorSnapshot) -> Result<Self, CodecError> {
-        let (version, payload) = snapshot.reader();
-        Self::decode(version, payload, None)
+        Self::decode(snapshot.reader(), None)
     }
 
     /// [`Emulator::restore`] straight from a framed snapshot of any version
     /// this build reads: `framed` is verified and decoded in place.
     pub fn restore_bytes(framed: &[u8]) -> Result<Self, CodecError> {
-        let (version, payload) = EmulatorSnapshot::verify(framed)?;
-        Self::decode(version, payload, None)
+        Self::decode(EmulatorSnapshot::verify(framed)?, None)
     }
 
     /// [`Emulator::restore_bytes`] onto the executor `self` runs on: a
@@ -952,15 +951,14 @@ impl Emulator {
     /// run), the calling thread on the inline one; where `self`'s route
     /// table is the one the frame would derive, it is shared instead.
     pub fn restore_like(&self, framed: &[u8]) -> Result<Self, CodecError> {
-        let (version, payload) = EmulatorSnapshot::verify(framed)?;
-        let restored = Self::decode(version, payload, Some(self))?;
+        let restored = Self::decode(EmulatorSnapshot::verify(framed)?, Some(self))?;
         Ok(match self.exec {
             Executor::Inline(_) => restored,
             Executor::Threaded(_) => restored.threaded(),
         })
     }
 
-    /// The one decoder, over a verified payload of format `version`. The
+    /// The one decoder, over a verified payload. The
     /// checksum only says the bytes are the ones written; every index the
     /// run phase later uses unchecked — entry cores, each route's pipes
     /// against the ownership directory, each descriptor's route and hop,
@@ -972,32 +970,18 @@ impl Emulator {
     /// fluid solver's per-pipe capacities and demands from the restored
     /// pipes, which hold both. The route table is derived over the
     /// restored matrix, or is `own`'s ([`RouteTable::decode_section`]), and
-    /// numbered as [`RouteTable::numbering`] numbers it. A v13 frame holds
-    /// the whole table, whose columns toward departed locations are cleared.
+    /// numbered as [`RouteTable::numbering`] numbers it. A held route names
+    /// only the matrix's pipes, and the matrix only the POD's.
     /// The frame is written out rather than declared because those checks
     /// need what was read before them.
-    fn decode(
-        version: u32,
-        mut payload: ByteReader<'_>,
-        own: Option<&Emulator>,
-    ) -> Result<Self, CodecError> {
+    fn decode(mut payload: ByteReader<'_>, own: Option<&Emulator>) -> Result<Self, CodecError> {
         use CodecError::Invalid;
         let r = &mut payload;
         let profile = HardwareProfile::get(r)?;
-        let (matrix, routes) = match version {
-            13 => {
-                let routes = RouteTable::decode(r)?;
-                (RoutingMatrix::get_v13(r)?, routes)
-            }
-            _ => {
-                let matrix = RoutingMatrix::get(r)?;
-                let own = own.filter(|own| own.matrix.same_state(&matrix));
-                let own = own.map(|own| &*own.admission.routes);
-                let routes = RouteTable::decode_section(r, &matrix, own)?;
-                (matrix, routes)
-            }
-        };
-        let mut routes = Arc::new(routes);
+        let matrix = RoutingMatrix::get(r)?;
+        let own = own.filter(|own| own.matrix.same_state(&matrix));
+        let own = own.map(|own| &*own.admission.routes);
+        let routes = Arc::new(RouteTable::decode_section(r, &matrix, own)?);
         let core_count = usize::get(r)?;
         if core_count == 0 {
             return Err(Invalid("no cores"));
@@ -1009,9 +993,6 @@ impl Emulator {
         let owners = owners.into_iter().map(|o| CoreId(o as usize)).collect();
         let pod = Arc::new(PipeOwnershipDirectory::from_owners(owners, core_count));
         // A hop is forwarded by asking the directory who owns its pipe.
-        if routes.pipe_bound() > pod.pipe_count() {
-            return Err(Invalid("route names a pipe the POD does not cover"));
-        }
         if matrix.pipe_count() != pod.pipe_count() {
             return Err(Invalid("routing matrix and POD differ in pipes"));
         }
@@ -1046,13 +1027,6 @@ impl Emulator {
             Ok((_, None))
         ) {
             return Err(Invalid("routes not numbered as a checkpoint numbers them"));
-        }
-        if version == 13 {
-            Arc::make_mut(&mut routes).clear_departed_columns();
-            // Invariant: the inline executor's broadcast cannot fail.
-            inline
-                .broadcast_routes(&routes)
-                .expect("inline cores take routes");
         }
         // Each pipe's capacity and fluid demand are its owner's copy's.
         for p in 0..pod.pipe_count() {

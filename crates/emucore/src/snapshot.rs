@@ -15,7 +15,8 @@
 //! payload length, payload, checksum of the payload): a truncated, corrupted,
 //! padded or unsupported-version snapshot is a structured [`CodecError`],
 //! never a mis-restore. A build reads the version it writes and the one
-//! before, here 14 and 13; a version bump retires the decoder two behind.
+//! before, here 15 and 14, which share one layout; a version bump retires
+//! the decoder two behind.
 //! The sum folds in the version word ([`frame_sum`]). The
 //! runner's `MNRS` frame, which nests this one, carries the same version.
 //! The payload persists each fact once: since version 14 it writes no route
@@ -37,7 +38,7 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D4E_5350;
 /// frame and by the runner's `MNRS` frame alike. Bumped on any change to
 /// either format; decoders read this version and the one before, and reject
 /// every other with [`CodecError::BadVersion`] ([`frame_sum`]).
-pub const SNAPSHOT_VERSION: u32 = 14;
+pub const SNAPSHOT_VERSION: u32 = 15;
 
 /// The sum a frame of `version` records over a payload that `sum` sums, if
 /// this build reads that version: [`SNAPSHOT_VERSION`] and the one before.
@@ -68,12 +69,10 @@ pub struct EmulatorSnapshot {
 }
 
 impl EmulatorSnapshot {
-    /// The verified frame's version word and a reader over its payload
-    /// (after the 16-byte header), for restore.
-    pub(crate) fn reader(&self) -> (u32, ByteReader<'_>) {
-        let version = u32::from_le_bytes(self.framed[4..8].try_into().expect("4 bytes"));
-        let payload = &self.framed[16..self.framed.len() - 8];
-        (version, ByteReader::new(payload))
+    /// A reader over the verified frame's payload (after the 16-byte
+    /// header), for restore.
+    pub(crate) fn reader(&self) -> ByteReader<'_> {
+        ByteReader::new(&self.framed[16..self.framed.len() - 8])
     }
 
     /// The frame, for storage, as the encoder wrote it or
@@ -83,10 +82,12 @@ impl EmulatorSnapshot {
     }
 
     /// Checks a frame (magic, a version this build reads, length, that
-    /// version's checksum, nothing after it) and returns its version with a
-    /// reader that borrows the payload.
-    pub(crate) fn verify(bytes: &[u8]) -> Result<(u32, ByteReader<'_>), CodecError> {
-        ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |v| frame_sum(v, checksum64))
+    /// version's checksum, nothing after it) and returns a reader that
+    /// borrows the payload: both versions share one layout.
+    pub(crate) fn verify(bytes: &[u8]) -> Result<ByteReader<'_>, CodecError> {
+        let (_, payload) =
+            ByteReader::open_frame(bytes, SNAPSHOT_MAGIC, |v| frame_sum(v, checksum64))?;
+        Ok(payload)
     }
 
     /// Parses and validates a framed snapshot. Rejects bad magic, versions
@@ -115,8 +116,7 @@ mod tests {
         };
         let bytes = snap.to_bytes();
         assert_eq!(EmulatorSnapshot::from_bytes(&bytes).unwrap(), snap);
-        let (version, payload) = snap.reader();
-        assert_eq!((version, payload.remaining()), (SNAPSHOT_VERSION, 8));
+        assert_eq!(snap.reader().remaining(), 8);
 
         // Anything after the checksum: refused, not ignored.
         let mut padded = bytes.clone();

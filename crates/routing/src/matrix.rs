@@ -1399,26 +1399,9 @@ impl Codec for RoutingMatrix {
     }
 
     fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        RoutingMatrix::get_with(r, true)
-    }
-}
-
-impl RoutingMatrix {
-    /// [`Codec::get`] of the previous version's layout, which writes no
-    /// heads: a pipe's head is taken as its duplex twin's tail (pipes `2k`
-    /// and `2k + 1`, as distillation lays links out).
-    pub fn get_v13(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        RoutingMatrix::get_with(r, false)
-    }
-
-    fn get_with(r: &mut ByteReader<'_>, heads: bool) -> Result<Self, CodecError> {
         let vns = Vec::<NodeId>::get(r)?;
         let (node_count, pipe_cost, pipe_src): (usize, Vec<u64>, Vec<u32>) = Codec::get(r)?;
-        let pipe_dst = match (heads, pipe_src.len() % 2) {
-            (true, _) => r.get_bare_u32s(pipe_src.len())?,
-            (false, 0) => (0..pipe_src.len()).map(|p| pipe_src[p ^ 1]).collect(),
-            _ => return Err(CodecError::Invalid("pipes not in duplex pairs")),
-        };
+        let pipe_dst = r.get_bare_u32s(pipe_src.len())?;
         let mut m = RoutingMatrix {
             vns,
             node_count,

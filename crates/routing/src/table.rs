@@ -67,14 +67,13 @@
 //! append every location pair's route unprobed (its first pipe leaves the
 //! source location and its last enters the destination, so no two pairs
 //! share a route and every probe would miss), a restore then the held
-//! routes, which a checkpoint wrote distinct from those, and the previous
-//! version's `decode` fills whole chunks. The first `find` builds it, in
-//! one pass in id order over a table sized once: a run or a restore that
-//! only forwards never pays for it. It sits with the store behind one
-//! `Arc`: generations share both, and the first to intern new content
-//! copies the chunk handles, the open tail and the index — flat, 16 B per
-//! slot at 4/3 to 8/3 slots per route: ≤ 43 B per route — so a link-up or
-//! an oscillation, which intern nothing, never pays.
+//! routes, which a checkpoint wrote distinct from those. The first `find`
+//! builds it, in one pass in id order over a table sized once: a run or a
+//! restore that only forwards never pays for it. It sits with the store
+//! behind one `Arc`: generations share both, and the first to intern new
+//! content copies the chunk handles, the open tail and the index — flat,
+//! 16 B per slot at 4/3 to 8/3 slots per route: ≤ 43 B per route — so a
+//! link-up or an oscillation, which intern nothing, never pays.
 //!
 //! Endpoint indices are the dense VN indices of the binding (`VnId::index`),
 //! but the table is deliberately typed on `usize` so `mn-routing` stays
@@ -219,15 +218,6 @@ impl RowShard {
         }
     }
 
-    /// Checks the window against `columns` ([`RouteTable::decode`] checks the ids).
-    fn check(&self, columns: usize) -> Result<(), CodecError> {
-        let (base, width) = self.window();
-        if base + width > columns {
-            return Err(CodecError::Invalid("row window outside the column range"));
-        }
-        Ok(())
-    }
-
     /// `true` when two shards are literally the same storage: a shared slot
     /// allocation for spilled rows, bit-identical content for the
     /// allocation-free forms.
@@ -358,47 +348,6 @@ impl RowShard {
     }
 }
 
-/// The shard verbatim — a tag byte (0 empty, 1 inline, 2 spilled), the
-/// window's base, then its slots: a width byte and the ids inline, a `u32`
-/// run spilled — so a restored row patches exactly like the captured one.
-/// Form and geometry are checked as read; what the shard names is
-/// [`RowShard::check`]ed once the store and the column count are known.
-impl Codec for RowShard {
-    const MIN_BYTES: usize = 1;
-
-    fn put(&self, w: &mut ByteWriter) {
-        match self {
-            RowShard::Empty => w.put_u8(0),
-            RowShard::Inline { base, len, .. } => (1u8, *base, *len).put(w),
-            RowShard::Spilled { base, slots } => (2u8, *base, slots.len()).put(w),
-        }
-        w.put_bare_u32s(self.ids().iter().copied());
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        use CodecError::Invalid;
-        Ok(match r.get_u8()? {
-            0 => RowShard::Empty,
-            1 => {
-                let (base, len) = <(u32, u8)>::get(r)?;
-                if len as usize > INLINE_ROW_CAP {
-                    return Err(Invalid("inline row too wide"));
-                }
-                let mut slots = [NO_ROUTE; INLINE_ROW_CAP];
-                for slot in &mut slots[..len as usize] {
-                    *slot = u32::get(r)?;
-                }
-                RowShard::Inline { base, len, slots }
-            }
-            2 => RowShard::Spilled {
-                base: u32::get(r)?,
-                slots: u32::get_run(r)?.into(),
-            },
-            _ => return Err(Invalid("unknown row shard tag")),
-        })
-    }
-}
-
 /// One chunk of the route arena: up to [`ROUTE_CHUNK`] routes back to back.
 #[derive(Debug, Clone, Default)]
 struct Chunk {
@@ -427,10 +376,8 @@ impl Chunk {
 struct RouteStore {
     sealed: Vec<Arc<Chunk>>,
     tail: Chunk,
-    /// One past the largest pipe id any stored route names (0: none).
-    pipe_bound: usize,
-    /// Built by the first [`RouteStore::find`]: `build` appends and
-    /// `decode` fills chunks without it.
+    /// Built lazily, by the first [`RouteStore::find`]: `build` and
+    /// `decode_section` append without it.
     index: OnceLock<ContentIndex>,
     /// Test-only: the index, whenever it is built, folds every sequence to
     /// the same fingerprint (see [`ContentIndex::degenerate`]).
@@ -516,15 +463,13 @@ impl RouteStore {
         if let Some(last) = last {
             self.tail.pipes.push(last);
         }
-        let top = head.iter().max().copied().max(last);
-        self.pipe_bound = self.pipe_bound.max(top.map_or(0, |p| p.index() + 1));
         // Invariant: a chunk holds at most `ROUTE_CHUNK` routes, each a
         // walk up one component's tree, so fewer hops than its nodes; a
         // built chunk's offsets fit u32 below 4 M nodes a component (a
-        // matrix row of 16 MiB). A decoded tail's pipe count is its last
-        // end, a `u32` the decoder checks ("a chunk's last route end is not
-        // its pipe count"), so appending to it overflows only within one
-        // route of 2^32 pipes: a 16 GiB frame.
+        // matrix row of 16 MiB). A restore's held routes are ends of a
+        // `u32` run that rises to their pipe count ("held routes' ends do
+        // not rise to their pipes"), so appending them overflows only
+        // within routes of 2^32 pipes: a 16 GiB frame.
         let end = u32::try_from(self.tail.pipes.len()).expect("a chunk's pipes fit u32 offsets");
         self.tail.ends.push(end);
         if self.tail.ends.len() == ROUTE_CHUNK {
@@ -538,46 +483,6 @@ impl RouteStore {
             index.insert(fingerprint, id);
         }
         id
-    }
-
-    /// Fills an empty store from the chunk form [`RouteTable::encode`]
-    /// writes: a chunk count, then per chunk its `ends` and its pipes as
-    /// `u32` runs, each copied in bulk into the chunk's two buffers.
-    fn fill_chunks(&mut self, r: &mut ByteReader) -> Result<(), CodecError> {
-        use CodecError::Invalid;
-        // A chunk is at least its two count prefixes; the tail is always
-        // written, and only ever short of full (a full one is sealed).
-        let chunks = r.get_count(<(Vec<u32>, Vec<u32>)>::MIN_BYTES)?;
-        if chunks == 0 || (chunks - 1) * ROUTE_CHUNK >= NO_ROUTE as usize {
-            return Err(Invalid(
-                "route store has no tail chunk, or more routes than ids",
-            ));
-        }
-        self.sealed.reserve_exact(chunks - 1);
-        for at in 1..=chunks {
-            let ends = r.get_u32s()?;
-            let (full, tail) = (ends.len() == ROUTE_CHUNK, at == chunks);
-            if ends.len() > ROUTE_CHUNK || full == tail {
-                return Err(Invalid(
-                    "every chunk is full, except the tail, which is not",
-                ));
-            }
-            if ends.windows(2).any(|pair| pair[0] > pair[1]) {
-                return Err(Invalid("a chunk's route ends decrease"));
-            }
-            let pipes: Vec<PipeId> = r.get_u32s()?.into_iter().map(PipeId).collect();
-            if ends.last().map_or(0, |&end| end as usize) != pipes.len() {
-                return Err(Invalid("a chunk's last route end is not its pipe count"));
-            }
-            let top = pipes.iter().max().map_or(0, |p| p.index() + 1);
-            self.pipe_bound = self.pipe_bound.max(top);
-            let chunk = Chunk { ends, pipes };
-            match tail {
-                true => self.tail = chunk,
-                false => self.sealed.push(Arc::new(chunk)),
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1489,9 +1394,19 @@ impl RouteTable {
         rows: usize,
         numbering: Option<&RouteNumbering>,
     ) {
+        // The column map without the departed bits, each location slot's
+        // node, and each slot's endpoint list.
         w.put_usize(self.endpoint_count);
         w.put_len(self.locs.locations.len());
-        self.put_geometry(w);
+        for block in &self.cols {
+            block.iter().for_each(|&col| w.put_u32(col & !DEPARTED));
+        }
+        for &loc in &self.locs.locations {
+            w.put_usize(loc.index());
+        }
+        for list in &self.locs.endpoints {
+            w.put_u32s(list);
+        }
         let count = numbering.map_or(self.route_count(), |n| n.kept.len());
         let stored = |at: usize| numbering.map_or(at, |n| n.kept[at] as usize);
         let held = (rows..count).map(|at| self.store.get(stored(at)));
@@ -1505,30 +1420,15 @@ impl RouteTable {
         held.for_each(|pipes| w.put_bare_u32s(pipes.iter().map(|p| p.0)));
     }
 
-    /// The column map without the departed bits, each location slot's
-    /// node, and each slot's endpoint list.
-    fn put_geometry(&self, w: &mut ByteWriter) {
-        for block in &self.cols {
-            block.iter().for_each(|&col| w.put_u32(col & !DEPARTED));
-        }
-        for &loc in &self.locs.locations {
-            w.put_usize(loc.index());
-        }
-        for list in &self.locs.endpoints {
-            w.put_u32s(list);
-        }
-    }
-
-    /// Reads what [`RouteTable::put_geometry`] writes for `slots` slots,
-    /// checked: columns name slots, locations are distinct nodes below
-    /// `node_limit` (they size the node → slot map), and each list ascends
+    /// Reads the geometry [`RouteTable::encode_section`] writes for `slots`
+    /// slots, checked: columns name slots, locations are distinct nodes of
+    /// `matrix` (they size the node → slot map), and each list ascends
     /// strictly and names endpoints whose column it is; the rest departed.
     fn get_geometry(
         r: &mut ByteReader,
         endpoints: usize,
         slots: usize,
-        node_limit: usize,
-        node_component: Arc<[u32]>,
+        matrix: &RoutingMatrix,
     ) -> Result<(Vec<u32>, LocationIndex), CodecError> {
         use CodecError::Invalid;
         let mut cols = Vec::with_capacity(endpoints);
@@ -1538,11 +1438,11 @@ impl RouteTable {
         if slots > DEPARTED as usize || cols.iter().any(|&c| c as usize >= slots) {
             return Err(Invalid("column is not a location slot"));
         }
-        let (mut locs, _) = LocationIndex::build(&[], node_component);
+        let (mut locs, _) = LocationIndex::build(&[], Arc::clone(&matrix.node_component));
         for _ in 0..slots {
             let loc = NodeId::get(r)?;
-            if loc.index() >= node_limit {
-                return Err(Invalid("location node index beyond the input"));
+            if loc.index() >= matrix.node_count {
+                return Err(Invalid("location node index beyond the matrix"));
             }
             if locs.slot_of(loc).is_some() {
                 return Err(Invalid("location listed twice"));
@@ -1591,18 +1491,22 @@ impl RouteTable {
         // count of its endpoint list.
         let endpoints = r.get_count(u32::MIN_BYTES)?;
         let slots = r.get_count(<(NodeId, Vec<u32>)>::MIN_BYTES)?;
-        let components = Arc::clone(&matrix.node_component);
-        let (cols, locs) = Self::get_geometry(r, endpoints, slots, matrix.node_count, components)?;
-        let ends = r.get_u32s()?;
-        let held = Chunk {
-            pipes: r.get_u32s()?.into_iter().map(PipeId).collect(),
-            ends,
+        let (cols, locs) = Self::get_geometry(r, endpoints, slots, matrix)?;
+        // The held routes' ends, read in place, then their pipes: the store
+        // is the only copy of the routes a restore keeps.
+        let count = r.get_count(u32::MIN_BYTES)?;
+        let (ends, _) = r.take_bytes(4 * count)?.as_chunks();
+        let ends = || ends.iter().map(|&end| u32::from_le_bytes(end) as usize);
+        let pipes: Vec<PipeId> = r.get_u32s()?.into_iter().map(PipeId).collect();
+        let held = || {
+            ends().scan(0, |from, end| {
+                Some(&pipes[std::mem::replace(from, end)..end])
+            })
         };
-        let rising = held.ends.first() != Some(&0) && held.ends.windows(2).all(|e| e[0] < e[1]);
-        if !rising || held.ends.last().map_or(0, |&end| end as usize) != held.pipes.len() {
+        if ends().try_fold(0, |from, end| (end > from).then_some(end)) != Some(pipes.len()) {
             return Err(Invalid("held routes' ends do not rise to their pipes"));
         }
-        if held.pipes.iter().any(|p| p.index() >= matrix.pipe_count()) {
+        if pipes.iter().any(|p| p.index() >= matrix.pipe_count()) {
             return Err(Invalid("held route names a pipe the matrix does not hold"));
         }
         let mut table = Self::with_geometry(cols, locs);
@@ -1612,11 +1516,10 @@ impl RouteTable {
             }
             _ => table.derive_rows(matrix),
         }
-        if held.ends.len() > NO_ROUTE as usize - table.route_count() {
+        if count > NO_ROUTE as usize - table.route_count() {
             return Err(Invalid("more routes than ids"));
         }
-        for at in 0..held.ends.len() {
-            let pipes = held.get(at);
+        for pipes in held() {
             let (first, last) = (pipes[0].index(), pipes[pipes.len() - 1].index());
             let slot = |node: u32| table.locs.slot_of(NodeId(node as usize));
             let ends = slot(matrix.pipe_src[first]).zip(slot(matrix.pipe_dst[last]));
@@ -1625,90 +1528,16 @@ impl RouteTable {
                 return Err(Invalid("held route equal to a derived one"));
             }
         }
-        if !held.ends.is_empty() {
+        if count > 0 {
             let store = Arc::make_mut(&mut table.store);
             // A shared table's content index would not see the appends: the
             // first lookup builds it again.
             store.index.take();
-            for at in 0..held.ends.len() {
-                store.append(Pipes(held.get(at), None), None);
-            }
+            held().for_each(|pipes| {
+                store.append(Pipes(pipes, None), None);
+            });
         }
         Ok(table)
-    }
-
-    /// The previous version's route section, [`RouteTable::decode`]'s
-    /// input: every stored route, chunk by chunk (`ends` and pipes as two
-    /// `u32` runs), a row shard per location slot, then the geometry.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_usize(self.endpoint_count);
-        w.put_len(self.store.sealed.len() + 1);
-        for chunk in self.store.chunks() {
-            w.put_u32s(&chunk.ends);
-            w.put_u32s_from(chunk.pipes.iter().map(|p| p.0));
-        }
-        w.put_len(self.locs.locations.len());
-        for block in &self.rows {
-            block.iter().for_each(|row| row.put(w));
-        }
-        self.put_geometry(w);
-    }
-
-    /// Rebuilds a table from [`RouteTable::encode`] output: route ids are
-    /// the positions the routes were written at, and re-encoding the result
-    /// reproduces the input. Every invariant the table relies on is checked
-    /// here: counts are bounded by the bytes left; every chunk but the last
-    /// is full, the last is not, each chunk's `ends` never decrease and
-    /// finish on its pipe count; route ids, row windows and the geometry are
-    /// checked; a location with no endpoint carries no row.
-    pub fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
-        use CodecError::Invalid;
-        // An endpoint is at least its column.
-        let endpoint_count = r.get_count(u32::MIN_BYTES)?;
-        let mut store = RouteStore::default();
-        store.fill_chunks(r)?;
-        // A location is its row tag, its node and the count of its endpoint
-        // list.
-        let slots = r.get_count(<(RowShard, NodeId, Vec<u32>)>::MIN_BYTES)?;
-        let mut rows = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            rows.push(RowShard::get(r)?);
-        }
-        // The routing matrix that follows spends four bytes on every node.
-        let node_limit = r.remaining().saturating_mul(8);
-        let no_map = Arc::default();
-        let (cols, locs) = Self::get_geometry(r, endpoint_count, slots, node_limit, no_map)?;
-        for (row, list) in rows.iter().zip(&locs.endpoints) {
-            if list.is_empty() && *row != RowShard::Empty {
-                return Err(Invalid("location without endpoints carries a row"));
-            }
-            row.check(slots)?;
-            let mut ids = row.ids().iter().filter(|&&id| id != NO_ROUTE);
-            if ids.any(|&id| id as usize >= store.len()) {
-                return Err(Invalid("row shard names a route the store does not hold"));
-            }
-        }
-        let mut table = Self::with_geometry(cols, locs);
-        (table.store, table.rows) = (Arc::new(store), blocks_from_flat(rows));
-        table.rows_read = None;
-        Ok(table)
-    }
-
-    /// Clears every row's column toward a location with no live endpoint,
-    /// which the previous version kept.
-    pub fn clear_departed_columns(&mut self) {
-        for slot in 0..self.locs.locations.len() {
-            if self.locs.endpoints[slot].is_empty() {
-                self.clear_column(slot);
-            }
-        }
-    }
-
-    /// One past the largest pipe id any interned route names (0 when no
-    /// route has a pipe): what a restore checks against the pipes the
-    /// emulator actually has, tracked as routes are appended or decoded.
-    pub fn pipe_bound(&self) -> usize {
-        self.store.pipe_bound
     }
 
     /// Memory accounting for the route state (see [`RouteStateMemory`]).
@@ -1806,60 +1635,113 @@ mod tests {
         (RouteTable::build(&matrix, &locations), n)
     }
 
-    #[test]
-    fn codec_round_trip_is_byte_stable_and_preserves_lookups() {
-        // A multiplexed table (two endpoints per location) exercises shared
-        // rows, the column map and the location geometry; a rewire before
-        // the checkpoint exercises patched windows.
-        let topo = ring_topology(&RingParams {
-            routers: 6,
-            clients_per_router: 1,
-            ..RingParams::default()
-        });
-        let d = distill(&topo, DistillationMode::HopByHop);
-        let mut matrix = RoutingMatrix::build(&d);
-        let mut locations = d.vns().to_vec();
-        locations.extend(d.vns().to_vec());
+    /// [`multiplexed_ring`] with the first pipe of `0 -> 1` failed (the
+    /// access pipe out of endpoint 0's location) and the table rewired
+    /// around it; the routes it took from the rows are held, as descriptors
+    /// in flight on them would hold them. Also returns the healthy topology.
+    fn flapped_ring() -> (
+        mn_distill::DistilledTopology,
+        RoutingMatrix,
+        Vec<NodeId>,
+        RouteTable,
+        Vec<RouteId>,
+    ) {
+        let (d, mut matrix, locations) = multiplexed_ring();
         let mut table = RouteTable::build(&matrix, &locations);
-        let mut d2 = d.clone();
         let victim = table.pipes(table.route_id(0, 1).unwrap())[0];
-        d2.pipe_attrs_mut(victim).unwrap().bandwidth = mn_util::DataRate::ZERO;
-        let update = matrix.update_pipes(&d2, &[victim]);
+        let ids = (0..table.route_count() as u32).map(RouteId);
+        let held: Vec<RouteId> = ids
+            .filter(|&id| table.pipes(id).contains(&victim))
+            .collect();
+        let mut down = d.clone();
+        down.pipe_attrs_mut(victim).unwrap().bandwidth = mn_util::DataRate::ZERO;
+        let update = matrix.update_pipes(&down, &[victim]);
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
+        (d, matrix, locations, table, held)
+    }
 
-        let bytes = encoded(&table);
-        let mut restored =
-            RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
+    /// `table`'s route section as a checkpoint writes it while descriptors
+    /// in flight hold `held`.
+    fn section(table: &RouteTable, held: &[RouteId]) -> Vec<u8> {
+        let numbering = table.numbering(|ids| {
+            ids.extend_from_slice(held);
+            Ok::<_, ()>(())
+        });
+        let (rows, numbering) = numbering.unwrap();
+        let mut w = ByteWriter::new();
+        table.encode_section(&mut w, rows, numbering.as_ref());
+        w.into_bytes()
+    }
 
-        assert_eq!(bytes, encoded(&restored), "snapshot → restore → snapshot");
+    /// Every route `table` stores, as held routes.
+    fn every_route(table: &RouteTable) -> Vec<RouteId> {
+        (0..table.route_count() as u32).map(RouteId).collect()
+    }
 
+    /// `decode_section` of the whole of `bytes`.
+    fn decoded(
+        bytes: &[u8],
+        matrix: &RoutingMatrix,
+        own: Option<&RouteTable>,
+    ) -> Result<RouteTable, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        let table = RouteTable::decode_section(&mut r, matrix, own)?;
+        r.finish()?;
+        Ok(table)
+    }
+
+    /// The pipes `table` routes `src -> dst` on.
+    fn route(table: &RouteTable, src: usize, dst: usize) -> Option<&[PipeId]> {
+        table.route_id(src, dst).map(|id| table.pipes(id))
+    }
+
+    #[test]
+    fn section_round_trip_is_byte_stable_and_preserves_lookups() {
+        // A multiplexed table (two endpoints per location) exercises shared
+        // rows, the column map and the location geometry; a failure before
+        // the checkpoint exercises rewired rows and held routes.
+        let (d, mut matrix, locations, mut table, held) = flapped_ring();
+        let bytes = section(&table, &held);
+        let mut restored = decoded(&bytes, &matrix, None).expect("decodes");
+        restored.assert_sound();
+        assert!(
+            restored.store.index.get().is_none(),
+            "no index until a lookup"
+        );
+        let again = section(&restored, &every_route(&restored));
+        assert_eq!(bytes, again, "snapshot → restore → snapshot");
+
+        // The rows read the same routes, and the held routes follow them in
+        // pipe order.
         assert_eq!(restored.endpoint_count(), table.endpoint_count());
-        assert_eq!(restored.route_count(), table.route_count());
         let n = table.endpoint_count();
-        for s in 0..n {
-            for t in 0..n {
-                assert_eq!(restored.route_id(s, t), table.route_id(s, t), "{s}->{t}");
-                if let Some(id) = table.route_id(s, t) {
-                    assert_eq!(restored.pipes(id), table.pipes(id));
-                }
-            }
+        for (s, t) in (0..n * n).map(|i| (i / n, i % n)) {
+            assert_eq!(route(&restored, s, t), route(&table, s, t), "{s}->{t}");
         }
-        // The restored table rewires identically: restore the failed link
-        // and apply the update to both tables.
+        let mut held_pipes: Vec<&[PipeId]> = held.iter().map(|&id| table.pipes(id)).collect();
+        held_pipes.sort();
+        let rows = restored.route_count() - held.len();
+        let restored_held =
+            (rows..restored.route_count()).map(|id| restored.pipes(RouteId(id as u32)));
+        assert!(restored_held.eq(held_pipes));
+
+        // The restored table rewires identically: the link comes back and
+        // both tables map its routes onto the held ones, interning nothing.
+        let victim = table.pipes(held[0])[0];
+        let count = (table.route_count(), restored.route_count());
         let update = matrix.update_pipes(&d, &[victim]);
         table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
         restored.rewire_in_place(&matrix, &locations, &update.changed_pairs);
-        assert_eq!(restored.route_count(), table.route_count());
-        for s in 0..n {
-            for t in 0..n {
-                assert_eq!(restored.route_id(s, t), table.route_id(s, t), "{s}->{t}");
-            }
+        assert_eq!((table.route_count(), restored.route_count()), count);
+        for (s, t) in (0..n * n).map(|i| (i / n, i % n)) {
+            assert_eq!(route(&restored, s, t), route(&table, s, t), "{s}->{t}");
         }
     }
 
     impl RouteTable {
         /// Every invariant the table's operations rely on, read off the
-        /// private state: what `decode` must establish from hostile bytes.
+        /// private state: what `decode_section` must establish from hostile
+        /// bytes.
         fn assert_sound(&self) {
             let locs = &self.locs;
             let slots = locs.locations.len();
@@ -1889,334 +1771,215 @@ mod tests {
             }
             let departed = cols.iter().filter(|&&c| c & DEPARTED != 0).count();
             assert_eq!(live + departed, self.endpoint_count, "listed or departed");
-            let bytes = encoded(self);
-            let again = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
-            assert!(again.store.index.get().is_none(), "no index until a lookup");
-            assert_eq!(again.pipe_bound(), self.pipe_bound());
-            assert!(bytes == encoded(&again), "encode -> decode -> encode");
         }
     }
 
-    fn encoded(table: &RouteTable) -> Vec<u8> {
-        let mut w = mn_util::ByteWriter::new();
-        table.encode(&mut w);
-        w.into_bytes()
-    }
-
     #[test]
-    fn mutated_encodings_decode_to_a_sound_table_or_a_typed_error() {
+    fn mutated_sections_decode_to_a_sound_table_or_a_typed_error() {
         // Every single-byte mutation (each bit flipped, the byte zeroed, the
-        // byte saturated) of a valid encoding of the multiplexed, rewired
-        // ring table with one endpoint departed: decoding may refuse it,
-        // but must never panic, and a table it accepts must hold every
-        // invariant, answer every lookup without panicking and hold no
-        // more memory than a small multiple of the input.
-        let (d, mut matrix, locations) = multiplexed_ring();
-        let mut table = RouteTable::build(&matrix, &locations);
-        let mut d2 = d.clone();
-        let victim = table.pipes(table.route_id(0, 1).unwrap())[0];
-        d2.pipe_attrs_mut(victim).unwrap().bandwidth = mn_util::DataRate::ZERO;
-        let update = matrix.update_pipes(&d2, &[victim]);
-        table.rewire_in_place(&matrix, &locations, &update.changed_pairs);
-        assert!(table.unbind_endpoint(4));
-        table.assert_sound();
-        let bytes = encoded(&table);
-        let (mut accepted, mut refused) = (0usize, 0usize);
-        for at in 0..bytes.len() {
-            let flips = (0..8).map(|bit| bytes[at] ^ (1 << bit));
-            for value in flips.chain([0x00, 0xFF]) {
-                if value == bytes[at] {
-                    continue;
-                }
-                let mut mutated = bytes.clone();
-                mutated[at] = value;
-                match RouteTable::decode(&mut mn_util::ByteReader::new(&mutated)) {
-                    Ok(restored) => {
-                        accepted += 1;
-                        restored.assert_sound();
-                        let n = restored.endpoint_count();
-                        assert!(n <= mutated.len(), "byte {at} -> {value:#04x}");
-                        for s in 0..n {
-                            for t in 0..n {
-                                if let Some(id) = restored.route_id(s, t) {
-                                    std::hint::black_box(restored.pipes(id));
-                                }
-                            }
-                        }
-                        let resident = restored.memory().resident_bytes;
-                        assert!(
-                            resident <= 64 * mutated.len(),
-                            "byte {at} -> {value:#04x}: {resident} B resident"
-                        );
+        // byte saturated) of the flapped ring's section, with its held
+        // routes, decoded over the flapped matrix alone and beside a fresh
+        // build it may share: decoding may refuse it, but must never panic,
+        // and a table it accepts must hold every invariant, answer every
+        // lookup without panicking and hold no more memory than a small
+        // multiple of the input.
+        let (_, matrix, locations, table, held) = flapped_ring();
+        let fresh = RouteTable::build(&matrix, &locations);
+        let bytes = section(&table, &held);
+        for own in [None, Some(&fresh)] {
+            let (mut accepted, mut refused) = (0usize, 0usize);
+            for at in 0..bytes.len() {
+                let flips = (0..8).map(|bit| bytes[at] ^ (1 << bit));
+                for value in flips.chain([0x00, 0xFF]) {
+                    if value == bytes[at] {
+                        continue;
                     }
-                    Err(mn_util::CodecError::Invalid(_) | mn_util::CodecError::Eof) => refused += 1,
-                    Err(other) => panic!("byte {at} -> {value:#04x}: unexpected {other:?}"),
+                    let mut mutated = bytes.clone();
+                    mutated[at] = value;
+                    let mut r = ByteReader::new(&mutated);
+                    match RouteTable::decode_section(&mut r, &matrix, own) {
+                        Ok(restored) => {
+                            accepted += 1;
+                            restored.assert_sound();
+                            let n = restored.endpoint_count();
+                            assert!(n <= mutated.len(), "byte {at} -> {value:#04x}");
+                            for (s, t) in (0..n * n).map(|i| (i / n, i % n)) {
+                                std::hint::black_box(route(&restored, s, t));
+                            }
+                            let resident = restored.memory().resident_bytes;
+                            assert!(
+                                resident <= 64 * mutated.len(),
+                                "byte {at} -> {value:#04x}: {resident} B resident"
+                            );
+                        }
+                        Err(CodecError::Invalid(_) | CodecError::Eof) => refused += 1,
+                        Err(other) => panic!("byte {at} -> {value:#04x}: unexpected {other:?}"),
+                    }
                 }
             }
+            let (shared, len) = (own.is_some(), bytes.len());
+            println!("{len} B, own table {shared}: {accepted} accepted, {refused} refused");
+            // Both outcomes occur: pipe ids are free-form below the
+            // matrix's count, every count and index is not.
+            assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
         }
-        // Both outcomes occur: pipe ids (32 bits of them) are free-form,
-        // every count and index is not.
-        assert!(accepted > 0 && refused > 0, "{accepted} / {refused}");
     }
 
-    /// `encode`'s output written by hand: `chunk_count`, each chunk's
-    /// `(ends, pipes)`, then one row per location, the columns, the
-    /// location nodes and their endpoint lists.
+    /// A route section written by hand: the column map, the location nodes
+    /// and their endpoint lists, then the held routes' ends and pipes.
     fn crafted(
-        chunk_count: usize,
-        chunks: &[(&[u32], &[u32])],
-        rows: &[RowShard],
+        matrix: &RoutingMatrix,
         cols: &[u32],
-        locations: &[usize],
+        locations: &[NodeId],
         lists: &[&[u32]],
-    ) -> Result<RouteTable, mn_util::CodecError> {
-        let mut w = mn_util::ByteWriter::new();
+        (ends, pipes): (&[u32], &[u32]),
+    ) -> Result<RouteTable, CodecError> {
+        let mut w = ByteWriter::new();
         w.put_usize(cols.len());
-        w.put_len(chunk_count);
-        for (ends, pipes) in chunks {
-            w.put_u32s(ends);
-            w.put_u32s(pipes);
-        }
-        w.put_len(rows.len());
-        rows.iter().for_each(|row| row.put(&mut w));
+        w.put_len(locations.len());
         cols.iter().for_each(|&c| w.put_u32(c));
-        locations.iter().for_each(|&loc| w.put_usize(loc));
+        locations.iter().for_each(|loc| w.put_usize(loc.index()));
         lists.iter().for_each(|list| w.put_u32s(list));
-        let bytes = w.into_bytes();
-        let mut r = mn_util::ByteReader::new(&bytes);
-        let table = RouteTable::decode(&mut r)?;
-        r.finish()?;
-        Ok(table)
-    }
-
-    /// Two single-pipe routes (pipes 5 and 6) in the tail chunk.
-    const TAIL: (&[u32], &[u32]) = (&[1, 2], &[5, 6]);
-
-    /// The rows of two locations: slot 0 -> slot 1 is route `to_1`, the
-    /// reverse is route `to_0` (`NO_ROUTE`: the empty row).
-    fn two_rows(to_1: u32, to_0: u32) -> [RowShard; 2] {
-        [
-            RowShard::from_window(1, &[to_1]),
-            RowShard::from_window(0, &[to_0]),
-        ]
+        w.put_u32s(ends);
+        w.put_u32s(pipes);
+        decoded(&w.into_bytes(), matrix, None)
     }
 
     #[test]
-    fn decode_refuses_tables_it_could_not_serve() {
-        use mn_util::CodecError::Invalid;
-        // Endpoints 0 and 2 at location 10 (slot 0), endpoint 1 at location
-        // 11 (slot 1); slot 0 -> slot 1 is route 0, the reverse is route 1.
-        let rows = two_rows(0, 1);
-        let table = |rows: &[RowShard], locations: &[usize], lists: &[&[u32]]| {
-            crafted(1, &[TAIL], rows, &[0, 1, 0], locations, lists)
+    fn decode_section_refuses_sections_it_could_not_serve() {
+        use CodecError::Invalid;
+        // Endpoints 0 and 2 at location `a` (slot 0), endpoint 1 at `b`
+        // (slot 1), no held route unless a case gives some.
+        let (_, matrix, vns) = multiplexed_ring();
+        let (a, b) = (vns[0], vns[1]);
+        let none: (&[u32], &[u32]) = (&[], &[]);
+        let table = |locations: &[NodeId], lists: &[&[u32]], held: (&[u32], &[u32])| {
+            crafted(&matrix, &[0, 1, 0], locations, lists, held)
         };
-        let refused = |rows: &[RowShard], locations: &[usize], lists: &[&[u32]]| {
-            table(rows, locations, lists).err()
-        };
-        let sound = table(&rows, &[10, 11], &[&[0, 2], &[1]]).unwrap();
+        let refused = |locations: &[NodeId], lists: &[&[u32]]| table(locations, lists, none).err();
+        let sound = table(&[a, b], &[&[0, 2], &[1]], none).unwrap();
         sound.assert_sound();
-        assert_eq!(sound.route_id(2, 1), Some(RouteId(0)));
-        assert_eq!(sound.route_id(1, 2), Some(RouteId(1)));
-        assert_eq!(sound.pipes(RouteId(1)), &[PipeId(6)]);
-        assert_eq!(sound.pipe_bound(), 7);
+        let a_to_b = sound.route_id(2, 1).unwrap();
+        assert_eq!(sound.route_id(0, 1), Some(a_to_b));
+        assert!(sound.route_id(1, 2).is_some());
         // (a) An endpoint list that is not strictly ascending: the binary
         // searches over it would mis-answer.
         for list in [[2, 0], [0, 0]] {
             assert_eq!(
-                refused(&rows, &[10, 11], &[&list, &[1]]),
+                refused(&[a, b], &[&list, &[1]]),
                 Some(Invalid("location's endpoints are not strictly ascending"))
             );
         }
-        // (b) One node listed as two locations.
+        // (b) One node listed as two locations, and a node the matrix does
+        // not have: it would size the dense node -> slot map.
         assert_eq!(
-            refused(&rows, &[10, 10], &[&[0, 2], &[1]]),
+            refused(&[a, a], &[&[0, 2], &[1]]),
             Some(Invalid("location listed twice"))
         );
-        // (b') A node index the input has no bytes for: it would size the
-        // dense node -> slot map.
         assert_eq!(
-            refused(&rows, &[10, 1 << 40], &[&[0, 2], &[1]]),
-            Some(Invalid("location node index beyond the input"))
+            refused(&[a, NodeId(1 << 40)], &[&[0, 2], &[1]]),
+            Some(Invalid("location node index beyond the matrix"))
         );
-        // (c) A window wider than the location count — though no wider
-        // than the endpoint count, which used to pass — and a row naming a
-        // route the chunks do not hold.
-        let wide = [rows[0].clone(), RowShard::from_window(1, &[1, 1])];
+        // (c) A column naming no slot, and a list naming an endpoint whose
+        // column is another slot.
         assert_eq!(
-            refused(&wide, &[10, 11], &[&[0, 2], &[1]]),
-            Some(Invalid("row window outside the column range"))
+            crafted(&matrix, &[0, 2, 0], &[a, b], &[&[0, 2], &[1]], none).err(),
+            Some(Invalid("column is not a location slot"))
         );
         assert_eq!(
-            refused(&two_rows(2, 1), &[10, 11], &[&[0, 2], &[1]]),
-            Some(Invalid("row shard names a route the store does not hold"))
-        );
-        // (d) Rows are per location, so what co-located endpoints can
-        // disagree on is the location itself: a list naming an endpoint
-        // whose column is another slot, and a row at a location whose list
-        // is empty (every endpoint there departed).
-        assert_eq!(
-            refused(&rows, &[10, 11], &[&[0], &[1, 2]]),
+            refused(&[a, b], &[&[0], &[1, 2]]),
             Some(Invalid("location lists an endpoint not bound there"))
         );
-        assert_eq!(
-            refused(&rows, &[10, 11], &[&[], &[1]]),
-            Some(Invalid("location without endpoints carries a row"))
-        );
-        // Departures written soundly: one endpoint of a location leaves and
-        // its row stays for the other, routes toward it intact; the last
-        // one of a location leaves with the row.
-        let left = table(&rows, &[10, 11], &[&[0], &[1]]).unwrap();
+        // Departures: one endpoint of a location leaves and its row stays
+        // for the other, routes toward it intact; the last one of a
+        // location leaves with its row and the columns toward it.
+        let left = table(&[a, b], &[&[0], &[1]], none).unwrap();
         left.assert_sound();
         assert_eq!(left.route_id(2, 1), None);
-        assert_eq!(left.route_id(0, 1), Some(RouteId(0)));
-        assert_eq!(left.route_id(1, 2), Some(RouteId(1)));
+        assert_eq!(left.route_id(0, 1), Some(a_to_b));
+        assert!(left.route_id(1, 2).is_some());
         assert!(!left.is_endpoint_bound(2) && left.is_endpoint_bound(0));
-        let left = table(&two_rows(0, NO_ROUTE), &[10, 11], &[&[0, 2], &[]]).unwrap();
+        let left = table(&[a, b], &[&[0, 2], &[]], none).unwrap();
         left.assert_sound();
-        assert_eq!(left.route_id(0, 1), Some(RouteId(0)));
+        assert_eq!(left.route_id(0, 1), None);
         assert!(!left.is_endpoint_bound(1));
-    }
-
-    #[test]
-    fn decode_refuses_chunks_it_could_not_serve() {
-        use mn_util::CodecError::Invalid;
-        // The sound table of `decode_refuses_tables_it_could_not_serve`
-        // under other route stores.
-        let (tail, rows) = (TAIL, two_rows(0, 1));
-        let crafted_chunks = |count, chunks: &[(&[u32], &[u32])]| {
-            crafted(
-                count,
-                chunks,
-                &rows,
-                &[0, 1, 0],
-                &[10, 11],
-                &[&[0, 2], &[1]],
-            )
-        };
-        let refused = |count, chunks: &[(&[u32], &[u32])]| crafted_chunks(count, chunks).err();
-        // (a) Route ends that decrease, or do not finish on the pipe count:
-        // `pipes(id)` would slice backwards or past the run.
-        assert_eq!(
-            refused(1, &[(&[2, 1], &[5, 6])]),
-            Some(Invalid("a chunk's route ends decrease"))
-        );
-        for ends in [&[1, 1][..], &[1, 3], &[]] {
+        // (d) Held routes: ends that do not rise from 0 to the pipe count,
+        // a pipe the matrix does not hold, the route the rows give.
+        let derived: Vec<u32> = sound.pipes(a_to_b).iter().map(|p| p.0).collect();
+        let p = derived[0];
+        let lists: &[&[u32]] = &[&[0, 2], &[1]];
+        for ends in [&[0, 2][..], &[2, 1], &[1], &[3]] {
             assert_eq!(
-                refused(1, &[(ends, &[5, 6])]),
-                Some(Invalid("a chunk's last route end is not its pipe count"))
+                table(&[a, b], lists, (ends, &[p, p])).err(),
+                Some(Invalid("held routes' ends do not rise to their pipes"))
             );
         }
-        // (b) A short chunk ahead of the tail, a full or over-full tail, no
-        // tail at all: ids are chunk * 1024 + position.
-        let full: Vec<u32> = (1..=ROUTE_CHUNK as u32).collect();
-        let shape = Some(Invalid(
-            "every chunk is full, except the tail, which is not",
-        ));
-        assert_eq!(refused(2, &[tail, tail]), shape);
-        assert_eq!(refused(1, &[(&full, &full)]), shape);
-        let over: Vec<u32> = (1..=ROUTE_CHUNK as u32 + 1).collect();
-        assert_eq!(refused(2, &[(&over, &over), tail]), shape);
+        let beyond = matrix.pipe_count() as u32;
         assert_eq!(
-            refused(0, &[]),
-            Some(Invalid(
-                "route store has no tail chunk, or more routes than ids"
-            ))
+            table(&[a, b], lists, (&[2], &[p, beyond])).err(),
+            Some(Invalid("held route names a pipe the matrix does not hold"))
         );
-        let two = crafted_chunks(2, &[(&full, &full), tail]).unwrap();
-        two.assert_sound();
-        assert_eq!(two.route_count(), ROUTE_CHUNK + 2);
-        assert_eq!(two.pipes(RouteId(ROUTE_CHUNK as u32)), &[PipeId(5)]);
-        // (c) A chunk count the bytes left cannot hold.
         assert_eq!(
-            refused(1 << 40, &[tail]),
-            Some(Invalid("length prefix exceeds input"))
+            table(&[a, b], lists, (&[derived.len() as u32], &derived)).err(),
+            Some(Invalid("held route equal to a derived one"))
         );
-        assert_eq!(refused(2, &[tail]), shape, "the rows read as a chunk");
+        let held = table(&[a, b], lists, (&[1, 3], &[p, p, p])).unwrap();
+        held.assert_sound();
+        let rows = sound.route_count();
+        assert_eq!(held.route_count(), rows + 2);
+        assert_eq!(held.pipes(RouteId(rows as u32 + 1)), &[PipeId(p); 2]);
     }
 
     #[test]
     fn a_restored_table_interns_through_an_index_built_on_first_use() {
-        // Straddling a chunk boundary, with one content stored under two
-        // ids: the first intern of anything builds the index over all of
-        // it, known content comes back under its first id and new content
-        // appends — whether fingerprints tell routes apart or (degenerate)
-        // every probe has to compare against the store.
-        let mut table = RouteTable::new(2);
-        let content = |i: usize| {
-            [PipeId::from_index(i % 500), PipeId::from_index(i / 500)][..1 + i % 2].to_vec()
-        };
-        let mut first_id = HashMap::new();
-        for i in 0..ROUTE_CHUNK + 40 {
-            let id = table.intern(&content(i));
-            first_id.entry(content(i)).or_insert(id);
-        }
-        assert!(first_id.len() < table.route_count(), "some content repeats");
-        let bytes = encoded(&table);
+        // Held routes straddling a chunk boundary behind the derived ones:
+        // the first intern of anything builds the index over all of them,
+        // known content comes back under its id and new content appends —
+        // whether fingerprints tell routes apart or (degenerate) every
+        // probe has to compare against the store.
+        let topo = ring_topology(&RingParams {
+            routers: 6,
+            clients_per_router: 2,
+            ..RingParams::default()
+        });
+        let matrix = RoutingMatrix::build(&distill(&topo, DistillationMode::HopByHop));
+        let mut table = RouteTable::build(&matrix, matrix.vns());
+        // Distinct, and none a derived route, which visits no pipe twice.
+        let pipes = matrix.pipe_count();
+        assert!(pipes * pipes > ROUTE_CHUNK + 40);
+        let content = |i: usize| [i % pipes, i % pipes, i / pipes].map(PipeId::from_index);
+        let held: Vec<RouteId> = (0..ROUTE_CHUNK + 40)
+            .map(|i| table.intern(&content(i)))
+            .collect();
+        let bytes = section(&table, &held);
         for degenerate in [false, true] {
-            let mut restored = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+            let mut restored = decoded(&bytes, &matrix, None).unwrap();
+            assert_eq!(restored.route_count(), table.route_count());
             Arc::make_mut(&mut restored.store).degenerate = degenerate;
             let forwarding = restored.clone();
-            assert_eq!(
-                restored.intern_pipes(&content(502)),
-                RouteId(2),
-                "first id wins"
-            );
-            assert_eq!(restored.route_count(), table.route_count());
+            let known = RouteId(restored.route_count() as u32 - 2);
+            let pipes = restored.pipes(known).to_vec();
+            assert_eq!(restored.intern_pipes(&pipes), known);
             // Built once, in the store both generations still share.
             assert!(forwarding.store.index.get().is_some());
             assert!(Arc::ptr_eq(&forwarding.store, &restored.store));
-            assert_eq!(restored.store.index.get().unwrap().len, first_id.len());
-            for i in 0..ROUTE_CHUNK + 40 {
-                assert_eq!(
-                    restored.intern_pipes(&content(i)),
-                    first_id[&content(i)],
-                    "route {i}"
-                );
+            let len = restored.store.index.get().unwrap().len;
+            assert_eq!(len, restored.route_count());
+            for id in every_route(&restored) {
+                let pipes = restored.pipes(id).to_vec();
+                assert_eq!(restored.intern_pipes(&pipes), id);
             }
-            let fresh = restored.intern_pipes(&[PipeId(9), PipeId(9), PipeId(9)]);
+            let fresh = restored.intern_pipes(&[PipeId(9); 4]);
             assert_eq!(fresh.index(), table.route_count(), "new content appends");
-            assert_eq!(restored.intern_pipes(&[PipeId(9); 3]), fresh);
+            assert_eq!(restored.intern_pipes(&[PipeId(9); 4]), fresh);
             assert_eq!(forwarding.route_count(), table.route_count());
             restored.assert_sound();
         }
     }
 
     #[test]
-    fn row_shards_and_route_ids_keep_the_record_contract() {
-        let wide: Vec<u32> = (0..INLINE_ROW_CAP as u32 + 3).collect();
-        for shard in [
-            RowShard::Empty,
-            RowShard::from_window(5, &[NO_ROUTE, 7, 9]),
-            RowShard::from_window(2, &wide),
-        ] {
-            mn_util::codec::record_contract(shard);
-        }
+    fn route_ids_keep_the_record_contract() {
         mn_util::codec::record_contract(RouteId(41));
-    }
-
-    #[test]
-    fn decode_keeps_duplicate_content_under_both_ids() {
-        // `intern` always appends, so a hand-assembled store can hold one
-        // pipe sequence twice; a restore must not merge the two ids.
-        let mut table = RouteTable::new(2);
-        let a = table.intern(&[PipeId(1), PipeId(2)]);
-        let b = table.intern(&[PipeId(1), PipeId(2)]);
-        assert_ne!(a, b);
-        table.set_pair(0, 1, a);
-        table.set_pair(1, 0, b);
-        let bytes = encoded(&table);
-        let mut restored =
-            RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).expect("decodes");
-        assert_eq!(restored.route_count(), 2);
-        assert_eq!(restored.route_id(0, 1), Some(a));
-        assert_eq!(restored.route_id(1, 0), Some(b));
-        assert!(restored.store.index.get().is_none(), "built by a lookup");
-        assert_eq!(
-            restored.intern_pipes(&[PipeId(1), PipeId(2)]),
-            a,
-            "first id wins"
-        );
-        assert_eq!(restored.store.index.get().unwrap().len, 1);
     }
 
     /// Today's index before it went flat, kept as the oracle: a
@@ -2422,8 +2185,7 @@ mod tests {
         /// doors, publishes and churn fills it, across the chunk boundaries,
         /// every id resolves to the content it was given — on the generation
         /// that interned and on the one it was cloned from, whose tail a
-        /// clone's appends never reach and whose sealed chunks it shares —
-        /// and the encoding round-trips byte for byte, duplicates included.
+        /// clone's appends never reach and whose sealed chunks it shares.
         #[test]
         fn arena_holds_what_a_vec_of_vecs_does(
             chunks in 0usize..3,
@@ -2490,13 +2252,6 @@ mod tests {
                 let shared = parent.store.sealed.iter().zip(&table.store.sealed);
                 prop_assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
                 table.assert_sound();
-                // What the chunks decode to is what the oracle holds.
-                let bytes = encoded(&table);
-                let restored = RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
-                prop_assert_eq!(restored.route_count(), oracle.len());
-                for (i, content) in oracle.iter().enumerate() {
-                    prop_assert_eq!(restored.pipes(RouteId(i as u32)), &content[..]);
-                }
             }
         }
     }

@@ -107,7 +107,8 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 
 /// The sum a frame of format `version` records for a payload summed to
 /// `sum`: the version word folded in, so a version word changed between two
-/// readable versions fails it. Frames before `MNSP`/`MNRS` v13 record `sum`.
+/// readable versions fails it. Every frame since `MNSP`/`MNRS` v13 records
+/// it, so every version a build reads does.
 pub fn versioned_sum(sum: u64, version: u32) -> u64 {
     sum_fold(sum, u64::from(version))
 }

@@ -18,7 +18,8 @@
 //!    locations are literally the same storage as before it (`Arc` identity
 //!    for spilled rows) — the publish cost is O(changed rows) — and a
 //!    co-located join or leave touches no row at all.
-//! 4. **Byte stability.** `encode → decode → encode` reproduces the bytes
+//! 4. **Byte stability.** A checkpoint's route section, every stored route
+//!    held, decodes over the step's matrix and encodes to the same bytes
 //!    after every step.
 //!
 //! A row covers its source's structural component only; on a topology of
@@ -367,16 +368,28 @@ proptest! {
                 prop_assert!(table.row_storage_shared(table, s), "identity is reflexive");
             }
 
-            // 4. The bytes survive a round trip.
-            let mut w = ByteWriter::new();
-            table.encode(&mut w);
-            let bytes = w.into_bytes();
-            let restored = RouteTable::decode(&mut ByteReader::new(&bytes)).expect("decodes");
-            let mut w = ByteWriter::new();
-            restored.encode(&mut w);
-            prop_assert!(bytes == w.into_bytes(), "encode -> decode -> encode after {:?}", op);
+            // 4. The bytes survive a round trip, every stored route held.
+            let bytes = section(table);
+            let mut r = ByteReader::new(&bytes);
+            let restored = RouteTable::decode_section(&mut r, &sut.matrix, None).expect("decodes");
+            prop_assert!(r.is_exhausted());
+            prop_assert!(bytes == section(&restored), "encode -> decode -> encode after {:?}", op);
         }
     }
+}
+
+/// `table`'s route section as a checkpoint writes it while descriptors in
+/// flight hold every route it stores.
+fn section(table: &RouteTable) -> Vec<u8> {
+    let routes = (0..table.route_count() as u32).map(RouteId);
+    let numbering = table.numbering(|held| {
+        held.extend(routes);
+        Ok::<_, ()>(())
+    });
+    let (rows, numbering) = numbering.unwrap();
+    let mut w = ByteWriter::new();
+    table.encode_section(&mut w, rows, numbering.as_ref());
+    w.into_bytes()
 }
 
 /// `components` disjoint chains of `routers` routers, `clients` clients a
@@ -591,8 +604,8 @@ proptest! {
     /// its tree, reads every home slot before the first probe and then
     /// interns in pair order; [`RouteTable::rewire_pair_by_pair`] walks and
     /// interns each pair alone. Across random flaps of a multiplexed ring
-    /// the two agree on every endpoint pair's `RouteId`, on the encoded
-    /// bytes and on the content-index probes spent. The ring has a VN at a
+    /// the two agree on every endpoint pair's `RouteId`, on every stored
+    /// route's pipes and on the content-index probes spent. The ring has a VN at a
     /// router, so a walk can stop at a destination another destination's
     /// route passes through; a location whose endpoints all left and whose
     /// tree is gone; and it starts by failing a client's access link, which
@@ -640,12 +653,10 @@ proptest! {
             for (s, t) in (0..n * n).map(|i| (i / n, i % n)) {
                 prop_assert_eq!(table.route_id(s, t), oracle.route_id(s, t), "{} -> {}", s, t);
             }
-            let encoded = |table: &RouteTable| {
-                let mut w = ByteWriter::new();
-                table.encode(&mut w);
-                w.into_bytes()
-            };
-            prop_assert!(encoded(&table) == encoded(&oracle), "bytes after link {} up = {}", k, up);
+            prop_assert_eq!(table.route_count(), oracle.route_count());
+            for id in (0..table.route_count() as u32).map(RouteId) {
+                prop_assert_eq!(table.pipes(id), oracle.pipes(id), "route {:?} after link {} up = {}", id, k, up);
+            }
             prop_assert_eq!(table.content_index_probes(), oracle.content_index_probes());
         }
     }

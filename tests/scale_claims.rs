@@ -96,37 +96,44 @@ fn routes_and_hops(table: &RouteTable) -> (usize, usize) {
     (routes, hops)
 }
 
-/// (i') The encoded route table is the size of the state, not of the
-/// endpoint count: four bytes per route and per hop (the arena's two `u32`
-/// runs), four per location pair (one row per location) and a per-endpoint
-/// term that fits the 4 KiB of slack here. A `u64` per hop, or a location's
-/// row written once per endpoint bound there (format v2 did both: 2.2 × the
-/// state on `ctl_live4k`), fails by count.
+/// (i') A checkpoint's route section is the size of what a restore cannot
+/// derive, not of the table: 8 B an endpoint (its column and its place in
+/// its location's list), 16 B a location (its node and its list's length),
+/// 4 B a held route and a held hop, and four length words. The routes the
+/// rows read cost nothing, as a restore derives them from the matrix; a
+/// section that wrote them, 4 B a route and a hop at least, fails by count.
 #[test]
-fn an_encoded_route_table_is_four_bytes_a_hop_and_one_row_a_location() {
+fn a_route_section_is_the_geometry_and_the_held_routes() {
     let _turn = my_turn();
     let (matrix, locations, n) = ring_5x4_multiplexed();
-    let table = RouteTable::build(&matrix, &locations);
+    let mut table = RouteTable::build(&matrix, &locations);
+    let (rows, row_hops) = routes_and_hops(&table);
+    assert_eq!(rows, n * (n - 1));
+    // Held routes, which no row reads: every tenth row route reversed.
+    for id in (0..rows as u32).step_by(10).map(mn_routing::RouteId) {
+        let reversed: Vec<PipeId> = table.pipes(id).iter().rev().copied().collect();
+        table.intern(&reversed);
+    }
     let (routes, hops) = routes_and_hops(&table);
+    let (held, held_hops) = (routes - rows, hops - row_hops);
     let mut w = mn_util::ByteWriter::new();
-    table.encode(&mut w);
-    let bound = 4 * (routes + hops) + 4 * n * n + 4096;
+    table.encode_section(&mut w, rows, None);
+    let size = 8 * locations.len() + 16 * n + 4 * (held + held_hops) + 32;
     println!(
-        "(i') {routes} routes, {hops} hops, {n} locations x {MUX} VNs: {} B encoded, bound {bound}",
+        "(i') {n} locations x {MUX} VNs, {held} held routes of {held_hops} hops: {} B, not the rows' {rows} routes of {row_hops} hops",
         w.len()
     );
-    assert_eq!(routes, n * (n - 1));
-    assert!(w.len() <= bound, "{} B encoded, bound {bound}", w.len());
+    assert_eq!(w.len(), size);
 }
 
-/// (i'') The resident route arena is four bytes a hop, as it is encoded:
-/// `RouteTable::build` leaves allocated 4 B a route end and 4 B a hop —
-/// twice that at most here, as all 380 routes sit in the open chunk, whose
-/// two buffers grow by doubling — 4 B a row entry (one row a location), 8 B
-/// an endpoint (its column and its place in its location's list) and 4 KiB
-/// for the fixed-size parts: the store, block and location tables and the
-/// resolver's per-node scratch. An 8-byte pipe id adds at least 4 B a hop,
-/// more than the bound leaves over: it fails by count.
+/// (i'') The resident route arena is four bytes a hop, as a held route is
+/// encoded: `RouteTable::build` leaves allocated 4 B a route end and 4 B a
+/// hop — twice that at most here, as all 380 routes sit in the open chunk,
+/// whose two buffers grow by doubling — 4 B a row entry (one row a
+/// location), 8 B an endpoint (its column and its place in its location's
+/// list) and 4 KiB for the fixed-size parts: the store, block and location
+/// tables and the resolver's per-node scratch. An 8-byte pipe id adds at
+/// least 4 B a hop, more than the bound leaves over: it fails by count.
 #[test]
 fn the_resident_route_arena_is_four_bytes_a_hop() {
     let _turn = my_turn();

@@ -932,35 +932,49 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
     let _process = shared();
     // The route arena's allocation budget. Routes live back to back in
     // chunks of 1024 (`ROUTE_CHUNK` in `mn_routing::table`), a chunk being
-    // its `Arc`, its offsets and its pipes, and the encoding is those two
-    // runs as they lie: decoding 100 000 routes is at most 3 allocator calls
-    // per chunk plus 64 for the chunk list and the rows, columns and
-    // geometry, and requests no more bytes than the arena it fills (4 B a
-    // route and a hop in memory; the bound allows 8 B a hop) plus 64 KiB —
-    // in particular no content index, which nothing on the forwarding path
-    // reads: the first intern builds it (two blocks: the fingerprints, then
-    // the slots, sized once).
+    // its `Arc`, its offsets and its pipes, and a checkpoint writes the
+    // routes only descriptors hold as two runs, their ends and their pipes.
+    // Restored beside a fresh build over the same matrix and geometry, whose
+    // rows it shares (as `Emulator::restore_like` does), 100 000 of them
+    // take at most 3 allocator calls per chunk plus 64 for the chunk list
+    // and the copied store, and request no more bytes than the arena it fills (4 B a route and a
+    // hop in memory; the bound allows 8 B a hop, as the pipes are read
+    // before they are appended) plus 64 KiB — in particular no content
+    // index, which nothing on the forwarding path reads: the first intern
+    // builds it (two blocks: the fingerprints, then the slots, sized once).
     // Dropping the table frees 3 blocks per chunk plus 16. A `Vec` per
     // route made both at least 100 000.
     const ROUTES: usize = 100_000;
     let chunks = ROUTES.div_ceil(1024) as u64;
-    let mut table = mn_routing::RouteTable::new(2);
-    let mut hops = 0;
+    // Two locations of a 160-spoke star: 320 pipes.
+    let topo = star_topology(&StarParams {
+        clients: 160,
+        ..StarParams::default()
+    });
+    let matrix = RoutingMatrix::build(&distill(&topo, DistillationMode::HopByHop));
+    let fresh = mn_routing::RouteTable::build(&matrix, &matrix.vns()[..2]);
+    let (mut table, rows) = (fresh.clone(), fresh.route_count());
+    // Route `i` is its two base-320 digits, the first one twice: distinct,
+    // and none a derived route, which visits no pipe twice.
+    let p = matrix.pipe_count();
+    assert!(p * p >= ROUTES);
+    let hops = 3 * ROUTES;
     for i in 0..ROUTES {
-        let pipes = [i, i + 1, i % 7].map(mn_distill::PipeId::from_index);
-        table.intern(&pipes[..2 + i % 2]);
-        hops += 2 + i % 2;
+        let [a, b] = [i % p, i / p].map(mn_distill::PipeId::from_index);
+        table.intern(&[a, a, b]);
     }
-    table.set_pair(0, 1, mn_routing::RouteId(ROUTES as u32 - 1));
     let mut w = mn_util::ByteWriter::new();
-    table.encode(&mut w);
+    table.encode_section(&mut w, rows, None);
     let bytes = w.into_bytes();
+    let known = table.pipes(mn_routing::RouteId(rows as u32 + 6)).to_vec();
+    drop(table);
 
     let (calls, requested) = (alloc_calls(), alloc_bytes());
+    let mut r = mn_util::ByteReader::new(&bytes);
     let mut restored =
-        mn_routing::RouteTable::decode(&mut mn_util::ByteReader::new(&bytes)).unwrap();
+        mn_routing::RouteTable::decode_section(&mut r, &matrix, Some(&fresh)).unwrap();
     let (calls, requested) = (alloc_calls() - calls, alloc_bytes() - requested);
-    assert_eq!(restored.route_count(), ROUTES);
+    assert_eq!(restored.route_count(), rows + ROUTES);
     assert!(
         calls <= 3 * chunks + 64,
         "{calls} allocator calls decoding {ROUTES} routes in {chunks} chunks"
@@ -973,12 +987,12 @@ fn a_route_table_restore_allocates_per_chunk_not_per_route() {
     // The first intern is what builds the index: 8 B a route of
     // fingerprints, 16 B a slot at 4/3 to 8/3 slots a route.
     let index = alloc_bytes();
-    let known = [6, 7].map(mn_distill::PipeId);
-    assert_eq!(restored.intern_pipes(&known), mn_routing::RouteId(6));
+    let id = mn_routing::RouteId(rows as u32 + 6);
+    assert_eq!(restored.intern_pipes(&known), id);
     let index = alloc_bytes() - index;
     assert!(index >= 24 * ROUTES as u64, "{index} B for the index");
     let again = alloc_calls();
-    assert_eq!(restored.intern_pipes(&known), mn_routing::RouteId(6));
+    assert_eq!(restored.intern_pipes(&known), id);
     assert_eq!(alloc_calls(), again, "built once");
 
     let frees = mn_util::alloc::thread_free_calls();
