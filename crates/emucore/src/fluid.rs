@@ -609,6 +609,11 @@ impl FluidState {
         if named.any(|pipe| pipe.index() >= pipes) {
             return Err(Invalid("fluid flow on a pipe beyond the capacities"));
         }
+        // The solver divides by a flow's weight; every constructor makes it
+        // at least 1.
+        if flows.iter().any(|flow| flow.weight == 0) {
+            return Err(Invalid("fluid flow of weight 0"));
+        }
         let mut index = HashMap::with_capacity(flows.len());
         for (slot, flow) in flows.iter().enumerate() {
             if index.insert(flow.key, slot).is_some() {

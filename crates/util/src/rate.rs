@@ -42,9 +42,9 @@ impl ByteSize {
         self.0
     }
 
-    /// Returns the size in bits.
+    /// Returns the size in bits, saturating past `u64::MAX` bits.
     pub const fn as_bits(self) -> u64 {
-        self.0 * 8
+        self.0.saturating_mul(8)
     }
 
     /// Returns `true` if this is the zero size.

@@ -115,16 +115,18 @@ impl SimDuration {
     }
 }
 
+/// Saturating: a sum past the largest duration is the largest duration, in
+/// every build, instead of a debug panic and a release wrap.
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 

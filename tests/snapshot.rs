@@ -570,3 +570,48 @@ proptest! {
         prop_assert!(first == second, "round trip not byte-stable");
     }
 }
+
+/// A frame the decoder accepts never panics the run: each committed `MNSP`
+/// fixture of the current version with every payload byte set to 0x00 and
+/// then to 0xFF, its sum recomputed, is refused, or restores, advances
+/// through up to 64 wakeups and snapshots again without a panic.
+#[test]
+fn a_resealed_payload_the_decoder_accepts_runs_without_a_panic() {
+    use mn_emucore::{Emulator, SNAPSHOT_VERSION};
+    use mn_util::codec::{checksum64, versioned_sum};
+    for name in ["path4", "mux_churn"] {
+        let dir = env!("CARGO_MANIFEST_DIR");
+        let path = format!("{dir}/tests/data/mnsp_v{SNAPSHOT_VERSION}_{name}.bin");
+        let framed = std::fs::read(path).unwrap();
+        let end = framed.len() - 8;
+        let (mut accepted, mut refused) = (0, 0);
+        for at in 16..end {
+            for value in [0x00, 0xFF] {
+                if framed[at] == value {
+                    continue;
+                }
+                let mut bytes = framed.clone();
+                bytes[at] = value;
+                let sum = versioned_sum(checksum64(&bytes[16..end]), SNAPSHOT_VERSION);
+                bytes[end..].copy_from_slice(&sum.to_le_bytes());
+                let Ok(mut emu) = Emulator::restore_bytes(&bytes) else {
+                    refused += 1;
+                    continue;
+                };
+                accepted += 1;
+                for _ in 0..64 {
+                    let Some(now) = emu.next_wakeup() else { break };
+                    if emu.advance(now).is_err() {
+                        break;
+                    }
+                }
+                let _ = emu.snapshot();
+            }
+        }
+        println!("{name}: {accepted} accepted, {refused} refused");
+        assert!(
+            accepted > 0 && refused > 0,
+            "{name}: {accepted} / {refused}"
+        );
+    }
+}
