@@ -172,6 +172,21 @@ pub fn fig7_shape_holds(points: &[PrefetchPoint]) -> bool {
     first > 0.0 && best > first
 }
 
+/// Figure 8 shape, from the paper's claim as recalled (PAPER.md holds only
+/// the abstract): the download-speed CDF moves right as the prefetch window
+/// grows from 8 to 24 to 40 KB. So every download completes at a non-zero
+/// speed, and each larger window's median is above the smaller one's.
+pub fn fig8_shape_holds(curves: &mut [(u64, Cdf)]) -> bool {
+    let mut medians = Vec::with_capacity(curves.len());
+    for (_, cdf) in curves.iter_mut() {
+        match (cdf.min(), cdf.median()) {
+            (Some(min), Some(median)) if min > 0.0 => medians.push(median),
+            _ => return false,
+        }
+    }
+    medians.len() == 3 && medians.windows(2).all(|pair| pair[0] < pair[1])
+}
+
 /// Figure 9 shape: larger transfers achieve higher median speed (slow start
 /// amortised), and every 8 KB transfer completes.
 pub fn fig9_shape_holds(curves: &mut [(u64, Cdf)]) -> bool {
@@ -190,6 +205,35 @@ pub fn fig9_shape_holds(curves: &mut [(u64, Cdf)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fig8_shape_is_a_cdf_moving_right_with_the_window() {
+        let curves = |speeds: [[f64; 2]; 3]| -> Vec<(u64, Cdf)> {
+            let windows = [8, 24, 40].into_iter().zip(speeds);
+            let cdf = |s: [f64; 2]| {
+                let mut cdf = Cdf::new();
+                cdf.extend(s);
+                cdf
+            };
+            windows.map(|(w, s)| (w, cdf(s))).collect()
+        };
+        assert!(fig8_shape_holds(&mut curves([
+            [40.0, 50.0],
+            [120.0, 140.0],
+            [200.0, 220.0]
+        ])));
+        // A stalled download, a window that does not move the median right.
+        assert!(!fig8_shape_holds(&mut curves([
+            [0.0, 50.0],
+            [120.0, 140.0],
+            [200.0, 220.0]
+        ])));
+        assert!(!fig8_shape_holds(&mut curves([
+            [40.0, 50.0],
+            [200.0, 220.0],
+            [120.0, 140.0]
+        ])));
+    }
 
     #[test]
     fn single_download_completes_and_reports_speed() {

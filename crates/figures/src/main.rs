@@ -37,8 +37,10 @@ const EXPERIMENTS: [Experiment; 12] = [
         )
     }),
     ("fig8_cfs_cdf", |s| {
+        let mut curves = cfs::run_fig8(s);
         let title = "Figure 8: CFS download speed CDFs";
-        (render_cdfs(title, "kB/s", &mut cfs::run_fig8(s)), None)
+        let table = render_cdfs(title, "kB/s", &mut curves);
+        (table, Some(cfs::fig8_shape_holds(&mut curves)))
     }),
     ("fig9_tcp_transfers", |s| {
         let mut curves = cfs::run_fig9(s);
